@@ -14,7 +14,10 @@
 //! Both modes must come back clean, the incremental pass must re-check
 //! exactly one graph, and its min-of-reps latency must beat the full
 //! pass at every fleet size ≥ the smallest — the acceptance gate CI
-//! smoke-checks. Writes `BENCH_verify.json`.
+//! smoke-checks. An incremental pass must also *lower* the same number
+//! of installed rules at every fleet size (the touched graph's two
+//! hosts, nothing else): cost follows the change, not the fleet.
+//! Writes `BENCH_verify.json`.
 //!
 //! ```sh
 //! cargo run --release -p un-bench --bin verify_sweep
@@ -72,6 +75,7 @@ fn main() {
     );
 
     let mut rows = Vec::new();
+    let mut lowered_per_pass = None;
     for &nodes in &FLEETS {
         let mut d = fleet(nodes);
         let graphs = nodes / 2;
@@ -87,6 +91,7 @@ fn main() {
             full_report.violations
         );
         assert_eq!(full_report.graphs_checked, graphs);
+        assert_eq!(full_report.rules_lowered, rules);
         for _ in 0..REPS {
             let t = Instant::now();
             full_report = d.verify_full();
@@ -116,6 +121,11 @@ fn main() {
             );
             assert_eq!(report.graphs_reused, graphs - 1);
             assert_eq!(report.nodes_checked, 2);
+            assert_eq!(
+                *lowered_per_pass.get_or_insert(report.rules_lowered),
+                report.rules_lowered,
+                "an incremental pass must lower the same rules at every fleet size ({nodes} nodes)"
+            );
             incr_report = Some(report);
         }
         let incr_report = incr_report.expect("REPS > 0");
@@ -146,6 +156,7 @@ fn main() {
                 .set("incremental_graphs_checked", incr_report.graphs_checked)
                 .set("incremental_nodes_checked", incr_report.nodes_checked)
                 .set("incremental_rules_checked", incr_report.stats.rules_checked)
+                .set("incremental_rules_lowered", incr_report.rules_lowered)
                 .set("speedup", speedup),
         );
     }

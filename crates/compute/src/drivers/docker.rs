@@ -167,15 +167,16 @@ impl DockerDriver {
             .map_err(|e| ComputeError::Substrate(e.to_string()))
     }
 
-    /// Remove a stopped container.
-    pub fn destroy(&mut self, key: u64) -> Result<(), ComputeError> {
+    /// Remove a stopped container and its network namespace.
+    pub fn destroy(&mut self, key: u64, host: &mut Host) -> Result<(), ComputeError> {
         let inst = self
             .instances
             .remove(&key)
             .ok_or(ComputeError::NoSuchInstance(key))?;
         self.runtime
             .remove(inst.container)
-            .map(|_| ())
+            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
+        host.remove_namespace(inst.ns)
             .map_err(|e| ComputeError::Substrate(e.to_string()))
     }
 
@@ -338,7 +339,8 @@ mod tests {
 
         d.stop(1, &mut host, &mut ledger).unwrap();
         assert_eq!(ledger.usage(acct), 0);
-        d.destroy(1).unwrap();
+        d.destroy(1, &mut host).unwrap();
+        assert_eq!((host.namespace_count(), host.iface_count()), (1, 1));
     }
 
     #[test]

@@ -246,8 +246,9 @@ impl NativeDriver {
         Ok(())
     }
 
-    /// Remove the instance.
-    pub fn destroy(&mut self, key: u64) -> Result<(), ComputeError> {
+    /// Remove the instance and the namespace it ran in — ports, and
+    /// whatever kernel state the plugin configured, go with it.
+    pub fn destroy(&mut self, key: u64, host: &mut Host) -> Result<(), ComputeError> {
         let inst = self
             .instances
             .remove(&key)
@@ -257,7 +258,13 @@ impl NativeDriver {
             return Err(ComputeError::BadState("destroy while running"));
         }
         self.singletons.retain(|_, v| *v != key);
-        Ok(())
+        host.remove_namespace(inst.ns)
+            .map_err(|e| ComputeError::Substrate(e.to_string()))
+    }
+
+    /// Live instances (diagnostics / tests).
+    pub fn instance_count(&self) -> usize {
+        self.instances.len()
     }
 
     /// Unified packet delivery.
@@ -510,10 +517,15 @@ mod tests {
 
         // destroy-while-running is refused; stop then destroy works and
         // frees the singleton slot.
-        assert!(matches!(d.destroy(1), Err(ComputeError::BadState(_))));
+        assert!(matches!(
+            d.destroy(1, &mut host),
+            Err(ComputeError::BadState(_))
+        ));
         d.stop(1, &mut host, &mut ledger).unwrap();
-        d.destroy(1).unwrap();
+        d.destroy(1, &mut host).unwrap();
         assert_eq!(d.existing_instance("ipsec"), None);
+        assert!(host.namespace(ns).is_none(), "namespace outlived its NNF");
+        assert_eq!((host.namespace_count(), host.iface_count()), (1, 1));
         let a2 = ledger.create_account("i2", None);
         d.create(
             9,

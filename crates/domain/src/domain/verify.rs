@@ -9,8 +9,9 @@
 //!   leases, the vid pool) into a snapshot that the checker, the REST
 //!   endpoint, and the negative tests all share.
 //! * **Incrementality** — mutations mark the graphs they touched (and
-//!   the nodes hosting their parts); [`Domain::verify`] re-checks only
-//!   the dirty portion and splices cached results in for the rest.
+//!   the nodes hosting their parts); [`Domain::verify`] lowers and
+//!   re-checks only the dirty portion and splices cached results in
+//!   for the rest, so a pass costs what changed, not what is deployed.
 //!   The ledger checks are global but cheap, so they always re-run;
 //!   fleet-wide mutations (membership, health, repair, sharing policy)
 //!   force a full pass because their blast radius is unbounded.
@@ -42,6 +43,13 @@ pub(super) struct VerifyCache {
     node_results: BTreeMap<String, (Vec<Violation>, CheckStats)>,
     /// False until a pass has populated the caches.
     primed: bool,
+}
+
+/// What an incremental pass re-checks, and therefore all it lowers in
+/// depth; names borrow from the domain's own maps.
+struct Scope<'a> {
+    graphs: BTreeSet<&'a str>,
+    nodes: BTreeSet<&'a str>,
 }
 
 /// Lower one deployed graph (intent, plan, install receipt) into the
@@ -106,13 +114,32 @@ impl Domain {
     /// Public so negative tests can corrupt a *real* snapshot and feed
     /// it straight to [`un_verify::check::run`].
     pub fn verify_snapshot(&self) -> Snapshot {
+        self.lower(None)
+    }
+
+    /// The one lowering path. The ledger side (membership, links,
+    /// leases, the vid pool) is always whole; tables, plans and
+    /// expected rules are lowered for everything (`scope == None`) or
+    /// only for what `scope` names, the rest being recorded by name so
+    /// reading it is an error rather than an empty answer.
+    fn lower(&self, scope: Option<&Scope<'_>>) -> Snapshot {
         let (vid_base, vid_next, free_vids, _in_use, standby_vids) = self.vid_accounting();
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|(name, managed)| NodeState {
+        let mut snap = Snapshot {
+            vid_base,
+            vid_next,
+            free_vids,
+            standby_vids,
+            ..Snapshot::default()
+        };
+        for (name, managed) in &self.nodes {
+            let serving = managed.health.is_serving();
+            if scope.is_some_and(|s| !s.nodes.contains(name.as_str())) {
+                snap.unlowered_nodes.push((name.clone(), serving));
+                continue;
+            }
+            snap.nodes.push(NodeState {
                 name: name.clone(),
-                serving: managed.health.is_serving(),
+                serving,
                 lsis: managed
                     .node
                     .lsis()
@@ -137,14 +164,16 @@ impl Domain {
                             .collect(),
                     })
                     .collect(),
-            })
-            .collect();
-        let graphs = self
-            .graphs
-            .iter()
-            .map(|(id, g)| snapshot_graph(id, g))
-            .collect();
-        let links = self
+            });
+        }
+        for (id, g) in &self.graphs {
+            if scope.is_some_and(|s| !s.graphs.contains(id.as_str())) {
+                snap.unlowered_graphs.push(id.clone());
+            } else {
+                snap.graphs.push(snapshot_graph(id, g));
+            }
+        }
+        snap.links = self
             .links
             .iter()
             .map(|(vid, state)| {
@@ -156,7 +185,7 @@ impl Domain {
                 }
             })
             .collect();
-        let leases = self
+        snap.leases = self
             .sharing
             .instances()
             .map(|inst| LeaseInfo {
@@ -165,16 +194,7 @@ impl Domain {
                 tenants: inst.leases.keys().cloned().collect(),
             })
             .collect();
-        Snapshot {
-            vid_base,
-            vid_next,
-            free_vids,
-            standby_vids,
-            nodes,
-            graphs,
-            links,
-            leases,
-        }
+        snap
     }
 
     /// Statically verify the domain: reachability, loop-freedom,
@@ -182,8 +202,9 @@ impl Domain {
     /// a snapshot of current state.
     ///
     /// Incremental: only graphs (and nodes) touched since the last
-    /// call are re-checked; cached results cover the rest. The first
-    /// call, and any call after a fleet-wide mutation, runs full.
+    /// call are lowered and re-checked; cached results cover the rest.
+    /// The first call, and any call after a fleet-wide mutation, runs
+    /// full.
     pub fn verify(&self) -> VerifyReport {
         self.verify_inner(false)
     }
@@ -195,55 +216,85 @@ impl Domain {
 
     fn verify_inner(&self, force_full: bool) -> VerifyReport {
         let started = Instant::now();
-        let snap = self.verify_snapshot();
         let mut cache = self.verify_cache.lock().expect("verify cache poisoned");
         let full = force_full || cache.dirty_all || !cache.primed;
 
+        // Cached entries for graphs/nodes that left the domain are
+        // dead weight — drop them so they can never be spliced back.
+        cache
+            .graph_results
+            .retain(|id, _| self.graphs.contains_key(id));
+        cache
+            .node_results
+            .retain(|name, _| self.nodes.contains_key(name));
+
+        // Derive once what this pass re-checks, and lower only that.
+        // Only serving nodes are audited: a failed carcass keeps its
+        // installed state (expected stale) until recovery purges it.
+        // Hosts of a re-checked graph are audited with it — its
+        // compile-consistency step reads their tables — whether or not
+        // the mutation remembered to mark them.
+        let scope = (!full).then(|| {
+            let graphs: BTreeSet<&str> = self
+                .graphs
+                .keys()
+                .map(String::as_str)
+                .filter(|id| {
+                    cache.graphs_dirty.contains(*id) || !cache.graph_results.contains_key(*id)
+                })
+                .collect();
+            let mut nodes: BTreeSet<&str> = self
+                .nodes
+                .iter()
+                .filter(|(name, managed)| {
+                    managed.health.is_serving()
+                        && (cache.nodes_dirty.contains(*name)
+                            || !cache.node_results.contains_key(*name))
+                })
+                .map(|(name, _)| name.as_str())
+                .collect();
+            for id in &graphs {
+                nodes.extend(self.graphs[*id].partition.parts.keys().map(String::as_str));
+            }
+            Scope { graphs, nodes }
+        });
+        let snap = self.lower(scope.as_ref());
+
         let mut report = VerifyReport {
             mode: if full { "full" } else { "incremental" },
+            rules_lowered: snap.installed_rules(),
             ..VerifyReport::default()
         };
         report.violations.extend(check::check_ledger(&snap));
 
-        // Cached entries for graphs/nodes that left the domain are
-        // dead weight — drop them so they can never be spliced back.
-        cache.graph_results.retain(|id, _| snap.graph(id).is_some());
-        cache
-            .node_results
-            .retain(|name, _| snap.node(name).is_some());
-
+        // Everything lowered is re-checked into the cache; the report
+        // then reads the cache in fleet order, fresh and reused alike.
         for g in &snap.graphs {
-            if !full && !cache.graphs_dirty.contains(&g.id) {
-                if let Some((v, _)) = cache.graph_results.get(&g.id) {
-                    report.violations.extend(v.iter().cloned());
-                    report.graphs_reused += 1;
-                    continue;
-                }
-            }
             let (v, stats) = check::check_graph(&snap, g);
-            report.violations.extend(v.iter().cloned());
             report.stats.merge(stats);
-            report.graphs_checked += 1;
             cache.graph_results.insert(g.id.clone(), (v, stats));
         }
+        report.graphs_checked = snap.graphs.len();
+        report.graphs_reused = snap.unlowered_graphs.len();
+        for id in self.graphs.keys() {
+            let (v, _) = &cache.graph_results[id];
+            report.violations.extend(v.iter().cloned());
+        }
 
-        // Only serving nodes are audited: a failed carcass keeps its
-        // installed state (expected stale) until recovery purges it.
         let in_use: BTreeSet<u16> = snap.links.iter().map(|l| l.vid).collect();
         for node in snap.nodes.iter().filter(|n| n.serving) {
-            if !full && !cache.nodes_dirty.contains(&node.name) {
-                if let Some((v, _)) = cache.node_results.get(&node.name) {
-                    report.violations.extend(v.iter().cloned());
-                    report.nodes_reused += 1;
-                    continue;
-                }
-            }
             let (v, stats) = check::audit_node(node, snap.vid_base, snap.vid_next, &in_use);
-            report.violations.extend(v.iter().cloned());
             report.stats.merge(stats);
             report.nodes_checked += 1;
             cache.node_results.insert(node.name.clone(), (v, stats));
         }
+        for (name, managed) in &self.nodes {
+            if managed.health.is_serving() {
+                let (v, _) = &cache.node_results[name];
+                report.violations.extend(v.iter().cloned());
+            }
+        }
+        report.nodes_reused = snap.unlowered_nodes.iter().filter(|(_, s)| *s).count();
 
         cache.graphs_dirty.clear();
         cache.nodes_dirty.clear();
@@ -298,8 +349,89 @@ impl Domain {
             .set("nodes-checked", report.nodes_checked)
             .set("nodes-reused", report.nodes_reused)
             .set("rules-checked", report.stats.rules_checked)
+            .set("rules-lowered", report.rules_lowered)
             .set("classes", report.stats.classes)
             .set("duration-ns", report.duration_ns)
             .set("violations", violations)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DeployHints, PlacementStrategy};
+    use un_core::UniversalNode;
+    use un_nffg::NfFgBuilder;
+    use un_sim::mem::mb;
+
+    /// Two split chains: `g0` across n0|n1, `g1` across n2|n3.
+    fn paired_fleet() -> Domain {
+        let mut d = Domain::with_defaults();
+        for i in 0..4 {
+            let mut n = UniversalNode::new(&format!("n{i}"), mb(2048));
+            n.add_physical_port(&format!("p{i}"));
+            d.add_node(n);
+        }
+        for k in 0..2 {
+            let (a, b) = (format!("g{k}-a"), format!("g{k}-b"));
+            let g = NfFgBuilder::new(&format!("g{k}"), "pair")
+                .interface_endpoint("lan", &format!("p{}", 2 * k))
+                .interface_endpoint("wan", &format!("p{}", 2 * k + 1))
+                .nf(&a, "bridge", 2)
+                .nf(&b, "bridge", 2)
+                .chain("lan", &[&a, &b], "wan")
+                .build();
+            let hints = DeployHints {
+                nf_node: [(a, format!("n{}", 2 * k)), (b, format!("n{}", 2 * k + 1))].into(),
+                strategy: Some(PlacementStrategy::Spread),
+                ..DeployHints::default()
+            };
+            d.deploy_with(&g, &hints).expect("pair deploys split");
+        }
+        d
+    }
+
+    fn rendered(report: &VerifyReport) -> Vec<String> {
+        let mut v: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn dirty_graph_with_unmarked_hosts_pulls_them_into_scope() {
+        let d = paired_fleet();
+        assert!(d.verify().ok());
+        // A mutation that forgot its hosts: only the graph id is dirty.
+        d.verify_cache
+            .lock()
+            .unwrap()
+            .graphs_dirty
+            .insert("g0".to_string());
+        let report = d.verify();
+        assert_eq!(report.mode, "incremental");
+        assert!(report.ok(), "{:#?}", report.violations);
+        assert_eq!((report.graphs_checked, report.graphs_reused), (1, 1));
+        assert_eq!((report.nodes_checked, report.nodes_reused), (2, 2));
+        let full = check::run(&d.verify_snapshot());
+        assert_eq!(rendered(&report), rendered(&full));
+        assert!(report.rules_lowered > 0 && report.rules_lowered < full.rules_lowered);
+        // Nothing dirty: nothing lowered, everything reused.
+        let idle = d.verify();
+        assert_eq!((idle.graphs_checked, idle.nodes_checked), (0, 0));
+        assert_eq!(idle.rules_lowered, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside this snapshot's scope")]
+    fn under_scoped_snapshot_refuses_to_answer() {
+        let d = paired_fleet();
+        // g0 without its hosts: its consistency check must not be able
+        // to mistake "not lowered" for "no rules installed".
+        let snap = d.lower(Some(&Scope {
+            graphs: ["g0"].into(),
+            nodes: BTreeSet::new(),
+        }));
+        assert_eq!(snap.serving("n0"), Some(true));
+        check::check_graph(&snap, &snap.graphs[0]);
     }
 }

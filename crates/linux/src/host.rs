@@ -31,6 +31,7 @@ use crate::conntrack::{Conntrack, CtDirection, CtState, FlowTuple};
 use crate::iface::{Iface, IfaceId, IfaceKind, NeighState, NEIGH_QUEUE_MAX};
 use crate::netfilter::{Chain, ChainEffects, Netfilter, NfPacket, NfTable, Verdict};
 use crate::route::{IpRule, Route, RoutingPolicy};
+use crate::slots::Slots;
 use crate::socket::{Datagram, SocketId, SocketTable};
 use crate::types::{ExternalTag, HostError, IoResult, NsId};
 use crate::xfrm::{Xfrm, XfrmOutput};
@@ -95,8 +96,8 @@ impl Ctx {
 pub struct Host {
     /// Host name (diagnostics).
     pub name: String,
-    namespaces: Vec<Namespace>,
-    ifaces: Vec<Iface>,
+    namespaces: Slots<Namespace>,
+    ifaces: Slots<Iface>,
     sockets: SocketTable,
     /// The cost model every pipeline step charges against.
     pub costs: CostModel,
@@ -111,8 +112,8 @@ impl Host {
     pub fn new(name: &str, costs: CostModel) -> Self {
         let mut h = Host {
             name: name.to_string(),
-            namespaces: Vec::new(),
-            ifaces: Vec::new(),
+            namespaces: Slots::new(),
+            ifaces: Slots::new(),
             sockets: SocketTable::new(),
             costs,
             trace: TraceLog::new(16_384),
@@ -139,9 +140,8 @@ impl Host {
 
     /// Create a namespace (with a loopback interface).
     pub fn add_namespace(&mut self, name: &str) -> NsId {
-        let id = NsId(self.namespaces.len() as u32);
-        self.namespaces.push(Namespace {
-            id,
+        let id = NsId(self.namespaces.insert_with(|index| Namespace {
+            id: NsId(index),
             name: name.to_string(),
             ifaces: Vec::new(),
             routing: RoutingPolicy::new(),
@@ -153,13 +153,69 @@ impl Host {
             delivered: 0,
             forwarded: 0,
             dropped: 0,
-        });
+        }));
         let lo = self.push_iface(id, "lo", IfaceKind::Loopback);
         self.ifaces[lo.0 as usize]
             .addrs
             .push(Ipv4Cidr::new(Ipv4Addr::LOCALHOST, 8));
         self.ifaces[lo.0 as usize].up = true;
         id
+    }
+
+    /// Delete a namespace (`ip netns del`) with everything it owns:
+    /// interfaces, routing, netfilter, conntrack, XFRM and neighbour
+    /// state, and the sockets bound in it. A veth end takes its peer
+    /// in the other namespace with it, as on Linux. The freed handles
+    /// are handed out again by later `add_*` calls, so none may be
+    /// kept. The root namespace stays.
+    pub fn remove_namespace(&mut self, ns: NsId) -> Result<(), HostError> {
+        if ns == NsId(0) {
+            return Err(HostError::RootNamespace);
+        }
+        let gone = self
+            .namespaces
+            .remove(ns.0)
+            .ok_or(HostError::NoSuchNamespace(ns.0))?;
+        for iface in gone.ifaces {
+            self.remove_iface(iface);
+        }
+        self.sockets.close_namespace(ns);
+        Ok(())
+    }
+
+    /// Free one interface and, where its namespace lives on, every
+    /// reference the configuration plane can have made to it there:
+    /// membership, routes, bridge ports, sub-interfaces, parked frames.
+    fn remove_iface(&mut self, id: IfaceId) {
+        let Some(iface) = self.ifaces.remove(id.0) else {
+            return; // a veth peer inside the same namespace: gone already
+        };
+        if let Some(owner) = self.namespaces.get_mut(iface.ns.0) {
+            owner.ifaces.retain(|i| *i != id);
+            for table in owner.routing.tables.values_mut() {
+                table.remove_dev(id);
+            }
+            for state in owner.neigh.values_mut() {
+                if let NeighState::Incomplete { pending } = state {
+                    pending.retain(|(dev, _)| *dev != id);
+                }
+            }
+            for sibling in owner.ifaces.clone() {
+                match self.ifaces.get_mut(sibling.0).map(|i| &mut i.kind) {
+                    Some(IfaceKind::Bridge { members, fdb }) => {
+                        members.retain(|m| *m != id);
+                        fdb.retain(|_, port| *port != id);
+                    }
+                    Some(IfaceKind::VlanSub { parent, .. }) if *parent == id => {
+                        self.remove_iface(sibling);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        if let IfaceKind::Veth { peer } = iface.kind {
+            self.remove_iface(peer);
+        }
     }
 
     fn alloc_mac(&mut self) -> MacAddr {
@@ -169,10 +225,9 @@ impl Host {
     }
 
     fn push_iface(&mut self, ns: NsId, name: &str, kind: IfaceKind) -> IfaceId {
-        let id = IfaceId(self.ifaces.len() as u32);
         let mac = self.alloc_mac();
-        self.ifaces.push(Iface {
-            id,
+        let id = IfaceId(self.ifaces.insert_with(|index| Iface {
+            id: IfaceId(index),
             ns,
             name: name.to_string(),
             mac,
@@ -184,7 +239,7 @@ impl Host {
             tx_packets: 0,
             rx_bytes: 0,
             tx_bytes: 0,
-        });
+        }));
         self.namespaces[ns.0 as usize].ifaces.push(id);
         id
     }
@@ -401,17 +456,17 @@ impl Host {
 
     /// Read access to a namespace.
     pub fn namespace(&self, ns: NsId) -> Option<&Namespace> {
-        self.namespaces.get(ns.0 as usize)
+        self.namespaces.get(ns.0)
     }
 
     /// Mutable access to a namespace.
     pub fn namespace_mut(&mut self, ns: NsId) -> Option<&mut Namespace> {
-        self.namespaces.get_mut(ns.0 as usize)
+        self.namespaces.get_mut(ns.0)
     }
 
     /// Read access to an interface.
     pub fn iface(&self, id: IfaceId) -> Option<&Iface> {
-        self.ifaces.get(id.0 as usize)
+        self.ifaces.get(id.0)
     }
 
     /// Look up an interface by (namespace, name).
@@ -424,8 +479,13 @@ impl Host {
         self.namespaces.len()
     }
 
+    /// Number of interfaces, across all namespaces.
+    pub fn iface_count(&self) -> usize {
+        self.ifaces.len()
+    }
+
     fn ns_check(&self, ns: NsId) -> Result<(), HostError> {
-        if (ns.0 as usize) < self.namespaces.len() {
+        if self.namespaces.get(ns.0).is_some() {
             Ok(())
         } else {
             Err(HostError::NoSuchNamespace(ns.0))
@@ -433,7 +493,7 @@ impl Host {
     }
 
     fn iface_check(&self, id: IfaceId) -> Result<(), HostError> {
-        if (id.0 as usize) < self.ifaces.len() {
+        if self.ifaces.get(id.0).is_some() {
             Ok(())
         } else {
             Err(HostError::NoSuchIface(id.0))

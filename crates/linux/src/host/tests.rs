@@ -586,3 +586,59 @@ fn costs_accumulate_along_path() {
     assert!(h.udp_recv(srv).is_some());
     let _ = cli;
 }
+
+#[test]
+fn removed_namespace_leaves_no_residue_and_its_handles_are_reused() {
+    let mut h = Host::new("t", CostModel::default());
+    let keep = h.add_namespace("keep");
+    let br = h.add_bridge(keep, "br0").unwrap();
+    let (ns_before, if_before) = (h.namespace_count(), h.iface_count());
+
+    // A namespace wired the way the NNF plugins wire theirs, plus a
+    // veth into `keep` that is bridged and routed there.
+    let gone = h.add_namespace("gone");
+    let port = h.add_external(gone, "port0", 7).unwrap();
+    h.add_vlan_sub(port, 100, "port0.100").unwrap();
+    let (inner, outer) = h.add_veth(gone, "up", keep, "down").unwrap();
+    h.addr_add(inner, cidr("10.9.0.1/24")).unwrap();
+    h.addr_add(outer, cidr("10.9.0.2/24")).unwrap();
+    h.bridge_attach(br, outer).unwrap();
+    h.udp_bind(gone, Ipv4Addr::UNSPECIFIED, 500).unwrap();
+
+    h.remove_namespace(gone).unwrap();
+    assert_eq!(h.namespace_count(), ns_before);
+    assert_eq!(h.iface_count(), if_before, "peer end must go with the veth");
+    assert!(h.namespace(gone).is_none());
+    assert!(h.iface(port).is_none() && h.iface(outer).is_none());
+    assert!(h.iface_by_name(keep, "down").is_none());
+    let kept = h.namespace(keep).unwrap();
+    assert!(!kept.ifaces.contains(&outer));
+    assert!(
+        kept.routing.lookup(Ipv4Addr::new(10, 9, 0, 1), 0).is_none(),
+        "route through the removed peer survived"
+    );
+    assert!(
+        matches!(&h.iface(br).unwrap().kind, IfaceKind::Bridge { members, .. } if members.is_empty())
+    );
+    assert!(matches!(
+        h.remove_namespace(gone),
+        Err(HostError::NoSuchNamespace(_))
+    ));
+    assert!(matches!(
+        h.add_external(gone, "x", 1),
+        Err(HostError::NoSuchNamespace(_))
+    ));
+    assert_eq!(h.remove_namespace(NsId(0)), Err(HostError::RootNamespace));
+
+    // The next namespace takes over the freed handle, starts empty, and
+    // does not inherit the old one's socket.
+    let again = h.add_namespace("again");
+    assert_eq!(again, gone);
+    assert_eq!(h.namespace(again).unwrap().ifaces.len(), 1, "just lo");
+    h.udp_bind(again, Ipv4Addr::UNSPECIFIED, 500).unwrap();
+    h.remove_namespace(again).unwrap();
+    assert_eq!(
+        (h.namespace_count(), h.iface_count()),
+        (ns_before, if_before)
+    );
+}

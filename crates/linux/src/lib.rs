@@ -40,6 +40,7 @@ pub mod host;
 pub mod iface;
 pub mod netfilter;
 pub mod route;
+mod slots;
 pub mod socket;
 pub mod types;
 pub mod xfrm;

@@ -83,6 +83,12 @@ impl SocketTable {
         }
     }
 
+    /// Close every socket bound in a namespace (the namespace is going
+    /// away and its handle will name another one later).
+    pub fn close_namespace(&mut self, ns: NsId) {
+        self.bound.retain(|(bound_ns, _), _| *bound_ns != ns);
+    }
+
     /// Look up the socket that should receive a datagram.
     pub fn demux(&self, ns: NsId, dst: Ipv4Addr, dport: u16) -> Option<SocketId> {
         self.bound.get(&(ns, dport)).and_then(|&idx| {

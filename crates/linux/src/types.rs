@@ -57,6 +57,8 @@ pub enum HostError {
     NotBridgeMember(u32),
     /// VLAN id already demuxed on that parent.
     VlanInUse(u16),
+    /// The root namespace cannot be removed.
+    RootNamespace,
 }
 
 impl fmt::Display for HostError {
@@ -73,6 +75,7 @@ impl fmt::Display for HostError {
             HostError::NoRoute(d) => write!(f, "no route to {d}"),
             HostError::NotBridgeMember(id) => write!(f, "if{id} is not a bridge member"),
             HostError::VlanInUse(v) => write!(f, "vlan {v} already configured on parent"),
+            HostError::RootNamespace => write!(f, "the root namespace cannot be removed"),
         }
     }
 }

@@ -32,6 +32,9 @@ struct Account {
 #[derive(Debug, Default)]
 pub struct MemLedger {
     accounts: Vec<Account>,
+    /// Slots of freed accounts, refilled by `create_account` so a
+    /// ledger that churns instances stays as large as its peak.
+    free: Vec<AccountId>,
 }
 
 /// Errors raised by ledger operations.
@@ -64,14 +67,23 @@ impl MemLedger {
 
     /// Create an account, optionally parented under another.
     pub fn create_account(&mut self, name: &str, parent: Option<AccountId>) -> AccountId {
-        let id = AccountId(self.accounts.len());
-        self.accounts.push(Account {
+        let account = Account {
             name: name.to_string(),
             parent,
             children: Vec::new(),
             items: BTreeMap::new(),
             freed: false,
-        });
+        };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.accounts[id.0] = account;
+                id
+            }
+            None => {
+                self.accounts.push(account);
+                AccountId(self.accounts.len() - 1)
+            }
+        };
         if let Some(p) = parent {
             self.accounts[p.0].children.push(id);
         }
@@ -112,15 +124,31 @@ impl MemLedger {
         Ok(())
     }
 
-    /// Mark an entire account (and its subtree) freed, zeroing its usage.
+    /// Free an entire account and its subtree: usage drops to zero, the
+    /// subtree leaves its parent's roll-up, and every slot in it goes
+    /// back to `create_account`. Until a slot is refilled its id still
+    /// answers (`is_freed`, zero usage, `alloc` refused); after that
+    /// the id names the new account, so none may be kept.
     pub fn free_account(&mut self, account: AccountId) {
+        if self.accounts[account.0].freed {
+            return;
+        }
+        if let Some(p) = self.accounts[account.0].parent {
+            self.accounts[p.0].children.retain(|c| *c != account);
+        }
         let mut stack = vec![account];
         while let Some(id) = stack.pop() {
             let acc = &mut self.accounts[id.0];
             acc.freed = true;
             acc.items.clear();
-            stack.extend(acc.children.iter().copied());
+            stack.append(&mut acc.children);
+            self.free.push(id);
         }
+    }
+
+    /// Accounts currently alive (freed ones are not counted).
+    pub fn live_accounts(&self) -> usize {
+        self.accounts.len() - self.free.len()
     }
 
     /// Bytes held directly by this account (excluding children).
@@ -263,6 +291,30 @@ mod tests {
         assert_eq!(l.usage(a), 0);
         assert!(l.is_freed(b));
         assert!(l.alloc(b, "y", 1).is_err());
+    }
+
+    #[test]
+    fn freed_subtrees_are_unlinked_and_their_slots_recycled() {
+        let mut l = MemLedger::new();
+        let node = l.create_account("node", None);
+        l.alloc(node, "base", 1).unwrap();
+        for round in 0..100 {
+            let inst = l.create_account("inst", Some(node));
+            let guest = l.create_account("guest", Some(inst));
+            l.alloc(guest, "rss", 10).unwrap();
+            assert_eq!(l.usage(node), 11, "round {round}");
+            l.free_account(inst);
+            l.free_account(inst); // double free is a no-op
+            assert_eq!(l.usage(node), 1);
+            assert!(l.children(node).is_empty(), "tombstone left in the parent");
+            assert_eq!(l.live_accounts(), 1);
+        }
+        // Three slots ever: the node and one two-account subtree.
+        let fresh = l.create_account("fresh", Some(node));
+        assert!(!l.is_freed(fresh));
+        assert_eq!(l.usage(fresh), 0);
+        assert_eq!(l.live_accounts(), 2);
+        assert!(l.accounts.len() <= 3, "history grew the ledger");
     }
 
     #[test]

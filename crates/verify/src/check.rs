@@ -158,6 +158,9 @@ pub struct VerifyReport {
     pub nodes_reused: usize,
     /// Work counters (re-checked portions only).
     pub stats: CheckStats,
+    /// Installed rules lowered into the snapshot the run read: the
+    /// whole fleet's for a full run, the re-checked scope's otherwise.
+    pub rules_lowered: usize,
     /// Wall-clock duration of the run, ns.
     pub duration_ns: u64,
     /// Every violation, re-checked and cached alike.
@@ -683,7 +686,9 @@ fn resolves(part: &NfFg, target: &PortRef) -> bool {
     }
 }
 
-/// Verify one deployed graph against the fleet snapshot.
+/// Verify one deployed graph against the fleet snapshot. Reads the
+/// tables of every node hosting one of its parts, so a scoped snapshot
+/// must have lowered those hosts.
 pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckStats) {
     let mut v: Vec<Violation> = Vec::new();
     let mut stats = CheckStats::default();
@@ -1129,7 +1134,8 @@ pub fn audit_node(
 // Ledger-level checks
 // ---------------------------------------------------------------------
 
-/// Verify the vid pool and the shared-NNF lease table.
+/// Verify the vid pool and the shared-NNF lease table. Reads only the
+/// fleet-wide side of the snapshot, so it is exact on a scoped one.
 pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
     let mut v = Vec::new();
 
@@ -1169,7 +1175,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
 
     // Links belong to deployed graphs and ride serving nodes.
     for link in &snap.links {
-        if snap.graph(&link.graph).is_none() {
+        if !snap.has_graph(&link.graph) {
             v.push(
                 Violation::new(
                     code::DANGLING_VID,
@@ -1179,7 +1185,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             );
         }
         for node in &link.path {
-            if !snap.node(node).is_some_and(|n| n.serving) {
+            if snap.serving(node) != Some(true) {
                 v.push(
                     Violation::new(
                         code::DANGLING_VID,
@@ -1194,7 +1200,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
 
     // Shared-NNF leases point at live hosts with deployed tenants.
     for lease in &snap.leases {
-        if !snap.node(&lease.host).is_some_and(|n| n.serving) {
+        if snap.serving(&lease.host) != Some(true) {
             v.push(
                 Violation::new(
                     code::DANGLING_LEASE,
@@ -1213,7 +1219,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             );
         }
         for tenant in &lease.tenants {
-            if snap.graph(tenant).is_none() {
+            if !snap.has_graph(tenant) {
                 v.push(
                     Violation::new(
                         code::DANGLING_LEASE,
@@ -1237,6 +1243,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
 pub fn run(snap: &Snapshot) -> VerifyReport {
     let mut report = VerifyReport {
         mode: "full",
+        rules_lowered: snap.installed_rules(),
         ..VerifyReport::default()
     };
     report.violations.extend(check_ledger(snap));
@@ -1398,6 +1405,7 @@ mod tests {
             }],
             links: link_infos,
             leases: Vec::new(),
+            ..Snapshot::default()
         }
     }
 

@@ -35,5 +35,5 @@ pub mod region;
 pub mod snapshot;
 
 pub use check::{run, VerifyReport, Violation};
-pub use region::{shadowed_rules, Region};
+pub use region::{provably_disjoint, shadowed_rules, Region};
 pub use snapshot::Snapshot;

@@ -500,6 +500,47 @@ impl Region {
     }
 }
 
+/// True when `a` and `b` provably accept no common header, decided from
+/// the two matches alone without building a [`Region`]: both pin an
+/// exact field to different values, their VLAN specs exclude each other,
+/// or neither prefix contains the other. The per-field rules are those
+/// of [`Region::intersect_match`], so every piece carved out of
+/// `region(a)` subtracts `b` as the identity. `false` means "may
+/// intersect" — the caller falls through to the algebra.
+pub fn provably_disjoint(a: &FlowMatch, b: &FlowMatch) -> bool {
+    fn differ<T: PartialEq>(a: &Option<T>, b: &Option<T>) -> bool {
+        matches!((a, b), (Some(x), Some(y)) if x != y)
+    }
+    fn vlans_exclude(a: Option<VlanSpec>, b: Option<VlanSpec>) -> bool {
+        match (a, b) {
+            (Some(VlanSpec::Id(x)), Some(VlanSpec::Id(y))) => x != y,
+            (Some(VlanSpec::Untagged), Some(other)) | (Some(other), Some(VlanSpec::Untagged)) => {
+                other != VlanSpec::Untagged
+            }
+            // AnyTagged meets every Id; a wildcard side meets anything.
+            _ => false,
+        }
+    }
+    fn prefixes_apart(a: &Option<Ipv4Cidr>, b: &Option<Ipv4Cidr>) -> bool {
+        let (Some(a), Some(b)) = (a, b) else {
+            return false;
+        };
+        let (a, b) = (Prefix::from_cidr(a), Prefix::from_cidr(b));
+        !a.contains(&b) && !b.contains(&a)
+    }
+    differ(&a.in_port, &b.in_port)
+        || vlans_exclude(a.vlan, b.vlan)
+        || differ(&a.eth_type, &b.eth_type)
+        || differ(&a.eth_src, &b.eth_src)
+        || differ(&a.eth_dst, &b.eth_dst)
+        || prefixes_apart(&a.ip_src, &b.ip_src)
+        || prefixes_apart(&a.ip_dst, &b.ip_dst)
+        || differ(&a.ip_proto, &b.ip_proto)
+        || differ(&a.l4_src, &b.l4_src)
+        || differ(&a.l4_dst, &b.l4_dst)
+        || differ(&a.fwmark, &b.fwmark)
+}
+
 /// Dead-rule analysis over one table in match order (entry `i` loses to
 /// every entry `j < i`). Returns the indices of fully shadowed rules,
 /// each with the indices of the covering set that killed it, plus the
@@ -524,6 +565,17 @@ pub fn shadowed_rules(
         let mut covering: Vec<usize> = Vec::new();
         let mut over_budget = false;
         for (j, m) in matches.iter().enumerate().take(i) {
+            // A predecessor that cannot meet rule `i` subtracts as the
+            // identity from every piece: account for it exactly as the
+            // algebra would (budget, then classes), build nothing.
+            if provably_disjoint(matches[i], m) {
+                if pieces.len() > piece_budget {
+                    over_budget = true;
+                    break;
+                }
+                classes += pieces.len();
+                continue;
+            }
             let mut next: Vec<Region> = Vec::new();
             let mut cut = false;
             for p in &pieces {

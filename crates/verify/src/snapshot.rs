@@ -5,6 +5,14 @@
 //! mutating a real snapshot. Keeping the model free of orchestrator
 //! types means the checker in [`crate::check`] can be exercised on any
 //! state — live, replayed, or hand-seeded — through one entry point.
+//!
+//! A snapshot may be *scoped*: an incremental pass lowers tables and
+//! plans only for the nodes and graphs it re-checks. The rest of the
+//! fleet is still named ([`Snapshot::unlowered_nodes`],
+//! [`Snapshot::unlowered_graphs`]) because the ledger checks need to
+//! know it exists — but it carries no tables to read, and asking
+//! [`Snapshot::node`] / [`Snapshot::graph`] for it panics rather than
+//! answer "no such node".
 
 use std::collections::BTreeMap;
 
@@ -128,7 +136,9 @@ pub struct LeaseInfo {
     pub tenants: Vec<String>,
 }
 
-/// A full, self-contained picture of domain state at one instant.
+/// A self-contained picture of domain state at one instant: the ledger
+/// side (vid pool, links, leases, fleet membership) always whole, the
+/// table/plan side whole or scoped.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// First vid of the overlay pool (`base..next` have been minted).
@@ -139,10 +149,16 @@ pub struct Snapshot {
     pub free_vids: Vec<u16>,
     /// Minted vids reserved by staged standby plans.
     pub standby_vids: Vec<u16>,
-    /// Every fleet node (including failed ones, flagged not serving).
+    /// Fleet nodes with their tables lowered (failed ones included,
+    /// flagged not serving): every node unless the snapshot is scoped.
     pub nodes: Vec<NodeState>,
-    /// Every deployed graph.
+    /// Deployed graphs with their plans lowered: every graph unless
+    /// the snapshot is scoped.
     pub graphs: Vec<GraphState>,
+    /// `(name, serving)` of the nodes a scoped snapshot left out.
+    pub unlowered_nodes: Vec<(String, bool)>,
+    /// Ids of the graphs a scoped snapshot left out.
+    pub unlowered_graphs: Vec<String>,
     /// Every live overlay link.
     pub links: Vec<LinkInfo>,
     /// Every shared-NNF instance with its leases.
@@ -150,9 +166,28 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The node with `name`, if present.
+    /// The node with `name`, if the fleet has one.
+    ///
+    /// # Panics
+    /// When the node exists but lies outside the snapshot's scope: its
+    /// tables were never lowered, so any answer would be a guess.
     pub fn node(&self, name: &str) -> Option<&NodeState> {
-        self.nodes.iter().find(|n| n.name == name)
+        let found = self.nodes.iter().find(|n| n.name == name);
+        assert!(
+            found.is_some() || !self.unlowered_nodes.iter().any(|(n, _)| n == name),
+            "node '{name}' is outside this snapshot's scope"
+        );
+        found
+    }
+
+    /// Whether node `name` is serving; `None` when the fleet has no
+    /// such node. Answers for nodes outside the scope too.
+    pub fn serving(&self, name: &str) -> Option<bool> {
+        let lowered = self.nodes.iter().map(|n| (&n.name, n.serving));
+        let unlowered = self.unlowered_nodes.iter().map(|(n, s)| (n, *s));
+        lowered
+            .chain(unlowered)
+            .find_map(|(n, serving)| (n == name).then_some(serving))
     }
 
     /// The live link carrying `vid`, if any.
@@ -161,11 +196,24 @@ impl Snapshot {
     }
 
     /// The deployed graph `id`, if any.
+    ///
+    /// # Panics
+    /// When the graph is deployed but outside the snapshot's scope.
     pub fn graph(&self, id: &str) -> Option<&GraphState> {
-        self.graphs.iter().find(|g| g.id == id)
+        let found = self.graphs.iter().find(|g| g.id == id);
+        assert!(
+            found.is_some() || !self.unlowered_graphs.iter().any(|g| g == id),
+            "graph '{id}' is outside this snapshot's scope"
+        );
+        found
     }
 
-    /// Total installed rules across every node and LSI.
+    /// Whether graph `id` is deployed, inside the scope or not.
+    pub fn has_graph(&self, id: &str) -> bool {
+        self.graphs.iter().any(|g| g.id == id) || self.unlowered_graphs.iter().any(|g| g == id)
+    }
+
+    /// Total installed rules across every lowered node and LSI.
     pub fn installed_rules(&self) -> usize {
         self.nodes
             .iter()
@@ -173,5 +221,46 @@ impl Snapshot {
             .flat_map(|l| &l.tables)
             .map(|t| t.rules.len())
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scoped() -> Snapshot {
+        Snapshot {
+            nodes: vec![NodeState {
+                name: "in".into(),
+                serving: true,
+                lsis: Vec::new(),
+            }],
+            unlowered_nodes: vec![("out".into(), false)],
+            unlowered_graphs: vec!["g-out".into()],
+            ..Snapshot::default()
+        }
+    }
+
+    #[test]
+    fn fleet_wide_questions_are_answered_for_the_whole_fleet() {
+        let snap = scoped();
+        assert_eq!(snap.serving("in"), Some(true));
+        assert_eq!(snap.serving("out"), Some(false));
+        assert_eq!(snap.serving("nowhere"), None);
+        assert!(snap.has_graph("g-out") && !snap.has_graph("g-none"));
+        assert!(snap.node("in").is_some());
+        assert!(snap.node("nowhere").is_none() && snap.graph("g-none").is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "node 'out' is outside this snapshot's scope")]
+    fn reading_an_unlowered_node_panics() {
+        scoped().node("out");
+    }
+
+    #[test]
+    #[should_panic(expected = "graph 'g-out' is outside this snapshot's scope")]
+    fn reading_an_unlowered_graph_panics() {
+        scoped().graph("g-out");
     }
 }

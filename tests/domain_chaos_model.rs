@@ -549,6 +549,21 @@ fn check_domain(d: &Domain, model: &HealthModel, tag: &str) {
     // tracking itself is under test here; `verify_full` would hide a
     // bad cache splice.
     let report = d.verify();
+    // Incremental ≡ full: whatever the scoped pass lowered and spliced
+    // must say exactly what a from-scratch run over the whole fleet
+    // says — equal, not merely both empty.
+    let full = un_verify::check::run(&d.verify_snapshot());
+    let rendered = |r: &un_verify::VerifyReport| {
+        let mut v: Vec<String> = r.violations.iter().map(|v| v.to_string()).collect();
+        v.sort();
+        v
+    };
+    assert_eq!(
+        rendered(&report),
+        rendered(&full),
+        "{tag}: {} verification disagrees with a full run",
+        report.mode
+    );
     assert!(
         report.ok(),
         "{tag}: static verification violations: {:#?}",
