@@ -1,7 +1,7 @@
 //! The domain orchestrator: a fleet of Universal Nodes behaving as one.
 //!
 //! [`Domain`] owns N [`UniversalNode`]s, accepts whole NF-FGs, splits
-//! them with [`crate::placement`] + [`crate::partition`], deploys the
+//! them with [`crate::placement`] + [`mod@crate::partition`], deploys the
 //! parts, and stitches cut edges with **inter-node overlay links**:
 //! VLAN-tagged virtual wires riding a dedicated fabric interface on
 //! every node, optionally ESP-protected with `un-ipsec` (real
@@ -26,6 +26,13 @@
 //! and its LSIs/NNFs are never touched), and each repair returns a
 //! [`RepairOutcome`] measuring the blast radius (NFs moved vs
 //! preserved, links rewired vs kept, nodes touched).
+//!
+//! This file holds the fleet (membership, health, the scheduler's
+//! view), the shuttle and the reports. The graph lifecycle — plan →
+//! commit | release, the one transaction deploy, update, repair,
+//! promotion and retry all go through — is the child module
+//! `control`; the failure path that builds repair plans for it is
+//! `repair`; static verification is `verify`.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -37,20 +44,20 @@ use std::time::Instant;
 
 use un_core::{DeployReport, Name, PortId, UniversalNode};
 use un_ipsec::{esp, SecurityAssociation};
-use un_nffg::{validate, NfFg, ValidationError};
+use un_nffg::{NfFg, ValidationError};
 use un_obs::{DropReason, HopKind, PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
-use un_sim::{Cost, DetRng, SimTime, TraceLog};
+use un_sim::{Cost, SimTime, TraceLog};
 
-use crate::partition::{install_transit, partition, OverlayLink, Partition, PartitionError};
-use crate::placement::{assign, assign_endpoints, NodeView, PlaceError, PlacementStrategy};
+use crate::partition::{OverlayLink, Partition, PartitionError};
+use crate::placement::{NodeView, PlaceError, PlacementStrategy};
 use crate::runtime::ShardRuntime;
 use crate::sharing::{
-    elect, ShareKey, SharedClaim, SharedInstance, SharedRegistry, SharingConfig, SharingError,
+    ShareKey, SharedClaim, SharedInstance, SharedRegistry, SharingConfig, SharingError,
 };
 use crate::standby::{
-    AvailabilityReport, GraphAvailability, GraphPrediction, GraphStandby, NodeStandby,
-    RepairCalibration, RepairKind, StandbyRegistry,
+    AvailabilityReport, GraphAvailability, GraphPrediction, RepairCalibration, RepairKind,
+    StandbyRegistry,
 };
 use crate::topology::Topology;
 
@@ -506,100 +513,6 @@ struct DomainGraph {
     shared: BTreeMap<ShareKey, SharedClaim>,
 }
 
-/// A computed (but not yet installed) deployment of one graph.
-/// `pub(crate)` so [`crate::standby`] can hold pre-computed plans.
-pub(crate) struct Plan {
-    pub(crate) assignment: BTreeMap<String, String>,
-    pub(crate) endpoints: BTreeMap<String, String>,
-    pub(crate) partition: Partition,
-    /// Fabric path per overlay link vid (`[from, …, to]`).
-    pub(crate) paths: BTreeMap<u16, Vec<String>>,
-    /// Shared-instance claims this plan rides (committed as leases once
-    /// the plan installs).
-    pub(crate) shared: BTreeMap<ShareKey, SharedClaim>,
-    /// Vids this plan allocated fresh from the pool (reused vids stay
-    /// owned by the live deployment). While a standby plan is staged,
-    /// these are neither free nor in use: they are reserved.
-    pub(crate) taken: Vec<u16>,
-}
-
-/// VLAN-id reuse directives for re-planning a live graph. Keys are
-/// cut-edge identities; a hit keeps the vid — and with it the
-/// synthesized `ovl-<vid>` endpoint id — stable, which is what lets a
-/// surviving part come out of re-partitioning byte-identical.
-#[derive(Default)]
-struct VidReuse {
-    /// `(from, to, target)` → vid: both sides survive unchanged.
-    exact: BTreeMap<(String, String, un_nffg::PortRef), u16>,
-    /// `(from, target)` → vid: the sending side survives but the
-    /// target's host died — the new receiver inherits the wire, so the
-    /// sender's part (rules retargeted at `ovl-<vid>`) is untouched.
-    from_side: BTreeMap<(String, un_nffg::PortRef), u16>,
-    /// `(to, target)` → vid: the receiving side survives but the
-    /// sender's host died — the receiver keeps its delivery rule and
-    /// endpoint, the re-placed sender inherits the wire.
-    to_side: BTreeMap<(String, un_nffg::PortRef), u16>,
-}
-
-impl VidReuse {
-    /// Reuse map keeping only exactly-unchanged cut edges (the update
-    /// path: no node died, so no side-inheritance applies).
-    fn exact_only(exact: BTreeMap<(String, String, un_nffg::PortRef), u16>) -> Self {
-        VidReuse {
-            exact,
-            ..VidReuse::default()
-        }
-    }
-
-    /// The vid a new cut edge `(from, to, target)` should inherit.
-    ///
-    /// Side-map hits are **consumed**: two re-placed cut edges can
-    /// legitimately share a surviving side (fan-in from two dead
-    /// source nodes to one target), and handing the same vid to both
-    /// would collide their synthesized endpoints — the second edge
-    /// must take a fresh vid instead.
-    fn lookup(&mut self, from: &str, to: &str, target: &un_nffg::PortRef) -> Option<u16> {
-        if let Some(vid) = self
-            .exact
-            .get(&(from.to_string(), to.to_string(), target.clone()))
-        {
-            return Some(*vid);
-        }
-        self.from_side
-            .remove(&(from.to_string(), target.clone()))
-            .or_else(|| self.to_side.remove(&(to.to_string(), target.clone())))
-    }
-}
-
-/// NFs whose assignment differs between two plans of the same graph.
-fn moved_count(old: &BTreeMap<String, String>, new: &BTreeMap<String, String>) -> usize {
-    new.iter()
-        .filter(|(nf, node)| old.get(*nf) != Some(node))
-        .count()
-}
-
-/// Shared-tenancy blast radius of a repair: how many of the moved NFs
-/// moved because the shared instance they ride was re-hosted, and
-/// which instances migrated (`(key, new host)`).
-fn shared_blast(entry: &DomainGraph, plan: &Plan) -> (usize, Vec<(String, String)>) {
-    let migrated: Vec<(String, String)> = plan
-        .shared
-        .iter()
-        .filter(|(key, claim)| entry.shared.get(key).map(|old| &old.host) != Some(&claim.host))
-        .map(|(key, claim)| (key.render(), claim.host.clone()))
-        .collect();
-    let moved = entry
-        .original
-        .nfs
-        .iter()
-        .filter(|nf| {
-            plan.shared.contains_key(&ShareKey::of_nf(nf))
-                && entry.assignment.get(&nf.id) != plan.assignment.get(&nf.id)
-        })
-        .count();
-    (moved, migrated)
-}
-
 /// The domain orchestrator.
 pub struct Domain {
     /// Settings.
@@ -869,7 +782,6 @@ impl Domain {
             match m.health {
                 NodeHealth::Alive | NodeHealth::Suspect if stale_ns > dead_after => {
                     m.health = NodeHealth::Failed;
-                    self.trace.count("nodes_failed", 1);
                     newly_failed.push(name.clone());
                 }
                 NodeHealth::Alive if stale_ns > timeout => {
@@ -887,11 +799,6 @@ impl Domain {
                 (n, report)
             })
             .collect();
-        if !reports.is_empty() {
-            // Same blast radius as an explicit fail_node: bystander
-            // graphs' overlay paths may have been rerouted.
-            self.verify_mark_all();
-        }
         // Stage standbys *after* the failure sweep: a plan computed
         // before it could pin parts onto a node the same sweep is
         // about to declare dead.
@@ -979,1699 +886,20 @@ impl Domain {
             .collect()
     }
 
-    // ------------------------------------------------------------------
-    // Graph lifecycle
-    // ------------------------------------------------------------------
-
-    /// Deploy a graph with default hints.
-    pub fn deploy(&mut self, graph: &NfFg) -> Result<DomainReport, DomainError> {
-        self.deploy_with(graph, &DeployHints::default())
-    }
-
-    /// Deploy a graph across the fleet.
-    pub fn deploy_with(
-        &mut self,
-        graph: &NfFg,
-        hints: &DeployHints,
-    ) -> Result<DomainReport, DomainError> {
-        let errs = validate(graph);
-        if !errs.is_empty() {
-            return Err(DomainError::Invalid(errs));
-        }
-        if self.graphs.contains_key(&graph.id) {
-            return Err(DomainError::AlreadyDeployed(graph.id.clone()));
-        }
-        let plan = self.plan(
-            graph,
-            hints,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            VidReuse::default(),
-        )?;
-        let report = self.install(graph, hints, plan)?;
-        // An explicit deploy supersedes any copy parked by an earlier
-        // failure; otherwise retry_pending could double-deploy it. The
-        // redeploy ends the park window, so stamp its downtime.
-        if self.pending.remove(&graph.id).is_some() {
-            self.stamp_park_drain(&graph.id);
-        }
-        self.trace.count("graphs_deployed", 1);
-        Ok(report)
-    }
-
-    /// Compute assignment + partition without touching any node.
-    ///
-    /// `nf_pins` / `ep_pins` force NFs and endpoints onto specific
-    /// nodes (used to keep survivors in place across updates and
-    /// repairs; they override the caller's hints). `reuse` maps
-    /// cut-edge identities to the VLAN ids a live deployment of this
-    /// graph already uses, so re-planning keeps unchanged overlay
-    /// links (and their synthesized endpoint ids) stable — the
-    /// property that lets rule-only updates apply in place, and that
-    /// lets a repair leave surviving nodes' parts byte-identical.
-    fn plan(
-        &mut self,
-        graph: &NfFg,
-        hints: &DeployHints,
-        nf_pins: &BTreeMap<String, String>,
-        ep_pins: &BTreeMap<String, String>,
-        reuse: VidReuse,
-    ) -> Result<Plan, DomainError> {
-        self.plan_ctx(graph, hints, nf_pins, ep_pins, reuse, None, None)
-    }
-
-    /// [`Domain::plan`] with standby-planning context: `exclude`
-    /// pretends one (suspect) node is already dead, so the plan routes
-    /// and places around it; `shared_standby` supplies pre-elected
-    /// replacement hosts for shared replicas the excluded node carries.
-    #[allow(clippy::too_many_arguments)]
-    fn plan_ctx(
-        &mut self,
-        graph: &NfFg,
-        hints: &DeployHints,
-        nf_pins: &BTreeMap<String, String>,
-        ep_pins: &BTreeMap<String, String>,
-        mut reuse: VidReuse,
-        exclude: Option<&str>,
-        shared_standby: Option<&BTreeMap<ShareKey, String>>,
-    ) -> Result<Plan, DomainError> {
-        let plan_started = Instant::now();
+    /// [`Domain::views`] with `dead` counted out of the fleet whether
+    /// or not it still serves (planning around a suspect), and the
+    /// names of the nodes left placeable.
+    fn views_without(&self, dead: Option<&str>) -> (Vec<NodeView>, BTreeSet<String>) {
         let mut views = self.views();
-        if let Some(x) = exclude {
-            for v in views.iter_mut() {
-                if v.name == x {
-                    v.alive = false;
-                }
-            }
+        for v in views.iter_mut().filter(|v| Some(v.name.as_str()) == dead) {
+            v.alive = false;
         }
-        let serving: BTreeSet<String> = views
+        let serving = views
             .iter()
             .filter(|v| v.alive)
             .map(|v| v.name.clone())
             .collect();
-        // Hop distances feed the scorer's path-length term and the
-        // topology-aware endpoint/host choices; `None` in full-mesh
-        // mode (every pair is one hop — skip the O(n²) matrix on big
-        // fleets).
-        let fabric_hops = self.config.topology.hop_matrix(&serving);
-        let mut merged_ep_pins = hints.endpoint_node.clone();
-        merged_ep_pins.extend(ep_pins.clone());
-        let endpoint_node = assign_endpoints(graph, &views, &merged_ep_pins, fabric_hops.as_ref())?;
-        let estimates = self.estimates(graph);
-        let mut merged_pins = hints.nf_node.clone();
-        merged_pins.extend(nf_pins.clone());
-        // Fleet-level sharable-NNF claims: every enabled-type NF is
-        // pinned onto the registry's host for its share key — the host
-        // a live instance already has, or a freshly elected one. The
-        // partitioner then cuts the tenant's edges toward that node
-        // and the path engine routes them (multi-hop included), so the
-        // graph rides the shared instance instead of instantiating its
-        // own. An explicit `hints.nf_node` pin opts the NF out of the
-        // registry; survivor pins are overridden (tenants converge on
-        // the elected host).
-        let mut shared: BTreeMap<ShareKey, SharedClaim> = BTreeMap::new();
-        if self.config.sharing.enabled {
-            let demand: BTreeSet<String> = endpoint_node.values().cloned().collect();
-            for nf in &graph.nfs {
-                if !self.config.sharing.types.contains(&nf.functional_type)
-                    || hints.nf_node.contains_key(&nf.id)
-                {
-                    continue;
-                }
-                let key = ShareKey::of_nf(nf);
-                if let Some(claim) = shared.get_mut(&key) {
-                    // Second NF of the same key: same host, same lease.
-                    merged_pins.insert(nf.id.clone(), claim.host.clone());
-                    claim.nfs += 1;
-                    continue;
-                }
-                // Replica choice, in decreasing order of stability:
-                // (a) the replica this graph already leases (if its
-                // host serves) — re-planning never migrates a tenant
-                // gratuitously; (b) the serving replica with the most
-                // lease headroom (fewest leases, host-name tie-break);
-                // (c) a standby host pre-elected at Suspect time;
-                // (d) a fresh election — the first instance of the
-                // pool, a failover, or (when `scale_out` is on and
-                // every serving replica is full) a second instance
-                // that splits the tenancy instead of erroring.
-                let standby_host: Option<String> = shared_standby
-                    .and_then(|m| m.get(&key))
-                    .filter(|h| serving.contains(*h))
-                    .cloned();
-                let mut chosen: Option<String> = self
-                    .sharing
-                    .replicas(&key)
-                    .iter()
-                    .find(|i| i.leases.contains_key(&graph.id))
-                    .map(|i| i.host.clone())
-                    .filter(|h| serving.contains(h));
-                let mut full_host: Option<String> = None;
-                if chosen.is_none() {
-                    let mut best: Option<(usize, String)> = None;
-                    for inst in self.sharing.replicas(&key) {
-                        if !serving.contains(&inst.host) {
-                            continue;
-                        }
-                        let leases = inst.leases.len();
-                        if self
-                            .config
-                            .sharing
-                            .max_leases
-                            .is_some_and(|max| leases >= max)
-                        {
-                            full_host = Some(inst.host.clone());
-                            continue;
-                        }
-                        let better = best
-                            .as_ref()
-                            .is_none_or(|(l, h)| leases < *l || (leases == *l && inst.host < *h));
-                        if better {
-                            best = Some((leases, inst.host.clone()));
-                        }
-                    }
-                    chosen = best.map(|(_, h)| h).or(standby_host);
-                }
-                let host = match chosen {
-                    Some(h) => h,
-                    None => {
-                        let scale_out = full_host.is_some();
-                        if scale_out && !self.config.sharing.scale_out {
-                            return Err(DomainError::Sharing(SharingError::CapacityExhausted {
-                                key: key.render(),
-                                host: full_host.expect("checked above"),
-                                max_leases: self.config.sharing.max_leases.unwrap_or(0),
-                            }));
-                        }
-                        // Node-level NNF singletons cannot host two
-                        // instances of one type, so every host already
-                        // carrying this functional type is excluded —
-                        // sibling capability pools, same-key replicas
-                        // (a scale-out must land elsewhere), AND the
-                        // hosts this very plan claimed a few NFs ago.
-                        let occupied: BTreeSet<String> = self
-                            .sharing
-                            .instances()
-                            .filter(|i| i.key.functional_type == key.functional_type)
-                            .map(|i| i.host.clone())
-                            .chain(
-                                shared
-                                    .iter()
-                                    .filter(|(k, _)| k.functional_type == key.functional_type)
-                                    .map(|(_, c)| c.host.clone()),
-                            )
-                            .collect();
-                        let elected = elect(
-                            &key,
-                            &self.config.sharing.election,
-                            &views,
-                            fabric_hops.as_ref(),
-                            &demand,
-                            &occupied,
-                        )?;
-                        if scale_out {
-                            self.trace.count("shared_scale_outs", 1);
-                            self.obs.event(
-                                "domain.shared.scale_out",
-                                vec![
-                                    ("key", key.render().into()),
-                                    ("host", elected.clone().into()),
-                                ],
-                            );
-                        }
-                        elected
-                    }
-                };
-                merged_pins.insert(nf.id.clone(), host.clone());
-                shared.insert(key, SharedClaim { host, nfs: 1 });
-            }
-        }
-        // Leases the graph already holds confine the scorer's per-node
-        // shared-reuse bonus to the lease hosts (no double-counting;
-        // one entry per capability pool).
-        let mut held_leases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for (key, claim) in self.sharing.leases_of(&graph.id) {
-            held_leases
-                .entry(key.functional_type)
-                .or_default()
-                .insert(claim.host);
-        }
-        let assignment = assign(
-            graph,
-            &views,
-            &estimates,
-            &endpoint_node,
-            &merged_pins,
-            &held_leases,
-            hints.strategy.unwrap_or(self.config.strategy),
-            fabric_hops.as_ref(),
-        )?;
-        // Reserve VLAN ids (fresh ones only; reused ids stay owned by
-        // the live deployment); fresh ids return to the pool if
-        // routing or installation fails.
-        let fabric = self.config.fabric_port.clone();
-        let mut taken: Vec<u16> = Vec::new();
-        let partition_started = Instant::now();
-        let part = {
-            let free_vids = &mut self.free_vids;
-            let next_vid = &mut self.next_vid;
-            let mut alloc = |from: &str, to: &str, target: &un_nffg::PortRef| {
-                if let Some(vid) = reuse.lookup(from, to, target) {
-                    return Some(vid);
-                }
-                let vid = free_vids.pop().or_else(|| {
-                    if *next_vid > OVERLAY_VID_MAX {
-                        None
-                    } else {
-                        let v = *next_vid;
-                        *next_vid += 1;
-                        Some(v)
-                    }
-                })?;
-                taken.push(vid);
-                Some(vid)
-            };
-            partition(graph, &assignment, &endpoint_node, &fabric, &mut alloc)
-        };
-        let mut part = match part {
-            Ok(part) => part,
-            Err(e) => {
-                self.free_vids.extend(taken);
-                return Err(match e {
-                    PartitionError::VidExhausted => DomainError::VidPoolExhausted,
-                    other => other.into(),
-                });
-            }
-        };
-        self.obs.span(
-            "domain.partition",
-            partition_started,
-            vec![
-                ("graph", graph.id.clone().into()),
-                ("parts", part.parts.len().into()),
-                ("links", part.links.len().into()),
-            ],
-        );
-        // Route every cut edge over the fabric: shortest usable path
-        // per link (no path may touch a non-serving node). Multi-hop
-        // paths get transit rules installed on intermediate nodes.
-        // Routing is capacity-aware: edges already carrying pinned
-        // overlay paths repel new ones in proportion to how thin they
-        // are (see `Topology::shortest_path_loaded`). The graph's own
-        // live links are excluded from the load map so re-planning
-        // never repels a kept wire off the route it already rides.
-        let usable = |n: &str| serving.contains(n);
-        let edge_key = |a: &str, b: &str| {
-            if a <= b {
-                (a.to_string(), b.to_string())
-            } else {
-                (b.to_string(), a.to_string())
-            }
-        };
-        let mut edge_paths: BTreeMap<(String, String), u64> = BTreeMap::new();
-        for state in self.links.values() {
-            let state = state.lock().expect("link lock poisoned");
-            if state.graph == graph.id {
-                continue;
-            }
-            for w in state.path.windows(2) {
-                *edge_paths.entry(edge_key(&w[0], &w[1])).or_insert(0) += 1;
-            }
-        }
-        let mut paths: BTreeMap<u16, Vec<String>> = BTreeMap::new();
-        for link in &part.links {
-            let routed = {
-                let edge_load =
-                    |a: &str, b: &str| edge_paths.get(&edge_key(a, b)).copied().unwrap_or(0);
-                self.config.topology.shortest_path_loaded(
-                    &link.from_node,
-                    &link.to_node,
-                    &usable,
-                    &edge_load,
-                )
-            };
-            match routed {
-                Some(path) => {
-                    // Only *other* graphs' pinned paths load the map:
-                    // the links of one plan keep the old lexicographic
-                    // tie-break among themselves, so a graph's wires
-                    // stay co-routed (and re-plans stay stable).
-                    paths.insert(link.vid, path);
-                }
-                None => {
-                    self.free_vids.extend(taken);
-                    return Err(DomainError::NoRoute {
-                        from: link.from_node.clone(),
-                        to: link.to_node.clone(),
-                    });
-                }
-            }
-        }
-        let transit_started = Instant::now();
-        install_transit(graph, &mut part.parts, &part.links, &paths, &fabric);
-        if self.obs.is_enabled() {
-            let multi_hop = paths.values().filter(|p| p.len() > 2).count();
-            self.obs.span(
-                "domain.install_transit",
-                transit_started,
-                vec![
-                    ("graph", graph.id.clone().into()),
-                    ("multi_hop_links", multi_hop.into()),
-                ],
-            );
-            self.obs.span(
-                "domain.plan",
-                plan_started,
-                vec![
-                    ("graph", graph.id.clone().into()),
-                    ("parts", part.parts.len().into()),
-                    ("links", part.links.len().into()),
-                    ("shared_claims", shared.len().into()),
-                ],
-            );
-        }
-        Ok(Plan {
-            assignment,
-            endpoints: endpoint_node,
-            partition: part,
-            paths,
-            shared,
-            taken,
-        })
-    }
-
-    /// Commit a successfully installed plan's shared claims as leases,
-    /// releasing leases the graph no longer claims (dropping instances
-    /// whose last tenant left).
-    fn commit_shared(&mut self, gid: &str, claims: &BTreeMap<ShareKey, SharedClaim>) {
-        let keep: BTreeSet<ShareKey> = claims.keys().cloned().collect();
-        let dropped = self.sharing.release_except(gid, &keep);
-        self.trace
-            .count("shared_instances_dropped", dropped.len() as u64);
-        for (key, claim) in claims {
-            let (instance_new, lease_new, replicas_dropped) =
-                self.sharing.commit(gid, key, &claim.host, claim.nfs);
-            if instance_new {
-                self.trace.count("shared_instances_registered", 1);
-            }
-            if replicas_dropped > 0 {
-                // A lease move emptied sibling replica(s) of the pool.
-                self.trace
-                    .count("shared_instances_dropped", replicas_dropped as u64);
-            }
-            if lease_new {
-                self.trace.count("shared_leases_acquired", 1);
-                self.obs.event(
-                    "domain.lease.acquire",
-                    vec![
-                        ("graph", gid.into()),
-                        ("key", key.render().into()),
-                        ("host", claim.host.clone().into()),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Release every shared lease a graph holds (undeploy, park, or
-    /// failed update), dropping instances whose last tenant left.
-    fn release_shared(&mut self, gid: &str) {
-        let dropped = self.sharing.release_graph(gid);
-        // Only graphs that actually ride shared instances are worth an
-        // event — every undeploy funnels through here.
-        if self.config.sharing.enabled {
-            self.obs.event(
-                "domain.lease.release",
-                vec![
-                    ("graph", gid.into()),
-                    ("instances_dropped", dropped.len().into()),
-                ],
-            );
-        }
-        self.trace
-            .count("shared_instances_dropped", dropped.len() as u64);
-    }
-
-    /// Per-hop cost of one routed path: explicit edges carry their own
-    /// latency, full-mesh (implicit) hops cost `overlay_link_ns`. (A
-    /// routed path in explicit mode only ever walks explicit edges, so
-    /// the default fires exactly for implicit full-mesh hops.)
-    fn hop_latencies(&self, path: &[String]) -> Vec<u64> {
-        path.windows(2)
-            .map(|w| {
-                self.config
-                    .topology
-                    .edge(&w[0], &w[1])
-                    .map_or(self.config.overlay_link_ns, |e| e.latency_ns)
-            })
-            .collect()
-    }
-
-    /// Deploy the parts of a planned graph; rolls back on failure.
-    fn install(
-        &mut self,
-        graph: &NfFg,
-        hints: &DeployHints,
-        plan: Plan,
-    ) -> Result<DomainReport, DomainError> {
-        let Plan {
-            assignment,
-            endpoints,
-            partition: part,
-            paths,
-            shared,
-            taken: _,
-        } = plan;
-        let mut per_node: Vec<(String, DeployReport)> = Vec::new();
-        let mut deployed: Vec<String> = Vec::new();
-        for (node_name, sub) in &part.parts {
-            let managed = self
-                .nodes
-                .get_mut(node_name)
-                .expect("assignment uses fleet");
-            match managed.node.deploy(sub) {
-                Ok(report) => {
-                    per_node.push((node_name.clone(), report));
-                    deployed.push(node_name.clone());
-                }
-                Err(e) => {
-                    for prior in &deployed {
-                        let m = self.nodes.get_mut(prior).expect("deployed above");
-                        let _ = m.node.undeploy(&graph.id);
-                    }
-                    self.free_vids.extend(part.links.iter().map(|l| l.vid));
-                    self.trace.count("deploys_rolled_back", 1);
-                    return Err(DomainError::Deploy {
-                        node: node_name.clone(),
-                        error: e.to_string(),
-                    });
-                }
-            }
-        }
-        // Stitch the overlay.
-        self.register_links(&graph.id, &part.links, &paths);
-        let report = DomainReport {
-            graph: graph.id.clone(),
-            per_node,
-            overlay_links: part.links.len(),
-        };
-        self.commit_shared(&graph.id, &shared);
-        self.graphs.insert(
-            graph.id.clone(),
-            DomainGraph {
-                original: graph.clone(),
-                hints: hints.clone(),
-                assignment,
-                endpoints,
-                partition: part,
-                shared,
-            },
-        );
-        self.verify_mark_graph(&graph.id);
-        Ok(report)
-    }
-
-    /// Register overlay link state (deriving SA pairs in ESP mode) for
-    /// a graph's freshly partitioned links, pinning each to its routed
-    /// fabric path.
-    fn register_links(
-        &mut self,
-        graph_id: &str,
-        links: &[OverlayLink],
-        paths: &BTreeMap<u16, Vec<String>>,
-    ) {
-        for link in links {
-            let sas = self
-                .config
-                .protect_overlay
-                .then(|| Box::new(derive_link_sas(self.config.seed, link)));
-            let path = paths
-                .get(&link.vid)
-                .cloned()
-                .unwrap_or_else(|| vec![link.from_node.clone(), link.to_node.clone()]);
-            let hop_latency_ns = self.hop_latencies(&path);
-            let hops = path.len().saturating_sub(1);
-            self.links.insert(
-                link.vid,
-                Mutex::new(LinkState {
-                    link: link.clone(),
-                    graph: graph_id.to_string(),
-                    path,
-                    hop_latency_ns,
-                    sas,
-                    packets: 0,
-                    bytes: 0,
-                    hop_packets: vec![0; hops],
-                    hop_bytes: vec![0; hops],
-                }),
-            );
-        }
-        self.trace.count("overlay_links_up", links.len() as u64);
-    }
-
-    /// Scheduler RAM estimates for every NF of a graph (representative
-    /// node; the fleet shares one repository).
-    fn estimates(&self, graph: &NfFg) -> BTreeMap<String, u64> {
-        let probe = self
-            .nodes
-            .values()
-            .find(|m| m.health.is_serving())
-            .map(|m| &m.node);
-        graph
-            .nfs
-            .iter()
-            .map(|nf| {
-                let est = probe
-                    .and_then(|n| n.estimate_nf_ram(&nf.functional_type, nf.flavor.as_deref()))
-                    .unwrap_or(64 << 20);
-                (nf.id.clone(), est)
-            })
-            .collect()
-    }
-
-    /// Update a deployed graph (rule-level changes update parts in
-    /// place; structural changes re-plan, keeping surviving NFs on
-    /// their nodes).
-    pub fn update(&mut self, graph: &NfFg) -> Result<DomainReport, DomainError> {
-        let errs = validate(graph);
-        if !errs.is_empty() {
-            return Err(DomainError::Invalid(errs));
-        }
-        let Some(existing) = self.graphs.get(&graph.id) else {
-            return Err(DomainError::NoSuchGraph(graph.id.clone()));
-        };
-        let diff = un_nffg::diff(&existing.original, graph);
-        if diff.is_empty() {
-            return Ok(DomainReport {
-                graph: graph.id.clone(),
-                per_node: Vec::new(),
-                overlay_links: existing.partition.links.len(),
-            });
-        }
-        self.trace.count(
-            if diff.is_structural() {
-                "graph_updates_structural"
-            } else {
-                "graph_updates_rules"
-            },
-            1,
-        );
-        // Dirty the pre-update hosts now; the post-update hosts are
-        // dirtied when the new partition commits.
-        self.verify_mark_graph(&graph.id);
-
-        let hints = existing.hints.clone();
-        // Keep surviving NFs where they run today (suspect nodes are
-        // still "today" — an unrelated update must not migrate them).
-        let serving: Vec<String> = self.serving_nodes();
-        let pins: BTreeMap<String, String> = existing
-            .assignment
-            .iter()
-            .filter(|(nf, node)| graph.nf(nf).is_some() && serving.iter().any(|a| a == *node))
-            .map(|(nf, node)| (nf.clone(), node.clone()))
-            .collect();
-        let old_parts: BTreeMap<String, NfFg> = existing.partition.parts.clone();
-        let old_links: Vec<u16> = existing.partition.links.iter().map(|l| l.vid).collect();
-        // Unchanged cut edges keep their VLAN id (and thus their
-        // synthesized endpoint id), so a rules-only update leaves the
-        // parts' endpoint sets intact and applies in place per node.
-        let reuse = VidReuse::exact_only(
-            existing
-                .partition
-                .links
-                .iter()
-                .map(|l| {
-                    (
-                        (l.from_node.clone(), l.to_node.clone(), l.dst_target.clone()),
-                        l.vid,
-                    )
-                })
-                .collect(),
-        );
-
-        // Any staged standby plan of this graph predates the update:
-        // discard it (returning its reserved vids) before re-planning.
-        self.discard_graph_standby(&graph.id);
-
-        let plan = self.plan(graph, &hints, &pins, &BTreeMap::new(), reuse)?;
-        let Plan {
-            assignment,
-            endpoints,
-            partition: part,
-            paths,
-            shared,
-            taken: _,
-        } = plan;
-
-        // Reconcile per node.
-        let mut per_node: Vec<(String, DeployReport)> = Vec::new();
-        let mut failure: Option<DomainError> = None;
-        for (node_name, sub) in &part.parts {
-            let managed = self
-                .nodes
-                .get_mut(node_name)
-                .expect("assignment uses fleet");
-            let result = if old_parts.contains_key(node_name) {
-                managed.node.update(sub)
-            } else {
-                managed.node.deploy(sub)
-            };
-            match result {
-                Ok(report) => per_node.push((node_name.clone(), report)),
-                Err(e) => {
-                    failure = Some(DomainError::Deploy {
-                        node: node_name.clone(),
-                        error: e.to_string(),
-                    });
-                    break;
-                }
-            }
-        }
-        if failure.is_none() {
-            for node_name in old_parts.keys() {
-                if !part.parts.contains_key(node_name) {
-                    if let Some(m) = self.nodes.get_mut(node_name) {
-                        let _ = m.node.undeploy(&graph.id);
-                    }
-                }
-            }
-        }
-        if let Some(err) = failure {
-            // Best-effort cleanup: drop the graph everywhere; the caller
-            // holds the spec and can redeploy.
-            for node_name in part.parts.keys().chain(old_parts.keys()) {
-                if let Some(m) = self.nodes.get_mut(node_name) {
-                    let _ = m.node.undeploy(&graph.id);
-                }
-            }
-            // Reused vids appear in both link sets — free each once.
-            let all: std::collections::BTreeSet<u16> = old_links
-                .iter()
-                .copied()
-                .chain(part.links.iter().map(|l| l.vid))
-                .collect();
-            for vid in all {
-                self.links.remove(&vid);
-                self.free_vids.push(vid);
-            }
-            self.graphs.remove(&graph.id);
-            self.release_shared(&graph.id);
-            self.trace.count("updates_failed", 1);
-            // The rollback touched the would-be hosts too, which were
-            // never marked — re-verify everything.
-            self.verify_mark_all();
-            return Err(err);
-        }
-
-        // Swap overlay link state: free vids the new partition no
-        // longer uses, then (re-)register the new link set (reused vids
-        // get fresh LinkState; counters restart, SAs re-derive to the
-        // same keys).
-        let kept: std::collections::BTreeSet<u16> = part.links.iter().map(|l| l.vid).collect();
-        for vid in old_links {
-            self.links.remove(&vid);
-            if !kept.contains(&vid) {
-                self.free_vids.push(vid);
-            }
-        }
-        self.register_links(&graph.id, &part.links, &paths);
-        let overlay_links = part.links.len();
-        self.commit_shared(&graph.id, &shared);
-        self.graphs.insert(
-            graph.id.clone(),
-            DomainGraph {
-                original: graph.clone(),
-                hints,
-                assignment,
-                endpoints,
-                partition: part,
-                shared,
-            },
-        );
-        self.verify_mark_graph(&graph.id);
-        Ok(DomainReport {
-            graph: graph.id.clone(),
-            per_node,
-            overlay_links,
-        })
-    }
-
-    /// Undeploy a graph from every node that hosts a part of it (and
-    /// drop any copy parked for re-placement — an undeployed graph
-    /// must never resurrect through `retry_pending`).
-    pub fn undeploy(&mut self, graph_id: &str) -> Result<(), DomainError> {
-        // Capture the current hosts in the dirty set before the entry
-        // is gone.
-        self.verify_mark_graph(graph_id);
-        let was_pending = self.pending.remove(graph_id).is_some();
-        let Some(entry) = self.graphs.remove(graph_id) else {
-            if was_pending {
-                return Ok(());
-            }
-            return Err(DomainError::NoSuchGraph(graph_id.to_string()));
-        };
-        for node_name in entry.partition.parts.keys() {
-            if let Some(m) = self.nodes.get_mut(node_name) {
-                if m.health.is_serving() {
-                    let _ = m.node.undeploy(graph_id);
-                }
-            }
-        }
-        for link in &entry.partition.links {
-            self.links.remove(&link.vid);
-            self.free_vids.push(link.vid);
-        }
-        // Standby plans staged for this graph are moot; their reserved
-        // vids must return to the pool. The park window (if any) ends
-        // without a drain: the operator gave the graph up.
-        self.discard_graph_standby(graph_id);
-        self.parked_at.remove(graph_id);
-        self.release_shared(graph_id);
-        self.trace.count("graphs_undeployed", 1);
-        Ok(())
-    }
-
-    /// Deployed graph ids (pending re-placement excluded).
-    pub fn graph_ids(&self) -> Vec<String> {
-        self.graphs.keys().cloned().collect()
-    }
-
-    /// The original (whole) NF-FG of a deployed graph.
-    pub fn graph(&self, id: &str) -> Option<&NfFg> {
-        self.graphs.get(id).map(|g| &g.original)
-    }
-
-    /// The current partition of a deployed graph.
-    pub fn partition_of(&self, id: &str) -> Option<&Partition> {
-        self.graphs.get(id).map(|g| &g.partition)
-    }
-
-    /// Node assignment of a deployed graph's NFs.
-    pub fn assignment_of(&self, id: &str) -> Option<&BTreeMap<String, String>> {
-        self.graphs.get(id).map(|g| &g.assignment)
-    }
-
-    /// Graphs waiting for capacity after a failure.
-    pub fn pending_graphs(&self) -> Vec<String> {
-        self.pending.keys().cloned().collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Failure handling
-    // ------------------------------------------------------------------
-
-    /// Declare a node failed and repair every partition it hosted per
-    /// [`DomainConfig::repair`] (incremental by default: only the lost
-    /// sub-partition moves; survivors keep their placements, their
-    /// overlay VLAN ids, and — where their part is byte-identical —
-    /// their entire local deployment).
-    pub fn fail_node(&mut self, name: &str) -> Result<ReplacementReport, DomainError> {
-        let managed = self
-            .nodes
-            .get_mut(name)
-            .ok_or_else(|| DomainError::NoSuchNode(name.to_string()))?;
-        if managed.health == NodeHealth::Failed {
-            // Idempotent: the partitions were already repaired when the
-            // node first failed; there is nothing left to move.
-            return Ok(ReplacementReport::default());
-        }
-        managed.health = NodeHealth::Failed;
-        self.trace.count("nodes_failed", 1);
-        // Repair reroutes overlay paths of *other* graphs riding the
-        // casualty (transit rules on bystander nodes), so per-graph
-        // dirty marks are not enough.
-        self.verify_mark_all();
-        Ok(self.replace_lost_partitions(name))
-    }
-
-    /// Repair every graph hosting a part on the (already marked
-    /// failed) node `name`.
-    fn replace_lost_partitions(&mut self, name: &str) -> ReplacementReport {
-        // Downtime epoch: the failure is declared now; each graph's
-        // estimated downtime runs from here to the end of its own
-        // repair (so graphs later in the sweep include queueing delay).
-        let failed_at = Instant::now();
-        self.obs
-            .event("domain.node.failed", vec![("node", name.into())]);
-        // Standby plans staged while the node was merely suspect: the
-        // make-before-break payload. Graph plans promote below; shared
-        // standby hosts promote here.
-        let mut node_sb = self.standby.take(name).unwrap_or_default();
-        // Shared instances the casualty hosted are re-elected **once**
-        // at registry level before any tenant is repaired, so every
-        // tenant plan converges on the same new home (demand = the
-        // surviving nodes its tenants occupy). A standby host elected
-        // at Suspect time short-circuits the election to a promotion.
-        // If no candidate exists, the host stays dead: each tenant
-        // plan fails, the tenants park, and the last released lease
-        // drops the instance.
-        if self.config.sharing.enabled {
-            let orphaned = self.sharing.hosted_on(name);
-            if !orphaned.is_empty() {
-                let views = self.views();
-                let serving: BTreeSet<String> = self.serving_nodes().into_iter().collect();
-                let fabric_hops = self.config.topology.hop_matrix(&serving);
-                for key in orphaned {
-                    if let Some(host) = node_sb.shared.remove(&key) {
-                        // Promote the pre-elected standby host if it
-                        // still serves and no sibling instance of the
-                        // type landed there since.
-                        let vacant = self
-                            .sharing
-                            .hosted_on(&host)
-                            .iter()
-                            .all(|k| k.functional_type != key.functional_type);
-                        if serving.contains(&host) && vacant {
-                            self.sharing.set_host(&key, name, &host);
-                            self.trace.count("shared_hosts_reelected", 1);
-                            self.trace.count("standby_shared_promoted", 1);
-                            self.obs.event(
-                                "domain.standby.promoted",
-                                vec![
-                                    ("kind", "shared".into()),
-                                    ("key", key.render().into()),
-                                    ("host", host.into()),
-                                ],
-                            );
-                            continue;
-                        }
-                    }
-                    let demand: BTreeSet<String> = self
-                        .sharing
-                        .replica_on(&key, name)
-                        .map(|inst| inst.leases.keys())
-                        .into_iter()
-                        .flatten()
-                        .filter_map(|gid| self.graphs.get(gid))
-                        .flat_map(|g| g.assignment.values().chain(g.endpoints.values()))
-                        .filter(|n| serving.contains(*n))
-                        .cloned()
-                        .collect();
-                    let occupied: BTreeSet<String> = self
-                        .sharing
-                        .instances()
-                        .filter(|i| i.key.functional_type == key.functional_type)
-                        .map(|i| i.host.clone())
-                        .collect();
-                    if let Ok(host) = elect(
-                        &key,
-                        &self.config.sharing.election,
-                        &views,
-                        fabric_hops.as_ref(),
-                        &demand,
-                        &occupied,
-                    ) {
-                        self.sharing.set_host(&key, name, &host);
-                        self.trace.count("shared_hosts_reelected", 1);
-                        self.obs.event(
-                            "domain.shared.elect",
-                            vec![("key", key.render().into()), ("host", host.into())],
-                        );
-                    }
-                }
-            }
-        }
-        // Graphs with a part on the dead node.
-        let affected: Vec<String> = self
-            .graphs
-            .iter()
-            .filter(|(_, g)| g.partition.parts.contains_key(name))
-            .map(|(id, _)| id.clone())
-            .collect();
-
-        let mut report = ReplacementReport::default();
-        // The model's running clock through the sweep: graph i's
-        // prediction includes the predicted queueing delay of the
-        // i-1 repairs before it, mirroring how `downtime_estimate_ns`
-        // accumulates on the measured side.
-        let mut queue_model_ns: u64 = 0;
-        for gid in affected {
-            let repair_started = Instant::now();
-            let entry = self.graphs.remove(&gid).expect("listed above");
-            // A standby plan is only promotable under the incremental
-            // policy, and only while still valid (same wires, every
-            // planned node still serving). Invalid plans are discarded
-            // explicitly — their reserved vids must return to the pool.
-            let standby = if self.config.repair == RepairPolicy::Incremental {
-                match node_sb.graphs.remove(&gid) {
-                    Some(sb) if self.standby_valid(&sb, &entry) => Some(sb),
-                    Some(sb) => {
-                        self.discard_standby_plan(name, &gid, sb, "stale");
-                        None
-                    }
-                    None => None,
-                }
-            } else {
-                None
-            };
-            let predicted_kind = if standby.is_some() {
-                RepairKind::StandbySwap
-            } else {
-                match self.config.repair {
-                    RepairPolicy::Incremental => RepairKind::Reactive,
-                    RepairPolicy::FromScratch => RepairKind::FromScratch,
-                }
-            };
-            let modeled = queue_model_ns.saturating_add(self.calibration.predict(predicted_kind));
-            let outcome = match standby {
-                // A promotion failure falls straight to from-scratch:
-                // the failed install already tore the survivors down,
-                // so the incremental path's diff-skip assumption no
-                // longer holds.
-                Some(sb) => self
-                    .promote_standby(&gid, &entry, sb)
-                    .or_else(|_| self.replace_from_scratch(&gid, &entry)),
-                // When incremental repair cannot hold the pinned plan,
-                // tear everything down and re-plan with full freedom —
-                // a repack may fit where the pinned increment could not.
-                None => match self.config.repair {
-                    RepairPolicy::Incremental => self
-                        .repair_incremental(&gid, &entry)
-                        .or_else(|_| self.replace_from_scratch(&gid, &entry)),
-                    RepairPolicy::FromScratch => self.replace_from_scratch(&gid, &entry),
-                },
-            };
-            match outcome {
-                Ok(mut o) => {
-                    o.repair_duration_ns = repair_started.elapsed().as_nanos() as u64;
-                    o.downtime_estimate_ns = failed_at.elapsed().as_nanos() as u64;
-                    o.modeled_downtime_ns = modeled;
-                    queue_model_ns = modeled;
-                    let actual_kind = if o.standby_promoted {
-                        RepairKind::StandbySwap
-                    } else if o.full_replace {
-                        RepairKind::FromScratch
-                    } else {
-                        RepairKind::Reactive
-                    };
-                    self.calibration.record(actual_kind, o.repair_duration_ns);
-                    let ledger = self
-                        .avail
-                        .entry(gid.clone())
-                        .or_insert_with(|| GraphAvailability::new(&gid));
-                    ledger.repairs += 1;
-                    ledger.measured_downtime_ns += o.downtime_estimate_ns;
-                    ledger.modeled_downtime_ns += modeled;
-                    if o.standby_promoted {
-                        ledger.standby_promotions += 1;
-                    }
-                    self.obs.span(
-                        "domain.repair",
-                        repair_started,
-                        vec![
-                            ("graph", o.graph.clone().into()),
-                            ("nfs_moved", o.nfs_moved.into()),
-                            ("nfs_preserved", o.nfs_preserved.into()),
-                            ("links_rewired", o.links_rewired.into()),
-                            ("nodes_touched", o.nodes_touched.into()),
-                            ("full_replace", o.full_replace.into()),
-                            ("standby_promoted", o.standby_promoted.into()),
-                            ("downtime_estimate_ns", o.downtime_estimate_ns.into()),
-                        ],
-                    );
-                    self.trace.count("graphs_replaced", 1);
-                    self.trace.count("repair_nfs_moved", o.nfs_moved as u64);
-                    self.trace
-                        .count("repair_nfs_preserved", o.nfs_preserved as u64);
-                    self.trace
-                        .count("repair_links_rewired", o.links_rewired as u64);
-                    self.trace.count("repair_links_kept", o.links_kept as u64);
-                    if o.full_replace {
-                        self.trace.count("repairs_full", 1);
-                    } else {
-                        self.trace.count("repairs_incremental", 1);
-                    }
-                    report.replaced.push(gid);
-                    report.repairs.push(o);
-                }
-                Err(_) => {
-                    // Park the spec with pins pruned to the surviving
-                    // fleet so retry_pending can re-place it once
-                    // capacity returns. A parked tenant is no live wire:
-                    // its shared leases are released (the instance drops
-                    // with its last tenant and re-registers on retry).
-                    let serving = self.serving_nodes();
-                    let mut hints = entry.hints.clone();
-                    hints.endpoint_node.retain(|_, n| serving.contains(n));
-                    hints.nf_node.retain(|_, n| serving.contains(n));
-                    self.release_shared(&gid);
-                    self.trace.count("graphs_stranded", 1);
-                    // Park epoch: the downtime ledger stamps the park→
-                    // drain window when the graph is restored.
-                    self.parked_at.insert(gid.clone(), Instant::now());
-                    self.avail
-                        .entry(gid.clone())
-                        .or_insert_with(|| GraphAvailability::new(&gid))
-                        .park_events += 1;
-                    self.pending.insert(gid.clone(), (entry.original, hints));
-                    report.stranded.push(gid);
-                }
-            }
-        }
-        // Standby plans for graphs the failure no longer touches (the
-        // graph was undeployed since, or the policy is from-scratch):
-        // discard, returning their reserved vids.
-        let leftover: Vec<(String, GraphStandby)> = node_sb.graphs.into_iter().collect();
-        for (gid, sb) in leftover {
-            self.discard_standby_plan(name, &gid, sb, "stale");
-        }
-        // Standbys staged for *other* suspect nodes may reference the
-        // casualty (as part host, transit hop, or shared host) or a
-        // graph this sweep re-planned: re-validate them all.
-        self.prune_stale_standbys();
-        self.update_standby_gauge();
-        report
-    }
-
-    /// Incremental repair of one graph: pin everything that survives,
-    /// inherit overlay VLAN ids across the cut, and touch only the
-    /// nodes whose part actually changed.
-    ///
-    /// On success the graph is re-registered and the outcome returned.
-    /// On failure the graph is fully undeployed from serving nodes and
-    /// **old overlay link state is left registered** — the from-scratch
-    /// fallback (which the caller always runs next) owns tearing it
-    /// down, so each vid is freed exactly once.
-    fn repair_incremental(
-        &mut self,
-        gid: &str,
-        entry: &DomainGraph,
-    ) -> Result<RepairOutcome, DomainError> {
-        let serving = self.serving_nodes();
-        let (nf_pins, ep_pins, hints, reuse) = Self::repair_inputs(entry, &serving);
-        let plan = self.plan(&entry.original, &hints, &nf_pins, &ep_pins, reuse)?;
-        self.install_repair_plan(gid, entry, plan, hints)
-    }
-
-    /// Survivor pins, pruned hints, and vid-inheritance directives for
-    /// re-planning `entry` onto the `serving` fleet — the inputs of an
-    /// incremental repair plan, shared between the reactive path and
-    /// Suspect-time standby planning.
-    #[allow(clippy::type_complexity)]
-    fn repair_inputs(
-        entry: &DomainGraph,
-        serving: &[String],
-    ) -> (
-        BTreeMap<String, String>,
-        BTreeMap<String, String>,
-        DeployHints,
-        VidReuse,
-    ) {
-        // Survivor pins: NFs and endpoints whose node still serves.
-        let nf_pins: BTreeMap<String, String> = entry
-            .assignment
-            .iter()
-            .filter(|(_, node)| serving.contains(node))
-            .map(|(nf, node)| (nf.clone(), node.clone()))
-            .collect();
-        let ep_pins: BTreeMap<String, String> = entry
-            .endpoints
-            .iter()
-            .filter(|(_, node)| serving.contains(node))
-            .map(|(ep, node)| (ep.clone(), node.clone()))
-            .collect();
-        let mut hints = entry.hints.clone();
-        hints.endpoint_node.retain(|_, n| serving.contains(n));
-        hints.nf_node.retain(|_, n| serving.contains(n));
-        // Overlay vid inheritance: a cut edge with one surviving side
-        // keeps its vid, so the survivor's synthesized `ovl-<vid>`
-        // endpoint (and every rule referencing it) stays identical.
-        let mut reuse = VidReuse::default();
-        for link in &entry.partition.links {
-            let key_target = link.dst_target.clone();
-            match (
-                serving.contains(&link.from_node),
-                serving.contains(&link.to_node),
-            ) {
-                (true, true) => {
-                    reuse.exact.insert(
-                        (link.from_node.clone(), link.to_node.clone(), key_target),
-                        link.vid,
-                    );
-                }
-                (true, false) => {
-                    reuse
-                        .from_side
-                        .insert((link.from_node.clone(), key_target), link.vid);
-                }
-                (false, true) => {
-                    reuse
-                        .to_side
-                        .insert((link.to_node.clone(), key_target), link.vid);
-                }
-                (false, false) => {}
-            }
-        }
-        (nf_pins, ep_pins, hints, reuse)
-    }
-
-    /// Install an incremental repair plan over the live deployment of
-    /// `entry`: reconcile per node (skipping byte-identical survivor
-    /// parts), swap overlay link state, and re-register the graph.
-    /// The plan may be freshly computed (reactive repair) or a standby
-    /// staged at Suspect time (make-before-break promotion).
-    ///
-    /// On failure the graph is fully undeployed from serving nodes,
-    /// the plan's fresh vids return to the pool, and **old overlay
-    /// link state is left registered** — the from-scratch fallback
-    /// (which the caller always runs next) owns tearing it down, so
-    /// each vid is freed exactly once.
-    fn install_repair_plan(
-        &mut self,
-        gid: &str,
-        entry: &DomainGraph,
-        plan: Plan,
-        hints: DeployHints,
-    ) -> Result<RepairOutcome, DomainError> {
-        // Reconcile per node: untouched parts are skipped entirely.
-        let mut nodes_touched = 0usize;
-        let mut failure: Option<DomainError> = None;
-        for (node_name, sub) in &plan.partition.parts {
-            let old_part = entry.partition.parts.get(node_name);
-            if let Some(old) = old_part {
-                if un_nffg::diff(old, sub).is_empty() {
-                    continue; // survivor untouched: no node call at all
-                }
-            }
-            nodes_touched += 1;
-            let managed = self
-                .nodes
-                .get_mut(node_name)
-                .expect("assignment uses fleet");
-            let result = if old_part.is_some() {
-                managed.node.update(sub)
-            } else {
-                managed.node.deploy(sub)
-            };
-            if let Err(e) = result {
-                failure = Some(DomainError::Deploy {
-                    node: node_name.clone(),
-                    error: e.to_string(),
-                });
-                break;
-            }
-        }
-        if let Some(err) = failure {
-            // Clean up for the from-scratch fallback: drop the graph
-            // from every serving node involved and return *fresh* vids
-            // to the pool. Old vids stay registered — the fallback's
-            // teardown frees them (exactly once).
-            for node_name in plan
-                .partition
-                .parts
-                .keys()
-                .chain(entry.partition.parts.keys())
-            {
-                if let Some(m) = self.nodes.get_mut(node_name) {
-                    if m.health.is_serving() {
-                        let _ = m.node.undeploy(gid);
-                    }
-                }
-            }
-            let old_vids: std::collections::BTreeSet<u16> =
-                entry.partition.links.iter().map(|l| l.vid).collect();
-            for link in &plan.partition.links {
-                if !old_vids.contains(&link.vid) {
-                    self.free_vids.push(link.vid);
-                }
-            }
-            self.trace.count("repairs_rolled_back", 1);
-            return Err(err);
-        }
-        // Serving nodes whose part disappeared from the plan: a
-        // transit-only node loses its part when the rerouted (or
-        // collapsed) path no longer crosses it. The undeploy is a node
-        // call, so it counts toward the blast radius.
-        for node_name in entry.partition.parts.keys() {
-            if !plan.partition.parts.contains_key(node_name) {
-                if let Some(m) = self.nodes.get_mut(node_name) {
-                    if m.health.is_serving() {
-                        let _ = m.node.undeploy(gid);
-                        nodes_touched += 1;
-                    }
-                }
-            }
-        }
-
-        // Swap overlay link state: free vids the new partition no
-        // longer uses. Surviving vids keep their `LinkState` in place —
-        // packet/byte counters and SA material (incl. replay windows)
-        // carry across the repair, honoring the survivor-untouched
-        // contract — with the peer routing and the pinned fabric path
-        // updated (a kept wire may have been rerouted around the dead
-        // node); genuinely new vids register fresh.
-        let kept: std::collections::BTreeSet<u16> =
-            plan.partition.links.iter().map(|l| l.vid).collect();
-        for link in &entry.partition.links {
-            if !kept.contains(&link.vid) {
-                self.links.remove(&link.vid);
-                self.free_vids.push(link.vid);
-            }
-        }
-        let mut rerouted: Vec<(u16, Vec<String>)> = Vec::new();
-        let fresh: Vec<OverlayLink> = plan
-            .partition
-            .links
-            .iter()
-            .filter(|link| match self.links.get_mut(&link.vid) {
-                Some(state) => {
-                    let state = state.get_mut().expect("link lock poisoned");
-                    state.link = (*link).clone();
-                    if let Some(path) = plan.paths.get(&link.vid) {
-                        if state.path != *path {
-                            rerouted.push((link.vid, path.clone()));
-                        }
-                    }
-                    false
-                }
-                None => true,
-            })
-            .cloned()
-            .collect();
-        for (vid, path) in rerouted {
-            let lats = self.hop_latencies(&path);
-            let state = self
-                .links
-                .get_mut(&vid)
-                .expect("kept above")
-                .get_mut()
-                .expect("link lock poisoned");
-            let hops = path.len().saturating_sub(1);
-            state.path = path;
-            state.hop_latency_ns = lats;
-            // The hop axis changed identity; totals survive, per-hop
-            // counters restart on the new route.
-            state.hop_packets = vec![0; hops];
-            state.hop_bytes = vec![0; hops];
-            self.trace.count("overlay_paths_rerouted", 1);
-        }
-        self.register_links(gid, &fresh, &plan.paths);
-
-        let old_by_vid: BTreeMap<u16, &OverlayLink> =
-            entry.partition.links.iter().map(|l| (l.vid, l)).collect();
-        let (mut links_kept, mut links_rewired) = (0usize, 0usize);
-        for link in &plan.partition.links {
-            match old_by_vid.get(&link.vid) {
-                Some(o) if o.from_node == link.from_node && o.to_node == link.to_node => {
-                    links_kept += 1;
-                }
-                _ => links_rewired += 1,
-            }
-        }
-        let nfs_moved = moved_count(&entry.assignment, &plan.assignment);
-        let nfs_preserved = plan.assignment.len() - nfs_moved;
-        let (shared_nfs_moved, shared_migrated) = shared_blast(entry, &plan);
-        self.commit_shared(gid, &plan.shared);
-        self.graphs.insert(
-            gid.to_string(),
-            DomainGraph {
-                original: entry.original.clone(),
-                hints,
-                assignment: plan.assignment,
-                endpoints: plan.endpoints,
-                partition: plan.partition,
-                shared: plan.shared,
-            },
-        );
-        Ok(RepairOutcome {
-            graph: gid.to_string(),
-            nfs_moved,
-            nfs_preserved,
-            links_rewired,
-            links_kept,
-            nodes_touched,
-            full_replace: false,
-            shared_nfs_moved,
-            shared_migrated,
-            // Stamped by the repair sweep, which owns the clocks and
-            // the model; `standby_promoted` by `promote_standby`.
-            repair_duration_ns: 0,
-            downtime_estimate_ns: 0,
-            standby_promoted: false,
-            modeled_downtime_ns: 0,
-        })
-    }
-
-    /// From-scratch re-placement of one graph (the baseline, and the
-    /// fallback when the incremental plan cannot be held): tear down
-    /// every surviving part, free every overlay vid, re-plan with only
-    /// the caller's (pruned) hints, and install.
-    fn replace_from_scratch(
-        &mut self,
-        gid: &str,
-        entry: &DomainGraph,
-    ) -> Result<RepairOutcome, DomainError> {
-        for node_name in entry.partition.parts.keys() {
-            if let Some(m) = self.nodes.get_mut(node_name) {
-                if m.health.is_serving() {
-                    let _ = m.node.undeploy(gid);
-                }
-            }
-        }
-        for link in &entry.partition.links {
-            self.links.remove(&link.vid);
-            self.free_vids.push(link.vid);
-        }
-        // Drop pins that no longer point at a serving node (this one
-        // or any other casualty of the same sweep) so the scheduler
-        // may move them (interface availability decides).
-        let serving = self.serving_nodes();
-        let mut hints = entry.hints.clone();
-        hints.endpoint_node.retain(|_, n| serving.contains(n));
-        hints.nf_node.retain(|_, n| serving.contains(n));
-        let plan = self.plan(
-            &entry.original,
-            &hints,
-            &BTreeMap::new(),
-            &BTreeMap::new(),
-            VidReuse::default(),
-        )?;
-        let nfs_moved = moved_count(&entry.assignment, &plan.assignment);
-        let nfs_preserved = plan.assignment.len() - nfs_moved;
-        let nodes_touched = plan.partition.parts.len();
-        let links_rewired = plan.partition.links.len();
-        let (shared_nfs_moved, shared_migrated) = shared_blast(entry, &plan);
-        self.install(&entry.original, &hints, plan)?;
-        Ok(RepairOutcome {
-            graph: gid.to_string(),
-            nfs_moved,
-            nfs_preserved,
-            links_rewired,
-            links_kept: 0,
-            nodes_touched,
-            full_replace: true,
-            shared_nfs_moved,
-            shared_migrated,
-            // Stamped by the repair sweep, which owns the clocks.
-            repair_duration_ns: 0,
-            downtime_estimate_ns: 0,
-            standby_promoted: false,
-            modeled_downtime_ns: 0,
-        })
-    }
-
-    /// Promote a standby plan staged at Suspect time: install the
-    /// pre-computed parts directly, skipping the whole planning phase.
-    /// On failure the plan's reserved vids have already returned to
-    /// the pool (see [`Domain::install_repair_plan`]) and the caller
-    /// falls back to a from-scratch replacement.
-    fn promote_standby(
-        &mut self,
-        gid: &str,
-        entry: &DomainGraph,
-        sb: GraphStandby,
-    ) -> Result<RepairOutcome, DomainError> {
-        let serving = self.serving_nodes();
-        let mut hints = entry.hints.clone();
-        hints.endpoint_node.retain(|_, n| serving.contains(n));
-        hints.nf_node.retain(|_, n| serving.contains(n));
-        match self.install_repair_plan(gid, entry, sb.plan, hints) {
-            Ok(mut o) => {
-                o.standby_promoted = true;
-                self.trace.count("standby_plans_promoted", 1);
-                self.obs.event(
-                    "domain.standby.promoted",
-                    vec![("kind", "graph".into()), ("graph", gid.into())],
-                );
-                Ok(o)
-            }
-            Err(e) => {
-                self.trace.count("standby_promotes_failed", 1);
-                Err(e)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Make-before-break standby lifecycle
-    // ------------------------------------------------------------------
-
-    /// Pre-compute a standby repair plan per graph affected by the
-    /// newly suspect node `name` (and pre-elect replacement hosts for
-    /// shared replicas it carries), so a later failure is a swap
-    /// instead of a plan. Gated on `config.standby` and the
-    /// incremental repair policy; idempotent while the suspicion
-    /// lasts.
-    fn compute_standby(&mut self, name: &str) {
-        if !self.config.standby
-            || self.config.repair != RepairPolicy::Incremental
-            || self.standby.contains(name)
-        {
-            return;
-        }
-        let serving: Vec<String> = self
-            .serving_nodes()
-            .into_iter()
-            .filter(|n| n != name)
-            .collect();
-        let mut sb = NodeStandby::default();
-        // Pre-elect a replacement host per shared replica the suspect
-        // carries, so failure-time re-election is a promotion. The
-        // election mirrors `replace_lost_partitions` with the suspect
-        // counted dead.
-        if self.config.sharing.enabled {
-            let hosted = self.sharing.hosted_on(name);
-            if !hosted.is_empty() {
-                let mut views = self.views();
-                for v in views.iter_mut() {
-                    if v.name == name {
-                        v.alive = false;
-                    }
-                }
-                let serving_set: BTreeSet<String> = serving.iter().cloned().collect();
-                let fabric_hops = self.config.topology.hop_matrix(&serving_set);
-                for key in hosted {
-                    let demand: BTreeSet<String> = self
-                        .sharing
-                        .replica_on(&key, name)
-                        .map(|inst| inst.leases.keys())
-                        .into_iter()
-                        .flatten()
-                        .filter_map(|gid| self.graphs.get(gid))
-                        .flat_map(|g| g.assignment.values().chain(g.endpoints.values()))
-                        .filter(|n| serving_set.contains(*n))
-                        .cloned()
-                        .collect();
-                    let occupied: BTreeSet<String> = self
-                        .sharing
-                        .instances()
-                        .filter(|i| i.key.functional_type == key.functional_type)
-                        .map(|i| i.host.clone())
-                        .collect();
-                    if let Ok(host) = elect(
-                        &key,
-                        &self.config.sharing.election,
-                        &views,
-                        fabric_hops.as_ref(),
-                        &demand,
-                        &occupied,
-                    ) {
-                        sb.shared.insert(key, host);
-                    }
-                }
-            }
-        }
-        // One pre-computed repair plan per graph with a part on the
-        // suspect. The plan's fresh vids stay reserved (neither free
-        // nor in use) until the standby promotes or is discarded.
-        let affected: Vec<String> = self
-            .graphs
-            .iter()
-            .filter(|(_, g)| g.partition.parts.contains_key(name))
-            .map(|(id, _)| id.clone())
-            .collect();
-        for gid in affected {
-            let entry = self.graphs.get(&gid).expect("listed above").clone();
-            let (nf_pins, ep_pins, hints, reuse) = Self::repair_inputs(&entry, &serving);
-            match self.plan_ctx(
-                &entry.original,
-                &hints,
-                &nf_pins,
-                &ep_pins,
-                reuse,
-                Some(name),
-                Some(&sb.shared),
-            ) {
-                Ok(plan) => {
-                    self.trace.count("standby_plans_computed", 1);
-                    self.obs.event(
-                        "domain.standby.computed",
-                        vec![
-                            ("graph", gid.clone().into()),
-                            ("node", name.into()),
-                            ("vids_reserved", plan.taken.len().into()),
-                        ],
-                    );
-                    let old_vids: Vec<u16> = entry.partition.links.iter().map(|l| l.vid).collect();
-                    sb.graphs.insert(gid, GraphStandby { plan, old_vids });
-                }
-                Err(_) => {
-                    // The survivors cannot absorb this graph today; a
-                    // failure will park it (or from-scratch may still
-                    // find a repack the pinned plan could not).
-                    self.trace.count("standby_plans_unplannable", 1);
-                }
-            }
-        }
-        if !sb.graphs.is_empty() || !sb.shared.is_empty() {
-            self.standby.insert(name.to_string(), sb);
-        }
-        self.update_standby_gauge();
-    }
-
-    /// Is a staged standby plan still promotable over the live
-    /// deployment of its graph? The graph's wires must be exactly the
-    /// ones the plan was computed against, and every node the plan
-    /// uses (part hosts, transit hops, shared hosts) must still serve.
-    fn standby_valid(&self, sb: &GraphStandby, entry: &DomainGraph) -> bool {
-        let mut cur: Vec<u16> = entry.partition.links.iter().map(|l| l.vid).collect();
-        cur.sort_unstable();
-        let mut old = sb.old_vids.clone();
-        old.sort_unstable();
-        if cur != old {
-            return false;
-        }
-        let serving: BTreeSet<String> = self.serving_nodes().into_iter().collect();
-        sb.plan.partition.parts.keys().all(|n| serving.contains(n))
-            && sb
-                .plan
-                .paths
-                .values()
-                .flatten()
-                .all(|n| serving.contains(n))
-            && sb.plan.shared.values().all(|c| serving.contains(&c.host))
-    }
-
-    /// Return one standby plan's reserved vids to the pool.
-    fn discard_standby_plan(
-        &mut self,
-        node: &str,
-        gid: &str,
-        sb: GraphStandby,
-        reason: &'static str,
-    ) {
-        let vids = sb.plan.taken.len();
-        self.free_vids.extend(sb.plan.taken);
-        self.trace.count("standby_plans_discarded", 1);
-        self.obs.event(
-            "domain.standby.discarded",
-            vec![
-                ("graph", gid.into()),
-                ("node", node.into()),
-                ("reason", reason.into()),
-                ("vids_returned", vids.into()),
-            ],
-        );
-    }
-
-    /// Discard everything staged for `node` (late heartbeat or
-    /// explicit recovery ended the suspicion).
-    fn discard_standby(&mut self, node: &str, reason: &'static str) {
-        if let Some(sb) = self.standby.take(node) {
-            for (gid, g) in sb.graphs {
-                self.discard_standby_plan(node, &gid, g, reason);
-            }
-            self.update_standby_gauge();
-        }
-    }
-
-    /// Discard `gid`'s standby plan on every suspect node (the graph
-    /// was re-planned or undeployed, so those plans are stale).
-    fn discard_graph_standby(&mut self, gid: &str) {
-        let drained = self.standby.drain_graph(gid);
-        if !drained.is_empty() {
-            for (node, g) in drained {
-                self.discard_standby_plan(&node, gid, g, "replanned");
-            }
-            self.update_standby_gauge();
-        }
-    }
-
-    /// Re-validate every staged standby (after a repair sweep changed
-    /// the fleet or re-planned graphs) and discard the stale ones.
-    fn prune_stale_standbys(&mut self) {
-        let mut stale: Vec<(String, String)> = Vec::new();
-        for (node, sb) in self.standby.iter() {
-            for (gid, g) in &sb.graphs {
-                let valid = match self.graphs.get(gid) {
-                    Some(entry) => self.standby_valid(g, entry),
-                    None => false,
-                };
-                if !valid {
-                    stale.push((node.clone(), gid.clone()));
-                }
-            }
-        }
-        for (node, gid) in stale {
-            if let Some(g) = self.standby.remove_graph(&node, &gid) {
-                self.discard_standby_plan(&node, &gid, g, "stale");
-            }
-        }
-    }
-
-    /// Export how many standby graph plans are staged right now.
-    fn update_standby_gauge(&self) {
-        if self.obs.is_enabled() {
-            self.obs
-                .registry()
-                .gauge("un_standby_active", &[])
-                .set(self.standby.graph_plans() as i64);
-        }
-    }
-
-    /// Stamp the park→drain downtime of a just-restored graph into its
-    /// availability ledger (closing the blind spot where parked graphs
-    /// never stamped `downtime_estimate_ns`).
-    fn stamp_park_drain(&mut self, gid: &str) {
-        if let Some(at) = self.parked_at.remove(gid) {
-            let downtime_ns = at.elapsed().as_nanos() as u64;
-            let ledger = self
-                .avail
-                .entry(gid.to_string())
-                .or_insert_with(|| GraphAvailability::new(gid));
-            ledger.park_downtime_ns += downtime_ns;
-            self.trace.count("park_drains", 1);
-            self.obs.event(
-                "domain.park.drained",
-                vec![("graph", gid.into()), ("downtime_ns", downtime_ns.into())],
-            );
-        }
-    }
-
-    /// Try to deploy graphs stranded by earlier failures (call after
-    /// adding capacity).
-    pub fn retry_pending(&mut self) -> Vec<String> {
-        let pending: Vec<(String, (NfFg, DeployHints))> =
-            std::mem::take(&mut self.pending).into_iter().collect();
-        let mut deployed = Vec::new();
-        for (gid, (graph, hints)) in pending {
-            if self.graphs.contains_key(&gid) {
-                // A live deployment supersedes the parked copy (the
-                // operator re-deployed it since the failure; the park
-                // window was stamped then).
-                self.parked_at.remove(&gid);
-                continue;
-            }
-            match self
-                .plan(
-                    &graph,
-                    &hints,
-                    &BTreeMap::new(),
-                    &BTreeMap::new(),
-                    VidReuse::default(),
-                )
-                .and_then(|plan| self.install(&graph, &hints, plan))
-            {
-                Ok(_) => {
-                    self.stamp_park_drain(&gid);
-                    deployed.push(gid);
-                }
-                Err(_) => {
-                    self.pending.insert(gid, (graph, hints));
-                }
-            }
-        }
-        deployed
+        (views, serving)
     }
 
     // ------------------------------------------------------------------
@@ -4267,23 +2495,11 @@ impl Domain {
     }
 }
 
-/// Derive a deterministic SA pair for one overlay link.
-fn derive_link_sas(seed: u64, link: &OverlayLink) -> (SecurityAssociation, SecurityAssociation) {
-    let mut rng = DetRng::new(seed ^ (u64::from(link.vid) << 16));
-    let mut key = [0u8; 32];
-    let mut salt = [0u8; 4];
-    rng.fill(&mut key);
-    rng.fill(&mut salt);
-    let spi = 0x4f56_0000 | u32::from(link.vid); // 'OV' + vid
-    let src = Ipv4Addr::new(10, 255, 255, 1);
-    let dst = Ipv4Addr::new(10, 255, 255, 2);
-    (
-        SecurityAssociation::outbound(spi, src, dst, key, salt),
-        SecurityAssociation::inbound(spi, src, dst, key, salt),
-    )
-}
-
+mod control;
+mod repair;
 mod verify;
+
+pub(crate) use control::Plan;
 
 #[cfg(test)]
 mod tests;

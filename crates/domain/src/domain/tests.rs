@@ -487,6 +487,33 @@ fn explicit_redeploy_supersedes_pending_copy() {
 }
 
 #[test]
+fn undeploying_a_parked_graph_closes_its_park_window() {
+    let mut d = Domain::with_defaults();
+    let mut n1 = UniversalNode::new("n1", mb(2048));
+    n1.add_physical_port("eth0");
+    n1.add_physical_port("eth1");
+    d.add_node(n1);
+    d.deploy(&split_bridge_chain()).unwrap();
+    d.fail_node("n1").unwrap();
+    assert_eq!(d.pending_graphs(), vec!["g1".to_string()]);
+    assert!(d.parked_at.contains_key("g1"));
+
+    // The operator gives the parked graph up: same tail as undeploying
+    // a live one — counted, and the park window ends without a drain.
+    d.undeploy("g1").unwrap();
+    assert!(d.pending_graphs().is_empty());
+    assert!(d.parked_at.is_empty(), "park window left open");
+    assert_eq!(d.trace.counter("graphs_undeployed"), 1);
+    assert_eq!(d.undeploy("g1"), Err(DomainError::NoSuchGraph("g1".into())));
+
+    // Nothing later drains a window that no longer exists.
+    assert!(d.recover_node("n1").unwrap().is_empty());
+    d.deploy(&split_bridge_chain()).unwrap();
+    assert_eq!(d.trace.counter("park_drains"), 0);
+    assert_eq!(d.graph_availability("g1").unwrap().park_downtime_ns, 0);
+}
+
+#[test]
 fn failed_node_may_rejoin_alive_duplicate_panics() {
     let mut d = two_node_domain();
     d.node_mut("n1").unwrap().add_physical_port("eth1");
@@ -597,13 +624,15 @@ fn rule_only_update_applies_in_place() {
     let vids_before: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
 
     // Tweak one rule's priority: topology (NFs, endpoints, cut edges)
-    // is unchanged, so every node must take the update rule-level —
-    // no instance teardown, and the overlay keeps its VLAN ids.
+    // is unchanged, so the node holding the rule takes the update
+    // rule-level — no instance teardown, and the overlay keeps its
+    // VLAN ids — and the node whose part did not change takes no call.
     let mut g = split_bridge_chain();
+    assert_eq!(g.flow_rules[0].id, "c0-fwd", "the lan→br1 rule: n1 only");
     g.flow_rules[0].priority = 42;
     d.update(&g).unwrap();
 
-    for node in ["n1", "n2"] {
+    for (node, rule_updates) in [("n1", 1), ("n2", 0)] {
         let n = d.node(node).unwrap();
         assert_eq!(
             n.trace.counter("graph_updates_structural"),
@@ -611,13 +640,54 @@ fn rule_only_update_applies_in_place() {
             "{node} redeployed structurally for a rule tweak"
         );
         assert_eq!(n.trace.counter("graphs_undeployed"), 0);
-        assert_eq!(n.trace.counter("graph_updates_rules"), 1);
+        assert_eq!(n.trace.counter("graph_updates_rules"), rule_updates);
     }
     let vids_after: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
     assert_eq!(vids_before, vids_after, "overlay VLAN ids must be stable");
     // And traffic still flows end-to-end.
     let io = d.inject("n1", "eth0", frame());
     assert_eq!(io.emitted.len(), 1);
+}
+
+/// The link-state twin of the test above: a wire the update keeps is
+/// the *same* wire — its counters continue and its SAs (sequence
+/// numbers, replay window) carry on — exactly as across a repair.
+#[test]
+fn rule_only_update_keeps_esp_link_state() {
+    let mut d = Domain::new(DomainConfig {
+        protect_overlay: true,
+        ..DomainConfig::default()
+    });
+    let mut n1 = UniversalNode::new("n1", mb(2048));
+    n1.add_physical_port("eth0");
+    let mut n2 = UniversalNode::new("n2", mb(2048));
+    n2.add_physical_port("eth1");
+    d.add_node(n1);
+    d.add_node(n2);
+    d.deploy_with(&split_bridge_chain(), &split_hints())
+        .unwrap();
+    for _ in 0..3 {
+        assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
+    }
+    let totals = |d: &Domain| -> Vec<(u16, u64, u64)> {
+        d.link_stats()
+            .iter()
+            .map(|(vid, _, _, _, packets, bytes)| (*vid, *packets, *bytes))
+            .collect()
+    };
+    let before = totals(&d);
+    assert_eq!(before.iter().map(|(_, p, _)| p).sum::<u64>(), 3);
+
+    let mut g = split_bridge_chain();
+    g.flow_rules[0].priority = 42;
+    d.update(&g).unwrap();
+    assert_eq!(totals(&d), before, "a kept wire keeps its totals");
+
+    let io = d.inject("n1", "eth0", frame());
+    assert_eq!(io.emitted.len(), 1, "{:?}", d.trace);
+    assert!(io.protected_bytes > 0);
+    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert_eq!(totals(&d).iter().map(|(_, p, _)| p).sum::<u64>(), 4);
 }
 
 #[test]
@@ -1690,6 +1760,40 @@ fn promoted_standby_matches_reactive_repair_byte_for_byte() {
     );
 }
 
+/// An update that cannot be planned changes nothing — including the
+/// make-before-break plans staged for the graph it failed to change.
+#[test]
+fn update_whose_plan_fails_keeps_the_staged_standby() {
+    let mut d = hub_fleet();
+    d.deploy_with(&split_bridge_chain(), &hub_hints()).unwrap();
+    d.suspect_node("n2").unwrap();
+    assert_eq!(d.standby_graphs(), vec!["g1".to_string()]);
+
+    // A rule tweak (so the diff is not empty) on a graph whose wan
+    // endpoint now names an interface its pinned node does not have.
+    let mut bad = NfFgBuilder::new("g1", "split")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth9")
+        .nf("br1", "bridge", 2)
+        .nf("br2", "bridge", 2)
+        .chain("lan", &["br1", "br2"], "wan")
+        .build();
+    bad.flow_rules[0].priority = 42;
+    assert!(matches!(d.update(&bad), Err(DomainError::Place(_))));
+    assert_eq!(d.graph("g1"), Some(&split_bridge_chain()));
+    assert_eq!(d.standby_graphs(), vec!["g1".to_string()]);
+    assert_eq!(d.trace.counter("standby_plans_discarded"), 0);
+    assert_vid_conservation(&d);
+
+    let report = d.fail_node("n2").unwrap();
+    assert!(
+        report.repairs[0].standby_promoted,
+        "{:?}",
+        report.repairs[0]
+    );
+    assert_vid_conservation(&d);
+}
+
 #[test]
 fn shared_standby_promotes_host_on_failure() {
     let mut d = sharing_fleet(3, SharingConfig::for_types(&["nat"]));
@@ -1751,6 +1855,55 @@ fn scale_out_splits_tenants_instead_of_rejecting() {
         assert_eq!(io.emitted.len(), 1, "{:?}", d.trace);
         assert_eq!(io.emitted[0].0, home);
     }
+}
+
+/// A scale-out is counted when the second replica registers, not when
+/// a plan first asks for one: a standby that plans a scale-out and is
+/// then discarded never scaled anything out.
+#[test]
+fn scale_out_is_counted_at_commit_not_in_a_discarded_standby() {
+    let staged = || {
+        let mut d = sharing_fleet(
+            3,
+            SharingConfig {
+                enabled: false,
+                max_leases: Some(1),
+                scale_out: true,
+                ..SharingConfig::for_types(&["nat"])
+            },
+        );
+        // t1 predates the registry (private NAT on n1); t2 fills the
+        // one shared replica on n2.
+        d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n1"))
+            .unwrap();
+        d.set_sharing_enabled(true);
+        d.deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
+            .unwrap();
+        // Planning t1 off n1 now goes through the registry: the only
+        // replica is full, so the standby plan scales out onto n3.
+        d.suspect_node("n1").unwrap();
+        assert_eq!(d.standby_graphs(), vec!["t1".to_string()]);
+        assert_eq!(d.trace.counter("shared_scale_outs"), 0, "only planned");
+        assert_eq!(d.shared_instances().len(), 1);
+        d
+    };
+
+    let mut discarded = staged();
+    discarded.heartbeat("n1", SimTime::from_nanos(1)).unwrap();
+    assert!(discarded.standby_graphs().is_empty());
+    assert_eq!(discarded.trace.counter("shared_scale_outs"), 0);
+    assert_eq!(discarded.shared_instances().len(), 1);
+
+    let mut promoted = staged();
+    let report = promoted.fail_node("n1").unwrap();
+    assert!(report.repairs[0].standby_promoted);
+    assert_eq!(promoted.trace.counter("shared_scale_outs"), 1);
+    let hosts: Vec<String> = promoted
+        .shared_instances()
+        .iter()
+        .map(|i| i.host.clone())
+        .collect();
+    assert_eq!(hosts, ["n2", "n3"]);
 }
 
 #[test]

@@ -34,8 +34,8 @@ pub(super) struct VerifyCache {
     dirty_all: bool,
     /// Graphs touched since the last pass.
     graphs_dirty: BTreeSet<String>,
-    /// Nodes hosting parts of a touched graph, captured both before
-    /// and after the mutation so vacated hosts are re-audited too.
+    /// Nodes hosting parts of a touched graph, before and after the
+    /// mutation, so vacated hosts are re-audited too.
     nodes_dirty: BTreeSet<String>,
     /// Per-graph results from the last pass.
     graph_results: BTreeMap<String, (Vec<Violation>, CheckStats)>,
@@ -89,16 +89,14 @@ fn snapshot_graph(id: &str, g: &DomainGraph) -> GraphState {
 }
 
 impl Domain {
-    /// Flag one graph — and the nodes hosting its parts *right now* —
-    /// for re-verification. Mutations call this before **and** after
-    /// changing a graph, so both the vacated and the new hosts get
-    /// re-audited on the next [`Domain::verify`].
-    pub(super) fn verify_mark_graph(&self, gid: &str) {
+    /// Flag one graph and `hosts` for re-verification. The transaction
+    /// passes the hosts of the old **and** the new partition, so both
+    /// the vacated and the new hosts get re-audited on the next
+    /// [`Domain::verify`].
+    pub(super) fn verify_mark<'a>(&self, gid: &str, hosts: impl IntoIterator<Item = &'a String>) {
         let mut c = self.verify_cache.lock().expect("verify cache poisoned");
         c.graphs_dirty.insert(gid.to_string());
-        if let Some(g) = self.graphs.get(gid) {
-            c.nodes_dirty.extend(g.partition.parts.keys().cloned());
-        }
+        c.nodes_dirty.extend(hosts.into_iter().cloned());
     }
 
     /// Flag the whole domain for re-verification.

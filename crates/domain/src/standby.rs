@@ -231,26 +231,19 @@ impl StandbyRegistry {
         self.per_node.remove(node)
     }
 
-    /// Remove one graph's plan from one node's standby.
-    pub fn remove_graph(&mut self, node: &str, gid: &str) -> Option<GraphStandby> {
-        self.per_node.get_mut(node)?.graphs.remove(gid)
-    }
-
-    /// Remove `gid`'s plan from **every** node's standby (the graph
-    /// was re-planned: update, undeploy — all its standbys are stale).
-    pub fn drain_graph(&mut self, gid: &str) -> Vec<(String, GraphStandby)> {
+    /// Take out every staged graph plan `stale(gid, plan)` selects,
+    /// as `(suspect node, gid, plan)` — the caller owes each one a
+    /// release of its reserved vids.
+    pub fn extract(
+        &mut self,
+        stale: impl Fn(&str, &GraphStandby) -> bool,
+    ) -> Vec<(String, String, GraphStandby)> {
         let mut out = Vec::new();
         for (node, sb) in self.per_node.iter_mut() {
-            if let Some(g) = sb.graphs.remove(gid) {
-                out.push((node.clone(), g));
-            }
+            let taken = sb.graphs.extract_if(.., |gid, plan| stale(gid, plan));
+            out.extend(taken.map(|(gid, plan)| (node.clone(), gid, plan)));
         }
         out
-    }
-
-    /// Iterate staged standbys.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &NodeStandby)> {
-        self.per_node.iter()
     }
 
     /// Total staged graph plans (the `un_standby_active` gauge).

@@ -54,7 +54,7 @@ impl DetRng {
         self.inner.gen_range(low..high)
     }
 
-    /// Bernoulli trial with probability `p` (clamped to [0,1]).
+    /// Bernoulli trial with probability `p` (clamped to `[0,1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         self.inner.gen_bool(p)

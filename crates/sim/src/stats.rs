@@ -149,7 +149,7 @@ impl Histogram {
         SimDuration::from_nanos((self.sum_ns / self.count as u128) as u64)
     }
 
-    /// Quantile `q` in [0,1], to bucket (power-of-two) resolution:
+    /// Quantile `q` in `[0,1]`, to bucket (power-of-two) resolution:
     /// returns an upper bound of the bucket containing the quantile.
     pub fn quantile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
