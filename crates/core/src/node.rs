@@ -373,7 +373,6 @@ pub struct UniversalNode {
     /// Node-level trace/counters.
     pub trace: TraceLog,
     mem_capacity: u64,
-    classifier_mode: un_switch::ClassifierMode,
     /// Observability handle; `None` when disabled so the hot path pays
     /// only `Option` checks.
     obs: Option<Arc<un_obs::Obs>>,
@@ -440,6 +439,121 @@ fn record_classify_hops(f: &TraceSink, node: &str, lsi: &str, steps: &[PipelineS
     }
 }
 
+/// Per-call state of one burst's run through the node fabric: the
+/// recorder riding along (ghost-ness is read off it here, once, so the
+/// two cannot travel apart), the result under construction, what the
+/// walk owes the node's counters, and the work list.
+struct Walk<'a> {
+    flight: Option<&'a TraceSink>,
+    /// Ghost walk: every decision taken, every counter frozen.
+    ghost: bool,
+    io: NodeIo,
+    /// Conservation ledger terms, accumulated here so the fabric loop
+    /// pays plain integer adds: every processing step consumes one
+    /// frame and produces k — `fanout_extra` sums (k-1) for k >= 1,
+    /// `absorbed` counts k == 0 steps (table miss, NF consumed it).
+    absorbed: u64,
+    fanout_extra: u64,
+    /// Typed drops so far (stays empty on a ghost walk).
+    drops: BTreeMap<DropReason, u64>,
+    /// Fabric steps left before the amplification valve closes.
+    work_budget: u64,
+    /// Bursts waiting at a fabric location, every frame with its TTL.
+    pending: BTreeMap<LocKey, Vec<(Packet, u32)>>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(flight: Option<&'a TraceSink>, frames: usize) -> Self {
+        Walk {
+            flight,
+            ghost: flight.is_some_and(|f| f.ghost()),
+            io: NodeIo::default(),
+            absorbed: 0,
+            fanout_extra: 0,
+            drops: BTreeMap::new(),
+            work_budget: (frames as u64).saturating_mul(u64::from(FABRIC_TTL)),
+            pending: BTreeMap::new(),
+        }
+    }
+
+    fn queue(&mut self, loc: LocKey, pkt: Packet, ttl: u32) {
+        self.pending.entry(loc).or_default().push((pkt, ttl));
+    }
+
+    /// Book one processing step that turned one frame into `k`.
+    fn produced(&mut self, k: usize) {
+        match k {
+            0 => self.absorbed += 1,
+            k => self.fanout_extra += (k - 1) as u64,
+        }
+    }
+
+    /// The node fabric's one drop primitive: `n` frame instances died
+    /// on node `at` for `reason`. The typed counter moves by `n` unless
+    /// the walk is a ghost, and a recorder riding along gets one drop
+    /// hop per frame — so "ghost ⇒ no counter moves" and "counter delta
+    /// == drop hops recorded" hold for every fabric drop by
+    /// construction.
+    fn drop(&mut self, at: &str, reason: DropReason, n: u64, detail: impl fmt::Display) {
+        if !self.ghost {
+            *self.drops.entry(reason).or_insert(0) += n;
+        }
+        if let Some(f) = self.flight {
+            for _ in 0..n {
+                f.hop(
+                    at,
+                    HopKind::Drop {
+                        reason,
+                        detail: detail.to_string(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// The classify stage, written once for LSI-0 and the graph LSIs:
+    /// run a burst that arrived on `in_port` of `node`'s `lsi` through
+    /// it under one borrow — per frame the TTL check, the work budget,
+    /// the pipeline, its classify hops and the fan-out accounting —
+    /// and return every output as `(port(out port), frame, ttl)` in
+    /// (frame, output) order. `port` lets the caller resolve what an
+    /// output port means while it still holds the LSI's owner.
+    fn classify<T>(
+        &mut self,
+        lsi: &mut LogicalSwitch,
+        costs: &CostModel,
+        node: &str,
+        in_port: PortNo,
+        burst: Vec<(Packet, u32)>,
+        port: impl Fn(PortNo) -> T,
+    ) -> Vec<(T, Packet, u32)> {
+        let popts = ProcessOptions {
+            ghost: self.ghost,
+            record: self.flight.is_some(),
+        };
+        let mut routed = Vec::with_capacity(burst.len());
+        for (pkt, ttl) in burst {
+            if ttl == 0 {
+                self.drop(node, DropReason::FabricLoop, 1, "");
+                continue;
+            }
+            if self.work_budget == 0 {
+                self.drop(node, DropReason::FabricWorkExhausted, 1, "");
+                continue;
+            }
+            self.work_budget -= 1;
+            let res = lsi.process_opts(in_port, pkt, costs, popts);
+            if let Some(f) = self.flight {
+                record_classify_hops(f, node, &lsi.name, &res.steps);
+            }
+            self.io.cost += res.cost;
+            self.produced(res.outputs.len());
+            routed.extend(res.outputs.into_iter().map(|(out, p)| (port(out), p, ttl)));
+        }
+        routed
+    }
+}
+
 impl UniversalNode {
     /// A node with the standard repository, catalogue and images, a
     /// given memory capacity, and LSI-0 using the OvS-like backend.
@@ -469,7 +583,6 @@ impl UniversalNode {
             clock: SimTime::ZERO,
             trace: TraceLog::new(16_384),
             mem_capacity,
-            classifier_mode: un_switch::ClassifierMode::default(),
             obs: None,
             obs_nf_hist: BTreeMap::new(),
             obs_burst_hist: None,
@@ -529,17 +642,6 @@ impl UniversalNode {
     /// data-plane API).
     pub fn port_id(&self, name: &str) -> Option<PortId> {
         self.physical.get(name).copied().map(PortId)
-    }
-
-    /// Switch every LSI's classifier pipeline — existing LSIs and any
-    /// created by later deploys. `ClassifierMode::Linear` reproduces the
-    /// pre-optimization scan for baseline benchmarking.
-    pub fn set_classifier_mode(&mut self, mode: un_switch::ClassifierMode) {
-        self.classifier_mode = mode;
-        self.lsi0.set_classifier_mode(mode);
-        for g in self.graphs.values_mut() {
-            g.lsi.set_classifier_mode(mode);
-        }
     }
 
     /// Aggregated flow-table fast-path counters across LSI-0 and every
@@ -758,7 +860,6 @@ impl UniversalNode {
             nfs: BTreeMap::new(),
             next_port: 1,
         };
-        graph.lsi.set_classifier_mode(self.classifier_mode);
 
         // Track created state for rollback.
         let mut created_instances: Vec<InstanceId> = Vec::new();
@@ -1351,13 +1452,26 @@ impl UniversalNode {
     /// Thin wrapper over [`UniversalNode::inject_batch`] with a
     /// one-frame burst.
     pub fn inject(&mut self, port_name: &str, pkt: Packet) -> NodeIo {
-        match self.port_id(port_name) {
+        match self.ingress_port(port_name, None) {
             Some(id) => self.inject_batch(vec![(id, pkt)]),
-            None => {
-                self.trace.count("inject_unknown_port", 1);
-                NodeIo::default()
-            }
+            None => NodeIo::default(),
         }
+    }
+
+    /// Resolve the port one frame is about to be injected on. A name
+    /// this node does not have kills the frame: it is booked as one
+    /// typed `inject_unknown_port` drop (and recorded on `flight`, if
+    /// a recorder rides along) — here and nowhere else, whichever
+    /// layer did the injecting.
+    pub fn ingress_port(&mut self, name: &str, flight: Option<&TraceSink>) -> Option<PortId> {
+        let id = self.port_id(name);
+        if id.is_none() {
+            let mut walk = Walk::new(flight, 0);
+            let detail = format_args!("no port '{name}'");
+            walk.drop(&self.name, DropReason::InjectUnknownPort, 1, detail);
+            self.settle(walk);
+        }
+        id
     }
 
     /// Inject a burst of frames and run the whole burst to completion.
@@ -1392,326 +1506,220 @@ impl UniversalNode {
         batch: Vec<(PortId, Packet)>,
         flight: Option<&TraceSink>,
     ) -> NodeIo {
-        let ghost = flight.is_some_and(|f| f.ghost());
-        let popts = ProcessOptions {
-            ghost,
-            record: flight.is_some(),
-        };
-        let mut io = NodeIo::default();
-        if !ghost {
+        let mut walk = Walk::new(flight, batch.len());
+        if !walk.ghost {
             self.trace.count("fabric_frames_in", batch.len() as u64);
             if let Some(h) = &self.obs_burst_hist {
                 h.record(batch.len() as u64);
             }
         }
-        let obs_on = self.obs.is_some();
-        // Conservation ledger terms, accumulated in locals so the fabric
-        // loop pays plain integer adds: every processing step consumes one
-        // frame and produces k — `fanout_extra` sums (k-1) for k >= 1,
-        // `absorbed` counts k == 0 steps (table miss, NF consumed it).
-        let mut absorbed: u64 = 0;
-        let mut fanout_extra: u64 = 0;
-        let mut unmapped_nf: u64 = 0;
-        let mut dead_slot: u64 = 0;
-        let mut work_budget: u64 = (batch.len() as u64).saturating_mul(u64::from(FABRIC_TTL));
-        let mut pending: BTreeMap<LocKey, Vec<(Packet, u32)>> = BTreeMap::new();
         for (PortId(port), pkt) in batch {
-            pending
-                .entry(LocKey::L0(port.0))
-                .or_default()
-                .push((pkt, FABRIC_TTL));
+            walk.queue(LocKey::L0(port.0), pkt, FABRIC_TTL);
         }
-        while let Some((&loc, _)) = pending.iter().next() {
-            let burst = pending.remove(&loc).expect("key just observed");
+        while let Some((loc, burst)) = walk.pending.pop_first() {
             match loc {
-                LocKey::L0(p) => {
-                    // Stage 1: classify the whole burst through LSI-0
-                    // under one borrow, preserving (frame, output) order.
-                    let mut routed: Vec<(PortNo, Packet, u32)> = Vec::new();
-                    for (pkt, ttl) in burst {
-                        if ttl == 0 {
-                            self.drop_hop(flight, ghost, DropReason::FabricLoop);
-                            continue;
-                        }
-                        if work_budget == 0 {
-                            self.drop_hop(flight, ghost, DropReason::FabricWorkExhausted);
-                            continue;
-                        }
-                        work_budget -= 1;
-                        let res = self.lsi0.process_opts(PortNo(p), pkt, &self.costs, popts);
-                        if let Some(f) = flight {
-                            record_classify_hops(f, &self.name, &self.lsi0.name, &res.steps);
-                        }
-                        io.cost += res.cost;
-                        match res.outputs.len() {
-                            0 => absorbed += 1,
-                            k => fanout_extra += (k - 1) as u64,
-                        }
-                        for (out, out_pkt) in res.outputs {
-                            routed.push((out, out_pkt, ttl));
-                        }
-                    }
-                    // Stage 2: dispatch in the same order; consecutive
-                    // frames bound for the same shared-NF attach port
-                    // cross the boundary as one `deliver_batch` burst.
-                    let mut it = routed.into_iter().peekable();
-                    while let Some((out, out_pkt, ttl)) = it.next() {
-                        match self.l0_ports.get(&out) {
-                            Some(L0Port::Physical(name)) => {
-                                if let Some(f) = flight {
-                                    f.hop(
-                                        &self.name,
-                                        HopKind::Egress {
-                                            port: name.as_str().to_string(),
-                                        },
-                                    );
-                                }
-                                io.emitted.push((name.clone(), out_pkt));
-                            }
-                            Some(L0Port::Vlink { graph_slot, peer }) => {
-                                io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
-                                pending
-                                    .entry(LocKey::Graph(*graph_slot, peer.0))
-                                    .or_default()
-                                    .push((out_pkt, ttl - 1));
-                            }
-                            Some(L0Port::SharedAttach(inst)) => {
-                                let inst = *inst;
-                                let mut frames: Vec<(u32, Packet)> = vec![(0, out_pkt)];
-                                let mut ttls: Vec<u32> = vec![ttl];
-                                while matches!(it.peek(), Some((next, _, _)) if *next == out) {
-                                    let (_, p2, t2) = it.next().expect("just peeked");
-                                    frames.push((0, p2));
-                                    ttls.push(t2);
-                                }
-                                let n = frames.len() as u64;
-                                let mut env = NodeEnv {
-                                    host: &mut self.host,
-                                    ledger: &mut self.ledger,
-                                    costs: &self.costs,
-                                };
-                                let t0 = (obs_on || flight.is_some()).then(Instant::now);
-                                let outs = self.compute.deliver_batch(&mut env, inst, frames);
-                                if let Some(t0) = t0 {
-                                    let per = t0.elapsed().as_nanos() as u64 / n;
-                                    if obs_on && !ghost {
-                                        for _ in 0..n {
-                                            self.record_nf_latency(inst, per);
-                                        }
-                                    }
-                                    if let Some(f) = flight {
-                                        for _ in 0..n {
-                                            self.nf_hop(f, inst, per);
-                                        }
-                                    }
-                                }
-                                for (out_io, ttl) in outs.into_iter().zip(ttls) {
-                                    io.cost += out_io.cost;
-                                    match out_io.outputs.len() {
-                                        0 => absorbed += 1,
-                                        k => fanout_extra += (k - 1) as u64,
-                                    }
-                                    for (_p, p2) in out_io.outputs {
-                                        pending
-                                            .entry(LocKey::L0(out.0))
-                                            .or_default()
-                                            .push((p2, ttl - 1));
-                                    }
-                                }
-                            }
-                            None => {
-                                self.drop_hop(flight, ghost, DropReason::L0UnmappedPort);
-                            }
-                        }
-                    }
-                }
-                LocKey::Graph(slot, p) => {
-                    let Some(gid) = self.slots.get(slot as usize).and_then(|s| s.clone()) else {
-                        dead_slot += burst.len() as u64;
-                        if let Some(f) = flight {
-                            for _ in 0..burst.len() {
-                                f.hop(
-                                    &self.name,
-                                    HopKind::Drop {
-                                        reason: DropReason::FabricDeadSlot,
-                                        detail: format!("graph slot {slot} is gone"),
-                                    },
-                                );
-                            }
-                        }
-                        continue;
-                    };
-                    // Run the whole burst through the graph LSI under a
-                    // single borrow, then deliver to instances.
-                    let mut mapped: Vec<(Option<GPort>, Packet, u32)> = Vec::new();
-                    {
-                        let graph = self.graphs.get_mut(&gid).expect("slot consistent");
-                        for (pkt, ttl) in burst {
-                            if ttl == 0 {
-                                if !ghost {
-                                    self.trace.count(DropReason::FabricLoop.as_str(), 1);
-                                }
-                                if let Some(f) = flight {
-                                    f.hop(
-                                        &self.name,
-                                        HopKind::Drop {
-                                            reason: DropReason::FabricLoop,
-                                            detail: String::new(),
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                            if work_budget == 0 {
-                                if !ghost {
-                                    self.trace
-                                        .count(DropReason::FabricWorkExhausted.as_str(), 1);
-                                }
-                                if let Some(f) = flight {
-                                    f.hop(
-                                        &self.name,
-                                        HopKind::Drop {
-                                            reason: DropReason::FabricWorkExhausted,
-                                            detail: String::new(),
-                                        },
-                                    );
-                                }
-                                continue;
-                            }
-                            work_budget -= 1;
-                            let res = graph.lsi.process_opts(PortNo(p), pkt, &self.costs, popts);
-                            if let Some(f) = flight {
-                                record_classify_hops(f, &self.name, &graph.lsi.name, &res.steps);
-                            }
-                            io.cost += res.cost;
-                            match res.outputs.len() {
-                                0 => absorbed += 1,
-                                k => fanout_extra += (k - 1) as u64,
-                            }
-                            for (out, out_pkt) in res.outputs {
-                                mapped.push((graph.ports.get(&out).cloned(), out_pkt, ttl));
-                            }
-                        }
-                    }
-                    // Dispatch in order; consecutive frames bound for
-                    // the same NF instance (any of its ports) cross the
-                    // boundary as one `deliver_batch` burst.
-                    let mut it = mapped.into_iter().peekable();
-                    while let Some((kind, out_pkt, ttl)) = it.next() {
-                        match kind {
-                            Some(GPort::Vlink { l0_port }) => {
-                                io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
-                                pending
-                                    .entry(LocKey::L0(l0_port.0))
-                                    .or_default()
-                                    .push((out_pkt, ttl - 1));
-                            }
-                            Some(GPort::Nf(inst, nf_port)) => {
-                                let mut frames: Vec<(u32, Packet)> = vec![(nf_port, out_pkt)];
-                                let mut ttls: Vec<u32> = vec![ttl];
-                                while matches!(
-                                    it.peek(),
-                                    Some((Some(GPort::Nf(ni, _)), _, _)) if *ni == inst
-                                ) {
-                                    let Some((Some(GPort::Nf(_, np)), p2, t2)) = it.next() else {
-                                        unreachable!("just peeked an NF frame");
-                                    };
-                                    frames.push((np, p2));
-                                    ttls.push(t2);
-                                }
-                                let n = frames.len() as u64;
-                                let mut env = NodeEnv {
-                                    host: &mut self.host,
-                                    ledger: &mut self.ledger,
-                                    costs: &self.costs,
-                                };
-                                let t0 = (obs_on || flight.is_some()).then(Instant::now);
-                                let outs = self.compute.deliver_batch(&mut env, inst, frames);
-                                if let Some(t0) = t0 {
-                                    let per = t0.elapsed().as_nanos() as u64 / n;
-                                    if obs_on && !ghost {
-                                        for _ in 0..n {
-                                            self.record_nf_latency(inst, per);
-                                        }
-                                    }
-                                    if let Some(f) = flight {
-                                        for _ in 0..n {
-                                            self.nf_hop(f, inst, per);
-                                        }
-                                    }
-                                }
-                                let graph = self.graphs.get(&gid).expect("still there");
-                                for (out_io, ttl) in outs.into_iter().zip(ttls) {
-                                    io.cost += out_io.cost;
-                                    match out_io.outputs.len() {
-                                        0 => absorbed += 1,
-                                        k => fanout_extra += (k - 1) as u64,
-                                    }
-                                    for (p2, pkt2) in out_io.outputs {
-                                        if let Some(&gp) = graph.rev_nf.get(&(inst, p2)) {
-                                            pending
-                                                .entry(LocKey::Graph(slot, gp.0))
-                                                .or_default()
-                                                .push((pkt2, ttl - 1));
-                                        } else {
-                                            unmapped_nf += 1;
-                                            if let Some(f) = flight {
-                                                f.hop(
-                                                    &self.name,
-                                                    HopKind::Drop {
-                                                        reason: DropReason::GraphUnmappedNfPort,
-                                                        detail: format!("nf port {p2}"),
-                                                    },
-                                                );
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                            None => {
-                                self.drop_hop(flight, ghost, DropReason::GraphUnmappedPort);
-                            }
-                        }
-                    }
-                }
+                LocKey::L0(p) => self.run_l0(&mut walk, PortNo(p), burst),
+                LocKey::Graph(slot, p) => self.run_graph(&mut walk, slot, PortNo(p), burst),
             }
         }
-        if !ghost {
+        if !walk.ghost {
             self.trace
-                .count("fabric_frames_out", io.emitted.len() as u64);
-            if absorbed > 0 {
-                self.trace.count("fabric_absorbed", absorbed);
-            }
-            if fanout_extra > 0 {
-                self.trace.count("fabric_fanout_extra", fanout_extra);
-            }
-            if unmapped_nf > 0 {
-                self.trace
-                    .count(DropReason::GraphUnmappedNfPort.as_str(), unmapped_nf);
-            }
-            if dead_slot > 0 {
-                self.trace
-                    .count(DropReason::FabricDeadSlot.as_str(), dead_slot);
-            }
+                .count("fabric_frames_out", walk.io.emitted.len() as u64);
         }
-        io
+        self.settle(walk)
     }
 
-    /// Count one typed fabric drop and (when tracing) append the drop
-    /// hop; ghost walks record the hop but freeze the counter.
-    fn drop_hop(&mut self, flight: Option<&TraceSink>, ghost: bool, reason: DropReason) {
-        if !ghost {
-            self.trace.count(reason.as_str(), 1);
+    /// Book what a finished walk owes the node's counters — the
+    /// conservation-ledger terms and the typed drops; nothing for a
+    /// ghost — and hand out its result.
+    fn settle(&mut self, walk: Walk<'_>) -> NodeIo {
+        if !walk.ghost {
+            if walk.absorbed > 0 {
+                self.trace.count("fabric_absorbed", walk.absorbed);
+            }
+            if walk.fanout_extra > 0 {
+                self.trace.count("fabric_fanout_extra", walk.fanout_extra);
+            }
         }
-        if let Some(f) = flight {
-            f.hop(
+        for (reason, n) in walk.drops {
+            self.trace.count(reason.as_str(), n);
+        }
+        walk.io
+    }
+
+    /// One burst at LSI-0: classify it, then dispatch every output in
+    /// (frame, output) order — out a physical port, over a virtual
+    /// link into a graph LSI, or across the boundary of a shared NF,
+    /// whose outputs re-enter LSI-0 on the attach port they left by.
+    fn run_l0(&mut self, walk: &mut Walk<'_>, in_port: PortNo, burst: Vec<(Packet, u32)>) {
+        let routed = walk.classify(
+            &mut self.lsi0,
+            &self.costs,
+            &self.name,
+            in_port,
+            burst,
+            |out| out,
+        );
+        let mut it = routed.into_iter().peekable();
+        while let Some((out, out_pkt, ttl)) = it.next() {
+            match self.l0_ports.get(&out) {
+                Some(L0Port::Physical(name)) => {
+                    if let Some(f) = walk.flight {
+                        f.hop(
+                            &self.name,
+                            HopKind::Egress {
+                                port: name.as_str().to_string(),
+                            },
+                        );
+                    }
+                    walk.io.emitted.push((name.clone(), out_pkt));
+                }
+                Some(L0Port::Vlink { graph_slot, peer }) => {
+                    walk.io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
+                    walk.queue(LocKey::Graph(*graph_slot, peer.0), out_pkt, ttl - 1);
+                }
+                Some(L0Port::SharedAttach(inst)) => {
+                    // Consecutive frames bound for the same attach port
+                    // cross the boundary as one burst.
+                    let inst = *inst;
+                    let mut frames = vec![(0, out_pkt)];
+                    let mut ttls = vec![ttl];
+                    while let Some((_, p2, t2)) = it.next_if(|(next, _, _)| *next == out) {
+                        frames.push((0, p2));
+                        ttls.push(t2);
+                    }
+                    for (_, back, ttl) in self.deliver_run(walk, inst, frames, ttls) {
+                        walk.queue(LocKey::L0(out.0), back, ttl);
+                    }
+                }
+                None => walk.drop(&self.name, DropReason::L0UnmappedPort, 1, ""),
+            }
+        }
+    }
+
+    /// One burst at a graph LSI: classify it, then dispatch every
+    /// output in order — over the virtual link back to LSI-0, or
+    /// across the boundary of one of the graph's NFs, whose outputs
+    /// re-enter the graph LSI on the port wired to the NF port they
+    /// left by.
+    fn run_graph(
+        &mut self,
+        walk: &mut Walk<'_>,
+        slot: u32,
+        in_port: PortNo,
+        burst: Vec<(Packet, u32)>,
+    ) {
+        let Some(graph) = self
+            .slots
+            .get(slot as usize)
+            .and_then(|s| s.as_deref())
+            .and_then(|gid| self.graphs.get_mut(gid))
+        else {
+            let detail = format_args!("graph slot {slot} is gone");
+            return walk.drop(
                 &self.name,
-                HopKind::Drop {
-                    reason,
-                    detail: String::new(),
-                },
+                DropReason::FabricDeadSlot,
+                burst.len() as u64,
+                detail,
+            );
+        };
+        // Resolve every output port while the graph is borrowed: the
+        // NF boundary below needs the whole node.
+        let ports = &graph.ports;
+        let mapped = walk.classify(
+            &mut graph.lsi,
+            &self.costs,
+            &self.name,
+            in_port,
+            burst,
+            |out| ports.get(&out).cloned(),
+        );
+        let mut it = mapped.into_iter().peekable();
+        while let Some((kind, out_pkt, ttl)) = it.next() {
+            match kind {
+                Some(GPort::Vlink { l0_port }) => {
+                    walk.io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
+                    walk.queue(LocKey::L0(l0_port.0), out_pkt, ttl - 1);
+                }
+                Some(GPort::Nf(inst, nf_port)) => {
+                    // Consecutive frames bound for the same instance
+                    // (any of its ports) cross the boundary as one
+                    // burst.
+                    let mut frames = vec![(nf_port, out_pkt)];
+                    let mut ttls = vec![ttl];
+                    while let Some((Some(GPort::Nf(_, np)), p2, t2)) = it.next_if(
+                        |(next, _, _)| matches!(next, Some(GPort::Nf(ni, _)) if *ni == inst),
+                    ) {
+                        frames.push((np, p2));
+                        ttls.push(t2);
+                    }
+                    let outs = self.deliver_run(walk, inst, frames, ttls);
+                    let wired = self
+                        .slots
+                        .get(slot as usize)
+                        .and_then(|s| s.as_deref())
+                        .and_then(|gid| self.graphs.get(gid))
+                        .map(|g| &g.rev_nf);
+                    for (nf_out, back, ttl) in outs {
+                        match wired.and_then(|w| w.get(&(inst, nf_out))) {
+                            Some(gp) => walk.queue(LocKey::Graph(slot, gp.0), back, ttl),
+                            None => {
+                                let detail = format_args!("nf port {nf_out}");
+                                walk.drop(&self.name, DropReason::GraphUnmappedNfPort, 1, detail);
+                            }
+                        }
+                    }
+                }
+                None => walk.drop(&self.name, DropReason::GraphUnmappedPort, 1, ""),
+            }
+        }
+    }
+
+    /// The NF-delivery stage, written once for shared attach ports and
+    /// graph NF ports: hand `frames` — consecutive `(nf port, frame)`s
+    /// bound for one instance — across the NF boundary as one timed
+    /// `deliver_batch`, record the per-frame latency (histogram and NF
+    /// hop), account every frame's fan-in, and return every output as
+    /// `(nf port it left by, frame, ttl - 1)`. Where those re-enter the
+    /// fabric is the one thing the callers differ in.
+    fn deliver_run(
+        &mut self,
+        walk: &mut Walk<'_>,
+        inst: InstanceId,
+        frames: Vec<(u32, Packet)>,
+        ttls: Vec<u32>,
+    ) -> Vec<(u32, Packet, u32)> {
+        let n = frames.len() as u64;
+        let t0 = (self.obs.is_some() || walk.flight.is_some()).then(Instant::now);
+        let mut env = NodeEnv {
+            host: &mut self.host,
+            ledger: &mut self.ledger,
+            costs: &self.costs,
+        };
+        let outs = self.compute.deliver_batch(&mut env, inst, frames);
+        if let Some(t0) = t0 {
+            let per = t0.elapsed().as_nanos() as u64 / n;
+            for _ in 0..n {
+                if !walk.ghost {
+                    self.record_nf_latency(inst, per);
+                }
+                if let Some(f) = walk.flight {
+                    self.nf_hop(f, inst, per);
+                }
+            }
+        }
+        let mut back = Vec::with_capacity(outs.len());
+        for (out_io, ttl) in outs.into_iter().zip(ttls) {
+            walk.io.cost += out_io.cost;
+            walk.produced(out_io.outputs.len());
+            back.extend(
+                out_io
+                    .outputs
+                    .into_iter()
+                    .map(|(nf_out, pkt)| (nf_out, pkt, ttl - 1)),
             );
         }
+        back
     }
 
     /// Append one NF-delivery hop (instance, functional type, driver

@@ -302,6 +302,27 @@ fn port_ids_resolve_physical_ports_only() {
 }
 
 #[test]
+fn inject_on_an_unknown_port_is_a_typed_drop() {
+    let mut n = node();
+    let reason = DropReason::InjectUnknownPort;
+    assert!(n.inject("eth9", frame(b"x")).emitted.is_empty());
+    assert_eq!(n.trace.counter(reason.as_str()), 1);
+    // With a recorder the same drop leaves one hop; a ghost books nothing.
+    for (ghost, booked) in [(false, 2), (true, 2)] {
+        let sink = TraceSink::new("cpe-1", "eth9", ghost);
+        assert!(n.ingress_port("eth9", Some(&sink)).is_none());
+        assert_eq!(n.trace.counter(reason.as_str()), booked, "ghost = {ghost}");
+        let trace = sink.finish();
+        assert_eq!(trace.drops(), vec![reason]);
+        assert!(
+            matches!(&trace.hops[0].kind, HopKind::Drop { detail, .. } if detail == "no port 'eth9'"),
+            "{}",
+            trace.render()
+        );
+    }
+}
+
+#[test]
 fn flow_cache_stats_surface_in_description() {
     let mut n = node();
     n.deploy(&bridge_graph("g1")).unwrap();
@@ -315,16 +336,4 @@ fn flow_cache_stats_surface_in_description() {
     let json = n.describe().to_json();
     assert!(json.contains("\"flow_cache_hits\""), "{json}");
     assert!(json.contains("\"flow_cache_misses\""), "{json}");
-}
-
-#[test]
-fn linear_classifier_mode_forwards_identically() {
-    let mut n = node();
-    n.set_classifier_mode(un_switch::ClassifierMode::Linear);
-    n.deploy(&bridge_graph("g1")).unwrap();
-    let io = n.inject("eth0", frame(b"linear"));
-    assert_eq!(io.emitted.len(), 1);
-    assert_eq!(io.emitted[0].0, "eth1");
-    let stats = n.flow_cache_stats();
-    assert_eq!(stats.cache_hits, 0, "linear mode bypasses the cache");
 }

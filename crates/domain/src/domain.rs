@@ -28,24 +28,23 @@
 //! preserved, links rewired vs kept, nodes touched).
 //!
 //! This file holds the fleet (membership, health, the scheduler's
-//! view), the shuttle and the reports. The graph lifecycle — plan →
-//! commit | release, the one transaction deploy, update, repair,
-//! promotion and retry all go through — is the child module
-//! `control`; the failure path that builds repair plans for it is
-//! `repair`; static verification is `verify`.
+//! view), the data-plane entry points and the reports. The shuttle
+//! those entry points run is the child module `shuttle`. The graph
+//! lifecycle — plan → commit | release, the one transaction deploy,
+//! update, repair, promotion and retry all go through — is the child
+//! module `control`; the failure path that builds repair plans for it
+//! is `repair`; static verification is `verify`.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use un_core::{DeployReport, Name, PortId, UniversalNode};
-use un_ipsec::{esp, SecurityAssociation};
+use un_core::{DeployReport, Name, UniversalNode};
+use un_ipsec::SecurityAssociation;
 use un_nffg::{NfFg, ValidationError};
-use un_obs::{DropReason, HopKind, PacketTrace, TraceRing, TraceSink};
+use un_obs::{DropReason, PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
 use un_sim::{Cost, SimTime, TraceLog};
 
@@ -551,9 +550,9 @@ pub struct Domain {
     /// `GET /domain/traces`). Ghost walks never land here.
     traces: TraceRing,
     /// Persistent shard workers for the data-plane shuttle. Built on
-    /// the first multi-worker `inject_batch` call and reused (rebuilt
-    /// only if the requested worker count changes); single-worker
-    /// injects drain inline and never touch it.
+    /// the first multi-worker `inject_batch` call that has frames to
+    /// drain and reused (rebuilt only if the requested worker count
+    /// changes); single-worker injects drain inline and never touch it.
     runtime: Option<ShardRuntime>,
     /// Dirty-set bookkeeping for incremental static verification
     /// ([`Domain::verify`]); behind a lock so read-only verification
@@ -926,18 +925,17 @@ impl Domain {
     /// whole burst across the domain, optionally sharded over
     /// `workers` persistent OS threads.
     ///
-    /// The shuttle is batched end to end: each node's pending frames
-    /// are drained through [`UniversalNode::inject_batch`] in one call,
-    /// fabric-bound egress is bucketed by VLAN link, ESP links
-    /// seal/verify per burst under one lock, and the peer node receives
-    /// its whole burst at once. With `workers > 1` the burst runs on
-    /// the domain's persistent shard runtime — long-lived workers that
-    /// park between calls, so a line-rate ingress path pays no thread
-    /// spawn/join per burst. Each touched node hashes to a home shard
-    /// whose ingress ring feeds that worker first; an idle worker
-    /// steals from other rings, so the work-conserving any-worker-may-
-    /// drive-any-node drain is preserved. Link counters and SAs are
-    /// the only cross-shard state and sit behind per-link locks.
+    /// The shuttle (the `shuttle` child module) is batched end to end:
+    /// each node's pending frames are drained through
+    /// [`UniversalNode::inject_batch`] in one call, fabric-bound egress
+    /// is bucketed by VLAN link, ESP links seal/verify per burst under
+    /// one lock, and the peer node receives its whole burst at once.
+    /// With `workers > 1` the burst runs on the domain's persistent
+    /// shard runtime — long-lived workers that park between calls, so a
+    /// line-rate ingress path pays no thread spawn/join per burst. Nodes
+    /// with pending work wait in one ready queue and any worker drives
+    /// any node; link counters and SAs are the only other cross-worker
+    /// state and sit behind per-link locks.
     ///
     /// Ingress keys are borrowed (`AsRef<str>`): callers can pass
     /// `&str`, `String`, or interned [`Name`] without allocating per
@@ -956,7 +954,7 @@ impl Domain {
         N: AsRef<str>,
         P: AsRef<str>,
     {
-        self.inject_batch_flight(ingress, workers, None)
+        self.shuttle(ingress, workers, None)
     }
 
     /// Inject one frame with the flight recorder attached: the frame
@@ -975,7 +973,7 @@ impl Domain {
         workers: usize,
     ) -> (DomainIo, PacketTrace) {
         let sink = Arc::new(TraceSink::new(node, port, false));
-        let io = self.inject_batch_flight(
+        let io = self.shuttle(
             std::iter::once((node, port, pkt)),
             workers,
             Some(Arc::clone(&sink)),
@@ -997,7 +995,7 @@ impl Domain {
     /// recent-trace ring.
     pub fn trace_frame(&mut self, node: &str, port: &str, pkt: Packet) -> PacketTrace {
         let sink = Arc::new(TraceSink::new(node, port, true));
-        let _ = self.inject_batch_flight(
+        let _ = self.shuttle(
             std::iter::once((node, port, pkt)),
             1,
             Some(Arc::clone(&sink)),
@@ -1029,745 +1027,6 @@ impl Domain {
             .payload(&payload)
             .build();
         self.trace_frame(node, port, pkt)
-    }
-
-    fn inject_batch_flight<N, P>(
-        &mut self,
-        ingress: impl IntoIterator<Item = (N, P, Packet)>,
-        workers: usize,
-        flight: Option<Arc<TraceSink>>,
-    ) -> DomainIo
-    where
-        N: AsRef<str>,
-        P: AsRef<str>,
-    {
-        let ghost = flight.as_ref().is_some_and(|f| f.ghost());
-        let mut io = DomainIo::default();
-        let ttl = self.config.overlay_ttl.max(1);
-        let fabric = self.config.fabric_port.clone();
-        let esp_fixed_ns = self.config.esp_fixed_ns;
-        let esp_ns_per_byte = self.config.esp_ns_per_byte;
-        let shards = workers.max(1);
-        // Build (or resize) the persistent worker pool up front;
-        // single-worker calls drain inline and never touch it.
-        if workers > 1 && self.runtime.as_ref().is_none_or(|r| r.workers() != workers) {
-            self.runtime = Some(ShardRuntime::new(workers));
-        }
-        let obs = Arc::clone(&self.obs);
-        let trace = &mut self.trace;
-
-        // One cell per *touched* node; the cell owns the node state
-        // while no worker is driving it. Untouched nodes stay in the
-        // fleet map itself — a single-frame inject pays O(log fleet)
-        // lookups for the nodes it crosses, nothing per-fleet-member.
-        struct NodeCell {
-            managed: Option<ManagedNode>,
-            fabric_id: Option<PortId>,
-            name: Name,
-            /// Pending bursts keyed by remaining TTL, freshest first.
-            pending: BTreeMap<Reverse<u32>, Vec<(PortId, Packet)>>,
-            queued: usize,
-            /// Home shard: whose ingress ring this node's work lands on.
-            home: usize,
-            /// The node currently sits in a ready ring (dedup flag).
-            enqueued: bool,
-        }
-
-        /// Why a node has no claimable cell.
-        #[derive(Clone, Copy)]
-        enum CellMiss {
-            Unknown,
-            Dead,
-        }
-
-        /// Stable node→shard assignment (deterministic across calls).
-        fn shard_of(node: &str, shards: usize) -> usize {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            node.hash(&mut h);
-            (h.finish() % shards.max(1) as u64) as usize
-        }
-
-        struct Pool {
-            cells: BTreeMap<String, NodeCell>,
-            /// The fleet map, moved out of the domain for the call so
-            /// persistent workers need no borrowed lifetimes.
-            nodes: BTreeMap<String, ManagedNode>,
-            /// Per-shard ingress rings of ready nodes. A worker pops
-            /// its own ring first, then steals from the others.
-            rings: Vec<VecDeque<Name>>,
-        }
-
-        impl Pool {
-            /// The cell for `node`, claiming it out of the fleet map on
-            /// first touch. Suspect nodes keep forwarding: they are
-            /// slow, not dead.
-            fn cell(&mut self, node: &str, fabric: &str) -> Result<&mut NodeCell, CellMiss> {
-                if !self.cells.contains_key(node) {
-                    match self.nodes.get(node) {
-                        None => return Err(CellMiss::Unknown),
-                        Some(m) if m.health == NodeHealth::Failed => return Err(CellMiss::Dead),
-                        Some(_) => {}
-                    }
-                    let (key, managed) = self.nodes.remove_entry(node).expect("checked above");
-                    let cell = NodeCell {
-                        fabric_id: managed.node.port_id(fabric),
-                        name: Name::new(&managed.node.name),
-                        home: shard_of(node, self.rings.len()),
-                        managed: Some(managed),
-                        pending: BTreeMap::new(),
-                        queued: 0,
-                        enqueued: false,
-                    };
-                    self.cells.insert(key, cell);
-                }
-                Ok(self.cells.get_mut(node).expect("inserted above"))
-            }
-
-            /// Put `node` on its home shard's ring if it has claimable
-            /// work (pending frames + free node state) and is not
-            /// already enqueued. Every path that adds work or hands a
-            /// node back calls this, so a ready node is always in some
-            /// ring.
-            fn mark_ready(&mut self, node: &str) {
-                let Some(cell) = self.cells.get_mut(node) else {
-                    return;
-                };
-                debug_assert_eq!(
-                    cell.queued,
-                    cell.pending.values().map(Vec::len).sum::<usize>(),
-                    "ingress ring bookkeeping diverged for {node}: queued \
-                     count disagrees with pending bursts"
-                );
-                if !cell.enqueued && cell.queued > 0 && cell.managed.is_some() {
-                    cell.enqueued = true;
-                    let home = cell.home;
-                    let name = cell.name.clone();
-                    debug_assert!(
-                        !self.rings.iter().any(|r| r.contains(&name)),
-                        "{node} enqueued twice: the dedup flag was clear but \
-                         the node already sits in a ready ring"
-                    );
-                    self.rings[home].push_back(name);
-                }
-            }
-
-            /// Claim a ready node: pop the worker's own ring first,
-            /// then steal round-robin from the others. Ring entries go
-            /// stale when another worker drains or claims the node
-            /// first — they are skipped (flag cleared); `mark_ready`
-            /// re-enqueues when work lands again. Returns the claimed
-            /// node, its freshest pending burst, and whether the claim
-            /// was stolen from a foreign ring.
-            #[allow(clippy::type_complexity)]
-            fn claim(
-                &mut self,
-                shard: usize,
-            ) -> Option<(Name, ManagedNode, u32, Vec<(PortId, Packet)>, bool)> {
-                let shards = self.rings.len();
-                for d in 0..shards {
-                    let ring = (shard + d) % shards;
-                    while let Some(name) = self.rings[ring].pop_front() {
-                        let Some(cell) = self.cells.get_mut(name.as_str()) else {
-                            continue;
-                        };
-                        cell.enqueued = false;
-                        if cell.queued == 0 || cell.managed.is_none() {
-                            continue;
-                        }
-                        let (&Reverse(t), _) = cell.pending.iter().next().expect("queued > 0");
-                        let burst = cell.pending.remove(&Reverse(t)).expect("present");
-                        debug_assert!(
-                            cell.queued >= burst.len(),
-                            "claim of {} frames exceeds the {} queued on {}",
-                            burst.len(),
-                            cell.queued,
-                            name.as_str()
-                        );
-                        cell.queued -= burst.len();
-                        debug_assert_eq!(
-                            cell.queued,
-                            cell.pending.values().map(Vec::len).sum::<usize>(),
-                            "claim left stale queued count on {}",
-                            name.as_str()
-                        );
-                        return Some((
-                            cell.name.clone(),
-                            cell.managed.take().expect("checked above"),
-                            t,
-                            burst,
-                            d != 0,
-                        ));
-                    }
-                }
-                None
-            }
-        }
-
-        #[derive(Default)]
-        struct WorkerOut {
-            emitted: Vec<(Name, Name, Packet)>,
-            cost: Cost,
-            overlay_hops: u32,
-            protected_bytes: u64,
-            counters: BTreeMap<&'static str, u64>,
-            /// The shard index this worker drained as.
-            shard: usize,
-            /// Ghost walk: decisions only, no counter movement.
-            ghost: bool,
-            /// Claims served from the worker's own ring / stolen from
-            /// foreign rings (utilization signal).
-            claims_home: u64,
-            claims_stolen: u64,
-        }
-        impl WorkerOut {
-            fn count(&mut self, name: &'static str, n: u64) {
-                if n > 0 && !self.ghost {
-                    *self.counters.entry(name).or_insert(0) += n;
-                }
-            }
-        }
-
-        let mut state = Pool {
-            cells: BTreeMap::new(),
-            nodes: std::mem::take(&mut self.nodes),
-            rings: (0..shards).map(|_| VecDeque::new()).collect(),
-        };
-
-        // Seed the ingress queues, resolving each port name once.
-        let mut seeded = 0usize;
-        let mut ingressed = 0u64;
-        for (node, port, pkt) in ingress {
-            ingressed += 1;
-            let node = node.as_ref();
-            {
-                let cell = match state.cell(node, &fabric) {
-                    Ok(cell) => cell,
-                    Err(miss) => {
-                        let reason = match miss {
-                            CellMiss::Dead => DropReason::InjectDeadNode,
-                            CellMiss::Unknown => DropReason::InjectUnknownNode,
-                        };
-                        if !ghost {
-                            trace.count(reason.as_str(), 1);
-                        }
-                        if let Some(f) = &flight {
-                            f.hop(
-                                node,
-                                HopKind::Drop {
-                                    reason,
-                                    detail: String::new(),
-                                },
-                            );
-                        }
-                        continue;
-                    }
-                };
-                let managed = cell.managed.as_mut().expect("no worker running yet");
-                let Some(pid) = managed.node.port_id(port.as_ref()) else {
-                    if !ghost {
-                        managed
-                            .node
-                            .trace
-                            .count(DropReason::InjectUnknownPort.as_str(), 1);
-                    }
-                    if let Some(f) = &flight {
-                        f.hop(
-                            node,
-                            HopKind::Drop {
-                                reason: DropReason::InjectUnknownPort,
-                                detail: format!("no port '{}'", port.as_ref()),
-                            },
-                        );
-                    }
-                    continue;
-                };
-                if let Some(f) = &flight {
-                    f.hop(
-                        node,
-                        HopKind::Ingress {
-                            port: port.as_ref().to_string(),
-                        },
-                    );
-                }
-                cell.pending
-                    .entry(Reverse(ttl))
-                    .or_default()
-                    .push((pid, pkt));
-                cell.queued += 1;
-                seeded += 1;
-            }
-            state.mark_ready(node);
-        }
-        if !ghost {
-            trace.count("domain_frames_ingress", ingressed);
-        }
-
-        // Ring-depth gauges: how the seeded burst spread across shard
-        // ingress rings (refreshed per call; inert unless obs is on).
-        if !ghost && obs.is_enabled() {
-            let reg = obs.registry();
-            reg.gauge("un_shuttle_workers", &[]).set(shards as i64);
-            for (i, ring) in state.rings.iter().enumerate() {
-                reg.gauge("un_shuttle_ring_depth", &[("shard", &i.to_string())])
-                    .set(ring.len() as i64);
-            }
-        }
-        // The cross-worker shuttle state. It *owns* the fleet cells
-        // and the link-lock map (moved out of the domain above) so the
-        // drain job is `'static` and can run on persistent workers;
-        // everything moves back into the domain after the round — even
-        // a fully mis-addressed burst, so the restore below runs
-        // regardless.
-        struct Shuttle {
-            pool: Mutex<Pool>,
-            links: BTreeMap<u16, Mutex<LinkState>>,
-            work_ready: std::sync::Condvar,
-            in_flight: AtomicUsize,
-            crossings: AtomicU64,
-            crossing_cap: u64,
-            aborted: std::sync::atomic::AtomicBool,
-            outs: Mutex<Vec<WorkerOut>>,
-        }
-
-        let in_flight = AtomicUsize::new(seeded);
-        // Last-resort bound on total overlay crossings per call:
-        // single-path traffic needs at most `seeded × ttl` (each frame
-        // crosses at most `ttl` times). Workloads that multiply frames
-        // — a flood rule around an overlay cycle, or extreme loop-free
-        // fan-out past `seeded × ttl` copies — trip it, and everything
-        // still crossing is dropped (`overlay_work_exhausted`). The
-        // per-frame TTL alone would let amplification grow
-        // exponentially; this valve trades completeness under
-        // amplification for a hard bound.
-        let crossing_cap: u64 = (seeded as u64).saturating_mul(u64::from(ttl));
-        let crossings = AtomicU64::new(0);
-        // A worker that panics can never decrement `in_flight`; this
-        // flag (set by the unwinding worker's drop guard) releases its
-        // peers from the idle spin so the panic propagates through
-        // `join` instead of hanging the scope.
-        struct AbortGuard<'a>(&'a std::sync::atomic::AtomicBool);
-        impl Drop for AbortGuard<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, Ordering::Release);
-                }
-            }
-        }
-        let shuttle = Arc::new(Shuttle {
-            pool: Mutex::new(state),
-            links: std::mem::take(&mut self.links),
-            work_ready: std::sync::Condvar::new(),
-            in_flight,
-            crossings,
-            crossing_cap,
-            aborted: std::sync::atomic::AtomicBool::new(false),
-            outs: Mutex::new(Vec::with_capacity(shards)),
-        });
-
-        let drain = {
-            let shuttle = Arc::clone(&shuttle);
-            let flight = flight.clone();
-            move |shard: usize| {
-                let sh = &*shuttle;
-                let pool = &sh.pool;
-                let links = &sh.links;
-                let work_ready = &sh.work_ready;
-                let in_flight = &sh.in_flight;
-                let crossings = &sh.crossings;
-                let crossing_cap = sh.crossing_cap;
-                let _abort_guard = AbortGuard(&sh.aborted);
-                let mut out = WorkerOut {
-                    shard,
-                    ghost,
-                    ..WorkerOut::default()
-                };
-                loop {
-                    // Claim a ready node — own ring first, steal
-                    // otherwise; any worker may drive any node. Idle
-                    // workers park on the condvar instead of spinning
-                    // on the pool lock; the short timeout is a safety
-                    // net against a missed wakeup, not a poll interval.
-                    let job = {
-                        let mut pool = pool.lock().expect("shuttle pool poisoned");
-                        'claim: loop {
-                            if let Some(claim) = pool.claim(shard) {
-                                break 'claim Some(claim);
-                            }
-                            if in_flight.load(Ordering::Acquire) == 0
-                                || sh.aborted.load(Ordering::Acquire)
-                            {
-                                break 'claim None;
-                            }
-                            pool = work_ready
-                                .wait_timeout(pool, std::time::Duration::from_millis(1))
-                                .expect("shuttle pool poisoned")
-                                .0;
-                        }
-                    };
-                    let Some((name, mut managed, ttl_left, burst, stolen)) = job else {
-                        break;
-                    };
-                    if stolen {
-                        out.claims_stolen += 1;
-                    } else {
-                        out.claims_home += 1;
-                    }
-                    let consumed = burst.len();
-                    let node_io = managed.node.inject_batch_flight(burst, flight.as_deref());
-                    out.cost += node_io.cost;
-                    // Hand the node back before shuttling so another worker
-                    // can claim it for frames already heading its way.
-                    {
-                        let mut pool = pool.lock().expect("shuttle pool poisoned");
-                        pool.cells
-                            .get_mut(name.as_str())
-                            .expect("cell exists")
-                            .managed = Some(managed);
-                        pool.mark_ready(name.as_str());
-                    }
-                    work_ready.notify_all();
-                    // Split node egress: real egress vs fabric-bound,
-                    // bucketed by VLAN link identity.
-                    let mut fabric_bursts: BTreeMap<u16, Vec<Packet>> = BTreeMap::new();
-                    for (port, pkt) in node_io.emitted {
-                        if port.as_str() != fabric.as_str() {
-                            out.emitted.push((name.clone(), port, pkt));
-                            continue;
-                        }
-                        match pkt.vlan_id() {
-                            Some(vid) => fabric_bursts.entry(vid).or_default().push(pkt),
-                            None => {
-                                out.count(DropReason::OverlayUntagged.as_str(), 1);
-                                if let Some(f) = &flight {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayUntagged,
-                                            detail: String::new(),
-                                        },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    for (vid, frames) in fabric_bursts {
-                        let n = frames.len() as u64;
-                        let Some(link_mx) = links.get(&vid) else {
-                            out.count(DropReason::OverlayUnroutable.as_str(), n);
-                            if let Some(f) = &flight {
-                                for _ in 0..n {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayUnroutable,
-                                            detail: format!("no overlay link for vid {vid}"),
-                                        },
-                                    );
-                                }
-                            }
-                            continue;
-                        };
-                        let mut survivors: Vec<Packet> = Vec::with_capacity(frames.len());
-                        let peer: String;
-                        {
-                            let mut state = link_mx.lock().expect("link lock poisoned");
-                            // Advance along the pinned path: the emitting
-                            // node's successor is the next hop. On a
-                            // two-node path a frame emitted by the tail
-                            // walks back to the head (the old peer
-                            // semantics, defensive — links deliver at the
-                            // tail, they don't send from it); on a longer
-                            // path a tail emission has no forward hop and
-                            // would ping-pong against the last transit
-                            // node, so it drops as foreign instead.
-                            let pos = state.path.iter().position(|p| p == name.as_str());
-                            let (next_idx, hop_idx) = match pos {
-                                Some(i) if i + 1 < state.path.len() => (i + 1, i),
-                                Some(1) if state.path.len() == 2 => (0, 0),
-                                _ => {
-                                    out.count(DropReason::OverlayForeign.as_str(), n);
-                                    if let Some(f) = &flight {
-                                        for _ in 0..n {
-                                            f.hop(
-                                                name.as_str(),
-                                                HopKind::Drop {
-                                                    reason: DropReason::OverlayForeign,
-                                                    detail: format!(
-                                                        "not on the pinned path of vid {vid}"
-                                                    ),
-                                                },
-                                            );
-                                        }
-                                    }
-                                    continue;
-                                }
-                            };
-                            peer = state.path[next_idx].clone();
-                            let hop_ns = state
-                                .hop_latency_ns
-                                .get(hop_idx)
-                                .copied()
-                                .unwrap_or_default();
-                            let esp_on = state.sas.is_some();
-                            // Ghost walks exercise the real ESP path on
-                            // **cloned** SAs: seal/verify mutate sequence
-                            // numbers and replay windows, and a probe must
-                            // not advance the live wire's state.
-                            let mut ghost_sas = if ghost { state.sas.clone() } else { None };
-                            for pkt in frames {
-                                let len = pkt.len();
-                                // Wire counters count logical frames at
-                                // every hop of the pinned path: a frame
-                                // riding an n-hop wire adds n to `packets`
-                                // and one to each `hop_packets[i]` it is
-                                // presented to.
-                                if !ghost {
-                                    state.packets += 1;
-                                    state.bytes += len as u64;
-                                    if let Some(hp) = state.hop_packets.get_mut(hop_idx) {
-                                        *hp += 1;
-                                    }
-                                    if let Some(hb) = state.hop_bytes.get_mut(hop_idx) {
-                                        *hb += len as u64;
-                                    }
-                                }
-                                out.overlay_hops += 1;
-                                out.cost += Cost::from_nanos(hop_ns);
-                                let sas = if ghost {
-                                    ghost_sas.as_deref_mut()
-                                } else {
-                                    state.sas.as_deref_mut()
-                                };
-                                if let Some(sas) = sas {
-                                    // Protect the wire: real ESP seal on
-                                    // egress, real verify+open on ingress. A
-                                    // frame that fails to verify never
-                                    // reaches the peer.
-                                    let (sa_out, sa_in) = sas;
-                                    let per_dir =
-                                        esp_fixed_ns as f64 + esp_ns_per_byte * len as f64;
-                                    out.cost += Cost::from_nanos((2.0 * per_dir) as u64);
-                                    let sealed = match esp::encapsulate(sa_out, pkt.data()) {
-                                        Ok(s) => s,
-                                        Err(_) => {
-                                            out.count(DropReason::OverlayEspSealFail.as_str(), 1);
-                                            if let Some(f) = &flight {
-                                                f.hop(
-                                                    name.as_str(),
-                                                    HopKind::Drop {
-                                                        reason: DropReason::OverlayEspSealFail,
-                                                        detail: format!("vid {vid}"),
-                                                    },
-                                                );
-                                            }
-                                            continue;
-                                        }
-                                    };
-                                    match esp::decapsulate(sa_in, &sealed) {
-                                        Ok(inner) if inner == pkt.data() => {
-                                            out.protected_bytes += len as u64;
-                                        }
-                                        _ => {
-                                            out.count(DropReason::OverlayEspVerifyFail.as_str(), 1);
-                                            if let Some(f) = &flight {
-                                                f.hop(
-                                                    name.as_str(),
-                                                    HopKind::Drop {
-                                                        reason: DropReason::OverlayEspVerifyFail,
-                                                        detail: format!("vid {vid}"),
-                                                    },
-                                                );
-                                            }
-                                            continue;
-                                        }
-                                    }
-                                }
-                                out.count("overlay_frames", 1);
-                                if let Some(f) = &flight {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::OverlayHop {
-                                            vid,
-                                            from: name.to_string(),
-                                            to: peer.clone(),
-                                            hop: hop_idx,
-                                            esp: esp_on,
-                                            ttl_left,
-                                        },
-                                    );
-                                }
-                                survivors.push(pkt);
-                            }
-                        }
-                        if survivors.is_empty() {
-                            continue;
-                        }
-                        let k = survivors.len();
-                        // ttl_left counts remaining crossings: a frame
-                        // seeded with overlay_ttl may cross exactly that
-                        // many times.
-                        if ttl_left == 0 {
-                            out.count(DropReason::OverlayLoop.as_str(), k as u64);
-                            if let Some(f) = &flight {
-                                for _ in 0..k {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayLoop,
-                                            detail: format!("overlay TTL expired on vid {vid}"),
-                                        },
-                                    );
-                                }
-                            }
-                            continue;
-                        }
-                        if crossings.fetch_add(k as u64, Ordering::AcqRel) >= crossing_cap {
-                            out.count(DropReason::OverlayWorkExhausted.as_str(), k as u64);
-                            if let Some(f) = &flight {
-                                for _ in 0..k {
-                                    f.hop(
-                                        name.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayWorkExhausted,
-                                            detail: String::new(),
-                                        },
-                                    );
-                                }
-                            }
-                            continue;
-                        }
-                        let mut pool = pool.lock().expect("shuttle pool poisoned");
-                        let cell = match pool.cell(peer.as_str(), &fabric) {
-                            Ok(cell) => cell,
-                            Err(miss) => {
-                                let reason = match miss {
-                                    CellMiss::Dead => DropReason::InjectDeadNode,
-                                    CellMiss::Unknown => DropReason::InjectUnknownNode,
-                                };
-                                out.count(reason.as_str(), k as u64);
-                                if let Some(f) = &flight {
-                                    for _ in 0..k {
-                                        f.hop(
-                                            peer.as_str(),
-                                            HopKind::Drop {
-                                                reason,
-                                                detail: String::new(),
-                                            },
-                                        );
-                                    }
-                                }
-                                continue;
-                            }
-                        };
-                        let Some(fid) = cell.fabric_id else {
-                            out.count(DropReason::OverlayUnroutable.as_str(), k as u64);
-                            if let Some(f) = &flight {
-                                for _ in 0..k {
-                                    f.hop(
-                                        peer.as_str(),
-                                        HopKind::Drop {
-                                            reason: DropReason::OverlayUnroutable,
-                                            detail: "peer has no fabric port".to_string(),
-                                        },
-                                    );
-                                }
-                            }
-                            continue;
-                        };
-                        in_flight.fetch_add(k, Ordering::Release);
-                        cell.pending
-                            .entry(Reverse(ttl_left - 1))
-                            .or_default()
-                            .extend(survivors.into_iter().map(|p| (fid, p)));
-                        cell.queued += k;
-                        pool.mark_ready(peer.as_str());
-                        drop(pool);
-                        work_ready.notify_all();
-                    }
-                    in_flight.fetch_sub(consumed, Ordering::Release);
-                    work_ready.notify_all();
-                }
-                sh.outs.lock().expect("shuttle outs poisoned").push(out);
-            }
-        };
-
-        // Dispatch: inline for one worker (no runtime, no allocation),
-        // one round on the persistent shard pool otherwise. A worker
-        // panic is caught so claimed state is still restored to the
-        // fleet map below, then re-raised.
-        let round = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if workers <= 1 {
-                drain(0);
-            } else {
-                self.runtime
-                    .as_mut()
-                    .expect("runtime built above")
-                    .run(drain);
-            }
-        }));
-
-        // Move the shuttle state back into the domain. The runtime
-        // round is over (even on panic `run` waits out the stragglers),
-        // so ours is the last reference.
-        let shuttle = Arc::try_unwrap(shuttle)
-            .ok()
-            .expect("all shard workers released the shuttle");
-        let state = shuttle
-            .pool
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        self.nodes = state.nodes;
-        for (name, cell) in state.cells {
-            if let Some(managed) = cell.managed {
-                self.nodes.insert(name, managed);
-            }
-        }
-        self.links = shuttle.links;
-        if let Err(panic) = round {
-            // State is restored (minus any node in flight at that
-            // instant — lost with the call, as under the old scoped-
-            // thread shuttle); now the panic propagates.
-            std::panic::resume_unwind(panic);
-        }
-        let outs = shuttle
-            .outs
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let mut claims_home = 0u64;
-        let mut claims_stolen = 0u64;
-        for mut worker in outs {
-            io.emitted.append(&mut worker.emitted);
-            io.cost += worker.cost;
-            io.overlay_hops += worker.overlay_hops;
-            io.protected_bytes += worker.protected_bytes;
-            claims_home += worker.claims_home;
-            claims_stolen += worker.claims_stolen;
-            // Per-worker utilization gauge: how many node-bursts this
-            // shard drove last round (home + stolen).
-            if !ghost && obs.is_enabled() {
-                obs.registry()
-                    .gauge(
-                        "un_shuttle_worker_claims",
-                        &[("shard", &worker.shard.to_string())],
-                    )
-                    .set((worker.claims_home + worker.claims_stolen) as i64);
-            }
-            for (name, n) in worker.counters {
-                self.trace.count(name, n);
-            }
-        }
-        if !ghost {
-            if claims_home > 0 {
-                self.trace.count("shuttle_claims_home", claims_home);
-            }
-            if claims_stolen > 0 {
-                self.trace.count("shuttle_claims_stolen", claims_stolen);
-            }
-            self.trace
-                .count("domain_frames_egress", io.emitted.len() as u64);
-        }
-        io
     }
 
     // ------------------------------------------------------------------
@@ -2497,6 +1756,7 @@ impl Domain {
 
 mod control;
 mod repair;
+mod shuttle;
 mod verify;
 
 pub(crate) use control::Plan;

@@ -873,6 +873,75 @@ fn sharded_inject_batch_matches_sequential_workers() {
         b.sort();
         assert_eq!(a, b, "{workers} workers");
     }
+
+    // A burst that touches every node: an 8-node line with the chain's
+    // two halves at its ends, so both overlay links transit n2..n7.
+    let names: Vec<String> = (1..=8).map(|i| format!("n{i}")).collect();
+    let line = || {
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut d = Domain::new(DomainConfig {
+            topology: Topology::line(&refs, EdgeAttrs::default()),
+            ..DomainConfig::default()
+        });
+        for name in &names {
+            let mut n = UniversalNode::new(name, mb(2048));
+            match name.as_str() {
+                "n1" => n.add_physical_port("eth0"),
+                "n8" => n.add_physical_port("eth1"),
+                _ => n.add_physical_port("eth2"),
+            };
+            d.add_node(n);
+        }
+        let ends = DeployHints {
+            nf_node: [
+                ("br1".to_string(), "n1".to_string()),
+                ("br2".to_string(), "n8".to_string()),
+            ]
+            .into(),
+            ..DeployHints::default()
+        };
+        d.deploy_with(&split_bridge_chain(), &ends).unwrap();
+        d
+    };
+    // Everything the drain may not change: egress multiset, per-link
+    // wire counters, cost, hop count — and the ledger must balance.
+    type Digest = (
+        Vec<(String, String, Vec<u8>)>,
+        Vec<(u16, u64, u64)>,
+        Cost,
+        u32,
+    );
+    let digest = |d: &Domain, io: &DomainIo| -> Digest {
+        let mut emitted: Vec<(String, String, Vec<u8>)> = io
+            .emitted
+            .iter()
+            .map(|(n, p, pkt)| (n.to_string(), p.to_string(), pkt.data().to_vec()))
+            .collect();
+        emitted.sort();
+        let links = d
+            .link_stats()
+            .into_iter()
+            .map(|(vid, _, _, _, pkts, bytes)| (vid, pkts, bytes))
+            .collect();
+        let ledger = d.conservation_report();
+        assert!(ledger.balanced(), "{ledger:?}");
+        (emitted, links, io.cost, io.overlay_hops)
+    };
+    let mut seq = line();
+    let first = seq.inject_batch(ingress(48), 1);
+    assert_eq!(first.emitted.len(), 48, "the line forwards the whole burst");
+    assert_eq!(first.overlay_hops, 48 * 7, "every frame crosses all 7 hops");
+    let first = digest(&seq, &first);
+    let second = seq.inject_batch(ingress(16), 1);
+    let second = digest(&seq, &second);
+    for (workers, then) in [(2usize, 3usize), (3, 8), (8, 2)] {
+        let mut sharded = line();
+        let io = sharded.inject_batch(ingress(48), workers);
+        assert_eq!(digest(&sharded, &io), first, "{workers} workers");
+        // Same domain, different worker count: the runtime is rebuilt.
+        let io = sharded.inject_batch(ingress(16), then);
+        assert_eq!(digest(&sharded, &io), second, "{workers} then {then}");
+    }
 }
 
 #[test]
@@ -892,6 +961,13 @@ fn batch_ingress_to_unknown_and_dead_nodes_is_counted() {
     assert!(io.emitted.is_empty());
     assert_eq!(d.trace.counter("inject_unknown_node"), 1);
     assert_eq!(d.trace.counter("inject_dead_node"), 1);
+    // A fully mis-addressed burst seeds nothing, so even a multi-worker
+    // call has nothing to spawn shard threads for.
+    let io = d.inject_batch(vec![("ghost", "eth0", frame())], 4);
+    assert!(io.emitted.is_empty());
+    assert_eq!(d.trace.counter("inject_unknown_node"), 2);
+    assert!(d.runtime.is_none(), "no frames, no shard runtime");
+    assert!(d.conservation_report().balanced());
 }
 
 /// A line fleet `n1 – n2 – n3`: eth0 on n1, eth1 on n3, chain split

@@ -142,8 +142,7 @@ pub enum ClassifierStage {
     Exact,
     /// Served by a mask-aware megaflow table.
     Megaflow,
-    /// Served by the residual wildcard linear scan (includes the
-    /// `ClassifierMode::Linear` baseline).
+    /// Served by the residual wildcard linear scan.
     Wildcard,
     /// No entry matched.
     Miss,

@@ -40,4 +40,4 @@ pub use key::PacketKey;
 pub use lsi::{
     Backend, LogicalSwitch, PipelineStep, PortNo, ProcessOptions, ProcessResult, SwitchStats,
 };
-pub use table::{ClassifierMode, FlowTable, LookupHit, LookupPath, TableStats};
+pub use table::{FlowTable, LookupHit, LookupPath, TableStats};

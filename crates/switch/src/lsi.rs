@@ -13,7 +13,7 @@ use un_sim::{Cost, CostModel};
 
 use crate::flow::{FlowAction, FlowEntry};
 use crate::key::PacketKey;
-use crate::table::{ClassifierMode, FlowTable, LookupHit, LookupPath, TableStats};
+use crate::table::{FlowTable, LookupHit, LookupPath, TableStats};
 
 /// A switch port number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -230,13 +230,6 @@ impl LogicalSwitch {
     /// Iterate tables in pipeline order (static analysis / dumps).
     pub fn tables(&self) -> impl Iterator<Item = (u8, &FlowTable)> {
         self.tables.iter().enumerate().map(|(i, t)| (i as u8, t))
-    }
-
-    /// Switch every table's classifier pipeline (fast path on/off).
-    pub fn set_classifier_mode(&mut self, mode: ClassifierMode) {
-        for t in &mut self.tables {
-            t.set_mode(mode);
-        }
     }
 
     /// Aggregated fast-path counters across all tables.

@@ -27,9 +27,9 @@
 //!
 //! Entries are kept sorted by (priority desc, insertion seq asc), so
 //! "first match wins" reduces to "smallest index wins" across all three
-//! classifiers. [`ClassifierMode::Linear`] disables all stages and
-//! reproduces the pre-optimization scan — kept for benchmarking the
-//! fast path against its baseline.
+//! classifiers. The reference they are tested and benchmarked against —
+//! a first-match scan over [`FlowTable::entries`] — lives with its
+//! users (`tests/properties.rs`, the `dataplane_sweep` bench), not here.
 
 use std::collections::HashMap;
 
@@ -51,8 +51,8 @@ pub enum LookupPath {
     /// Served by a mask-aware megaflow table (one probe per distinct
     /// wildcard mask).
     MegaflowHit,
-    /// Required a linear scan (only the [`ClassifierMode::Linear`]
-    /// baseline and the residual wildcard fallback take this path).
+    /// Required a linear scan: the residual wildcard fallback (no
+    /// table produces it today, see [`TableStats::wildcard_hits`]).
     Miss,
 }
 
@@ -73,19 +73,7 @@ pub struct LookupHit {
     pub priority: u16,
 }
 
-/// Which classifier pipeline a table runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClassifierMode {
-    /// Microflow cache + exact-match shape tables + wildcard scan.
-    #[default]
-    Indexed,
-    /// Pure linear scan (the pre-optimization baseline; benchmarking).
-    Linear,
-}
-
-/// Aggregated lookup counters of one or more tables. Counters advance
-/// only under [`ClassifierMode::Indexed`]; the linear baseline mode
-/// leaves them untouched so mode A/B comparisons stay clean.
+/// Aggregated lookup counters of one or more tables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
     /// Lookups served by the microflow cache.
@@ -164,90 +152,6 @@ const fn zero_key() -> PacketKey {
         l4_dst: None,
         fwmark: 0,
     }
-}
-
-/// If `m` constrains only exactly-comparable fields, return its shape
-/// mask and its projection (the key any matching packet must project
-/// to). CIDR prefixes shorter than /32 and `VlanSpec::AnyTagged` are
-/// not exactly comparable — those entries stay on the wildcard path.
-fn exact_shape(m: &FlowMatch) -> Option<(FieldMask, PacketKey)> {
-    // Exhaustive destructuring (no `..`): adding a field to FlowMatch
-    // is a compile error here, so a new matchable field can never be
-    // silently ignored by the exact-match index.
-    let FlowMatch {
-        in_port,
-        eth_src,
-        eth_dst,
-        eth_type,
-        vlan,
-        ip_src,
-        ip_dst,
-        ip_proto,
-        l4_src,
-        l4_dst,
-        fwmark,
-    } = m;
-    let mut mask: FieldMask = 0;
-    let mut proj = zero_key();
-    if let Some(p) = *in_port {
-        mask |= F_IN_PORT;
-        proj.in_port = p;
-    }
-    if let Some(mac) = *eth_src {
-        mask |= F_ETH_SRC;
-        proj.eth_src = mac;
-    }
-    if let Some(mac) = *eth_dst {
-        mask |= F_ETH_DST;
-        proj.eth_dst = mac;
-    }
-    if let Some(t) = *eth_type {
-        mask |= F_ETH_TYPE;
-        proj.eth_type = t;
-    }
-    match vlan {
-        None => {}
-        Some(VlanSpec::Untagged) => {
-            mask |= F_VLAN;
-            proj.vlan = None;
-        }
-        Some(VlanSpec::Id(v)) => {
-            mask |= F_VLAN;
-            proj.vlan = Some(*v);
-        }
-        Some(VlanSpec::AnyTagged) => return None,
-    }
-    if let Some(cidr) = *ip_src {
-        if cidr.prefix_len() != 32 {
-            return None;
-        }
-        mask |= F_IP_SRC;
-        proj.ip_src = Some(cidr.addr());
-    }
-    if let Some(cidr) = *ip_dst {
-        if cidr.prefix_len() != 32 {
-            return None;
-        }
-        mask |= F_IP_DST;
-        proj.ip_dst = Some(cidr.addr());
-    }
-    if let Some(p) = *ip_proto {
-        mask |= F_IP_PROTO;
-        proj.ip_proto = Some(p);
-    }
-    if let Some(p) = *l4_src {
-        mask |= F_L4_SRC;
-        proj.l4_src = Some(p);
-    }
-    if let Some(p) = *l4_dst {
-        mask |= F_L4_DST;
-        proj.l4_dst = Some(p);
-    }
-    if let Some(mark) = *fwmark {
-        mask |= F_FWMARK;
-        proj.fwmark = mark;
-    }
-    Some((mask, proj))
 }
 
 /// Project a packet's key onto a shape: constrained fields are kept,
@@ -335,6 +239,14 @@ struct MegaMask {
     vlan_any: bool,
 }
 
+impl MegaMask {
+    /// Nothing is masked: every constrained field is compared exactly,
+    /// so the entry belongs in a [`ShapeTable`] keyed by `exact`.
+    fn is_exact(&self) -> bool {
+        self.src_plen.is_none() && self.dst_plen.is_none() && !self.vlan_any
+    }
+}
+
 /// Truncate `addr` to its leading `plen` bits.
 fn mask_ip(addr: Ipv4Addr, plen: u8) -> Ipv4Addr {
     let mask: u32 = if plen == 0 {
@@ -345,11 +257,14 @@ fn mask_ip(addr: Ipv4Addr, plen: u8) -> Ipv4Addr {
     Ipv4Addr::from(u32::from(addr) & mask)
 }
 
-/// Mega-mask and projection of an entry that failed [`exact_shape`].
-/// Total over today's `FlowMatch`: every field is either exactly
-/// comparable or maskable (CIDR prefix, tagged-any presence). The
-/// exhaustive destructuring keeps it that way — a new match field must
-/// be classified here before this compiles again.
+/// Mask and projection (the key any matching packet must project to)
+/// of an entry's match: the one place that decides how each field is
+/// compared. A port, a MAC, a /32 prefix, a specific VLAN id are
+/// exactly comparable; CIDR prefixes shorter than /32 and
+/// `VlanSpec::AnyTagged` are masked. Total over today's `FlowMatch`,
+/// and the exhaustive destructuring (no `..`) keeps it that way — a
+/// new match field must be classified here before this compiles
+/// again, so it can never be silently ignored by the index.
 fn mega_shape(m: &FlowMatch) -> (MegaMask, PacketKey) {
     let FlowMatch {
         in_port,
@@ -504,7 +419,6 @@ pub struct FlowTable {
     shapes: Vec<ShapeTable>,
     mega: Vec<MegaTable>,
     index_gen: u64,
-    mode: ClassifierMode,
     /// Cache hits since creation.
     pub cache_hits: u64,
     /// Cache misses since creation.
@@ -536,16 +450,6 @@ impl FlowTable {
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Switch the classifier pipeline (counters keep accumulating).
-    pub fn set_mode(&mut self, mode: ClassifierMode) {
-        self.mode = mode;
-    }
-
-    /// The classifier pipeline currently in use.
-    pub fn mode(&self) -> ClassifierMode {
-        self.mode
     }
 
     /// Lookup counters as one block.
@@ -626,38 +530,34 @@ impl FlowTable {
         let mut by_mask: HashMap<FieldMask, usize> = HashMap::new();
         let mut by_mega: HashMap<MegaMask, usize> = HashMap::new();
         for (i, e) in self.entries.iter().enumerate() {
-            match exact_shape(&e.matches) {
-                Some((mask, proj)) => {
-                    let slot = *by_mask.entry(mask).or_insert_with(|| {
-                        self.shapes.push(ShapeTable {
-                            mask,
-                            map: HashMap::new(),
-                        });
-                        self.shapes.len() - 1
+            let (mask, proj) = mega_shape(&e.matches);
+            // First (smallest) index wins on identical matches.
+            if mask.is_exact() {
+                let slot = *by_mask.entry(mask.exact).or_insert_with(|| {
+                    self.shapes.push(ShapeTable {
+                        mask: mask.exact,
+                        map: HashMap::new(),
                     });
-                    // First (smallest) index wins on identical matches.
-                    self.shapes[slot].map.entry(proj).or_insert(i);
-                }
-                None => {
-                    let (mask, proj) = mega_shape(&e.matches);
-                    let slot = *by_mega.entry(mask).or_insert_with(|| {
-                        self.mega.push(MegaTable {
-                            mask,
-                            map: HashMap::new(),
-                        });
-                        self.mega.len() - 1
+                    self.shapes.len() - 1
+                });
+                self.shapes[slot].map.entry(proj).or_insert(i);
+            } else {
+                let slot = *by_mega.entry(mask).or_insert_with(|| {
+                    self.mega.push(MegaTable {
+                        mask,
+                        map: HashMap::new(),
                     });
-                    self.mega[slot].map.entry(proj).or_insert(i);
-                }
+                    self.mega.len() - 1
+                });
+                self.mega[slot].map.entry(proj).or_insert(i);
             }
         }
         self.index_gen = self.next_seq;
     }
 
     /// Find the winning entry index for `key` via the indexed
-    /// classifier, or `None` on table miss. `quiet` suppresses the
-    /// probe-effort counter (ghost walks must not move it).
-    fn classify(&mut self, key: &PacketKey, quiet: bool) -> Option<(usize, LookupPath)> {
+    /// classifier, or `None` on table miss.
+    fn classify(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
         self.ensure_index();
         // Candidates are indices into the sorted entry vector, so the
         // smallest index is the best (priority desc, insertion asc).
@@ -670,9 +570,6 @@ impl FlowTable {
             }
         }
         let exact_best = best;
-        if !quiet {
-            self.megaflow_probes += self.mega.len() as u64;
-        }
         for mega in &self.mega {
             if let Some(&i) = mega.map.get(&project_mega(key, &mega.mask)) {
                 if best.is_none_or(|b| i < b) {
@@ -689,68 +586,59 @@ impl FlowTable {
         Some((idx, path))
     }
 
+    /// The classifier's decision for `key` — winning entry index and
+    /// the stage that found it — with no observable side effect:
+    /// generation-checked microflow probe, else [`Self::classify`].
+    /// (`&mut` only because a stale index may need rebuilding.) Real
+    /// and ghost lookups both decide here, so they cannot disagree.
+    fn resolve(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
+        if let Some(&(gen, idx)) = self.cache.get(key) {
+            // Generation match ⇒ the table is untouched since this
+            // decision was cached, so idx is valid.
+            if gen == self.next_seq {
+                return Some((idx, LookupPath::CacheHit));
+            }
+        }
+        self.classify(key)
+    }
+
     /// Look up the best entry for `key`, updating its counters by
     /// `bytes`. Returns the matched actions plus provenance (stage,
     /// cookie, priority), or `None` on table miss.
     pub fn lookup(&mut self, key: &PacketKey, bytes: usize) -> Option<LookupHit> {
-        if self.mode == ClassifierMode::Linear {
-            // Baseline scan: no cache, no index, and no fast-path
-            // counter updates — the stats describe the indexed pipeline
-            // only, so an A/B mode toggle cannot pollute them.
-            let idx = self.entries.iter().position(|e| e.matches.matches(key))?;
-            let entry = &mut self.entries[idx];
-            entry.packet_count += 1;
-            entry.byte_count += bytes as u64;
-            return Some(Self::hit(entry, LookupPath::Miss));
+        let resolved = self.resolve(key);
+        if !matches!(resolved, Some((_, LookupPath::CacheHit))) {
+            self.cache_misses += 1;
+            self.megaflow_probes += self.mega.len() as u64;
         }
-        if let Some(&(gen, idx)) = self.cache.get(key) {
-            if gen == self.next_seq {
-                // Generation match ⇒ the table is untouched since
-                // this decision was cached, so idx is valid.
-                let entry = &mut self.entries[idx];
-                self.cache_hits += 1;
-                entry.packet_count += 1;
-                entry.byte_count += bytes as u64;
-                return Some(Self::hit(entry, LookupPath::CacheHit));
-            }
-        }
-        self.cache_misses += 1;
-        let Some((idx, path)) = self.classify(key, false) else {
+        let Some((idx, path)) = resolved else {
             self.misses += 1;
             return None;
         };
         match path {
+            LookupPath::CacheHit => self.cache_hits += 1,
             LookupPath::ExactHit => self.exact_hits += 1,
             LookupPath::MegaflowHit => self.megaflow_hits += 1,
-            _ => self.wildcard_hits += 1,
+            LookupPath::Miss => self.wildcard_hits += 1,
+        }
+        if path != LookupPath::CacheHit {
+            if self.cache.len() >= CACHE_CAP {
+                self.cache.clear();
+            }
+            self.cache.insert(*key, (self.next_seq, idx));
         }
         let entry = &mut self.entries[idx];
         entry.packet_count += 1;
         entry.byte_count += bytes as u64;
-        let result = Self::hit(entry, path);
-        if self.cache.len() >= CACHE_CAP {
-            self.cache.clear();
-        }
-        self.cache.insert(*key, (self.next_seq, idx));
-        Some(result)
+        Some(Self::hit(entry, path))
     }
 
-    /// Ghost lookup: the same decision [`FlowTable::lookup`] would
-    /// take, with *zero* observable side effects — no stats, no entry
+    /// Ghost lookup: the same decision [`FlowTable::lookup`] takes,
+    /// with *zero* observable side effects — no stats, no entry
     /// packet/byte counters, no microflow-cache insertion, no probe
-    /// effort accounting. (`&mut` only because a stale exact-match
-    /// index may need rebuilding, which is semantically invisible.)
+    /// effort accounting.
     pub fn lookup_ghost(&mut self, key: &PacketKey) -> Option<LookupHit> {
-        if self.mode == ClassifierMode::Linear {
-            let idx = self.entries.iter().position(|e| e.matches.matches(key))?;
-            return Some(Self::hit(&self.entries[idx], LookupPath::Miss));
-        }
-        if let Some(&(gen, idx)) = self.cache.get(key) {
-            if gen == self.next_seq {
-                return Some(Self::hit(&self.entries[idx], LookupPath::CacheHit));
-            }
-        }
-        let (idx, path) = self.classify(key, true)?;
+        let (idx, path) = self.resolve(key)?;
         Some(Self::hit(&self.entries[idx], path))
     }
 
@@ -952,28 +840,6 @@ mod tests {
         assert_eq!(path, LookupPath::ExactHit);
         k.ip_dst = Some("10.0.0.10".parse().unwrap());
         assert!(t.lookup(&k, 1).is_none());
-    }
-
-    #[test]
-    fn linear_mode_matches_indexed_mode() {
-        let mut a = FlowTable::new();
-        let mut b = FlowTable::new();
-        b.set_mode(ClassifierMode::Linear);
-        for t in [&mut a, &mut b] {
-            t.insert(entry(1, None, 99));
-            t.insert(entry(10, Some(1), 2));
-            t.insert(entry(5, Some(2), 3));
-        }
-        for port in 0..4 {
-            let ka = a.lookup(&key(port), 1).map(|h| h.actions);
-            let kb = b.lookup(&key(port), 1).map(|h| h.actions);
-            assert_eq!(ka, kb, "port {port}");
-        }
-        assert_eq!(
-            b.stats(),
-            TableStats::default(),
-            "linear mode must not touch the fast-path counters"
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use un_core::UniversalNode;
 use un_domain::{DeployHints, Domain, DomainConfig, DomainIo, PlacementStrategy};
 use un_nffg::{NfFg, NfFgBuilder};
-use un_obs::HopKind;
+use un_obs::{DropReason, HopKind};
 use un_packet::ethernet::MacAddr;
 use un_packet::{Packet, PacketBuilder};
 use un_sim::mem::mb;
@@ -59,10 +59,17 @@ fn chain_graph(len: usize) -> NfFg {
 }
 
 fn build_domain(s: &Scenario) -> Domain {
-    let mut d = Domain::new(DomainConfig {
-        protect_overlay: s.protect,
-        ..DomainConfig::default()
-    });
+    build_domain_with(
+        s,
+        DomainConfig {
+            protect_overlay: s.protect,
+            ..DomainConfig::default()
+        },
+    )
+}
+
+fn build_domain_with(s: &Scenario, config: DomainConfig) -> Domain {
+    let mut d = Domain::new(config);
     let mut n1 = UniversalNode::new("n1", mb(2048));
     n1.add_physical_port("eth0");
     let mut n2 = UniversalNode::new("n2", mb(2048));
@@ -214,5 +221,206 @@ proptest! {
         prop_assert_eq!(d.conservation_report(), ledger_before);
         prop_assert_eq!(d.link_stats(), links_before);
         prop_assert_eq!(d.recent_traces().len(), ring_before.len());
+    }
+}
+
+/// One way a frame can die, reachable through the public API: the
+/// domain to kill it in, where to inject it, and the drop it must die
+/// of — typed reason, the node the drop is booked at, and the detail
+/// string the REST trace documents print.
+struct DropCase {
+    build: fn() -> Domain,
+    node: &'static str,
+    port: &'static str,
+    reason: DropReason,
+    at: &'static str,
+    /// `None`: the detail names the overlay vid, which the walk itself
+    /// tells us (the crossing recorded right before the drop).
+    detail: Option<&'static str>,
+}
+
+/// The two-bridge chain with br0 on n2 and br1 on n1: lan (n1) → br0
+/// (n2) → br1 (n1) → wan (n2), three overlay crossings per frame.
+fn zigzag() -> Scenario {
+    Scenario {
+        len: 2,
+        split: vec![1, 0, 0],
+        protect: false,
+        frames: vec![],
+    }
+}
+
+fn zigzag_domain() -> Domain {
+    build_domain(&zigzag())
+}
+
+fn drop_cases() -> Vec<DropCase> {
+    vec![
+        DropCase {
+            build: zigzag_domain,
+            node: "nowhere",
+            port: "eth0",
+            reason: DropReason::InjectUnknownNode,
+            at: "nowhere",
+            detail: Some(""),
+        },
+        DropCase {
+            build: || {
+                let mut d = zigzag_domain();
+                d.fail_node("n2").expect("n2 is in the fleet");
+                d
+            },
+            node: "n2",
+            port: "eth1",
+            reason: DropReason::InjectDeadNode,
+            at: "n2",
+            detail: Some(""),
+        },
+        DropCase {
+            build: zigzag_domain,
+            node: "n1",
+            port: "eth9",
+            reason: DropReason::InjectUnknownPort,
+            at: "n1",
+            detail: Some("no port 'eth9'"),
+        },
+        DropCase {
+            // One crossing allowed, three needed: the frame is counted
+            // on the wire of its second crossing, then dies.
+            build: || {
+                build_domain_with(
+                    &zigzag(),
+                    DomainConfig {
+                        overlay_ttl: 1,
+                        ..DomainConfig::default()
+                    },
+                )
+            },
+            node: "n1",
+            port: "eth0",
+            reason: DropReason::OverlayLoop,
+            at: "n2",
+            detail: None,
+        },
+        DropCase {
+            // A node still tags frames with a vid the domain has freed:
+            // the chain is undeployed (its links go, its vids return to
+            // the pool), then n1 is handed a stale part that sends lan
+            // traffic out the fabric port under the first pool vid.
+            build: || {
+                let mut d = zigzag_domain();
+                d.undeploy("g-tr").expect("chain is deployed");
+                let stale = NfFgBuilder::new("stale", "stale part")
+                    .interface_endpoint("lan", "eth0")
+                    .vlan_endpoint("wire", "fab0", 3000)
+                    .rule_through("out", 10, "lan", "wire")
+                    .build();
+                d.node_mut("n1")
+                    .expect("n1 is in the fleet")
+                    .deploy(&stale)
+                    .expect("stale part deploys on the node");
+                d
+            },
+            node: "n1",
+            port: "eth0",
+            reason: DropReason::OverlayUnroutable,
+            at: "n1",
+            detail: Some("no overlay link for vid 3000"),
+        },
+        DropCase {
+            // Node-level: a bridge whose output is steered straight
+            // back into its input spends the fabric TTL.
+            build: || {
+                let mut d = zigzag_domain();
+                d.undeploy("g-tr").expect("chain is deployed");
+                let looped = NfFgBuilder::new("looped", "self-loop")
+                    .interface_endpoint("lan", "eth0")
+                    .nf("br", "bridge", 2)
+                    .rule_through("in", 10, "lan", ("br", 0))
+                    .rule_through("again", 10, ("br", 1), ("br", 0))
+                    .build();
+                d.deploy(&looped).expect("looping graph deploys");
+                d
+            },
+            node: "n1",
+            port: "eth0",
+            reason: DropReason::FabricLoop,
+            at: "n1",
+            detail: Some(""),
+        },
+    ]
+}
+
+/// Booked drops of `reason` anywhere in the domain (the ledger sums the
+/// domain trace and every node's).
+fn booked(d: &Domain, reason: DropReason) -> u64 {
+    d.conservation_report()
+        .drops
+        .get(reason.as_str())
+        .copied()
+        .unwrap_or(0)
+}
+
+/// `(node, detail)` of every recorded drop hop of `reason`, in order.
+fn drop_hops(trace: &un_obs::PacketTrace, reason: DropReason) -> Vec<(String, String)> {
+    trace
+        .hops
+        .iter()
+        .filter_map(|h| match &h.kind {
+            HopKind::Drop { reason: r, detail } if *r == reason => {
+                Some((h.node.clone(), detail.clone()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Drop parity, one row per cause: an untraced and a traced injection
+/// book the same drop; the traced walk records exactly one typed drop
+/// hop per booked frame, at the right node, with the detail string the
+/// trace documents print; a ghost walk of the same frame records the
+/// same drop hops and books nothing; and the ledger balances after
+/// each of the three.
+#[test]
+fn every_drop_cause_is_booked_and_recorded_alike() {
+    for case in drop_cases() {
+        let reason = case.reason;
+        let pkt = || frame(1, 64);
+
+        let mut plain = (case.build)();
+        let before = booked(&plain, reason);
+        let io = plain.inject(case.node, case.port, pkt());
+        assert!(io.emitted.is_empty(), "{reason}: the frame must die");
+        assert_eq!(booked(&plain, reason) - before, 1, "{reason}: untraced");
+        let ledger = plain.conservation_report();
+        assert!(ledger.balanced(), "{reason}: untraced ledger {ledger:?}");
+
+        let mut traced = (case.build)();
+        let before = booked(&traced, reason);
+        let (io, trace) = traced.inject_traced(case.node, case.port, pkt(), 1);
+        assert!(io.emitted.is_empty(), "{reason}: the frame must die");
+        assert_eq!(booked(&traced, reason) - before, 1, "{reason}: traced");
+        assert_eq!(traced.conservation_report(), ledger, "{reason}: ledgers");
+        assert_eq!(trace.drops(), vec![reason], "{}", trace.render());
+        let detail = match case.detail {
+            Some(detail) => detail.to_string(),
+            None => {
+                let crossed = trace.hops.iter().rev().find_map(|h| match h.kind {
+                    HopKind::OverlayHop { vid, .. } => Some(vid),
+                    _ => None,
+                });
+                let vid = crossed.expect("the frame is on the wire before it dies");
+                format!("overlay TTL expired on vid {vid}")
+            }
+        };
+        let hops = drop_hops(&trace, reason);
+        assert_eq!(hops, vec![(case.at.to_string(), detail)], "{reason}");
+
+        let links = traced.link_stats();
+        let ghost = traced.trace_frame(case.node, case.port, pkt());
+        assert!(ghost.ghost);
+        assert_eq!(drop_hops(&ghost, reason), hops, "{reason}: ghost hops");
+        assert_eq!(traced.conservation_report(), ledger, "{reason}: ghost");
+        assert_eq!(traced.link_stats(), links, "{reason}: ghost wires");
     }
 }
