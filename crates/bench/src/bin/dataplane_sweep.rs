@@ -9,8 +9,8 @@
 //!    twice at lookup level (key extraction + one table lookup per
 //!    frame): against the linear baseline — a first-match scan over
 //!    `FlowTable::entries()`, the reference the switch's property tests
-//!    use — and through `FlowTable::lookup` (microflow cache +
-//!    exact-match shape tables). The ratio is the fast-path speedup.
+//!    use — and through `FlowTable::lookup` (microflow cache + mask
+//!    tables). The ratio is the fast-path speedup.
 //! 2. **Wildcard path** — the same measurement on a table of CIDR and
 //!    `AnyTagged` rules (wildcard-heavy, a handful of distinct masks)
 //!    with traffic that never repeats a microflow key. The scan pays
@@ -70,7 +70,7 @@ enum Classifier {
     /// The baseline: first match over `FlowTable::entries()`, which
     /// yields entries in match order.
     LinearScan,
-    /// `FlowTable::lookup`: microflow cache, shape tables, megaflow.
+    /// `FlowTable::lookup`: microflow cache, then the mask tables.
     Indexed,
 }
 

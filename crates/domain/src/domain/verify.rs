@@ -154,7 +154,7 @@ impl Domain {
                                     .map(|e| RuleState {
                                         priority: e.priority,
                                         matches: e.matches.clone(),
-                                        actions: e.actions.clone(),
+                                        actions: e.actions.to_vec(),
                                         cookie: e.cookie,
                                     })
                                     .collect(),

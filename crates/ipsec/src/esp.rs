@@ -85,31 +85,28 @@ pub fn encapsulate(sa: &mut SecurityAssociation, inner: &[u8]) -> Result<Vec<u8>
     let seq = sa.seq_out.checked_add(1).ok_or(IpsecError::SeqOverflow)?;
     sa.seq_out = seq;
 
-    // Plaintext = inner || padding || pad_len || next_header, with the
-    // trailer 4-byte aligned.
-    let unpadded = inner.len() + 2;
-    let pad_len = (4 - (unpadded % 4)) % 4;
-    let mut plaintext = Vec::with_capacity(inner.len() + pad_len + 2);
-    plaintext.extend_from_slice(inner);
-    for i in 0..pad_len {
-        plaintext.push((i + 1) as u8); // RFC 4303 monotone pad pattern
-    }
-    plaintext.push(pad_len as u8);
-    plaintext.push(NEXT_HEADER_IPV4);
-
     // IV: derived from the sequence number — unique per SA per packet.
     let mut iv = [0u8; ESP_IV_LEN];
     iv[4..].copy_from_slice(&seq.to_be_bytes());
 
-    let nonce = nonce_for(sa, &iv);
-    let aad = aad_for(sa.spi, seq);
-    let tag = aead::seal(&sa.key, &nonce, &aad, &mut plaintext);
-
-    let mut out = Vec::with_capacity(ESP_HEADER_LEN + ESP_IV_LEN + plaintext.len() + ESP_ICV_LEN);
+    // The whole wire layout is built once; the plaintext — inner ||
+    // padding || pad_len || next_header, trailer 4-byte aligned — is
+    // sealed where it sits.
+    let unpadded = inner.len() + 2;
+    let pad_len = (4 - (unpadded % 4)) % 4;
+    let body = ESP_HEADER_LEN + ESP_IV_LEN;
+    let mut out = Vec::with_capacity(body + unpadded + pad_len + ESP_ICV_LEN);
     out.extend_from_slice(&sa.spi.to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
     out.extend_from_slice(&iv);
-    out.extend_from_slice(&plaintext);
+    out.extend_from_slice(inner);
+    out.extend(1..=pad_len as u8); // RFC 4303 monotone pad pattern
+    out.push(pad_len as u8);
+    out.push(NEXT_HEADER_IPV4);
+
+    let nonce = nonce_for(sa, &iv);
+    let aad = aad_for(sa.spi, seq);
+    let tag = aead::seal(&sa.key, &nonce, &aad, &mut out[body..]);
     out.extend_from_slice(&tag);
 
     sa.packets += 1;
@@ -144,6 +141,8 @@ pub fn decapsulate(
         v => return Err(IpsecError::Replay(v)),
     }
 
+    // The one copy: opened in place, then truncated to the inner packet
+    // it is returned as (the caller's bytes are never written).
     let body_end = esp_payload.len() - ESP_ICV_LEN;
     let mut ciphertext = esp_payload[16..body_end].to_vec();
     let tag: [u8; ESP_ICV_LEN] = esp_payload[body_end..].try_into().unwrap();
@@ -211,6 +210,30 @@ mod tests {
         }
         assert_eq!(tx.packets, 10);
         assert_eq!(rx.packets, 10);
+    }
+
+    /// Sealing in place inside the output buffer yields the bytes the
+    /// documented layout spells out: header, IV, a separately sealed
+    /// plaintext, tag.
+    #[test]
+    fn wire_bytes_match_separately_sealed_layout() {
+        for len in [0usize, 1, 2, 3, 64, 1400] {
+            let (mut tx, _) = pair();
+            let inner: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let pad_len = (4 - (len + 2) % 4) % 4;
+            let mut body = inner.clone();
+            body.extend(1..=pad_len as u8);
+            body.extend([pad_len as u8, NEXT_HEADER_IPV4]);
+            let iv = [0, 0, 0, 0, 0, 0, 0, 1];
+            let tag = aead::seal(
+                &tx.key,
+                &nonce_for(&tx, &iv),
+                &aad_for(tx.spi, 1),
+                &mut body,
+            );
+            let expect = [&tx.spi.to_be_bytes()[..], &[0, 0, 0, 1], &iv, &body, &tag].concat();
+            assert_eq!(encapsulate(&mut tx, &inner).unwrap(), expect, "len {len}");
+        }
     }
 
     #[test]

@@ -706,8 +706,9 @@ impl Host {
         let (src, dst) = (eth.src(), eth.dst());
         let bridge_mac = self.ifaces[bridge_id.0 as usize].mac;
 
-        // Learn + decide with one mutable borrow of the FDB.
-        let mut targets: Vec<IfaceId> = Vec::new();
+        // Learn + decide with one mutable borrow of the FDB. `flood`
+        // stays unallocated unless the frame really fans out.
+        let mut flood: Vec<IfaceId> = Vec::new();
         let mut to_local = false;
         {
             let IfaceKind::Bridge { members, fdb } = &mut self.ifaces[bridge_id.0 as usize].kind
@@ -719,17 +720,26 @@ impl Host {
                 to_local = true;
             } else if dst.is_broadcast() || dst.is_multicast() {
                 to_local = true;
-                targets.extend(members.iter().copied().filter(|&m| m != member));
+                flood.extend(members.iter().copied().filter(|&m| m != member));
             } else if let Some(&out) = fdb.get(&dst) {
+                // Known unicast: the frame moves to its one target.
                 if out != member {
-                    targets.push(out);
+                    self.tx_frame(out, pkt, ctx, depth + 1);
                 }
+                return;
             } else {
-                targets.extend(members.iter().copied().filter(|&m| m != member));
+                flood.extend(members.iter().copied().filter(|&m| m != member));
             }
         }
 
-        for out in targets {
+        // Every target but the last gets a copy; the last takes the
+        // frame itself unless local delivery still needs it.
+        let mut targets = flood.into_iter().peekable();
+        while let Some(out) = targets.next() {
+            if targets.peek().is_none() && !to_local {
+                self.tx_frame(out, pkt, ctx, depth + 1);
+                return;
+            }
             self.tx_frame(out, pkt.clone(), ctx, depth + 1);
         }
         if to_local {
@@ -1339,29 +1349,24 @@ impl Host {
             self.trace.count("loop_drops", 1);
             return;
         }
-        let (up, kind) = {
-            let i = &self.ifaces[iface_id.0 as usize];
-            (i.up, i.kind.clone())
-        };
-        if !up {
+        let iface = &mut self.ifaces[iface_id.0 as usize];
+        if !iface.up {
             self.trace.count("tx_down_iface", 1);
             return;
         }
-        {
-            let i = &mut self.ifaces[iface_id.0 as usize];
-            i.tx_packets += 1;
-            i.tx_bytes += pkt.len() as u64;
-        }
-        match kind {
-            IfaceKind::Veth { peer } => {
+        iface.tx_packets += 1;
+        iface.tx_bytes += pkt.len() as u64;
+        let ns = iface.ns;
+        match &iface.kind {
+            &IfaceKind::Veth { peer } => {
                 ctx.charge(self.costs.veth_crossing_ns);
                 self.rx_frame(peer, pkt, ctx, depth + 1);
             }
-            IfaceKind::External { tag } => {
+            &IfaceKind::External { tag } => {
                 ctx.charge(self.costs.tap_ns);
                 ctx.emitted.push((tag, pkt));
             }
-            IfaceKind::VlanSub { parent, vid } => {
+            &IfaceKind::VlanSub { parent, vid } => {
                 ctx.charge(self.costs.vlan_op_ns);
                 let mut tagged = pkt;
                 let _ = tagged.vlan_push(vid);
@@ -1377,13 +1382,12 @@ impl Host {
                 if let Some(&out) = fdb.get(&dst) {
                     self.tx_frame(out, pkt, ctx, depth + 1);
                 } else {
-                    for m in members {
+                    for m in members.clone() {
                         self.tx_frame(m, pkt.clone(), ctx, depth + 1);
                     }
                 }
             }
             IfaceKind::Loopback => {
-                let ns = self.ifaces[iface_id.0 as usize].ns;
                 if let Ok(eth) = EthernetFrame::new_checked(pkt.data()) {
                     if eth.ethertype() == EtherType::Ipv4 {
                         let meta = pkt.meta.clone();

@@ -138,9 +138,9 @@ impl fmt::Display for DropReason {
 pub enum ClassifierStage {
     /// Served by the microflow cache.
     Microflow,
-    /// Served by a hash-bucketed exact-match shape table.
+    /// Served by a mask table whose mask covers only whole fields.
     Exact,
-    /// Served by a mask-aware megaflow table.
+    /// Served by a mask table with a partially-masked field.
     Megaflow,
     /// Served by the residual wildcard linear scan.
     Wildcard,

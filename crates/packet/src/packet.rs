@@ -13,11 +13,15 @@ use crate::vlan::{VlanTag, VLAN_HEADER_LEN};
 /// Default headroom reserved in front of packet data.
 pub const DEFAULT_HEADROOM: usize = 96;
 
+/// Destination + source MAC: the bytes in front of the EtherType (and
+/// of any 802.1Q tag).
+const MAC_ADDRS_LEN: usize = ETHERNET_HEADER_LEN - 2;
+
 /// An owned packet: bytes + headroom + metadata.
 ///
 /// Equality compares the packet *bytes and metadata*, not the internal
-/// headroom layout.
-#[derive(Debug, Clone)]
+/// headroom layout. The default packet is empty and owns no buffer.
+#[derive(Debug, Clone, Default)]
 pub struct Packet {
     buf: Vec<u8>,
     head: usize,
@@ -74,18 +78,23 @@ impl Packet {
         &mut self.buf[self.head..]
     }
 
+    /// Reallocate so that `need` bytes plus the default headroom precede
+    /// the data.
+    fn grow_headroom(&mut self, need: usize) {
+        let head = DEFAULT_HEADROOM + need;
+        let mut nbuf = vec![0u8; head + self.len()];
+        nbuf[head..].copy_from_slice(self.data());
+        self.buf = nbuf;
+        self.head = head;
+    }
+
     /// Prepend `hdr`, using headroom if available (O(len) otherwise).
     pub fn push_front(&mut self, hdr: &[u8]) {
-        if hdr.len() <= self.head {
-            self.head -= hdr.len();
-            self.buf[self.head..self.head + hdr.len()].copy_from_slice(hdr);
-        } else {
-            let mut nbuf = vec![0u8; DEFAULT_HEADROOM + hdr.len() + self.len()];
-            nbuf[DEFAULT_HEADROOM..DEFAULT_HEADROOM + hdr.len()].copy_from_slice(hdr);
-            nbuf[DEFAULT_HEADROOM + hdr.len()..].copy_from_slice(self.data());
-            self.buf = nbuf;
-            self.head = DEFAULT_HEADROOM;
+        if hdr.len() > self.head {
+            self.grow_headroom(hdr.len());
         }
+        self.head -= hdr.len();
+        self.buf[self.head..self.head + hdr.len()].copy_from_slice(hdr);
     }
 
     /// Remove `n` bytes from the front, returning them as a Vec.
@@ -135,44 +144,37 @@ impl Packet {
         VlanTag::new_checked(eth.payload()).ok().map(|t| t.vid())
     }
 
-    /// Push an 802.1Q tag with `vid` directly after the MAC addresses.
+    /// Push an 802.1Q tag with `vid` directly after the MAC addresses:
+    /// the MACs slide into the headroom and the payload stays put (one
+    /// reallocation only when the headroom is exhausted).
     /// Fails if the frame is not valid Ethernet.
     pub fn vlan_push(&mut self, vid: u16) -> Result<(), ParseError> {
-        let eth = self.ethernet()?;
-        let (dst, src, inner_type) = (eth.dst(), eth.src(), u16::from(eth.ethertype()));
-        let payload = eth.payload().to_vec();
-
-        let mut out = Vec::with_capacity(self.len() + VLAN_HEADER_LEN);
-        out.extend_from_slice(&dst.octets());
-        out.extend_from_slice(&src.octets());
-        out.extend_from_slice(&u16::from(EtherType::Vlan).to_be_bytes());
-        let tci = vid & 0x0fff;
-        out.extend_from_slice(&tci.to_be_bytes());
-        out.extend_from_slice(&inner_type.to_be_bytes());
-        out.extend_from_slice(&payload);
-        self.set_data(&out);
+        self.ethernet()?;
+        if self.head < VLAN_HEADER_LEN {
+            self.grow_headroom(VLAN_HEADER_LEN);
+        }
+        let old = self.head;
+        self.head -= VLAN_HEADER_LEN;
+        self.buf.copy_within(old..old + MAC_ADDRS_LEN, self.head);
+        // The old EtherType now follows the tag as its inner type.
+        let tag = &mut self.data_mut()[MAC_ADDRS_LEN..MAC_ADDRS_LEN + VLAN_HEADER_LEN];
+        tag[..2].copy_from_slice(&u16::from(EtherType::Vlan).to_be_bytes());
+        tag[2..].copy_from_slice(&(vid & 0x0fff).to_be_bytes());
         Ok(())
     }
 
-    /// Pop the outermost 802.1Q tag, returning its VID.
+    /// Pop the outermost 802.1Q tag, returning its VID: the MACs slide
+    /// over the tag and the payload stays put.
     /// Fails if the frame is untagged or malformed.
     pub fn vlan_pop(&mut self) -> Result<u16, ParseError> {
         let eth = self.ethernet()?;
         if eth.ethertype() != EtherType::Vlan {
             return Err(ParseError::BadField);
         }
-        let tag = VlanTag::new_checked(eth.payload())?;
-        let vid = tag.vid();
-        let inner_type = tag.inner_ethertype();
-        let (dst, src) = (eth.dst(), eth.src());
-        let payload = tag.payload().to_vec();
-
-        let mut out = Vec::with_capacity(self.len() - VLAN_HEADER_LEN);
-        out.extend_from_slice(&dst.octets());
-        out.extend_from_slice(&src.octets());
-        out.extend_from_slice(&inner_type.to_be_bytes());
-        out.extend_from_slice(&payload);
-        self.set_data(&out);
+        let vid = VlanTag::new_checked(eth.payload())?.vid();
+        let old = self.head;
+        self.head += VLAN_HEADER_LEN;
+        self.buf.copy_within(old..old + MAC_ADDRS_LEN, self.head);
         Ok(vid)
     }
 
@@ -246,6 +248,59 @@ mod tests {
         assert_eq!(vid, 42);
         assert_eq!(p.data(), &orig[..]);
         assert!(p.vlan_pop().is_err(), "untagged pop must fail");
+    }
+
+    /// The frame the pre-headroom implementation built: a fresh buffer
+    /// of MACs, tag, inner type, payload.
+    fn tagged_by_construction(frame: &[u8], vid: u16) -> Vec<u8> {
+        let mut out = frame[..12].to_vec();
+        out.extend_from_slice(&0x8100u16.to_be_bytes());
+        out.extend_from_slice(&(vid & 0x0fff).to_be_bytes());
+        out.extend_from_slice(&frame[12..]);
+        out
+    }
+
+    #[test]
+    fn vlan_ops_match_construction_at_any_headroom() {
+        let frame = PacketBuilder::new()
+            .ethernet(MacAddr::local(1), MacAddr::local(2))
+            .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+            .udp(1000, 2000)
+            .payload(b"hello")
+            .build()
+            .data()
+            .to_vec();
+        let tagged = tagged_by_construction(&frame, 0xF02A);
+        for headroom in [DEFAULT_HEADROOM, VLAN_HEADER_LEN, 0] {
+            let mut buf = vec![0xAA; headroom];
+            buf.extend_from_slice(&frame);
+            let mut p = Packet {
+                buf,
+                head: headroom,
+                meta: PacketMeta::default(),
+            };
+            p.vlan_push(0xF02A).unwrap();
+            assert_eq!(p.data(), &tagged[..], "push at headroom {headroom}");
+            assert_eq!(p.vlan_id(), Some(0x02A), "PCP/DEI bits are not set");
+            assert_eq!(p.vlan_pop().unwrap(), 0x02A);
+            assert_eq!(p.data(), &frame[..], "pop at headroom {headroom}");
+        }
+    }
+
+    #[test]
+    fn vlan_op_errors() {
+        let mut short = Packet::from_slice(&[0u8; 13]);
+        assert_eq!(short.vlan_push(1), Err(ParseError::Truncated));
+        assert_eq!(short.vlan_pop(), Err(ParseError::Truncated));
+        let mut untagged = Packet::from_slice(&[0u8; 14]);
+        assert_eq!(untagged.vlan_pop(), Err(ParseError::BadField));
+        // Tagged EtherType but no room for the tag itself.
+        let mut cut = [0u8; 16];
+        cut[12..14].copy_from_slice(&0x8100u16.to_be_bytes());
+        assert_eq!(
+            Packet::from_slice(&cut).vlan_pop(),
+            Err(ParseError::Truncated)
+        );
     }
 
     #[test]

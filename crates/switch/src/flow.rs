@@ -1,11 +1,12 @@
 //! Flow matches, actions and entries.
 
 use std::fmt;
+use std::sync::Arc;
 
 use un_packet::ethernet::MacAddr;
 use un_packet::Ipv4Cidr;
 
-use crate::key::PacketKey;
+use crate::key::{self, mac_bits, Field, PackedKey, PacketKey};
 use crate::lsi::PortNo;
 
 /// How a match constrains the VLAN tag.
@@ -143,6 +144,77 @@ impl FlowMatch {
         true
     }
 
+    /// Compile the match against the packed key layout — the one place
+    /// that decides how each field is compared. A port, a MAC, a /32
+    /// prefix, a specific VLAN id constrain a whole field; a shorter
+    /// CIDR prefix constrains the leading bits of the address plus its
+    /// presence, `VlanSpec::AnyTagged` the presence bit alone. Total
+    /// over today's `FlowMatch`, and the exhaustive destructuring (no
+    /// `..`) keeps it that way — a new match field must be classified
+    /// here before this compiles again, so the index can never silently
+    /// ignore it.
+    pub fn compile(&self) -> CompiledMatch {
+        let FlowMatch {
+            in_port,
+            eth_src,
+            eth_dst,
+            eth_type,
+            vlan,
+            ip_src,
+            ip_dst,
+            ip_proto,
+            l4_src,
+            l4_dst,
+            fwmark,
+        } = *self;
+        let mut c = CompiledMatch {
+            mask: PackedKey::default(),
+            value: PackedKey::default(),
+            exact: true,
+        };
+        if let Some(p) = in_port {
+            c.whole(key::IN_PORT, u64::from(p.0));
+        }
+        if let Some(mac) = eth_src {
+            c.whole(key::ETH_SRC, mac_bits(mac));
+        }
+        if let Some(mac) = eth_dst {
+            c.whole(key::ETH_DST, mac_bits(mac));
+        }
+        if let Some(t) = eth_type {
+            c.whole(key::ETH_TYPE, u64::from(t));
+        }
+        match vlan {
+            None => {}
+            // Whole field, value absent: id bits and presence bit clear.
+            Some(VlanSpec::Untagged) => c.mask.put(key::VLAN, key::VLAN.ones()),
+            Some(VlanSpec::Id(v)) => c.whole(key::VLAN, u64::from(v)),
+            Some(VlanSpec::AnyTagged) => c.constrain(key::VLAN, 0, 0),
+        }
+        for (cidr, field) in [(ip_src, key::IP_SRC), (ip_dst, key::IP_DST)] {
+            if let Some(cidr) = cidr {
+                c.constrain(
+                    field,
+                    u64::from(cidr.mask()),
+                    u64::from(u32::from(cidr.addr())),
+                );
+            }
+        }
+        if let Some(p) = ip_proto {
+            c.whole(key::IP_PROTO, u64::from(p));
+        }
+        if let Some(p) = l4_src {
+            c.whole(key::L4_SRC, u64::from(p));
+        }
+        if let Some(p) = l4_dst {
+            c.whole(key::L4_DST, u64::from(p));
+        }
+        if let Some(mark) = fwmark {
+            c.whole(key::FWMARK, u64::from(mark));
+        }
+        c
+    }
+
     /// Number of constrained fields (used for diagnostics only).
     pub fn specificity(&self) -> u32 {
         let mut n = 0;
@@ -158,6 +230,35 @@ impl FlowMatch {
         n += self.l4_dst.is_some() as u32;
         n += self.fwmark.is_some() as u32;
         n
+    }
+}
+
+/// A [`FlowMatch`] compiled against the packed key layout: a key
+/// satisfies the match iff `key.pack().and(&mask) == value`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompiledMatch {
+    /// The bits the match constrains.
+    pub mask: PackedKey,
+    /// What those bits must equal.
+    pub value: PackedKey,
+    /// The mask covers only whole fields — no prefix shorter than /32,
+    /// no presence-only constraint — so a hit on it is an exact-match
+    /// hit rather than a megaflow hit.
+    pub exact: bool,
+}
+
+impl CompiledMatch {
+    /// Require the `bits_mask` bits of `field` to equal `bits`, and the
+    /// field to be present.
+    fn constrain(&mut self, field: Field, bits_mask: u64, bits: u64) {
+        self.mask.put(field, bits_mask);
+        self.value.put(field, bits & bits_mask);
+        self.exact &= bits_mask == field.ones();
+    }
+
+    /// Require all of `field` to equal `bits`.
+    fn whole(&mut self, field: Field, bits: u64) {
+        self.constrain(field, field.ones(), bits);
     }
 }
 
@@ -193,8 +294,8 @@ pub struct FlowEntry {
     pub priority: u16,
     /// The classifier.
     pub matches: FlowMatch,
-    /// Action list.
-    pub actions: Vec<FlowAction>,
+    /// Action list, shared with every lookup that hits the entry.
+    pub actions: Arc<[FlowAction]>,
     /// Opaque cookie for bulk deletion (the orchestrator uses the
     /// graph-rule id hash).
     pub cookie: u64,
@@ -210,7 +311,7 @@ impl FlowEntry {
         FlowEntry {
             priority,
             matches,
-            actions,
+            actions: actions.into(),
             cookie: 0,
             packet_count: 0,
             byte_count: 0,

@@ -1,9 +1,33 @@
-//! One-pass packet header extraction.
+//! One-pass packet header extraction and the packed flow key.
 //!
 //! [`PacketKey`] is the flattened set of header fields a flow table can
-//! match on — extracted once per packet, then matched against any number
-//! of flow entries (and used directly as the hash key of the microflow
-//! cache). This mirrors Open vSwitch's miniflow design.
+//! match on — extracted once per packet, readable field by field (the
+//! form [`crate::flow::FlowMatch::matches`] and every test oracle
+//! speak). [`PackedKey`] is the same information as five `u64` words —
+//! the only form the classifier hashes, masks and compares. This
+//! mirrors Open vSwitch's miniflow design.
+//!
+//! # Word layout
+//!
+//! ```text
+//! word 0:  in_port (63..32) | eth_type (31..16) | vlan id (15..0)
+//! word 1:  eth_src (63..16)                     | l4_src  (15..0)
+//! word 2:  eth_dst (63..16)                     | l4_dst  (15..0)
+//! word 3:  ip_src  (63..32) | ip_dst   (31..0)
+//! word 4:  fwmark  (63..32) | ip_proto (31..24) | presence bits (5..0)
+//! ```
+//!
+//! Every field owns its bits, and each of the six optional fields
+//! (`vlan`, `ip_src`, `ip_dst`, `ip_proto`, `l4_src`, `l4_dst`) also
+//! owns one presence bit in word 4: `None` packs as all-zero field bits
+//! with the presence bit clear, `Some(v)` as `v` with the bit set. The
+//! packing is therefore injective — two keys pack to the same words iff
+//! all eleven fields are equal, `None` vs `Some(0)` included — so
+//! equality and hashing of the words are equality and hashing of the
+//! key, and "this match constrains that field (or a prefix of it, or
+//! only its presence)" is a bit mask over the same five words.
+
+use std::hash::{Hash, Hasher};
 
 use un_packet::ethernet::{EtherType, EthernetFrame, MacAddr};
 use un_packet::ipv4::Ipv4Packet;
@@ -14,8 +38,90 @@ use un_packet::{IpProtocol, Packet};
 
 use crate::lsi::PortNo;
 
+/// Where one header field sits in a [`PackedKey`] (see the module
+/// docs): the single source of the layout for both key packing and
+/// match compilation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Field {
+    word: usize,
+    shift: u32,
+    width: u32,
+    /// The field's presence bit in word 4; zero for always-present fields.
+    present: u64,
+}
+
+impl Field {
+    const fn new(word: usize, shift: u32, width: u32) -> Field {
+        Field {
+            word,
+            shift,
+            width,
+            present: 0,
+        }
+    }
+
+    const fn optional(self, presence_bit: u32) -> Field {
+        Field {
+            present: 1 << presence_bit,
+            ..self
+        }
+    }
+
+    /// All-ones over the field's width: the mask of "the whole field".
+    pub(crate) const fn ones(self) -> u64 {
+        (1 << self.width) - 1
+    }
+}
+
+pub(crate) const IN_PORT: Field = Field::new(0, 32, 32);
+pub(crate) const ETH_TYPE: Field = Field::new(0, 16, 16);
+pub(crate) const VLAN: Field = Field::new(0, 0, 16).optional(0);
+pub(crate) const ETH_SRC: Field = Field::new(1, 16, 48);
+pub(crate) const L4_SRC: Field = Field::new(1, 0, 16).optional(4);
+pub(crate) const ETH_DST: Field = Field::new(2, 16, 48);
+pub(crate) const L4_DST: Field = Field::new(2, 0, 16).optional(5);
+pub(crate) const IP_SRC: Field = Field::new(3, 32, 32).optional(1);
+pub(crate) const IP_DST: Field = Field::new(3, 0, 32).optional(2);
+pub(crate) const FWMARK: Field = Field::new(4, 32, 32);
+pub(crate) const IP_PROTO: Field = Field::new(4, 24, 8).optional(3);
+
+/// A MAC address as the low 48 bits of a word.
+pub(crate) fn mac_bits(mac: MacAddr) -> u64 {
+    let [a, b, c, d, e, f] = mac.octets();
+    u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+}
+
+/// A flow key (or a mask over one) packed into five words.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PackedKey([u64; 5]);
+
+impl PackedKey {
+    /// OR `bits` into `field` and mark the field present.
+    pub(crate) fn put(&mut self, field: Field, bits: u64) {
+        self.0[field.word] |= bits << field.shift;
+        self.0[4] |= field.present;
+    }
+
+    /// Project onto `mask`: five ANDs.
+    pub fn and(&self, mask: &PackedKey) -> PackedKey {
+        PackedKey(std::array::from_fn(|i| self.0[i] & mask.0[i]))
+    }
+}
+
+/// One hasher write over all five words (the derived impl would add a
+/// length prefix and the default hasher buffers every call).
+impl Hash for PackedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut bytes = [0u8; 40];
+        for (chunk, word) in bytes.chunks_exact_mut(8).zip(self.0) {
+            chunk.copy_from_slice(&word.to_ne_bytes());
+        }
+        state.write(&bytes);
+    }
+}
+
 /// Flattened header fields of one packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketKey {
     /// Ingress port.
     pub in_port: PortNo,
@@ -113,6 +219,50 @@ impl PacketKey {
             }
         }
         key
+    }
+
+    /// Pack the key into the five words the classifier works on.
+    pub fn pack(&self) -> PackedKey {
+        // Exhaustive destructuring (no `..`): a new PacketKey field must
+        // be given bits here before this compiles again.
+        let PacketKey {
+            in_port,
+            eth_src,
+            eth_dst,
+            eth_type,
+            vlan,
+            ip_src,
+            ip_dst,
+            ip_proto,
+            l4_src,
+            l4_dst,
+            fwmark,
+        } = *self;
+        let mut k = PackedKey::default();
+        k.put(IN_PORT, u64::from(in_port.0));
+        k.put(ETH_SRC, mac_bits(eth_src));
+        k.put(ETH_DST, mac_bits(eth_dst));
+        k.put(ETH_TYPE, u64::from(eth_type));
+        k.put(FWMARK, u64::from(fwmark));
+        if let Some(v) = vlan {
+            k.put(VLAN, u64::from(v));
+        }
+        if let Some(a) = ip_src {
+            k.put(IP_SRC, u64::from(u32::from(a)));
+        }
+        if let Some(a) = ip_dst {
+            k.put(IP_DST, u64::from(u32::from(a)));
+        }
+        if let Some(p) = ip_proto {
+            k.put(IP_PROTO, u64::from(p));
+        }
+        if let Some(p) = l4_src {
+            k.put(L4_SRC, u64::from(p));
+        }
+        if let Some(p) = l4_dst {
+            k.put(L4_DST, u64::from(p));
+        }
+        k
     }
 }
 

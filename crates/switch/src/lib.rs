@@ -11,12 +11,13 @@
 //! * [`flow`] — typed flow matches (with CIDR/VLAN wildcards), actions
 //!   (output, VLAN push/pop/set, fwmark, goto-table) and flow entries
 //!   with statistics.
-//! * [`key`] — one-pass packet header extraction into a hashable
-//!   [`key::PacketKey`], the equivalent of OvS's miniflow.
+//! * [`key`] — one-pass packet header extraction into a
+//!   [`key::PacketKey`], the equivalent of OvS's miniflow, and its
+//!   packing into the five words ([`key::PackedKey`]) the classifier
+//!   hashes, masks and compares.
 //! * [`table`] — a priority-ordered flow table fronted by a two-stage
 //!   fast path: a generation-stamped exact-match microflow cache (the
-//!   OvS fast path) plus hash-bucketed exact-match shape tables, with
-//!   the linear scan demoted to wildcard-only entries.
+//!   OvS fast path) plus one hash table per distinct match mask.
 //! * [`lsi`] — the switch itself: ports, a pipeline of one or more
 //!   tables, per-port and per-switch counters, controller punts.
 //!   Two pipeline personalities mirror the paper's driver diversity:
@@ -35,8 +36,8 @@ pub mod lsi;
 pub mod table;
 
 pub use controller::{Controller, ControllerCmd, LearningController};
-pub use flow::{FlowAction, FlowEntry, FlowMatch, VlanSpec};
-pub use key::PacketKey;
+pub use flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch, VlanSpec};
+pub use key::{PackedKey, PacketKey};
 pub use lsi::{
     Backend, LogicalSwitch, PipelineStep, PortNo, ProcessOptions, ProcessResult, SwitchStats,
 };

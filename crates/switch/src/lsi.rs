@@ -323,7 +323,7 @@ impl LogicalSwitch {
 
             let outputs_before = outputs.len();
             let mut goto: Option<u8> = None;
-            for action in &actions {
+            for (i, action) in actions.iter().enumerate() {
                 cost += Cost::from_nanos(costs.flow_action_ns);
                 match *action {
                     FlowAction::Output(out) => {
@@ -333,7 +333,15 @@ impl LogicalSwitch {
                                 op.tx_bytes += pkt.len() as u64;
                                 self.stats.tx_packets += 1;
                             }
-                            outputs.push((out, pkt.clone()));
+                            // The last action of the last table: nothing
+                            // reads the frame again, so it moves out.
+                            let last = goto.is_none() && i + 1 == actions.len();
+                            let frame = if last {
+                                std::mem::take(&mut pkt)
+                            } else {
+                                pkt.clone()
+                            };
+                            outputs.push((out, frame));
                         } else if !ghost {
                             self.stats.dropped += 1;
                         }

@@ -1,55 +1,58 @@
-//! A priority-ordered flow table with a three-stage fast path.
+//! A priority-ordered flow table with a two-stage fast path.
 //!
-//! Lookup tries three classifiers, cheapest first:
+//! Every classifier structure here speaks [`PackedKey`] — the packet's
+//! header fields as five words (layout in [`crate::key`]). A flow
+//! entry's match is compiled once, at [`FlowTable::insert`], into
+//! `(mask, value)` words with "key matches ⇔ `key & mask == value`".
+//! Lookup tries two stages, cheapest first:
 //!
-//! 1. **Microflow cache** — `PacketKey → entry index`, the moral
+//! 1. **Microflow cache** — `PackedKey → entry index`, the moral
 //!    equivalent of the Open vSwitch microflow cache. Entries are
-//!    validated against the table's generation counter (the insertion
-//!    sequence number, which also advances on removal), so a table
-//!    mutation invalidates every cached decision without an O(cache)
-//!    clear.
-//! 2. **Exact-match shape tables** — entries whose match constrains
-//!    only exactly-comparable fields (a port, a MAC, a /32 prefix, a
-//!    specific VLAN id, …) are hash-bucketed by their *shape* (the set
-//!    of constrained fields). One hash probe per distinct shape replaces
-//!    the linear scan for the overwhelmingly common non-wildcard rules.
-//! 3. **Megaflow tables** — the remaining entries (CIDR prefixes
-//!    shorter than /32, any-tagged VLAN specs) are hash-bucketed by
-//!    their *mega-mask*: the exact field set plus the source/destination
-//!    prefix lengths and the tagged-any marker. The packet key is
-//!    masked (IPs truncated to the prefix, VLAN presence canonicalised)
-//!    and probed once per distinct mask, so a table with thousands of
-//!    wildcard entries over a handful of masks costs O(#masks) per
-//!    classification instead of O(#entries). Like the other two stages
-//!    the index is stamped with the table generation and rebuilt lazily
+//!    validated against the table's generation counter (advanced on
+//!    every mutation), so a table change invalidates every cached
+//!    decision without an O(cache) clear.
+//! 2. **Mask tables** — entries are hash-bucketed by their *mask*: one
+//!    `MaskTable` per distinct mask, mapping `value` words to the best
+//!    entry carrying them. The packet key is projected onto each mask
+//!    (five ANDs) and probed once, so a table with thousands of entries
+//!    over a handful of masks costs O(#masks) per classification
+//!    instead of O(#entries). A mask that covers only whole fields (a
+//!    port, a MAC, a /32 prefix, a specific VLAN id, …) is *exact* and a
+//!    hit on it reports [`LookupPath::ExactHit`]; a mask with a partial
+//!    field (a CIDR prefix shorter than /32, the tagged-any presence
+//!    bit) reports [`LookupPath::MegaflowHit`]. Like the cache, the
+//!    index is stamped with the table generation and rebuilt lazily
 //!    after any mutation, so a rule delete/modify can never serve a
 //!    stale action.
 //!
-//! Entries are kept sorted by (priority desc, insertion seq asc), so
-//! "first match wins" reduces to "smallest index wins" across all three
-//! classifiers. The reference they are tested and benchmarked against —
-//! a first-match scan over [`FlowTable::entries`] — lives with its
-//! users (`tests/properties.rs`, the `dataplane_sweep` bench), not here.
+//! Each map probe is one SipHash pass over the five words, keyed per
+//! map by `RandomState`: packet headers are attacker-chosen, so an
+//! unkeyed hash over them would let a sender aim every flow at one
+//! bucket. The microflow probe and the cache insert that follows a
+//! fall-through share one hash through the map's entry API.
+//!
+//! Entries are kept sorted by (priority desc, insertion order), so
+//! "first match wins" reduces to "smallest index wins" across all mask
+//! tables. The reference they are tested and benchmarked against — a
+//! first-match scan over [`FlowTable::entries`] — lives with its users
+//! (`tests/properties.rs`, the `dataplane_sweep` bench), not here.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use std::net::Ipv4Addr;
-
-use crate::flow::{FlowEntry, FlowMatch, VlanSpec};
-use crate::key::PacketKey;
-use crate::lsi::PortNo;
-use un_packet::ethernet::MacAddr;
-use un_packet::Ipv4Cidr;
+use crate::flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch};
+use crate::key::{PackedKey, PacketKey};
 
 /// Result of a lookup, distinguishing the path taken (for cost charging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LookupPath {
     /// Served by the microflow cache.
     CacheHit,
-    /// Served by a hash-bucketed exact-match shape table.
+    /// Served by a mask table whose mask covers only whole fields.
     ExactHit,
-    /// Served by a mask-aware megaflow table (one probe per distinct
-    /// wildcard mask).
+    /// Served by a mask table with a partially-masked field (one probe
+    /// per distinct mask).
     MegaflowHit,
     /// Required a linear scan: the residual wildcard fallback (no
     /// table produces it today, see [`TableStats::wildcard_hits`]).
@@ -63,8 +66,8 @@ pub enum LookupPath {
 /// touched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LookupHit {
-    /// Clone of the matched entry's actions (cheap: small vectors).
-    pub actions: Vec<crate::flow::FlowAction>,
+    /// The matched entry's action list, shared with the entry.
+    pub actions: Arc<[FlowAction]>,
     /// Which classifier stage resolved the lookup.
     pub path: LookupPath,
     /// The matched rule's cookie (the orchestrator's rule-id hash).
@@ -80,14 +83,14 @@ pub struct TableStats {
     pub cache_hits: u64,
     /// Lookups that fell through the microflow cache.
     pub cache_misses: u64,
-    /// Fall-throughs resolved by an exact-match shape table.
+    /// Fall-throughs resolved by an exact (whole-field) mask table.
     pub exact_hits: u64,
-    /// Fall-throughs resolved by a mask-aware megaflow table.
+    /// Fall-throughs resolved by a partially-masked (megaflow) table.
     pub megaflow_hits: u64,
     /// Fall-throughs resolved by the residual wildcard linear scan
-    /// (zero today: every expressible match is either exact-shaped or
-    /// megaflow-maskable; the counter stays for exporters and for the
-    /// day a non-maskable match field appears).
+    /// (zero today: every expressible match compiles to a mask; the
+    /// counter stays for exporters and for the day a non-maskable match
+    /// field appears).
     pub wildcard_hits: u64,
     /// Fall-throughs that matched no entry at all (table miss / drop).
     pub misses: u64,
@@ -120,282 +123,15 @@ impl TableStats {
     }
 }
 
-/// Bitmask of constrained [`FlowMatch`] fields (one bit per field).
-type FieldMask = u16;
-
-const F_IN_PORT: FieldMask = 1 << 0;
-const F_ETH_SRC: FieldMask = 1 << 1;
-const F_ETH_DST: FieldMask = 1 << 2;
-const F_ETH_TYPE: FieldMask = 1 << 3;
-const F_VLAN: FieldMask = 1 << 4;
-const F_IP_SRC: FieldMask = 1 << 5;
-const F_IP_DST: FieldMask = 1 << 6;
-const F_IP_PROTO: FieldMask = 1 << 7;
-const F_L4_SRC: FieldMask = 1 << 8;
-const F_L4_DST: FieldMask = 1 << 9;
-const F_FWMARK: FieldMask = 1 << 10;
-
-/// The canonical "nothing" key that projections start from: every field
-/// a shape does not constrain stays at this value on both the entry and
-/// the packet side, so per-shape hash equality is exact.
-const fn zero_key() -> PacketKey {
-    PacketKey {
-        in_port: PortNo(0),
-        eth_src: MacAddr::ZERO,
-        eth_dst: MacAddr::ZERO,
-        eth_type: 0,
-        vlan: None,
-        ip_src: None,
-        ip_dst: None,
-        ip_proto: None,
-        l4_src: None,
-        l4_dst: None,
-        fwmark: 0,
-    }
-}
-
-/// Project a packet's key onto a shape: constrained fields are kept,
-/// everything else is zeroed to the canonical value.
-fn project(key: &PacketKey, mask: FieldMask) -> PacketKey {
-    // Exhaustive destructuring (no `..`): a new PacketKey field must be
-    // handled here before this compiles again.
-    let PacketKey {
-        in_port,
-        eth_src,
-        eth_dst,
-        eth_type,
-        vlan,
-        ip_src,
-        ip_dst,
-        ip_proto,
-        l4_src,
-        l4_dst,
-        fwmark,
-    } = *key;
-    let mut proj = zero_key();
-    if mask & F_IN_PORT != 0 {
-        proj.in_port = in_port;
-    }
-    if mask & F_ETH_SRC != 0 {
-        proj.eth_src = eth_src;
-    }
-    if mask & F_ETH_DST != 0 {
-        proj.eth_dst = eth_dst;
-    }
-    if mask & F_ETH_TYPE != 0 {
-        proj.eth_type = eth_type;
-    }
-    if mask & F_VLAN != 0 {
-        proj.vlan = vlan;
-    }
-    if mask & F_IP_SRC != 0 {
-        proj.ip_src = ip_src;
-    }
-    if mask & F_IP_DST != 0 {
-        proj.ip_dst = ip_dst;
-    }
-    if mask & F_IP_PROTO != 0 {
-        proj.ip_proto = ip_proto;
-    }
-    if mask & F_L4_SRC != 0 {
-        proj.l4_src = l4_src;
-    }
-    if mask & F_L4_DST != 0 {
-        proj.l4_dst = l4_dst;
-    }
-    if mask & F_FWMARK != 0 {
-        proj.fwmark = fwmark;
-    }
-    proj
-}
-
-/// One exact-match bucket: all entries sharing a field mask, hashed by
-/// their projected key. On duplicate projections the smallest entry
-/// index (= best priority, then earliest insertion) is kept.
-#[derive(Debug, Default)]
-struct ShapeTable {
-    mask: FieldMask,
-    map: HashMap<PacketKey, usize>,
-}
-
-/// Canonical VLAN-id marker used by `AnyTagged` megaflow projections.
-/// VLAN ids are 12-bit, so no real tag collides with it, and entries
-/// constraining a specific id live in a different mega-mask anyway.
-const VLAN_ANY_MARK: u16 = 0xFFFF;
-
-/// A megaflow mask: the exactly-constrained field set plus how the
-/// non-exact fields are masked. Two wildcard entries land in the same
-/// megaflow table iff their masks are identical, so lookup cost is one
-/// hash probe per *distinct mask*, not per entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MegaMask {
-    /// Fields compared exactly (projected via [`project`]).
-    exact: FieldMask,
-    /// Source prefix length when `ip_src` is a CIDR shorter than /32.
-    src_plen: Option<u8>,
-    /// Destination prefix length when `ip_dst` is shorter than /32.
-    dst_plen: Option<u8>,
-    /// Entry requires a VLAN tag with any id (`VlanSpec::AnyTagged`).
-    vlan_any: bool,
-}
-
-impl MegaMask {
-    /// Nothing is masked: every constrained field is compared exactly,
-    /// so the entry belongs in a [`ShapeTable`] keyed by `exact`.
-    fn is_exact(&self) -> bool {
-        self.src_plen.is_none() && self.dst_plen.is_none() && !self.vlan_any
-    }
-}
-
-/// Truncate `addr` to its leading `plen` bits.
-fn mask_ip(addr: Ipv4Addr, plen: u8) -> Ipv4Addr {
-    let mask: u32 = if plen == 0 {
-        0
-    } else {
-        u32::MAX << (32 - u32::from(plen))
-    };
-    Ipv4Addr::from(u32::from(addr) & mask)
-}
-
-/// Mask and projection (the key any matching packet must project to)
-/// of an entry's match: the one place that decides how each field is
-/// compared. A port, a MAC, a /32 prefix, a specific VLAN id are
-/// exactly comparable; CIDR prefixes shorter than /32 and
-/// `VlanSpec::AnyTagged` are masked. Total over today's `FlowMatch`,
-/// and the exhaustive destructuring (no `..`) keeps it that way — a
-/// new match field must be classified here before this compiles
-/// again, so it can never be silently ignored by the index.
-fn mega_shape(m: &FlowMatch) -> (MegaMask, PacketKey) {
-    let FlowMatch {
-        in_port,
-        eth_src,
-        eth_dst,
-        eth_type,
-        vlan,
-        ip_src,
-        ip_dst,
-        ip_proto,
-        l4_src,
-        l4_dst,
-        fwmark,
-    } = m;
-    let mut mask = MegaMask {
-        exact: 0,
-        src_plen: None,
-        dst_plen: None,
-        vlan_any: false,
-    };
-    let mut proj = zero_key();
-    if let Some(p) = *in_port {
-        mask.exact |= F_IN_PORT;
-        proj.in_port = p;
-    }
-    if let Some(mac) = *eth_src {
-        mask.exact |= F_ETH_SRC;
-        proj.eth_src = mac;
-    }
-    if let Some(mac) = *eth_dst {
-        mask.exact |= F_ETH_DST;
-        proj.eth_dst = mac;
-    }
-    if let Some(t) = *eth_type {
-        mask.exact |= F_ETH_TYPE;
-        proj.eth_type = t;
-    }
-    match vlan {
-        None => {}
-        Some(VlanSpec::Untagged) => {
-            mask.exact |= F_VLAN;
-            proj.vlan = None;
-        }
-        Some(VlanSpec::Id(v)) => {
-            mask.exact |= F_VLAN;
-            proj.vlan = Some(*v);
-        }
-        Some(VlanSpec::AnyTagged) => {
-            mask.vlan_any = true;
-            proj.vlan = Some(VLAN_ANY_MARK);
-        }
-    }
-    if let Some(cidr) = *ip_src {
-        mask_cidr(
-            cidr,
-            F_IP_SRC,
-            &mut mask.exact,
-            &mut mask.src_plen,
-            &mut proj.ip_src,
-        );
-    }
-    if let Some(cidr) = *ip_dst {
-        mask_cidr(
-            cidr,
-            F_IP_DST,
-            &mut mask.exact,
-            &mut mask.dst_plen,
-            &mut proj.ip_dst,
-        );
-    }
-    if let Some(p) = *ip_proto {
-        mask.exact |= F_IP_PROTO;
-        proj.ip_proto = Some(p);
-    }
-    if let Some(p) = *l4_src {
-        mask.exact |= F_L4_SRC;
-        proj.l4_src = Some(p);
-    }
-    if let Some(p) = *l4_dst {
-        mask.exact |= F_L4_DST;
-        proj.l4_dst = Some(p);
-    }
-    if let Some(mark) = *fwmark {
-        mask.exact |= F_FWMARK;
-        proj.fwmark = mark;
-    }
-    (mask, proj)
-}
-
-/// Classify one CIDR constraint into the mega-mask: /32 is exact, a
-/// shorter prefix records its length and projects the truncated net.
-fn mask_cidr(
-    cidr: Ipv4Cidr,
-    bit: FieldMask,
-    exact: &mut FieldMask,
-    plen: &mut Option<u8>,
-    proj: &mut Option<Ipv4Addr>,
-) {
-    if cidr.prefix_len() == 32 {
-        *exact |= bit;
-        *proj = Some(cidr.addr());
-    } else {
-        *plen = Some(cidr.prefix_len());
-        *proj = Some(mask_ip(cidr.addr(), cidr.prefix_len()));
-    }
-}
-
-/// Project a packet key onto a mega-mask: exact fields kept, prefix
-/// fields truncated, VLAN presence canonicalised. A packet lacking a
-/// field the mask constrains projects to `None` there and can never
-/// collide with an entry projection (which is always `Some`).
-fn project_mega(key: &PacketKey, mask: &MegaMask) -> PacketKey {
-    let mut proj = project(key, mask.exact);
-    if let Some(p) = mask.src_plen {
-        proj.ip_src = key.ip_src.map(|a| mask_ip(a, p));
-    }
-    if let Some(p) = mask.dst_plen {
-        proj.ip_dst = key.ip_dst.map(|a| mask_ip(a, p));
-    }
-    if mask.vlan_any {
-        proj.vlan = key.vlan.map(|_| VLAN_ANY_MARK);
-    }
-    proj
-}
-
-/// One megaflow bucket: all wildcard entries sharing a mega-mask,
-/// hashed by their masked projection; smallest entry index wins.
+/// All entries sharing one mask, hashed by their value words. On
+/// duplicate values the smallest entry index (= best priority, then
+/// earliest insertion) is kept.
 #[derive(Debug)]
-struct MegaTable {
-    mask: MegaMask,
-    map: HashMap<PacketKey, usize>,
+struct MaskTable {
+    mask: PackedKey,
+    /// The mask covers only whole fields ([`CompiledMatch::exact`]).
+    exact: bool,
+    map: HashMap<PackedKey, usize>,
 }
 
 /// Bound on the microflow cache before it is recycled wholesale; stale
@@ -403,36 +139,39 @@ struct MegaTable {
 /// churning table would accumulate dead keys.
 const CACHE_CAP: usize = 8_192;
 
+/// One installed entry with its match compiled at insert time.
+#[derive(Debug)]
+struct Rule {
+    entry: FlowEntry,
+    compiled: CompiledMatch,
+}
+
 /// A single flow table.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    /// Entries sorted by (priority desc, insertion seq asc).
-    entries: Vec<FlowEntry>,
-    /// Insertion sequence numbers parallel to `entries`.
-    seqs: Vec<u64>,
-    /// Next sequence number; doubles as the table generation (advanced
-    /// on *every* mutation, including removals) that stamps and
-    /// invalidates cache entries and the exact-match index.
-    next_seq: u64,
-    cache: HashMap<PacketKey, (u64, usize)>,
-    /// Shape + megaflow tables, rebuilt lazily per generation.
-    shapes: Vec<ShapeTable>,
-    mega: Vec<MegaTable>,
+    /// Rules sorted by (priority desc, insertion order).
+    rules: Vec<Rule>,
+    /// Advanced on *every* mutation, including removals; stamps and
+    /// invalidates cache entries and the mask-table index.
+    generation: u64,
+    cache: HashMap<PackedKey, (u64, usize)>,
+    /// Mask tables, rebuilt lazily per generation.
+    index: Vec<MaskTable>,
     index_gen: u64,
     /// Cache hits since creation.
     pub cache_hits: u64,
     /// Cache misses since creation.
     pub cache_misses: u64,
-    /// Exact-match shape-table hits since creation.
+    /// Exact mask-table hits since creation.
     pub exact_hits: u64,
-    /// Megaflow-table hits since creation.
+    /// Megaflow mask-table hits since creation.
     pub megaflow_hits: u64,
     /// Wildcard-scan hits since creation (see [`TableStats`]).
     pub wildcard_hits: u64,
     /// Lookups that matched nothing since creation.
     pub misses: u64,
     /// Megaflow hash probes issued since creation: one per distinct
-    /// mega-mask per classification, the O(#masks) evidence.
+    /// non-exact mask per classification, the O(#masks) evidence.
     pub megaflow_probes: u64,
 }
 
@@ -444,12 +183,12 @@ impl FlowTable {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.rules.len()
     }
 
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.rules.is_empty()
     }
 
     /// Lookup counters as one block.
@@ -464,187 +203,158 @@ impl FlowTable {
         }
     }
 
-    /// Number of distinct megaflow masks in the current index (builds
-    /// the index if stale). Lookup cost for wildcard traffic is one
-    /// hash probe per mask, regardless of how many entries share them.
+    /// Number of distinct megaflow (non-exact) masks in the current
+    /// index (builds the index if stale). Lookup cost for wildcard
+    /// traffic is one hash probe per mask, regardless of how many
+    /// entries share them.
     pub fn megaflow_mask_count(&mut self) -> usize {
         self.ensure_index();
-        self.mega.len()
+        Self::megaflow_masks(&self.index)
     }
 
-    /// Advance the generation: every cached decision and the exact
-    /// index become stale.
-    fn touch(&mut self) {
-        self.next_seq += 1;
+    fn megaflow_masks(index: &[MaskTable]) -> usize {
+        index.iter().filter(|t| !t.exact).count()
     }
 
     /// Install an entry, keeping priority order. Invalidates the cache.
     pub fn insert(&mut self, entry: FlowEntry) {
-        let seq = self.next_seq;
-        self.touch();
-        // Find insert position: after all entries with priority >= new
-        // (stable among equal priorities).
+        self.generation += 1;
+        // After all entries with priority >= new (stable among equal
+        // priorities).
         let pos = self
-            .entries
-            .iter()
-            .position(|e| e.priority < entry.priority)
-            .unwrap_or(self.entries.len());
-        self.entries.insert(pos, entry);
-        self.seqs.insert(pos, seq);
+            .rules
+            .partition_point(|r| r.entry.priority >= entry.priority);
+        let compiled = entry.matches.compile();
+        self.rules.insert(pos, Rule { entry, compiled });
     }
 
     /// Remove all entries with the given cookie; returns how many.
     pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let before = self.entries.len();
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].cookie == cookie {
-                self.entries.remove(i);
-                self.seqs.remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        let removed = before - self.entries.len();
+        let before = self.rules.len();
+        self.rules.retain(|r| r.entry.cookie != cookie);
+        let removed = before - self.rules.len();
         if removed > 0 {
-            self.touch();
+            self.generation += 1;
         }
         removed
     }
 
     /// Remove every entry.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.seqs.clear();
-        self.touch();
+        self.rules.clear();
+        self.generation += 1;
     }
 
-    /// Rebuild the exact-match index if the table changed since it was
+    /// Rebuild the mask-table index if the table changed since it was
     /// last built.
     fn ensure_index(&mut self) {
-        if self.index_gen == self.next_seq {
+        if self.index_gen == self.generation {
             return;
         }
-        self.shapes.clear();
-        self.mega.clear();
-        let mut by_mask: HashMap<FieldMask, usize> = HashMap::new();
-        let mut by_mega: HashMap<MegaMask, usize> = HashMap::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            let (mask, proj) = mega_shape(&e.matches);
+        self.index.clear();
+        let mut by_mask: HashMap<PackedKey, usize> = HashMap::new();
+        for (i, rule) in self.rules.iter().enumerate() {
+            let CompiledMatch { mask, value, exact } = rule.compiled;
+            let slot = *by_mask.entry(mask).or_insert_with(|| {
+                self.index.push(MaskTable {
+                    mask,
+                    exact,
+                    map: HashMap::new(),
+                });
+                self.index.len() - 1
+            });
             // First (smallest) index wins on identical matches.
-            if mask.is_exact() {
-                let slot = *by_mask.entry(mask.exact).or_insert_with(|| {
-                    self.shapes.push(ShapeTable {
-                        mask: mask.exact,
-                        map: HashMap::new(),
-                    });
-                    self.shapes.len() - 1
-                });
-                self.shapes[slot].map.entry(proj).or_insert(i);
-            } else {
-                let slot = *by_mega.entry(mask).or_insert_with(|| {
-                    self.mega.push(MegaTable {
-                        mask,
-                        map: HashMap::new(),
-                    });
-                    self.mega.len() - 1
-                });
-                self.mega[slot].map.entry(proj).or_insert(i);
-            }
+            self.index[slot].map.entry(value).or_insert(i);
         }
-        self.index_gen = self.next_seq;
+        self.index_gen = self.generation;
     }
 
-    /// Find the winning entry index for `key` via the indexed
-    /// classifier, or `None` on table miss.
-    fn classify(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
-        self.ensure_index();
-        // Candidates are indices into the sorted entry vector, so the
+    /// Find the winning entry index for `key` in a fresh index, and
+    /// which kind of mask table produced it; `None` on table miss.
+    fn classify(index: &[MaskTable], key: &PackedKey) -> Option<(usize, LookupPath)> {
+        // Candidates are indices into the sorted rule vector, so the
         // smallest index is the best (priority desc, insertion asc).
-        let mut best: Option<usize> = None;
-        for shape in &self.shapes {
-            if let Some(&i) = shape.map.get(&project(key, shape.mask)) {
-                if best.is_none_or(|b| i < b) {
-                    best = Some(i);
+        let mut best: Option<(usize, bool)> = None;
+        for table in index {
+            if let Some(&i) = table.map.get(&key.and(&table.mask)) {
+                if best.is_none_or(|(b, _)| i < b) {
+                    best = Some((i, table.exact));
                 }
             }
         }
-        let exact_best = best;
-        for mega in &self.mega {
-            if let Some(&i) = mega.map.get(&project_mega(key, &mega.mask)) {
-                if best.is_none_or(|b| i < b) {
-                    best = Some(i);
-                }
-            }
-        }
-        let idx = best?;
-        let path = if exact_best == Some(idx) {
-            LookupPath::ExactHit
-        } else {
-            LookupPath::MegaflowHit
-        };
-        Some((idx, path))
-    }
-
-    /// The classifier's decision for `key` — winning entry index and
-    /// the stage that found it — with no observable side effect:
-    /// generation-checked microflow probe, else [`Self::classify`].
-    /// (`&mut` only because a stale index may need rebuilding.) Real
-    /// and ghost lookups both decide here, so they cannot disagree.
-    fn resolve(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
-        if let Some(&(gen, idx)) = self.cache.get(key) {
-            // Generation match ⇒ the table is untouched since this
-            // decision was cached, so idx is valid.
-            if gen == self.next_seq {
-                return Some((idx, LookupPath::CacheHit));
-            }
-        }
-        self.classify(key)
+        best.map(|(i, exact)| {
+            let path = if exact {
+                LookupPath::ExactHit
+            } else {
+                LookupPath::MegaflowHit
+            };
+            (i, path)
+        })
     }
 
     /// Look up the best entry for `key`, updating its counters by
     /// `bytes`. Returns the matched actions plus provenance (stage,
     /// cookie, priority), or `None` on table miss.
     pub fn lookup(&mut self, key: &PacketKey, bytes: usize) -> Option<LookupHit> {
-        let resolved = self.resolve(key);
-        if !matches!(resolved, Some((_, LookupPath::CacheHit))) {
-            self.cache_misses += 1;
-            self.megaflow_probes += self.mega.len() as u64;
-        }
-        let Some((idx, path)) = resolved else {
-            self.misses += 1;
-            return None;
-        };
-        match path {
-            LookupPath::CacheHit => self.cache_hits += 1,
-            LookupPath::ExactHit => self.exact_hits += 1,
-            LookupPath::MegaflowHit => self.megaflow_hits += 1,
-            LookupPath::Miss => self.wildcard_hits += 1,
-        }
-        if path != LookupPath::CacheHit {
-            if self.cache.len() >= CACHE_CAP {
-                self.cache.clear();
+        self.ensure_index();
+        let key = key.pack();
+        let generation = self.generation;
+        let full = self.cache.len() >= CACHE_CAP;
+        // One hash serves the probe and, on a fall-through, the insert.
+        let (idx, path) = match self.cache.entry(key) {
+            // Generation match ⇒ the table is untouched since this
+            // decision was cached, so idx is valid.
+            Entry::Occupied(slot) if slot.get().0 == generation => {
+                self.cache_hits += 1;
+                (slot.get().1, LookupPath::CacheHit)
             }
-            self.cache.insert(*key, (self.next_seq, idx));
-        }
-        let entry = &mut self.entries[idx];
+            slot => {
+                self.cache_misses += 1;
+                self.megaflow_probes += Self::megaflow_masks(&self.index) as u64;
+                let Some((idx, path)) = Self::classify(&self.index, &key) else {
+                    self.misses += 1;
+                    return None;
+                };
+                match path {
+                    LookupPath::ExactHit => self.exact_hits += 1,
+                    _ => self.megaflow_hits += 1,
+                }
+                if full {
+                    self.cache.clear();
+                    self.cache.insert(key, (generation, idx));
+                } else {
+                    slot.insert_entry((generation, idx));
+                }
+                (idx, path)
+            }
+        };
+        let entry = &mut self.rules[idx].entry;
         entry.packet_count += 1;
         entry.byte_count += bytes as u64;
         Some(Self::hit(entry, path))
     }
 
-    /// Ghost lookup: the same decision [`FlowTable::lookup`] takes,
-    /// with *zero* observable side effects — no stats, no entry
-    /// packet/byte counters, no microflow-cache insertion, no probe
-    /// effort accounting.
+    /// Ghost lookup: the same decision [`FlowTable::lookup`] takes —
+    /// generation-checked microflow probe, else the mask tables — with
+    /// *zero* observable side effects: no stats, no entry packet/byte
+    /// counters, no microflow-cache insertion, no probe effort
+    /// accounting. (`&mut` only because a stale index may need
+    /// rebuilding.)
     pub fn lookup_ghost(&mut self, key: &PacketKey) -> Option<LookupHit> {
-        let (idx, path) = self.resolve(key)?;
-        Some(Self::hit(&self.entries[idx], path))
+        self.ensure_index();
+        let key = key.pack();
+        let (idx, path) = match self.cache.get(&key) {
+            Some(&(generation, idx)) if generation == self.generation => {
+                (idx, LookupPath::CacheHit)
+            }
+            _ => Self::classify(&self.index, &key)?,
+        };
+        Some(Self::hit(&self.rules[idx].entry, path))
     }
 
     fn hit(entry: &FlowEntry, path: LookupPath) -> LookupHit {
         LookupHit {
-            actions: entry.actions.clone(),
+            actions: Arc::clone(&entry.actions),
             path,
             cookie: entry.cookie,
             priority: entry.priority,
@@ -653,26 +363,25 @@ impl FlowTable {
 
     /// Find entries matching a predicate over (priority, match).
     pub fn find(&self, priority: u16, matches: &FlowMatch) -> Option<&FlowEntry> {
-        self.entries
-            .iter()
+        self.entries()
             .find(|e| e.priority == priority && &e.matches == matches)
     }
 
     /// Iterate entries in match order.
     pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.entries.iter()
+        self.rules.iter().map(|r| &r.entry)
     }
 
     /// Sum of packet counters (for stats endpoints).
     pub fn total_packets(&self) -> u64 {
-        self.entries.iter().map(|e| e.packet_count).sum()
+        self.entries().map(|e| e.packet_count).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::FlowAction;
+    use crate::flow::{FlowAction, VlanSpec};
     use crate::lsi::PortNo;
     use un_packet::ethernet::MacAddr;
     use un_packet::Ipv4Cidr;
@@ -707,9 +416,9 @@ mod tests {
         t.insert(entry(1, None, 99)); // default
         t.insert(entry(10, Some(1), 2));
         let LookupHit { actions, .. } = t.lookup(&key(1), 100).unwrap();
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(2))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(2))]);
         let LookupHit { actions, .. } = t.lookup(&key(5), 100).unwrap();
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(99))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(99))]);
     }
 
     #[test]
@@ -718,7 +427,7 @@ mod tests {
         t.insert(entry(5, Some(1), 10));
         t.insert(entry(5, Some(1), 20));
         let LookupHit { actions, .. } = t.lookup(&key(1), 1).unwrap();
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(10))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(10))]);
     }
 
     #[test]
@@ -726,7 +435,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.insert(entry(1, Some(1), 2));
         let LookupHit { path, .. } = t.lookup(&key(1), 1).unwrap();
-        assert_eq!(path, LookupPath::ExactHit, "in-port match is exact-shaped");
+        assert_eq!(path, LookupPath::ExactHit, "in-port masks a whole field");
         let LookupHit { path, .. } = t.lookup(&key(1), 1).unwrap();
         assert_eq!(path, LookupPath::CacheHit);
         assert_eq!(t.cache_hits, 1);
@@ -735,7 +444,7 @@ mod tests {
         t.insert(entry(9, Some(1), 3));
         let LookupHit { actions, path, .. } = t.lookup(&key(1), 1).unwrap();
         assert_ne!(path, LookupPath::CacheHit);
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(3))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(3))]);
     }
 
     #[test]
@@ -820,12 +529,12 @@ mod tests {
         let mut k = key(4);
         k.ip_dst = Some("10.9.9.9".parse().unwrap());
         let LookupHit { actions, .. } = t.lookup(&k, 1).unwrap();
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(1))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(1))]);
         // Non-10/8 traffic falls through to the exact entry.
         let mut k2 = key(4);
         k2.ip_dst = Some("172.16.0.1".parse().unwrap());
         let LookupHit { actions, path, .. } = t.lookup(&k2, 1).unwrap();
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(2))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(2))]);
         assert_eq!(path, LookupPath::ExactHit);
     }
 
@@ -882,7 +591,30 @@ mod tests {
         t.remove_by_cookie(0xAA);
         let LookupHit { actions, path, .. } = t.lookup(&key(1), 1).unwrap();
         assert_ne!(path, LookupPath::CacheHit, "stale decision must not serve");
-        assert_eq!(actions, vec![FlowAction::Output(PortNo(99))]);
+        assert_eq!(*actions, [FlowAction::Output(PortNo(99))]);
+    }
+
+    /// Decision (a) of the packed-key design: packet headers are
+    /// attacker-chosen, so every map is keyed by its own `RandomState` —
+    /// two tables built from the same rules hash the same key to
+    /// different values, in the cache and in the mask tables alike.
+    #[test]
+    fn tables_are_keyed_not_sharing_a_seed() {
+        use std::hash::BuildHasher;
+        let build = || {
+            let mut t = FlowTable::new();
+            t.insert(entry(1, Some(1), 2));
+            assert!(t.lookup(&key(1), 1).is_some());
+            t
+        };
+        let (a, b) = (build(), build());
+        let k = key(1).pack();
+        assert_ne!(a.cache.hasher().hash_one(k), b.cache.hasher().hash_one(k));
+        let masked = k.and(&a.index[0].mask);
+        assert_ne!(
+            a.index[0].map.hasher().hash_one(masked),
+            b.index[0].map.hasher().hash_one(masked)
+        );
     }
 
     #[test]

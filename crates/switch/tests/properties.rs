@@ -2,6 +2,7 @@
 //! agree with a reference model.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use un_packet::ethernet::MacAddr;
 use un_packet::Ipv4Cidr;
 use un_switch::{
@@ -100,7 +101,7 @@ fn reference_lookup(rules: &[RuleSpec], key: &PacketKey) -> Option<u32> {
 /// scan over the table's own entries, which `FlowTable::entries` yields
 /// in match order. It reads the table immutably, so it can neither
 /// touch the fast-path counters nor warm the microflow cache.
-fn linear_scan(table: &FlowTable, key: &PacketKey) -> Option<Vec<FlowAction>> {
+fn linear_scan(table: &FlowTable, key: &PacketKey) -> Option<Arc<[FlowAction]>> {
     table
         .entries()
         .find(|e| e.matches.matches(key))
@@ -245,7 +246,7 @@ fn megaflow_demotion_is_observable_in_stats() {
 
     // CIDR win: megaflow path.
     let LookupHit { actions, path, .. } = t.lookup(&dst_key(9, 1), 64).unwrap();
-    assert_eq!(actions, vec![FlowAction::Output(PortNo(1))]);
+    assert_eq!(*actions, [FlowAction::Output(PortNo(1))]);
     assert_eq!(path, LookupPath::MegaflowHit);
     assert_eq!(t.stats().megaflow_hits, 1);
     assert_eq!(t.stats().exact_hits, 0);
@@ -255,7 +256,7 @@ fn megaflow_demotion_is_observable_in_stats() {
     k.ip_dst = Some(std::net::Ipv4Addr::new(172, 16, 0, 1));
     k.vlan = Some(7);
     let LookupHit { actions, path, .. } = t.lookup(&k, 64).unwrap();
-    assert_eq!(actions, vec![FlowAction::Output(PortNo(2))]);
+    assert_eq!(*actions, [FlowAction::Output(PortNo(2))]);
     assert_eq!(path, LookupPath::MegaflowHit);
     assert_eq!(t.stats().megaflow_hits, 2);
 
@@ -265,7 +266,7 @@ fn megaflow_demotion_is_observable_in_stats() {
     k32.ip_dst = Some(std::net::Ipv4Addr::new(10, 0, 3, 2));
     // 10.0.3.2 is inside 10.0/16, so the CIDR (priority 5) wins...
     let LookupHit { actions, path, .. } = t.lookup(&k32, 64).unwrap();
-    assert_eq!(actions, vec![FlowAction::Output(PortNo(1))]);
+    assert_eq!(*actions, [FlowAction::Output(PortNo(1))]);
     assert_eq!(path, LookupPath::MegaflowHit);
     // ...so demote the CIDR out of the way and try again.
     t.clear();
@@ -275,7 +276,7 @@ fn megaflow_demotion_is_observable_in_stats() {
         vec![FlowAction::Output(PortNo(3))],
     ));
     let LookupHit { actions, path, .. } = t.lookup(&k32, 64).unwrap();
-    assert_eq!(actions, vec![FlowAction::Output(PortNo(3))]);
+    assert_eq!(*actions, [FlowAction::Output(PortNo(3))]);
     assert_eq!(path, LookupPath::ExactHit);
     assert_eq!(t.stats().exact_hits, 1);
 }
@@ -305,7 +306,7 @@ fn cache_counters_across_invalidation() {
         vec![FlowAction::Output(PortNo(2))],
     ));
     let LookupHit { actions, path, .. } = t.lookup(&k, 64).unwrap();
-    assert_eq!(actions, vec![FlowAction::Output(PortNo(2))]);
+    assert_eq!(*actions, [FlowAction::Output(PortNo(2))]);
     assert_ne!(path, LookupPath::CacheHit);
     assert_eq!((t.stats().cache_hits, t.stats().cache_misses), (2, 2));
     assert_eq!(t.lookup(&k, 64).unwrap().path, LookupPath::CacheHit);
@@ -537,4 +538,150 @@ fn wildcard_heavy_lookup_is_bounded_by_mask_count() {
         "probe count scales with masks (3), not entries (448)"
     );
     assert_eq!(t.stats().megaflow_hits, lookups);
+}
+
+/// Keys built to break a packing: every field drawn from a small set
+/// that holds its zero, its all-ones and — for the optional fields —
+/// `None` beside `Some(0)`, so neighbours in a word can collide if the
+/// layout lets them and equal pairs are common.
+fn hostile_key_strategy() -> impl Strategy<Value = PacketKey> {
+    use prop::sample::select;
+    let macs = || select(vec![MacAddr::ZERO, MacAddr::local(1), MacAddr([0xff; 6])]);
+    let ips = || {
+        select(vec![
+            None,
+            Some(std::net::Ipv4Addr::new(0, 0, 0, 0)),
+            Some(std::net::Ipv4Addr::new(10, 0, 0, 1)),
+            Some(std::net::Ipv4Addr::new(10, 0, 1, 1)),
+            Some(std::net::Ipv4Addr::new(255, 255, 255, 255)),
+        ])
+    };
+    let l4 = || select(vec![None, Some(0u16), Some(80), Some(0xffff)]);
+    (
+        (
+            select(vec![0u32, 1, u32::MAX]),
+            macs(),
+            macs(),
+            select(vec![0u16, 0x0800, 0xffff]),
+            select(vec![None, Some(0u16), Some(1), Some(0xffff)]),
+        ),
+        (
+            ips(),
+            ips(),
+            select(vec![None, Some(0u8), Some(6), Some(0xff)]),
+            l4(),
+            l4(),
+            select(vec![0u32, 1, u32::MAX]),
+        ),
+    )
+        .prop_map(
+            |(
+                (in_port, eth_src, eth_dst, eth_type, vlan),
+                (ip_src, ip_dst, ip_proto, l4_src, l4_dst, fwmark),
+            )| PacketKey {
+                in_port: PortNo(in_port),
+                eth_src,
+                eth_dst,
+                eth_type,
+                vlan,
+                ip_src,
+                ip_dst,
+                ip_proto,
+                l4_src,
+                l4_dst,
+                fwmark,
+            },
+        )
+}
+
+/// A match assembled field by field from two keys: each field is left
+/// wild (modes 0, 1), constrained to what `hit` carries (2) or to what
+/// `other` carries (3). Fields taken from `hit` make matching matches
+/// common; an absent optional field still yields a constraint (untagged,
+/// `0.0.0.0/len`, port 0, …) so "constrained but absent" is exercised.
+fn match_from(hit: &PacketKey, other: &PacketKey, modes: &[u8; 12], plens: [u8; 2]) -> FlowMatch {
+    let pick = |i: usize| match modes[i] {
+        2 => Some(hit),
+        3 => Some(other),
+        _ => None,
+    };
+    let cidr = |ip: Option<std::net::Ipv4Addr>, plen| {
+        Ipv4Cidr::new(ip.unwrap_or(std::net::Ipv4Addr::UNSPECIFIED), plen)
+    };
+    FlowMatch {
+        in_port: pick(0).map(|k| k.in_port),
+        eth_src: pick(1).map(|k| k.eth_src),
+        eth_dst: pick(2).map(|k| k.eth_dst),
+        eth_type: pick(3).map(|k| k.eth_type),
+        // The spare selector byte alternates the two ways
+        // of accepting a tagged frame.
+        vlan: pick(4).map(|k| match k.vlan {
+            None => VlanSpec::Untagged,
+            Some(_) if modes[11] < 2 => VlanSpec::AnyTagged,
+            Some(v) => VlanSpec::Id(v),
+        }),
+        ip_src: pick(5).map(|k| cidr(k.ip_src, plens[0])),
+        ip_dst: pick(6).map(|k| cidr(k.ip_dst, plens[1])),
+        ip_proto: pick(7).map(|k| k.ip_proto.unwrap_or(0)),
+        l4_src: pick(8).map(|k| k.l4_src.unwrap_or(0)),
+        l4_dst: pick(9).map(|k| k.l4_dst.unwrap_or(0)),
+        fwmark: pick(10).map(|k| k.fwmark),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The packing is injective: two keys pack to the same five words
+    /// iff all eleven fields are equal. `b` is `a` with at most one
+    /// field swapped for a hostile value, so both outcomes are common.
+    #[test]
+    fn packed_words_equal_iff_fields_equal(
+        a in hostile_key_strategy(),
+        donor in hostile_key_strategy(),
+        field in 0usize..12,
+    ) {
+        let mut b = a;
+        match field {
+            0 => b.in_port = donor.in_port,
+            1 => b.eth_src = donor.eth_src,
+            2 => b.eth_dst = donor.eth_dst,
+            3 => b.eth_type = donor.eth_type,
+            4 => b.vlan = donor.vlan,
+            5 => b.ip_src = donor.ip_src,
+            6 => b.ip_dst = donor.ip_dst,
+            7 => b.ip_proto = donor.ip_proto,
+            8 => b.l4_src = donor.l4_src,
+            9 => b.l4_dst = donor.l4_dst,
+            10 => b.fwmark = donor.fwmark,
+            _ => {}
+        }
+        prop_assert_eq!(a.pack() == b.pack(), a == b, "{:?} vs {:?}", a, b);
+        // And against an unrelated key, not just a one-field neighbour.
+        prop_assert_eq!(a.pack() == donor.pack(), a == donor);
+    }
+
+    /// The compiled match is the field-wise match: for every VLAN spec,
+    /// every prefix length and IP matches against non-IP keys,
+    /// `key & mask == value` ⇔ `FlowMatch::matches(key)`.
+    #[test]
+    fn compiled_match_agrees_with_field_wise_oracle(
+        key in hostile_key_strategy(),
+        other in hostile_key_strategy(),
+        modes in prop::array::uniform12(0u8..4),
+        src_plen in prop::sample::select(vec![0u8, 1, 8, 24, 31, 32]),
+        dst_plen in prop::sample::select(vec![0u8, 1, 8, 24, 31, 32]),
+    ) {
+        let m = match_from(&key, &other, &modes, [src_plen, dst_plen]);
+        let c = m.compile();
+        for k in [&key, &other] {
+            prop_assert_eq!(
+                k.pack().and(&c.mask) == c.value,
+                m.matches(k),
+                "{:?} against {:?}",
+                m,
+                k
+            );
+        }
+    }
 }
