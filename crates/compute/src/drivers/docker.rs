@@ -1,32 +1,27 @@
 //! The Docker driver.
 //!
-//! Containers share the host kernel: the driver creates a network
-//! namespace, joins the container to it, and configures the NF's kernel
-//! state with the *same* plugin code the native driver uses — that is
-//! the entrypoint script of the containerized NF. Packaging and
-//! footprint differ (image layers, runtime shim); the data path does
-//! not. Table 1's near-identical Docker/native throughput follows.
+//! Containers share the host kernel: the driver joins the container to
+//! the same plugin-in-a-namespace sandbox the native driver runs —
+//! the plugin is the entrypoint script of the containerized NF.
+//! Packaging and footprint differ (image layers, runtime shim); the
+//! data path does not. Table 1's near-identical Docker/native
+//! throughput follows.
 
 use std::collections::HashMap;
 
 use un_container::{ContainerId, ContainerRuntime, Registry};
-use un_linux::{Host, IfaceId, NsId};
+use un_linux::{Host, NsId};
 use un_nffg::NfConfig;
-use un_nnf::{NnfCatalog, NnfContext, NnfPlugin};
+use un_nnf::NnfCatalog;
 use un_packet::Packet;
 use un_sim::{AccountId, MemLedger};
 
+use super::sandbox::{substrate, Sandbox};
 use crate::types::{ComputeError, IoOutcome};
 
 struct DockerInstance {
     container: ContainerId,
-    ns: NsId,
-    ports: Vec<IfaceId>,
-    base_tag: u64,
-    plugin: Box<dyn NnfPlugin>,
-    config: NfConfig,
-    account: AccountId,
-    started: bool,
+    sandbox: Sandbox,
 }
 
 /// Driver state: the container engine plus per-instance bookkeeping.
@@ -83,33 +78,25 @@ impl DockerDriver {
                 ComputeError::Substrate(format!("image {image}:{tag} not in registry"))
             })?;
 
-        let ns = host.add_namespace(&format!("docker-{name}"));
-        let mut ports = Vec::with_capacity(n_ports);
-        for i in 0..n_ports {
-            let ifc = host
-                .add_external(ns, &format!("eth{i}"), base_tag + i as u64)
-                .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-            ports.push(ifc);
-        }
-        let container = self
+        let ns_name = format!("docker-{name}");
+        let sandbox = Sandbox::create(
+            host, &ns_name, "eth", n_ports, base_tag, plugin, config, account,
+        )?;
+        let ns = sandbox.ns();
+        let made = self
             .runtime
-            .create(name, image, tag, ns, process_rss, ledger, account)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-
-        self.instances.insert(
-            key,
-            DockerInstance {
-                container,
-                ns,
-                ports,
-                base_tag,
-                plugin,
-                config: config.clone(),
-                account,
-                started: false,
-            },
-        );
-        Ok(())
+            .create(name, image, tag, ns, process_rss, ledger, account);
+        match made {
+            Ok(container) => {
+                let inst = DockerInstance { container, sandbox };
+                self.instances.insert(key, inst);
+                Ok(())
+            }
+            Err(e) => {
+                let _ = sandbox.destroy(host);
+                Err(substrate(e))
+            }
+        }
     }
 
     /// Start the container and run its entrypoint configuration.
@@ -125,18 +112,8 @@ impl DockerDriver {
             .ok_or(ComputeError::NoSuchInstance(key))?;
         self.runtime
             .start(inst.container, ledger)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-        let mut ctx = NnfContext {
-            host,
-            ns: inst.ns,
-            ledger,
-            account: inst.account,
-        };
-        inst.plugin
-            .start(&mut ctx, &inst.ports, &inst.config)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-        inst.started = true;
-        Ok(())
+            .map_err(substrate)?;
+        inst.sandbox.start(host, ledger)
     }
 
     /// Stop the container (entrypoint teardown + runtime stop).
@@ -150,21 +127,8 @@ impl DockerDriver {
             .instances
             .get_mut(&key)
             .ok_or(ComputeError::NoSuchInstance(key))?;
-        if inst.started {
-            let mut ctx = NnfContext {
-                host,
-                ns: inst.ns,
-                ledger,
-                account: inst.account,
-            };
-            inst.plugin
-                .stop(&mut ctx)
-                .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-            inst.started = false;
-        }
-        self.runtime
-            .stop(inst.container, ledger)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+        inst.sandbox.stop(host, ledger)?;
+        self.runtime.stop(inst.container, ledger).map_err(substrate)
     }
 
     /// Remove a stopped container and its network namespace.
@@ -173,59 +137,21 @@ impl DockerDriver {
             .instances
             .remove(&key)
             .ok_or(ComputeError::NoSuchInstance(key))?;
-        self.runtime
-            .remove(inst.container)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-        host.remove_namespace(inst.ns)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+        self.runtime.remove(inst.container).map_err(substrate)?;
+        inst.sandbox.destroy(host)
     }
 
-    /// Unified packet delivery: inject into the instance's port iface.
-    pub fn deliver(&mut self, key: u64, port: u32, pkt: Packet, host: &mut Host) -> IoOutcome {
-        let Some(inst) = self.instances.get(&key) else {
-            return IoOutcome::default();
-        };
-        let Some(&iface) = inst.ports.get(port as usize) else {
-            return IoOutcome::default();
-        };
-        let base = inst.base_tag;
-        let n = inst.ports.len() as u64;
-        Self::tag_filter(base, n, host.inject(iface, pkt))
-    }
-
-    /// Batched delivery: resolve the container and its port map once,
-    /// inject the whole burst, one `IoOutcome` per frame in order.
+    /// Batched delivery: resolve the container once, inject the whole
+    /// burst, one `IoOutcome` per frame in order.
     pub fn deliver_batch(
         &mut self,
         key: u64,
         frames: Vec<(u32, Packet)>,
         host: &mut Host,
     ) -> Vec<IoOutcome> {
-        let Some(inst) = self.instances.get(&key) else {
-            return frames.iter().map(|_| IoOutcome::default()).collect();
-        };
-        let base = inst.base_tag;
-        let n = inst.ports.len() as u64;
-        frames
-            .into_iter()
-            .map(|(port, pkt)| match inst.ports.get(port as usize) {
-                Some(&iface) => Self::tag_filter(base, n, host.inject(iface, pkt)),
-                None => IoOutcome::default(),
-            })
-            .collect()
-    }
-
-    /// Keep only the emissions tagged into this instance's port range,
-    /// rebased to instance-local port numbers.
-    fn tag_filter(base: u64, n: u64, res: un_linux::IoResult) -> IoOutcome {
-        IoOutcome {
-            outputs: res
-                .emitted
-                .into_iter()
-                .filter(|(tag, _)| *tag >= base && *tag < base + n)
-                .map(|(tag, p)| ((tag - base) as u32, p))
-                .collect(),
-            cost: res.cost,
+        match self.instances.get(&key) {
+            Some(inst) => inst.sandbox.deliver_batch(frames, host),
+            None => frames.iter().map(|_| IoOutcome::default()).collect(),
         }
     }
 
@@ -239,7 +165,7 @@ impl DockerDriver {
 
     /// The network namespace of an instance (diagnostics).
     pub fn namespace_of(&self, key: u64) -> Option<NsId> {
-        self.instances.get(&key).map(|i| i.ns)
+        self.instances.get(&key).map(|i| i.sandbox.ns())
     }
 }
 
@@ -325,7 +251,7 @@ mod tests {
             .udp(1000, 2000)
             .payload(&payload)
             .build();
-        let io = d.deliver(1, 0, pkt, &mut host);
+        let io = &d.deliver_batch(1, vec![(0, pkt)], &mut host)[0];
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1, "out the WAN port");
         assert!(

@@ -116,32 +116,9 @@ impl DpdkDriver {
         }
     }
 
-    /// Unified packet delivery: PMD-forward to the next port.
-    pub fn deliver(&mut self, key: u64, port: u32, pkt: Packet, costs: &CostModel) -> IoOutcome {
-        let Some(p) = self.procs.get_mut(&key) else {
-            return IoOutcome::default();
-        };
-        if p.state != ProcState::Running || (port as usize) >= p.n_ports {
-            return IoOutcome::default();
-        }
-        p.rx_packets += 1;
-        let out = if p.n_ports >= 2 {
-            if port == 0 {
-                1
-            } else {
-                0
-            }
-        } else {
-            port
-        };
-        IoOutcome {
-            outputs: vec![(out, pkt)],
-            cost: Cost::from_nanos(costs.pmd_per_packet_ns),
-        }
-    }
-
     /// Batched delivery: one PMD poll slot serves the whole burst —
-    /// the process resolves once, frames forward in order.
+    /// the process resolves once, frames PMD-forward to the next port
+    /// in order.
     pub fn deliver_batch(
         &mut self,
         key: u64,
@@ -180,6 +157,12 @@ impl DpdkDriver {
 mod tests {
     use super::*;
 
+    /// A one-frame burst on `port` of process 1.
+    fn deliver(d: &mut DpdkDriver, port: u32, bytes: &[u8]) -> IoOutcome {
+        let burst = vec![(port, Packet::from_slice(bytes))];
+        d.deliver_batch(1, burst, &CostModel::default()).remove(0)
+    }
+
     #[test]
     fn lifecycle_resources_and_forwarding() {
         let mut d = DpdkDriver::new();
@@ -190,7 +173,7 @@ mod tests {
         assert_eq!(d.cores_in_use, 2);
         assert_eq!(ledger.usage(a), mb(512));
 
-        let io = d.deliver(1, 0, Packet::from_slice(&[0u8; 64]), &CostModel::default());
+        let io = deliver(&mut d, 0, &[0u8; 64]);
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1);
         assert_eq!(
@@ -205,7 +188,7 @@ mod tests {
         assert_eq!(ledger.usage(a), 0);
         d.destroy(1).unwrap();
         assert!(matches!(
-            d.deliver(1, 0, Packet::from_slice(&[0]), &CostModel::default()),
+            deliver(&mut d, 0, &[0]),
             IoOutcome { ref outputs, .. } if outputs.is_empty()
         ));
     }
@@ -216,7 +199,7 @@ mod tests {
         let mut ledger = MemLedger::new();
         let a = ledger.create_account("dpdk", None);
         d.create(1, 1, 64, 2, a).unwrap();
-        let io = d.deliver(1, 0, Packet::from_slice(&[0u8; 64]), &CostModel::default());
+        let io = deliver(&mut d, 0, &[0u8; 64]);
         assert!(io.outputs.is_empty());
     }
 }

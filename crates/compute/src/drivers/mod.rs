@@ -3,6 +3,7 @@
 pub mod docker;
 pub mod dpdk;
 pub mod native;
+mod sandbox;
 pub mod vm;
 
 pub use docker::DockerDriver;

@@ -10,23 +10,17 @@
 
 use std::collections::HashMap;
 
-use un_linux::{Host, IfaceId, NsId};
+use un_linux::{Host, NsId};
 use un_nffg::NfConfig;
-use un_nnf::{GraphBinding, NnfCatalog, NnfContext, NnfPlugin};
+use un_nnf::{GraphBinding, NnfCatalog};
 use un_packet::Packet;
 use un_sim::{AccountId, MemLedger};
 
+use super::sandbox::{substrate, Sandbox};
 use crate::types::{ComputeError, IoOutcome};
 
 struct NativeInstance {
-    functional_type: String,
-    ns: NsId,
-    ports: Vec<IfaceId>,
-    base_tag: u64,
-    plugin: Box<dyn NnfPlugin>,
-    config: NfConfig,
-    account: AccountId,
-    started: bool,
+    sandbox: Sandbox,
     shared: bool,
     bindings: Vec<GraphBinding>,
 }
@@ -54,6 +48,12 @@ impl NativeDriver {
             instances: HashMap::new(),
             singletons: HashMap::new(),
         }
+    }
+
+    fn instance(&mut self, key: u64) -> Result<&mut NativeInstance, ComputeError> {
+        self.instances
+            .get_mut(&key)
+            .ok_or(ComputeError::NoSuchInstance(key))
     }
 
     /// Is there already a live instance of this functional type?
@@ -103,20 +103,15 @@ impl NativeDriver {
             .catalog
             .instantiate(functional_type)
             .ok_or_else(|| ComputeError::NoSuchNnf(functional_type.to_string()))?;
-
-        let ns = host.add_namespace(&format!("nnf-{name}"));
         let port_count = if shared {
             1
         } else {
             n_ports.max(desc.min_ports)
         };
-        let mut ports = Vec::with_capacity(port_count);
-        for i in 0..port_count {
-            let ifc = host
-                .add_external(ns, &format!("port{i}"), base_tag + i as u64)
-                .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-            ports.push(ifc);
-        }
+        let ns_name = format!("nnf-{name}");
+        let sandbox = Sandbox::create(
+            host, &ns_name, "port", port_count, base_tag, plugin, config, account,
+        )?;
 
         if !desc.multi_instance {
             self.singletons.insert(functional_type.to_string(), key);
@@ -124,14 +119,7 @@ impl NativeDriver {
         self.instances.insert(
             key,
             NativeInstance {
-                functional_type: functional_type.to_string(),
-                ns,
-                ports,
-                base_tag,
-                plugin,
-                config: config.clone(),
-                account,
-                started: false,
+                sandbox,
                 shared,
                 bindings: Vec::new(),
             },
@@ -146,21 +134,7 @@ impl NativeDriver {
         host: &mut Host,
         ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
-        let mut ctx = NnfContext {
-            host,
-            ns: inst.ns,
-            ledger,
-            account: inst.account,
-        };
-        inst.plugin
-            .start(&mut ctx, &inst.ports, &inst.config)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-        inst.started = true;
-        Ok(())
+        self.instance(key)?.sandbox.start(host, ledger)
     }
 
     /// Attach another service graph to a shared instance.
@@ -171,24 +145,17 @@ impl NativeDriver {
         host: &mut Host,
         ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
+        let inst = self.instance(key)?;
         if !inst.shared {
             return Err(ComputeError::Unsupported(
                 "instance not in shared mode".into(),
             ));
         }
-        let mut ctx = NnfContext {
-            host,
-            ns: inst.ns,
-            ledger,
-            account: inst.account,
-        };
-        inst.plugin
+        let mut ctx = inst.sandbox.ctx(host, ledger);
+        inst.sandbox
+            .plugin_mut()
             .bind_graph(&mut ctx, binding)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))?;
+            .map_err(substrate)?;
         inst.bindings.push(binding.clone());
         Ok(())
     }
@@ -201,23 +168,16 @@ impl NativeDriver {
         host: &mut Host,
         ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
+        let inst = self.instance(key)?;
         let Some(pos) = inst.bindings.iter().position(|b| b.graph == graph) else {
             return Err(ComputeError::BadState("graph not bound"));
         };
         let binding = inst.bindings.remove(pos);
-        let mut ctx = NnfContext {
-            host,
-            ns: inst.ns,
-            ledger,
-            account: inst.account,
-        };
-        inst.plugin
+        let mut ctx = inst.sandbox.ctx(host, ledger);
+        inst.sandbox
+            .plugin_mut()
             .unbind_graph(&mut ctx, &binding)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+            .map_err(substrate)
     }
 
     /// Stop the NNF.
@@ -227,39 +187,17 @@ impl NativeDriver {
         host: &mut Host,
         ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
-        if inst.started {
-            let mut ctx = NnfContext {
-                host,
-                ns: inst.ns,
-                ledger,
-                account: inst.account,
-            };
-            inst.plugin
-                .stop(&mut ctx)
-                .map_err(|e| ComputeError::Substrate(e.to_string()))?;
-            inst.started = false;
-        }
-        Ok(())
+        self.instance(key)?.sandbox.stop(host, ledger)
     }
 
-    /// Remove the instance and the namespace it ran in — ports, and
-    /// whatever kernel state the plugin configured, go with it.
+    /// Remove a stopped instance and the namespace it ran in.
     pub fn destroy(&mut self, key: u64, host: &mut Host) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .remove(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
-        if inst.started {
-            self.instances.insert(key, inst);
+        if self.instance(key)?.sandbox.started() {
             return Err(ComputeError::BadState("destroy while running"));
         }
+        let inst = self.instances.remove(&key).expect("looked up above");
         self.singletons.retain(|_, v| *v != key);
-        host.remove_namespace(inst.ns)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+        inst.sandbox.destroy(host)
     }
 
     /// Live instances (diagnostics / tests).
@@ -267,53 +205,17 @@ impl NativeDriver {
         self.instances.len()
     }
 
-    /// Unified packet delivery.
-    pub fn deliver(&mut self, key: u64, port: u32, pkt: Packet, host: &mut Host) -> IoOutcome {
-        let Some(inst) = self.instances.get(&key) else {
-            return IoOutcome::default();
-        };
-        let Some(&iface) = inst.ports.get(port as usize) else {
-            return IoOutcome::default();
-        };
-        let base = inst.base_tag;
-        let n = inst.ports.len() as u64;
-        Self::tag_filter(base, n, host.inject(iface, pkt))
-    }
-
-    /// Batched delivery: resolve the instance and its port map once,
-    /// then inject the whole burst. Returns one `IoOutcome` per input
-    /// frame, in order, so callers keep per-frame accounting.
+    /// Batched delivery: resolve the instance once, then inject the
+    /// whole burst. Returns one `IoOutcome` per input frame, in order.
     pub fn deliver_batch(
         &mut self,
         key: u64,
         frames: Vec<(u32, Packet)>,
         host: &mut Host,
     ) -> Vec<IoOutcome> {
-        let Some(inst) = self.instances.get(&key) else {
-            return frames.iter().map(|_| IoOutcome::default()).collect();
-        };
-        let base = inst.base_tag;
-        let n = inst.ports.len() as u64;
-        frames
-            .into_iter()
-            .map(|(port, pkt)| match inst.ports.get(port as usize) {
-                Some(&iface) => Self::tag_filter(base, n, host.inject(iface, pkt)),
-                None => IoOutcome::default(),
-            })
-            .collect()
-    }
-
-    /// Keep only the emissions tagged into this instance's port range,
-    /// rebased to instance-local port numbers.
-    fn tag_filter(base: u64, n: u64, res: un_linux::IoResult) -> IoOutcome {
-        IoOutcome {
-            outputs: res
-                .emitted
-                .into_iter()
-                .filter(|(tag, _)| *tag >= base && *tag < base + n)
-                .map(|(tag, p)| ((tag - base) as u32, p))
-                .collect(),
-            cost: res.cost,
+        match self.instances.get(&key) {
+            Some(inst) => inst.sandbox.deliver_batch(frames, host),
+            None => frames.iter().map(|_| IoOutcome::default()).collect(),
         }
     }
 
@@ -327,12 +229,7 @@ impl NativeDriver {
 
     /// The namespace of an instance (diagnostics / tests).
     pub fn namespace_of(&self, key: u64) -> Option<NsId> {
-        self.instances.get(&key).map(|i| i.ns)
-    }
-
-    /// The functional type of an instance.
-    pub fn functional_type_of(&self, key: u64) -> Option<&str> {
-        self.instances.get(&key).map(|i| i.functional_type.as_str())
+        self.instances.get(&key).map(|i| i.sandbox.ns())
     }
 }
 
@@ -510,7 +407,7 @@ mod tests {
             .udp(1, 2)
             .payload(&[0xEE; 100])
             .build();
-        let io = d.deliver(1, 0, pkt, &mut host);
+        let io = &d.deliver_batch(1, vec![(0, pkt)], &mut host)[0];
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1);
         assert!(io.cost.as_nanos() > 0);

@@ -120,25 +120,6 @@ impl VmDriver {
             .map_err(|e| ComputeError::Substrate(e.to_string()))
     }
 
-    /// Unified packet delivery.
-    pub fn deliver(
-        &mut self,
-        vm: VmId,
-        port: u32,
-        pkt: Packet,
-        costs: &un_sim::CostModel,
-    ) -> IoOutcome {
-        let io = self.hypervisor.deliver(vm, port as usize, pkt, costs);
-        IoOutcome {
-            outputs: io
-                .outputs
-                .into_iter()
-                .map(|(nic, p)| (nic as u32, p))
-                .collect(),
-            cost: io.cost,
-        }
-    }
-
     /// Batched delivery: the guest keeps per-frame virtio semantics,
     /// but the VM handle resolves once per burst at the manager layer.
     /// One `IoOutcome` per input frame, in order.
@@ -150,7 +131,17 @@ impl VmDriver {
     ) -> Vec<IoOutcome> {
         frames
             .into_iter()
-            .map(|(port, pkt)| self.deliver(vm, port, pkt, costs))
+            .map(|(port, pkt)| {
+                let io = self.hypervisor.deliver(vm, port as usize, pkt, costs);
+                IoOutcome {
+                    outputs: io
+                        .outputs
+                        .into_iter()
+                        .map(|(nic, p)| (nic as u32, p))
+                        .collect(),
+                    cost: io.cost,
+                }
+            })
             .collect()
     }
 
@@ -225,7 +216,8 @@ mod tests {
             )
             .unwrap();
         d.start(vm, &mut ledger).unwrap();
-        let io = d.deliver(vm, 0, Packet::from_slice(&[0u8; 64]), &CostModel::default());
+        let burst = vec![(0, Packet::from_slice(&[0u8; 64]))];
+        let io = &d.deliver_batch(vm, burst, &CostModel::default())[0];
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(d.image_footprint("img"), mb(522));
         assert_eq!(d.image_footprint("ghost"), 0);

@@ -101,7 +101,8 @@ impl ComputeManager {
             .ledger
             .create_account(&format!("{}:{name}", spec.flavor()), Some(parent_account));
 
-        let (handle, image_ref) = match spec {
+        // The driver call: a refusal gives the account just opened back.
+        let driver = (|| match spec {
             FlavorSpec::Vm {
                 image,
                 vcpus,
@@ -111,7 +112,7 @@ impl ComputeManager {
                 let vm = self.vm.create(
                     name, image, *vcpus, *mem_mb, n_ports, *app, config, env.ledger, account,
                 )?;
-                (Handle::Vm(vm), (image.clone(), String::new()))
+                Ok((Handle::Vm(vm), (image.clone(), String::new())))
             }
             FlavorSpec::Docker {
                 image,
@@ -132,7 +133,7 @@ impl ComputeManager {
                     env.ledger,
                     account,
                 )?;
-                (Handle::Docker, (image.clone(), tag.clone()))
+                Ok((Handle::Docker, (image.clone(), tag.clone())))
             }
             FlavorSpec::Dpdk {
                 cores,
@@ -140,7 +141,7 @@ impl ComputeManager {
             } => {
                 self.dpdk
                     .create(id, *cores, *hugepages_mb, n_ports, account)?;
-                (Handle::Dpdk, (String::new(), String::new()))
+                Ok((Handle::Dpdk, (String::new(), String::new())))
             }
             FlavorSpec::Native => {
                 self.native.create(
@@ -154,9 +155,11 @@ impl ComputeManager {
                     env.host,
                     account,
                 )?;
-                (Handle::Native, (functional_type.to_string(), String::new()))
+                Ok((Handle::Native, (functional_type.to_string(), String::new())))
             }
-        };
+        })();
+        let (handle, image_ref) =
+            driver.inspect_err(|_: &ComputeError| env.ledger.free_account(account))?;
 
         self.instances.insert(
             id,
@@ -226,31 +229,11 @@ impl ComputeManager {
         Ok(())
     }
 
-    /// Deliver a packet to an instance port.
-    pub fn deliver(
-        &mut self,
-        env: &mut NodeEnv<'_>,
-        id: InstanceId,
-        port: u32,
-        pkt: Packet,
-    ) -> IoOutcome {
-        let Some(info) = self.instances.get(&id.0) else {
-            return IoOutcome::default();
-        };
-        match &info.handle {
-            Handle::Vm(vm) => self.vm.deliver(*vm, port, pkt, env.costs),
-            Handle::Docker => self.docker.deliver(id.0, port, pkt, env.host),
-            Handle::Dpdk => self.dpdk.deliver(id.0, port, pkt, env.costs),
-            Handle::Native => self.native.deliver(id.0, port, pkt, env.host),
-        }
-    }
-
     /// Deliver a burst of packets to one instance: the instance table
     /// and driver-side dispatch resolve once for the whole burst
     /// instead of per packet. Returns one `IoOutcome` per input frame,
-    /// in order and semantically identical to calling [`Self::deliver`]
-    /// frame by frame, so per-frame accounting (TTL, ledger, cost)
-    /// stays exact.
+    /// in order, so per-frame accounting (TTL, ledger, cost) stays
+    /// exact.
     pub fn deliver_batch(
         &mut self,
         env: &mut NodeEnv<'_>,
@@ -501,8 +484,8 @@ mod tests {
             )
             .unwrap();
         mgr.start(&mut env, id).unwrap();
-        let io = mgr.deliver(&mut env, id, 0, Packet::from_slice(&[0u8; 128]));
-        assert_eq!(io.outputs.len(), 1);
+        let io = mgr.deliver_batch(&mut env, id, vec![(0, Packet::from_slice(&[0u8; 128]))]);
+        assert_eq!(io[0].outputs.len(), 1);
         assert_eq!(mgr.flavor(id), Some(Flavor::Dpdk));
         assert_eq!(mgr.ram_usage(env.ledger, id), mb(256));
     }
@@ -585,11 +568,25 @@ mod tests {
             mgr.destroy(&mut env, id),
             Err(ComputeError::BadState(_))
         ));
+        // A create the driver refuses keeps nothing: the singleton is
+        // taken, and the account opened for the newcomer is given back.
+        let accounts = env.ledger.live_accounts();
+        let busy = mgr.create(
+            &mut env,
+            "n2",
+            "ipsec",
+            &FlavorSpec::Native,
+            2,
+            &ipsec_config(),
+            false,
+            node,
+        );
+        assert!(matches!(busy, Err(ComputeError::NnfBusy(_))));
+        assert_eq!(env.ledger.live_accounts(), accounts);
+        assert_eq!(mgr.len(), 1);
         assert!(matches!(
             mgr.start(&mut env, InstanceId(999)),
             Err(ComputeError::NoSuchInstance(999))
         ));
-        let io = mgr.deliver(&mut env, InstanceId(999), 0, Packet::from_slice(&[0]));
-        assert!(io.outputs.is_empty());
     }
 }

@@ -13,7 +13,10 @@
 //! 4. compile the graph's big-switch rules into LSI flow entries —
 //!    including the VLAN push/pop translation for sharable NNFs behind
 //!    the adaptation layer;
-//! 5. admission-check memory; roll everything back on failure.
+//! 5. admission-check memory.
+//!
+//! The graph under construction records what each step takes, so a
+//! failure anywhere hands it to the same `teardown` an undeploy uses.
 //!
 //! The data plane is a synchronous work-queue fabric: a packet injected
 //! on a physical port traverses LSI-0, virtual links, graph LSIs and NF
@@ -25,9 +28,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use un_compute::{ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, NodeEnv};
+use un_compute::{
+    ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, InstanceState, NodeEnv,
+};
 use un_linux::Host;
-use un_nffg::{validate, EndpointKind, NfFg, PortRef, RuleAction, TrafficMatch};
+use un_nffg::{
+    validate, Endpoint, EndpointKind, FlowRule, NetworkFunction, NfFg, PortRef, RuleAction,
+    TrafficMatch,
+};
 use un_nnf::GraphBinding;
 use un_obs::{ClassifierStage, DropReason, HopKind, TraceSink};
 use un_packet::ethernet::MacAddr;
@@ -234,10 +242,13 @@ struct PlacedNf {
     instance: InstanceId,
     flavor: Flavor,
     shared: Option<GraphBinding>,
-    /// True if this graph created the instance (owns its lifecycle).
-    owned: bool,
 }
 
+/// A graph on the node — deployed, or under construction. It is its own
+/// journal: whatever `build` takes for it is recorded here before the
+/// next call that can fail (an instance right after `create`, a binding
+/// before `bind`, a virtual link as its LSI-0 port is added), and
+/// `teardown` reads nothing else to give all of it back.
 struct DeployedGraph {
     nffg: NfFg,
     lsi: LogicalSwitch,
@@ -247,6 +258,37 @@ struct DeployedGraph {
     rev_nf: BTreeMap<(InstanceId, u32), PortNo>,
     nfs: BTreeMap<String, PlacedNf>,
     next_port: u32,
+}
+
+impl DeployedGraph {
+    fn add_port(&mut self, name: &str, kind: GPort) -> PortNo {
+        let port = PortNo(self.next_port);
+        self.next_port += 1;
+        self.lsi.add_port(port, name).expect("fresh port");
+        self.ports.insert(port, kind);
+        port
+    }
+
+    /// Compile one big-switch rule and install it under its cookie.
+    fn install_rule(&mut self, rule: &FlowRule) -> Result<(), DeployError> {
+        let entry = compile_rule(self, rule)
+            .map_err(DeployError::Compute)?
+            .with_cookie(rule_cookie(&self.nffg.id, &rule.id));
+        self.lsi.install(0, entry).expect("table 0 exists");
+        Ok(())
+    }
+
+    fn report(&self, lsi0_flows: usize) -> DeployReport {
+        let placed = |nf: &NetworkFunction| {
+            let p = self.nfs.get(&nf.id)?;
+            Some((nf.id.clone(), p.flavor, p.instance, p.shared.is_some()))
+        };
+        DeployReport {
+            graph: self.nffg.id.clone(),
+            placements: self.nffg.nfs.iter().filter_map(placed).collect(),
+            flow_entries: lsi0_flows + self.lsi.flow_count(),
+        }
+    }
 }
 
 struct SharedInfo {
@@ -627,14 +669,18 @@ impl UniversalNode {
 
     /// Register a physical interface (e.g. `"eth0"`) as an LSI-0 port.
     pub fn add_physical_port(&mut self, name: &str) -> PortNo {
+        let port = self.add_l0_port(name, L0Port::Physical(Name::new(name)));
+        self.physical.insert(name.to_string(), port);
+        port
+    }
+
+    fn add_l0_port(&mut self, name: &str, kind: L0Port) -> PortNo {
         let port = PortNo(self.next_l0_port);
         self.next_l0_port += 1;
         self.lsi0
             .add_port(port, name)
             .expect("fresh port number cannot collide");
-        self.l0_ports
-            .insert(port, L0Port::Physical(Name::new(name)));
-        self.physical.insert(name.to_string(), port);
+        self.l0_ports.insert(port, kind);
         port
     }
 
@@ -780,27 +826,7 @@ impl UniversalNode {
     /// still happens at deploy time; this is only a scheduler estimate.
     pub fn estimate_nf_ram(&self, functional_type: &str, flavor_hint: Option<&str>) -> Option<u64> {
         use un_sim::mem::mb;
-        struct Status<'a>(&'a BTreeMap<String, SharedInfo>, &'a ComputeManager);
-        impl NativeStatus for Status<'_> {
-            fn existing(&self, ft: &str) -> Option<(InstanceId, bool)> {
-                if let Some(info) = self.0.get(ft) {
-                    return Some((info.instance, true));
-                }
-                self.1
-                    .native
-                    .existing_instance(ft)
-                    .map(|k| (InstanceId(k), false))
-            }
-        }
-        let template = self.repository.resolve(functional_type)?;
-        let decision = decide(
-            template,
-            flavor_hint,
-            &self.compute.native.catalog,
-            &Status(&self.shared, &self.compute),
-        )
-        .ok()?;
-        Some(match decision {
+        Some(match self.decide_nf(functional_type, flavor_hint).ok()? {
             Decision::NativeShare(_) => 0,
             Decision::NativeNew | Decision::NativeNewShared => mb(24),
             Decision::Vnf(FlavorSpec::Vm { mem_mb, .. }) => mb(mem_mb) + mb(71),
@@ -810,11 +836,26 @@ impl UniversalNode {
         })
     }
 
+    /// The placement policy's verdict for one NF on this node, now.
+    fn decide_nf(
+        &self,
+        functional_type: &str,
+        flavor: Option<&str>,
+    ) -> Result<Decision, DeployError> {
+        let template = self
+            .repository
+            .resolve(functional_type)
+            .ok_or_else(|| DeployError::NoTemplate(functional_type.to_string()))?;
+        let catalog = &self.compute.native.catalog;
+        Ok(decide(template, flavor, catalog, self)?)
+    }
+
     // ------------------------------------------------------------------
     // Deploy / undeploy / update
     // ------------------------------------------------------------------
 
-    /// Deploy an NF-FG.
+    /// Deploy an NF-FG: check it against the node, build it, then adopt
+    /// the built graph — or hand what was built so far to `teardown`.
     pub fn deploy(&mut self, nffg: &NfFg) -> Result<DeployReport, DeployError> {
         let errs = validate(nffg);
         if !errs.is_empty() {
@@ -843,7 +884,6 @@ impl UniversalNode {
                 self.slots.push(None);
                 self.slots.len() - 1
             }) as u32;
-
         let dpid = self.next_dpid;
         self.next_dpid += 1;
         let mut graph = DeployedGraph {
@@ -860,17 +900,7 @@ impl UniversalNode {
             nfs: BTreeMap::new(),
             next_port: 1,
         };
-
-        // Track created state for rollback.
-        let mut created_instances: Vec<InstanceId> = Vec::new();
-        let mut created_l0_ports: Vec<PortNo> = Vec::new();
-        let result = self.deploy_inner(
-            nffg,
-            &mut graph,
-            &mut created_instances,
-            &mut created_l0_ports,
-        );
-        match result {
+        match self.build(nffg, &mut graph) {
             Ok(report) => {
                 self.slots[slot as usize] = Some(nffg.id.clone());
                 self.graphs.insert(nffg.id.clone(), graph);
@@ -878,414 +908,157 @@ impl UniversalNode {
                 Ok(report)
             }
             Err(e) => {
-                // Roll back: instances, LSI-0 ports+rules, shared bindings.
-                let cookie = fnv1a(&nffg.id);
-                self.lsi0.remove_by_cookie(cookie);
-                for p in created_l0_ports {
-                    let _ = self.lsi0.remove_port(p);
-                    self.l0_ports.remove(&p);
-                }
-                for (_, info) in self.shared.iter_mut() {
-                    info.graphs.retain(|g| g != &nffg.id);
-                }
-                let mut env = NodeEnv {
-                    host: &mut self.host,
-                    ledger: &mut self.ledger,
-                    costs: &self.costs,
-                };
-                for id in created_instances {
-                    let _ = self.compute.stop(&mut env, id);
-                    let _ = self.compute.destroy(&mut env, id);
-                }
-                self.shared.retain(|_, info| {
-                    !info.graphs.is_empty() || {
-                        // Drop owner-less shared instances created here.
-                        true
-                    }
-                });
+                let _ = self.teardown(graph);
                 Err(e)
             }
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn deploy_inner(
+    /// Realize `nffg` in `graph`: place the NFs, admit their memory,
+    /// wire ports, virtual links and LSI-0 classification, compile the
+    /// rules. Wherever it stops, `teardown(graph)` undoes it.
+    fn build(
         &mut self,
         nffg: &NfFg,
         graph: &mut DeployedGraph,
-        created_instances: &mut Vec<InstanceId>,
-        created_l0_ports: &mut Vec<PortNo>,
     ) -> Result<DeployReport, DeployError> {
-        let cookie = fnv1a(&nffg.id);
-        let mut placements = Vec::new();
-
-        // ---- NF placement + instantiation ----
-        struct Status<'a>(&'a BTreeMap<String, SharedInfo>, &'a ComputeManager);
-        impl NativeStatus for Status<'_> {
-            fn existing(&self, ft: &str) -> Option<(InstanceId, bool)> {
-                if let Some(info) = self.0.get(ft) {
-                    return Some((info.instance, true));
-                }
-                self.1
-                    .native
-                    .existing_instance(ft)
-                    .map(|k| (InstanceId(k), false))
-            }
-        }
-
         for nf in &nffg.nfs {
-            let template = self
-                .repository
-                .resolve(&nf.functional_type)
-                .ok_or_else(|| DeployError::NoTemplate(nf.functional_type.clone()))?
-                .clone();
-            let decision = decide(
-                &template,
-                nf.flavor.as_deref(),
-                &self.compute.native.catalog,
-                &Status(&self.shared, &self.compute),
-            )
-            .map_err(DeployError::from)?;
-
-            let n_ports = nf.ports.len().max(1);
-            // Bindings must be allocated before `env` borrows the node.
-            let prebinding = match &decision {
-                Decision::NativeNewShared | Decision::NativeShare(_) => {
-                    Some(self.make_binding(&nffg.id, nf))
-                }
-                _ => None,
-            };
-            let mut env = NodeEnv {
-                host: &mut self.host,
-                ledger: &mut self.ledger,
-                costs: &self.costs,
-            };
-            let placed = match decision {
-                Decision::NativeNew => {
-                    let id = self.compute.create(
-                        &mut env,
-                        &format!("{}-{}", nffg.id, nf.id),
-                        &nf.functional_type,
-                        &FlavorSpec::Native,
-                        n_ports,
-                        &nf.config,
-                        false,
-                        self.node_account,
-                    )?;
-                    self.compute.start(&mut env, id)?;
-                    created_instances.push(id);
-                    PlacedNf {
-                        instance: id,
-                        flavor: Flavor::Native,
-                        shared: None,
-                        owned: true,
-                    }
-                }
-                Decision::NativeNewShared => {
-                    let id = self.compute.create(
-                        &mut env,
-                        &format!("shared-{}", nf.functional_type),
-                        &nf.functional_type,
-                        &FlavorSpec::Native,
-                        n_ports,
-                        &nf.config,
-                        true,
-                        self.node_account,
-                    )?;
-                    self.compute.start(&mut env, id)?;
-                    created_instances.push(id);
-                    let binding = prebinding.clone().expect("allocated above");
-                    self.compute.bind_native_graph(&mut env, id, &binding)?;
-                    // Attach port on LSI-0.
-                    let attach = PortNo(self.next_l0_port);
-                    self.next_l0_port += 1;
-                    self.lsi0
-                        .add_port(attach, &format!("nnf-{}", nf.functional_type))
-                        .expect("fresh port");
-                    created_l0_ports.push(attach);
-                    self.l0_ports.insert(attach, L0Port::SharedAttach(id));
-                    self.shared.insert(
-                        nf.functional_type.clone(),
-                        SharedInfo {
-                            instance: id,
-                            attach_port: attach,
-                            graphs: vec![nffg.id.clone()],
-                        },
-                    );
-                    PlacedNf {
-                        instance: id,
-                        flavor: Flavor::Native,
-                        shared: Some(binding),
-                        owned: true,
-                    }
-                }
-                Decision::NativeShare(id) => {
-                    let binding = prebinding.clone().expect("allocated above");
-                    self.compute.bind_native_graph(&mut env, id, &binding)?;
-                    if let Some(info) = self.shared.get_mut(&nf.functional_type) {
-                        info.graphs.push(nffg.id.clone());
-                    }
-                    self.trace.count("nnf_shares", 1);
-                    PlacedNf {
-                        instance: id,
-                        flavor: Flavor::Native,
-                        shared: Some(binding),
-                        owned: false,
-                    }
-                }
-                Decision::Vnf(spec) => {
-                    let id = self.compute.create(
-                        &mut env,
-                        &format!("{}-{}", nffg.id, nf.id),
-                        &nf.functional_type,
-                        &spec,
-                        n_ports,
-                        &nf.config,
-                        false,
-                        self.node_account,
-                    )?;
-                    self.compute.start(&mut env, id)?;
-                    created_instances.push(id);
-                    PlacedNf {
-                        instance: id,
-                        flavor: spec.flavor(),
-                        shared: None,
-                        owned: true,
-                    }
-                }
-            };
-            placements.push((
-                nf.id.clone(),
-                placed.flavor,
-                placed.instance,
-                placed.shared.is_some(),
-            ));
-            graph.nfs.insert(nf.id.clone(), placed);
+            self.place_nf(graph, nf)?;
         }
-
-        // ---- Admission control ----
-        let used = self.ledger.usage(self.node_account);
+        let used = self.memory_used();
         if used > self.mem_capacity {
             return Err(DeployError::InsufficientMemory {
                 needed: used,
                 capacity: self.mem_capacity,
             });
         }
-
-        // ---- Ports & virtual links ----
-        // Graph-LSI ports for dedicated NF ports.
         for nf in &nffg.nfs {
-            let placed = graph.nfs.get(&nf.id).unwrap().clone();
+            let placed = &graph.nfs[&nf.id];
             if placed.shared.is_some() {
                 continue; // shared NFs are reached via LSI-0
             }
+            let instance = placed.instance;
             for port in &nf.ports {
-                let p = PortNo(graph.next_port);
-                graph.next_port += 1;
-                graph
-                    .lsi
-                    .add_port(p, &format!("to-{}:{}", nf.id, port.id))
-                    .expect("fresh port");
-                graph.ports.insert(p, GPort::Nf(placed.instance, port.id));
-                graph.rev_nf.insert((placed.instance, port.id), p);
+                let name = format!("to-{}:{}", nf.id, port.id);
+                let p = graph.add_port(&name, GPort::Nf(instance, port.id));
+                graph.rev_nf.insert((instance, port.id), p);
             }
         }
-        // Virtual links per endpoint.
         for ep in &nffg.endpoints {
-            let l0_port = PortNo(self.next_l0_port);
-            self.next_l0_port += 1;
-            self.lsi0
-                .add_port(l0_port, &format!("vlink-{}-{}", nffg.id, ep.id))
-                .expect("fresh port");
-            created_l0_ports.push(l0_port);
-            let g_port = PortNo(graph.next_port);
-            graph.next_port += 1;
-            graph
-                .lsi
-                .add_port(g_port, &format!("vlink-{}", ep.id))
-                .expect("fresh port");
-            self.l0_ports.insert(
-                l0_port,
-                L0Port::Vlink {
-                    graph_slot: graph.slot,
-                    peer: g_port,
-                },
-            );
-            graph.ports.insert(g_port, GPort::Vlink { l0_port });
-            graph
-                .vlinks
-                .insert(VlinkKey::Endpoint(ep.id.clone()), g_port);
-
-            // LSI-0 classification rules for this endpoint.
-            match &ep.kind {
-                EndpointKind::Interface { if_name } => {
-                    let phys = *self.physical.get(if_name).unwrap();
-                    // Conflict detection: untagged traffic of this iface
-                    // must not already be claimed.
-                    let m = FlowMatch::in_port(phys).with_vlan(VlanSpec::Untagged);
-                    if self
-                        .lsi0
-                        .table(0)
-                        .map(|t| t.find(5, &m).is_some())
-                        .unwrap_or(false)
-                    {
-                        return Err(DeployError::EndpointConflict(if_name.clone()));
-                    }
-                    self.lsi0
-                        .install(
-                            0,
-                            FlowEntry::new(5, m, vec![FlowAction::Output(l0_port)])
-                                .with_cookie(cookie),
-                        )
-                        .expect("table 0 exists");
-                    self.lsi0
-                        .install(
-                            0,
-                            FlowEntry::new(
-                                5,
-                                FlowMatch::in_port(l0_port),
-                                vec![FlowAction::Output(phys)],
-                            )
-                            .with_cookie(cookie),
-                        )
-                        .expect("table 0 exists");
-                }
-                EndpointKind::Vlan { if_name, vlan_id } => {
-                    let phys = *self.physical.get(if_name).unwrap();
-                    self.lsi0
-                        .install(
-                            0,
-                            FlowEntry::new(
-                                10,
-                                FlowMatch::in_port(phys).with_vlan(VlanSpec::Id(*vlan_id)),
-                                vec![FlowAction::PopVlan, FlowAction::Output(l0_port)],
-                            )
-                            .with_cookie(cookie),
-                        )
-                        .expect("table 0 exists");
-                    self.lsi0
-                        .install(
-                            0,
-                            FlowEntry::new(
-                                10,
-                                FlowMatch::in_port(l0_port),
-                                vec![FlowAction::PushVlan(*vlan_id), FlowAction::Output(phys)],
-                            )
-                            .with_cookie(cookie),
-                        )
-                        .expect("table 0 exists");
-                }
-                EndpointKind::Internal { group } => {
-                    let members = self.internal_groups.entry(group.clone()).or_default();
-                    // Cross-connect with every existing member.
-                    for other in members.clone() {
-                        self.lsi0
-                            .install(
-                                0,
-                                FlowEntry::new(
-                                    7,
-                                    FlowMatch::in_port(l0_port),
-                                    vec![FlowAction::Output(other)],
-                                )
-                                .with_cookie(cookie),
-                            )
-                            .expect("table 0 exists");
-                        self.lsi0
-                            .install(
-                                0,
-                                FlowEntry::new(
-                                    7,
-                                    FlowMatch::in_port(other),
-                                    vec![FlowAction::Output(l0_port)],
-                                )
-                                .with_cookie(cookie),
-                            )
-                            .expect("table 0 exists");
-                    }
-                    members.push(l0_port);
-                }
-            }
+            self.wire_endpoint(graph, ep)?;
         }
-        // Virtual links + LSI-0 rules per shared NF used by this graph.
         for nf in &nffg.nfs {
-            let placed = graph.nfs.get(&nf.id).unwrap().clone();
-            let Some(binding) = placed.shared.as_ref() else {
-                continue;
-            };
-            let attach = self
-                .shared
-                .get(&nf.functional_type)
-                .map(|i| i.attach_port)
-                .expect("shared info recorded");
-
-            let l0_port = PortNo(self.next_l0_port);
-            self.next_l0_port += 1;
-            self.lsi0
-                .add_port(l0_port, &format!("vlink-{}-{}", nffg.id, nf.id))
-                .expect("fresh port");
-            created_l0_ports.push(l0_port);
-            let g_port = PortNo(graph.next_port);
-            graph.next_port += 1;
-            graph
-                .lsi
-                .add_port(g_port, &format!("vlink-shared-{}", nf.id))
-                .expect("fresh port");
-            self.l0_ports.insert(
-                l0_port,
-                L0Port::Vlink {
-                    graph_slot: graph.slot,
-                    peer: g_port,
-                },
-            );
-            graph.ports.insert(g_port, GPort::Vlink { l0_port });
-            graph
-                .vlinks
-                .insert(VlinkKey::SharedNf(nf.id.clone()), g_port);
-
-            for vid in [binding.vid_lan, binding.vid_wan] {
-                self.lsi0
-                    .install(
-                        0,
-                        FlowEntry::new(
-                            20,
-                            FlowMatch::in_port(l0_port).with_vlan(VlanSpec::Id(vid)),
-                            vec![FlowAction::Output(attach)],
-                        )
-                        .with_cookie(cookie),
-                    )
-                    .expect("table 0 exists");
-                self.lsi0
-                    .install(
-                        0,
-                        FlowEntry::new(
-                            20,
-                            FlowMatch::in_port(attach).with_vlan(VlanSpec::Id(vid)),
-                            vec![FlowAction::Output(l0_port)],
-                        )
-                        .with_cookie(cookie),
-                    )
-                    .expect("table 0 exists");
+            if let Some(binding) = &graph.nfs[&nf.id].shared {
+                let vids = [binding.vid_lan, binding.vid_wan];
+                self.wire_shared(graph, nf, vids);
             }
         }
-
-        // ---- Compile the graph's big-switch rules ----
-        let mut flow_entries = self.lsi0.flow_count();
         for rule in &nffg.flow_rules {
-            let entry = compile_rule(nffg, graph, rule)
-                .map_err(DeployError::Compute)?
-                .with_cookie(fnv1a(&format!("{}/{}", nffg.id, rule.id)));
-            graph.lsi.install(0, entry).expect("table 0 exists");
+            graph.install_rule(rule)?;
         }
-        flow_entries += graph.lsi.flow_count();
-
-        Ok(DeployReport {
-            graph: nffg.id.clone(),
-            placements,
-            flow_entries,
-        })
+        Ok(graph.report(self.lsi0.flow_count()))
     }
 
-    fn make_binding(&mut self, graph_id: &str, nf: &un_nffg::NetworkFunction) -> GraphBinding {
+    /// Create or join the instance serving `nf`.
+    fn place_nf(
+        &mut self,
+        graph: &mut DeployedGraph,
+        nf: &NetworkFunction,
+    ) -> Result<(), DeployError> {
+        let gid = graph.nffg.id.clone();
+        let own = format!("{gid}-{}", nf.id);
+        match self.decide_nf(&nf.functional_type, nf.flavor.as_deref())? {
+            Decision::NativeNew => self.launch(graph, nf, &own, &FlavorSpec::Native, None),
+            Decision::Vnf(spec) => self.launch(graph, nf, &own, &spec, None),
+            Decision::NativeNewShared => {
+                let binding = self.make_binding(&gid, nf);
+                let name = format!("shared-{}", nf.functional_type);
+                self.launch(graph, nf, &name, &FlavorSpec::Native, Some(binding))
+            }
+            Decision::NativeShare(instance) => {
+                let binding = self.make_binding(&gid, nf);
+                if let Some(info) = self.shared.get_mut(&nf.functional_type) {
+                    info.graphs.push(gid);
+                }
+                self.join(graph, nf, instance, Flavor::Native, Some(binding))?;
+                self.trace.count("nnf_shares", 1);
+                Ok(())
+            }
+        }
+    }
+
+    /// Create an instance for `nf` and start it; a shared one gets its
+    /// LSI-0 attach port, its registry entry and this graph's binding.
+    fn launch(
+        &mut self,
+        graph: &mut DeployedGraph,
+        nf: &NetworkFunction,
+        name: &str,
+        spec: &FlavorSpec,
+        shared: Option<GraphBinding>,
+    ) -> Result<(), DeployError> {
+        let mut env = NodeEnv {
+            host: &mut self.host,
+            ledger: &mut self.ledger,
+            costs: &self.costs,
+        };
+        let instance = self.compute.create(
+            &mut env,
+            name,
+            &nf.functional_type,
+            spec,
+            nf.ports.len().max(1),
+            &nf.config,
+            shared.is_some(),
+            self.node_account,
+        )?;
+        if shared.is_some() {
+            let ft = &nf.functional_type;
+            let attach_port =
+                self.add_l0_port(&format!("nnf-{ft}"), L0Port::SharedAttach(instance));
+            let graphs = vec![graph.nffg.id.clone()];
+            let info = SharedInfo {
+                instance,
+                attach_port,
+                graphs,
+            };
+            self.shared.insert(ft.clone(), info);
+        }
+        self.join(graph, nf, instance, spec.flavor(), shared)
+    }
+
+    /// Record the placement in the graph, then do what is left to make
+    /// it serve: start a new instance, bind the graph to a shared one.
+    fn join(
+        &mut self,
+        graph: &mut DeployedGraph,
+        nf: &NetworkFunction,
+        instance: InstanceId,
+        flavor: Flavor,
+        shared: Option<GraphBinding>,
+    ) -> Result<(), DeployError> {
+        let mut env = NodeEnv {
+            host: &mut self.host,
+            ledger: &mut self.ledger,
+            costs: &self.costs,
+        };
+        let placed = PlacedNf {
+            instance,
+            flavor,
+            shared,
+        };
+        graph.nfs.insert(nf.id.clone(), placed);
+        if self.compute.state(instance) == Some(InstanceState::Created) {
+            self.compute.start(&mut env, instance)?;
+        }
+        if let Some(binding) = &graph.nfs[&nf.id].shared {
+            self.compute
+                .bind_native_graph(&mut env, instance, binding)?;
+        }
+        Ok(())
+    }
+
+    fn make_binding(&mut self, graph_id: &str, nf: &NetworkFunction) -> GraphBinding {
         let mark = self.next_mark;
         self.next_mark += 1;
         GraphBinding {
@@ -1298,6 +1071,139 @@ impl UniversalNode {
         }
     }
 
+    /// A virtual link between LSI-0 and the graph LSI; returns its
+    /// LSI-0 port.
+    fn add_vlink(&mut self, graph: &mut DeployedGraph, key: VlinkKey) -> PortNo {
+        let (id, g_name) = match &key {
+            VlinkKey::Endpoint(ep) => (ep, format!("vlink-{ep}")),
+            VlinkKey::SharedNf(nf) => (nf, format!("vlink-shared-{nf}")),
+        };
+        let l0_name = format!("vlink-{}-{id}", graph.nffg.id);
+        let (graph_slot, peer) = (graph.slot, PortNo(graph.next_port));
+        let l0_port = self.add_l0_port(&l0_name, L0Port::Vlink { graph_slot, peer });
+        let g_port = graph.add_port(&g_name, GPort::Vlink { l0_port });
+        debug_assert_eq!(g_port, peer);
+        graph.vlinks.insert(key, g_port);
+        l0_port
+    }
+
+    fn l0_rule(&mut self, cookie: u64, priority: u16, m: FlowMatch, actions: Vec<FlowAction>) {
+        let entry = FlowEntry::new(priority, m, actions).with_cookie(cookie);
+        self.lsi0.install(0, entry).expect("table 0 exists");
+    }
+
+    /// One endpoint: its virtual link and LSI-0 classification rules.
+    fn wire_endpoint(
+        &mut self,
+        graph: &mut DeployedGraph,
+        ep: &Endpoint,
+    ) -> Result<(), DeployError> {
+        use FlowAction::{Output, PopVlan, PushVlan};
+        let cookie = graph_cookie(&graph.nffg.id);
+        let vlink = self.add_vlink(graph, VlinkKey::Endpoint(ep.id.clone()));
+        match &ep.kind {
+            EndpointKind::Interface { if_name } => {
+                let phys = self.physical[if_name];
+                // Untagged traffic of an interface has one owner.
+                let untagged = FlowMatch::in_port(phys).with_vlan(VlanSpec::Untagged);
+                let table = self.lsi0.table(0);
+                if table.is_some_and(|t| t.find(5, &untagged).is_some()) {
+                    return Err(DeployError::EndpointConflict(if_name.clone()));
+                }
+                self.l0_rule(cookie, 5, untagged, vec![Output(vlink)]);
+                self.l0_rule(cookie, 5, FlowMatch::in_port(vlink), vec![Output(phys)]);
+            }
+            EndpointKind::Vlan { if_name, vlan_id } => {
+                let phys = self.physical[if_name];
+                let tagged = FlowMatch::in_port(phys).with_vlan(VlanSpec::Id(*vlan_id));
+                self.l0_rule(cookie, 10, tagged, vec![PopVlan, Output(vlink)]);
+                let retag = vec![PushVlan(*vlan_id), Output(phys)];
+                self.l0_rule(cookie, 10, FlowMatch::in_port(vlink), retag);
+            }
+            EndpointKind::Internal { group } => {
+                // Cross-connect with every existing member.
+                let members = self.internal_groups.entry(group.clone()).or_default();
+                let others = members.clone();
+                members.push(vlink);
+                for other in others {
+                    self.l0_rule(cookie, 7, FlowMatch::in_port(vlink), vec![Output(other)]);
+                    self.l0_rule(cookie, 7, FlowMatch::in_port(other), vec![Output(vlink)]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One shared NF of the graph: its virtual link and the LSI-0 rules
+    /// carrying the binding's two VLANs to the attach port and back.
+    fn wire_shared(&mut self, graph: &mut DeployedGraph, nf: &NetworkFunction, vids: [u16; 2]) {
+        use FlowAction::Output;
+        let cookie = graph_cookie(&graph.nffg.id);
+        let attach = self.shared[&nf.functional_type].attach_port;
+        let vlink = self.add_vlink(graph, VlinkKey::SharedNf(nf.id.clone()));
+        for vid in vids.map(VlanSpec::Id) {
+            let out = FlowMatch::in_port(vlink).with_vlan(vid);
+            self.l0_rule(cookie, 20, out, vec![Output(attach)]);
+            let back = FlowMatch::in_port(attach).with_vlan(vid);
+            self.l0_rule(cookie, 20, back, vec![Output(vlink)]);
+        }
+    }
+
+    /// Take `graph` — deployed or half-built — off the node: the one
+    /// place instances are stopped and destroyed, shared bindings
+    /// released and LSI-0 plumbing removed. Best-effort: the walk
+    /// always finishes and frees the slot; the first error is returned.
+    fn teardown(&mut self, graph: DeployedGraph) -> Result<(), DeployError> {
+        let gid = &graph.nffg.id;
+        self.lsi0.remove_by_cookie(graph_cookie(gid));
+        let mut gone: Vec<PortNo> = graph
+            .ports
+            .values()
+            .filter_map(|p| match p {
+                GPort::Vlink { l0_port } => Some(*l0_port),
+                GPort::Nf(..) => None,
+            })
+            .collect();
+        let mut env = NodeEnv {
+            host: &mut self.host,
+            ledger: &mut self.ledger,
+            costs: &self.costs,
+        };
+        let mut result = Ok(());
+        for placed in graph.nfs.values() {
+            let id = placed.instance;
+            // A dedicated instance goes with its graph, a shared one
+            // with the last graph bound to it.
+            let mut last_user = placed.shared.is_none();
+            if !last_user {
+                result = result.and(self.compute.unbind_native_graph(&mut env, id, gid));
+                let ft = self.compute.functional_type(id).unwrap_or_default();
+                if let Some(info) = self.shared.get_mut(ft) {
+                    info.graphs.retain(|g| g != gid);
+                    last_user = info.graphs.is_empty();
+                }
+                if last_user {
+                    gone.extend(self.shared.remove(ft).map(|info| info.attach_port));
+                }
+            }
+            if last_user {
+                result = result.and(self.compute.stop(&mut env, id));
+                result = result.and(self.compute.destroy(&mut env, id));
+                self.obs_nf_hist.remove(&id);
+            }
+        }
+        for port in &gone {
+            let _ = self.lsi0.remove_port(*port);
+            self.l0_ports.remove(port);
+        }
+        self.internal_groups.retain(|_, members| {
+            members.retain(|m| !gone.contains(m));
+            !members.is_empty()
+        });
+        self.slots[graph.slot as usize] = None;
+        Ok(result?)
+    }
+
     /// Undeploy a graph: remove rules, virtual links, and instances
     /// (shared NNF instances survive until their last graph leaves).
     pub fn undeploy(&mut self, graph_id: &str) -> Result<(), DeployError> {
@@ -1305,64 +1211,8 @@ impl UniversalNode {
             .graphs
             .remove(graph_id)
             .ok_or_else(|| DeployError::NoSuchGraph(graph_id.to_string()))?;
-        let cookie = fnv1a(graph_id);
-        self.lsi0.remove_by_cookie(cookie);
-
-        // Remove the graph's LSI-0 vlink ports.
-        let to_remove: Vec<PortNo> = self
-            .l0_ports
-            .iter()
-            .filter(
-                |(_, k)| matches!(k, L0Port::Vlink { graph_slot, .. } if *graph_slot == graph.slot),
-            )
-            .map(|(p, _)| *p)
-            .collect();
-        for p in to_remove {
-            let _ = self.lsi0.remove_port(p);
-            self.l0_ports.remove(&p);
-            for members in self.internal_groups.values_mut() {
-                members.retain(|m| *m != p);
-            }
-        }
-
-        let mut env = NodeEnv {
-            host: &mut self.host,
-            ledger: &mut self.ledger,
-            costs: &self.costs,
-        };
-        for (nf_id, placed) in &graph.nfs {
-            match &placed.shared {
-                None => {
-                    debug_assert!(placed.owned, "dedicated instances are always owned");
-                    self.compute.stop(&mut env, placed.instance)?;
-                    self.compute.destroy(&mut env, placed.instance)?;
-                }
-                Some(_binding) => {
-                    self.compute
-                        .unbind_native_graph(&mut env, placed.instance, graph_id)?;
-                    let ft = self
-                        .compute
-                        .functional_type(placed.instance)
-                        .unwrap_or(nf_id)
-                        .to_string();
-                    let mut drop_shared = false;
-                    if let Some(info) = self.shared.get_mut(&ft) {
-                        info.graphs.retain(|g| g != graph_id);
-                        drop_shared = info.graphs.is_empty();
-                    }
-                    if drop_shared {
-                        let info = self.shared.remove(&ft).unwrap();
-                        let _ = self.lsi0.remove_port(info.attach_port);
-                        self.l0_ports.remove(&info.attach_port);
-                        self.compute.stop(&mut env, info.instance)?;
-                        self.compute.destroy(&mut env, info.instance)?;
-                    }
-                }
-            }
-        }
-        self.slots[graph.slot as usize] = None;
         self.trace.count("graphs_undeployed", 1);
-        Ok(())
+        self.teardown(graph)
     }
 
     /// Undeploy every graph whose id is **not** in `keep`, releasing
@@ -1412,35 +1262,20 @@ impl UniversalNode {
         if !errs.is_empty() {
             return Err(DeployError::Invalid(errs));
         }
-        let graph = self.graphs.get_mut(&nffg.id).unwrap();
+        let graph = self.graphs.get_mut(&nffg.id).expect("looked up above");
         for rule_id in diff
             .removed_rules
             .iter()
             .chain(diff.changed_rules.iter().map(|r| &r.id))
         {
-            graph
-                .lsi
-                .remove_by_cookie(fnv1a(&format!("{}/{}", nffg.id, rule_id)));
+            graph.lsi.remove_by_cookie(rule_cookie(&nffg.id, rule_id));
         }
         for rule in diff.added_rules.iter().chain(diff.changed_rules.iter()) {
-            let entry = compile_rule(nffg, graph, rule)
-                .map_err(DeployError::Compute)?
-                .with_cookie(fnv1a(&format!("{}/{}", nffg.id, rule.id)));
-            graph.lsi.install(0, entry).expect("table 0 exists");
+            graph.install_rule(rule)?;
         }
         graph.nffg = nffg.clone();
         self.trace.count("graph_updates_rules", 1);
-        let placements = graph
-            .nfs
-            .iter()
-            .map(|(id, p)| (id.clone(), p.flavor, p.instance, p.shared.is_some()))
-            .collect();
-        let flow_entries = graph.lsi.flow_count() + self.lsi0.flow_count();
-        Ok(DeployReport {
-            graph: nffg.id.clone(),
-            placements,
-            flow_entries,
-        })
+        Ok(graph.report(self.lsi0.flow_count()))
     }
 
     // ------------------------------------------------------------------
@@ -1870,12 +1705,21 @@ impl UniversalNode {
     }
 }
 
+impl NativeStatus for UniversalNode {
+    fn existing(&self, functional_type: &str) -> Option<(InstanceId, bool)> {
+        match self.shared.get(functional_type) {
+            Some(info) => Some((info.instance, true)),
+            None => self
+                .compute
+                .native
+                .existing_instance(functional_type)
+                .map(|key| (InstanceId(key), false)),
+        }
+    }
+}
+
 /// Compile one NF-FG rule into a graph-LSI flow entry.
-fn compile_rule(
-    _nffg: &NfFg,
-    graph: &DeployedGraph,
-    rule: &un_nffg::FlowRule,
-) -> Result<FlowEntry, String> {
+fn compile_rule(graph: &DeployedGraph, rule: &FlowRule) -> Result<FlowEntry, String> {
     let mut m = FlowMatch::any();
     let mut actions: Vec<FlowAction> = Vec::new();
 

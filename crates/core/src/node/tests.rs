@@ -337,3 +337,270 @@ fn flow_cache_stats_surface_in_description() {
     assert!(json.contains("\"flow_cache_hits\""), "{json}");
     assert!(json.contains("\"flow_cache_misses\""), "{json}");
 }
+
+// ---------------------------------------------------------------------
+// Failure injection: every way a deploy can fail, for every way an NF
+// can be placed. Whatever `build` took before the failure, `teardown`
+// gives back — and the node serves the next tenant as if nothing had
+// happened.
+// ---------------------------------------------------------------------
+
+/// How the NF under test is realized.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Subject {
+    /// Native IPsec: a dedicated singleton.
+    NativeNew,
+    /// The node's first NAT: creates the shared instance.
+    NativeNewShared,
+    /// A NAT joining the shared instance another graph created.
+    NativeShare,
+    /// IPsec in a container.
+    Docker,
+}
+
+/// Where the deploy fails.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Failure {
+    /// The driver refuses `create`: the image is not in the registry.
+    Create,
+    /// `start` fails: a config parameter the plugin needs is missing.
+    Start,
+    /// `bind` fails: the binding lacks the graph's LAN address.
+    Bind,
+    /// Every NF runs, then memory admission refuses the graph.
+    Memory,
+    /// NFs placed and one endpoint wired, then the second endpoint
+    /// claims untagged traffic another graph owns.
+    Conflict,
+    /// As `Conflict`, after joining an internal group.
+    GroupThenConflict,
+}
+
+impl Failure {
+    fn applies_to(self, subject: Subject) -> bool {
+        use Subject::*;
+        match self {
+            Failure::Create => subject == Docker,
+            Failure::Start => matches!(subject, NativeNew | Docker),
+            Failure::Bind => matches!(subject, NativeNewShared | NativeShare),
+            Failure::Memory | Failure::Conflict | Failure::GroupThenConflict => true,
+        }
+    }
+}
+
+/// Everything a deploy can take on the node.
+#[derive(Debug, PartialEq)]
+struct Census {
+    graphs: Vec<String>,
+    namespaces: usize,
+    ifaces: usize,
+    ledger_accounts: usize,
+    memory: u64,
+    instances: usize,
+    native_instances: usize,
+    lsi0_ports: usize,
+    flows: usize,
+    shared_types: Vec<String>,
+    bindings: usize,
+    group_members: usize,
+    nf_histograms: usize,
+}
+
+fn census(n: &UniversalNode) -> Census {
+    Census {
+        graphs: n.graph_ids(),
+        namespaces: n.host.namespace_count(),
+        ifaces: n.host.iface_count(),
+        ledger_accounts: n.ledger.live_accounts(),
+        memory: n.memory_used(),
+        instances: n.total_instances(),
+        native_instances: n.compute.native.instance_count(),
+        lsi0_ports: n.lsi0.port_count(),
+        flows: n.total_flows(),
+        shared_types: n.shared_nnf_types(),
+        bindings: n
+            .shared
+            .values()
+            .map(|info| n.compute.native.binding_count(info.instance.0))
+            .sum(),
+        group_members: n.internal_groups.values().map(Vec::len).sum(),
+        nf_histograms: n.obs_nf_hist.len(),
+    }
+}
+
+fn ipsec_config() -> un_nffg::NfConfig {
+    un_nffg::NfConfig::default()
+        .with_param("psk", "hunter2")
+        .with_param("local-addr", "192.0.2.1")
+        .with_param("peer-addr", "192.0.2.2")
+        .with_param("protected-local", "192.168.1.0/24")
+        .with_param("protected-remote", "172.16.0.0/16")
+        .with_param("lan-addr", "192.168.1.1/24")
+        .with_param("wan-addr", "192.0.2.1/24")
+}
+
+fn nat_config(wan: &str) -> un_nffg::NfConfig {
+    un_nffg::NfConfig::default()
+        .with_param("lan-addr", "192.168.1.1/24")
+        .with_param("wan-addr", wan)
+}
+
+/// `lan → nf → wan` on VLAN 100 of eth0/eth1 with the NF `subject`
+/// names — sabotaged, if asked, so that its deploy fails at `failure`.
+fn subject_graph(id: &str, subject: Subject, failure: Option<Failure>) -> un_nffg::NfFg {
+    let ipsec = matches!(subject, Subject::NativeNew | Subject::Docker);
+    let (functional_type, mut config) = match ipsec {
+        true => ("ipsec", ipsec_config()),
+        false => ("nat", nat_config("203.0.113.1/24")),
+    };
+    match failure {
+        Some(Failure::Start) => config.params.remove("psk"),
+        Some(Failure::Bind) => config.params.remove("lan-addr"),
+        _ => None,
+    };
+    let mut b = NfFgBuilder::new(id, "failure injection");
+    if failure == Some(Failure::GroupThenConflict) {
+        b = b.internal_endpoint("peer", "grp");
+    }
+    b = match failure {
+        Some(Failure::Conflict | Failure::GroupThenConflict) => b
+            .vlan_endpoint("lan", "eth0", 100)
+            .interface_endpoint("wan", "eth1"),
+        _ => b
+            .vlan_endpoint("lan", "eth0", 100)
+            .vlan_endpoint("wan", "eth1", 100),
+    };
+    b = b.nf_with_config("nf", functional_type, 2, config);
+    if subject == Subject::Docker {
+        b = b.with_flavor("docker");
+    }
+    let mut chain = vec!["nf"];
+    if failure == Some(Failure::Memory) {
+        // A VM the node has no room for, placed after the NF under test.
+        b = b.nf("heavy", "bridge", 2).with_flavor("vm");
+        chain.push("heavy");
+    }
+    b.chain("lan", &chain, "wan").build()
+}
+
+/// A node just big enough for everything but a VM, in the state the
+/// cell starts from.
+fn arranged(subject: Subject, failure: Failure) -> UniversalNode {
+    let mut n = UniversalNode::new("cpe-1", mb(200));
+    n.add_physical_port("eth0");
+    n.add_physical_port("eth1");
+    n.set_obs(un_obs::Obs::enabled());
+    if subject == Subject::NativeShare {
+        let host = NfFgBuilder::new("host", "first NAT tenant")
+            .vlan_endpoint("lan", "eth0", 50)
+            .vlan_endpoint("wan", "eth1", 50)
+            .nf_with_config("nat", "nat", 2, nat_config("198.51.100.1/24"))
+            .chain("lan", &["nat"], "wan")
+            .build();
+        n.deploy(&host).unwrap();
+    }
+    match failure {
+        Failure::Conflict | Failure::GroupThenConflict => {
+            n.deploy(&bridge_graph("occ")).unwrap();
+        }
+        Failure::Create => n.compute.docker.registry = un_container::Registry::new(),
+        _ => {}
+    }
+    n
+}
+
+/// Send one tenant frame through `good`'s NF; the egress count.
+fn forwards(n: &mut UniversalNode, subject: Subject) -> usize {
+    let (inst, flavor) = n.instance_of("good", "nf").expect("placed");
+    let (ns, lan_port) = match flavor {
+        Flavor::Docker => (n.compute.docker.namespace_of(inst.0), "eth0"),
+        _ => (n.compute.native.namespace_of(inst.0), "port0"),
+    };
+    let ns = ns.expect("a kernel flavor");
+    let ipsec = matches!(subject, Subject::NativeNew | Subject::Docker);
+    // The next hop is off-node: ARP cannot resolve it in the simulation.
+    let (next_hop, dst) = match ipsec {
+        true => ("192.0.2.2", "172.16.0.9"),
+        false => ("8.8.8.8", "8.8.8.8"),
+    };
+    n.host
+        .neigh_add(ns, next_hop.parse().unwrap(), MacAddr::local(0x99))
+        .unwrap();
+    let lan_mac = match ipsec {
+        true => n.host.iface_by_name(ns, lan_port).expect("LAN port").mac,
+        false => MacAddr::BROADCAST,
+    };
+    let pkt = un_packet::PacketBuilder::new()
+        .ethernet(MacAddr::local(5), lan_mac)
+        .vlan(100)
+        .ipv4("192.168.1.10".parse().unwrap(), dst.parse().unwrap())
+        .udp(5000, 53)
+        .payload(b"tenant")
+        .build();
+    let io = n.inject("eth0", pkt);
+    assert!(io.emitted.iter().all(|(port, _)| port == "eth1"));
+    io.emitted.len()
+}
+
+#[test]
+fn a_failed_deploy_leaves_the_node_as_it_found_it() {
+    use Failure::*;
+    use Subject::*;
+    let mut cells = 0;
+    for subject in [NativeNew, NativeNewShared, NativeShare, Docker] {
+        for failure in [Create, Start, Bind, Memory, Conflict, GroupThenConflict] {
+            if !failure.applies_to(subject) {
+                continue;
+            }
+            cells += 1;
+            let tag = format!("{subject:?} x {failure:?}");
+            let mut n = arranged(subject, failure);
+            let before = census(&n);
+
+            let err = n
+                .deploy(&subject_graph("broken", subject, Some(failure)))
+                .expect_err(&tag);
+            match failure {
+                Create | Start | Bind => {
+                    assert!(matches!(err, DeployError::Compute(_)), "{tag}: {err}")
+                }
+                Memory => assert!(
+                    matches!(err, DeployError::InsufficientMemory { .. }),
+                    "{tag}: {err}"
+                ),
+                Conflict | GroupThenConflict => {
+                    assert!(
+                        matches!(err, DeployError::EndpointConflict(_)),
+                        "{tag}: {err}"
+                    )
+                }
+            }
+            assert_eq!(census(&n), before, "{tag}: the failed deploy left residue");
+
+            // The next tenant of the same NF type finds the node a twin
+            // that never saw the failure would offer. (With no image in
+            // the registry that tenant goes native.)
+            let next = if failure == Create {
+                NativeNew
+            } else {
+                subject
+            };
+            let good = subject_graph("good", next, None);
+            let mut twin = arranged(subject, failure);
+            n.deploy(&good).unwrap_or_else(|e| panic!("{tag}: {e}"));
+            twin.deploy(&good).expect("the twin deploys");
+            assert_eq!(forwards(&mut n, next), 1, "{tag}: the next tenant forwards");
+            assert_eq!(forwards(&mut twin, next), 1, "{tag}: the twin forwards");
+            assert_eq!(census(&n), census(&twin), "{tag}: differs from its twin");
+            n.undeploy("good").unwrap();
+            twin.undeploy("good").unwrap();
+            assert_eq!(census(&n), census(&twin), "{tag}: after that tenant left");
+            // A shared instance outlives the guest, latency histogram
+            // and all; everything else is as it was before the failure.
+            if subject != NativeShare {
+                assert_eq!(census(&n), before, "{tag}: after that tenant left");
+            }
+        }
+    }
+    assert_eq!(cells, 17);
+}

@@ -35,7 +35,9 @@ pub trait NativeStatus {
 
 /// Decide the realization for one NF.
 ///
-/// `flavor_hint` comes from the NF-FG (`"native"`, `"docker"`, …).
+/// `flavor_hint` comes from the NF-FG (`"native"`, `"docker"`, …): a
+/// hinted flavor is obeyed or the decision fails; without a hint the
+/// native flavor is preferred and a busy singleton falls back to a VNF.
 pub fn decide(
     template: &NfTemplate,
     flavor_hint: Option<&str>,
@@ -47,7 +49,7 @@ pub fn decide(
         let flavor = Flavor::parse(hint)
             .ok_or_else(|| ComputeError::Unsupported(format!("unknown flavor '{hint}'")))?;
         if flavor == Flavor::Native {
-            return decide_native(template, catalog, status, true);
+            return decide_native(template, catalog, status);
         }
         let spec = template
             .spec_for(flavor)
@@ -63,7 +65,7 @@ pub fn decide(
 
     // No hint: prefer native when the node can (the paper's point:
     // lowest overhead on a resource-constrained CPE).
-    match decide_native(template, catalog, status, false) {
+    match decide_native(template, catalog, status) {
         Ok(d) => Ok(d),
         Err(_) => fallback_vnf(template),
     }
@@ -73,10 +75,6 @@ fn decide_native(
     template: &NfTemplate,
     catalog: &NnfCatalog,
     status: &dyn NativeStatus,
-    // The hinted-native and preference paths currently behave the same
-    // on a busy singleton (hard error); the flag documents intent at
-    // the call sites and keeps the signature stable.
-    _strict: bool,
 ) -> Result<Decision, ComputeError> {
     let ft = template.functional_type.as_str();
     let Some(desc) = catalog.get(ft) else {
@@ -99,9 +97,8 @@ fn decide_native(
             } else if desc.sharable && shared {
                 Ok(Decision::NativeShare(id))
             } else {
-                // Busy singleton: hard error whether the native flavor
-                // was demanded (`strict`) or merely preferred — the
-                // caller decides whether to fall back to a VNF.
+                // Busy singleton: the caller decides whether that is
+                // final (native was demanded) or falls back to a VNF.
                 Err(ComputeError::NnfBusy(ft.to_string()))
             }
         }

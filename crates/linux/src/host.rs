@@ -177,19 +177,23 @@ impl Host {
             .remove(ns.0)
             .ok_or(HostError::NoSuchNamespace(ns.0))?;
         for iface in gone.ifaces {
-            self.remove_iface(iface);
+            // A veth peer inside the same namespace is gone already.
+            let _ = self.remove_iface(iface);
         }
         self.sockets.close_namespace(ns);
         Ok(())
     }
 
-    /// Free one interface and, where its namespace lives on, every
-    /// reference the configuration plane can have made to it there:
-    /// membership, routes, bridge ports, sub-interfaces, parked frames.
-    fn remove_iface(&mut self, id: IfaceId) {
-        let Some(iface) = self.ifaces.remove(id.0) else {
-            return; // a veth peer inside the same namespace: gone already
-        };
+    /// Delete one interface (`ip link del`) and, where its namespace
+    /// lives on, every reference the configuration plane can have made
+    /// to it there: membership, routes, bridge ports, sub-interfaces,
+    /// parked frames. A veth end takes its peer with it. The freed
+    /// handle is handed out again by later `add_*` calls.
+    pub fn remove_iface(&mut self, id: IfaceId) -> Result<(), HostError> {
+        let iface = self
+            .ifaces
+            .remove(id.0)
+            .ok_or(HostError::NoSuchIface(id.0))?;
         if let Some(owner) = self.namespaces.get_mut(iface.ns.0) {
             owner.ifaces.retain(|i| *i != id);
             for table in owner.routing.tables.values_mut() {
@@ -207,15 +211,16 @@ impl Host {
                         fdb.retain(|_, port| *port != id);
                     }
                     Some(IfaceKind::VlanSub { parent, .. }) if *parent == id => {
-                        self.remove_iface(sibling);
+                        let _ = self.remove_iface(sibling);
                     }
                     _ => {}
                 }
             }
         }
         if let IfaceKind::Veth { peer } = iface.kind {
-            self.remove_iface(peer);
+            let _ = self.remove_iface(peer);
         }
+        Ok(())
     }
 
     fn alloc_mac(&mut self) -> MacAddr {

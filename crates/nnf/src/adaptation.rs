@@ -121,7 +121,7 @@ impl AdaptationLayer {
     }
 
     /// Detach a graph: remove its marking rules, routing table and
-    /// bring its sub-interfaces down.
+    /// sub-interfaces.
     pub fn detach(
         &mut self,
         ctx: &mut NnfContext<'_>,
@@ -132,7 +132,7 @@ impl AdaptationLayer {
         };
         let (_, ifaces) = self.attached.remove(pos);
         for sub in [ifaces.lan, ifaces.wan] {
-            ctx.host.set_up(sub, false)?;
+            ctx.host.remove_iface(sub)?;
             let ns = ctx.ns;
             if let Some(nsr) = ctx.host.namespace_mut(ns) {
                 nsr.netfilter.remove_rule(
@@ -269,6 +269,7 @@ mod tests {
             ));
         }
         assert_eq!(layer.graph_count(), 0);
+        assert_eq!(host.iface_count(), 3, "root lo, nnf lo, attach0");
         let nsr = host.namespace(ns).unwrap();
         assert!(nsr
             .netfilter

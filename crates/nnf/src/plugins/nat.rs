@@ -158,7 +158,16 @@ impl NnfPlugin for NatNnf {
                 .get("wan-addr")
                 .ok_or(NnfError::MissingParam("wan-addr"))?,
         )?;
+        let wan_gw = match binding.params.get("wan-gw") {
+            Some(v) => Some(v.parse().map_err(|_| NnfError::BadParam {
+                key: "wan-gw".into(),
+                value: v.to_string(),
+            })?),
+            None => None,
+        };
 
+        // Every parameter is parsed: nothing past this point fails on
+        // what the tenant sent, so a refused bind has attached nothing.
         let ifaces = adaptation.attach(ctx, binding)?;
         ctx.host.addr_add(ifaces.lan, lan_addr)?;
         ctx.host.addr_add(ifaces.wan, wan_addr)?;
@@ -174,13 +183,6 @@ impl NnfPlugin for NatNnf {
             ifaces.lan,
             0,
         )?;
-        let wan_gw = match binding.params.get("wan-gw") {
-            Some(v) => Some(v.parse().map_err(|_| NnfError::BadParam {
-                key: "wan-gw".into(),
-                value: v.to_string(),
-            })?),
-            None => None,
-        };
         ctx.host.route_add(
             ctx.ns,
             table,

@@ -3,10 +3,9 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
 use un_core::UniversalNode;
 use un_nffg::Json;
 
@@ -18,24 +17,22 @@ pub type NodeHandle = Arc<Mutex<UniversalNode>>;
 /// Handle one request against the node (pure function; used directly by
 /// unit tests and by the TCP server loop).
 pub fn handle(node: &NodeHandle, req: &Request) -> Response {
+    let mut node = node.lock().expect("a request handler panicked mid-update");
     let segments: Vec<&str> = req.path.trim_matches('/').split('/').collect();
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["node"]) => {
-            let desc = node.lock().describe();
+            let desc = node.describe();
             Response::json(StatusCode::Ok, desc.to_json())
         }
         ("GET", ["nffg"]) => {
-            let ids = node.lock().graph_ids();
+            let ids = node.graph_ids();
             let list = Json::Arr(ids.iter().map(|i| Json::from(i.as_str())).collect());
             Response::json(StatusCode::Ok, list.render())
         }
-        ("GET", ["nffg", id]) => {
-            let node = node.lock();
-            match node.graph(id) {
-                Some(g) => Response::json(StatusCode::Ok, un_nffg::to_json(g)),
-                None => Response::error(StatusCode::NotFound, &format!("no such graph '{id}'")),
-            }
-        }
+        ("GET", ["nffg", id]) => match node.graph(id) {
+            Some(g) => Response::json(StatusCode::Ok, un_nffg::to_json(g)),
+            None => Response::error(StatusCode::NotFound, &format!("no such graph '{id}'")),
+        },
         ("PUT", ["nffg", id]) => {
             let body = String::from_utf8_lossy(&req.body);
             let graph = match un_nffg::from_json(&body) {
@@ -50,7 +47,6 @@ pub fn handle(node: &NodeHandle, req: &Request) -> Response {
                     &format!("path id '{id}' != body id '{}'", graph.id),
                 );
             }
-            let mut node = node.lock();
             let exists = node.graph(id).is_some();
             let result = if exists {
                 node.update(&graph)
@@ -84,13 +80,10 @@ pub fn handle(node: &NodeHandle, req: &Request) -> Response {
                 Err(e) => Response::error(StatusCode::BadRequest, &e.to_string()),
             }
         }
-        ("DELETE", ["nffg", id]) => {
-            let mut node = node.lock();
-            match node.undeploy(id) {
-                Ok(()) => Response::json(StatusCode::Ok, "{\"status\":\"undeployed\"}"),
-                Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
-            }
-        }
+        ("DELETE", ["nffg", id]) => match node.undeploy(id) {
+            Ok(()) => Response::json(StatusCode::Ok, "{\"status\":\"undeployed\"}"),
+            Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
+        },
         ("GET", _) | ("PUT", _) | ("DELETE", _) => {
             Response::error(StatusCode::NotFound, "unknown resource")
         }

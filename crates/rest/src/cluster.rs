@@ -33,9 +33,8 @@
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use un_domain::{Domain, NodeHealth, ProbeSpec, ReplacementReport};
 use un_nffg::Json;
 
@@ -111,10 +110,13 @@ fn repair_report_json(name: &str, report: &ReplacementReport) -> String {
 /// Handle one request against the domain (pure function; used directly
 /// by unit tests and by the TCP server loop).
 pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
+    let mut domain = domain
+        .lock()
+        .expect("a request handler panicked mid-update");
     let (path, query) = crate::http::split_query(&req.path);
     let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
     match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["metrics"]) => Response::text(StatusCode::Ok, domain.lock().metrics_prometheus()),
+        ("GET", ["metrics"]) => Response::text(StatusCode::Ok, domain.metrics_prometheus()),
         ("GET", ["domain", "events"]) => {
             let mut since = None;
             let mut kind = None;
@@ -150,14 +152,11 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
             }
             Response::json(
                 StatusCode::Ok,
-                domain
-                    .lock()
-                    .events_doc_filtered(since, kind, limit)
-                    .render(),
+                domain.events_doc_filtered(since, kind, limit).render(),
             )
         }
         ("GET", ["domain", "traces"]) => {
-            Response::json(StatusCode::Ok, domain.lock().traces_doc().render())
+            Response::json(StatusCode::Ok, domain.traces_doc().render())
         }
         ("POST", ["domain", "trace"]) => {
             let body = String::from_utf8_lossy(&req.body);
@@ -202,24 +201,23 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
                     }
                 }
             }
-            let trace = domain.lock().trace_probe(&node, &port, &spec);
+            let trace = domain.trace_probe(&node, &port, &spec);
             Response::json(StatusCode::Ok, Domain::trace_doc(&trace).render())
         }
         ("GET", ["domain", "verify"]) => {
-            Response::json(StatusCode::Ok, domain.lock().verify_doc().render())
+            Response::json(StatusCode::Ok, domain.verify_doc().render())
         }
-        ("GET", ["domain"]) => Response::json(StatusCode::Ok, domain.lock().describe().render()),
+        ("GET", ["domain"]) => Response::json(StatusCode::Ok, domain.describe().render()),
         ("GET", ["domain", "topology"]) => {
-            Response::json(StatusCode::Ok, domain.lock().topology_doc().render())
+            Response::json(StatusCode::Ok, domain.topology_doc().render())
         }
         ("GET", ["domain", "shared"]) => {
-            Response::json(StatusCode::Ok, domain.lock().shared_doc().render())
+            Response::json(StatusCode::Ok, domain.shared_doc().render())
         }
         ("GET", ["domain", "availability"]) => {
-            Response::json(StatusCode::Ok, domain.lock().availability_doc().render())
+            Response::json(StatusCode::Ok, domain.availability_doc().render())
         }
         ("GET", ["domain", "nodes"]) => {
-            let domain = domain.lock();
             let nodes: Vec<Json> = domain
                 .node_names()
                 .iter()
@@ -234,38 +232,29 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
                 .collect();
             Response::json(StatusCode::Ok, Json::Arr(nodes).render())
         }
-        ("POST", ["domain", "nodes", name, "fail"]) => {
-            let mut domain = domain.lock();
-            match domain.fail_node(name) {
-                Ok(report) => Response::json(StatusCode::Ok, repair_report_json(name, &report)),
-                Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
+        ("POST", ["domain", "nodes", name, "fail"]) => match domain.fail_node(name) {
+            Ok(report) => Response::json(StatusCode::Ok, repair_report_json(name, &report)),
+            Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
+        },
+        ("POST", ["domain", "nodes", name, "recover"]) => match domain.recover_node(name) {
+            Ok(retried) => {
+                let body = Json::obj().set("recovered", *name).set(
+                    "retried",
+                    Json::Arr(retried.iter().map(|g| Json::from(g.as_str())).collect()),
+                );
+                Response::json(StatusCode::Ok, body.render())
             }
-        }
-        ("POST", ["domain", "nodes", name, "recover"]) => {
-            let mut domain = domain.lock();
-            match domain.recover_node(name) {
-                Ok(retried) => {
-                    let body = Json::obj().set("recovered", *name).set(
-                        "retried",
-                        Json::Arr(retried.iter().map(|g| Json::from(g.as_str())).collect()),
-                    );
-                    Response::json(StatusCode::Ok, body.render())
-                }
-                Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
-            }
-        }
+            Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
+        },
         ("GET", ["domain", "nffg"]) => {
-            let ids = domain.lock().graph_ids();
+            let ids = domain.graph_ids();
             let body = Json::Arr(ids.iter().map(|i| Json::from(i.as_str())).collect());
             Response::json(StatusCode::Ok, body.render())
         }
-        ("GET", ["domain", "nffg", id]) => {
-            let domain = domain.lock();
-            match domain.graph(id) {
-                Some(g) => Response::json(StatusCode::Ok, un_nffg::to_json(g)),
-                None => Response::error(StatusCode::NotFound, &format!("no such graph '{id}'")),
-            }
-        }
+        ("GET", ["domain", "nffg", id]) => match domain.graph(id) {
+            Some(g) => Response::json(StatusCode::Ok, un_nffg::to_json(g)),
+            None => Response::error(StatusCode::NotFound, &format!("no such graph '{id}'")),
+        },
         ("PUT", ["domain", "nffg", id]) => {
             let body = String::from_utf8_lossy(&req.body);
             let graph = match un_nffg::from_json(&body) {
@@ -280,7 +269,6 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
                     &format!("path id '{id}' != body id '{}'", graph.id),
                 );
             }
-            let mut domain = domain.lock();
             let exists = domain.graph(id).is_some();
             let result = if exists {
                 domain.update(&graph)
@@ -317,13 +305,10 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
                 Err(e) => Response::error(StatusCode::BadRequest, &e.to_string()),
             }
         }
-        ("DELETE", ["domain", "nffg", id]) => {
-            let mut domain = domain.lock();
-            match domain.undeploy(id) {
-                Ok(()) => Response::json(StatusCode::Ok, "{\"status\":\"undeployed\"}"),
-                Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
-            }
-        }
+        ("DELETE", ["domain", "nffg", id]) => match domain.undeploy(id) {
+            Ok(()) => Response::json(StatusCode::Ok, "{\"status\":\"undeployed\"}"),
+            Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
+        },
         ("GET", _) | ("PUT", _) | ("DELETE", _) | ("POST", _) => {
             Response::error(StatusCode::NotFound, "unknown resource")
         }
@@ -457,9 +442,13 @@ mod tests {
         let d = domain_handle();
         // Give n1 the wan interface so re-placement can succeed, and
         // split the graph so n2 actually hosts a part.
-        d.lock().node_mut("n1").unwrap().add_physical_port("eth1");
+        d.lock()
+            .unwrap()
+            .node_mut("n1")
+            .unwrap()
+            .add_physical_port("eth1");
         {
-            let mut domain = d.lock();
+            let mut domain = d.lock().unwrap();
             let g = un_nffg::from_json(&chain_json("g1")).unwrap();
             let hints = DeployHints {
                 nf_node: [
@@ -518,7 +507,7 @@ mod tests {
         d.add_node(n2);
         let d: DomainHandle = Arc::new(Mutex::new(d));
         {
-            let mut domain = d.lock();
+            let mut domain = d.lock().unwrap();
             let g = un_nffg::from_json(&chain_json("g1")).unwrap();
             let hints = DeployHints {
                 nf_node: [
@@ -651,9 +640,13 @@ mod tests {
     #[test]
     fn cluster_trace_endpoints() {
         let d = domain_handle();
-        d.lock().node_mut("n1").unwrap().add_physical_port("eth1");
+        d.lock()
+            .unwrap()
+            .node_mut("n1")
+            .unwrap()
+            .add_physical_port("eth1");
         {
-            let mut domain = d.lock();
+            let mut domain = d.lock().unwrap();
             let g = un_nffg::from_json(&chain_json("g1")).unwrap();
             let hints = DeployHints {
                 nf_node: [
@@ -667,7 +660,7 @@ mod tests {
         }
 
         // Ghost probe: full walk, counters untouched.
-        let before = d.lock().conservation_report();
+        let before = d.lock().unwrap().conservation_report();
         let r = handle_cluster(
             &d,
             &req(
@@ -684,7 +677,7 @@ mod tests {
         assert!(rendered.contains("ingress"), "{rendered}");
         assert!(rendered.contains("classify"), "{rendered}");
         assert!(rendered.contains("overlay"), "{rendered}");
-        let after = d.lock().conservation_report();
+        let after = d.lock().unwrap().conservation_report();
         assert_eq!(before.ingress, after.ingress, "ghost moved the ledger");
         assert_eq!(before.egress, after.egress, "ghost moved the ledger");
 
@@ -703,7 +696,7 @@ mod tests {
                 .udp(5000, 5001)
                 .payload(&[0xAB; 64])
                 .build();
-            d.lock().inject_traced("n1", "eth0", pkt, 1);
+            d.lock().unwrap().inject_traced("n1", "eth0", pkt, 1);
         }
         let r = handle_cluster(&d, &req("GET", "/domain/traces", ""));
         assert!(r.body.contains("\"ghost\":false"), "{}", r.body);
@@ -792,7 +785,7 @@ mod tests {
                 .into(),
                 ..DeployHints::default()
             };
-            d.lock().deploy_with(&g, &hints).unwrap();
+            d.lock().unwrap().deploy_with(&g, &hints).unwrap();
         }
         let r = handle_cluster(&d, &req("GET", "/domain/topology", ""));
         assert!(
@@ -846,7 +839,7 @@ mod tests {
                 .into(),
                 ..DeployHints::default()
             };
-            d.lock().deploy_with(&g, &hints).unwrap();
+            d.lock().unwrap().deploy_with(&g, &hints).unwrap();
         }
         let r = handle_cluster(&d, &req("GET", "/domain/shared", ""));
         assert!(r.body.contains("\"type\":\"nat\""), "{}", r.body);
@@ -870,9 +863,13 @@ mod tests {
     fn cluster_reports_availability_and_standby_promotion() {
         let d = domain_handle();
         // n1 also carries eth1 so the repair can collapse onto it.
-        d.lock().node_mut("n1").unwrap().add_physical_port("eth1");
+        d.lock()
+            .unwrap()
+            .node_mut("n1")
+            .unwrap()
+            .add_physical_port("eth1");
         {
-            let mut domain = d.lock();
+            let mut domain = d.lock().unwrap();
             let g = un_nffg::from_json(&chain_json("g1")).unwrap();
             let hints = DeployHints {
                 nf_node: [
@@ -894,7 +891,7 @@ mod tests {
 
         // Suspect → fail: the blast-radius doc reports the promotion
         // and the availability doc records both downtime streams.
-        d.lock().suspect_node("n2").unwrap();
+        d.lock().unwrap().suspect_node("n2").unwrap();
         let r = handle_cluster(&d, &req("GET", "/domain/availability", ""));
         assert!(r.body.contains("\"standby-ready\":true"), "{}", r.body);
         let r = handle_cluster(&d, &req("POST", "/domain/nodes/n2/fail", ""));

@@ -12,9 +12,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use un_core::UniversalNode;
 use un_nffg::{NfConfig, NfFgBuilder};
 use un_packet::{MacAddr, PacketBuilder};
@@ -83,7 +82,7 @@ fn main() {
     // Verify the packet path across the VM bridge at least reaches the
     // Docker firewall (counters move), then undeploy over REST.
     {
-        let mut n = handle.lock();
+        let mut n = handle.lock().unwrap();
         let frame = PacketBuilder::new()
             .ethernet(MacAddr::local(1), MacAddr::local(2))
             .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())

@@ -2,7 +2,8 @@
 //!
 //! Random sequences of `deploy` / `update` / `undeploy` / `fail_node` /
 //! `suspect_node` / `recover_node` / `heartbeat` / `tick` /
-//! `retry_pending` are driven
+//! `retry_pending` — and `deploy_broken`, a graph some node accepts
+//! and then fails half-way through building — are driven
 //! against **two** domains differing only in repair policy
 //! (incremental vs from-scratch) and checked, after every operation,
 //! against a simple in-test reference model of the health state
@@ -56,7 +57,8 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 use un_core::UniversalNode;
 use un_domain::{
-    Domain, DomainConfig, EdgeAttrs, NodeHealth, RepairPolicy, ShareKey, SharingConfig, Topology,
+    DeployHints, Domain, DomainConfig, EdgeAttrs, NodeHealth, RepairPolicy, ShareKey,
+    SharingConfig, Topology,
 };
 use un_nffg::{NfFg, NfFgBuilder};
 use un_packet::ethernet::MacAddr;
@@ -100,6 +102,69 @@ fn graph(i: usize, len: usize) -> NfFg {
     }
     let refs: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
     b.chain("lan", &refs, "wan").build()
+}
+
+/// A graph the planner admits and a node then fails to build, after
+/// its NF exists: either a native IPsec with no configuration
+/// (created, then `start` misses a parameter), or two endpoints both
+/// claiming `eth1`'s untagged traffic on n3 (NF running and the first
+/// endpoint wired when the second is refused).
+fn broken_graph(i: usize, collide: bool) -> (NfFg, DeployHints) {
+    let b = NfFgBuilder::new(&format!("broken{i}"), "chaos");
+    if collide {
+        let graph = b
+            .interface_endpoint("a", "eth1")
+            .interface_endpoint("b", "eth1")
+            .nf("br", "bridge", 2)
+            .chain("a", &["br"], "b")
+            .build();
+        let same_node = [("a", "n3"), ("b", "n3")].map(|(k, v)| (k.to_string(), v.to_string()));
+        let hints = DeployHints {
+            endpoint_node: same_node.into_iter().collect(),
+            ..DeployHints::default()
+        };
+        (graph, hints)
+    } else {
+        let graph = b
+            .vlan_endpoint("lan", "eth0", 900 + 2 * i as u16)
+            .vlan_endpoint("wan", "eth1", 901 + 2 * i as u16)
+            .nf("vpn", "ipsec", 2)
+            .with_flavor("native")
+            .chain("lan", &["vpn"], "wan")
+            .build();
+        (graph, DeployHints::default())
+    }
+}
+
+/// Deploy a broken graph: it must be refused, and what the fleet holds
+/// — deployed and parked graphs, vids backing links or staged standbys,
+/// every node's kernel objects, instances, ports and flows — must be
+/// what it held before. (`check_domain` then runs as after any op:
+/// verify clean, ledgers balanced.)
+fn chaos_deploy_broken(d: &mut Domain, i: usize, collide: bool, tag: &str) {
+    let held = |d: &Domain| {
+        let (_, _, _, in_use, standby) = d.vid_accounting();
+        let nodes: Vec<[usize; 6]> = NODES
+            .iter()
+            .map(|name| {
+                let n = d.node(name).unwrap();
+                [
+                    n.host.namespace_count(),
+                    n.host.iface_count(),
+                    n.ledger.live_accounts(),
+                    n.total_instances(),
+                    n.lsis().next().unwrap().1.port_count(),
+                    n.total_flows(),
+                ]
+            })
+            .collect();
+        (d.graph_ids(), d.pending_graphs(), in_use, standby, nodes)
+    };
+    let before = held(d);
+    let (graph, hints) = broken_graph(i, collide);
+    let refused = d.deploy_with(&graph, &hints);
+    assert!(refused.is_err(), "{tag}: {} deployed", graph.id);
+    assert_eq!(held(d), before, "{tag}: a refused deploy changed the fleet");
 }
 
 /// The chaos sharing settings: registry known to both fleets, **off**
@@ -246,10 +311,13 @@ enum Op {
     /// Explicitly suspect a node — stages make-before-break standby
     /// plans that a later failure promotes or a heartbeat discards.
     Suspect(usize),
+    /// Deploy a graph a node fails to build half-way (`.1`: colliding
+    /// untagged endpoints, else a native NF missing a parameter).
+    DeployBroken(usize, bool),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..15, 0u8..8, 0u8..4).prop_map(|(kind, a, b)| match kind {
+    (0u8..16, 0u8..8, 0u8..4).prop_map(|(kind, a, b)| match kind {
         0 | 1 => Op::Deploy(a as usize % GRAPHS),
         2 => Op::Update(a as usize % GRAPHS, b as usize),
         3 => Op::Undeploy(a as usize % GRAPHS),
@@ -260,6 +328,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         9 => Op::ToggleSharing,
         10 => Op::RetryPending,
         13 | 14 => Op::Suspect(a as usize % NODES.len()),
+        15 => Op::DeployBroken(a as usize % GRAPHS, b % 2 == 0),
         _ => Op::Inject(a as usize % GRAPHS, b as usize % NODES.len()),
     })
 }
@@ -761,6 +830,9 @@ proptest! {
                     model.suspect(*n);
                     d.suspect_node(NODES[*n]).unwrap();
                 }
+                Op::DeployBroken(i, collide) => {
+                    chaos_deploy_broken(&mut d, *i, *collide, "line");
+                }
             }
             check_domain(&d, &model, "line");
         }
@@ -881,6 +953,10 @@ proptest! {
                     model.suspect(*n);
                     inc.suspect_node(NODES[*n]).unwrap();
                     fs.suspect_node(NODES[*n]).unwrap();
+                }
+                Op::DeployBroken(i, collide) => {
+                    chaos_deploy_broken(&mut inc, *i, *collide, "incremental");
+                    chaos_deploy_broken(&mut fs, *i, *collide, "from-scratch");
                 }
             }
 

@@ -4,9 +4,8 @@
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use un_core::UniversalNode;
 use un_domain::{DeployHints, Domain, DomainConfig, NodeHealth, PlacementStrategy};
 use un_nffg::{NfFg, NfFgBuilder};
@@ -147,10 +146,10 @@ fn cluster_rest_round_trip_over_the_domain() {
     assert!(r.body.contains("edge-a") && r.body.contains("edge-b"));
 
     // The deployed domain forwards (REST and data plane share state).
-    let io = d.lock().inject("edge-a", "eth0", lan_frame(3));
+    let io = d.lock().unwrap().inject("edge-a", "eth0", lan_frame(3));
     assert_eq!(io.emitted.len(), 1);
 
     let r = handle_cluster(&d, &req("DELETE", "/domain/nffg/svc", ""));
     assert!(r.body.contains("undeployed"));
-    assert!(d.lock().graph_ids().is_empty());
+    assert!(d.lock().unwrap().graph_ids().is_empty());
 }

@@ -104,8 +104,7 @@ fn per_graph_lsis_isolate_flow_tables() {
 
 #[test]
 fn rest_layer_serves_figure1_description() {
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
     let node = figure1_node();
     let handle: un_rest::NodeHandle = Arc::new(Mutex::new(node));
     let req = un_rest::Request {

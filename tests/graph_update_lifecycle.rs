@@ -1,8 +1,7 @@
 //! NF-FG lifecycle over the REST API and in-place updates.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use un_core::UniversalNode;
 use un_nffg::{NfFgBuilder, RuleAction, TrafficMatch};
 use un_packet::{MacAddr, PacketBuilder};
@@ -52,7 +51,10 @@ fn full_rest_lifecycle() {
     assert_eq!(r.status, StatusCode::Created, "{}", r.body);
 
     // Traffic flows.
-    assert_eq!(node.lock().inject("eth0", frame()).emitted.len(), 1);
+    assert_eq!(
+        node.lock().unwrap().inject("eth0", frame()).emitted.len(),
+        1
+    );
 
     // GET returns a graph that round-trips.
     let r = un_rest::api::handle(&node, &req("GET", "/nffg/life", ""));
@@ -65,13 +67,19 @@ fn full_rest_lifecycle() {
     let r = un_rest::api::handle(&node, &req("PUT", "/nffg/life", &un_nffg::to_json(&g2)));
     assert_eq!(r.status, StatusCode::Ok, "{}", r.body);
     // Forward still works; reverse is now unrouted inside the graph LSI.
-    assert_eq!(node.lock().inject("eth0", frame()).emitted.len(), 1);
-    assert_eq!(node.lock().inject("eth1", frame()).emitted.len(), 0);
+    assert_eq!(
+        node.lock().unwrap().inject("eth0", frame()).emitted.len(),
+        1
+    );
+    assert_eq!(
+        node.lock().unwrap().inject("eth1", frame()).emitted.len(),
+        0
+    );
 
     // DELETE tears down.
     let r = un_rest::api::handle(&node, &req("DELETE", "/nffg/life", ""));
     assert_eq!(r.status, StatusCode::Ok);
-    assert_eq!(node.lock().memory_used(), 0);
+    assert_eq!(node.lock().unwrap().memory_used(), 0);
 }
 
 #[test]
@@ -101,8 +109,14 @@ fn update_narrows_classifier_in_place() {
             .payload(b"x")
             .build()
     };
-    assert_eq!(node.lock().inject("eth0", mk(2000)).emitted.len(), 1);
-    assert_eq!(node.lock().inject("eth0", mk(9999)).emitted.len(), 0);
+    assert_eq!(
+        node.lock().unwrap().inject("eth0", mk(2000)).emitted.len(),
+        1
+    );
+    assert_eq!(
+        node.lock().unwrap().inject("eth0", mk(9999)).emitted.len(),
+        0
+    );
 }
 
 #[test]
@@ -111,7 +125,7 @@ fn structural_update_swaps_flavor() {
     let g = bridge_graph();
     un_rest::api::handle(&node, &req("PUT", "/nffg/life", &un_nffg::to_json(&g)));
     assert_eq!(
-        node.lock().instance_of("life", "br").unwrap().1,
+        node.lock().unwrap().instance_of("life", "br").unwrap().1,
         un_compute::Flavor::Native
     );
 
@@ -121,11 +135,14 @@ fn structural_update_swaps_flavor() {
     let r = un_rest::api::handle(&node, &req("PUT", "/nffg/life", &un_nffg::to_json(&g2)));
     assert_eq!(r.status, StatusCode::Ok, "{}", r.body);
     assert_eq!(
-        node.lock().instance_of("life", "br").unwrap().1,
+        node.lock().unwrap().instance_of("life", "br").unwrap().1,
         un_compute::Flavor::Docker
     );
     // Still forwards.
-    assert_eq!(node.lock().inject("eth0", frame()).emitted.len(), 1);
+    assert_eq!(
+        node.lock().unwrap().inject("eth0", frame()).emitted.len(),
+        1
+    );
 }
 
 #[test]
@@ -133,9 +150,15 @@ fn noop_update_changes_nothing() {
     let node = handle_for_node();
     let g = bridge_graph();
     un_rest::api::handle(&node, &req("PUT", "/nffg/life", &un_nffg::to_json(&g)));
-    let flows_before = node.lock().total_flows();
+    let flows_before = node.lock().unwrap().total_flows();
     let r = un_rest::api::handle(&node, &req("PUT", "/nffg/life", &un_nffg::to_json(&g)));
     assert_eq!(r.status, StatusCode::Ok);
-    assert_eq!(node.lock().total_flows(), flows_before);
-    assert_eq!(node.lock().trace.counter("graph_updates_structural"), 0);
+    assert_eq!(node.lock().unwrap().total_flows(), flows_before);
+    assert_eq!(
+        node.lock()
+            .unwrap()
+            .trace
+            .counter("graph_updates_structural"),
+        0
+    );
 }

@@ -150,6 +150,41 @@ fn fail_recover_leaves_no_residue() {
     assert!(d.verify_full().ok());
 }
 
+/// A guest tenant joins the fleet-wide shared NAT a resident keeps
+/// alive, and leaves again: the join's per-graph kernel objects in the
+/// NAT's namespace (two VLAN sub-interfaces, marks, a routing table)
+/// go when the guest does.
+#[test]
+fn shared_nat_join_leave_leaves_no_residue() {
+    let nat_tenant = |id: &str, vid: u16| {
+        let nat = NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", &format!("203.0.113.{}/24", vid % 250));
+        NfFgBuilder::new(id, "nat tenant")
+            .vlan_endpoint("lan", "eth0", vid)
+            .vlan_endpoint("wan", "eth1", vid)
+            .nf_with_config("nat", "nat", 2, nat)
+            .chain("lan", &["nat"], "wan")
+            .build()
+    };
+    let mut d = mixed_fleet();
+    d.deploy(&nat_tenant("resident", 200))
+        .expect("resident deploys");
+    let alone = census(&d);
+    let guest = nat_tenant("guest", 300);
+    let mut joined = None;
+    for cycle in 0..CYCLES {
+        d.deploy(&guest).expect("guest joins");
+        assert_eq!(d.shared_instances().len(), 1, "one NAT serves both");
+        let now = census(&d);
+        assert_eq!(*joined.get_or_insert(now.clone()), now, "cycle {cycle}");
+        d.undeploy("guest").expect("guest leaves");
+        assert_eq!(census(&d), alone, "cycle {cycle}: the join left residue");
+    }
+    assert_leases_balance(&d, "join/leave");
+    assert!(d.verify_full().ok());
+}
+
 // ---------------------------------------------------------------------
 // The rollback matrix: a node rejects its part *after* planning
 // admitted it, once per entry point of the control plane.
@@ -163,6 +198,17 @@ enum Entry {
     Repair,
     Promote,
     Retry,
+}
+
+/// How `z` comes to reject the part it is sent.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rejection {
+    /// `z`'s native IPsec singleton is taken: the driver refuses
+    /// `create`, nothing of the NF ever exists.
+    Busy,
+    /// `z` is free and takes the NF, whose configuration lacks the
+    /// `psk`: the instance is created, then its `start` fails.
+    StartFails,
 }
 
 /// A heterogeneous fleet. `a` is the node `Domain::estimates` prices
@@ -305,11 +351,16 @@ fn assert_leases_balance(d: &Domain, tag: &str) {
     }
 }
 
-fn rollback_case(entry: Entry) {
-    let tag = format!("{entry:?}");
+fn rollback_case(entry: Entry, rejection: Rejection) {
+    let tag = format!("{entry:?}/{rejection:?}");
     let mut d = mixed_fleet();
+    let mut spec = svc(true);
+    if rejection == Rejection::StartFails {
+        d.undeploy("occ").expect("the occupier leaves");
+        let vpn = spec.nfs.iter_mut().find(|nf| nf.id == "vpn").expect("vpn");
+        vpn.config.params.remove("psk");
+    }
     let empty = census(&d);
-    let spec = svc(true);
 
     // Arrange: bring the fleet to the state the entry point starts from.
     match entry {
@@ -446,6 +497,11 @@ fn rolled_back_commit_leaves_no_residue_from_any_entry_point() {
         Entry::Promote,
         Entry::Retry,
     ] {
-        rollback_case(entry);
+        rollback_case(entry, Rejection::Busy);
+    }
+    // The instance exists by the time `z` fails: the node's own
+    // teardown is part of what must leave nothing behind.
+    for entry in [Entry::Deploy, Entry::Update] {
+        rollback_case(entry, Rejection::StartFails);
     }
 }

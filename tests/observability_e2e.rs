@@ -11,9 +11,8 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use un_core::UniversalNode;
 use un_domain::{DeployHints, Domain, DomainConfig};
 use un_nffg::NfFgBuilder;
@@ -202,7 +201,11 @@ fn metrics_endpoint_serves_parseable_exposition_over_tcp() {
 
     // A failure repairs the chain onto n1; the next scrape still
     // parses, gains the repair span, and stays balanced.
-    domain.lock().fail_node("n2").expect("repairable failure");
+    domain
+        .lock()
+        .unwrap()
+        .fail_node("n2")
+        .expect("repairable failure");
     let (status, _, body) = http_get(server.addr(), "/metrics");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
     parse_exposition(&body);
@@ -214,7 +217,11 @@ fn metrics_endpoint_serves_parseable_exposition_over_tcp() {
 #[test]
 fn events_endpoint_serves_the_ring_as_json() {
     let domain = observed_domain();
-    domain.lock().fail_node("n2").expect("repairable failure");
+    domain
+        .lock()
+        .unwrap()
+        .fail_node("n2")
+        .expect("repairable failure");
     let server = serve_cluster(domain, "127.0.0.1:0").expect("bind");
     let (status, headers, body) = http_get(server.addr(), "/domain/events");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
@@ -240,7 +247,11 @@ fn events_endpoint_serves_the_ring_as_json() {
 #[test]
 fn events_endpoint_filters_over_http() {
     let domain = observed_domain();
-    domain.lock().fail_node("n2").expect("repairable failure");
+    domain
+        .lock()
+        .unwrap()
+        .fail_node("n2")
+        .expect("repairable failure");
     let server = serve_cluster(domain, "127.0.0.1:0").expect("bind");
 
     // kind= narrows to one event family; matched counts the full ring.
@@ -304,7 +315,7 @@ fn trace_endpoints_over_http() {
 
     // ...and moves no counters: the ledger still balances on exactly
     // the 16 real frames the fixture injected.
-    let report = domain.lock().conservation_report();
+    let report = domain.lock().unwrap().conservation_report();
     assert_eq!(report.ingress, 16, "ghost probe leaked into the ledger");
 
     // The ghost probe never lands in the recent-trace ring.
