@@ -15,6 +15,14 @@
 //!   vs per-graph Docker NATs.
 //! * `chain_sweep` — Ext-B: throughput vs chain length per flavor.
 //! * `memory_scaling` — Ext-D: node memory vs number of graphs.
+//! * `repair_sweep` — reactive vs make-before-break repair downtime
+//!   (`BENCH_repair.json`).
+//! * `sharing_sweep` — one fleet-wide shared NNF vs per-graph
+//!   instances (`BENCH_sharing.json`).
+//! * `benchmark` — the unified performance ledger `BENCHMARK.json`
+//!   runs (its own detached package under `src/bin/benchmark/`; see the
+//!   README there). Every wall-clock figure comes from it; the two
+//!   sweeps above are the only figures it has no successor for yet.
 //!
 //! Criterion micro-benches live in `benches/`.
 

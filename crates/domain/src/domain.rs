@@ -28,12 +28,14 @@
 //! preserved, links rewired vs kept, nodes touched).
 //!
 //! This file holds the fleet (membership, health, the scheduler's
-//! view), the data-plane entry points and the reports. The shuttle
-//! those entry points run is the child module `shuttle`. The graph
-//! lifecycle — plan → commit | release, the one transaction deploy,
-//! update, repair, promotion and retry all go through — is the child
-//! module `control`; the failure path that builds repair plans for it
-//! is `repair`; static verification is `verify`.
+//! view) and the data-plane entry points. The shuttle those entry
+//! points run is the child module `shuttle`. The graph lifecycle —
+//! plan → commit | release, the one transaction deploy, update,
+//! repair, promotion and retry all go through — is the child module
+//! `control`; the failure path that builds repair plans for it is
+//! `repair`; static verification is `verify`; the typed reports the
+//! REST layer renders (conservation, availability, links) are
+//! `report`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -44,7 +46,7 @@ use std::time::Instant;
 use un_core::{DeployReport, Name, UniversalNode};
 use un_ipsec::SecurityAssociation;
 use un_nffg::{NfFg, ValidationError};
-use un_obs::{DropReason, PacketTrace, TraceRing, TraceSink};
+use un_obs::{PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
 use un_sim::{Cost, SimTime, TraceLog};
 
@@ -54,10 +56,7 @@ use crate::runtime::ShardRuntime;
 use crate::sharing::{
     ShareKey, SharedClaim, SharedInstance, SharedRegistry, SharingConfig, SharingError,
 };
-use crate::standby::{
-    AvailabilityReport, GraphAvailability, GraphPrediction, RepairCalibration, RepairKind,
-    StandbyRegistry,
-};
+use crate::standby::{GraphAvailability, RepairCalibration, StandbyRegistry};
 use crate::topology::Topology;
 
 /// Header spec of a synthetic flight-recorder probe frame
@@ -165,9 +164,9 @@ pub struct DomainConfig {
     /// `overlay_work_exhausted`).
     pub overlay_ttl: u32,
     /// Record metrics and control-plane spans (see [`crate::Domain::
-    /// metrics_prometheus`] and [`crate::Domain::recent_events`]). Off by
-    /// default: the hot path then pays only an `Option`/bool check per
-    /// batch, and `/metrics` serves scrape-derived series only.
+    /// obs`] and [`crate::Domain::recent_events`]). Off by default: the
+    /// hot path then pays only an `Option`/bool check per batch, and
+    /// `/metrics` serves scrape-derived series only.
     pub observability: bool,
 }
 
@@ -338,6 +337,15 @@ impl NodeHealth {
     pub fn is_serving(&self) -> bool {
         !matches!(self, NodeHealth::Failed)
     }
+
+    /// The health as the REST surface spells it.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            NodeHealth::Alive => "alive",
+            NodeHealth::Suspect => "suspect",
+            NodeHealth::Failed => "failed",
+        }
+    }
 }
 
 /// How [`Domain`] repairs graphs when a node fails.
@@ -399,65 +407,6 @@ pub struct RepairOutcome {
     /// the repair kind, plus the sweep's queueing delay). The chaos
     /// suites hold modeled-vs-measured within a bracket.
     pub modeled_downtime_ns: u64,
-}
-
-/// Frame-conservation ledger across the whole domain.
-///
-/// Every frame instance the data plane ever created is accounted for:
-/// `ingress + fanout_extra == egress + absorbed + dropped()`. Fan-out
-/// (flood rules, multi-output NFs) mints `fanout_extra` new instances;
-/// `absorbed` counts instances consumed with no output (table miss, NF
-/// sink); every other death increments exactly one named drop counter.
-/// The chaos suite holds the balance as an invariant after every
-/// operation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ConservationReport {
-    /// Frames handed to [`Domain::inject_batch`], pre-validation.
-    pub ingress: u64,
-    /// Frames that left the domain on a real egress port.
-    pub egress: u64,
-    /// Extra frame instances minted by fan-out.
-    pub fanout_extra: u64,
-    /// Frame instances consumed with no output.
-    pub absorbed: u64,
-    /// Every enumerated drop counter, by name (zero entries omitted).
-    pub drops: BTreeMap<&'static str, u64>,
-}
-
-impl ConservationReport {
-    /// Total frames that died to an enumerated drop cause.
-    pub fn dropped(&self) -> u64 {
-        self.drops.values().sum()
-    }
-
-    /// True when every frame instance is accounted for.
-    pub fn balanced(&self) -> bool {
-        self.ingress + self.fanout_extra == self.egress + self.absorbed + self.dropped()
-    }
-}
-
-/// Node-level drop counter names of the conservation ledger, derived
-/// from the shared [`DropReason`] enum so ledger terms, metric labels
-/// and flight-recorder drop hops can never drift apart.
-fn node_drop_counters() -> impl Iterator<Item = &'static str> {
-    DropReason::NODE_DROPS.iter().map(|r| r.as_str())
-}
-
-/// Domain-level drop counter names of the conservation ledger (same
-/// single source of truth: [`DropReason::DOMAIN_DROPS`]).
-fn domain_drop_counters() -> impl Iterator<Item = &'static str> {
-    DropReason::DOMAIN_DROPS.iter().map(|r| r.as_str())
-}
-
-/// Node-level counters that feed the conservation ledger. Folded into
-/// the domain trace when a node carcass is replaced on rejoin, so the
-/// ledger stays cumulative across the fleet's whole life. The first
-/// two are the fan-out/absorption terms of the balance; the rest are
-/// the drop causes.
-fn node_ledger_counters() -> impl Iterator<Item = &'static str> {
-    ["fabric_absorbed", "fabric_fanout_extra"]
-        .into_iter()
-        .chain(node_drop_counters())
 }
 
 /// Outcome of a node failure: which graphs were re-placed, and what
@@ -628,7 +577,7 @@ impl Domain {
             Some(old) => {
                 // The carcass's ledger counters must survive the rejoin
                 // or the cumulative conservation balance would break.
-                for c in node_ledger_counters() {
+                for c in report::node_ledger_counters() {
                     let n = old.node.trace.counter(c);
                     if n > 0 {
                         self.trace.count(c, n);
@@ -1033,328 +982,10 @@ impl Domain {
     // Introspection
     // ------------------------------------------------------------------
 
-    /// Per-link counters: (vid, graph, from, to, packets, bytes).
-    pub fn link_stats(&self) -> Vec<(u16, String, String, String, u64, u64)> {
-        self.links
-            .values()
-            .map(|s| {
-                let s = s.lock().expect("link lock poisoned");
-                (
-                    s.link.vid,
-                    s.graph.clone(),
-                    s.link.from_node.clone(),
-                    s.link.to_node.clone(),
-                    s.packets,
-                    s.bytes,
-                )
-            })
-            .collect()
-    }
-
-    /// Per-hop link counters: for each live overlay link, `(vid, graph,
-    /// path, hop_packets, hop_bytes)` where hop `i` is the crossing
-    /// `path[i] → path[i+1]`.
-    #[allow(clippy::type_complexity)]
-    pub fn link_hop_stats(&self) -> Vec<(u16, String, Vec<String>, Vec<u64>, Vec<u64>)> {
-        self.links
-            .values()
-            .map(|s| {
-                let s = s.lock().expect("link lock poisoned");
-                (
-                    s.link.vid,
-                    s.graph.clone(),
-                    s.path.clone(),
-                    s.hop_packets.clone(),
-                    s.hop_bytes.clone(),
-                )
-            })
-            .collect()
-    }
-
-    /// The domain-wide frame-conservation ledger (see
-    /// [`ConservationReport`]), summed from domain counters plus every
-    /// node's fabric counters (including counters folded into the
-    /// domain trace from replaced carcasses).
-    pub fn conservation_report(&self) -> ConservationReport {
-        let mut r = ConservationReport {
-            ingress: self.trace.counter("domain_frames_ingress"),
-            egress: self.trace.counter("domain_frames_egress"),
-            fanout_extra: self.trace.counter("fabric_fanout_extra"),
-            absorbed: self.trace.counter("fabric_absorbed"),
-            drops: BTreeMap::new(),
-        };
-        // Node drop counters appear in the domain trace too: counters
-        // folded in from replaced carcasses.
-        for name in domain_drop_counters().chain(node_drop_counters()) {
-            let n = self.trace.counter(name);
-            if n > 0 {
-                *r.drops.entry(name).or_insert(0) += n;
-            }
-        }
-        for m in self.nodes.values() {
-            r.fanout_extra += m.node.trace.counter("fabric_fanout_extra");
-            r.absorbed += m.node.trace.counter("fabric_absorbed");
-            for name in node_drop_counters() {
-                let n = m.node.trace.counter(name);
-                if n > 0 {
-                    *r.drops.entry(name).or_insert(0) += n;
-                }
-            }
-        }
-        r
-    }
-
-    /// Render every metric — scraped live state (classifier counters,
-    /// table occupancy, per-hop link counters, trace counters, the
-    /// conservation ledger) plus the observability registry's hot-path
-    /// histograms and span durations — in Prometheus text exposition
-    /// format. Always available; the registry section is empty when
-    /// `DomainConfig::observability` is off.
-    pub fn metrics_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let esc = un_obs::escape_label;
-        let mut out = String::with_capacity(4096);
-
-        // -- classifier stage outcomes + table occupancy + node health
-        let _ = writeln!(out, "# TYPE un_classifier_lookups_total counter");
-        for (name, m) in &self.nodes {
-            let s = m.node.flow_cache_stats();
-            for (path, v) in [
-                ("cache_hit", s.cache_hits),
-                ("cache_miss", s.cache_misses),
-                ("exact_hit", s.exact_hits),
-                ("megaflow_hit", s.megaflow_hits),
-                ("wildcard_hit", s.wildcard_hits),
-                ("miss", s.misses),
-            ] {
-                let _ = writeln!(
-                    out,
-                    "un_classifier_lookups_total{{node=\"{}\",path=\"{path}\"}} {v}",
-                    esc(name)
-                );
-            }
-        }
-        let _ = writeln!(out, "# TYPE un_flow_table_entries gauge");
-        for (name, m) in &self.nodes {
-            let _ = writeln!(
-                out,
-                "un_flow_table_entries{{node=\"{}\"}} {}",
-                esc(name),
-                m.node.flow_table_occupancy()
-            );
-        }
-        let _ = writeln!(out, "# TYPE un_node_serving gauge");
-        for (name, m) in &self.nodes {
-            let _ = writeln!(
-                out,
-                "un_node_serving{{node=\"{}\"}} {}",
-                esc(name),
-                u8::from(m.health.is_serving())
-            );
-        }
-
-        // -- per-link wire counters, totals and per hop
-        let _ = writeln!(out, "# TYPE un_link_frames_total counter");
-        let _ = writeln!(out, "# TYPE un_link_bytes_total counter");
-        for (vid, graph, _, _, packets, bytes) in self.link_stats() {
-            let _ = writeln!(
-                out,
-                "un_link_frames_total{{vid=\"{vid}\",graph=\"{}\"}} {packets}",
-                esc(&graph)
-            );
-            let _ = writeln!(
-                out,
-                "un_link_bytes_total{{vid=\"{vid}\",graph=\"{}\"}} {bytes}",
-                esc(&graph)
-            );
-        }
-        let _ = writeln!(out, "# TYPE un_link_hop_frames_total counter");
-        let _ = writeln!(out, "# TYPE un_link_hop_bytes_total counter");
-        for (vid, graph, path, hop_packets, hop_bytes) in self.link_hop_stats() {
-            for (i, (hp, hb)) in hop_packets.iter().zip(&hop_bytes).enumerate() {
-                let from = path.get(i).map(String::as_str).unwrap_or("?");
-                let to = path.get(i + 1).map(String::as_str).unwrap_or("?");
-                let _ = writeln!(
-                    out,
-                    "un_link_hop_frames_total{{vid=\"{vid}\",graph=\"{}\",hop=\"{i}\",\
-                     from=\"{}\",to=\"{}\"}} {hp}",
-                    esc(&graph),
-                    esc(from),
-                    esc(to)
-                );
-                let _ = writeln!(
-                    out,
-                    "un_link_hop_bytes_total{{vid=\"{vid}\",graph=\"{}\",hop=\"{i}\",\
-                     from=\"{}\",to=\"{}\"}} {hb}",
-                    esc(&graph),
-                    esc(from),
-                    esc(to)
-                );
-            }
-        }
-
-        // -- trace counters (drops, TTL expiries, control-plane events)
-        let _ = writeln!(out, "# TYPE un_domain_events_total counter");
-        for (event, n) in self.trace.counters() {
-            let _ = writeln!(
-                out,
-                "un_domain_events_total{{event=\"{}\"}} {n}",
-                esc(event)
-            );
-        }
-        let _ = writeln!(out, "# TYPE un_node_events_total counter");
-        for (name, m) in &self.nodes {
-            for (event, n) in m.node.trace.counters() {
-                let _ = writeln!(
-                    out,
-                    "un_node_events_total{{node=\"{}\",event=\"{}\"}} {n}",
-                    esc(name),
-                    esc(event)
-                );
-            }
-        }
-
-        // -- conservation ledger
-        let ledger = self.conservation_report();
-        let _ = writeln!(out, "# TYPE un_conservation_frames_total counter");
-        for (term, v) in [
-            ("ingress", ledger.ingress),
-            ("egress", ledger.egress),
-            ("fanout_extra", ledger.fanout_extra),
-            ("absorbed", ledger.absorbed),
-            ("dropped", ledger.dropped()),
-        ] {
-            let _ = writeln!(out, "un_conservation_frames_total{{term=\"{term}\"}} {v}");
-        }
-        let _ = writeln!(out, "# TYPE un_conservation_balanced gauge");
-        let _ = writeln!(
-            out,
-            "un_conservation_balanced {}",
-            u8::from(ledger.balanced())
-        );
-
-        // -- event-ring overflow: events evicted from the bounded
-        //    recent-event ring since the domain came up
-        let _ = writeln!(out, "# TYPE un_events_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "un_events_dropped_total {}",
-            self.obs.events().dropped()
-        );
-
-        // -- hot-path histograms + span durations from the registry
-        self.obs.registry().render_prometheus(&mut out);
-        out
-    }
-
     /// Recent control-plane events/spans (newest last). Empty unless
     /// `DomainConfig::observability` is on.
     pub fn recent_events(&self) -> Vec<un_obs::Event> {
         self.obs.events().snapshot()
-    }
-
-    /// The recent-event ring as a JSON document (for `GET
-    /// /domain/events`).
-    pub fn events_doc(&self) -> un_nffg::Json {
-        self.events_doc_filtered(None, None, None)
-    }
-
-    /// [`Domain::events_doc`] with the `GET /domain/events` query
-    /// filters applied: `since` keeps events strictly newer than the
-    /// given epoch offset (ns), `kind` keeps one event kind
-    /// (`"event"` / `"span"`), and `limit` bounds the page to the
-    /// **newest** N matches. The `matched` field counts matches before
-    /// pagination so a client can tell a short tail from a short ring.
-    pub fn events_doc_filtered(
-        &self,
-        since: Option<u64>,
-        kind: Option<&str>,
-        limit: Option<usize>,
-    ) -> un_nffg::Json {
-        use un_nffg::Json;
-        let mut matching: Vec<un_obs::Event> = self
-            .recent_events()
-            .into_iter()
-            .filter(|ev| since.is_none_or(|s| ev.at_ns > s))
-            .filter(|ev| kind.is_none_or(|k| ev.kind == k))
-            .collect();
-        let matched = matching.len();
-        if let Some(n) = limit {
-            // Newest N: the ring is oldest-first, so trim the front.
-            if matching.len() > n {
-                matching.drain(..matching.len() - n);
-            }
-        }
-        let events: Vec<Json> = matching
-            .into_iter()
-            .map(|ev| {
-                let mut attrs = Json::obj();
-                for (k, v) in ev.attrs {
-                    attrs = match v {
-                        un_obs::AttrValue::Str(s) => attrs.set(k, s),
-                        un_obs::AttrValue::U64(n) => attrs.set(k, n),
-                        un_obs::AttrValue::I64(n) => attrs.set(k, n as f64),
-                        un_obs::AttrValue::F64(f) => attrs.set(k, f),
-                        un_obs::AttrValue::Bool(b) => attrs.set(k, b),
-                    };
-                }
-                let mut doc = Json::obj()
-                    .set("at-ns", ev.at_ns)
-                    .set("kind", ev.kind)
-                    .set("name", ev.name)
-                    .set("attributes", attrs);
-                if let Some(d) = ev.duration_ns {
-                    doc = doc.set("duration-ns", d);
-                }
-                doc
-            })
-            .collect();
-        un_nffg::Json::obj()
-            .set("enabled", self.obs.is_enabled())
-            .set("dropped", self.obs.events().dropped())
-            .set("matched", matched as u64)
-            .set("events", events)
-    }
-
-    /// The flight recorder's recent-trace ring as a JSON document (for
-    /// `GET /domain/traces`): per trace the origin, hop count, drop
-    /// reasons and the rendered walk.
-    pub fn traces_doc(&self) -> un_nffg::Json {
-        use un_nffg::Json;
-        let traces: Vec<Json> = self
-            .recent_traces()
-            .into_iter()
-            .map(|t| Self::trace_doc(&t))
-            .collect();
-        Json::obj()
-            .set("capacity", un_obs::DEFAULT_TRACE_CAPACITY as u64)
-            .set("traces", traces)
-    }
-
-    /// One packet trace as a JSON document (shared by `POST
-    /// /domain/trace` and `GET /domain/traces`).
-    pub fn trace_doc(trace: &PacketTrace) -> un_nffg::Json {
-        use un_nffg::Json;
-        let drops: Vec<Json> = trace
-            .drops()
-            .into_iter()
-            .map(|r| Json::from(r.as_str()))
-            .collect();
-        Json::obj()
-            .set("origin-node", trace.origin_node.clone())
-            .set("origin-port", trace.origin_port.clone())
-            .set("ghost", trace.ghost)
-            .set("hops", trace.hops.len() as u64)
-            .set("egress", trace.egress_count() as u64)
-            .set("drops", drops)
-            .set("rendered", trace.render())
-    }
-
-    /// The pinned fabric path of one overlay link (`[from, …, to]`).
-    pub fn link_path(&self, vid: u16) -> Option<Vec<String>> {
-        self.links
-            .get(&vid)
-            .map(|s| s.lock().expect("link lock poisoned").path.clone())
     }
 
     /// Overlay VLAN id accounting: `(base, next, free, in_use,
@@ -1386,170 +1017,6 @@ impl Domain {
     /// was never repaired or parked).
     pub fn graph_availability(&self, id: &str) -> Option<GraphAvailability> {
         self.avail.get(id).cloned()
-    }
-
-    /// The modeled-vs-measured availability report: per deployed
-    /// graph, predicted availability from exposure (nodes hosting
-    /// parts), redundancy (standby staged or not), and repair policy —
-    /// next to the measured downtime ledger the chaos suites validate
-    /// the model against.
-    pub fn availability_report(&self) -> AvailabilityReport {
-        let ready = self.standby.ready_graphs();
-        let reactive_kind = match self.config.repair {
-            RepairPolicy::Incremental => RepairKind::Reactive,
-            RepairPolicy::FromScratch => RepairKind::FromScratch,
-        };
-        let mtbf = self.config.node_mtbf_ns.max(1);
-        let graphs: Vec<GraphPrediction> = self
-            .graphs
-            .iter()
-            .map(|(gid, g)| {
-                let exposed = g.partition.parts.len();
-                let standby_ready = ready.contains(gid);
-                let predicted_reactive_ns = self.calibration.predict(reactive_kind);
-                let predicted_repair_ns = if standby_ready {
-                    self.calibration.predict(RepairKind::StandbySwap)
-                } else {
-                    predicted_reactive_ns
-                };
-                // Each exposed node fails once per MTBF on average,
-                // costing one predicted repair of downtime.
-                let downtime_frac = exposed as f64 * predicted_repair_ns as f64 / mtbf as f64;
-                GraphPrediction {
-                    graph: gid.clone(),
-                    exposed_nodes: exposed,
-                    standby_ready,
-                    predicted_repair_ns,
-                    predicted_reactive_ns,
-                    predicted_availability: (1.0 - downtime_frac).max(0.0),
-                    ledger: self
-                        .avail
-                        .get(gid)
-                        .cloned()
-                        .unwrap_or_else(|| GraphAvailability::new(gid)),
-                }
-            })
-            .collect();
-        let (mut modeled, mut measured, mut events) = (0u64, 0u64, 0u64);
-        for ledger in self.avail.values() {
-            modeled += ledger.modeled_downtime_ns;
-            measured += ledger.measured_downtime_ns;
-            events += ledger.repairs;
-        }
-        AvailabilityReport {
-            node_mtbf_ns: self.config.node_mtbf_ns,
-            calibration: self.calibration.clone(),
-            modeled_downtime_ns: modeled,
-            measured_downtime_ns: measured,
-            repair_events: events,
-            graphs,
-        }
-    }
-
-    /// [`Domain::availability_report`] as a JSON document (`GET
-    /// /domain/availability`).
-    pub fn availability_doc(&self) -> un_nffg::Json {
-        use un_nffg::Json;
-        let r = self.availability_report();
-        Json::obj()
-            .set("node-mtbf-ns", r.node_mtbf_ns)
-            .set("repair-events", r.repair_events)
-            .set("modeled-downtime-ns", r.modeled_downtime_ns)
-            .set("measured-downtime-ns", r.measured_downtime_ns)
-            .set(
-                "calibration",
-                Json::obj()
-                    .set("swap-events", r.calibration.swap_events)
-                    .set(
-                        "swap-mean-ns",
-                        r.calibration.predict(RepairKind::StandbySwap),
-                    )
-                    .set("reactive-events", r.calibration.reactive_events)
-                    .set(
-                        "reactive-mean-ns",
-                        r.calibration.predict(RepairKind::Reactive),
-                    )
-                    .set("scratch-events", r.calibration.scratch_events)
-                    .set(
-                        "scratch-mean-ns",
-                        r.calibration.predict(RepairKind::FromScratch),
-                    ),
-            )
-            .set(
-                "graphs",
-                Json::Arr(
-                    r.graphs
-                        .into_iter()
-                        .map(|g| {
-                            Json::obj()
-                                .set("id", g.graph.as_str())
-                                .set("exposed-nodes", g.exposed_nodes)
-                                .set("standby-ready", g.standby_ready)
-                                .set("predicted-repair-ns", g.predicted_repair_ns)
-                                .set("predicted-reactive-ns", g.predicted_reactive_ns)
-                                .set("predicted-availability", g.predicted_availability)
-                                .set("repairs", g.ledger.repairs)
-                                .set("standby-promotions", g.ledger.standby_promotions)
-                                .set("measured-downtime-ns", g.ledger.measured_downtime_ns)
-                                .set("modeled-downtime-ns", g.ledger.modeled_downtime_ns)
-                                .set("park-events", g.ledger.park_events)
-                                .set("park-downtime-ns", g.ledger.park_downtime_ns)
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    /// The fabric topology document: mode, explicit edges, and the
-    /// pinned path of every live overlay link.
-    pub fn topology_doc(&self) -> un_nffg::Json {
-        use un_nffg::Json;
-        let topo = &self.config.topology;
-        Json::obj()
-            .set(
-                "mode",
-                if topo.is_full_mesh() {
-                    "full-mesh"
-                } else {
-                    "explicit"
-                },
-            )
-            .set(
-                "edges",
-                Json::Arr(
-                    topo.edge_list()
-                        .into_iter()
-                        .map(|(a, b, attrs)| {
-                            Json::obj()
-                                .set("a", a.as_str())
-                                .set("b", b.as_str())
-                                .set("latency-ns", attrs.latency_ns)
-                                .set("capacity-bps", attrs.capacity_bps)
-                        })
-                        .collect(),
-                ),
-            )
-            .set(
-                "paths",
-                Json::Arr(
-                    self.links
-                        .values()
-                        .map(|s| {
-                            let s = s.lock().expect("link lock poisoned");
-                            Json::obj()
-                                .set("vid", s.link.vid)
-                                .set("graph", s.graph.as_str())
-                                .set(
-                                    "path",
-                                    Json::Arr(
-                                        s.path.iter().map(|n| Json::from(n.as_str())).collect(),
-                                    ),
-                                )
-                                .set("hops", s.path.len().saturating_sub(1))
-                        })
-                        .collect(),
-                ),
-            )
     }
 
     /// Toggle the domain-wide sharable-NNF registry at runtime.
@@ -1584,182 +1051,16 @@ impl Domain {
     pub fn graph_shared_leases(&self, id: &str) -> Option<BTreeMap<ShareKey, SharedClaim>> {
         self.graphs.get(id).map(|g| g.shared.clone())
     }
-
-    /// The shared-NNF registry document (`GET /domain/shared`):
-    /// settings plus every instance with its host and tenant leases.
-    pub fn shared_doc(&self) -> un_nffg::Json {
-        use un_nffg::Json;
-        Json::obj()
-            .set("enabled", self.config.sharing.enabled)
-            .set("election", self.config.sharing.election.name())
-            .set(
-                "types",
-                Json::Arr(
-                    self.config
-                        .sharing
-                        .types
-                        .iter()
-                        .map(|t| Json::from(t.as_str()))
-                        .collect(),
-                ),
-            )
-            .set(
-                "max-leases",
-                match self.config.sharing.max_leases {
-                    Some(max) => Json::from(max),
-                    None => Json::Null,
-                },
-            )
-            .set(
-                "instances",
-                Json::Arr(
-                    self.sharing
-                        .instances()
-                        .map(|inst| {
-                            Json::obj()
-                                .set("type", inst.key.functional_type.as_str())
-                                .set("capability", inst.key.capability.as_str())
-                                .set("host", inst.host.as_str())
-                                .set("tenants", inst.tenant_count())
-                                .set("wires", inst.wires())
-                                .set(
-                                    "leases",
-                                    Json::Arr(
-                                        inst.leases
-                                            .iter()
-                                            .map(|(graph, nfs)| {
-                                                Json::obj()
-                                                    .set("graph", graph.as_str())
-                                                    .set("nfs", *nfs)
-                                            })
-                                            .collect(),
-                                    ),
-                                )
-                        })
-                        .collect(),
-                ),
-            )
-    }
-
-    /// The domain's self-description as a JSON document.
-    pub fn describe(&self) -> un_nffg::Json {
-        use un_nffg::Json;
-        Json::obj()
-            .set(
-                "nodes",
-                Json::Arr(
-                    self.nodes
-                        .values()
-                        .map(|m| {
-                            let cache = m.node.flow_cache_stats();
-                            let health = match m.health {
-                                NodeHealth::Alive => "alive",
-                                NodeHealth::Suspect => "suspect",
-                                NodeHealth::Failed => "failed",
-                            };
-                            Json::obj()
-                                .set("name", m.node.name.as_str())
-                                .set("alive", m.health.is_serving())
-                                .set("health", health)
-                                .set("memory_used", m.node.memory_used())
-                                .set("memory_capacity", m.node.mem_capacity())
-                                .set("flow_cache_hits", cache.cache_hits)
-                                .set("flow_cache_misses", cache.cache_misses)
-                                .set(
-                                    "graphs",
-                                    Json::Arr(
-                                        m.node
-                                            .graph_ids()
-                                            .iter()
-                                            .map(|g| Json::from(g.as_str()))
-                                            .collect(),
-                                    ),
-                                )
-                        })
-                        .collect(),
-                ),
-            )
-            .set(
-                "graphs",
-                Json::Arr(
-                    self.graphs
-                        .iter()
-                        .map(|(id, g)| {
-                            Json::obj()
-                                .set("id", id.as_str())
-                                .set(
-                                    "nodes",
-                                    Json::Arr(
-                                        g.partition
-                                            .parts
-                                            .keys()
-                                            .map(|n| Json::from(n.as_str()))
-                                            .collect(),
-                                    ),
-                                )
-                                .set("overlay_links", g.partition.links.len())
-                                .set(
-                                    "shared-leases",
-                                    Json::Arr(
-                                        g.shared
-                                            .iter()
-                                            .map(|(key, claim)| {
-                                                Json::obj()
-                                                    .set("type", key.functional_type.as_str())
-                                                    .set("capability", key.capability.as_str())
-                                                    .set("host", claim.host.as_str())
-                                                    .set("nfs", claim.nfs)
-                                            })
-                                            .collect(),
-                                    ),
-                                )
-                        })
-                        .collect(),
-                ),
-            )
-            .set(
-                "links",
-                Json::Arr(
-                    self.links
-                        .values()
-                        .map(|s| {
-                            let s = s.lock().expect("link lock poisoned");
-                            Json::obj()
-                                .set("vid", s.link.vid)
-                                .set("graph", s.graph.as_str())
-                                .set("from", s.link.from_node.as_str())
-                                .set("to", s.link.to_node.as_str())
-                                .set(
-                                    "path",
-                                    Json::Arr(
-                                        s.path.iter().map(|n| Json::from(n.as_str())).collect(),
-                                    ),
-                                )
-                                .set("protected", s.sas.is_some())
-                                .set("packets", s.packets)
-                                .set("bytes", s.bytes)
-                        })
-                        .collect(),
-                ),
-            )
-            .set(
-                "pending",
-                Json::Arr(
-                    self.pending
-                        .keys()
-                        .map(|g| Json::from(g.as_str()))
-                        .collect(),
-                ),
-            )
-    }
 }
 
 mod control;
 mod repair;
+mod report;
 mod shuttle;
 mod verify;
 
 pub(crate) use control::Plan;
+pub use report::{ConservationReport, LinkReport};
 
 #[cfg(test)]
 mod tests;

@@ -143,9 +143,9 @@ fn undeploy_releases_links_and_parts() {
     let mut d = two_node_domain();
     d.deploy_with(&split_bridge_chain(), &split_hints())
         .unwrap();
-    assert_eq!(d.link_stats().len(), 2);
+    assert_eq!(d.link_reports().len(), 2);
     d.undeploy("g1").unwrap();
-    assert!(d.link_stats().is_empty());
+    assert!(d.link_reports().is_empty());
     assert!(d.node("n1").unwrap().graph_ids().is_empty());
     assert!(d.node("n2").unwrap().graph_ids().is_empty());
     // The freed VLAN ids are reused by the next deploy.
@@ -153,7 +153,7 @@ fn undeploy_releases_links_and_parts() {
         .deploy_with(&split_bridge_chain(), &split_hints())
         .unwrap();
     assert_eq!(report.overlay_links, 2);
-    assert!(d.link_stats().iter().all(|(vid, ..)| *vid < 3002 + 2));
+    assert!(d.link_reports().iter().all(|l| l.vid < 3002 + 2));
 }
 
 #[test]
@@ -178,7 +178,7 @@ fn node_failure_replaces_partition() {
     // Everything now runs on n1, no overlay needed.
     let assignment = d.assignment_of("g1").unwrap();
     assert!(assignment.values().all(|n| n == "n1"));
-    assert!(d.link_stats().is_empty());
+    assert!(d.link_reports().is_empty());
     // End-to-end traffic still flows, wholly on n1.
     let io = d.inject("n1", "eth0", frame());
     assert_eq!(io.emitted.len(), 1);
@@ -226,10 +226,10 @@ fn incremental_repair_leaves_unaffected_survivors_untouched() {
     };
     d.deploy_with(&g, &hints).unwrap();
     let vids_n1: Vec<u16> = d
-        .link_stats()
+        .link_reports()
         .iter()
-        .filter(|(_, _, from, to, ..)| from == "n1" || to == "n1")
-        .map(|(vid, ..)| *vid)
+        .filter(|l| l.from == "n1" || l.to == "n1")
+        .map(|l| l.vid)
         .collect();
     let n1_instances = d.node("n1").unwrap().total_instances();
     let n2_instances = d.node("n2").unwrap().total_instances();
@@ -252,10 +252,10 @@ fn incremental_repair_leaves_unaffected_survivors_untouched() {
     assert_eq!(n1.trace.counter("graph_updates_rules"), 0);
     assert_eq!(n1.total_instances(), n1_instances, "n1 NFs untouched");
     let vids_n1_after: Vec<u16> = d
-        .link_stats()
+        .link_reports()
         .iter()
-        .filter(|(_, _, from, to, ..)| from == "n1" || to == "n1")
-        .map(|(vid, ..)| *vid)
+        .filter(|l| l.from == "n1" || l.to == "n1")
+        .map(|l| l.vid)
         .collect();
     assert_eq!(vids_n1, vids_n1_after, "n1 overlay vids stable");
     // n2 gained the cut edges to br3's new home but kept its instances
@@ -316,7 +316,7 @@ fn simultaneous_fan_in_failures_do_not_collide_overlay_vids() {
         ..Default::default()
     };
     d.deploy_with(&g, &hints).unwrap();
-    assert_eq!(d.link_stats().len(), 2, "two fan-in overlay wires");
+    assert_eq!(d.link_reports().len(), 2, "two fan-in overlay wires");
 
     // n1 and n2 go silent together; one tick fails both before any
     // repair runs, so the repair sees both sources lost at once.
@@ -342,12 +342,12 @@ fn simultaneous_fan_in_failures_do_not_collide_overlay_vids() {
     let assignment = d.assignment_of("fan").unwrap();
     assert_ne!(assignment["s1"], assignment["s2"], "{assignment:?}");
     let into_n3: Vec<u16> = d
-        .link_stats()
+        .link_reports()
         .iter()
-        .filter(|(_, _, _, to, ..)| to == "n3")
-        .map(|(vid, ..)| *vid)
+        .filter(|l| l.to == "n3")
+        .map(|l| l.vid)
         .collect();
-    assert_eq!(into_n3.len(), 2, "{:?}", d.link_stats());
+    assert_eq!(into_n3.len(), 2, "{:?}", d.link_reports());
     let s1_node = assignment["s1"].clone();
     let s2_node = assignment["s2"].clone();
     let io = d.inject(&s1_node, "eth0", frame());
@@ -472,7 +472,7 @@ fn explicit_redeploy_supersedes_pending_copy() {
     d.deploy(&split_bridge_chain()).unwrap();
     assert!(d.pending_graphs().is_empty());
     assert!(d.retry_pending().is_empty());
-    assert_eq!(d.link_stats().len(), 0, "single-node redeploy, no links");
+    assert_eq!(d.link_reports().len(), 0, "single-node redeploy, no links");
 
     // And an undeployed graph never resurrects from pending.
     d.fail_node("n2").unwrap();
@@ -604,7 +604,7 @@ fn rule_update_rewires_overlay() {
     let mut d = two_node_domain();
     d.deploy_with(&split_bridge_chain(), &split_hints())
         .unwrap();
-    let links_before = d.link_stats().len();
+    let links_before = d.link_reports().len();
 
     // Drop the reverse path: rules now only flow lan→wan.
     let mut g = split_bridge_chain();
@@ -621,7 +621,7 @@ fn rule_only_update_applies_in_place() {
     let mut d = two_node_domain();
     d.deploy_with(&split_bridge_chain(), &split_hints())
         .unwrap();
-    let vids_before: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
+    let vids_before: Vec<u16> = d.link_reports().iter().map(|l| l.vid).collect();
 
     // Tweak one rule's priority: topology (NFs, endpoints, cut edges)
     // is unchanged, so the node holding the rule takes the update
@@ -642,7 +642,7 @@ fn rule_only_update_applies_in_place() {
         assert_eq!(n.trace.counter("graphs_undeployed"), 0);
         assert_eq!(n.trace.counter("graph_updates_rules"), rule_updates);
     }
-    let vids_after: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
+    let vids_after: Vec<u16> = d.link_reports().iter().map(|l| l.vid).collect();
     assert_eq!(vids_before, vids_after, "overlay VLAN ids must be stable");
     // And traffic still flows end-to-end.
     let io = d.inject("n1", "eth0", frame());
@@ -670,9 +670,9 @@ fn rule_only_update_keeps_esp_link_state() {
         assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
     }
     let totals = |d: &Domain| -> Vec<(u16, u64, u64)> {
-        d.link_stats()
+        d.link_reports()
             .iter()
-            .map(|(vid, _, _, _, packets, bytes)| (*vid, *packets, *bytes))
+            .map(|l| (l.vid, l.packets, l.bytes))
             .collect()
     };
     let before = totals(&d);
@@ -837,6 +837,9 @@ fn overlay_ttl_exhaustion_is_counted_per_frame() {
     assert_eq!(io.overlay_hops, 3);
 }
 
+/// Sharded output == sequential output at 2/4/8 workers draining the
+/// shuttle's one ready queue (the next test reuses the persistent
+/// shard runtime across bursts and worker counts).
 #[test]
 fn sharded_inject_batch_matches_sequential_workers() {
     let build = || {
@@ -919,9 +922,9 @@ fn sharded_inject_batch_matches_sequential_workers() {
             .collect();
         emitted.sort();
         let links = d
-            .link_stats()
+            .link_reports()
             .into_iter()
-            .map(|(vid, _, _, _, pkts, bytes)| (vid, pkts, bytes))
+            .map(|l| (l.vid, l.packets, l.bytes))
             .collect();
         let ledger = d.conservation_report();
         assert!(ledger.balanced(), "{ledger:?}");
@@ -1018,10 +1021,9 @@ fn line_topology_routes_cut_edge_through_transit_node() {
         .graph_ids()
         .contains(&"g1".to_string()));
     // Both links are pinned to the 3-node path.
-    for (vid, ..) in d.link_stats() {
-        let path = d.link_path(vid).unwrap();
-        assert_eq!(path.len(), 3, "{path:?}");
-        assert_eq!(path[1], "n2");
+    for l in d.link_reports() {
+        assert_eq!(l.path.len(), 3, "{:?}", l.path);
+        assert_eq!(l.path[1], "n2");
     }
 
     // Traffic crosses two fabric hops per direction and still egresses
@@ -1033,19 +1035,14 @@ fn line_topology_routes_cut_edge_through_transit_node() {
     assert_eq!(io.emitted[0].1, "eth1");
     assert_eq!(io.overlay_hops, 2, "n1→n2 and n2→n3");
     let fwd = d
-        .link_stats()
+        .link_reports()
         .into_iter()
-        .find(|(_, _, from, ..)| from == "n1")
+        .find(|l| l.from == "n1")
         .unwrap();
-    assert_eq!(fwd.4, 2, "one frame counted at each of the two hops");
-    let (.., path, hop_packets, hop_bytes) = d
-        .link_hop_stats()
-        .into_iter()
-        .find(|(vid, ..)| *vid == fwd.0)
-        .unwrap();
-    assert_eq!(path, vec!["n1", "n2", "n3"]);
-    assert_eq!(hop_packets, vec![1, 1], "each hop saw the frame once");
-    assert_eq!(hop_bytes.iter().sum::<u64>(), fwd.5);
+    assert_eq!(fwd.packets, 2, "one frame counted at each of the two hops");
+    assert_eq!(fwd.path, vec!["n1", "n2", "n3"]);
+    assert_eq!(fwd.hop_packets, vec![1, 1], "each hop saw the frame once");
+    assert_eq!(fwd.hop_bytes.iter().sum::<u64>(), fwd.bytes);
     // Reverse direction works symmetrically.
     let io = d.inject("n3", "eth1", frame());
     assert_eq!(io.emitted.len(), 1);
@@ -1053,35 +1050,84 @@ fn line_topology_routes_cut_edge_through_transit_node() {
     assert_eq!(io.overlay_hops, 2);
 }
 
+/// Transit routes, never rewrites: on one fleet (leaves `n1..n4`, two
+/// spines where the fabric has them) every multi-hop fabric — line,
+/// ring, fat-tree — hands out byte-identical egress to the full-mesh
+/// baseline for a 64-frame burst, and the path stretch is visible in
+/// the hop count.
 #[test]
 fn multi_hop_egress_matches_full_mesh_egress() {
-    // Same logical graph, one domain full-mesh (n1/n2), one on a line
-    // with a transit middle. Payloads out must be identical.
-    let mut mesh = two_node_domain();
-    let mut line = line_domain(false);
-    let mesh_hints = DeployHints {
-        nf_node: [
-            ("br1".to_string(), "n1".to_string()),
-            ("br2".to_string(), "n2".to_string()),
-        ]
-        .into(),
-        ..DeployHints::default()
+    let leaves = ["n1", "n2", "n3", "n4"];
+    let leaf = EdgeAttrs::default();
+    let mut fat_tree = Topology::explicit();
+    for l in leaves {
+        for s in ["s1", "s2"] {
+            let spine = EdgeAttrs {
+                latency_ns: 2_000,
+                ..leaf
+            };
+            fat_tree.add_edge(l, s, spine);
+        }
+    }
+    // → (sorted egress multiset, Σ path hops, transit-only parts,
+    //    overlay crossings of the burst)
+    let run = |topology: Topology, spines: &[&str]| {
+        let mut d = Domain::new(DomainConfig {
+            topology,
+            ..DomainConfig::default()
+        });
+        for name in leaves.iter().chain(spines) {
+            let mut n = UniversalNode::new(name, mb(2048));
+            if *name == "n1" {
+                n.add_physical_port("eth0");
+            }
+            if *name == "n3" {
+                n.add_physical_port("eth1");
+            }
+            d.add_node(n);
+        }
+        d.deploy_with(&split_bridge_chain(), &far_hints()).unwrap();
+        let burst = (0..64u32).map(|seq| {
+            let pkt = PacketBuilder::new()
+                .ethernet(MacAddr::local(1), MacAddr::local(2))
+                .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(192, 0, 2, 9))
+                .udp(5000, 5001)
+                .payload(&seq.to_be_bytes())
+                .build();
+            ("n1", "eth0", pkt)
+        });
+        let io = d.inject_batch(burst, 1);
+        let mut egress: Vec<(String, String, Vec<u8>)> = io
+            .emitted
+            .iter()
+            .map(|(n, p, pkt)| (n.to_string(), p.to_string(), pkt.data().to_vec()))
+            .collect();
+        egress.sort();
+        assert_eq!(egress.len(), 64, "every frame must egress");
+        let path_hops: usize = d.link_reports().iter().map(|l| l.path.len() - 1).sum();
+        let transit_parts = d.partition_of("g1").unwrap().parts.values();
+        let transit_parts = transit_parts
+            .filter(|p| p.nfs.is_empty() && p.endpoints.iter().all(|e| e.id.starts_with("ovl-")))
+            .count();
+        (egress, path_hops, transit_parts, io.overlay_hops)
     };
-    mesh.deploy_with(&split_bridge_chain(), &mesh_hints)
-        .unwrap();
-    line.deploy_with(&split_bridge_chain(), &far_hints())
-        .unwrap();
-    let a = mesh.inject("n1", "eth0", frame());
-    let b = line.inject("n1", "eth0", frame());
-    assert_eq!(a.emitted.len(), 1);
-    assert_eq!(b.emitted.len(), 1);
+
+    let mesh = run(Topology::full_mesh(), &[]);
     assert_eq!(
-        a.emitted[0].2.data(),
-        b.emitted[0].2.data(),
-        "transit must not alter payloads"
+        (mesh.1, mesh.2),
+        (2, 0),
+        "mesh: two direct links, no transit"
     );
-    assert_eq!(a.emitted[0].1, b.emitted[0].1, "same egress interface");
-    assert!(b.overlay_hops > a.overlay_hops, "path stretch is visible");
+    for (name, topology, spines) in [
+        ("line", Topology::line(&leaves, leaf), &[][..]),
+        ("ring", Topology::ring(&leaves, leaf), &[][..]),
+        ("fat-tree", fat_tree, &["s1", "s2"][..]),
+    ] {
+        let multi = run(topology, spines);
+        assert_eq!(multi.0, mesh.0, "{name}: transit must not alter egress");
+        assert!(multi.1 > mesh.1 && multi.2 > 0, "{name}: paths transit");
+        assert!(multi.3 > mesh.3, "{name}: path stretch is visible");
+    }
 }
 
 #[test]
@@ -1092,7 +1138,7 @@ fn esp_protection_covers_every_fabric_hop() {
     assert_eq!(io.emitted.len(), 1);
     // Two hops, each sealed + verified: wire counters now also count
     // per hop, so protected bytes equal the hop-summed wire bytes.
-    let wire_bytes: u64 = d.link_stats().iter().map(|(.., bytes)| *bytes).sum();
+    let wire_bytes: u64 = d.link_reports().iter().map(|l| l.bytes).sum();
     assert!(wire_bytes > 0);
     assert_eq!(io.protected_bytes, wire_bytes, "per-hop ESP");
     assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
@@ -1124,9 +1170,9 @@ fn transit_node_failure_reroutes_kept_links() {
     d.add_node(n3);
     d.add_node(n4);
     d.deploy_with(&split_bridge_chain(), &far_hints()).unwrap();
-    let vids_before: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
-    for vid in &vids_before {
-        assert_eq!(d.link_path(*vid).unwrap()[1], "n2", "lexicographic tie");
+    let vids_before: Vec<u16> = d.link_reports().iter().map(|l| l.vid).collect();
+    for l in d.link_reports() {
+        assert_eq!(l.path[1], "n2", "lexicographic tie");
     }
 
     let report = d.fail_node("n2").unwrap();
@@ -1140,10 +1186,10 @@ fn transit_node_failure_reroutes_kept_links() {
     assert!(!repair.full_replace);
     assert!(d.trace.counter("overlay_paths_rerouted") >= 2);
 
-    let vids_after: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
+    let vids_after: Vec<u16> = d.link_reports().iter().map(|l| l.vid).collect();
     assert_eq!(vids_before, vids_after, "vids survive the reroute");
-    for vid in &vids_after {
-        let path = d.link_path(*vid).unwrap();
+    for l in d.link_reports() {
+        let path = l.path;
         assert_eq!(path[1], "n4", "rerouted around the casualty: {path:?}");
     }
     assert!(
@@ -1309,11 +1355,33 @@ fn describe_reports_fleet_and_links() {
     let mut d = two_node_domain();
     d.deploy_with(&split_bridge_chain(), &split_hints())
         .unwrap();
-    let json = d.describe().render();
-    assert!(json.contains("\"n1\""));
-    assert!(json.contains("\"n2\""));
-    assert!(json.contains("\"g1\""));
-    assert!(json.contains("\"vid\""));
+    // Everything `GET /domain` is rendered from, as typed values.
+    assert_eq!(d.node_names(), ["n1", "n2"]);
+    for n in d.node_names() {
+        assert_eq!(d.health(&n).unwrap().as_str(), "alive");
+        assert_eq!(d.node(&n).unwrap().graph_ids(), ["g1"]);
+    }
+    assert_eq!(d.graph_ids(), ["g1"]);
+    assert!(d.pending_graphs().is_empty());
+    let links = d.link_reports();
+    let planned: Vec<u16> = d
+        .partition_of("g1")
+        .unwrap()
+        .links
+        .iter()
+        .map(|l| l.vid)
+        .collect();
+    assert_eq!(links.iter().map(|l| l.vid).collect::<Vec<_>>(), planned);
+    for (l, (from, to)) in links.iter().zip([("n1", "n2"), ("n2", "n1")]) {
+        assert_eq!(
+            (l.graph.as_str(), l.from.as_str(), l.to.as_str()),
+            ("g1", from, to)
+        );
+        assert_eq!(l.path, [from, to], "adjacent in the full mesh");
+        assert!(!l.protected);
+        assert_eq!((l.packets, l.bytes), (0, 0));
+        assert_eq!((&l.hop_packets, &l.hop_bytes), (&vec![0], &vec![0]));
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1432,8 +1500,8 @@ fn remote_shared_nnf_over_multihop_is_byte_identical_to_private() {
         shared.node("n3").unwrap().shared_nnf_graphs("nat"),
         vec!["t1".to_string()]
     );
-    for (vid, ..) in shared.link_stats() {
-        assert_eq!(shared.link_path(vid).unwrap().len(), 3, "multi-hop via n2");
+    for l in shared.link_reports() {
+        assert_eq!(l.path.len(), 3, "multi-hop via n2");
     }
     // Private: everything stays on n1.
     assert!(private
@@ -1633,17 +1701,22 @@ fn shared_docs_surface_instances_and_leases() {
         .unwrap();
     d.deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
         .unwrap();
-    let doc = d.shared_doc().render();
-    assert!(doc.contains("\"enabled\":true"), "{doc}");
-    assert!(doc.contains("\"election\":\"first-demand\""), "{doc}");
-    assert!(doc.contains("\"type\":\"nat\""), "{doc}");
-    assert!(doc.contains("\"host\":\"n1\""), "{doc}");
-    assert!(doc.contains("\"tenants\":2"), "{doc}");
-    assert!(doc.contains("\"graph\":\"t1\""), "{doc}");
-    // The fleet document carries per-graph lease docs.
-    let fleet = d.describe().render();
-    assert!(fleet.contains("\"shared-leases\""), "{fleet}");
-    assert!(fleet.contains("\"host\":\"n1\""), "{fleet}");
+    // What `GET /domain/shared` is rendered from.
+    assert!(d.config.sharing.enabled);
+    assert_eq!(d.config.sharing.election.name(), "first-demand");
+    let instances = d.shared_instances();
+    assert_eq!(instances.len(), 1);
+    let inst = &instances[0];
+    assert_eq!(inst.key.functional_type, "nat");
+    assert_eq!(inst.host, "n1");
+    assert_eq!(inst.tenant_count(), 2);
+    assert_eq!(inst.leases.get("t1"), Some(&1));
+    // `GET /domain` carries each graph's leases.
+    for tenant in ["t1", "t2"] {
+        let leases = d.graph_shared_leases(tenant).unwrap();
+        let claim = &leases[&inst.key];
+        assert_eq!((claim.host.as_str(), claim.nfs), ("n1", 1));
+    }
 }
 
 #[test]
@@ -1815,7 +1888,7 @@ fn promoted_standby_matches_reactive_repair_byte_for_byte() {
         surprised.assignment_of("g1").unwrap()
     );
     let vids = |d: &Domain| {
-        let mut v: Vec<u16> = d.link_stats().iter().map(|(v, ..)| *v).collect();
+        let mut v: Vec<u16> = d.link_reports().iter().map(|l| l.vid).collect();
         v.sort_unstable();
         v
     };
@@ -2022,15 +2095,14 @@ fn loaded_edges_steer_second_graph_onto_other_branch() {
 
     let branch = |d: &Domain, gid: &str| -> Vec<String> {
         let mut out: Vec<String> = d
-            .link_stats()
-            .iter()
-            .filter_map(|(vid, ..)| {
-                let path = d.link_path(*vid)?;
+            .link_reports()
+            .into_iter()
+            .filter_map(|l| {
                 d.partition_of(gid)
                     .unwrap()
                     .parts
-                    .contains_key(&path[1])
-                    .then(|| path[1].clone())
+                    .contains_key(&l.path[1])
+                    .then(|| l.path[1].clone())
             })
             .collect();
         out.sort();
@@ -2094,11 +2166,4 @@ fn availability_report_predicts_and_records() {
     assert_eq!(g.ledger.repairs, 1);
     assert_eq!(g.ledger.standby_promotions, 1);
     assert_eq!(g.exposed_nodes, 2, "now split across the ends");
-
-    // The JSON doc mirrors the report.
-    let doc = d.availability_doc().render();
-    assert!(doc.contains("\"node-mtbf-ns\""), "{doc}");
-    assert!(doc.contains("\"repair-events\":1"), "{doc}");
-    assert!(doc.contains("\"predicted-availability\""), "{doc}");
-    assert!(doc.contains("\"standby-promotions\":1"), "{doc}");
 }

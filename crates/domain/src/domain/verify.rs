@@ -316,42 +316,6 @@ impl Domain {
         }
         report
     }
-
-    /// The verification report as a JSON document (`GET
-    /// /domain/verify`).
-    pub fn verify_doc(&self) -> un_nffg::Json {
-        use un_nffg::Json;
-        let report = self.verify();
-        let violations: Vec<Json> = report
-            .violations
-            .iter()
-            .map(|v| {
-                let mut doc = Json::obj().set("code", v.code);
-                if let Some(g) = &v.graph {
-                    doc = doc.set("graph", g.clone());
-                }
-                if let Some(n) = &v.node {
-                    doc = doc.set("node", n.clone());
-                }
-                if let Some(w) = &v.witness {
-                    doc = doc.set("witness", crate::domain::Domain::trace_doc(w));
-                }
-                doc.set("detail", v.detail.clone())
-            })
-            .collect();
-        Json::obj()
-            .set("ok", report.ok())
-            .set("mode", report.mode)
-            .set("graphs-checked", report.graphs_checked)
-            .set("graphs-reused", report.graphs_reused)
-            .set("nodes-checked", report.nodes_checked)
-            .set("nodes-reused", report.nodes_reused)
-            .set("rules-checked", report.stats.rules_checked)
-            .set("rules-lowered", report.rules_lowered)
-            .set("classes", report.stats.classes)
-            .set("duration-ns", report.duration_ns)
-            .set("violations", violations)
-    }
 }
 
 #[cfg(test)]
@@ -362,29 +326,35 @@ mod tests {
     use un_nffg::NfFgBuilder;
     use un_sim::mem::mb;
 
-    /// Two split chains: `g0` across n0|n1, `g1` across n2|n3.
-    fn paired_fleet() -> Domain {
+    /// Split chain `g<k>` across the node pair n<2k>|n<2k+1>.
+    fn deploy_pair(d: &mut Domain, k: usize) {
+        let (a, b) = (format!("g{k}-a"), format!("g{k}-b"));
+        let g = NfFgBuilder::new(&format!("g{k}"), "pair")
+            .interface_endpoint("lan", &format!("p{}", 2 * k))
+            .interface_endpoint("wan", &format!("p{}", 2 * k + 1))
+            .nf(&a, "bridge", 2)
+            .nf(&b, "bridge", 2)
+            .chain("lan", &[&a, &b], "wan")
+            .build();
+        let hints = DeployHints {
+            nf_node: [(a, format!("n{}", 2 * k)), (b, format!("n{}", 2 * k + 1))].into(),
+            strategy: Some(PlacementStrategy::Spread),
+            ..DeployHints::default()
+        };
+        d.deploy_with(&g, &hints).expect("pair deploys split");
+    }
+
+    /// `nodes / 2` split chains, one per node pair: `g0` across n0|n1,
+    /// `g1` across n2|n3, …
+    fn paired_fleet(nodes: usize) -> Domain {
         let mut d = Domain::with_defaults();
-        for i in 0..4 {
+        for i in 0..nodes {
             let mut n = UniversalNode::new(&format!("n{i}"), mb(2048));
             n.add_physical_port(&format!("p{i}"));
             d.add_node(n);
         }
-        for k in 0..2 {
-            let (a, b) = (format!("g{k}-a"), format!("g{k}-b"));
-            let g = NfFgBuilder::new(&format!("g{k}"), "pair")
-                .interface_endpoint("lan", &format!("p{}", 2 * k))
-                .interface_endpoint("wan", &format!("p{}", 2 * k + 1))
-                .nf(&a, "bridge", 2)
-                .nf(&b, "bridge", 2)
-                .chain("lan", &[&a, &b], "wan")
-                .build();
-            let hints = DeployHints {
-                nf_node: [(a, format!("n{}", 2 * k)), (b, format!("n{}", 2 * k + 1))].into(),
-                strategy: Some(PlacementStrategy::Spread),
-                ..DeployHints::default()
-            };
-            d.deploy_with(&g, &hints).expect("pair deploys split");
+        for k in 0..nodes / 2 {
+            deploy_pair(&mut d, k);
         }
         d
     }
@@ -395,9 +365,14 @@ mod tests {
         v
     }
 
+    /// The static verifier's acceptance gate: touching one graph
+    /// re-checks exactly that graph and its two hosts (the rest splice
+    /// from cache) and comes back clean, and an incremental pass lowers
+    /// the same number of installed rules at every fleet size — the
+    /// touched graph's hosts, not the fleet.
     #[test]
     fn dirty_graph_with_unmarked_hosts_pulls_them_into_scope() {
-        let d = paired_fleet();
+        let d = paired_fleet(4);
         assert!(d.verify().ok());
         // A mutation that forgot its hosts: only the graph id is dirty.
         d.verify_cache
@@ -417,12 +392,33 @@ mod tests {
         let idle = d.verify();
         assert_eq!((idle.graphs_checked, idle.nodes_checked), (0, 0));
         assert_eq!(idle.rules_lowered, 0);
+
+        // The same through a real mutation, across fleet sizes: the
+        // cost of a pass follows the change, not the fleet.
+        let mut lowered = BTreeSet::new();
+        for nodes in [4, 8, 16] {
+            let mut d = paired_fleet(nodes);
+            assert!(d.verify().ok());
+            d.undeploy("g0").unwrap();
+            deploy_pair(&mut d, 0);
+            let report = d.verify();
+            assert_eq!(report.mode, "incremental");
+            assert!(report.ok(), "{:#?}", report.violations);
+            let graphs = nodes / 2;
+            assert_eq!(
+                (report.graphs_checked, report.graphs_reused),
+                (1, graphs - 1)
+            );
+            assert_eq!(report.nodes_checked, 2);
+            lowered.insert(report.rules_lowered);
+        }
+        assert_eq!(lowered.len(), 1, "rules lowered per pass: {lowered:?}");
     }
 
     #[test]
     #[should_panic(expected = "outside this snapshot's scope")]
     fn under_scoped_snapshot_refuses_to_answer() {
-        let d = paired_fleet();
+        let d = paired_fleet(4);
         // g0 without its hosts: its consistency check must not be able
         // to mistake "not lowered" for "no rules installed".
         let snap = d.lower(Some(&Scope {

@@ -52,7 +52,7 @@ pub mod topology;
 
 pub use domain::{
     ConservationReport, DeployHints, Domain, DomainConfig, DomainError, DomainIo, DomainReport,
-    NodeHealth, ProbeSpec, RepairOutcome, RepairPolicy, ReplacementReport,
+    LinkReport, NodeHealth, ProbeSpec, RepairOutcome, RepairPolicy, ReplacementReport,
 };
 pub use partition::{
     install_transit, partition, reassemble, OverlayLink, Partition, PartitionError,

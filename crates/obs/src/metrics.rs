@@ -307,14 +307,23 @@ impl Registry {
             .collect()
     }
 
-    /// Render every registered metric in Prometheus text exposition format.
+    /// Render every registered metric in Prometheus text exposition
+    /// format. Each family's samples are one contiguous group: a
+    /// histogram's `<name>_q` quantile gauges follow the buckets, sums
+    /// and counts of *all* its label sets rather than alternating with
+    /// them.
     pub fn render_prometheus(&self, out: &mut String) {
         use std::fmt::Write;
         let map = self.metrics.read().unwrap();
         let mut last_name = String::new();
+        // The `<name>_q` family of the histogram being written, held
+        // back until the histogram's own samples are all out.
+        let mut quantiles = String::new();
         for ((name, labels), metric) in map.iter() {
             let fresh = *name != last_name;
             if fresh {
+                out.push_str(&quantiles);
+                quantiles.clear();
                 last_name = name.clone();
             }
             match metric {
@@ -333,7 +342,7 @@ impl Registry {
                 Metric::Histogram(h) => {
                     if fresh {
                         let _ = writeln!(out, "# TYPE {name} histogram");
-                        let _ = writeln!(out, "# TYPE {name}_q gauge");
+                        let _ = writeln!(quantiles, "# TYPE {name}_q gauge");
                     }
                     let buckets = h.bucket_counts();
                     let mut cumulative = 0u64;
@@ -372,7 +381,7 @@ impl Registry {
                     for q in QUANTILES {
                         if let Some(v) = snap.quantile(q) {
                             let _ = writeln!(
-                                out,
+                                quantiles,
                                 "{}_q{} {v}",
                                 name,
                                 fmt_labels(labels, &[("quantile", &format!("{q}"))]),
@@ -382,6 +391,7 @@ impl Registry {
                 }
             }
         }
+        out.push_str(&quantiles);
     }
 }
 
@@ -552,13 +562,21 @@ mod tests {
     #[test]
     fn rendered_exposition_includes_quantile_gauges() {
         let r = Registry::default();
-        let h = r.histogram("c_ns", &[("node", "n1")], &[100, 200]);
-        for _ in 0..10 {
-            h.record(50);
+        for node in ["n1", "n2"] {
+            let h = r.histogram("c_ns", &[("node", node)], &[100, 200]);
+            for _ in 0..10 {
+                h.record(50);
+            }
         }
         let mut text = String::new();
         r.render_prometheus(&mut text);
         assert!(text.contains("# TYPE c_ns_q gauge"), "{text}");
+        // One group per family: every label set's histogram samples,
+        // then every label set's quantile gauges.
+        assert!(
+            text.rfind("c_ns_count{").unwrap() < text.find("c_ns_q").unwrap(),
+            "{text}"
+        );
         assert!(
             text.contains("c_ns_q{node=\"n1\",quantile=\"0.5\"} "),
             "{text}"

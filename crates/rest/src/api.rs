@@ -1,15 +1,12 @@
 //! The orchestrator API over TCP.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use un_core::UniversalNode;
 use un_nffg::Json;
 
-use crate::http::{read_request, write_response, Request, Response, StatusCode};
+use crate::http::{serve_with, Request, Response, Server, StatusCode};
 
 /// A shareable handle to the node.
 pub type NodeHandle = Arc<Mutex<UniversalNode>>;
@@ -91,76 +88,19 @@ pub fn handle(node: &NodeHandle, req: &Request) -> Response {
     }
 }
 
-/// A running REST server (thread per connection).
-pub struct RestServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl RestServer {
-    /// The bound address (use port 0 to pick a free one).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join the acceptor thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Nudge the acceptor out of `accept()`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for RestServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+/// The node API's server handle.
+pub type RestServer = Server;
 
 /// Start serving the node's API on `bind` (e.g. `"127.0.0.1:0"`).
 pub fn serve(node: NodeHandle, bind: &str) -> io::Result<RestServer> {
-    let listener = TcpListener::bind(bind)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if stop2.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let node = node.clone();
-            std::thread::spawn(move || {
-                let Ok(peer_read) = stream.try_clone() else {
-                    return;
-                };
-                if let Some(req) = read_request(peer_read) {
-                    let resp = handle(&node, &req);
-                    let _ = write_response(&stream, &resp);
-                }
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            });
-        }
-    });
-    Ok(RestServer {
-        addr,
-        stop,
-        thread: Some(thread),
-    })
+    serve_with(bind, move |req| handle(&node, req))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
+    use std::net::TcpStream;
     use un_nffg::NfFgBuilder;
     use un_sim::mem::mb;
 

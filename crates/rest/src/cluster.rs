@@ -21,236 +21,61 @@
 //! | POST   | `/domain/trace`             | ghost-walk a synthetic frame, return its hop-by-hop trace |
 //! | GET    | `/domain/traces`            | ring of recent real traces ([`Domain::inject_traced`]) |
 //!
-//! The fail response carries the per-graph [`un_domain::RepairOutcome`]
-//! (`repairs`: NFs moved/preserved, links rewired/kept, nodes touched,
-//! whether the repair fell back to a full re-place, the
-//! shared-tenancy share — NFs that moved because a shared instance was
-//! re-hosted — plus the wall-clock `repair-duration-ns` and the
-//! `downtime-estimate-ns` from failure declaration to that graph's
-//! repair completing) so operators can see each failure's blast radius.
-//! The `/domain` document lists each graph's shared-NNF leases.
+//! This file is the route table: it maps a request onto a
+//! [`Domain`] call and picks the status code. Every body it answers
+//! with — the JSON documents, the Prometheus exposition, the
+//! blast-radius document a `fail` returns (per-graph
+//! [`un_domain::RepairOutcome`]) — and both request-side formats (the
+//! events query, the probe spec) live in [`crate::render`].
 
 use std::io;
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use un_domain::{Domain, NodeHealth, ProbeSpec, ReplacementReport};
-use un_nffg::Json;
+use un_domain::Domain;
 
-use crate::http::{read_request, write_response, Request, Response, StatusCode};
+use crate::http::{serve_with, Request, Response, Server, StatusCode};
+use crate::render::{self, EventQuery};
 
 /// A shareable handle to the domain.
 pub type DomainHandle = Arc<Mutex<Domain>>;
 
-/// Serialize a failure's repair report (the blast-radius document).
-fn repair_report_json(name: &str, report: &ReplacementReport) -> String {
-    Json::obj()
-        .set("failed", name)
-        .set(
-            "replaced",
-            Json::Arr(
-                report
-                    .replaced
-                    .iter()
-                    .map(|g| Json::from(g.as_str()))
-                    .collect(),
-            ),
-        )
-        .set(
-            "stranded",
-            Json::Arr(
-                report
-                    .stranded
-                    .iter()
-                    .map(|g| Json::from(g.as_str()))
-                    .collect(),
-            ),
-        )
-        .set(
-            "repairs",
-            Json::Arr(
-                report
-                    .repairs
-                    .iter()
-                    .map(|r| {
-                        Json::obj()
-                            .set("graph", r.graph.as_str())
-                            .set("nfs-moved", r.nfs_moved)
-                            .set("nfs-preserved", r.nfs_preserved)
-                            .set("links-rewired", r.links_rewired)
-                            .set("links-kept", r.links_kept)
-                            .set("nodes-touched", r.nodes_touched)
-                            .set("full-replace", r.full_replace)
-                            .set("shared-nfs-moved", r.shared_nfs_moved)
-                            .set("standby-promoted", r.standby_promoted)
-                            .set("repair-duration-ns", r.repair_duration_ns)
-                            .set("downtime-estimate-ns", r.downtime_estimate_ns)
-                            .set("modeled-downtime-ns", r.modeled_downtime_ns)
-                            .set(
-                                "shared-migrated",
-                                Json::Arr(
-                                    r.shared_migrated
-                                        .iter()
-                                        .map(|(key, host)| {
-                                            Json::obj()
-                                                .set("instance", key.as_str())
-                                                .set("host", host.as_str())
-                                        })
-                                        .collect(),
-                                ),
-                            )
-                    })
-                    .collect(),
-            ),
-        )
-        .render()
-}
-
 /// Handle one request against the domain (pure function; used directly
-/// by unit tests and by the TCP server loop).
+/// by unit tests and by the TCP server loop). Routing and status codes
+/// only: every body is built (and every request body parsed) by
+/// [`crate::render`].
 pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
     let mut domain = domain
         .lock()
         .expect("a request handler panicked mid-update");
     let (path, query) = crate::http::split_query(&req.path);
     let segments: Vec<&str> = path.trim_matches('/').split('/').collect();
+    let ok = |doc: un_nffg::Json| Response::json(StatusCode::Ok, doc.render());
     match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["metrics"]) => Response::text(StatusCode::Ok, domain.metrics_prometheus()),
-        ("GET", ["domain", "events"]) => {
-            let mut since = None;
-            let mut kind = None;
-            let mut limit = None;
-            for (k, v) in &query {
-                match *k {
-                    "since" => match v.parse::<u64>() {
-                        Ok(n) => since = Some(n),
-                        Err(_) => {
-                            return Response::error(
-                                StatusCode::BadRequest,
-                                &format!("bad 'since' value '{v}' (want ns offset)"),
-                            )
-                        }
-                    },
-                    "kind" => kind = Some(*v),
-                    "limit" => match v.parse::<usize>() {
-                        Ok(n) => limit = Some(n),
-                        Err(_) => {
-                            return Response::error(
-                                StatusCode::BadRequest,
-                                &format!("bad 'limit' value '{v}' (want a count)"),
-                            )
-                        }
-                    },
-                    other => {
-                        return Response::error(
-                            StatusCode::BadRequest,
-                            &format!("unknown query parameter '{other}'"),
-                        )
-                    }
-                }
-            }
-            Response::json(
-                StatusCode::Ok,
-                domain.events_doc_filtered(since, kind, limit).render(),
-            )
-        }
-        ("GET", ["domain", "traces"]) => {
-            Response::json(StatusCode::Ok, domain.traces_doc().render())
-        }
-        ("POST", ["domain", "trace"]) => {
-            let body = String::from_utf8_lossy(&req.body);
-            let doc = match un_nffg::jsonval::parse(&body) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    return Response::error(StatusCode::BadRequest, &format!("bad probe spec: {e}"))
-                }
-            };
-            let (node, port) = match (doc.req_str("node"), doc.req_str("port")) {
-                (Ok(n), Ok(p)) => (n, p),
-                _ => {
-                    return Response::error(
-                        StatusCode::BadRequest,
-                        "probe spec needs 'node' and 'port'",
-                    )
-                }
-            };
-            let mut spec = ProbeSpec::default();
-            if let Some(n) = doc.get("payload-len").and_then(Json::as_u64) {
-                spec.payload_len = n as usize;
-            }
-            if let Some(n) = doc.get("src-port").and_then(Json::as_u64) {
-                spec.src_port = n as u16;
-            }
-            if let Some(n) = doc.get("dst-port").and_then(Json::as_u64) {
-                spec.dst_port = n as u16;
-            }
-            if let Some(n) = doc.get("vlan").and_then(Json::as_u64) {
-                spec.vlan = Some(n as u16);
-            }
-            for (key, slot) in [("src-ip", &mut spec.src_ip), ("dst-ip", &mut spec.dst_ip)] {
-                if let Some(s) = doc.get(key).and_then(Json::as_str) {
-                    match s.parse() {
-                        Ok(ip) => *slot = ip,
-                        Err(_) => {
-                            return Response::error(
-                                StatusCode::BadRequest,
-                                &format!("bad '{key}' value '{s}'"),
-                            )
-                        }
-                    }
-                }
-            }
-            let trace = domain.trace_probe(&node, &port, &spec);
-            Response::json(StatusCode::Ok, Domain::trace_doc(&trace).render())
-        }
-        ("GET", ["domain", "verify"]) => {
-            Response::json(StatusCode::Ok, domain.verify_doc().render())
-        }
-        ("GET", ["domain"]) => Response::json(StatusCode::Ok, domain.describe().render()),
-        ("GET", ["domain", "topology"]) => {
-            Response::json(StatusCode::Ok, domain.topology_doc().render())
-        }
-        ("GET", ["domain", "shared"]) => {
-            Response::json(StatusCode::Ok, domain.shared_doc().render())
-        }
-        ("GET", ["domain", "availability"]) => {
-            Response::json(StatusCode::Ok, domain.availability_doc().render())
-        }
-        ("GET", ["domain", "nodes"]) => {
-            let nodes: Vec<Json> = domain
-                .node_names()
-                .iter()
-                .map(|name| {
-                    let health = match domain.health(name) {
-                        Some(NodeHealth::Alive) => "alive",
-                        Some(NodeHealth::Suspect) => "suspect",
-                        _ => "failed",
-                    };
-                    Json::obj().set("name", name.as_str()).set("health", health)
-                })
-                .collect();
-            Response::json(StatusCode::Ok, Json::Arr(nodes).render())
-        }
+        ("GET", ["metrics"]) => Response::text(StatusCode::Ok, render::metrics(&domain)),
+        ("GET", ["domain", "events"]) => match EventQuery::parse(&query) {
+            Ok(query) => ok(render::events(&domain, &query)),
+            Err(msg) => Response::error(StatusCode::BadRequest, &msg),
+        },
+        ("GET", ["domain", "traces"]) => ok(render::traces(&domain)),
+        ("POST", ["domain", "trace"]) => match render::probe_request(&req.body) {
+            Ok((node, port, spec)) => ok(render::trace(&domain.trace_probe(&node, &port, &spec))),
+            Err(msg) => Response::error(StatusCode::BadRequest, &msg),
+        },
+        ("GET", ["domain", "verify"]) => ok(render::verify(&domain)),
+        ("GET", ["domain"]) => ok(render::domain(&domain)),
+        ("GET", ["domain", "topology"]) => ok(render::topology(&domain)),
+        ("GET", ["domain", "shared"]) => ok(render::shared(&domain)),
+        ("GET", ["domain", "availability"]) => ok(render::availability(&domain)),
+        ("GET", ["domain", "nodes"]) => ok(render::nodes(&domain)),
         ("POST", ["domain", "nodes", name, "fail"]) => match domain.fail_node(name) {
-            Ok(report) => Response::json(StatusCode::Ok, repair_report_json(name, &report)),
+            Ok(report) => ok(render::repair_report(name, &report)),
             Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
         },
         ("POST", ["domain", "nodes", name, "recover"]) => match domain.recover_node(name) {
-            Ok(retried) => {
-                let body = Json::obj().set("recovered", *name).set(
-                    "retried",
-                    Json::Arr(retried.iter().map(|g| Json::from(g.as_str())).collect()),
-                );
-                Response::json(StatusCode::Ok, body.render())
-            }
+            Ok(retried) => ok(render::recovery(name, &retried)),
             Err(e) => Response::error(StatusCode::NotFound, &e.to_string()),
         },
-        ("GET", ["domain", "nffg"]) => {
-            let ids = domain.graph_ids();
-            let body = Json::Arr(ids.iter().map(|i| Json::from(i.as_str())).collect());
-            Response::json(StatusCode::Ok, body.render())
-        }
+        ("GET", ["domain", "nffg"]) => ok(render::graph_ids(&domain)),
         ("GET", ["domain", "nffg", id]) => match domain.graph(id) {
             Some(g) => Response::json(StatusCode::Ok, un_nffg::to_json(g)),
             None => Response::error(StatusCode::NotFound, &format!("no such graph '{id}'")),
@@ -269,39 +94,13 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
                     &format!("path id '{id}' != body id '{}'", graph.id),
                 );
             }
-            let exists = domain.graph(id).is_some();
-            let result = if exists {
-                domain.update(&graph)
+            let (result, status) = if domain.graph(id).is_some() {
+                (domain.update(&graph), StatusCode::Ok)
             } else {
-                domain.deploy(&graph)
+                (domain.deploy(&graph), StatusCode::Created)
             };
             match result {
-                Ok(report) => {
-                    let body = Json::obj()
-                        .set("graph", report.graph.as_str())
-                        .set("overlay-links", report.overlay_links)
-                        .set(
-                            "nodes",
-                            Json::Arr(
-                                report
-                                    .per_node
-                                    .iter()
-                                    .map(|(node, r)| {
-                                        Json::obj()
-                                            .set("node", node.as_str())
-                                            .set("flow-entries", r.flow_entries)
-                                            .set("placements", r.placements.len())
-                                    })
-                                    .collect(),
-                            ),
-                        );
-                    let status = if exists {
-                        StatusCode::Ok
-                    } else {
-                        StatusCode::Created
-                    };
-                    Response::json(status, body.render())
-                }
+                Ok(report) => Response::json(status, render::deploy_report(&report).render()),
                 Err(e) => Response::error(StatusCode::BadRequest, &e.to_string()),
             }
         }
@@ -316,74 +115,21 @@ pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
     }
 }
 
-/// A running cluster REST server (thread per connection).
-pub struct ClusterServer {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ClusterServer {
-    /// The bound address (use port 0 to pick a free one).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join the acceptor thread (same teardown as
-    /// `Drop`; this form just makes the stop explicit at call sites).
-    pub fn shutdown(self) {
-        drop(self);
-    }
-}
-
-impl Drop for ClusterServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
+/// The cluster API's server handle.
+pub type ClusterServer = Server;
 
 /// Start serving the domain's API on `bind` (e.g. `"127.0.0.1:0"`).
 pub fn serve_cluster(domain: DomainHandle, bind: &str) -> io::Result<ClusterServer> {
-    let listener = TcpListener::bind(bind)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = stop.clone();
-    let thread = std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            if stop2.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let domain = domain.clone();
-            std::thread::spawn(move || {
-                let Ok(peer_read) = stream.try_clone() else {
-                    return;
-                };
-                if let Some(req) = read_request(peer_read) {
-                    let resp = handle_cluster(&domain, &req);
-                    let _ = write_response(&stream, &resp);
-                }
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-            });
-        }
-    });
-    Ok(ClusterServer {
-        addr,
-        stop,
-        thread: Some(thread),
-    })
+    serve_with(bind, move |req| handle_cluster(&domain, req))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
     use un_core::UniversalNode;
     use un_domain::DeployHints;
-    use un_nffg::NfFgBuilder;
+    use un_nffg::{Json, NfFgBuilder};
     use un_sim::mem::mb;
 
     fn domain_handle() -> DomainHandle {
@@ -406,6 +152,21 @@ mod tests {
             .chain("lan", &["br1", "br2"], "wan")
             .build();
         un_nffg::to_json(&g)
+    }
+
+    fn frame() -> un_packet::Packet {
+        un_packet::PacketBuilder::new()
+            .ethernet(
+                un_packet::ethernet::MacAddr::local(1),
+                un_packet::ethernet::MacAddr::local(2),
+            )
+            .ipv4(
+                std::net::Ipv4Addr::new(10, 0, 0, 1),
+                std::net::Ipv4Addr::new(192, 0, 2, 9),
+            )
+            .udp(5000, 5001)
+            .payload(&[0xAB; 64])
+            .build()
     }
 
     fn req(method: &str, path: &str, body: &str) -> Request {
@@ -491,8 +252,6 @@ mod tests {
     #[test]
     fn cluster_metrics_and_events_endpoints() {
         use un_domain::DomainConfig;
-        use un_packet::ethernet::MacAddr;
-        use un_packet::PacketBuilder;
 
         let mut d = Domain::new(DomainConfig {
             observability: true,
@@ -519,16 +278,7 @@ mod tests {
             };
             domain.deploy_with(&g, &hints).unwrap();
             // Drive one frame through so link/classifier series exist.
-            let pkt = PacketBuilder::new()
-                .ethernet(MacAddr::local(1), MacAddr::local(2))
-                .ipv4(
-                    std::net::Ipv4Addr::new(10, 0, 0, 1),
-                    std::net::Ipv4Addr::new(192, 0, 2, 9),
-                )
-                .udp(5000, 5001)
-                .payload(&[0xAB; 64])
-                .build();
-            domain.inject("n1", "eth0", pkt);
+            domain.inject("n1", "eth0", frame());
         }
         // Scrape before the failure: the repair moves br2 onto n1,
         // which collapses the overlay link (and its hop series).
@@ -684,20 +434,7 @@ mod tests {
         // Ghost probes never land in the ring; a traced inject does.
         let r = handle_cluster(&d, &req("GET", "/domain/traces", ""));
         assert!(r.body.contains("\"traces\":[]"), "{}", r.body);
-        {
-            use un_packet::ethernet::MacAddr;
-            use un_packet::PacketBuilder;
-            let pkt = PacketBuilder::new()
-                .ethernet(MacAddr::local(1), MacAddr::local(2))
-                .ipv4(
-                    std::net::Ipv4Addr::new(10, 0, 0, 1),
-                    std::net::Ipv4Addr::new(192, 0, 2, 9),
-                )
-                .udp(5000, 5001)
-                .payload(&[0xAB; 64])
-                .build();
-            d.lock().unwrap().inject_traced("n1", "eth0", pkt, 1);
-        }
+        d.lock().unwrap().inject_traced("n1", "eth0", frame(), 1);
         let r = handle_cluster(&d, &req("GET", "/domain/traces", ""));
         assert!(r.body.contains("\"ghost\":false"), "{}", r.body);
         assert!(r.body.contains("\"origin-node\":\"n1\""), "{}", r.body);
@@ -905,6 +642,143 @@ mod tests {
             !r.body.contains("\"measured-downtime-ns\":0,"),
             "{}",
             r.body
+        );
+    }
+
+    /// A fleet that exercises every branch of the renderers: an
+    /// explicit line fabric (multi-hop paths), a shared NAT lease, a
+    /// split chain with traffic on its wires, one suspect and one
+    /// failed node, observability on.
+    fn golden_domain() -> DomainHandle {
+        use un_domain::{DomainConfig, EdgeAttrs, SharingConfig, Topology};
+        let mut d = Domain::new(DomainConfig {
+            topology: Topology::line(&["n1", "n2", "n3", "n4"], EdgeAttrs::default()),
+            sharing: SharingConfig::for_types(&["nat"]),
+            observability: true,
+            ..DomainConfig::default()
+        });
+        for name in ["n1", "n2", "n3", "n4"] {
+            let mut n = UniversalNode::new(name, mb(2048));
+            if name == "n1" || name == "n3" {
+                n.add_physical_port("eth0");
+                n.add_physical_port("eth1");
+            }
+            d.add_node(n);
+        }
+        let g = un_nffg::from_json(&chain_json("g1")).unwrap();
+        let hints = DeployHints {
+            nf_node: [
+                ("br1".to_string(), "n1".to_string()),
+                ("br2".to_string(), "n3".to_string()),
+            ]
+            .into(),
+            endpoint_node: [
+                ("lan".to_string(), "n1".to_string()),
+                ("wan".to_string(), "n3".to_string()),
+            ]
+            .into(),
+            ..DeployHints::default()
+        };
+        d.deploy_with(&g, &hints).unwrap();
+        let cfg = un_nffg::NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "203.0.113.1/24");
+        let t = NfFgBuilder::new("t1", "nat service")
+            .vlan_endpoint("lan", "eth0", 11)
+            .vlan_endpoint("wan", "eth1", 11)
+            .nf_with_config("nat", "nat", 2, cfg)
+            .chain("lan", &["nat"], "wan")
+            .build();
+        let hints = DeployHints {
+            endpoint_node: [
+                ("lan".to_string(), "n3".to_string()),
+                ("wan".to_string(), "n3".to_string()),
+            ]
+            .into(),
+            ..DeployHints::default()
+        };
+        d.deploy_with(&t, &hints).unwrap();
+        for _ in 0..3 {
+            assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
+        }
+        d.suspect_node("n2").unwrap();
+        d.fail_node("n4").unwrap();
+        Arc::new(Mutex::new(d))
+    }
+
+    /// Zero the two wall-clock fields (`at-ns`, `duration-ns`): the
+    /// only parts of a document that differ between two runs.
+    fn without_clocks(body: &str) -> String {
+        let mut out = String::with_capacity(body.len());
+        let mut rest = body;
+        while let Some(at) = ["\"at-ns\":", "\"duration-ns\":"]
+            .iter()
+            .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+            .min()
+        {
+            let (head, tail) = rest.split_at(at);
+            out.push_str(head);
+            out.push('0');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// The wire format is frozen: every document below was captured
+    /// from the renderers `un-domain` carried before they moved to
+    /// [`crate::render`], on exactly this fleet, and must stay
+    /// byte-identical (wall-clock fields zeroed).
+    #[test]
+    fn documents_match_the_goldens_captured_before_the_move() {
+        let d = golden_domain();
+        for (route, golden) in [
+            ("/domain", include_str!("../golden/domain.json")),
+            ("/domain/nodes", include_str!("../golden/nodes.json")),
+            ("/domain/topology", include_str!("../golden/topology.json")),
+            ("/domain/shared", include_str!("../golden/shared.json")),
+            (
+                "/domain/availability",
+                include_str!("../golden/availability.json"),
+            ),
+            ("/domain/events", include_str!("../golden/events.json")),
+            (
+                "/domain/events?kind=span&limit=2",
+                include_str!("../golden/events_filtered.json"),
+            ),
+            ("/domain/verify", include_str!("../golden/verify.json")),
+        ] {
+            let r = handle_cluster(&d, &req("GET", route, ""));
+            assert_eq!(r.status, StatusCode::Ok, "{route}");
+            assert_eq!(without_clocks(&r.body), golden, "{route}");
+        }
+
+        // `/metrics`: the scraped section (everything up to the
+        // registry's wall-clock histograms) carries the same lines;
+        // only their order inside the link families moved, so that
+        // each family is one contiguous group.
+        let r = handle_cluster(&d, &req("GET", "/metrics", ""));
+        let golden = include_str!("../golden/metrics_scrape.txt");
+        // Same lines in another order: same length.
+        let mut lines: Vec<&str> = r.body[..golden.len()].lines().collect();
+        let mut golden: Vec<&str> = golden.lines().collect();
+        assert_ne!(lines, golden, "the parent interleaved the link families");
+        lines.sort_unstable();
+        golden.sort_unstable();
+        assert_eq!(lines, golden);
+
+        // Tear g1's egress part out from under the domain: the verify
+        // document then carries violations.
+        d.lock()
+            .unwrap()
+            .node_mut("n3")
+            .unwrap()
+            .undeploy("g1")
+            .unwrap();
+        let r = handle_cluster(&d, &req("GET", "/domain/verify", ""));
+        assert_eq!(
+            without_clocks(&r.body),
+            include_str!("../golden/verify_broken.json")
         );
     }
 

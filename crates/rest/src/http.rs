@@ -1,6 +1,11 @@
-//! Minimal HTTP/1.1 request parsing and response serialization.
+//! Minimal HTTP/1.1: request parsing, response serialization, and the
+//! thread-per-connection accept loop both APIs are served by.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +154,71 @@ pub fn write_response<W: Write>(mut stream: W, resp: &Response) -> std::io::Resu
         resp.body.len(),
         resp.body
     )
+}
+
+/// A running REST server (thread per connection). Dropping it stops
+/// accepting and joins the acceptor thread.
+pub struct Server {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Server {
+    /// The bound address (use port 0 to pick a free one).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop the server (`drop`, spelled out at call sites).
+    pub fn shutdown(self) {}
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        // Nudge the acceptor out of `accept()`.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Bind `bind` and answer every request with `handler`: the one accept
+/// loop behind [`crate::serve`] and [`crate::serve_cluster`].
+pub(crate) fn serve_with(
+    bind: &str,
+    handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> io::Result<Server> {
+    let listener = TcpListener::bind(bind)?;
+    let addr = listener.local_addr()?;
+    let stop = Arc::new(AtomicBool::new(false));
+    let stop2 = stop.clone();
+    let handler = Arc::new(handler);
+    let thread = std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            if stop2.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = stream else { continue };
+            let handler = handler.clone();
+            std::thread::spawn(move || {
+                let Ok(peer_read) = stream.try_clone() else {
+                    return;
+                };
+                if let Some(req) = read_request(peer_read) {
+                    let _ = write_response(&stream, &handler(&req));
+                }
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+        }
+    });
+    Ok(Server {
+        addr,
+        stop,
+        thread: Some(thread),
+    })
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@
 //! "first match wins" reduces to "smallest index wins" across all mask
 //! tables. The reference they are tested and benchmarked against — a
 //! first-match scan over [`FlowTable::entries`] — lives with its users
-//! (`tests/properties.rs`, the `dataplane_sweep` bench), not here.
+//! (`tests/properties.rs`), not here.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -430,6 +430,8 @@ mod tests {
         assert_eq!(*actions, [FlowAction::Output(PortNo(10))]);
     }
 
+    /// The microflow cache takes hits on a repeating flow — so the
+    /// fast path cannot silently rot.
     #[test]
     fn cache_hit_after_miss_and_invalidation() {
         let mut t = FlowTable::new();
@@ -447,6 +449,8 @@ mod tests {
         assert_eq!(*actions, [FlowAction::Output(PortNo(3))]);
     }
 
+    /// Wildcard-heavy traffic resolves through the megaflow mask
+    /// tables, never a scan over the table's entries.
     #[test]
     fn wildcard_entry_takes_megaflow_path() {
         let mut t = FlowTable::new();

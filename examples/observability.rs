@@ -5,9 +5,10 @@
 //! `DomainConfig::observability` on, the domain records classifier
 //! outcomes, per-hop wire counters, NF deliver latencies, and
 //! control-plane spans (plan / partition / repair) — all exported in
-//! Prometheus text exposition via `Domain::metrics_prometheus()` (the
-//! same document `GET /metrics` serves) and as a bounded event ring
-//! via `Domain::recent_events()` (`GET /domain/events`).
+//! Prometheus text exposition by `un_rest::render::metrics()` (the
+//! document `GET /metrics` serves, rendered from `Domain`'s typed
+//! reports) and as a bounded event ring via `Domain::recent_events()`
+//! (`GET /domain/events`).
 //!
 //! ```sh
 //! cargo run --release --example observability
@@ -82,15 +83,17 @@ fn main() {
     // at *both* hops (the reverse wire idles — nothing flowed back) --
     println!("per-hop overlay wire counters:");
     let mut forward_wires = 0;
-    for (vid, graph, path, hop_packets, _hop_bytes) in domain.link_hop_stats() {
-        for (i, hp) in hop_packets.iter().enumerate() {
+    for l in domain.link_reports() {
+        for (i, hp) in l.hop_packets.iter().enumerate() {
             println!(
-                "  vid {vid} ({graph}) hop {i} {} → {}: {hp} frame(s)",
-                path[i],
-                path[i + 1]
+                "  vid {} ({}) hop {i} {} → {}: {hp} frame(s)",
+                l.vid,
+                l.graph,
+                l.path[i],
+                l.path[i + 1]
             );
         }
-        if hop_packets == vec![32, 32] {
+        if l.hop_packets == [32, 32] {
             forward_wires += 1;
         }
     }
@@ -107,7 +110,7 @@ fn main() {
     assert!(repair.downtime_estimate_ns >= repair.repair_duration_ns);
 
     // ---- The Prometheus document (what GET /metrics serves) ----
-    let text = domain.metrics_prometheus();
+    let text = un_rest::render::metrics(&domain);
     println!("\nselected /metrics series:");
     for line in text.lines().filter(|l| {
         l.starts_with("un_classifier_lookups_total{node=\"rack-a\"")

@@ -75,11 +75,13 @@ fn main() {
         report.per_node.len(),
         report.overlay_links
     );
-    for (vid, _graph, from, to, ..) in domain.link_stats() {
-        let path = domain.link_path(vid).expect("routed");
+    for l in domain.link_reports() {
         println!(
-            "  vid {vid}: {from} → {to}, pinned path {}",
-            path.join(" – ")
+            "  vid {}: {} → {}, pinned path {}",
+            l.vid,
+            l.from,
+            l.to,
+            l.path.join(" – ")
         );
     }
     let transit_part = &domain.partition_of("svc").expect("deployed").parts["rack-b"];
@@ -116,10 +118,9 @@ fn main() {
          {} node(s) touched, rerouted paths:",
         repair.graph, repair.nfs_moved, repair.links_kept, repair.nodes_touched
     );
-    for (vid, ..) in domain.link_stats() {
-        let path = domain.link_path(vid).expect("routed");
-        println!("  vid {vid}: {}", path.join(" – "));
-        assert!(!path.contains(&"rack-b".to_string()));
+    for l in domain.link_reports() {
+        println!("  vid {}: {}", l.vid, l.path.join(" – "));
+        assert!(!l.path.contains(&"rack-b".to_string()));
     }
     assert_eq!(repair.nfs_moved, 0, "transit failure moves no NF");
 

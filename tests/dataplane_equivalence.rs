@@ -126,9 +126,9 @@ fn outcome(d: &Domain, io: &un_domain::DomainIo) -> Outcome {
         .collect();
     emitted.sort();
     let mut links: Vec<(u16, u64, u64)> = d
-        .link_stats()
+        .link_reports()
         .iter()
-        .map(|(vid, _, _, _, pkts, bytes)| (*vid, *pkts, *bytes))
+        .map(|l| (l.vid, l.packets, l.bytes))
         .collect();
     links.sort();
     Outcome {
@@ -263,11 +263,9 @@ proptest! {
                 .collect();
             emitted.sort();
             let mut links: Vec<(String, String, u64, u64)> = d
-                .link_stats()
+                .link_reports()
                 .iter()
-                .map(|(_, _, from, to, pkts, bytes)| {
-                    (from.clone(), to.clone(), *pkts, *bytes)
-                })
+                .map(|l| (l.from.clone(), l.to.clone(), l.packets, l.bytes))
                 .collect();
             links.sort();
             (

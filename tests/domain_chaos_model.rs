@@ -372,7 +372,7 @@ fn check_domain(d: &Domain, model: &HealthModel, tag: &str) {
     // No partition of a deployed graph lives on a failed node, every
     // NF is assigned to a hosting part's node, and every cut edge is
     // backed by live overlay link state attributed to this graph.
-    let link_stats = d.link_stats();
+    let link_reports = d.link_reports();
     let mut expected_links = 0usize;
     for gid in &deployed {
         let partition = d.partition_of(gid).unwrap();
@@ -394,19 +394,19 @@ fn check_domain(d: &Domain, model: &HealthModel, tag: &str) {
                 "{tag}: {gid} overlay link {} touches a dead node",
                 link.vid
             );
-            let live = link_stats
+            let live = link_reports
                 .iter()
-                .find(|(vid, ..)| *vid == link.vid)
+                .find(|l| l.vid == link.vid)
                 .unwrap_or_else(|| panic!("{tag}: {gid} link {} has no state", link.vid));
-            assert_eq!(&live.1, gid, "{tag}: link {} owned elsewhere", link.vid);
+            assert_eq!(&live.graph, gid, "{tag}: link {} owned elsewhere", link.vid);
             expected_links += 1;
         }
     }
     // ... and no overlay link state is orphaned.
     assert_eq!(
-        link_stats.len(),
+        link_reports.len(),
         expected_links,
-        "{tag}: orphaned overlay link state: {link_stats:?}"
+        "{tag}: orphaned overlay link state: {link_reports:?}"
     );
 
     // Vid conservation: every id the pool ever minted (base..next) is
@@ -594,17 +594,15 @@ fn check_domain(d: &Domain, model: &HealthModel, tag: &str) {
     // Every live overlay link rides a valid path: endpoints match the
     // link, consecutive nodes are adjacent in the fabric topology, and
     // no failed node is on the walk.
-    for (vid, _, from, to, ..) in &link_stats {
-        let path = d
-            .link_path(*vid)
-            .unwrap_or_else(|| panic!("{tag}: link {vid} has no path"));
-        assert_eq!(&path[0], from, "{tag}: link {vid} path head");
-        assert_eq!(path.last().unwrap(), to, "{tag}: link {vid} path tail");
+    for l in &link_reports {
+        let (vid, path) = (l.vid, &l.path);
+        assert_eq!(path[0], l.from, "{tag}: link {vid} path head");
+        assert_eq!(path.last().unwrap(), &l.to, "{tag}: link {vid} path tail");
         assert!(
-            d.config.topology.validates_path(&path),
+            d.config.topology.validates_path(path),
             "{tag}: link {vid} path {path:?} is not a fabric walk"
         );
-        for node in &path {
+        for node in path {
             assert!(
                 serving.contains(node),
                 "{tag}: link {vid} path {path:?} rides dead node {node}"
@@ -739,12 +737,13 @@ fn topology_chaos_smoke_transits_parks_and_heals() {
     );
     check_domain(&d, &model, "line-smoke");
     // Every graph crosses the fabric, pinned over the middle.
+    let links = d.link_reports();
     for gid in d.graph_ids() {
         let partition = d.partition_of(&gid).unwrap();
         assert!(!partition.links.is_empty(), "{gid} must split");
         for link in &partition.links {
-            let path = d.link_path(link.vid).unwrap();
-            assert!(path.len() >= 2, "{path:?}");
+            let live = links.iter().find(|l| l.vid == link.vid).unwrap();
+            assert!(live.path.len() >= 2, "{:?}", live.path);
         }
     }
 

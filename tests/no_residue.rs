@@ -472,7 +472,7 @@ fn rollback_case(entry: Entry, rejection: Rejection) {
                 "{tag}: {name} still holds svc"
             );
         }
-        assert!(d.link_stats().is_empty(), "{tag}: orphaned link state");
+        assert!(d.link_reports().is_empty(), "{tag}: orphaned link state");
         assert!(d.shared_instances().is_empty(), "{tag}: orphaned lease");
     }
 

@@ -103,9 +103,16 @@ fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> (String, Str
 /// Strict exposition-format check: every non-empty line is a comment
 /// (`# TYPE name counter|gauge|histogram`) or a sample
 /// (`name{labels} value` / `name value`) with a parseable number.
+/// Every sample resolves to a family declared by a `# TYPE` line
+/// (`_bucket` / `_sum` / `_count` to their histogram), and each
+/// family's samples are one contiguous group — the format's grouping
+/// rule, which a scraper may enforce by rejecting the whole document.
 /// Returns the set of sample series names seen.
 fn parse_exposition(body: &str) -> BTreeMap<String, usize> {
     let mut series: BTreeMap<String, usize> = BTreeMap::new();
+    let mut kinds: BTreeMap<&str, &str> = BTreeMap::new();
+    // Families in order of first sample; the last one is still open.
+    let mut groups: Vec<&str> = Vec::new();
     for (lineno, line) in body.lines().enumerate() {
         if line.is_empty() {
             continue;
@@ -118,7 +125,10 @@ fn parse_exposition(body: &str) -> BTreeMap<String, usize> {
                 ["counter", "gauge", "histogram"].contains(&kind),
                 "line {lineno}: bad metric kind {kind:?}"
             );
-            assert!(!name.is_empty());
+            assert!(
+                kinds.insert(name, kind).is_none(),
+                "line {lineno}: family {name} declared twice"
+            );
             continue;
         }
         assert!(
@@ -144,11 +154,32 @@ fn parse_exposition(body: &str) -> BTreeMap<String, usize> {
                 );
             }
         }
+        let family = match kinds.get_key_value(name) {
+            Some((family, _)) => *family,
+            None => ["_bucket", "_sum", "_count"]
+                .iter()
+                .filter_map(|suffix| name.strip_suffix(suffix))
+                .find_map(|base| kinds.get_key_value(base))
+                .filter(|(_, kind)| **kind == "histogram")
+                .map(|(family, _)| *family)
+                .unwrap_or_else(|| panic!("line {lineno}: no # TYPE declares {name}")),
+        };
+        if groups.last() != Some(&family) {
+            assert!(
+                !groups.contains(&family),
+                "line {lineno}: family {family} reappears after {}: its samples are not one group",
+                groups.last().unwrap()
+            );
+            groups.push(family);
+        }
         *series.entry(name.to_string()).or_default() += 1;
     }
     series
 }
 
+/// The instrumentation is live under `observability = on`: metrics
+/// actually record (`un_nf_deliver_ns_count`, the span histograms) and
+/// the conservation ledger balances, before and after a repair.
 #[test]
 fn metrics_endpoint_serves_parseable_exposition_over_tcp() {
     let domain = observed_domain();

@@ -122,9 +122,9 @@ fn outcome(d: &Domain, io: &DomainIo) -> Outcome {
         .collect();
     emitted.sort();
     let mut links: Vec<(u16, u64, u64)> = d
-        .link_stats()
+        .link_reports()
         .iter()
-        .map(|(vid, _, _, _, pkts, bytes)| (*vid, *pkts, *bytes))
+        .map(|l| (l.vid, l.packets, l.bytes))
         .collect();
     links.sort();
     Outcome {
@@ -173,6 +173,15 @@ proptest! {
                     "trace must open with the ingress hop: {}",
                     trace.render()
                 );
+                // The recorder is live when attached: a whole walk has
+                // ingress, classifier verdicts and one egress hop per
+                // port the frame left by — the real one, plus the
+                // fabric port at every overlay crossing.
+                prop_assert!(
+                    trace.hops.len() >= 3 && trace.egress_count() as u32 == 1 + io.overlay_hops,
+                    "recorded walk too short: {}",
+                    trace.render()
+                );
                 fold(&mut traced_io, io);
             }
             prop_assert_eq!(
@@ -208,7 +217,7 @@ proptest! {
         prop_assert!(!io.emitted.is_empty(), "chains must forward: {s:?}");
 
         let ledger_before = d.conservation_report();
-        let links_before = d.link_stats();
+        let links_before = d.link_reports();
         let ring_before = d.recent_traces();
 
         let trace = d.trace_frame("n1", "eth0", frame(s.frames[0].0, 64));
@@ -219,7 +228,7 @@ proptest! {
         );
 
         prop_assert_eq!(d.conservation_report(), ledger_before);
-        prop_assert_eq!(d.link_stats(), links_before);
+        prop_assert_eq!(d.link_reports(), links_before);
         prop_assert_eq!(d.recent_traces().len(), ring_before.len());
     }
 }
@@ -416,11 +425,11 @@ fn every_drop_cause_is_booked_and_recorded_alike() {
         let hops = drop_hops(&trace, reason);
         assert_eq!(hops, vec![(case.at.to_string(), detail)], "{reason}");
 
-        let links = traced.link_stats();
+        let links = traced.link_reports();
         let ghost = traced.trace_frame(case.node, case.port, pkt());
         assert!(ghost.ghost);
         assert_eq!(drop_hops(&ghost, reason), hops, "{reason}: ghost hops");
         assert_eq!(traced.conservation_report(), ledger, "{reason}: ghost");
-        assert_eq!(traced.link_stats(), links, "{reason}: ghost wires");
+        assert_eq!(traced.link_reports(), links, "{reason}: ghost wires");
     }
 }
