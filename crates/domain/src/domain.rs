@@ -27,13 +27,14 @@
 //! [`RepairOutcome`] measuring the blast radius (NFs moved vs
 //! preserved, links rewired vs kept, nodes touched).
 //!
-//! This file holds the fleet (membership, health, the scheduler's
-//! view) and the data-plane entry points. The shuttle those entry
+//! This file holds the fleet (membership, health, the planner's view
+//! of it) and the data-plane entry points. The shuttle those entry
 //! points run is the child module `shuttle`. The graph lifecycle —
 //! plan → commit | release, the one transaction deploy, update,
 //! repair, promotion and retry all go through — is the child module
-//! `control`; the failure path that builds repair plans for it is
-//! `repair`; static verification is `verify`; the typed reports the
+//! `control`, and the planner it calls, a function of a `FleetView`,
+//! is `plan`; the failure path that builds repair plans is `repair`;
+//! static verification is `verify`; the typed reports the
 //! REST layer renders (conservation, availability, links) are
 //! `report`.
 
@@ -93,8 +94,6 @@ impl Default for ProbeSpec {
 
 /// Default first VLAN id of the overlay pool (up to 4094 inclusive).
 const OVERLAY_VID_BASE: u16 = 3000;
-/// Last valid VLAN id usable by the overlay pool.
-const OVERLAY_VID_MAX: u16 = 4094;
 
 /// Domain-wide settings.
 #[derive(Debug, Clone)]
@@ -486,8 +485,8 @@ pub struct Domain {
     /// When each currently-parked graph lost service (park→drain
     /// downtime is stamped when the graph is restored).
     parked_at: BTreeMap<String, Instant>,
-    free_vids: Vec<u16>,
-    next_vid: u16,
+    /// The overlay VLAN id pool.
+    vids: plan::VidPool,
     clock: SimTime,
     /// Domain-level counters (`graphs_deployed`, `overlay_frames`, …).
     pub trace: TraceLog,
@@ -512,7 +511,7 @@ pub struct Domain {
 impl Domain {
     /// An empty domain with the given settings.
     pub fn new(config: DomainConfig) -> Self {
-        let next_vid = config.overlay_vid_base;
+        let vids = plan::VidPool::new(config.overlay_vid_base);
         let obs = un_obs::Obs::from_flag(config.observability);
         Domain {
             config,
@@ -525,8 +524,7 @@ impl Domain {
             avail: BTreeMap::new(),
             calibration: RepairCalibration::default(),
             parked_at: BTreeMap::new(),
-            free_vids: Vec::new(),
-            next_vid,
+            vids,
             clock: SimTime::ZERO,
             trace: TraceLog::new(4096),
             obs,
@@ -611,32 +609,25 @@ impl Domain {
         self.nodes.keys().cloned().collect()
     }
 
+    fn nodes_where<C: FromIterator<String>>(&self, health: impl Fn(&NodeHealth) -> bool) -> C {
+        let matching = self.nodes.iter().filter(|(_, m)| health(&m.health));
+        matching.map(|(n, _)| n.clone()).collect()
+    }
+
     /// Names of alive nodes (excluding suspects).
     pub fn alive_nodes(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .filter(|(_, m)| m.health == NodeHealth::Alive)
-            .map(|(n, _)| n.clone())
-            .collect()
+        self.nodes_where(|h| *h == NodeHealth::Alive)
     }
 
     /// Names of nodes that can host partitions and carry traffic
     /// (`Alive` or `Suspect` — a suspect is slow, not dead).
     pub fn serving_nodes(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .filter(|(_, m)| m.health.is_serving())
-            .map(|(n, _)| n.clone())
-            .collect()
+        self.nodes_where(NodeHealth::is_serving)
     }
 
     /// Names of nodes currently in the suspect grace window.
     pub fn suspect_nodes(&self) -> Vec<String> {
-        self.nodes
-            .iter()
-            .filter(|(_, m)| m.health == NodeHealth::Suspect)
-            .map(|(n, _)| n.clone())
-            .collect()
+        self.nodes_where(|h| *h == NodeHealth::Suspect)
     }
 
     /// Borrow a node.
@@ -809,12 +800,23 @@ impl Domain {
         }
     }
 
-    /// The scheduler's view of the fleet. Suspect nodes still count as
+    /// Can `name` host partitions and carry traffic right now?
+    fn serves(&self, name: &str) -> bool {
+        self.nodes.get(name).is_some_and(|m| m.health.is_serving())
+    }
+
+    /// The two halves of a planning step: the fleet as [`plan::plan`]
+    /// reads it, and the pool it draws overlay vids from. This is the
+    /// only place planning inputs are gathered — node views and who
+    /// serves, hop distances, the pinned paths loading each fabric
+    /// edge, and handles on the live graphs, the registry, the
+    /// settings and the span sink. Suspect nodes still count as
     /// placeable (`alive`): suspicion is a short grace window, not a
     /// quarantine, and quarantining them would force every concurrent
     /// update to migrate off a node that is probably just slow.
-    pub fn views(&self) -> Vec<NodeView> {
-        self.nodes
+    fn planner(&mut self) -> (FleetView<'_>, &mut plan::VidPool) {
+        let views = self
+            .nodes
             .values()
             .map(|m| NodeView {
                 name: m.node.name.clone(),
@@ -831,23 +833,36 @@ impl Domain {
                     .collect(),
                 alive: m.health.is_serving(),
             })
-            .collect()
-    }
-
-    /// [`Domain::views`] with `dead` counted out of the fleet whether
-    /// or not it still serves (planning around a suspect), and the
-    /// names of the nodes left placeable.
-    fn views_without(&self, dead: Option<&str>) -> (Vec<NodeView>, BTreeSet<String>) {
-        let mut views = self.views();
-        for v in views.iter_mut().filter(|v| Some(v.name.as_str()) == dead) {
-            v.alive = false;
-        }
-        let serving = views
-            .iter()
-            .filter(|v| v.alive)
-            .map(|v| v.name.clone())
             .collect();
-        (views, serving)
+        let serving: BTreeSet<String> = self.nodes_where(NodeHealth::is_serving);
+        let mut edge_riders: BTreeMap<_, Vec<&str>> = BTreeMap::new();
+        if !self.config.topology.is_full_mesh() {
+            for state in self.links.values_mut() {
+                let state: &LinkState = state.get_mut().expect("link lock poisoned");
+                for w in state.path.windows(2) {
+                    let (a, b) = (w[0].as_str(), w[1].as_str());
+                    let riders = edge_riders.entry((a.min(b), a.max(b))).or_default();
+                    riders.push(&state.graph);
+                }
+            }
+        }
+        let view = FleetView {
+            fabric_hops: self.config.topology.hop_matrix(&serving),
+            views,
+            serving,
+            edge_riders,
+            probe: self
+                .nodes
+                .values()
+                .find(|m| m.health.is_serving())
+                .map(|m| &m.node),
+            graphs: &self.graphs,
+            sharing: &self.sharing,
+            config: &self.config,
+            obs: &self.obs,
+            shared_standby: BTreeMap::new(),
+        };
+        (view, &mut self.vids)
     }
 
     // ------------------------------------------------------------------
@@ -994,14 +1009,13 @@ impl Domain {
     /// suites hold that as an invariant after every operation.
     #[allow(clippy::type_complexity)]
     pub fn vid_accounting(&self) -> (u16, u16, Vec<u16>, Vec<u16>, Vec<u16>) {
-        let mut free = self.free_vids.clone();
-        free.sort_unstable();
+        let (next, free) = self.vids.accounting();
         let in_use: Vec<u16> = self.links.keys().copied().collect();
         let mut standby_reserved = self.standby.reserved_vids();
         standby_reserved.sort_unstable();
         (
             self.config.overlay_vid_base,
-            self.next_vid,
+            next,
             free,
             in_use,
             standby_reserved,
@@ -1054,12 +1068,13 @@ impl Domain {
 }
 
 mod control;
+mod plan;
 mod repair;
 mod report;
 mod shuttle;
 mod verify;
 
-pub(crate) use control::Plan;
+pub(crate) use plan::{FleetView, Plan};
 pub use report::{ConservationReport, LinkReport};
 
 #[cfg(test)]

@@ -12,23 +12,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use super::control::{surviving, Committed, Plan, VidReuse};
+use super::control::Committed;
+use super::plan::{plan, serving_hints, Constraints, FleetView, Plan};
 use super::{
-    DeployHints, Domain, DomainError, DomainGraph, NodeHealth, RepairOutcome, RepairPolicy,
-    ReplacementReport,
+    Domain, DomainError, DomainGraph, NodeHealth, RepairOutcome, RepairPolicy, ReplacementReport,
 };
 use crate::sharing::{elect, ShareKey};
 use crate::standby::{GraphAvailability, GraphStandby, NodeStandby, RepairKind};
-
-/// `hints` with every pin that no longer points at a serving node
-/// dropped, so the scheduler may move what the pin held (interface
-/// availability decides).
-fn serving_hints(hints: &DeployHints, serving: &[String]) -> DeployHints {
-    let mut hints = hints.clone();
-    hints.endpoint_node.retain(|_, n| serving.contains(n));
-    hints.nf_node.retain(|_, n| serving.contains(n));
-    hints
-}
 
 /// NFs whose assignment differs between two plans of the same graph.
 fn moved_count(old: &BTreeMap<String, String>, new: &BTreeMap<String, String>) -> usize {
@@ -57,6 +47,44 @@ fn shared_blast(old: &DomainGraph, new: &DomainGraph) -> (usize, Vec<(String, St
         })
         .count();
     (moved, migrated)
+}
+
+/// Pick a replacement host for each of `keys` — shared replicas living
+/// on `dead`, which `view` no longer counts as serving. Demand is the
+/// surviving nodes the replica's tenants occupy; keys with no candidate
+/// are left out.
+fn elect_replacements(
+    view: &FleetView<'_>,
+    dead: &str,
+    keys: Vec<ShareKey>,
+) -> BTreeMap<ShareKey, String> {
+    let mut elected = BTreeMap::new();
+    for key in keys {
+        let demand: BTreeSet<String> = view
+            .sharing
+            .replica_on(&key, dead)
+            .map(|inst| inst.leases.keys())
+            .into_iter()
+            .flatten()
+            .filter_map(|gid| view.graphs.get(gid))
+            .flat_map(|g| g.assignment.values().chain(g.endpoints.values()))
+            .filter(|n| view.serving.contains(*n))
+            .cloned()
+            .collect();
+        if let Ok(host) = elect(
+            &key,
+            &view.config.sharing.election,
+            &view.views,
+            view.fabric_hops.as_ref(),
+            &demand,
+            &view
+                .sharing
+                .occupied(&key.functional_type, &BTreeMap::new()),
+        ) {
+            elected.insert(key, host);
+        }
+    }
+    elected
 }
 
 impl Domain {
@@ -118,13 +146,10 @@ impl Domain {
                 let Some(host) = node_sb.shared.remove(key) else {
                     return true;
                 };
-                let serves = self.nodes.get(&host).is_some_and(|m| m.health.is_serving());
-                let vacant = self
+                let taken = self
                     .sharing
-                    .hosted_on(&host)
-                    .iter()
-                    .all(|k| k.functional_type != key.functional_type);
-                if !(serves && vacant) {
+                    .occupied(&key.functional_type, &BTreeMap::new());
+                if !self.serves(&host) || taken.contains(&host) {
                     return true;
                 }
                 self.sharing.set_host(key, name, &host);
@@ -140,7 +165,13 @@ impl Domain {
                 );
                 false
             });
-            for (key, host) in self.elect_replacements(name, orphaned) {
+            // The common casualty hosts no replica: build no view for it.
+            let elected = if orphaned.is_empty() {
+                BTreeMap::new()
+            } else {
+                elect_replacements(&self.planner().0, name, orphaned)
+            };
+            for (key, host) in elected {
                 self.sharing.set_host(&key, name, &host);
                 self.trace.count("shared_hosts_reelected", 1);
                 self.obs.event(
@@ -170,43 +201,33 @@ impl Domain {
             // policy, and only while still valid (same wires, every
             // planned node still serving). Invalid plans are discarded
             // explicitly — their reserved vids must return to the pool.
-            let standby = if self.config.repair == RepairPolicy::Incremental {
-                match node_sb.graphs.remove(&gid) {
-                    Some(sb) if self.standby_valid(&sb, &entry) => Some(sb),
-                    Some(sb) => {
-                        self.discard_standby_plan(name, &gid, sb, "stale");
-                        None
-                    }
-                    None => None,
+            let incremental = self.config.repair == RepairPolicy::Incremental;
+            let standby = match node_sb.graphs.remove(&gid) {
+                Some(sb) if incremental && self.standby_valid(&sb, &entry) => Some(sb),
+                Some(sb) => {
+                    self.discard_standby_plan(name, &gid, sb, "stale");
+                    None
                 }
-            } else {
-                None
+                None => None,
             };
-            let predicted_kind = if standby.is_some() {
-                RepairKind::StandbySwap
-            } else {
-                match self.config.repair {
-                    RepairPolicy::Incremental => RepairKind::Reactive,
-                    RepairPolicy::FromScratch => RepairKind::FromScratch,
-                }
+            let predicted_kind = match (&standby, incremental) {
+                (Some(_), _) => RepairKind::StandbySwap,
+                (None, true) => RepairKind::Reactive,
+                (None, false) => RepairKind::FromScratch,
             };
             let modeled = queue_model_ns.saturating_add(self.calibration.predict(predicted_kind));
-            let outcome = match standby {
-                // A promotion failure falls straight to from-scratch:
-                // the rolled-back commit already took the survivors'
-                // parts down, so there is nothing left to pin.
-                Some(sb) => self
-                    .promote_standby(&entry, sb)
-                    .or_else(|_| self.replace_from_scratch(&entry)),
-                // When incremental repair cannot hold the pinned plan,
-                // tear everything down and re-plan with full freedom —
-                // a repack may fit where the pinned increment could not.
-                None => match self.config.repair {
-                    RepairPolicy::Incremental => self
-                        .repair_incremental(&entry)
-                        .or_else(|_| self.replace_from_scratch(&entry)),
-                    RepairPolicy::FromScratch => self.replace_from_scratch(&entry),
-                },
+            let pinned = match standby {
+                Some(sb) => self.promote_standby(&entry, sb).ok(),
+                None if incremental => self.repair_incremental(&entry).ok(),
+                None => None,
+            };
+            // When the pinned plan cannot be held — a promotion's
+            // rolled-back commit already took the survivors' parts
+            // down — tear everything down and re-plan with full
+            // freedom: a repack may fit where the increment could not.
+            let outcome = match pinned {
+                Some(o) => Ok(o),
+                None => self.replace_from_scratch(&entry),
             };
             match outcome {
                 Ok(mut o) => {
@@ -267,7 +288,7 @@ impl Domain {
                     // capacity returns. A parked tenant is no live wire:
                     // its shared leases are released (the instance drops
                     // with its last tenant and re-registers on retry).
-                    let hints = serving_hints(&entry.hints, &self.serving_nodes());
+                    let hints = serving_hints(&entry.hints, |n| self.serves(n));
                     self.release_shared(&gid);
                     self.trace.count("graphs_stranded", 1);
                     // Park epoch: the downtime ledger stamps the park→
@@ -295,50 +316,6 @@ impl Domain {
         self.prune_stale_standbys();
         self.update_standby_gauge();
         report
-    }
-
-    /// Pick a replacement host for each of `keys` — shared replicas
-    /// living on `dead` — with `dead` counted out of the fleet whether
-    /// it has failed or is merely suspect. Demand is the surviving
-    /// nodes the replica's tenants occupy; keys with no candidate are
-    /// left out.
-    fn elect_replacements(&self, dead: &str, keys: Vec<ShareKey>) -> BTreeMap<ShareKey, String> {
-        if keys.is_empty() {
-            return BTreeMap::new();
-        }
-        let (views, serving) = self.views_without(Some(dead));
-        let fabric_hops = self.config.topology.hop_matrix(&serving);
-        let mut elected = BTreeMap::new();
-        for key in keys {
-            let demand: BTreeSet<String> = self
-                .sharing
-                .replica_on(&key, dead)
-                .map(|inst| inst.leases.keys())
-                .into_iter()
-                .flatten()
-                .filter_map(|gid| self.graphs.get(gid))
-                .flat_map(|g| g.assignment.values().chain(g.endpoints.values()))
-                .filter(|n| serving.contains(*n))
-                .cloned()
-                .collect();
-            let occupied: BTreeSet<String> = self
-                .sharing
-                .instances()
-                .filter(|i| i.key.functional_type == key.functional_type)
-                .map(|i| i.host.clone())
-                .collect();
-            if let Ok(host) = elect(
-                &key,
-                &self.config.sharing.election,
-                &views,
-                fabric_hops.as_ref(),
-                &demand,
-                &occupied,
-            ) {
-                elected.insert(key, host);
-            }
-        }
-        elected
     }
 
     /// What a repair cost, from what its commit did and how the
@@ -370,31 +347,6 @@ impl Domain {
         }
     }
 
-    /// Plan the incremental repair of `entry` onto the `serving`
-    /// fleet: everything that survives is pinned (NFs, endpoints, the
-    /// caller's hints pruned to them) and overlay VLAN ids are
-    /// inherited across the cut, so only the nodes whose part actually
-    /// changes will be touched. Shared between the reactive path and
-    /// Suspect-time standby planning, which passes the suspect as
-    /// `exclude` and its pre-elected `shared_standby` hosts.
-    fn plan_repair(
-        &mut self,
-        entry: &DomainGraph,
-        serving: &[String],
-        exclude: Option<&str>,
-        shared_standby: Option<&BTreeMap<ShareKey, String>>,
-    ) -> Result<Plan, DomainError> {
-        self.plan_ctx(
-            &entry.original,
-            &serving_hints(&entry.hints, serving),
-            &surviving(&entry.assignment, serving),
-            &surviving(&entry.endpoints, serving),
-            VidReuse::inherit(&entry.partition.links, serving),
-            exclude,
-            shared_standby,
-        )
-    }
-
     /// Commit a survivor-pinned `plan` over what is left of `entry`
     /// (the plan of a reactive repair, or one staged at Suspect time).
     /// A rolled-back commit leaves `entry` for the from-scratch
@@ -404,7 +356,7 @@ impl Domain {
         entry: &DomainGraph,
         plan: Plan,
     ) -> Result<RepairOutcome, DomainError> {
-        let hints = serving_hints(&entry.hints, &self.serving_nodes());
+        let hints = serving_hints(&entry.hints, |n| self.serves(n));
         let done = self
             .commit(Some(entry), &entry.original, hints, plan)
             .inspect_err(|_| self.trace.count("repairs_rolled_back", 1))?;
@@ -413,7 +365,9 @@ impl Domain {
 
     /// Reactive incremental repair of one graph: plan now, commit.
     fn repair_incremental(&mut self, entry: &DomainGraph) -> Result<RepairOutcome, DomainError> {
-        let plan = self.plan_repair(entry, &self.serving_nodes(), None, None)?;
+        let (view, vids) = self.planner();
+        let c = Constraints::repair(entry, &view.serving);
+        let plan = plan(&view, vids, &entry.original, &c)?;
         self.commit_repair(entry, plan)
     }
 
@@ -422,7 +376,7 @@ impl Domain {
     /// what survives, then plan with only the caller's (pruned) hints.
     fn replace_from_scratch(&mut self, entry: &DomainGraph) -> Result<RepairOutcome, DomainError> {
         self.teardown(entry);
-        let hints = serving_hints(&entry.hints, &self.serving_nodes());
+        let hints = serving_hints(&entry.hints, |n| self.serves(n));
         let done = self.deploy_fresh(&entry.original, &hints)?;
         Ok(self.repair_outcome(entry, done, true))
     }
@@ -434,21 +388,16 @@ impl Domain {
         entry: &DomainGraph,
         sb: GraphStandby,
     ) -> Result<RepairOutcome, DomainError> {
-        match self.commit_repair(entry, sb.plan) {
-            Ok(mut o) => {
-                o.standby_promoted = true;
-                self.trace.count("standby_plans_promoted", 1);
-                self.obs.event(
-                    "domain.standby.promoted",
-                    vec![("kind", "graph".into()), ("graph", o.graph.clone().into())],
-                );
-                Ok(o)
-            }
-            Err(e) => {
-                self.trace.count("standby_promotes_failed", 1);
-                Err(e)
-            }
-        }
+        let mut o = self
+            .commit_repair(entry, sb.plan)
+            .inspect_err(|_| self.trace.count("standby_promotes_failed", 1))?;
+        o.standby_promoted = true;
+        self.trace.count("standby_plans_promoted", 1);
+        self.obs.event(
+            "domain.standby.promoted",
+            vec![("kind", "graph".into()), ("graph", o.graph.clone().into())],
+        );
+        Ok(o)
     }
 
     // ------------------------------------------------------------------
@@ -468,48 +417,48 @@ impl Domain {
         {
             return;
         }
-        let serving: Vec<String> = self
-            .serving_nodes()
-            .into_iter()
-            .filter(|n| n != name)
-            .collect();
-        let mut sb = NodeStandby::default();
+        let (view, vids) = self.planner();
+        let mut view = view.without(name);
         // Pre-elect a replacement host per shared replica the suspect
         // carries, so failure-time re-election is a promotion.
-        if self.config.sharing.enabled {
-            sb.shared = self.elect_replacements(name, self.sharing.hosted_on(name));
+        if view.config.sharing.enabled {
+            view.shared_standby = elect_replacements(&view, name, view.sharing.hosted_on(name));
         }
         // One pre-computed repair plan per graph with a part on the
         // suspect. The plan's fresh vids stay reserved (neither free
         // nor in use) until the standby promotes or is discarded.
-        let affected: Vec<String> = self
-            .graphs
-            .iter()
-            .filter(|(_, g)| g.partition.parts.contains_key(name))
-            .map(|(id, _)| id.clone())
-            .collect();
-        for gid in affected {
-            let entry = self.graphs.get(&gid).expect("listed above").clone();
-            match self.plan_repair(&entry, &serving, Some(name), Some(&sb.shared)) {
-                Ok(plan) => {
-                    self.trace.count("standby_plans_computed", 1);
-                    self.obs.event(
-                        "domain.standby.computed",
-                        vec![
-                            ("graph", gid.clone().into()),
-                            ("node", name.into()),
-                            ("vids_reserved", plan.taken.len().into()),
-                        ],
-                    );
-                    let old_vids: Vec<u16> = entry.partition.links.iter().map(|l| l.vid).collect();
-                    sb.graphs.insert(gid, GraphStandby { plan, old_vids });
-                }
-                Err(_) => {
-                    // The survivors cannot absorb this graph today; a
-                    // failure will park it (or from-scratch may still
-                    // find a repack the pinned plan could not).
-                    self.trace.count("standby_plans_unplannable", 1);
-                }
+        let mut sb = NodeStandby::default();
+        let mut unplannable = 0;
+        let affected = view.graphs.iter();
+        for (gid, entry) in affected.filter(|(_, g)| g.partition.parts.contains_key(name)) {
+            let c = Constraints::repair(entry, &view.serving);
+            // The survivors may be unable to absorb this graph today;
+            // a failure will then park it (or from-scratch may still
+            // find a repack the pinned plan could not).
+            let Ok(plan) = plan(&view, vids, &entry.original, &c) else {
+                unplannable += 1;
+                continue;
+            };
+            view.obs.event(
+                "domain.standby.computed",
+                vec![
+                    ("graph", gid.clone().into()),
+                    ("node", name.into()),
+                    ("vids_reserved", plan.taken.len().into()),
+                ],
+            );
+            let old_vids: Vec<u16> = entry.partition.links.iter().map(|l| l.vid).collect();
+            sb.graphs
+                .insert(gid.clone(), GraphStandby { plan, old_vids });
+        }
+        sb.shared = view.shared_standby;
+        // `planner` held the whole domain; the counters move now.
+        for (counter, n) in [
+            ("standby_plans_computed", sb.graphs.len() as u64),
+            ("standby_plans_unplannable", unplannable),
+        ] {
+            if n > 0 {
+                self.trace.count(counter, n);
             }
         }
         if !sb.graphs.is_empty() || !sb.shared.is_empty() {
@@ -523,22 +472,15 @@ impl Domain {
     /// ones the plan was computed against, and every node the plan
     /// uses (part hosts, transit hops, shared hosts) must still serve.
     fn standby_valid(&self, sb: &GraphStandby, entry: &DomainGraph) -> bool {
-        let mut cur: Vec<u16> = entry.partition.links.iter().map(|l| l.vid).collect();
-        cur.sort_unstable();
-        let mut old = sb.old_vids.clone();
-        old.sort_unstable();
-        if cur != old {
-            return false;
-        }
-        let serving: BTreeSet<String> = self.serving_nodes().into_iter().collect();
-        sb.plan.partition.parts.keys().all(|n| serving.contains(n))
-            && sb
-                .plan
-                .paths
-                .values()
-                .flatten()
-                .all(|n| serving.contains(n))
-            && sb.plan.shared.values().all(|c| serving.contains(&c.host))
+        entry
+            .partition
+            .links
+            .iter()
+            .map(|l| l.vid)
+            .eq(sb.old_vids.iter().copied())
+            && sb.plan.partition.parts.keys().all(|n| self.serves(n))
+            && sb.plan.paths.values().flatten().all(|n| self.serves(n))
+            && sb.plan.shared.values().all(|c| self.serves(&c.host))
     }
 
     /// Return one standby plan's reserved vids to the pool.

@@ -2167,3 +2167,187 @@ fn availability_report_predicts_and_records() {
     assert_eq!(g.ledger.standby_promotions, 1);
     assert_eq!(g.exposed_nodes, 2, "now split across the ends");
 }
+
+// ----------------------------------------------------------------------
+// Planning as a function: plan(&FleetView, &mut VidPool, graph, &Constraints)
+// ----------------------------------------------------------------------
+
+/// A line `n1 – n2 – n3` (every node with `eth0`/`eth1`) whose shared
+/// NAT sits at the centroid n2: tenant `t1` rides it from n1, `t2` from
+/// n3, and n3 is suspect with a standby staged for `t2`.
+fn suspect_shared_line() -> Domain {
+    let mut d = Domain::new(DomainConfig {
+        topology: Topology::line(&["n1", "n2", "n3"], EdgeAttrs::default()),
+        sharing: SharingConfig {
+            election: ElectionPolicy::TopologyCentroid,
+            ..SharingConfig::for_types(&["nat"])
+        },
+        ..DomainConfig::default()
+    });
+    for name in ["n1", "n2", "n3"] {
+        let mut node = UniversalNode::new(name, mb(2048));
+        node.add_physical_port("eth0");
+        node.add_physical_port("eth1");
+        d.add_node(node);
+    }
+    for (gid, vid, home) in [("t0", 10, "n1"), ("t1", 11, "n1"), ("t2", 12, "n3")] {
+        d.deploy_with(&nat_graph(gid, vid, "203.0.113.1/24"), &tenant_hints(home))
+            .unwrap();
+    }
+    assert_eq!(d.shared_instances()[0].host, "n2");
+    // A tenant that came and went: its four vids wait in the free list.
+    d.undeploy("t0").unwrap();
+    d.suspect_node("n3").unwrap();
+    assert_eq!(d.standby_graphs(), vec!["t2".to_string()]);
+    d
+}
+
+/// Everything a plan could have left behind, had it touched anything.
+fn footprint(d: &Domain) -> String {
+    let nodes: Vec<_> = d
+        .node_names()
+        .iter()
+        .map(|n| d.node(n).unwrap().describe())
+        .collect();
+    let verify = un_verify::VerifyReport {
+        duration_ns: 0,
+        ..d.verify_full()
+    };
+    format!(
+        "{:?}\n{:?}\n{nodes:?}\n{:?}\n{verify:?}",
+        d.vid_accounting(),
+        d.shared_instances(),
+        d.graph_ids(),
+    )
+}
+
+#[test]
+fn a_released_plan_leaves_no_trace() {
+    let mut d = suspect_shared_line();
+    let before = footprint(&d);
+
+    // A third tenant at n1, planned as if the suspect were dead: it
+    // draws four vids and claims the shared NAT on n2.
+    let c = plan::Constraints::fresh(&tenant_hints("n1"));
+    let (view, vids) = d.planner();
+    let view = view.without("n3");
+    let staged = plan::plan(&view, vids, &nat_graph("t3", 13, "203.0.113.1/24"), &c).unwrap();
+    assert_eq!(staged.taken.len(), 4, "lan and wan, each way, to the NAT");
+    assert_eq!(staged.shared[&ShareKey::new("nat", "")].host, "n2");
+    let reserved = staged.taken.clone();
+    let (_, _, free, in_use, standby) = d.vid_accounting();
+    assert!(
+        reserved
+            .iter()
+            .all(|v| !free.contains(v) && !in_use.contains(v) && !standby.contains(v)),
+        "a staged plan's vids are out of every pool"
+    );
+
+    d.release_plan(staged);
+    assert_eq!(footprint(&d), before);
+
+    // So does a plan that could not stand: with the transit node
+    // counted out, t2's repair is cut but finds no route.
+    let (view, vids) = d.planner();
+    let view = view.without("n2");
+    let t2 = &view.graphs["t2"];
+    let c = plan::Constraints::repair(t2, &view.serving);
+    assert!(matches!(
+        plan::plan(&view, vids, &t2.original, &c),
+        Err(DomainError::NoRoute { .. })
+    ));
+    assert_eq!(footprint(&d), before);
+}
+
+#[test]
+fn planning_is_deterministic() {
+    let mut d = suspect_shared_line();
+    let base = d.config.overlay_vid_base;
+    let (view, _) = d.planner();
+    let view = view.without("n3");
+    let fresh = nat_graph("t3", 13, "203.0.113.1/24");
+    let t2 = &view.graphs["t2"];
+    for (graph, c) in [
+        (&fresh, plan::Constraints::fresh(&tenant_hints("n1"))),
+        (&t2.original, plan::Constraints::repair(t2, &view.serving)),
+    ] {
+        let (mut pool_a, mut pool_b) = (plan::VidPool::new(base), plan::VidPool::new(base));
+        let a = plan::plan(&view, &mut pool_a, graph, &c).unwrap();
+        let b = plan::plan(&view, &mut pool_b, graph, &c).unwrap();
+        assert_eq!(a.assignment, b.assignment);
+        assert_eq!(a.endpoints, b.endpoints);
+        assert_eq!(a.partition.parts, b.partition.parts);
+        assert_eq!(a.partition.links, b.partition.links);
+        assert_eq!(a.paths, b.paths);
+        assert_eq!(a.shared, b.shared);
+        assert_eq!(a.taken, b.taken);
+    }
+}
+
+/// `FleetView::without(n)` means "as if `n` were dead": the plan staged
+/// while `n` is only suspect is the plan a reactive repair computes
+/// once `n` has failed — which is what makes promoting it a swap.
+#[test]
+fn plan_without_a_suspect_equals_the_plan_after_its_failure() {
+    let mut warned = hub_fleet();
+    let mut surprised = hub_fleet();
+    for d in [&mut warned, &mut surprised] {
+        d.deploy_with(&split_bridge_chain(), &hub_hints()).unwrap();
+    }
+    warned.suspect_node("n2").unwrap();
+    let staged = warned.standby.take("n2").unwrap().graphs.remove("g1");
+    let staged = staged.unwrap().plan;
+
+    surprised.nodes.get_mut("n2").unwrap().health = NodeHealth::Failed;
+    let (view, vids) = surprised.planner();
+    let g1 = &view.graphs["g1"];
+    let c = plan::Constraints::repair(g1, &view.serving);
+    let reactive = plan::plan(&view, vids, &g1.original, &c).unwrap();
+
+    assert_eq!(staged.assignment, reactive.assignment);
+    assert_eq!(staged.endpoints, reactive.endpoints);
+    assert_eq!(staged.partition.parts, reactive.partition.parts);
+    assert_eq!(staged.partition.links, reactive.partition.links);
+    assert_eq!(staged.paths, reactive.paths);
+    assert_eq!(staged.taken, reactive.taken);
+    assert_eq!(staged.taken.len(), 2, "the hub's loss splits the graph");
+}
+
+#[test]
+fn lease_release_fires_only_for_graphs_that_held_a_lease() {
+    let mut d = Domain::new(DomainConfig {
+        sharing: SharingConfig::for_types(&["nat"]),
+        observability: true,
+        ..DomainConfig::default()
+    });
+    let mut n1 = UniversalNode::new("n1", mb(2048));
+    n1.add_physical_port("eth0");
+    n1.add_physical_port("eth1");
+    d.add_node(n1);
+    d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n1"))
+        .unwrap();
+    d.deploy(&split_bridge_chain()).unwrap();
+    let releases = |d: &Domain| -> Vec<un_obs::Event> {
+        let events = d.recent_events().into_iter();
+        events
+            .filter(|e| e.name == "domain.lease.release")
+            .collect()
+    };
+
+    d.undeploy("g1").unwrap();
+    assert!(
+        releases(&d).is_empty(),
+        "a plain bridge graph rides nothing"
+    );
+
+    d.undeploy("t1").unwrap();
+    let released = releases(&d);
+    assert_eq!(released.len(), 1);
+    assert_eq!(
+        released[0].attrs,
+        vec![
+            ("graph", un_obs::AttrValue::from("t1")),
+            ("instances_dropped", un_obs::AttrValue::from(1usize)),
+        ]
+    );
+}

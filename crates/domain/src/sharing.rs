@@ -30,6 +30,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use un_nffg::NfFg;
+
+use crate::domain::FleetView;
 use crate::placement::NodeView;
 use crate::topology::Topology;
 
@@ -255,22 +258,6 @@ impl SharedRegistry {
         self.instances.values().flatten()
     }
 
-    /// Number of live instances (replicas, not keys).
-    pub fn len(&self) -> usize {
-        self.instances.values().map(Vec::len).sum()
-    }
-
-    /// True when no instance is registered.
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
-    }
-
-    /// The first replica for a key, if any is registered. Single-
-    /// replica pools (the common case) have exactly one.
-    pub fn get(&self, key: &ShareKey) -> Option<&SharedInstance> {
-        self.instances.get(key).and_then(|pool| pool.first())
-    }
-
     /// Every replica of a key, in host order (empty slice when none).
     pub fn replicas(&self, key: &ShareKey) -> &[SharedInstance] {
         self.instances.get(key).map(Vec::as_slice).unwrap_or(&[])
@@ -309,6 +296,24 @@ impl SharedRegistry {
                     )
                 })
             })
+            .collect()
+    }
+
+    /// Hosts that cannot take another instance of `functional_type`.
+    /// Node-level NNF singletons cannot host two instances of one
+    /// type, so every host already carrying it is out — sibling
+    /// capability pools, same-key replicas (a scale-out must land
+    /// elsewhere), and the hosts a plan under construction `claimed` a
+    /// few NFs ago.
+    pub(crate) fn occupied(
+        &self,
+        functional_type: &str,
+        claimed: &BTreeMap<ShareKey, SharedClaim>,
+    ) -> BTreeSet<String> {
+        let live = self.instances().map(|i| (&i.key, &i.host));
+        live.chain(claimed.iter().map(|(key, claim)| (key, &claim.host)))
+            .filter(|(key, _)| key.functional_type == functional_type)
+            .map(|(_, host)| host.clone())
             .collect()
     }
 
@@ -403,6 +408,90 @@ impl SharedRegistry {
         });
         dropped
     }
+}
+
+/// The shared instances a plan of `graph` rides, one claim per share
+/// key: every NF of a fleet-shared type is pinned (into `pins`) onto
+/// the registry's host for its key — the host a live replica already
+/// has, or a freshly elected one. The partitioner then cuts the
+/// tenant's edges toward that node and the path engine routes them, so
+/// the graph rides the shared instance instead of instantiating its
+/// own. NFs in `opted_out` (the caller pinned them) stay private.
+/// `endpoints` is where the graph's endpoints sit: the demand a
+/// first-demand election anchors on.
+pub(crate) fn claim_replicas(
+    view: &FleetView<'_>,
+    graph: &NfFg,
+    opted_out: &BTreeMap<String, String>,
+    endpoints: &BTreeMap<String, String>,
+    pins: &mut BTreeMap<String, String>,
+) -> Result<BTreeMap<ShareKey, SharedClaim>, SharingError> {
+    let config = &view.config.sharing;
+    let serves = |host: &String| view.serving.contains(host);
+    let demand: BTreeSet<String> = endpoints.values().cloned().collect();
+    let mut claims: BTreeMap<ShareKey, SharedClaim> = BTreeMap::new();
+    for nf in &graph.nfs {
+        if !config.types.contains(&nf.functional_type) || opted_out.contains_key(&nf.id) {
+            continue;
+        }
+        let key = ShareKey::of_nf(nf);
+        if let Some(claim) = claims.get_mut(&key) {
+            // Second NF of the same key: same host, same lease.
+            pins.insert(nf.id.clone(), claim.host.clone());
+            claim.nfs += 1;
+            continue;
+        }
+        // Replica choice, in decreasing order of stability: (a) the
+        // replica this graph already leases (if its host serves) —
+        // re-planning never migrates a tenant gratuitously; (b) the
+        // serving replica with the most lease headroom (fewest leases,
+        // host-name tie-break); (c) a standby host pre-elected at
+        // Suspect time; (d) a fresh election — the first instance of
+        // the pool, a failover, or (when `scale_out` is on and every
+        // serving replica is full) a second instance that splits the
+        // tenancy instead of erroring.
+        let replicas = view.sharing.replicas(&key);
+        let mut chosen: Option<&String> = replicas
+            .iter()
+            .find(|i| i.leases.contains_key(&graph.id))
+            .map(|i| &i.host)
+            .filter(|h| serves(h));
+        let mut full_host: Option<&String> = None;
+        if chosen.is_none() {
+            let mut best: Option<(usize, &String)> = None;
+            for inst in replicas.iter().filter(|i| serves(&i.host)) {
+                let leases = inst.leases.len();
+                if config.max_leases.is_some_and(|max| leases >= max) {
+                    full_host = Some(&inst.host);
+                } else if best.is_none_or(|b| (leases, &inst.host) < b) {
+                    best = Some((leases, &inst.host));
+                }
+            }
+            let standby = view.shared_standby.get(&key).filter(|h| serves(h));
+            chosen = best.map(|(_, host)| host).or(standby);
+        }
+        let host = match (chosen, full_host) {
+            (Some(host), _) => host.clone(),
+            (None, Some(full)) if !config.scale_out => {
+                return Err(SharingError::CapacityExhausted {
+                    key: key.render(),
+                    host: full.clone(),
+                    max_leases: config.max_leases.unwrap_or(0),
+                });
+            }
+            (None, _) => elect(
+                &key,
+                &config.election,
+                &view.views,
+                view.fabric_hops.as_ref(),
+                &demand,
+                &view.sharing.occupied(&key.functional_type, &claims),
+            )?,
+        };
+        pins.insert(nf.id.clone(), host.clone());
+        claims.insert(key, SharedClaim { host, nfs: 1 });
+    }
+    Ok(claims)
 }
 
 /// Elect the host node for a shared instance.
@@ -639,14 +728,14 @@ mod tests {
         // Re-acquire by the same graph: no new lease, wires updated.
         assert_eq!(r.commit("g1", &key, "n1", 2), (false, false, 0));
         assert_eq!(r.commit("g2", &key, "n1", 1), (false, true, 0));
-        let inst = r.get(&key).unwrap();
+        let inst = &r.replicas(&key)[0];
         assert_eq!(inst.tenant_count(), 2);
         assert_eq!(inst.wires(), 3);
         assert_eq!(r.leases_of("g1")[&key].nfs, 2);
 
         assert!(r.release_graph("g1").is_empty(), "g2 still leases");
         assert_eq!(r.release_graph("g2"), vec![key.clone()]);
-        assert!(r.is_empty(), "no orphan instances");
+        assert_eq!(r.instances().count(), 0, "no orphan instances");
     }
 
     #[test]
@@ -656,7 +745,7 @@ mod tests {
         // Two replicas of one key (scale-out), tenants split.
         assert_eq!(r.commit("g1", &key, "n1", 1), (true, true, 0));
         assert_eq!(r.commit("g2", &key, "n2", 1), (true, true, 0));
-        assert_eq!(r.len(), 2, "two replicas");
+        assert_eq!(r.instances().count(), 2, "two replicas");
         assert_eq!(r.replicas(&key).len(), 2);
         assert_eq!(r.replica_on(&key, "n2").unwrap().tenant_count(), 1);
         assert_eq!(r.leases_of("g1")[&key].host, "n1");
@@ -666,7 +755,7 @@ mod tests {
         // Re-committing g1 onto n2 *moves* the lease (never two leases
         // on one key) and drops the replica the move emptied.
         assert_eq!(r.commit("g1", &key, "n2", 1), (false, false, 1));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.instances().count(), 1);
         assert_eq!(r.leases_of("g1")[&key].host, "n2");
         assert_eq!(r.replica_on(&key, "n2").unwrap().tenant_count(), 2);
     }
@@ -696,7 +785,7 @@ mod tests {
         r.commit("g1", &cg, "n2", 1);
         let keep: BTreeSet<ShareKey> = [nat.clone()].into();
         assert_eq!(r.release_except("g1", &keep), vec![cg]);
-        assert!(r.get(&nat).is_some());
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.replicas(&nat).len(), 1);
+        assert_eq!(r.instances().count(), 1);
     }
 }

@@ -109,39 +109,71 @@ pub fn split_query(path: &str) -> (&str, Vec<(&str, &str)>) {
     }
 }
 
-/// Parse one request from a stream. Returns `None` on EOF/garbage.
-pub fn read_request<R: Read>(stream: R) -> Option<Request> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).ok()? == 0 {
-        return None;
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_uppercase();
-    let path = parts.next()?.to_string();
+/// Largest request body the server reads. The biggest document the
+/// API takes is an NF-FG of a few thousand rules, well under 1 MiB.
+const MAX_BODY_BYTES: u64 = 4 << 20;
+/// Longest request line or header line the server reads.
+const MAX_LINE_BYTES: u64 = 8 << 10;
 
-    let mut content_length = 0usize;
+/// Why [`read_request`] produced no request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rejected {
+    /// EOF, an unreadable request line or a body shorter than
+    /// announced: the peer is gone or never spoke HTTP, and there is
+    /// nothing to answer.
+    Closed,
+    /// The request breaks a limit or cannot be parsed; answer `400`
+    /// with this message.
+    Malformed(&'static str),
+}
+
+/// Read one line of at most [`MAX_LINE_BYTES`]; empty at EOF.
+fn read_line<R: BufRead>(reader: &mut R) -> Result<String, Rejected> {
+    let mut line = String::new();
+    let mut limited = reader.take(MAX_LINE_BYTES);
+    limited.read_line(&mut line).map_err(|_| Rejected::Closed)?;
+    if limited.limit() == 0 && !line.ends_with('\n') {
+        return Err(Rejected::Malformed("request or header line too long"));
+    }
+    Ok(line)
+}
+
+/// Parse one request from a stream. Nothing the peer sends sizes an
+/// allocation: lines and the body are read through `take`, into
+/// buffers that grow as bytes arrive.
+pub fn read_request<R: Read>(stream: R) -> Result<Request, Rejected> {
+    let mut reader = BufReader::new(stream);
+    let line = read_line(&mut reader)?;
+    let mut parts = line.split_whitespace();
+    let method = parts.next().ok_or(Rejected::Closed)?.to_uppercase();
+    let path = parts.next().ok_or(Rejected::Closed)?.to_string();
+
+    let mut content_length = 0u64;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header).ok()? == 0 {
-            break;
-        }
+        let header = read_line(&mut reader)?;
         let header = header.trim();
         if header.is_empty() {
             break;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| Rejected::Malformed("unparsable Content-Length"))?;
+                if content_length > MAX_BODY_BYTES {
+                    return Err(Rejected::Malformed("request body too large"));
+                }
             }
         }
     }
 
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        reader.read_exact(&mut body).ok()?;
+    let mut body = Vec::new();
+    let read = reader.take(content_length).read_to_end(&mut body);
+    if read.ok() != Some(content_length as usize) {
+        return Err(Rejected::Closed);
     }
-    Some(Request { method, path, body })
+    Ok(Request { method, path, body })
 }
 
 /// Serialize a response onto a stream.
@@ -207,8 +239,15 @@ pub(crate) fn serve_with(
                 let Ok(peer_read) = stream.try_clone() else {
                     return;
                 };
-                if let Some(req) = read_request(peer_read) {
-                    let _ = write_response(&stream, &handler(&req));
+                let resp = match read_request(peer_read) {
+                    Ok(req) => Some(handler(&req)),
+                    Err(Rejected::Malformed(msg)) => {
+                        Some(Response::error(StatusCode::BadRequest, msg))
+                    }
+                    Err(Rejected::Closed) => None,
+                };
+                if let Some(resp) = resp {
+                    let _ = write_response(&stream, &resp);
                 }
                 let _ = stream.shutdown(Shutdown::Both);
             });
@@ -259,8 +298,70 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(read_request(&b""[..]).is_none());
-        assert!(read_request(&b"\r\n"[..]).is_none());
+        assert_eq!(read_request(&b""[..]), Err(Rejected::Closed));
+        assert_eq!(read_request(&b"\r\n"[..]), Err(Rejected::Closed));
+    }
+
+    /// The parser must reject on the header alone. (Sizing the body
+    /// buffer from the header aborted the process on these lengths.)
+    #[test]
+    fn hostile_content_length_is_rejected_before_any_body_byte() {
+        for len in [
+            "1099511627776",
+            "9223372036854775807",
+            "99999999999999999999",
+        ] {
+            let raw = format!("PUT /nffg/g1 HTTP/1.1\r\nContent-Length: {len}\r\n\r\nhello");
+            assert!(
+                matches!(read_request(raw.as_bytes()), Err(Rejected::Malformed(_))),
+                "Content-Length: {len}"
+            );
+        }
+        // A malformed value is an error, not a silent zero.
+        let raw = b"PUT /nffg/g1 HTTP/1.1\r\nContent-Length: five\r\n\r\nhello";
+        assert!(matches!(
+            read_request(&raw[..]),
+            Err(Rejected::Malformed(_))
+        ));
+        // The limit itself is fine; one past it is not.
+        let at = format!("PUT /x HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n");
+        assert_eq!(read_request(at.as_bytes()), Err(Rejected::Closed));
+    }
+
+    #[test]
+    fn truncated_body_is_a_closed_connection() {
+        let raw = b"PUT /nffg/g1 HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello";
+        assert_eq!(read_request(&raw[..]), Err(Rejected::Closed));
+    }
+
+    #[test]
+    fn overlong_lines_are_rejected() {
+        let long = "a".repeat(MAX_LINE_BYTES as usize + 1);
+        let request_line = format!("GET /{long} HTTP/1.1\r\n\r\n");
+        let header = format!("GET / HTTP/1.1\r\nX-Pad: {long}\r\n\r\n");
+        for raw in [request_line, header] {
+            assert!(matches!(
+                read_request(raw.as_bytes()),
+                Err(Rejected::Malformed(_))
+            ));
+        }
+        // A line that fills the limit exactly, newline included, passes.
+        let pad = "a".repeat(MAX_LINE_BYTES as usize - "X-Pad: \r\n".len());
+        let raw = format!("GET / HTTP/1.1\r\nX-Pad: {pad}\r\n\r\n");
+        assert_eq!(read_request(raw.as_bytes()).unwrap().path, "/");
+    }
+
+    #[test]
+    fn server_answers_a_hostile_length_with_400() {
+        let server = serve_with("127.0.0.1:0", |_| Response::json(StatusCode::Ok, "{}")).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(b"PUT /x HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\nhello")
+            .unwrap();
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+        server.shutdown();
     }
 
     #[test]
