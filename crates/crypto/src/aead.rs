@@ -35,27 +35,16 @@ impl std::fmt::Display for AeadError {
 
 impl std::error::Error for AeadError {}
 
-fn poly_key(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-    // RFC 8439 §2.6: the one-time Poly1305 key is the first 32 bytes of
-    // the ChaCha20 keystream block with counter 0.
-    let block = ChaCha20::new(key, nonce).block(0);
-    block[..32].try_into().unwrap()
-}
-
-fn compute_tag(
-    key: &[u8; KEY_LEN],
-    nonce: &[u8; NONCE_LEN],
-    aad: &[u8],
-    ciphertext: &[u8],
-) -> [u8; TAG_LEN] {
-    let otk = poly_key(key, nonce);
-    let mut mac = Poly1305::new(&otk);
+/// The RFC 8439 §2.8 MAC input under one-time key `otk`: AAD and
+/// ciphertext each zero-padded to a 16-byte boundary, then both lengths.
+fn compute_tag(otk: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+    let mut mac = Poly1305::new(otk);
     mac.update(aad);
     mac.update(&[0u8; 16][..pad16(aad.len())]);
     mac.update(ciphertext);
     mac.update(&[0u8; 16][..pad16(ciphertext.len())]);
-    mac.update(&(aad.len() as u64).to_le_bytes());
-    mac.update(&(ciphertext.len() as u64).to_le_bytes());
+    let lengths = (aad.len() as u128) | (ciphertext.len() as u128) << 64;
+    mac.update(&lengths.to_le_bytes());
     mac.finalize()
 }
 
@@ -66,21 +55,23 @@ fn pad16(len: usize) -> usize {
 /// Encrypt `plaintext` in place and return the authentication tag.
 ///
 /// `aad` is authenticated but not encrypted (ESP uses the SPI + sequence
-/// number here).
+/// number here). One cipher instance, one keystream pass: the one-time
+/// Poly1305 key (RFC 8439 §2.6) is block 0 of the run that encrypts.
 pub fn seal(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     plaintext: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    ChaCha20::new(key, nonce).apply_keystream(1, plaintext);
-    compute_tag(key, nonce, aad, plaintext)
+    let (otk, _) = ChaCha20::new(key, nonce).aead_pass(plaintext, |_, _| true);
+    compute_tag(&otk, aad, plaintext)
 }
 
 /// Verify `tag` over `ciphertext`/`aad` and decrypt in place.
 ///
 /// On tag mismatch the ciphertext is left **untouched** and an error is
-/// returned.
+/// returned: the tag is checked after the one-time key is known and
+/// before the keystream is applied.
 pub fn open(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
@@ -88,12 +79,10 @@ pub fn open(
     ciphertext: &mut [u8],
     tag: &[u8; TAG_LEN],
 ) -> Result<(), AeadError> {
-    let expect = compute_tag(key, nonce, aad, ciphertext);
-    if !tags_equal(&expect, tag) {
-        return Err(AeadError::TagMismatch);
-    }
-    ChaCha20::new(key, nonce).apply_keystream(1, ciphertext);
-    Ok(())
+    let (_, opened) = ChaCha20::new(key, nonce).aead_pass(ciphertext, |otk, ciphertext| {
+        tags_equal(&compute_tag(otk, aad, ciphertext), tag)
+    });
+    opened.then_some(()).ok_or(AeadError::TagMismatch)
 }
 
 #[cfg(test)]

@@ -45,19 +45,15 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 pub fn hkdf_expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * DIGEST_LEN, "HKDF output too long");
     let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    let mut written = 0;
-    while written < out.len() {
+    // T(1) … T(255): the assert above keeps the chunks within the counters.
+    for (counter, chunk) in (1u8..=255).zip(out.chunks_mut(DIGEST_LEN)) {
         let mut msg = Vec::with_capacity(t.len() + info.len() + 1);
         msg.extend_from_slice(&t);
         msg.extend_from_slice(info);
         msg.push(counter);
         let block = hmac_sha256(prk, &msg);
-        let take = (out.len() - written).min(DIGEST_LEN);
-        out[written..written + take].copy_from_slice(&block[..take]);
-        written += take;
+        chunk.copy_from_slice(&block[..chunk.len()]);
         t = block.to_vec();
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
     }
 }
 
@@ -152,5 +148,18 @@ mod tests {
         let mut short = vec![0u8; 32];
         hkdf_expand(&prk, b"ctx", &mut short);
         assert_eq!(&okm[..32], &short[..]);
+    }
+
+    /// RFC 5869's maximum, 255 blocks, is a legal request: the counter
+    /// byte reaches 255 and is never advanced past it.
+    #[test]
+    fn hkdf_expands_the_maximum_length() {
+        let prk = hkdf_extract(b"salt", b"ikm");
+        let mut okm = vec![0u8; 255 * DIGEST_LEN];
+        hkdf_expand(&prk, b"ctx", &mut okm);
+        let mut short = vec![0u8; 64];
+        hkdf_expand(&prk, b"ctx", &mut short);
+        assert_eq!(&okm[..64], &short[..]);
+        assert_ne!(okm[254 * DIGEST_LEN..], [0u8; DIGEST_LEN]);
     }
 }

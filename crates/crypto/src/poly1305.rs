@@ -1,51 +1,55 @@
 //! The Poly1305 one-time authenticator, per RFC 8439 §2.5.
 //!
-//! Arithmetic is carried out modulo 2^130 − 5 using five 26-bit limbs
-//! (the classic "donna" representation), which keeps every intermediate
-//! product within u64 range without needing 128-bit multiplies per limb
-//! pair beyond what u64×u64→u128 provides.
+//! Arithmetic is carried out modulo 2^130 − 5 on three limbs of 44, 44
+//! and 42 bits (the "donna-64" representation): one 16-byte block costs
+//! nine 64×64→128-bit multiplies instead of the twenty-five of the
+//! 26-bit-limb form, and the partially reduced accumulator stays in
+//! three registers across a whole run of blocks. The multiply chain is
+//! serial — block *i + 1* needs the reduced result of block *i* — so
+//! this is about a cycle per byte and scalar-bound.
 
 /// Key length in bytes (r || s).
 pub const KEY_LEN: usize = 32;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
+/// 2^128 in limb 2: the bit appended above every full 16-byte block.
+const HIBIT: u64 = 1 << 40;
+
 /// Incremental Poly1305 MAC computation.
 #[derive(Clone)]
 pub struct Poly1305 {
-    r: [u32; 5],
-    s: [u32; 4],
-    acc: [u32; 5],
+    r: [u64; 3],
+    s: u128,
+    h: [u64; 3],
     buf: [u8; 16],
     buf_len: usize,
+}
+
+/// Split a little-endian 128-bit value into 44/44/40-bit limbs.
+#[inline(always)]
+fn limbs(block: &[u8; 16]) -> [u64; 3] {
+    let v = u128::from_le_bytes(*block);
+    let (t0, t1) = (v as u64, (v >> 64) as u64);
+    [t0 & MASK44, ((t0 >> 44) | (t1 << 20)) & MASK44, t1 >> 24]
 }
 
 impl Poly1305 {
     /// Initialize with a 32-byte one-time key (r clamped per the RFC).
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        let t0 = u32::from_le_bytes(key[0..4].try_into().unwrap());
-        let t1 = u32::from_le_bytes(key[4..8].try_into().unwrap());
-        let t2 = u32::from_le_bytes(key[8..12].try_into().unwrap());
-        let t3 = u32::from_le_bytes(key[12..16].try_into().unwrap());
-
-        // Clamp and split into 26-bit limbs.
-        let r = [
-            t0 & 0x3ff_ffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x3ff_ff03,
-            ((t1 >> 20) | (t2 << 12)) & 0x3ff_c0ff,
-            ((t2 >> 14) | (t3 << 18)) & 0x3f0_3fff,
-            (t3 >> 8) & 0x00f_ffff,
-        ];
-        let s = [
-            u32::from_le_bytes(key[16..20].try_into().unwrap()),
-            u32::from_le_bytes(key[20..24].try_into().unwrap()),
-            u32::from_le_bytes(key[24..28].try_into().unwrap()),
-            u32::from_le_bytes(key[28..32].try_into().unwrap()),
-        ];
+        let (halves, _) = key.as_chunks::<16>();
+        let [r0, r1, r2] = limbs(&halves[0]);
         Poly1305 {
-            r,
-            s,
-            acc: [0; 5],
+            // The clamp 0x0ffffffc_0ffffffc_0ffffffc_0fffffff, per limb.
+            r: [
+                r0 & 0xffc_0fff_ffff,
+                r1 & 0xfff_ffc0_ffff,
+                r2 & 0x00f_ffff_fc0f,
+            ],
+            s: u128::from_le_bytes(halves[1]),
+            h: [0; 3],
             buf: [0; 16],
             buf_len: 0,
         }
@@ -58,21 +62,17 @@ impl Poly1305 {
             self.buf[self.buf_len..self.buf_len + want].copy_from_slice(&data[..want]);
             self.buf_len += want;
             data = &data[want..];
-            if self.buf_len == 16 {
-                let block = self.buf;
-                self.process_block(&block, false);
-                self.buf_len = 0;
+            if self.buf_len < 16 {
+                return;
             }
+            let block = self.buf;
+            self.process_blocks(&[block], HIBIT);
+            self.buf_len = 0;
         }
-        while data.len() >= 16 {
-            let block: [u8; 16] = data[..16].try_into().unwrap();
-            self.process_block(&block, false);
-            data = &data[16..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        let (blocks, tail) = data.as_chunks::<16>();
+        self.process_blocks(blocks, HIBIT);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finish and produce the 16-byte tag.
@@ -81,60 +81,42 @@ impl Poly1305 {
             let mut block = [0u8; 16];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1; // the padding 0x01 byte for a short block
-            self.process_block(&block, true);
+            self.process_blocks(&[block], 0);
         }
 
-        // Full carry propagation.
-        let mut h = self.acc;
+        // Full carry propagation: twice round the three limbs.
+        let [mut h0, mut h1, mut h2] = self.h;
         let mut c;
-        c = h[1] >> 26;
-        h[1] &= 0x3ff_ffff;
-        h[2] += c;
-        c = h[2] >> 26;
-        h[2] &= 0x3ff_ffff;
-        h[3] += c;
-        c = h[3] >> 26;
-        h[3] &= 0x3ff_ffff;
-        h[4] += c;
-        c = h[4] >> 26;
-        h[4] &= 0x3ff_ffff;
-        h[0] += c * 5;
-        c = h[0] >> 26;
-        h[0] &= 0x3ff_ffff;
-        h[1] += c;
-
-        // Compute h + -p and select.
-        let mut g = [0u32; 5];
-        let mut carry = 5u32;
-        for i in 0..5 {
-            let t = h[i] + carry;
-            carry = t >> 26;
-            g[i] = t & 0x3ff_ffff;
-        }
-        g[4] = g[4].wrapping_sub(1 << 26);
-
-        let mask = (g[4] >> 31).wrapping_sub(1); // all-ones if h >= p
-        for i in 0..5 {
-            h[i] = (h[i] & !mask) | (g[i] & mask);
+        for _ in 0..2 {
+            c = h1 >> 44;
+            h1 &= MASK44;
+            h2 += c;
+            c = h2 >> 42;
+            h2 &= MASK42;
+            h0 += c * 5;
+            c = h0 >> 44;
+            h0 &= MASK44;
+            h1 += c;
         }
 
-        // Serialize to 128 bits and add s.
-        let h0 = h[0] | (h[1] << 26);
-        let h1 = (h[1] >> 6) | (h[2] << 20);
-        let h2 = (h[2] >> 12) | (h[3] << 14);
-        let h3 = (h[3] >> 18) | (h[4] << 8);
+        // Compute g = h − p = h + 5 − 2^130 and select it if h ≥ p.
+        let mut g0 = h0 + 5;
+        c = g0 >> 44;
+        g0 &= MASK44;
+        let mut g1 = h1 + c;
+        c = g1 >> 44;
+        g1 &= MASK44;
+        let g2 = (h2 + c).wrapping_sub(1 << 42);
 
-        let mut tag = [0u8; TAG_LEN];
-        let mut acc: u64;
-        acc = h0 as u64 + self.s[0] as u64;
-        tag[0..4].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = h1 as u64 + self.s[1] as u64 + (acc >> 32);
-        tag[4..8].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = h2 as u64 + self.s[2] as u64 + (acc >> 32);
-        tag[8..12].copy_from_slice(&(acc as u32).to_le_bytes());
-        acc = h3 as u64 + self.s[3] as u64 + (acc >> 32);
-        tag[12..16].copy_from_slice(&(acc as u32).to_le_bytes());
-        tag
+        let mask = (g2 >> 63).wrapping_sub(1); // all-ones if h >= p
+        h0 = (h0 & !mask) | (g0 & mask);
+        h1 = (h1 & !mask) | (g1 & mask);
+        h2 = (h2 & !mask) | (g2 & mask);
+
+        // tag = (h + s) mod 2^128. Sums, not ORs: the last carry may have
+        // left h1 one bit over its limb. The shift drops bits above 127.
+        let h = (u128::from(h0) + (u128::from(h1) << 44)).wrapping_add(u128::from(h2) << 88);
+        h.wrapping_add(self.s).to_le_bytes()
     }
 
     /// One-shot MAC.
@@ -144,57 +126,36 @@ impl Poly1305 {
         p.finalize()
     }
 
-    fn process_block(&mut self, block: &[u8; 16], partial: bool) {
-        let hibit: u32 = if partial { 0 } else { 1 << 24 };
+    /// `h = (h + block) · r mod 2^130 − 5` for each block in turn, read
+    /// in place; `hibit` is [`HIBIT`] for full blocks, 0 for the padded
+    /// final one. `h` lives in locals for the whole run.
+    fn process_blocks(&mut self, blocks: &[[u8; 16]], hibit: u64) {
+        let [r0, r1, r2] = self.r.map(u128::from);
+        // 2^132 ≡ 20 (mod p): a product that overflows limb 2 by one
+        // 44-bit limb re-enters at limb 0 times 5 · 4.
+        let s1 = r1 * 20;
+        let s2 = r2 * 20;
+        let [mut h0, mut h1, mut h2] = self.h;
 
-        let t0 = u32::from_le_bytes(block[0..4].try_into().unwrap());
-        let t1 = u32::from_le_bytes(block[4..8].try_into().unwrap());
-        let t2 = u32::from_le_bytes(block[8..12].try_into().unwrap());
-        let t3 = u32::from_le_bytes(block[12..16].try_into().unwrap());
+        for block in blocks {
+            let [m0, m1, m2] = limbs(block);
+            let a0 = u128::from(h0 + m0);
+            let a1 = u128::from(h1 + m1);
+            let a2 = u128::from(h2 + (m2 | hibit));
 
-        self.acc[0] += t0 & 0x3ff_ffff;
-        self.acc[1] += ((t0 >> 26) | (t1 << 6)) & 0x3ff_ffff;
-        self.acc[2] += ((t1 >> 20) | (t2 << 12)) & 0x3ff_ffff;
-        self.acc[3] += ((t2 >> 14) | (t3 << 18)) & 0x3ff_ffff;
-        self.acc[4] += (t3 >> 8) | hibit;
+            let d0 = a0 * r0 + a1 * s2 + a2 * s1;
+            let mut d1 = a0 * r1 + a1 * r0 + a2 * s2;
+            let mut d2 = a0 * r2 + a1 * r1 + a2 * r0;
 
-        // acc *= r (mod 2^130 - 5)
-        let [r0, r1, r2, r3, r4] = self.r.map(|x| x as u64);
-        let s1 = r1 * 5;
-        let s2 = r2 * 5;
-        let s3 = r3 * 5;
-        let s4 = r4 * 5;
-        let [h0, h1, h2, h3, h4] = self.acc.map(|x| x as u64);
-
-        let d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-        let d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-        let d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
-
-        // Partial carry propagation back into 26-bit limbs.
-        let mut c: u64;
-        let mut out = [0u64; 5];
-        c = d0 >> 26;
-        out[0] = d0 & 0x3ff_ffff;
-        let d1 = d1 + c;
-        c = d1 >> 26;
-        out[1] = d1 & 0x3ff_ffff;
-        let d2 = d2 + c;
-        c = d2 >> 26;
-        out[2] = d2 & 0x3ff_ffff;
-        let d3 = d3 + c;
-        c = d3 >> 26;
-        out[3] = d3 & 0x3ff_ffff;
-        let d4 = d4 + c;
-        c = d4 >> 26;
-        out[4] = d4 & 0x3ff_ffff;
-        out[0] += c * 5;
-        c = out[0] >> 26;
-        out[0] &= 0x3ff_ffff;
-        out[1] += c;
-
-        self.acc = out.map(|x| x as u32);
+            // Partial carry propagation back into 44/44/42-bit limbs.
+            d1 += d0 >> 44;
+            d2 += d1 >> 44;
+            h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+            h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+            h0 &= MASK44;
+            h2 = d2 as u64 & MASK42;
+        }
+        self.h = [h0, h1, h2];
     }
 }
 

@@ -60,14 +60,13 @@ impl Sha256 {
                 self.buf_len = 0;
             }
         }
-        while data.len() >= BLOCK_LEN {
-            let block: [u8; BLOCK_LEN] = data[..BLOCK_LEN].try_into().unwrap();
-            self.compress(&block);
-            data = &data[BLOCK_LEN..];
+        let (blocks, tail) = data.as_chunks::<BLOCK_LEN>();
+        for block in blocks {
+            self.compress(block);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
@@ -103,8 +102,8 @@ impl Sha256 {
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);

@@ -14,6 +14,7 @@ use un_ipsec::sa::SecurityAssociation;
 use un_ipsec::spd::{PolicyAction, PolicyDirection, Spd};
 use un_packet::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 use un_packet::ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
+use un_packet::packet::DEFAULT_HEADROOM;
 use un_packet::Packet;
 use un_sim::mem::{mb, mb_f};
 use un_sim::{AccountId, Cost, CostModel, MemLedger};
@@ -306,11 +307,14 @@ fn ipsec_process(
             return Vec::new();
         };
         *cost += costs.aead_userspace(ip_bytes.len());
-        match esp::encapsulate(sa, &ip_bytes) {
-            Ok(esp_payload) => {
+        // Sealed straight behind room for the outer headers and the
+        // packet's own headroom: one allocation, no copy.
+        let room = DEFAULT_HEADROOM + ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
+        match esp::encapsulate_into(sa, &ip_bytes, room) {
+            Ok(buf) => {
                 app.processed += 1;
-                let outer =
-                    build_outer_frame(eth_src, eth_dst, sa.tunnel_src, sa.tunnel_dst, &esp_payload);
+                let mut outer = Packet::from_buffer(buf, DEFAULT_HEADROOM);
+                fill_outer_headers(eth_src, eth_dst, sa.tunnel_src, sa.tunnel_dst, &mut outer);
                 vec![(1, outer)]
             }
             Err(_) => {
@@ -350,34 +354,31 @@ fn ipsec_process(
     }
 }
 
-fn build_outer_frame(
+/// Write the outer Ethernet and tunnel IPv4 headers in front of the ESP
+/// payload `frame` already carries behind them.
+fn fill_outer_headers(
     eth_src: MacAddr,
     eth_dst: MacAddr,
     tunnel_src: std::net::Ipv4Addr,
     tunnel_dst: std::net::Ipv4Addr,
-    esp_payload: &[u8],
-) -> Packet {
-    let total = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + esp_payload.len();
-    let mut frame = Packet::zeroed(total);
-    {
-        let buf = frame.data_mut();
-        let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-        e.set_src(eth_src);
-        e.set_dst(eth_dst);
-        e.set_ethertype(EtherType::Ipv4);
-        let ip_buf = &mut buf[ETHERNET_HEADER_LEN..];
-        let mut ip = Ipv4Packet::new_unchecked(&mut ip_buf[..]);
-        ip.init();
-        ip.set_total_len((IPV4_HEADER_LEN + esp_payload.len()) as u16);
-        ip.set_ttl(64);
-        ip.set_protocol(IpProtocol::Esp);
-        ip.set_src(tunnel_src);
-        ip.set_dst(tunnel_dst);
-        ip.set_dont_frag(true);
-        ip.fill_checksum();
-        ip_buf[IPV4_HEADER_LEN..].copy_from_slice(esp_payload);
-    }
-    frame
+    frame: &mut Packet,
+) {
+    let buf = frame.data_mut();
+    let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
+    e.set_src(eth_src);
+    e.set_dst(eth_dst);
+    e.set_ethertype(EtherType::Ipv4);
+    let ip_buf = &mut buf[ETHERNET_HEADER_LEN..];
+    let total = ip_buf.len();
+    let mut ip = Ipv4Packet::new_unchecked(ip_buf);
+    ip.init();
+    ip.set_total_len(total as u16);
+    ip.set_ttl(64);
+    ip.set_protocol(IpProtocol::Esp);
+    ip.set_src(tunnel_src);
+    ip.set_dst(tunnel_dst);
+    ip.set_dont_frag(true);
+    ip.fill_checksum();
 }
 
 /// The hypervisor: image store + VM table.

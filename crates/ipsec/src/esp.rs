@@ -79,6 +79,17 @@ fn aad_for(spi: u32, seq: u32) -> [u8; 8] {
 ///
 /// Advances the SA sequence number and lifetime counters.
 pub fn encapsulate(sa: &mut SecurityAssociation, inner: &[u8]) -> Result<Vec<u8>, IpsecError> {
+    encapsulate_into(sa, inner, 0)
+}
+
+/// [`encapsulate`] behind `headroom` zero bytes: the ESP payload starts
+/// at offset `headroom` of the returned buffer, so the caller writes its
+/// outer headers in front of it instead of copying it behind them.
+pub fn encapsulate_into(
+    sa: &mut SecurityAssociation,
+    inner: &[u8],
+    headroom: usize,
+) -> Result<Vec<u8>, IpsecError> {
     if sa.direction != SaDirection::Out {
         return Err(IpsecError::WrongDirection);
     }
@@ -94,8 +105,9 @@ pub fn encapsulate(sa: &mut SecurityAssociation, inner: &[u8]) -> Result<Vec<u8>
     // sealed where it sits.
     let unpadded = inner.len() + 2;
     let pad_len = (4 - (unpadded % 4)) % 4;
-    let body = ESP_HEADER_LEN + ESP_IV_LEN;
+    let body = headroom + ESP_HEADER_LEN + ESP_IV_LEN;
     let mut out = Vec::with_capacity(body + unpadded + pad_len + ESP_ICV_LEN);
+    out.resize(headroom, 0);
     out.extend_from_slice(&sa.spi.to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
     out.extend_from_slice(&iv);
@@ -114,6 +126,34 @@ pub fn encapsulate(sa: &mut SecurityAssociation, inner: &[u8]) -> Result<Vec<u8>
     Ok(out)
 }
 
+/// The fields of an ESP payload, borrowed from the wire bytes.
+struct Framing<'a> {
+    spi: u32,
+    seq: u32,
+    iv: &'a [u8; ESP_IV_LEN],
+    /// Ciphertext of inner ‖ pad ‖ pad_len ‖ next_header.
+    body: &'a [u8],
+    tag: &'a [u8; ESP_ICV_LEN],
+}
+
+impl<'a> Framing<'a> {
+    /// `None` if `payload` is too short to hold every fixed field and
+    /// the two trailer bytes.
+    fn parse(payload: &'a [u8]) -> Option<Self> {
+        let (spi, rest) = payload.split_first_chunk()?;
+        let (seq, rest) = rest.split_first_chunk()?;
+        let (iv, rest) = rest.split_first_chunk()?;
+        let (body, tag) = rest.split_last_chunk()?;
+        (body.len() >= 2).then_some(Framing {
+            spi: u32::from_be_bytes(*spi),
+            seq: u32::from_be_bytes(*seq),
+            iv,
+            body,
+            tag,
+        })
+    }
+}
+
 /// Decapsulate an ESP payload under an inbound SA, returning the inner
 /// IPv4 packet.
 ///
@@ -127,14 +167,13 @@ pub fn decapsulate(
     if sa.direction != SaDirection::In {
         return Err(IpsecError::WrongDirection);
     }
-    let min = ESP_HEADER_LEN + ESP_IV_LEN + 2 + ESP_ICV_LEN;
-    if esp_payload.len() < min {
-        return Err(IpsecError::Truncated);
-    }
-
-    let spi = u32::from_be_bytes(esp_payload[0..4].try_into().unwrap());
-    let seq = u32::from_be_bytes(esp_payload[4..8].try_into().unwrap());
-    let iv: [u8; ESP_IV_LEN] = esp_payload[8..16].try_into().unwrap();
+    let Framing {
+        spi,
+        seq,
+        iv,
+        body,
+        tag,
+    } = Framing::parse(esp_payload).ok_or(IpsecError::Truncated)?;
 
     match sa.replay.check(seq) {
         ReplayVerdict::Ok => {}
@@ -143,13 +182,11 @@ pub fn decapsulate(
 
     // The one copy: opened in place, then truncated to the inner packet
     // it is returned as (the caller's bytes are never written).
-    let body_end = esp_payload.len() - ESP_ICV_LEN;
-    let mut ciphertext = esp_payload[16..body_end].to_vec();
-    let tag: [u8; ESP_ICV_LEN] = esp_payload[body_end..].try_into().unwrap();
+    let mut ciphertext = body.to_vec();
 
-    let nonce = nonce_for(sa, &iv);
+    let nonce = nonce_for(sa, iv);
     let aad = aad_for(spi, seq);
-    aead::open(&sa.key, &nonce, &aad, &mut ciphertext, &tag).map_err(|_| IpsecError::AuthFailed)?;
+    aead::open(&sa.key, &nonce, &aad, &mut ciphertext, tag).map_err(|_| IpsecError::AuthFailed)?;
 
     // Auth passed: now (and only now) slide the replay window.
     sa.replay.update(seq);
@@ -233,6 +270,39 @@ mod tests {
             );
             let expect = [&tx.spi.to_be_bytes()[..], &[0, 0, 0, 1], &iv, &body, &tag].concat();
             assert_eq!(encapsulate(&mut tx, &inner).unwrap(), expect, "len {len}");
+        }
+    }
+
+    /// The wire format is frozen: one outbound SA sealing these inner
+    /// lengths in order (sequence numbers 1…12) must produce exactly the
+    /// bytes the textbook scalar AEAD produced (digest captured at commit
+    /// bc02153, before the lane-sliced cipher). A cipher, MAC, IV,
+    /// padding or layout change shows here.
+    #[test]
+    fn wire_bytes_match_golden_digest() {
+        let (mut tx, _) = pair();
+        let mut hash = un_crypto::Sha256::new();
+        for len in [0usize, 1, 2, 3, 63, 64, 65, 1023, 1024, 1025, 1400, 1486] {
+            let inner: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            hash.update(&encapsulate(&mut tx, &inner).unwrap());
+        }
+        let hex: String = hash.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "2cee935d30d1062e553bf4d9e1fbe0ac51b66681e89fb636751f7adc63eb9314"
+        );
+    }
+
+    #[test]
+    fn headroom_precedes_the_same_wire_bytes() {
+        let (mut plain, _) = pair();
+        let (mut roomy, _) = pair();
+        for len in [0usize, 5, 64, 1400] {
+            let inner = vec![0xc3u8; len];
+            let wire = encapsulate(&mut plain, &inner).unwrap();
+            let out = encapsulate_into(&mut roomy, &inner, 20).unwrap();
+            assert_eq!(out[..20], [0u8; 20]);
+            assert_eq!(out[20..], wire[..], "len {len}");
         }
     }
 

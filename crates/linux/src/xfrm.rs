@@ -82,9 +82,9 @@ impl Xfrm {
                     return XfrmOutput::Error(IpsecError::Truncated);
                 };
                 *cost_acc += costs.aead_kernel(ip_bytes.len());
-                match esp::encapsulate(sa, ip_bytes) {
-                    Ok(esp_payload) => {
-                        let outer = build_outer(sa.tunnel_src, sa.tunnel_dst, &esp_payload);
+                match esp::encapsulate_into(sa, ip_bytes, IPV4_HEADER_LEN) {
+                    Ok(mut outer) => {
+                        fill_outer_header(sa.tunnel_src, sa.tunnel_dst, &mut outer);
                         self.encap_count += 1;
                         XfrmOutput::Encapsulated(outer)
                     }
@@ -143,23 +143,20 @@ impl Xfrm {
     }
 }
 
-/// Build the outer tunnel IPv4 packet around an ESP payload.
-fn build_outer(src: Ipv4Addr, dst: Ipv4Addr, esp_payload: &[u8]) -> Vec<u8> {
-    let total = IPV4_HEADER_LEN + esp_payload.len();
-    let mut buf = vec![0u8; total];
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[..]);
-        ip.init();
-        ip.set_total_len(total as u16);
-        ip.set_ttl(64);
-        ip.set_protocol(IpProtocol::Esp);
-        ip.set_src(src);
-        ip.set_dst(dst);
-        ip.set_dont_frag(true);
-        ip.fill_checksum();
-    }
-    buf[IPV4_HEADER_LEN..].copy_from_slice(esp_payload);
-    buf
+/// Write the outer tunnel IPv4 header into the first
+/// [`IPV4_HEADER_LEN`] bytes of `outer`; the ESP payload already sits
+/// behind them.
+fn fill_outer_header(src: Ipv4Addr, dst: Ipv4Addr, outer: &mut [u8]) {
+    let total = outer.len();
+    let mut ip = Ipv4Packet::new_unchecked(outer);
+    ip.init();
+    ip.set_total_len(total as u16);
+    ip.set_ttl(64);
+    ip.set_protocol(IpProtocol::Esp);
+    ip.set_src(src);
+    ip.set_dst(dst);
+    ip.set_dont_frag(true);
+    ip.fill_checksum();
 }
 
 #[cfg(test)]

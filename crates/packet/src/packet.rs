@@ -58,6 +58,17 @@ impl Packet {
         }
     }
 
+    /// Adopt `buf` without copying: its first `head` bytes (clamped to
+    /// its length) become headroom, the rest is the packet. For a
+    /// producer that lays payload and headroom out in one allocation.
+    pub fn from_buffer(buf: Vec<u8>, head: usize) -> Self {
+        Packet {
+            head: head.min(buf.len()),
+            buf,
+            meta: PacketMeta::default(),
+        }
+    }
+
     /// Current packet length in bytes.
     pub fn len(&self) -> usize {
         self.buf.len() - self.head
@@ -213,6 +224,16 @@ mod tests {
         assert_eq!(hdr, vec![1, 2, 3]);
         assert_eq!(p.data(), &[9, 9]);
         assert!(p.pull_front(5).is_err());
+    }
+
+    #[test]
+    fn adopted_buffer_keeps_its_headroom() {
+        let mut p = Packet::from_buffer(vec![0, 0, 0, 7, 8], 3);
+        assert_eq!(p, Packet::from_slice(&[7, 8]));
+        p.push_front(&[5, 6]);
+        assert_eq!(p.data(), &[5, 6, 7, 8]);
+        // A head past the end is an empty packet, not a panic.
+        assert!(Packet::from_buffer(vec![1, 2], 9).is_empty());
     }
 
     #[test]
