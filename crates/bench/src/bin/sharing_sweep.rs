@@ -146,7 +146,7 @@ fn run_mode(
         }
         let node = d.node_mut(host).expect("host exists");
         let (inst, _) = node.instance_of(gid, "nat").expect("nat placed");
-        let ns = node.compute.native.namespace_of(inst.0).expect("namespace");
+        let ns = node.compute.namespace_of(inst).expect("namespace");
         node.host
             .neigh_add(ns, "8.8.8.8".parse().unwrap(), MacAddr::local(0x99))
             .expect("neigh");

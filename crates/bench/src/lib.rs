@@ -9,10 +9,6 @@
 //! Binaries (`cargo run -p un-bench --bin <name>`):
 //!
 //! * `table1` — regenerates Table 1.
-//! * `figure1` — builds a mixed-technology node and prints the Figure 1
-//!   architecture.
-//! * `sharing_ablation` — Ext-A: N graphs through one shared NAT NNF
-//!   vs per-graph Docker NATs.
 //! * `chain_sweep` — Ext-B: throughput vs chain length per flavor.
 //! * `memory_scaling` — Ext-D: node memory vs number of graphs.
 //! * `repair_sweep` — reactive vs make-before-break repair downtime
@@ -93,13 +89,8 @@ pub fn build_ipsec_node(flavor_hint: &str) -> (UniversalNode, DeployReport) {
     // The kernel-backed flavors need a neighbor entry for the tunnel
     // peer (the node fabric carries the frames; the remote gateway is
     // off-node, so ARP cannot resolve it inside the simulation).
-    let (instance, flavor) = node.instance_of("g-ipsec", "ipsec").expect("placed");
-    let ns = match flavor {
-        un_compute::Flavor::Native => node.compute.native.namespace_of(instance.0),
-        un_compute::Flavor::Docker => node.compute.docker.namespace_of(instance.0),
-        _ => None,
-    };
-    if let Some(ns) = ns {
+    let (instance, _) = node.instance_of("g-ipsec", "ipsec").expect("placed");
+    if let Some(ns) = node.compute.namespace_of(instance) {
         node.host
             .neigh_add(
                 ns,
@@ -120,25 +111,10 @@ pub fn lan_spec(node: &UniversalNode) -> FrameSpec {
         5001,
         5201,
     );
-    let (instance, flavor) = node.instance_of("g-ipsec", "ipsec").expect("placed");
-    let ns = match flavor {
-        un_compute::Flavor::Native => node.compute.native.namespace_of(instance.0),
-        un_compute::Flavor::Docker => node.compute.docker.namespace_of(instance.0),
-        _ => None,
-    };
-    match ns {
-        Some(ns) => {
-            let port_name = match flavor {
-                un_compute::Flavor::Native => "port0",
-                _ => "eth0",
-            };
-            let mac = node
-                .host
-                .iface_by_name(ns, port_name)
-                .map(|i| i.mac)
-                .unwrap_or(un_packet::MacAddr::BROADCAST);
-            spec.with_macs(un_packet::MacAddr::local(0xC1), mac)
-        }
+    let (instance, _) = node.instance_of("g-ipsec", "ipsec").expect("placed");
+    let lan_port = node.compute.port_iface(instance, 0);
+    match lan_port.and_then(|iface| node.host.iface(iface)) {
+        Some(iface) => spec.with_macs(un_packet::MacAddr::local(0xC1), iface.mac),
         None => spec,
     }
 }

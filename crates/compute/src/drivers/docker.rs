@@ -10,18 +10,20 @@
 use std::collections::HashMap;
 
 use un_container::{ContainerId, ContainerRuntime, Registry};
-use un_linux::{Host, NsId};
-use un_nffg::NfConfig;
+use un_linux::{IfaceId, NsId};
 use un_nnf::NnfCatalog;
 use un_packet::Packet;
-use un_sim::{AccountId, MemLedger};
+use un_sim::mem::mb;
 
-use super::sandbox::{substrate, Sandbox};
-use crate::types::{ComputeError, IoOutcome};
+use super::sandbox::Sandbox;
+use super::{foreign, no_outcomes, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
+use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
 
 struct DockerInstance {
     container: ContainerId,
     sandbox: Sandbox,
+    /// Virtual size (all layers) of the image the container runs.
+    image_bytes: u64,
 }
 
 /// Driver state: the container engine plus per-instance bookkeeping.
@@ -31,18 +33,12 @@ pub struct DockerDriver {
     /// The registry images are pulled from.
     pub registry: Registry,
     catalog: NnfCatalog,
-    instances: HashMap<u64, DockerInstance>,
+    instances: HashMap<InstanceId, DockerInstance>,
 }
 
 impl Default for DockerDriver {
+    /// A driver with an empty registry.
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DockerDriver {
-    /// Fresh driver with an empty registry.
-    pub fn new() -> Self {
         DockerDriver {
             runtime: ContainerRuntime::new(),
             registry: Registry::new(),
@@ -50,26 +46,30 @@ impl DockerDriver {
             instances: HashMap::new(),
         }
     }
+}
 
-    /// Create a container NF: pull image, make namespace + ports.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
+impl ComputeDriver for DockerDriver {
+    fn label(&self) -> &'static str {
+        "Docker driver"
+    }
+
+    /// Pull the image, make namespace + ports, define the container.
+    fn create(
         &mut self,
-        key: u64,
-        name: &str,
-        functional_type: &str,
-        image: &str,
-        tag: &str,
-        process_rss: u64,
-        n_ports: usize,
-        base_tag: u64,
-        config: &NfConfig,
-        host: &mut Host,
-        ledger: &mut MemLedger,
-        account: AccountId,
+        env: &mut NodeEnv<'_>,
+        req: &CreateRequest<'_>,
     ) -> Result<(), ComputeError> {
-        let plugin = self.catalog.instantiate(functional_type).ok_or_else(|| {
-            ComputeError::Unsupported(format!("no container entrypoint for '{functional_type}'"))
+        let FlavorSpec::Docker {
+            image,
+            tag,
+            process_rss,
+        } = req.spec
+        else {
+            return Err(foreign(req.spec));
+        };
+        let ft = req.functional_type;
+        let plugin = self.catalog.instantiate(ft).ok_or_else(|| {
+            ComputeError::Unsupported(format!("no container entrypoint for '{ft}'"))
         })?;
         self.runtime
             .store
@@ -78,103 +78,100 @@ impl DockerDriver {
                 ComputeError::Substrate(format!("image {image}:{tag} not in registry"))
             })?;
 
-        let ns_name = format!("docker-{name}");
-        let sandbox = Sandbox::create(
-            host, &ns_name, "eth", n_ports, base_tag, plugin, config, account,
-        )?;
-        let ns = sandbox.ns();
+        let sandbox = Sandbox::create(env.host, "docker", "eth", req.n_ports, plugin, req)?;
+        let (ns, rss) = (sandbox.ns(), *process_rss);
         let made = self
             .runtime
-            .create(name, image, tag, ns, process_rss, ledger, account);
+            .create(req.name, image, tag, ns, rss, env.ledger, req.account);
         match made {
             Ok(container) => {
-                let inst = DockerInstance { container, sandbox };
-                self.instances.insert(key, inst);
+                let image_bytes = self.runtime.store.image_virtual_size(image, tag);
+                let inst = DockerInstance {
+                    container,
+                    sandbox,
+                    image_bytes: image_bytes.unwrap_or(0),
+                };
+                self.instances.insert(req.id, inst);
                 Ok(())
             }
             Err(e) => {
-                let _ = sandbox.destroy(host);
+                let _ = sandbox.destroy(env.host);
                 Err(substrate(e))
             }
         }
     }
 
     /// Start the container and run its entrypoint configuration.
-    pub fn start(
-        &mut self,
-        key: u64,
-        host: &mut Host,
-        ledger: &mut MemLedger,
-    ) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
+    fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        let inst = record(&mut self.instances, id)?;
         self.runtime
-            .start(inst.container, ledger)
+            .start(inst.container, env.ledger)
             .map_err(substrate)?;
-        inst.sandbox.start(host, ledger)
+        inst.sandbox.start(env.host, env.ledger)
     }
 
-    /// Stop the container (entrypoint teardown + runtime stop).
-    pub fn stop(
+    /// Entrypoint teardown, then the runtime's stop.
+    fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        let inst = record(&mut self.instances, id)?;
+        inst.sandbox.stop(env.host, env.ledger)?;
+        self.runtime
+            .stop(inst.container, env.ledger)
+            .map_err(substrate)
+    }
+
+    /// The runtime refuses a running container; a stopped one goes
+    /// with its network namespace.
+    fn destroy(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        let container = record(&mut self.instances, id)?.container;
+        self.runtime.remove(container).map_err(substrate)?;
+        let inst = self.instances.remove(&id).expect("looked up above");
+        inst.sandbox.destroy(env.host)
+    }
+
+    fn deliver_batch(
         &mut self,
-        key: u64,
-        host: &mut Host,
-        ledger: &mut MemLedger,
-    ) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
-        inst.sandbox.stop(host, ledger)?;
-        self.runtime.stop(inst.container, ledger).map_err(substrate)
-    }
-
-    /// Remove a stopped container and its network namespace.
-    pub fn destroy(&mut self, key: u64, host: &mut Host) -> Result<(), ComputeError> {
-        let inst = self
-            .instances
-            .remove(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))?;
-        self.runtime.remove(inst.container).map_err(substrate)?;
-        inst.sandbox.destroy(host)
-    }
-
-    /// Batched delivery: resolve the container once, inject the whole
-    /// burst, one `IoOutcome` per frame in order.
-    pub fn deliver_batch(
-        &mut self,
-        key: u64,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
         frames: Vec<(u32, Packet)>,
-        host: &mut Host,
     ) -> Vec<IoOutcome> {
-        match self.instances.get(&key) {
-            Some(inst) => inst.sandbox.deliver_batch(frames, host),
-            None => frames.iter().map(|_| IoOutcome::default()).collect(),
+        match self.instances.get(&id) {
+            Some(inst) => inst.sandbox.deliver_batch(frames, env.host),
+            None => no_outcomes(&frames),
         }
     }
 
-    /// The image footprint (virtual size) of an instance's image.
-    pub fn image_footprint(&self, image: &str, tag: &str) -> u64 {
-        self.runtime
-            .store
-            .image_virtual_size(image, tag)
-            .unwrap_or(0)
+    fn image_footprint(&self, id: InstanceId) -> u64 {
+        self.instances.get(&id).map_or(0, |i| i.image_bytes)
     }
 
-    /// The network namespace of an instance (diagnostics).
-    pub fn namespace_of(&self, key: u64) -> Option<NsId> {
-        self.instances.get(&key).map(|i| i.sandbox.ns())
+    /// The entrypoint's userland plus the NF daemon and runtime shim.
+    fn estimate_ram(&self, spec: &FlavorSpec) -> u64 {
+        match spec {
+            FlavorSpec::Docker { process_rss, .. } => process_rss + mb(25),
+            _ => 0,
+        }
+    }
+
+    fn instance_count(&self) -> usize {
+        self.instances.len()
+    }
+
+    fn namespace_of(&self, id: InstanceId) -> Option<NsId> {
+        self.instances.get(&id).map(|i| i.sandbox.ns())
+    }
+
+    fn port_iface(&self, id: InstanceId, port: u32) -> Option<IfaceId> {
+        self.instances.get(&id)?.sandbox.port(port)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::testkit::{ipsec_config, Rig};
     use super::*;
     use un_container::{Image, Layer};
-    use un_sim::mem::{mb, mb_f};
-    use un_sim::CostModel;
+    use un_nffg::NfConfig;
+    use un_sim::mem::mb_f;
 
     fn registry() -> Registry {
         let mut r = Registry::new();
@@ -189,58 +186,51 @@ mod tests {
         r
     }
 
-    fn ipsec_config() -> NfConfig {
-        NfConfig::default()
-            .with_param("psk", "hunter2")
-            .with_param("local-addr", "192.0.2.1")
-            .with_param("peer-addr", "192.0.2.2")
-            .with_param("protected-local", "192.168.1.0/24")
-            .with_param("protected-remote", "172.16.0.0/16")
-            .with_param("lan-addr", "192.168.1.1/24")
-            .with_param("wan-addr", "192.0.2.1/24")
+    fn spec(image: &str, process_rss: u64) -> FlavorSpec {
+        FlavorSpec::Docker {
+            image: image.into(),
+            tag: "latest".into(),
+            process_rss,
+        }
     }
 
     #[test]
     fn containerized_ipsec_encrypts_via_host_kernel() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let mut ledger = MemLedger::new();
-        let node = ledger.create_account("node", None);
-        let acct = ledger.create_account("docker-ipsec", Some(node));
-
-        let mut d = DockerDriver::new();
-        d.registry = registry();
-        d.create(
-            1,
-            "ipsec-1",
-            "ipsec",
-            "strongswan",
-            "latest",
-            mb_f(19.4),
-            2,
-            16,
-            &ipsec_config(),
-            &mut host,
-            &mut ledger,
-            acct,
-        )
-        .unwrap();
-        d.start(1, &mut host, &mut ledger).unwrap();
+        let mut rig = Rig::new();
+        let mut d = DockerDriver {
+            registry: registry(),
+            ..Default::default()
+        };
+        let swan = InstanceId(1);
+        let acct = rig
+            .create(
+                &mut d,
+                1,
+                "ipsec",
+                &spec("strongswan", mb_f(19.4)),
+                &ipsec_config(),
+                false,
+            )
+            .unwrap();
+        d.start(&mut rig.env(), swan).unwrap();
 
         // RAM = process + shim + charon bookkeeping (plugin).
-        assert!(ledger.usage(acct) >= mb_f(19.4) + mb_f(4.8));
-        assert_eq!(d.image_footprint("strongswan", "latest"), mb(240));
+        assert!(rig.ledger.usage(acct) >= mb_f(19.4) + mb_f(4.8));
+        assert_eq!(d.image_footprint(swan), mb(240));
 
         // Static neighbor toward the peer, then traffic through port 0
         // leaves encrypted on port 1 — all in the *host* kernel.
-        let ns = d.namespace_of(1).unwrap();
-        host.neigh_add(
-            ns,
-            "192.0.2.2".parse().unwrap(),
-            un_packet::MacAddr::local(99),
-        )
-        .unwrap();
-        let lan_iface = host.iface_by_name(ns, "eth0").unwrap().id;
-        let lan_mac = host.iface(lan_iface).unwrap().mac;
+        let ns = d.namespace_of(swan).unwrap();
+        rig.host
+            .neigh_add(
+                ns,
+                "192.0.2.2".parse().unwrap(),
+                un_packet::MacAddr::local(99),
+            )
+            .unwrap();
+        let lan = d.port_iface(swan, 0).unwrap();
+        assert_eq!(rig.host.iface_by_name(ns, "eth0").unwrap().id, lan);
+        let lan_mac = rig.host.iface(lan).unwrap().mac;
         let payload = vec![0x77u8; 333];
         let pkt = un_packet::PacketBuilder::new()
             .ethernet(un_packet::MacAddr::local(5), lan_mac)
@@ -251,7 +241,7 @@ mod tests {
             .udp(1000, 2000)
             .payload(&payload)
             .build();
-        let io = &d.deliver_batch(1, vec![(0, pkt)], &mut host)[0];
+        let io = &d.deliver_batch(&mut rig.env(), swan, vec![(0, pkt)])[0];
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1, "out the WAN port");
         assert!(
@@ -263,53 +253,33 @@ mod tests {
             "encrypted on the wire"
         );
 
-        d.stop(1, &mut host, &mut ledger).unwrap();
-        assert_eq!(ledger.usage(acct), 0);
-        d.destroy(1, &mut host).unwrap();
-        assert_eq!((host.namespace_count(), host.iface_count()), (1, 1));
+        d.stop(&mut rig.env(), swan).unwrap();
+        assert_eq!(rig.ledger.usage(acct), 0);
+        d.destroy(&mut rig.env(), swan).unwrap();
+        assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
     }
 
     #[test]
     fn create_failures() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let mut ledger = MemLedger::new();
-        let acct = ledger.create_account("a", None);
-        let mut d = DockerDriver::new();
+        let mut rig = Rig::new();
+        let mut d = DockerDriver::default();
+        let plain = NfConfig::default();
         // No such functional type.
         assert!(matches!(
-            d.create(
-                1,
-                "x",
-                "quantum",
-                "img",
-                "latest",
-                0,
-                2,
-                0,
-                &NfConfig::default(),
-                &mut host,
-                &mut ledger,
-                acct
-            ),
+            rig.create(&mut d, 1, "quantum", &spec("img", 0), &plain, false),
             Err(ComputeError::Unsupported(_))
         ));
         // Image not in registry.
         assert!(matches!(
-            d.create(
-                1,
-                "x",
-                "ipsec",
-                "ghost",
-                "latest",
-                0,
-                2,
-                0,
-                &NfConfig::default(),
-                &mut host,
-                &mut ledger,
-                acct
-            ),
+            rig.create(&mut d, 1, "ipsec", &spec("ghost", 0), &plain, false),
             Err(ComputeError::Substrate(_))
         ));
+        // A spec of another technology.
+        assert!(matches!(
+            rig.create(&mut d, 1, "ipsec", &FlavorSpec::Native, &plain, false),
+            Err(ComputeError::Unsupported(_))
+        ));
+        assert_eq!(d.instance_count(), 0);
+        assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
     }
 }

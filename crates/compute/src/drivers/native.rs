@@ -10,148 +10,172 @@
 
 use std::collections::HashMap;
 
-use un_linux::{Host, NsId};
-use un_nffg::NfConfig;
+use un_linux::{IfaceId, NsId};
 use un_nnf::{GraphBinding, NnfCatalog};
 use un_packet::Packet;
-use un_sim::{AccountId, MemLedger};
+use un_sim::mem::mb;
 
-use super::sandbox::{substrate, Sandbox};
-use crate::types::{ComputeError, IoOutcome};
+use super::sandbox::Sandbox;
+use super::{no_outcomes, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
+use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
 
 struct NativeInstance {
     sandbox: Sandbox,
     shared: bool,
     bindings: Vec<GraphBinding>,
+    /// The catalogue's package size: a native NF's "image".
+    package_bytes: u64,
 }
 
 /// Driver state: catalogue + instance table.
 pub struct NativeDriver {
     /// The node's NNF catalogue (capability set for the orchestrator).
     pub catalog: NnfCatalog,
-    instances: HashMap<u64, NativeInstance>,
-    /// functional type → instance key, for single-instance NNFs.
-    singletons: HashMap<String, u64>,
+    instances: HashMap<InstanceId, NativeInstance>,
+    /// functional type → instance, for single-instance NNFs.
+    singletons: HashMap<String, InstanceId>,
 }
 
 impl Default for NativeDriver {
+    /// A driver with the standard CPE catalogue.
     fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NativeDriver {
-    /// Fresh driver with the standard CPE catalogue.
-    pub fn new() -> Self {
         NativeDriver {
             catalog: NnfCatalog::standard(),
             instances: HashMap::new(),
             singletons: HashMap::new(),
         }
     }
+}
 
-    fn instance(&mut self, key: u64) -> Result<&mut NativeInstance, ComputeError> {
-        self.instances
-            .get_mut(&key)
-            .ok_or(ComputeError::NoSuchInstance(key))
-    }
-
-    /// Is there already a live instance of this functional type?
-    pub fn existing_instance(&self, functional_type: &str) -> Option<u64> {
+impl NativeDriver {
+    /// Is there already a live instance of this single-instance type?
+    pub fn existing_instance(&self, functional_type: &str) -> Option<InstanceId> {
         self.singletons.get(functional_type).copied()
     }
 
     /// Graphs bound to an instance (shared mode).
-    pub fn binding_count(&self, key: u64) -> usize {
-        self.instances
-            .get(&key)
-            .map(|i| i.bindings.len())
-            .unwrap_or(0)
+    pub fn binding_count(&self, id: InstanceId) -> usize {
+        self.instances.get(&id).map_or(0, |i| i.bindings.len())
+    }
+}
+
+impl ComputeDriver for NativeDriver {
+    fn label(&self) -> &'static str {
+        "Native driver (NNF)"
     }
 
-    /// Create an NNF instance in a fresh namespace with external ports.
-    ///
-    /// `shared` requests single-port shared mode (only valid for
-    /// sharable NNFs; graphs then attach via [`bind_graph`](Self::bind_graph)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
+    /// An NNF in a fresh namespace with external ports. `req.shared`
+    /// asks for single-port shared mode (sharable NNFs only; graphs
+    /// then attach via `bind_graph`).
+    fn create(
         &mut self,
-        key: u64,
-        name: &str,
-        functional_type: &str,
-        n_ports: usize,
-        base_tag: u64,
-        shared: bool,
-        config: &NfConfig,
-        host: &mut Host,
-        account: AccountId,
+        env: &mut NodeEnv<'_>,
+        req: &CreateRequest<'_>,
     ) -> Result<(), ComputeError> {
+        let ft = req.functional_type;
         let desc = self
             .catalog
-            .get(functional_type)
-            .ok_or_else(|| ComputeError::NoSuchNnf(functional_type.to_string()))?
+            .get(ft)
+            .ok_or_else(|| ComputeError::NoSuchNnf(ft.to_string()))?
             .clone();
-        if !desc.multi_instance && self.singletons.contains_key(functional_type) {
-            return Err(ComputeError::NnfBusy(functional_type.to_string()));
+        if !desc.multi_instance && self.singletons.contains_key(ft) {
+            return Err(ComputeError::NnfBusy(ft.to_string()));
         }
-        if shared && !desc.sharable {
-            return Err(ComputeError::Unsupported(format!(
-                "'{functional_type}' is not sharable"
-            )));
+        if req.shared && !desc.sharable {
+            return Err(ComputeError::Unsupported(format!("'{ft}' is not sharable")));
         }
         let plugin = self
             .catalog
-            .instantiate(functional_type)
-            .ok_or_else(|| ComputeError::NoSuchNnf(functional_type.to_string()))?;
-        let port_count = if shared {
-            1
-        } else {
-            n_ports.max(desc.min_ports)
+            .instantiate(ft)
+            .ok_or_else(|| ComputeError::NoSuchNnf(ft.to_string()))?;
+        let n_ports = match req.shared {
+            true => 1,
+            false => req.n_ports.max(desc.min_ports),
         };
-        let ns_name = format!("nnf-{name}");
-        let sandbox = Sandbox::create(
-            host, &ns_name, "port", port_count, base_tag, plugin, config, account,
-        )?;
+        let sandbox = Sandbox::create(env.host, "nnf", "port", n_ports, plugin, req)?;
 
         if !desc.multi_instance {
-            self.singletons.insert(functional_type.to_string(), key);
+            self.singletons.insert(ft.to_string(), req.id);
         }
-        self.instances.insert(
-            key,
-            NativeInstance {
-                sandbox,
-                shared,
-                bindings: Vec::new(),
-            },
-        );
+        let inst = NativeInstance {
+            sandbox,
+            shared: req.shared,
+            bindings: Vec::new(),
+            package_bytes: desc.package_bytes,
+        };
+        self.instances.insert(req.id, inst);
         Ok(())
     }
 
-    /// Start: run the plugin's lifecycle script.
-    pub fn start(
-        &mut self,
-        key: u64,
-        host: &mut Host,
-        ledger: &mut MemLedger,
-    ) -> Result<(), ComputeError> {
-        self.instance(key)?.sandbox.start(host, ledger)
+    /// Run the plugin's lifecycle script.
+    fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        record(&mut self.instances, id)?
+            .sandbox
+            .start(env.host, env.ledger)
     }
 
-    /// Attach another service graph to a shared instance.
-    pub fn bind_graph(
+    fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        record(&mut self.instances, id)?
+            .sandbox
+            .stop(env.host, env.ledger)
+    }
+
+    /// The namespace the NNF ran in goes with it.
+    fn destroy(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        if record(&mut self.instances, id)?.sandbox.started() {
+            return Err(ComputeError::BadState("destroy while running"));
+        }
+        let inst = self.instances.remove(&id).expect("looked up above");
+        self.singletons.retain(|_, v| *v != id);
+        inst.sandbox.destroy(env.host)
+    }
+
+    fn deliver_batch(
         &mut self,
-        key: u64,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
+        frames: Vec<(u32, Packet)>,
+    ) -> Vec<IoOutcome> {
+        match self.instances.get(&id) {
+            Some(inst) => inst.sandbox.deliver_batch(frames, env.host),
+            None => no_outcomes(&frames),
+        }
+    }
+
+    fn image_footprint(&self, id: InstanceId) -> u64 {
+        self.instances.get(&id).map_or(0, |i| i.package_bytes)
+    }
+
+    /// A daemon and its kernel state, no guest or runtime around them.
+    fn estimate_ram(&self, _spec: &FlavorSpec) -> u64 {
+        mb(24)
+    }
+
+    fn instance_count(&self) -> usize {
+        self.instances.len()
+    }
+
+    fn namespace_of(&self, id: InstanceId) -> Option<NsId> {
+        self.instances.get(&id).map(|i| i.sandbox.ns())
+    }
+
+    fn port_iface(&self, id: InstanceId, port: u32) -> Option<IfaceId> {
+        self.instances.get(&id)?.sandbox.port(port)
+    }
+
+    fn bind_graph(
+        &mut self,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
         binding: &GraphBinding,
-        host: &mut Host,
-        ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        let inst = self.instance(key)?;
+        let inst = record(&mut self.instances, id)?;
         if !inst.shared {
             return Err(ComputeError::Unsupported(
                 "instance not in shared mode".into(),
             ));
         }
-        let mut ctx = inst.sandbox.ctx(host, ledger);
+        let mut ctx = inst.sandbox.ctx(env.host, env.ledger);
         inst.sandbox
             .plugin_mut()
             .bind_graph(&mut ctx, binding)
@@ -160,193 +184,69 @@ impl NativeDriver {
         Ok(())
     }
 
-    /// Detach a service graph from a shared instance.
-    pub fn unbind_graph(
+    fn unbind_graph(
         &mut self,
-        key: u64,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
         graph: &str,
-        host: &mut Host,
-        ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        let inst = self.instance(key)?;
+        let inst = record(&mut self.instances, id)?;
         let Some(pos) = inst.bindings.iter().position(|b| b.graph == graph) else {
             return Err(ComputeError::BadState("graph not bound"));
         };
         let binding = inst.bindings.remove(pos);
-        let mut ctx = inst.sandbox.ctx(host, ledger);
+        let mut ctx = inst.sandbox.ctx(env.host, env.ledger);
         inst.sandbox
             .plugin_mut()
             .unbind_graph(&mut ctx, &binding)
             .map_err(substrate)
     }
-
-    /// Stop the NNF.
-    pub fn stop(
-        &mut self,
-        key: u64,
-        host: &mut Host,
-        ledger: &mut MemLedger,
-    ) -> Result<(), ComputeError> {
-        self.instance(key)?.sandbox.stop(host, ledger)
-    }
-
-    /// Remove a stopped instance and the namespace it ran in.
-    pub fn destroy(&mut self, key: u64, host: &mut Host) -> Result<(), ComputeError> {
-        if self.instance(key)?.sandbox.started() {
-            return Err(ComputeError::BadState("destroy while running"));
-        }
-        let inst = self.instances.remove(&key).expect("looked up above");
-        self.singletons.retain(|_, v| *v != key);
-        inst.sandbox.destroy(host)
-    }
-
-    /// Live instances (diagnostics / tests).
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Batched delivery: resolve the instance once, then inject the
-    /// whole burst. Returns one `IoOutcome` per input frame, in order.
-    pub fn deliver_batch(
-        &mut self,
-        key: u64,
-        frames: Vec<(u32, Packet)>,
-        host: &mut Host,
-    ) -> Vec<IoOutcome> {
-        match self.instances.get(&key) {
-            Some(inst) => inst.sandbox.deliver_batch(frames, host),
-            None => frames.iter().map(|_| IoOutcome::default()).collect(),
-        }
-    }
-
-    /// Native "image" footprint: the package size from the catalogue.
-    pub fn image_footprint(&self, functional_type: &str) -> u64 {
-        self.catalog
-            .get(functional_type)
-            .map(|d| d.package_bytes)
-            .unwrap_or(0)
-    }
-
-    /// The namespace of an instance (diagnostics / tests).
-    pub fn namespace_of(&self, key: u64) -> Option<NsId> {
-        self.instances.get(&key).map(|i| i.sandbox.ns())
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::testkit::{ipsec_config, Rig};
     use super::*;
-    use un_sim::CostModel;
+    use un_nffg::NfConfig;
 
-    fn ipsec_config() -> NfConfig {
-        NfConfig::default()
-            .with_param("psk", "hunter2")
-            .with_param("local-addr", "192.0.2.1")
-            .with_param("peer-addr", "192.0.2.2")
-            .with_param("protected-local", "192.168.1.0/24")
-            .with_param("protected-remote", "172.16.0.0/16")
-            .with_param("lan-addr", "192.168.1.1/24")
-            .with_param("wan-addr", "192.0.2.1/24")
-    }
+    const NATIVE: &FlavorSpec = &FlavorSpec::Native;
 
     #[test]
     fn single_instance_nnf_enforced() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let mut ledger = MemLedger::new();
-        let a1 = ledger.create_account("i1", None);
-        let a2 = ledger.create_account("i2", None);
-        let mut d = NativeDriver::new();
-        d.create(
-            1,
-            "ipsec-a",
-            "ipsec",
-            2,
-            16,
-            false,
-            &ipsec_config(),
-            &mut host,
-            a1,
-        )
-        .unwrap();
+        let mut rig = Rig::new();
+        let mut d = NativeDriver::default();
+        rig.create(&mut d, 1, "ipsec", NATIVE, &ipsec_config(), false)
+            .unwrap();
         // A second native IPsec must be refused (charon is a singleton).
-        let err = d
-            .create(
-                2,
-                "ipsec-b",
-                "ipsec",
-                2,
-                32,
-                false,
-                &ipsec_config(),
-                &mut host,
-                a2,
-            )
+        let err = rig
+            .create(&mut d, 2, "ipsec", NATIVE, &ipsec_config(), false)
             .unwrap_err();
         assert!(matches!(err, ComputeError::NnfBusy(_)));
-        assert_eq!(d.existing_instance("ipsec"), Some(1));
+        assert_eq!(d.existing_instance("ipsec"), Some(InstanceId(1)));
 
         // Multi-instance NNFs are fine twice.
-        d.create(
-            3,
-            "fw-a",
-            "firewall",
-            2,
-            48,
-            false,
-            &NfConfig::default(),
-            &mut host,
-            a1,
-        )
-        .unwrap();
-        d.create(
-            4,
-            "fw-b",
-            "firewall",
-            2,
-            64,
-            false,
-            &NfConfig::default(),
-            &mut host,
-            a2,
-        )
-        .unwrap();
+        for id in [3, 4] {
+            rig.create(&mut d, id, "firewall", NATIVE, &NfConfig::default(), false)
+                .unwrap();
+        }
     }
 
     #[test]
     fn shared_mode_rules() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let mut ledger = MemLedger::new();
-        let a = ledger.create_account("i", None);
-        let mut d = NativeDriver::new();
+        let mut rig = Rig::new();
+        let mut d = NativeDriver::default();
+        let plain = NfConfig::default();
         // firewall is not sharable.
         assert!(matches!(
-            d.create(
-                1,
-                "fw",
-                "firewall",
-                2,
-                16,
-                true,
-                &NfConfig::default(),
-                &mut host,
-                a
-            ),
+            rig.create(&mut d, 1, "firewall", NATIVE, &plain, true),
             Err(ComputeError::Unsupported(_))
         ));
         // nat is sharable; shared instance gets a single port.
-        d.create(
-            2,
-            "nat",
-            "nat",
-            2,
-            32,
-            true,
-            &NfConfig::default(),
-            &mut host,
-            a,
-        )
-        .unwrap();
-        d.start(2, &mut host, &mut ledger).unwrap();
+        let nat = InstanceId(2);
+        rig.create(&mut d, 2, "nat", NATIVE, &plain, true).unwrap();
+        assert!(d.port_iface(nat, 0).is_some());
+        assert!(d.port_iface(nat, 1).is_none());
+        d.start(&mut rig.env(), nat).unwrap();
 
         let mut params = std::collections::BTreeMap::new();
         params.insert("lan-addr".into(), "192.168.1.1/24".into());
@@ -359,45 +259,36 @@ mod tests {
             vid_wan: 101,
             params,
         };
-        d.bind_graph(2, &binding, &mut host, &mut ledger).unwrap();
-        assert_eq!(d.binding_count(2), 1);
-        d.unbind_graph(2, "g1", &mut host, &mut ledger).unwrap();
-        assert_eq!(d.binding_count(2), 0);
+        d.bind_graph(&mut rig.env(), nat, &binding).unwrap();
+        assert_eq!(d.binding_count(nat), 1);
+        d.unbind_graph(&mut rig.env(), nat, "g1").unwrap();
+        assert_eq!(d.binding_count(nat), 0);
         assert!(matches!(
-            d.unbind_graph(2, "g1", &mut host, &mut ledger),
+            d.unbind_graph(&mut rig.env(), nat, "g1"),
             Err(ComputeError::BadState(_))
         ));
     }
 
     #[test]
     fn lifecycle_and_packet_path() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let mut ledger = MemLedger::new();
-        let a = ledger.create_account("i", None);
-        let mut d = NativeDriver::new();
-        d.create(
-            1,
-            "swan",
-            "ipsec",
-            2,
-            16,
-            false,
-            &ipsec_config(),
-            &mut host,
-            a,
-        )
-        .unwrap();
-        d.start(1, &mut host, &mut ledger).unwrap();
+        let mut rig = Rig::new();
+        let mut d = NativeDriver::default();
+        let swan = InstanceId(1);
+        rig.create(&mut d, 1, "ipsec", NATIVE, &ipsec_config(), false)
+            .unwrap();
+        d.start(&mut rig.env(), swan).unwrap();
 
-        let ns = d.namespace_of(1).unwrap();
-        host.neigh_add(
-            ns,
-            "192.0.2.2".parse().unwrap(),
-            un_packet::MacAddr::local(99),
-        )
-        .unwrap();
-        let lan = host.iface_by_name(ns, "port0").unwrap().id;
-        let lan_mac = host.iface(lan).unwrap().mac;
+        let ns = d.namespace_of(swan).unwrap();
+        rig.host
+            .neigh_add(
+                ns,
+                "192.0.2.2".parse().unwrap(),
+                un_packet::MacAddr::local(99),
+            )
+            .unwrap();
+        let lan = d.port_iface(swan, 0).unwrap();
+        assert_eq!(rig.host.iface_by_name(ns, "port0").unwrap().id, lan);
+        let lan_mac = rig.host.iface(lan).unwrap().mac;
         let pkt = un_packet::PacketBuilder::new()
             .ethernet(un_packet::MacAddr::local(5), lan_mac)
             .ipv4(
@@ -407,7 +298,7 @@ mod tests {
             .udp(1, 2)
             .payload(&[0xEE; 100])
             .build();
-        let io = &d.deliver_batch(1, vec![(0, pkt)], &mut host)[0];
+        let io = &d.deliver_batch(&mut rig.env(), swan, vec![(0, pkt)])[0];
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1);
         assert!(io.cost.as_nanos() > 0);
@@ -415,26 +306,18 @@ mod tests {
         // destroy-while-running is refused; stop then destroy works and
         // frees the singleton slot.
         assert!(matches!(
-            d.destroy(1, &mut host),
+            d.destroy(&mut rig.env(), swan),
             Err(ComputeError::BadState(_))
         ));
-        d.stop(1, &mut host, &mut ledger).unwrap();
-        d.destroy(1, &mut host).unwrap();
+        d.stop(&mut rig.env(), swan).unwrap();
+        d.destroy(&mut rig.env(), swan).unwrap();
         assert_eq!(d.existing_instance("ipsec"), None);
-        assert!(host.namespace(ns).is_none(), "namespace outlived its NNF");
-        assert_eq!((host.namespace_count(), host.iface_count()), (1, 1));
-        let a2 = ledger.create_account("i2", None);
-        d.create(
-            9,
-            "swan2",
-            "ipsec",
-            2,
-            64,
-            false,
-            &ipsec_config(),
-            &mut host,
-            a2,
-        )
-        .unwrap();
+        assert!(
+            rig.host.namespace(ns).is_none(),
+            "namespace outlived its NNF"
+        );
+        assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
+        rig.create(&mut d, 9, "ipsec", NATIVE, &ipsec_config(), false)
+            .unwrap();
     }
 }

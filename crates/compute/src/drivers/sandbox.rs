@@ -13,11 +13,12 @@ use un_nnf::{NnfContext, NnfPlugin};
 use un_packet::Packet;
 use un_sim::{AccountId, MemLedger};
 
+use super::{substrate, CreateRequest};
 use crate::types::{ComputeError, IoOutcome};
 
-pub(super) fn substrate(e: impl std::fmt::Display) -> ComputeError {
-    ComputeError::Substrate(e.to_string())
-}
+/// An instance's ports are tagged `instance id * TAG_STRIDE + port` on
+/// the host side.
+const TAG_STRIDE: u64 = 16;
 
 pub(super) struct Sandbox {
     ns: NsId,
@@ -30,21 +31,20 @@ pub(super) struct Sandbox {
 }
 
 impl Sandbox {
-    /// Make namespace `ns_name` with `n_ports` external ports
-    /// `<port_prefix>0..`, tagged `base_tag..` on the host side. A port
-    /// the host refuses takes the namespace with it.
-    #[allow(clippy::too_many_arguments)]
+    /// Make namespace `<ns_prefix>-<name>` with `n_ports` external
+    /// ports `<port_prefix>0..`, tagged into the instance's range on
+    /// the host side. A port the host refuses takes the namespace with
+    /// it.
     pub(super) fn create(
         host: &mut Host,
-        ns_name: &str,
+        ns_prefix: &str,
         port_prefix: &str,
         n_ports: usize,
-        base_tag: u64,
         plugin: Box<dyn NnfPlugin>,
-        config: &NfConfig,
-        account: AccountId,
+        req: &CreateRequest<'_>,
     ) -> Result<Self, ComputeError> {
-        let ns = host.add_namespace(ns_name);
+        let base_tag = req.id.0 * TAG_STRIDE;
+        let ns = host.add_namespace(&format!("{ns_prefix}-{}", req.name));
         let ports: Result<Vec<IfaceId>, _> = (0..n_ports)
             .map(|i| host.add_external(ns, &format!("{port_prefix}{i}"), base_tag + i as u64))
             .collect();
@@ -54,8 +54,8 @@ impl Sandbox {
                 ports,
                 base_tag,
                 plugin,
-                config: config.clone(),
-                account,
+                config: req.config.clone(),
+                account: req.account,
                 started: false,
             }),
             Err(e) => {
@@ -71,6 +71,11 @@ impl Sandbox {
 
     pub(super) fn started(&self) -> bool {
         self.started
+    }
+
+    /// The host interface behind instance port `port`.
+    pub(super) fn port(&self, port: u32) -> Option<IfaceId> {
+        self.ports.get(port as usize).copied()
     }
 
     /// The plugin (sharable ones take per-graph bindings).
@@ -131,8 +136,8 @@ impl Sandbox {
     ) -> Vec<IoOutcome> {
         frames
             .into_iter()
-            .map(|(port, pkt)| match self.ports.get(port as usize) {
-                Some(&iface) => self.tag_filter(host.inject(iface, pkt)),
+            .map(|(port, pkt)| match self.port(port) {
+                Some(iface) => self.tag_filter(host.inject(iface, pkt)),
                 None => IoOutcome::default(),
             })
             .collect()

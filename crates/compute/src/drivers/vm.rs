@@ -1,59 +1,42 @@
 //! The VM (libvirt/KVM-QEMU) driver.
 
+use std::collections::HashMap;
+
 use un_hypervisor::{GuestApp, Hypervisor, UserspaceIpsecApp, VmId};
 use un_ipsec::sa::SecurityAssociation;
 use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
 use un_nffg::NfConfig;
 use un_nnf::translate::derive_psk_tunnel;
 use un_packet::Packet;
-use un_sim::{AccountId, MemLedger};
+use un_sim::mem::mb;
 
-use crate::types::{ComputeError, GuestAppKind, IoOutcome};
+use super::{foreign, no_outcomes, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
+use crate::types::{ComputeError, FlavorSpec, GuestAppKind, InstanceId, IoOutcome};
 
 /// Driver state: the hypervisor plus per-instance VM handles.
 #[derive(Debug, Default)]
 pub struct VmDriver {
     /// The node's hypervisor (image store + VMs).
     pub hypervisor: Hypervisor,
+    vms: HashMap<InstanceId, VmId>,
 }
 
 impl VmDriver {
-    /// Fresh driver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Build the guest application for a functional type.
     fn build_app(kind: GuestAppKind, config: &NfConfig) -> Result<GuestApp, ComputeError> {
+        /// A parameter the guest cannot be configured without.
+        fn need<T: std::str::FromStr>(config: &NfConfig, key: &str) -> Result<T, ComputeError> {
+            let value = config.param(key).and_then(|v| v.parse().ok());
+            value.ok_or_else(|| ComputeError::Substrate(format!("ipsec VM needs '{key}'")))
+        }
         match kind {
             GuestAppKind::L2Forward => Ok(GuestApp::L2Forward),
-            GuestAppKind::Reflector => Ok(GuestApp::Reflector),
             GuestAppKind::IpsecUserspace => {
-                let psk = config
-                    .param("psk")
-                    .ok_or(ComputeError::Substrate("ipsec VM needs 'psk'".into()))?;
-                let local: std::net::Ipv4Addr = config
-                    .param("local-addr")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(ComputeError::Substrate(
-                        "ipsec VM needs 'local-addr'".into(),
-                    ))?;
-                let peer: std::net::Ipv4Addr = config
-                    .param("peer-addr")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(ComputeError::Substrate("ipsec VM needs 'peer-addr'".into()))?;
-                let prot_local: un_packet::Ipv4Cidr = config
-                    .param("protected-local")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(ComputeError::Substrate(
-                        "ipsec VM needs 'protected-local'".into(),
-                    ))?;
-                let prot_remote: un_packet::Ipv4Cidr = config
-                    .param("protected-remote")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(ComputeError::Substrate(
-                        "ipsec VM needs 'protected-remote'".into(),
-                    ))?;
+                let psk: String = need(config, "psk")?;
+                let local: std::net::Ipv4Addr = need(config, "local-addr")?;
+                let peer: std::net::Ipv4Addr = need(config, "peer-addr")?;
+                let prot_local: un_packet::Ipv4Cidr = need(config, "protected-local")?;
+                let prot_remote: un_packet::Ipv4Cidr = need(config, "protected-remote")?;
                 let initiator = config.param("role").unwrap_or("initiator") == "initiator";
                 let (key_out, salt_out, key_in, salt_in, spi_out, spi_in) =
                     derive_psk_tunnel(psk.as_bytes(), initiator);
@@ -75,64 +58,79 @@ impl VmDriver {
             }
         }
     }
+}
 
-    /// Define a VM for an NF.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
+impl ComputeDriver for VmDriver {
+    fn label(&self) -> &'static str {
+        "VM driver (libvirt/KVM)"
+    }
+
+    /// Define a VM running the guest application `req.spec` names.
+    fn create(
         &mut self,
-        name: &str,
-        image: &str,
-        vcpus: u32,
-        mem_mb: u64,
-        n_ports: usize,
-        app: GuestAppKind,
-        config: &NfConfig,
-        ledger: &mut MemLedger,
-        account: AccountId,
-    ) -> Result<VmId, ComputeError> {
-        let guest_app = Self::build_app(app, config)?;
-        self.hypervisor
-            .create_vm(
-                name, image, vcpus, mem_mb, n_ports, guest_app, ledger, account,
-            )
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+        env: &mut NodeEnv<'_>,
+        req: &CreateRequest<'_>,
+    ) -> Result<(), ComputeError> {
+        let FlavorSpec::Vm {
+            image,
+            vcpus,
+            mem_mb,
+            app,
+        } = req.spec
+        else {
+            return Err(foreign(req.spec));
+        };
+        let app = Self::build_app(*app, req.config)?;
+        let made = self.hypervisor.create_vm(
+            req.name,
+            image,
+            *vcpus,
+            *mem_mb,
+            req.n_ports,
+            app,
+            env.ledger,
+            req.account,
+        );
+        let vm = made.map_err(substrate)?;
+        self.vms.insert(req.id, vm);
+        Ok(())
     }
 
     /// Boot.
-    pub fn start(&mut self, vm: VmId, ledger: &mut MemLedger) -> Result<(), ComputeError> {
-        self.hypervisor
-            .start(vm, ledger)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+    fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        let vm = *record(&mut self.vms, id)?;
+        self.hypervisor.start(vm, env.ledger).map_err(substrate)
     }
 
     /// Shut down.
-    pub fn stop(&mut self, vm: VmId, ledger: &mut MemLedger) -> Result<(), ComputeError> {
-        self.hypervisor
-            .stop(vm, ledger)
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+    fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        let vm = *record(&mut self.vms, id)?;
+        self.hypervisor.stop(vm, env.ledger).map_err(substrate)
     }
 
-    /// Undefine.
-    pub fn destroy(&mut self, vm: VmId) -> Result<(), ComputeError> {
-        self.hypervisor
-            .destroy(vm)
-            .map(|_| ())
-            .map_err(|e| ComputeError::Substrate(e.to_string()))
+    /// Undefine; the hypervisor refuses a VM that runs.
+    fn destroy(&mut self, _env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
+        let vm = *record(&mut self.vms, id)?;
+        self.hypervisor.destroy(vm).map_err(substrate)?;
+        self.vms.remove(&id);
+        Ok(())
     }
 
-    /// Batched delivery: the guest keeps per-frame virtio semantics,
-    /// but the VM handle resolves once per burst at the manager layer.
-    /// One `IoOutcome` per input frame, in order.
-    pub fn deliver_batch(
+    /// The guest keeps per-frame virtio semantics; the VM handle
+    /// resolves once per burst.
+    fn deliver_batch(
         &mut self,
-        vm: VmId,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
         frames: Vec<(u32, Packet)>,
-        costs: &un_sim::CostModel,
     ) -> Vec<IoOutcome> {
+        let Some(&vm) = self.vms.get(&id) else {
+            return no_outcomes(&frames);
+        };
         frames
             .into_iter()
             .map(|(port, pkt)| {
-                let io = self.hypervisor.deliver(vm, port as usize, pkt, costs);
+                let io = self.hypervisor.deliver(vm, port as usize, pkt, env.costs);
                 IoOutcome {
                     outputs: io
                         .outputs
@@ -145,41 +143,50 @@ impl VmDriver {
             .collect()
     }
 
-    /// Disk image footprint for an instance's image.
-    pub fn image_footprint(&self, image: &str) -> u64 {
-        self.hypervisor
-            .images
-            .get(image)
-            .map(|i| i.size)
-            .unwrap_or(0)
+    /// The disk image's size.
+    fn image_footprint(&self, id: InstanceId) -> u64 {
+        let vm = self.vms.get(&id).and_then(|vm| self.hypervisor.vm(*vm));
+        vm.and_then(|vm| self.hypervisor.images.get(&vm.image))
+            .map_or(0, |image| image.size)
+    }
+
+    /// Guest RAM plus the QEMU process around it.
+    fn estimate_ram(&self, spec: &FlavorSpec) -> u64 {
+        match spec {
+            FlavorSpec::Vm { mem_mb, .. } => mb(*mem_mb) + mb(71),
+            _ => 0,
+        }
+    }
+
+    fn instance_count(&self) -> usize {
+        self.vms.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::testkit::Rig;
     use super::*;
     use un_hypervisor::DiskImage;
-    use un_sim::mem::mb;
-    use un_sim::CostModel;
+
+    fn spec(image: &str, app: GuestAppKind) -> FlavorSpec {
+        FlavorSpec::Vm {
+            image: image.into(),
+            vcpus: 1,
+            mem_mb: 64,
+            app,
+        }
+    }
 
     #[test]
     fn create_requires_image_and_config() {
-        let mut d = VmDriver::new();
-        let mut ledger = MemLedger::new();
-        let acct = ledger.create_account("n", None);
+        let mut d = VmDriver::default();
+        let mut rig = Rig::new();
+        let plain = NfConfig::default();
         // Missing image.
+        let ghost = spec("ghost", GuestAppKind::L2Forward);
         assert!(matches!(
-            d.create(
-                "x",
-                "ghost",
-                1,
-                64,
-                2,
-                GuestAppKind::L2Forward,
-                &NfConfig::default(),
-                &mut ledger,
-                acct
-            ),
+            rig.create(&mut d, 1, "bridge", &ghost, &plain, false),
             Err(ComputeError::Substrate(_))
         ));
         d.hypervisor.images.add(DiskImage {
@@ -187,39 +194,22 @@ mod tests {
             size: mb(522),
         });
         // IPsec app without PSK.
+        let swan = spec("img", GuestAppKind::IpsecUserspace);
         assert!(matches!(
-            d.create(
-                "x",
-                "img",
-                1,
-                64,
-                2,
-                GuestAppKind::IpsecUserspace,
-                &NfConfig::default(),
-                &mut ledger,
-                acct
-            ),
+            rig.create(&mut d, 1, "ipsec", &swan, &plain, false),
             Err(ComputeError::Substrate(_))
         ));
+        assert_eq!(d.instance_count(), 0);
         // Forwarder needs nothing.
-        let vm = d
-            .create(
-                "x",
-                "img",
-                1,
-                64,
-                2,
-                GuestAppKind::L2Forward,
-                &NfConfig::default(),
-                &mut ledger,
-                acct,
-            )
+        let forwarder = spec("img", GuestAppKind::L2Forward);
+        rig.create(&mut d, 1, "bridge", &forwarder, &plain, false)
             .unwrap();
-        d.start(vm, &mut ledger).unwrap();
+        let vm = InstanceId(1);
+        d.start(&mut rig.env(), vm).unwrap();
         let burst = vec![(0, Packet::from_slice(&[0u8; 64]))];
-        let io = &d.deliver_batch(vm, burst, &CostModel::default())[0];
+        let io = &d.deliver_batch(&mut rig.env(), vm, burst)[0];
         assert_eq!(io.outputs.len(), 1);
-        assert_eq!(d.image_footprint("img"), mb(522));
-        assert_eq!(d.image_footprint("ghost"), 0);
+        assert_eq!(d.image_footprint(vm), mb(522));
+        assert_eq!(d.image_footprint(InstanceId(2)), 0);
     }
 }

@@ -6,10 +6,12 @@
 //! drivers must implement a specific abstraction defined by the local
 //! orchestrator, which enables multiple drivers to coexist."
 //!
-//! * [`types`] — that abstraction: [`types::Flavor`],
-//!   [`types::FlavorSpec`], instance handles, the unified
-//!   deliver-a-packet result.
-//! * [`drivers`] — the four drivers:
+//! * [`ComputeDriver`] — that abstraction: create / start / stop /
+//!   destroy, deliver a burst, and what the orchestrator may ask of any
+//!   technology (image footprint, RAM estimate, where an instance's
+//!   ports are), with a [`CreateRequest`] and a [`NodeEnv`] as its
+//!   vocabulary.
+//! * [`drivers`] — its four implementations:
 //!   * [`drivers::VmDriver`] — KVM/QEMU via `un-hypervisor`;
 //!   * [`drivers::DockerDriver`] — containers via `un-container`
 //!     (kernel state configured by the same plugins as native — which is
@@ -18,8 +20,11 @@
 //!     but each instance pins a core);
 //!   * [`drivers::NativeDriver`] — the paper's contribution: NNFs via
 //!     `un-nnf` plugins, namespaces and the adaptation layer.
-//! * [`manager`] — the compute manager: instance table, lifecycle
-//!   fan-out, unified packet delivery, resource queries.
+//! * [`manager`] — the compute manager: the flavor-independent instance
+//!   table; every per-instance call goes to the instance's driver
+//!   through the trait.
+//! * [`types`] — the data both speak in: [`Flavor`], [`FlavorSpec`],
+//!   instance ids, the deliver-a-packet result, errors.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -28,7 +33,6 @@ pub mod drivers;
 pub mod manager;
 pub mod types;
 
-pub use manager::{ComputeManager, NodeEnv};
-pub use types::{
-    ComputeError, Flavor, FlavorSpec, GuestAppKind, InstanceId, InstanceState, IoOutcome,
-};
+pub use drivers::{ComputeDriver, CreateRequest, NodeEnv};
+pub use manager::ComputeManager;
+pub use types::{ComputeError, Flavor, FlavorSpec, GuestAppKind, InstanceId, IoOutcome};

@@ -2,51 +2,29 @@
 
 use std::collections::BTreeMap;
 
-use un_hypervisor::VmId;
-use un_linux::Host;
+use un_linux::{IfaceId, NsId};
 use un_nffg::NfConfig;
 use un_nnf::GraphBinding;
 use un_packet::Packet;
-use un_sim::{AccountId, CostModel, MemLedger};
+use un_sim::{AccountId, MemLedger};
 
-use crate::drivers::{DockerDriver, DpdkDriver, NativeDriver, VmDriver};
-use crate::types::{ComputeError, Flavor, FlavorSpec, InstanceId, InstanceState, IoOutcome};
-
-/// Mutable node-level state every compute call threads through.
-pub struct NodeEnv<'a> {
-    /// The CPE's kernel (namespaces for docker/native NFs, taps).
-    pub host: &'a mut Host,
-    /// Memory accounting.
-    pub ledger: &'a mut MemLedger,
-    /// Cost model for data-path charging.
-    pub costs: &'a CostModel,
-}
-
-#[derive(Debug)]
-enum Handle {
-    Vm(VmId),
-    Docker,
-    Dpdk,
-    Native,
-}
+use crate::drivers::{
+    no_outcomes, ComputeDriver, CreateRequest, DockerDriver, DpdkDriver, NativeDriver, NodeEnv,
+    VmDriver,
+};
+use crate::types::{ComputeError, Flavor, FlavorSpec, InstanceId, IoOutcome};
 
 #[derive(Debug)]
 struct InstanceInfo {
     name: String,
     functional_type: String,
     flavor: Flavor,
-    handle: Handle,
-    state: InstanceState,
     account: AccountId,
-    /// Image identity for footprint queries.
-    image_ref: (String, String),
 }
 
-/// Ports per instance are tagged `instance_id * TAG_STRIDE + port` on
-/// the host side.
-pub const TAG_STRIDE: u64 = 16;
-
-/// The compute manager.
+/// The compute manager: the flavor-independent instance table, and the
+/// four drivers every per-instance call is forwarded to. Whether an
+/// instance runs is its driver's knowledge, not the table's.
 pub struct ComputeManager {
     /// VM driver (public for image-store provisioning).
     pub vm: VmDriver,
@@ -54,9 +32,9 @@ pub struct ComputeManager {
     pub docker: DockerDriver,
     /// DPDK driver.
     pub dpdk: DpdkDriver,
-    /// Native NNF driver.
+    /// Native NNF driver (public for its catalogue).
     pub native: NativeDriver,
-    instances: BTreeMap<u64, InstanceInfo>,
+    instances: BTreeMap<InstanceId, InstanceInfo>,
     next_id: u64,
 }
 
@@ -70,13 +48,40 @@ impl ComputeManager {
     /// A manager with all four drivers available.
     pub fn new() -> Self {
         ComputeManager {
-            vm: VmDriver::new(),
-            docker: DockerDriver::new(),
-            dpdk: DpdkDriver::new(),
-            native: NativeDriver::new(),
+            vm: VmDriver::default(),
+            docker: DockerDriver::default(),
+            dpdk: DpdkDriver::default(),
+            native: NativeDriver::default(),
             instances: BTreeMap::new(),
             next_id: 1,
         }
+    }
+
+    /// The driver of a technology.
+    fn driver(&mut self, flavor: Flavor) -> &mut dyn ComputeDriver {
+        match flavor {
+            Flavor::Vm => &mut self.vm,
+            Flavor::Docker => &mut self.docker,
+            Flavor::Dpdk => &mut self.dpdk,
+            Flavor::Native => &mut self.native,
+        }
+    }
+
+    /// All drivers, in [`Flavor`] declaration order.
+    pub fn drivers(&self) -> [&dyn ComputeDriver; 4] {
+        [&self.vm, &self.docker, &self.dpdk, &self.native]
+    }
+
+    /// The driver serving an instance, for queries.
+    fn serving(&self, id: InstanceId) -> Option<&dyn ComputeDriver> {
+        let info = self.instances.get(&id)?;
+        Some(self.drivers()[info.flavor as usize])
+    }
+
+    /// The driver serving an instance, for operations.
+    fn serving_mut(&mut self, id: InstanceId) -> Result<&mut dyn ComputeDriver, ComputeError> {
+        let flavor = self.flavor(id).ok_or(ComputeError::NoSuchInstance(id.0))?;
+        Ok(self.driver(flavor))
     }
 
     /// Create an NF instance with the chosen flavor.
@@ -95,232 +100,142 @@ impl ComputeManager {
         shared_native: bool,
         parent_account: AccountId,
     ) -> Result<InstanceId, ComputeError> {
-        let id = self.next_id;
-        let base_tag = id * TAG_STRIDE;
+        let (id, flavor) = (InstanceId(self.next_id), spec.flavor());
         let account = env
             .ledger
-            .create_account(&format!("{}:{name}", spec.flavor()), Some(parent_account));
-
-        // The driver call: a refusal gives the account just opened back.
-        let driver = (|| match spec {
-            FlavorSpec::Vm {
-                image,
-                vcpus,
-                mem_mb,
-                app,
-            } => {
-                let vm = self.vm.create(
-                    name, image, *vcpus, *mem_mb, n_ports, *app, config, env.ledger, account,
-                )?;
-                Ok((Handle::Vm(vm), (image.clone(), String::new())))
-            }
-            FlavorSpec::Docker {
-                image,
-                tag,
-                process_rss,
-            } => {
-                self.docker.create(
-                    id,
-                    name,
-                    functional_type,
-                    image,
-                    tag,
-                    *process_rss,
-                    n_ports,
-                    base_tag,
-                    config,
-                    env.host,
-                    env.ledger,
-                    account,
-                )?;
-                Ok((Handle::Docker, (image.clone(), tag.clone())))
-            }
-            FlavorSpec::Dpdk {
-                cores,
-                hugepages_mb,
-            } => {
-                self.dpdk
-                    .create(id, *cores, *hugepages_mb, n_ports, account)?;
-                Ok((Handle::Dpdk, (String::new(), String::new())))
-            }
-            FlavorSpec::Native => {
-                self.native.create(
-                    id,
-                    name,
-                    functional_type,
-                    n_ports,
-                    base_tag,
-                    shared_native,
-                    config,
-                    env.host,
-                    account,
-                )?;
-                Ok((Handle::Native, (functional_type.to_string(), String::new())))
-            }
-        })();
-        let (handle, image_ref) =
-            driver.inspect_err(|_: &ComputeError| env.ledger.free_account(account))?;
-
-        self.instances.insert(
+            .create_account(&format!("{flavor}:{name}"), Some(parent_account));
+        let req = CreateRequest {
             id,
-            InstanceInfo {
-                name: name.to_string(),
-                functional_type: functional_type.to_string(),
-                flavor: spec.flavor(),
-                handle,
-                state: InstanceState::Created,
-                account,
-                image_ref,
-            },
-        );
+            account,
+            name,
+            functional_type,
+            spec,
+            n_ports,
+            config,
+            shared: shared_native,
+        };
+        // A refusal gives the account just opened back.
+        self.driver(flavor)
+            .create(env, &req)
+            .inspect_err(|_| env.ledger.free_account(account))?;
+        let info = InstanceInfo {
+            name: name.to_string(),
+            functional_type: functional_type.to_string(),
+            flavor,
+            account,
+        };
+        self.instances.insert(id, info);
         self.next_id += 1;
-        Ok(InstanceId(id))
+        Ok(id)
     }
 
     /// Start an instance.
     pub fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let info = self
-            .instances
-            .get_mut(&id.0)
-            .ok_or(ComputeError::NoSuchInstance(id.0))?;
-        match &info.handle {
-            Handle::Vm(vm) => self.vm.start(*vm, env.ledger)?,
-            Handle::Docker => self.docker.start(id.0, env.host, env.ledger)?,
-            Handle::Dpdk => self.dpdk.start(id.0, env.ledger)?,
-            Handle::Native => self.native.start(id.0, env.host, env.ledger)?,
-        }
-        info.state = InstanceState::Running;
-        Ok(())
+        self.serving_mut(id)?.start(env, id)
     }
 
     /// Stop an instance.
     pub fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let info = self
-            .instances
-            .get_mut(&id.0)
-            .ok_or(ComputeError::NoSuchInstance(id.0))?;
-        match &info.handle {
-            Handle::Vm(vm) => self.vm.stop(*vm, env.ledger)?,
-            Handle::Docker => self.docker.stop(id.0, env.host, env.ledger)?,
-            Handle::Dpdk => self.dpdk.stop(id.0, env.ledger)?,
-            Handle::Native => self.native.stop(id.0, env.host, env.ledger)?,
-        }
-        info.state = InstanceState::Stopped;
-        Ok(())
+        self.serving_mut(id)?.stop(env, id)
     }
 
-    /// Destroy a stopped instance and free its accounts.
+    /// Destroy an instance that does not run (its driver refuses one
+    /// that does) and free its accounts.
     pub fn destroy(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let info = self
-            .instances
-            .get(&id.0)
-            .ok_or(ComputeError::NoSuchInstance(id.0))?;
-        if info.state == InstanceState::Running {
-            return Err(ComputeError::BadState("destroy while running"));
-        }
-        match &info.handle {
-            Handle::Vm(vm) => self.vm.destroy(*vm)?,
-            Handle::Docker => self.docker.destroy(id.0, env.host)?,
-            Handle::Dpdk => self.dpdk.destroy(id.0)?,
-            Handle::Native => self.native.destroy(id.0, env.host)?,
-        }
-        let info = self.instances.remove(&id.0).unwrap();
+        self.serving_mut(id)?.destroy(env, id)?;
+        let info = self.instances.remove(&id).expect("served above");
         env.ledger.free_account(info.account);
         Ok(())
     }
 
-    /// Deliver a burst of packets to one instance: the instance table
-    /// and driver-side dispatch resolve once for the whole burst
-    /// instead of per packet. Returns one `IoOutcome` per input frame,
-    /// in order, so per-frame accounting (TTL, ledger, cost) stays
-    /// exact.
+    /// Deliver a burst of packets to one instance: table and driver
+    /// resolve once for the whole burst. One `IoOutcome` per input
+    /// frame, in order, so per-frame accounting stays exact.
     pub fn deliver_batch(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
         frames: Vec<(u32, Packet)>,
     ) -> Vec<IoOutcome> {
-        let Some(info) = self.instances.get(&id.0) else {
-            return frames.iter().map(|_| IoOutcome::default()).collect();
-        };
-        match &info.handle {
-            Handle::Vm(vm) => self.vm.deliver_batch(*vm, frames, env.costs),
-            Handle::Docker => self.docker.deliver_batch(id.0, frames, env.host),
-            Handle::Dpdk => self.dpdk.deliver_batch(id.0, frames, env.costs),
-            Handle::Native => self.native.deliver_batch(id.0, frames, env.host),
+        match self.serving_mut(id) {
+            Ok(driver) => driver.deliver_batch(env, id, frames),
+            Err(_) => no_outcomes(&frames),
         }
     }
 
-    /// Bind a service graph to a shared native instance.
-    pub fn bind_native_graph(
+    /// Bind a service graph to a shared instance.
+    pub fn bind_graph(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
         binding: &GraphBinding,
     ) -> Result<(), ComputeError> {
-        self.native.bind_graph(id.0, binding, env.host, env.ledger)
+        self.serving_mut(id)?.bind_graph(env, id, binding)
     }
 
-    /// Unbind a service graph from a shared native instance.
-    pub fn unbind_native_graph(
+    /// Unbind a service graph from a shared instance.
+    pub fn unbind_graph(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
         graph: &str,
     ) -> Result<(), ComputeError> {
-        self.native.unbind_graph(id.0, graph, env.host, env.ledger)
+        self.serving_mut(id)?.unbind_graph(env, id, graph)
     }
 
     /// RAM allocated to an instance right now (the paper's RAM column).
     pub fn ram_usage(&self, ledger: &MemLedger, id: InstanceId) -> u64 {
         self.instances
-            .get(&id.0)
-            .map(|i| ledger.usage(i.account))
-            .unwrap_or(0)
+            .get(&id)
+            .map_or(0, |i| ledger.usage(i.account))
     }
 
     /// Image footprint of an instance (the paper's image-size column).
     pub fn image_footprint(&self, id: InstanceId) -> u64 {
-        let Some(info) = self.instances.get(&id.0) else {
-            return 0;
-        };
-        match info.flavor {
-            Flavor::Vm => self.vm.image_footprint(&info.image_ref.0),
-            Flavor::Docker => self
-                .docker
-                .image_footprint(&info.image_ref.0, &info.image_ref.1),
-            Flavor::Native => self.native.image_footprint(&info.image_ref.0),
-            Flavor::Dpdk => 12_000_000, // statically linked DPDK app binary
-        }
+        self.serving(id).map_or(0, |d| d.image_footprint(id))
     }
 
-    /// Instance state.
-    pub fn state(&self, id: InstanceId) -> Option<InstanceState> {
-        self.instances.get(&id.0).map(|i| i.state)
+    /// RAM a new instance of `spec` would take (a scheduler estimate).
+    pub fn estimate_ram(&self, spec: &FlavorSpec) -> u64 {
+        self.drivers()[spec.flavor() as usize].estimate_ram(spec)
+    }
+
+    /// The host namespace an instance runs in, if its technology shares
+    /// the host kernel.
+    pub fn namespace_of(&self, id: InstanceId) -> Option<NsId> {
+        self.serving(id)?.namespace_of(id)
+    }
+
+    /// The host interface behind an instance port, if there is one.
+    pub fn port_iface(&self, id: InstanceId, port: u32) -> Option<IfaceId> {
+        self.serving(id)?.port_iface(id, port)
+    }
+
+    /// The name of the driver serving an instance.
+    pub fn driver_label(&self, id: InstanceId) -> Option<&'static str> {
+        self.serving(id).map(|d| d.label())
     }
 
     /// Instance flavor.
     pub fn flavor(&self, id: InstanceId) -> Option<Flavor> {
-        self.instances.get(&id.0).map(|i| i.flavor)
+        self.instances.get(&id).map(|i| i.flavor)
     }
 
     /// Instance name.
     pub fn name(&self, id: InstanceId) -> Option<&str> {
-        self.instances.get(&id.0).map(|i| i.name.as_str())
+        self.instances.get(&id).map(|i| i.name.as_str())
     }
 
     /// Functional type of an instance.
     pub fn functional_type(&self, id: InstanceId) -> Option<&str> {
-        self.instances
-            .get(&id.0)
-            .map(|i| i.functional_type.as_str())
+        self.instances.get(&id).map(|i| i.functional_type.as_str())
     }
 
     /// Iterate (id, flavor, name) of all instances.
     pub fn iter(&self) -> impl Iterator<Item = (InstanceId, Flavor, &str)> {
         self.instances
             .iter()
-            .map(|(k, v)| (InstanceId(*k), v.flavor, v.name.as_str()))
+            .map(|(k, v)| (*k, v.flavor, v.name.as_str()))
     }
 
     /// Number of instances.
@@ -337,10 +252,13 @@ impl ComputeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drivers::testkit::ipsec_config;
     use crate::types::GuestAppKind;
     use un_container::{Image, Layer};
     use un_hypervisor::DiskImage;
+    use un_linux::Host;
     use un_sim::mem::{mb, mb_f};
+    use un_sim::CostModel;
 
     fn provision(mgr: &mut ComputeManager) {
         mgr.vm.hypervisor.images.add(DiskImage {
@@ -355,17 +273,6 @@ mod tests {
                 Layer::new("sha256:swan", mb(5)),
             ],
         });
-    }
-
-    fn ipsec_config() -> NfConfig {
-        NfConfig::default()
-            .with_param("psk", "hunter2")
-            .with_param("local-addr", "192.0.2.1")
-            .with_param("peer-addr", "192.0.2.2")
-            .with_param("protected-local", "192.168.1.0/24")
-            .with_param("protected-remote", "172.16.0.0/16")
-            .with_param("lan-addr", "192.168.1.1/24")
-            .with_param("wan-addr", "192.0.2.1/24")
     }
 
     /// The three flavors of Table 1, created through one manager, with
@@ -432,7 +339,6 @@ mod tests {
 
         for id in [vm, docker, native] {
             mgr.start(&mut env, id).unwrap();
-            assert_eq!(mgr.state(id), Some(InstanceState::Running));
         }
 
         let ram_vm = mgr.ram_usage(env.ledger, vm);
@@ -454,6 +360,33 @@ mod tests {
             mgr.destroy(&mut env, id).unwrap();
         }
         assert!(mgr.is_empty());
+    }
+
+    /// `estimate_ram` reaches the driver of the spec's flavor (the
+    /// others price a foreign spec at 0), at the numbers fleet
+    /// placement has always used.
+    #[test]
+    fn each_flavor_reaches_its_own_driver() {
+        let mgr = ComputeManager::new();
+        let vm = FlavorSpec::Vm {
+            image: "img".into(),
+            vcpus: 1,
+            mem_mb: 320,
+            app: GuestAppKind::IpsecUserspace,
+        };
+        let docker = FlavorSpec::Docker {
+            image: "img".into(),
+            tag: "latest".into(),
+            process_rss: mb(3),
+        };
+        let dpdk = FlavorSpec::Dpdk {
+            cores: 1,
+            hugepages_mb: 256,
+        };
+        assert_eq!(mgr.estimate_ram(&vm), mb(320) + mb(71));
+        assert_eq!(mgr.estimate_ram(&docker), mb(3) + mb(25));
+        assert_eq!(mgr.estimate_ram(&dpdk), mb(256));
+        assert_eq!(mgr.estimate_ram(&FlavorSpec::Native), mb(24));
     }
 
     #[test]

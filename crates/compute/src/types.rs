@@ -1,4 +1,5 @@
-//! The driver abstraction shared by all execution technologies.
+//! The data the driver abstraction ([`crate::ComputeDriver`]) and the
+//! compute manager speak in.
 
 use std::fmt;
 
@@ -60,8 +61,6 @@ pub enum GuestAppKind {
     IpsecUserspace,
     /// Generic transparent middlebox.
     L2Forward,
-    /// Diagnostics bounce.
-    Reflector,
 }
 
 /// How to realize an NF in a specific technology — the repository entry
@@ -109,17 +108,6 @@ impl FlavorSpec {
             FlavorSpec::Native => Flavor::Native,
         }
     }
-}
-
-/// Instance lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstanceState {
-    /// Created, not started.
-    Created,
-    /// Running.
-    Running,
-    /// Stopped.
-    Stopped,
 }
 
 /// Result of delivering one packet to an instance port.

@@ -28,9 +28,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use un_compute::{
-    ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, InstanceState, NodeEnv,
-};
+use un_compute::{ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, NodeEnv};
 use un_linux::Host;
 use un_nffg::{
     validate, Endpoint, EndpointKind, FlowRule, NetworkFunction, NfFg, PortRef, RuleAction,
@@ -240,7 +238,6 @@ enum GPort {
 #[derive(Debug, Clone)]
 struct PlacedNf {
     instance: InstanceId,
-    flavor: Flavor,
     shared: Option<GraphBinding>,
 }
 
@@ -278,10 +275,11 @@ impl DeployedGraph {
         Ok(())
     }
 
-    fn report(&self, lsi0_flows: usize) -> DeployReport {
+    fn report(&self, compute: &ComputeManager, lsi0_flows: usize) -> DeployReport {
         let placed = |nf: &NetworkFunction| {
             let p = self.nfs.get(&nf.id)?;
-            Some((nf.id.clone(), p.flavor, p.instance, p.shared.is_some()))
+            let flavor = compute.flavor(p.instance)?;
+            Some((nf.id.clone(), flavor, p.instance, p.shared.is_some()))
         };
         DeployReport {
             graph: self.nffg.id.clone(),
@@ -623,7 +621,7 @@ impl UniversalNode {
             next_mark: 1,
             next_dpid: 2,
             clock: SimTime::ZERO,
-            trace: TraceLog::new(16_384),
+            trace: TraceLog::new(),
             mem_capacity,
             obs: None,
             obs_nf_hist: BTreeMap::new(),
@@ -734,10 +732,8 @@ impl UniversalNode {
 
     /// Instance placed for an NF of a deployed graph.
     pub fn instance_of(&self, graph: &str, nf: &str) -> Option<(InstanceId, Flavor)> {
-        self.graphs
-            .get(graph)
-            .and_then(|g| g.nfs.get(nf))
-            .map(|p| (p.instance, p.flavor))
+        let placed = self.graphs.get(graph)?.nfs.get(nf)?;
+        Some((placed.instance, self.compute.flavor(placed.instance)?))
     }
 
     /// RAM currently attributed to one NF of a graph.
@@ -825,14 +821,12 @@ impl UniversalNode {
     /// flavors carry their guest/runtime footprints. Real admission
     /// still happens at deploy time; this is only a scheduler estimate.
     pub fn estimate_nf_ram(&self, functional_type: &str, flavor_hint: Option<&str>) -> Option<u64> {
-        use un_sim::mem::mb;
         Some(match self.decide_nf(functional_type, flavor_hint).ok()? {
             Decision::NativeShare(_) => 0,
-            Decision::NativeNew | Decision::NativeNewShared => mb(24),
-            Decision::Vnf(FlavorSpec::Vm { mem_mb, .. }) => mb(mem_mb) + mb(71),
-            Decision::Vnf(FlavorSpec::Docker { process_rss, .. }) => process_rss + mb(25),
-            Decision::Vnf(FlavorSpec::Dpdk { hugepages_mb, .. }) => mb(hugepages_mb),
-            Decision::Vnf(FlavorSpec::Native) => mb(24),
+            Decision::NativeNew | Decision::NativeNewShared => {
+                self.compute.estimate_ram(&FlavorSpec::Native)
+            }
+            Decision::Vnf(spec) => self.compute.estimate_ram(&spec),
         })
     }
 
@@ -956,7 +950,7 @@ impl UniversalNode {
         for rule in &nffg.flow_rules {
             graph.install_rule(rule)?;
         }
-        Ok(graph.report(self.lsi0.flow_count()))
+        Ok(graph.report(&self.compute, self.lsi0.flow_count()))
     }
 
     /// Create or join the instance serving `nf`.
@@ -980,7 +974,7 @@ impl UniversalNode {
                 if let Some(info) = self.shared.get_mut(&nf.functional_type) {
                     info.graphs.push(gid);
                 }
-                self.join(graph, nf, instance, Flavor::Native, Some(binding))?;
+                self.join(graph, nf, instance, Some(binding), false)?;
                 self.trace.count("nnf_shares", 1);
                 Ok(())
             }
@@ -1024,36 +1018,31 @@ impl UniversalNode {
             };
             self.shared.insert(ft.clone(), info);
         }
-        self.join(graph, nf, instance, spec.flavor(), shared)
+        self.join(graph, nf, instance, shared, true)
     }
 
     /// Record the placement in the graph, then do what is left to make
-    /// it serve: start a new instance, bind the graph to a shared one.
+    /// it serve: start a `fresh` instance, bind the graph to a shared one.
     fn join(
         &mut self,
         graph: &mut DeployedGraph,
         nf: &NetworkFunction,
         instance: InstanceId,
-        flavor: Flavor,
         shared: Option<GraphBinding>,
+        fresh: bool,
     ) -> Result<(), DeployError> {
         let mut env = NodeEnv {
             host: &mut self.host,
             ledger: &mut self.ledger,
             costs: &self.costs,
         };
-        let placed = PlacedNf {
-            instance,
-            flavor,
-            shared,
-        };
+        let placed = PlacedNf { instance, shared };
         graph.nfs.insert(nf.id.clone(), placed);
-        if self.compute.state(instance) == Some(InstanceState::Created) {
+        if fresh {
             self.compute.start(&mut env, instance)?;
         }
         if let Some(binding) = &graph.nfs[&nf.id].shared {
-            self.compute
-                .bind_native_graph(&mut env, instance, binding)?;
+            self.compute.bind_graph(&mut env, instance, binding)?;
         }
         Ok(())
     }
@@ -1176,7 +1165,7 @@ impl UniversalNode {
             // with the last graph bound to it.
             let mut last_user = placed.shared.is_none();
             if !last_user {
-                result = result.and(self.compute.unbind_native_graph(&mut env, id, gid));
+                result = result.and(self.compute.unbind_graph(&mut env, id, gid));
                 let ft = self.compute.functional_type(id).unwrap_or_default();
                 if let Some(info) = self.shared.get_mut(ft) {
                     info.graphs.retain(|g| g != gid);
@@ -1275,7 +1264,7 @@ impl UniversalNode {
         }
         graph.nffg = nffg.clone();
         self.trace.count("graph_updates_rules", 1);
-        Ok(graph.report(self.lsi0.flow_count()))
+        Ok(graph.report(&self.compute, self.lsi0.flow_count()))
     }
 
     // ------------------------------------------------------------------
@@ -1666,13 +1655,8 @@ impl UniversalNode {
             ));
         }
         out.push_str("   └─ Compute manager\n");
-        for (id, flavor, name) in self.compute.iter() {
-            let driver = match flavor {
-                Flavor::Vm => "VM driver (libvirt/KVM)",
-                Flavor::Docker => "Docker driver",
-                Flavor::Dpdk => "DPDK driver",
-                Flavor::Native => "Native driver (NNF)",
-            };
+        for (id, _, name) in self.compute.iter() {
+            let driver = self.compute.driver_label(id).unwrap_or_default();
             out.push_str(&format!("      ├─ {id} '{name}' via {driver}\n"));
         }
         out
@@ -1713,7 +1697,7 @@ impl NativeStatus for UniversalNode {
                 .compute
                 .native
                 .existing_instance(functional_type)
-                .map(|key| (InstanceId(key), false)),
+                .map(|id| (id, false)),
         }
     }
 }

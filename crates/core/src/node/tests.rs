@@ -240,6 +240,34 @@ fn describe_and_diagram_reflect_architecture() {
 }
 
 #[test]
+fn the_diagram_names_the_driver_of_every_instance() {
+    let mut n = node();
+    let g = NfFgBuilder::new("g-mixed", "one NF per technology")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf("a", "bridge", 2)
+        .with_flavor("vm")
+        .nf("b", "bridge", 2)
+        .with_flavor("docker")
+        .nf("c", "bridge", 2)
+        .nf("d", "l2fwd-fast", 2)
+        .chain("lan", &["a", "b", "c", "d"], "wan")
+        .build();
+    n.deploy(&g).unwrap();
+    let diagram = n.architecture_diagram();
+    for (nf, driver) in [
+        ("a", "VM driver (libvirt/KVM)"),
+        ("b", "Docker driver"),
+        ("c", "Native driver (NNF)"),
+        ("d", "DPDK driver"),
+    ] {
+        let (id, _) = n.instance_of("g-mixed", nf).unwrap();
+        let line = format!("{id} 'g-mixed-{nf}' via {driver}\n");
+        assert!(diagram.contains(&line), "{line} not in\n{diagram}");
+    }
+}
+
+#[test]
 fn three_node_chain_firewall_router_bridge() {
     let mut n = node();
     let mut fw_cfg = un_nffg::NfConfig::default()
@@ -356,14 +384,25 @@ enum Subject {
     NativeShare,
     /// IPsec in a container.
     Docker,
+    /// IPsec in a virtual machine.
+    Vm,
+    /// A DPDK fast-path forwarder.
+    Dpdk,
+}
+
+impl Subject {
+    fn is_ipsec(self) -> bool {
+        matches!(self, Subject::NativeNew | Subject::Docker | Subject::Vm)
+    }
 }
 
 /// Where the deploy fails.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Failure {
-    /// The driver refuses `create`: the image is not in the registry.
+    /// The driver refuses `create`: the image is not in its store.
     Create,
-    /// `start` fails: a config parameter the plugin needs is missing.
+    /// A config parameter the NF needs is missing: a plugin's `start`
+    /// fails, a VM's guest is refused at `create`.
     Start,
     /// `bind` fails: the binding lacks the graph's LAN address.
     Bind,
@@ -380,8 +419,8 @@ impl Failure {
     fn applies_to(self, subject: Subject) -> bool {
         use Subject::*;
         match self {
-            Failure::Create => subject == Docker,
-            Failure::Start => matches!(subject, NativeNew | Docker),
+            Failure::Create => matches!(subject, Docker | Vm),
+            Failure::Start => subject.is_ipsec(),
             Failure::Bind => matches!(subject, NativeNewShared | NativeShare),
             Failure::Memory | Failure::Conflict | Failure::GroupThenConflict => true,
         }
@@ -397,7 +436,7 @@ struct Census {
     ledger_accounts: usize,
     memory: u64,
     instances: usize,
-    native_instances: usize,
+    driver_instances: [usize; 4],
     lsi0_ports: usize,
     flows: usize,
     shared_types: Vec<String>,
@@ -414,14 +453,14 @@ fn census(n: &UniversalNode) -> Census {
         ledger_accounts: n.ledger.live_accounts(),
         memory: n.memory_used(),
         instances: n.total_instances(),
-        native_instances: n.compute.native.instance_count(),
+        driver_instances: n.compute.drivers().map(|d| d.instance_count()),
         lsi0_ports: n.lsi0.port_count(),
         flows: n.total_flows(),
         shared_types: n.shared_nnf_types(),
         bindings: n
             .shared
             .values()
-            .map(|info| n.compute.native.binding_count(info.instance.0))
+            .map(|info| n.compute.native.binding_count(info.instance))
             .sum(),
         group_members: n.internal_groups.values().map(Vec::len).sum(),
         nf_histograms: n.obs_nf_hist.len(),
@@ -448,10 +487,10 @@ fn nat_config(wan: &str) -> un_nffg::NfConfig {
 /// `lan → nf → wan` on VLAN 100 of eth0/eth1 with the NF `subject`
 /// names — sabotaged, if asked, so that its deploy fails at `failure`.
 fn subject_graph(id: &str, subject: Subject, failure: Option<Failure>) -> un_nffg::NfFg {
-    let ipsec = matches!(subject, Subject::NativeNew | Subject::Docker);
-    let (functional_type, mut config) = match ipsec {
-        true => ("ipsec", ipsec_config()),
-        false => ("nat", nat_config("203.0.113.1/24")),
+    let (functional_type, mut config) = match subject {
+        Subject::Dpdk => ("l2fwd-fast", un_nffg::NfConfig::default()),
+        _ if subject.is_ipsec() => ("ipsec", ipsec_config()),
+        _ => ("nat", nat_config("203.0.113.1/24")),
     };
     match failure {
         Some(Failure::Start) => config.params.remove("psk"),
@@ -471,9 +510,11 @@ fn subject_graph(id: &str, subject: Subject, failure: Option<Failure>) -> un_nff
             .vlan_endpoint("wan", "eth1", 100),
     };
     b = b.nf_with_config("nf", functional_type, 2, config);
-    if subject == Subject::Docker {
-        b = b.with_flavor("docker");
-    }
+    b = match subject {
+        Subject::Docker => b.with_flavor("docker"),
+        Subject::Vm => b.with_flavor("vm"),
+        _ => b,
+    };
     let mut chain = vec!["nf"];
     if failure == Some(Failure::Memory) {
         // A VM the node has no room for, placed after the NF under test.
@@ -483,10 +524,15 @@ fn subject_graph(id: &str, subject: Subject, failure: Option<Failure>) -> un_nff
     b.chain("lan", &chain, "wan").build()
 }
 
-/// A node just big enough for everything but a VM, in the state the
-/// cell starts from.
+/// A node just big enough for the NF under test but not for a second
+/// VM beside it, in the state the cell starts from.
 fn arranged(subject: Subject, failure: Failure) -> UniversalNode {
-    let mut n = UniversalNode::new("cpe-1", mb(200));
+    let room = match subject {
+        Subject::Vm => mb(500),
+        Subject::Dpdk => mb(400),
+        _ => mb(200),
+    };
+    let mut n = UniversalNode::new("cpe-1", room);
     n.add_physical_port("eth0");
     n.add_physical_port("eth1");
     n.set_obs(un_obs::Obs::enabled());
@@ -503,7 +549,10 @@ fn arranged(subject: Subject, failure: Failure) -> UniversalNode {
         Failure::Conflict | Failure::GroupThenConflict => {
             n.deploy(&bridge_graph("occ")).unwrap();
         }
-        Failure::Create => n.compute.docker.registry = un_container::Registry::new(),
+        Failure::Create => {
+            n.compute.docker.registry = un_container::Registry::new();
+            n.compute.vm.hypervisor.images = un_hypervisor::VmImageStore::new();
+        }
         _ => {}
     }
     n
@@ -511,24 +560,23 @@ fn arranged(subject: Subject, failure: Failure) -> UniversalNode {
 
 /// Send one tenant frame through `good`'s NF; the egress count.
 fn forwards(n: &mut UniversalNode, subject: Subject) -> usize {
-    let (inst, flavor) = n.instance_of("good", "nf").expect("placed");
-    let (ns, lan_port) = match flavor {
-        Flavor::Docker => (n.compute.docker.namespace_of(inst.0), "eth0"),
-        _ => (n.compute.native.namespace_of(inst.0), "port0"),
-    };
-    let ns = ns.expect("a kernel flavor");
-    let ipsec = matches!(subject, Subject::NativeNew | Subject::Docker);
+    let (inst, _) = n.instance_of("good", "nf").expect("placed");
+    let ipsec = subject.is_ipsec();
     // The next hop is off-node: ARP cannot resolve it in the simulation.
     let (next_hop, dst) = match ipsec {
         true => ("192.0.2.2", "172.16.0.9"),
         false => ("8.8.8.8", "8.8.8.8"),
     };
-    n.host
-        .neigh_add(ns, next_hop.parse().unwrap(), MacAddr::local(0x99))
-        .unwrap();
-    let lan_mac = match ipsec {
-        true => n.host.iface_by_name(ns, lan_port).expect("LAN port").mac,
-        false => MacAddr::BROADCAST,
+    if let Some(ns) = n.compute.namespace_of(inst) {
+        n.host
+            .neigh_add(ns, next_hop.parse().unwrap(), MacAddr::local(0x99))
+            .unwrap();
+    }
+    // An IPsec endpoint in the host kernel is a routed hop.
+    let lan_port = n.compute.port_iface(inst, 0).filter(|_| ipsec);
+    let lan_mac = match lan_port.and_then(|iface| n.host.iface(iface)) {
+        Some(iface) => iface.mac,
+        None => MacAddr::BROADCAST,
     };
     let pkt = un_packet::PacketBuilder::new()
         .ethernet(MacAddr::local(5), lan_mac)
@@ -547,7 +595,7 @@ fn a_failed_deploy_leaves_the_node_as_it_found_it() {
     use Failure::*;
     use Subject::*;
     let mut cells = 0;
-    for subject in [NativeNew, NativeNewShared, NativeShare, Docker] {
+    for subject in [NativeNew, NativeNewShared, NativeShare, Docker, Vm, Dpdk] {
         for failure in [Create, Start, Bind, Memory, Conflict, GroupThenConflict] {
             if !failure.applies_to(subject) {
                 continue;
@@ -579,7 +627,7 @@ fn a_failed_deploy_leaves_the_node_as_it_found_it() {
 
             // The next tenant of the same NF type finds the node a twin
             // that never saw the failure would offer. (With no image in
-            // the registry that tenant goes native.)
+            // any store that tenant goes native.)
             let next = if failure == Create {
                 NativeNew
             } else {
@@ -602,5 +650,5 @@ fn a_failed_deploy_leaves_the_node_as_it_found_it() {
             }
         }
     }
-    assert_eq!(cells, 17);
+    assert_eq!(cells, 25);
 }

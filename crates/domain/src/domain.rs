@@ -526,7 +526,7 @@ impl Domain {
             parked_at: BTreeMap::new(),
             vids,
             clock: SimTime::ZERO,
-            trace: TraceLog::new(4096),
+            trace: TraceLog::new(),
             obs,
             traces: TraceRing::new(un_obs::DEFAULT_TRACE_CAPACITY),
             runtime: None,

@@ -1437,7 +1437,7 @@ fn sharing_fleet(n: usize, sharing: SharingConfig) -> Domain {
 fn nat_neigh(d: &mut Domain, host: &str, gid: &str) {
     let node = d.node_mut(host).unwrap();
     let (inst, _) = node.instance_of(gid, "nat").unwrap();
-    let ns = node.compute.native.namespace_of(inst.0).unwrap();
+    let ns = node.compute.namespace_of(inst).unwrap();
     node.host
         .neigh_add(ns, "8.8.8.8".parse().unwrap(), MacAddr::local(0x99))
         .unwrap();

@@ -116,7 +116,7 @@ impl Host {
             ifaces: Slots::new(),
             sockets: SocketTable::new(),
             costs,
-            trace: TraceLog::new(16_384),
+            trace: TraceLog::new(),
             now: SimTime::ZERO,
             next_mac: 1,
         };

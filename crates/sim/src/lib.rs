@@ -15,10 +15,9 @@
 //!   numbers come from; see `DESIGN.md` §5.
 //! * [`mem::MemLedger`] — hierarchical memory/storage accounting used to
 //!   regenerate the RAM and image-size columns of the paper's Table 1.
-//! * [`stats`] — streaming summaries and latency histograms.
+//! * [`stats::Histogram`] — the log-scaled latency histogram.
 //! * [`rng::DetRng`] — a seeded RNG so every run is reproducible.
-//! * [`trace::TraceLog`] — a bounded in-memory event log plus named
-//!   counters, in the spirit of smoltcp's `log` feature.
+//! * [`trace::TraceLog`] — a map of named counters.
 //!
 //! The simulation is single-threaded by design: determinism is a feature.
 
@@ -37,6 +36,6 @@ pub use cost::{Cost, CostModel};
 pub use event::EventQueue;
 pub use mem::{AccountId, MemLedger};
 pub use rng::DetRng;
-pub use stats::{Histogram, Summary, Throughput};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceLog;

@@ -1,86 +1,21 @@
-//! Bounded in-memory event log plus named counters.
+//! Named counters.
 //!
-//! Components record noteworthy events (`xfrm: SA installed`, `lsi0:
-//! packet-in`) into a [`TraceLog`]; tests assert on them and the harness
-//! binaries can dump them with `--trace`. The log is bounded so a
-//! saturation run cannot exhaust memory.
+//! Components count noteworthy occurrences (`graphs_deployed`, a drop
+//! reason, `no_route`) into a [`TraceLog`]; tests assert on them and
+//! `/metrics` renders them.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
-use crate::time::SimTime;
-
-/// One trace event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// When it happened (virtual time).
-    pub at: SimTime,
-    /// Component category, e.g. `"xfrm"`, `"lsi"`, `"nnf-driver"`.
-    pub category: &'static str,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}", self.at, self.category, self.message)
-    }
-}
-
-/// Bounded event log + monotonically increasing named counters.
-#[derive(Debug)]
+/// Monotonically increasing named counters.
+#[derive(Debug, Default)]
 pub struct TraceLog {
-    events: Vec<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-    enabled: bool,
     counters: BTreeMap<&'static str, u64>,
 }
 
-impl Default for TraceLog {
-    fn default() -> Self {
-        Self::new(65_536)
-    }
-}
-
 impl TraceLog {
-    /// A log retaining at most `capacity` events (counters are unbounded).
-    pub fn new(capacity: usize) -> Self {
-        TraceLog {
-            events: Vec::new(),
-            capacity,
-            dropped: 0,
-            enabled: true,
-            counters: BTreeMap::new(),
-        }
-    }
-
-    /// A log that records counters but no events.
-    pub fn counters_only() -> Self {
-        let mut t = Self::new(0);
-        t.enabled = false;
-        t
-    }
-
-    /// Enable/disable event recording (counters always work).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Record an event.
-    pub fn event(&mut self, at: SimTime, category: &'static str, message: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() >= self.capacity {
-            self.dropped += 1;
-            return;
-        }
-        self.events.push(TraceEvent {
-            at,
-            category,
-            message: message.into(),
-        });
+    /// An empty counter map.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Increment a named counter by `n`.
@@ -97,33 +32,6 @@ impl TraceLog {
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
-
-    /// All retained events in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Events in a given category.
-    pub fn events_in(&self, category: &str) -> impl Iterator<Item = &TraceEvent> {
-        let cat = category.to_string();
-        self.events.iter().filter(move |e| e.category == cat)
-    }
-
-    /// True if any retained event message contains `needle`.
-    pub fn contains(&self, needle: &str) -> bool {
-        self.events.iter().any(|e| e.message.contains(needle))
-    }
-
-    /// How many events were dropped due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Clear events (not counters).
-    pub fn clear_events(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -131,50 +39,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_queries_events() {
-        let mut t = TraceLog::new(10);
-        t.event(SimTime::from_nanos(5), "xfrm", "SA installed spi=0x101");
-        t.event(SimTime::from_nanos(9), "lsi", "packet-in port=2");
-        assert_eq!(t.events().len(), 2);
-        assert!(t.contains("spi=0x101"));
-        assert_eq!(t.events_in("lsi").count(), 1);
-    }
-
-    #[test]
-    fn capacity_bound_drops() {
-        let mut t = TraceLog::new(2);
-        for i in 0..5 {
-            t.event(SimTime::from_nanos(i), "x", "e");
-        }
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.dropped(), 3);
-        t.clear_events();
-        assert_eq!(t.dropped(), 0);
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
     fn counters_independent_of_events() {
-        let mut t = TraceLog::counters_only();
-        t.event(SimTime::ZERO, "x", "ignored");
+        let mut t = TraceLog::new();
         t.count("pkts", 3);
         t.count("pkts", 2);
         assert_eq!(t.counter("pkts"), 5);
         assert_eq!(t.counter("other"), 0);
-        assert!(t.events().is_empty());
         let all: Vec<_> = t.counters().collect();
         assert_eq!(all, vec![("pkts", 5)]);
-    }
-
-    #[test]
-    fn display_format() {
-        let e = TraceEvent {
-            at: SimTime::from_micros(3),
-            category: "nnf",
-            message: "started".into(),
-        };
-        let s = format!("{e}");
-        assert!(s.contains("nnf"));
-        assert!(s.contains("started"));
     }
 }

@@ -95,7 +95,7 @@ fn main() {
     let vpn_node = domain.node_mut("edge-b").unwrap();
     let (instance, flavor) = vpn_node.instance_of("cpe-split", "vpn").unwrap();
     println!("IPsec endpoint runs as: {flavor} on edge-b");
-    let ns = vpn_node.compute.native.namespace_of(instance.0).unwrap();
+    let ns = vpn_node.compute.namespace_of(instance).unwrap();
     vpn_node
         .host
         .neigh_add(

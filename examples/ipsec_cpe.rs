@@ -56,7 +56,7 @@ fn main() {
 
     // The NNF's namespace needs a neighbor for the (off-node) peer.
     let (instance, _) = node.instance_of("ipsec-home", "ipsec").unwrap();
-    let ns = node.compute.native.namespace_of(instance.0).unwrap();
+    let ns = node.compute.namespace_of(instance).unwrap();
     node.host
         .neigh_add(
             ns,

@@ -49,7 +49,7 @@ fn pin_home(node: &str) -> DeployHints {
 fn neigh(domain: &mut Domain, host: &str, gid: &str) {
     let node = domain.node_mut(host).unwrap();
     let (inst, _) = node.instance_of(gid, "nat").unwrap();
-    let ns = node.compute.native.namespace_of(inst.0).unwrap();
+    let ns = node.compute.namespace_of(inst).unwrap();
     node.host
         .neigh_add(ns, "8.8.8.8".parse().unwrap(), MacAddr::local(0x99))
         .unwrap();

@@ -115,7 +115,7 @@ fn stateful_firewall_chain_blocks_and_allows() {
 
     // Routed firewall: give the NNF namespace a neighbor for the server.
     let (inst, _) = n.instance_of("fw-g", "fw").unwrap();
-    let ns = n.compute.native.namespace_of(inst.0).unwrap();
+    let ns = n.compute.namespace_of(inst).unwrap();
     n.host
         .neigh_add(ns, "10.1.0.9".parse().unwrap(), MacAddr::local(9))
         .unwrap();

@@ -24,7 +24,7 @@ struct Census {
     ifaces: usize,
     ledger_accounts: usize,
     instances: usize,
-    native_instances: usize,
+    driver_instances: [usize; 4],
     lsis: usize,
     lsi0_ports: usize,
     flows: usize,
@@ -41,7 +41,7 @@ fn census(d: &Domain) -> BTreeMap<String, Census> {
                 ifaces: n.host.iface_count(),
                 ledger_accounts: n.ledger.live_accounts(),
                 instances: n.total_instances(),
-                native_instances: n.compute.native.instance_count(),
+                driver_instances: n.compute.drivers().map(|d| d.instance_count()),
                 lsis: n.lsis().count(),
                 lsi0_ports,
                 flows: n.total_flows(),

@@ -29,7 +29,7 @@ fn shared_node() -> (UniversalNode, u16, u16) {
     n.deploy(&customer("c2", 12, "198.51.100.1/24")).unwrap();
     // Upstream neighbor inside the shared NNF namespace.
     let (inst, _) = n.instance_of("c1", "nat").unwrap();
-    let ns = n.compute.native.namespace_of(inst.0).unwrap();
+    let ns = n.compute.namespace_of(inst).unwrap();
     n.host
         .neigh_add(ns, "8.8.8.8".parse().unwrap(), MacAddr::local(0x99))
         .unwrap();
@@ -52,7 +52,28 @@ fn one_instance_serves_both_graphs() {
     let (i1, _) = n.instance_of("c1", "nat").unwrap();
     let (i2, _) = n.instance_of("c2", "nat").unwrap();
     assert_eq!(i1, i2, "both graphs must share the single NAT instance");
-    assert_eq!(n.compute.native.binding_count(i1.0), 2);
+    assert_eq!(n.compute.native.binding_count(i1), 2);
+}
+
+/// What sharing buys: one native instance whatever the graph count,
+/// for less memory than a container per graph.
+#[test]
+fn sharing_costs_less_than_a_container_per_graph() {
+    let deploy = |flavor: Option<&str>| {
+        let mut n = UniversalNode::new("cpe", mb(2048));
+        n.add_physical_port("eth0");
+        n.add_physical_port("eth1");
+        for i in 1..=3u16 {
+            let mut g = customer(&format!("c{i}"), 10 + i, &format!("203.0.{i}.1/24"));
+            g.nfs[0].flavor = flavor.map(String::from);
+            n.deploy(&g).unwrap();
+        }
+        (n.compute.len(), n.memory_used())
+    };
+    let (shared_instances, shared_ram) = deploy(None);
+    let (docker_instances, docker_ram) = deploy(Some("docker"));
+    assert_eq!((shared_instances, docker_instances), (1, 3));
+    assert!(shared_ram < docker_ram, "{shared_ram} vs {docker_ram}");
 }
 
 #[test]
@@ -104,7 +125,7 @@ fn no_cross_graph_leakage_under_load() {
     }
     // Conntrack state stayed zone-separated.
     let (inst, _) = n.instance_of("c1", "nat").unwrap();
-    let ns = n.compute.native.namespace_of(inst.0).unwrap();
+    let ns = n.compute.namespace_of(inst).unwrap();
     let nsr = n.host.namespace(ns).unwrap();
     assert_eq!(nsr.conntrack.zone_conns(1).count(), 100);
     assert_eq!(nsr.conntrack.zone_conns(2).count(), 100);
