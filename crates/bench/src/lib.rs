@@ -9,8 +9,6 @@
 //! Binaries (`cargo run -p un-bench --bin <name>`):
 //!
 //! * `table1` — regenerates Table 1.
-//! * `chain_sweep` — Ext-B: throughput vs chain length per flavor.
-//! * `memory_scaling` — Ext-D: node memory vs number of graphs.
 //! * `repair_sweep` — reactive vs make-before-break repair downtime
 //!   (`BENCH_repair.json`).
 //! * `sharing_sweep` — one fleet-wide shared NNF vs per-graph

@@ -12,9 +12,9 @@
 //! drains a node's whole pending burst through the node's
 //! run-to-completion batch path, buckets fabric-bound egress by VLAN
 //! link, seals/verifies ESP per burst, and hands each peer node its
-//! burst at once — optionally sharded across `std::thread` workers
-//! (every node is an isolated state machine; per-link locks guard the
-//! only shared state). [`Domain::inject`] is the single-frame wrapper.
+//! burst at once — all on the caller's thread, with the fleet and the
+//! links borrowed in place (one owner per piece of state, nothing to
+//! lock). [`Domain::inject`] is the single-frame wrapper.
 //!
 //! Failure handling is **incremental repair**: a stale heartbeat first
 //! marks a node [`NodeHealth::Suspect`] (it keeps serving; a late
@@ -53,7 +53,6 @@ use un_sim::{Cost, SimTime, TraceLog};
 
 use crate::partition::{OverlayLink, Partition, PartitionError};
 use crate::placement::{NodeView, PlaceError, PlacementStrategy};
-use crate::runtime::ShardRuntime;
 use crate::sharing::{
     ShareKey, SharedClaim, SharedInstance, SharedRegistry, SharingConfig, SharingError,
 };
@@ -468,11 +467,8 @@ pub struct Domain {
     graphs: BTreeMap<String, DomainGraph>,
     /// Graphs lost in a failure that no surviving fleet could host.
     pending: BTreeMap<String, (NfFg, DeployHints)>,
-    /// Overlay link state, each behind its own lock so the data-plane
-    /// shuttle can share the map across workers without building
-    /// per-call wrappers (the control plane goes through `get_mut`,
-    /// which is lock-free on `&mut self`).
-    links: BTreeMap<u16, Mutex<LinkState>>,
+    /// Overlay link state by VLAN id.
+    links: BTreeMap<u16, LinkState>,
     /// The domain-wide sharable-NNF registry (instances, hosts,
     /// leases).
     sharing: SharedRegistry,
@@ -497,11 +493,6 @@ pub struct Domain {
     /// (filled by [`Domain::inject_traced`], served by
     /// `GET /domain/traces`). Ghost walks never land here.
     traces: TraceRing,
-    /// Persistent shard workers for the data-plane shuttle. Built on
-    /// the first multi-worker `inject_batch` call that has frames to
-    /// drain and reused (rebuilt only if the requested worker count
-    /// changes); single-worker injects drain inline and never touch it.
-    runtime: Option<ShardRuntime>,
     /// Dirty-set bookkeeping for incremental static verification
     /// ([`Domain::verify`]); behind a lock so read-only verification
     /// can update its caches through `&self`.
@@ -529,7 +520,6 @@ impl Domain {
             trace: TraceLog::new(),
             obs,
             traces: TraceRing::new(un_obs::DEFAULT_TRACE_CAPACITY),
-            runtime: None,
             verify_cache: Mutex::new(verify::VerifyCache::default()),
         }
     }
@@ -837,8 +827,7 @@ impl Domain {
         let serving: BTreeSet<String> = self.nodes_where(NodeHealth::is_serving);
         let mut edge_riders: BTreeMap<_, Vec<&str>> = BTreeMap::new();
         if !self.config.topology.is_full_mesh() {
-            for state in self.links.values_mut() {
-                let state: &LinkState = state.get_mut().expect("link lock poisoned");
+            for state in self.links.values() {
                 for w in state.path.windows(2) {
                     let (a, b) = (w[0].as_str(), w[1].as_str());
                     let riders = edge_riders.entry((a.min(b), a.max(b))).or_default();
@@ -873,33 +862,34 @@ impl Domain {
     /// domain until every resulting frame left on a real egress.
     ///
     /// Thin wrapper over [`Domain::inject_batch`] with a one-frame
-    /// burst and a single worker. The shuttle's per-call setup is
-    /// O(touched nodes), not O(fleet): node state is claimed lazily
-    /// from the fleet map and link locks live on the domain itself, so
-    /// a single-frame inject on a large fleet costs a handful of map
-    /// lookups — and no allocations: the borrowed names flow straight
-    /// into the seeding loop. High-rate callers should still batch
-    /// frames into `inject_batch`, which amortizes even that across
+    /// burst. The shuttle's per-call setup is O(touched nodes), not
+    /// O(fleet): a queue is built for each node the frame reaches and
+    /// nothing per fleet member. On a warm one-node bridge chain that
+    /// is 6 heap allocations more than the same frame through
+    /// [`UniversalNode::inject`], and 5 more per further node touched
+    /// (pinned by `tests/alloc_per_call.rs`). High-rate callers should
+    /// batch frames into `inject_batch`, which amortizes that across
     /// the burst.
     pub fn inject(&mut self, node: &str, port: &str, pkt: Packet) -> DomainIo {
         self.inject_batch(std::iter::once((node, port, pkt)), 1)
     }
 
     /// Inject a burst of `(node, port, frame)` triples and drain the
-    /// whole burst across the domain, optionally sharded over
-    /// `workers` persistent OS threads.
+    /// whole burst across the domain on the caller's thread.
     ///
     /// The shuttle (the `shuttle` child module) is batched end to end:
     /// each node's pending frames are drained through
     /// [`UniversalNode::inject_batch`] in one call, fabric-bound egress
-    /// is bucketed by VLAN link, ESP links seal/verify per burst under
-    /// one lock, and the peer node receives its whole burst at once.
-    /// With `workers > 1` the burst runs on the domain's persistent
-    /// shard runtime — long-lived workers that park between calls, so a
-    /// line-rate ingress path pays no thread spawn/join per burst. Nodes
-    /// with pending work wait in one ready queue and any worker drives
-    /// any node; link counters and SAs are the only other cross-worker
-    /// state and sit behind per-link locks.
+    /// is bucketed by VLAN link, ESP links seal/verify per burst, and
+    /// the peer node receives its whole burst at once. Nodes with
+    /// pending work wait in one FIFO ready queue; the fleet and the
+    /// links are borrowed in place, so the same burst on the same
+    /// domain always drains in the same order.
+    ///
+    /// `workers` is accepted and **ignored**: the drain is
+    /// single-threaded (a second thread measured 0.99–1.13× on the
+    /// 2-core CPE this models). The argument stays only until the
+    /// benchmark harness stops passing it.
     ///
     /// Ingress keys are borrowed (`AsRef<str>`): callers can pass
     /// `&str`, `String`, or interned [`Name`] without allocating per
@@ -918,7 +908,8 @@ impl Domain {
         N: AsRef<str>,
         P: AsRef<str>,
     {
-        self.shuttle(ingress, workers, None)
+        let _ = workers;
+        self.shuttle(ingress, None)
     }
 
     /// Inject one frame with the flight recorder attached: the frame
@@ -928,7 +919,8 @@ impl Domain {
     /// with matched-rule provenance, NF deliveries, overlay crossings,
     /// egress and typed drops. The finished trace lands in the
     /// domain's bounded recent-trace ring (`GET /domain/traces`) and
-    /// is returned alongside the io report.
+    /// is returned alongside the io report. `workers` is accepted and
+    /// ignored, as in [`Domain::inject_batch`].
     pub fn inject_traced(
         &mut self,
         node: &str,
@@ -936,13 +928,10 @@ impl Domain {
         pkt: Packet,
         workers: usize,
     ) -> (DomainIo, PacketTrace) {
-        let sink = Arc::new(TraceSink::new(node, port, false));
-        let io = self.shuttle(
-            std::iter::once((node, port, pkt)),
-            workers,
-            Some(Arc::clone(&sink)),
-        );
-        let trace = sink.snapshot();
+        let _ = workers;
+        let sink = TraceSink::new(node, port, false);
+        let io = self.shuttle(std::iter::once((node, port, pkt)), Some(&sink));
+        let trace = sink.finish();
         self.traces.push(trace.clone());
         (io, trace)
     }
@@ -958,13 +947,9 @@ impl Domain {
     /// (served by `POST /domain/trace`); ghost walks never enter the
     /// recent-trace ring.
     pub fn trace_frame(&mut self, node: &str, port: &str, pkt: Packet) -> PacketTrace {
-        let sink = Arc::new(TraceSink::new(node, port, true));
-        let _ = self.shuttle(
-            std::iter::once((node, port, pkt)),
-            1,
-            Some(Arc::clone(&sink)),
-        );
-        sink.snapshot()
+        let sink = TraceSink::new(node, port, true);
+        let _ = self.shuttle(std::iter::once((node, port, pkt)), Some(&sink));
+        sink.finish()
     }
 
     /// The bounded ring of recent real traces (newest last).

@@ -13,7 +13,6 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
-use std::sync::Mutex;
 
 use un_core::DeployReport;
 use un_ipsec::SecurityAssociation;
@@ -291,7 +290,7 @@ impl Domain {
                         .config
                         .protect_overlay
                         .then(|| Box::new(derive_link_sas(self.config.seed, link)));
-                    slot.insert(Mutex::new(LinkState {
+                    slot.insert(LinkState {
                         link: link.clone(),
                         graph: gid.to_string(),
                         path: path.clone(),
@@ -301,11 +300,11 @@ impl Domain {
                         bytes: 0,
                         hop_packets: vec![0; hops],
                         hop_bytes: vec![0; hops],
-                    }));
+                    });
                     links_up += 1;
                 }
                 Entry::Occupied(mut slot) => {
-                    let state = slot.get_mut().get_mut().expect("link lock poisoned");
+                    let state = slot.get_mut();
                     if state.link.from_node == link.from_node && state.link.to_node == link.to_node
                     {
                         done.links_kept += 1;

@@ -102,24 +102,21 @@ pub(super) fn node_ledger_counters() -> impl Iterator<Item = &'static str> {
 
 impl Domain {
     /// Every live overlay link, in vid order: endpoints, pinned path,
-    /// protection and wire counters, each link's lock taken once.
+    /// protection and wire counters.
     pub fn link_reports(&self) -> Vec<LinkReport> {
         self.links
             .values()
-            .map(|s| {
-                let s = s.lock().expect("link lock poisoned");
-                LinkReport {
-                    vid: s.link.vid,
-                    graph: s.graph.clone(),
-                    from: s.link.from_node.clone(),
-                    to: s.link.to_node.clone(),
-                    path: s.path.clone(),
-                    protected: s.sas.is_some(),
-                    packets: s.packets,
-                    bytes: s.bytes,
-                    hop_packets: s.hop_packets.clone(),
-                    hop_bytes: s.hop_bytes.clone(),
-                }
+            .map(|s| LinkReport {
+                vid: s.link.vid,
+                graph: s.graph.clone(),
+                from: s.link.from_node.clone(),
+                to: s.link.to_node.clone(),
+                path: s.path.clone(),
+                protected: s.sas.is_some(),
+                packets: s.packets,
+                bytes: s.bytes,
+                hop_packets: s.hop_packets.clone(),
+                hop_bytes: s.hop_bytes.clone(),
             })
             .collect()
     }

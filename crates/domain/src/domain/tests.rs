@@ -837,45 +837,82 @@ fn overlay_ttl_exhaustion_is_counted_per_frame() {
     assert_eq!(io.overlay_hops, 3);
 }
 
-/// Sharded output == sequential output at 2/4/8 workers draining the
-/// shuttle's one ready queue (the next test reuses the persistent
-/// shard runtime across bursts and worker counts).
+/// The drain is a function of the domain and the burst: two fresh
+/// twins emit the same frames in the same **order**, book the same
+/// wire counters, cost and hop count, and agree again on a second
+/// burst riding the state the first one left behind.
 #[test]
-fn sharded_inject_batch_matches_sequential_workers() {
-    let build = || {
+fn a_burst_drains_in_one_order() {
+    // Frame i carries i in its payload, so emission order is visible.
+    let ingress = |n: usize| -> Vec<(String, String, un_packet::Packet)> {
+        (0..n)
+            .map(|i| {
+                let pkt = PacketBuilder::new()
+                    .ethernet(MacAddr::local(1), MacAddr::local(2))
+                    .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(192, 0, 2, 9))
+                    .udp(5000, 5001)
+                    .payload(&[i as u8; 64])
+                    .build();
+                ("n1".to_string(), "eth0".to_string(), pkt)
+            })
+            .collect()
+    };
+    let in_ingress_order = |emitted: &[(String, String, Vec<u8>)]| {
+        let tags = emitted.iter().map(|(_, _, bytes)| bytes[bytes.len() - 1]);
+        tags.eq(0..emitted.len() as u8)
+    };
+    // Everything the drain decides: egress in emission order, per-link
+    // wire counters, cost, hop count — and the ledger must balance.
+    type Digest = (
+        Vec<(String, String, Vec<u8>)>,
+        Vec<(u16, u64, u64)>,
+        Cost,
+        u32,
+    );
+    let digest = |d: &Domain, io: &DomainIo| -> Digest {
+        let emitted = io
+            .emitted
+            .iter()
+            .map(|(n, p, pkt)| (n.to_string(), p.to_string(), pkt.data().to_vec()))
+            .collect();
+        let links = d
+            .link_reports()
+            .into_iter()
+            .map(|l| (l.vid, l.packets, l.bytes))
+            .collect();
+        let ledger = d.conservation_report();
+        assert!(ledger.balanced(), "{ledger:?}");
+        (emitted, links, io.cost, io.overlay_hops)
+    };
+    // Two bursts on each of two fresh twins of `build()`; returns the
+    // twins' common digests.
+    let twins = |build: &dyn Fn() -> Domain, first: usize, second: usize| -> (Digest, Digest) {
+        let (mut a, mut b) = (build(), build());
+        let io = a.inject_batch(ingress(first), 1);
+        let a_first = digest(&a, &io);
+        let io = b.inject_batch(ingress(first), 1);
+        assert_eq!(digest(&b, &io), a_first, "first burst, twin b");
+        let io = a.inject_batch(ingress(second), 1);
+        let a_second = digest(&a, &io);
+        let io = b.inject_batch(ingress(second), 1);
+        assert_eq!(digest(&b, &io), a_second, "second burst, twin b");
+        (a_first, a_second)
+    };
+
+    let split = || {
         let mut d = two_node_domain();
         d.node_mut("n1").unwrap().add_physical_port("eth1");
         d.deploy_with(&split_bridge_chain(), &split_hints())
             .unwrap();
         d
     };
-    let ingress = |n: usize| -> Vec<(String, String, un_packet::Packet)> {
-        (0..n)
-            .map(|_| ("n1".to_string(), "eth0".to_string(), frame()))
-            .collect()
-    };
-    let mut seq = build();
-    let seq_io = seq.inject_batch(ingress(64), 1);
-    for workers in [2usize, 4, 8] {
-        let mut sharded = build();
-        let io = sharded.inject_batch(ingress(64), workers);
-        assert_eq!(io.emitted.len(), seq_io.emitted.len(), "{workers} workers");
-        assert_eq!(io.cost, seq_io.cost);
-        assert_eq!(io.overlay_hops, seq_io.overlay_hops);
-        let mut a: Vec<(String, String, Vec<u8>)> = io
-            .emitted
-            .iter()
-            .map(|(n, p, pkt)| (n.to_string(), p.to_string(), pkt.data().to_vec()))
-            .collect();
-        let mut b: Vec<(String, String, Vec<u8>)> = seq_io
-            .emitted
-            .iter()
-            .map(|(n, p, pkt)| (n.to_string(), p.to_string(), pkt.data().to_vec()))
-            .collect();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "{workers} workers");
-    }
+    let (first, second) = twins(&split, 64, 64);
+    assert_eq!(first.0.len(), 64);
+    assert!(in_ingress_order(&first.0), "one path: first in, first out");
+    assert_eq!(first.3, 128, "out to br2 on n2, back to eth1 on n1");
+    // The repeat emits the same frames in the same order over the same
+    // hops; only caches (cost) and wire counters have moved on.
+    assert_eq!((&first.0, first.3), (&second.0, second.3));
 
     // A burst that touches every node: an 8-node line with the chain's
     // two halves at its ends, so both overlay links transit n2..n7.
@@ -906,45 +943,13 @@ fn sharded_inject_batch_matches_sequential_workers() {
         d.deploy_with(&split_bridge_chain(), &ends).unwrap();
         d
     };
-    // Everything the drain may not change: egress multiset, per-link
-    // wire counters, cost, hop count — and the ledger must balance.
-    type Digest = (
-        Vec<(String, String, Vec<u8>)>,
-        Vec<(u16, u64, u64)>,
-        Cost,
-        u32,
-    );
-    let digest = |d: &Domain, io: &DomainIo| -> Digest {
-        let mut emitted: Vec<(String, String, Vec<u8>)> = io
-            .emitted
-            .iter()
-            .map(|(n, p, pkt)| (n.to_string(), p.to_string(), pkt.data().to_vec()))
-            .collect();
-        emitted.sort();
-        let links = d
-            .link_reports()
-            .into_iter()
-            .map(|l| (l.vid, l.packets, l.bytes))
-            .collect();
-        let ledger = d.conservation_report();
-        assert!(ledger.balanced(), "{ledger:?}");
-        (emitted, links, io.cost, io.overlay_hops)
-    };
-    let mut seq = line();
-    let first = seq.inject_batch(ingress(48), 1);
-    assert_eq!(first.emitted.len(), 48, "the line forwards the whole burst");
-    assert_eq!(first.overlay_hops, 48 * 7, "every frame crosses all 7 hops");
-    let first = digest(&seq, &first);
-    let second = seq.inject_batch(ingress(16), 1);
-    let second = digest(&seq, &second);
-    for (workers, then) in [(2usize, 3usize), (3, 8), (8, 2)] {
-        let mut sharded = line();
-        let io = sharded.inject_batch(ingress(48), workers);
-        assert_eq!(digest(&sharded, &io), first, "{workers} workers");
-        // Same domain, different worker count: the runtime is rebuilt.
-        let io = sharded.inject_batch(ingress(16), then);
-        assert_eq!(digest(&sharded, &io), second, "{workers} then {then}");
-    }
+    let (first, second) = twins(&line, 48, 16);
+    assert_eq!(first.0.len(), 48, "the line forwards the whole burst");
+    assert!(in_ingress_order(&first.0), "one path: first in, first out");
+    assert_eq!(first.3, 48 * 7, "every frame crosses all 7 hops");
+    // The repeat is a prefix of the first burst, and emits as one.
+    assert_eq!(second.0[..], first.0[..16]);
+    assert_eq!(second.3, 16 * 7);
 }
 
 #[test]
@@ -964,12 +969,10 @@ fn batch_ingress_to_unknown_and_dead_nodes_is_counted() {
     assert!(io.emitted.is_empty());
     assert_eq!(d.trace.counter("inject_unknown_node"), 1);
     assert_eq!(d.trace.counter("inject_dead_node"), 1);
-    // A fully mis-addressed burst seeds nothing, so even a multi-worker
-    // call has nothing to spawn shard threads for.
+    // A fully mis-addressed burst seeds nothing and drains nothing.
     let io = d.inject_batch(vec![("ghost", "eth0", frame())], 4);
     assert!(io.emitted.is_empty());
     assert_eq!(d.trace.counter("inject_unknown_node"), 2);
-    assert!(d.runtime.is_none(), "no frames, no shard runtime");
     assert!(d.conservation_report().balanced());
 }
 

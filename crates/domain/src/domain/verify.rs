@@ -174,13 +174,10 @@ impl Domain {
         snap.links = self
             .links
             .iter()
-            .map(|(vid, state)| {
-                let state = state.lock().expect("link lock poisoned");
-                LinkInfo {
-                    vid: *vid,
-                    graph: state.graph.clone(),
-                    path: state.path.clone(),
-                }
+            .map(|(vid, state)| LinkInfo {
+                vid: *vid,
+                graph: state.graph.clone(),
+                path: state.path.clone(),
             })
             .collect();
         snap.leases = self

@@ -45,7 +45,6 @@
 pub mod domain;
 pub mod partition;
 pub mod placement;
-mod runtime;
 pub mod sharing;
 pub mod standby;
 pub mod topology;

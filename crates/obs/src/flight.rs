@@ -337,9 +337,10 @@ impl PacketTrace {
 
 /// The recording endpoint a traced frame carries through the stack.
 ///
-/// Shared across shuttle workers via `Arc`; exactly one frame is in
-/// flight per traced call, so a plain mutex-guarded hop vector keeps
-/// recording order without any hot-path cleverness. When no trace is
+/// Lives on the stack of the traced call and is lent down it as
+/// `&TraceSink`; exactly one frame is in flight per traced call, so a
+/// plain mutex-guarded hop vector records through the shared borrow
+/// without any hot-path cleverness. When no trace is
 /// active the sink simply is not there (`Option<&TraceSink>` is `None`)
 /// and the data plane pays nothing.
 pub struct TraceSink {

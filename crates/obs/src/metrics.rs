@@ -11,11 +11,12 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// Number of shard slots per metric. Writers are spread across shards by a
-/// per-thread index, so concurrent workers rarely touch the same cache line.
+/// per-thread index, so concurrent writers (a domain on its caller's thread,
+/// REST handlers beside it) rarely touch the same cache line.
 pub const SHARDS: usize = 16;
 
 /// A cache-line-padded atomic cell; padding prevents false sharing between
-/// adjacent shards when many worker threads record concurrently.
+/// adjacent shards when several threads record concurrently.
 #[repr(align(64))]
 #[derive(Default)]
 struct PaddedU64(AtomicU64);
