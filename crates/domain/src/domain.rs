@@ -4,17 +4,22 @@
 //! them with [`crate::placement`] + [`mod@crate::partition`], deploys the
 //! parts, and stitches cut edges with **inter-node overlay links**:
 //! VLAN-tagged virtual wires riding a dedicated fabric interface on
-//! every node, optionally ESP-protected with `un-ipsec` (real
-//! encrypt/verify per shuttled frame, so corruption on the inter-node
-//! wire can never deliver wrong bytes).
+//! every node, optionally ESP-protected with `un-ipsec` — one SA pair
+//! per link, end to end: a frame is really sealed at the link's head
+//! and really opened at its tail, the sealed frame is what every hop
+//! carries, a transit node switches it on its outer vid and never
+//! holds the tenant's bytes, and corruption anywhere on the path can
+//! never deliver wrong bytes (the wire format lives in `crate::wire`).
 //!
 //! The data plane is a **batched shuttle**: [`Domain::inject_batch`]
 //! drains a node's whole pending burst through the node's
 //! run-to-completion batch path, buckets fabric-bound egress by VLAN
-//! link, seals/verifies ESP per burst, and hands each peer node its
-//! burst at once — all on the caller's thread, with the fleet and the
-//! links borrowed in place (one owner per piece of state, nothing to
-//! lock). [`Domain::inject`] is the single-frame wrapper.
+//! link, carries each bucket over the next hop of its path (sealing at
+//! the first hop of a protected link, opening at the last), and hands
+//! each peer node its burst at once — all on the caller's thread, with
+//! the fleet and the links borrowed in place (one owner per piece of
+//! state, nothing to lock). [`Domain::inject`] is the single-frame
+//! wrapper.
 //!
 //! Failure handling is **incremental repair**: a stale heartbeat first
 //! marks a node [`NodeHealth::Suspect`] (it keeps serving; a late
@@ -99,8 +104,9 @@ const OVERLAY_VID_BASE: u16 = 3000;
 pub struct DomainConfig {
     /// Physical interface reserved on every node for overlay traffic.
     pub fabric_port: String,
-    /// Protect overlay frames with ESP (encrypt on egress, verify on
-    /// ingress) while crossing between nodes.
+    /// Protect overlay frames with ESP while crossing between nodes:
+    /// sealed once at the link's head, opened once at its tail, carried
+    /// as ciphertext over every hop in between.
     pub protect_overlay: bool,
     /// The fabric topology: which nodes are directly wired. The
     /// default full mesh keeps every overlay path single-hop; an
@@ -116,9 +122,13 @@ pub struct DomainConfig {
     /// inclusive). Lets operators reserve part of the VLAN space —
     /// and lets tests exhaust the pool cheaply.
     pub overlay_vid_base: u16,
-    /// Fixed ESP cost per protected frame (each direction).
+    /// Fixed ESP cost per protected frame and operation: charged once
+    /// for the seal at the link's head and once for the open at its
+    /// tail, however many hops lie between.
     pub esp_fixed_ns: u64,
-    /// Per-byte ESP cost (each direction), in nanoseconds.
+    /// Per-byte ESP cost, in nanoseconds per byte of the *inner* frame
+    /// (the fabric-tagged frame that is sealed), charged with
+    /// `esp_fixed_ns`: twice per link traversal, not twice per hop.
     pub esp_ns_per_byte: f64,
     /// Heartbeats older than this mark a node **suspect** at
     /// [`Domain::tick`] (slow, not yet dead: it keeps serving and no
@@ -311,7 +321,9 @@ pub struct DomainIo {
     pub cost: Cost,
     /// Overlay link traversals.
     pub overlay_hops: u32,
-    /// Bytes that crossed ESP-protected links (0 when unprotected).
+    /// Inner bytes sealed onto ESP-protected links: a frame's
+    /// fabric-tagged length, counted once per link it rides whatever
+    /// the link's hop count (0 when unprotected).
     pub protected_bytes: u64,
 }
 
@@ -425,6 +437,9 @@ struct ManagedNode {
     last_heartbeat: SimTime,
 }
 
+/// The SA pair of one protected overlay link: `(outbound, inbound)`.
+type LinkSas = Box<(SecurityAssociation, SecurityAssociation)>;
+
 struct LinkState {
     link: OverlayLink,
     graph: String,
@@ -433,11 +448,19 @@ struct LinkState {
     path: Vec<String>,
     /// Cost of each path hop, in ns (`path.len() - 1` entries).
     hop_latency_ns: Vec<u64>,
-    /// Outbound + inbound SA pair protecting this wire (ESP mode).
-    sas: Option<Box<(SecurityAssociation, SecurityAssociation)>>,
-    /// Logical frames carried, counted at **every** hop of the pinned
-    /// path (`path.len() - 1` hop crossings per end-to-end frame).
+    /// The SA pair protecting this wire, end to end (ESP mode): the
+    /// outbound SA seals at `path[0]`, the inbound SA opens at the last
+    /// node, and no node in between is handed either. It belongs to
+    /// this *incarnation* of the link — minted under a fresh
+    /// `Domain::link_epoch` when the link is created or its endpoints
+    /// change, carried (sequence number and replay window included)
+    /// across rule updates and reroutes.
+    sas: Option<LinkSas>,
+    /// Frames on the wire, counted at **every** hop of the pinned path
+    /// (`path.len() - 1` hop crossings per end-to-end frame).
     packets: u64,
+    /// Bytes on the wire, counted like `packets`: the sealed length on
+    /// a protected link.
     bytes: u64,
     /// Per-hop frame counts (`path.len() - 1` entries, hop i =
     /// `path[i] → path[i+1]`). Reset when a repair reroutes the wire.
@@ -483,6 +506,10 @@ pub struct Domain {
     parked_at: BTreeMap<String, Instant>,
     /// The overlay VLAN id pool.
     vids: plan::VidPool,
+    /// How many link SA pairs were ever minted. Every derivation runs
+    /// under the next value, so a vid that returns to the pool and
+    /// comes back never meets its old key again.
+    link_epoch: u64,
     clock: SimTime,
     /// Domain-level counters (`graphs_deployed`, `overlay_frames`, …).
     pub trace: TraceLog,
@@ -516,6 +543,7 @@ impl Domain {
             calibration: RepairCalibration::default(),
             parked_at: BTreeMap::new(),
             vids,
+            link_epoch: 0,
             clock: SimTime::ZERO,
             trace: TraceLog::new(),
             obs,
@@ -880,11 +908,11 @@ impl Domain {
     /// The shuttle (the `shuttle` child module) is batched end to end:
     /// each node's pending frames are drained through
     /// [`UniversalNode::inject_batch`] in one call, fabric-bound egress
-    /// is bucketed by VLAN link, ESP links seal/verify per burst, and
-    /// the peer node receives its whole burst at once. Nodes with
-    /// pending work wait in one FIFO ready queue; the fleet and the
-    /// links are borrowed in place, so the same burst on the same
-    /// domain always drains in the same order.
+    /// is bucketed by VLAN link, ESP links seal at their first hop and
+    /// open at their last, and the peer node receives its whole burst
+    /// at once. Nodes with pending work wait in one FIFO ready queue;
+    /// the fleet and the links are borrowed in place, so the same burst
+    /// on the same domain always drains in the same order.
     ///
     /// `workers` is accepted and **ignored**: the drain is
     /// single-threaded (a second thread measured 0.99–1.13× on the
@@ -939,7 +967,7 @@ impl Domain {
     /// Walk a synthetic frame through the domain in **ghost mode**: the
     /// frame takes exactly the decisions the real data plane would take
     /// (classifier lookups, NF processing, overlay routing, real ESP
-    /// seal/verify on cloned SAs) but moves **no counters** — node and
+    /// seal and open on cloned SAs) but moves **no counters** — node and
     /// domain trace counters, switch/port statistics, microflow caches,
     /// link wire counters and observability histograms are all left
     /// untouched, so a trace probe is invisible to the conservation

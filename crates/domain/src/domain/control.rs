@@ -17,11 +17,12 @@ use std::net::Ipv4Addr;
 use un_core::DeployReport;
 use un_ipsec::SecurityAssociation;
 use un_nffg::{validate, NfFg};
-use un_sim::DetRng;
 
 use super::plan::{plan, Constraints, Plan};
-use super::{DeployHints, Domain, DomainConfig, DomainError, DomainGraph, DomainReport, LinkState};
-use crate::partition::{OverlayLink, Partition};
+use super::{
+    DeployHints, Domain, DomainConfig, DomainError, DomainGraph, DomainReport, LinkSas, LinkState,
+};
+use crate::partition::Partition;
 use crate::sharing::{ShareKey, SharedClaim};
 use crate::standby::GraphAvailability;
 
@@ -64,20 +65,25 @@ fn hop_latencies(config: &DomainConfig, path: &[String]) -> Vec<u64> {
         .collect()
 }
 
-/// Derive a deterministic SA pair for one overlay link.
-fn derive_link_sas(seed: u64, link: &OverlayLink) -> (SecurityAssociation, SecurityAssociation) {
-    let mut rng = DetRng::new(seed ^ (u64::from(link.vid) << 16));
-    let mut key = [0u8; 32];
-    let mut salt = [0u8; 4];
-    rng.fill(&mut key);
-    rng.fill(&mut salt);
-    let spi = 0x4f56_0000 | u32::from(link.vid); // 'OV' + vid
+/// Mint the SA pair of one link *incarnation*: HKDF over the domain
+/// seed with `info = "un-ovl" ‖ vid ‖ epoch`. The epoch is what keeps a
+/// re-used vid from re-using a (key, nonce): sequence numbers restart
+/// at zero under every new pair, so no two pairs may share a key.
+fn derive_link_sas(seed: u64, vid: u16, epoch: u64) -> LinkSas {
+    let mut info = [0u8; 16];
+    info[..6].copy_from_slice(b"un-ovl");
+    info[6..8].copy_from_slice(&vid.to_be_bytes());
+    info[8..].copy_from_slice(&epoch.to_be_bytes());
+    let spi = 0x4f56_0000 | u32::from(vid); // 'OV' + vid
     let src = Ipv4Addr::new(10, 255, 255, 1);
     let dst = Ipv4Addr::new(10, 255, 255, 2);
-    (
-        SecurityAssociation::outbound(spi, src, dst, key, salt),
-        SecurityAssociation::inbound(spi, src, dst, key, salt),
-    )
+    Box::new(SecurityAssociation::derive_pair(
+        &seed.to_be_bytes(),
+        &info,
+        spi,
+        src,
+        dst,
+    ))
 }
 
 impl Domain {
@@ -207,10 +213,13 @@ impl Domain {
     ///   a changed part is updated, a new one deployed, and a serving
     ///   node whose part vanished from the plan undeploys it;
     /// * an overlay vid the plan inherits **keeps its `LinkState`** —
-    ///   packet/byte totals, SA material and replay windows carry
-    ///   across — with peer routing and the pinned path updated in
-    ///   place (per-hop counters restart only on a rerouted wire);
-    ///   vids the plan dropped return to the pool, fresh ones register;
+    ///   packet/byte totals carry across — with peer routing and the
+    ///   pinned path updated in place (per-hop counters restart only on
+    ///   a rerouted wire). Its SA pair, sequence number and replay
+    ///   window included, carries across too as long as the link still
+    ///   joins the same two nodes; a kept vid whose endpoints moved is
+    ///   a new wire and gets a fresh pair, as every fresh vid does.
+    ///   Vids the plan dropped return to the pool;
     /// * standbys staged against `old` are released, leases follow the
     ///   plan's claims, and the hosts of old ∪ new are marked for
     ///   re-verification — on success and on failure alike.
@@ -281,15 +290,18 @@ impl Domain {
             }
         }
         let mut links_up = 0u64;
+        let minted_before = self.link_epoch;
+        let (seed, epoch) = (self.config.seed, &mut self.link_epoch);
+        let mut fresh_sas = |vid| {
+            *epoch += 1;
+            derive_link_sas(seed, vid, *epoch)
+        };
         for link in &plan.partition.links {
             let path = &plan.paths[&link.vid];
             let hops = path.len() - 1;
             match self.links.entry(link.vid) {
                 Entry::Vacant(slot) => {
-                    let sas = self
-                        .config
-                        .protect_overlay
-                        .then(|| Box::new(derive_link_sas(self.config.seed, link)));
+                    let sas = self.config.protect_overlay.then(|| fresh_sas(link.vid));
                     slot.insert(LinkState {
                         link: link.clone(),
                         graph: gid.to_string(),
@@ -308,6 +320,10 @@ impl Domain {
                     if state.link.from_node == link.from_node && state.link.to_node == link.to_node
                     {
                         done.links_kept += 1;
+                    } else if let Some(sas) = &mut state.sas {
+                        // Another node holds an end now: it is never
+                        // handed the old pair or its sequence counter.
+                        *sas = fresh_sas(link.vid);
                     }
                     state.link = link.clone();
                     if state.path != *path {
@@ -324,6 +340,10 @@ impl Domain {
         }
         done.links_rewired = plan.partition.links.len() - done.links_kept;
         self.trace.count("overlay_links_up", links_up);
+        let minted = self.link_epoch - minted_before;
+        if minted > 0 {
+            self.trace.count("overlay_sas_minted", minted);
+        }
         self.commit_shared(gid, &plan.shared);
         self.graphs.insert(
             gid.to_string(),

@@ -64,15 +64,20 @@ pub struct LinkReport {
     pub path: Vec<String>,
     /// True when the wire is ESP-protected.
     pub protected: bool,
-    /// Logical frames carried, counted at **every** hop of the path
+    /// Frames on the wire, counted at **every** hop of the path
     /// (`path.len() - 1` hop crossings per end-to-end frame).
     pub packets: u64,
-    /// Bytes carried, counted like `packets`.
+    /// Bytes on the wire, counted like `packets`. On a protected link
+    /// that is the sealed length — the inner frame plus the outer
+    /// header and ESP framing — at every hop: transit carries
+    /// ciphertext.
     pub bytes: u64,
     /// Per-hop frame counts: hop `i` is the crossing `path[i] →
     /// path[i+1]`. Reset when a repair reroutes the wire.
     pub hop_packets: Vec<u64>,
-    /// Per-hop byte counts, indexed like `hop_packets`.
+    /// Per-hop byte counts, indexed like `hop_packets`; equal on every
+    /// hop a frame crossed, since a protected link carries the same
+    /// sealed bytes end to end.
     pub hop_bytes: Vec<u64>,
 }
 

@@ -14,7 +14,10 @@
 //!    pending, bucket its fabric-bound egress by VLAN link;
 //! 3. **cross one link** ([`Drain::cross_link`]) — carry one such
 //!    bucket over the next hop of its pinned path (wire counters, hop
-//!    cost, per-burst ESP) and queue the survivors on the peer.
+//!    cost) and queue the survivors on the peer. A protected link
+//!    seals each frame at the first hop and opens it at the last
+//!    ([`crate::wire`]); every hop in between carries the sealed frame
+//!    and its transit node switches it on the outer vid alone.
 //!
 //! Per call only the [`Work`] list is built: a queue per *touched*
 //! node and the FIFO of nodes with work. Untouched nodes cost nothing.
@@ -26,12 +29,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use un_core::{Name, PortId};
-use un_ipsec::{esp, SecurityAssociation};
 use un_obs::{DropReason, HopKind, TraceSink};
 use un_packet::Packet;
 use un_sim::Cost;
 
-use super::{Domain, DomainConfig, DomainIo, LinkState, ManagedNode, NodeHealth};
+use super::{Domain, DomainConfig, DomainIo, LinkSas, LinkState, ManagedNode, NodeHealth};
+use crate::wire;
 
 /// Frames bound for one node, each with the port it enters on.
 type Burst = Vec<(PortId, Packet)>;
@@ -207,6 +210,11 @@ struct Drain<'a> {
     /// this valve trades completeness under amplification for a hard
     /// bound.
     crossings_left: u64,
+    /// A ghost walk seals and opens for real, on SAs **cloned** at its
+    /// first touch of a link and kept for the call: sequence numbers
+    /// and replay windows move, and a probe must not advance the live
+    /// wire's state. Stays empty on a real walk.
+    ghost_sas: BTreeMap<u16, Option<LinkSas>>,
     tally: Tally<'a>,
 }
 
@@ -307,52 +315,90 @@ impl Drain<'_> {
             }
         };
         let hop_cost = Cost::from_nanos(link.hop_latency_ns.get(hop_idx).copied().unwrap_or(0));
+        let peer = link.path[next_idx].as_str();
         let esp_on = link.sas.is_some();
-        // Ghost walks exercise the real ESP path on **cloned** SAs:
-        // seal/verify mutate sequence numbers and replay windows, and a
-        // probe must not advance the live wire's state.
-        let mut ghost_sas = if out.ghost { link.sas.clone() } else { None };
+        let sas = if out.ghost {
+            let cloned = self.ghost_sas.entry(vid);
+            cloned.or_insert_with(|| link.sas.clone()).as_deref_mut()
+        } else {
+            link.sas.as_deref_mut()
+        };
+        // One side of the SA pair works per end of the pinned path: the
+        // head seals, the tail opens (a one-hop link is both at once).
+        let (mut seal, mut open) = match sas {
+            Some((sa_out, sa_in)) => (
+                (hop_idx == 0).then_some(sa_out),
+                (hop_idx + 2 == link.path.len()).then_some(sa_in),
+            ),
+            None => (None, None),
+        };
+        let esp_cost = |inner_len: usize| {
+            let ns =
+                self.config.esp_fixed_ns as f64 + self.config.esp_ns_per_byte * inner_len as f64;
+            Cost::from_nanos(ns as u64)
+        };
         let mut survivors: Vec<Packet> = Vec::with_capacity(n);
-        for pkt in frames {
-            let len = pkt.len() as u64;
-            // Wire counters count logical frames at every hop of the
-            // pinned path — a frame whose TTL is spent is still on the
-            // wire here, and dies below.
-            if !out.ghost {
-                link.count_hop(hop_idx, len);
+        let (mut wire_frames, mut wire_bytes) = (0u64, 0u64);
+        for mut pkt in frames {
+            if let Some(sa_out) = seal.as_deref_mut() {
+                let inner_len = pkt.len();
+                out.io.cost += esp_cost(inner_len);
+                pkt = match wire::seal(sa_out, pkt, vid) {
+                    Ok(sealed) => sealed,
+                    Err(e) => {
+                        let detail = format_args!("vid {vid}: {e}");
+                        out.drop(from, DropReason::OverlayEspSealFail, 1, detail);
+                        continue;
+                    }
+                };
+                out.io.protected_bytes += inner_len as u64;
             }
+            // Wire counters count what is on the wire at every hop of
+            // the pinned path — the sealed length on a protected one. A
+            // frame whose TTL is spent is still on the wire here, and
+            // dies below.
+            let len = pkt.len();
+            wire_frames += 1;
+            wire_bytes += len as u64;
             out.io.overlay_hops += 1;
             out.io.cost += hop_cost;
-            let sas = if out.ghost {
-                ghost_sas.as_deref_mut()
-            } else {
-                link.sas.as_deref_mut()
-            };
-            if let Some(sas) = sas {
-                let per_dir =
-                    self.config.esp_fixed_ns as f64 + self.config.esp_ns_per_byte * len as f64;
-                out.io.cost += Cost::from_nanos((2.0 * per_dir) as u64);
-                if let Err(reason) = protect(sas, pkt.data()) {
-                    out.drop(from, reason, 1, format_args!("vid {vid}"));
-                    continue;
-                }
-                out.io.protected_bytes += len;
-            }
             if let Some(f) = out.flight {
                 f.hop(
                     from,
                     HopKind::OverlayHop {
                         vid,
                         from: from.to_string(),
-                        to: link.path[next_idx].clone(),
+                        to: peer.to_string(),
                         hop: hop_idx,
                         esp: esp_on,
                         ttl_left,
                     },
                 );
             }
+            if let Some(sa_in) = open.as_deref_mut() {
+                let opened = wire::open(sa_in, pkt, vid);
+                // The open is paid for whether or not it succeeds: by
+                // the inner length, or by what the AEAD walked (up to
+                // three bytes of padding more) when it is never known.
+                let walked = opened
+                    .as_ref()
+                    .map_or(len.saturating_sub(wire::OVERHEAD), Packet::len);
+                out.io.cost += esp_cost(walked);
+                pkt = match opened {
+                    Ok(frame) => frame,
+                    Err(e) => {
+                        let detail = format_args!("vid {vid}: {e}");
+                        out.drop(peer, DropReason::OverlayEspVerifyFail, 1, detail);
+                        continue;
+                    }
+                };
+            }
             survivors.push(pkt);
         }
+        if !out.ghost {
+            link.count_hop(hop_idx, wire_frames, wire_bytes);
+        }
+        // Borrowed again: the count above took the link whole.
         let peer = link.path[next_idx].as_str();
         let k = survivors.len();
         if k == 0 {
@@ -382,33 +428,18 @@ impl Drain<'_> {
     }
 }
 
-/// Protect one frame across the wire: real ESP seal on egress, real
-/// verify+open on ingress. A frame that fails either never reaches the
-/// peer; the error says which drop it died of.
-fn protect(
-    sas: &mut (SecurityAssociation, SecurityAssociation),
-    frame: &[u8],
-) -> Result<(), DropReason> {
-    let (sa_out, sa_in) = sas;
-    let sealed = esp::encapsulate(sa_out, frame).map_err(|_| DropReason::OverlayEspSealFail)?;
-    match esp::decapsulate(sa_in, &sealed) {
-        Ok(inner) if inner == frame => Ok(()),
-        _ => Err(DropReason::OverlayEspVerifyFail),
-    }
-}
-
 impl LinkState {
-    /// Count one logical frame of `len` bytes presented to hop
+    /// Count `frames` frames of `bytes` bytes in all on the wire at hop
     /// `hop_idx` of the pinned path: a frame riding an n-hop wire adds
     /// n to `packets` and one to each `hop_packets[i]`.
-    fn count_hop(&mut self, hop_idx: usize, len: u64) {
-        self.packets += 1;
-        self.bytes += len;
+    fn count_hop(&mut self, hop_idx: usize, frames: u64, bytes: u64) {
+        self.packets += frames;
+        self.bytes += bytes;
         if let Some(hp) = self.hop_packets.get_mut(hop_idx) {
-            *hp += 1;
+            *hp += frames;
         }
         if let Some(hb) = self.hop_bytes.get_mut(hop_idx) {
-            *hb += len;
+            *hb += bytes;
         }
     }
 }
@@ -432,6 +463,7 @@ impl Domain {
             config: &self.config,
             work: Work::default(),
             crossings_left: 0,
+            ghost_sas: BTreeMap::new(),
             tally: Tally::new(flight),
         };
         drain.seed(ingress, self.config.overlay_ttl.max(1));

@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use un_core::UniversalNode;
@@ -1133,17 +1133,313 @@ fn multi_hop_egress_matches_full_mesh_egress() {
     }
 }
 
+/// A frame whose 64-byte payload is a pattern no cipher output will
+/// repeat by chance, `tag` in its first byte.
+fn patterned_frame(tag: u8) -> un_packet::Packet {
+    let mut payload: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+    payload[0] = tag;
+    PacketBuilder::new()
+        .ethernet(MacAddr::local(1), MacAddr::local(2))
+        .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(192, 0, 2, 9))
+        .udp(5000, 5001)
+        .payload(&payload)
+        .build()
+}
+
+/// The bytes n2's own switch hands out of a tap port once its transit
+/// rule for the forward link is re-pointed there: what n2's fabric port
+/// received, as n2 sees it.
+fn tap_transit_at_n2(d: &mut Domain, frames: u8) -> Vec<Vec<u8>> {
+    let fwd = d.link_reports().into_iter().find(|l| l.from == "n1");
+    let vid = fwd.expect("a forward link").vid;
+    let mut part = d.partition_of("g1").unwrap().parts["n2"].clone();
+    part.endpoints.push(un_nffg::Endpoint {
+        id: "tap".to_string(),
+        kind: un_nffg::EndpointKind::Interface {
+            if_name: "tap0".to_string(),
+        },
+    });
+    let transit = format!("ovl-{vid}-transit");
+    let transit = part.flow_rules.iter_mut().find(|r| r.id == transit);
+    transit.expect("n2 transits the forward link").actions = vec![un_nffg::RuleAction::Output(
+        un_nffg::PortRef::Endpoint("tap".to_string()),
+    )];
+    let n2 = d.node_mut("n2").unwrap();
+    n2.add_physical_port("tap0");
+    n2.update(&part).unwrap();
+    let tapped = (0..frames).flat_map(|i| d.inject("n1", "eth0", patterned_frame(i)).emitted);
+    tapped
+        .map(|(node, port, pkt)| {
+            assert_eq!((node.as_str(), port.as_str()), ("n2", "tap0"));
+            pkt.data().to_vec()
+        })
+        .collect()
+}
+
+/// End-to-end SAs on the 2-hop line n1–n2–n3: k frames cost k seals and
+/// k opens whatever the hop count, every hop carries the sealed length,
+/// and the transit node never holds a window of the tenant's payload.
 #[test]
-fn esp_protection_covers_every_fabric_hop() {
+fn a_protected_link_seals_once_and_transit_carries_ciphertext() {
+    const K: u64 = 5;
     let mut d = line_domain(true);
     d.deploy_with(&split_bridge_chain(), &far_hints()).unwrap();
+    // The fabric-tagged frame n1 emits is the tenant's plus one tag; at
+    // this length ESP pads nothing.
+    let inner = patterned_frame(0).len() as u64 + 4;
+    assert_eq!((inner + 2) % 4, 0);
+    let sealed = inner + crate::wire::OVERHEAD as u64;
+    for i in 0..K {
+        let io = d.inject("n1", "eth0", patterned_frame(i as u8));
+        assert_eq!(io.emitted.len(), 1);
+        assert_eq!(io.emitted[0].2, patterned_frame(i as u8), "opened intact");
+        assert_eq!(io.overlay_hops, 2);
+        assert_eq!(io.protected_bytes, inner, "inner bytes, sealed once");
+    }
+    let fwd = d.link_reports().into_iter().find(|l| l.from == "n1");
+    let fwd = fwd.expect("a forward link");
+    assert_eq!(fwd.path, ["n1", "n2", "n3"]);
+    assert_eq!(fwd.hop_packets, [K, K]);
+    assert_eq!(
+        fwd.hop_bytes,
+        [K * sealed, K * sealed],
+        "ciphertext on both"
+    );
+    assert_eq!((fwd.packets, fwd.bytes), (2 * K, 2 * K * sealed));
+    let (sa_out, sa_in) = &**d.links[&fwd.vid].sas.as_ref().expect("protected");
+    assert_eq!((sa_out.packets, sa_in.packets), (K, K));
+    assert_eq!((sa_out.bytes, sa_in.bytes), (K * inner, K * inner));
+    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert!(d.conservation_report().balanced());
+
+    // A ghost probe seals at n1 and opens at n3 like any frame, on
+    // cloned SAs: it egresses, and the live wire's state stays put.
+    let probe = d.trace_frame("n1", "eth0", patterned_frame(0));
+    assert!(probe.drops().is_empty(), "{}", probe.render());
+    let last = probe.hops.last().expect("a walk");
+    assert_eq!(last.node, "n3", "{}", probe.render());
+    assert!(matches!(&last.kind, un_obs::HopKind::Egress { port } if port == "eth1"));
+    let (sa_out, sa_in) = &**d.links[&fwd.vid].sas.as_ref().expect("protected");
+    assert_eq!((sa_out.seq_out, sa_in.packets), (K as u32, K));
+    let fwd_now = d.link_reports().into_iter().find(|l| l.vid == fwd.vid);
+    assert_eq!(fwd_now.expect("still up").hop_packets, [K, K]);
+
+    // Observed at n2, not inferred: the tap sees frames of the sealed
+    // length without one 16-byte window of the payload. The same tap
+    // on an unprotected twin sees the payload whole, so it does observe.
+    let tapped = tap_transit_at_n2(&mut d, 3);
+    assert_eq!(tapped.len(), 3);
+    for (i, seen) in tapped.iter().enumerate() {
+        // n2's vlan endpoint popped the outer tag on the way in.
+        assert_eq!(seen.len() as u64, sealed - 4);
+        assert_eq!(seen[12..14], [0x88, 0xB5], "a sealed frame");
+        let clear = patterned_frame(i as u8);
+        let payload = &clear.data()[clear.len() - 64..];
+        for window in payload.windows(16) {
+            assert!(!seen.windows(16).any(|w| w == window), "leak at n2");
+        }
+    }
+    let mut plain = line_domain(false);
+    plain
+        .deploy_with(&split_bridge_chain(), &far_hints())
+        .unwrap();
+    let tapped = tap_transit_at_n2(&mut plain, 1);
+    assert!(tapped[0].ends_with(&patterned_frame(0).data()[14..]));
+
+    // A one-hop link costs what it always did: one seal and one open of
+    // the inner frame on top of the unprotected crossing.
+    let mesh_cost = |protect_overlay: bool| {
+        let mut d = Domain::new(DomainConfig {
+            protect_overlay,
+            ..DomainConfig::default()
+        });
+        for (name, port) in [("n1", "eth0"), ("n2", "eth1")] {
+            let mut n = UniversalNode::new(name, mb(2048));
+            n.add_physical_port(port);
+            d.add_node(n);
+        }
+        d.deploy_with(&split_bridge_chain(), &split_hints())
+            .unwrap();
+        d.inject("n1", "eth0", patterned_frame(0)).cost
+    };
+    let esp = Cost::from_nanos((2.0 * (700.0 + 2.0 * inner as f64)) as u64);
+    assert_eq!(mesh_cost(true), mesh_cost(false) + esp);
+}
+
+/// The ring `n1–n2–n3–n4–n1` with ESP on, overlay vids from
+/// `overlay_vid_base`, and node `i` exposing `ports[i]`.
+fn protected_ring(overlay_vid_base: u16, ports: [&[&str]; 4]) -> Domain {
+    let names = ["n1", "n2", "n3", "n4"];
+    let mut d = Domain::new(DomainConfig {
+        topology: Topology::ring(&names, EdgeAttrs::default()),
+        protect_overlay: true,
+        overlay_vid_base,
+        ..DomainConfig::default()
+    });
+    for (name, ports) in names.into_iter().zip(ports) {
+        let mut n = UniversalNode::new(name, mb(2048));
+        for port in ports {
+            n.add_physical_port(port);
+        }
+        d.add_node(n);
+    }
+    d
+}
+
+/// The `(key, salt, next sequence number)` of every protected link.
+fn sa_states(d: &Domain) -> BTreeMap<u16, ([u8; 32], [u8; 4], u32)> {
+    let protected = d
+        .links
+        .iter()
+        .filter_map(|(vid, l)| Some((vid, l.sas.as_ref()?)));
+    protected
+        .map(|(vid, sas)| (*vid, (sas.0.key, sas.0.salt, sas.0.seq_out)))
+        .collect()
+}
+
+/// A vid that returns to the pool and comes back is a new link with a
+/// new key: the same plaintext sealed at the same sequence number on
+/// the same vid gives different bytes.
+#[test]
+fn a_reused_vid_never_reuses_a_key() {
+    let mut d = line_domain(true);
+    // Per incarnation and vid: the key, and the first frame of the
+    // link re-sealed under a rewound copy of its SA.
+    let mut incarnations = Vec::new();
+    for _ in 0..2 {
+        d.deploy_with(&split_bridge_chain(), &far_hints()).unwrap();
+        assert_eq!(d.inject("n1", "eth0", patterned_frame(0)).emitted.len(), 1);
+        let first_frames: BTreeMap<u16, _> = d
+            .links
+            .iter()
+            .map(|(vid, link)| {
+                let mut sa_out = link.sas.as_ref().expect("protected").0.clone();
+                sa_out.seq_out = 0;
+                let mut tagged = patterned_frame(0);
+                tagged.vlan_push(*vid).unwrap();
+                let wire = crate::wire::seal(&mut sa_out, tagged, *vid).unwrap();
+                (*vid, (sa_out.key, wire.data().to_vec()))
+            })
+            .collect();
+        incarnations.push(first_frames);
+        d.undeploy("g1").unwrap();
+    }
+    let (first, second) = (&incarnations[0], &incarnations[1]);
+    assert!(
+        first.keys().eq(second.keys()),
+        "the pool handed the vids back"
+    );
+    for (vid, (key, wire)) in first {
+        assert_ne!(*key, second[vid].0, "vid {vid}: another key");
+        assert_ne!(*wire, second[vid].1, "vid {vid}: another sealed frame");
+        assert_eq!(wire.len(), second[vid].1.len());
+    }
+}
+
+/// Across 200 deploy / update / fail / recover / undeploy steps on a
+/// ring with a five-vid pool, traffic after every step: an SA never
+/// rewinds, and a key that left the fleet never comes back — so no
+/// `(key, salt, seq)` is ever sealed twice.
+#[test]
+fn no_key_and_sequence_number_is_ever_sealed_twice() {
+    let names = ["n1", "n2", "n3", "n4"];
+    let mut d = protected_ring(4090, [&["eth0", "eth1"]; 4]);
+    let graph = |id: &str, priority: u16| {
+        let mut g = split_bridge_chain();
+        g.id = id.to_string();
+        g.flow_rules[0].priority = priority;
+        g
+    };
+    let hints = |br1: &str, br2: &str| DeployHints {
+        endpoint_node: [("lan", br1), ("wan", br2)]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into(),
+        nf_node: [("br1", br1), ("br2", br2)]
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .into(),
+        strategy: None,
+    };
+    let mut rng = un_sim::DetRng::new(23);
+    let mut live: BTreeMap<([u8; 32], [u8; 4]), u32> = BTreeMap::new();
+    let mut retired = BTreeSet::new();
+    let (mut sealed, mut fresh_keys) = (0u64, 0usize);
+    for step in 0..200u32 {
+        let gid = format!("g{}", rng.next_u32() % 2);
+        let node = names[rng.next_u32() as usize % 4];
+        let other = names[(rng.next_u32() as usize % 3
+            + 1
+            + names.iter().position(|n| *n == node).unwrap())
+            % 4];
+        match rng.next_u32() % 6 {
+            0 | 1 => drop(d.deploy_with(&graph(&gid, 10), &hints(node, other))),
+            2 => drop(d.update(&graph(&gid, 10 + (step % 7) as u16))),
+            3 => drop(d.undeploy(&gid)),
+            4 => drop(d.fail_node(node)),
+            _ => drop(d.recover_node(node)),
+        }
+        for gid in d.graph_ids() {
+            let lan = d.graphs[&gid].endpoints["lan"].clone();
+            sealed += d
+                .inject(&lan, "eth0", patterned_frame(step as u8))
+                .protected_bytes;
+        }
+        let now = sa_states(&d);
+        let in_use: BTreeSet<_> = now.values().map(|s| (s.0, s.1)).collect();
+        retired.extend(live.keys().filter(|k| !in_use.contains(k)).copied());
+        live.retain(|k, _| in_use.contains(k));
+        for (vid, (key, salt, seq)) in now {
+            assert!(
+                !retired.contains(&(key, salt)),
+                "step {step}: vid {vid} got a dead key"
+            );
+            match live.insert((key, salt), seq) {
+                Some(before) => assert!(seq >= before, "step {step}: vid {vid} rewound"),
+                None => fresh_keys += 1,
+            }
+        }
+    }
+    assert!(sealed > 0 && d.trace.counter("overlay_esp_verify_fail") == 0);
+    assert!(
+        fresh_keys > 5,
+        "the five-vid pool was re-used: {fresh_keys} keys"
+    );
+    assert!(retired.len() >= 5, "{} keys retired", retired.len());
+}
+
+/// A repair that moves one end of a kept vid mints a new pair for it; a
+/// reroute between the same two nodes keeps pair and counter.
+#[test]
+fn a_moved_link_end_gets_a_fresh_sa_and_a_reroute_keeps_it() {
+    // `wan` can sit on n3 or, once n3 is gone, on n4.
+    let mut d = protected_ring(3000, [&["eth0"], &["eth0"], &["eth1"], &["eth1"]]);
+    d.deploy_with(&split_bridge_chain(), &far_hints()).unwrap();
+    for _ in 0..3 {
+        assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
+    }
+    let before = sa_states(&d);
+    let transit = d.link_reports()[0].path[1].clone();
+
+    // The transit node dies: same endpoints, new path, same SAs.
+    d.fail_node(&transit).unwrap();
+    assert!(d.link_reports().iter().all(|l| l.path[1] != transit));
+    assert_eq!(sa_states(&d), before, "a reroute keeps key and counter");
+    assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
+
+    // An endpoint node dies: whatever vids survive the repair, no link
+    // keeps a key it had while n3 held an end of it.
+    let before = sa_states(&d);
+    d.fail_node("n3").unwrap();
+    let after = sa_states(&d);
+    assert!(
+        after.keys().any(|vid| before.contains_key(vid)),
+        "the survivor's side of a cut edge keeps its vid: {before:?} -> {after:?}"
+    );
+    for (vid, (key, _, seq)) in &after {
+        assert!(before.values().all(|(k, _, _)| k != key), "vid {vid}");
+        assert_eq!(*seq, 0);
+    }
     let io = d.inject("n1", "eth0", frame());
-    assert_eq!(io.emitted.len(), 1);
-    // Two hops, each sealed + verified: wire counters now also count
-    // per hop, so protected bytes equal the hop-summed wire bytes.
-    let wire_bytes: u64 = d.link_reports().iter().map(|l| l.bytes).sum();
-    assert!(wire_bytes > 0);
-    assert_eq!(io.protected_bytes, wire_bytes, "per-hop ESP");
+    assert_eq!(io.emitted.len(), 1, "{:?}", d.trace);
     assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
 }
 

@@ -34,8 +34,10 @@
 //! * [`domain`] — [`domain::Domain`]: owns the fleet, deploys /
 //!   updates / undeploys partitioned graphs, shuttles frames across
 //!   **inter-node overlay links** (VLAN-tagged virtual wires on a
-//!   dedicated fabric port, optionally ESP-protected via `un-ipsec`,
-//!   routed hop-by-hop over the fabric topology), detects node
+//!   dedicated fabric port, routed hop-by-hop over the fabric
+//!   topology; optionally ESP-protected via `un-ipsec` — sealed once at
+//!   the link's head, opened once at its tail, ciphertext to every
+//!   transit node in between), detects node
 //!   failures and re-places the lost partitions — rerouting overlay
 //!   paths that traversed the casualty.
 
@@ -48,6 +50,7 @@ pub mod placement;
 pub mod sharing;
 pub mod standby;
 pub mod topology;
+mod wire;
 
 pub use domain::{
     ConservationReport, DeployHints, Domain, DomainConfig, DomainError, DomainIo, DomainReport,

@@ -164,6 +164,18 @@ pub fn decapsulate(
     sa: &mut SecurityAssociation,
     esp_payload: &[u8],
 ) -> Result<Vec<u8>, IpsecError> {
+    decapsulate_into(sa, esp_payload, 0)
+}
+
+/// [`decapsulate`] behind `headroom` zero bytes, the mirror of
+/// [`encapsulate_into`]: the inner packet starts at offset `headroom` of
+/// the returned buffer, so the caller adopts it as a packet with room to
+/// prepend headers instead of copying it into one.
+pub fn decapsulate_into(
+    sa: &mut SecurityAssociation,
+    esp_payload: &[u8],
+    headroom: usize,
+) -> Result<Vec<u8>, IpsecError> {
     if sa.direction != SaDirection::In {
         return Err(IpsecError::WrongDirection);
     }
@@ -180,38 +192,40 @@ pub fn decapsulate(
         v => return Err(IpsecError::Replay(v)),
     }
 
-    // The one copy: opened in place, then truncated to the inner packet
-    // it is returned as (the caller's bytes are never written).
-    let mut ciphertext = body.to_vec();
+    // The one copy: opened in place behind the headroom, then truncated
+    // to the inner packet it is returned as (the caller's bytes are
+    // never written).
+    let mut out = Vec::with_capacity(headroom + body.len());
+    out.resize(headroom, 0);
+    out.extend_from_slice(body);
+    let opened = &mut out[headroom..];
 
     let nonce = nonce_for(sa, iv);
     let aad = aad_for(spi, seq);
-    aead::open(&sa.key, &nonce, &aad, &mut ciphertext, tag).map_err(|_| IpsecError::AuthFailed)?;
+    aead::open(&sa.key, &nonce, &aad, opened, tag).map_err(|_| IpsecError::AuthFailed)?;
 
     // Auth passed: now (and only now) slide the replay window.
     sa.replay.update(seq);
 
     // Trailer: … pad | pad_len | next_header
-    if ciphertext.len() < 2 {
+    let [plain @ .., pad_len, next_header] = &*opened else {
         return Err(IpsecError::BadTrailer);
-    }
-    let next_header = ciphertext[ciphertext.len() - 1];
-    let pad_len = ciphertext[ciphertext.len() - 2] as usize;
-    if next_header != NEXT_HEADER_IPV4 || ciphertext.len() < 2 + pad_len {
+    };
+    let pad_len = usize::from(*pad_len);
+    if *next_header != NEXT_HEADER_IPV4 || plain.len() < pad_len {
         return Err(IpsecError::BadTrailer);
     }
     // Verify the monotone pad pattern.
-    let pad_start = ciphertext.len() - 2 - pad_len;
-    for i in 0..pad_len {
-        if ciphertext[pad_start + i] != (i + 1) as u8 {
-            return Err(IpsecError::BadTrailer);
-        }
+    let (inner, pad) = plain.split_at(plain.len() - pad_len);
+    if pad.iter().zip(1u8..).any(|(b, want)| *b != want) {
+        return Err(IpsecError::BadTrailer);
     }
-    ciphertext.truncate(pad_start);
+    let inner_len = inner.len();
+    out.truncate(headroom + inner_len);
 
     sa.packets += 1;
-    sa.bytes += ciphertext.len() as u64;
-    Ok(ciphertext)
+    sa.bytes += inner_len as u64;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -304,6 +318,21 @@ mod tests {
             assert_eq!(out[..20], [0u8; 20]);
             assert_eq!(out[20..], wire[..], "len {len}");
         }
+    }
+
+    #[test]
+    fn opened_packet_lands_behind_the_headroom() {
+        let (mut tx, mut plain) = pair();
+        let (_, mut roomy) = pair();
+        for len in [0usize, 1, 5, 64, 1400] {
+            let inner = vec![0xc3u8; len];
+            let wire = encapsulate(&mut tx, &inner).unwrap();
+            let out = decapsulate_into(&mut roomy, &wire, 20).unwrap();
+            assert_eq!(out[..20], [0u8; 20]);
+            assert_eq!(out[20..], inner[..], "len {len}");
+            assert_eq!(decapsulate(&mut plain, &wire).unwrap(), inner);
+        }
+        assert_eq!(roomy.replay.check(5), ReplayVerdict::Replayed);
     }
 
     #[test]

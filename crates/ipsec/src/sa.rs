@@ -3,6 +3,8 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+use un_crypto::{hkdf_expand, hkdf_extract};
+
 use crate::replay::ReplayWindow;
 
 /// An SPI (Security Parameters Index).
@@ -81,6 +83,31 @@ impl SecurityAssociation {
             direction: SaDirection::In,
             ..Self::outbound(spi, tunnel_src, tunnel_dst, key, salt)
         }
+    }
+
+    /// The two ends of one simplex tunnel — `(outbound, inbound)` —
+    /// keyed by HKDF-SHA256: `secret` is extracted under a fixed salt,
+    /// and `info` (which must name this pair and nothing else ever
+    /// keyed from `secret`) expands into the 32-byte key and 4-byte
+    /// nonce salt. For a control plane that holds both ends and mints
+    /// SAs from a master secret rather than a handshake.
+    pub fn derive_pair(
+        secret: &[u8],
+        info: &[u8],
+        spi: SpiValue,
+        tunnel_src: Ipv4Addr,
+        tunnel_dst: Ipv4Addr,
+    ) -> (Self, Self) {
+        let prk = hkdf_extract(b"un-ipsec-derived-pair", secret);
+        let mut okm = [0u8; 36];
+        hkdf_expand(&prk, info, &mut okm);
+        let (mut key, mut salt) = ([0u8; 32], [0u8; 4]);
+        key.copy_from_slice(&okm[..32]);
+        salt.copy_from_slice(&okm[32..]);
+        (
+            Self::outbound(spi, tunnel_src, tunnel_dst, key, salt),
+            Self::inbound(spi, tunnel_src, tunnel_dst, key, salt),
+        )
     }
 }
 
@@ -179,6 +206,26 @@ mod tests {
         assert!(sad.remove(0x1).is_some());
         assert!(sad.remove(0x1).is_none());
         assert!(sad.is_empty());
+    }
+
+    #[test]
+    fn derived_pair_is_keyed_by_secret_and_info() {
+        let a = Ipv4Addr::new(10, 255, 255, 1);
+        let b = Ipv4Addr::new(10, 255, 255, 2);
+        let derive = |secret: &[u8], info: &[u8]| {
+            let (tx, rx) = SecurityAssociation::derive_pair(secret, info, 7, a, b);
+            assert_eq!(
+                (tx.direction, rx.direction),
+                (SaDirection::Out, SaDirection::In)
+            );
+            assert_eq!((tx.key, tx.salt, tx.spi), (rx.key, rx.salt, rx.spi));
+            assert_eq!(tx.seq_out, 0);
+            (tx.key, tx.salt)
+        };
+        let base = derive(b"secret", b"link-1");
+        assert_eq!(base, derive(b"secret", b"link-1"), "deterministic");
+        assert_ne!(base.0, derive(b"secret", b"link-2").0);
+        assert_ne!(base.0, derive(b"other", b"link-1").0);
     }
 
     #[test]

@@ -212,7 +212,8 @@ pub enum HopKind {
         to: String,
         /// Hop index into the link's pinned path.
         hop: usize,
-        /// Whether the hop was ESP-protected.
+        /// The hop carried the frame sealed: its link is ESP-protected
+        /// (sealed at the link's head, opened at its tail).
         esp: bool,
         /// Overlay TTL remaining *after* the decrement at this hop.
         ttl_left: u32,

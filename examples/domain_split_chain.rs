@@ -122,7 +122,7 @@ fn main() {
     let eth = wire.ethernet().unwrap();
     let outer = Ipv4Packet::new_checked(eth.payload()).unwrap();
     println!(
-        "LAN frame crossed {} overlay hop(s) ({} B ESP-protected on the wire), \
+        "LAN frame crossed {} overlay hop(s) ({} B sealed once at the link head), \
          left {node}/{port} as {} → {} proto {}",
         io.overlay_hops,
         io.protected_bytes,
