@@ -317,6 +317,10 @@ pub struct NodeDescription {
     pub flow_cache_hits: u64,
     /// Aggregated flow fast-path misses across LSIs.
     pub flow_cache_misses: u64,
+    /// Microflow-cache population across LSIs: about the number of
+    /// ports / vids in use on a node whose tables only steer, up to
+    /// 8192 per table whose rules read per-flow fields.
+    pub flow_cache_entries: u64,
 }
 
 impl NodeDescription {
@@ -371,6 +375,7 @@ impl NodeDescription {
             .set("memory_capacity", self.memory_capacity)
             .set("flow_cache_hits", self.flow_cache_hits)
             .set("flow_cache_misses", self.flow_cache_misses)
+            .set("flow_cache_entries", self.flow_cache_entries)
     }
 
     /// Compact JSON rendering (the REST `/node` document).
@@ -572,6 +577,8 @@ impl<'a> Walk<'a> {
             record: self.flight.is_some(),
         };
         let mut routed = Vec::with_capacity(burst.len());
+        // One output vector for the whole burst, drained per frame.
+        let mut outputs = Vec::new();
         for (pkt, ttl) in burst {
             if ttl == 0 {
                 self.drop(node, DropReason::FabricLoop, 1, "");
@@ -582,13 +589,13 @@ impl<'a> Walk<'a> {
                 continue;
             }
             self.work_budget -= 1;
-            let res = lsi.process_opts(in_port, pkt, costs, popts);
+            let res = lsi.process_into(in_port, pkt, costs, popts, &mut outputs);
             if let Some(f) = self.flight {
                 record_classify_hops(f, node, &lsi.name, &res.steps);
             }
             self.io.cost += res.cost;
-            self.produced(res.outputs.len());
-            routed.extend(res.outputs.into_iter().map(|(out, p)| (port(out), p, ttl)));
+            self.produced(outputs.len());
+            routed.extend(outputs.drain(..).map(|(out, p)| (port(out), p, ttl)));
         }
         routed
     }
@@ -696,6 +703,18 @@ impl UniversalNode {
             stats.merge(&g.lsi.cache_stats());
         }
         stats
+    }
+
+    /// Microflow-cache population across LSI-0 and every graph LSI
+    /// (exported through [`NodeDescription`] and as a gauge through
+    /// `/metrics`).
+    pub fn flow_cache_entries(&self) -> usize {
+        self.lsi0.cache_entries()
+            + self
+                .graphs
+                .values()
+                .map(|g| g.lsi.cache_entries())
+                .sum::<usize>()
     }
 
     /// Total installed flow entries across LSI-0 and every graph LSI
@@ -1604,6 +1623,7 @@ impl UniversalNode {
             memory_capacity: self.mem_capacity,
             flow_cache_hits: cache_stats.cache_hits,
             flow_cache_misses: cache_stats.cache_misses,
+            flow_cache_entries: self.flow_cache_entries() as u64,
         }
     }
 

@@ -366,6 +366,39 @@ fn flow_cache_stats_surface_in_description() {
     assert!(json.contains("\"flow_cache_misses\""), "{json}");
 }
 
+/// The orchestrator's own rules read `in_port` (and a vid at most), so
+/// a steering node holds one cached decision per port in use however
+/// many flows cross it — and says so in its description.
+#[test]
+fn a_steering_node_caches_per_port_not_per_flow() {
+    let mut n = node();
+    n.deploy(&bridge_graph("g1")).unwrap();
+    let flows = 64u16;
+    for i in 0..flows {
+        let f = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(1), MacAddr::local(2))
+            .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+            .udp(1000 + i, 2000 + i)
+            .build();
+        assert_eq!(n.inject("eth0", f).emitted.len(), 1);
+    }
+    let stats = n.flow_cache_stats();
+    let entries = n.flow_cache_entries() as u64;
+    // Every lookup stage of the walk missed once, for the first flow.
+    assert_eq!(entries, stats.cache_misses);
+    assert_eq!(
+        stats.cache_hits,
+        stats.cache_misses * u64::from(flows - 1),
+        "flows 2..n ride the first flow's decisions"
+    );
+    assert_eq!(n.describe().flow_cache_entries, entries);
+    let json = n.describe().to_json();
+    assert!(
+        json.contains(&format!("\"flow_cache_entries\":{entries}")),
+        "{json}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Failure injection: every way a deploy can fail, for every way an NF
 // can be placed. Whatever `build` took before the failure, `teardown`

@@ -136,9 +136,13 @@ impl fmt::Display for DropReason {
 /// Which classifier stage resolved (or failed to resolve) a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClassifierStage {
-    /// Served by the microflow cache.
+    /// Served by the microflow cache, which is keyed by the bits the
+    /// table's rules can read: on a table that only steers by port /
+    /// vid, every flow after the first of its port reports this stage,
+    /// whether or not that 5-tuple was seen before.
     Microflow,
-    /// Served by a mask table whose mask covers only whole fields.
+    /// Served by a mask table whose mask covers only whole fields (the
+    /// first lookup of a class since the table last changed).
     Exact,
     /// Served by a mask table with a partially-masked field.
     Megaflow,

@@ -109,6 +109,15 @@ pub fn metrics(domain: &Domain) -> String {
             );
         }
     }
+    let _ = writeln!(out, "# TYPE un_classifier_cache_entries gauge");
+    for (name, node) in nodes() {
+        let _ = writeln!(
+            out,
+            "un_classifier_cache_entries{{node=\"{}\"}} {}",
+            esc(name),
+            node.flow_cache_entries()
+        );
+    }
     let _ = writeln!(out, "# TYPE un_flow_table_entries gauge");
     for (name, node) in nodes() {
         let _ = writeln!(

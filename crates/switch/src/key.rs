@@ -106,6 +106,11 @@ impl PackedKey {
     pub fn and(&self, mask: &PackedKey) -> PackedKey {
         PackedKey(std::array::from_fn(|i| self.0[i] & mask.0[i]))
     }
+
+    /// Union of two masks: five ORs.
+    pub fn or(&self, mask: &PackedKey) -> PackedKey {
+        PackedKey(std::array::from_fn(|i| self.0[i] | mask.0[i]))
+    }
 }
 
 /// One hasher write over all five words (the derived impl would add a

@@ -16,8 +16,9 @@
 //!   packing into the five words ([`key::PackedKey`]) the classifier
 //!   hashes, masks and compares.
 //! * [`table`] — a priority-ordered flow table fronted by a two-stage
-//!   fast path: a generation-stamped exact-match microflow cache (the
-//!   OvS fast path) plus one hash table per distinct match mask.
+//!   fast path: a generation-stamped microflow cache keyed by the bits
+//!   the table's rules read (the OvS fast path) plus one hash table per
+//!   distinct match mask.
 //! * [`lsi`] — the switch itself: ports, a pipeline of one or more
 //!   tables, per-port and per-switch counters, controller punts.
 //!   Two pipeline personalities mirror the paper's driver diversity:
@@ -39,6 +40,7 @@ pub use controller::{Controller, ControllerCmd, LearningController};
 pub use flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch, VlanSpec};
 pub use key::{PackedKey, PacketKey};
 pub use lsi::{
-    Backend, LogicalSwitch, PipelineStep, PortNo, ProcessOptions, ProcessResult, SwitchStats,
+    Backend, LogicalSwitch, PipelineStep, PortNo, ProcessOptions, ProcessResult, Processed,
+    SwitchStats,
 };
 pub use table::{FlowTable, LookupHit, LookupPath, TableStats};

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use un_packet::Packet;
 use un_sim::{Cost, CostModel};
@@ -28,7 +29,7 @@ impl fmt::Display for PortNo {
 /// Pipeline personality of an LSI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// One table fronted by an exact-match cache — OvS-like.
+    /// One table fronted by a microflow cache — OvS-like.
     SingleTableCached,
     /// A fixed pipeline of `n` tables chained by `GotoTable` — xDPd-like.
     MultiTable(u8),
@@ -74,6 +75,18 @@ pub struct ProcessResult {
     /// Per-table classification provenance, in pipeline order. Empty
     /// unless [`ProcessOptions::record`] asked for it — the normal hot
     /// path allocates nothing here.
+    pub steps: Vec<PipelineStep>,
+}
+
+/// What [`LogicalSwitch::process_into`] reports beside the outputs it
+/// pushed: a [`ProcessResult`] without the vector.
+#[derive(Debug)]
+pub struct Processed {
+    /// Packet punted to the controller, if any.
+    pub punted: Option<Packet>,
+    /// Virtual time charged.
+    pub cost: Cost,
+    /// As [`ProcessResult::steps`].
     pub steps: Vec<PipelineStep>,
 }
 
@@ -241,6 +254,12 @@ impl LogicalSwitch {
         stats
     }
 
+    /// Microflow-cache population across all tables
+    /// ([`FlowTable::cache_entries`]).
+    pub fn cache_entries(&self) -> usize {
+        self.tables.iter().map(|t| t.cache_entries()).sum()
+    }
+
     /// Process one packet arriving on `in_port`.
     ///
     /// Returns the emitted packets, any controller punt, and the virtual
@@ -256,25 +275,49 @@ impl LogicalSwitch {
     pub fn process_opts(
         &mut self,
         in_port: PortNo,
-        mut pkt: Packet,
+        pkt: Packet,
         costs: &CostModel,
         opts: ProcessOptions,
     ) -> ProcessResult {
+        let mut outputs = Vec::new();
+        let Processed {
+            punted,
+            cost,
+            steps,
+        } = self.process_into(in_port, pkt, costs, opts, &mut outputs);
+        ProcessResult {
+            outputs,
+            punted,
+            cost,
+            steps,
+        }
+    }
+
+    /// The pipeline itself: [`LogicalSwitch::process_opts`] pushing its
+    /// (egress port, packet) pairs onto the caller's `outputs` in
+    /// emission order, so a burst reuses one vector and a forwarded
+    /// frame on a warm cache hit allocates nothing.
+    pub fn process_into(
+        &mut self,
+        in_port: PortNo,
+        mut pkt: Packet,
+        costs: &CostModel,
+        opts: ProcessOptions,
+        outputs: &mut Vec<(PortNo, Packet)>,
+    ) -> Processed {
         let ghost = opts.ghost;
-        let mut cost = Cost::ZERO;
         let len = pkt.len();
-        let mut steps: Vec<PipelineStep> = Vec::new();
+        let mut done = Processed {
+            punted: None,
+            cost: Cost::ZERO,
+            steps: Vec::new(),
+        };
 
         let Some(pinfo) = self.ports.get_mut(&in_port) else {
             if !ghost {
                 self.stats.dropped += 1;
             }
-            return ProcessResult {
-                outputs: Vec::new(),
-                punted: None,
-                cost,
-                steps,
-            };
+            return done;
         };
         if !ghost {
             pinfo.rx_packets += 1;
@@ -282,9 +325,7 @@ impl LogicalSwitch {
             self.stats.rx_packets += 1;
         }
 
-        let mut outputs: Vec<(PortNo, Packet)> = Vec::new();
-        let mut punted: Option<Packet> = None;
-
+        let outputs_at_entry = outputs.len();
         let mut table_idx: u8 = 0;
         let mut matched_any = false;
         'pipeline: loop {
@@ -293,19 +334,13 @@ impl LogicalSwitch {
                 break;
             };
             let hit = if ghost {
-                table.lookup_ghost(&key)
+                table.lookup_ghost_index(&key)
             } else {
-                table.lookup(&key, len)
+                table.lookup_index(&key, len)
             };
-            let Some(LookupHit {
-                actions,
-                path,
-                cookie,
-                priority,
-            }) = hit
-            else {
+            let Some((idx, path)) = hit else {
                 if opts.record {
-                    steps.push(PipelineStep {
+                    done.steps.push(PipelineStep {
                         table: table_idx,
                         hit: None,
                         outputs: 0,
@@ -313,8 +348,12 @@ impl LogicalSwitch {
                 }
                 break; // table miss
             };
+            // The actions run off a borrow of `tables` while `ports` and
+            // `stats`, disjoint fields, take the counters.
+            let entry = table.entry(idx);
+            let actions = &entry.actions;
             matched_any = true;
-            cost += match path {
+            done.cost += match path {
                 LookupPath::CacheHit => Cost::from_nanos(costs.flow_cache_hit_ns),
                 LookupPath::ExactHit => Cost::from_nanos(costs.flow_exact_hit_ns),
                 LookupPath::MegaflowHit => Cost::from_nanos(costs.flow_megaflow_hit_ns),
@@ -324,7 +363,7 @@ impl LogicalSwitch {
             let outputs_before = outputs.len();
             let mut goto: Option<u8> = None;
             for (i, action) in actions.iter().enumerate() {
-                cost += Cost::from_nanos(costs.flow_action_ns);
+                done.cost += Cost::from_nanos(costs.flow_action_ns);
                 match *action {
                     FlowAction::Output(out) => {
                         if let Some(op) = self.ports.get_mut(&out) {
@@ -347,18 +386,10 @@ impl LogicalSwitch {
                         }
                     }
                     FlowAction::Flood => {
-                        let targets: Vec<PortNo> = self
-                            .ports
-                            .keys()
-                            .copied()
-                            .filter(|p| *p != in_port)
-                            .collect();
-                        for out in targets {
+                        for (&out, op) in self.ports.iter_mut().filter(|(p, _)| **p != in_port) {
                             if !ghost {
-                                if let Some(op) = self.ports.get_mut(&out) {
-                                    op.tx_packets += 1;
-                                    op.tx_bytes += pkt.len() as u64;
-                                }
+                                op.tx_packets += 1;
+                                op.tx_bytes += pkt.len() as u64;
                                 self.stats.tx_packets += 1;
                             }
                             outputs.push((out, pkt.clone()));
@@ -368,18 +399,18 @@ impl LogicalSwitch {
                         if !ghost {
                             self.stats.controller_punts += 1;
                         }
-                        punted = Some(pkt.clone());
+                        done.punted = Some(pkt.clone());
                     }
                     FlowAction::PushVlan(vid) => {
-                        cost += Cost::from_nanos(costs.vlan_op_ns);
+                        done.cost += Cost::from_nanos(costs.vlan_op_ns);
                         let _ = pkt.vlan_push(vid);
                     }
                     FlowAction::PopVlan => {
-                        cost += Cost::from_nanos(costs.vlan_op_ns);
+                        done.cost += Cost::from_nanos(costs.vlan_op_ns);
                         let _ = pkt.vlan_pop();
                     }
                     FlowAction::SetVlan(vid) => {
-                        cost += Cost::from_nanos(costs.vlan_op_ns);
+                        done.cost += Cost::from_nanos(costs.vlan_op_ns);
                         // Rewrite = pop + push preserving inner frame.
                         if pkt.vlan_pop().is_ok() {
                             let _ = pkt.vlan_push(vid);
@@ -409,13 +440,13 @@ impl LogicalSwitch {
                 }
             }
             if opts.record {
-                steps.push(PipelineStep {
+                done.steps.push(PipelineStep {
                     table: table_idx,
                     hit: Some(LookupHit {
-                        actions,
+                        actions: Arc::clone(actions),
                         path,
-                        cookie,
-                        priority,
+                        cookie: entry.cookie,
+                        priority: entry.priority,
                     }),
                     outputs: (outputs.len() - outputs_before) as u32,
                 });
@@ -426,16 +457,11 @@ impl LogicalSwitch {
             }
         }
 
-        if !ghost && (!matched_any || (outputs.is_empty() && punted.is_none())) {
+        let emitted = outputs.len() > outputs_at_entry;
+        if !ghost && (!matched_any || (!emitted && done.punted.is_none())) {
             self.stats.dropped += 1;
         }
-
-        ProcessResult {
-            outputs,
-            punted,
-            cost,
-            steps,
-        }
+        done
     }
 }
 

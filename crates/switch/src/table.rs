@@ -6,11 +6,28 @@
 //! `(mask, value)` words with "key matches ⇔ `key & mask == value`".
 //! Lookup tries two stages, cheapest first:
 //!
-//! 1. **Microflow cache** — `PackedKey → entry index`, the moral
-//!    equivalent of the Open vSwitch microflow cache. Entries are
-//!    validated against the table's generation counter (advanced on
-//!    every mutation), so a table change invalidates every cached
-//!    decision without an O(cache) clear.
+//! 1. **Microflow cache** — `key & union → entry index`, where `union`
+//!    is the OR of every installed rule's mask: the bits *some* rule
+//!    can read. The cache is keyed by what the rules can tell apart,
+//!    not by the flow — the Open vSwitch megaflow idea in its coarsest,
+//!    exact form. Exact, because
+//!
+//!    * rule *r* matches ⇔ `key & mask_r == value_r`, and
+//!      `mask_r ⊆ union`, so `key & mask_r == (key & union) & mask_r`;
+//!    * two keys equal under `union` therefore match the same rules,
+//!      and the same rules have the same winner;
+//!    * the union and every cached index are stamped by one generation
+//!      counter (advanced on every mutation), so an entry written
+//!      under an older rule set — and an older union — is refused.
+//!
+//!    A table that only steers (LSI-0, a bridge-chain graph LSI: every
+//!    rule reads `in_port` and at most a vid) holds one entry per port /
+//!    vid however many flows cross it; a table whose rules read the
+//!    5-tuple has a full union and one entry per flow, bounded by
+//!    `CACHE_CAP`. A rule change invalidates every cached decision
+//!    without an O(cache) clear, and what it costs afterwards is one
+//!    re-classification per *class*: O(ports) on a steering table, not
+//!    O(flows). Table misses are not cached.
 //! 2. **Mask tables** — entries are hash-bucketed by their *mask*: one
 //!    `MaskTable` per distinct mask, mapping `value` words to the best
 //!    entry carrying them. The packet key is projected onto each mask
@@ -157,6 +174,9 @@ pub struct FlowTable {
     cache: HashMap<PackedKey, (u64, usize)>,
     /// Mask tables, rebuilt lazily per generation.
     index: Vec<MaskTable>,
+    /// OR of every rule's mask — the bits any rule can read, and so the
+    /// projection the cache is keyed by. Rebuilt with `index`.
+    union: PackedKey,
     index_gen: u64,
     /// Cache hits since creation.
     pub cache_hits: u64,
@@ -201,6 +221,14 @@ impl FlowTable {
             wildcard_hits: self.wildcard_hits,
             misses: self.misses,
         }
+    }
+
+    /// Microflow-cache population (stale generations included until
+    /// they are overwritten or the cache recycles): about one per port
+    /// or vid on a steering table, up to `CACHE_CAP` on a table whose
+    /// rules read per-flow fields.
+    pub fn cache_entries(&self) -> usize {
+        self.cache.len()
     }
 
     /// Number of distinct megaflow (non-exact) masks in the current
@@ -252,9 +280,11 @@ impl FlowTable {
             return;
         }
         self.index.clear();
+        self.union = PackedKey::default();
         let mut by_mask: HashMap<PackedKey, usize> = HashMap::new();
         for (i, rule) in self.rules.iter().enumerate() {
             let CompiledMatch { mask, value, exact } = rule.compiled;
+            self.union = self.union.or(&mask);
             let slot = *by_mask.entry(mask).or_insert_with(|| {
                 self.index.push(MaskTable {
                     mask,
@@ -296,14 +326,30 @@ impl FlowTable {
     /// `bytes`. Returns the matched actions plus provenance (stage,
     /// cookie, priority), or `None` on table miss.
     pub fn lookup(&mut self, key: &PacketKey, bytes: usize) -> Option<LookupHit> {
+        let (idx, path) = self.lookup_index(key, bytes)?;
+        Some(self.hit(idx, path))
+    }
+
+    /// [`FlowTable::lookup`] without the [`LookupHit`]: the winning
+    /// rule's index (valid for [`FlowTable::entry`] until the next
+    /// mutation) and the stage that found it, so a caller can run the
+    /// entry's actions off a borrow instead of a cloned `Arc`.
+    pub(crate) fn lookup_index(
+        &mut self,
+        key: &PacketKey,
+        bytes: usize,
+    ) -> Option<(usize, LookupPath)> {
         self.ensure_index();
         let key = key.pack();
         let generation = self.generation;
         let full = self.cache.len() >= CACHE_CAP;
+        // What the rules can tell apart about this packet.
+        let class = key.and(&self.union);
         // One hash serves the probe and, on a fall-through, the insert.
-        let (idx, path) = match self.cache.entry(key) {
-            // Generation match ⇒ the table is untouched since this
-            // decision was cached, so idx is valid.
+        let (idx, path) = match self.cache.entry(class) {
+            // Generation match ⇒ the table (and with it the union this
+            // entry was keyed under) is untouched since this decision
+            // was cached, so idx is valid.
             Entry::Occupied(slot) if slot.get().0 == generation => {
                 self.cache_hits += 1;
                 (slot.get().1, LookupPath::CacheHit)
@@ -321,7 +367,7 @@ impl FlowTable {
                 }
                 if full {
                     self.cache.clear();
-                    self.cache.insert(key, (generation, idx));
+                    self.cache.insert(class, (generation, idx));
                 } else {
                     slot.insert_entry((generation, idx));
                 }
@@ -331,28 +377,40 @@ impl FlowTable {
         let entry = &mut self.rules[idx].entry;
         entry.packet_count += 1;
         entry.byte_count += bytes as u64;
-        Some(Self::hit(entry, path))
+        Some((idx, path))
     }
 
     /// Ghost lookup: the same decision [`FlowTable::lookup`] takes —
-    /// generation-checked microflow probe, else the mask tables — with
-    /// *zero* observable side effects: no stats, no entry packet/byte
-    /// counters, no microflow-cache insertion, no probe effort
-    /// accounting. (`&mut` only because a stale index may need
-    /// rebuilding.)
+    /// generation-checked microflow probe under the same `key & union`
+    /// projection, else the mask tables — with *zero* observable side
+    /// effects: no stats, no entry packet/byte counters, no
+    /// microflow-cache insertion, no probe effort accounting. (`&mut`
+    /// only because a stale index may need rebuilding.)
     pub fn lookup_ghost(&mut self, key: &PacketKey) -> Option<LookupHit> {
-        self.ensure_index();
-        let key = key.pack();
-        let (idx, path) = match self.cache.get(&key) {
-            Some(&(generation, idx)) if generation == self.generation => {
-                (idx, LookupPath::CacheHit)
-            }
-            _ => Self::classify(&self.index, &key)?,
-        };
-        Some(Self::hit(&self.rules[idx].entry, path))
+        let (idx, path) = self.lookup_ghost_index(key)?;
+        Some(self.hit(idx, path))
     }
 
-    fn hit(entry: &FlowEntry, path: LookupPath) -> LookupHit {
+    /// [`FlowTable::lookup_ghost`] in the index-returning form of
+    /// [`FlowTable::lookup_index`].
+    pub(crate) fn lookup_ghost_index(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
+        self.ensure_index();
+        let key = key.pack();
+        match self.cache.get(&key.and(&self.union)) {
+            Some(&(generation, idx)) if generation == self.generation => {
+                Some((idx, LookupPath::CacheHit))
+            }
+            _ => Self::classify(&self.index, &key),
+        }
+    }
+
+    /// The entry a lookup resolved to.
+    pub(crate) fn entry(&self, idx: usize) -> &FlowEntry {
+        &self.rules[idx].entry
+    }
+
+    fn hit(&self, idx: usize, path: LookupPath) -> LookupHit {
+        let entry = self.entry(idx);
         LookupHit {
             actions: Arc::clone(&entry.actions),
             path,

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use un_packet::ethernet::MacAddr;
 use un_packet::Ipv4Cidr;
 use un_switch::{
-    FlowAction, FlowEntry, FlowMatch, FlowTable, LookupHit, LookupPath, PacketKey, PortNo,
-    TableStats, VlanSpec,
+    FlowAction, FlowEntry, FlowMatch, FlowTable, LookupHit, LookupPath, PackedKey, PacketKey,
+    PortNo, TableStats, VlanSpec,
 };
 
 fn key_strategy() -> impl Strategy<Value = PacketKey> {
@@ -684,4 +684,266 @@ proptest! {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The microflow cache is keyed by `key & union`, the union being the OR
+// of every installed rule's mask: what the rules can read of a packet.
+// ---------------------------------------------------------------------
+
+/// `a` with one field (or none) taken from `donor`.
+fn with_field_from(a: &PacketKey, donor: &PacketKey, field: usize) -> PacketKey {
+    let mut b = *a;
+    match field {
+        0 => b.in_port = donor.in_port,
+        1 => b.eth_src = donor.eth_src,
+        2 => b.eth_dst = donor.eth_dst,
+        3 => b.eth_type = donor.eth_type,
+        4 => b.vlan = donor.vlan,
+        5 => b.ip_src = donor.ip_src,
+        6 => b.ip_dst = donor.ip_dst,
+        7 => b.ip_proto = donor.ip_proto,
+        8 => b.l4_src = donor.l4_src,
+        9 => b.l4_dst = donor.l4_dst,
+        10 => b.fwmark = donor.fwmark,
+        _ => {}
+    }
+    b
+}
+
+fn table_of(rules: &[RuleSpec]) -> FlowTable {
+    let mut table = FlowTable::new();
+    for r in rules {
+        table.insert(FlowEntry::new(
+            r.priority,
+            to_match(r),
+            vec![FlowAction::Output(PortNo(r.out))],
+        ));
+    }
+    table
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Two keys equal on every bit some rule reads share one cached
+    /// decision; two keys that differ on such a bit never do. `b` is
+    /// `a` with one field swapped, over rule sets small enough that the
+    /// union often leaves fields (or the low bits of a prefix) out, so
+    /// both outcomes are common. Either way the answer is the linear
+    /// baseline's.
+    #[test]
+    fn cache_is_shared_within_a_class_and_never_across(
+        rules in prop::collection::vec(rule_strategy(), 0..6),
+        catch_all in 0u8..2,
+        a in key_strategy(),
+        donor in hostile_key_strategy(),
+        field in 0usize..12,
+    ) {
+        let mut table = table_of(&rules);
+        if catch_all == 1 {
+            // Reads nothing: resolves every lookup, widens no union.
+            table.insert(FlowEntry::new(
+                0,
+                FlowMatch::any(),
+                vec![FlowAction::Output(PortNo(99))],
+            ));
+        }
+        let union = table
+            .entries()
+            .fold(PackedKey::default(), |u, e| u.or(&e.matches.compile().mask));
+        let b = with_field_from(&a, &donor, field);
+        let same_class = a.pack().and(&union) == b.pack().and(&union);
+
+        let first = table.lookup(&a, 64);
+        prop_assert_eq!(first.as_ref().map(|h| h.actions.clone()), linear_scan(&table, &a));
+        prop_assert!(first.as_ref().is_none_or(|h| h.path != LookupPath::CacheHit));
+
+        let second = table.lookup(&b, 64);
+        prop_assert_eq!(second.as_ref().map(|h| h.actions.clone()), linear_scan(&table, &b));
+        // What no rule can read cannot turn a hit into a table miss.
+        prop_assert!(!same_class || first.is_some() == second.is_some());
+        match (&first, &second) {
+            // One class, one entry: the variation rides the decision
+            // cached for `a` (table misses are not cached).
+            (Some(_), Some(hit)) if same_class => {
+                prop_assert_eq!(hit.path, LookupPath::CacheHit, "{:?} vs {:?}", a, b);
+                prop_assert_eq!(table.cache_entries(), 1);
+            }
+            // A bit some rule reads differs: `a`'s entry is not `b`'s.
+            (_, Some(hit)) => {
+                prop_assert!(!same_class);
+                prop_assert_ne!(hit.path, LookupPath::CacheHit, "{:?} vs {:?}", a, b);
+            }
+            (_, None) => {}
+        }
+    }
+}
+
+/// `n` distinct 5-tuples arriving on `port` with `vlan`.
+fn flows(port: u32, vlan: Option<u16>, n: u32) -> Vec<PacketKey> {
+    (0..n)
+        .map(|i| {
+            let mut k = dst_key(port, (i % 251) as u8);
+            k.vlan = vlan;
+            k.ip_src = Some(std::net::Ipv4Addr::from(0x0a01_0000 + i));
+            k.l4_src = Some(1024 + (i % 60_000) as u16);
+            k.l4_dst = Some((i * 7 % 50_000) as u16);
+            k
+        })
+        .collect()
+}
+
+/// Look every key up once; return how many fell through the cache, and
+/// hold each answer to the linear baseline.
+fn misses_over(table: &mut FlowTable, keys: &[PacketKey]) -> u64 {
+    let before = table.stats().cache_misses;
+    for k in keys {
+        let base = linear_scan(table, k);
+        assert_eq!(table.lookup(k, 64).map(|h| h.actions), base, "key {k:?}");
+    }
+    table.stats().cache_misses - before
+}
+
+/// ROADMAP item 3's two-tenant case under the masked key: tenant A's
+/// rule change still invalidates the shared table, but tenant B pays one
+/// re-classification per (port, vid) class it uses — not one per flow.
+#[test]
+fn a_neighbours_rule_change_costs_one_miss_per_class() {
+    const N: u32 = 256;
+    const TENANT_A: u64 = 0xA;
+    let steer = |port: u32, vlan: VlanSpec, out: u32, cookie: u64| {
+        FlowEntry::new(
+            10,
+            FlowMatch::in_port(PortNo(port)).with_vlan(vlan),
+            vec![FlowAction::Output(PortNo(out))],
+        )
+        .with_cookie(cookie)
+    };
+    let mut t = FlowTable::new();
+    t.insert(steer(1, VlanSpec::Id(10), 11, TENANT_A));
+    t.insert(steer(2, VlanSpec::Id(20), 12, 0xB));
+    t.insert(steer(3, VlanSpec::Untagged, 13, 0xB));
+
+    // Tenant B: N distinct 5-tuples over its two classes.
+    let mut b_flows = flows(2, Some(20), N / 2);
+    b_flows.extend(flows(3, None, N / 2));
+    assert_eq!(misses_over(&mut t, &b_flows), 2, "cold: one per class");
+    assert_eq!(misses_over(&mut t, &b_flows), 0, "warm");
+
+    t.insert(steer(4, VlanSpec::Id(11), 14, TENANT_A));
+    assert_eq!(
+        misses_over(&mut t, &b_flows),
+        2,
+        "A's insert: B re-classifies once per (port, vid), not {N} times"
+    );
+    assert_eq!(t.remove_by_cookie(TENANT_A), 2);
+    assert_eq!(misses_over(&mut t, &b_flows), 2, "A's removal: the same");
+    assert_eq!(misses_over(&mut t, &b_flows), 0);
+}
+
+/// The union follows the rule set, both ways: one rule that reads
+/// `l4_dst` makes flows stop sharing entries, removing it makes them
+/// share again.
+#[test]
+fn the_union_tracks_the_rule_set() {
+    let mut t = FlowTable::new();
+    t.insert(FlowEntry::new(
+        5,
+        FlowMatch::in_port(PortNo(1)),
+        vec![FlowAction::Output(PortNo(2))],
+    ));
+    // 64 flows, 64 distinct l4_dst values.
+    let keys = flows(1, None, 64);
+    assert_eq!(misses_over(&mut t, &keys), 1);
+    assert_eq!(t.cache_entries(), 1);
+
+    let mut per_flow = FlowMatch::any();
+    per_flow.l4_dst = Some(0);
+    t.insert(FlowEntry::new(9, per_flow, vec![FlowAction::Output(PortNo(3))]).with_cookie(0xF));
+    assert_eq!(misses_over(&mut t, &keys), 64, "l4_dst is read: per flow");
+    assert_eq!(misses_over(&mut t, &keys), 0);
+    assert!(t.cache_entries() >= 64);
+
+    assert_eq!(t.remove_by_cookie(0xF), 1);
+    assert_eq!(misses_over(&mut t, &keys), 1, "and shared again");
+}
+
+/// A ghost lookup takes the real lookup's decision through the same
+/// masked key — a class warmed by one flow answers another flow's ghost
+/// from the cache — and moves nothing: cache population, `TableStats`
+/// and every entry counter stay put.
+#[test]
+fn ghost_lookup_reads_the_masked_cache_and_moves_nothing() {
+    let mut t = FlowTable::new();
+    for port in [1, 2] {
+        t.insert(FlowEntry::new(
+            5,
+            FlowMatch::in_port(PortNo(port)),
+            vec![FlowAction::Output(PortNo(10 + port))],
+        ));
+    }
+    let warm = flows(1, None, 2);
+    assert!(t.lookup(&warm[0], 64).is_some());
+
+    let observed = |t: &FlowTable| {
+        let counters: Vec<(u64, u64)> = t
+            .entries()
+            .map(|e| (e.packet_count, e.byte_count))
+            .collect();
+        (t.cache_entries(), t.stats(), t.megaflow_probes, counters)
+    };
+    let before = observed(&t);
+    // Same class as the warmed flow, another 5-tuple: served by the cache.
+    let hit = t.lookup_ghost(&warm[1]).unwrap();
+    assert_eq!(hit.path, LookupPath::CacheHit);
+    assert_eq!(Some(hit.actions), linear_scan(&t, &warm[1]));
+    // A cold class resolves through the mask tables and is not cached.
+    let cold = flows(2, None, 1)[0];
+    for _ in 0..2 {
+        let hit = t.lookup_ghost(&cold).unwrap();
+        assert_eq!(hit.path, LookupPath::ExactHit);
+        assert_eq!(Some(hit.actions), linear_scan(&t, &cold));
+    }
+    assert!(t.lookup_ghost(&flows(7, None, 1)[0]).is_none());
+    assert_eq!(observed(&t), before);
+}
+
+/// A scan of random 5-tuples cannot thrash a port-steering table: three
+/// times the cache's capacity (8192 entries) in distinct flows costs one
+/// miss per port and the cache never comes near recycling.
+#[test]
+fn random_five_tuples_cannot_thrash_a_port_steering_table() {
+    const CACHE_CAP: usize = 8_192;
+    const PORTS: u32 = 4;
+    let mut t = FlowTable::new();
+    for port in 0..PORTS {
+        t.insert(FlowEntry::new(
+            5,
+            FlowMatch::in_port(PortNo(port)),
+            vec![FlowAction::Output(PortNo(100 + port))],
+        ));
+    }
+    // xorshift64: the point is distinct flows, not statistical quality.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for _ in 0..3 * CACHE_CAP {
+        let (a, b) = (next(), next());
+        let mut k = dst_key(a as u32 % PORTS, 0);
+        k.ip_src = Some(std::net::Ipv4Addr::from((a >> 32) as u32));
+        k.ip_dst = Some(std::net::Ipv4Addr::from(b as u32));
+        k.l4_src = Some((b >> 32) as u16);
+        k.l4_dst = Some((b >> 48) as u16);
+        let base = linear_scan(&t, &k);
+        assert_eq!(t.lookup(&k, 64).map(|h| h.actions), base);
+        assert!(t.cache_entries() <= PORTS as usize);
+    }
+    let s = t.stats();
+    assert!(s.cache_misses <= u64::from(PORTS), "{s:?}");
+    assert_eq!(s.cache_hits + s.cache_misses, 3 * CACHE_CAP as u64);
 }
