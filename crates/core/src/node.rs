@@ -35,7 +35,7 @@ use un_nffg::{
     TrafficMatch,
 };
 use un_nnf::GraphBinding;
-use un_obs::{ClassifierStage, DropReason, HopKind, TraceSink};
+use un_obs::{Accounting, ClassifierStage, DropReason, FrameLedger, HopKind, TraceSink};
 use un_packet::ethernet::MacAddr;
 use un_packet::{Ipv4Cidr, Packet};
 use un_sim::mem::format_bytes;
@@ -417,6 +417,8 @@ pub struct UniversalNode {
     clock: SimTime,
     /// Node-level trace/counters.
     pub trace: TraceLog,
+    /// The node fabric's share of the conservation ledger.
+    frame_ledger: FrameLedger,
     mem_capacity: u64,
     /// Observability handle; `None` when disabled so the hot path pays
     /// only `Option` checks.
@@ -485,22 +487,11 @@ fn record_classify_hops(f: &TraceSink, node: &str, lsi: &str, steps: &[PipelineS
 }
 
 /// Per-call state of one burst's run through the node fabric: the
-/// recorder riding along (ghost-ness is read off it here, once, so the
-/// two cannot travel apart), the result under construction, what the
-/// walk owes the node's counters, and the work list.
+/// books (recorder, ghost flag and what the walk owes the node's
+/// ledger), the result under construction, and the work list.
 struct Walk<'a> {
-    flight: Option<&'a TraceSink>,
-    /// Ghost walk: every decision taken, every counter frozen.
-    ghost: bool,
+    acct: Accounting<'a>,
     io: NodeIo,
-    /// Conservation ledger terms, accumulated here so the fabric loop
-    /// pays plain integer adds: every processing step consumes one
-    /// frame and produces k — `fanout_extra` sums (k-1) for k >= 1,
-    /// `absorbed` counts k == 0 steps (table miss, NF consumed it).
-    absorbed: u64,
-    fanout_extra: u64,
-    /// Typed drops so far (stays empty on a ghost walk).
-    drops: BTreeMap<DropReason, u64>,
     /// Fabric steps left before the amplification valve closes.
     work_budget: u64,
     /// Bursts waiting at a fabric location, every frame with its TTL.
@@ -510,12 +501,8 @@ struct Walk<'a> {
 impl<'a> Walk<'a> {
     fn new(flight: Option<&'a TraceSink>, frames: usize) -> Self {
         Walk {
-            flight,
-            ghost: flight.is_some_and(|f| f.ghost()),
+            acct: Accounting::new(flight),
             io: NodeIo::default(),
-            absorbed: 0,
-            fanout_extra: 0,
-            drops: BTreeMap::new(),
             work_budget: (frames as u64).saturating_mul(u64::from(FABRIC_TTL)),
             pending: BTreeMap::new(),
         }
@@ -523,37 +510,6 @@ impl<'a> Walk<'a> {
 
     fn queue(&mut self, loc: LocKey, pkt: Packet, ttl: u32) {
         self.pending.entry(loc).or_default().push((pkt, ttl));
-    }
-
-    /// Book one processing step that turned one frame into `k`.
-    fn produced(&mut self, k: usize) {
-        match k {
-            0 => self.absorbed += 1,
-            k => self.fanout_extra += (k - 1) as u64,
-        }
-    }
-
-    /// The node fabric's one drop primitive: `n` frame instances died
-    /// on node `at` for `reason`. The typed counter moves by `n` unless
-    /// the walk is a ghost, and a recorder riding along gets one drop
-    /// hop per frame — so "ghost ⇒ no counter moves" and "counter delta
-    /// == drop hops recorded" hold for every fabric drop by
-    /// construction.
-    fn drop(&mut self, at: &str, reason: DropReason, n: u64, detail: impl fmt::Display) {
-        if !self.ghost {
-            *self.drops.entry(reason).or_insert(0) += n;
-        }
-        if let Some(f) = self.flight {
-            for _ in 0..n {
-                f.hop(
-                    at,
-                    HopKind::Drop {
-                        reason,
-                        detail: detail.to_string(),
-                    },
-                );
-            }
-        }
     }
 
     /// The classify stage, written once for LSI-0 and the graph LSIs:
@@ -573,28 +529,28 @@ impl<'a> Walk<'a> {
         port: impl Fn(PortNo) -> T,
     ) -> Vec<(T, Packet, u32)> {
         let popts = ProcessOptions {
-            ghost: self.ghost,
-            record: self.flight.is_some(),
+            ghost: self.acct.ghost(),
+            record: self.acct.flight().is_some(),
         };
         let mut routed = Vec::with_capacity(burst.len());
         // One output vector for the whole burst, drained per frame.
         let mut outputs = Vec::new();
         for (pkt, ttl) in burst {
             if ttl == 0 {
-                self.drop(node, DropReason::FabricLoop, 1, "");
+                self.acct.drop(node, DropReason::FabricLoop, 1, "");
                 continue;
             }
             if self.work_budget == 0 {
-                self.drop(node, DropReason::FabricWorkExhausted, 1, "");
+                self.acct.drop(node, DropReason::FabricWorkExhausted, 1, "");
                 continue;
             }
             self.work_budget -= 1;
             let res = lsi.process_into(in_port, pkt, costs, popts, &mut outputs);
-            if let Some(f) = self.flight {
+            if let Some(f) = self.acct.flight() {
                 record_classify_hops(f, node, &lsi.name, &res.steps);
             }
             self.io.cost += res.cost;
-            self.produced(outputs.len());
+            self.acct.produced(outputs.len());
             routed.extend(outputs.drain(..).map(|(out, p)| (port(out), p, ttl)));
         }
         routed
@@ -629,6 +585,7 @@ impl UniversalNode {
             next_dpid: 2,
             clock: SimTime::ZERO,
             trace: TraceLog::new(),
+            frame_ledger: FrameLedger::default(),
             mem_capacity,
             obs: None,
             obs_nf_hist: BTreeMap::new(),
@@ -1309,10 +1266,10 @@ impl UniversalNode {
     pub fn ingress_port(&mut self, name: &str, flight: Option<&TraceSink>) -> Option<PortId> {
         let id = self.port_id(name);
         if id.is_none() {
-            let mut walk = Walk::new(flight, 0);
+            let mut acct = Accounting::new(flight);
             let detail = format_args!("no port '{name}'");
-            walk.drop(&self.name, DropReason::InjectUnknownPort, 1, detail);
-            self.settle(walk);
+            acct.drop(&self.name, DropReason::InjectUnknownPort, 1, detail);
+            acct.settle(&mut self.frame_ledger);
         }
         id
     }
@@ -1340,22 +1297,20 @@ impl UniversalNode {
     /// [`UniversalNode::inject_batch`] with an optional flight-recorder
     /// sink riding along. With a sink, every fabric crossing appends a
     /// hop record (classifier provenance, NF delivery, typed drops,
-    /// egress). A *ghost* sink additionally freezes every counter —
-    /// trace counters, LSI port/table stats, microflow caches, NF
-    /// latency histograms — so a synthetic frame can walk the genuine
-    /// pipeline without leaving a statistical footprint.
+    /// egress). A *ghost* sink additionally freezes the node's own
+    /// books — frame ledger, trace counters, LSI port/table stats,
+    /// microflow caches, NF latency histograms — but not the NFs: they
+    /// run for real, so a native NF's state (NAT / conntrack bindings,
+    /// XFRM sequence numbers and replay windows, the host's counters)
+    /// moves, until a model of the NF (ROADMAP item 2's `NfModel`) can
+    /// stand in for it.
     pub fn inject_batch_flight(
         &mut self,
         batch: Vec<(PortId, Packet)>,
         flight: Option<&TraceSink>,
     ) -> NodeIo {
+        let frames_in = batch.len() as u64;
         let mut walk = Walk::new(flight, batch.len());
-        if !walk.ghost {
-            self.trace.count("fabric_frames_in", batch.len() as u64);
-            if let Some(h) = &self.obs_burst_hist {
-                h.record(batch.len() as u64);
-            }
-        }
         for (PortId(port), pkt) in batch {
             walk.queue(LocKey::L0(port.0), pkt, FABRIC_TTL);
         }
@@ -1365,28 +1320,15 @@ impl UniversalNode {
                 LocKey::Graph(slot, p) => self.run_graph(&mut walk, slot, PortNo(p), burst),
             }
         }
-        if !walk.ghost {
-            self.trace
-                .count("fabric_frames_out", walk.io.emitted.len() as u64);
-        }
-        self.settle(walk)
-    }
-
-    /// Book what a finished walk owes the node's counters — the
-    /// conservation-ledger terms and the typed drops; nothing for a
-    /// ghost — and hand out its result.
-    fn settle(&mut self, walk: Walk<'_>) -> NodeIo {
-        if !walk.ghost {
-            if walk.absorbed > 0 {
-                self.trace.count("fabric_absorbed", walk.absorbed);
-            }
-            if walk.fanout_extra > 0 {
-                self.trace.count("fabric_fanout_extra", walk.fanout_extra);
+        if !walk.acct.ghost() {
+            self.trace.count("fabric_frames_in", frames_in);
+            let frames_out = walk.io.emitted.len() as u64;
+            self.trace.count("fabric_frames_out", frames_out);
+            if let Some(h) = &self.obs_burst_hist {
+                h.record(frames_in);
             }
         }
-        for (reason, n) in walk.drops {
-            self.trace.count(reason.as_str(), n);
-        }
+        walk.acct.settle(&mut self.frame_ledger);
         walk.io
     }
 
@@ -1407,7 +1349,7 @@ impl UniversalNode {
         while let Some((out, out_pkt, ttl)) = it.next() {
             match self.l0_ports.get(&out) {
                 Some(L0Port::Physical(name)) => {
-                    if let Some(f) = walk.flight {
+                    if let Some(f) = walk.acct.flight() {
                         f.hop(
                             &self.name,
                             HopKind::Egress {
@@ -1435,7 +1377,9 @@ impl UniversalNode {
                         walk.queue(LocKey::L0(out.0), back, ttl);
                     }
                 }
-                None => walk.drop(&self.name, DropReason::L0UnmappedPort, 1, ""),
+                None => walk
+                    .acct
+                    .drop(&self.name, DropReason::L0UnmappedPort, 1, ""),
             }
         }
     }
@@ -1459,7 +1403,7 @@ impl UniversalNode {
             .and_then(|gid| self.graphs.get_mut(gid))
         else {
             let detail = format_args!("graph slot {slot} is gone");
-            return walk.drop(
+            return walk.acct.drop(
                 &self.name,
                 DropReason::FabricDeadSlot,
                 burst.len() as u64,
@@ -1508,12 +1452,19 @@ impl UniversalNode {
                             Some(gp) => walk.queue(LocKey::Graph(slot, gp.0), back, ttl),
                             None => {
                                 let detail = format_args!("nf port {nf_out}");
-                                walk.drop(&self.name, DropReason::GraphUnmappedNfPort, 1, detail);
+                                walk.acct.drop(
+                                    &self.name,
+                                    DropReason::GraphUnmappedNfPort,
+                                    1,
+                                    detail,
+                                );
                             }
                         }
                     }
                 }
-                None => walk.drop(&self.name, DropReason::GraphUnmappedPort, 1, ""),
+                None => walk
+                    .acct
+                    .drop(&self.name, DropReason::GraphUnmappedPort, 1, ""),
             }
         }
     }
@@ -1533,7 +1484,7 @@ impl UniversalNode {
         ttls: Vec<u32>,
     ) -> Vec<(u32, Packet, u32)> {
         let n = frames.len() as u64;
-        let t0 = (self.obs.is_some() || walk.flight.is_some()).then(Instant::now);
+        let t0 = (self.obs.is_some() || walk.acct.flight().is_some()).then(Instant::now);
         let mut env = NodeEnv {
             host: &mut self.host,
             ledger: &mut self.ledger,
@@ -1543,10 +1494,10 @@ impl UniversalNode {
         if let Some(t0) = t0 {
             let per = t0.elapsed().as_nanos() as u64 / n;
             for _ in 0..n {
-                if !walk.ghost {
+                if !walk.acct.ghost() {
                     self.record_nf_latency(inst, per);
                 }
-                if let Some(f) = walk.flight {
+                if let Some(f) = walk.acct.flight() {
                     self.nf_hop(f, inst, per);
                 }
             }
@@ -1554,7 +1505,7 @@ impl UniversalNode {
         let mut back = Vec::with_capacity(outs.len());
         for (out_io, ttl) in outs.into_iter().zip(ttls) {
             walk.io.cost += out_io.cost;
-            walk.produced(out_io.outputs.len());
+            walk.acct.produced(out_io.outputs.len());
             back.extend(
                 out_io
                     .outputs
@@ -1680,6 +1631,11 @@ impl UniversalNode {
             out.push_str(&format!("      ├─ {id} '{name}' via {driver}\n"));
         }
         out
+    }
+
+    /// The node fabric's share of the conservation ledger.
+    pub fn frame_ledger(&self) -> &FrameLedger {
+        &self.frame_ledger
     }
 
     /// LSI-0 statistics (tests / metrics endpoint).

@@ -334,12 +334,12 @@ fn inject_on_an_unknown_port_is_a_typed_drop() {
     let mut n = node();
     let reason = DropReason::InjectUnknownPort;
     assert!(n.inject("eth9", frame(b"x")).emitted.is_empty());
-    assert_eq!(n.trace.counter(reason.as_str()), 1);
+    assert_eq!(n.frame_ledger().drops(reason), 1);
     // With a recorder the same drop leaves one hop; a ghost books nothing.
     for (ghost, booked) in [(false, 2), (true, 2)] {
         let sink = TraceSink::new("cpe-1", "eth9", ghost);
         assert!(n.ingress_port("eth9", Some(&sink)).is_none());
-        assert_eq!(n.trace.counter(reason.as_str()), booked, "ghost = {ghost}");
+        assert_eq!(n.frame_ledger().drops(reason), booked, "ghost = {ghost}");
         let trace = sink.finish();
         assert_eq!(trace.drops(), vec![reason]);
         assert!(

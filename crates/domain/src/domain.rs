@@ -52,7 +52,7 @@ use std::time::Instant;
 use un_core::{DeployReport, Name, UniversalNode};
 use un_ipsec::SecurityAssociation;
 use un_nffg::{NfFg, ValidationError};
-use un_obs::{PacketTrace, TraceRing, TraceSink};
+use un_obs::{FrameLedger, PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
 use un_sim::{Cost, SimTime, TraceLog};
 
@@ -513,6 +513,9 @@ pub struct Domain {
     clock: SimTime,
     /// Domain-level counters (`graphs_deployed`, `overlay_frames`, …).
     pub trace: TraceLog,
+    /// The shuttle's share of the conservation ledger, plus replaced
+    /// node carcasses' shares.
+    frame_ledger: FrameLedger,
     /// Observability: metric registry + recent-event ring. Inert (one
     /// branch per record call) unless `config.observability` is set.
     obs: Arc<un_obs::Obs>,
@@ -546,6 +549,7 @@ impl Domain {
             link_epoch: 0,
             clock: SimTime::ZERO,
             trace: TraceLog::new(),
+            frame_ledger: FrameLedger::default(),
             obs,
             traces: TraceRing::new(un_obs::DEFAULT_TRACE_CAPACITY),
             verify_cache: Mutex::new(verify::VerifyCache::default()),
@@ -591,14 +595,9 @@ impl Domain {
                 panic!("node '{name}' is already registered and alive")
             }
             Some(old) => {
-                // The carcass's ledger counters must survive the rejoin
-                // or the cumulative conservation balance would break.
-                for c in report::node_ledger_counters() {
-                    let n = old.node.trace.counter(c);
-                    if n > 0 {
-                        self.trace.count(c, n);
-                    }
-                }
+                // The carcass's ledger must survive the rejoin or the
+                // cumulative conservation balance would break.
+                self.frame_ledger += *old.node.frame_ledger();
                 self.trace.count("nodes_rejoined", 1);
             }
             None => self.trace.count("nodes_added", 1),
@@ -893,7 +892,7 @@ impl Domain {
     /// burst. The shuttle's per-call setup is O(touched nodes), not
     /// O(fleet): a queue is built for each node the frame reaches and
     /// nothing per fleet member. On a warm one-node bridge chain that
-    /// is 6 heap allocations more than the same frame through
+    /// is 5 heap allocations more than the same frame through
     /// [`UniversalNode::inject`], and 5 more per further node touched
     /// (pinned by `tests/alloc_per_call.rs`). High-rate callers should
     /// batch frames into `inject_batch`, which amortizes that across
@@ -967,13 +966,15 @@ impl Domain {
     /// Walk a synthetic frame through the domain in **ghost mode**: the
     /// frame takes exactly the decisions the real data plane would take
     /// (classifier lookups, NF processing, overlay routing, real ESP
-    /// seal and open on cloned SAs) but moves **no counters** — node and
-    /// domain trace counters, switch/port statistics, microflow caches,
-    /// link wire counters and observability histograms are all left
-    /// untouched, so a trace probe is invisible to the conservation
-    /// ledger and to `/metrics`. Returns the recorded hop-by-hop trace
-    /// (served by `POST /domain/trace`); ghost walks never enter the
-    /// recent-trace ring.
+    /// seal and open on cloned SAs) but moves **none of the domain's
+    /// counters** — the conservation ledger, node and domain trace
+    /// counters, switch/port statistics, microflow caches, link wire
+    /// counters and observability histograms are all left untouched, so
+    /// a trace probe is invisible to the ledger and to `/metrics`. The
+    /// NFs it crosses run for real, so *their* state moves (see
+    /// [`UniversalNode::inject_batch_flight`]). Returns the recorded
+    /// hop-by-hop trace (served by `POST /domain/trace`); ghost walks
+    /// never enter the recent-trace ring.
     pub fn trace_frame(&mut self, node: &str, port: &str, pkt: Packet) -> PacketTrace {
         let sink = TraceSink::new(node, port, true);
         let _ = self.shuttle(std::iter::once((node, port, pkt)), Some(&sink));

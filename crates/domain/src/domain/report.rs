@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use un_obs::DropReason;
+use un_obs::{DropReason, FrameLedger};
 
 use super::{Domain, RepairPolicy};
 use crate::standby::{AvailabilityReport, GraphAvailability, GraphPrediction, RepairKind};
@@ -19,9 +19,9 @@ use crate::standby::{AvailabilityReport, GraphAvailability, GraphPrediction, Rep
 /// `ingress + fanout_extra == egress + absorbed + dropped()`. Fan-out
 /// (flood rules, multi-output NFs) mints `fanout_extra` new instances;
 /// `absorbed` counts instances consumed with no output (table miss, NF
-/// sink); every other death increments exactly one named drop counter.
-/// The chaos suite holds the balance as an invariant after every
-/// operation.
+/// sink); every other death increments exactly one typed drop slot of
+/// a [`FrameLedger`], reported here by its counter name. The chaos
+/// suite holds the balance as an invariant after every operation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConservationReport {
     /// Frames handed to [`Domain::inject_batch`], pre-validation.
@@ -81,30 +81,6 @@ pub struct LinkReport {
     pub hop_bytes: Vec<u64>,
 }
 
-/// Node-level drop counter names of the conservation ledger, derived
-/// from the shared [`DropReason`] enum so ledger terms, metric labels
-/// and flight-recorder drop hops can never drift apart.
-fn node_drop_counters() -> impl Iterator<Item = &'static str> {
-    DropReason::NODE_DROPS.iter().map(|r| r.as_str())
-}
-
-/// Domain-level drop counter names of the conservation ledger (same
-/// single source of truth: [`DropReason::DOMAIN_DROPS`]).
-fn domain_drop_counters() -> impl Iterator<Item = &'static str> {
-    DropReason::DOMAIN_DROPS.iter().map(|r| r.as_str())
-}
-
-/// Node-level counters that feed the conservation ledger. Folded into
-/// the domain trace when a node carcass is replaced on rejoin, so the
-/// ledger stays cumulative across the fleet's whole life. The first
-/// two are the fan-out/absorption terms of the balance; the rest are
-/// the drop causes.
-pub(super) fn node_ledger_counters() -> impl Iterator<Item = &'static str> {
-    ["fabric_absorbed", "fabric_fanout_extra"]
-        .into_iter()
-        .chain(node_drop_counters())
-}
-
 impl Domain {
     /// Every live overlay link, in vid order: endpoints, pinned path,
     /// protection and wire counters.
@@ -126,37 +102,27 @@ impl Domain {
             .collect()
     }
 
+    /// The shuttle's share of the conservation ledger, plus replaced
+    /// node carcasses' shares.
+    pub fn frame_ledger(&self) -> &FrameLedger {
+        &self.frame_ledger
+    }
+
     /// The domain-wide frame-conservation ledger (see
-    /// [`ConservationReport`]), summed from domain counters plus every
-    /// node's fabric counters (including counters folded into the
-    /// domain trace from replaced carcasses).
+    /// [`ConservationReport`]): the domain's ledger plus every node's.
     pub fn conservation_report(&self) -> ConservationReport {
-        let mut r = ConservationReport {
-            ingress: self.trace.counter("domain_frames_ingress"),
-            egress: self.trace.counter("domain_frames_egress"),
-            fanout_extra: self.trace.counter("fabric_fanout_extra"),
-            absorbed: self.trace.counter("fabric_absorbed"),
-            drops: BTreeMap::new(),
-        };
-        // Node drop counters appear in the domain trace too: counters
-        // folded in from replaced carcasses.
-        for name in domain_drop_counters().chain(node_drop_counters()) {
-            let n = self.trace.counter(name);
-            if n > 0 {
-                *r.drops.entry(name).or_insert(0) += n;
-            }
-        }
+        let mut total = self.frame_ledger;
         for m in self.nodes.values() {
-            r.fanout_extra += m.node.trace.counter("fabric_fanout_extra");
-            r.absorbed += m.node.trace.counter("fabric_absorbed");
-            for name in node_drop_counters() {
-                let n = m.node.trace.counter(name);
-                if n > 0 {
-                    *r.drops.entry(name).or_insert(0) += n;
-                }
-            }
+            total += *m.node.frame_ledger();
         }
-        r
+        let drops = DropReason::ALL.map(|r| (r.as_str(), total.drops(r)));
+        ConservationReport {
+            ingress: total.ingress,
+            egress: total.egress,
+            fanout_extra: total.fanout_extra,
+            absorbed: total.absorbed,
+            drops: drops.into_iter().filter(|&(_, n)| n > 0).collect(),
+        }
     }
 
     /// The modeled-vs-measured availability report: per deployed

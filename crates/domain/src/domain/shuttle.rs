@@ -22,16 +22,16 @@
 //! Per call only the [`Work`] list is built: a queue per *touched*
 //! node and the FIFO of nodes with work. Untouched nodes cost nothing.
 //!
-//! Every way a frame can die here goes through [`Tally::drop`].
+//! Every way a frame can die here goes through [`Accounting::drop`],
+//! the one drop primitive the node fabric uses too.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt;
 
 use un_core::{Name, PortId};
-use un_obs::{DropReason, HopKind, TraceSink};
+use un_obs::{Accounting, DropReason, HopKind, TraceSink};
 use un_packet::Packet;
-use un_sim::Cost;
+use un_sim::{Cost, TraceLog};
 
 use super::{Domain, DomainConfig, DomainIo, LinkSas, LinkState, ManagedNode, NodeHealth};
 use crate::wire;
@@ -144,61 +144,13 @@ impl Work {
     }
 }
 
-/// What the call produced: its result plus the counter movements to
-/// fold into the domain trace once the drain is over.
-struct Tally<'a> {
-    io: DomainIo,
-    counters: BTreeMap<&'static str, u64>,
-    /// The recorder riding along, if any.
-    flight: Option<&'a TraceSink>,
-    /// Ghost walk: decisions only, no counter movement. Read off
-    /// `flight` here, once, so the two cannot travel apart.
-    ghost: bool,
-}
-
-impl<'a> Tally<'a> {
-    fn new(flight: Option<&'a TraceSink>) -> Self {
-        Tally {
-            io: DomainIo::default(),
-            counters: BTreeMap::new(),
-            ghost: flight.is_some_and(TraceSink::ghost),
-            flight,
-        }
-    }
-
-    fn count(&mut self, name: &'static str, n: u64) {
-        if !self.ghost {
-            *self.counters.entry(name).or_insert(0) += n;
-        }
-    }
-
-    /// The shuttle's one drop primitive: `n` frames died at node `at`
-    /// for `reason`. The typed counter moves by `n` unless the walk is
-    /// a ghost, and a recorder riding along gets one drop hop per
-    /// frame — so "ghost ⇒ no counter moves" and "counter delta ==
-    /// drop hops recorded" hold for every shuttle drop by construction.
-    fn drop(&mut self, at: &str, reason: DropReason, n: usize, detail: impl fmt::Display) {
-        self.count(reason.as_str(), n as u64);
-        if let Some(f) = self.flight {
-            for _ in 0..n {
-                f.hop(
-                    at,
-                    HopKind::Drop {
-                        reason,
-                        detail: detail.to_string(),
-                    },
-                );
-            }
-        }
-    }
-}
-
-/// One call's drain: the domain's fleet and links borrowed in place,
-/// the work list and the tally.
+/// One call's drain: the domain's fleet, links and trace borrowed in
+/// place, the work list, the result and the books.
 struct Drain<'a> {
     nodes: &'a mut BTreeMap<String, ManagedNode>,
     links: &'a mut BTreeMap<u16, LinkState>,
     config: &'a DomainConfig,
+    trace: &'a mut TraceLog,
     work: Work,
     /// Last-resort budget of overlay crossings left to this call:
     /// single-path traffic needs at most `seeded × ttl` (each frame
@@ -215,7 +167,8 @@ struct Drain<'a> {
     /// and replay windows move, and a probe must not advance the live
     /// wire's state. Stays empty on a real walk.
     ghost_sas: BTreeMap<u16, Option<LinkSas>>,
-    tally: Tally<'a>,
+    io: DomainIo,
+    acct: Accounting<'a>,
 }
 
 impl Drain<'_> {
@@ -226,21 +179,20 @@ impl Drain<'_> {
         N: AsRef<str>,
         P: AsRef<str>,
     {
-        let mut ingressed = 0u64;
         let mut seeded = 0u64;
         for (node, port, pkt) in ingress {
-            ingressed += 1;
+            self.acct.ingress(1);
             let (node, port) = (node.as_ref(), port.as_ref());
             if let Err(reason) = self.work.queue(self.nodes, node, &self.config.fabric_port) {
-                self.tally.drop(node, reason, 1, "");
+                self.acct.drop(node, reason, 1, "");
                 continue;
             }
             let managed = self.nodes.get_mut(node).expect("a queued node exists");
             // An unknown port is the node's drop to book, not ours.
-            let Some(pid) = managed.node.ingress_port(port, self.tally.flight) else {
+            let Some(pid) = managed.node.ingress_port(port, self.acct.flight()) else {
                 continue;
             };
-            if let Some(f) = self.tally.flight {
+            if let Some(f) = self.acct.flight() {
                 f.hop(
                     node,
                     HopKind::Ingress {
@@ -251,7 +203,6 @@ impl Drain<'_> {
             self.work.push(node, ttl, [(pid, pkt)]);
             seeded += 1;
         }
-        self.tally.count("domain_frames_ingress", ingressed);
         self.crossings_left = seeded.saturating_mul(u64::from(ttl));
     }
 
@@ -262,8 +213,8 @@ impl Drain<'_> {
                 .nodes
                 .get_mut(name.as_str())
                 .expect("a queued node exists");
-            let node_io = managed.node.inject_batch_flight(burst, self.tally.flight);
-            self.tally.io.cost += node_io.cost;
+            let node_io = managed.node.inject_batch_flight(burst, self.acct.flight());
+            self.io.cost += node_io.cost;
             // Back in line before its egress crosses, so frames already
             // waiting here keep their turn ahead of the peers'.
             self.work.requeue(&name);
@@ -272,31 +223,30 @@ impl Drain<'_> {
             let mut fabric_bursts: BTreeMap<u16, Vec<Packet>> = BTreeMap::new();
             for (port, pkt) in node_io.emitted {
                 if port.as_str() != self.config.fabric_port {
-                    self.tally.io.emitted.push((name.clone(), port, pkt));
+                    self.io.emitted.push((name.clone(), port, pkt));
                     continue;
                 }
                 match pkt.vlan_id() {
                     Some(vid) => fabric_bursts.entry(vid).or_default().push(pkt),
-                    None => self.tally.drop(&name, DropReason::OverlayUntagged, 1, ""),
+                    None => self.acct.drop(&name, DropReason::OverlayUntagged, 1, ""),
                 }
             }
             for (vid, frames) in fabric_bursts {
                 self.cross_link(&name, vid, frames, ttl_left);
             }
         }
-        let egressed = self.tally.io.emitted.len() as u64;
-        self.tally.count("domain_frames_egress", egressed);
+        self.acct.egress(self.io.emitted.len() as u64);
     }
 
     /// Carry `frames`, which node `from` emitted on the fabric tagged
     /// `vid`, over the next hop of that link's pinned path and queue
     /// the survivors on the peer with one crossing less to spend.
     fn cross_link(&mut self, from: &Name, vid: u16, frames: Vec<Packet>, ttl_left: u32) {
-        let out = &mut self.tally;
-        let n = frames.len();
+        let (io, acct) = (&mut self.io, &mut self.acct);
+        let n = frames.len() as u64;
         let Some(link) = self.links.get_mut(&vid) else {
             let detail = format_args!("no overlay link for vid {vid}");
-            return out.drop(from, DropReason::OverlayUnroutable, n, detail);
+            return acct.drop(from, DropReason::OverlayUnroutable, n, detail);
         };
         // Advance along the pinned path: the emitting node's successor
         // is the next hop. On a two-node path a frame emitted by the
@@ -311,13 +261,13 @@ impl Drain<'_> {
             Some(1) if link.path.len() == 2 => (0, 0),
             _ => {
                 let detail = format_args!("not on the pinned path of vid {vid}");
-                return out.drop(from, DropReason::OverlayForeign, n, detail);
+                return acct.drop(from, DropReason::OverlayForeign, n, detail);
             }
         };
         let hop_cost = Cost::from_nanos(link.hop_latency_ns.get(hop_idx).copied().unwrap_or(0));
         let peer = link.path[next_idx].as_str();
         let esp_on = link.sas.is_some();
-        let sas = if out.ghost {
+        let sas = if acct.ghost() {
             let cloned = self.ghost_sas.entry(vid);
             cloned.or_insert_with(|| link.sas.clone()).as_deref_mut()
         } else {
@@ -337,21 +287,21 @@ impl Drain<'_> {
                 self.config.esp_fixed_ns as f64 + self.config.esp_ns_per_byte * inner_len as f64;
             Cost::from_nanos(ns as u64)
         };
-        let mut survivors: Vec<Packet> = Vec::with_capacity(n);
+        let mut survivors: Vec<Packet> = Vec::with_capacity(frames.len());
         let (mut wire_frames, mut wire_bytes) = (0u64, 0u64);
         for mut pkt in frames {
             if let Some(sa_out) = seal.as_deref_mut() {
                 let inner_len = pkt.len();
-                out.io.cost += esp_cost(inner_len);
+                io.cost += esp_cost(inner_len);
                 pkt = match wire::seal(sa_out, pkt, vid) {
                     Ok(sealed) => sealed,
                     Err(e) => {
                         let detail = format_args!("vid {vid}: {e}");
-                        out.drop(from, DropReason::OverlayEspSealFail, 1, detail);
+                        acct.drop(from, DropReason::OverlayEspSealFail, 1, detail);
                         continue;
                     }
                 };
-                out.io.protected_bytes += inner_len as u64;
+                io.protected_bytes += inner_len as u64;
             }
             // Wire counters count what is on the wire at every hop of
             // the pinned path — the sealed length on a protected one. A
@@ -360,9 +310,9 @@ impl Drain<'_> {
             let len = pkt.len();
             wire_frames += 1;
             wire_bytes += len as u64;
-            out.io.overlay_hops += 1;
-            out.io.cost += hop_cost;
-            if let Some(f) = out.flight {
+            io.overlay_hops += 1;
+            io.cost += hop_cost;
+            if let Some(f) = acct.flight() {
                 f.hop(
                     from,
                     HopKind::OverlayHop {
@@ -383,45 +333,47 @@ impl Drain<'_> {
                 let walked = opened
                     .as_ref()
                     .map_or(len.saturating_sub(wire::OVERHEAD), Packet::len);
-                out.io.cost += esp_cost(walked);
+                io.cost += esp_cost(walked);
                 pkt = match opened {
                     Ok(frame) => frame,
                     Err(e) => {
                         let detail = format_args!("vid {vid}: {e}");
-                        out.drop(peer, DropReason::OverlayEspVerifyFail, 1, detail);
+                        acct.drop(peer, DropReason::OverlayEspVerifyFail, 1, detail);
                         continue;
                     }
                 };
             }
             survivors.push(pkt);
         }
-        if !out.ghost {
+        if !acct.ghost() {
             link.count_hop(hop_idx, wire_frames, wire_bytes);
         }
         // Borrowed again: the count above took the link whole.
         let peer = link.path[next_idx].as_str();
-        let k = survivors.len();
+        let k = survivors.len() as u64;
         if k == 0 {
             return;
         }
-        out.count("overlay_frames", k as u64);
+        if !acct.ghost() {
+            self.trace.count("overlay_frames", k);
+        }
         // ttl_left counts remaining crossings: a frame seeded with
         // overlay_ttl may cross exactly that many times.
         if ttl_left == 0 {
             let detail = format_args!("overlay TTL expired on vid {vid}");
-            return out.drop(from, DropReason::OverlayLoop, k, detail);
+            return acct.drop(from, DropReason::OverlayLoop, k, detail);
         }
         if self.crossings_left == 0 {
-            return out.drop(from, DropReason::OverlayWorkExhausted, k, "");
+            return acct.drop(from, DropReason::OverlayWorkExhausted, k, "");
         }
-        self.crossings_left = self.crossings_left.saturating_sub(k as u64);
+        self.crossings_left = self.crossings_left.saturating_sub(k);
         let fabric_id = match self.work.queue(self.nodes, peer, &self.config.fabric_port) {
             Ok(queue) => queue.fabric_id,
-            Err(reason) => return out.drop(peer, reason, k, ""),
+            Err(reason) => return acct.drop(peer, reason, k, ""),
         };
         let Some(fid) = fabric_id else {
             let detail = format_args!("peer has no fabric port");
-            return out.drop(peer, DropReason::OverlayUnroutable, k, detail);
+            return acct.drop(peer, DropReason::OverlayUnroutable, k, detail);
         };
         self.work
             .push(peer, ttl_left - 1, survivors.into_iter().map(|p| (fid, p)));
@@ -461,17 +413,16 @@ impl Domain {
             nodes: &mut self.nodes,
             links: &mut self.links,
             config: &self.config,
+            trace: &mut self.trace,
             work: Work::default(),
             crossings_left: 0,
             ghost_sas: BTreeMap::new(),
-            tally: Tally::new(flight),
+            io: DomainIo::default(),
+            acct: Accounting::new(flight),
         };
         drain.seed(ingress, self.config.overlay_ttl.max(1));
         drain.run();
-        let Tally { io, counters, .. } = drain.tally;
-        for (name, n) in counters {
-            self.trace.count(name, n);
-        }
-        io
+        drain.acct.settle(&mut self.frame_ledger);
+        drain.io
     }
 }

@@ -3,6 +3,7 @@ use std::net::Ipv4Addr;
 
 use un_core::UniversalNode;
 use un_nffg::{NfFg, NfFgBuilder};
+use un_obs::DropReason;
 use un_packet::ethernet::MacAddr;
 use un_packet::PacketBuilder;
 use un_sim::mem::mb;
@@ -121,7 +122,7 @@ fn protected_overlay_verifies_frames_with_esp() {
         io.cost.as_nanos(),
         unprotected_cost.as_nanos()
     );
-    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayEspVerifyFail), 0);
 }
 
 #[test]
@@ -535,6 +536,66 @@ fn failed_node_may_rejoin_alive_duplicate_panics() {
     assert!(result.is_err(), "duplicate alive registration must panic");
 }
 
+/// A rejoin replaces the carcass, and the carcass's share of the
+/// conservation ledger must not leave with it.
+#[test]
+fn a_rejoin_carries_the_carcass_ledger() {
+    let node = || {
+        let mut n = UniversalNode::new("n1", mb(2048));
+        for port in ["eth0", "eth1", "eth2", "eth3"] {
+            n.add_physical_port(port);
+        }
+        n
+    };
+    let mut d = Domain::with_defaults();
+    d.add_node(node());
+    // A three-port bridge floods an unknown destination out of both
+    // wan ports: one frame in, two out.
+    let flood = NfFgBuilder::new("g1", "flood")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan1", "eth1")
+        .interface_endpoint("wan2", "eth2")
+        .nf("dup", "bridge", 3)
+        .rule_through("in", 10, "lan", ("dup", 0))
+        .rule_through("out1", 10, ("dup", 1), "wan1")
+        .rule_through("out2", 10, ("dup", 2), "wan2")
+        .build();
+    d.deploy(&flood).unwrap();
+    let send = |d: &mut Domain| {
+        assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 2);
+        // No graph owns eth3: LSI-0 misses and absorbs the frame.
+        assert!(d.inject("n1", "eth3", frame()).emitted.is_empty());
+        // No such port: a drop the node books.
+        assert!(d.inject("n1", "eth9", frame()).emitted.is_empty());
+    };
+    send(&mut d);
+    let carcass = *d.node("n1").unwrap().frame_ledger();
+    assert_eq!(carcass.fanout_extra, 1);
+    assert_eq!(carcass.absorbed, 1);
+    assert_eq!(carcass.drops(DropReason::InjectUnknownPort), 1);
+
+    d.fail_node("n1").unwrap();
+    let before = d.conservation_report();
+    assert!(before.balanced(), "{before:?}");
+    d.add_node(node());
+    assert_eq!(
+        *d.node("n1").unwrap().frame_ledger(),
+        FrameLedger::default()
+    );
+    assert_eq!(
+        d.conservation_report(),
+        before,
+        "the rejoin moved the ledger"
+    );
+
+    d.deploy(&flood).unwrap();
+    send(&mut d);
+    let after = d.conservation_report();
+    assert!(after.balanced(), "{after:?}");
+    assert_eq!(after.ingress, 2 * before.ingress);
+    assert_eq!(after.fanout_extra, 2 * before.fanout_extra);
+}
+
 #[test]
 fn heartbeat_timeout_suspects_then_fails() {
     let mut d = two_node_domain();
@@ -686,7 +747,7 @@ fn rule_only_update_keeps_esp_link_state() {
     let io = d.inject("n1", "eth0", frame());
     assert_eq!(io.emitted.len(), 1, "{:?}", d.trace);
     assert!(io.protected_bytes > 0);
-    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayEspVerifyFail), 0);
     assert_eq!(totals(&d).iter().map(|(_, p, _)| p).sum::<u64>(), 4);
 }
 
@@ -785,7 +846,7 @@ fn large_bursts_are_not_spuriously_dropped_as_loops() {
     let io = d.inject_batch(ingress, 1);
     assert_eq!(io.emitted.len(), 200, "whole burst must forward");
     assert_eq!(io.overlay_hops, 200);
-    assert_eq!(d.trace.counter("overlay_loop_drops"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayLoop), 0);
     assert_eq!(d.trace.counter("overlay_frames"), 200);
 }
 
@@ -811,7 +872,7 @@ fn overlay_ttl_exhaustion_is_counted_per_frame() {
         .unwrap();
     let io = d.inject("n1", "eth0", frame());
     assert_eq!(io.emitted.len(), 1, "one crossing fits in ttl = 1");
-    assert_eq!(d.trace.counter("overlay_loop_drops"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayLoop), 0);
 
     // Reversed placement (br1 on n2, br2 on n1) needs three crossings:
     // the frame dies mid-path and the drop is visible as a counter.
@@ -828,7 +889,7 @@ fn overlay_ttl_exhaustion_is_counted_per_frame() {
     d.deploy_with(&split_bridge_chain(), &reversed).unwrap();
     let io = d.inject("n1", "eth0", frame());
     assert!(io.emitted.is_empty(), "frame must die mid-path");
-    assert_eq!(d.trace.counter("overlay_loop_drops"), 1);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayLoop), 1);
     // ttl = 3 lets the same path complete.
     let mut d = ttl_domain(3);
     d.deploy_with(&split_bridge_chain(), &reversed).unwrap();
@@ -967,12 +1028,12 @@ fn batch_ingress_to_unknown_and_dead_nodes_is_counted() {
         1,
     );
     assert!(io.emitted.is_empty());
-    assert_eq!(d.trace.counter("inject_unknown_node"), 1);
-    assert_eq!(d.trace.counter("inject_dead_node"), 1);
+    assert_eq!(d.frame_ledger().drops(DropReason::InjectUnknownNode), 1);
+    assert_eq!(d.frame_ledger().drops(DropReason::InjectDeadNode), 1);
     // A fully mis-addressed burst seeds nothing and drains nothing.
     let io = d.inject_batch(vec![("ghost", "eth0", frame())], 4);
     assert!(io.emitted.is_empty());
-    assert_eq!(d.trace.counter("inject_unknown_node"), 2);
+    assert_eq!(d.frame_ledger().drops(DropReason::InjectUnknownNode), 2);
     assert!(d.conservation_report().balanced());
 }
 
@@ -1209,7 +1270,7 @@ fn a_protected_link_seals_once_and_transit_carries_ciphertext() {
     let (sa_out, sa_in) = &**d.links[&fwd.vid].sas.as_ref().expect("protected");
     assert_eq!((sa_out.packets, sa_in.packets), (K, K));
     assert_eq!((sa_out.bytes, sa_in.bytes), (K * inner, K * inner));
-    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayEspVerifyFail), 0);
     assert!(d.conservation_report().balanced());
 
     // A ghost probe seals at n1 and opens at n3 like any frame, on
@@ -1398,7 +1459,7 @@ fn no_key_and_sequence_number_is_ever_sealed_twice() {
             }
         }
     }
-    assert!(sealed > 0 && d.trace.counter("overlay_esp_verify_fail") == 0);
+    assert!(sealed > 0 && d.frame_ledger().drops(DropReason::OverlayEspVerifyFail) == 0);
     assert!(
         fresh_keys > 5,
         "the five-vid pool was re-used: {fresh_keys} keys"
@@ -1440,7 +1501,7 @@ fn a_moved_link_end_gets_a_fresh_sa_and_a_reroute_keeps_it() {
     }
     let io = d.inject("n1", "eth0", frame());
     assert_eq!(io.emitted.len(), 1, "{:?}", d.trace);
-    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayEspVerifyFail), 0);
 }
 
 /// Diamond fabric n1–n2–n3 / n1–n4–n3: the pinned path rides n2; when

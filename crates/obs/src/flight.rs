@@ -13,15 +13,22 @@
 //!   advancing normally; used by `Domain::inject_traced` and proven
 //!   byte-identical to untraced injection by property test.
 //! * **Ghost** (`ghost = true`): a synthetic frame walks the genuine
-//!   pipeline but *no* counter moves — LSI port/table stats, microflow
-//!   caches, link and conservation counters all stay untouched, and ESP
-//!   runs on cloned security associations. Used by `POST /domain/trace`
-//!   and by un-verify's counterexample witnesses.
+//!   pipeline but no orchestrator counter moves — LSI port/table stats,
+//!   microflow caches, link counters and the conservation ledger all
+//!   stay untouched, and overlay ESP runs on cloned security
+//!   associations. The NFs it crosses run for real, so *their* state
+//!   does move (NAT / conntrack bindings, XFRM sequence numbers and
+//!   replay windows, the host's counters); only a model of the NF
+//!   (ROADMAP item 2's `NfModel`) could spare it. Used by
+//!   `POST /domain/trace` and by un-verify's counterexample witnesses.
 //!
 //! [`DropReason`] is the one typed vocabulary for frame death, shared
-//! by the conservation ledger, metrics labels, and trace records.
+//! by the conservation ledger ([`FrameLedger`]), metrics labels, and
+//! trace records; [`Accounting::drop`] is the one place a frame death
+//! is counted and recorded, in the node fabric and the shuttle alike.
 
 use std::fmt;
+use std::ops::AddAssign;
 use std::sync::Mutex;
 
 /// Default capacity of the per-domain ring of recent real traces.
@@ -29,13 +36,13 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 64;
 
 /// Every way a frame instance can die, as one typed vocabulary.
 ///
-/// The first two groups are the enumerated drop causes of the
-/// conservation ledger (`ingress + fanout == egress + absorbed +
-/// drops`); [`DropReason::as_str`] yields the exact counter name each
-/// cause has always had, so dashboards keyed on the stringly-typed
-/// names keep working. [`DropReason::TableMiss`] is trace-only: the
-/// ledger books a classifier miss as *absorbed*, but a trace still
-/// wants to say why the walk ended.
+/// Every variant but the last is a drop cause of the conservation
+/// ledger (`ingress + fanout == egress + absorbed + drops`) with its
+/// own slot in [`FrameLedger`]; [`DropReason::as_str`] yields the exact
+/// counter name each cause has always had, so dashboards keyed on the
+/// stringly-typed names keep working. [`DropReason::TableMiss`] is
+/// trace-only and stays last: the ledger books a classifier miss as
+/// *absorbed*, but a trace still wants to say why the walk ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DropReason {
     // -- node-level (fabric) drop causes
@@ -78,8 +85,10 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    /// The node-level drop causes of the conservation ledger.
-    pub const NODE_DROPS: [DropReason; 7] = [
+    /// Every reason, in declaration order: `ALL[r as usize] == r`. Sized
+    /// by the last variant, so a reason added before it cannot be left
+    /// out.
+    pub const ALL: [DropReason; DropReason::TableMiss as usize + 1] = [
         DropReason::FabricLoop,
         DropReason::FabricWorkExhausted,
         DropReason::FabricDeadSlot,
@@ -87,10 +96,6 @@ impl DropReason {
         DropReason::L0UnmappedPort,
         DropReason::GraphUnmappedPort,
         DropReason::GraphUnmappedNfPort,
-    ];
-
-    /// The domain-level drop causes of the conservation ledger.
-    pub const DOMAIN_DROPS: [DropReason; 9] = [
         DropReason::InjectDeadNode,
         DropReason::InjectUnknownNode,
         DropReason::OverlayUntagged,
@@ -100,6 +105,7 @@ impl DropReason {
         DropReason::OverlayEspVerifyFail,
         DropReason::OverlayLoop,
         DropReason::OverlayWorkExhausted,
+        DropReason::TableMiss,
     ];
 
     /// The canonical counter/label name (the ledger's historical
@@ -130,6 +136,144 @@ impl DropReason {
 impl fmt::Display for DropReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
+    }
+}
+
+/// The frame-conservation ledger, `ingress + fanout_extra == egress +
+/// absorbed + Σ drops`, with one slot per drop cause. A node and a
+/// domain each own one, written only by [`Accounting::settle`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameLedger {
+    /// Frames handed to the domain, pre-validation.
+    pub ingress: u64,
+    /// Frames that left the domain on a real egress port.
+    pub egress: u64,
+    /// Extra frame instances minted by fan-out.
+    pub fanout_extra: u64,
+    /// Frame instances consumed with no output (table miss, NF sink).
+    pub absorbed: u64,
+    /// Drops by cause, indexed by `DropReason as usize` (`TableMiss`
+    /// books as absorbed: see [`FrameLedger::slot`]).
+    drops: [u64; DropReason::TableMiss as usize],
+}
+
+impl FrameLedger {
+    /// The one cell a death for `reason` is booked in: its drop slot,
+    /// or `absorbed` for a classifier miss.
+    fn slot(&mut self, reason: DropReason) -> &mut u64 {
+        match reason {
+            DropReason::TableMiss => &mut self.absorbed,
+            r => &mut self.drops[r as usize],
+        }
+    }
+
+    /// Frames that died for `reason` (always 0 for `TableMiss`).
+    pub fn drops(&self, reason: DropReason) -> u64 {
+        self.drops.get(reason as usize).copied().unwrap_or(0)
+    }
+
+    /// The non-zero terms under the counter names `/metrics` has always
+    /// shown them by.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        [
+            ("domain_frames_ingress", self.ingress),
+            ("domain_frames_egress", self.egress),
+            ("fabric_fanout_extra", self.fanout_extra),
+            ("fabric_absorbed", self.absorbed),
+        ]
+        .into_iter()
+        .chain(DropReason::ALL.map(|r| (r.as_str(), self.drops(r))))
+        .filter(|&(_, n)| n > 0)
+    }
+}
+
+impl AddAssign for FrameLedger {
+    fn add_assign(&mut self, rhs: FrameLedger) {
+        self.ingress += rhs.ingress;
+        self.egress += rhs.egress;
+        self.fanout_extra += rhs.fanout_extra;
+        self.absorbed += rhs.absorbed;
+        for (slot, n) in self.drops.iter_mut().zip(rhs.drops) {
+            *slot += n;
+        }
+    }
+}
+
+/// The books of one call through the data plane — the node fabric's
+/// walk or the domain shuttle: the recorder riding along, the ghost
+/// flag (read off the recorder once, so the two cannot travel apart)
+/// and what the call owes its owner's [`FrameLedger`]. With one `drop`
+/// and one `settle`, "ghost ⇒ the ledger does not move" and "slot delta
+/// == drop hops recorded" hold for every drop by construction.
+pub struct Accounting<'a> {
+    flight: Option<&'a TraceSink>,
+    ghost: bool,
+    delta: FrameLedger,
+}
+
+impl<'a> Accounting<'a> {
+    /// Books for one call, with `flight` riding along if present.
+    pub fn new(flight: Option<&'a TraceSink>) -> Self {
+        Accounting {
+            flight,
+            ghost: flight.is_some_and(TraceSink::ghost),
+            delta: FrameLedger::default(),
+        }
+    }
+
+    /// The recorder riding along, if any.
+    #[inline]
+    pub fn flight(&self) -> Option<&'a TraceSink> {
+        self.flight
+    }
+
+    /// Ghost walk: every decision taken, every counter frozen.
+    #[inline]
+    pub fn ghost(&self) -> bool {
+        self.ghost
+    }
+
+    /// `n` frames entered the domain.
+    pub fn ingress(&mut self, n: u64) {
+        self.delta.ingress += n;
+    }
+
+    /// `n` frames left the domain on real egress ports.
+    pub fn egress(&mut self, n: u64) {
+        self.delta.egress += n;
+    }
+
+    /// One processing step turned one frame into `k`: `k == 0` is
+    /// absorbed, `k > 1` minted `k - 1` new instances.
+    pub fn produced(&mut self, k: usize) {
+        match k {
+            0 => self.delta.absorbed += 1,
+            k => self.delta.fanout_extra += (k - 1) as u64,
+        }
+    }
+
+    /// `n` frame instances died at `at` for `reason`: one slot moves by
+    /// `n`, and a recorder riding along gets one drop hop per frame.
+    pub fn drop(&mut self, at: &str, reason: DropReason, n: u64, detail: impl fmt::Display) {
+        *self.delta.slot(reason) += n;
+        if let Some(f) = self.flight {
+            for _ in 0..n {
+                f.hop(
+                    at,
+                    HopKind::Drop {
+                        reason,
+                        detail: detail.to_string(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// Add what the call owes to `ledger` — nothing for a ghost.
+    pub fn settle(self, ledger: &mut FrameLedger) {
+        if !self.ghost {
+            *ledger += self.delta;
+        }
     }
 }
 
@@ -445,17 +589,62 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drop_reason_groups_cover_distinct_names() {
-        let mut names: Vec<&str> = DropReason::NODE_DROPS
-            .iter()
-            .chain(DropReason::DOMAIN_DROPS.iter())
-            .map(|r| r.as_str())
-            .collect();
+    fn every_drop_reason_has_a_distinct_name_and_one_ledger_slot() {
+        let mut names: Vec<&str> = DropReason::ALL.iter().map(|r| r.as_str()).collect();
         names.sort_unstable();
-        let before = names.len();
         names.dedup();
-        assert_eq!(names.len(), before, "duplicate drop counter name");
-        assert_eq!(before, 16);
+        assert_eq!(names.len(), DropReason::ALL.len(), "duplicate name");
+        let mut all = FrameLedger::default();
+        for (i, reason) in DropReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i, "ALL is in declaration order");
+            // Booking one death moves exactly one term by one.
+            let mut one = FrameLedger::default();
+            *one.slot(reason) += 1;
+            let terms = [one.ingress, one.egress, one.fanout_extra, one.absorbed];
+            let dropped: u64 = DropReason::ALL.map(|r| one.drops(r)).iter().sum();
+            let moved: u64 = terms.iter().sum::<u64>() + dropped;
+            assert_eq!(moved, 1, "{reason}");
+            all += one;
+        }
+        // Distinct slots: each drop cause holds exactly its own one.
+        for reason in DropReason::ALL {
+            let expect = u64::from(reason != DropReason::TableMiss);
+            assert_eq!(all.drops(reason), expect, "{reason}");
+        }
+        // A classifier miss is absorbed, never a drop.
+        assert_eq!(all.absorbed, 1);
+
+        assert!(all.counters().all(|(name, _)| name != "table_miss"));
+    }
+
+    #[test]
+    fn accounting_settles_its_delta_unless_ghost() {
+        for ghost in [false, true] {
+            let sink = TraceSink::new("n1", "eth0", ghost);
+            let mut acct = Accounting::new(Some(&sink));
+            assert_eq!(acct.ghost(), ghost);
+            acct.ingress(3);
+            acct.produced(0);
+            acct.produced(3);
+            acct.drop("n1", DropReason::FabricLoop, 2, "");
+            let mut ledger = FrameLedger::default();
+            acct.settle(&mut ledger);
+            let mut booked = FrameLedger {
+                ingress: 3,
+                fanout_extra: 2,
+                absorbed: 1,
+                ..FrameLedger::default()
+            };
+            *booked.slot(DropReason::FabricLoop) += 2;
+            let expect = if ghost {
+                FrameLedger::default()
+            } else {
+                booked
+            };
+            assert_eq!(ledger, expect, "ghost = {ghost}");
+            // The recorder sees the drops either way.
+            assert_eq!(sink.finish().drops().len(), 2);
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Metrics and tracing for the universal-node fleet, built for a batched
 //! data plane that must not slow down when nobody is looking:
 //!
-//! * [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free primitives with
-//!   shard-local accumulation (cache-line-padded atomics, `Relaxed`
-//!   ordering) and aggregate-on-read. One hot-path event costs roughly one
-//!   uncontended `fetch_add`.
+//! * [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free primitives, one
+//!   `Relaxed` atomic per cell (per counter, per bucket, per sum). One
+//!   hot-path event costs one uncontended `fetch_add`: every writer runs
+//!   on a domain's caller thread.
 //! * [`Registry`] — named metric series keyed by `(name, labels)`; hot
 //!   paths hold `Arc` handles so steady state never takes the registry
 //!   lock. Renders Prometheus text exposition format.
@@ -15,6 +15,9 @@
 //! * [`TraceSink`] / [`PacketTrace`] — the per-frame flight recorder:
 //!   hop-by-hop records (classifier provenance, NF delivery, overlay
 //!   crossings, typed [`DropReason`]s) that render as a readable walk.
+//! * [`FrameLedger`] / [`Accounting`] — the conservation ledger as a value
+//!   (a slot per [`DropReason`]) and its only writer, the per-call books
+//!   the node fabric and the domain shuttle both drop frames through.
 //! * [`Obs`] — the per-domain facade. When observability is disabled the
 //!   facade is inert: instrumentation sites check one boolean (or skip the
 //!   `Option<Arc<Obs>>` entirely) and touch nothing else.
@@ -27,12 +30,12 @@ mod metrics;
 mod trace;
 
 pub use flight::{
-    ClassifierStage, DropReason, HopKind, HopRecord, PacketTrace, TraceRing, TraceSink,
-    DEFAULT_TRACE_CAPACITY,
+    Accounting, ClassifierStage, DropReason, FrameLedger, HopKind, HopRecord, PacketTrace,
+    TraceRing, TraceSink, DEFAULT_TRACE_CAPACITY,
 };
 pub use metrics::{
     escape_label, fmt_labels, Counter, Gauge, Histogram, HistogramSnapshot, Labels, Registry,
-    QUANTILES, SHARDS,
+    QUANTILES,
 };
 pub use trace::{AttrValue, Event, EventRing};
 

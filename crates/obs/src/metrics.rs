@@ -1,45 +1,27 @@
 //! Lock-free metric primitives and the registry that owns them.
 //!
-//! The hot path records into shard-local, cache-line-padded atomics with
-//! `Relaxed` ordering — roughly one uncontended `fetch_add` per event.
-//! Aggregation (summing shards, cumulative histogram buckets) happens only
-//! when a reader renders a snapshot, so the data plane never pays for the
+//! The hot path records into one `Relaxed` atomic per counter, histogram
+//! bucket and sum — one `fetch_add` per event; every writer runs on a
+//! domain's caller thread, so nothing is sharded. Cumulative buckets are
+//! built only when a reader renders, so the data plane never pays for the
 //! exposition format.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Number of shard slots per metric. Writers are spread across shards by a
-/// per-thread index, so concurrent writers (a domain on its caller's thread,
-/// REST handlers beside it) rarely touch the same cache line.
-pub const SHARDS: usize = 16;
-
-/// A cache-line-padded atomic cell; padding prevents false sharing between
-/// adjacent shards when several threads record concurrently.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// Monotonic event counter with shard-local accumulation.
+/// Monotonic event counter. `Relaxed`: the value publishes no other
+/// data.
 #[derive(Default)]
 pub struct Counter {
-    shards: [PaddedU64; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
-    /// Add `n` to the counter: one relaxed atomic on the caller's shard.
+    /// Add `n` to the counter: one relaxed atomic.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Increment by one.
@@ -48,12 +30,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// Aggregate-on-read: sum all shards.
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -83,30 +62,27 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram with shard-local bucket counts.
+/// Fixed-bucket histogram.
 ///
 /// Bucket upper bounds are chosen at registration time and never change, so
 /// recording is: binary-search the bound (on a small fixed slice), then one
-/// relaxed `fetch_add` on the shard-local bucket plus one on the shard-local
-/// sum. Reads fold the shards into cumulative Prometheus-style buckets.
+/// relaxed `fetch_add` on the bucket plus one on the sum. Reads turn the
+/// buckets into cumulative Prometheus-style ones.
 pub struct Histogram {
     bounds: Vec<u64>,
-    /// Per shard: `bounds.len() + 1` bucket cells (last is +Inf overflow).
-    buckets: Vec<Vec<PaddedU64>>,
-    sums: [PaddedU64; SHARDS],
+    /// `bounds.len() + 1` bucket cells (last is +Inf overflow).
+    buckets: Vec<AtomicU64>,
+    sum: AtomicU64,
 }
 
 impl Histogram {
     /// Build a histogram with the given ascending upper bounds.
     pub fn new(bounds: &[u64]) -> Self {
         debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        let buckets = (0..SHARDS)
-            .map(|_| (0..=bounds.len()).map(|_| PaddedU64::default()).collect())
-            .collect();
         Histogram {
             bounds: bounds.to_vec(),
-            buckets,
-            sums: Default::default(),
+            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            sum: AtomicU64::new(0),
         }
     }
 
@@ -125,9 +101,8 @@ impl Histogram {
     #[inline]
     pub fn record(&self, value: u64) {
         let idx = self.bounds.partition_point(|&b| b < value);
-        let shard = shard_index();
-        self.buckets[shard][idx].0.fetch_add(1, Ordering::Relaxed);
-        self.sums[shard].0.fetch_add(value, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Bucket upper bounds (exclusive of the implicit +Inf bucket).
@@ -135,16 +110,13 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Aggregate-on-read: non-cumulative per-bucket counts (last entry is
-    /// the +Inf overflow bucket).
+    /// Non-cumulative per-bucket counts (last entry is the +Inf overflow
+    /// bucket).
     pub fn bucket_counts(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.bounds.len() + 1];
-        for shard in &self.buckets {
-            for (acc, cell) in out.iter_mut().zip(shard) {
-                *acc += cell.0.load(Ordering::Relaxed);
-            }
-        }
-        out
+        self.buckets
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Total observations.
@@ -154,7 +126,7 @@ impl Histogram {
 
     /// Sum of all observed values.
     pub fn sum(&self) -> u64 {
-        self.sums.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        self.sum.load(Ordering::Relaxed)
     }
 }
 

@@ -8,6 +8,7 @@
 //! `/domain/events` query string, the `/domain/trace` probe spec).
 //! `cluster.rs` only routes and picks status codes.
 
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use un_domain::{Domain, DomainReport, LinkReport, ProbeSpec, RepairKind, ReplacementReport};
@@ -149,9 +150,11 @@ pub fn metrics(domain: &Domain) -> String {
         &l.hop_bytes
     });
 
-    // -- trace counters (drops, TTL expiries, control-plane events)
+    // -- trace counters, and the frame ledger's terms under their names
     let _ = writeln!(out, "# TYPE un_domain_events_total counter");
-    for (event, n) in domain.trace.counters() {
+    let ledger = domain.frame_ledger().counters();
+    let events: BTreeMap<_, _> = domain.trace.counters().chain(ledger).collect();
+    for (event, n) in events {
         let _ = writeln!(
             out,
             "un_domain_events_total{{event=\"{}\"}} {n}",
@@ -160,7 +163,9 @@ pub fn metrics(domain: &Domain) -> String {
     }
     let _ = writeln!(out, "# TYPE un_node_events_total counter");
     for (name, node) in nodes() {
-        for (event, n) in node.trace.counters() {
+        let ledger = node.frame_ledger().counters();
+        let events: BTreeMap<_, _> = node.trace.counters().chain(ledger).collect();
+        for (event, n) in events {
             let _ = writeln!(
                 out,
                 "un_node_events_total{{node=\"{}\",event=\"{}\"}} {n}",

@@ -22,6 +22,7 @@ use un_domain::{DeployHints, Domain, DomainConfig, PlacementStrategy};
 use un_ipsec::sa::SecurityAssociation;
 use un_nffg::{NfConfig, NfFgBuilder};
 use un_nnf::translate::derive_psk_tunnel;
+use un_obs::DropReason;
 use un_packet::ipv4::{IpProtocol, Ipv4Packet};
 use un_packet::Packet;
 use un_sim::mem::mb;
@@ -206,6 +207,9 @@ fn main() {
     println!(
         "overlay counters: {} frames shuttled, 0 ESP failures: {}",
         domain.trace.counter("overlay_frames"),
-        domain.trace.counter("overlay_esp_verify_fail") == 0
+        domain
+            .frame_ledger()
+            .drops(DropReason::OverlayEspVerifyFail)
+            == 0
     );
 }

@@ -9,8 +9,9 @@
 //!    ring of recent traces.
 //! 2. **Ghost probe** (`Domain::trace_probe`) — a synthesized frame
 //!    that takes every decision the real one would, records the same
-//!    walk, and moves **zero** counters: the conservation ledger is
-//!    bit-identical before and after.
+//!    walk, and moves **none of the orchestrator's** counters: the
+//!    conservation ledger is bit-identical before and after. (The NAT
+//!    it crosses runs for real, so state inside the NF can move.)
 //!
 //! ```sh
 //! cargo run --release --example packet_trace

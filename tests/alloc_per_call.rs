@@ -2,7 +2,8 @@
 //!
 //! What the domain layer adds on top of the nodes a frame visits: the
 //! shuttle's per-call work list (a queue per touched node, the ready
-//! FIFO, the tally). Measured as allocations of one `Domain::inject`
+//! FIFO) and its result. The per-call books are a fixed-size ledger
+//! delta and allocate nothing. Measured as allocations of one `Domain::inject`
 //! minus allocations of the same frame driven through the same nodes
 //! of a twin fleet by hand, so node-level changes cancel out.
 //!
@@ -56,11 +57,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// What `Domain::inject` allocates beyond the node it drives, on a
 /// chain that stays on its ingress node: the node's interned name, its
-/// queue's map node, the TTL map node behind it, the ready FIFO, the
-/// counters' map node and the `emitted` vector. (The one-frame burst
-/// vector is the node's own cost: `UniversalNode::inject` builds one
-/// too.)
-const DOMAIN_ALLOCS_ONE_NODE: u64 = 6;
+/// queue's map node, the TTL map node behind it, the ready FIFO and the
+/// `emitted` vector. (The one-frame burst vector is the node's own
+/// cost: `UniversalNode::inject` builds one too.)
+const DOMAIN_ALLOCS_ONE_NODE: u64 = 5;
 
 /// What each further touched node adds: its queue (name and TTL map
 /// node — the queue's own map node is shared), the fabric bucket that

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex};
 use un_core::UniversalNode;
 use un_domain::{DeployHints, Domain, DomainConfig, NodeHealth, PlacementStrategy};
 use un_nffg::{NfFg, NfFgBuilder};
+use un_obs::DropReason;
 use un_packet::ethernet::MacAddr;
 use un_packet::PacketBuilder;
 use un_rest::{handle_cluster, Request, StatusCode};
@@ -99,7 +100,7 @@ fn esp_protected_overlay_forwards_and_charges_crypto() {
     let io = d.inject("edge-a", "eth0", lan_frame(0));
     assert_eq!(io.emitted.len(), 1);
     assert!(io.protected_bytes > 0, "frame must cross the ESP wire");
-    assert_eq!(d.trace.counter("overlay_esp_verify_fail"), 0);
+    assert_eq!(d.frame_ledger().drops(DropReason::OverlayEspVerifyFail), 0);
 }
 
 #[test]
@@ -126,7 +127,7 @@ fn single_node_failure_replaces_the_lost_partition() {
     // Frames aimed at the dead node vanish without a panic.
     let io = d.inject("edge-b", "eth1", lan_frame(1));
     assert!(io.emitted.is_empty());
-    assert_eq!(d.trace.counter("inject_dead_node"), 1);
+    assert_eq!(d.frame_ledger().drops(DropReason::InjectDeadNode), 1);
 }
 
 #[test]

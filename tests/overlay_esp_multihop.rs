@@ -26,6 +26,7 @@ use proptest::prelude::*;
 use un_core::UniversalNode;
 use un_domain::{DeployHints, Domain, DomainConfig, DomainIo, EdgeAttrs, Topology};
 use un_nffg::{NfFg, NfFgBuilder, PortRef};
+use un_obs::DropReason;
 use un_packet::ethernet::MacAddr;
 use un_packet::{Packet, PacketBuilder};
 use un_sim::mem::mb;
@@ -184,11 +185,15 @@ fn transit_only_nodes(d: &Domain) -> Vec<String> {
 
 fn assert_sound(d: &Domain, when: &str) {
     assert_eq!(
-        d.trace.counter("overlay_esp_verify_fail"),
+        d.frame_ledger().drops(DropReason::OverlayEspVerifyFail),
         0,
         "{when}: a frame failed to open"
     );
-    assert_eq!(d.trace.counter("overlay_esp_seal_fail"), 0, "{when}");
+    assert_eq!(
+        d.frame_ledger().drops(DropReason::OverlayEspSealFail),
+        0,
+        "{when}"
+    );
     let ledger = d.conservation_report();
     assert!(ledger.balanced(), "{when}: {ledger:?}");
 }
@@ -346,7 +351,12 @@ fn a_frame_duplicated_in_transit_dies_as_a_replay_at_the_tail() {
         assert_eq!(io.emitted[0].2.data(), frame(i as u8, 100).data());
         assert_eq!(io.overlay_hops, 3, "n1→n2 once, n2→n3 twice");
     }
-    assert_eq!(sealed.trace.counter("overlay_esp_verify_fail"), FRAMES);
+    assert_eq!(
+        sealed
+            .frame_ledger()
+            .drops(DropReason::OverlayEspVerifyFail),
+        FRAMES
+    );
     let ledger = sealed.conservation_report();
     assert!(ledger.balanced(), "{ledger:?}");
     assert_eq!(ledger.fanout_extra, FRAMES);
