@@ -39,7 +39,7 @@ use un_obs::{Accounting, ClassifierStage, DropReason, FrameLedger, HopKind, Trac
 use un_packet::ethernet::MacAddr;
 use un_packet::{Ipv4Cidr, Packet};
 use un_sim::mem::format_bytes;
-use un_sim::{AccountId, Cost, CostModel, MemLedger, SimTime, TraceLog};
+use un_sim::{AccountId, Cost, CostModel, MemLedger, SimTime};
 use un_switch::{
     Backend, FlowAction, FlowEntry, FlowMatch, LogicalSwitch, LookupPath, PipelineStep, PortNo,
     ProcessOptions, VlanSpec,
@@ -389,6 +389,19 @@ impl NodeDescription {
     }
 }
 
+un_sim::counters! {
+    /// What a node counts besides its frame ledger.
+    pub struct NodeCounters {
+        fabric_frames_in,
+        fabric_frames_out,
+        graph_updates_rules,
+        graph_updates_structural,
+        graphs_deployed,
+        graphs_undeployed,
+        nnf_shares,
+    }
+}
+
 /// The compute node.
 pub struct UniversalNode {
     /// Node name.
@@ -415,8 +428,8 @@ pub struct UniversalNode {
     next_mark: u32,
     next_dpid: u64,
     clock: SimTime,
-    /// Node-level trace/counters.
-    pub trace: TraceLog,
+    /// The node's closed counter set (the frame ledger aside).
+    pub trace: NodeCounters,
     /// The node fabric's share of the conservation ledger.
     frame_ledger: FrameLedger,
     mem_capacity: u64,
@@ -584,7 +597,7 @@ impl UniversalNode {
             next_mark: 1,
             next_dpid: 2,
             clock: SimTime::ZERO,
-            trace: TraceLog::new(),
+            trace: NodeCounters::default(),
             frame_ledger: FrameLedger::default(),
             mem_capacity,
             obs: None,
@@ -874,7 +887,7 @@ impl UniversalNode {
             Ok(report) => {
                 self.slots[slot as usize] = Some(nffg.id.clone());
                 self.graphs.insert(nffg.id.clone(), graph);
-                self.trace.count("graphs_deployed", 1);
+                self.trace.graphs_deployed += 1;
                 Ok(report)
             }
             Err(e) => {
@@ -951,7 +964,7 @@ impl UniversalNode {
                     info.graphs.push(gid);
                 }
                 self.join(graph, nf, instance, Some(binding), false)?;
-                self.trace.count("nnf_shares", 1);
+                self.trace.nnf_shares += 1;
                 Ok(())
             }
         }
@@ -1176,7 +1189,7 @@ impl UniversalNode {
             .graphs
             .remove(graph_id)
             .ok_or_else(|| DeployError::NoSuchGraph(graph_id.to_string()))?;
-        self.trace.count("graphs_undeployed", 1);
+        self.trace.graphs_undeployed += 1;
         self.teardown(graph)
     }
 
@@ -1219,7 +1232,7 @@ impl UniversalNode {
         let diff = un_nffg::diff(&old.nffg, nffg);
         if diff.is_structural() {
             self.undeploy(&nffg.id)?;
-            self.trace.count("graph_updates_structural", 1);
+            self.trace.graph_updates_structural += 1;
             return self.deploy(nffg);
         }
         // Rule-level update.
@@ -1239,7 +1252,7 @@ impl UniversalNode {
             graph.install_rule(rule)?;
         }
         graph.nffg = nffg.clone();
-        self.trace.count("graph_updates_rules", 1);
+        self.trace.graph_updates_rules += 1;
         Ok(graph.report(&self.compute, self.lsi0.flow_count()))
     }
 
@@ -1321,9 +1334,8 @@ impl UniversalNode {
             }
         }
         if !walk.acct.ghost() {
-            self.trace.count("fabric_frames_in", frames_in);
-            let frames_out = walk.io.emitted.len() as u64;
-            self.trace.count("fabric_frames_out", frames_out);
+            self.trace.fabric_frames_in += frames_in;
+            self.trace.fabric_frames_out += walk.io.emitted.len() as u64;
             if let Some(h) = &self.obs_burst_hist {
                 h.record(frames_in);
             }

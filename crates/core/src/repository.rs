@@ -42,8 +42,8 @@ impl VnfRepository {
 
     /// The standard CPE repository used by the evaluation: every NF type
     /// the NNF catalogue offers also exists as a Docker and a VM flavor,
-    /// with footprints matching DESIGN.md §5 (composition of the paper's
-    /// Table 1 numbers).
+    /// with footprints composing the paper's Table 1 numbers (the
+    /// arithmetic is in the body; `un_sim::cost` owns the timing side).
     pub fn standard() -> Self {
         let mut r = Self::new();
         for ft in ["ipsec", "firewall", "nat", "bridge", "router"] {

@@ -54,7 +54,7 @@ use un_ipsec::SecurityAssociation;
 use un_nffg::{NfFg, ValidationError};
 use un_obs::{FrameLedger, PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
-use un_sim::{Cost, SimTime, TraceLog};
+use un_sim::{Cost, SimTime};
 
 use crate::partition::{OverlayLink, Partition, PartitionError};
 use crate::placement::{NodeView, PlaceError, PlacementStrategy};
@@ -482,6 +482,54 @@ struct DomainGraph {
     shared: BTreeMap<ShareKey, SharedClaim>,
 }
 
+un_sim::counters! {
+    /// What the domain counts besides its frame ledger: the control
+    /// plane's lifecycle, repair and standby events, and the shuttle's
+    /// overlay crossings.
+    pub struct DomainCounters {
+        deploys_rolled_back,
+        graph_updates_rules,
+        graph_updates_structural,
+        graphs_deployed,
+        graphs_replaced,
+        graphs_stranded,
+        graphs_undeployed,
+        nodes_added,
+        nodes_failed,
+        nodes_recovered,
+        nodes_rejoined,
+        nodes_suspected,
+        overlay_frames,
+        overlay_links_up,
+        overlay_paths_rerouted,
+        overlay_sas_minted,
+        park_drains,
+        recover_purged_graphs,
+        repair_links_kept,
+        repair_links_rewired,
+        repair_nfs_moved,
+        repair_nfs_preserved,
+        repairs_full,
+        repairs_incremental,
+        repairs_rolled_back,
+        shared_hosts_reelected,
+        shared_instances_dropped,
+        shared_instances_registered,
+        shared_leases_acquired,
+        shared_scale_outs,
+        sharing_disabled,
+        sharing_enabled,
+        standby_plans_computed,
+        standby_plans_discarded,
+        standby_plans_promoted,
+        standby_plans_unplannable,
+        standby_promotes_failed,
+        standby_shared_promoted,
+        suspects_cleared,
+        updates_failed,
+    }
+}
+
 /// The domain orchestrator.
 pub struct Domain {
     /// Settings.
@@ -511,8 +559,8 @@ pub struct Domain {
     /// comes back never meets its old key again.
     link_epoch: u64,
     clock: SimTime,
-    /// Domain-level counters (`graphs_deployed`, `overlay_frames`, …).
-    pub trace: TraceLog,
+    /// The domain's closed counter set (the frame ledger aside).
+    pub trace: DomainCounters,
     /// The shuttle's share of the conservation ledger, plus replaced
     /// node carcasses' shares.
     frame_ledger: FrameLedger,
@@ -548,7 +596,7 @@ impl Domain {
             vids,
             link_epoch: 0,
             clock: SimTime::ZERO,
-            trace: TraceLog::new(),
+            trace: DomainCounters::default(),
             frame_ledger: FrameLedger::default(),
             obs,
             traces: TraceRing::new(un_obs::DEFAULT_TRACE_CAPACITY),
@@ -598,9 +646,9 @@ impl Domain {
                 // The carcass's ledger must survive the rejoin or the
                 // cumulative conservation balance would break.
                 self.frame_ledger += *old.node.frame_ledger();
-                self.trace.count("nodes_rejoined", 1);
+                self.trace.nodes_rejoined += 1;
             }
-            None => self.trace.count("nodes_added", 1),
+            None => self.trace.nodes_added += 1,
         }
         self.nodes.insert(
             name.clone(),
@@ -688,7 +736,7 @@ impl Domain {
         managed.last_heartbeat = now;
         if managed.health == NodeHealth::Suspect {
             managed.health = NodeHealth::Alive;
-            self.trace.count("suspects_cleared", 1);
+            self.trace.suspects_cleared += 1;
             self.discard_standby(name, "heartbeat");
         }
         Ok(())
@@ -707,7 +755,7 @@ impl Domain {
             return Ok(());
         }
         managed.health = NodeHealth::Suspect;
-        self.trace.count("nodes_suspected", 1);
+        self.trace.nodes_suspected += 1;
         self.compute_standby(name);
         Ok(())
     }
@@ -742,7 +790,7 @@ impl Domain {
                 }
                 NodeHealth::Alive if stale_ns > timeout => {
                     m.health = NodeHealth::Suspect;
-                    self.trace.count("nodes_suspected", 1);
+                    self.trace.nodes_suspected += 1;
                     newly_suspected.push(name.clone());
                 }
                 _ => {}
@@ -785,7 +833,7 @@ impl Domain {
             NodeHealth::Suspect => {
                 managed.health = NodeHealth::Alive;
                 managed.last_heartbeat = clock;
-                self.trace.count("suspects_cleared", 1);
+                self.trace.suspects_cleared += 1;
                 self.discard_standby(name, "recover");
                 Ok(Vec::new())
             }
@@ -803,9 +851,8 @@ impl Domain {
                     .map(|(id, _)| id.clone())
                     .collect();
                 let dropped = managed.node.retain_graphs(&keep);
-                self.trace
-                    .count("recover_purged_graphs", dropped.len() as u64);
-                self.trace.count("nodes_recovered", 1);
+                self.trace.recover_purged_graphs += dropped.len() as u64;
+                self.trace.nodes_recovered += 1;
                 // Defensive: a failed node's standby was consumed at
                 // failure time; any leftover must return its vids.
                 self.discard_standby(name, "recover");
@@ -1053,14 +1100,11 @@ impl Domain {
     pub fn set_sharing_enabled(&mut self, enabled: bool) {
         if self.config.sharing.enabled != enabled {
             self.config.sharing.enabled = enabled;
-            self.trace.count(
-                if enabled {
-                    "sharing_enabled"
-                } else {
-                    "sharing_disabled"
-                },
-                1,
-            );
+            if enabled {
+                self.trace.sharing_enabled += 1;
+            } else {
+                self.trace.sharing_disabled += 1;
+            }
         }
     }
 

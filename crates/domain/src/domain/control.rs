@@ -116,7 +116,7 @@ impl Domain {
         if self.pending.remove(&graph.id).is_some() {
             self.stamp_park_drain(&graph.id);
         }
-        self.trace.count("graphs_deployed", 1);
+        self.trace.graphs_deployed += 1;
         Ok(done.report(&graph.id))
     }
 
@@ -132,7 +132,7 @@ impl Domain {
         let (view, vids) = self.planner();
         let plan = plan(&view, vids, graph, &c)?;
         self.commit(None, graph, c.hints, plan)
-            .inspect_err(|_| self.trace.count("deploys_rolled_back", 1))
+            .inspect_err(|_| self.trace.deploys_rolled_back += 1)
     }
 
     /// Commit a successfully installed plan's shared claims as leases,
@@ -141,18 +141,17 @@ impl Domain {
     fn commit_shared(&mut self, gid: &str, claims: &BTreeMap<ShareKey, SharedClaim>) {
         let keep: BTreeSet<ShareKey> = claims.keys().cloned().collect();
         let dropped = self.sharing.release_except(gid, &keep);
-        self.trace
-            .count("shared_instances_dropped", dropped.len() as u64);
+        self.trace.shared_instances_dropped += dropped.len() as u64;
         for (key, claim) in claims {
             let (instance_new, lease_new, replicas_dropped) =
                 self.sharing.commit(gid, key, &claim.host, claim.nfs);
             if instance_new {
-                self.trace.count("shared_instances_registered", 1);
+                self.trace.shared_instances_registered += 1;
                 // A new replica beside a live one is a scale-out —
                 // counted here, where it becomes real, not at plan
                 // time (a plan may be staged and never committed).
                 if self.sharing.replicas(key).len() > 1 {
-                    self.trace.count("shared_scale_outs", 1);
+                    self.trace.shared_scale_outs += 1;
                     self.obs.event(
                         "domain.shared.scale_out",
                         vec![
@@ -162,13 +161,10 @@ impl Domain {
                     );
                 }
             }
-            if replicas_dropped > 0 {
-                // A lease move emptied sibling replica(s) of the pool.
-                self.trace
-                    .count("shared_instances_dropped", replicas_dropped as u64);
-            }
+            // Sibling replicas a lease move emptied left the pool.
+            self.trace.shared_instances_dropped += replicas_dropped as u64;
             if lease_new {
-                self.trace.count("shared_leases_acquired", 1);
+                self.trace.shared_leases_acquired += 1;
                 self.obs.event(
                     "domain.lease.acquire",
                     vec![
@@ -197,8 +193,7 @@ impl Domain {
                 ],
             );
         }
-        self.trace
-            .count("shared_instances_dropped", dropped.len() as u64);
+        self.trace.shared_instances_dropped += dropped.len() as u64;
     }
 
     /// Install `plan` as the deployment of `graph`: the one place a
@@ -333,17 +328,14 @@ impl Domain {
                         state.hop_latency_ns = hop_latencies(&self.config, path);
                         state.hop_packets = vec![0; hops];
                         state.hop_bytes = vec![0; hops];
-                        self.trace.count("overlay_paths_rerouted", 1);
+                        self.trace.overlay_paths_rerouted += 1;
                     }
                 }
             }
         }
         done.links_rewired = plan.partition.links.len() - done.links_kept;
-        self.trace.count("overlay_links_up", links_up);
-        let minted = self.link_epoch - minted_before;
-        if minted > 0 {
-            self.trace.count("overlay_sas_minted", minted);
-        }
+        self.trace.overlay_links_up += links_up;
+        self.trace.overlay_sas_minted += self.link_epoch - minted_before;
         self.commit_shared(gid, &plan.shared);
         self.graphs.insert(
             gid.to_string(),
@@ -421,14 +413,11 @@ impl Domain {
                 overlay_links: existing.partition.links.len(),
             });
         }
-        self.trace.count(
-            if diff.is_structural() {
-                "graph_updates_structural"
-            } else {
-                "graph_updates_rules"
-            },
-            1,
-        );
+        if diff.is_structural() {
+            self.trace.graph_updates_structural += 1;
+        } else {
+            self.trace.graph_updates_rules += 1;
+        }
         // A plan that cannot stand leaves the graph — and the standbys
         // staged for it — exactly as they were.
         let (view, vids) = self.planner();
@@ -440,7 +429,7 @@ impl Domain {
             Err(e) => {
                 self.teardown(&old);
                 self.release_shared(&graph.id);
-                self.trace.count("updates_failed", 1);
+                self.trace.updates_failed += 1;
                 Err(e)
             }
         }
@@ -460,7 +449,7 @@ impl Domain {
         // gave the graph up.
         self.parked_at.remove(graph_id);
         self.release_shared(graph_id);
-        self.trace.count("graphs_undeployed", 1);
+        self.trace.graphs_undeployed += 1;
         Ok(())
     }
 
@@ -500,7 +489,7 @@ impl Domain {
                 .entry(gid.to_string())
                 .or_insert_with(|| GraphAvailability::new(gid));
             ledger.park_downtime_ns += downtime_ns;
-            self.trace.count("park_drains", 1);
+            self.trace.park_drains += 1;
             self.obs.event(
                 "domain.park.drained",
                 vec![("graph", gid.into()), ("downtime_ns", downtime_ns.into())],

@@ -118,7 +118,7 @@ impl Domain {
         // estimated downtime runs from here to the end of its own
         // repair (so graphs later in the sweep include queueing delay).
         let failed_at = Instant::now();
-        self.trace.count("nodes_failed", 1);
+        self.trace.nodes_failed += 1;
         self.obs
             .event("domain.node.failed", vec![("node", name.into())]);
         // Fleet health changed: like every fleet-wide mutation, a
@@ -153,8 +153,8 @@ impl Domain {
                     return true;
                 }
                 self.sharing.set_host(key, name, &host);
-                self.trace.count("shared_hosts_reelected", 1);
-                self.trace.count("standby_shared_promoted", 1);
+                self.trace.shared_hosts_reelected += 1;
+                self.trace.standby_shared_promoted += 1;
                 self.obs.event(
                     "domain.standby.promoted",
                     vec![
@@ -173,7 +173,7 @@ impl Domain {
             };
             for (key, host) in elected {
                 self.sharing.set_host(&key, name, &host);
-                self.trace.count("shared_hosts_reelected", 1);
+                self.trace.shared_hosts_reelected += 1;
                 self.obs.event(
                     "domain.shared.elect",
                     vec![("key", key.render().into()), ("host", host.into())],
@@ -267,17 +267,15 @@ impl Domain {
                             ("downtime_estimate_ns", o.downtime_estimate_ns.into()),
                         ],
                     );
-                    self.trace.count("graphs_replaced", 1);
-                    self.trace.count("repair_nfs_moved", o.nfs_moved as u64);
-                    self.trace
-                        .count("repair_nfs_preserved", o.nfs_preserved as u64);
-                    self.trace
-                        .count("repair_links_rewired", o.links_rewired as u64);
-                    self.trace.count("repair_links_kept", o.links_kept as u64);
+                    self.trace.graphs_replaced += 1;
+                    self.trace.repair_nfs_moved += o.nfs_moved as u64;
+                    self.trace.repair_nfs_preserved += o.nfs_preserved as u64;
+                    self.trace.repair_links_rewired += o.links_rewired as u64;
+                    self.trace.repair_links_kept += o.links_kept as u64;
                     if o.full_replace {
-                        self.trace.count("repairs_full", 1);
+                        self.trace.repairs_full += 1;
                     } else {
-                        self.trace.count("repairs_incremental", 1);
+                        self.trace.repairs_incremental += 1;
                     }
                     report.replaced.push(gid);
                     report.repairs.push(o);
@@ -290,7 +288,7 @@ impl Domain {
                     // with its last tenant and re-registers on retry).
                     let hints = serving_hints(&entry.hints, |n| self.serves(n));
                     self.release_shared(&gid);
-                    self.trace.count("graphs_stranded", 1);
+                    self.trace.graphs_stranded += 1;
                     // Park epoch: the downtime ledger stamps the park→
                     // drain window when the graph is restored.
                     self.parked_at.insert(gid.clone(), Instant::now());
@@ -359,7 +357,7 @@ impl Domain {
         let hints = serving_hints(&entry.hints, |n| self.serves(n));
         let done = self
             .commit(Some(entry), &entry.original, hints, plan)
-            .inspect_err(|_| self.trace.count("repairs_rolled_back", 1))?;
+            .inspect_err(|_| self.trace.repairs_rolled_back += 1)?;
         Ok(self.repair_outcome(entry, done, false))
     }
 
@@ -390,9 +388,9 @@ impl Domain {
     ) -> Result<RepairOutcome, DomainError> {
         let mut o = self
             .commit_repair(entry, sb.plan)
-            .inspect_err(|_| self.trace.count("standby_promotes_failed", 1))?;
+            .inspect_err(|_| self.trace.standby_promotes_failed += 1)?;
         o.standby_promoted = true;
-        self.trace.count("standby_plans_promoted", 1);
+        self.trace.standby_plans_promoted += 1;
         self.obs.event(
             "domain.standby.promoted",
             vec![("kind", "graph".into()), ("graph", o.graph.clone().into())],
@@ -453,14 +451,8 @@ impl Domain {
         }
         sb.shared = view.shared_standby;
         // `planner` held the whole domain; the counters move now.
-        for (counter, n) in [
-            ("standby_plans_computed", sb.graphs.len() as u64),
-            ("standby_plans_unplannable", unplannable),
-        ] {
-            if n > 0 {
-                self.trace.count(counter, n);
-            }
-        }
+        self.trace.standby_plans_computed += sb.graphs.len() as u64;
+        self.trace.standby_plans_unplannable += unplannable;
         if !sb.graphs.is_empty() || !sb.shared.is_empty() {
             self.standby.insert(name.to_string(), sb);
         }
@@ -493,7 +485,7 @@ impl Domain {
     ) {
         let vids = sb.plan.taken.len();
         self.release_plan(sb.plan);
-        self.trace.count("standby_plans_discarded", 1);
+        self.trace.standby_plans_discarded += 1;
         self.obs.event(
             "domain.standby.discarded",
             vec![

@@ -31,9 +31,11 @@ use std::collections::{BTreeMap, VecDeque};
 use un_core::{Name, PortId};
 use un_obs::{Accounting, DropReason, HopKind, TraceSink};
 use un_packet::Packet;
-use un_sim::{Cost, TraceLog};
+use un_sim::Cost;
 
-use super::{Domain, DomainConfig, DomainIo, LinkSas, LinkState, ManagedNode, NodeHealth};
+use super::{
+    Domain, DomainConfig, DomainCounters, DomainIo, LinkSas, LinkState, ManagedNode, NodeHealth,
+};
 use crate::wire;
 
 /// Frames bound for one node, each with the port it enters on.
@@ -144,13 +146,13 @@ impl Work {
     }
 }
 
-/// One call's drain: the domain's fleet, links and trace borrowed in
+/// One call's drain: the domain's fleet, links and counters borrowed in
 /// place, the work list, the result and the books.
 struct Drain<'a> {
     nodes: &'a mut BTreeMap<String, ManagedNode>,
     links: &'a mut BTreeMap<u16, LinkState>,
     config: &'a DomainConfig,
-    trace: &'a mut TraceLog,
+    trace: &'a mut DomainCounters,
     work: Work,
     /// Last-resort budget of overlay crossings left to this call:
     /// single-path traffic needs at most `seeded × ttl` (each frame
@@ -355,7 +357,7 @@ impl Drain<'_> {
             return;
         }
         if !acct.ghost() {
-            self.trace.count("overlay_frames", k);
+            self.trace.overlay_frames += k;
         }
         // ttl_left counts remaining crossings: a frame seeded with
         // overlay_ttl may cross exactly that many times.

@@ -92,6 +92,33 @@ fn traffic_crosses_the_overlay_both_ways() {
 }
 
 #[test]
+#[should_panic(expected = "\"graphs_deploed\" is not a DomainCounters counter")]
+fn a_misspelt_counter_read_panics() {
+    two_node_domain().trace.counter("graphs_deploed");
+}
+
+#[test]
+fn counter_names_are_disjoint_from_the_frame_ledgers() {
+    // `render::metrics` merges an owner's counters and its ledger into
+    // one map by name: a shared name would hide one of the two values.
+    let mut terms = FrameLedger::default();
+    (
+        terms.ingress,
+        terms.egress,
+        terms.fanout_extra,
+        terms.absorbed,
+    ) = (1, 1, 1, 1);
+    let drops = DropReason::ALL.map(DropReason::as_str);
+    let ledger: BTreeSet<&str> = terms.counters().map(|(n, _)| n).chain(drops).collect();
+    for name in DomainCounters::NAMES
+        .iter()
+        .chain(un_core::node::NodeCounters::NAMES)
+    {
+        assert!(!ledger.contains(name), "{name} is a ledger term too");
+    }
+}
+
+#[test]
 fn protected_overlay_verifies_frames_with_esp() {
     let mut d = Domain::new(DomainConfig {
         protect_overlay: true,

@@ -3,7 +3,7 @@
 //! strongSwan's role in the paper is twofold: negotiate keys in
 //! userspace, install SAs in the kernel. IKE-lite keeps exactly that
 //! split with a two-message PSK handshake (a deliberate simplification
-//! of IKEv2, documented in DESIGN.md):
+//! of IKEv2, specified by this module):
 //!
 //! ```text
 //! initiator → responder:  "IKL1" | id_len | id | nonce_i[16] | spi_i

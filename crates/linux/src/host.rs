@@ -25,7 +25,7 @@ use un_packet::ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
 use un_packet::tcp::TcpSegment;
 use un_packet::udp::UdpDatagram;
 use un_packet::{Ipv4Cidr, Packet, PacketMeta};
-use un_sim::{Cost, CostModel, SimTime, TraceLog};
+use un_sim::{Cost, CostModel, SimTime};
 
 use crate::conntrack::{Conntrack, CtDirection, CtState, FlowTuple};
 use crate::iface::{Iface, IfaceId, IfaceKind, NeighState, NEIGH_QUEUE_MAX};
@@ -60,12 +60,41 @@ pub struct Namespace {
     pub neigh: HashMap<Ipv4Addr, NeighState>,
     /// `net.ipv4.ip_forward`.
     pub ip_forward: bool,
-    /// Packets delivered to local sockets/ICMP.
-    pub delivered: u64,
     /// Packets forwarded.
     pub forwarded: u64,
-    /// Packets dropped (all causes).
-    pub dropped: u64,
+}
+
+un_sim::counters! {
+    /// What the host's pipeline saw and refused, host-wide: each drop
+    /// is booked once, under its reason (netfilter drops are the
+    /// namespace's `Netfilter::dropped`).
+    pub struct HostCounters {
+        arp_replies,
+        arp_requests,
+        icmp_echo_requests,
+        icmp_other,
+        loop_drops,
+        neigh_queue_drops,
+        no_route,
+        rx_bad_ip,
+        rx_csum_errors,
+        rx_down_iface,
+        rx_malformed,
+        rx_malformed_arp,
+        rx_not_for_us,
+        rx_unhandled_proto,
+        rx_unknown_ethertype,
+        rx_unknown_vlan,
+        rx_wrong_mac,
+        ttl_expired,
+        tx_down_iface,
+        udp_delivered,
+        udp_no_socket,
+        xfrm_decap,
+        xfrm_decap_errors,
+        xfrm_encap,
+        xfrm_out_discard,
+    }
 }
 
 struct Ctx {
@@ -101,8 +130,8 @@ pub struct Host {
     sockets: SocketTable,
     /// The cost model every pipeline step charges against.
     pub costs: CostModel,
-    /// Event log + counters.
-    pub trace: TraceLog,
+    /// The host's closed counter set.
+    pub trace: HostCounters,
     now: SimTime,
     next_mac: u32,
 }
@@ -116,7 +145,7 @@ impl Host {
             ifaces: Slots::new(),
             sockets: SocketTable::new(),
             costs,
-            trace: TraceLog::new(),
+            trace: HostCounters::default(),
             now: SimTime::ZERO,
             next_mac: 1,
         };
@@ -150,9 +179,7 @@ impl Host {
             xfrm: Xfrm::new(),
             neigh: HashMap::new(),
             ip_forward: false,
-            delivered: 0,
             forwarded: 0,
-            dropped: 0,
         }));
         let lo = self.push_iface(id, "lo", IfaceKind::Loopback);
         self.ifaces[lo.0 as usize]
@@ -606,7 +633,7 @@ impl Host {
 
     fn rx_frame(&mut self, iface_id: IfaceId, pkt: Packet, ctx: &mut Ctx, depth: u32) {
         if depth > MAX_DEPTH {
-            self.trace.count("loop_drops", 1);
+            self.trace.loop_drops += 1;
             return;
         }
         let (up, ns, mac, zone) = {
@@ -614,7 +641,7 @@ impl Host {
             (i.up, i.ns, i.mac, i.ct_zone)
         };
         if !up {
-            self.trace.count("rx_down_iface", 1);
+            self.trace.rx_down_iface += 1;
             return;
         }
         {
@@ -630,7 +657,7 @@ impl Host {
         }
 
         let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
-            self.trace.count("rx_malformed", 1);
+            self.trace.rx_malformed += 1;
             return;
         };
         let dst = eth.dst();
@@ -647,13 +674,13 @@ impl Host {
                     return;
                 }
             }
-            self.trace.count("rx_unknown_vlan", 1);
+            self.trace.rx_unknown_vlan += 1;
             return;
         }
 
         // L2 address filter.
         if dst != mac && !dst.is_broadcast() && !dst.is_multicast() {
-            self.trace.count("rx_wrong_mac", 1);
+            self.trace.rx_wrong_mac += 1;
             return;
         }
 
@@ -669,7 +696,7 @@ impl Host {
                 self.l3_input(ns, Some(iface_id), ip_bytes, meta, ctx, depth);
             }
             _ => {
-                self.trace.count("rx_unknown_ethertype", 1);
+                self.trace.rx_unknown_ethertype += 1;
             }
         }
     }
@@ -705,7 +732,7 @@ impl Host {
     ) {
         ctx.charge(self.costs.bridge_fdb_ns);
         let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
-            self.trace.count("rx_malformed", 1);
+            self.trace.rx_malformed += 1;
             return;
         };
         let (src, dst) = (eth.src(), eth.dst());
@@ -774,7 +801,7 @@ impl Host {
             return;
         };
         let Ok(arp) = ArpPacket::new_checked(eth.payload()) else {
-            self.trace.count("rx_malformed_arp", 1);
+            self.trace.rx_malformed_arp += 1;
             return;
         };
         let sender_ip = arp.sender_ip();
@@ -818,7 +845,7 @@ impl Host {
                     a.set_target_mac(sender_mac);
                     a.set_target_ip(sender_ip);
                 }
-                self.trace.count("arp_replies", 1);
+                self.trace.arp_replies += 1;
                 self.tx_frame(iface_id, reply, ctx, depth + 1);
             }
         }
@@ -835,18 +862,16 @@ impl Host {
         depth: u32,
     ) {
         if depth > MAX_DEPTH {
-            self.trace.count("loop_drops", 1);
+            self.trace.loop_drops += 1;
             return;
         }
         ctx.charge(self.costs.ip_processing_ns);
         let Ok(ip) = Ipv4Packet::new_checked(&ip_bytes[..]) else {
-            self.trace.count("rx_bad_ip", 1);
-            self.namespaces[ns.0 as usize].dropped += 1;
+            self.trace.rx_bad_ip += 1;
             return;
         };
         if !ip.verify_checksum() {
-            self.trace.count("rx_csum_errors", 1);
-            self.namespaces[ns.0 as usize].dropped += 1;
+            self.trace.rx_csum_errors += 1;
             return;
         }
         let tuple = extract_tuple(&ip_bytes);
@@ -873,7 +898,6 @@ impl Host {
         };
         ctx.charge(self.costs.netfilter_rule_ns * effects.rules_evaluated as u64);
         if verdict == Verdict::Drop {
-            self.namespaces[ns.0 as usize].dropped += 1;
             return;
         }
         if let Some(m) = effects.set_mark {
@@ -920,10 +944,7 @@ impl Host {
             };
             ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
             match v {
-                Verdict::Drop => {
-                    self.namespaces[ns.0 as usize].dropped += 1;
-                    return;
-                }
+                Verdict::Drop => return,
                 Verdict::Dnat { to, port } => {
                     self.namespaces[ns.0 as usize]
                         .conntrack
@@ -958,7 +979,6 @@ impl Host {
             };
             ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
             if v == Verdict::Drop {
-                self.namespaces[ns.0 as usize].dropped += 1;
                 return;
             }
             self.namespaces[ns.0 as usize].conntrack.confirm(conn);
@@ -978,15 +998,12 @@ impl Host {
                     ctx.cost += cost;
                     match res {
                         Ok(inner) => {
-                            self.trace.count("xfrm_decap", 1);
+                            self.trace.xfrm_decap += 1;
                             let mut inner_meta = meta.clone();
                             inner_meta.fwmark = meta.fwmark;
                             self.l3_input(ns, in_iface, inner, inner_meta, ctx, depth + 1);
                         }
-                        Err(_) => {
-                            self.trace.count("xfrm_decap_errors", 1);
-                            self.namespaces[ns.0 as usize].dropped += 1;
-                        }
+                        Err(_) => self.trace.xfrm_decap_errors += 1,
                     }
                     return;
                 }
@@ -998,16 +1015,14 @@ impl Host {
 
         // Forward path.
         if !self.namespaces[ns.0 as usize].ip_forward {
-            self.trace.count("rx_not_for_us", 1);
-            self.namespaces[ns.0 as usize].dropped += 1;
+            self.trace.rx_not_for_us += 1;
             return;
         }
         // TTL.
         {
             let mut ipm = Ipv4Packet::new_unchecked(&mut ip_bytes[..]);
             if ipm.decrement_ttl() == 0 {
-                self.trace.count("ttl_expired", 1);
-                self.namespaces[ns.0 as usize].dropped += 1;
+                self.trace.ttl_expired += 1;
                 return;
             }
             ipm.fill_checksum();
@@ -1016,8 +1031,7 @@ impl Host {
         // Route lookup (policy aware).
         ctx.charge(self.costs.ip_rule_ns + self.costs.route_lookup_ns);
         let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, meta.fwmark) else {
-            self.trace.count("no_route", 1);
-            self.namespaces[ns.0 as usize].dropped += 1;
+            self.trace.no_route += 1;
             return;
         };
         nfp.out_iface = Some(out_dev);
@@ -1032,7 +1046,6 @@ impl Host {
         };
         ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
         if v == Verdict::Drop {
-            self.namespaces[ns.0 as usize].dropped += 1;
             return;
         }
 
@@ -1047,10 +1060,7 @@ impl Host {
             };
             ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
             match v {
-                Verdict::Drop => {
-                    self.namespaces[ns.0 as usize].dropped += 1;
-                    return;
-                }
+                Verdict::Drop => return,
                 Verdict::Snat { to, port } => {
                     let nsr = &mut self.namespaces[ns.0 as usize];
                     nsr.conntrack.set_snat(conn, to, port);
@@ -1107,12 +1117,11 @@ impl Host {
             match out {
                 XfrmOutput::Pass => {}
                 XfrmOutput::Discard | XfrmOutput::Error(_) => {
-                    self.trace.count("xfrm_out_discard", 1);
-                    self.namespaces[ns.0 as usize].dropped += 1;
+                    self.trace.xfrm_out_discard += 1;
                     return;
                 }
                 XfrmOutput::Encapsulated(outer) => {
-                    self.trace.count("xfrm_encap", 1);
+                    self.trace.xfrm_encap += 1;
                     // Re-route the outer packet (tunnel endpoint may use a
                     // different egress than the inner destination).
                     let outer_dst = Ipv4Packet::new_checked(&outer[..])
@@ -1120,8 +1129,7 @@ impl Host {
                         .unwrap_or(Ipv4Addr::UNSPECIFIED);
                     ctx.charge(self.costs.route_lookup_ns);
                     let Some((dev2, nh2)) = self.route_lookup(ns, outer_dst, meta.fwmark) else {
-                        self.trace.count("no_route", 1);
-                        self.namespaces[ns.0 as usize].dropped += 1;
+                        self.trace.no_route += 1;
                         return;
                     };
                     self.ip_output(ns, dev2, nh2, outer, meta, ctx, depth);
@@ -1152,8 +1160,7 @@ impl Host {
         }
         ctx.charge(self.costs.ip_rule_ns + self.costs.route_lookup_ns);
         let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, meta.fwmark) else {
-            self.trace.count("no_route", 1);
-            self.namespaces[ns.0 as usize].dropped += 1;
+            self.trace.no_route += 1;
             return;
         };
 
@@ -1178,7 +1185,6 @@ impl Host {
         };
         ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
         if v == Verdict::Drop {
-            self.namespaces[ns.0 as usize].dropped += 1;
             return;
         }
 
@@ -1198,7 +1204,6 @@ impl Host {
             return;
         };
         ctx.charge(self.costs.l4_processing_ns);
-        self.namespaces[ns.0 as usize].delivered += 1;
         match ip.protocol() {
             IpProtocol::Udp => {
                 if let Ok(udp) = UdpDatagram::new_checked(ip.payload()) {
@@ -1213,9 +1218,9 @@ impl Host {
                                 payload: udp.payload().to_vec(),
                             },
                         );
-                        self.trace.count("udp_delivered", 1);
+                        self.trace.udp_delivered += 1;
                     } else {
-                        self.trace.count("udp_no_socket", 1);
+                        self.trace.udp_no_socket += 1;
                     }
                 }
             }
@@ -1224,15 +1229,15 @@ impl Host {
                     return;
                 };
                 if icmp.kind() == IcmpKind::EchoRequest {
-                    self.trace.count("icmp_echo_requests", 1);
+                    self.trace.icmp_echo_requests += 1;
                     let reply = build_echo_reply(&ip_bytes);
                     self.local_output(ns, reply, meta, ctx, depth + 1);
                 } else {
-                    self.trace.count("icmp_other", 1);
+                    self.trace.icmp_other += 1;
                 }
             }
             _ => {
-                self.trace.count("rx_unhandled_proto", 1);
+                self.trace.rx_unhandled_proto += 1;
             }
         }
     }
@@ -1307,7 +1312,7 @@ impl Host {
                             if pending.len() < NEIGH_QUEUE_MAX {
                                 pending.push((out_dev, ip_pkt));
                             } else {
-                                self.trace.count("neigh_queue_drops", 1);
+                                self.trace.neigh_queue_drops += 1;
                             }
                             false
                         }
@@ -1341,7 +1346,7 @@ impl Host {
                         a.set_target_mac(MacAddr::ZERO);
                         a.set_target_ip(next_hop);
                     }
-                    self.trace.count("arp_requests", 1);
+                    self.trace.arp_requests += 1;
                     self.tx_frame(out_dev, req, ctx, depth + 1);
                 }
             }
@@ -1351,12 +1356,12 @@ impl Host {
     /// Emit a frame on an interface (kind-specific delivery).
     fn tx_frame(&mut self, iface_id: IfaceId, pkt: Packet, ctx: &mut Ctx, depth: u32) {
         if depth > MAX_DEPTH {
-            self.trace.count("loop_drops", 1);
+            self.trace.loop_drops += 1;
             return;
         }
         let iface = &mut self.ifaces[iface_id.0 as usize];
         if !iface.up {
-            self.trace.count("tx_down_iface", 1);
+            self.trace.tx_down_iface += 1;
             return;
         }
         iface.tx_packets += 1;

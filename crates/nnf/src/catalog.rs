@@ -59,8 +59,7 @@ impl NnfCatalog {
         }
     }
 
-    /// The catalogue of a stock Linux CPE, with the characteristics the
-    /// reproduction's DESIGN.md documents:
+    /// The catalogue of a stock Linux CPE, with these characteristics:
     ///
     /// * `ipsec` — strongSwan: single instance (one charon per host),
     ///   not sharable. 5 MB package, 19.4 MB RSS (Table 1's native row).

@@ -21,7 +21,7 @@
 //!   internal paths").
 //! * [`mod@translate`] — the generic-config → per-NNF-commands translation
 //!   the paper leaves as future work, implemented here as an extension
-//!   (see DESIGN.md §6).
+//!   (its module docs give the mapping).
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]

@@ -204,7 +204,7 @@ mod tests {
         // Telnet-ish does not.
         let out = f.host.inject(f.ports[0], mk(23));
         assert!(out.emitted.is_empty());
-        assert!(f.host.namespace(f.ns).unwrap().dropped >= 1);
+        assert!(f.host.namespace(f.ns).unwrap().netfilter.dropped >= 1);
     }
 
     #[test]

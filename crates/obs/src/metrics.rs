@@ -68,6 +68,9 @@ impl Gauge {
 /// recording is: binary-search the bound (on a small fixed slice), then one
 /// relaxed `fetch_add` on the bucket plus one on the sum. Reads turn the
 /// buckets into cumulative Prometheus-style ones.
+///
+/// Atomic, fixed-bound and rendered to `/metrics`; the harnesses'
+/// single-threaded virtual-time histogram is `un_sim::Histogram`.
 pub struct Histogram {
     bounds: Vec<u64>,
     /// `bounds.len() + 1` bucket cells (last is +Inf overflow).

@@ -24,7 +24,7 @@
 //! The *shape* of Table 1 (VM ≪ Docker ≈ Native) is robust to the exact
 //! values: the VM path structurally pays 4 extra copies, 2 vmexits and 2
 //! guest user/kernel crossings per packet that the host-kernel flavors
-//! cannot incur. See `EXPERIMENTS.md` for measured-vs-paper numbers.
+//! cannot incur. `tests/flavors_table1.rs` pins measured-vs-paper numbers.
 
 use crate::time::SimDuration;
 

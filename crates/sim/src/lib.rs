@@ -12,12 +12,13 @@
 //! * [`cost::CostModel`] — the calibrated per-packet / per-byte cost
 //!   constants for kernel networking, virtio, context switches and crypto.
 //!   This module is the *single* place where the reproduction's absolute
-//!   numbers come from; see `DESIGN.md` §5.
+//!   numbers come from; its docs give each constant's rationale.
 //! * [`mem::MemLedger`] — hierarchical memory/storage accounting used to
 //!   regenerate the RAM and image-size columns of the paper's Table 1.
-//! * [`stats::Histogram`] — the log-scaled latency histogram.
+//! * [`stats::Histogram`] — the harnesses' single-threaded, virtual-time
+//!   latency histogram (`/metrics` renders `un_obs`'s atomic one).
 //! * [`rng::DetRng`] — a seeded RNG so every run is reproducible.
-//! * [`trace::TraceLog`] — a map of named counters.
+//! * [`counters!`] — declares an owner's closed set of named counters.
 //!
 //! The simulation is single-threaded by design: determinism is a feature.
 
@@ -25,12 +26,12 @@
 #![deny(warnings)]
 
 pub mod cost;
+pub mod counters;
 pub mod event;
 pub mod mem;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use cost::{Cost, CostModel};
 pub use event::EventQueue;
@@ -38,4 +39,3 @@ pub use mem::{AccountId, MemLedger};
 pub use rng::DetRng;
 pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};
-pub use trace::TraceLog;

@@ -7,6 +7,11 @@ use crate::time::SimDuration;
 /// Buckets are powers of two from 1 ns up; quantiles are answered to
 /// bucket resolution, which is ample for reporting p50/p99 of simulated
 /// paths.
+///
+/// Single-threaded and in virtual time, it is the one histogram
+/// `un-traffic` can reach: an `un-traffic → un-obs` edge would rewrite
+/// the frozen benchmark lockfile. `/metrics` renders `un_obs`'s atomic
+/// one instead.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
