@@ -3,10 +3,10 @@
 use std::collections::HashMap;
 
 use un_hypervisor::{GuestApp, Hypervisor, UserspaceIpsecApp, VmId};
-use un_ipsec::sa::SecurityAssociation;
-use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
+use un_ipsec::sa::SaDirection;
 use un_nffg::NfConfig;
-use un_nnf::translate::derive_psk_tunnel;
+use un_nnf::translate::ipsec_tunnel;
+use un_nnf::NnfCommand;
 use un_packet::Packet;
 use un_sim::mem::mb;
 
@@ -22,38 +22,27 @@ pub struct VmDriver {
 }
 
 impl VmDriver {
-    /// Build the guest application for a functional type.
+    /// Build the guest application for a functional type. The IPsec
+    /// guest runs the tunnel half of the config a native NNF runs.
     fn build_app(kind: GuestAppKind, config: &NfConfig) -> Result<GuestApp, ComputeError> {
-        /// A parameter the guest cannot be configured without.
-        fn need<T: std::str::FromStr>(config: &NfConfig, key: &str) -> Result<T, ComputeError> {
-            let value = config.param(key).and_then(|v| v.parse().ok());
-            value.ok_or_else(|| ComputeError::Substrate(format!("ipsec VM needs '{key}'")))
-        }
         match kind {
             GuestAppKind::L2Forward => Ok(GuestApp::L2Forward),
             GuestAppKind::IpsecUserspace => {
-                let psk: String = need(config, "psk")?;
-                let local: std::net::Ipv4Addr = need(config, "local-addr")?;
-                let peer: std::net::Ipv4Addr = need(config, "peer-addr")?;
-                let prot_local: un_packet::Ipv4Cidr = need(config, "protected-local")?;
-                let prot_remote: un_packet::Ipv4Cidr = need(config, "protected-remote")?;
-                let initiator = config.param("role").unwrap_or("initiator") == "initiator";
-                let (key_out, salt_out, key_in, salt_in, spi_out, spi_in) =
-                    derive_psk_tunnel(psk.as_bytes(), initiator);
-
+                let tunnel = ipsec_tunnel(config)
+                    .map_err(|e| ComputeError::Substrate(format!("ipsec VM: {e}")))?;
                 let mut app = UserspaceIpsecApp::new();
-                app.sa_out = Some(SecurityAssociation::outbound(
-                    spi_out, local, peer, key_out, salt_out,
-                ));
-                app.sa_in = Some(SecurityAssociation::inbound(
-                    spi_in, peer, local, key_in, salt_in,
-                ));
-                app.spd.install(SecurityPolicy {
-                    selector: TrafficSelector::between(prot_local, prot_remote),
-                    direction: PolicyDirection::Out,
-                    action: PolicyAction::Protect(spi_out),
-                    priority: 10,
-                });
+                for cmd in tunnel {
+                    match cmd {
+                        NnfCommand::XfrmState(sa) if sa.direction == SaDirection::Out => {
+                            app.sa_out = Some(sa)
+                        }
+                        NnfCommand::XfrmState(sa) => app.sa_in = Some(sa),
+                        NnfCommand::XfrmPolicy(policy) => app.spd.install(policy),
+                        // The guest has no routing table or sysctl: it
+                        // protects what crosses from NIC 0 to NIC 1.
+                        _ => {}
+                    }
+                }
                 Ok(GuestApp::UserspaceIpsec(app))
             }
         }
@@ -165,9 +154,12 @@ impl ComputeDriver for VmDriver {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::Rig;
+    use super::super::native::NativeDriver;
+    use super::super::testkit::{ipsec_config, Rig};
     use super::*;
     use un_hypervisor::DiskImage;
+    use un_packet::ethernet::ETHERNET_HEADER_LEN;
+    use un_packet::{MacAddr, PacketBuilder};
 
     fn spec(image: &str, app: GuestAppKind) -> FlavorSpec {
         FlavorSpec::Vm {
@@ -211,5 +203,85 @@ mod tests {
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(d.image_footprint(vm), mb(522));
         assert_eq!(d.image_footprint(InstanceId(2)), 0);
+    }
+
+    /// One config, two flavors: the native NNF's kernel and the VM's
+    /// guest install the same tunnel, so they seal one inner packet into
+    /// the same outer IPv4 packet, header and ESP bytes alike. Each still
+    /// accepts what it did: the guest needs no interface addresses, the
+    /// native namespace refuses to start without them.
+    #[test]
+    fn a_vm_guest_and_a_native_nnf_seal_alike() {
+        let mut rig = Rig::new();
+        let mut native = NativeDriver::default();
+        let mut vm = VmDriver::default();
+        vm.hypervisor.images.add(DiskImage {
+            name: "img".into(),
+            size: mb(522),
+        });
+        let swan = spec("img", GuestAppKind::IpsecUserspace);
+        let (kernel, guest) = (InstanceId(1), InstanceId(2));
+        rig.create(
+            &mut native,
+            1,
+            "ipsec",
+            &FlavorSpec::Native,
+            &ipsec_config(),
+            false,
+        )
+        .unwrap();
+        native.start(&mut rig.env(), kernel).unwrap();
+        rig.create(&mut vm, 2, "ipsec", &swan, &ipsec_config(), false)
+            .unwrap();
+        vm.start(&mut rig.env(), guest).unwrap();
+
+        let ns = native.namespace_of(kernel).unwrap();
+        let peer = "192.0.2.2".parse().unwrap();
+        rig.host.neigh_add(ns, peer, MacAddr::local(99)).unwrap();
+        let lan = native.port_iface(kernel, 0).unwrap();
+        let lan_mac = rig.host.iface(lan).unwrap().mac;
+        let frame = |ttl| {
+            PacketBuilder::new()
+                .ethernet(MacAddr::local(5), lan_mac)
+                .ipv4(
+                    "192.168.1.10".parse().unwrap(),
+                    "172.16.0.9".parse().unwrap(),
+                )
+                .ttl(ttl)
+                .udp(1000, 2000)
+                .payload(&[0x77; 333])
+                .build()
+        };
+        // The kernel forwards before it seals, so its copy arrives with
+        // one more hop to spend.
+        let sealed = |mut io: Vec<IoOutcome>| {
+            let (port, pkt) = io.remove(0).outputs.remove(0);
+            assert_eq!(port, 1, "out the WAN side");
+            pkt.data()[ETHERNET_HEADER_LEN..].to_vec()
+        };
+        let by_kernel = sealed(native.deliver_batch(&mut rig.env(), kernel, vec![(0, frame(65))]));
+        let by_guest = sealed(vm.deliver_batch(&mut rig.env(), guest, vec![(0, frame(64))]));
+        assert_eq!(by_kernel, by_guest);
+
+        let mut tunnel_only = ipsec_config();
+        tunnel_only.params.remove("lan-addr");
+        tunnel_only.params.remove("wan-addr");
+        rig.create(&mut vm, 3, "ipsec", &swan, &tunnel_only, false)
+            .unwrap();
+        native.stop(&mut rig.env(), kernel).unwrap();
+        native.destroy(&mut rig.env(), kernel).unwrap();
+        rig.create(
+            &mut native,
+            4,
+            "ipsec",
+            &FlavorSpec::Native,
+            &tunnel_only,
+            false,
+        )
+        .unwrap();
+        assert!(matches!(
+            native.start(&mut rig.env(), InstanceId(4)),
+            Err(ComputeError::Substrate(e)) if e.contains("lan-addr")
+        ));
     }
 }

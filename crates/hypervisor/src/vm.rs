@@ -314,7 +314,7 @@ fn ipsec_process(
             Ok(buf) => {
                 app.processed += 1;
                 let mut outer = Packet::from_buffer(buf, DEFAULT_HEADROOM);
-                fill_outer_headers(eth_src, eth_dst, sa.tunnel_src, sa.tunnel_dst, &mut outer);
+                fill_outer_headers(eth_src, eth_dst, sa, &mut outer);
                 vec![(1, outer)]
             }
             Err(_) => {
@@ -359,8 +359,7 @@ fn ipsec_process(
 fn fill_outer_headers(
     eth_src: MacAddr,
     eth_dst: MacAddr,
-    tunnel_src: std::net::Ipv4Addr,
-    tunnel_dst: std::net::Ipv4Addr,
+    sa: &SecurityAssociation,
     frame: &mut Packet,
 ) {
     let buf = frame.data_mut();
@@ -368,17 +367,7 @@ fn fill_outer_headers(
     e.set_src(eth_src);
     e.set_dst(eth_dst);
     e.set_ethertype(EtherType::Ipv4);
-    let ip_buf = &mut buf[ETHERNET_HEADER_LEN..];
-    let total = ip_buf.len();
-    let mut ip = Ipv4Packet::new_unchecked(ip_buf);
-    ip.init();
-    ip.set_total_len(total as u16);
-    ip.set_ttl(64);
-    ip.set_protocol(IpProtocol::Esp);
-    ip.set_src(tunnel_src);
-    ip.set_dst(tunnel_dst);
-    ip.set_dont_frag(true);
-    ip.fill_checksum();
+    esp::fill_tunnel_header(sa, &mut buf[ETHERNET_HEADER_LEN..]);
 }
 
 /// The hypervisor: image store + VM table.

@@ -15,6 +15,7 @@
 //! specifies, which [`decapsulate`] verifies.
 
 use un_crypto::aead;
+use un_packet::ipv4::{IpProtocol, Ipv4Packet};
 
 use crate::replay::ReplayVerdict;
 use crate::sa::{SaDirection, SecurityAssociation};
@@ -124,6 +125,24 @@ pub fn encapsulate_into(
     sa.packets += 1;
     sa.bytes += inner.len() as u64;
     Ok(out)
+}
+
+/// Write the tunnel-mode outer IPv4 header — `sa`'s tunnel endpoints,
+/// TTL 64, DF, protocol 50 — into the first
+/// [`IPV4_HEADER_LEN`](un_packet::ipv4::IPV4_HEADER_LEN) bytes of
+/// `outer`, the whole outer packet whose ESP payload
+/// [`encapsulate_into`] already put behind them.
+pub fn fill_tunnel_header(sa: &SecurityAssociation, outer: &mut [u8]) {
+    let total = outer.len();
+    let mut ip = Ipv4Packet::new_unchecked(outer);
+    ip.init();
+    ip.set_total_len(total as u16);
+    ip.set_ttl(64);
+    ip.set_protocol(IpProtocol::Esp);
+    ip.set_src(sa.tunnel_src);
+    ip.set_dst(sa.tunnel_dst);
+    ip.set_dont_frag(true);
+    ip.fill_checksum();
 }
 
 /// The fields of an ESP payload, borrowed from the wire bytes.

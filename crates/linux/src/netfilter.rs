@@ -318,6 +318,13 @@ impl Netfilter {
             .unwrap_or(0)
     }
 
+    /// A chain's policy: true = ACCEPT.
+    pub fn policy_accept(&self, table: NfTable, chain: Chain) -> bool {
+        self.chains
+            .get(&(table, chain))
+            .is_none_or(|c| c.policy_accept)
+    }
+
     /// Rules installed in a chain.
     pub fn rules(&self, table: NfTable, chain: Chain) -> &[NfRule] {
         self.chains

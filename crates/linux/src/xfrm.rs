@@ -6,8 +6,6 @@
 //! SAs here, and every data packet is transformed *in the kernel* at
 //! kernel crypto cost (one AEAD pass, no extra copies).
 
-use std::net::Ipv4Addr;
-
 use un_ipsec::esp::{self, IpsecError};
 use un_ipsec::sa::Sad;
 use un_ipsec::spd::{PolicyAction, PolicyDirection, Spd};
@@ -84,7 +82,7 @@ impl Xfrm {
                 *cost_acc += costs.aead_kernel(ip_bytes.len());
                 match esp::encapsulate_into(sa, ip_bytes, IPV4_HEADER_LEN) {
                     Ok(mut outer) => {
-                        fill_outer_header(sa.tunnel_src, sa.tunnel_dst, &mut outer);
+                        esp::fill_tunnel_header(sa, &mut outer);
                         self.encap_count += 1;
                         XfrmOutput::Encapsulated(outer)
                     }
@@ -143,25 +141,10 @@ impl Xfrm {
     }
 }
 
-/// Write the outer tunnel IPv4 header into the first
-/// [`IPV4_HEADER_LEN`] bytes of `outer`; the ESP payload already sits
-/// behind them.
-fn fill_outer_header(src: Ipv4Addr, dst: Ipv4Addr, outer: &mut [u8]) {
-    let total = outer.len();
-    let mut ip = Ipv4Packet::new_unchecked(outer);
-    ip.init();
-    ip.set_total_len(total as u16);
-    ip.set_ttl(64);
-    ip.set_protocol(IpProtocol::Esp);
-    ip.set_src(src);
-    ip.set_dst(dst);
-    ip.set_dont_frag(true);
-    ip.fill_checksum();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
     use un_ipsec::sa::SecurityAssociation;
     use un_ipsec::spd::{SecurityPolicy, TrafficSelector};
     use un_packet::PacketBuilder;

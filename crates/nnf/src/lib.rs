@@ -7,7 +7,8 @@
 //!
 //! * [`plugin`] — the NNF plugin abstraction: the Rust equivalent of the
 //!   paper's "collection of bash scripts that control the basic
-//!   lifecycle (create, update, etc.)" per native function.
+//!   lifecycle (create, update, etc.)" per native function. An update
+//!   here is a fresh start from the new config (see [`NnfPlugin`]).
 //! * [`catalog`] — the node's NNF catalogue with per-function
 //!   characteristics (sharable? package size? daemon RSS?), which the
 //!   orchestrator consults when deciding NNF-vs-VNF placement.
@@ -20,8 +21,9 @@
 //!   egress is re-tagged, plus per-graph routing tables ("multiple
 //!   internal paths").
 //! * [`mod@translate`] — the generic-config → per-NNF-commands translation
-//!   the paper leaves as future work, implemented here as an extension
-//!   (its module docs give the mapping).
+//!   the paper leaves as future work, implemented here as an extension:
+//!   the one reader of an NF's config, whose command list is a dedicated
+//!   NNF's whole namespace program (its module docs give the mapping).
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -35,4 +37,4 @@ pub mod translate;
 pub use adaptation::AdaptationLayer;
 pub use catalog::{NnfCatalog, NnfDescriptor};
 pub use plugin::{GraphBinding, NnfContext, NnfError, NnfPlugin};
-pub use translate::{translate, NnfCommand, TranslateError};
+pub use translate::{translate, NnfCommand};

@@ -100,9 +100,16 @@ impl From<un_linux::HostError> for NnfError {
 ///
 /// Lifecycle: `start` (configure kernel objects for the given ports and
 /// config) → zero or more `bind_graph`/`unbind_graph` (sharable only) →
-/// optional `update` (reconfigure in place) → `stop` (tear everything
-/// down). The driver guarantees `start` is called exactly once before
-/// any other method.
+/// `stop` (tear everything down). The driver guarantees `start` is
+/// called exactly once before any other method.
+///
+/// There is no in-place update. A changed NF config is a structural
+/// change of the graph (`un_nffg::diff`): the node undeploys the graph
+/// and deploys it again, so a fresh instance starts from the new
+/// config. Re-running a config over a live
+/// namespace would duplicate what is already there (a second SPD entry,
+/// repeated routes) and re-install PSK-derived SAs with their sequence
+/// numbers back at zero — a nonce reused under the same key.
 pub trait NnfPlugin: Send {
     /// The functional type this plugin implements (`"ipsec"`, …).
     fn functional_type(&self) -> &'static str;
@@ -135,9 +142,6 @@ pub trait NnfPlugin: Send {
     ) -> Result<(), NnfError> {
         Err(NnfError::NotSharable)
     }
-
-    /// Re-apply a changed configuration in place.
-    fn update(&mut self, ctx: &mut NnfContext<'_>, config: &NfConfig) -> Result<(), NnfError>;
 
     /// Tear the function down (kernel objects, daemon memory).
     fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError>;

@@ -63,13 +63,6 @@ impl NnfPlugin for BridgeNnf {
         Ok(())
     }
 
-    fn update(&mut self, _ctx: &mut NnfContext<'_>, _config: &NfConfig) -> Result<(), NnfError> {
-        if !self.started {
-            return Err(NnfError::BadState("update before start"));
-        }
-        Ok(())
-    }
-
     fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError> {
         if !self.started {
             return Err(NnfError::BadState("stop before start"));

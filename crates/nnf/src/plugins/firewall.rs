@@ -12,7 +12,6 @@
 
 use un_linux::IfaceId;
 use un_nffg::NfConfig;
-use un_packet::Ipv4Cidr;
 
 use crate::plugin::{NnfContext, NnfError, NnfPlugin};
 use crate::plugins::execute;
@@ -56,55 +55,13 @@ impl NnfPlugin for FirewallNnf {
                 have: ports.len(),
             });
         }
-        for (i, key) in [(0usize, "addr0"), (1, "addr1")] {
-            if let Some(v) = config.param(key) {
-                let cidr: Ipv4Cidr = v.parse().map_err(|_| NnfError::BadParam {
-                    key: key.to_string(),
-                    value: v.to_string(),
-                })?;
-                ctx.host.addr_add(ports[i], cidr)?;
-            }
-            ctx.host.set_up(ports[i], true)?;
-        }
-        if let Some(gw) = config.param("gw") {
-            let via = gw.parse().map_err(|_| NnfError::BadParam {
-                key: "gw".into(),
-                value: gw.to_string(),
-            })?;
-            ctx.host.route_add(
-                ctx.ns,
-                un_linux::MAIN_TABLE,
-                Ipv4Cidr::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
-                Some(via),
-                ports[1],
-                0,
-            )?;
-        }
-        let cmds = translate("firewall", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-        execute(ctx, ports, &cmds)?;
+        execute(ctx, ports, translate("firewall", config, ports.len())?)?;
         ctx.ledger
             .alloc(ctx.account, "fw-tools", FIREWALL_RSS)
             .map_err(|e| NnfError::Kernel(e.to_string()))?;
         self.ports = ports.to_vec();
         self.started = true;
         Ok(())
-    }
-
-    fn update(&mut self, ctx: &mut NnfContext<'_>, config: &NfConfig) -> Result<(), NnfError> {
-        if !self.started {
-            return Err(NnfError::BadState("update before start"));
-        }
-        // Flush and replay the FORWARD chain (the scripts do the same).
-        let ns = ctx.ns;
-        if let Some(nsr) = ctx.host.namespace_mut(ns) {
-            nsr.netfilter.flush(
-                un_linux::netfilter::NfTable::Filter,
-                un_linux::netfilter::Chain::Forward,
-            );
-        }
-        let cmds = translate("firewall", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-        let ports = self.ports.clone();
-        execute(ctx, &ports, &cmds)
     }
 
     fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError> {
@@ -205,47 +162,6 @@ mod tests {
         let out = f.host.inject(f.ports[0], mk(23));
         assert!(out.emitted.is_empty());
         assert!(f.host.namespace(f.ns).unwrap().netfilter.dropped >= 1);
-    }
-
-    #[test]
-    fn update_replaces_ruleset() {
-        let mut f = fixture();
-        let mut plugin = FirewallNnf::new();
-        let mut ctx = NnfContext {
-            host: &mut f.host,
-            ns: f.ns,
-            ledger: &mut f.ledger,
-            account: f.account,
-        };
-        plugin.start(&mut ctx, &f.ports, &base_config()).unwrap();
-        let before = ctx
-            .host
-            .namespace(f.ns)
-            .unwrap()
-            .netfilter
-            .rules(
-                un_linux::netfilter::NfTable::Filter,
-                un_linux::netfilter::Chain::Forward,
-            )
-            .len();
-        assert_eq!(before, 2, "established + dns");
-
-        // New config: accept-all policy, no rules.
-        let cfg = NfConfig::default()
-            .with_param("policy", "accept")
-            .with_param("stateful", "false");
-        plugin.update(&mut ctx, &cfg).unwrap();
-        let after = ctx
-            .host
-            .namespace(f.ns)
-            .unwrap()
-            .netfilter
-            .rules(
-                un_linux::netfilter::NfTable::Filter,
-                un_linux::netfilter::Chain::Forward,
-            )
-            .len();
-        assert_eq!(after, 0);
     }
 
     #[test]

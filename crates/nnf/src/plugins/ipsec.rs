@@ -7,7 +7,8 @@
 //! runs entirely in the simulated kernel — the property that makes the
 //! native flavor fast in Table 1.
 //!
-//! Config parameters:
+//! Config parameters, which [`translate`] reads (the VM flavor's guest
+//! takes all but the two interface addresses):
 //!
 //! | key | meaning | required |
 //! |---|---|---|
@@ -22,11 +23,10 @@
 
 use un_linux::IfaceId;
 use un_nffg::NfConfig;
-use un_packet::Ipv4Cidr;
 
 use crate::plugin::{NnfContext, NnfError, NnfPlugin};
 use crate::plugins::execute;
-use crate::translate::{translate, NnfCommand};
+use crate::translate::translate;
 
 /// Daemon RSS of the native strongSwan (charon) instance, bytes.
 /// Together with in-kernel state this is the paper's 19.4 MB figure.
@@ -44,14 +44,6 @@ impl IpsecNnf {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-fn parse_cidr(config: &NfConfig, key: &'static str) -> Result<Ipv4Cidr, NnfError> {
-    let v = config.param(key).ok_or(NnfError::MissingParam(key))?;
-    v.parse().map_err(|_| NnfError::BadParam {
-        key: key.to_string(),
-        value: v.to_string(),
-    })
 }
 
 impl NnfPlugin for IpsecNnf {
@@ -74,58 +66,14 @@ impl NnfPlugin for IpsecNnf {
                 have: ports.len(),
             });
         }
-        let lan_addr = parse_cidr(config, "lan-addr")?;
-        let wan_addr = parse_cidr(config, "wan-addr")?;
-        let protected_remote = parse_cidr(config, "protected-remote")?;
-        let peer: std::net::Ipv4Addr = {
-            let v = config
-                .param("peer-addr")
-                .ok_or(NnfError::MissingParam("peer-addr"))?;
-            v.parse().map_err(|_| NnfError::BadParam {
-                key: "peer-addr".into(),
-                value: v.to_string(),
-            })?
-        };
-
-        // Interface bring-up (the parts a script would do with `ip`).
-        ctx.host.addr_add(ports[0], lan_addr)?;
-        ctx.host.addr_add(ports[1], wan_addr)?;
-        ctx.host.set_up(ports[0], true)?;
-        ctx.host.set_up(ports[1], true)?;
-        // Traffic for the protected remote subnet heads toward the peer;
-        // XFRM intercepts and encapsulates on the way out.
-        ctx.host.route_add(
-            ctx.ns,
-            un_linux::MAIN_TABLE,
-            protected_remote,
-            Some(peer),
-            ports[1],
-            0,
-        )?;
-
-        // Kernel IPsec state from the translated generic config.
-        let cmds = translate("ipsec", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-        execute(ctx, ports, &cmds)?;
-
+        execute(ctx, ports, translate("ipsec", config, ports.len())?)?;
         // The charon daemon's memory.
         ctx.ledger
             .alloc(ctx.account, "charon-rss", CHARON_RSS)
             .map_err(|e| NnfError::Kernel(e.to_string()))?;
-
         self.ports = ports.to_vec();
         self.started = true;
         Ok(())
-    }
-
-    fn update(&mut self, ctx: &mut NnfContext<'_>, config: &NfConfig) -> Result<(), NnfError> {
-        if !self.started {
-            return Err(NnfError::BadState("update before start"));
-        }
-        // Re-derive and re-install SAs/policies (rekey / peer change).
-        let cmds: Vec<NnfCommand> =
-            translate("ipsec", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-        let ports = self.ports.clone();
-        execute(ctx, &ports, &cmds)
     }
 
     fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError> {
@@ -200,7 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_guards_and_param_validation() {
+    fn start_guards_and_param_validation() {
         let mut host = Host::new("cpe", CostModel::default());
         let ns = host.add_namespace("x");
         let p0 = host.add_external(ns, "a", 1).unwrap();
@@ -233,7 +181,6 @@ mod tests {
             plugin.start(&mut ctx, &[p0, p1], &config()),
             Err(NnfError::BadState(_))
         ));
-        plugin.update(&mut ctx, &config()).unwrap();
     }
 
     #[test]

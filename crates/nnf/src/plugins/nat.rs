@@ -21,17 +21,10 @@ use un_packet::Ipv4Cidr;
 use crate::adaptation::AdaptationLayer;
 use crate::plugin::{GraphBinding, NnfContext, NnfError, NnfPlugin};
 use crate::plugins::execute;
-use crate::translate::translate;
+use crate::translate::{nat_addressing, translate};
 
 /// Bookkeeping RSS for the NAT tooling.
 pub const NAT_RSS: u64 = 700_000;
-
-fn parse_cidr(key: &str, v: &str) -> Result<Ipv4Cidr, NnfError> {
-    v.parse().map_err(|_| NnfError::BadParam {
-        key: key.to_string(),
-        value: v.to_string(),
-    })
-}
 
 /// The NAT NNF plugin.
 #[derive(Debug, Default)]
@@ -70,60 +63,13 @@ impl NnfPlugin for NatNnf {
         if self.started {
             return Err(NnfError::BadState("already started"));
         }
-        match ports.len() {
-            0 => {
-                return Err(NnfError::NotEnoughPorts { need: 1, have: 0 });
-            }
-            1 => {
-                // Shared mode: single attachment port + adaptation layer.
-                ctx.host.set_up(ports[0], true)?;
-                ctx.host.sysctl_ip_forward(ctx.ns, true)?;
-                self.adaptation = Some(AdaptationLayer::new(ports[0]));
-            }
-            _ => {
-                // Dedicated mode: classic two-port masquerading router.
-                let lan = parse_cidr(
-                    "lan-addr",
-                    config
-                        .param("lan-addr")
-                        .ok_or(NnfError::MissingParam("lan-addr"))?,
-                )?;
-                let wan = parse_cidr(
-                    "wan-addr",
-                    config
-                        .param("wan-addr")
-                        .ok_or(NnfError::MissingParam("wan-addr"))?,
-                )?;
-                ctx.host.addr_add(ports[0], lan)?;
-                ctx.host.addr_add(ports[1], wan)?;
-                ctx.host.set_up(ports[0], true)?;
-                ctx.host.set_up(ports[1], true)?;
-                if let Some(gw) = config.param("wan-gw") {
-                    let via = gw.parse().map_err(|_| NnfError::BadParam {
-                        key: "wan-gw".into(),
-                        value: gw.to_string(),
-                    })?;
-                    ctx.host.route_add(
-                        ctx.ns,
-                        un_linux::MAIN_TABLE,
-                        Ipv4Cidr::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
-                        Some(via),
-                        ports[1],
-                        0,
-                    )?;
-                }
-                let mut cmds =
-                    translate("nat", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-                // Bind the masquerade to the WAN interface specifically.
-                for cmd in &mut cmds {
-                    if let crate::translate::NnfCommand::IptablesAppend { rule, chain, .. } = cmd {
-                        if *chain == Chain::Postrouting && rule.target == Target::Masquerade {
-                            rule.matches.out_iface = Some(ports[1]);
-                        }
-                    }
-                }
-                execute(ctx, ports, &cmds)?;
-            }
+        if ports.is_empty() {
+            return Err(NnfError::NotEnoughPorts { need: 1, have: 0 });
+        }
+        execute(ctx, ports, translate("nat", config, ports.len())?)?;
+        if let [attachment] = ports {
+            // Shared mode: graphs attach through the adaptation layer.
+            self.adaptation = Some(AdaptationLayer::new(*attachment));
         }
         ctx.ledger
             .alloc(ctx.account, "nat-tools", NAT_RSS)
@@ -144,27 +90,7 @@ impl NnfPlugin for NatNnf {
         let Some(adaptation) = self.adaptation.as_mut() else {
             return Err(NnfError::NotSharable); // dedicated mode
         };
-        let lan_addr = parse_cidr(
-            "lan-addr",
-            binding
-                .params
-                .get("lan-addr")
-                .ok_or(NnfError::MissingParam("lan-addr"))?,
-        )?;
-        let wan_addr = parse_cidr(
-            "wan-addr",
-            binding
-                .params
-                .get("wan-addr")
-                .ok_or(NnfError::MissingParam("wan-addr"))?,
-        )?;
-        let wan_gw = match binding.params.get("wan-gw") {
-            Some(v) => Some(v.parse().map_err(|_| NnfError::BadParam {
-                key: "wan-gw".into(),
-                value: v.to_string(),
-            })?),
-            None => None,
-        };
+        let (lan_addr, wan_addr, wan_gw) = nat_addressing(&binding.params)?;
 
         // Every parameter is parsed: nothing past this point fails on
         // what the tenant sent, so a refused bind has attached nothing.
@@ -234,13 +160,6 @@ impl NnfPlugin for NatNnf {
             );
         }
         adaptation.detach(ctx, binding)
-    }
-
-    fn update(&mut self, _ctx: &mut NnfContext<'_>, _config: &NfConfig) -> Result<(), NnfError> {
-        if !self.started {
-            return Err(NnfError::BadState("update before start"));
-        }
-        Ok(()) // NAT has no updatable global state beyond bindings.
     }
 
     fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError> {

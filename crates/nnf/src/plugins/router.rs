@@ -5,7 +5,6 @@
 
 use un_linux::IfaceId;
 use un_nffg::NfConfig;
-use un_packet::Ipv4Cidr;
 
 use crate::plugin::{NnfContext, NnfError, NnfPlugin};
 use crate::plugins::execute;
@@ -48,34 +47,13 @@ impl NnfPlugin for RouterNnf {
                 have: ports.len(),
             });
         }
-        for (i, port) in ports.iter().enumerate() {
-            let key = format!("addr{i}");
-            if let Some(v) = config.param(&key) {
-                let cidr: Ipv4Cidr = v.parse().map_err(|_| NnfError::BadParam {
-                    key,
-                    value: v.to_string(),
-                })?;
-                ctx.host.addr_add(*port, cidr)?;
-            }
-            ctx.host.set_up(*port, true)?;
-        }
-        let cmds = translate("router", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-        execute(ctx, ports, &cmds)?;
+        execute(ctx, ports, translate("router", config, ports.len())?)?;
         ctx.ledger
             .alloc(ctx.account, "router-tools", ROUTER_RSS)
             .map_err(|e| NnfError::Kernel(e.to_string()))?;
         self.ports = ports.to_vec();
         self.started = true;
         Ok(())
-    }
-
-    fn update(&mut self, ctx: &mut NnfContext<'_>, config: &NfConfig) -> Result<(), NnfError> {
-        if !self.started {
-            return Err(NnfError::BadState("update before start"));
-        }
-        let cmds = translate("router", config).map_err(|e| NnfError::Kernel(e.to_string()))?;
-        let ports = self.ports.clone();
-        execute(ctx, &ports, &cmds)
     }
 
     fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError> {

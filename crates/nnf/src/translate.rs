@@ -5,73 +5,52 @@
 //! appropriate to the specific NNF is not in the scope of this initial
 //! implementation and will be targeted by future work." — §2.
 //!
-//! This module implements that mechanism: a [`NfConfig`] (the
-//! orchestrator's NF-agnostic configuration) is compiled into a list of
+//! This module implements that mechanism, and it is the one reader of an
+//! NF's [`NfConfig`]: nothing else parses a config key. [`translate`]
+//! compiles the orchestrator's NF-agnostic configuration into
 //! [`NnfCommand`]s, the typed equivalent of the shell commands a plugin
-//! script would run (`iptables -A …`, `ip route add …`, `ip xfrm state
-//! add …`). Plugins execute the commands against the simulated kernel.
+//! script would run (`ip addr add …`, `ip route add …`, `iptables -A …`,
+//! `ip xfrm state add …`), in the order the script runs them. For a
+//! dedicated NNF the list is its namespace's whole program: a plugin's
+//! `start` is a guard, [`execute`](crate::plugins::execute) of this list,
+//! and its RSS booking. Every flavor is configured from here: the native
+//! and Docker plugins run the list in a namespace, the VM driver builds
+//! its guest from [`ipsec_tunnel`], and a shared NAT reads each graph's
+//! binding through [`nat_addressing`].
+//!
+//! Translation parses everything before it emits anything, so a config
+//! refused here has configured nothing.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 use un_crypto::{hkdf_expand, hkdf_extract};
+use un_ipsec::sa::SecurityAssociation;
+use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
 use un_linux::conntrack::CtState;
 use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
 use un_nffg::NfConfig;
 use un_packet::Ipv4Cidr;
 
-/// Translation failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TranslateError {
-    /// A required parameter is absent.
-    Missing(&'static str),
-    /// A parameter failed to parse.
-    Bad {
-        /// Parameter name.
-        key: String,
-        /// Offending value.
-        value: String,
-    },
-    /// The functional type has no translator.
-    UnknownFunction(String),
-}
-
-impl std::fmt::Display for TranslateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TranslateError::Missing(k) => write!(f, "missing parameter '{k}'"),
-            TranslateError::Bad { key, value } => write!(f, "bad parameter {key}='{value}'"),
-            TranslateError::UnknownFunction(t) => write!(f, "no translator for '{t}'"),
-        }
-    }
-}
-
-impl std::error::Error for TranslateError {}
+use crate::plugin::NnfError;
 
 /// A typed NNF configuration command (what the bash scripts would run).
-#[derive(Debug, Clone, PartialEq)]
+/// Ports are NF port indices; [`execute`](crate::plugins::execute)
+/// resolves them to the namespace's interfaces.
+#[derive(Debug, Clone)]
 pub enum NnfCommand {
-    /// `sysctl net.ipv4.ip_forward=…`
-    Sysctl {
-        /// Enable forwarding.
-        ip_forward: bool,
+    /// `ip addr add <cidr> dev <port idx>`
+    IpAddr {
+        /// Address with prefix.
+        cidr: Ipv4Cidr,
+        /// NF port index.
+        dev_port: usize,
     },
-    /// `iptables -t <table> -A <chain> …`
-    IptablesAppend {
-        /// Table.
-        table: NfTable,
-        /// Chain.
-        chain: Chain,
-        /// The rule.
-        rule: NfRule,
-    },
-    /// `iptables -t <table> -P <chain> <policy>`
-    IptablesPolicy {
-        /// Table.
-        table: NfTable,
-        /// Chain.
-        chain: Chain,
-        /// ACCEPT (true) or DROP (false).
-        accept: bool,
+    /// `ip link set <port idx> up`
+    LinkUp {
+        /// NF port index.
+        dev_port: usize,
     },
     /// `ip route add <dst> via <via> dev <port idx> table <table>`
     IpRoute {
@@ -86,48 +65,53 @@ pub enum NnfCommand {
         /// Metric.
         metric: u32,
     },
-    /// `ip addr add <cidr> dev <port idx>`
-    IpAddr {
-        /// Address with prefix.
-        cidr: Ipv4Cidr,
-        /// NF port index.
-        dev_port: usize,
+    /// `sysctl net.ipv4.ip_forward=…`
+    Sysctl {
+        /// Enable forwarding.
+        ip_forward: bool,
     },
-    /// `ip xfrm state add … spi <spi>`
-    XfrmState {
-        /// SPI.
-        spi: u32,
-        /// Outbound (true) or inbound.
-        outbound: bool,
-        /// Tunnel source.
-        src: Ipv4Addr,
-        /// Tunnel destination.
-        dst: Ipv4Addr,
-        /// AEAD key.
-        key: [u8; 32],
-        /// AEAD salt.
-        salt: [u8; 4],
+    /// `iptables -t <table> -P <chain> <policy>`
+    IptablesPolicy {
+        /// Table.
+        table: NfTable,
+        /// Chain.
+        chain: Chain,
+        /// ACCEPT (true) or DROP (false).
+        accept: bool,
     },
-    /// `ip xfrm policy add … dir out tmpl … spi <spi>`
-    XfrmPolicy {
-        /// Protected source selector.
-        src_sel: Ipv4Cidr,
-        /// Protected destination selector.
-        dst_sel: Ipv4Cidr,
-        /// SPI of the protecting SA.
-        spi: u32,
+    /// `iptables -t <table> -A <chain> [-o <port idx>] …`
+    IptablesAppend {
+        /// Table.
+        table: NfTable,
+        /// Chain.
+        chain: Chain,
+        /// The rule.
+        rule: NfRule,
+        /// NF port index the rule matches as its out-interface.
+        out_port: Option<usize>,
     },
+    /// `ip xfrm state add …`
+    XfrmState(SecurityAssociation),
+    /// `ip xfrm policy add … dir out tmpl …`
+    XfrmPolicy(SecurityPolicy),
 }
 
-fn req<'a>(c: &'a NfConfig, key: &'static str) -> Result<&'a str, TranslateError> {
-    c.param(key).ok_or(TranslateError::Missing(key))
-}
+/// String parameters: an NF's scalar params, one of its rule entries,
+/// or a shared NNF's per-graph binding.
+type Params = BTreeMap<String, String>;
 
-fn parse<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, TranslateError> {
-    v.parse().map_err(|_| TranslateError::Bad {
-        key: key.to_string(),
-        value: v.to_string(),
+/// `p[key]` parsed, if present; a bad value is reported as `{at}{key}`.
+fn opt<T: FromStr>(p: &Params, at: &str, key: &str) -> Result<Option<T>, NnfError> {
+    let Some(v) = p.get(key) else { return Ok(None) };
+    v.parse().map(Some).map_err(|_| NnfError::BadParam {
+        key: format!("{at}{key}"),
+        value: v.clone(),
     })
+}
+
+/// `p[key]` parsed; it must be present.
+fn req<T: FromStr>(p: &Params, at: &str, key: &'static str) -> Result<T, NnfError> {
+    opt(p, at, key)?.ok_or(NnfError::MissingParam(key))
 }
 
 /// Derive deterministic tunnel keys from a PSK.
@@ -157,185 +141,244 @@ pub fn derive_psk_tunnel(
     }
 }
 
-/// Translate a generic configuration into commands for `functional_type`.
+/// Translate a generic configuration into commands for `functional_type`
+/// on an instance with `n_ports` ports.
 pub fn translate(
     functional_type: &str,
     config: &NfConfig,
-) -> Result<Vec<NnfCommand>, TranslateError> {
+    n_ports: usize,
+) -> Result<Vec<NnfCommand>, NnfError> {
     match functional_type {
         "ipsec" => translate_ipsec(config),
         "firewall" => translate_firewall(config),
-        "nat" => translate_nat(config),
-        "router" => translate_router(config),
+        "nat" => translate_nat(config, n_ports),
+        "router" => translate_router(config, n_ports),
         "bridge" => Ok(Vec::new()), // bridges are pure topology; no commands
-        other => Err(TranslateError::UnknownFunction(other.to_string())),
+        other => Err(NnfError::BadParam {
+            key: "functional-type".into(),
+            value: other.into(),
+        }),
     }
 }
 
-fn translate_ipsec(c: &NfConfig) -> Result<Vec<NnfCommand>, TranslateError> {
-    let psk = req(c, "psk")?;
-    let local: Ipv4Addr = parse("local-addr", req(c, "local-addr")?)?;
-    let peer: Ipv4Addr = parse("peer-addr", req(c, "peer-addr")?)?;
-    let prot_local: Ipv4Cidr = parse("protected-local", req(c, "protected-local")?)?;
-    let prot_remote: Ipv4Cidr = parse("protected-remote", req(c, "protected-remote")?)?;
+/// A main-table route out `dev_port`.
+fn route(dst: Ipv4Cidr, via: Option<Ipv4Addr>, dev_port: usize) -> NnfCommand {
+    NnfCommand::IpRoute {
+        table: un_linux::MAIN_TABLE,
+        dst,
+        via,
+        dev_port,
+        metric: 0,
+    }
+}
+
+/// The default route toward the next hop `gw` behind port 1.
+fn default_route(gw: Ipv4Addr) -> NnfCommand {
+    route(Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0), Some(gw), 1)
+}
+
+/// Port by port: its address, if it has one, then link up.
+fn bring_up(addrs: &[Option<Ipv4Cidr>]) -> Vec<NnfCommand> {
+    let mut cmds = Vec::new();
+    for (dev_port, cidr) in addrs.iter().enumerate() {
+        cmds.extend(cidr.map(|cidr| NnfCommand::IpAddr { cidr, dev_port }));
+        cmds.push(NnfCommand::LinkUp { dev_port });
+    }
+    cmds
+}
+
+/// A LAN (port 0) / WAN (port 1) pair: both addresses, then both links.
+fn lan_wan(lan: Ipv4Cidr, wan: Ipv4Cidr) -> Vec<NnfCommand> {
+    vec![
+        NnfCommand::IpAddr {
+            cidr: lan,
+            dev_port: 0,
+        },
+        NnfCommand::IpAddr {
+            cidr: wan,
+            dev_port: 1,
+        },
+        NnfCommand::LinkUp { dev_port: 0 },
+        NnfCommand::LinkUp { dev_port: 1 },
+    ]
+}
+
+/// The interface half (`lan-addr`, `wan-addr`), then the tunnel half.
+fn translate_ipsec(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+    let p = &c.params;
+    let mut cmds = lan_wan(req(p, "", "lan-addr")?, req(p, "", "wan-addr")?);
+    cmds.extend(ipsec_tunnel(c)?);
+    Ok(cmds)
+}
+
+/// The tunnel half of an IPsec config: what every flavor of the function
+/// installs, and all a VM guest needs. Keys `psk`, `local-addr`,
+/// `peer-addr`, `protected-local`, `protected-remote` and an optional
+/// `role` (`initiator` by default) become the route toward the peer out
+/// the WAN port (port 1), forwarding, the outbound and inbound SAs, and
+/// the outbound policy.
+pub fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+    let p = &c.params;
+    let psk: String = req(p, "", "psk")?;
+    let local: Ipv4Addr = req(p, "", "local-addr")?;
+    let peer: Ipv4Addr = req(p, "", "peer-addr")?;
+    let prot_local: Ipv4Cidr = req(p, "", "protected-local")?;
+    let prot_remote: Ipv4Cidr = req(p, "", "protected-remote")?;
     let initiator = c.param("role").unwrap_or("initiator") == "initiator";
 
     let (key_out, salt_out, key_in, salt_in, spi_out, spi_in) =
         derive_psk_tunnel(psk.as_bytes(), initiator);
 
     Ok(vec![
+        // Traffic for the protected remote prefix heads toward the peer;
+        // XFRM intercepts and encapsulates it on the way out.
+        route(prot_remote, Some(peer), 1),
         NnfCommand::Sysctl { ip_forward: true },
-        NnfCommand::XfrmState {
-            spi: spi_out,
-            outbound: true,
-            src: local,
-            dst: peer,
-            key: key_out,
-            salt: salt_out,
-        },
-        NnfCommand::XfrmState {
-            spi: spi_in,
-            outbound: false,
-            src: peer,
-            dst: local,
-            key: key_in,
-            salt: salt_in,
-        },
-        NnfCommand::XfrmPolicy {
-            src_sel: prot_local,
-            dst_sel: prot_remote,
-            spi: spi_out,
-        },
+        NnfCommand::XfrmState(SecurityAssociation::outbound(
+            spi_out, local, peer, key_out, salt_out,
+        )),
+        NnfCommand::XfrmState(SecurityAssociation::inbound(
+            spi_in, peer, local, key_in, salt_in,
+        )),
+        NnfCommand::XfrmPolicy(SecurityPolicy {
+            selector: TrafficSelector::between(prot_local, prot_remote),
+            direction: PolicyDirection::Out,
+            action: PolicyAction::Protect(spi_out),
+            priority: 10,
+        }),
     ])
 }
 
-fn translate_firewall(c: &NfConfig) -> Result<Vec<NnfCommand>, TranslateError> {
-    let mut cmds = vec![NnfCommand::Sysctl { ip_forward: true }];
-    let policy_accept = c.param("policy").unwrap_or("drop") != "drop";
+fn translate_firewall(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+    let p = &c.params;
+    let mut cmds = bring_up(&[opt(p, "", "addr0")?, opt(p, "", "addr1")?]);
+    cmds.extend(opt(p, "", "gw")?.map(default_route));
+    cmds.push(NnfCommand::Sysctl { ip_forward: true });
+    let forward = |matches, target| NnfCommand::IptablesAppend {
+        table: NfTable::Filter,
+        chain: Chain::Forward,
+        rule: NfRule::new(matches, target),
+        out_port: None,
+    };
     cmds.push(NnfCommand::IptablesPolicy {
         table: NfTable::Filter,
         chain: Chain::Forward,
-        accept: policy_accept,
+        accept: c.param("policy").unwrap_or("drop") != "drop",
     });
     // Stateful default: replies always pass.
     if c.param("stateful").unwrap_or("true") == "true" {
-        cmds.push(NnfCommand::IptablesAppend {
-            table: NfTable::Filter,
-            chain: Chain::Forward,
-            rule: NfRule::new(
-                RuleMatch {
-                    ct_state: Some(CtState::Established),
-                    ..Default::default()
-                },
-                Target::Accept,
-            ),
-        });
+        let established = RuleMatch {
+            ct_state: Some(CtState::Established),
+            ..Default::default()
+        };
+        cmds.push(forward(established, Target::Accept));
     }
     for (i, r) in c.rules.iter().enumerate() {
-        let mut m = RuleMatch::default();
-        if let Some(v) = r.get("src") {
-            m.src = Some(parse(&format!("rules[{i}].src"), v)?);
-        }
-        if let Some(v) = r.get("dst") {
-            m.dst = Some(parse(&format!("rules[{i}].dst"), v)?);
-        }
-        if let Some(v) = r.get("proto") {
-            m.proto = Some(match v.as_str() {
-                "tcp" => 6,
-                "udp" => 17,
-                "icmp" => 1,
-                other => parse(&format!("rules[{i}].proto"), other)?,
-            });
-        }
-        if let Some(v) = r.get("dport") {
-            m.dport = Some(parse(&format!("rules[{i}].dport"), v)?);
-        }
-        if let Some(v) = r.get("sport") {
-            m.sport = Some(parse(&format!("rules[{i}].sport"), v)?);
-        }
-        let action = r.get("action").map(|s| s.as_str()).unwrap_or("accept");
-        let target = match action {
+        let at = format!("rules[{i}].");
+        let matches = RuleMatch {
+            src: opt(r, &at, "src")?,
+            dst: opt(r, &at, "dst")?,
+            proto: match r.get("proto").map(String::as_str) {
+                Some("tcp") => Some(6),
+                Some("udp") => Some(17),
+                Some("icmp") => Some(1),
+                _ => opt(r, &at, "proto")?,
+            },
+            dport: opt(r, &at, "dport")?,
+            sport: opt(r, &at, "sport")?,
+            ..Default::default()
+        };
+        let target = match r.get("action").map_or("accept", String::as_str) {
             "accept" => Target::Accept,
             "drop" => Target::Drop,
             other => {
-                return Err(TranslateError::Bad {
-                    key: format!("rules[{i}].action"),
+                return Err(NnfError::BadParam {
+                    key: format!("{at}action"),
                     value: other.to_string(),
                 })
             }
         };
-        cmds.push(NnfCommand::IptablesAppend {
-            table: NfTable::Filter,
-            chain: Chain::Forward,
-            rule: NfRule::new(m, target),
-        });
+        cmds.push(forward(matches, target));
     }
     Ok(cmds)
 }
 
-fn translate_nat(c: &NfConfig) -> Result<Vec<NnfCommand>, TranslateError> {
-    let mut cmds = vec![NnfCommand::Sysctl { ip_forward: true }];
-    // Masquerade out the WAN port (port index 1 by convention; the
-    // plugin resolves the index to a concrete interface).
+/// A NAT graph's addressing — `lan-addr`, `wan-addr` and an optional
+/// `wan-gw` — from a dedicated instance's params or a shared instance's
+/// per-graph binding.
+pub fn nat_addressing(
+    p: &BTreeMap<String, String>,
+) -> Result<(Ipv4Cidr, Ipv4Cidr, Option<Ipv4Addr>), NnfError> {
+    Ok((
+        req(p, "", "lan-addr")?,
+        req(p, "", "wan-addr")?,
+        opt(p, "", "wan-gw")?,
+    ))
+}
+
+/// One port is shared mode: the adaptation layer attaches each graph
+/// over it, and the config carries nothing. Two are a dedicated
+/// masquerading router.
+fn translate_nat(c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
+    let forwarding = NnfCommand::Sysctl { ip_forward: true };
+    if n_ports == 1 {
+        return Ok(vec![NnfCommand::LinkUp { dev_port: 0 }, forwarding]);
+    }
+    let (lan, wan, gw) = nat_addressing(&c.params)?;
+    let mut cmds = lan_wan(lan, wan);
+    cmds.extend(gw.map(default_route));
+    cmds.push(forwarding);
     cmds.push(NnfCommand::IptablesAppend {
         table: NfTable::Nat,
         chain: Chain::Postrouting,
         rule: NfRule::new(RuleMatch::default(), Target::Masquerade),
+        out_port: Some(1),
     });
     // Optional static DNAT entries ("port forwardings").
     for (i, r) in c.rules.iter().enumerate() {
-        if r.get("kind").map(|s| s.as_str()) != Some("dnat") {
+        if r.get("kind").map(String::as_str) != Some("dnat") {
             continue;
         }
-        let to: Ipv4Addr = parse(
-            &format!("rules[{i}].to"),
-            r.get("to").ok_or(TranslateError::Missing("to"))?,
-        )?;
-        let dport: u16 = parse(
-            &format!("rules[{i}].dport"),
-            r.get("dport").ok_or(TranslateError::Missing("dport"))?,
-        )?;
-        let to_port = match r.get("to-port") {
-            Some(v) => Some(parse(&format!("rules[{i}].to-port"), v)?),
-            None => None,
-        };
+        let at = format!("rules[{i}].");
+        let to = req(r, &at, "to")?;
+        let dport = Some(req(r, &at, "dport")?);
+        let port = opt(r, &at, "to-port")?;
         cmds.push(NnfCommand::IptablesAppend {
             table: NfTable::Nat,
             chain: Chain::Prerouting,
             rule: NfRule::new(
                 RuleMatch {
-                    dport: Some(dport),
+                    dport,
                     ..Default::default()
                 },
-                Target::Dnat { to, port: to_port },
+                Target::Dnat { to, port },
             ),
+            out_port: None,
         });
     }
     Ok(cmds)
 }
 
-fn translate_router(c: &NfConfig) -> Result<Vec<NnfCommand>, TranslateError> {
-    let mut cmds = vec![NnfCommand::Sysctl { ip_forward: true }];
+/// `addr<i>` addresses port *i*; `rules` entries (`dst`, optional `via`,
+/// `port`) are static routes.
+fn translate_router(c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
+    let addrs: Vec<Option<Ipv4Cidr>> = (0..n_ports)
+        .map(|i| opt(&c.params, "", &format!("addr{i}")))
+        .collect::<Result<_, _>>()?;
+    let mut cmds = bring_up(&addrs);
+    cmds.push(NnfCommand::Sysctl { ip_forward: true });
     for (i, r) in c.rules.iter().enumerate() {
-        let dst: Ipv4Cidr = parse(
-            &format!("rules[{i}].dst"),
-            r.get("dst").ok_or(TranslateError::Missing("dst"))?,
-        )?;
-        let via = match r.get("via") {
-            Some(v) => Some(parse(&format!("rules[{i}].via"), v)?),
-            None => None,
-        };
-        let dev_port: usize = parse(
-            &format!("rules[{i}].port"),
-            r.get("port").ok_or(TranslateError::Missing("port"))?,
-        )?;
-        cmds.push(NnfCommand::IpRoute {
-            table: un_linux::MAIN_TABLE,
-            dst,
-            via,
-            dev_port,
-            metric: 0,
-        });
+        let at = format!("rules[{i}].");
+        let dst = req(r, &at, "dst")?;
+        let via = opt(r, &at, "via")?;
+        let dev_port: usize = req(r, &at, "port")?;
+        if dev_port >= n_ports {
+            return Err(NnfError::NotEnoughPorts {
+                need: dev_port.saturating_add(1),
+                have: n_ports,
+            });
+        }
+        cmds.push(route(dst, via, dev_port));
     }
     Ok(cmds)
 }
@@ -343,30 +386,50 @@ fn translate_router(c: &NfConfig) -> Result<Vec<NnfCommand>, TranslateError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use un_ipsec::sa::SaDirection;
 
-    #[test]
-    fn ipsec_translation_and_key_agreement() {
-        let cfg = NfConfig::default()
+    fn tunnel_config() -> NfConfig {
+        NfConfig::default()
             .with_param("psk", "s3cret")
             .with_param("local-addr", "192.0.2.1")
             .with_param("peer-addr", "203.0.113.7")
             .with_param("protected-local", "192.168.1.0/24")
-            .with_param("protected-remote", "172.16.0.0/16");
-        let cmds = translate("ipsec", &cfg).unwrap();
-        assert_eq!(cmds.len(), 4);
-        assert!(matches!(cmds[0], NnfCommand::Sysctl { ip_forward: true }));
-        assert!(matches!(
-            cmds[1],
-            NnfCommand::XfrmState { outbound: true, .. }
-        ));
-        assert!(matches!(
-            cmds[2],
-            NnfCommand::XfrmState {
-                outbound: false,
-                ..
+            .with_param("protected-remote", "172.16.0.0/16")
+    }
+
+    #[test]
+    fn ipsec_translation_and_key_agreement() {
+        let cfg = tunnel_config()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "192.0.2.1/24");
+        let cmds = translate("ipsec", &cfg, 2).unwrap();
+        assert_eq!(cmds.len(), 9);
+        assert!(matches!(cmds[0], NnfCommand::IpAddr { dev_port: 0, .. }));
+        assert!(matches!(cmds[1], NnfCommand::IpAddr { dev_port: 1, .. }));
+        assert!(matches!(cmds[3], NnfCommand::LinkUp { dev_port: 1 }));
+        match &cmds[4] {
+            NnfCommand::IpRoute {
+                dst, via, dev_port, ..
+            } => {
+                assert_eq!(*dst, "172.16.0.0/16".parse().unwrap());
+                assert_eq!(*via, Some(Ipv4Addr::new(203, 0, 113, 7)));
+                assert_eq!(*dev_port, 1);
             }
-        ));
-        assert!(matches!(cmds[3], NnfCommand::XfrmPolicy { .. }));
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(cmds[5], NnfCommand::Sysctl { ip_forward: true }));
+        assert!(matches!(&cmds[6], NnfCommand::XfrmState(sa) if sa.direction == SaDirection::Out));
+        assert!(matches!(&cmds[7], NnfCommand::XfrmState(sa) if sa.direction == SaDirection::In));
+        assert!(matches!(cmds[8], NnfCommand::XfrmPolicy(_)));
+
+        // The tunnel half is what a VM guest installs: it needs no
+        // interface addresses, which the native namespace refuses to go
+        // without.
+        assert_eq!(ipsec_tunnel(&tunnel_config()).unwrap().len(), 5);
+        assert_eq!(
+            translate("ipsec", &tunnel_config(), 2).unwrap_err(),
+            NnfError::MissingParam("lan-addr")
+        );
 
         // Both roles agree crosswise.
         let (ko_i, so_i, ki_i, si_i, spo_i, spi_i) = derive_psk_tunnel(b"s3cret", true);
@@ -384,33 +447,34 @@ mod tests {
 
     #[test]
     fn ipsec_requires_params() {
-        let err = translate("ipsec", &NfConfig::default()).unwrap_err();
-        assert_eq!(err, TranslateError::Missing("psk"));
-        let cfg = NfConfig::default()
-            .with_param("psk", "x")
-            .with_param("local-addr", "not-an-ip");
-        assert!(matches!(
-            translate("ipsec", &cfg).unwrap_err(),
-            TranslateError::Missing(_) | TranslateError::Bad { .. }
-        ));
+        let err = ipsec_tunnel(&NfConfig::default()).unwrap_err();
+        assert_eq!(err, NnfError::MissingParam("psk"));
+        let cfg = tunnel_config().with_param("local-addr", "not-an-ip");
+        assert_eq!(
+            ipsec_tunnel(&cfg).unwrap_err(),
+            NnfError::BadParam {
+                key: "local-addr".into(),
+                value: "not-an-ip".into()
+            }
+        );
     }
 
     #[test]
     fn firewall_translation() {
         let mut cfg = NfConfig::default().with_param("policy", "drop");
-        let mut rule = std::collections::BTreeMap::new();
+        let mut rule = BTreeMap::new();
         rule.insert("action".into(), "accept".into());
         rule.insert("proto".into(), "udp".into());
         rule.insert("dport".into(), "53".into());
         cfg.rules.push(rule);
-        let cmds = translate("firewall", &cfg).unwrap();
-        // sysctl + policy + established + 1 rule.
-        assert_eq!(cmds.len(), 4);
+        let cmds = translate("firewall", &cfg, 2).unwrap();
+        // 2 × link up + sysctl + policy + established + 1 rule.
+        assert_eq!(cmds.len(), 6);
         assert!(matches!(
-            cmds[1],
+            cmds[3],
             NnfCommand::IptablesPolicy { accept: false, .. }
         ));
-        match &cmds[3] {
+        match &cmds[5] {
             NnfCommand::IptablesAppend { rule, .. } => {
                 assert_eq!(rule.matches.proto, Some(17));
                 assert_eq!(rule.matches.dport, Some(53));
@@ -422,34 +486,41 @@ mod tests {
     #[test]
     fn firewall_rejects_bad_action() {
         let mut cfg = NfConfig::default();
-        let mut rule = std::collections::BTreeMap::new();
+        let mut rule = BTreeMap::new();
         rule.insert("action".into(), "explode".into());
         cfg.rules.push(rule);
-        assert!(matches!(
-            translate("firewall", &cfg).unwrap_err(),
-            TranslateError::Bad { .. }
-        ));
+        assert_eq!(
+            translate("firewall", &cfg, 2).unwrap_err(),
+            NnfError::BadParam {
+                key: "rules[0].action".into(),
+                value: "explode".into()
+            }
+        );
     }
 
     #[test]
     fn nat_translation_with_dnat() {
-        let mut cfg = NfConfig::default();
-        let mut fwd = std::collections::BTreeMap::new();
+        let mut cfg = NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "203.0.113.1/24");
+        let mut fwd = BTreeMap::new();
         fwd.insert("kind".into(), "dnat".into());
         fwd.insert("dport".into(), "8080".into());
         fwd.insert("to".into(), "192.168.1.20".into());
         fwd.insert("to-port".into(), "80".into());
         cfg.rules.push(fwd);
-        let cmds = translate("nat", &cfg).unwrap();
-        assert_eq!(cmds.len(), 3);
+        let cmds = translate("nat", &cfg, 2).unwrap();
+        // 2 × address + 2 × link up + sysctl + masquerade + 1 DNAT.
+        assert_eq!(cmds.len(), 7);
         assert!(matches!(
-            cmds[1],
+            cmds[5],
             NnfCommand::IptablesAppend {
                 chain: Chain::Postrouting,
+                out_port: Some(1),
                 ..
             }
         ));
-        match &cmds[2] {
+        match &cmds[6] {
             NnfCommand::IptablesAppend { rule, .. } => {
                 assert_eq!(
                     rule.target,
@@ -461,27 +532,36 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // Shared mode reads no config: graphs bring their own.
+        assert_eq!(translate("nat", &NfConfig::default(), 1).unwrap().len(), 2);
     }
 
     #[test]
     fn router_translation() {
         let mut cfg = NfConfig::default();
-        let mut r = std::collections::BTreeMap::new();
+        let mut r = BTreeMap::new();
         r.insert("dst".into(), "0.0.0.0/0".into());
         r.insert("via".into(), "10.0.0.254".into());
         r.insert("port".into(), "1".into());
         cfg.rules.push(r);
-        let cmds = translate("router", &cfg).unwrap();
-        assert_eq!(cmds.len(), 2);
-        assert!(matches!(cmds[1], NnfCommand::IpRoute { dev_port: 1, .. }));
+        let cmds = translate("router", &cfg, 2).unwrap();
+        assert_eq!(cmds.len(), 4);
+        assert!(matches!(cmds[3], NnfCommand::IpRoute { dev_port: 1, .. }));
+        // A route out a port the instance lacks is refused up front.
+        assert_eq!(
+            translate("router", &cfg, 1).unwrap_err(),
+            NnfError::NotEnoughPorts { need: 2, have: 1 }
+        );
     }
 
     #[test]
     fn unknown_function_rejected() {
         assert!(matches!(
-            translate("quantum-fw", &NfConfig::default()).unwrap_err(),
-            TranslateError::UnknownFunction(_)
+            translate("quantum-fw", &NfConfig::default(), 2).unwrap_err(),
+            NnfError::BadParam { .. }
         ));
-        assert_eq!(translate("bridge", &NfConfig::default()).unwrap(), vec![]);
+        assert!(translate("bridge", &NfConfig::default(), 2)
+            .unwrap()
+            .is_empty());
     }
 }
