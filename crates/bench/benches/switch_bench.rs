@@ -1,5 +1,4 @@
-//! LSI benchmarks: flow lookup fast/slow path and the backend
-//! comparison (Ext-C).
+//! LSI benchmarks: flow lookup fast and slow path, and VLAN tag ops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::net::Ipv4Addr;
@@ -17,8 +16,8 @@ fn packet(dport: u16) -> un_packet::Packet {
         .build()
 }
 
-fn lsi_with_rules(backend: Backend, n_rules: u16) -> LogicalSwitch {
-    let mut sw = LogicalSwitch::new("bench", 1, backend);
+fn lsi_with_rules(n_rules: u16) -> LogicalSwitch {
+    let mut sw = LogicalSwitch::new("bench", 1, Backend::SingleTableCached);
     sw.add_port(PortNo(1), "in").unwrap();
     sw.add_port(PortNo(2), "out").unwrap();
     for i in 0..n_rules {
@@ -50,7 +49,7 @@ fn cached_fast_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("lsi_cached_lookup");
     for rules in [10u16, 100, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(rules), &rules, |b, &rules| {
-            let mut sw = lsi_with_rules(Backend::SingleTableCached, rules);
+            let mut sw = lsi_with_rules(rules);
             let costs = CostModel::default();
             let pkt = packet(10_005);
             b.iter(|| std::hint::black_box(sw.process(PortNo(1), pkt.clone(), &costs)));
@@ -64,7 +63,7 @@ fn uncached_slow_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("lsi_uncached_lookup");
     for rules in [10u16, 100, 1000] {
         group.bench_with_input(BenchmarkId::from_parameter(rules), &rules, |b, &rules| {
-            let mut sw = lsi_with_rules(Backend::SingleTableCached, rules);
+            let mut sw = lsi_with_rules(rules);
             let costs = CostModel::default();
             let mut port = 0u16;
             b.iter(|| {
@@ -73,45 +72,6 @@ fn uncached_slow_path(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-/// Ext-C: single-table+cache (OvS-like) vs two-table pipeline
-/// (xDPd-like) on the same classification job.
-fn backend_comparison(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lsi_backend");
-    group.bench_function("single_table_cached", |b| {
-        let mut sw = lsi_with_rules(Backend::SingleTableCached, 100);
-        let costs = CostModel::default();
-        let pkt = packet(10_050);
-        b.iter(|| std::hint::black_box(sw.process(PortNo(1), pkt.clone(), &costs)));
-    });
-    group.bench_function("multi_table", |b| {
-        let mut sw = LogicalSwitch::new("mt", 2, Backend::MultiTable(2));
-        sw.add_port(PortNo(1), "in").unwrap();
-        sw.add_port(PortNo(2), "out").unwrap();
-        sw.install(
-            0,
-            FlowEntry::new(
-                1,
-                FlowMatch::in_port(PortNo(1)),
-                vec![FlowAction::SetFwmark(1), FlowAction::GotoTable(1)],
-            ),
-        )
-        .unwrap();
-        for i in 0..100u16 {
-            let mut m = FlowMatch::any().with_fwmark(1);
-            m.l4_dst = Some(10_000 + i);
-            sw.install(
-                1,
-                FlowEntry::new(100, m, vec![FlowAction::Output(PortNo(2))]),
-            )
-            .unwrap();
-        }
-        let costs = CostModel::default();
-        let pkt = packet(10_050);
-        b.iter(|| std::hint::black_box(sw.process(PortNo(1), pkt.clone(), &costs)));
-    });
     group.finish();
 }
 
@@ -126,11 +86,5 @@ fn vlan_ops(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    cached_fast_path,
-    uncached_slow_path,
-    backend_comparison,
-    vlan_ops
-);
+criterion_group!(benches, cached_fast_path, uncached_slow_path, vlan_ops);
 criterion_main!(benches);

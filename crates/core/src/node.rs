@@ -466,37 +466,34 @@ pub fn graph_cookie(graph_id: &str) -> u64 {
     fnv1a(graph_id)
 }
 
-/// Translate an LSI pipeline's recorded steps into classify hops on an
-/// active flight-recorder sink.
-fn record_classify_hops(f: &TraceSink, node: &str, lsi: &str, steps: &[PipelineStep]) {
-    for s in steps {
-        let (stage, cookie, priority) = match &s.hit {
-            Some(h) => (
-                match h.path {
-                    LookupPath::CacheHit => ClassifierStage::Microflow,
-                    LookupPath::ExactHit => ClassifierStage::Exact,
-                    LookupPath::MegaflowHit => ClassifierStage::Megaflow,
-                    // `LookupPath::Miss` on a *hit* is the residual
-                    // wildcard/linear scan, not a table miss.
-                    LookupPath::Miss => ClassifierStage::Wildcard,
-                },
-                Some(h.cookie),
-                Some(h.priority),
-            ),
-            None => (ClassifierStage::Miss, None, None),
-        };
-        f.hop(
-            node,
-            HopKind::Classify {
-                lsi: lsi.to_string(),
-                table: s.table,
-                stage,
-                cookie,
-                priority,
-                outputs: s.outputs,
+/// Translate an LSI's recorded step into a classify hop on an active
+/// flight-recorder sink.
+fn record_classify_hop(f: &TraceSink, node: &str, lsi: &str, step: &PipelineStep) {
+    let (stage, cookie, priority) = match &step.hit {
+        Some(h) => (
+            match h.path {
+                LookupPath::CacheHit => ClassifierStage::Microflow,
+                LookupPath::ExactHit => ClassifierStage::Exact,
+                LookupPath::MegaflowHit => ClassifierStage::Megaflow,
+                // `LookupPath::Miss` on a *hit* is the residual
+                // wildcard/linear scan, not a table miss.
+                LookupPath::Miss => ClassifierStage::Wildcard,
             },
-        );
-    }
+            Some(h.cookie),
+            Some(h.priority),
+        ),
+        None => (ClassifierStage::Miss, None, None),
+    };
+    f.hop(
+        node,
+        HopKind::Classify {
+            lsi: lsi.to_string(),
+            stage,
+            cookie,
+            priority,
+            outputs: step.outputs,
+        },
+    );
 }
 
 /// Per-call state of one burst's run through the node fabric: the
@@ -528,8 +525,8 @@ impl<'a> Walk<'a> {
     /// The classify stage, written once for LSI-0 and the graph LSIs:
     /// run a burst that arrived on `in_port` of `node`'s `lsi` through
     /// it under one borrow — per frame the TTL check, the work budget,
-    /// the pipeline, its classify hops and the fan-out accounting —
-    /// and return every output as `(port(out port), frame, ttl)` in
+    /// the LSI, its classify hop and the fan-out accounting — and
+    /// return every output as `(port(out port), frame, ttl)` in
     /// (frame, output) order. `port` lets the caller resolve what an
     /// output port means while it still holds the LSI's owner.
     fn classify<T>(
@@ -559,8 +556,8 @@ impl<'a> Walk<'a> {
             }
             self.work_budget -= 1;
             let res = lsi.process_into(in_port, pkt, costs, popts, &mut outputs);
-            if let Some(f) = self.acct.flight() {
-                record_classify_hops(f, node, &lsi.name, &res.steps);
+            if let (Some(f), Some(step)) = (self.acct.flight(), &res.step) {
+                record_classify_hop(f, node, &lsi.name, step);
             }
             self.io.cost += res.cost;
             self.acct.produced(outputs.len());
@@ -1084,8 +1081,7 @@ impl UniversalNode {
                 let phys = self.physical[if_name];
                 // Untagged traffic of an interface has one owner.
                 let untagged = FlowMatch::in_port(phys).with_vlan(VlanSpec::Untagged);
-                let table = self.lsi0.table(0);
-                if table.is_some_and(|t| t.find(5, &untagged).is_some()) {
+                if self.lsi0.table().find(5, &untagged).is_some() {
                     return Err(DeployError::EndpointConflict(if_name.clone()));
                 }
                 self.l0_rule(cookie, 5, untagged, vec![Output(vlink)]);
@@ -1296,9 +1292,9 @@ impl UniversalNode {
     /// is dropped alone (counted as `fabric_loop_drops`) and cannot
     /// starve the rest of the burst. A total work budget of
     /// `batch × TTL` fabric steps additionally bounds *amplifying*
-    /// workloads — a flood rule in a virtual-link cycle, or loop-free
-    /// fan-out multiplying one frame past the budget — which the
-    /// per-frame depth limit alone would let grow exponentially. The
+    /// workloads — a multi-output rule in a virtual-link cycle, or
+    /// loop-free fan-out multiplying one frame past the budget — which
+    /// the per-frame depth limit alone would let grow exponentially. The
     /// valve is a last resort: once tripped it drops everything still
     /// in flight, including well-behaved batchmates, counted as
     /// `fabric_work_exhausted` so the two drop causes stay

@@ -130,6 +130,33 @@ fn endpoint_conflict_detected() {
     assert_eq!(io.emitted[0].1.vlan_id(), Some(42));
 }
 
+/// A frame too short to carry an Ethernet header cannot take the VLAN
+/// endpoint's tag, so it must not leave at all — not untagged, on the
+/// interface's native VLAN. LSI-0 absorbs it and the ledger says so.
+#[test]
+fn a_frame_that_cannot_take_its_endpoint_tag_does_not_leave() {
+    let mut n = node();
+    let g = NfFgBuilder::new("g-tag", "zero-nf")
+        .interface_endpoint("lan", "eth0")
+        .vlan_endpoint("wan", "eth1", 100)
+        .chain("lan", &[], "wan")
+        .build();
+    n.deploy(&g).unwrap();
+
+    let io = n.inject("eth0", Packet::zeroed(10));
+    assert!(io.emitted.is_empty(), "{:?}", io.emitted);
+    let mut absorbed = FrameLedger::default();
+    absorbed.absorbed = 1;
+    assert_eq!(*n.frame_ledger(), absorbed);
+    assert_eq!(n.lsi0_stats().dropped, 1);
+
+    // A well-formed frame still leaves tagged.
+    let io = n.inject("eth0", frame(b"x"));
+    assert_eq!(io.emitted.len(), 1);
+    assert_eq!(io.emitted[0].1.vlan_id(), Some(100));
+    assert_eq!(*n.frame_ledger(), absorbed);
+}
+
 #[test]
 fn vm_flavor_hint_is_honored() {
     let mut n = node();

@@ -324,12 +324,10 @@ impl fmt::Display for ClassifierStage {
 pub enum HopKind {
     /// The frame entered the data plane on a named port.
     Ingress { port: String },
-    /// One LSI pipeline table resolved the frame.
+    /// An LSI's flow table resolved the frame.
     Classify {
         /// LSI name (e.g. `LSI-0` or a graph LSI).
         lsi: String,
-        /// Pipeline table index.
-        table: u8,
         /// Which classifier stage answered.
         stage: ClassifierStage,
         /// The matched rule's cookie (`None` on a miss).
@@ -390,7 +388,6 @@ impl HopRecord {
             HopKind::Ingress { port } => format!("ingress port={port}"),
             HopKind::Classify {
                 lsi,
-                table,
                 stage,
                 cookie,
                 priority,
@@ -400,7 +397,7 @@ impl HopRecord {
                     (Some(c), Some(p)) => format!(" cookie={c:#x} prio={p}"),
                     _ => String::new(),
                 };
-                format!("classify lsi={lsi} table={table} stage={stage}{rule} outputs={outputs}")
+                format!("classify lsi={lsi} stage={stage}{rule} outputs={outputs}")
             }
             HopKind::NfDeliver {
                 instance,
@@ -660,7 +657,6 @@ mod tests {
             "n1",
             HopKind::Classify {
                 lsi: "LSI-0".into(),
-                table: 0,
                 stage: ClassifierStage::Exact,
                 cookie: Some(0xbeef),
                 priority: Some(100),

@@ -6,7 +6,7 @@
 //! without shifting the payload in the common case.
 
 use crate::error::ParseError;
-use crate::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
+use crate::ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN};
 use crate::meta::PacketMeta;
 use crate::vlan::{VlanTag, VLAN_HEADER_LEN};
 
@@ -188,23 +188,13 @@ impl Packet {
         self.buf.copy_within(old..old + MAC_ADDRS_LEN, self.head);
         Ok(vid)
     }
-
-    /// Rewrite the Ethernet source/destination MACs in place.
-    pub fn set_eth_addrs(&mut self, src: MacAddr, dst: MacAddr) -> Result<(), ParseError> {
-        if self.len() < ETHERNET_HEADER_LEN {
-            return Err(ParseError::Truncated);
-        }
-        let mut eth = EthernetFrame::new_unchecked(self.data_mut());
-        eth.set_src(src);
-        eth.set_dst(dst);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::PacketBuilder;
+    use crate::ethernet::MacAddr;
     use std::net::Ipv4Addr;
 
     #[test]

@@ -73,12 +73,6 @@ impl FlowMatch {
         self
     }
 
-    /// Builder-style setter for the fwmark.
-    pub fn with_fwmark(mut self, mark: u32) -> Self {
-        self.fwmark = Some(mark);
-        self
-    }
-
     /// Does `key` satisfy this match?
     pub fn matches(&self, key: &PacketKey) -> bool {
         if let Some(p) = self.in_port {
@@ -214,23 +208,6 @@ impl FlowMatch {
         }
         c
     }
-
-    /// Number of constrained fields (used for diagnostics only).
-    pub fn specificity(&self) -> u32 {
-        let mut n = 0;
-        n += self.in_port.is_some() as u32;
-        n += self.eth_src.is_some() as u32;
-        n += self.eth_dst.is_some() as u32;
-        n += self.eth_type.is_some() as u32;
-        n += self.vlan.is_some() as u32;
-        n += self.ip_src.is_some() as u32;
-        n += self.ip_dst.is_some() as u32;
-        n += self.ip_proto.is_some() as u32;
-        n += self.l4_src.is_some() as u32;
-        n += self.l4_dst.is_some() as u32;
-        n += self.fwmark.is_some() as u32;
-        n
-    }
 }
 
 /// A [`FlowMatch`] compiled against the packed key layout: a key
@@ -262,29 +239,18 @@ impl CompiledMatch {
     }
 }
 
-/// Actions applied (in order) to a matched packet.
+/// Actions applied (in order) to a matched packet: the four an NF-FG
+/// compiles to. A retag is `PopVlan, PushVlan`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowAction {
     /// Emit on a port.
     Output(PortNo),
-    /// Emit on every port except the ingress.
-    Flood,
-    /// Punt to the controller.
-    Controller,
     /// Push an 802.1Q tag.
     PushVlan(u16),
     /// Pop the outermost tag.
     PopVlan,
-    /// Rewrite the VLAN id of the outermost tag (must be tagged).
-    SetVlan(u16),
     /// Set the firewall mark in packet metadata.
     SetFwmark(u32),
-    /// Rewrite the Ethernet source.
-    SetEthSrc(MacAddr),
-    /// Rewrite the Ethernet destination.
-    SetEthDst(MacAddr),
-    /// Continue matching in a later table (multi-table pipelines only).
-    GotoTable(u8),
 }
 
 /// One flow entry: priority + match + action list + counters.
@@ -413,12 +379,5 @@ mod tests {
         k.ip_dst = None;
         let m = FlowMatch::any().with_ip_dst(Ipv4Cidr::new(Ipv4Addr::new(0, 0, 0, 0), 0));
         assert!(!m.matches(&k), "ip match must fail on non-IP traffic");
-    }
-
-    #[test]
-    fn specificity_counts_fields() {
-        assert_eq!(FlowMatch::any().specificity(), 0);
-        let m = FlowMatch::in_port(PortNo(1)).with_fwmark(3);
-        assert_eq!(m.specificity(), 2);
     }
 }

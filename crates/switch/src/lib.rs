@@ -3,14 +3,14 @@
 //! The compute node of the paper steers traffic with software switches:
 //! one **base LSI (LSI-0)** classifies node ingress traffic and hands it
 //! to the **per-graph LSIs**, each of which forwards between the NFs of
-//! one service graph. Every LSI is programmed through an OpenFlow-style
-//! interface by its own controller.
+//! one service graph. The node's orchestrator programs every LSI
+//! proactively from the NF-FG; there is no controller and no packet-in.
 //!
-//! This crate implements that switching layer:
+//! This crate implements exactly the switch the node programs:
 //!
-//! * [`flow`] — typed flow matches (with CIDR/VLAN wildcards), actions
-//!   (output, VLAN push/pop/set, fwmark, goto-table) and flow entries
-//!   with statistics.
+//! * [`flow`] — typed flow matches (with CIDR/VLAN wildcards), the four
+//!   actions an NF-FG compiles to (output, VLAN push, VLAN pop, fwmark)
+//!   and flow entries with statistics.
 //! * [`key`] — one-pass packet header extraction into a
 //!   [`key::PacketKey`], the equivalent of OvS's miniflow, and its
 //!   packing into the five words ([`key::PackedKey`]) the classifier
@@ -19,24 +19,17 @@
 //!   fast path: a generation-stamped microflow cache keyed by the bits
 //!   the table's rules read (the OvS fast path) plus one hash table per
 //!   distinct match mask.
-//! * [`lsi`] — the switch itself: ports, a pipeline of one or more
-//!   tables, per-port and per-switch counters, controller punts.
-//!   Two pipeline personalities mirror the paper's driver diversity:
-//!   [`lsi::Backend::SingleTableCached`] (OvS-like) and
-//!   [`lsi::Backend::MultiTable`] (xDPd-like).
-//! * [`controller`] — the OpenFlow-ish controller trait plus a MAC
-//!   learning controller used by LSI-0 in several examples.
+//! * [`lsi`] — the switch itself: ports, one table, per-port and
+//!   per-switch counters.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
 
-pub mod controller;
 pub mod flow;
 pub mod key;
 pub mod lsi;
 pub mod table;
 
-pub use controller::{Controller, ControllerCmd, LearningController};
 pub use flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch, VlanSpec};
 pub use key::{PackedKey, PacketKey};
 pub use lsi::{

@@ -1,13 +1,14 @@
 //! The Logical Switch Instance.
 //!
-//! An LSI is a software switch with named numbered ports, one or more
-//! flow tables, and counters. The orchestrator creates one LSI per
-//! deployed NF-FG plus the base LSI-0 (paper Figure 1); virtual links
-//! between LSIs and NF ports are wired by the node fabric in `un-core`.
+//! An LSI is what the node programs: named numbered ports, one priority
+//! flow table behind the microflow cache, and counters. The orchestrator
+//! creates one LSI per deployed NF-FG plus the base LSI-0 (paper
+//! Figure 1) and compiles the graph into the table's rules, whose
+//! actions are the four [`FlowAction`]s. Virtual links between LSIs and
+//! NF ports are wired by the node fabric in `un-core`.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use un_packet::Packet;
 use un_sim::{Cost, CostModel};
@@ -26,13 +27,12 @@ impl fmt::Display for PortNo {
     }
 }
 
-/// Pipeline personality of an LSI.
+/// Pipeline personality of an LSI. It has one value; the type stays
+/// because the benchmark's stand-alone mirror of an LSI passes it on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// One table fronted by a microflow cache — OvS-like.
     SingleTableCached,
-    /// A fixed pipeline of `n` tables chained by `GotoTable` — xDPd-like.
-    MultiTable(u8),
 }
 
 /// Per-port counters.
@@ -55,12 +55,12 @@ pub struct PortInfo {
 pub struct SwitchStats {
     /// Packets processed.
     pub rx_packets: u64,
-    /// Packets emitted (counting clones from flood).
+    /// Packets emitted (every copy of a multi-output rule counts).
     pub tx_packets: u64,
-    /// Packets dropped (no match / drop action / bad port).
+    /// Packets that emitted nothing (unknown ingress port, table miss,
+    /// an action that could not apply), plus each output to a missing
+    /// port.
     pub dropped: u64,
-    /// Packets punted to the controller.
-    pub controller_punts: u64,
 }
 
 /// Everything that came out of processing one packet.
@@ -68,50 +68,40 @@ pub struct SwitchStats {
 pub struct ProcessResult {
     /// (egress port, packet) pairs, in emission order.
     pub outputs: Vec<(PortNo, Packet)>,
-    /// Packet punted to the controller, if any.
-    pub punted: Option<Packet>,
     /// Virtual time charged.
     pub cost: Cost,
-    /// Per-table classification provenance, in pipeline order. Empty
-    /// unless [`ProcessOptions::record`] asked for it — the normal hot
-    /// path allocates nothing here.
-    pub steps: Vec<PipelineStep>,
 }
 
 /// What [`LogicalSwitch::process_into`] reports beside the outputs it
-/// pushed: a [`ProcessResult`] without the vector.
+/// pushed.
 #[derive(Debug)]
 pub struct Processed {
-    /// Packet punted to the controller, if any.
-    pub punted: Option<Packet>,
     /// Virtual time charged.
     pub cost: Cost,
-    /// As [`ProcessResult::steps`].
-    pub steps: Vec<PipelineStep>,
+    /// How the table resolved the packet, when [`ProcessOptions::record`]
+    /// asked for it and the ingress port exists.
+    pub step: Option<PipelineStep>,
 }
 
-/// How one pipeline table resolved the packet (flight-recorder
-/// provenance). A `hit` of `None` is a table miss.
+/// How the table resolved the packet (flight-recorder provenance). A
+/// `hit` of `None` is a table miss.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineStep {
-    /// Pipeline table index.
-    pub table: u8,
     /// The winning rule's provenance (stage, cookie, priority), or
     /// `None` when no rule matched.
     pub hit: Option<LookupHit>,
-    /// Output copies this table's actions produced.
+    /// Output copies the rule's actions produced.
     pub outputs: u32,
 }
 
-/// Knobs for [`LogicalSwitch::process_opts`].
+/// Knobs for [`LogicalSwitch::process_into`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ProcessOptions {
-    /// Ghost walk: take every decision the real pipeline would, but
-    /// move *no* counter — port/switch stats, flow-entry packet/byte
-    /// counts, classifier stats and the microflow cache all stay
-    /// untouched.
+    /// Ghost walk: take every decision a real walk would, but move
+    /// *no* counter — port/switch stats, flow-entry packet/byte counts,
+    /// classifier stats and the microflow cache all stay untouched.
     pub ghost: bool,
-    /// Record one [`PipelineStep`] per table visited.
+    /// Record the [`PipelineStep`].
     pub record: bool,
 }
 
@@ -122,7 +112,7 @@ pub enum SwitchError {
     PortExists(u32),
     /// Port not found.
     NoSuchPort(u32),
-    /// Table index out of range for this backend.
+    /// Table index other than 0.
     NoSuchTable(u8),
 }
 
@@ -145,33 +135,28 @@ pub struct LogicalSwitch {
     pub name: String,
     /// Datapath id (unique per node).
     pub dpid: u64,
-    backend: Backend,
-    tables: Vec<FlowTable>,
+    table: FlowTable,
     ports: BTreeMap<PortNo, PortInfo>,
     /// Aggregate counters.
     pub stats: SwitchStats,
 }
 
 impl LogicalSwitch {
-    /// Create an LSI with the given pipeline personality.
-    pub fn new(name: &str, dpid: u64, backend: Backend) -> Self {
-        let n_tables = match backend {
-            Backend::SingleTableCached => 1,
-            Backend::MultiTable(n) => n.max(1),
-        };
+    /// Create an LSI. The `Backend` argument stays for the benchmark's
+    /// mirror, which passes [`LogicalSwitch::backend`] through.
+    pub fn new(name: &str, dpid: u64, _backend: Backend) -> Self {
         LogicalSwitch {
             name: name.to_string(),
             dpid,
-            backend,
-            tables: (0..n_tables).map(|_| FlowTable::new()).collect(),
+            table: FlowTable::new(),
             ports: BTreeMap::new(),
             stats: SwitchStats::default(),
         }
     }
 
-    /// The pipeline personality.
+    /// The pipeline personality (kept for the benchmark's mirror).
     pub fn backend(&self) -> Backend {
-        self.backend
+        Backend::SingleTableCached
     }
 
     /// Add a port.
@@ -212,91 +197,64 @@ impl LogicalSwitch {
         self.ports.len()
     }
 
-    /// Install a flow entry into `table`.
+    /// Install a flow entry. Only table 0 exists; the index stays in
+    /// the signature for the benchmark's mirror.
     pub fn install(&mut self, table: u8, entry: FlowEntry) -> Result<(), SwitchError> {
-        let t = self
-            .tables
-            .get_mut(table as usize)
-            .ok_or(SwitchError::NoSuchTable(table))?;
-        t.insert(entry);
+        if table != 0 {
+            return Err(SwitchError::NoSuchTable(table));
+        }
+        self.table.insert(entry);
         Ok(())
     }
 
-    /// Remove all entries with `cookie` across all tables; returns count.
+    /// Remove all entries with `cookie`; returns count.
     pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        self.tables
-            .iter_mut()
-            .map(|t| t.remove_by_cookie(cookie))
-            .sum()
+        self.table.remove_by_cookie(cookie)
     }
 
-    /// Total installed entries across tables.
+    /// Installed entries.
     pub fn flow_count(&self) -> usize {
-        self.tables.iter().map(|t| t.len()).sum()
+        self.table.len()
     }
 
-    /// Access a table read-only (stats endpoints).
-    pub fn table(&self, idx: u8) -> Option<&FlowTable> {
-        self.tables.get(idx as usize)
+    /// The flow table, read-only (stats endpoints).
+    pub fn table(&self) -> &FlowTable {
+        &self.table
     }
 
-    /// Iterate tables in pipeline order (static analysis / dumps).
+    /// `(0, table)`, in the indexed form the benchmark's mirror and the
+    /// verifier's snapshot read.
     pub fn tables(&self) -> impl Iterator<Item = (u8, &FlowTable)> {
-        self.tables.iter().enumerate().map(|(i, t)| (i as u8, t))
+        std::iter::once((0, &self.table))
     }
 
-    /// Aggregated fast-path counters across all tables.
+    /// The table's fast-path counters.
     pub fn cache_stats(&self) -> TableStats {
-        let mut stats = TableStats::default();
-        for t in &self.tables {
-            stats.merge(&t.stats());
-        }
-        stats
+        self.table.stats()
     }
 
-    /// Microflow-cache population across all tables
-    /// ([`FlowTable::cache_entries`]).
+    /// Microflow-cache population ([`FlowTable::cache_entries`]).
     pub fn cache_entries(&self) -> usize {
-        self.tables.iter().map(|t| t.cache_entries()).sum()
+        self.table.cache_entries()
     }
 
-    /// Process one packet arriving on `in_port`.
-    ///
-    /// Returns the emitted packets, any controller punt, and the virtual
-    /// time charged. Unknown ingress port or a table miss counts as a
-    /// drop (per OpenFlow default table-miss behaviour).
+    /// Process one packet arriving on `in_port`: the emitted packets
+    /// and the virtual time charged. A packet that emits nothing counts
+    /// as a drop. The benchmark measures this form.
     pub fn process(&mut self, in_port: PortNo, pkt: Packet, costs: &CostModel) -> ProcessResult {
-        self.process_opts(in_port, pkt, costs, ProcessOptions::default())
-    }
-
-    /// [`LogicalSwitch::process`] with flight-recorder knobs: `ghost`
-    /// leaves every counter untouched, `record` captures one
-    /// [`PipelineStep`] per table visited.
-    pub fn process_opts(
-        &mut self,
-        in_port: PortNo,
-        pkt: Packet,
-        costs: &CostModel,
-        opts: ProcessOptions,
-    ) -> ProcessResult {
         let mut outputs = Vec::new();
-        let Processed {
-            punted,
-            cost,
-            steps,
-        } = self.process_into(in_port, pkt, costs, opts, &mut outputs);
-        ProcessResult {
-            outputs,
-            punted,
-            cost,
-            steps,
-        }
+        let Processed { cost, .. } =
+            self.process_into(in_port, pkt, costs, ProcessOptions::default(), &mut outputs);
+        ProcessResult { outputs, cost }
     }
 
-    /// The pipeline itself: [`LogicalSwitch::process_opts`] pushing its
-    /// (egress port, packet) pairs onto the caller's `outputs` in
-    /// emission order, so a burst reuses one vector and a forwarded
-    /// frame on a warm cache hit allocates nothing.
+    /// The switch itself: one key extraction, one lookup, one pass over
+    /// the winning rule's actions, pushing (egress port, packet) pairs
+    /// onto the caller's `outputs` in emission order, so a burst reuses
+    /// one vector and a forwarded frame on a warm cache hit allocates
+    /// nothing. A VLAN action that cannot apply (a push on a frame with
+    /// no Ethernet header, a pop on an untagged frame) ends the action
+    /// list; copies already output stay.
     pub fn process_into(
         &mut self,
         in_port: PortNo,
@@ -308,9 +266,8 @@ impl LogicalSwitch {
         let ghost = opts.ghost;
         let len = pkt.len();
         let mut done = Processed {
-            punted: None,
             cost: Cost::ZERO,
-            steps: Vec::new(),
+            step: None,
         };
 
         let Some(pinfo) = self.ports.get_mut(&in_port) else {
@@ -325,43 +282,23 @@ impl LogicalSwitch {
             self.stats.rx_packets += 1;
         }
 
+        let key = PacketKey::extract(in_port, &pkt);
+        let hit = if ghost {
+            self.table.lookup_ghost_index(&key)
+        } else {
+            self.table.lookup_index(&key, len)
+        };
         let outputs_at_entry = outputs.len();
-        let mut table_idx: u8 = 0;
-        let mut matched_any = false;
-        'pipeline: loop {
-            let key = PacketKey::extract(in_port, &pkt);
-            let Some(table) = self.tables.get_mut(table_idx as usize) else {
-                break;
-            };
-            let hit = if ghost {
-                table.lookup_ghost_index(&key)
-            } else {
-                table.lookup_index(&key, len)
-            };
-            let Some((idx, path)) = hit else {
-                if opts.record {
-                    done.steps.push(PipelineStep {
-                        table: table_idx,
-                        hit: None,
-                        outputs: 0,
-                    });
-                }
-                break; // table miss
-            };
-            // The actions run off a borrow of `tables` while `ports` and
+        if let Some((idx, path)) = hit {
+            done.cost += Cost::from_nanos(match path {
+                LookupPath::CacheHit => costs.flow_cache_hit_ns,
+                LookupPath::ExactHit => costs.flow_exact_hit_ns,
+                LookupPath::MegaflowHit => costs.flow_megaflow_hit_ns,
+                LookupPath::Miss => costs.flow_lookup_ns,
+            });
+            // The actions run off a borrow of `table` while `ports` and
             // `stats`, disjoint fields, take the counters.
-            let entry = table.entry(idx);
-            let actions = &entry.actions;
-            matched_any = true;
-            done.cost += match path {
-                LookupPath::CacheHit => Cost::from_nanos(costs.flow_cache_hit_ns),
-                LookupPath::ExactHit => Cost::from_nanos(costs.flow_exact_hit_ns),
-                LookupPath::MegaflowHit => Cost::from_nanos(costs.flow_megaflow_hit_ns),
-                LookupPath::Miss => Cost::from_nanos(costs.flow_lookup_ns),
-            };
-
-            let outputs_before = outputs.len();
-            let mut goto: Option<u8> = None;
+            let actions = &self.table.entry(idx).actions;
             for (i, action) in actions.iter().enumerate() {
                 done.cost += Cost::from_nanos(costs.flow_action_ns);
                 match *action {
@@ -372,10 +309,9 @@ impl LogicalSwitch {
                                 op.tx_bytes += pkt.len() as u64;
                                 self.stats.tx_packets += 1;
                             }
-                            // The last action of the last table: nothing
-                            // reads the frame again, so it moves out.
-                            let last = goto.is_none() && i + 1 == actions.len();
-                            let frame = if last {
+                            // The last action: nothing reads the frame
+                            // again, so it moves out.
+                            let frame = if i + 1 == actions.len() {
                                 std::mem::take(&mut pkt)
                             } else {
                                 pkt.clone()
@@ -385,81 +321,34 @@ impl LogicalSwitch {
                             self.stats.dropped += 1;
                         }
                     }
-                    FlowAction::Flood => {
-                        for (&out, op) in self.ports.iter_mut().filter(|(p, _)| **p != in_port) {
-                            if !ghost {
-                                op.tx_packets += 1;
-                                op.tx_bytes += pkt.len() as u64;
-                                self.stats.tx_packets += 1;
-                            }
-                            outputs.push((out, pkt.clone()));
-                        }
-                    }
-                    FlowAction::Controller => {
-                        if !ghost {
-                            self.stats.controller_punts += 1;
-                        }
-                        done.punted = Some(pkt.clone());
-                    }
                     FlowAction::PushVlan(vid) => {
                         done.cost += Cost::from_nanos(costs.vlan_op_ns);
-                        let _ = pkt.vlan_push(vid);
+                        if pkt.vlan_push(vid).is_err() {
+                            break;
+                        }
                     }
                     FlowAction::PopVlan => {
                         done.cost += Cost::from_nanos(costs.vlan_op_ns);
-                        let _ = pkt.vlan_pop();
-                    }
-                    FlowAction::SetVlan(vid) => {
-                        done.cost += Cost::from_nanos(costs.vlan_op_ns);
-                        // Rewrite = pop + push preserving inner frame.
-                        if pkt.vlan_pop().is_ok() {
-                            let _ = pkt.vlan_push(vid);
+                        if pkt.vlan_pop().is_err() {
+                            break;
                         }
                     }
-                    FlowAction::SetFwmark(mark) => {
-                        pkt.meta.fwmark = mark;
-                    }
-                    FlowAction::SetEthSrc(mac) => {
-                        if let Ok(eth) = pkt.ethernet() {
-                            let dst = eth.dst();
-                            let _ = pkt.set_eth_addrs(mac, dst);
-                        }
-                    }
-                    FlowAction::SetEthDst(mac) => {
-                        if let Ok(eth) = pkt.ethernet() {
-                            let src = eth.src();
-                            let _ = pkt.set_eth_addrs(src, mac);
-                        }
-                    }
-                    FlowAction::GotoTable(t) => {
-                        // Only forward jumps, per OpenFlow — prevents loops.
-                        if t > table_idx {
-                            goto = Some(t);
-                        }
-                    }
+                    FlowAction::SetFwmark(mark) => pkt.meta.fwmark = mark,
                 }
-            }
-            if opts.record {
-                done.steps.push(PipelineStep {
-                    table: table_idx,
-                    hit: Some(LookupHit {
-                        actions: Arc::clone(actions),
-                        path,
-                        cookie: entry.cookie,
-                        priority: entry.priority,
-                    }),
-                    outputs: (outputs.len() - outputs_before) as u32,
-                });
-            }
-            match goto {
-                Some(t) => table_idx = t,
-                None => break 'pipeline,
             }
         }
 
-        let emitted = outputs.len() > outputs_at_entry;
-        if !ghost && (!matched_any || (!emitted && done.punted.is_none())) {
+        // A table miss and an action list that output nothing are one
+        // drop.
+        let emitted = outputs.len() - outputs_at_entry;
+        if !ghost && emitted == 0 {
             self.stats.dropped += 1;
+        }
+        if opts.record {
+            done.step = Some(PipelineStep {
+                hit: hit.map(|(idx, path)| self.table.hit(idx, path)),
+                outputs: emitted as u32,
+            });
         }
         done
     }
@@ -512,6 +401,22 @@ mod tests {
     }
 
     #[test]
+    fn only_table_0_installs() {
+        let mut sw = lsi();
+        let entry = FlowEntry::new(1, FlowMatch::any(), vec![]);
+        assert_eq!(
+            sw.install(1, entry.clone()).unwrap_err(),
+            SwitchError::NoSuchTable(1)
+        );
+        assert_eq!(sw.flow_count(), 0);
+        assert!(sw.install(0, entry).is_ok());
+        assert_eq!(
+            sw.tables().map(|(i, t)| (i, t.len())).collect::<Vec<_>>(),
+            [(0, 1)]
+        );
+    }
+
+    #[test]
     fn table_miss_drops() {
         let mut sw = lsi();
         let res = sw.process(PortNo(1), pkt(), &CostModel::default());
@@ -526,32 +431,6 @@ mod tests {
         assert!(res.outputs.is_empty());
         assert_eq!(sw.stats.dropped, 1);
         assert_eq!(sw.stats.rx_packets, 0);
-    }
-
-    #[test]
-    fn flood_excludes_ingress() {
-        let mut sw = lsi();
-        sw.install(
-            0,
-            FlowEntry::new(1, FlowMatch::any(), vec![FlowAction::Flood]),
-        )
-        .unwrap();
-        let res = sw.process(PortNo(1), pkt(), &CostModel::default());
-        let ports: Vec<u32> = res.outputs.iter().map(|(p, _)| p.0).collect();
-        assert_eq!(ports, vec![2, 3]);
-    }
-
-    #[test]
-    fn controller_punt() {
-        let mut sw = lsi();
-        sw.install(
-            0,
-            FlowEntry::new(1, FlowMatch::any(), vec![FlowAction::Controller]),
-        )
-        .unwrap();
-        let res = sw.process(PortNo(1), pkt(), &CostModel::default());
-        assert!(res.punted.is_some());
-        assert_eq!(sw.stats.controller_punts, 1);
     }
 
     #[test]
@@ -571,57 +450,20 @@ mod tests {
     }
 
     #[test]
-    fn multi_table_pipeline_goto() {
-        let mut sw = LogicalSwitch::new("LSI-x", 2, Backend::MultiTable(2));
-        sw.add_port(PortNo(1), "in").unwrap();
-        sw.add_port(PortNo(2), "out").unwrap();
-        // Table 0: mark + goto table 1.
+    fn set_fwmark_then_output_carries_the_mark() {
+        let mut sw = lsi();
         sw.install(
             0,
             FlowEntry::new(
                 1,
                 FlowMatch::in_port(PortNo(1)),
-                vec![FlowAction::SetFwmark(7), FlowAction::GotoTable(1)],
-            ),
-        )
-        .unwrap();
-        // Table 1: match on the mark set in table 0.
-        sw.install(
-            1,
-            FlowEntry::new(
-                1,
-                FlowMatch::any().with_fwmark(7),
-                vec![FlowAction::Output(PortNo(2))],
+                vec![FlowAction::SetFwmark(7), FlowAction::Output(PortNo(2))],
             ),
         )
         .unwrap();
         let res = sw.process(PortNo(1), pkt(), &CostModel::default());
         assert_eq!(res.outputs.len(), 1);
         assert_eq!(res.outputs[0].1.meta.fwmark, 7);
-    }
-
-    #[test]
-    fn goto_backwards_is_ignored() {
-        let mut sw = LogicalSwitch::new("LSI-y", 3, Backend::MultiTable(2));
-        sw.add_port(PortNo(1), "in").unwrap();
-        sw.add_port(PortNo(2), "out").unwrap();
-        sw.install(
-            1,
-            FlowEntry::new(
-                1,
-                FlowMatch::any(),
-                vec![FlowAction::GotoTable(0), FlowAction::Output(PortNo(2))],
-            ),
-        )
-        .unwrap();
-        sw.install(
-            0,
-            FlowEntry::new(1, FlowMatch::any(), vec![FlowAction::GotoTable(1)]),
-        )
-        .unwrap();
-        // Must terminate (no loop) and still emit from table 1.
-        let res = sw.process(PortNo(1), pkt(), &CostModel::default());
-        assert_eq!(res.outputs.len(), 1);
     }
 
     #[test]
@@ -632,7 +474,11 @@ mod tests {
             FlowEntry::new(
                 10,
                 FlowMatch::in_port(PortNo(1)).with_vlan(VlanSpec::Id(10)),
-                vec![FlowAction::SetVlan(20), FlowAction::Output(PortNo(2))],
+                vec![
+                    FlowAction::PopVlan,
+                    FlowAction::PushVlan(20),
+                    FlowAction::Output(PortNo(2)),
+                ],
             ),
         )
         .unwrap();
@@ -642,23 +488,75 @@ mod tests {
         assert_eq!(res.outputs[0].1.vlan_id(), Some(20));
     }
 
+    /// A push on a frame with no Ethernet header and a pop on an
+    /// untagged frame end the action list: the frame is not forwarded
+    /// unchanged, a copy output before the failure still leaves, and a
+    /// ghost walk takes the same decision without moving a counter.
     #[test]
-    fn remove_by_cookie_across_tables() {
-        let mut sw = LogicalSwitch::new("LSI-z", 4, Backend::MultiTable(2));
-        sw.add_port(PortNo(1), "in").unwrap();
+    fn a_vlan_action_that_cannot_apply_ends_the_actions() {
+        let out = FlowAction::Output(PortNo(2));
+        let cases = [
+            (
+                vec![FlowAction::PushVlan(100), out.clone()],
+                Packet::zeroed(10),
+                0,
+            ),
+            (vec![FlowAction::PopVlan, out.clone()], pkt(), 0),
+            (
+                vec![FlowAction::Output(PortNo(3)), FlowAction::PopVlan, out],
+                pkt(),
+                1,
+            ),
+        ];
+        for (actions, frame, left) in cases {
+            for ghost in [false, true] {
+                let mut sw = lsi();
+                sw.install(0, FlowEntry::new(1, FlowMatch::any(), actions.clone()))
+                    .unwrap();
+                let mut outputs = Vec::new();
+                let opts = ProcessOptions {
+                    ghost,
+                    record: true,
+                };
+                let done = sw.process_into(
+                    PortNo(1),
+                    frame.clone(),
+                    &CostModel::default(),
+                    opts,
+                    &mut outputs,
+                );
+                let ports: Vec<PortNo> = outputs.iter().map(|(p, _)| *p).collect();
+                assert_eq!(ports, vec![PortNo(3); left], "{actions:?} ghost={ghost}");
+                assert_eq!(done.step.expect("recorded").outputs, left as u32);
+                let (dropped, tx) = match (ghost, left) {
+                    (true, _) => (0, 0),
+                    (false, 0) => (1, 0),
+                    (false, _) => (0, 1),
+                };
+                assert_eq!(sw.stats.dropped, dropped, "{actions:?} ghost={ghost}");
+                assert_eq!(sw.stats.tx_packets, tx);
+            }
+        }
+    }
+
+    #[test]
+    fn remove_by_cookie_returns_the_count() {
+        let mut sw = lsi();
+        for prio in [1, 2] {
+            sw.install(
+                0,
+                FlowEntry::new(prio, FlowMatch::any(), vec![]).with_cookie(5),
+            )
+            .unwrap();
+        }
         sw.install(
             0,
-            FlowEntry::new(1, FlowMatch::any(), vec![]).with_cookie(5),
+            FlowEntry::new(3, FlowMatch::any(), vec![]).with_cookie(6),
         )
         .unwrap();
-        sw.install(
-            1,
-            FlowEntry::new(1, FlowMatch::any(), vec![]).with_cookie(5),
-        )
-        .unwrap();
-        assert_eq!(sw.flow_count(), 2);
+        assert_eq!(sw.flow_count(), 3);
         assert_eq!(sw.remove_by_cookie(5), 2);
-        assert_eq!(sw.flow_count(), 0);
+        assert_eq!(sw.flow_count(), 1);
     }
 
     #[test]
@@ -674,26 +572,5 @@ mod tests {
         );
         assert!(sw.remove_port(PortNo(3)).is_ok());
         assert_eq!(sw.port_count(), 2);
-    }
-
-    #[test]
-    fn set_eth_addrs_action() {
-        let mut sw = lsi();
-        sw.install(
-            0,
-            FlowEntry::new(
-                1,
-                FlowMatch::any(),
-                vec![
-                    FlowAction::SetEthDst(MacAddr::local(9)),
-                    FlowAction::Output(PortNo(2)),
-                ],
-            ),
-        )
-        .unwrap();
-        let res = sw.process(PortNo(1), pkt(), &CostModel::default());
-        let eth = res.outputs[0].1.ethernet().unwrap();
-        assert_eq!(eth.dst(), MacAddr::local(9));
-        assert_eq!(eth.src(), MacAddr::local(1), "src preserved");
     }
 }

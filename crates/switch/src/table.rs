@@ -409,7 +409,8 @@ impl FlowTable {
         &self.rules[idx].entry
     }
 
-    fn hit(&self, idx: usize, path: LookupPath) -> LookupHit {
+    /// The [`LookupHit`] for a resolved entry index.
+    pub(crate) fn hit(&self, idx: usize, path: LookupPath) -> LookupHit {
         let entry = self.entry(idx);
         LookupHit {
             actions: Arc::clone(&entry.actions),

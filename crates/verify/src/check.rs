@@ -11,8 +11,8 @@
 //!   sitting in the node's tables (compile consistency).
 //! * **Table level** ([`audit_node`]): every installed entry must be
 //!   matchable (not fully shadowed by higher-priority entries — see
-//!   [`crate::region`]), output to an existing port, jump only forward
-//!   in the pipeline, and reference only live overlay vids.
+//!   [`crate::region`]), output to an existing port, and reference
+//!   only live overlay vids.
 //! * **Ledger level** ([`check_ledger`]): the typed vid pool must
 //!   partition exactly into free ∪ in-use ∪ standby-reserved, link
 //!   paths must start/end where the graph thinks they do, and every
@@ -49,8 +49,6 @@ pub mod code {
     pub const BLACKHOLE: &str = "blackhole";
     /// An installed entry outputs to a port the LSI does not have.
     pub const DEAD_OUTPUT: &str = "dead-output";
-    /// An installed entry jumps to a missing or earlier table.
-    pub const BAD_GOTO: &str = "bad-goto";
     /// An installed entry can never match (fully shadowed).
     pub const SHADOWED_RULE: &str = "shadowed-rule";
     /// A compiled rule the orchestrator claims is missing from tables.
@@ -540,7 +538,6 @@ fn witness_blackhole_wire(
         dies_on,
         HopKind::Classify {
             lsi: format!("{graph}@{dies_on}"),
-            table: 0,
             stage: ClassifierStage::Static,
             cookie: None,
             priority: None,
@@ -577,7 +574,6 @@ fn witness_blackhole_unknown_overlay(
         node,
         HopKind::Classify {
             lsi: format!("{graph}@{node}"),
-            table: 0,
             stage: ClassifierStage::Static,
             cookie: None,
             priority: None,
@@ -627,7 +623,6 @@ fn witness_from_vertex_path(
                     here,
                     HopKind::Classify {
                         lsi: format!("{graph_id}@{here}"),
-                        table: 0,
                         stage: ClassifierStage::Static,
                         cookie: None,
                         priority: None,
@@ -1031,11 +1026,13 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
 // Table-level checks
 // ---------------------------------------------------------------------
 
-/// Audit one node's installed tables: shadowed rules, dead outputs,
-/// pipeline jumps, and overlay-vid references.
+/// Audit one node's installed tables: shadowed rules, dead outputs and
+/// overlay-vid references.
 ///
 /// `in_use` is the set of vids carried by live links; actions naming a
-/// pool vid (`vid_base..vid_next`) outside it are dangling.
+/// pool vid (`vid_base..vid_next`) outside it are dangling. Every
+/// [`FlowAction`] is classified by name, so a new action does not
+/// compile until this audit decides what it means.
 pub fn audit_node(
     node: &NodeState,
     vid_base: u16,
@@ -1047,7 +1044,6 @@ pub fn audit_node(
 
     for lsi in &node.lsis {
         let ports: BTreeSet<u32> = lsi.ports.iter().copied().collect();
-        let n_tables = lsi.tables.len() as u8;
         for table in &lsi.tables {
             stats.rules_checked += table.rules.len();
             // Shadow analysis over the table in match order.
@@ -1076,7 +1072,7 @@ pub fn audit_node(
             // Action sanity.
             for (idx, rule) in table.rules.iter().enumerate() {
                 for action in &rule.actions {
-                    match action {
+                    match *action {
                         FlowAction::Output(p) if !ports.contains(&p.0) => v.push(
                             Violation::new(
                                 code::DEAD_OUTPUT,
@@ -1087,28 +1083,8 @@ pub fn audit_node(
                             )
                             .on_node(&node.name),
                         ),
-                        FlowAction::GotoTable(t) if *t >= n_tables => v.push(
-                            Violation::new(
-                                code::BAD_GOTO,
-                                format!(
-                                    "{} table {} entry #{idx} jumps to missing table {t}",
-                                    lsi.name, table.index
-                                ),
-                            )
-                            .on_node(&node.name),
-                        ),
-                        FlowAction::GotoTable(t) if *t <= table.index => v.push(
-                            Violation::new(
-                                code::BAD_GOTO,
-                                format!(
-                                    "{} table {} entry #{idx} jumps backward to table {t}",
-                                    lsi.name, table.index
-                                ),
-                            )
-                            .on_node(&node.name),
-                        ),
-                        FlowAction::PushVlan(vid) | FlowAction::SetVlan(vid)
-                            if *vid >= vid_base && *vid < vid_next && !in_use.contains(vid) =>
+                        FlowAction::PushVlan(vid)
+                            if (vid_base..vid_next).contains(&vid) && !in_use.contains(&vid) =>
                         {
                             v.push(
                                 Violation::new(
@@ -1121,7 +1097,12 @@ pub fn audit_node(
                                 .on_node(&node.name),
                             )
                         }
-                        _ => {}
+                        // A live port, a vid off the pool or on a live
+                        // wire, or an action that names neither.
+                        FlowAction::Output(_)
+                        | FlowAction::PushVlan(_)
+                        | FlowAction::PopVlan
+                        | FlowAction::SetFwmark(_) => {}
                     }
                 }
             }
@@ -1517,13 +1498,13 @@ mod tests {
     }
 
     #[test]
-    fn dead_output_and_bad_goto_are_flagged() {
+    fn dead_output_is_flagged() {
         let mut snap = healthy();
         let table = &mut snap.nodes[0].lsis[0].tables[0];
         table.rules.push(RuleState {
             priority: 9,
             matches: FlowMatch::in_port(PortNo(2)),
-            actions: vec![FlowAction::Output(PortNo(99)), FlowAction::GotoTable(7)],
+            actions: vec![FlowAction::Output(PortNo(99))],
             cookie: 2,
         });
         let report = run(&snap);
@@ -1531,7 +1512,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.code == code::DEAD_OUTPUT));
-        assert!(report.violations.iter().any(|v| v.code == code::BAD_GOTO));
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!    port graph, and no transit path revisits a node.
 //! 3. **Blackhole-freedom** — no rule outputs toward a port, NF, or
 //!    overlay endpoint that does not exist or has no live link behind
-//!    it, and no `GotoTable` jumps into a missing table.
+//!    it.
 //! 4. **Shadowed/dead rules** — a rule whose match region is fully
 //!    covered by higher-priority rules can never fire; it is reported
 //!    together with the covering set (see [`region`]).
 //! 5. **Ledger consistency** — the typed vid pool partitions exactly
 //!    into free ∪ in-use ∪ standby-reserved, every vid referenced by
-//!    an installed push/set-VLAN action is accounted for, and every
+//!    an installed VLAN push is accounted for, and every
 //!    shared-NNF lease points at a live, serving host.
 //!
 //! The input is a plain-data [`Snapshot`] so the checker is decoupled

@@ -38,7 +38,7 @@ pub struct RuleState {
 /// consumes.
 #[derive(Debug, Clone)]
 pub struct TableState {
-    /// Table index within the LSI pipeline.
+    /// Table index within the LSI (0: an LSI has one table).
     pub index: u8,
     /// Entries in match order.
     pub rules: Vec<RuleState>,
@@ -53,7 +53,8 @@ pub struct LsiState {
     pub graph: Option<String>,
     /// Port numbers present on the switch.
     pub ports: Vec<u32>,
-    /// Tables in pipeline order.
+    /// The LSI's table, as a list so the snapshot keeps the shape
+    /// hand-built corrupted snapshots index.
     pub tables: Vec<TableState>,
 }
 
