@@ -140,16 +140,15 @@ pub struct DomainConfig {
     /// the pending repair (the node returns to `Alive`).
     pub suspect_grace_ns: u64,
     /// How a node failure is repaired (incremental vs from-scratch).
+    /// [`RepairPolicy::Incremental`] also repairs make-before-break:
+    /// when a node turns **suspect**, the domain pre-computes a standby
+    /// repair plan per affected graph (placement with survivors
+    /// pinned, overlay vids pre-reserved, transit routes pre-solved)
+    /// so grace expiry or [`Domain::fail_node`] promotes the staged
+    /// plan instead of planning from scratch. A late heartbeat or
+    /// [`Domain::recover_node`] discards the standby and returns its
+    /// vids.
     pub repair: RepairPolicy,
-    /// Make-before-break: when a node turns **suspect**, pre-compute a
-    /// standby repair plan per affected graph (placement with
-    /// survivors pinned, overlay vids pre-reserved, transit routes
-    /// pre-solved) so grace expiry or [`Domain::fail_node`] promotes
-    /// the staged plan instead of planning from scratch. A late
-    /// heartbeat or [`Domain::recover_node`] discards the standby and
-    /// returns its vids. Only meaningful with
-    /// [`RepairPolicy::Incremental`].
-    pub standby: bool,
     /// Assumed mean time between failures of one node, feeding
     /// [`Domain::availability_report`]'s predicted availability
     /// (`A = 1 − exposed_nodes · predicted_repair_ns / node_mtbf_ns`).
@@ -191,7 +190,6 @@ impl Default for DomainConfig {
             heartbeat_timeout_ns: 3_000_000_000, // 3 virtual seconds
             suspect_grace_ns: 1_000_000_000,     // 1 more before repair
             repair: RepairPolicy::Incremental,
-            standby: true,
             node_mtbf_ns: 2_592_000_000_000_000, // 30 virtual days
             sharing: SharingConfig::default(),
             strategy: PlacementStrategy::Pack,

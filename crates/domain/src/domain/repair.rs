@@ -405,14 +405,10 @@ impl Domain {
     /// Pre-compute a standby repair plan per graph affected by the
     /// newly suspect node `name` (and pre-elect replacement hosts for
     /// shared replicas it carries), so a later failure is a swap
-    /// instead of a plan. Gated on `config.standby` and the
-    /// incremental repair policy; idempotent while the suspicion
-    /// lasts.
+    /// instead of a plan. Only the incremental repair policy stages
+    /// one; idempotent while the suspicion lasts.
     pub(super) fn compute_standby(&mut self, name: &str) {
-        if !self.config.standby
-            || self.config.repair != RepairPolicy::Incremental
-            || self.standby.contains(name)
-        {
+        if self.config.repair != RepairPolicy::Incremental || self.standby.contains(name) {
             return;
         }
         let (view, vids) = self.planner();

@@ -4,13 +4,20 @@
 //! Pipeline shape (mirroring the kernel's hook order, simplified):
 //!
 //! ```text
-//! rx_frame ─ bridge? ─ vlan demux? ─ L2 filter ─ ARP | IPv4
+//! rx_frame ─ bridge? ─ vlan demux? ─ L2 filter ─ l2_input: ARP | IPv4
 //! IPv4: mangle/PREROUTING → conntrack (+nat/PREROUTING on new flows)
 //!   ├─ local:   filter/INPUT → ESP? xfrm input (recirculate) → sockets/ICMP
 //!   └─ forward: TTL → route (policy, fwmark) → filter/FORWARD
-//!               → nat/POSTROUTING → xfrm output → neighbor → tx_frame
-//! local out:    route → filter/OUTPUT → nat/POSTROUTING → xfrm → tx
+//!               → nat/POSTROUTING (new flows) → xfrm output → neighbor → tx_frame
+//! local out:    route → filter/OUTPUT → xfrm output → neighbor → tx_frame
 //! ```
+//!
+//! One [`Packet`] carries a frame from [`Host::inject`] to emission, the
+//! way a kernel carries one skbuff: `l2_input` strips the Ethernet
+//! header into the headroom, NAT, TTL and checksum edits write the
+//! bytes in place, metadata rides on `pkt.meta`, and the neighbor step
+//! pushes the new Ethernet header back out of the headroom. Each
+//! netfilter hook is one `hook` call.
 //!
 //! Every step charges virtual time through the [`CostModel`], so a
 //! saturation run across a host produces meaningful Mbps.
@@ -34,7 +41,7 @@ use crate::route::{IpRule, Route, RoutingPolicy};
 use crate::slots::Slots;
 use crate::socket::{Datagram, SocketId, SocketTable};
 use crate::types::{ExternalTag, HostError, IoResult, NsId};
-use crate::xfrm::{Xfrm, XfrmOutput};
+use crate::xfrm::{esp_spi, Xfrm, XfrmOutput};
 
 /// Maximum processing recursion (veth hops, recirculations) per frame.
 const MAX_DEPTH: u32 = 64;
@@ -580,9 +587,9 @@ impl Host {
         };
 
         let total = IPV4_HEADER_LEN + 8 + payload.len();
-        let mut ip_bytes = vec![0u8; total];
+        let mut pkt = Packet::zeroed(total);
         {
-            let mut ip = Ipv4Packet::new_unchecked(&mut ip_bytes[..]);
+            let mut ip = Ipv4Packet::new_unchecked(pkt.data_mut());
             ip.init();
             ip.set_total_len(total as u16);
             ip.set_ttl(64);
@@ -590,30 +597,24 @@ impl Host {
             ip.set_src(src);
             ip.set_dst(dst);
             ip.fill_checksum();
-        }
-        {
-            let mut udp = UdpDatagram::new_unchecked(&mut ip_bytes[IPV4_HEADER_LEN..]);
+            let mut udp = UdpDatagram::new_unchecked(ip.payload_mut());
             udp.set_src_port(sport);
             udp.set_dst_port(dport);
             udp.set_length((8 + payload.len()) as u16);
             udp.payload_mut().copy_from_slice(payload);
             udp.fill_checksum(src, dst);
         }
-
-        let mut ctx = Ctx::new();
-        ctx.charge(self.costs.user_kernel_crossing_ns);
-        let meta = PacketMeta::at(self.now, 0);
-        self.local_output(ns, ip_bytes, meta, &mut ctx, 0);
-        Ok(ctx.into_result())
+        self.raw_send(ns, pkt)
     }
 
     /// Send a raw IPv4 packet from a namespace (raw socket equivalent).
-    pub fn raw_send(&mut self, ns: NsId, ip_bytes: Vec<u8>) -> Result<IoResult, HostError> {
+    /// The kernel stamps the packet's metadata afresh.
+    pub fn raw_send(&mut self, ns: NsId, mut pkt: Packet) -> Result<IoResult, HostError> {
         self.ns_check(ns)?;
         let mut ctx = Ctx::new();
         ctx.charge(self.costs.user_kernel_crossing_ns);
-        let meta = PacketMeta::at(self.now, 0);
-        self.local_output(ns, ip_bytes, meta, &mut ctx, 0);
+        pkt.meta = PacketMeta::at(self.now, 0);
+        self.local_output(ns, pkt, &mut ctx, 0);
         Ok(ctx.into_result())
     }
 
@@ -636,9 +637,9 @@ impl Host {
             self.trace.loop_drops += 1;
             return;
         }
-        let (up, ns, mac, zone) = {
+        let (up, mac) = {
             let i = &self.ifaces[iface_id.0 as usize];
-            (i.up, i.ns, i.mac, i.ct_zone)
+            (i.up, i.mac)
         };
         if !up {
             self.trace.rx_down_iface += 1;
@@ -656,15 +657,14 @@ impl Host {
             return;
         }
 
-        let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
+        let Ok(eth) = pkt.ethernet() else {
             self.trace.rx_malformed += 1;
             return;
         };
         let dst = eth.dst();
-        let ethertype = eth.ethertype();
 
         // VLAN demux to sub-interfaces.
-        if ethertype == EtherType::Vlan {
+        if eth.ethertype() == EtherType::Vlan {
             if let Some(vid) = pkt.vlan_id() {
                 if let Some(sub) = self.vlan_sub_of(iface_id, vid) {
                     ctx.charge(self.costs.vlan_op_ns);
@@ -683,21 +683,30 @@ impl Host {
             self.trace.rx_wrong_mac += 1;
             return;
         }
+        self.l2_input(iface_id, pkt, ctx, depth);
+    }
 
-        match ethertype {
-            EtherType::Arp => self.arp_input(ns, iface_id, &pkt, ctx, depth),
-            EtherType::Ipv4 => {
-                let mut meta = pkt.meta.clone();
-                if meta.ct_zone == 0 {
-                    meta.ct_zone = zone;
+    /// The one upper-layer dispatch of a frame received on `iface_id`:
+    /// ARP, or IPv4 with the Ethernet header stripped into the headroom,
+    /// the interface's conntrack zone as the default zone and the
+    /// interface as the ingress.
+    fn l2_input(&mut self, iface_id: IfaceId, mut pkt: Packet, ctx: &mut Ctx, depth: u32) {
+        let (ns, zone) = {
+            let i = &self.ifaces[iface_id.0 as usize];
+            (i.ns, i.ct_zone)
+        };
+        match pkt.ethernet().map(|eth| eth.ethertype()) {
+            Ok(EtherType::Arp) => self.arp_input(ns, iface_id, &pkt, ctx, depth),
+            Ok(EtherType::Ipv4) => {
+                if pkt.meta.ct_zone == 0 {
+                    pkt.meta.ct_zone = zone;
                 }
-                meta.ingress = iface_id.0;
-                let ip_bytes = pkt.data()[ETHERNET_HEADER_LEN..].to_vec();
-                self.l3_input(ns, Some(iface_id), ip_bytes, meta, ctx, depth);
+                pkt.meta.ingress = iface_id.0;
+                // Cannot fail: the Ethernet header just parsed.
+                let _ = pkt.pull_front(ETHERNET_HEADER_LEN);
+                self.l3_input(ns, Some(iface_id), pkt, ctx, depth);
             }
-            _ => {
-                self.trace.rx_unknown_ethertype += 1;
-            }
+            _ => self.trace.rx_unknown_ethertype += 1,
         }
     }
 
@@ -731,7 +740,7 @@ impl Host {
         depth: u32,
     ) {
         ctx.charge(self.costs.bridge_fdb_ns);
-        let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
+        let Ok(eth) = pkt.ethernet() else {
             self.trace.rx_malformed += 1;
             return;
         };
@@ -776,28 +785,12 @@ impl Host {
         }
         if to_local {
             // Deliver up the stack via the bridge interface itself.
-            let ns = self.ifaces[bridge_id.0 as usize].ns;
-            let Ok(eth2) = EthernetFrame::new_checked(pkt.data()) else {
-                return;
-            };
-            match eth2.ethertype() {
-                EtherType::Arp => self.arp_input(ns, bridge_id, &pkt, ctx, depth),
-                EtherType::Ipv4 => {
-                    let mut meta = pkt.meta.clone();
-                    if meta.ct_zone == 0 {
-                        meta.ct_zone = self.ifaces[bridge_id.0 as usize].ct_zone;
-                    }
-                    meta.ingress = bridge_id.0;
-                    let ip_bytes = pkt.data()[ETHERNET_HEADER_LEN..].to_vec();
-                    self.l3_input(ns, Some(bridge_id), ip_bytes, meta, ctx, depth);
-                }
-                _ => {}
-            }
+            self.l2_input(bridge_id, pkt, ctx, depth);
         }
     }
 
     fn arp_input(&mut self, ns: NsId, iface_id: IfaceId, pkt: &Packet, ctx: &mut Ctx, depth: u32) {
-        let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
+        let Ok(eth) = pkt.ethernet() else {
             return;
         };
         let Ok(arp) = ArpPacket::new_checked(eth.payload()) else {
@@ -824,31 +817,38 @@ impl Host {
 
         if arp.op() == ArpOp::Request {
             let target = arp.target_ip();
-            let owned = self.namespaces[ns.0 as usize]
-                .ifaces
-                .iter()
-                .any(|&i| self.ifaces[i.0 as usize].has_addr(target));
-            if owned {
+            if self.addr_is_local(ns, target) {
                 let my_mac = self.ifaces[iface_id.0 as usize].mac;
-                let mut reply = Packet::zeroed(ETHERNET_HEADER_LEN + ARP_LEN);
-                {
-                    let buf = reply.data_mut();
-                    let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-                    e.set_dst(sender_mac);
-                    e.set_src(my_mac);
-                    e.set_ethertype(EtherType::Arp);
-                    let mut a = ArpPacket::new_unchecked(&mut buf[ETHERNET_HEADER_LEN..]);
-                    a.init();
-                    a.set_op(ArpOp::Reply);
-                    a.set_sender_mac(my_mac);
-                    a.set_sender_ip(target);
-                    a.set_target_mac(sender_mac);
-                    a.set_target_ip(sender_ip);
-                }
+                let reply = arp_frame(
+                    ArpOp::Reply,
+                    sender_mac,
+                    (my_mac, target),
+                    (sender_mac, sender_ip),
+                );
                 self.trace.arp_replies += 1;
                 self.tx_frame(iface_id, reply, ctx, depth + 1);
             }
         }
+    }
+
+    /// Run one netfilter hook of `ns` over `nfp`, charging the hook and
+    /// every rule it evaluated.
+    fn hook(
+        &mut self,
+        ns: NsId,
+        table: NfTable,
+        chain: Chain,
+        nfp: &NfPacket,
+        ctx: &mut Ctx,
+    ) -> (Verdict, ChainEffects) {
+        let (verdict, effects) = self.namespaces[ns.0 as usize]
+            .netfilter
+            .run(table, chain, nfp);
+        ctx.charge(
+            self.costs.netfilter_hook_ns
+                + self.costs.netfilter_rule_ns * u64::from(effects.rules_evaluated),
+        );
+        (verdict, effects)
     }
 
     /// L3 input processing for a complete IPv4 packet.
@@ -856,8 +856,7 @@ impl Host {
         &mut self,
         ns: NsId,
         in_iface: Option<IfaceId>,
-        mut ip_bytes: Vec<u8>,
-        mut meta: PacketMeta,
+        mut pkt: Packet,
         ctx: &mut Ctx,
         depth: u32,
     ) {
@@ -866,7 +865,7 @@ impl Host {
             return;
         }
         ctx.charge(self.costs.ip_processing_ns);
-        let Ok(ip) = Ipv4Packet::new_checked(&ip_bytes[..]) else {
+        let Ok(ip) = Ipv4Packet::new_checked(pkt.data()) else {
             self.trace.rx_bad_ip += 1;
             return;
         };
@@ -874,40 +873,22 @@ impl Host {
             self.trace.rx_csum_errors += 1;
             return;
         }
-        let tuple = extract_tuple(&ip_bytes);
-        let (dst, proto) = (ip.dst(), u8::from(ip.protocol()));
+        let tuple = extract_tuple(pkt.data());
 
         // mangle/PREROUTING: marks + zones.
-        let mut effects = ChainEffects::default();
-        let mut nfp = NfPacket {
-            in_iface,
-            out_iface: None,
-            src: tuple.src,
-            dst: tuple.dst,
-            proto,
-            sport: tuple.sport,
-            dport: tuple.dport,
-            fwmark: meta.fwmark,
-            ct_state: CtState::New,
-        };
-        ctx.charge(self.costs.netfilter_hook_ns);
-        let verdict = {
-            let nsr = &mut self.namespaces[ns.0 as usize];
-            nsr.netfilter
-                .run(NfTable::Mangle, Chain::Prerouting, &nfp, &mut effects)
-        };
-        ctx.charge(self.costs.netfilter_rule_ns * effects.rules_evaluated as u64);
+        let mut nfp = nf_view(&tuple, in_iface, None, pkt.meta.fwmark);
+        let (verdict, effects) = self.hook(ns, NfTable::Mangle, Chain::Prerouting, &nfp, ctx);
         if verdict == Verdict::Drop {
             return;
         }
         if let Some(m) = effects.set_mark {
-            meta.fwmark = m;
+            pkt.meta.fwmark = m;
             nfp.fwmark = m;
         }
         if let Some(z) = effects.set_zone {
-            meta.ct_zone = z;
+            pkt.meta.ct_zone = z;
         }
-        let zone = meta.ct_zone;
+        let zone = pkt.meta.ct_zone;
 
         // Conntrack.
         ctx.charge(self.costs.conntrack_lookup_ns);
@@ -935,15 +916,7 @@ impl Host {
 
         // nat/PREROUTING (DNAT) for new original-direction flows.
         if fresh {
-            let mut fx = ChainEffects::default();
-            ctx.charge(self.costs.netfilter_hook_ns);
-            let v = {
-                let nsr = &mut self.namespaces[ns.0 as usize];
-                nsr.netfilter
-                    .run(NfTable::Nat, Chain::Prerouting, &nfp, &mut fx)
-            };
-            ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
-            match v {
+            match self.hook(ns, NfTable::Nat, Chain::Prerouting, &nfp, ctx).0 {
                 Verdict::Drop => return,
                 Verdict::Dnat { to, port } => {
                     self.namespaces[ns.0 as usize]
@@ -958,58 +931,37 @@ impl Host {
         let want = self.namespaces[ns.0 as usize].conntrack.rewrite(conn, dir);
         if want != tuple {
             ctx.charge(self.costs.l4_processing_ns);
-            rewrite_packet(&mut ip_bytes, &want);
-            nfp.src = want.src;
-            nfp.dst = want.dst;
-            nfp.sport = want.sport;
-            nfp.dport = want.dport;
+            rewrite_packet(pkt.data_mut(), &want);
         }
-        let dst = if want != tuple { want.dst } else { dst };
+        (nfp.src, nfp.dst, nfp.sport, nfp.dport) = (want.src, want.dst, want.sport, want.dport);
+        let dst = want.dst;
 
         // Routing decision: local or forward?
-        let local = self.addr_is_local(ns, dst) || dst == Ipv4Addr::BROADCAST;
-        if local {
-            // filter/INPUT
-            let mut fx = ChainEffects::default();
-            ctx.charge(self.costs.netfilter_hook_ns);
-            let v = {
-                let nsr = &mut self.namespaces[ns.0 as usize];
-                nsr.netfilter
-                    .run(NfTable::Filter, Chain::Input, &nfp, &mut fx)
-            };
-            ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
-            if v == Verdict::Drop {
+        if self.addr_is_local(ns, dst) || dst == Ipv4Addr::BROADCAST {
+            if self.hook(ns, NfTable::Filter, Chain::Input, &nfp, ctx).0 == Verdict::Drop {
                 return;
             }
             self.namespaces[ns.0 as usize].conntrack.confirm(conn);
 
             // ESP addressed to us? Decapsulate and recirculate.
-            if proto == 50 {
-                let spi = esp_spi(&ip_bytes);
-                let knows = spi
-                    .map(|s| self.namespaces[ns.0 as usize].xfrm.knows_spi(s))
-                    .unwrap_or(false);
-                if knows {
-                    let mut cost = Cost::ZERO;
-                    let res = {
-                        let nsr = &mut self.namespaces[ns.0 as usize];
-                        nsr.xfrm.input(&ip_bytes, &self.costs, &mut cost)
-                    };
-                    ctx.cost += cost;
-                    match res {
-                        Ok(inner) => {
-                            self.trace.xfrm_decap += 1;
-                            let mut inner_meta = meta.clone();
-                            inner_meta.fwmark = meta.fwmark;
-                            self.l3_input(ns, in_iface, inner, inner_meta, ctx, depth + 1);
-                        }
-                        Err(_) => self.trace.xfrm_decap_errors += 1,
+            let spi = Ipv4Packet::new_checked(pkt.data())
+                .ok()
+                .filter(|ip| ip.protocol() == IpProtocol::Esp)
+                .and_then(|ip| esp_spi(ip.payload()));
+            let nsr = &mut self.namespaces[ns.0 as usize];
+            if spi.is_some_and(|s| nsr.xfrm.knows_spi(s)) {
+                match nsr.xfrm.input(pkt.data(), &self.costs, &mut ctx.cost) {
+                    Ok(mut inner) => {
+                        self.trace.xfrm_decap += 1;
+                        inner.meta = pkt.meta;
+                        self.l3_input(ns, in_iface, inner, ctx, depth + 1);
                     }
-                    return;
+                    Err(_) => self.trace.xfrm_decap_errors += 1,
                 }
+                return;
             }
 
-            self.local_deliver(ns, ip_bytes, meta, ctx, depth);
+            self.local_deliver(ns, pkt, ctx, depth);
             return;
         }
 
@@ -1020,7 +972,7 @@ impl Host {
         }
         // TTL.
         {
-            let mut ipm = Ipv4Packet::new_unchecked(&mut ip_bytes[..]);
+            let mut ipm = Ipv4Packet::new_unchecked(pkt.data_mut());
             if ipm.decrement_ttl() == 0 {
                 self.trace.ttl_expired += 1;
                 return;
@@ -1030,56 +982,35 @@ impl Host {
 
         // Route lookup (policy aware).
         ctx.charge(self.costs.ip_rule_ns + self.costs.route_lookup_ns);
-        let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, meta.fwmark) else {
+        let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, pkt.meta.fwmark) else {
             self.trace.no_route += 1;
             return;
         };
         nfp.out_iface = Some(out_dev);
 
-        // filter/FORWARD.
-        let mut fx = ChainEffects::default();
-        ctx.charge(self.costs.netfilter_hook_ns);
-        let v = {
-            let nsr = &mut self.namespaces[ns.0 as usize];
-            nsr.netfilter
-                .run(NfTable::Filter, Chain::Forward, &nfp, &mut fx)
-        };
-        ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
-        if v == Verdict::Drop {
+        if self.hook(ns, NfTable::Filter, Chain::Forward, &nfp, ctx).0 == Verdict::Drop {
             return;
         }
 
         // nat/POSTROUTING (SNAT/MASQUERADE) for new flows.
         if fresh {
-            let mut fx = ChainEffects::default();
-            ctx.charge(self.costs.netfilter_hook_ns);
-            let v = {
-                let nsr = &mut self.namespaces[ns.0 as usize];
-                nsr.netfilter
-                    .run(NfTable::Nat, Chain::Postrouting, &nfp, &mut fx)
-            };
-            ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
-            match v {
+            let snat = match self.hook(ns, NfTable::Nat, Chain::Postrouting, &nfp, ctx).0 {
                 Verdict::Drop => return,
-                Verdict::Snat { to, port } => {
-                    let nsr = &mut self.namespaces[ns.0 as usize];
-                    nsr.conntrack.set_snat(conn, to, port);
-                }
-                Verdict::Masquerade => {
-                    let masq_ip = self.ifaces[out_dev.0 as usize].primary_addr();
-                    if let Some(ip) = masq_ip {
-                        let nsr = &mut self.namespaces[ns.0 as usize];
-                        nsr.conntrack.set_snat(conn, ip, None);
-                    }
-                }
-                _ => {}
+                Verdict::Snat { to, port } => Some((to, port)),
+                Verdict::Masquerade => self.ifaces[out_dev.0 as usize]
+                    .primary_addr()
+                    .map(|ip| (ip, None)),
+                _ => None,
+            };
+            let ct = &mut self.namespaces[ns.0 as usize].conntrack;
+            if let Some((to, port)) = snat {
+                ct.set_snat(conn, to, port);
             }
             // Apply any SNAT decided just now.
-            let cur = extract_tuple(&ip_bytes);
-            let want = self.namespaces[ns.0 as usize].conntrack.rewrite(conn, dir);
-            if want != cur {
+            let want = ct.rewrite(conn, dir);
+            if want != extract_tuple(pkt.data()) {
                 ctx.charge(self.costs.l4_processing_ns);
-                rewrite_packet(&mut ip_bytes, &want);
+                rewrite_packet(pkt.data_mut(), &want);
             }
         }
         {
@@ -1088,119 +1019,83 @@ impl Host {
             nsr.forwarded += 1;
         }
 
-        self.xfrm_out_and_tx(ns, out_dev, next_hop, ip_bytes, meta, ctx, depth);
+        self.xfrm_out_and_tx(ns, out_dev, next_hop, pkt, ctx, depth);
     }
 
     /// XFRM output check, then transmit (shared by forward & local-out).
-    #[allow(clippy::too_many_arguments)]
     fn xfrm_out_and_tx(
         &mut self,
         ns: NsId,
         out_dev: IfaceId,
         next_hop: Ipv4Addr,
-        ip_bytes: Vec<u8>,
-        meta: PacketMeta,
+        pkt: Packet,
         ctx: &mut Ctx,
         depth: u32,
     ) {
-        let proto = Ipv4Packet::new_checked(&ip_bytes[..])
-            .map(|p| u8::from(p.protocol()))
-            .unwrap_or(0);
         // Already-ESP traffic is not re-matched (standard loop avoidance).
-        if proto != 50 {
-            let mut cost = Cost::ZERO;
-            let out = {
-                let nsr = &mut self.namespaces[ns.0 as usize];
-                nsr.xfrm.output(&ip_bytes, &self.costs, &mut cost)
-            };
-            ctx.cost += cost;
-            match out {
-                XfrmOutput::Pass => {}
-                XfrmOutput::Discard | XfrmOutput::Error(_) => {
-                    self.trace.xfrm_out_discard += 1;
+        let esp =
+            Ipv4Packet::new_checked(pkt.data()).is_ok_and(|p| p.protocol() == IpProtocol::Esp);
+        let out = if esp {
+            XfrmOutput::Pass
+        } else {
+            self.namespaces[ns.0 as usize]
+                .xfrm
+                .output(pkt.data(), &self.costs, &mut ctx.cost)
+        };
+        match out {
+            XfrmOutput::Pass => self.ip_output(ns, out_dev, next_hop, pkt, ctx, depth),
+            XfrmOutput::Discard | XfrmOutput::Error(_) => self.trace.xfrm_out_discard += 1,
+            XfrmOutput::Encapsulated(mut outer) => {
+                self.trace.xfrm_encap += 1;
+                outer.meta = pkt.meta;
+                // Re-route the outer packet (tunnel endpoint may use a
+                // different egress than the inner destination).
+                let outer_dst = Ipv4Packet::new_checked(outer.data())
+                    .map(|p| p.dst())
+                    .unwrap_or(Ipv4Addr::UNSPECIFIED);
+                ctx.charge(self.costs.route_lookup_ns);
+                let Some((dev, nh)) = self.route_lookup(ns, outer_dst, outer.meta.fwmark) else {
+                    self.trace.no_route += 1;
                     return;
-                }
-                XfrmOutput::Encapsulated(outer) => {
-                    self.trace.xfrm_encap += 1;
-                    // Re-route the outer packet (tunnel endpoint may use a
-                    // different egress than the inner destination).
-                    let outer_dst = Ipv4Packet::new_checked(&outer[..])
-                        .map(|p| p.dst())
-                        .unwrap_or(Ipv4Addr::UNSPECIFIED);
-                    ctx.charge(self.costs.route_lookup_ns);
-                    let Some((dev2, nh2)) = self.route_lookup(ns, outer_dst, meta.fwmark) else {
-                        self.trace.no_route += 1;
-                        return;
-                    };
-                    self.ip_output(ns, dev2, nh2, outer, meta, ctx, depth);
-                    return;
-                }
+                };
+                self.ip_output(ns, dev, nh, outer, ctx, depth);
             }
         }
-        self.ip_output(ns, out_dev, next_hop, ip_bytes, meta, ctx, depth);
     }
 
-    /// Locally generated traffic: route → filter/OUTPUT → NAT → XFRM → tx.
-    fn local_output(
-        &mut self,
-        ns: NsId,
-        ip_bytes: Vec<u8>,
-        meta: PacketMeta,
-        ctx: &mut Ctx,
-        depth: u32,
-    ) {
-        let Ok(ip) = Ipv4Packet::new_checked(&ip_bytes[..]) else {
+    /// Locally generated traffic: route → filter/OUTPUT → XFRM → tx.
+    fn local_output(&mut self, ns: NsId, pkt: Packet, ctx: &mut Ctx, depth: u32) {
+        let Ok(ip) = Ipv4Packet::new_checked(pkt.data()) else {
             return;
         };
         let dst = ip.dst();
         // Loopback delivery.
         if self.addr_is_local(ns, dst) {
-            self.local_deliver(ns, ip_bytes, meta, ctx, depth + 1);
+            self.local_deliver(ns, pkt, ctx, depth + 1);
             return;
         }
         ctx.charge(self.costs.ip_rule_ns + self.costs.route_lookup_ns);
-        let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, meta.fwmark) else {
+        let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, pkt.meta.fwmark) else {
             self.trace.no_route += 1;
             return;
         };
 
-        let tuple = extract_tuple(&ip_bytes);
-        let nfp = NfPacket {
-            in_iface: None,
-            out_iface: Some(out_dev),
-            src: tuple.src,
-            dst: tuple.dst,
-            proto: tuple.proto,
-            sport: tuple.sport,
-            dport: tuple.dport,
-            fwmark: meta.fwmark,
-            ct_state: CtState::New,
-        };
-        let mut fx = ChainEffects::default();
-        ctx.charge(self.costs.netfilter_hook_ns);
-        let v = {
-            let nsr = &mut self.namespaces[ns.0 as usize];
-            nsr.netfilter
-                .run(NfTable::Filter, Chain::Output, &nfp, &mut fx)
-        };
-        ctx.charge(self.costs.netfilter_rule_ns * fx.rules_evaluated as u64);
-        if v == Verdict::Drop {
+        let nfp = nf_view(
+            &extract_tuple(pkt.data()),
+            None,
+            Some(out_dev),
+            pkt.meta.fwmark,
+        );
+        if self.hook(ns, NfTable::Filter, Chain::Output, &nfp, ctx).0 == Verdict::Drop {
             return;
         }
 
-        self.xfrm_out_and_tx(ns, out_dev, next_hop, ip_bytes, meta, ctx, depth);
+        self.xfrm_out_and_tx(ns, out_dev, next_hop, pkt, ctx, depth);
     }
 
     /// Deliver an IP packet to local consumers (sockets, ICMP).
-    fn local_deliver(
-        &mut self,
-        ns: NsId,
-        ip_bytes: Vec<u8>,
-        meta: PacketMeta,
-        ctx: &mut Ctx,
-        depth: u32,
-    ) {
-        let Ok(ip) = Ipv4Packet::new_checked(&ip_bytes[..]) else {
+    fn local_deliver(&mut self, ns: NsId, mut pkt: Packet, ctx: &mut Ctx, depth: u32) {
+        let Ok(ip) = Ipv4Packet::new_checked(pkt.data()) else {
             return;
         };
         ctx.charge(self.costs.l4_processing_ns);
@@ -1230,8 +1125,8 @@ impl Host {
                 };
                 if icmp.kind() == IcmpKind::EchoRequest {
                     self.trace.icmp_echo_requests += 1;
-                    let reply = build_echo_reply(&ip_bytes);
-                    self.local_output(ns, reply, meta, ctx, depth + 1);
+                    echo_reply(pkt.data_mut());
+                    self.local_output(ns, pkt, ctx, depth + 1);
                 } else {
                     self.trace.icmp_other += 1;
                 }
@@ -1242,24 +1137,19 @@ impl Host {
         }
     }
 
-    /// Frame an IP packet and transmit toward `next_hop` on `out_dev`.
-    #[allow(clippy::too_many_arguments)]
+    /// Transmit an IP packet toward `next_hop` on `out_dev` (looped
+    /// back up the stack if `out_dev` is a loopback).
     fn ip_output(
         &mut self,
         ns: NsId,
         out_dev: IfaceId,
         next_hop: Ipv4Addr,
-        ip_bytes: Vec<u8>,
-        meta: PacketMeta,
+        pkt: Packet,
         ctx: &mut Ctx,
         depth: u32,
     ) {
-        let mut pkt = Packet::from_slice(&ip_bytes);
-        pkt.meta = meta;
-        // Loopback?
         if matches!(self.ifaces[out_dev.0 as usize].kind, IfaceKind::Loopback) {
-            let m = pkt.meta.clone();
-            self.l3_input(ns, Some(out_dev), ip_bytes, m, ctx, depth + 1);
+            self.l3_input(ns, Some(out_dev), pkt, ctx, depth + 1);
             return;
         }
         self.finish_tx_ip(out_dev, next_hop, pkt, ctx, depth);
@@ -1271,7 +1161,7 @@ impl Host {
         &mut self,
         out_dev: IfaceId,
         next_hop: Ipv4Addr,
-        ip_pkt: Packet,
+        mut pkt: Packet,
         ctx: &mut Ctx,
         depth: u32,
     ) {
@@ -1289,66 +1179,39 @@ impl Host {
             }
         };
 
-        match dst_mac {
-            Some(mac) => {
-                let mut frame = Packet::zeroed(ETHERNET_HEADER_LEN + ip_pkt.len());
-                {
-                    let buf = frame.data_mut();
-                    let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-                    e.set_dst(mac);
-                    e.set_src(my_mac);
-                    e.set_ethertype(EtherType::Ipv4);
-                    buf[ETHERNET_HEADER_LEN..].copy_from_slice(ip_pkt.data());
+        if let Some(mac) = dst_mac {
+            pkt.push_front(&eth_header(mac, my_mac, EtherType::Ipv4));
+            self.tx_frame(out_dev, pkt, ctx, depth + 1);
+            return;
+        }
+        // Park the packet and fire an ARP request.
+        let neigh = &mut self.namespaces[ns.0 as usize].neigh;
+        match neigh.get_mut(&next_hop) {
+            Some(NeighState::Incomplete { pending }) => {
+                if pending.len() < NEIGH_QUEUE_MAX {
+                    pending.push((out_dev, pkt));
+                } else {
+                    self.trace.neigh_queue_drops += 1;
                 }
-                frame.meta = ip_pkt.meta.clone();
-                self.tx_frame(out_dev, frame, ctx, depth + 1);
             }
-            None => {
-                // Park the packet and fire an ARP request.
-                let needs_request = {
-                    let nsr = &mut self.namespaces[ns.0 as usize];
-                    match nsr.neigh.get_mut(&next_hop) {
-                        Some(NeighState::Incomplete { pending }) => {
-                            if pending.len() < NEIGH_QUEUE_MAX {
-                                pending.push((out_dev, ip_pkt));
-                            } else {
-                                self.trace.neigh_queue_drops += 1;
-                            }
-                            false
-                        }
-                        _ => {
-                            nsr.neigh.insert(
-                                next_hop,
-                                NeighState::Incomplete {
-                                    pending: vec![(out_dev, ip_pkt)],
-                                },
-                            );
-                            true
-                        }
-                    }
-                };
-                if needs_request {
-                    let sender_ip = self.ifaces[out_dev.0 as usize]
-                        .primary_addr()
-                        .unwrap_or(Ipv4Addr::UNSPECIFIED);
-                    let mut req = Packet::zeroed(ETHERNET_HEADER_LEN + ARP_LEN);
-                    {
-                        let buf = req.data_mut();
-                        let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-                        e.set_dst(MacAddr::BROADCAST);
-                        e.set_src(my_mac);
-                        e.set_ethertype(EtherType::Arp);
-                        let mut a = ArpPacket::new_unchecked(&mut buf[ETHERNET_HEADER_LEN..]);
-                        a.init();
-                        a.set_op(ArpOp::Request);
-                        a.set_sender_mac(my_mac);
-                        a.set_sender_ip(sender_ip);
-                        a.set_target_mac(MacAddr::ZERO);
-                        a.set_target_ip(next_hop);
-                    }
-                    self.trace.arp_requests += 1;
-                    self.tx_frame(out_dev, req, ctx, depth + 1);
-                }
+            _ => {
+                neigh.insert(
+                    next_hop,
+                    NeighState::Incomplete {
+                        pending: vec![(out_dev, pkt)],
+                    },
+                );
+                let sender_ip = self.ifaces[out_dev.0 as usize]
+                    .primary_addr()
+                    .unwrap_or(Ipv4Addr::UNSPECIFIED);
+                let req = arp_frame(
+                    ArpOp::Request,
+                    MacAddr::BROADCAST,
+                    (my_mac, sender_ip),
+                    (MacAddr::ZERO, next_hop),
+                );
+                self.trace.arp_requests += 1;
+                self.tx_frame(out_dev, req, ctx, depth + 1);
             }
         }
     }
@@ -1366,7 +1229,6 @@ impl Host {
         }
         iface.tx_packets += 1;
         iface.tx_bytes += pkt.len() as u64;
-        let ns = iface.ns;
         match &iface.kind {
             &IfaceKind::Veth { peer } => {
                 ctx.charge(self.costs.veth_crossing_ns);
@@ -1385,7 +1247,7 @@ impl Host {
             IfaceKind::Bridge { members, fdb } => {
                 // Egress via the bridge: consult the FDB.
                 ctx.charge(self.costs.bridge_fdb_ns);
-                let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
+                let Ok(eth) = pkt.ethernet() else {
                     return;
                 };
                 let dst = eth.dst();
@@ -1397,15 +1259,7 @@ impl Host {
                     }
                 }
             }
-            IfaceKind::Loopback => {
-                if let Ok(eth) = EthernetFrame::new_checked(pkt.data()) {
-                    if eth.ethertype() == EtherType::Ipv4 {
-                        let meta = pkt.meta.clone();
-                        let ip_bytes = pkt.data()[ETHERNET_HEADER_LEN..].to_vec();
-                        self.l3_input(ns, Some(iface_id), ip_bytes, meta, ctx, depth + 1);
-                    }
-                }
-            }
+            IfaceKind::Loopback => self.l2_input(iface_id, pkt, ctx, depth + 1),
         }
     }
 
@@ -1419,6 +1273,27 @@ impl Host {
     fn route_lookup(&self, ns: NsId, dst: Ipv4Addr, fwmark: u32) -> Option<(IfaceId, Ipv4Addr)> {
         let r = self.namespaces[ns.0 as usize].routing.lookup(dst, fwmark)?;
         Some((r.dev, r.via.unwrap_or(dst)))
+    }
+}
+
+/// The summary netfilter matches a packet with flow tuple `t` by, before
+/// conntrack has classified it.
+fn nf_view(
+    t: &FlowTuple,
+    in_iface: Option<IfaceId>,
+    out_iface: Option<IfaceId>,
+    fwmark: u32,
+) -> NfPacket {
+    NfPacket {
+        in_iface,
+        out_iface,
+        src: t.src,
+        dst: t.dst,
+        proto: t.proto,
+        sport: t.sport,
+        dport: t.dport,
+        fwmark,
+        ct_state: CtState::New,
     }
 }
 
@@ -1446,79 +1321,74 @@ fn extract_tuple(ip_bytes: &[u8]) -> FlowTuple {
     }
 }
 
-/// Rewrite an IP packet's addresses/ports to `want`, fixing checksums.
+/// Rewrite an IP packet's addresses/ports to `want` in place, fixing
+/// checksums. Ports are written only into an L4 header
+/// [`extract_tuple`] could read them from.
 fn rewrite_packet(ip_bytes: &mut [u8], want: &FlowTuple) {
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut ip_bytes[..]);
-        ip.set_src(want.src);
-        ip.set_dst(want.dst);
-        ip.fill_checksum();
-    }
-    let proto = {
-        let ip = Ipv4Packet::new_unchecked(&ip_bytes[..]);
-        ip.protocol()
-    };
-    let hl = Ipv4Packet::new_unchecked(&ip_bytes[..]).header_len();
-    match proto {
+    let mut ip = Ipv4Packet::new_unchecked(ip_bytes);
+    ip.set_src(want.src);
+    ip.set_dst(want.dst);
+    ip.fill_checksum();
+    match ip.protocol() {
         IpProtocol::Udp => {
-            let (src, dst) = {
-                let ip = Ipv4Packet::new_unchecked(&ip_bytes[..]);
-                (ip.src(), ip.dst())
-            };
-            let l4 = &mut ip_bytes[hl..];
-            if l4.len() >= 8 {
-                let mut u = UdpDatagram::new_unchecked(l4);
+            if let Ok(mut u) = UdpDatagram::new_checked(ip.payload_mut()) {
                 u.set_src_port(want.sport);
                 u.set_dst_port(want.dport);
-                u.fill_checksum(src, dst);
+                u.fill_checksum(want.src, want.dst);
             }
         }
         IpProtocol::Tcp => {
-            let (src, dst) = {
-                let ip = Ipv4Packet::new_unchecked(&ip_bytes[..]);
-                (ip.src(), ip.dst())
-            };
-            let l4 = &mut ip_bytes[hl..];
-            if l4.len() >= 20 {
-                let mut t = TcpSegment::new_unchecked(l4);
+            if let Ok(mut t) = TcpSegment::new_checked(ip.payload_mut()) {
                 t.set_src_port(want.sport);
                 t.set_dst_port(want.dport);
-                t.fill_checksum(src, dst);
+                t.fill_checksum(want.src, want.dst);
             }
         }
         _ => {}
     }
 }
 
-/// Extract the SPI from an ESP-in-IPv4 packet.
-fn esp_spi(ip_bytes: &[u8]) -> Option<u32> {
-    let ip = Ipv4Packet::new_checked(ip_bytes).ok()?;
-    let p = ip.payload();
-    if p.len() < 4 {
-        return None;
-    }
-    Some(u32::from_be_bytes(p[0..4].try_into().unwrap()))
+/// Turn an ICMP echo request into its reply in place (swaps addresses).
+fn echo_reply(ip_bytes: &mut [u8]) {
+    let mut ip = Ipv4Packet::new_unchecked(ip_bytes);
+    let (src, dst) = (ip.src(), ip.dst());
+    ip.set_src(dst);
+    ip.set_dst(src);
+    ip.set_ttl(64);
+    ip.fill_checksum();
+    let mut icmp = IcmpMessage::new_unchecked(ip.payload_mut());
+    icmp.set_kind(IcmpKind::EchoReply);
+    icmp.fill_checksum();
 }
 
-/// Build an ICMP echo reply from a request (swaps addresses).
-fn build_echo_reply(request_ip: &[u8]) -> Vec<u8> {
-    let req = Ipv4Packet::new_unchecked(request_ip);
-    let (src, dst) = (req.src(), req.dst());
-    let mut out = request_ip.to_vec();
-    {
-        let mut ip = Ipv4Packet::new_unchecked(&mut out[..]);
-        ip.set_src(dst);
-        ip.set_dst(src);
-        ip.set_ttl(64);
-        ip.fill_checksum();
-    }
-    let hl = Ipv4Packet::new_unchecked(&out[..]).header_len();
-    {
-        let mut icmp = IcmpMessage::new_unchecked(&mut out[hl..]);
-        icmp.set_kind(IcmpKind::EchoReply);
-        icmp.fill_checksum();
-    }
-    out
+/// An Ethernet header from `src` to `dst` announcing `ethertype`.
+fn eth_header(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> [u8; ETHERNET_HEADER_LEN] {
+    let mut hdr = [0; ETHERNET_HEADER_LEN];
+    let mut e = EthernetFrame::new_unchecked(&mut hdr[..]);
+    e.set_dst(dst);
+    e.set_src(src);
+    e.set_ethertype(ethertype);
+    hdr
+}
+
+/// An ARP frame to `eth_dst`: `op` from `sender` about `target`, each a
+/// (MAC, IPv4) pair; the sender's MAC is the frame's source.
+fn arp_frame(
+    op: ArpOp,
+    eth_dst: MacAddr,
+    sender: (MacAddr, Ipv4Addr),
+    target: (MacAddr, Ipv4Addr),
+) -> Packet {
+    let mut frame = Packet::zeroed(ARP_LEN);
+    let mut a = ArpPacket::new_unchecked(frame.data_mut());
+    a.init();
+    a.set_op(op);
+    a.set_sender_mac(sender.0);
+    a.set_sender_ip(sender.1);
+    a.set_target_mac(target.0);
+    a.set_target_ip(target.1);
+    frame.push_front(&eth_header(eth_dst, sender.0, EtherType::Arp));
+    frame
 }
 
 #[cfg(test)]

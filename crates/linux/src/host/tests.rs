@@ -30,7 +30,7 @@ fn ping_across_veth_with_real_arp() {
         .icmp_echo(un_packet::icmp::IcmpKind::EchoRequest, 7, 1)
         .payload(b"abcdefgh")
         .build();
-    let res = h.raw_send(a, echo.data().to_vec()).unwrap();
+    let res = h.raw_send(a, echo).unwrap();
     // Everything stays inside the host (veth), nothing emitted externally.
     assert!(res.emitted.is_empty());
     assert!(res.cost.as_nanos() > 0);
@@ -50,8 +50,8 @@ fn second_packet_skips_arp() {
             .icmp_echo(un_packet::icmp::IcmpKind::EchoRequest, 7, 1)
             .build()
     };
-    h.raw_send(a, echo().data().to_vec()).unwrap();
-    h.raw_send(a, echo().data().to_vec()).unwrap();
+    h.raw_send(a, echo()).unwrap();
+    h.raw_send(a, echo()).unwrap();
     assert_eq!(h.trace.counter("arp_requests"), 1, "neighbor cached");
     assert_eq!(h.trace.counter("icmp_echo_requests"), 2);
 }
@@ -427,7 +427,7 @@ fn xfrm_tunnel_between_two_hosts() {
         .udp(111, 4000)
         .payload(&payload)
         .build();
-    let res = ha.raw_send(NsId(0), inner.data().to_vec()).unwrap();
+    let res = ha.raw_send(NsId(0), inner).unwrap();
     assert_eq!(res.emitted.len(), 1, "encapsulated packet leaves host A");
     let (_, wire) = &res.emitted[0];
 
@@ -466,7 +466,7 @@ fn ttl_expiry_drops() {
         .ttl(1)
         .udp(5000, 53)
         .build();
-    h.raw_send(client, pkt.data().to_vec()).unwrap();
+    h.raw_send(client, pkt).unwrap();
     assert_eq!(h.trace.counter("ttl_expired"), 1);
     // The counter is host-wide; the router is where the frame stopped.
     assert_eq!(h.namespace(router).unwrap().forwarded, 0);
@@ -484,7 +484,7 @@ fn forwarding_disabled_drops() {
         )
         .udp(5000, 53)
         .build();
-    h.raw_send(client, pkt.data().to_vec()).unwrap();
+    h.raw_send(client, pkt).unwrap();
     assert_eq!(h.trace.counter("rx_not_for_us"), 1);
 }
 
@@ -502,7 +502,7 @@ fn arp_pending_queue_bounded() {
             .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 99))
             .udp(1000 + i, 9)
             .build();
-        h.raw_send(ns, p.data().to_vec()).unwrap();
+        h.raw_send(ns, p).unwrap();
     }
     assert_eq!(h.trace.counter("arp_requests"), 1);
     assert_eq!(
@@ -564,7 +564,7 @@ fn down_iface_refuses_traffic() {
         .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
         .udp(1, 2)
         .build();
-    h.raw_send(a, pkt.data().to_vec()).unwrap();
+    h.raw_send(a, pkt).unwrap();
     assert_eq!(h.trace.counter("icmp_echo_requests"), 0);
     assert!(h.trace.counter("tx_down_iface") >= 1 || h.trace.counter("no_route") >= 1);
 }

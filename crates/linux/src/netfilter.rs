@@ -341,63 +341,48 @@ impl Netfilter {
     /// Run a (table, chain) over a packet summary.
     ///
     /// First matching terminal rule (ACCEPT/DROP/NAT) decides; SetMark /
-    /// SetZone mutate the effects and continue (as `mangle` targets do).
-    pub fn run(
-        &mut self,
-        table: NfTable,
-        chain: Chain,
-        pkt: &NfPacket,
-        effects: &mut ChainEffects,
-    ) -> Verdict {
+    /// SetZone record their effect and continue (as `mangle` targets
+    /// do), and a new mark is what later rules of the traversal see.
+    pub fn run(&mut self, table: NfTable, chain: Chain, pkt: &NfPacket) -> (Verdict, ChainEffects) {
+        let mut effects = ChainEffects::default();
         let Some(rc) = self.chains.get_mut(&(table, chain)) else {
-            return Verdict::Accept;
+            return (Verdict::Accept, effects);
         };
-        // Apply already-recorded mark/zone updates so later rules in the
-        // same traversal see them.
         let mut view = *pkt;
-        if let Some(m) = effects.set_mark {
-            view.fwmark = m;
-        }
+        let mut decided = None;
         for rule in &mut rc.rules {
             effects.rules_evaluated += 1;
             if !rule_matches(&rule.matches, &view) {
                 continue;
             }
             rule.packets += 1;
-            match &rule.target {
-                Target::Accept => return Verdict::Accept,
-                Target::Drop => {
-                    self.dropped += 1;
-                    return Verdict::Drop;
-                }
-                Target::Snat { to, port } => {
-                    return Verdict::Snat {
-                        to: *to,
-                        port: *port,
-                    }
-                }
-                Target::Dnat { to, port } => {
-                    return Verdict::Dnat {
-                        to: *to,
-                        port: *port,
-                    }
-                }
-                Target::Masquerade => return Verdict::Masquerade,
+            decided = Some(match rule.target {
+                Target::Accept => Verdict::Accept,
+                Target::Drop => Verdict::Drop,
+                Target::Snat { to, port } => Verdict::Snat { to, port },
+                Target::Dnat { to, port } => Verdict::Dnat { to, port },
+                Target::Masquerade => Verdict::Masquerade,
                 Target::SetMark(m) => {
-                    effects.set_mark = Some(*m);
-                    view.fwmark = *m;
+                    effects.set_mark = Some(m);
+                    view.fwmark = m;
+                    continue;
                 }
                 Target::SetZone(z) => {
-                    effects.set_zone = Some(*z);
+                    effects.set_zone = Some(z);
+                    continue;
                 }
-            }
+            });
+            break;
         }
-        if rc.policy_accept {
+        let verdict = decided.unwrap_or(if rc.policy_accept {
             Verdict::Accept
         } else {
-            self.dropped += 1;
             Verdict::Drop
+        });
+        if verdict == Verdict::Drop {
+            self.dropped += 1;
         }
+        (verdict, effects)
     }
 }
 
@@ -422,9 +407,8 @@ mod tests {
     #[test]
     fn empty_chain_accepts() {
         let mut nf = Netfilter::new();
-        let mut fx = ChainEffects::default();
         assert_eq!(
-            nf.run(NfTable::Filter, Chain::Forward, &pkt(), &mut fx),
+            nf.run(NfTable::Filter, Chain::Forward, &pkt()).0,
             Verdict::Accept
         );
     }
@@ -433,9 +417,8 @@ mod tests {
     fn drop_policy_when_no_match() {
         let mut nf = Netfilter::new();
         nf.set_policy(NfTable::Filter, Chain::Forward, false);
-        let mut fx = ChainEffects::default();
         assert_eq!(
-            nf.run(NfTable::Filter, Chain::Forward, &pkt(), &mut fx),
+            nf.run(NfTable::Filter, Chain::Forward, &pkt()).0,
             Verdict::Drop
         );
         assert_eq!(nf.dropped, 1);
@@ -460,21 +443,15 @@ mod tests {
             Chain::Forward,
             NfRule::new(RuleMatch::any(), Target::Drop),
         );
-        let mut fx = ChainEffects::default();
-        assert_eq!(
-            nf.run(NfTable::Filter, Chain::Forward, &pkt(), &mut fx),
-            Verdict::Accept
-        );
+        let (v, fx) = nf.run(NfTable::Filter, Chain::Forward, &pkt());
+        assert_eq!(v, Verdict::Accept);
         assert_eq!(nf.rules(NfTable::Filter, Chain::Forward)[0].packets, 1);
         assert_eq!(fx.rules_evaluated, 1);
 
         let mut other = pkt();
         other.dport = 80;
-        let mut fx = ChainEffects::default();
-        assert_eq!(
-            nf.run(NfTable::Filter, Chain::Forward, &other, &mut fx),
-            Verdict::Drop
-        );
+        let (v, fx) = nf.run(NfTable::Filter, Chain::Forward, &other);
+        assert_eq!(v, Verdict::Drop);
         assert_eq!(fx.rules_evaluated, 2);
     }
 
@@ -503,8 +480,7 @@ mod tests {
                 Target::SetZone(7),
             ),
         );
-        let mut fx = ChainEffects::default();
-        let v = nf.run(NfTable::Mangle, Chain::Prerouting, &pkt(), &mut fx);
+        let (v, fx) = nf.run(NfTable::Mangle, Chain::Prerouting, &pkt());
         assert_eq!(v, Verdict::Accept);
         assert_eq!(fx.set_mark, Some(42));
         assert_eq!(fx.set_zone, Some(7));
@@ -526,17 +502,15 @@ mod tests {
         );
         nf.set_policy(NfTable::Filter, Chain::Forward, false);
 
-        let mut fx = ChainEffects::default();
         assert_eq!(
-            nf.run(NfTable::Filter, Chain::Forward, &pkt(), &mut fx),
+            nf.run(NfTable::Filter, Chain::Forward, &pkt()).0,
             Verdict::Drop,
             "NEW must hit the DROP policy"
         );
         let mut est = pkt();
         est.ct_state = CtState::Established;
-        let mut fx = ChainEffects::default();
         assert_eq!(
-            nf.run(NfTable::Filter, Chain::Forward, &est, &mut fx),
+            nf.run(NfTable::Filter, Chain::Forward, &est).0,
             Verdict::Accept
         );
     }
@@ -563,16 +537,14 @@ mod tests {
                 },
             ),
         );
-        let mut fx = ChainEffects::default();
         assert_eq!(
-            nf.run(NfTable::Nat, Chain::Postrouting, &pkt(), &mut fx),
+            nf.run(NfTable::Nat, Chain::Postrouting, &pkt()).0,
             Verdict::Masquerade
         );
         let mut web = pkt();
         web.dport = 8080;
-        let mut fx = ChainEffects::default();
         assert_eq!(
-            nf.run(NfTable::Nat, Chain::Prerouting, &web, &mut fx),
+            nf.run(NfTable::Nat, Chain::Prerouting, &web).0,
             Verdict::Dnat {
                 to: Ipv4Addr::new(192, 168, 1, 10),
                 port: Some(80)

@@ -9,7 +9,10 @@
 use un_ipsec::esp::{self, IpsecError};
 use un_ipsec::sa::Sad;
 use un_ipsec::spd::{PolicyAction, PolicyDirection, Spd};
+use un_packet::ethernet::ETHERNET_HEADER_LEN;
 use un_packet::ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
+use un_packet::packet::DEFAULT_HEADROOM;
+use un_packet::Packet;
 use un_sim::{Cost, CostModel};
 
 /// Per-namespace XFRM state.
@@ -34,8 +37,9 @@ pub enum XfrmOutput {
     Pass,
     /// Policy says discard.
     Discard,
-    /// Packet was encapsulated: here is the new outer IPv4 packet.
-    Encapsulated(Vec<u8>),
+    /// Packet was encapsulated: here is the new outer IPv4 packet, with
+    /// headroom for an Ethernet header and more.
+    Encapsulated(Packet),
     /// Policy references a missing/invalid SA.
     Error(IpsecError),
 }
@@ -80,9 +84,14 @@ impl Xfrm {
                     return XfrmOutput::Error(IpsecError::Truncated);
                 };
                 *cost_acc += costs.aead_kernel(ip_bytes.len());
-                match esp::encapsulate_into(sa, ip_bytes, IPV4_HEADER_LEN) {
-                    Ok(mut outer) => {
-                        esp::fill_tunnel_header(sa, &mut outer);
+                // Sealed straight behind room for the outer IPv4 header,
+                // its Ethernet header and the default headroom: one
+                // allocation, no copy.
+                let room = DEFAULT_HEADROOM + ETHERNET_HEADER_LEN;
+                match esp::encapsulate_into(sa, ip_bytes, room + IPV4_HEADER_LEN) {
+                    Ok(buf) => {
+                        let mut outer = Packet::from_buffer(buf, room);
+                        esp::fill_tunnel_header(sa, outer.data_mut());
                         self.encap_count += 1;
                         XfrmOutput::Encapsulated(outer)
                     }
@@ -97,7 +106,7 @@ impl Xfrm {
 
     /// Try to decapsulate an incoming ESP packet (`ip_bytes` is the
     /// complete outer IP packet with protocol 50). Returns the inner IP
-    /// packet on success.
+    /// packet on success, opened behind the default headroom.
     ///
     /// Charges: SAD lookup + kernel AEAD over the ESP payload.
     pub fn input(
@@ -105,27 +114,26 @@ impl Xfrm {
         ip_bytes: &[u8],
         costs: &CostModel,
         cost_acc: &mut Cost,
-    ) -> Result<Vec<u8>, IpsecError> {
+    ) -> Result<Packet, IpsecError> {
         let ip = Ipv4Packet::new_checked(ip_bytes).map_err(|_| IpsecError::Truncated)?;
         if ip.protocol() != IpProtocol::Esp {
             return Err(IpsecError::Truncated);
         }
         let payload = ip.payload();
-        if payload.len() < 8 {
+        let Some(spi) = esp_spi(payload).filter(|_| payload.len() >= 8) else {
             self.errors += 1;
             return Err(IpsecError::Truncated);
-        }
-        let spi = u32::from_be_bytes(payload[0..4].try_into().unwrap());
+        };
         *cost_acc += Cost::from_nanos(costs.xfrm_lookup_ns);
         let Some(sa) = self.sad.get_mut(spi) else {
             self.errors += 1;
             return Err(IpsecError::Truncated);
         };
         *cost_acc += costs.aead_kernel(payload.len());
-        match esp::decapsulate(sa, payload) {
-            Ok(inner) => {
+        match esp::decapsulate_into(sa, payload, DEFAULT_HEADROOM) {
+            Ok(buf) => {
                 self.decap_count += 1;
-                Ok(inner)
+                Ok(Packet::from_buffer(buf, DEFAULT_HEADROOM))
             }
             Err(e) => {
                 self.errors += 1;
@@ -139,6 +147,11 @@ impl Xfrm {
     pub fn knows_spi(&self, spi: u32) -> bool {
         self.sad.get(spi).is_some()
     }
+}
+
+/// The SPI an ESP payload opens with, if it is long enough to hold one.
+pub(crate) fn esp_spi(esp_payload: &[u8]) -> Option<u32> {
+    esp_payload.first_chunk().copied().map(u32::from_be_bytes)
 }
 
 #[cfg(test)]
@@ -198,14 +211,14 @@ mod tests {
         assert!(cost.as_nanos() > 0, "kernel crypto must cost time");
 
         // Outer packet sanity.
-        let ip = Ipv4Packet::new_checked(&outer[..]).unwrap();
+        let ip = Ipv4Packet::new_checked(outer.data()).unwrap();
         assert_eq!(ip.protocol(), IpProtocol::Esp);
         assert_eq!(ip.src(), Ipv4Addr::new(192, 0, 2, 1));
         assert!(ip.verify_checksum());
 
         let mut cost2 = Cost::ZERO;
-        let back = right.input(&outer, &costs, &mut cost2).unwrap();
-        assert_eq!(back, inner);
+        let back = right.input(outer.data(), &costs, &mut cost2).unwrap();
+        assert_eq!(back.data(), inner);
         assert_eq!(left.encap_count, 1);
         assert_eq!(right.decap_count, 1);
     }
@@ -271,8 +284,8 @@ mod tests {
         else {
             panic!()
         };
-        right.input(&outer, &costs, &mut cost).unwrap();
-        let err = right.input(&outer, &costs, &mut cost).unwrap_err();
+        right.input(outer.data(), &costs, &mut cost).unwrap();
+        let err = right.input(outer.data(), &costs, &mut cost).unwrap_err();
         assert!(matches!(err, IpsecError::Replay(_)));
         assert_eq!(right.errors, 1);
     }
@@ -287,7 +300,7 @@ mod tests {
         else {
             panic!()
         };
-        assert!(other_rx.input(&outer, &costs, &mut cost).is_err());
+        assert!(other_rx.input(outer.data(), &costs, &mut cost).is_err());
         assert!(!other_rx.knows_spi(0x500));
     }
 }

@@ -101,7 +101,7 @@ fn ike_negotiation_over_simulated_udp_then_esp_flows() {
         .udp(4000, 7777)
         .payload(b"negotiated end-to-end")
         .build();
-    let res = h.raw_send(cpe, inner.data().to_vec()).unwrap();
+    let res = h.raw_send(cpe, inner).unwrap();
     assert!(res.emitted.is_empty(), "stays inside the host (veth)");
 
     let dg = h.udp_recv(svc_sock).expect("decrypted datagram delivered");

@@ -108,15 +108,15 @@ impl Packet {
         self.buf[self.head..self.head + hdr.len()].copy_from_slice(hdr);
     }
 
-    /// Remove `n` bytes from the front, returning them as a Vec.
+    /// Strip `n` bytes off the front into the headroom, where a later
+    /// [`push_front`](Self::push_front) of as many bytes finds room.
     /// Fails if the packet is shorter than `n`.
-    pub fn pull_front(&mut self, n: usize) -> Result<Vec<u8>, ParseError> {
+    pub fn pull_front(&mut self, n: usize) -> Result<(), ParseError> {
         if self.len() < n {
             return Err(ParseError::Truncated);
         }
-        let out = self.buf[self.head..self.head + n].to_vec();
         self.head += n;
-        Ok(out)
+        Ok(())
     }
 
     /// Append bytes to the tail.
@@ -210,8 +210,7 @@ mod tests {
         let mut p = Packet::from_slice(&[9, 9]);
         p.push_front(&[1, 2, 3]);
         assert_eq!(p.data(), &[1, 2, 3, 9, 9]);
-        let hdr = p.pull_front(3).unwrap();
-        assert_eq!(hdr, vec![1, 2, 3]);
+        p.pull_front(3).unwrap();
         assert_eq!(p.data(), &[9, 9]);
         assert!(p.pull_front(5).is_err());
     }
