@@ -1,8 +1,9 @@
 //! The Docker driver.
 //!
 //! Containers share the host kernel: the driver joins the container to
-//! the same plugin-in-a-namespace sandbox the native driver runs —
-//! the plugin is the entrypoint script of the containerized NF.
+//! the same NNF-in-a-namespace sandbox the native driver runs — the
+//! instance's command list is the entrypoint script of the
+//! containerized NF.
 //! Packaging and footprint differ (image layers, runtime shim); the
 //! data path does not. Table 1's near-identical Docker/native
 //! throughput follows.

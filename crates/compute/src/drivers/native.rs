@@ -7,6 +7,10 @@
 //! starts the NNF in a new network namespace, to provide a basic form
 //! of isolation, and configures the NNF with a predefined configuration
 //! script." — §2.
+//!
+//! Here the plugin is an [`NnfInstance`](un_nnf::NnfInstance) the
+//! catalogue builds, and the script is the command list `un_nnf::translate`
+//! compiles from the NF's config.
 
 use std::collections::HashMap;
 
@@ -107,7 +111,7 @@ impl ComputeDriver for NativeDriver {
         Ok(())
     }
 
-    /// Run the plugin's lifecycle script.
+    /// Run the NNF's command list.
     fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
         record(&mut self.instances, id)?
             .sandbox

@@ -1,15 +1,17 @@
-//! A plugin in a namespace: what the native and Docker drivers share.
+//! An NNF instance in a namespace: what the native and Docker drivers
+//! share.
 //!
-//! Both run an NF as an [`NnfPlugin`] configuring kernel state inside a
-//! network namespace whose external ports are tagged into the node's
-//! port space; a container only adds packaging around it. The native
-//! driver is a sandbox plus singleton/sharing rules, the Docker driver
-//! a sandbox plus a container — which is why Table 1's Docker and
-//! native throughput are near-identical: the data path is this file.
+//! Both run an NF as an [`NnfInstance`] whose command list configures
+//! kernel state inside a network namespace whose external ports are
+//! tagged into the node's port space; a container only adds packaging
+//! around it. The native driver is a sandbox plus singleton/sharing
+//! rules, the Docker driver a sandbox plus a container — which is why
+//! Table 1's Docker and native throughput are near-identical: the data
+//! path is this file.
 
 use un_linux::{Host, IfaceId, NsId};
 use un_nffg::NfConfig;
-use un_nnf::{NnfContext, NnfPlugin};
+use un_nnf::{NnfContext, NnfInstance};
 use un_packet::Packet;
 use un_sim::{AccountId, MemLedger};
 
@@ -24,10 +26,9 @@ pub(super) struct Sandbox {
     ns: NsId,
     ports: Vec<IfaceId>,
     base_tag: u64,
-    plugin: Box<dyn NnfPlugin>,
+    plugin: NnfInstance,
     config: NfConfig,
     account: AccountId,
-    started: bool,
 }
 
 impl Sandbox {
@@ -40,7 +41,7 @@ impl Sandbox {
         ns_prefix: &str,
         port_prefix: &str,
         n_ports: usize,
-        plugin: Box<dyn NnfPlugin>,
+        plugin: NnfInstance,
         req: &CreateRequest<'_>,
     ) -> Result<Self, ComputeError> {
         let base_tag = req.id.0 * TAG_STRIDE;
@@ -56,7 +57,6 @@ impl Sandbox {
                 plugin,
                 config: req.config.clone(),
                 account: req.account,
-                started: false,
             }),
             Err(e) => {
                 let _ = host.remove_namespace(ns);
@@ -70,7 +70,7 @@ impl Sandbox {
     }
 
     pub(super) fn started(&self) -> bool {
-        self.started
+        self.plugin.started()
     }
 
     /// The host interface behind instance port `port`.
@@ -78,12 +78,12 @@ impl Sandbox {
         self.ports.get(port as usize).copied()
     }
 
-    /// The plugin (sharable ones take per-graph bindings).
-    pub(super) fn plugin_mut(&mut self) -> &mut dyn NnfPlugin {
-        self.plugin.as_mut()
+    /// The NNF (a shared one takes per-graph bindings).
+    pub(super) fn plugin_mut(&mut self) -> &mut NnfInstance {
+        &mut self.plugin
     }
 
-    /// The context the plugin configures this namespace through.
+    /// The context the NNF configures this namespace through.
     pub(super) fn ctx<'a>(&self, host: &'a mut Host, ledger: &'a mut MemLedger) -> NnfContext<'a> {
         NnfContext {
             host,
@@ -93,7 +93,7 @@ impl Sandbox {
         }
     }
 
-    /// Run the plugin's lifecycle script.
+    /// Run the NNF's command list.
     pub(super) fn start(
         &mut self,
         host: &mut Host,
@@ -102,27 +102,24 @@ impl Sandbox {
         let mut ctx = self.ctx(host, ledger);
         self.plugin
             .start(&mut ctx, &self.ports, &self.config)
-            .map_err(substrate)?;
-        self.started = true;
-        Ok(())
+            .map_err(substrate)
     }
 
-    /// Stop the plugin if it runs.
+    /// Stop the NNF if it runs.
     pub(super) fn stop(
         &mut self,
         host: &mut Host,
         ledger: &mut MemLedger,
     ) -> Result<(), ComputeError> {
-        if self.started {
+        if self.started() {
             let mut ctx = self.ctx(host, ledger);
             self.plugin.stop(&mut ctx).map_err(substrate)?;
-            self.started = false;
         }
         Ok(())
     }
 
     /// Remove the namespace — ports, and whatever kernel state the
-    /// plugin configured, go with it.
+    /// NNF configured, go with it.
     pub(super) fn destroy(self, host: &mut Host) -> Result<(), ComputeError> {
         host.remove_namespace(self.ns).map_err(substrate)
     }

@@ -14,12 +14,12 @@
 //! * [`drivers`] — its four implementations:
 //!   * [`drivers::VmDriver`] — KVM/QEMU via `un-hypervisor`;
 //!   * [`drivers::DockerDriver`] — containers via `un-container`
-//!     (kernel state configured by the same plugins as native — which is
-//!     exactly why Docker matches native throughput in Table 1);
+//!     (kernel state configured by the same NNF instances as native —
+//!     which is exactly why Docker matches native throughput in Table 1);
 //!   * [`drivers::DpdkDriver`] — poll-mode userspace processes (fast,
 //!     but each instance pins a core);
 //!   * [`drivers::NativeDriver`] — the paper's contribution: NNFs via
-//!     `un-nnf` plugins, namespaces and the adaptation layer.
+//!     `un-nnf` instances, namespaces and the adaptation layer.
 //! * [`manager`] — the compute manager: the flavor-independent instance
 //!   table; every per-instance call goes to the instance's driver
 //!   through the trait.

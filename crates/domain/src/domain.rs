@@ -157,8 +157,6 @@ pub struct DomainConfig {
     /// default: sharing stays strictly per-node, the pre-registry
     /// behavior). See [`crate::sharing`].
     pub sharing: SharingConfig,
-    /// Placement tie-break goal.
-    pub strategy: PlacementStrategy,
     /// Seed for overlay SA key derivation.
     pub seed: u64,
     /// Per-injected-frame overlay hop budget: how many node-to-node
@@ -192,7 +190,6 @@ impl Default for DomainConfig {
             repair: RepairPolicy::Incremental,
             node_mtbf_ns: 2_592_000_000_000_000, // 30 virtual days
             sharing: SharingConfig::default(),
-            strategy: PlacementStrategy::Pack,
             seed: 0x5eed_d0ca_1000_0001,
             overlay_ttl: 64,
             observability: false,
@@ -207,7 +204,8 @@ pub struct DeployHints {
     pub endpoint_node: BTreeMap<String, String>,
     /// NF id → node name (pin).
     pub nf_node: BTreeMap<String, String>,
-    /// Override the domain's default placement strategy.
+    /// Placement tie-break goal for this graph
+    /// ([`PlacementStrategy::Pack`] when unset).
     pub strategy: Option<PlacementStrategy>,
 }
 

@@ -320,7 +320,7 @@ pub(super) fn plan(
         &endpoints,
         &nf_pins,
         &held_leases,
-        c.hints.strategy.unwrap_or(view.config.strategy),
+        c.hints.strategy.unwrap_or_default(),
         fabric_hops,
     )?;
     let mut taken = Vec::new();

@@ -17,12 +17,19 @@
 //!   forms the graph's private internal path;
 //! * egress through a sub-interface re-tags traffic automatically, so
 //!   the LSI can demultiplex graphs on the way out.
+//!
+//! The one sharable NNF is NAT: [`AdaptationLayer::bind_nat`] gives each
+//! attached graph its addresses, private routes and masquerade rule.
+
+use std::net::Ipv4Addr;
 
 use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
 use un_linux::route::IpRule;
 use un_linux::IfaceId;
+use un_packet::Ipv4Cidr;
 
 use crate::plugin::{GraphBinding, NnfContext, NnfError};
+use crate::translate::nat_addressing;
 
 /// Routing-table id offset for per-graph tables.
 pub const GRAPH_TABLE_BASE: u32 = 100;
@@ -159,6 +166,71 @@ impl AdaptationLayer {
             .iter()
             .find(|(b, _)| b.graph == graph)
             .map(|(_, i)| *i)
+    }
+
+    /// Attach a graph to a shared NAT: its sub-interfaces take the
+    /// binding's addresses, its table routes the LAN prefix and a default
+    /// out its WAN side, and its traffic is masqueraded out its own WAN
+    /// sub-interface.
+    pub fn bind_nat(
+        &mut self,
+        ctx: &mut NnfContext<'_>,
+        binding: &GraphBinding,
+    ) -> Result<(), NnfError> {
+        let (lan_addr, wan_addr, wan_gw) = nat_addressing(&binding.params)?;
+
+        // Every parameter is parsed: nothing past this point fails on
+        // what the tenant sent, so a refused bind has attached nothing.
+        let ifaces = self.attach(ctx, binding)?;
+        ctx.host.addr_add(ifaces.lan, lan_addr)?;
+        ctx.host.addr_add(ifaces.wan, wan_addr)?;
+
+        // This graph's private internal path: connected prefixes plus a
+        // default toward its own WAN side, all in its dedicated table.
+        let table = Self::table_for(binding);
+        let lan_net = Ipv4Cidr::new(lan_addr.network(), lan_addr.prefix_len());
+        ctx.host
+            .route_add(ctx.ns, table, lan_net, None, ifaces.lan, 0)?;
+        let default = Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0);
+        ctx.host
+            .route_add(ctx.ns, table, default, wan_gw, ifaces.wan, 0)?;
+
+        // Masquerade this graph's traffic out its own WAN sub-interface.
+        let masquerade = NfRule::new(Self::masqueraded(binding, ifaces), Target::Masquerade);
+        ctx.host
+            .nf_append(ctx.ns, NfTable::Nat, Chain::Postrouting, masquerade)?;
+        Ok(())
+    }
+
+    /// Detach a graph from a shared NAT: its masquerade rule, then
+    /// everything [`Self::attach`] made.
+    pub fn unbind_nat(
+        &mut self,
+        ctx: &mut NnfContext<'_>,
+        binding: &GraphBinding,
+    ) -> Result<(), NnfError> {
+        let ifaces = self
+            .ifaces_of(&binding.graph)
+            .ok_or(NnfError::BadState("graph not bound"))?;
+        let matches = Self::masqueraded(binding, ifaces);
+        if let Some(nsr) = ctx.host.namespace_mut(ctx.ns) {
+            nsr.netfilter.remove_rule(
+                NfTable::Nat,
+                Chain::Postrouting,
+                &matches,
+                &Target::Masquerade,
+            );
+        }
+        self.detach(ctx, binding)
+    }
+
+    /// What a graph masquerades: its marked traffic leaving its WAN side.
+    fn masqueraded(binding: &GraphBinding, ifaces: GraphIfaces) -> RuleMatch {
+        RuleMatch {
+            out_iface: Some(ifaces.wan),
+            fwmark: Some(binding.mark),
+            ..Default::default()
+        }
     }
 }
 

@@ -4,12 +4,14 @@
 //! deciding whether to deploy an NF as a native component: which NNFs
 //! the node offers, whether each can run multiple instances, whether a
 //! single instance is *sharable* across service graphs, and what it
-//! costs (native package size, daemon RSS).
+//! costs (native package size, daemon RSS). A descriptor is the only
+//! owner of those facts: an [`NnfInstance`] reads its port minimum and
+//! RSS from the descriptor it was built from.
 
 use std::collections::BTreeMap;
 
-use crate::plugin::NnfPlugin;
-use crate::plugins::{BridgeNnf, FirewallNnf, IpsecNnf, NatNnf, RouterNnf};
+use crate::plugin::NnfInstance;
+use crate::translate;
 
 /// Static characteristics of one NNF type.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,14 +27,15 @@ pub struct NnfDescriptor {
     pub package_bytes: u64,
     /// Daemon/tooling RSS per instance.
     pub rss_bytes: u64,
-    /// Minimum ports a dedicated instance needs.
+    /// Fewest ports an instance starts on (started on one, it runs
+    /// shared).
     pub min_ports: usize,
     /// True if the NNF accepts traffic on a single interface only and
     /// thus needs the adaptation layer when shared.
     pub single_port_when_shared: bool,
 }
 
-/// The catalogue: functional type → descriptor + plugin factory.
+/// The catalogue: functional type → descriptor.
 pub struct NnfCatalog {
     entries: BTreeMap<&'static str, NnfDescriptor>,
 }
@@ -62,11 +65,13 @@ impl NnfCatalog {
     /// The catalogue of a stock Linux CPE, with these characteristics:
     ///
     /// * `ipsec` — strongSwan: single instance (one charon per host),
-    ///   not sharable. 5 MB package, 19.4 MB RSS (Table 1's native row).
+    ///   not sharable. 5 MB package; the charon daemon's 19.4 MB RSS is,
+    ///   with its in-kernel state, Table 1's native row.
     /// * `nat` — iptables MASQUERADE: single instance per namespace but
     ///   *sharable* via marks/zones/tables through one port.
     /// * `firewall`, `bridge`, `router` — multi-instance (kernel state
-    ///   is per-namespace).
+    ///   is per-namespace). They run no daemon: their RSS is the
+    ///   bookkeeping of the tooling that manages rules, bridges, routes.
     pub fn standard() -> Self {
         let mut c = Self::empty();
         c.register(NnfDescriptor {
@@ -74,7 +79,7 @@ impl NnfCatalog {
             multi_instance: false,
             sharable: false,
             package_bytes: 5_000_000,
-            rss_bytes: crate::plugins::ipsec::CHARON_RSS,
+            rss_bytes: 19_400_000,
             min_ports: 2,
             single_port_when_shared: false,
         });
@@ -83,7 +88,7 @@ impl NnfCatalog {
             multi_instance: false,
             sharable: true,
             package_bytes: 1_200_000,
-            rss_bytes: crate::plugins::nat::NAT_RSS,
+            rss_bytes: 700_000,
             min_ports: 1,
             single_port_when_shared: true,
         });
@@ -92,7 +97,7 @@ impl NnfCatalog {
             multi_instance: true,
             sharable: false,
             package_bytes: 1_200_000,
-            rss_bytes: crate::plugins::firewall::FIREWALL_RSS,
+            rss_bytes: 900_000,
             min_ports: 2,
             single_port_when_shared: false,
         });
@@ -101,7 +106,7 @@ impl NnfCatalog {
             multi_instance: true,
             sharable: false,
             package_bytes: 800_000,
-            rss_bytes: crate::plugins::bridge::BRIDGE_RSS,
+            rss_bytes: 300_000,
             min_ports: 2,
             single_port_when_shared: false,
         });
@@ -110,7 +115,7 @@ impl NnfCatalog {
             multi_instance: true,
             sharable: false,
             package_bytes: 900_000,
-            rss_bytes: crate::plugins::router::ROUTER_RSS,
+            rss_bytes: 400_000,
             min_ports: 2,
             single_port_when_shared: false,
         });
@@ -127,20 +132,13 @@ impl NnfCatalog {
         self.entries.get(functional_type)
     }
 
-    /// Instantiate the plugin for a functional type.
-    pub fn instantiate(&self, functional_type: &str) -> Option<Box<dyn NnfPlugin>> {
-        if !self.entries.contains_key(functional_type) {
-            return None;
-        }
-        let plugin: Box<dyn NnfPlugin> = match functional_type {
-            "ipsec" => Box::new(IpsecNnf::new()),
-            "firewall" => Box::new(FirewallNnf::new()),
-            "nat" => Box::new(NatNnf::new()),
-            "bridge" => Box::new(BridgeNnf::new()),
-            "router" => Box::new(RouterNnf::new()),
-            _ => return None,
-        };
-        Some(plugin)
+    /// An instance of a described type, running the program
+    /// [`translate`](crate::translate()) has for it; `None` if the type is
+    /// not described or has no program.
+    pub fn instantiate(&self, functional_type: &str) -> Option<NnfInstance> {
+        let descriptor = self.get(functional_type)?.clone();
+        let program = translate::program(functional_type)?;
+        Some(NnfInstance::new(descriptor, program))
     }
 
     /// Iterate descriptors (node capability reporting).
@@ -203,7 +201,8 @@ mod tests {
         });
         assert_eq!(c.len(), 1);
         assert!(c.get("dpi").is_some());
-        // No factory for unknown plugins even if described.
+        // No instance of a type translate has no program for, even if
+        // described.
         assert!(c.instantiate("dpi").is_none());
     }
 }

@@ -1,10 +1,12 @@
-//! The NNF plugin abstraction.
+//! The NNF instance: one native function in one namespace.
 //!
-//! A plugin drives one native function *instance*: it configures kernel
-//! objects (XFRM, iptables, bridges, routes) inside the network
-//! namespace the NNF driver created for it. Sharable plugins
-//! additionally accept per-service-graph *bindings* carrying the mark /
-//! VLAN / conntrack-zone triple the adaptation layer assigned.
+//! An instance is its type's catalogue [`NnfDescriptor`] plus the
+//! namespace program [`translate`](mod@crate::translate) compiles for that
+//! type. Running the program configures kernel objects (XFRM, iptables,
+//! bridges, routes) inside the network namespace the NNF driver created
+//! for it. A shared instance additionally accepts per-service-graph
+//! *bindings* carrying the mark / VLAN / conntrack-zone triple the
+//! adaptation layer assigned.
 
 use std::fmt;
 
@@ -12,7 +14,12 @@ use un_linux::{Host, IfaceId, NsId};
 use un_nffg::NfConfig;
 use un_sim::{AccountId, MemLedger};
 
-/// Everything a plugin needs to touch the node.
+use crate::adaptation::AdaptationLayer;
+use crate::catalog::NnfDescriptor;
+use crate::plugins::{execute, BRIDGE};
+use crate::translate::Program;
+
+/// Everything an instance needs to touch the node.
 pub struct NnfContext<'a> {
     /// The CPE's kernel.
     pub host: &'a mut Host,
@@ -44,7 +51,7 @@ pub struct GraphBinding {
     pub params: std::collections::BTreeMap<String, String>,
 }
 
-/// Plugin failures.
+/// NNF failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NnfError {
     /// The generic configuration is missing a required parameter.
@@ -56,7 +63,7 @@ pub enum NnfError {
         /// Offending value.
         value: String,
     },
-    /// The plugin needed more ports than the driver attached.
+    /// The NNF needed more ports than the driver attached.
     NotEnoughPorts {
         /// Ports required.
         need: usize,
@@ -67,7 +74,7 @@ pub enum NnfError {
     Kernel(String),
     /// Lifecycle misuse (configure before create, etc.).
     BadState(&'static str),
-    /// This plugin is not sharable but a second binding was requested.
+    /// This instance is not shared but a graph binding was requested.
     NotSharable,
 }
 
@@ -96,60 +103,203 @@ impl From<un_linux::HostError> for NnfError {
     }
 }
 
-/// One native network function instance.
+/// One native network function instance, built by
+/// [`NnfCatalog::instantiate`](crate::NnfCatalog::instantiate).
 ///
-/// Lifecycle: `start` (configure kernel objects for the given ports and
-/// config) → zero or more `bind_graph`/`unbind_graph` (sharable only) →
-/// `stop` (tear everything down). The driver guarantees `start` is
-/// called exactly once before any other method.
+/// Lifecycle: `start` (run the type's program for the given ports and
+/// config) → zero or more `bind_graph`/`unbind_graph` (shared only) →
+/// `stop`. The driver guarantees `start` is called before any other
+/// method.
 ///
 /// There is no in-place update. A changed NF config is a structural
 /// change of the graph (`un_nffg::diff`): the node undeploys the graph
-/// and deploys it again, so a fresh instance starts from the new
-/// config. Re-running a config over a live
-/// namespace would duplicate what is already there (a second SPD entry,
-/// repeated routes) and re-install PSK-derived SAs with their sequence
-/// numbers back at zero — a nonce reused under the same key.
-pub trait NnfPlugin: Send {
-    /// The functional type this plugin implements (`"ipsec"`, …).
-    fn functional_type(&self) -> &'static str;
+/// and deploys a fresh instance from the new config; re-running a config
+/// over a live namespace would duplicate what is already there (a second
+/// SPD entry, repeated routes). A fresh start does not make a PSK tunnel
+/// safe: [`ipsec_tunnel`](crate::translate::ipsec_tunnel) derives the
+/// same keys and salts from the PSK on every start, and the SAs count
+/// from sequence number 0 again. So a restarted or redeployed IPsec NNF
+/// seals under (key, nonce) pairs it has used before, and the peer drops
+/// its first frames as replays. Fresh keys per start need a key exchange
+/// (`un_ipsec::ike`), which the NNF does not run.
+#[derive(Debug)]
+pub struct NnfInstance {
+    descriptor: NnfDescriptor,
+    program: Program,
+    started: bool,
+    /// The ports `start` ran the program on.
+    ports: Vec<IfaceId>,
+    /// Present once started on one port: the instance runs shared.
+    adaptation: Option<AdaptationLayer>,
+}
 
-    /// Bring the function up inside the namespace.
+impl NnfInstance {
+    /// An instance of `descriptor`'s type whose start runs `program`.
+    pub(crate) fn new(descriptor: NnfDescriptor, program: Program) -> Self {
+        NnfInstance {
+            descriptor,
+            program,
+            started: false,
+            ports: Vec::new(),
+            adaptation: None,
+        }
+    }
+
+    /// The functional type this instance implements (`"ipsec"`, …).
+    pub fn functional_type(&self) -> &'static str {
+        self.descriptor.functional_type
+    }
+
+    /// Is the function up?
+    pub fn started(&self) -> bool {
+        self.started
+    }
+
+    /// Bring the function up inside the namespace: run the type's program
+    /// and book its RSS on the instance's account. Started on one port,
+    /// the instance runs shared: graphs attach through the adaptation
+    /// layer over that port.
     ///
     /// `ports` are interfaces the driver created in the namespace, in NF
     /// port order (port 0 first).
-    fn start(
+    pub fn start(
         &mut self,
         ctx: &mut NnfContext<'_>,
         ports: &[IfaceId],
         config: &NfConfig,
-    ) -> Result<(), NnfError>;
-
-    /// Attach one more service graph to a *sharable* instance.
-    fn bind_graph(
-        &mut self,
-        _ctx: &mut NnfContext<'_>,
-        _binding: &GraphBinding,
     ) -> Result<(), NnfError> {
-        Err(NnfError::NotSharable)
+        if self.started {
+            return Err(NnfError::BadState("already started"));
+        }
+        let need = self.descriptor.min_ports;
+        if ports.len() < need {
+            return Err(NnfError::NotEnoughPorts {
+                need,
+                have: ports.len(),
+            });
+        }
+        execute(ctx, ports, (self.program)(config, ports.len())?)?;
+        if let [attachment] = ports {
+            self.adaptation = Some(AdaptationLayer::new(*attachment));
+        }
+        let d = &self.descriptor;
+        ctx.ledger
+            .alloc(ctx.account, d.functional_type, d.rss_bytes)
+            .map_err(|e| NnfError::Kernel(e.to_string()))?;
+        self.ports = ports.to_vec();
+        self.started = true;
+        Ok(())
     }
 
-    /// Detach a service graph from a sharable instance.
-    fn unbind_graph(
+    /// Attach one more service graph to a shared instance.
+    pub fn bind_graph(
         &mut self,
-        _ctx: &mut NnfContext<'_>,
-        _binding: &GraphBinding,
+        ctx: &mut NnfContext<'_>,
+        binding: &GraphBinding,
     ) -> Result<(), NnfError> {
-        Err(NnfError::NotSharable)
+        let adaptation = self.adaptation.as_mut().ok_or(NnfError::NotSharable)?;
+        adaptation.bind_nat(ctx, binding)
     }
 
-    /// Tear the function down (kernel objects, daemon memory).
-    fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError>;
+    /// Detach a service graph from a shared instance.
+    pub fn unbind_graph(
+        &mut self,
+        ctx: &mut NnfContext<'_>,
+        binding: &GraphBinding,
+    ) -> Result<(), NnfError> {
+        let adaptation = self.adaptation.as_mut().ok_or(NnfError::NotSharable)?;
+        adaptation.unbind_nat(ctx, binding)
+    }
+
+    /// Tear the function down: free its RSS, down what `start` brought
+    /// up (the ports, and a bridge's `br0`) and forget the namespace's
+    /// connections.
+    pub fn stop(&mut self, ctx: &mut NnfContext<'_>) -> Result<(), NnfError> {
+        if !self.started {
+            return Err(NnfError::BadState("stop before start"));
+        }
+        let d = &self.descriptor;
+        ctx.ledger
+            .free(ctx.account, d.functional_type, d.rss_bytes)
+            .map_err(|e| NnfError::Kernel(e.to_string()))?;
+        let bridge = ctx.host.iface_by_name(ctx.ns, BRIDGE).map(|br| br.id);
+        for iface in self.ports.iter().copied().chain(bridge) {
+            ctx.host.set_up(iface, false)?;
+        }
+        if let Some(nsr) = ctx.host.namespace_mut(ctx.ns) {
+            nsr.conntrack.clear();
+        }
+        self.started = false;
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use un_packet::MacAddr;
+    use un_sim::CostModel;
+
+    use crate::catalog::NnfCatalog;
+
+    fn nnf(functional_type: &str) -> NnfInstance {
+        NnfCatalog::standard().instantiate(functional_type).unwrap()
+    }
+
+    /// The RSS the catalogue books for one instance of a type.
+    fn rss(functional_type: &str) -> u64 {
+        NnfCatalog::standard()
+            .get(functional_type)
+            .unwrap()
+            .rss_bytes
+    }
+
+    fn bound_graphs(nnf: &NnfInstance) -> usize {
+        nnf.adaptation.as_ref().map_or(0, |a| a.graph_count())
+    }
+
+    /// A namespace with `n` external ports tagged `1..=n`, as the driver
+    /// hands it over, and the account an instance books into.
+    struct Rig {
+        host: Host,
+        ns: NsId,
+        ports: Vec<IfaceId>,
+        ledger: MemLedger,
+        account: AccountId,
+    }
+
+    impl Rig {
+        fn new(n: usize) -> Self {
+            let mut host = Host::new("cpe", CostModel::default());
+            let ns = host.add_namespace("nnf");
+            let ports = (0..n)
+                .map(|i| host.add_external(ns, &format!("port{i}"), i as u64 + 1))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let mut ledger = MemLedger::new();
+            let account = ledger.create_account("nnf", None);
+            Rig {
+                host,
+                ns,
+                ports,
+                ledger,
+                account,
+            }
+        }
+
+        /// The context an instance configures the namespace through, and
+        /// the namespace's ports.
+        fn ctx(&mut self) -> (NnfContext<'_>, &[IfaceId]) {
+            let ctx = NnfContext {
+                host: &mut self.host,
+                ns: self.ns,
+                ledger: &mut self.ledger,
+                account: self.account,
+            };
+            (ctx, &self.ports)
+        }
+    }
 
     #[test]
     fn error_display() {
@@ -167,5 +317,564 @@ mod tests {
         for e in errs {
             assert!(!e.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn bridges_frames_between_ports() {
+        let mut rig = Rig::new(3);
+        let (mut ctx, ports) = rig.ctx();
+        nnf("bridge")
+            .start(&mut ctx, ports, &NfConfig::default())
+            .unwrap();
+
+        let frame = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(10), MacAddr::local(11))
+            .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+            .udp(1, 2)
+            .build();
+        // Unknown dst: flooded to the other two ports.
+        let out = rig.host.inject(rig.ports[0], frame);
+        let mut tags: Vec<u64> = out.emitted.iter().map(|(t, _)| *t).collect();
+        tags.sort();
+        assert_eq!(tags, vec![2, 3]);
+    }
+
+    #[test]
+    fn needs_two_ports_and_stops_cleanly() {
+        let mut rig = Rig::new(2);
+        let (ns, account) = (rig.ns, rig.account);
+        let mut plugin = nnf("bridge");
+        let (mut ctx, ports) = rig.ctx();
+        assert!(matches!(
+            plugin.start(&mut ctx, &ports[..1], &NfConfig::default()),
+            Err(NnfError::NotEnoughPorts { .. })
+        ));
+        plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();
+        assert!(ctx.host.iface_by_name(ns, BRIDGE).is_some());
+        assert_eq!(ctx.ledger.usage(account), rss("bridge"));
+        plugin.stop(&mut ctx).unwrap();
+        assert_eq!(ctx.ledger.usage(account), 0);
+        assert!(!ctx.host.iface_by_name(ns, BRIDGE).unwrap().up);
+    }
+
+    fn firewall_config() -> NfConfig {
+        let mut c = NfConfig::default()
+            .with_param("addr0", "192.168.1.1/24")
+            .with_param("addr1", "10.0.0.1/24")
+            .with_param("policy", "drop");
+        let mut allow_dns = BTreeMap::new();
+        allow_dns.insert("action".into(), "accept".into());
+        allow_dns.insert("proto".into(), "udp".into());
+        allow_dns.insert("dport".into(), "53".into());
+        c.rules.push(allow_dns);
+        c
+    }
+
+    #[test]
+    fn enforces_policy_on_forwarded_traffic() {
+        let mut rig = Rig::new(2);
+        let (mut ctx, ports) = rig.ctx();
+        nnf("firewall")
+            .start(&mut ctx, ports, &firewall_config())
+            .unwrap();
+        // Neighbor for the outside next hops.
+        rig.host
+            .neigh_add(rig.ns, "10.0.0.9".parse().unwrap(), MacAddr::local(9))
+            .unwrap();
+
+        let in_mac = rig.host.iface(rig.ports[0]).unwrap().mac;
+        let mk = |dport: u16| {
+            un_packet::PacketBuilder::new()
+                .ethernet(MacAddr::local(50), in_mac)
+                .ipv4("192.168.1.5".parse().unwrap(), "10.0.0.9".parse().unwrap())
+                .udp(4000, dport)
+                .payload(b"x")
+                .build()
+        };
+
+        // DNS passes.
+        let out = rig.host.inject(rig.ports[0], mk(53));
+        assert_eq!(out.emitted.len(), 1);
+        // Telnet-ish does not.
+        let out = rig.host.inject(rig.ports[0], mk(23));
+        assert!(out.emitted.is_empty());
+        assert!(rig.host.namespace(rig.ns).unwrap().netfilter.dropped >= 1);
+    }
+
+    #[test]
+    fn rss_accounting_roundtrip() {
+        let mut rig = Rig::new(2);
+        let account = rig.account;
+        let mut plugin = nnf("firewall");
+        let (mut ctx, ports) = rig.ctx();
+        plugin.start(&mut ctx, ports, &firewall_config()).unwrap();
+        assert_eq!(ctx.ledger.usage(account), rss("firewall"));
+        plugin.stop(&mut ctx).unwrap();
+        assert_eq!(ctx.ledger.usage(account), 0);
+    }
+
+    fn ipsec_config() -> NfConfig {
+        NfConfig::default()
+            .with_param("psk", "hunter2")
+            .with_param("local-addr", "192.0.2.1")
+            .with_param("peer-addr", "192.0.2.2")
+            .with_param("protected-local", "192.168.1.0/24")
+            .with_param("protected-remote", "172.16.0.0/16")
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "192.0.2.1/24")
+    }
+
+    /// The gateway's end of [`ipsec_config`]'s tunnel.
+    fn responder_config() -> NfConfig {
+        NfConfig::default()
+            .with_param("psk", "hunter2")
+            .with_param("local-addr", "192.0.2.2")
+            .with_param("peer-addr", "192.0.2.1")
+            .with_param("protected-local", "172.16.0.0/16")
+            .with_param("protected-remote", "192.168.1.0/24")
+            .with_param("lan-addr", "172.16.0.1/16")
+            .with_param("wan-addr", "192.0.2.2/24")
+            .with_param("role", "responder")
+    }
+
+    #[test]
+    fn start_installs_kernel_state_and_rss() {
+        let mut rig = Rig::new(2);
+        let mut plugin = nnf("ipsec");
+        let (mut ctx, ports) = rig.ctx();
+        plugin.start(&mut ctx, ports, &ipsec_config()).unwrap();
+        assert_eq!(rig.ledger.usage(rig.account), rss("ipsec"));
+        let nsr = rig.host.namespace(rig.ns).unwrap();
+        assert_eq!(nsr.xfrm.sad.len(), 2, "out + in SA installed");
+        assert_eq!(nsr.xfrm.spd.len(), 1);
+        assert!(nsr.ip_forward);
+
+        // Stop releases memory and downs ports.
+        plugin.stop(&mut rig.ctx().0).unwrap();
+        assert_eq!(rig.ledger.usage(rig.account), 0);
+        assert!(!rig.host.iface(rig.ports[0]).unwrap().up);
+    }
+
+    #[test]
+    fn start_guards_and_param_validation() {
+        let mut rig = Rig::new(2);
+        let mut plugin = nnf("ipsec");
+        let (mut ctx, ports) = rig.ctx();
+        assert!(matches!(plugin.stop(&mut ctx), Err(NnfError::BadState(_))));
+        assert!(matches!(
+            plugin.start(&mut ctx, &ports[..1], &ipsec_config()),
+            Err(NnfError::NotEnoughPorts { need: 2, have: 1 })
+        ));
+        assert!(matches!(
+            plugin.start(&mut ctx, ports, &NfConfig::default()),
+            Err(NnfError::MissingParam(_))
+        ));
+        let bad = ipsec_config().with_param("lan-addr", "not-a-cidr");
+        assert!(matches!(
+            plugin.start(&mut ctx, ports, &bad),
+            Err(NnfError::BadParam { .. })
+        ));
+        plugin.start(&mut ctx, ports, &ipsec_config()).unwrap();
+        assert!(matches!(
+            plugin.start(&mut ctx, ports, &ipsec_config()),
+            Err(NnfError::BadState(_))
+        ));
+    }
+
+    #[test]
+    fn two_nnf_hosts_form_working_tunnel() {
+        // CPE (initiator) and gateway (responder) both run the IPsec NNF
+        // with the same PSK; traffic between the protected prefixes is
+        // encrypted on the wire and delivered in the clear.
+        let costs = CostModel::default();
+        let mut cpe = Host::new("cpe", costs.clone());
+        let cpe_ns = cpe.add_namespace("ipsec");
+        let cpe_lan = cpe.add_external(cpe_ns, "lan", 10).unwrap();
+        let cpe_wan = cpe.add_external(cpe_ns, "wan", 11).unwrap();
+
+        let mut gw = Host::new("gw", costs);
+        let gw_ns = gw.add_namespace("ipsec");
+        let gw_lan = gw.add_external(gw_ns, "lan", 20).unwrap();
+        let gw_wan = gw.add_external(gw_ns, "wan", 21).unwrap();
+
+        let mut l1 = MemLedger::new();
+        let a1 = l1.create_account("cpe-ipsec", None);
+        let mut l2 = MemLedger::new();
+        let a2 = l2.create_account("gw-ipsec", None);
+
+        let cpe_cfg = ipsec_config(); // initiator by default
+        let gw_cfg = responder_config();
+
+        let mut cpe_plugin = nnf("ipsec");
+        let mut gw_plugin = nnf("ipsec");
+        {
+            let mut ctx = NnfContext {
+                host: &mut cpe,
+                ns: cpe_ns,
+                ledger: &mut l1,
+                account: a1,
+            };
+            cpe_plugin
+                .start(&mut ctx, &[cpe_lan, cpe_wan], &cpe_cfg)
+                .unwrap();
+        }
+        {
+            let mut ctx = NnfContext {
+                host: &mut gw,
+                ns: gw_ns,
+                ledger: &mut l2,
+                account: a2,
+            };
+            gw_plugin
+                .start(&mut ctx, &[gw_lan, gw_wan], &gw_cfg)
+                .unwrap();
+        }
+        // Static neighbors (the fabric's LSIs would let ARP resolve).
+        let cpe_wan_mac = cpe.iface(cpe_wan).unwrap().mac;
+        let gw_wan_mac = gw.iface(gw_wan).unwrap().mac;
+        cpe.neigh_add(cpe_ns, "192.0.2.2".parse().unwrap(), gw_wan_mac)
+            .unwrap();
+        gw.neigh_add(gw_ns, "192.0.2.1".parse().unwrap(), cpe_wan_mac)
+            .unwrap();
+
+        // A LAN client's packet toward the remote protected subnet
+        // enters the CPE's LAN port.
+        let cpe_lan_mac = cpe.iface(cpe_lan).unwrap().mac;
+        let payload = vec![0x5A; 512];
+        let mut frame = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(77), cpe_lan_mac)
+            .ipv4(
+                "192.168.1.10".parse().unwrap(),
+                "172.16.0.9".parse().unwrap(),
+            )
+            .udp(4444, 5555)
+            .payload(&payload)
+            .build();
+        frame.meta.trace_id = 1;
+        let out = cpe.inject(cpe_lan, frame);
+        assert_eq!(out.emitted.len(), 1, "ESP packet leaves the CPE WAN");
+        let (tag, wire) = &out.emitted[0];
+        assert_eq!(*tag, 11);
+        assert!(
+            !wire
+                .data()
+                .windows(payload.len())
+                .any(|w| w == &payload[..]),
+            "payload must be encrypted on the WAN"
+        );
+
+        // Gateway decapsulates and forwards into its LAN. It needs a
+        // neighbor for the inner destination on its LAN side.
+        gw.neigh_add(gw_ns, "172.16.0.9".parse().unwrap(), MacAddr::local(88))
+            .unwrap();
+        let out = gw.inject(gw_wan, wire.clone());
+        assert_eq!(out.emitted.len(), 1, "plaintext delivered to gw LAN");
+        let (tag, plain) = &out.emitted[0];
+        assert_eq!(*tag, 20);
+        assert!(
+            plain
+                .data()
+                .windows(payload.len())
+                .any(|w| w == &payload[..]),
+            "payload restored in the clear"
+        );
+        assert_eq!(cpe.trace.counter("xfrm_encap"), 1);
+        assert_eq!(gw.trace.counter("xfrm_decap"), 1);
+    }
+
+    /// A PSK tunnel derives the same keys and salts from `(psk, role)` on
+    /// every start, and its outbound sequence number starts at 0 again.
+    /// The ESP nonce is the sequence number, so a restarted or redeployed
+    /// instance seals its first frame under a (key, nonce) pair it already
+    /// used, and the peer drops it as a replay. Both halves flip when the
+    /// NNF agrees fresh keys per start.
+    #[test]
+    fn a_restarted_psk_tunnel_repeats_its_nonces() {
+        let mut ledger = MemLedger::new();
+        let mut gw = Host::new("gw", CostModel::default());
+        let gw_ns = gw.add_namespace("ipsec");
+        let gw_lan = gw.add_external(gw_ns, "lan", 20).unwrap();
+        let gw_wan = gw.add_external(gw_ns, "wan", 21).unwrap();
+        let gw_account = ledger.create_account("gw-ipsec", None);
+        let mut ctx = NnfContext {
+            host: &mut gw,
+            ns: gw_ns,
+            ledger: &mut ledger,
+            account: gw_account,
+        };
+        nnf("ipsec")
+            .start(&mut ctx, &[gw_lan, gw_wan], &responder_config())
+            .unwrap();
+        gw.neigh_add(gw_ns, "172.16.0.9".parse().unwrap(), MacAddr::local(88))
+            .unwrap();
+        let gw_wan_mac = gw.iface(gw_wan).unwrap().mac;
+
+        // One incarnation of the CPE: a fresh namespace, start, seal one
+        // frame, stop, and the namespace goes, as a redeploy does it.
+        let mut cpe = Host::new("cpe", CostModel::default());
+        let account = ledger.create_account("cpe-ipsec", None);
+        let mut seal_once = || {
+            let ns = cpe.add_namespace("ipsec");
+            let lan = cpe.add_external(ns, "lan", 10).unwrap();
+            let wan = cpe.add_external(ns, "wan", 11).unwrap();
+            let mut plugin = nnf("ipsec");
+            let mut ctx = NnfContext {
+                host: &mut cpe,
+                ns,
+                ledger: &mut ledger,
+                account,
+            };
+            plugin
+                .start(&mut ctx, &[lan, wan], &ipsec_config())
+                .unwrap();
+            cpe.neigh_add(ns, "192.0.2.2".parse().unwrap(), gw_wan_mac)
+                .unwrap();
+            let lan_mac = cpe.iface(lan).unwrap().mac;
+            let frame = un_packet::PacketBuilder::new()
+                .ethernet(MacAddr::local(77), lan_mac)
+                .ipv4(
+                    "192.168.1.10".parse().unwrap(),
+                    "172.16.0.9".parse().unwrap(),
+                )
+                .udp(4444, 5555)
+                .payload(&[0x5A; 64])
+                .build();
+            let mut out = cpe.inject(lan, frame);
+            assert_eq!(out.emitted.len(), 1, "ESP packet leaves the CPE WAN");
+            let mut ctx = NnfContext {
+                host: &mut cpe,
+                ns,
+                ledger: &mut ledger,
+                account,
+            };
+            plugin.stop(&mut ctx).unwrap();
+            cpe.remove_namespace(ns).unwrap();
+            out.emitted.remove(0).1
+        };
+        let first = seal_once();
+        let second = seal_once();
+
+        // From the SPI through the ICV, the two ESP payloads are one.
+        let esp = |wire: &un_packet::Packet| {
+            let eth = wire.ethernet().unwrap();
+            let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+            ip.payload().to_vec()
+        };
+        assert_eq!(esp(&first), esp(&second), "same key, same nonce");
+
+        // The gateway that opened the first refuses the second as a replay.
+        assert_eq!(gw.inject(gw_wan, first).emitted.len(), 1, "first opens");
+        let errors = gw.trace.counter("xfrm_decap_errors");
+        assert!(gw.inject(gw_wan, second).emitted.is_empty(), "replayed");
+        assert_eq!(gw.trace.counter("xfrm_decap_errors"), errors + 1);
+    }
+
+    fn nat_config() -> NfConfig {
+        NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "203.0.113.1/24")
+    }
+
+    fn nat_binding(graph: &str, mark: u32, lan: &str, wan: &str) -> GraphBinding {
+        let mut params = BTreeMap::new();
+        params.insert("lan-addr".into(), lan.into());
+        params.insert("wan-addr".into(), wan.into());
+        GraphBinding {
+            graph: graph.into(),
+            mark,
+            zone: mark as u16,
+            vid_lan: 100 + (mark * 2) as u16,
+            vid_wan: 101 + (mark * 2) as u16,
+            params,
+        }
+    }
+
+    #[test]
+    fn dedicated_mode_masquerades() {
+        let mut rig = Rig::new(2);
+        let (mut ctx, ports) = rig.ctx();
+        nnf("nat").start(&mut ctx, ports, &nat_config()).unwrap();
+        let Rig {
+            mut host,
+            ns,
+            ports,
+            ..
+        } = rig;
+        host.neigh_add(ns, "203.0.113.9".parse().unwrap(), MacAddr::local(9))
+            .unwrap();
+        let lan_mac = host.iface(ports[0]).unwrap().mac;
+        let pkt = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(50), lan_mac)
+            .ipv4(
+                "192.168.1.10".parse().unwrap(),
+                "203.0.113.9".parse().unwrap(),
+            )
+            .udp(5000, 53)
+            .payload(b"q")
+            .build();
+        let out = host.inject(ports[0], pkt);
+        assert_eq!(out.emitted.len(), 1);
+        let (_, wire) = &out.emitted[0];
+        let eth = wire.ethernet().unwrap();
+        let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+        assert_eq!(
+            ip.src(),
+            "203.0.113.1".parse::<std::net::Ipv4Addr>().unwrap(),
+            "source rewritten to the NAT's WAN address"
+        );
+    }
+
+    /// The paper's sharable-NNF scenario: two service graphs with
+    /// *identical* (overlapping) customer address plans share one NAT
+    /// instance, isolated by marks, zones and per-graph tables.
+    #[test]
+    fn shared_mode_isolates_two_graphs_with_overlapping_plans() {
+        let mut rig = Rig::new(1);
+        let mut plugin = nnf("nat");
+
+        let b1 = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
+        let b2 = nat_binding("g2", 2, "192.168.1.1/24", "198.51.100.1/24");
+        {
+            let (mut ctx, ports) = rig.ctx();
+            plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();
+            plugin.bind_graph(&mut ctx, &b1).unwrap();
+            plugin.bind_graph(&mut ctx, &b2).unwrap();
+        }
+        assert_eq!(bound_graphs(&plugin), 2);
+        let Rig {
+            mut host,
+            ns,
+            ports,
+            ..
+        } = rig;
+        let port = ports[0];
+        host.neigh_add(ns, "8.8.8.8".parse().unwrap(), MacAddr::local(9))
+            .unwrap();
+
+        // Identical inner packets from the two graphs, tagged with each
+        // graph's LAN VID on the single attachment port.
+        let parent_mac = host.iface(port).unwrap().mac;
+        let mk = |vid: u16| {
+            un_packet::PacketBuilder::new()
+                .ethernet(MacAddr::local(50), parent_mac)
+                .vlan(vid)
+                .ipv4("192.168.1.10".parse().unwrap(), "8.8.8.8".parse().unwrap())
+                .udp(5000, 53)
+                .payload(b"q")
+                .build()
+        };
+
+        let out1 = host.inject(port, mk(b1.vid_lan));
+        assert_eq!(out1.emitted.len(), 1, "graph 1 forwarded");
+        let w1 = &out1.emitted[0].1;
+        assert_eq!(
+            w1.vlan_id(),
+            Some(b1.vid_wan),
+            "egress re-tagged for graph 1"
+        );
+        let mut w1c = w1.clone();
+        w1c.vlan_pop().unwrap();
+        let ip1 = {
+            let eth = w1c.ethernet().unwrap();
+            un_packet::Ipv4Packet::new_checked(eth.payload())
+                .unwrap()
+                .src()
+        };
+        assert_eq!(ip1, "203.0.113.1".parse::<std::net::Ipv4Addr>().unwrap());
+
+        let out2 = host.inject(port, mk(b2.vid_lan));
+        assert_eq!(out2.emitted.len(), 1, "graph 2 forwarded");
+        let w2 = &out2.emitted[0].1;
+        assert_eq!(
+            w2.vlan_id(),
+            Some(b2.vid_wan),
+            "egress re-tagged for graph 2"
+        );
+        let mut w2c = w2.clone();
+        w2c.vlan_pop().unwrap();
+        let ip2 = {
+            let eth = w2c.ethernet().unwrap();
+            un_packet::Ipv4Packet::new_checked(eth.payload())
+                .unwrap()
+                .src()
+        };
+        assert_eq!(
+            ip2,
+            "198.51.100.1".parse::<std::net::Ipv4Addr>().unwrap(),
+            "same inner tuple, different graph, different translation"
+        );
+
+        // Conntrack state is zone-separated.
+        let nsr = host.namespace(ns).unwrap();
+        assert_eq!(nsr.conntrack.zone_conns(1).count(), 1);
+        assert_eq!(nsr.conntrack.zone_conns(2).count(), 1);
+        assert_eq!(nsr.conntrack.zone_conns(0).count(), 0);
+    }
+
+    #[test]
+    fn unbind_detaches_cleanly() {
+        let mut rig = Rig::new(1);
+        let mut plugin = nnf("nat");
+        let b1 = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
+        let (mut ctx, ports) = rig.ctx();
+        plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();
+        plugin.bind_graph(&mut ctx, &b1).unwrap();
+        assert_eq!(bound_graphs(&plugin), 1);
+        plugin.unbind_graph(&mut ctx, &b1).unwrap();
+        assert_eq!(bound_graphs(&plugin), 0);
+        assert!(matches!(
+            plugin.unbind_graph(&mut ctx, &b1),
+            Err(NnfError::BadState(_))
+        ));
+    }
+
+    #[test]
+    fn dedicated_mode_rejects_bind() {
+        let mut rig = Rig::new(2);
+        let mut plugin = nnf("nat");
+        let (mut ctx, ports) = rig.ctx();
+        plugin.start(&mut ctx, ports, &nat_config()).unwrap();
+        let b = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
+        assert!(matches!(
+            plugin.bind_graph(&mut ctx, &b),
+            Err(NnfError::NotSharable)
+        ));
+    }
+
+    #[test]
+    fn routes_between_subnets() {
+        let mut rig = Rig::new(2);
+        let mut cfg = NfConfig::default()
+            .with_param("addr0", "10.1.0.1/24")
+            .with_param("addr1", "10.2.0.1/24");
+        let mut extra = BTreeMap::new();
+        extra.insert("dst".into(), "172.16.0.0/16".into());
+        extra.insert("via".into(), "10.2.0.254".into());
+        extra.insert("port".into(), "1".into());
+        cfg.rules.push(extra);
+
+        let (mut ctx, ports) = rig.ctx();
+        nnf("router").start(&mut ctx, ports, &cfg).unwrap();
+        let Rig {
+            mut host,
+            ns,
+            ports,
+            ..
+        } = rig;
+        host.neigh_add(ns, "10.2.0.254".parse().unwrap(), MacAddr::local(99))
+            .unwrap();
+
+        let mac0 = host.iface(ports[0]).unwrap().mac;
+        let pkt = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(50), mac0)
+            .ipv4("10.1.0.9".parse().unwrap(), "172.16.5.5".parse().unwrap())
+            .udp(1, 2)
+            .build();
+        let out = host.inject(ports[0], pkt);
+        assert_eq!(out.emitted.len(), 1);
+        assert_eq!(
+            out.emitted[0].0, 2,
+            "routed out port 1 via the static route"
+        );
     }
 }

@@ -1,27 +1,19 @@
-//! Concrete NNF plugins and the shared command executor.
-
-pub mod bridge;
-pub mod firewall;
-pub mod ipsec;
-pub mod nat;
-pub mod router;
-
-pub use bridge::BridgeNnf;
-pub use firewall::FirewallNnf;
-pub use ipsec::IpsecNnf;
-pub use nat::NatNnf;
-pub use router::RouterNnf;
+//! The shell every NNF's program runs in.
 
 use un_linux::IfaceId;
 
 use crate::plugin::{NnfContext, NnfError};
 use crate::translate::NnfCommand;
 
+/// The name of the bridge [`NnfCommand::Bridge`] creates.
+pub(crate) const BRIDGE: &str = "br0";
+
 /// Execute translated commands against the NNF's namespace.
 ///
 /// This is the plugin scripts' shared "shell": every [`NnfCommand`]
-/// corresponds to one `ip`/`iptables`/`sysctl` invocation. Port indices
-/// resolve to `ports`, the namespace's interfaces in NF port order.
+/// corresponds to the `ip`/`iptables`/`sysctl` invocation its doc names.
+/// Port indices resolve to `ports`, the namespace's interfaces in NF
+/// port order.
 pub fn execute(
     ctx: &mut NnfContext<'_>,
     ports: &[IfaceId],
@@ -66,6 +58,15 @@ pub fn execute(
             }
             NnfCommand::XfrmState(sa) => ctx.host.xfrm_mut(ctx.ns)?.sad.install(sa),
             NnfCommand::XfrmPolicy(policy) => ctx.host.xfrm_mut(ctx.ns)?.spd.install(policy),
+            NnfCommand::Bridge { members } => {
+                let br = ctx.host.add_bridge(ctx.ns, BRIDGE)?;
+                for i in members {
+                    let dev = port(i)?;
+                    ctx.host.bridge_attach(br, dev)?;
+                    ctx.host.set_up(dev, true)?;
+                }
+                ctx.host.set_up(br, true)?;
+            }
         }
     }
     Ok(())
@@ -73,11 +74,11 @@ pub fn execute(
 
 #[cfg(test)]
 mod tests {
-    //! Each plugin's namespace, pinned against the host calls the
-    //! plugins made by hand before `start` became one command list: a
-    //! plugin starts on a fresh namespace, its twin runs the reference
-    //! script, and the two namespaces must agree on everything a plugin
-    //! can configure.
+    //! Each NNF's namespace, pinned against the host calls the plugins
+    //! made by hand before `start` became one command list: an instance
+    //! starts on a fresh namespace, its twin runs the reference script,
+    //! and the two namespaces must agree on everything an NNF can
+    //! configure.
 
     use std::collections::BTreeMap;
     use std::fmt::Write;
@@ -87,13 +88,13 @@ mod tests {
     use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
     use un_linux::conntrack::CtState;
     use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
-    use un_linux::{Host, IfaceId, NsId, MAIN_TABLE};
+    use un_linux::{Host, IfaceId, IfaceKind, NsId, MAIN_TABLE};
     use un_nffg::NfConfig;
     use un_packet::Ipv4Cidr;
     use un_sim::{CostModel, MemLedger};
 
-    use super::{FirewallNnf, IpsecNnf, NatNnf, RouterNnf};
-    use crate::plugin::{NnfContext, NnfError, NnfPlugin};
+    use crate::catalog::NnfCatalog;
+    use crate::plugin::{NnfContext, NnfError, NnfInstance};
     use crate::translate::derive_psk_tunnel;
 
     /// A namespace with `n` external ports, as the driver hands it over.
@@ -108,15 +109,22 @@ mod tests {
     }
 
     /// Everything a plugin configures in a namespace: each interface's
-    /// addresses and up flag, the routing tables and rules, every
-    /// netfilter chain with its policy and rule order, the SAD/SPD and
-    /// `ip_forward`.
+    /// addresses and up flag, each bridge's members, the routing tables
+    /// and rules, every netfilter chain with its policy and rule order,
+    /// the SAD/SPD and `ip_forward`.
     fn snapshot(host: &Host, ns: NsId) -> String {
         let nsr = host.namespace(ns).unwrap();
         let mut out = String::new();
         for id in &nsr.ifaces {
             let iface = host.iface(*id).unwrap();
             writeln!(out, "{} {:?} up={}", iface.name, iface.addrs, iface.up).unwrap();
+            if let IfaceKind::Bridge { members, .. } = &iface.kind {
+                let names: Vec<&str> = members
+                    .iter()
+                    .map(|m| host.iface(*m).unwrap().name.as_str())
+                    .collect();
+                writeln!(out, "{} members {names:?}", iface.name).unwrap();
+            }
         }
         writeln!(out, "{:?}", nsr.routing).unwrap();
         for table in [NfTable::Mangle, NfTable::Nat, NfTable::Filter] {
@@ -143,8 +151,12 @@ mod tests {
         out
     }
 
+    fn nnf(functional_type: &str) -> NnfInstance {
+        NnfCatalog::standard().instantiate(functional_type).unwrap()
+    }
+
     fn start(
-        plugin: &mut dyn NnfPlugin,
+        plugin: &mut NnfInstance,
         host: &mut Host,
         ns: NsId,
         ports: &[IfaceId],
@@ -164,7 +176,7 @@ mod tests {
     /// `plugin` started with `config` on `n` ports leaves the namespace
     /// `script` builds on a twin.
     fn pin(
-        mut plugin: impl NnfPlugin,
+        mut plugin: NnfInstance,
         config: &NfConfig,
         n: usize,
         script: impl FnOnce(&mut Host, NsId, &[IfaceId]) -> Result<(), un_linux::HostError>,
@@ -204,7 +216,7 @@ mod tests {
 
     #[test]
     fn ipsec_namespace_is_pinned() {
-        pin(IpsecNnf::new(), &ipsec_config(), 2, |h, ns, p| {
+        pin(nnf("ipsec"), &ipsec_config(), 2, |h, ns, p| {
             h.addr_add(p[0], cidr("192.168.1.1/24"))?;
             h.addr_add(p[1], cidr("192.0.2.1/24"))?;
             h.set_up(p[0], true)?;
@@ -240,7 +252,7 @@ mod tests {
         config.rules.push(rule(&dns));
         let telnet = [("action", "drop"), ("proto", "tcp"), ("dport", "23")];
         config.rules.push(rule(&telnet));
-        pin(FirewallNnf::new(), &config, 2, |h, ns, p| {
+        pin(nnf("firewall"), &config, 2, |h, ns, p| {
             h.addr_add(p[0], cidr("192.168.1.1/24"))?;
             h.set_up(p[0], true)?;
             h.addr_add(p[1], cidr("10.0.0.1/24"))?;
@@ -286,7 +298,7 @@ mod tests {
             ("to-port", "80"),
         ];
         config.rules.push(rule(&web));
-        pin(NatNnf::new(), &config, 2, |h, ns, p| {
+        pin(nnf("nat"), &config, 2, |h, ns, p| {
             h.addr_add(p[0], cidr("192.168.1.1/24"))?;
             h.addr_add(p[1], cidr("203.0.113.1/24"))?;
             h.set_up(p[0], true)?;
@@ -314,7 +326,7 @@ mod tests {
 
     #[test]
     fn shared_nat_namespace_is_pinned() {
-        pin(NatNnf::new(), &NfConfig::default(), 1, |h, ns, p| {
+        pin(nnf("nat"), &NfConfig::default(), 1, |h, ns, p| {
             h.set_up(p[0], true)?;
             h.sysctl_ip_forward(ns, true)
         });
@@ -334,7 +346,7 @@ mod tests {
         config
             .rules
             .push(rule(&[("dst", "10.2.0.0/24"), ("port", "1")]));
-        pin(RouterNnf::new(), &config, 3, |h, ns, p| {
+        pin(nnf("router"), &config, 3, |h, ns, p| {
             h.addr_add(p[0], cidr("10.1.0.1/24"))?;
             h.set_up(p[0], true)?;
             h.set_up(p[1], true)?;
@@ -344,6 +356,18 @@ mod tests {
             let r1 = cidr("172.16.0.0/16");
             h.route_add(ns, MAIN_TABLE, r1, Some(ip("10.3.0.254")), p[2], 0)?;
             h.route_add(ns, MAIN_TABLE, cidr("10.2.0.0/24"), None, p[1], 0)
+        });
+    }
+
+    #[test]
+    fn bridge_namespace_is_pinned() {
+        pin(nnf("bridge"), &NfConfig::default(), 3, |h, ns, p| {
+            let br = h.add_bridge(ns, "br0")?;
+            for port in p {
+                h.bridge_attach(br, *port)?;
+                h.set_up(*port, true)?;
+            }
+            h.set_up(br, true)
         });
     }
 
@@ -364,15 +388,11 @@ mod tests {
             key: "rules[0].action".into(),
             value: "reject".into(),
         };
-        let cases: [(Box<dyn NnfPlugin>, NfConfig, NnfError); 3] = [
+        let cases: [(NnfInstance, NfConfig, NnfError); 3] = [
+            (nnf("ipsec"), no_psk, NnfError::MissingParam("psk")),
+            (nnf("firewall"), reject, bad_action),
             (
-                Box::new(IpsecNnf::new()),
-                no_psk,
-                NnfError::MissingParam("psk"),
-            ),
-            (Box::new(FirewallNnf::new()), reject, bad_action),
-            (
-                Box::new(RouterNnf::new()),
+                nnf("router"),
                 far_route,
                 NnfError::NotEnoughPorts { need: 6, have: 2 },
             ),
@@ -380,7 +400,7 @@ mod tests {
         for (mut plugin, config, refusal) in cases {
             let (mut host, ns, ports) = fresh(2);
             let before = snapshot(&host, ns);
-            let err = start(plugin.as_mut(), &mut host, ns, &ports, &config).unwrap_err();
+            let err = start(&mut plugin, &mut host, ns, &ports, &config).unwrap_err();
             assert_eq!(err, refusal);
             assert_eq!(snapshot(&host, ns), before, "{}", plugin.functional_type());
         }

@@ -9,14 +9,16 @@
 //! NF's [`NfConfig`]: nothing else parses a config key. [`translate`]
 //! compiles the orchestrator's NF-agnostic configuration into
 //! [`NnfCommand`]s, the typed equivalent of the shell commands a plugin
-//! script would run (`ip addr add …`, `ip route add …`, `iptables -A …`,
-//! `ip xfrm state add …`), in the order the script runs them. For a
-//! dedicated NNF the list is its namespace's whole program: a plugin's
-//! `start` is a guard, [`execute`](crate::plugins::execute) of this list,
-//! and its RSS booking. Every flavor is configured from here: the native
-//! and Docker plugins run the list in a namespace, the VM driver builds
-//! its guest from [`ipsec_tunnel`], and a shared NAT reads each graph's
-//! binding through [`nat_addressing`].
+//! script would run (`ip addr add …`, `ip link add … type bridge`,
+//! `ip route add …`, `iptables -A …`, `ip xfrm state add …`), in the
+//! order the script runs them. For a dedicated NNF the list is its
+//! namespace's whole program: an instance's
+//! [`start`](crate::NnfInstance::start) is a guard,
+//! [`execute`](crate::plugins::execute) of this list, and its RSS
+//! booking. Every flavor is configured from here: native and Docker
+//! instances run the list in a namespace, the VM driver builds its guest
+//! from [`ipsec_tunnel`], and a shared NAT reads each graph's binding
+//! through [`nat_addressing`].
 //!
 //! Translation parses everything before it emits anything, so a config
 //! refused here has configured nothing.
@@ -94,6 +96,28 @@ pub enum NnfCommand {
     XfrmState(SecurityAssociation),
     /// `ip xfrm policy add … dir out tmpl …`
     XfrmPolicy(SecurityPolicy),
+    /// `ip link add br0 type bridge`, then `ip link set <port idx> master
+    /// br0 up` per member, then `ip link set br0 up`.
+    Bridge {
+        /// NF port indices enslaved to the bridge, in order.
+        members: Vec<usize>,
+    },
+}
+
+/// A functional type's namespace program: its config and port count in,
+/// its commands out.
+pub(crate) type Program = fn(&NfConfig, usize) -> Result<Vec<NnfCommand>, NnfError>;
+
+/// The program for `functional_type`, if this module has one.
+pub(crate) fn program(functional_type: &str) -> Option<Program> {
+    Some(match functional_type {
+        "ipsec" => translate_ipsec,
+        "firewall" => translate_firewall,
+        "nat" => translate_nat,
+        "router" => translate_router,
+        "bridge" => translate_bridge,
+        _ => return None,
+    })
 }
 
 /// String parameters: an NF's scalar params, one of its rule entries,
@@ -119,7 +143,10 @@ fn req<T: FromStr>(p: &Params, at: &str, key: &'static str) -> Result<T, NnfErro
 /// Both tunnel ends run the same derivation with opposite `initiator`
 /// flags and agree on keys and SPIs — this is the "predefined
 /// configuration script" mode the paper's initial implementation uses
-/// (the full IKE exchange lives in `un-ipsec::ike`).
+/// (the full IKE exchange lives in `un-ipsec::ike`). The derivation is a
+/// pure function of `(psk, initiator)`, so every start installs the same
+/// keys with sequence numbers back at 0 (see
+/// [`NnfInstance`](crate::NnfInstance)).
 pub fn derive_psk_tunnel(
     psk: &[u8],
     initiator: bool,
@@ -148,17 +175,11 @@ pub fn translate(
     config: &NfConfig,
     n_ports: usize,
 ) -> Result<Vec<NnfCommand>, NnfError> {
-    match functional_type {
-        "ipsec" => translate_ipsec(config),
-        "firewall" => translate_firewall(config),
-        "nat" => translate_nat(config, n_ports),
-        "router" => translate_router(config, n_ports),
-        "bridge" => Ok(Vec::new()), // bridges are pure topology; no commands
-        other => Err(NnfError::BadParam {
-            key: "functional-type".into(),
-            value: other.into(),
-        }),
-    }
+    let program = program(functional_type).ok_or_else(|| NnfError::BadParam {
+        key: "functional-type".into(),
+        value: functional_type.into(),
+    })?;
+    program(config, n_ports)
 }
 
 /// A main-table route out `dev_port`.
@@ -203,8 +224,9 @@ fn lan_wan(lan: Ipv4Cidr, wan: Ipv4Cidr) -> Vec<NnfCommand> {
     ]
 }
 
-/// The interface half (`lan-addr`, `wan-addr`), then the tunnel half.
-fn translate_ipsec(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+/// Port 0 faces the protected LAN, port 1 the WAN: the interface half
+/// (`lan-addr`, `wan-addr`), then the tunnel half.
+fn translate_ipsec(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
     let p = &c.params;
     let mut cmds = lan_wan(req(p, "", "lan-addr")?, req(p, "", "wan-addr")?);
     cmds.extend(ipsec_tunnel(c)?);
@@ -249,7 +271,13 @@ pub fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
     ])
 }
 
-fn translate_firewall(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+/// A routed stateful firewall, port 0 inside and port 1 outside:
+/// `addr0`/`addr1` address the ports, an optional `gw` is the upstream
+/// next hop, `policy` (`drop` by default) is the FORWARD policy,
+/// `stateful` (`true` by default) lets replies pass, and each `rules`
+/// entry (`action`, `src`, `dst`, `proto`, `sport`, `dport`) is one
+/// FORWARD rule.
+fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
     let p = &c.params;
     let mut cmds = bring_up(&[opt(p, "", "addr0")?, opt(p, "", "addr1")?]);
     cmds.extend(opt(p, "", "gw")?.map(default_route));
@@ -381,6 +409,13 @@ fn translate_router(c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, Nnf
         cmds.push(route(dst, via, dev_port));
     }
     Ok(cmds)
+}
+
+/// A bridge is pure topology: every port enslaved to one `br0`.
+fn translate_bridge(_c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
+    Ok(vec![NnfCommand::Bridge {
+        members: (0..n_ports).collect(),
+    }])
 }
 
 #[cfg(test)]
@@ -560,8 +595,9 @@ mod tests {
             translate("quantum-fw", &NfConfig::default(), 2).unwrap_err(),
             NnfError::BadParam { .. }
         ));
-        assert!(translate("bridge", &NfConfig::default(), 2)
-            .unwrap()
-            .is_empty());
+        assert!(matches!(
+            &translate("bridge", &NfConfig::default(), 2).unwrap()[..],
+            [NnfCommand::Bridge { members }] if members == &[0, 1]
+        ));
     }
 }

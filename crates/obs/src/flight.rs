@@ -27,6 +27,7 @@
 //! trace records; [`Accounting::drop`] is the one place a frame death
 //! is counted and recorded, in the node fabric and the shuttle alike.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::AddAssign;
 use std::sync::Mutex;
@@ -539,7 +540,7 @@ impl TraceSink {
 /// Bounded ring of recent completed traces (oldest evicted first).
 pub struct TraceRing {
     capacity: usize,
-    inner: Mutex<std::collections::VecDeque<PacketTrace>>,
+    traces: VecDeque<PacketTrace>,
 }
 
 impl TraceRing {
@@ -547,32 +548,26 @@ impl TraceRing {
     pub fn new(capacity: usize) -> Self {
         TraceRing {
             capacity: capacity.max(1),
-            inner: Mutex::new(std::collections::VecDeque::new()),
+            traces: VecDeque::new(),
         }
     }
 
     /// Append a completed trace, evicting the oldest when full.
-    pub fn push(&self, trace: PacketTrace) {
-        let mut q = self.inner.lock().expect("trace ring poisoned");
-        if q.len() == self.capacity {
-            q.pop_front();
+    pub fn push(&mut self, trace: PacketTrace) {
+        if self.traces.len() == self.capacity {
+            self.traces.pop_front();
         }
-        q.push_back(trace);
+        self.traces.push_back(trace);
     }
 
     /// Snapshot of retained traces, oldest first.
     pub fn snapshot(&self) -> Vec<PacketTrace> {
-        self.inner
-            .lock()
-            .expect("trace ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        self.traces.iter().cloned().collect()
     }
 
     /// Number of retained traces.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace ring poisoned").len()
+        self.traces.len()
     }
 
     /// True when no trace is retained.
@@ -682,7 +677,7 @@ mod tests {
 
     #[test]
     fn ring_bounds_retention() {
-        let ring = TraceRing::new(2);
+        let mut ring = TraceRing::new(2);
         for i in 0..3 {
             ring.push(PacketTrace {
                 origin_node: format!("n{i}"),

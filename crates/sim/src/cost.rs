@@ -81,14 +81,6 @@ pub struct LinearCost {
 }
 
 impl LinearCost {
-    /// A fixed-only cost.
-    pub const fn fixed(ns: u64) -> Self {
-        LinearCost {
-            fixed_ns: ns,
-            per_byte_ns: 0.0,
-        }
-    }
-
     /// Evaluate for a payload of `len` bytes.
     pub fn eval(&self, len: usize) -> Cost {
         let bytes = (self.per_byte_ns * len as f64).round() as u64;
@@ -98,9 +90,7 @@ impl LinearCost {
 
 /// The calibrated cost constants for every simulated mechanism.
 ///
-/// Obtain the defaults with [`CostModel::default`]; tests that want a
-/// degenerate model (e.g. everything free, to isolate logic from timing)
-/// can use [`CostModel::free`].
+/// Obtain the defaults with [`CostModel::default`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     // ---- crypto ----
@@ -110,8 +100,6 @@ pub struct CostModel {
     /// same algorithmic cost, but the data must be copied in and out of the
     /// process (charged separately via `copy`).
     pub aead_user: LinearCost,
-    /// SHA-256/HMAC (per byte) for control-plane authentication.
-    pub hmac: LinearCost,
 
     // ---- memory movement & domain crossings ----
     /// One memcpy of packet data (per copy).
@@ -185,10 +173,6 @@ impl Default for CostModel {
                 fixed_ns: 350,
                 per_byte_ns: 6.0,
             },
-            hmac: LinearCost {
-                fixed_ns: 200,
-                per_byte_ns: 3.1,
-            },
             copy: LinearCost {
                 fixed_ns: 40,
                 per_byte_ns: 0.25,
@@ -221,40 +205,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// A model where everything is free. Useful in unit tests that verify
-    /// pure logic (matching, NAT, isolation) without timing concerns.
-    pub fn free() -> Self {
-        CostModel {
-            aead: LinearCost::fixed(0),
-            aead_user: LinearCost::fixed(0),
-            hmac: LinearCost::fixed(0),
-            copy: LinearCost::fixed(0),
-            vmexit_ns: 0,
-            user_kernel_crossing_ns: 0,
-            virtio_descriptor_ns: 0,
-            veth_crossing_ns: 0,
-            tap_ns: 0,
-            netfilter_hook_ns: 0,
-            netfilter_rule_ns: 0,
-            route_lookup_ns: 0,
-            ip_rule_ns: 0,
-            bridge_fdb_ns: 0,
-            conntrack_lookup_ns: 0,
-            conntrack_new_ns: 0,
-            xfrm_lookup_ns: 0,
-            ip_processing_ns: 0,
-            l4_processing_ns: 0,
-            flow_lookup_ns: 0,
-            flow_cache_hit_ns: 0,
-            flow_exact_hit_ns: 0,
-            flow_megaflow_hit_ns: 0,
-            flow_action_ns: 0,
-            vlan_op_ns: 0,
-            virtual_link_ns: 0,
-            pmd_per_packet_ns: 0,
-        }
-    }
-
     /// AEAD in kernel context for `len` payload bytes.
     pub fn aead_kernel(&self, len: usize) -> Cost {
         self.aead.eval(len)
@@ -271,11 +221,6 @@ impl CostModel {
     /// One packet-data copy of `len` bytes.
     pub fn copy(&self, len: usize) -> Cost {
         self.copy.eval(len)
-    }
-
-    /// Fixed-cost helper.
-    pub fn fixed(&self, ns: u64) -> Cost {
-        Cost::from_nanos(ns)
     }
 }
 
@@ -300,14 +245,6 @@ mod tests {
         assert_eq!((a + b).as_nanos(), 12);
         let total: Cost = [a, b, Cost::from_nanos(1)].into_iter().sum();
         assert_eq!(total.as_nanos(), 13);
-    }
-
-    #[test]
-    fn free_model_charges_nothing() {
-        let m = CostModel::free();
-        assert_eq!(m.aead_kernel(1500).as_nanos(), 0);
-        assert_eq!(m.copy(1500).as_nanos(), 0);
-        assert_eq!(m.vmexit_ns, 0);
     }
 
     #[test]
