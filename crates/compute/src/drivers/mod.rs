@@ -24,7 +24,7 @@ use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
 
 /// Mutable node-level state every compute call threads through.
 pub struct NodeEnv<'a> {
-    /// The CPE's kernel (namespaces for docker/native NFs, taps).
+    /// The CPE's kernel (a namespace per native, Docker or VM NF).
     pub host: &'a mut Host,
     /// Memory accounting.
     pub ledger: &'a mut MemLedger,
@@ -101,8 +101,10 @@ pub trait ComputeDriver {
     /// Instances this driver holds.
     fn instance_count(&self) -> usize;
 
-    /// The host namespace the instance runs in, for the technologies
-    /// that share the host kernel.
+    /// The host namespace the instance's NF runs in, for the
+    /// technologies that configure one. A VM's guest kernel is a
+    /// namespace of the node's host too, so the host's counters see its
+    /// drops; like every host counter, they are host-wide.
     fn namespace_of(&self, _id: InstanceId) -> Option<NsId> {
         None
     }

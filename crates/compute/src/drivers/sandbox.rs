@@ -1,13 +1,14 @@
-//! An NNF instance in a namespace: what the native and Docker drivers
-//! share.
+//! An NNF instance in a namespace: what the native, Docker and VM
+//! drivers share.
 //!
-//! Both run an NF as an [`NnfInstance`] whose command list configures
-//! kernel state inside a network namespace whose external ports are
-//! tagged into the node's port space; a container only adds packaging
-//! around it. The native driver is a sandbox plus singleton/sharing
-//! rules, the Docker driver a sandbox plus a container — which is why
-//! Table 1's Docker and native throughput are near-identical: the data
-//! path is this file.
+//! All three run an NF as an [`NnfInstance`] whose command list
+//! configures kernel state inside a network namespace whose external
+//! ports are tagged into the node's port space. A flavor is the boundary
+//! around it: the native driver is a sandbox plus singleton/sharing
+//! rules, the Docker driver a sandbox plus a container, the VM driver a
+//! sandbox (its guest kernel) behind virtio. That is why Table 1's Docker
+//! and native throughput are near-identical — the data path is this
+//! file — and why a VM's NF costs the same plus its boundary.
 
 use un_linux::{Host, IfaceId, NsId};
 use un_nffg::NfConfig;
@@ -133,11 +134,16 @@ impl Sandbox {
     ) -> Vec<IoOutcome> {
         frames
             .into_iter()
-            .map(|(port, pkt)| match self.port(port) {
-                Some(iface) => self.tag_filter(host.inject(iface, pkt)),
-                None => IoOutcome::default(),
-            })
+            .map(|(port, pkt)| self.deliver(port, pkt, host))
             .collect()
+    }
+
+    /// Inject one frame at instance port `port`.
+    pub(super) fn deliver(&self, port: u32, pkt: Packet, host: &mut Host) -> IoOutcome {
+        match self.port(port) {
+            Some(iface) => self.tag_filter(host.inject(iface, pkt)),
+            None => IoOutcome::default(),
+        }
     }
 
     /// Keep only the emissions tagged into this sandbox's port range,

@@ -12,7 +12,9 @@
 //!   ports are), with a [`CreateRequest`] and a [`NodeEnv`] as its
 //!   vocabulary.
 //! * [`drivers`] — its four implementations:
-//!   * [`drivers::VmDriver`] — KVM/QEMU via `un-hypervisor`;
+//!   * [`drivers::VmDriver`] — KVM/QEMU via `un-hypervisor`: the guest
+//!     kernel runs the same NNF instance as native, behind the virtio
+//!     boundary — which is exactly what Table 1's VM row pays for;
 //!   * [`drivers::DockerDriver`] — containers via `un-container`
 //!     (kernel state configured by the same NNF instances as native —
 //!     which is exactly why Docker matches native throughput in Table 1);
@@ -35,4 +37,4 @@ pub mod types;
 
 pub use drivers::{ComputeDriver, CreateRequest, NodeEnv};
 pub use manager::ComputeManager;
-pub use types::{ComputeError, Flavor, FlavorSpec, GuestAppKind, InstanceId, IoOutcome};
+pub use types::{ComputeError, Flavor, FlavorSpec, InstanceId, IoOutcome};

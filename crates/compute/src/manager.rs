@@ -200,8 +200,8 @@ impl ComputeManager {
         self.drivers()[spec.flavor() as usize].estimate_ram(spec)
     }
 
-    /// The host namespace an instance runs in, if its technology shares
-    /// the host kernel.
+    /// The host namespace an instance's NF runs in (a VM's guest kernel
+    /// is one), if its technology configures one.
     pub fn namespace_of(&self, id: InstanceId) -> Option<NsId> {
         self.serving(id)?.namespace_of(id)
     }
@@ -253,8 +253,8 @@ impl ComputeManager {
 mod tests {
     use super::*;
     use crate::drivers::testkit::ipsec_config;
-    use crate::types::GuestAppKind;
     use un_container::{Image, Layer};
+    use un_hypervisor::vm::QEMU_OVERHEAD_MB;
     use un_hypervisor::DiskImage;
     use un_linux::Host;
     use un_sim::mem::{mb, mb_f};
@@ -300,7 +300,6 @@ mod tests {
                     image: "strongswan-vm".into(),
                     vcpus: 1,
                     mem_mb: 320,
-                    app: GuestAppKind::IpsecUserspace,
                 },
                 2,
                 &ipsec_config(),
@@ -372,7 +371,6 @@ mod tests {
             image: "img".into(),
             vcpus: 1,
             mem_mb: 320,
-            app: GuestAppKind::IpsecUserspace,
         };
         let docker = FlavorSpec::Docker {
             image: "img".into(),
@@ -383,7 +381,7 @@ mod tests {
             cores: 1,
             hugepages_mb: 256,
         };
-        assert_eq!(mgr.estimate_ram(&vm), mb(320) + mb(71));
+        assert_eq!(mgr.estimate_ram(&vm), mb(320) + mb_f(QEMU_OVERHEAD_MB));
         assert_eq!(mgr.estimate_ram(&docker), mb(3) + mb(25));
         assert_eq!(mgr.estimate_ram(&dpdk), mb(256));
         assert_eq!(mgr.estimate_ram(&FlavorSpec::Native), mb(24));

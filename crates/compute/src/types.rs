@@ -54,20 +54,11 @@ impl Flavor {
     }
 }
 
-/// What runs inside a VM for a given functional type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuestAppKind {
-    /// strongSwan in guest userspace (the paper's VM workload).
-    IpsecUserspace,
-    /// Generic transparent middlebox.
-    L2Forward,
-}
-
 /// How to realize an NF in a specific technology — the repository entry
 /// the resolver picks from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlavorSpec {
-    /// A VM flavor.
+    /// A VM flavor: its guest runs the functional type's NNF instance.
     Vm {
         /// Disk image name (must exist in the hypervisor store).
         image: String,
@@ -75,8 +66,6 @@ pub enum FlavorSpec {
         vcpus: u32,
         /// Guest RAM in MB.
         mem_mb: u64,
-        /// Guest workload.
-        app: GuestAppKind,
     },
     /// A Docker flavor.
     Docker {

@@ -3,9 +3,7 @@
 //! over `&mut dyn ComputeDriver`, run for all four drivers.
 
 use un_compute::drivers::{DockerDriver, DpdkDriver, NativeDriver, VmDriver};
-use un_compute::{
-    ComputeDriver, ComputeError, CreateRequest, FlavorSpec, GuestAppKind, InstanceId, NodeEnv,
-};
+use un_compute::{ComputeDriver, ComputeError, CreateRequest, FlavorSpec, InstanceId, NodeEnv};
 use un_container::{Image, Layer};
 use un_hypervisor::DiskImage;
 use un_linux::Host;
@@ -150,7 +148,6 @@ fn vm_driver_conforms() {
         image: "bridge-vm".into(),
         vcpus: 1,
         mem_mb: 256,
-        app: GuestAppKind::L2Forward,
     };
     conforms(&mut d, "bridge", &spec);
 }

@@ -461,8 +461,8 @@ impl Subject {
 enum Failure {
     /// The driver refuses `create`: the image is not in its store.
     Create,
-    /// A config parameter the NF needs is missing: a plugin's `start`
-    /// fails, a VM's guest is refused at `create`.
+    /// A config parameter the NF needs is missing: the NNF instance's
+    /// `start` fails, in a VM's guest as in a namespace of its own.
     Start,
     /// `bind` fails: the binding lacks the graph's LAN address.
     Bind,

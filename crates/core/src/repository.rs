@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use un_compute::{FlavorSpec, GuestAppKind};
+use un_compute::FlavorSpec;
 use un_sim::mem::{mb, mb_f};
 
 /// A deployable NF type and its available realizations.
@@ -47,12 +47,8 @@ impl VnfRepository {
     pub fn standard() -> Self {
         let mut r = Self::new();
         for ft in ["ipsec", "firewall", "nat", "bridge", "router"] {
-            let app = if ft == "ipsec" {
-                GuestAppKind::IpsecUserspace
-            } else {
-                GuestAppKind::L2Forward
-            };
-            // VM: 320 MB guest + 70.6 MB QEMU ⇒ 390.6 MB total.
+            // VM: 320 MB guest, the NF's RSS inside it, + 70.6 MB QEMU
+            // ⇒ 390.6 MB total.
             // Docker: the NF daemon's RSS is accounted by the plugin
             // (the container entrypoint *is* the NF software: 19.4 MB
             // for charon), plus the 4.8 MB runtime shim ⇒ 24.2 MB.
@@ -75,7 +71,6 @@ impl VnfRepository {
                         image: format!("{ft}-vm"),
                         vcpus: 1,
                         mem_mb: vm_mem,
-                        app,
                     },
                 ],
                 default_ports: 2,

@@ -14,9 +14,13 @@
 //!   to the hypervisor process, and the disk image carries an entire
 //!   OS (522 MB vs Docker's 240 MB layers vs the 5 MB native package).
 //!
+//! The guest itself is the NF's own kernel state behind that boundary,
+//! handed in by whoever defines the VM: this crate charges the boundary
+//! and names nothing inside it.
+//!
 //! [`virtio`] implements split-ring virtqueues with kick accounting;
-//! [`image`] the monolithic disk-image store; [`vm`] the VM lifecycle,
-//! NICs and guest applications (userspace IPsec, L2 forwarder).
+//! [`image`] the monolithic disk-image store; [`vm`] the VM lifecycle
+//! and the boundary a frame crosses into and out of the guest.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -27,4 +31,4 @@ pub mod vm;
 
 pub use image::{DiskImage, VmImageStore};
 pub use virtio::{Virtqueue, VIRTQUEUE_SIZE};
-pub use vm::{GuestApp, Hypervisor, UserspaceIpsecApp, Vm, VmError, VmId, VmState};
+pub use vm::{Hypervisor, Vm, VmError, VmId, VmState};

@@ -1,20 +1,17 @@
-//! VM lifecycle, virtio NICs, and guest applications.
+//! VM lifecycle and the virtio boundary around a guest.
 //!
-//! The guest application for the paper's headline experiment is
-//! [`UserspaceIpsecApp`]: strongSwan running *inside the VM process*,
-//! which is exactly the configuration the paper measured ("the IPsec
-//! functionalities executing in user space (i.e., in the process, within
-//! the hypervisor, running the VM)").
+//! The guest is the NF's own kernel state behind the boundary: whoever
+//! defines the VM hands [`Hypervisor::deliver`] the guest as a function
+//! from `(NIC, frame)` to the guest's emissions and the time its kernel
+//! and NF took. The hypervisor charges what a frame pays to get in and
+//! out of the guest — ring copies, virtio descriptors, vmexits, and the
+//! user/kernel crossings of an NF that runs in guest userspace (the
+//! paper's strongSwan "executing in user space (i.e., in the process,
+//! within the hypervisor, running the VM)") — and names nothing inside.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use un_ipsec::esp;
-use un_ipsec::sa::SecurityAssociation;
-use un_ipsec::spd::{PolicyAction, PolicyDirection, Spd};
-use un_packet::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
-use un_packet::ipv4::{IpProtocol, Ipv4Packet, IPV4_HEADER_LEN};
-use un_packet::packet::DEFAULT_HEADROOM;
 use un_packet::Packet;
 use un_sim::mem::{mb, mb_f};
 use un_sim::{AccountId, Cost, CostModel, MemLedger};
@@ -33,8 +30,6 @@ pub enum VmState {
     Created,
     /// Running.
     Running,
-    /// Paused (packets dropped).
-    Paused,
     /// Shut down.
     Stopped,
 }
@@ -70,61 +65,8 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// strongSwan-in-a-VM: userspace ESP tunnel processing.
-///
-/// NIC 0 faces the plaintext (LAN) side, NIC 1 the ciphertext (WAN)
-/// side. Outbound traffic matching the SPD is encapsulated under
-/// `sa_out`; inbound ESP is decapsulated under `sa_in`.
-#[derive(Debug)]
-pub struct UserspaceIpsecApp {
-    /// Outbound SA.
-    pub sa_out: Option<SecurityAssociation>,
-    /// Inbound SA.
-    pub sa_in: Option<SecurityAssociation>,
-    /// Outbound policies (Protect selectors).
-    pub spd: Spd,
-    /// Packets transformed.
-    pub processed: u64,
-    /// Packets dropped (no SA, auth failure…).
-    pub errors: u64,
-}
-
-impl UserspaceIpsecApp {
-    /// An app with no SAs yet (installed by the control plane).
-    pub fn new() -> Self {
-        UserspaceIpsecApp {
-            sa_out: None,
-            sa_in: None,
-            spd: Spd::new(),
-            processed: 0,
-            errors: 0,
-        }
-    }
-}
-
-impl Default for UserspaceIpsecApp {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// What runs inside the guest.
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-pub enum GuestApp {
-    /// Userspace IPsec endpoint (the paper's VM workload).
-    UserspaceIpsec(UserspaceIpsecApp),
-    /// Transparent bidirectional forwarder between NIC 0 and NIC 1
-    /// (a generic middlebox VNF: the packet crosses the VM boundary and
-    /// guest kernel but is not otherwise touched).
-    L2Forward,
-    /// Bounce frames back out the NIC they arrived on (diagnostics).
-    Reflector,
-}
-
 #[derive(Debug)]
 struct VirtioNic {
-    mac: MacAddr,
     rx: Virtqueue,
     tx: Virtqueue,
 }
@@ -149,8 +91,6 @@ pub struct Vm {
     pub image: String,
     /// Lifecycle state.
     pub state: VmState,
-    /// The guest workload.
-    pub app: GuestApp,
     /// Memory account.
     pub account: AccountId,
     nics: Vec<VirtioNic>,
@@ -158,7 +98,7 @@ pub struct Vm {
     pub rx_packets: u64,
     /// Packets the guest emitted.
     pub tx_packets: u64,
-    /// Packets dropped (not running, ring full).
+    /// Packets dropped (not running, no such NIC, ring full).
     pub dropped: u64,
 }
 
@@ -172,16 +112,6 @@ pub struct VmIo {
 }
 
 impl Vm {
-    /// MAC address of a NIC.
-    pub fn nic_mac(&self, nic: usize) -> Option<MacAddr> {
-        self.nics.get(nic).map(|n| n.mac)
-    }
-
-    /// Number of NICs.
-    pub fn nic_count(&self) -> usize {
-        self.nics.len()
-    }
-
     /// Virtqueue statistics of a NIC: (kicks, ring-full drops).
     pub fn nic_stats(&self, nic: usize) -> Option<(u64, u64)> {
         self.nics.get(nic).map(|n| {
@@ -192,18 +122,16 @@ impl Vm {
         })
     }
 
-    /// Deliver a frame from the host side into `nic`.
-    ///
-    /// Performs the whole cut-through: ring copy in, vmexit, guest
-    /// kernel, guest app, guest kernel, ring copy out, vmexit. All costs
-    /// are accumulated in the returned [`VmIo`].
-    pub fn deliver(&mut self, nic: usize, pkt: Packet, costs: &CostModel) -> VmIo {
+    /// Carry a frame from the host side into `nic`, through `guest`, and
+    /// back out: ring copy in, vmexit, the guest NF's crossing and copy
+    /// in, the guest's own work, its crossing out, then per emission the
+    /// copies to the tx ring and a vmexit.
+    fn deliver<G>(&mut self, nic: usize, pkt: Packet, costs: &CostModel, guest: G) -> VmIo
+    where
+        G: FnOnce(usize, Packet) -> (Vec<(usize, Packet)>, Cost),
+    {
         let mut io = VmIo::default();
-        if self.state != VmState::Running {
-            self.dropped += 1;
-            return io;
-        }
-        if nic >= self.nics.len() {
+        if self.state != VmState::Running || nic >= self.nics.len() {
             self.dropped += 1;
             return io;
         }
@@ -222,20 +150,12 @@ impl Vm {
         };
         self.rx_packets += 1;
 
-        // Guest kernel rx processing.
-        io.cost += Cost::from_nanos(costs.ip_processing_ns + costs.l4_processing_ns);
-
-        // Guest app (userspace): crossing + copy in, work, crossing + copy out.
+        // The guest NF in userspace: crossing + copy in, the guest's
+        // kernel and NF, crossing out.
         io.cost += Cost::from_nanos(costs.user_kernel_crossing_ns);
         io.cost += costs.copy(len);
-        let outputs = match &mut self.app {
-            GuestApp::UserspaceIpsec(app) => ipsec_process(app, nic, pkt, costs, &mut io.cost),
-            GuestApp::L2Forward => {
-                let out_nic = if nic == 0 { 1 } else { 0 };
-                vec![(out_nic, pkt)]
-            }
-            GuestApp::Reflector => vec![(nic, pkt)],
-        };
+        let (outputs, work) = guest(nic, pkt);
+        io.cost += work;
         io.cost += Cost::from_nanos(costs.user_kernel_crossing_ns);
 
         // Guest tx: copy out of userspace + ring + kick per packet.
@@ -246,7 +166,6 @@ impl Vm {
             }
             let out_len = out_pkt.len();
             io.cost += costs.copy(out_len); // user → kernel
-            io.cost += Cost::from_nanos(costs.ip_processing_ns); // guest kernel tx
             io.cost += costs.copy(out_len); // kernel → tx ring
             io.cost += Cost::from_nanos(costs.virtio_descriptor_ns);
             let kicked = self.nics[out_nic].tx.push(out_pkt);
@@ -262,114 +181,6 @@ impl Vm {
     }
 }
 
-/// The userspace strongSwan data path. Charges *userspace* AEAD plus the
-/// extra copy the crypto library makes.
-fn ipsec_process(
-    app: &mut UserspaceIpsecApp,
-    nic: usize,
-    pkt: Packet,
-    costs: &CostModel,
-    cost: &mut Cost,
-) -> Vec<(usize, Packet)> {
-    // Work at the IP level; keep the Ethernet header for re-framing.
-    let Ok(eth) = EthernetFrame::new_checked(pkt.data()) else {
-        app.errors += 1;
-        return Vec::new();
-    };
-    if eth.ethertype() != EtherType::Ipv4 {
-        // Non-IP passes through unchanged toward the other side.
-        let out_nic = if nic == 0 { 1 } else { 0 };
-        return vec![(out_nic, pkt)];
-    }
-    let (eth_src, eth_dst) = (eth.src(), eth.dst());
-    let ip_bytes = eth.payload().to_vec();
-    let Ok(ip) = Ipv4Packet::new_checked(&ip_bytes[..]) else {
-        app.errors += 1;
-        return Vec::new();
-    };
-
-    if nic == 0 {
-        // Plaintext side: consult SPD, encapsulate.
-        let Some(policy) = app.spd.lookup(
-            PolicyDirection::Out,
-            ip.src(),
-            ip.dst(),
-            u8::from(ip.protocol()),
-        ) else {
-            // Bypass traffic crosses unprotected.
-            return vec![(1, pkt)];
-        };
-        let PolicyAction::Protect(_) = policy.action else {
-            return vec![(1, pkt)];
-        };
-        let Some(sa) = app.sa_out.as_mut() else {
-            app.errors += 1;
-            return Vec::new();
-        };
-        *cost += costs.aead_userspace(ip_bytes.len());
-        // Sealed straight behind room for the outer headers and the
-        // packet's own headroom: one allocation, no copy.
-        let room = DEFAULT_HEADROOM + ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
-        match esp::encapsulate_into(sa, &ip_bytes, room) {
-            Ok(buf) => {
-                app.processed += 1;
-                let mut outer = Packet::from_buffer(buf, DEFAULT_HEADROOM);
-                fill_outer_headers(eth_src, eth_dst, sa, &mut outer);
-                vec![(1, outer)]
-            }
-            Err(_) => {
-                app.errors += 1;
-                Vec::new()
-            }
-        }
-    } else {
-        // Ciphertext side: decapsulate ESP.
-        if ip.protocol() != IpProtocol::Esp {
-            return vec![(0, pkt)];
-        }
-        let Some(sa) = app.sa_in.as_mut() else {
-            app.errors += 1;
-            return Vec::new();
-        };
-        *cost += costs.aead_userspace(ip.payload().len());
-        match esp::decapsulate(sa, ip.payload()) {
-            Ok(inner) => {
-                app.processed += 1;
-                let mut frame = Packet::zeroed(ETHERNET_HEADER_LEN + inner.len());
-                {
-                    let buf = frame.data_mut();
-                    let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-                    e.set_src(eth_src);
-                    e.set_dst(eth_dst);
-                    e.set_ethertype(EtherType::Ipv4);
-                    buf[ETHERNET_HEADER_LEN..].copy_from_slice(&inner);
-                }
-                vec![(0, frame)]
-            }
-            Err(_) => {
-                app.errors += 1;
-                Vec::new()
-            }
-        }
-    }
-}
-
-/// Write the outer Ethernet and tunnel IPv4 headers in front of the ESP
-/// payload `frame` already carries behind them.
-fn fill_outer_headers(
-    eth_src: MacAddr,
-    eth_dst: MacAddr,
-    sa: &SecurityAssociation,
-    frame: &mut Packet,
-) {
-    let buf = frame.data_mut();
-    let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-    e.set_src(eth_src);
-    e.set_dst(eth_dst);
-    e.set_ethertype(EtherType::Ipv4);
-    esp::fill_tunnel_header(sa, &mut buf[ETHERNET_HEADER_LEN..]);
-}
-
 /// The hypervisor: image store + VM table.
 #[derive(Debug, Default)]
 pub struct Hypervisor {
@@ -377,7 +188,6 @@ pub struct Hypervisor {
     pub images: VmImageStore,
     vms: BTreeMap<u32, Vm>,
     next_id: u32,
-    next_mac: u32,
 }
 
 impl Hypervisor {
@@ -386,7 +196,8 @@ impl Hypervisor {
         Self::default()
     }
 
-    /// Define a VM. The disk image must exist.
+    /// Define a VM with `nic_count` virtio NICs. The disk image must
+    /// exist.
     #[allow(clippy::too_many_arguments)]
     pub fn create_vm(
         &mut self,
@@ -395,7 +206,6 @@ impl Hypervisor {
         vcpus: u32,
         mem_mb: u64,
         nic_count: usize,
-        app: GuestApp,
         ledger: &mut MemLedger,
         parent_account: AccountId,
     ) -> Result<VmId, VmError> {
@@ -406,13 +216,9 @@ impl Hypervisor {
         self.next_id += 1;
         let account = ledger.create_account(&format!("vm:{name}"), Some(parent_account));
         let nics = (0..nic_count)
-            .map(|_| {
-                self.next_mac += 1;
-                VirtioNic {
-                    mac: MacAddr::local(0x00AA_0000 + self.next_mac),
-                    rx: Virtqueue::new(),
-                    tx: Virtqueue::new(),
-                }
+            .map(|_| VirtioNic {
+                rx: Virtqueue::new(),
+                tx: Virtqueue::new(),
             })
             .collect();
         self.vms.insert(
@@ -424,7 +230,6 @@ impl Hypervisor {
                 mem_mb,
                 image: image.to_string(),
                 state: VmState::Created,
-                app,
                 account,
                 nics,
                 rx_packets: 0,
@@ -456,41 +261,11 @@ impl Hypervisor {
         }
     }
 
-    /// Pause a running VM (packets dropped while paused).
-    pub fn pause(&mut self, id: VmId) -> Result<(), VmError> {
-        let vm = self.vms.get_mut(&id.0).ok_or(VmError::NoSuchVm(id.0))?;
-        match vm.state {
-            VmState::Running => {
-                vm.state = VmState::Paused;
-                Ok(())
-            }
-            s => Err(VmError::BadState {
-                op: "pause",
-                state: s,
-            }),
-        }
-    }
-
-    /// Resume a paused VM.
-    pub fn resume(&mut self, id: VmId) -> Result<(), VmError> {
-        let vm = self.vms.get_mut(&id.0).ok_or(VmError::NoSuchVm(id.0))?;
-        match vm.state {
-            VmState::Paused => {
-                vm.state = VmState::Running;
-                Ok(())
-            }
-            s => Err(VmError::BadState {
-                op: "resume",
-                state: s,
-            }),
-        }
-    }
-
     /// Shut a VM down: releases its RAM.
     pub fn stop(&mut self, id: VmId, ledger: &mut MemLedger) -> Result<(), VmError> {
         let vm = self.vms.get_mut(&id.0).ok_or(VmError::NoSuchVm(id.0))?;
         match vm.state {
-            VmState::Running | VmState::Paused => {
+            VmState::Running => {
                 ledger
                     .free(vm.account, "guest-ram", mb(vm.mem_mb))
                     .expect("allocated at start");
@@ -507,16 +282,14 @@ impl Hypervisor {
         }
     }
 
-    /// Undefine a stopped VM.
+    /// Undefine a VM that does not run.
     pub fn destroy(&mut self, id: VmId) -> Result<Vm, VmError> {
         match self.vms.get(&id.0) {
             None => Err(VmError::NoSuchVm(id.0)),
-            Some(vm) if matches!(vm.state, VmState::Running | VmState::Paused) => {
-                Err(VmError::BadState {
-                    op: "destroy",
-                    state: vm.state,
-                })
-            }
+            Some(vm) if vm.state == VmState::Running => Err(VmError::BadState {
+                op: "destroy",
+                state: vm.state,
+            }),
             Some(_) => Ok(self.vms.remove(&id.0).unwrap()),
         }
     }
@@ -526,15 +299,22 @@ impl Hypervisor {
         self.vms.get(&id.0)
     }
 
-    /// Mutable access to a VM (control plane: SA installation etc.).
-    pub fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
-        self.vms.get_mut(&id.0)
-    }
-
-    /// Deliver a frame to a VM NIC.
-    pub fn deliver(&mut self, id: VmId, nic: usize, pkt: Packet, costs: &CostModel) -> VmIo {
+    /// Deliver a frame to a VM NIC; `guest` is what runs inside. A frame
+    /// for an unknown VM, one that is not running or a NIC it does not
+    /// have never reaches the guest.
+    pub fn deliver<G>(
+        &mut self,
+        id: VmId,
+        nic: usize,
+        pkt: Packet,
+        costs: &CostModel,
+        guest: G,
+    ) -> VmIo
+    where
+        G: FnOnce(usize, Packet) -> (Vec<(usize, Packet)>, Cost),
+    {
         match self.vms.get_mut(&id.0) {
-            Some(vm) => vm.deliver(nic, pkt, costs),
+            Some(vm) => vm.deliver(nic, pkt, costs, guest),
             None => VmIo::default(),
         }
     }

@@ -1,11 +1,10 @@
-//! VM substrate tests, including the VM-vs-kernel cost comparison that
-//! underlies the paper's throughput ordering.
+//! VM substrate tests. Guests are closures: the hypervisor owns the
+//! boundary and nothing inside it.
 
 use super::*;
 use crate::image::DiskImage;
 use std::net::Ipv4Addr;
-use un_ipsec::spd::{SecurityPolicy, TrafficSelector};
-use un_packet::PacketBuilder;
+use un_packet::{MacAddr, PacketBuilder};
 
 fn hv_with_image() -> Hypervisor {
     let mut hv = Hypervisor::new();
@@ -14,26 +13,6 @@ fn hv_with_image() -> Hypervisor {
         size: mb(522),
     });
     hv
-}
-
-fn ipsec_app() -> GuestApp {
-    let key = [3u8; 32];
-    let salt = [7, 7, 7, 7];
-    let a = Ipv4Addr::new(192, 0, 2, 1);
-    let b = Ipv4Addr::new(203, 0, 113, 7);
-    let mut app = UserspaceIpsecApp::new();
-    app.sa_out = Some(SecurityAssociation::outbound(0x42, a, b, key, salt));
-    app.sa_in = Some(SecurityAssociation::inbound(0x43, b, a, key, salt));
-    app.spd.install(SecurityPolicy {
-        selector: TrafficSelector::between(
-            "192.168.1.0/24".parse().unwrap(),
-            "0.0.0.0/0".parse().unwrap(),
-        ),
-        direction: un_ipsec::spd::PolicyDirection::Out,
-        action: PolicyAction::Protect(0x42),
-        priority: 10,
-    });
-    GuestApp::UserspaceIpsec(app)
 }
 
 fn lan_frame(payload_len: usize) -> Packet {
@@ -45,22 +24,18 @@ fn lan_frame(payload_len: usize) -> Packet {
         .build()
 }
 
+/// A guest that forwards NIC 0 ↔ NIC 1 and charges `work_ns`.
+fn crossing_guest(work_ns: u64) -> impl FnOnce(usize, Packet) -> (Vec<(usize, Packet)>, Cost) {
+    move |nic, pkt| (vec![(1 - nic, pkt)], Cost::from_nanos(work_ns))
+}
+
 #[test]
 fn lifecycle_and_memory_composition() {
     let mut hv = hv_with_image();
     let mut ledger = MemLedger::new();
     let node = ledger.create_account("node", None);
     let id = hv
-        .create_vm(
-            "ipsec-vm",
-            "strongswan-vm",
-            1,
-            320,
-            2,
-            ipsec_app(),
-            &mut ledger,
-            node,
-        )
+        .create_vm("ipsec-vm", "strongswan-vm", 1, 320, 2, &mut ledger, node)
         .unwrap();
     assert_eq!(ledger.usage(node), 0);
 
@@ -68,8 +43,6 @@ fn lifecycle_and_memory_composition() {
     // 320 MB guest + 70.6 MB QEMU = 390.6 MB — the paper's VM RAM cell.
     assert_eq!(ledger.usage(node), mb(320) + mb_f(QEMU_OVERHEAD_MB));
 
-    hv.pause(id).unwrap();
-    hv.resume(id).unwrap();
     hv.stop(id, &mut ledger).unwrap();
     assert_eq!(ledger.usage(node), 0);
     hv.destroy(id).unwrap();
@@ -82,32 +55,21 @@ fn state_machine_guards() {
     let mut ledger = MemLedger::new();
     let node = ledger.create_account("node", None);
     assert!(matches!(
-        hv.create_vm(
-            "x",
-            "ghost",
-            1,
-            64,
-            1,
-            GuestApp::Reflector,
-            &mut ledger,
-            node
-        ),
+        hv.create_vm("x", "ghost", 1, 64, 1, &mut ledger, node),
         Err(VmError::NoSuchImage(_))
     ));
     let id = hv
-        .create_vm(
-            "x",
-            "strongswan-vm",
-            1,
-            64,
-            1,
-            GuestApp::Reflector,
-            &mut ledger,
-            node,
-        )
+        .create_vm("x", "strongswan-vm", 1, 64, 1, &mut ledger, node)
         .unwrap();
-    assert!(matches!(hv.pause(id), Err(VmError::BadState { .. })));
+    assert!(matches!(
+        hv.stop(id, &mut ledger),
+        Err(VmError::BadState { .. })
+    ));
     hv.start(id, &mut ledger).unwrap();
+    assert!(matches!(
+        hv.start(id, &mut ledger),
+        Err(VmError::BadState { .. })
+    ));
     assert!(matches!(hv.destroy(id), Err(VmError::BadState { .. })));
     hv.stop(id, &mut ledger).unwrap();
     hv.destroy(id).unwrap();
@@ -120,212 +82,43 @@ fn stopped_vm_drops_packets() {
     let mut ledger = MemLedger::new();
     let node = ledger.create_account("node", None);
     let id = hv
-        .create_vm(
-            "x",
-            "strongswan-vm",
-            1,
-            64,
-            2,
-            GuestApp::L2Forward,
-            &mut ledger,
-            node,
-        )
+        .create_vm("x", "strongswan-vm", 1, 64, 2, &mut ledger, node)
         .unwrap();
-    let io = hv.deliver(id, 0, lan_frame(100), &CostModel::default());
+    let io = hv.deliver(id, 0, lan_frame(100), &CostModel::default(), |_, _| {
+        unreachable!("a VM that does not run runs no guest")
+    });
     assert!(io.outputs.is_empty());
     assert_eq!(hv.vm(id).unwrap().dropped, 1);
 }
 
+/// Each direction crosses to the other NIC, and the charge is the
+/// guest's own work plus the boundary: two copies and a crossing each
+/// way, a descriptor and a vmexit per ring.
 #[test]
 fn l2_forward_crosses_nics() {
     let mut hv = hv_with_image();
     let mut ledger = MemLedger::new();
     let node = ledger.create_account("node", None);
     let id = hv
-        .create_vm(
-            "fwd",
-            "strongswan-vm",
-            1,
-            64,
-            2,
-            GuestApp::L2Forward,
-            &mut ledger,
-            node,
-        )
+        .create_vm("fwd", "strongswan-vm", 1, 64, 2, &mut ledger, node)
         .unwrap();
     hv.start(id, &mut ledger).unwrap();
-    let io = hv.deliver(id, 0, lan_frame(64), &CostModel::default());
+    let costs = CostModel::default();
+    let io = hv.deliver(id, 0, lan_frame(64), &costs, crossing_guest(500));
     assert_eq!(io.outputs.len(), 1);
     assert_eq!(io.outputs[0].0, 1, "nic0 -> nic1");
-    let io = hv.deliver(id, 1, lan_frame(64), &CostModel::default());
+    let len = lan_frame(64).len();
+    let boundary = 4 * costs.copy(len).as_nanos()
+        + 2 * (costs.virtio_descriptor_ns + costs.vmexit_ns + costs.user_kernel_crossing_ns);
+    assert_eq!(io.cost.as_nanos(), 500 + boundary);
+
+    let io = hv.deliver(id, 1, lan_frame(64), &costs, crossing_guest(0));
     assert_eq!(io.outputs[0].0, 0, "nic1 -> nic0");
-    assert!(io.cost.as_nanos() > 0);
-}
-
-#[test]
-fn userspace_ipsec_encapsulates_and_wire_is_opaque() {
-    let mut hv = hv_with_image();
-    let mut ledger = MemLedger::new();
-    let node = ledger.create_account("node", None);
-    let id = hv
-        .create_vm(
-            "swan",
-            "strongswan-vm",
-            1,
-            320,
-            2,
-            ipsec_app(),
-            &mut ledger,
-            node,
-        )
-        .unwrap();
-    hv.start(id, &mut ledger).unwrap();
-
-    let payload = vec![0xCD; 256];
-    let io = hv.deliver(id, 0, lan_frame(256), &CostModel::default());
-    assert_eq!(io.outputs.len(), 1);
-    let (nic, wire) = &io.outputs[0];
-    assert_eq!(*nic, 1, "ciphertext leaves the WAN NIC");
-    let eth = wire.ethernet().unwrap();
-    let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-    assert_eq!(ip.protocol(), IpProtocol::Esp);
-    assert!(
-        !wire
-            .data()
-            .windows(payload.len())
-            .any(|w| w == &payload[..]),
-        "plaintext must not leak"
-    );
-
-    // Decapsulate with the peer's SA to prove correctness end-to-end.
-    let key = [3u8; 32];
-    let salt = [7, 7, 7, 7];
-    let mut peer_in = SecurityAssociation::inbound(
-        0x42,
-        Ipv4Addr::new(192, 0, 2, 1),
-        Ipv4Addr::new(203, 0, 113, 7),
-        key,
-        salt,
-    );
-    let inner = un_ipsec::esp::decapsulate(&mut peer_in, ip.payload()).unwrap();
-    let orig = lan_frame(256);
-    assert_eq!(inner, orig.data()[14..].to_vec());
-}
-
-#[test]
-fn userspace_ipsec_decapsulates_inbound() {
-    let mut hv = hv_with_image();
-    let mut ledger = MemLedger::new();
-    let node = ledger.create_account("node", None);
-    let id = hv
-        .create_vm(
-            "swan",
-            "strongswan-vm",
-            1,
-            320,
-            2,
-            ipsec_app(),
-            &mut ledger,
-            node,
-        )
-        .unwrap();
-    hv.start(id, &mut ledger).unwrap();
-
-    // Build an inbound ESP frame using the peer's outbound twin of sa_in.
-    let key = [3u8; 32];
-    let salt = [7, 7, 7, 7];
-    let a = Ipv4Addr::new(192, 0, 2, 1);
-    let b = Ipv4Addr::new(203, 0, 113, 7);
-    let mut peer_out = SecurityAssociation::outbound(0x43, b, a, key, salt);
-    let inner = PacketBuilder::new()
-        .ipv4(Ipv4Addr::new(172, 16, 0, 9), Ipv4Addr::new(192, 168, 1, 10))
-        .udp(5201, 5001)
-        .payload(b"reply-data")
-        .build();
-    let esp_payload = un_ipsec::esp::encapsulate(&mut peer_out, inner.data()).unwrap();
-    let total = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + esp_payload.len();
-    let mut wire = Packet::zeroed(total);
-    {
-        let buf = wire.data_mut();
-        let mut e = EthernetFrame::new_unchecked(&mut buf[..]);
-        e.set_src(MacAddr::local(9));
-        e.set_dst(MacAddr::local(10));
-        e.set_ethertype(EtherType::Ipv4);
-        let mut ip = Ipv4Packet::new_unchecked(&mut buf[ETHERNET_HEADER_LEN..]);
-        ip.init();
-        ip.set_total_len((IPV4_HEADER_LEN + esp_payload.len()) as u16);
-        ip.set_ttl(64);
-        ip.set_protocol(IpProtocol::Esp);
-        ip.set_src(b);
-        ip.set_dst(a);
-        ip.fill_checksum();
-    }
-    let off = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
-    wire.data_mut()[off..].copy_from_slice(&esp_payload);
-
-    let io = hv.deliver(id, 1, wire, &CostModel::default());
-    assert_eq!(io.outputs.len(), 1);
-    let (nic, plain) = &io.outputs[0];
-    assert_eq!(*nic, 0, "plaintext leaves the LAN NIC");
-    let eth = plain.ethernet().unwrap();
-    let ip = Ipv4Packet::new_checked(eth.payload()).unwrap();
-    assert_eq!(ip.protocol(), IpProtocol::Udp);
-    assert_eq!(ip.dst(), Ipv4Addr::new(192, 168, 1, 10));
-}
-
-#[test]
-fn vm_path_costs_more_than_kernel_path() {
-    // The structural claim behind Table 1: the same ESP transform costs
-    // strictly more through the VM than through the host kernel.
-    let costs = CostModel::default();
-
-    // Kernel path cost (un-linux xfrm): lookup + kernel AEAD.
-    let mut kernel_cost = Cost::ZERO;
-    let mut xfrm = un_linux::xfrm::Xfrm::new();
-    let key = [3u8; 32];
-    let salt = [7, 7, 7, 7];
-    let a = Ipv4Addr::new(192, 0, 2, 1);
-    let b = Ipv4Addr::new(203, 0, 113, 7);
-    xfrm.sad
-        .install(SecurityAssociation::outbound(0x1, a, b, key, salt));
-    xfrm.spd.install(SecurityPolicy {
-        selector: TrafficSelector::any(),
-        direction: un_ipsec::spd::PolicyDirection::Out,
-        action: PolicyAction::Protect(0x1),
-        priority: 1,
+    // No such NIC: dropped before the guest.
+    let io = hv.deliver(id, 2, lan_frame(64), &costs, |_, _| {
+        unreachable!("no guest behind a missing NIC")
     });
-    let inner = lan_frame(1400);
-    let ip_only = inner.data()[14..].to_vec();
-    let out = xfrm.output(&ip_only, &costs, &mut kernel_cost);
-    assert!(matches!(out, un_linux::xfrm::XfrmOutput::Encapsulated(_)));
-
-    // VM path cost for the same packet.
-    let mut hv = hv_with_image();
-    let mut ledger = MemLedger::new();
-    let node = ledger.create_account("node", None);
-    let id = hv
-        .create_vm(
-            "swan",
-            "strongswan-vm",
-            1,
-            320,
-            2,
-            ipsec_app(),
-            &mut ledger,
-            node,
-        )
-        .unwrap();
-    hv.start(id, &mut ledger).unwrap();
-    let io = hv.deliver(id, 0, lan_frame(1400), &CostModel::default());
-    assert_eq!(io.outputs.len(), 1);
-
-    let vm_ns = io.cost.as_nanos();
-    let kernel_ns = kernel_cost.as_nanos();
-    assert!(
-        vm_ns > kernel_ns + 3_000,
-        "VM path ({vm_ns}ns) must structurally exceed kernel path ({kernel_ns}ns) by the \
-         vmexit/copy/crossing budget"
-    );
+    assert!(io.outputs.is_empty());
 }
 
 #[test]
@@ -334,20 +127,17 @@ fn virtqueue_kicks_counted_per_packet() {
     let mut ledger = MemLedger::new();
     let node = ledger.create_account("node", None);
     let id = hv
-        .create_vm(
-            "fwd",
-            "strongswan-vm",
-            1,
-            64,
-            2,
-            GuestApp::L2Forward,
-            &mut ledger,
-            node,
-        )
+        .create_vm("fwd", "strongswan-vm", 1, 64, 2, &mut ledger, node)
         .unwrap();
     hv.start(id, &mut ledger).unwrap();
     for _ in 0..10 {
-        hv.deliver(id, 0, lan_frame(64), &CostModel::default());
+        hv.deliver(
+            id,
+            0,
+            lan_frame(64),
+            &CostModel::default(),
+            crossing_guest(0),
+        );
     }
     let (kicks_nic0, drops0) = hv.vm(id).unwrap().nic_stats(0).unwrap();
     let (kicks_nic1, _d1) = hv.vm(id).unwrap().nic_stats(1).unwrap();

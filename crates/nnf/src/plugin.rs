@@ -116,12 +116,12 @@ impl From<un_linux::HostError> for NnfError {
 /// and deploys a fresh instance from the new config; re-running a config
 /// over a live namespace would duplicate what is already there (a second
 /// SPD entry, repeated routes). A fresh start does not make a PSK tunnel
-/// safe: [`ipsec_tunnel`](crate::translate::ipsec_tunnel) derives the
-/// same keys and salts from the PSK on every start, and the SAs count
-/// from sequence number 0 again. So a restarted or redeployed IPsec NNF
-/// seals under (key, nonce) pairs it has used before, and the peer drops
-/// its first frames as replays. Fresh keys per start need a key exchange
-/// (`un_ipsec::ike`), which the NNF does not run.
+/// safe: [`derive_psk_tunnel`](crate::translate::derive_psk_tunnel)
+/// gives the same keys and salts for the PSK on every start, and the
+/// SAs count from sequence number 0 again. So a restarted or redeployed
+/// IPsec NNF seals under (key, nonce) pairs it has used before, and the
+/// peer drops its first frames as replays. Fresh keys per start need a
+/// key exchange (`un_ipsec::ike`), which the NNF does not run.
 #[derive(Debug)]
 pub struct NnfInstance {
     descriptor: NnfDescriptor,

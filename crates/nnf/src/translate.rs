@@ -15,10 +15,10 @@
 //! namespace's whole program: an instance's
 //! [`start`](crate::NnfInstance::start) is a guard,
 //! [`execute`](crate::plugins::execute) of this list, and its RSS
-//! booking. Every flavor is configured from here: native and Docker
-//! instances run the list in a namespace, the VM driver builds its guest
-//! from [`ipsec_tunnel`], and a shared NAT reads each graph's binding
-//! through [`nat_addressing`].
+//! booking. Every flavor is configured from here: native, Docker and VM
+//! instances run the list in a namespace (a VM's is its guest kernel),
+//! and a shared NAT reads each graph's binding through
+//! [`nat_addressing`].
 //!
 //! Translation parses everything before it emits anything, so a config
 //! refused here has configured nothing.
@@ -233,13 +233,12 @@ fn translate_ipsec(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, Nnf
     Ok(cmds)
 }
 
-/// The tunnel half of an IPsec config: what every flavor of the function
-/// installs, and all a VM guest needs. Keys `psk`, `local-addr`,
+/// The tunnel half of an IPsec config. Keys `psk`, `local-addr`,
 /// `peer-addr`, `protected-local`, `protected-remote` and an optional
 /// `role` (`initiator` by default) become the route toward the peer out
 /// the WAN port (port 1), forwarding, the outbound and inbound SAs, and
 /// the outbound policy.
-pub fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
     let p = &c.params;
     let psk: String = req(p, "", "psk")?;
     let local: Ipv4Addr = req(p, "", "local-addr")?;

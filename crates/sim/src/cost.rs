@@ -96,10 +96,6 @@ pub struct CostModel {
     // ---- crypto ----
     /// AEAD seal/open (ChaCha20-Poly1305) executed in *kernel* context.
     pub aead: LinearCost,
-    /// Extra penalty multiplier context for AEAD in *userspace* of a guest:
-    /// same algorithmic cost, but the data must be copied in and out of the
-    /// process (charged separately via `copy`).
-    pub aead_user: LinearCost,
 
     // ---- memory movement & domain crossings ----
     /// One memcpy of packet data (per copy).
@@ -169,10 +165,6 @@ impl Default for CostModel {
                 fixed_ns: 350,
                 per_byte_ns: 6.0,
             },
-            aead_user: LinearCost {
-                fixed_ns: 350,
-                per_byte_ns: 6.0,
-            },
             copy: LinearCost {
                 fixed_ns: 40,
                 per_byte_ns: 0.25,
@@ -208,14 +200,6 @@ impl CostModel {
     /// AEAD in kernel context for `len` payload bytes.
     pub fn aead_kernel(&self, len: usize) -> Cost {
         self.aead.eval(len)
-    }
-
-    /// AEAD in guest-userspace context for `len` payload bytes: the
-    /// algorithm costs the same, but the caller must additionally charge
-    /// the copies in/out of the process and the crossings (see
-    /// `un-hypervisor`).
-    pub fn aead_userspace(&self, len: usize) -> Cost {
-        self.aead_user.eval(len)
     }
 
     /// One packet-data copy of `len` bytes.

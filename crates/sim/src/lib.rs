@@ -7,8 +7,6 @@
 //!   nanoseconds. Throughput reported by the evaluation harnesses is
 //!   *virtual-time* throughput: bytes delivered divided by virtual time
 //!   elapsed, with every component charging documented costs.
-//! * [`event::EventQueue`] — the discrete-event scheduler core (a stable
-//!   priority queue ordered by timestamp, FIFO among equal timestamps).
 //! * [`cost::CostModel`] — the calibrated per-packet / per-byte cost
 //!   constants for kernel networking, virtio, context switches and crypto.
 //!   This module is the *single* place where the reproduction's absolute
@@ -27,14 +25,12 @@
 
 pub mod cost;
 pub mod counters;
-pub mod event;
 pub mod mem;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use cost::{Cost, CostModel};
-pub use event::EventQueue;
 pub use mem::{AccountId, MemLedger};
 pub use rng::DetRng;
 pub use stats::Histogram;

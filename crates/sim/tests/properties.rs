@@ -2,29 +2,8 @@
 
 use proptest::prelude::*;
 use un_sim::mem::MemLedger;
-use un_sim::{EventQueue, SimTime};
 
 proptest! {
-    /// Events always pop in non-decreasing time order, FIFO within a
-    /// timestamp.
-    #[test]
-    fn event_queue_stable_order(times in prop::collection::vec(0u64..50, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.push(SimTime::from_nanos(*t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some((at, seq)) = q.pop() {
-            if let Some((lat, lseq)) = last {
-                prop_assert!(at >= lat, "time went backwards");
-                if at == lat {
-                    prop_assert!(seq > lseq, "FIFO violated within a timestamp");
-                }
-            }
-            last = Some((at, seq));
-        }
-    }
-
     /// Ledger usage is always the sum of outstanding allocations, across
     /// any interleaving of allocs and frees.
     #[test]
