@@ -69,7 +69,7 @@ impl ComputeDriver for DockerDriver {
             return Err(foreign(req.spec));
         };
         let ft = req.functional_type;
-        let plugin = self.catalog.instantiate(ft).ok_or_else(|| {
+        let plugin = self.catalog.instantiate(ft, false).map_err(|_| {
             ComputeError::Unsupported(format!("no container entrypoint for '{ft}'"))
         })?;
         self.runtime

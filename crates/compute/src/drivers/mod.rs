@@ -50,7 +50,9 @@ pub struct CreateRequest<'a> {
     pub n_ports: usize,
     /// The NF's generic configuration.
     pub config: &'a NfConfig,
-    /// Sharable single-port mode (native NFs only).
+    /// Ask for a shared instance, which graphs bind to: the native
+    /// driver's catalogue refuses a type not sharable, and Docker and VM
+    /// instances are dedicated.
     pub shared: bool,
 }
 
@@ -124,12 +126,12 @@ pub trait ComputeDriver {
         Err(ComputeError::Unsupported("not a sharable instance".into()))
     }
 
-    /// Detach a service graph bound with [`bind_graph`](Self::bind_graph).
+    /// Detach a binding made with [`bind_graph`](Self::bind_graph).
     fn unbind_graph(
         &mut self,
         _env: &mut NodeEnv<'_>,
         _id: InstanceId,
-        _graph: &str,
+        _binding: &GraphBinding,
     ) -> Result<(), ComputeError> {
         Err(ComputeError::Unsupported("not a sharable instance".into()))
     }

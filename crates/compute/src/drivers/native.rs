@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 
 use un_linux::{IfaceId, NsId};
-use un_nnf::{GraphBinding, NnfCatalog};
+use un_nnf::{GraphBinding, NnfCatalog, NnfError};
 use un_packet::Packet;
 use un_sim::mem::mb;
 
@@ -25,10 +25,19 @@ use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
 
 struct NativeInstance {
     sandbox: Sandbox,
-    shared: bool,
-    bindings: Vec<GraphBinding>,
     /// The catalogue's package size: a native NF's "image".
     package_bytes: u64,
+}
+
+/// An NNF's refusal of a request about sharing: asked of a dedicated
+/// instance or a type not sharable, it is `Unsupported`; a binding the
+/// instance does not hold is a `BadState`.
+fn refusal(e: NnfError) -> ComputeError {
+    match e {
+        NnfError::NotSharable => ComputeError::Unsupported(e.to_string()),
+        NnfError::BadState(s) => ComputeError::BadState(s),
+        e => substrate(e),
+    }
 }
 
 /// Driver state: catalogue + instance table.
@@ -57,9 +66,21 @@ impl NativeDriver {
         self.singletons.get(functional_type).copied()
     }
 
-    /// Graphs bound to an instance (shared mode).
+    /// The graph of each binding on a shared instance, in bind order, as
+    /// its adaptation layer records them (a graph with two NFs on it is
+    /// there twice); empty for any other.
+    pub fn bound_graphs(&self, id: InstanceId) -> Vec<String> {
+        let bindings = self.instances.get(&id).map(|i| i.sandbox.plugin.bindings());
+        bindings
+            .into_iter()
+            .flatten()
+            .map(|b| b.graph.clone())
+            .collect()
+    }
+
+    /// Bindings on an instance (shared mode).
     pub fn binding_count(&self, id: InstanceId) -> usize {
-        self.instances.get(&id).map_or(0, |i| i.bindings.len())
+        self.bound_graphs(id).len()
     }
 }
 
@@ -69,8 +90,8 @@ impl ComputeDriver for NativeDriver {
     }
 
     /// An NNF in a fresh namespace with external ports. `req.shared`
-    /// asks for single-port shared mode (sharable NNFs only; graphs
-    /// then attach via `bind_graph`).
+    /// asks for a shared instance on one attachment port (sharable NNFs
+    /// only; graphs then attach via `bind_graph`).
     fn create(
         &mut self,
         env: &mut NodeEnv<'_>,
@@ -85,13 +106,7 @@ impl ComputeDriver for NativeDriver {
         if !desc.multi_instance && self.singletons.contains_key(ft) {
             return Err(ComputeError::NnfBusy(ft.to_string()));
         }
-        if req.shared && !desc.sharable {
-            return Err(ComputeError::Unsupported(format!("'{ft}' is not sharable")));
-        }
-        let plugin = self
-            .catalog
-            .instantiate(ft)
-            .ok_or_else(|| ComputeError::NoSuchNnf(ft.to_string()))?;
+        let plugin = self.catalog.instantiate(ft, req.shared).map_err(refusal)?;
         let n_ports = match req.shared {
             true => 1,
             false => req.n_ports.max(desc.min_ports),
@@ -103,8 +118,6 @@ impl ComputeDriver for NativeDriver {
         }
         let inst = NativeInstance {
             sandbox,
-            shared: req.shared,
-            bindings: Vec::new(),
             package_bytes: desc.package_bytes,
         };
         self.instances.insert(req.id, inst);
@@ -174,36 +187,21 @@ impl ComputeDriver for NativeDriver {
         binding: &GraphBinding,
     ) -> Result<(), ComputeError> {
         let inst = record(&mut self.instances, id)?;
-        if !inst.shared {
-            return Err(ComputeError::Unsupported(
-                "instance not in shared mode".into(),
-            ));
-        }
         let mut ctx = inst.sandbox.ctx(env.host, env.ledger);
-        inst.sandbox
-            .plugin_mut()
-            .bind_graph(&mut ctx, binding)
-            .map_err(substrate)?;
-        inst.bindings.push(binding.clone());
-        Ok(())
+        let bound = inst.sandbox.plugin.bind_graph(&mut ctx, binding);
+        bound.map_err(refusal)
     }
 
     fn unbind_graph(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        graph: &str,
+        binding: &GraphBinding,
     ) -> Result<(), ComputeError> {
         let inst = record(&mut self.instances, id)?;
-        let Some(pos) = inst.bindings.iter().position(|b| b.graph == graph) else {
-            return Err(ComputeError::BadState("graph not bound"));
-        };
-        let binding = inst.bindings.remove(pos);
         let mut ctx = inst.sandbox.ctx(env.host, env.ledger);
-        inst.sandbox
-            .plugin_mut()
-            .unbind_graph(&mut ctx, &binding)
-            .map_err(substrate)
+        let unbound = inst.sandbox.plugin.unbind_graph(&mut ctx, binding);
+        unbound.map_err(refusal)
     }
 }
 
@@ -265,10 +263,10 @@ mod tests {
         };
         d.bind_graph(&mut rig.env(), nat, &binding).unwrap();
         assert_eq!(d.binding_count(nat), 1);
-        d.unbind_graph(&mut rig.env(), nat, "g1").unwrap();
+        d.unbind_graph(&mut rig.env(), nat, &binding).unwrap();
         assert_eq!(d.binding_count(nat), 0);
         assert!(matches!(
-            d.unbind_graph(&mut rig.env(), nat, "g1"),
+            d.unbind_graph(&mut rig.env(), nat, &binding),
             Err(ComputeError::BadState(_))
         ));
     }

@@ -27,7 +27,8 @@ pub(super) struct Sandbox {
     ns: NsId,
     ports: Vec<IfaceId>,
     base_tag: u64,
-    plugin: NnfInstance,
+    /// The NNF (a shared one takes per-graph bindings).
+    pub(super) plugin: NnfInstance,
     config: NfConfig,
     account: AccountId,
 }
@@ -77,11 +78,6 @@ impl Sandbox {
     /// The host interface behind instance port `port`.
     pub(super) fn port(&self, port: u32) -> Option<IfaceId> {
         self.ports.get(port as usize).copied()
-    }
-
-    /// The NNF (a shared one takes per-graph bindings).
-    pub(super) fn plugin_mut(&mut self) -> &mut NnfInstance {
-        &mut self.plugin
     }
 
     /// The context the NNF configures this namespace through.

@@ -75,8 +75,8 @@ impl ComputeDriver for VmDriver {
         let ft = req.functional_type;
         let plugin = self
             .catalog
-            .instantiate(ft)
-            .ok_or_else(|| ComputeError::Unsupported(format!("no guest image runs '{ft}'")))?;
+            .instantiate(ft, false)
+            .map_err(|_| ComputeError::Unsupported(format!("no guest image runs '{ft}'")))?;
         let made = self.hypervisor.create_vm(
             req.name,
             image,

@@ -86,8 +86,8 @@ impl ComputeManager {
 
     /// Create an NF instance with the chosen flavor.
     ///
-    /// `shared_native` requests the sharable single-port mode for native
-    /// NFs (ignored for other flavors).
+    /// `shared_native` asks for a shared native instance, which graphs
+    /// bind to ([`CreateRequest::shared`]).
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         &mut self,
@@ -173,14 +173,14 @@ impl ComputeManager {
         self.serving_mut(id)?.bind_graph(env, id, binding)
     }
 
-    /// Unbind a service graph from a shared instance.
+    /// Unbind a binding from a shared instance.
     pub fn unbind_graph(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        graph: &str,
+        binding: &GraphBinding,
     ) -> Result<(), ComputeError> {
-        self.serving_mut(id)?.unbind_graph(env, id, graph)
+        self.serving_mut(id)?.unbind_graph(env, id, binding)
     }
 
     /// RAM allocated to an instance right now (the paper's RAM column).

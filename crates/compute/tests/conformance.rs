@@ -180,7 +180,7 @@ fn defaults_refuse_and_labels_differ() {
         Err(ComputeError::Unsupported(_))
     ));
     assert!(matches!(
-        dpdk.unbind_graph(&mut env, ID, "g"),
+        dpdk.unbind_graph(&mut env, ID, &binding),
         Err(ComputeError::Unsupported(_))
     ));
     let mgr = un_compute::ComputeManager::new();

@@ -289,12 +289,6 @@ impl DeployedGraph {
     }
 }
 
-struct SharedInfo {
-    instance: InstanceId,
-    attach_port: PortNo,
-    graphs: Vec<String>,
-}
-
 /// Serializable node self-description ("node description, capabilities
 /// and resources" in Figure 1).
 #[derive(Debug, Clone)]
@@ -422,8 +416,7 @@ pub struct UniversalNode {
     physical: BTreeMap<String, PortNo>,
     next_l0_port: u32,
     graphs: BTreeMap<String, DeployedGraph>,
-    slots: Vec<Option<String>>,           // slot index → graph id
-    shared: BTreeMap<String, SharedInfo>, // functional type → info
+    slots: Vec<Option<String>>, // slot index → graph id
     internal_groups: BTreeMap<String, Vec<PortNo>>, // group → lsi0 vlink ports
     next_mark: u32,
     next_dpid: u64,
@@ -589,7 +582,6 @@ impl UniversalNode {
             next_l0_port: 1,
             graphs: BTreeMap::new(),
             slots: Vec::new(),
-            shared: BTreeMap::new(),
             internal_groups: BTreeMap::new(),
             next_mark: 1,
             next_dpid: 2,
@@ -772,9 +764,14 @@ impl UniversalNode {
     }
 
     /// Functional types with a *shared* native instance currently
-    /// running (joinable by further graphs).
+    /// running (joinable by further graphs): the instances on an LSI-0
+    /// attach port.
     pub fn shared_nnf_types(&self) -> Vec<String> {
-        self.shared.keys().cloned().collect()
+        let types = self.l0_ports.values().filter_map(|p| match p {
+            L0Port::SharedAttach(id) => self.compute.functional_type(*id),
+            _ => None,
+        });
+        types.map(String::from).collect()
     }
 
     /// Functional types whose catalog descriptor marks a single native
@@ -790,15 +787,15 @@ impl UniversalNode {
             .collect()
     }
 
-    /// Graph ids currently bound to the running shared instance of a
-    /// functional type (empty when no shared instance runs). The
-    /// domain's lease-conservation invariant cross-checks its registry
-    /// against this node-level truth.
+    /// The graph of each binding on the running shared instance of a
+    /// functional type, in bind order, read from its adaptation layer (a
+    /// graph with two NFs on it is there twice; empty when no shared
+    /// instance runs). The domain's lease-conservation invariant
+    /// cross-checks its registry against this node-level truth.
     pub fn shared_nnf_graphs(&self, functional_type: &str) -> Vec<String> {
-        self.shared
-            .get(functional_type)
-            .map(|info| info.graphs.clone())
-            .unwrap_or_default()
+        let native = &self.compute.native;
+        let instance = native.existing_instance(functional_type);
+        instance.map_or_else(Vec::new, |id| native.bound_graphs(id))
     }
 
     /// Rough RAM a new NF of this type would consume, for fleet-level
@@ -957,9 +954,6 @@ impl UniversalNode {
             }
             Decision::NativeShare(instance) => {
                 let binding = self.make_binding(&gid, nf);
-                if let Some(info) = self.shared.get_mut(&nf.functional_type) {
-                    info.graphs.push(gid);
-                }
                 self.join(graph, nf, instance, Some(binding), false)?;
                 self.trace.nnf_shares += 1;
                 Ok(())
@@ -968,7 +962,7 @@ impl UniversalNode {
     }
 
     /// Create an instance for `nf` and start it; a shared one gets its
-    /// LSI-0 attach port, its registry entry and this graph's binding.
+    /// LSI-0 attach port and this graph's binding.
     fn launch(
         &mut self,
         graph: &mut DeployedGraph,
@@ -993,16 +987,8 @@ impl UniversalNode {
             self.node_account,
         )?;
         if shared.is_some() {
-            let ft = &nf.functional_type;
-            let attach_port =
-                self.add_l0_port(&format!("nnf-{ft}"), L0Port::SharedAttach(instance));
-            let graphs = vec![graph.nffg.id.clone()];
-            let info = SharedInfo {
-                instance,
-                attach_port,
-                graphs,
-            };
-            self.shared.insert(ft.clone(), info);
+            let name = format!("nnf-{}", nf.functional_type);
+            self.add_l0_port(&name, L0Port::SharedAttach(instance));
         }
         self.join(graph, nf, instance, shared, true)
     }
@@ -1113,7 +1099,8 @@ impl UniversalNode {
     fn wire_shared(&mut self, graph: &mut DeployedGraph, nf: &NetworkFunction, vids: [u16; 2]) {
         use FlowAction::Output;
         let cookie = graph_cookie(&graph.nffg.id);
-        let attach = self.shared[&nf.functional_type].attach_port;
+        let instance = graph.nfs[&nf.id].instance;
+        let attach = attach_port(&self.l0_ports, instance).expect("a shared NNF is attached");
         let vlink = self.add_vlink(graph, VlinkKey::SharedNf(nf.id.clone()));
         for vid in vids.map(VlanSpec::Id) {
             let out = FlowMatch::in_port(vlink).with_vlan(vid);
@@ -1146,25 +1133,18 @@ impl UniversalNode {
         let mut result = Ok(());
         for placed in graph.nfs.values() {
             let id = placed.instance;
-            // A dedicated instance goes with its graph, a shared one
-            // with the last graph bound to it.
-            let mut last_user = placed.shared.is_none();
-            if !last_user {
-                result = result.and(self.compute.unbind_graph(&mut env, id, gid));
-                let ft = self.compute.functional_type(id).unwrap_or_default();
-                if let Some(info) = self.shared.get_mut(ft) {
-                    info.graphs.retain(|g| g != gid);
-                    last_user = info.graphs.is_empty();
+            // A dedicated instance goes with its graph, a shared one when
+            // this unbind leaves it no binding.
+            if let Some(binding) = &placed.shared {
+                result = result.and(self.compute.unbind_graph(&mut env, id, binding));
+                if self.compute.native.binding_count(id) > 0 {
+                    continue;
                 }
-                if last_user {
-                    gone.extend(self.shared.remove(ft).map(|info| info.attach_port));
-                }
+                gone.extend(attach_port(&self.l0_ports, id));
             }
-            if last_user {
-                result = result.and(self.compute.stop(&mut env, id));
-                result = result.and(self.compute.destroy(&mut env, id));
-                self.obs_nf_hist.remove(&id);
-            }
+            result = result.and(self.compute.stop(&mut env, id));
+            result = result.and(self.compute.destroy(&mut env, id));
+            self.obs_nf_hist.remove(&id);
         }
         for port in &gone {
             let _ = self.lsi0.remove_port(*port);
@@ -1674,16 +1654,20 @@ impl UniversalNode {
 }
 
 impl NativeStatus for UniversalNode {
+    /// A shared instance is a single-instance NNF on an attach port.
     fn existing(&self, functional_type: &str) -> Option<(InstanceId, bool)> {
-        match self.shared.get(functional_type) {
-            Some(info) => Some((info.instance, true)),
-            None => self
-                .compute
-                .native
-                .existing_instance(functional_type)
-                .map(|id| (id, false)),
-        }
+        let id = self.compute.native.existing_instance(functional_type)?;
+        Some((id, attach_port(&self.l0_ports, id).is_some()))
     }
+}
+
+/// The LSI-0 port shared instance `id` is attached on, if it is one.
+fn attach_port(l0_ports: &BTreeMap<PortNo, L0Port>, id: InstanceId) -> Option<PortNo> {
+    let attached = |(port, kind): (&PortNo, &L0Port)| match kind {
+        L0Port::SharedAttach(i) if *i == id => Some(*port),
+        _ => None,
+    };
+    l0_ports.iter().find_map(attached)
 }
 
 /// Compile one NF-FG rule into a graph-LSI flow entry.

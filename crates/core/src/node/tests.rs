@@ -518,9 +518,9 @@ fn census(n: &UniversalNode) -> Census {
         flows: n.total_flows(),
         shared_types: n.shared_nnf_types(),
         bindings: n
-            .shared
-            .values()
-            .map(|info| n.compute.native.binding_count(info.instance))
+            .shared_nnf_types()
+            .iter()
+            .map(|ft| n.shared_nnf_graphs(ft).len())
             .sum(),
         group_members: n.internal_groups.values().map(Vec::len).sum(),
         nf_histograms: n.obs_nf_hist.len(),
@@ -648,6 +648,83 @@ fn forwards(n: &mut UniversalNode, subject: Subject) -> usize {
     let io = n.inject("eth0", pkt);
     assert!(io.emitted.iter().all(|(port, _)| port == "eth1"));
     io.emitted.len()
+}
+
+/// A graph with two NATs rides the node's one shared instance twice,
+/// as two bindings told apart by their marks: nat1 masquerades toward
+/// nat2's LAN address, nat2 out eth1. Undeploy gives everything back.
+#[test]
+fn one_graph_rides_a_shared_nnf_twice() {
+    let mut n = node();
+    let before = census(&n);
+    let nat1 = nat_config("203.0.113.1/24").with_param("wan-gw", "203.0.113.2");
+    let nat2 = un_nffg::NfConfig::default()
+        .with_param("lan-addr", "203.0.113.2/24")
+        .with_param("wan-addr", "198.51.100.1/24");
+    let g = NfFgBuilder::new("g", "two NATs")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf_with_config("nat1", "nat", 2, nat1)
+        .nf_with_config("nat2", "nat", 2, nat2)
+        .chain("lan", &["nat1", "nat2"], "wan")
+        .build();
+    n.deploy(&g).unwrap();
+    let (inst, _) = n.instance_of("g", "nat1").unwrap();
+    assert_eq!(n.instance_of("g", "nat2").unwrap().0, inst);
+    assert_eq!(n.shared_nnf_graphs("nat"), ["g", "g"]);
+
+    // Sub-interfaces share the attachment port's MAC, so nat1 reaches
+    // its gateway, nat2's LAN side, at that MAC.
+    let ns = n.compute.namespace_of(inst).unwrap();
+    let attach = n.compute.port_iface(inst, 0).unwrap();
+    let attach_mac = n.host.iface(attach).unwrap().mac;
+    for (next_hop, mac) in [
+        ("203.0.113.2", attach_mac),
+        ("8.8.8.8", MacAddr::local(0x99)),
+    ] {
+        n.host
+            .neigh_add(ns, next_hop.parse().unwrap(), mac)
+            .unwrap();
+    }
+    let pkt = un_packet::PacketBuilder::new()
+        .ethernet(MacAddr::local(5), MacAddr::BROADCAST)
+        .ipv4("192.168.1.10".parse().unwrap(), "8.8.8.8".parse().unwrap())
+        .udp(5000, 53)
+        .payload(b"tenant")
+        .build();
+    let io = n.inject("eth0", pkt);
+    assert_eq!(io.emitted.len(), 1);
+    let (port, out) = &io.emitted[0];
+    assert_eq!(port, "eth1");
+    let eth = out.ethernet().unwrap();
+    let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+    assert_eq!(
+        ip.src(),
+        "198.51.100.1".parse::<std::net::Ipv4Addr>().unwrap()
+    );
+
+    n.undeploy("g").unwrap();
+    assert_eq!(census(&n), before);
+}
+
+/// One port does not make a NAT shared: hinted onto Docker it is a
+/// dedicated NAT, which needs two ports, and its start refuses one
+/// without a trace on the node.
+#[test]
+fn a_one_port_dedicated_nat_is_refused_at_start() {
+    let mut n = node();
+    let before = census(&n);
+    let g = NfFgBuilder::new("g", "one-port NAT")
+        .interface_endpoint("lan", "eth0")
+        .nf_with_config("nat", "nat", 1, nat_config("203.0.113.1/24"))
+        .with_flavor("docker")
+        .rule_through("in", 1, "lan", ("nat", 0))
+        .rule_through("out", 1, ("nat", 0), "lan")
+        .build();
+    let refusal = un_nnf::NnfError::NotEnoughPorts { need: 2, have: 1 };
+    let refusal = ComputeError::Substrate(refusal.to_string());
+    assert_eq!(n.deploy(&g).unwrap_err(), refusal.into());
+    assert_eq!(census(&n), before);
 }
 
 #[test]

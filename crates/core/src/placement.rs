@@ -85,7 +85,7 @@ fn decide_native(
             // First user. Sharable single-instance NNFs start in shared
             // mode so later graphs can join (paper: marking mechanism +
             // internal paths).
-            if !desc.multi_instance && desc.sharable && desc.single_port_when_shared {
+            if !desc.multi_instance && desc.sharable {
                 Ok(Decision::NativeNewShared)
             } else {
                 Ok(Decision::NativeNew)

@@ -1969,6 +1969,38 @@ fn shared_host_failure_reelects_and_reroutes_every_tenant() {
     }
 }
 
+/// A graph with two NATs of one share key holds one lease of two wires:
+/// its host binds it twice, the fleet verifies clean, and the instance
+/// goes with the graph.
+#[test]
+fn a_graph_with_two_shared_nfs_holds_one_lease() {
+    let mut d = sharing_fleet(2, SharingConfig::for_types(&["nat"]));
+    let nat1 = un_nffg::NfConfig::default()
+        .with_param("lan-addr", "192.168.1.1/24")
+        .with_param("wan-addr", "203.0.113.1/24")
+        .with_param("wan-gw", "203.0.113.2");
+    let nat2 = un_nffg::NfConfig::default()
+        .with_param("lan-addr", "203.0.113.2/24")
+        .with_param("wan-addr", "198.51.100.1/24");
+    let g = NfFgBuilder::new("g", "two NATs")
+        .vlan_endpoint("lan", "eth0", 11)
+        .vlan_endpoint("wan", "eth1", 11)
+        .nf_with_config("nat1", "nat", 2, nat1)
+        .nf_with_config("nat2", "nat", 2, nat2)
+        .chain("lan", &["nat1", "nat2"], "wan")
+        .build();
+    d.deploy_with(&g, &tenant_hints("n1")).unwrap();
+    let instances = d.shared_instances();
+    assert_eq!(instances.len(), 1);
+    assert_eq!(instances[0].leases, [("g".to_string(), 2)].into());
+    let host = d.node(&instances[0].host).unwrap();
+    assert_eq!(host.shared_nnf_graphs("nat"), ["g", "g"]);
+    assert!(d.verify().ok());
+
+    d.undeploy("g").unwrap();
+    assert!(d.shared_instances().is_empty());
+}
+
 #[test]
 fn lease_capacity_is_typed_and_never_double_counts_a_held_lease() {
     let mut d = sharing_fleet(

@@ -8,18 +8,26 @@
 //!
 //! Mechanically (all standard Linux machinery, which is the point):
 //!
-//! * the NNF has **one** attachment interface (`parent`);
-//! * per service graph, two 802.1Q sub-interfaces are created on it
-//!   (LAN-side and WAN-side VIDs from the [`GraphBinding`]);
-//! * ingress on those sub-interfaces stamps the graph's **fwmark** (via
+//! * the NNF has **one** attachment interface (`parent`), the only port
+//!   a shared instance starts on;
+//! * per [`GraphBinding`], two 802.1Q sub-interfaces are created on it
+//!   on the binding's LAN-side and WAN-side VIDs, named by its mark:
+//!   `m<mark>-lan` and `m<mark>-wan`;
+//! * ingress on those sub-interfaces stamps the binding's **fwmark** (via
 //!   a mangle/PREROUTING rule) and **conntrack zone** (per-interface);
-//! * a per-graph **routing table**, selected by an `ip rule fwmark`,
-//!   forms the graph's private internal path;
+//! * a per-binding **routing table**, selected by an `ip rule fwmark`,
+//!   forms its private internal path;
 //! * egress through a sub-interface re-tags traffic automatically, so
 //!   the LSI can demultiplex graphs on the way out.
 //!
+//! The layer is the one record of who rides a shared instance: a binding
+//! is in [`AdaptationLayer::bindings`] exactly while its sub-interfaces,
+//! rules and table exist. It is keyed by the binding, not the graph, so a
+//! graph with two NFs on one shared instance holds two bindings, told
+//! apart by their marks.
+//!
 //! The one sharable NNF is NAT: [`AdaptationLayer::bind_nat`] gives each
-//! attached graph its addresses, private routes and masquerade rule.
+//! binding its addresses, private routes and masquerade rule.
 
 use std::net::Ipv4Addr;
 
@@ -34,7 +42,7 @@ use crate::translate::nat_addressing;
 /// Routing-table id offset for per-graph tables.
 pub const GRAPH_TABLE_BASE: u32 = 100;
 
-/// Sub-interfaces created for one graph.
+/// Sub-interfaces created for one binding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphIfaces {
     /// LAN-side sub-interface.
@@ -43,30 +51,16 @@ pub struct GraphIfaces {
     pub wan: IfaceId,
 }
 
-/// The adaptation layer bound to one parent attachment port.
-#[derive(Debug)]
+/// The bindings riding one shared instance, with what each was given.
+#[derive(Debug, Default)]
 pub struct AdaptationLayer {
-    parent: IfaceId,
     attached: Vec<(GraphBinding, GraphIfaces)>,
 }
 
 impl AdaptationLayer {
-    /// Create the layer over the single attachment interface.
-    pub fn new(parent: IfaceId) -> Self {
-        AdaptationLayer {
-            parent,
-            attached: Vec::new(),
-        }
-    }
-
-    /// The parent attachment interface.
-    pub fn parent(&self) -> IfaceId {
-        self.parent
-    }
-
-    /// Graphs currently attached.
-    pub fn graph_count(&self) -> usize {
-        self.attached.len()
+    /// The bindings attached, in attach order.
+    pub fn bindings(&self) -> impl Iterator<Item = &GraphBinding> {
+        self.attached.iter().map(|(b, _)| b)
     }
 
     /// The per-graph routing table id for a binding.
@@ -74,29 +68,28 @@ impl AdaptationLayer {
         GRAPH_TABLE_BASE + binding.mark
     }
 
-    /// Attach one more service graph: create its marked sub-interfaces
-    /// and its private routing table/rule.
+    /// Attach one more binding over the instance's attachment interface
+    /// `parent`: create its marked sub-interfaces and its private routing
+    /// table/rule.
     pub fn attach(
         &mut self,
         ctx: &mut NnfContext<'_>,
+        parent: IfaceId,
         binding: &GraphBinding,
     ) -> Result<GraphIfaces, NnfError> {
-        let lan = ctx.host.add_vlan_sub(
-            self.parent,
-            binding.vid_lan,
-            &format!("g{}-lan", binding.graph),
-        )?;
-        let wan = ctx.host.add_vlan_sub(
-            self.parent,
-            binding.vid_wan,
-            &format!("g{}-wan", binding.graph),
-        )?;
+        let name = |side: &str| format!("m{}-{side}", binding.mark);
+        let lan = ctx
+            .host
+            .add_vlan_sub(parent, binding.vid_lan, &name("lan"))?;
+        let wan = ctx
+            .host
+            .add_vlan_sub(parent, binding.vid_wan, &name("wan"))?;
         ctx.host.set_up(lan, true)?;
         ctx.host.set_up(wan, true)?;
         ctx.host.set_ct_zone(lan, binding.zone)?;
         ctx.host.set_ct_zone(wan, binding.zone)?;
 
-        // Mark everything arriving from either side of this graph.
+        // Mark everything arriving from either side of this binding.
         for sub in [lan, wan] {
             ctx.host.nf_append(
                 ctx.ns,
@@ -127,13 +120,14 @@ impl AdaptationLayer {
         Ok(GraphIfaces { lan, wan })
     }
 
-    /// Detach a graph: remove its marking rules, routing table and
-    /// sub-interfaces.
+    /// Detach a binding: remove its sub-interfaces (their addresses and
+    /// connected routes go with them), marking rules and routing table.
+    /// Returns the sub-interfaces it had.
     pub fn detach(
         &mut self,
         ctx: &mut NnfContext<'_>,
         binding: &GraphBinding,
-    ) -> Result<(), NnfError> {
+    ) -> Result<GraphIfaces, NnfError> {
         let Some(pos) = self.attached.iter().position(|(b, _)| b == binding) else {
             return Err(NnfError::BadState("graph not attached"));
         };
@@ -157,35 +151,28 @@ impl AdaptationLayer {
         if let Some(nsr) = ctx.host.namespace_mut(ns) {
             nsr.routing.remove_table(Self::table_for(binding));
         }
-        Ok(())
+        Ok(ifaces)
     }
 
-    /// The sub-interfaces of an attached graph.
-    pub fn ifaces_of(&self, graph: &str) -> Option<GraphIfaces> {
-        self.attached
-            .iter()
-            .find(|(b, _)| b.graph == graph)
-            .map(|(_, i)| *i)
-    }
-
-    /// Attach a graph to a shared NAT: its sub-interfaces take the
-    /// binding's addresses, its table routes the LAN prefix and a default
-    /// out its WAN side, and its traffic is masqueraded out its own WAN
-    /// sub-interface.
+    /// Attach a binding to a shared NAT over `parent`: its sub-interfaces
+    /// take the binding's addresses, its table routes the LAN prefix and
+    /// a default out its WAN side, and its traffic is masqueraded out its
+    /// own WAN sub-interface.
     pub fn bind_nat(
         &mut self,
         ctx: &mut NnfContext<'_>,
+        parent: IfaceId,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
         let (lan_addr, wan_addr, wan_gw) = nat_addressing(&binding.params)?;
 
         // Every parameter is parsed: nothing past this point fails on
         // what the tenant sent, so a refused bind has attached nothing.
-        let ifaces = self.attach(ctx, binding)?;
+        let ifaces = self.attach(ctx, parent, binding)?;
         ctx.host.addr_add(ifaces.lan, lan_addr)?;
         ctx.host.addr_add(ifaces.wan, wan_addr)?;
 
-        // This graph's private internal path: connected prefixes plus a
+        // This binding's private internal path: connected prefixes plus a
         // default toward its own WAN side, all in its dedicated table.
         let table = Self::table_for(binding);
         let lan_net = Ipv4Cidr::new(lan_addr.network(), lan_addr.prefix_len());
@@ -195,24 +182,21 @@ impl AdaptationLayer {
         ctx.host
             .route_add(ctx.ns, table, default, wan_gw, ifaces.wan, 0)?;
 
-        // Masquerade this graph's traffic out its own WAN sub-interface.
+        // Masquerade this binding's traffic out its own WAN sub-interface.
         let masquerade = NfRule::new(Self::masqueraded(binding, ifaces), Target::Masquerade);
         ctx.host
             .nf_append(ctx.ns, NfTable::Nat, Chain::Postrouting, masquerade)?;
         Ok(())
     }
 
-    /// Detach a graph from a shared NAT: its masquerade rule, then
-    /// everything [`Self::attach`] made.
+    /// Detach a binding from a shared NAT: everything [`Self::attach`]
+    /// made, then its masquerade rule.
     pub fn unbind_nat(
         &mut self,
         ctx: &mut NnfContext<'_>,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
-        let ifaces = self
-            .ifaces_of(&binding.graph)
-            .ok_or(NnfError::BadState("graph not bound"))?;
-        let matches = Self::masqueraded(binding, ifaces);
+        let matches = Self::masqueraded(binding, self.detach(ctx, binding)?);
         if let Some(nsr) = ctx.host.namespace_mut(ctx.ns) {
             nsr.netfilter.remove_rule(
                 NfTable::Nat,
@@ -221,10 +205,11 @@ impl AdaptationLayer {
                 &Target::Masquerade,
             );
         }
-        self.detach(ctx, binding)
+        Ok(())
     }
 
-    /// What a graph masquerades: its marked traffic leaving its WAN side.
+    /// What a binding masquerades: its marked traffic leaving its WAN
+    /// side.
     fn masqueraded(binding: &GraphBinding, ifaces: GraphIfaces) -> RuleMatch {
         RuleMatch {
             out_iface: Some(ifaces.wan),
@@ -260,21 +245,22 @@ mod tests {
         let mut ledger = MemLedger::new();
         let account = ledger.create_account("nnf", None);
 
-        let mut layer = AdaptationLayer::new(port);
+        let mut layer = AdaptationLayer::default();
         let b1 = binding("g1", 1);
         let b2 = binding("g2", 2);
-        {
+        let g1 = {
             let mut ctx = NnfContext {
                 host: &mut host,
                 ns,
                 ledger: &mut ledger,
                 account,
             };
-            layer.attach(&mut ctx, &b1).unwrap();
-            layer.attach(&mut ctx, &b2).unwrap();
-        }
-        assert_eq!(layer.graph_count(), 2);
-        assert!(layer.ifaces_of("g1").is_some());
+            let g1 = layer.attach(&mut ctx, port, &b1).unwrap();
+            layer.attach(&mut ctx, port, &b2).unwrap();
+            g1
+        };
+        assert_eq!(layer.bindings().collect::<Vec<_>>(), [&b1, &b2]);
+        assert_eq!(host.iface(g1.lan).unwrap().name, "m1-lan");
 
         // The namespace now has: 2 marking rules per graph, a policy
         // rule per graph, and per-interface zones.
@@ -289,8 +275,7 @@ mod tests {
         assert!(rules.iter().any(|r| r.fwmark == Some(1) && r.table == 101));
         assert!(rules.iter().any(|r| r.fwmark == Some(2) && r.table == 102));
 
-        let lan1 = layer.ifaces_of("g1").unwrap().lan;
-        assert_eq!(host.iface(lan1).unwrap().ct_zone, 1);
+        assert_eq!(host.iface(g1.lan).unwrap().ct_zone, 1);
     }
 
     #[test]
@@ -300,7 +285,7 @@ mod tests {
         let port = host.add_external(ns, "attach0", 7).unwrap();
         let mut ledger = MemLedger::new();
         let account = ledger.create_account("nnf", None);
-        let mut layer = AdaptationLayer::new(port);
+        let mut layer = AdaptationLayer::default();
         let b = binding("g1", 1);
         let mut ctx = NnfContext {
             host: &mut host,
@@ -308,11 +293,11 @@ mod tests {
             ledger: &mut ledger,
             account,
         };
-        layer.attach(&mut ctx, &b).unwrap();
+        layer.attach(&mut ctx, port, &b).unwrap();
         let mut dup = binding("g9", 9);
         dup.vid_lan = b.vid_lan; // collides
         assert!(matches!(
-            layer.attach(&mut ctx, &dup),
+            layer.attach(&mut ctx, port, &dup),
             Err(NnfError::Kernel(_))
         ));
     }
@@ -324,7 +309,7 @@ mod tests {
         let port = host.add_external(ns, "attach0", 7).unwrap();
         let mut ledger = MemLedger::new();
         let account = ledger.create_account("nnf", None);
-        let mut layer = AdaptationLayer::new(port);
+        let mut layer = AdaptationLayer::default();
         let b = binding("g1", 1);
         {
             let mut ctx = NnfContext {
@@ -333,14 +318,14 @@ mod tests {
                 ledger: &mut ledger,
                 account,
             };
-            layer.attach(&mut ctx, &b).unwrap();
+            layer.attach(&mut ctx, port, &b).unwrap();
             layer.detach(&mut ctx, &b).unwrap();
             assert!(matches!(
                 layer.detach(&mut ctx, &b),
                 Err(NnfError::BadState(_))
             ));
         }
-        assert_eq!(layer.graph_count(), 0);
+        assert_eq!(layer.bindings().count(), 0);
         assert_eq!(host.iface_count(), 3, "root lo, nnf lo, attach0");
         let nsr = host.namespace(ns).unwrap();
         assert!(nsr

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::plugin::NnfInstance;
+use crate::plugin::{NnfError, NnfInstance};
 use crate::translate;
 
 /// Static characteristics of one NNF type.
@@ -27,12 +27,9 @@ pub struct NnfDescriptor {
     pub package_bytes: u64,
     /// Daemon/tooling RSS per instance.
     pub rss_bytes: u64,
-    /// Fewest ports an instance starts on (started on one, it runs
-    /// shared).
+    /// Fewest ports a dedicated instance starts on. A shared instance
+    /// starts on its one attachment port whatever this says.
     pub min_ports: usize,
-    /// True if the NNF accepts traffic on a single interface only and
-    /// thus needs the adaptation layer when shared.
-    pub single_port_when_shared: bool,
 }
 
 /// The catalogue: functional type → descriptor.
@@ -81,7 +78,6 @@ impl NnfCatalog {
             package_bytes: 5_000_000,
             rss_bytes: 19_400_000,
             min_ports: 2,
-            single_port_when_shared: false,
         });
         c.register(NnfDescriptor {
             functional_type: "nat",
@@ -89,8 +85,7 @@ impl NnfCatalog {
             sharable: true,
             package_bytes: 1_200_000,
             rss_bytes: 700_000,
-            min_ports: 1,
-            single_port_when_shared: true,
+            min_ports: 2,
         });
         c.register(NnfDescriptor {
             functional_type: "firewall",
@@ -99,7 +94,6 @@ impl NnfCatalog {
             package_bytes: 1_200_000,
             rss_bytes: 900_000,
             min_ports: 2,
-            single_port_when_shared: false,
         });
         c.register(NnfDescriptor {
             functional_type: "bridge",
@@ -108,7 +102,6 @@ impl NnfCatalog {
             package_bytes: 800_000,
             rss_bytes: 300_000,
             min_ports: 2,
-            single_port_when_shared: false,
         });
         c.register(NnfDescriptor {
             functional_type: "router",
@@ -117,7 +110,6 @@ impl NnfCatalog {
             package_bytes: 900_000,
             rss_bytes: 400_000,
             min_ports: 2,
-            single_port_when_shared: false,
         });
         c
     }
@@ -133,12 +125,23 @@ impl NnfCatalog {
     }
 
     /// An instance of a described type, running the program
-    /// [`translate`](crate::translate()) has for it; `None` if the type is
-    /// not described or has no program.
-    pub fn instantiate(&self, functional_type: &str) -> Option<NnfInstance> {
-        let descriptor = self.get(functional_type)?.clone();
+    /// [`translate`](crate::translate()) has for it, or a `shared` one.
+    /// A type not described or with no program is a bad `functional-type`,
+    /// and a shared instance of a type not sharable is refused with
+    /// [`NnfError::NotSharable`].
+    pub fn instantiate(
+        &self,
+        functional_type: &str,
+        shared: bool,
+    ) -> Result<NnfInstance, NnfError> {
         let program = translate::program(functional_type)?;
-        Some(NnfInstance::new(descriptor, program))
+        let descriptor = self
+            .get(functional_type)
+            .ok_or_else(|| translate::unknown(functional_type))?;
+        if shared && !descriptor.sharable {
+            return Err(NnfError::NotSharable);
+        }
+        Ok(NnfInstance::new(descriptor.clone(), program, shared))
     }
 
     /// Iterate descriptors (node capability reporting).
@@ -171,7 +174,6 @@ mod tests {
         assert_eq!(ipsec.package_bytes, 5_000_000);
         let nat = c.get("nat").unwrap();
         assert!(nat.sharable);
-        assert!(nat.single_port_when_shared);
         assert!(c.get("firewall").unwrap().multi_instance);
         assert!(c.get("quantum").is_none());
     }
@@ -180,10 +182,10 @@ mod tests {
     fn instantiates_plugins() {
         let c = NnfCatalog::standard();
         for ft in ["ipsec", "firewall", "nat", "bridge", "router"] {
-            let p = c.instantiate(ft).unwrap();
+            let p = c.instantiate(ft, false).unwrap();
             assert_eq!(p.functional_type(), ft);
         }
-        assert!(c.instantiate("dpi").is_none());
+        assert!(c.instantiate("dpi", false).is_err());
     }
 
     #[test]
@@ -197,12 +199,11 @@ mod tests {
             package_bytes: 1,
             rss_bytes: 1,
             min_ports: 2,
-            single_port_when_shared: false,
         });
         assert_eq!(c.len(), 1);
         assert!(c.get("dpi").is_some());
         // No instance of a type translate has no program for, even if
         // described.
-        assert!(c.instantiate("dpi").is_none());
+        assert!(c.instantiate("dpi", false).is_err());
     }
 }

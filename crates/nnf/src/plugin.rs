@@ -4,9 +4,9 @@
 //! namespace program [`translate`](mod@crate::translate) compiles for that
 //! type. Running the program configures kernel objects (XFRM, iptables,
 //! bridges, routes) inside the network namespace the NNF driver created
-//! for it. A shared instance additionally accepts per-service-graph
-//! *bindings* carrying the mark / VLAN / conntrack-zone triple the
-//! adaptation layer assigned.
+//! for it. A shared instance instead accepts per-service-graph
+//! *bindings* carrying the mark / VLAN / conntrack-zone triple the node
+//! assigned, and its adaptation layer is their one record.
 
 use std::fmt;
 
@@ -17,7 +17,7 @@ use un_sim::{AccountId, MemLedger};
 use crate::adaptation::AdaptationLayer;
 use crate::catalog::NnfDescriptor;
 use crate::plugins::{execute, BRIDGE};
-use crate::translate::Program;
+use crate::translate::{NnfCommand, Program};
 
 /// Everything an instance needs to touch the node.
 pub struct NnfContext<'a> {
@@ -31,9 +31,10 @@ pub struct NnfContext<'a> {
     pub account: AccountId,
 }
 
-/// Per-graph identifiers assigned by the adaptation layer when a
-/// sharable NNF serves multiple service graphs through one attachment
-/// port (paper §2: marking + multiple internal paths).
+/// Per-binding identifiers the node assigns when a sharable NNF serves
+/// multiple service graphs through one attachment port (paper §2:
+/// marking + multiple internal paths). The adaptation layer keys on the
+/// whole binding: a graph with two NFs on one instance holds two.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GraphBinding {
     /// Graph id.
@@ -74,7 +75,8 @@ pub enum NnfError {
     Kernel(String),
     /// Lifecycle misuse (configure before create, etc.).
     BadState(&'static str),
-    /// This instance is not shared but a graph binding was requested.
+    /// A binding was asked of a dedicated instance, or a shared instance
+    /// of a type that is not sharable.
     NotSharable,
 }
 
@@ -106,10 +108,16 @@ impl From<un_linux::HostError> for NnfError {
 /// One native network function instance, built by
 /// [`NnfCatalog::instantiate`](crate::NnfCatalog::instantiate).
 ///
-/// Lifecycle: `start` (run the type's program for the given ports and
-/// config) → zero or more `bind_graph`/`unbind_graph` (shared only) →
-/// `stop`. The driver guarantees `start` is called before any other
-/// method.
+/// Lifecycle: `start` → zero or more `bind_graph`/`unbind_graph` (shared
+/// only) → `stop`. The driver guarantees `start` is called before any
+/// other method.
+///
+/// An instance is shared because the catalogue was asked for one, and
+/// holds its [`AdaptationLayer`], the one record of who rides it, from
+/// construction. A dedicated instance starts on at least `min_ports` and
+/// runs its type's program; a shared one starts on its one attachment
+/// port, brings it up and turns forwarding on, and each binding brings
+/// the rest.
 ///
 /// There is no in-place update. A changed NF config is a structural
 /// change of the graph (`un_nffg::diff`): the node undeploys the graph
@@ -129,19 +137,20 @@ pub struct NnfInstance {
     started: bool,
     /// The ports `start` ran the program on.
     ports: Vec<IfaceId>,
-    /// Present once started on one port: the instance runs shared.
+    /// Who rides a shared instance; `None` on a dedicated one.
     adaptation: Option<AdaptationLayer>,
 }
 
 impl NnfInstance {
-    /// An instance of `descriptor`'s type whose start runs `program`.
-    pub(crate) fn new(descriptor: NnfDescriptor, program: Program) -> Self {
+    /// An instance of `descriptor`'s type whose start runs `program`, or
+    /// a `shared` one.
+    pub(crate) fn new(descriptor: NnfDescriptor, program: Program, shared: bool) -> Self {
         NnfInstance {
             descriptor,
             program,
             started: false,
             ports: Vec::new(),
-            adaptation: None,
+            adaptation: shared.then(AdaptationLayer::default),
         }
     }
 
@@ -155,10 +164,14 @@ impl NnfInstance {
         self.started
     }
 
-    /// Bring the function up inside the namespace: run the type's program
-    /// and book its RSS on the instance's account. Started on one port,
-    /// the instance runs shared: graphs attach through the adaptation
-    /// layer over that port.
+    /// The bindings riding a shared instance, in bind order; none on a
+    /// dedicated one.
+    pub fn bindings(&self) -> impl Iterator<Item = &GraphBinding> {
+        self.adaptation.iter().flat_map(AdaptationLayer::bindings)
+    }
+
+    /// Bring the function up inside the namespace: run its program and
+    /// book its RSS on the instance's account.
     ///
     /// `ports` are interfaces the driver created in the namespace, in NF
     /// port order (port 0 first).
@@ -171,17 +184,17 @@ impl NnfInstance {
         if self.started {
             return Err(NnfError::BadState("already started"));
         }
-        let need = self.descriptor.min_ports;
-        if ports.len() < need {
-            return Err(NnfError::NotEnoughPorts {
-                need,
-                have: ports.len(),
-            });
-        }
-        execute(ctx, ports, (self.program)(config, ports.len())?)?;
-        if let [attachment] = ports {
-            self.adaptation = Some(AdaptationLayer::new(*attachment));
-        }
+        let (need, have) = (self.descriptor.min_ports, ports.len());
+        let program = match self.adaptation {
+            Some(_) if have == 1 => vec![
+                NnfCommand::LinkUp { dev_port: 0 },
+                NnfCommand::Sysctl { ip_forward: true },
+            ],
+            Some(_) => return Err(NnfError::BadState("a shared instance starts on one port")),
+            None if have < need => return Err(NnfError::NotEnoughPorts { need, have }),
+            None => (self.program)(config, have)?,
+        };
+        execute(ctx, ports, program)?;
         let d = &self.descriptor;
         ctx.ledger
             .alloc(ctx.account, d.functional_type, d.rss_bytes)
@@ -191,17 +204,22 @@ impl NnfInstance {
         Ok(())
     }
 
-    /// Attach one more service graph to a shared instance.
+    /// Attach one more binding to a running shared instance, over its
+    /// attachment port.
     pub fn bind_graph(
         &mut self,
         ctx: &mut NnfContext<'_>,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
         let adaptation = self.adaptation.as_mut().ok_or(NnfError::NotSharable)?;
-        adaptation.bind_nat(ctx, binding)
+        match self.ports[..] {
+            [parent] if self.started => adaptation.bind_nat(ctx, parent, binding),
+            _ => Err(NnfError::BadState("bind before start")),
+        }
     }
 
-    /// Detach a service graph from a shared instance.
+    /// Detach a binding from a shared instance; a binding it does not
+    /// hold is a `BadState`.
     pub fn unbind_graph(
         &mut self,
         ctx: &mut NnfContext<'_>,
@@ -244,7 +262,13 @@ mod tests {
     use crate::catalog::NnfCatalog;
 
     fn nnf(functional_type: &str) -> NnfInstance {
-        NnfCatalog::standard().instantiate(functional_type).unwrap()
+        NnfCatalog::standard()
+            .instantiate(functional_type, false)
+            .unwrap()
+    }
+
+    fn shared_nat() -> NnfInstance {
+        NnfCatalog::standard().instantiate("nat", true).unwrap()
     }
 
     /// The RSS the catalogue books for one instance of a type.
@@ -256,7 +280,7 @@ mod tests {
     }
 
     fn bound_graphs(nnf: &NnfInstance) -> usize {
-        nnf.adaptation.as_ref().map_or(0, |a| a.graph_count())
+        nnf.bindings().count()
     }
 
     /// A namespace with `n` external ports tagged `1..=n`, as the driver
@@ -730,7 +754,7 @@ mod tests {
     #[test]
     fn shared_mode_isolates_two_graphs_with_overlapping_plans() {
         let mut rig = Rig::new(1);
-        let mut plugin = nnf("nat");
+        let mut plugin = shared_nat();
 
         let b1 = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
         let b2 = nat_binding("g2", 2, "192.168.1.1/24", "198.51.100.1/24");
@@ -814,7 +838,7 @@ mod tests {
     #[test]
     fn unbind_detaches_cleanly() {
         let mut rig = Rig::new(1);
-        let mut plugin = nnf("nat");
+        let mut plugin = shared_nat();
         let b1 = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
         let (mut ctx, ports) = rig.ctx();
         plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();

@@ -94,7 +94,7 @@ mod tests {
     use un_sim::{CostModel, MemLedger};
 
     use crate::catalog::NnfCatalog;
-    use crate::plugin::{NnfContext, NnfError, NnfInstance};
+    use crate::plugin::{GraphBinding, NnfContext, NnfError, NnfInstance};
     use crate::translate::derive_psk_tunnel;
 
     /// A namespace with `n` external ports, as the driver hands it over.
@@ -152,7 +152,13 @@ mod tests {
     }
 
     fn nnf(functional_type: &str) -> NnfInstance {
-        NnfCatalog::standard().instantiate(functional_type).unwrap()
+        NnfCatalog::standard()
+            .instantiate(functional_type, false)
+            .unwrap()
+    }
+
+    fn shared_nat() -> NnfInstance {
+        NnfCatalog::standard().instantiate("nat", true).unwrap()
     }
 
     fn start(
@@ -326,10 +332,76 @@ mod tests {
 
     #[test]
     fn shared_nat_namespace_is_pinned() {
-        pin(nnf("nat"), &NfConfig::default(), 1, |h, ns, p| {
+        pin(shared_nat(), &NfConfig::default(), 1, |h, ns, p| {
             h.set_up(p[0], true)?;
             h.sysctl_ip_forward(ns, true)
         });
+    }
+
+    /// Random bind / unbind sequences over one shared NAT, some bindings
+    /// of one graph: after every operation the instance's bindings are
+    /// the model's, in order, and a binding it does not hold is refused
+    /// without a trace. Whenever the last binding has left, the namespace
+    /// is the one the instance started with — each binding's addresses
+    /// and connected routes, table and rule, marking and masquerade rules
+    /// are gone.
+    #[test]
+    fn bind_unbind_churn_leaves_the_started_namespace() {
+        let mut rng = un_sim::DetRng::new(31);
+        for case in 0..64 {
+            let (mut host, ns, ports) = fresh(1);
+            let mut ledger = MemLedger::new();
+            let account = ledger.create_account("nnf", None);
+            let mut ctx = NnfContext {
+                host: &mut host,
+                ns,
+                ledger: &mut ledger,
+                account,
+            };
+            let mut nat = shared_nat();
+            nat.start(&mut ctx, &ports, &NfConfig::default()).unwrap();
+            let started = snapshot(ctx.host, ns);
+            let mut model: Vec<GraphBinding> = Vec::new();
+            for step in 0..48u32 {
+                let tag = format!("case {case} step {step}");
+                // The second half drains what the first half bound.
+                if step < 24 && (model.is_empty() || rng.chance(0.6)) {
+                    let mark = step + 1;
+                    let wan = format!("203.0.{mark}.1/24");
+                    let mut params =
+                        rule(&[("lan-addr", "192.168.1.1/24"), ("wan-addr", wan.as_str())]);
+                    if rng.chance(0.5) {
+                        params.insert("wan-gw".into(), format!("203.0.{mark}.254"));
+                    }
+                    let binding = GraphBinding {
+                        graph: format!("g{}", rng.index(3)),
+                        mark,
+                        zone: mark as u16,
+                        vid_lan: (100 + 2 * mark) as u16,
+                        vid_wan: (101 + 2 * mark) as u16,
+                        params,
+                    };
+                    nat.bind_graph(&mut ctx, &binding).expect(&tag);
+                    model.push(binding);
+                } else if !model.is_empty() {
+                    let binding = model.remove(rng.index(model.len()));
+                    nat.unbind_graph(&mut ctx, &binding).expect(&tag);
+                    let before = snapshot(ctx.host, ns);
+                    assert!(
+                        matches!(
+                            nat.unbind_graph(&mut ctx, &binding),
+                            Err(NnfError::BadState(_))
+                        ),
+                        "{tag}"
+                    );
+                    assert_eq!(snapshot(ctx.host, ns), before, "{tag}");
+                }
+                assert!(nat.bindings().eq(&model), "{tag}");
+                if model.is_empty() {
+                    assert_eq!(snapshot(ctx.host, ns), started, "{tag}");
+                }
+            }
+        }
     }
 
     #[test]

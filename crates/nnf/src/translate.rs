@@ -108,16 +108,25 @@ pub enum NnfCommand {
 /// its commands out.
 pub(crate) type Program = fn(&NfConfig, usize) -> Result<Vec<NnfCommand>, NnfError>;
 
-/// The program for `functional_type`, if this module has one.
-pub(crate) fn program(functional_type: &str) -> Option<Program> {
-    Some(match functional_type {
+/// The program for `functional_type`; a type this module has none for is
+/// [`unknown`].
+pub(crate) fn program(functional_type: &str) -> Result<Program, NnfError> {
+    Ok(match functional_type {
         "ipsec" => translate_ipsec,
         "firewall" => translate_firewall,
         "nat" => translate_nat,
         "router" => translate_router,
         "bridge" => translate_bridge,
-        _ => return None,
+        _ => return Err(unknown(functional_type)),
     })
+}
+
+/// The refusal of a functional type nothing implements.
+pub(crate) fn unknown(functional_type: &str) -> NnfError {
+    NnfError::BadParam {
+        key: "functional-type".into(),
+        value: functional_type.into(),
+    }
 }
 
 /// String parameters: an NF's scalar params, one of its rule entries,
@@ -175,11 +184,7 @@ pub fn translate(
     config: &NfConfig,
     n_ports: usize,
 ) -> Result<Vec<NnfCommand>, NnfError> {
-    let program = program(functional_type).ok_or_else(|| NnfError::BadParam {
-        key: "functional-type".into(),
-        value: functional_type.into(),
-    })?;
-    program(config, n_ports)
+    program(functional_type)?(config, n_ports)
 }
 
 /// A main-table route out `dev_port`.
@@ -343,18 +348,14 @@ pub fn nat_addressing(
     ))
 }
 
-/// One port is shared mode: the adaptation layer attaches each graph
-/// over it, and the config carries nothing. Two are a dedicated
-/// masquerading router.
-fn translate_nat(c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
-    let forwarding = NnfCommand::Sysctl { ip_forward: true };
-    if n_ports == 1 {
-        return Ok(vec![NnfCommand::LinkUp { dev_port: 0 }, forwarding]);
-    }
+/// A dedicated NAT: a masquerading router from LAN (port 0) to WAN
+/// (port 1). A shared NAT runs no program of its own; each graph's
+/// binding configures it through the adaptation layer.
+fn translate_nat(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
     let (lan, wan, gw) = nat_addressing(&c.params)?;
     let mut cmds = lan_wan(lan, wan);
     cmds.extend(gw.map(default_route));
-    cmds.push(forwarding);
+    cmds.push(NnfCommand::Sysctl { ip_forward: true });
     cmds.push(NnfCommand::IptablesAppend {
         table: NfTable::Nat,
         chain: Chain::Postrouting,
@@ -566,8 +567,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // Shared mode reads no config: graphs bring their own.
-        assert_eq!(translate("nat", &NfConfig::default(), 1).unwrap().len(), 2);
     }
 
     #[test]
