@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use un_container::{ContainerId, ContainerRuntime, Registry};
 use un_linux::{IfaceId, NsId};
-use un_nnf::NnfCatalog;
+use un_nnf::NnfInstance;
 use un_packet::Packet;
 use un_sim::mem::mb;
 
@@ -28,25 +28,14 @@ struct DockerInstance {
 }
 
 /// Driver state: the container engine plus per-instance bookkeeping.
+/// The default driver's registry is empty.
+#[derive(Default)]
 pub struct DockerDriver {
     /// The container engine (image store inside).
     pub runtime: ContainerRuntime,
     /// The registry images are pulled from.
     pub registry: Registry,
-    catalog: NnfCatalog,
     instances: HashMap<InstanceId, DockerInstance>,
-}
-
-impl Default for DockerDriver {
-    /// A driver with an empty registry.
-    fn default() -> Self {
-        DockerDriver {
-            runtime: ContainerRuntime::new(),
-            registry: Registry::new(),
-            catalog: NnfCatalog::standard(),
-            instances: HashMap::new(),
-        }
-    }
 }
 
 impl ComputeDriver for DockerDriver {
@@ -69,9 +58,12 @@ impl ComputeDriver for DockerDriver {
             return Err(foreign(req.spec));
         };
         let ft = req.functional_type;
-        let plugin = self.catalog.instantiate(ft, false).map_err(|_| {
-            ComputeError::Unsupported(format!("no container entrypoint for '{ft}'"))
-        })?;
+        let plugin = req
+            .nf
+            .and_then(|nf| NnfInstance::new(nf, false).ok())
+            .ok_or_else(|| {
+                ComputeError::Unsupported(format!("no container entrypoint for '{ft}'"))
+            })?;
         self.runtime
             .store
             .pull(&self.registry, image, tag)

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use un_linux::{Host, IfaceId, NsId};
 use un_nffg::NfConfig;
-use un_nnf::GraphBinding;
+use un_nnf::{GraphBinding, NnfDescriptor};
 use un_packet::Packet;
 use un_sim::{AccountId, CostModel, MemLedger};
 
@@ -50,17 +50,21 @@ pub struct CreateRequest<'a> {
     pub n_ports: usize,
     /// The NF's generic configuration.
     pub config: &'a NfConfig,
-    /// Ask for a shared instance, which graphs bind to: the native
-    /// driver's catalogue refuses a type not sharable, and Docker and VM
-    /// instances are dedicated.
+    /// The type's native descriptor from the repository, when it has
+    /// one: the native, Docker and VM drivers build the NF's
+    /// [`NnfInstance`](un_nnf::NnfInstance) from it, and refuse a type
+    /// without one.
+    pub nf: Option<&'a NnfDescriptor>,
+    /// Ask for a shared instance, which graphs bind to: refused for a
+    /// type not sharable, and Docker and VM instances are dedicated.
     pub shared: bool,
 }
 
 /// "All the above drivers must implement a specific abstraction defined
 /// by the local orchestrator" (§2) — this one. A driver is the node's
 /// handle on one execution technology (a hypervisor, a container
-/// engine, the NNF catalogue), not on one instance: it keeps its own
-/// record per [`InstanceId`] and answers every call from that.
+/// engine, the host's native NFs), not on one instance: it keeps its
+/// own record per [`InstanceId`] and answers every call from that.
 pub trait ComputeDriver {
     /// The driver's name in the architecture diagram.
     fn label(&self) -> &'static str;
@@ -186,7 +190,8 @@ pub(crate) mod testkit {
         }
 
         /// Open an account and ask `driver` for a two-port instance
-        /// `id`, named `nf<id>`.
+        /// `id`, named `nf<id>`, described as the standard repository
+        /// describes its type.
         pub fn create(
             &mut self,
             driver: &mut dyn ComputeDriver,
@@ -198,6 +203,7 @@ pub(crate) mod testkit {
         ) -> Result<AccountId, ComputeError> {
             let name = format!("nf{id}");
             let account = self.ledger.create_account(&name, None);
+            let repository = crate::Repository::standard();
             let req = CreateRequest {
                 id: InstanceId(id),
                 account,
@@ -206,6 +212,7 @@ pub(crate) mod testkit {
                 spec,
                 n_ports: 2,
                 config,
+                nf: repository.nnf(functional_type),
                 shared,
             };
             driver.create(&mut self.env(), &req).map(|()| account)

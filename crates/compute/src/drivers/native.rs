@@ -8,14 +8,14 @@
 //! of isolation, and configures the NNF with a predefined configuration
 //! script." — §2.
 //!
-//! Here the plugin is an [`NnfInstance`](un_nnf::NnfInstance) the
-//! catalogue builds, and the script is the command list `un_nnf::translate`
+//! Here the plugin is an [`NnfInstance`] built from the descriptor the
+//! request carries, and the script is the command list `un_nnf::translate`
 //! compiles from the NF's config.
 
 use std::collections::HashMap;
 
 use un_linux::{IfaceId, NsId};
-use un_nnf::{GraphBinding, NnfCatalog, NnfError};
+use un_nnf::{GraphBinding, NnfError, NnfInstance};
 use un_packet::Packet;
 use un_sim::mem::mb;
 
@@ -25,7 +25,7 @@ use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
 
 struct NativeInstance {
     sandbox: Sandbox,
-    /// The catalogue's package size: a native NF's "image".
+    /// The descriptor's package size: a native NF's "image".
     package_bytes: u64,
 }
 
@@ -40,24 +40,12 @@ fn refusal(e: NnfError) -> ComputeError {
     }
 }
 
-/// Driver state: catalogue + instance table.
+/// Driver state: the instance table.
+#[derive(Default)]
 pub struct NativeDriver {
-    /// The node's NNF catalogue (capability set for the orchestrator).
-    pub catalog: NnfCatalog,
     instances: HashMap<InstanceId, NativeInstance>,
     /// functional type → instance, for single-instance NNFs.
     singletons: HashMap<String, InstanceId>,
-}
-
-impl Default for NativeDriver {
-    /// A driver with the standard CPE catalogue.
-    fn default() -> Self {
-        NativeDriver {
-            catalog: NnfCatalog::standard(),
-            instances: HashMap::new(),
-            singletons: HashMap::new(),
-        }
-    }
 }
 
 impl NativeDriver {
@@ -89,28 +77,24 @@ impl ComputeDriver for NativeDriver {
         "Native driver (NNF)"
     }
 
-    /// An NNF in a fresh namespace with external ports. `req.shared`
-    /// asks for a shared instance on one attachment port (sharable NNFs
-    /// only; graphs then attach via `bind_graph`).
+    /// An NNF in a fresh namespace with the ports the graph wires.
+    /// `req.shared` asks for a shared instance on one attachment port
+    /// (sharable NNFs only; graphs then attach via `bind_graph`). A type
+    /// with no descriptor has no native implementation.
     fn create(
         &mut self,
         env: &mut NodeEnv<'_>,
         req: &CreateRequest<'_>,
     ) -> Result<(), ComputeError> {
         let ft = req.functional_type;
-        let desc = self
-            .catalog
-            .get(ft)
-            .ok_or_else(|| ComputeError::NoSuchNnf(ft.to_string()))?
-            .clone();
+        let desc = req
+            .nf
+            .ok_or_else(|| ComputeError::NoSuchNnf(ft.to_string()))?;
         if !desc.multi_instance && self.singletons.contains_key(ft) {
             return Err(ComputeError::NnfBusy(ft.to_string()));
         }
-        let plugin = self.catalog.instantiate(ft, req.shared).map_err(refusal)?;
-        let n_ports = match req.shared {
-            true => 1,
-            false => req.n_ports.max(desc.min_ports),
-        };
+        let plugin = NnfInstance::new(desc, req.shared).map_err(refusal)?;
+        let n_ports = if req.shared { 1 } else { req.n_ports };
         let sandbox = Sandbox::create(env.host, "nnf", "port", n_ports, plugin, req)?;
 
         if !desc.multi_instance {

@@ -4,7 +4,7 @@
 //! instance in a namespace — behind a virtio boundary, as a Docker
 //! instance is that sandbox plus a container. The guest kernel is
 //! namespace `vm-<name>` of the node's host with ports `eth<i>`, and it
-//! runs the functional type's own [`NnfInstance`](un_nnf::NnfInstance):
+//! runs the functional type's own [`NnfInstance`]:
 //! the same command list every flavor runs. `un-hypervisor` charges
 //! every frame its crossing into and out of that namespace. The NF's RSS
 //! lives inside the guest RAM the hypervisor books, so the guest keeps
@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use un_hypervisor::vm::QEMU_OVERHEAD_MB;
 use un_hypervisor::{Hypervisor, VmId};
 use un_linux::{IfaceId, NsId};
-use un_nnf::NnfCatalog;
+use un_nnf::NnfInstance;
 use un_packet::Packet;
 use un_sim::mem::{mb, mb_f};
 use un_sim::MemLedger;
@@ -33,23 +33,13 @@ struct VmInstance {
     guest: MemLedger,
 }
 
-/// Driver state: the hypervisor plus per-instance guests.
+/// Driver state: the hypervisor plus per-instance guests. The default
+/// driver's image store is empty.
+#[derive(Default)]
 pub struct VmDriver {
     /// The node's hypervisor (image store + VMs).
     pub hypervisor: Hypervisor,
-    catalog: NnfCatalog,
     instances: HashMap<InstanceId, VmInstance>,
-}
-
-impl Default for VmDriver {
-    /// A driver with an empty image store.
-    fn default() -> Self {
-        VmDriver {
-            hypervisor: Hypervisor::new(),
-            catalog: NnfCatalog::standard(),
-            instances: HashMap::new(),
-        }
-    }
 }
 
 impl ComputeDriver for VmDriver {
@@ -73,10 +63,10 @@ impl ComputeDriver for VmDriver {
             return Err(foreign(req.spec));
         };
         let ft = req.functional_type;
-        let plugin = self
-            .catalog
-            .instantiate(ft, false)
-            .map_err(|_| ComputeError::Unsupported(format!("no guest image runs '{ft}'")))?;
+        let plugin = req
+            .nf
+            .and_then(|nf| NnfInstance::new(nf, false).ok())
+            .ok_or_else(|| ComputeError::Unsupported(format!("no guest image runs '{ft}'")))?;
         let made = self.hypervisor.create_vm(
             req.name,
             image,
@@ -268,7 +258,7 @@ mod tests {
         ));
         assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
         let mut d = driver();
-        // No guest runs a type the catalogue lacks.
+        // No guest runs a type the repository has no native NF for.
         assert!(matches!(
             rig.create(&mut d, 1, "quantum", &spec("img"), &plain, false),
             Err(ComputeError::Unsupported(_))

@@ -24,7 +24,13 @@
 //!     `un-nnf` instances, namespaces and the adaptation layer.
 //! * [`manager`] — the compute manager: the flavor-independent instance
 //!   table; every per-instance call goes to the instance's driver
-//!   through the trait.
+//!   through the trait, and a create carries the native descriptor from
+//!   the repository.
+//! * [`repository`] — the node's one list of network functions: a row
+//!   per functional type with every implementation it is offered in
+//!   (the native one as its [`un_nnf::NnfDescriptor`]) and the package
+//!   its images are built from. The manager owns it and provisions the
+//!   drivers' image stores from it.
 //! * [`types`] — the data both speak in: [`Flavor`], [`FlavorSpec`],
 //!   instance ids, the deliver-a-packet result, errors.
 
@@ -33,8 +39,10 @@
 
 pub mod drivers;
 pub mod manager;
+pub mod repository;
 pub mod types;
 
 pub use drivers::{ComputeDriver, CreateRequest, NodeEnv};
 pub use manager::ComputeManager;
+pub use repository::{NfType, Repository};
 pub use types::{ComputeError, Flavor, FlavorSpec, InstanceId, IoOutcome};

@@ -12,6 +12,7 @@ use crate::drivers::{
     no_outcomes, ComputeDriver, CreateRequest, DockerDriver, DpdkDriver, NativeDriver, NodeEnv,
     VmDriver,
 };
+use crate::repository::Repository;
 use crate::types::{ComputeError, Flavor, FlavorSpec, InstanceId, IoOutcome};
 
 #[derive(Debug)]
@@ -22,18 +23,20 @@ struct InstanceInfo {
     account: AccountId,
 }
 
-/// The compute manager: the flavor-independent instance table, and the
-/// four drivers every per-instance call is forwarded to. Whether an
-/// instance runs is its driver's knowledge, not the table's.
+/// The compute manager: the node's repository, the flavor-independent
+/// instance table, and the four drivers every per-instance call is
+/// forwarded to. Whether an instance runs is its driver's knowledge, not
+/// the table's.
 pub struct ComputeManager {
-    /// VM driver (public for image-store provisioning).
+    /// VM driver (public for its image store).
     pub vm: VmDriver,
-    /// Docker driver (public for registry provisioning).
+    /// Docker driver (public for its registry).
     pub docker: DockerDriver,
     /// DPDK driver.
     pub dpdk: DpdkDriver,
-    /// Native NNF driver (public for its catalogue).
+    /// Native NNF driver (public for its shared instances' bindings).
     pub native: NativeDriver,
+    repository: Repository,
     instances: BTreeMap<InstanceId, InstanceInfo>,
     next_id: u64,
 }
@@ -45,16 +48,28 @@ impl Default for ComputeManager {
 }
 
 impl ComputeManager {
-    /// A manager with all four drivers available.
+    /// A manager with all four drivers available, the standard
+    /// repository, and the image of each of its VNFs in the drivers'
+    /// stores.
     pub fn new() -> Self {
+        let repository = Repository::standard();
+        let (mut vm, mut docker) = (VmDriver::default(), DockerDriver::default());
+        repository.provision(&mut vm, &mut docker);
         ComputeManager {
-            vm: VmDriver::default(),
-            docker: DockerDriver::default(),
+            vm,
+            docker,
             dpdk: DpdkDriver::default(),
             native: NativeDriver::default(),
+            repository,
             instances: BTreeMap::new(),
             next_id: 1,
         }
+    }
+
+    /// The node's repository: every network function it offers, with
+    /// every implementation of each.
+    pub fn repository(&self) -> &Repository {
+        &self.repository
     }
 
     /// The driver of a technology.
@@ -84,7 +99,9 @@ impl ComputeManager {
         Ok(self.driver(flavor))
     }
 
-    /// Create an NF instance with the chosen flavor.
+    /// Create an NF instance with the chosen flavor. The request carries
+    /// the type's native descriptor from the repository, which every
+    /// driver that runs an NNF instance builds it from.
     ///
     /// `shared_native` asks for a shared native instance, which graphs
     /// bind to ([`CreateRequest::shared`]).
@@ -101,6 +118,7 @@ impl ComputeManager {
         parent_account: AccountId,
     ) -> Result<InstanceId, ComputeError> {
         let (id, flavor) = (InstanceId(self.next_id), spec.flavor());
+        let nf = self.repository.nnf(functional_type).copied();
         let account = env
             .ledger
             .create_account(&format!("{flavor}:{name}"), Some(parent_account));
@@ -112,6 +130,7 @@ impl ComputeManager {
             spec,
             n_ports,
             config,
+            nf: nf.as_ref(),
             shared: shared_native,
         };
         // A refusal gives the account just opened back.

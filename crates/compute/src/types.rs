@@ -83,7 +83,7 @@ pub enum FlavorSpec {
         /// Hugepage memory in MB.
         hugepages_mb: u64,
     },
-    /// A native flavor (details come from the NNF catalogue).
+    /// A native flavor (details come from the type's repository row).
     Native,
 }
 
@@ -119,7 +119,7 @@ pub enum ComputeError {
     Substrate(String),
     /// Lifecycle misuse.
     BadState(&'static str),
-    /// The NNF catalogue does not offer this functional type.
+    /// The repository has no native implementation of this type.
     NoSuchNnf(String),
     /// Single-instance NNF already in use and not sharable.
     NnfBusy(String),

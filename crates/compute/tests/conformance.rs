@@ -3,7 +3,9 @@
 //! over `&mut dyn ComputeDriver`, run for all four drivers.
 
 use un_compute::drivers::{DockerDriver, DpdkDriver, NativeDriver, VmDriver};
-use un_compute::{ComputeDriver, ComputeError, CreateRequest, FlavorSpec, InstanceId, NodeEnv};
+use un_compute::{
+    ComputeDriver, ComputeError, CreateRequest, FlavorSpec, InstanceId, NodeEnv, Repository,
+};
 use un_container::{Image, Layer};
 use un_hypervisor::DiskImage;
 use un_linux::Host;
@@ -63,6 +65,7 @@ fn conforms(driver: &mut dyn ComputeDriver, functional_type: &str, spec: &Flavor
     assert_eq!(outs.len(), 1, "{who}: one outcome per frame");
     assert!(outs[0].outputs.is_empty(), "{who}");
 
+    let repository = Repository::standard();
     let req = CreateRequest {
         id: ID,
         account,
@@ -71,6 +74,7 @@ fn conforms(driver: &mut dyn ComputeDriver, functional_type: &str, spec: &Flavor
         spec,
         n_ports: 2,
         config: &NfConfig::default(),
+        nf: repository.nnf(functional_type),
         shared: false,
     };
     driver.create(&mut env, &req).expect(who);

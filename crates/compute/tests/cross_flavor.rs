@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 use un_compute::drivers::{DockerDriver, NativeDriver, VmDriver};
-use un_compute::{ComputeDriver, CreateRequest, FlavorSpec, InstanceId, NodeEnv};
+use un_compute::{ComputeDriver, CreateRequest, FlavorSpec, InstanceId, NodeEnv, Repository};
 use un_container::{Image, Layer};
 use un_hypervisor::DiskImage;
 use un_ipsec::esp;
@@ -92,6 +92,7 @@ impl Instance {
             driver,
         };
         let account = inst.ledger.create_account("nf", None);
+        let repository = Repository::standard();
         let req = CreateRequest {
             id: ID,
             account,
@@ -100,6 +101,7 @@ impl Instance {
             spec: &spec,
             n_ports: 2,
             config,
+            nf: repository.nnf(functional_type),
             shared: false,
         };
         let Instance {

@@ -12,12 +12,11 @@
 //!        VM drv │ Docker drv │ DPDK drv │ **Native drv**
 //! ```
 //!
-//! * [`repository`] — NF templates with their per-technology flavors
-//!   (VM image / Docker image / DPDK process / native), plus the node
-//!   provisioning helpers that load the standard images.
-//! * [`placement`] — the paper's placement policy: prefer an NNF when
-//!   the node offers one and it is free / multi-instance / sharable;
-//!   fall back to Docker, then VM; honor explicit flavor hints.
+//! * [`placement`] — the paper's placement policy over one row of the
+//!   compute manager's repository (`un_compute::Repository`, which lists
+//!   every implementation of a functional type, native included): prefer
+//!   the NNF when the row has one and it is free / multi-instance /
+//!   sharable; fall back to Docker, then VM; honor explicit flavor hints.
 //! * [`node`] — [`node::UniversalNode`]: the CPE kernel (`un-linux`),
 //!   the compute manager, LSI-0 and per-graph LSIs, virtual links, NF-FG
 //!   deploy / update / undeploy, the synchronous packet fabric, resource
@@ -28,11 +27,9 @@
 
 pub mod node;
 pub mod placement;
-pub mod repository;
 
 pub use node::{
     graph_cookie, rule_cookie, DeployError, DeployReport, Name, NodeDescription, NodeIo, PortId,
     UniversalNode,
 };
 pub use placement::{decide, Decision};
-pub use repository::{NfTemplate, VnfRepository};

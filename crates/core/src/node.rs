@@ -46,7 +46,6 @@ use un_switch::{
 };
 
 use crate::placement::{decide, Decision, NativeStatus};
-use crate::repository::{provision_standard_images, VnfRepository};
 
 /// Why a deployment failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -407,10 +406,8 @@ pub struct UniversalNode {
     node_account: AccountId,
     /// Cost model (shared by every component).
     pub costs: CostModel,
-    /// The compute manager.
+    /// The compute manager (the node's repository inside).
     pub compute: ComputeManager,
-    /// The VNF repository.
-    pub repository: VnfRepository,
     lsi0: LogicalSwitch,
     l0_ports: BTreeMap<PortNo, L0Port>,
     physical: BTreeMap<String, PortNo>,
@@ -561,21 +558,18 @@ impl<'a> Walk<'a> {
 }
 
 impl UniversalNode {
-    /// A node with the standard repository, catalogue and images, a
-    /// given memory capacity, and LSI-0 using the OvS-like backend.
+    /// A node with the standard repository and images, a given memory
+    /// capacity, and LSI-0 using the OvS-like backend.
     pub fn new(name: &str, mem_capacity: u64) -> Self {
         let mut ledger = MemLedger::new();
         let node_account = ledger.create_account(&format!("node:{name}"), None);
-        let mut compute = ComputeManager::new();
-        provision_standard_images(&mut compute);
         UniversalNode {
             name: name.to_string(),
             host: Host::new(name, CostModel::default()),
             ledger,
             node_account,
             costs: CostModel::default(),
-            compute,
-            repository: VnfRepository::standard(),
+            compute: ComputeManager::new(),
             lsi0: LogicalSwitch::new("LSI-0", 1, Backend::SingleTableCached),
             l0_ports: BTreeMap::new(),
             physical: BTreeMap::new(),
@@ -755,12 +749,8 @@ impl UniversalNode {
 
     /// Functional types this node offers as native NFs.
     pub fn native_nnf_types(&self) -> Vec<String> {
-        self.compute
-            .native
-            .catalog
-            .iter()
-            .map(|d| d.functional_type.to_string())
-            .collect()
+        let nnfs = self.compute.repository().nnfs();
+        nnfs.map(|d| d.functional_type.to_string()).collect()
     }
 
     /// Functional types with a *shared* native instance currently
@@ -774,17 +764,12 @@ impl UniversalNode {
         types.map(String::from).collect()
     }
 
-    /// Functional types whose catalog descriptor marks a single native
-    /// instance *sharable* across graphs — the types this node could
-    /// host a domain-shared instance of (whether or not one runs yet).
+    /// Functional types whose native descriptor marks a single instance
+    /// *sharable* across graphs — the types this node could host a
+    /// domain-shared instance of (whether or not one runs yet).
     pub fn sharable_nnf_types(&self) -> Vec<String> {
-        self.compute
-            .native
-            .catalog
-            .iter()
-            .filter(|d| d.sharable)
-            .map(|d| d.functional_type.to_string())
-            .collect()
+        let sharable = self.compute.repository().nnfs().filter(|d| d.sharable);
+        sharable.map(|d| d.functional_type.to_string()).collect()
     }
 
     /// The graph of each binding on the running shared instance of a
@@ -819,12 +804,12 @@ impl UniversalNode {
         functional_type: &str,
         flavor: Option<&str>,
     ) -> Result<Decision, DeployError> {
-        let template = self
-            .repository
+        let row = self
+            .compute
+            .repository()
             .resolve(functional_type)
             .ok_or_else(|| DeployError::NoTemplate(functional_type.to_string()))?;
-        let catalog = &self.compute.native.catalog;
-        Ok(decide(template, flavor, catalog, self)?)
+        Ok(decide(row, flavor, self)?)
     }
 
     // ------------------------------------------------------------------
@@ -1538,9 +1523,8 @@ impl UniversalNode {
             flavors: vec!["vm".into(), "docker".into(), "dpdk".into(), "native".into()],
             nnfs: self
                 .compute
-                .native
-                .catalog
-                .iter()
+                .repository()
+                .nnfs()
                 .map(|d| (d.functional_type.to_string(), d.sharable, d.multi_instance))
                 .collect(),
             graphs: self.graph_ids(),
@@ -1572,13 +1556,11 @@ impl UniversalNode {
         let mut out = String::new();
         out.push_str(&format!("NFV Compute Node '{}'\n", self.name));
         out.push_str("└─ Local Orchestrator (REST → deploy/update/undeploy)\n");
+        let repository = self.compute.repository();
         out.push_str(&format!(
-            "   ├─ VNF repository: {} templates\n",
-            self.repository.len()
-        ));
-        out.push_str(&format!(
-            "   ├─ NNF catalogue: {} native functions\n",
-            self.compute.native.catalog.len()
+            "   ├─ VNF repository: {} network functions, {} with an NNF\n",
+            repository.iter().count(),
+            repository.nnfs().count()
         ));
         out.push_str(&format!(
             "   ├─ Resource manager: {} / {} used\n",

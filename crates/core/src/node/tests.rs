@@ -727,6 +727,80 @@ fn a_one_port_dedicated_nat_is_refused_at_start() {
     assert_eq!(census(&n), before);
 }
 
+/// Every flavor creates the ports the graph wires, so a one-port bridge
+/// is refused alike on each: its start needs two, and the node keeps no
+/// trace of it.
+#[test]
+fn a_one_port_bridge_is_refused_on_every_flavor() {
+    for flavor in ["native", "docker", "vm"] {
+        let mut n = node();
+        let before = census(&n);
+        let g = NfFgBuilder::new("g", "one-port bridge")
+            .interface_endpoint("lan", "eth0")
+            .nf("br", "bridge", 1)
+            .with_flavor(flavor)
+            .rule_through("in", 1, "lan", ("br", 0))
+            .rule_through("out", 1, ("br", 0), "lan")
+            .build();
+        let refusal = un_nnf::NnfError::NotEnoughPorts { need: 2, have: 1 };
+        let refusal = ComputeError::Substrate(refusal.to_string());
+        assert_eq!(n.deploy(&g).unwrap_err(), refusal.into(), "{flavor}");
+        assert_eq!(census(&n), before, "{flavor}");
+    }
+}
+
+/// Every implementation the repository lists deploys: for each row and
+/// each flavor it offers, a one-NF graph hinted to that flavor lands on
+/// it, runs from an image, and leaves the node as it found it. A hint
+/// for a flavor the row lacks is refused.
+#[test]
+fn every_implementation_the_repository_lists_deploys() {
+    let mut n = node();
+    let before = census(&n);
+    let rows: Vec<_> = n.compute.repository().iter().cloned().collect();
+    let mut deployed = 0;
+    for row in &rows {
+        let config = match row.name {
+            "ipsec" => ipsec_config(),
+            "nat" => nat_config("203.0.113.1/24"),
+            _ => un_nffg::NfConfig::default(),
+        };
+        for flavor in [Flavor::Native, Flavor::Docker, Flavor::Vm, Flavor::Dpdk] {
+            let tag = format!("{} on {flavor}", row.name);
+            let g = NfFgBuilder::new("g", "one implementation")
+                .interface_endpoint("lan", "eth0")
+                .interface_endpoint("wan", "eth1")
+                .nf_with_config("nf", row.name, 2, config.clone())
+                .with_flavor(&flavor.to_string())
+                .chain("lan", &["nf"], "wan")
+                .build();
+            let deploy = n.deploy(&g);
+            if row.spec_for(flavor).is_none() {
+                let refusal = match flavor {
+                    Flavor::Native => ComputeError::NoSuchNnf(row.name.to_string()),
+                    _ => {
+                        ComputeError::Unsupported(format!("'{}' has no {flavor} flavor", row.name))
+                    }
+                };
+                assert_eq!(deploy.unwrap_err(), refusal.into(), "{tag}");
+                assert_eq!(census(&n), before, "{tag}");
+                continue;
+            }
+            let report = deploy.unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(report.placements[0].1, flavor, "{tag}");
+            assert!(n.nf_image_footprint("g", "nf") > 0, "{tag}");
+            n.undeploy("g").unwrap();
+            assert_eq!(census(&n), before, "{tag}");
+            deployed += 1;
+        }
+    }
+    assert_eq!(
+        deployed,
+        5 * 3 + 1,
+        "five CPE types in three flavors, one DPDK"
+    );
+}
+
 #[test]
 fn a_failed_deploy_leaves_the_node_as_it_found_it() {
     use Failure::*;

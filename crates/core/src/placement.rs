@@ -4,12 +4,10 @@
 //! to deploy it as VNF or NNF based on its knowledge of the node
 //! capability set, the available NNFs and their characteristics (e.g.,
 //! whether they are sharable), and their status (e.g., already used in
-//! another chain)."
+//! another chain)." The capabilities and the NNF's characteristics are
+//! one repository row ([`NfType`]); the status is the caller's.
 
-use un_compute::{ComputeError, Flavor, FlavorSpec, InstanceId};
-use un_nnf::NnfCatalog;
-
-use crate::repository::NfTemplate;
+use un_compute::{ComputeError, Flavor, FlavorSpec, InstanceId, NfType};
 
 /// The scheduler's verdict for one NF.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,15 +31,14 @@ pub trait NativeStatus {
     fn existing(&self, functional_type: &str) -> Option<(InstanceId, bool)>;
 }
 
-/// Decide the realization for one NF.
+/// Decide the realization for one NF of type `row`.
 ///
 /// `flavor_hint` comes from the NF-FG (`"native"`, `"docker"`, …): a
 /// hinted flavor is obeyed or the decision fails; without a hint the
 /// native flavor is preferred and a busy singleton falls back to a VNF.
 pub fn decide(
-    template: &NfTemplate,
+    row: &NfType,
     flavor_hint: Option<&str>,
-    catalog: &NnfCatalog,
     status: &dyn NativeStatus,
 ) -> Result<Decision, ComputeError> {
     // Explicit hint: obey or fail loudly (the tenant asked for it).
@@ -49,15 +46,12 @@ pub fn decide(
         let flavor = Flavor::parse(hint)
             .ok_or_else(|| ComputeError::Unsupported(format!("unknown flavor '{hint}'")))?;
         if flavor == Flavor::Native {
-            return decide_native(template, catalog, status);
+            return decide_native(row, status);
         }
-        let spec = template
+        let spec = row
             .spec_for(flavor)
             .ok_or_else(|| {
-                ComputeError::Unsupported(format!(
-                    "'{}' has no {flavor} flavor",
-                    template.functional_type
-                ))
+                ComputeError::Unsupported(format!("'{}' has no {flavor} flavor", row.name))
             })?
             .clone();
         return Ok(Decision::Vnf(spec));
@@ -65,19 +59,15 @@ pub fn decide(
 
     // No hint: prefer native when the node can (the paper's point:
     // lowest overhead on a resource-constrained CPE).
-    match decide_native(template, catalog, status) {
+    match decide_native(row, status) {
         Ok(d) => Ok(d),
-        Err(_) => fallback_vnf(template),
+        Err(_) => fallback_vnf(row),
     }
 }
 
-fn decide_native(
-    template: &NfTemplate,
-    catalog: &NnfCatalog,
-    status: &dyn NativeStatus,
-) -> Result<Decision, ComputeError> {
-    let ft = template.functional_type.as_str();
-    let Some(desc) = catalog.get(ft) else {
+fn decide_native(row: &NfType, status: &dyn NativeStatus) -> Result<Decision, ComputeError> {
+    let ft = row.name;
+    let Some(desc) = &row.nnf else {
         return Err(ComputeError::NoSuchNnf(ft.to_string()));
     };
     match status.existing(ft) {
@@ -105,24 +95,22 @@ fn decide_native(
     }
 }
 
-fn fallback_vnf(template: &NfTemplate) -> Result<Decision, ComputeError> {
-    // Fallback preference: Docker, then VM, then DPDK (cheapest first on
-    // a CPE).
-    for flavor in [Flavor::Docker, Flavor::Vm, Flavor::Dpdk] {
-        if let Some(spec) = template.spec_for(flavor) {
-            return Ok(Decision::Vnf(spec.clone()));
-        }
+/// The row's first VNF: its list is in fallback preference order
+/// (cheapest first on a CPE).
+fn fallback_vnf(row: &NfType) -> Result<Decision, ComputeError> {
+    match row.vnfs.first() {
+        Some(spec) => Ok(Decision::Vnf(spec.clone())),
+        None => Err(ComputeError::Unsupported(format!(
+            "'{}' has no deployable flavor",
+            row.name
+        ))),
     }
-    Err(ComputeError::Unsupported(format!(
-        "'{}' has no deployable flavor",
-        template.functional_type
-    )))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::VnfRepository;
+    use un_compute::Repository;
 
     struct Status(Vec<(&'static str, InstanceId, bool)>);
 
@@ -135,38 +123,35 @@ mod tests {
         }
     }
 
-    fn repo() -> VnfRepository {
-        VnfRepository::standard()
+    fn row(functional_type: &str) -> NfType {
+        Repository::standard()
+            .resolve(functional_type)
+            .unwrap()
+            .clone()
     }
 
     #[test]
     fn prefers_native_when_free() {
-        let r = repo();
-        let c = NnfCatalog::standard();
-        let d = decide(r.resolve("ipsec").unwrap(), None, &c, &Status(vec![])).unwrap();
+        let d = decide(&row("ipsec"), None, &Status(vec![])).unwrap();
         assert_eq!(d, Decision::NativeNew);
     }
 
     #[test]
     fn sharable_nnf_starts_shared_and_then_shares() {
-        let r = repo();
-        let c = NnfCatalog::standard();
         // First NAT: shared mode from the start.
-        let d = decide(r.resolve("nat").unwrap(), None, &c, &Status(vec![])).unwrap();
+        let d = decide(&row("nat"), None, &Status(vec![])).unwrap();
         assert_eq!(d, Decision::NativeNewShared);
         // Second graph: join the existing instance.
         let st = Status(vec![("nat", InstanceId(7), true)]);
-        let d = decide(r.resolve("nat").unwrap(), None, &c, &st).unwrap();
+        let d = decide(&row("nat"), None, &st).unwrap();
         assert_eq!(d, Decision::NativeShare(InstanceId(7)));
     }
 
     #[test]
     fn busy_singleton_falls_back_to_docker() {
-        let r = repo();
-        let c = NnfCatalog::standard();
         // IPsec NNF already used by another chain, not sharable.
         let st = Status(vec![("ipsec", InstanceId(3), false)]);
-        let d = decide(r.resolve("ipsec").unwrap(), None, &c, &st).unwrap();
+        let d = decide(&row("ipsec"), None, &st).unwrap();
         match d {
             Decision::Vnf(spec) => assert_eq!(spec.flavor(), Flavor::Docker),
             other => panic!("expected docker fallback, got {other:?}"),
@@ -175,40 +160,36 @@ mod tests {
 
     #[test]
     fn multi_instance_nnf_always_new() {
-        let r = repo();
-        let c = NnfCatalog::standard();
         let st = Status(vec![("firewall", InstanceId(5), false)]);
-        let d = decide(r.resolve("firewall").unwrap(), None, &c, &st).unwrap();
+        let d = decide(&row("firewall"), None, &st).unwrap();
         assert_eq!(d, Decision::NativeNew);
     }
 
     #[test]
     fn explicit_hints_are_obeyed_or_fail() {
-        let r = repo();
-        let c = NnfCatalog::standard();
         let none = Status(vec![]);
 
-        let d = decide(r.resolve("ipsec").unwrap(), Some("vm"), &c, &none).unwrap();
+        let d = decide(&row("ipsec"), Some("vm"), &none).unwrap();
         match d {
             Decision::Vnf(spec) => assert_eq!(spec.flavor(), Flavor::Vm),
             other => panic!("{other:?}"),
         }
-        let d = decide(r.resolve("ipsec").unwrap(), Some("native"), &c, &none).unwrap();
+        let d = decide(&row("ipsec"), Some("native"), &none).unwrap();
         assert_eq!(d, Decision::NativeNew);
 
         // Forced native while busy: hard error (no silent fallback).
         let busy = Status(vec![("ipsec", InstanceId(3), false)]);
         assert!(matches!(
-            decide(r.resolve("ipsec").unwrap(), Some("native"), &c, &busy),
+            decide(&row("ipsec"), Some("native"), &busy),
             Err(ComputeError::NnfBusy(_))
         ));
         // Unknown flavor string.
         assert!(matches!(
-            decide(r.resolve("ipsec").unwrap(), Some("unikernel"), &c, &none),
+            decide(&row("ipsec"), Some("unikernel"), &none),
             Err(ComputeError::Unsupported(_))
         ));
         // DPDK NF has no native/docker; hint-free deploy picks DPDK.
-        let d = decide(r.resolve("l2fwd-fast").unwrap(), None, &c, &none).unwrap();
+        let d = decide(&row("l2fwd-fast"), None, &none).unwrap();
         match d {
             Decision::Vnf(spec) => assert_eq!(spec.flavor(), Flavor::Dpdk),
             other => panic!("{other:?}"),
@@ -217,9 +198,11 @@ mod tests {
 
     #[test]
     fn no_native_in_catalog_falls_back() {
-        let r = repo();
-        let c = NnfCatalog::empty();
-        let d = decide(r.resolve("ipsec").unwrap(), None, &c, &Status(vec![])).unwrap();
+        let vnf_only = NfType {
+            nnf: None,
+            ..row("ipsec")
+        };
+        let d = decide(&vnf_only, None, &Status(vec![])).unwrap();
         match d {
             Decision::Vnf(spec) => assert_eq!(spec.flavor(), Flavor::Docker),
             other => panic!("{other:?}"),

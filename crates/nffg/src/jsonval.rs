@@ -285,11 +285,18 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+/// How deep arrays and objects may nest. A document nested deeper is
+/// refused, so a hostile body cannot overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document. Trailing non-whitespace is an error, and so is
+/// nesting arrays and objects more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -301,8 +308,11 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -331,8 +341,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -345,6 +355,23 @@ impl Parser<'_> {
             )),
             None => err("unexpected end of input"),
         }
+    }
+
+    /// Parse an array or object one level deeper, if the bound allows.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
@@ -413,12 +440,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid UTF-8".into()))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters, up to the next quote or
+                    // escape. Both are ASCII and every token before the
+                    // run is too, so the run starts and ends on char
+                    // boundaries of the input.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -513,5 +543,35 @@ mod tests {
     #[test]
     fn escape_helper_quotes() {
         assert_eq!(escape("a\"b"), "\"a\\\"b\"");
+    }
+
+    /// A million openers are a typed error, not a stack overflow; a
+    /// document exactly at the bound parses.
+    #[test]
+    fn nesting_is_bounded() {
+        for opener in ["[", "{\"a\":"] {
+            let hostile = opener.repeat(1_000_000);
+            let e = parse(&hostile).unwrap_err();
+            assert!(e.0.contains("nested deeper than 128"), "{e}");
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_bound).is_ok());
+        let over = format!("[{at_bound}]");
+        assert!(parse(&over).is_err());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+    }
+
+    /// String decoding is linear: a 4 MiB ASCII string and a 1 MiB string
+    /// of multi-byte characters round-trip.
+    #[test]
+    fn long_strings_round_trip() {
+        let ascii = "x".repeat(4 << 20);
+        let multi_byte: String = ['é', '€', '𝄞'].iter().cycle().take(1 << 20).collect();
+        for s in [ascii, multi_byte] {
+            let doc = Json::obj().set("s", s.as_str());
+            let back = parse(&doc.render()).unwrap();
+            assert_eq!(back.get("s").and_then(Json::as_str), Some(s.as_str()));
+        }
     }
 }

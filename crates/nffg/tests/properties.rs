@@ -75,3 +75,69 @@ proptest! {
         prop_assert!(un_nffg::validate(&g).is_empty());
     }
 }
+
+/// A document using every part of the format: interface, VLAN and
+/// internal endpoints, a flavor hint, scalar params and rule entries.
+fn genuine_document() -> String {
+    let mut fw = NfConfig::default()
+        .with_param("addr0", "192.168.1.1/24")
+        .with_param("policy", "drop");
+    let mut rule = std::collections::BTreeMap::new();
+    rule.insert("proto".to_string(), "udp".to_string());
+    rule.insert("dport".to_string(), "53".to_string());
+    fw.rules.push(rule);
+    let g = NfFgBuilder::new("g-hostile", "mutation target")
+        .interface_endpoint("lan", "eth0")
+        .vlan_endpoint("wan", "eth1", 300)
+        .internal_endpoint("peer", "grp")
+        .nf_with_config("fw", "firewall", 2, fw)
+        .with_flavor("docker")
+        .nf("nat", "nat", 2)
+        .chain("lan", &["fw", "nat"], "wan")
+        .rule_through("to-peer", 9, ("nat", 1), "peer")
+        .build();
+    assert!(un_nffg::validate(&g).is_empty());
+    un_nffg::to_json_pretty(&g)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A hostile NF-FG body is a typed error or a graph, never a panic.
+    /// A genuine document is cut anywhere, has a byte flipped, has noise
+    /// spliced in and has a run of openers (deeper than the parser's
+    /// bound, or not) inserted; each mutant, read as UTF-8 with bad
+    /// sequences replaced, goes through `from_json` and, if it parses,
+    /// `validate`.
+    #[test]
+    fn a_hostile_document_is_a_typed_error_or_a_graph(
+        at in any::<u16>(),
+        flip in 1u8..=255,
+        cut in any::<u16>(),
+        noise in prop::collection::vec(any::<u8>(), 1..40),
+        openers in 1usize..300,
+        object in any::<bool>(),
+    ) {
+        let doc = genuine_document().into_bytes();
+        let len = doc.len();
+        let pos = |n: u16| usize::from(n) % len;
+
+        let mut flipped = doc.clone();
+        flipped[pos(at)] ^= flip;
+        let short = doc[..pos(cut)].to_vec();
+        let mut spliced = doc[..pos(at)].to_vec();
+        spliced.extend_from_slice(&noise);
+        spliced.extend_from_slice(&doc[pos(at)..]);
+        let opener: &[u8] = if object { b"{\"a\":" } else { b"[" };
+        let mut deep = doc[..pos(cut)].to_vec();
+        deep.extend(opener.repeat(openers));
+        deep.extend_from_slice(&doc[pos(cut)..]);
+
+        for mutant in [flipped, short, spliced, deep] {
+            if let Ok(g) = from_json(&String::from_utf8_lossy(&mutant)) {
+                un_nffg::validate(&g);
+            }
+        }
+        prop_assert!(from_json(&String::from_utf8_lossy(&doc)).is_ok());
+    }
+}

@@ -7,20 +7,21 @@
 //!
 //! An NNF is its descriptor and its command list:
 //!
-//! * [`catalog`] — the node's NNF catalogue with per-function
-//!   characteristics (sharable? package size? daemon RSS? ports?), which
-//!   the orchestrator consults when deciding NNF-vs-VNF placement, and
-//!   which builds instances.
+//! * [`plugin`] — [`NnfDescriptor`], a type's characteristics
+//!   (sharable? package size? daemon RSS? ports?), which the orchestrator
+//!   consults when deciding NNF-vs-VNF placement; the node's repository
+//!   (`un_compute::Repository`) holds one per native type. And
+//!   [`NnfInstance`], built from a descriptor, the Rust equivalent of the
+//!   paper's "collection of bash scripts that control the basic
+//!   lifecycle (create, update, etc.)": start runs the type's command
+//!   list in the NNF's namespace through [`plugins::execute`] and books
+//!   its RSS; stop undoes it. An update is a fresh start from the new
+//!   config (see [`NnfInstance`]).
 //! * [`mod@translate`] — the generic-config → per-NNF-commands translation
 //!   the paper leaves as future work, implemented here as an extension:
 //!   the one reader of an NF's config, whose command list is a dedicated
-//!   NNF's whole namespace program (its module docs give the mapping).
-//! * [`plugin`] — [`NnfInstance`], the Rust equivalent of the paper's
-//!   "collection of bash scripts that control the basic lifecycle
-//!   (create, update, etc.)": start runs the type's command list in the
-//!   NNF's namespace through [`plugins::execute`] and books its RSS; stop
-//!   undoes it. An update is a fresh start from the new config (see
-//!   [`NnfInstance`]).
+//!   NNF's whole namespace program (its module docs give the mapping),
+//!   and the one map from a type's name to that program.
 //! * [`adaptation`] — the paper's *adaptation layer* for sharable NNFs
 //!   attached through a single port: per-graph VLAN sub-interfaces whose
 //!   ingress traffic is marked (fwmark + conntrack zone) and whose
@@ -31,12 +32,10 @@
 #![deny(warnings)]
 
 pub mod adaptation;
-pub mod catalog;
 pub mod plugin;
 pub mod plugins;
 pub mod translate;
 
 pub use adaptation::AdaptationLayer;
-pub use catalog::{NnfCatalog, NnfDescriptor};
-pub use plugin::{GraphBinding, NnfContext, NnfError, NnfInstance};
+pub use plugin::{GraphBinding, NnfContext, NnfDescriptor, NnfError, NnfInstance};
 pub use translate::{translate, NnfCommand};

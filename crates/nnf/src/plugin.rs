@@ -1,12 +1,12 @@
 //! The NNF instance: one native function in one namespace.
 //!
-//! An instance is its type's catalogue [`NnfDescriptor`] plus the
-//! namespace program [`translate`](mod@crate::translate) compiles for that
-//! type. Running the program configures kernel objects (XFRM, iptables,
-//! bridges, routes) inside the network namespace the NNF driver created
-//! for it. A shared instance instead accepts per-service-graph
-//! *bindings* carrying the mark / VLAN / conntrack-zone triple the node
-//! assigned, and its adaptation layer is their one record.
+//! An instance is its type's [`NnfDescriptor`] plus the namespace program
+//! [`translate`](mod@crate::translate) compiles for that type. Running
+//! the program configures kernel objects (XFRM, iptables, bridges,
+//! routes) inside the network namespace the NNF driver created for it. A
+//! shared instance instead accepts per-service-graph *bindings* carrying
+//! the mark / VLAN / conntrack-zone triple the node assigned, and its
+//! adaptation layer is their one record.
 
 use std::fmt;
 
@@ -15,9 +15,32 @@ use un_nffg::NfConfig;
 use un_sim::{AccountId, MemLedger};
 
 use crate::adaptation::AdaptationLayer;
-use crate::catalog::NnfDescriptor;
 use crate::plugins::{execute, BRIDGE};
-use crate::translate::{NnfCommand, Program};
+use crate::translate::{self, NnfCommand, Program};
+
+/// Static characteristics of one NNF type: what the paper's orchestrator
+/// consults when deciding whether to deploy an NF as a native component
+/// (can several instances run? can one serve several graphs? what does
+/// it cost?). A descriptor is the only owner of those facts: an
+/// [`NnfInstance`] reads its port minimum and RSS from the descriptor it
+/// was built from. The node's repository holds one per native type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NnfDescriptor {
+    /// Functional type, matching `NetworkFunction::functional_type`.
+    pub functional_type: &'static str,
+    /// Can several instances run concurrently (one per graph)?
+    pub multi_instance: bool,
+    /// Can a single instance serve several graphs (marking + internal
+    /// paths, per the paper's definition of "sharable")?
+    pub sharable: bool,
+    /// Native package size on disk (the paper's "image size" column).
+    pub package_bytes: u64,
+    /// Daemon/tooling RSS per instance.
+    pub rss_bytes: u64,
+    /// Fewest ports a dedicated instance starts on. A shared instance
+    /// starts on its one attachment port whatever this says.
+    pub min_ports: usize,
+}
 
 /// Everything an instance needs to touch the node.
 pub struct NnfContext<'a> {
@@ -105,14 +128,14 @@ impl From<un_linux::HostError> for NnfError {
     }
 }
 
-/// One native network function instance, built by
-/// [`NnfCatalog::instantiate`](crate::NnfCatalog::instantiate).
+/// One native network function instance, built by [`NnfInstance::new`]
+/// from its type's descriptor.
 ///
 /// Lifecycle: `start` → zero or more `bind_graph`/`unbind_graph` (shared
 /// only) → `stop`. The driver guarantees `start` is called before any
 /// other method.
 ///
-/// An instance is shared because the catalogue was asked for one, and
+/// An instance is shared because it was built as one, and
 /// holds its [`AdaptationLayer`], the one record of who rides it, from
 /// construction. A dedicated instance starts on at least `min_ports` and
 /// runs its type's program; a shared one starts on its one attachment
@@ -142,16 +165,23 @@ pub struct NnfInstance {
 }
 
 impl NnfInstance {
-    /// An instance of `descriptor`'s type whose start runs `program`, or
-    /// a `shared` one.
-    pub(crate) fn new(descriptor: NnfDescriptor, program: Program, shared: bool) -> Self {
-        NnfInstance {
-            descriptor,
+    /// An instance of `descriptor`'s type, running the program
+    /// [`translate`](crate::translate()) has for it, or a `shared` one. A
+    /// type with no program is a bad `functional-type`, and a shared
+    /// instance of a type not sharable is refused with
+    /// [`NnfError::NotSharable`].
+    pub fn new(descriptor: &NnfDescriptor, shared: bool) -> Result<Self, NnfError> {
+        let program = translate::program(descriptor.functional_type)?;
+        if shared && !descriptor.sharable {
+            return Err(NnfError::NotSharable);
+        }
+        Ok(NnfInstance {
+            descriptor: *descriptor,
             program,
             started: false,
             ports: Vec::new(),
             adaptation: shared.then(AdaptationLayer::default),
-        }
+        })
     }
 
     /// The functional type this instance implements (`"ipsec"`, …).
@@ -252,6 +282,21 @@ impl NnfInstance {
     }
 }
 
+/// A descriptor of `functional_type` for this crate's tests: sharable,
+/// multi-instance, two ports, 1 MB of RSS. The node's real descriptors
+/// live in its repository.
+#[cfg(test)]
+pub(crate) fn described(functional_type: &'static str) -> NnfDescriptor {
+    NnfDescriptor {
+        functional_type,
+        multi_instance: true,
+        sharable: true,
+        package_bytes: 0,
+        rss_bytes: 1_000_000,
+        min_ports: 2,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,24 +304,36 @@ mod tests {
     use un_packet::MacAddr;
     use un_sim::CostModel;
 
-    use crate::catalog::NnfCatalog;
-
-    fn nnf(functional_type: &str) -> NnfInstance {
-        NnfCatalog::standard()
-            .instantiate(functional_type, false)
-            .unwrap()
+    fn nnf(functional_type: &'static str) -> NnfInstance {
+        NnfInstance::new(&described(functional_type), false).unwrap()
     }
 
     fn shared_nat() -> NnfInstance {
-        NnfCatalog::standard().instantiate("nat", true).unwrap()
+        NnfInstance::new(&described("nat"), true).unwrap()
     }
 
-    /// The RSS the catalogue books for one instance of a type.
-    fn rss(functional_type: &str) -> u64 {
-        NnfCatalog::standard()
-            .get(functional_type)
-            .unwrap()
-            .rss_bytes
+    /// The RSS the descriptor books for one instance of a type.
+    fn rss(functional_type: &'static str) -> u64 {
+        described(functional_type).rss_bytes
+    }
+
+    /// A type with no program is refused whatever its descriptor says,
+    /// and so is a shared instance of a type not sharable.
+    #[test]
+    fn a_type_without_a_program_is_refused() {
+        assert!(matches!(
+            NnfInstance::new(&described("dpi"), false),
+            Err(NnfError::BadParam { key, value }) if key == "functional-type" && value == "dpi"
+        ));
+        let dedicated_only = NnfDescriptor {
+            sharable: false,
+            ..described("nat")
+        };
+        assert!(matches!(
+            NnfInstance::new(&dedicated_only, true),
+            Err(NnfError::NotSharable)
+        ));
+        assert!(NnfInstance::new(&dedicated_only, false).is_ok());
     }
 
     fn bound_graphs(nnf: &NnfInstance) -> usize {

@@ -93,8 +93,7 @@ mod tests {
     use un_packet::Ipv4Cidr;
     use un_sim::{CostModel, MemLedger};
 
-    use crate::catalog::NnfCatalog;
-    use crate::plugin::{GraphBinding, NnfContext, NnfError, NnfInstance};
+    use crate::plugin::{described, GraphBinding, NnfContext, NnfError, NnfInstance};
     use crate::translate::derive_psk_tunnel;
 
     /// A namespace with `n` external ports, as the driver hands it over.
@@ -151,14 +150,12 @@ mod tests {
         out
     }
 
-    fn nnf(functional_type: &str) -> NnfInstance {
-        NnfCatalog::standard()
-            .instantiate(functional_type, false)
-            .unwrap()
+    fn nnf(functional_type: &'static str) -> NnfInstance {
+        NnfInstance::new(&described(functional_type), false).unwrap()
     }
 
     fn shared_nat() -> NnfInstance {
-        NnfCatalog::standard().instantiate("nat", true).unwrap()
+        NnfInstance::new(&described("nat"), true).unwrap()
     }
 
     fn start(

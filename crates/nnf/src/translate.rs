@@ -108,8 +108,8 @@ pub enum NnfCommand {
 /// its commands out.
 pub(crate) type Program = fn(&NfConfig, usize) -> Result<Vec<NnfCommand>, NnfError>;
 
-/// The program for `functional_type`; a type this module has none for is
-/// [`unknown`].
+/// The program for `functional_type`: the one map from a type's name to
+/// its code. A type this module has none for is a bad `functional-type`.
 pub(crate) fn program(functional_type: &str) -> Result<Program, NnfError> {
     Ok(match functional_type {
         "ipsec" => translate_ipsec,
@@ -117,16 +117,13 @@ pub(crate) fn program(functional_type: &str) -> Result<Program, NnfError> {
         "nat" => translate_nat,
         "router" => translate_router,
         "bridge" => translate_bridge,
-        _ => return Err(unknown(functional_type)),
+        _ => {
+            return Err(NnfError::BadParam {
+                key: "functional-type".into(),
+                value: functional_type.into(),
+            })
+        }
     })
-}
-
-/// The refusal of a functional type nothing implements.
-pub(crate) fn unknown(functional_type: &str) -> NnfError {
-    NnfError::BadParam {
-        key: "functional-type".into(),
-        value: functional_type.into(),
-    }
 }
 
 /// String parameters: an NF's scalar params, one of its rule entries,

@@ -1,7 +1,7 @@
 //! Integration check of the Table 1 reproduction: the *shape* of the
 //! paper's results must hold (who wins, by roughly what factor), and
 //! the resource columns must match the composition documented in
-//! `VnfRepository::standard` (`crates/core/src/repository.rs`).
+//! `Repository::standard` (`crates/compute/src/repository.rs`).
 
 use un_bench::{run_table1_flavor, GatewayPeer};
 use un_core::UniversalNode;
