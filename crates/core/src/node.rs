@@ -25,6 +25,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -422,6 +423,8 @@ pub struct UniversalNode {
     pub trace: NodeCounters,
     /// The node fabric's share of the conservation ledger.
     frame_ledger: FrameLedger,
+    /// The buffers every walk through the fabric borrows.
+    walk_scratch: WalkScratch,
     mem_capacity: u64,
     /// Observability handle; `None` when disabled so the hot path pays
     /// only `Option` checks.
@@ -486,56 +489,95 @@ fn record_classify_hop(f: &TraceSink, node: &str, lsi: &str, step: &PipelineStep
     );
 }
 
+/// Frames waiting at one fabric location, every one with its TTL.
+type Burst = Vec<(Packet, u32)>;
+
+/// The buffers a walk through the fabric works in. The node keeps one
+/// and lends it to each walk, so a warm walk allocates none of them.
+/// Between walks every buffer is empty — no frame outlives its walk —
+/// and only their capacity carries over.
+#[derive(Default)]
+struct WalkScratch {
+    /// Bursts waiting at a fabric location, sorted by location largest
+    /// first, so the next to drain — the smallest — is the last. Never
+    /// holds an empty burst.
+    pending: Vec<(LocKey, Burst)>,
+    /// Drained bursts, reused for the next location a frame is queued at.
+    free: Vec<Burst>,
+    /// One frame's outputs from an LSI.
+    outputs: Vec<(PortNo, Packet)>,
+    /// A classified burst at LSI-0: `(out port, frame, ttl)`.
+    routed_l0: Vec<(PortNo, Packet, u32)>,
+    /// A classified burst at a graph LSI: `(what the out port is,
+    /// frame, ttl)`.
+    routed_graph: Vec<(Option<GPort>, Packet, u32)>,
+    /// The TTLs of the frames crossing one NF boundary.
+    ttls: Vec<u32>,
+    /// What an NF handed back: `(nf port it left by, frame, ttl)`.
+    back: Vec<(u32, Packet, u32)>,
+}
+
+impl WalkScratch {
+    /// True when no buffer holds a frame.
+    fn is_clear(&self) -> bool {
+        self.pending.is_empty()
+            && self.free.iter().all(Vec::is_empty)
+            && self.outputs.is_empty()
+            && self.routed_l0.is_empty()
+            && self.routed_graph.is_empty()
+            && self.ttls.is_empty()
+            && self.back.is_empty()
+    }
+}
+
 /// Per-call state of one burst's run through the node fabric: the
 /// books (recorder, ghost flag and what the walk owes the node's
-/// ledger), the result under construction, and the work list.
+/// ledger), the result under construction, and the node's scratch,
+/// taken for the call and handed back when it ends.
 struct Walk<'a> {
     acct: Accounting<'a>,
     io: NodeIo,
     /// Fabric steps left before the amplification valve closes.
     work_budget: u64,
-    /// Bursts waiting at a fabric location, every frame with its TTL.
-    pending: BTreeMap<LocKey, Vec<(Packet, u32)>>,
+    scratch: WalkScratch,
 }
 
-impl<'a> Walk<'a> {
-    fn new(flight: Option<&'a TraceSink>, frames: usize) -> Self {
-        Walk {
-            acct: Accounting::new(flight),
-            io: NodeIo::default(),
-            work_budget: (frames as u64).saturating_mul(u64::from(FABRIC_TTL)),
-            pending: BTreeMap::new(),
-        }
-    }
-
+impl Walk<'_> {
+    /// Queue `pkt` at `loc`: on the burst already waiting there, or on
+    /// a drained one reused for it.
     fn queue(&mut self, loc: LocKey, pkt: Packet, ttl: u32) {
-        self.pending.entry(loc).or_default().push((pkt, ttl));
+        let WalkScratch { pending, free, .. } = &mut self.scratch;
+        let i = match pending.binary_search_by(|(at, _)| loc.cmp(at)) {
+            Ok(i) => i,
+            Err(i) => {
+                pending.insert(i, (loc, free.pop().unwrap_or_default()));
+                i
+            }
+        };
+        pending[i].1.push((pkt, ttl));
     }
 
     /// The classify stage, written once for LSI-0 and the graph LSIs:
-    /// run a burst that arrived on `in_port` of `node`'s `lsi` through
-    /// it under one borrow — per frame the TTL check, the work budget,
-    /// the LSI, its classify hop and the fan-out accounting — and
-    /// return every output as `(port(out port), frame, ttl)` in
-    /// (frame, output) order. `port` lets the caller resolve what an
+    /// drain a burst that arrived on `in_port` of `node`'s `lsi`
+    /// through it under one borrow — per frame the TTL check, the work
+    /// budget, the LSI, its classify hop and the fan-out accounting —
+    /// and hand every output to `route` as `(out port, frame, ttl)` in
+    /// (frame, output) order. `route` lets the caller resolve what an
     /// output port means while it still holds the LSI's owner.
-    fn classify<T>(
+    fn classify(
         &mut self,
         lsi: &mut LogicalSwitch,
         costs: &CostModel,
         node: &str,
         in_port: PortNo,
-        burst: Vec<(Packet, u32)>,
-        port: impl Fn(PortNo) -> T,
-    ) -> Vec<(T, Packet, u32)> {
+        burst: &mut Burst,
+        mut route: impl FnMut(PortNo, Packet, u32),
+    ) {
         let popts = ProcessOptions {
             ghost: self.acct.ghost(),
             record: self.acct.flight().is_some(),
         };
-        let mut routed = Vec::with_capacity(burst.len());
-        // One output vector for the whole burst, drained per frame.
-        let mut outputs = Vec::new();
-        for (pkt, ttl) in burst {
+        for (pkt, ttl) in burst.drain(..) {
             if ttl == 0 {
                 self.acct.drop(node, DropReason::FabricLoop, 1, "");
                 continue;
@@ -545,15 +587,40 @@ impl<'a> Walk<'a> {
                 continue;
             }
             self.work_budget -= 1;
-            let res = lsi.process_into(in_port, pkt, costs, popts, &mut outputs);
+            let outputs = &mut self.scratch.outputs;
+            let res = lsi.process_into(in_port, pkt, costs, popts, outputs);
             if let (Some(f), Some(step)) = (self.acct.flight(), &res.step) {
                 record_classify_hop(f, node, &lsi.name, step);
             }
             self.io.cost += res.cost;
             self.acct.produced(outputs.len());
-            routed.extend(outputs.drain(..).map(|(out, p)| (port(out), p, ttl)));
+            for (out, p) in outputs.drain(..) {
+                route(out, p, ttl);
+            }
         }
-        routed
+    }
+
+    /// Queue every frame of `back` — what an NF handed back — where
+    /// `enter` says the NF port it left by re-enters the fabric; a
+    /// frame whose port is wired nowhere dies as `GraphUnmappedNfPort`.
+    /// `back` returns to the scratch empty.
+    fn requeue(
+        &mut self,
+        node: &str,
+        mut back: Vec<(u32, Packet, u32)>,
+        enter: impl Fn(u32) -> Option<LocKey>,
+    ) {
+        for (nf_out, pkt, ttl) in back.drain(..) {
+            match enter(nf_out) {
+                Some(loc) => self.queue(loc, pkt, ttl),
+                None => {
+                    let detail = format_args!("nf port {nf_out}");
+                    self.acct
+                        .drop(node, DropReason::GraphUnmappedNfPort, 1, detail);
+                }
+            }
+        }
+        self.scratch.back = back;
     }
 }
 
@@ -582,6 +649,7 @@ impl UniversalNode {
             clock: SimTime::ZERO,
             trace: NodeCounters::default(),
             frame_ledger: FrameLedger::default(),
+            walk_scratch: WalkScratch::default(),
             mem_capacity,
             obs: None,
             obs_nf_hist: BTreeMap::new(),
@@ -1223,11 +1291,12 @@ impl UniversalNode {
 
     /// Inject a frame on a physical port and run it to completion.
     ///
-    /// Thin wrapper over [`UniversalNode::inject_batch`] with a
-    /// one-frame burst.
+    /// The walk of [`UniversalNode::inject_batch`], entered with one
+    /// frame: it is queued straight into the walk, with no burst vector
+    /// around it.
     pub fn inject(&mut self, port_name: &str, pkt: Packet) -> NodeIo {
         match self.ingress_port(port_name, None) {
-            Some(id) => self.inject_batch(vec![(id, pkt)]),
+            Some(id) => self.run_walk(None, std::iter::once((id, pkt))),
             None => NodeIo::default(),
         }
     }
@@ -1283,16 +1352,34 @@ impl UniversalNode {
         batch: Vec<(PortId, Packet)>,
         flight: Option<&TraceSink>,
     ) -> NodeIo {
-        let frames_in = batch.len() as u64;
-        let mut walk = Walk::new(flight, batch.len());
-        for (PortId(port), pkt) in batch {
+        self.run_walk(flight, batch.into_iter())
+    }
+
+    /// The one walk runner behind every inject: queue `ingress` at
+    /// LSI-0 and drain the fabric, smallest location first, in the
+    /// node's walk scratch — taken for the call and handed back, empty,
+    /// when it ends.
+    fn run_walk(
+        &mut self,
+        flight: Option<&TraceSink>,
+        ingress: impl ExactSizeIterator<Item = (PortId, Packet)>,
+    ) -> NodeIo {
+        let frames_in = ingress.len() as u64;
+        let mut walk = Walk {
+            acct: Accounting::new(flight),
+            io: NodeIo::default(),
+            work_budget: frames_in.saturating_mul(u64::from(FABRIC_TTL)),
+            scratch: mem::take(&mut self.walk_scratch),
+        };
+        for (PortId(port), pkt) in ingress {
             walk.queue(LocKey::L0(port.0), pkt, FABRIC_TTL);
         }
-        while let Some((loc, burst)) = walk.pending.pop_first() {
+        while let Some((loc, mut burst)) = walk.scratch.pending.pop() {
             match loc {
-                LocKey::L0(p) => self.run_l0(&mut walk, PortNo(p), burst),
-                LocKey::Graph(slot, p) => self.run_graph(&mut walk, slot, PortNo(p), burst),
+                LocKey::L0(p) => self.run_l0(&mut walk, PortNo(p), &mut burst),
+                LocKey::Graph(slot, p) => self.run_graph(&mut walk, slot, PortNo(p), &mut burst),
             }
+            walk.scratch.free.push(burst);
         }
         if !walk.acct.ghost() {
             self.trace.fabric_frames_in += frames_in;
@@ -1302,6 +1389,8 @@ impl UniversalNode {
             }
         }
         walk.acct.settle(&mut self.frame_ledger);
+        debug_assert!(walk.scratch.is_clear(), "a frame outlived its walk");
+        self.walk_scratch = walk.scratch;
         walk.io
     }
 
@@ -1309,16 +1398,17 @@ impl UniversalNode {
     /// (frame, output) order — out a physical port, over a virtual
     /// link into a graph LSI, or across the boundary of a shared NF,
     /// whose outputs re-enter LSI-0 on the attach port they left by.
-    fn run_l0(&mut self, walk: &mut Walk<'_>, in_port: PortNo, burst: Vec<(Packet, u32)>) {
-        let routed = walk.classify(
+    fn run_l0(&mut self, walk: &mut Walk<'_>, in_port: PortNo, burst: &mut Burst) {
+        let mut routed = mem::take(&mut walk.scratch.routed_l0);
+        walk.classify(
             &mut self.lsi0,
             &self.costs,
             &self.name,
             in_port,
             burst,
-            |out| out,
+            |out, p, ttl| routed.push((out, p, ttl)),
         );
-        let mut it = routed.into_iter().peekable();
+        let mut it = routed.drain(..).peekable();
         while let Some((out, out_pkt, ttl)) = it.next() {
             match self.l0_ports.get(&out) {
                 Some(L0Port::Physical(name)) => {
@@ -1340,21 +1430,21 @@ impl UniversalNode {
                     // Consecutive frames bound for the same attach port
                     // cross the boundary as one burst.
                     let inst = *inst;
-                    let mut frames = vec![(0, out_pkt)];
-                    let mut ttls = vec![ttl];
-                    while let Some((_, p2, t2)) = it.next_if(|(next, _, _)| *next == out) {
-                        frames.push((0, p2));
-                        ttls.push(t2);
-                    }
-                    for (_, back, ttl) in self.deliver_run(walk, inst, frames, ttls) {
-                        walk.queue(LocKey::L0(out.0), back, ttl);
-                    }
+                    let same_port = std::iter::from_fn(|| {
+                        let (_, p, t) = it.next_if(|(next, _, _)| *next == out)?;
+                        Some((0, p, t))
+                    });
+                    let run = std::iter::once((0, out_pkt, ttl)).chain(same_port);
+                    let back = self.deliver_run(walk, inst, run);
+                    walk.requeue(&self.name, back, |_| Some(LocKey::L0(out.0)));
                 }
                 None => walk
                     .acct
                     .drop(&self.name, DropReason::L0UnmappedPort, 1, ""),
             }
         }
+        drop(it);
+        walk.scratch.routed_l0 = routed;
     }
 
     /// One burst at a graph LSI: classify it, then dispatch every
@@ -1362,39 +1452,33 @@ impl UniversalNode {
     /// across the boundary of one of the graph's NFs, whose outputs
     /// re-enter the graph LSI on the port wired to the NF port they
     /// left by.
-    fn run_graph(
-        &mut self,
-        walk: &mut Walk<'_>,
-        slot: u32,
-        in_port: PortNo,
-        burst: Vec<(Packet, u32)>,
-    ) {
+    fn run_graph(&mut self, walk: &mut Walk<'_>, slot: u32, in_port: PortNo, burst: &mut Burst) {
         let Some(graph) = self
             .slots
             .get(slot as usize)
             .and_then(|s| s.as_deref())
             .and_then(|gid| self.graphs.get_mut(gid))
         else {
+            let dead = burst.len() as u64;
+            burst.clear();
             let detail = format_args!("graph slot {slot} is gone");
-            return walk.acct.drop(
-                &self.name,
-                DropReason::FabricDeadSlot,
-                burst.len() as u64,
-                detail,
-            );
+            return walk
+                .acct
+                .drop(&self.name, DropReason::FabricDeadSlot, dead, detail);
         };
         // Resolve every output port while the graph is borrowed: the
         // NF boundary below needs the whole node.
         let ports = &graph.ports;
-        let mapped = walk.classify(
+        let mut routed = mem::take(&mut walk.scratch.routed_graph);
+        walk.classify(
             &mut graph.lsi,
             &self.costs,
             &self.name,
             in_port,
             burst,
-            |out| ports.get(&out).cloned(),
+            |out, p, ttl| routed.push((ports.get(&out).cloned(), p, ttl)),
         );
-        let mut it = mapped.into_iter().peekable();
+        let mut it = routed.drain(..).peekable();
         while let Some((kind, out_pkt, ttl)) = it.next() {
             match kind {
                 Some(GPort::Vlink { l0_port }) => {
@@ -1405,57 +1489,55 @@ impl UniversalNode {
                     // Consecutive frames bound for the same instance
                     // (any of its ports) cross the boundary as one
                     // burst.
-                    let mut frames = vec![(nf_port, out_pkt)];
-                    let mut ttls = vec![ttl];
-                    while let Some((Some(GPort::Nf(_, np)), p2, t2)) = it.next_if(
-                        |(next, _, _)| matches!(next, Some(GPort::Nf(ni, _)) if *ni == inst),
-                    ) {
-                        frames.push((np, p2));
-                        ttls.push(t2);
-                    }
-                    let outs = self.deliver_run(walk, inst, frames, ttls);
+                    let same_inst = std::iter::from_fn(|| match it.peek()? {
+                        (Some(GPort::Nf(ni, np)), _, _) if *ni == inst => {
+                            let np = *np;
+                            let (_, p, t) = it.next()?;
+                            Some((np, p, t))
+                        }
+                        _ => None,
+                    });
+                    let run = std::iter::once((nf_port, out_pkt, ttl)).chain(same_inst);
+                    let back = self.deliver_run(walk, inst, run);
                     let wired = self
                         .slots
                         .get(slot as usize)
                         .and_then(|s| s.as_deref())
                         .and_then(|gid| self.graphs.get(gid))
                         .map(|g| &g.rev_nf);
-                    for (nf_out, back, ttl) in outs {
-                        match wired.and_then(|w| w.get(&(inst, nf_out))) {
-                            Some(gp) => walk.queue(LocKey::Graph(slot, gp.0), back, ttl),
-                            None => {
-                                let detail = format_args!("nf port {nf_out}");
-                                walk.acct.drop(
-                                    &self.name,
-                                    DropReason::GraphUnmappedNfPort,
-                                    1,
-                                    detail,
-                                );
-                            }
-                        }
-                    }
+                    walk.requeue(&self.name, back, |nf_out| {
+                        let gp = wired?.get(&(inst, nf_out))?;
+                        Some(LocKey::Graph(slot, gp.0))
+                    });
                 }
                 None => walk
                     .acct
                     .drop(&self.name, DropReason::GraphUnmappedPort, 1, ""),
             }
         }
+        drop(it);
+        walk.scratch.routed_graph = routed;
     }
 
     /// The NF-delivery stage, written once for shared attach ports and
-    /// graph NF ports: hand `frames` — consecutive `(nf port, frame)`s
+    /// graph NF ports: hand `run` — consecutive `(nf port, frame, ttl)`s
     /// bound for one instance — across the NF boundary as one timed
     /// `deliver_batch`, record the per-frame latency (histogram and NF
     /// hop), account every frame's fan-in, and return every output as
-    /// `(nf port it left by, frame, ttl - 1)`. Where those re-enter the
-    /// fabric is the one thing the callers differ in.
+    /// `(nf port it left by, frame, ttl - 1)` in the scratch's `back`
+    /// buffer, for `Walk::requeue` to hand back. Where those re-enter
+    /// the fabric is the one thing the callers differ in.
     fn deliver_run(
         &mut self,
         walk: &mut Walk<'_>,
         inst: InstanceId,
-        frames: Vec<(u32, Packet)>,
-        ttls: Vec<u32>,
+        run: impl Iterator<Item = (u32, Packet, u32)>,
     ) -> Vec<(u32, Packet, u32)> {
+        let mut frames = Vec::with_capacity(run.size_hint().0);
+        for (nf_port, pkt, ttl) in run {
+            frames.push((nf_port, pkt));
+            walk.scratch.ttls.push(ttl);
+        }
         let n = frames.len() as u64;
         let t0 = (self.obs.is_some() || walk.acct.flight().is_some()).then(Instant::now);
         let mut env = NodeEnv {
@@ -1475,8 +1557,8 @@ impl UniversalNode {
                 }
             }
         }
-        let mut back = Vec::with_capacity(outs.len());
-        for (out_io, ttl) in outs.into_iter().zip(ttls) {
+        let mut back = mem::take(&mut walk.scratch.back);
+        for (out_io, ttl) in outs.into_iter().zip(walk.scratch.ttls.drain(..)) {
             walk.io.cost += out_io.cost;
             walk.acct.produced(out_io.outputs.len());
             back.extend(

@@ -427,6 +427,132 @@ fn a_steering_node_caches_per_port_not_per_flow() {
 }
 
 // ---------------------------------------------------------------------
+// The walk scratch: what one walk leaves in the node's buffers never
+// reaches the next.
+// ---------------------------------------------------------------------
+
+/// A node on which every way a frame can die inside the fabric is one
+/// VLAN away on eth0. Untagged frames cross a bridge to eth1 and back.
+/// Vid 10 loops over four virtual links through two graphs' internal
+/// groups until its TTL is spent (`FabricLoop`); vid 20 meets an LSI-0
+/// rule that doubles it around a virtual link (`FabricWorkExhausted`);
+/// vid 30 enters a graph whose slot is gone (`FabricDeadSlot`); vid 40
+/// is steered to an LSI-0 port the node never mapped
+/// (`L0UnmappedPort`). The last three are sabotage behind the
+/// orchestrator's back: no NF-FG compiles to them.
+fn every_death_node() -> UniversalNode {
+    let mut n = node();
+    let ring_a = NfFgBuilder::new("ring-a", "virtual-link cycle")
+        .vlan_endpoint("lan", "eth0", 10)
+        .internal_endpoint("x", "ring-x")
+        .internal_endpoint("y", "ring-y")
+        .rule_through("in", 10, "lan", "x")
+        .rule_through("round", 10, "y", "x")
+        .build();
+    let ring_b = NfFgBuilder::new("ring-b", "virtual-link cycle")
+        .internal_endpoint("x", "ring-x")
+        .internal_endpoint("y", "ring-y")
+        .rule_through("across", 10, "x", "y")
+        .build();
+    let amp = NfFgBuilder::new("amp", "amplifier")
+        .vlan_endpoint("lan", "eth0", 20)
+        .internal_endpoint("loop", "amp")
+        .rule_through("in", 10, "lan", "loop")
+        .rule_through("round", 10, "loop", "loop")
+        .build();
+    let gone = NfFgBuilder::new("gone", "dead slot")
+        .vlan_endpoint("lan", "eth0", 30)
+        .vlan_endpoint("wan", "eth1", 30)
+        .chain("lan", &[], "wan")
+        .build();
+    for g in [bridge_graph("good"), ring_a, ring_b, amp, gone] {
+        n.deploy(&g).unwrap();
+    }
+    let amp_link = n.internal_groups["amp"][0];
+    let twice = vec![FlowAction::Output(amp_link), FlowAction::Output(amp_link)];
+    n.l0_rule(0, 30, FlowMatch::in_port(amp_link), twice);
+    let slot = n.graphs["gone"].slot as usize;
+    n.slots[slot] = None;
+    let stray = PortNo(999);
+    n.lsi0.add_port(stray, "stray").unwrap();
+    let to_stray = FlowMatch::in_port(n.physical["eth0"]).with_vlan(VlanSpec::Id(40));
+    n.l0_rule(0, 10, to_stray, vec![FlowAction::Output(stray)]);
+    n
+}
+
+/// One frame for `every_death_node`, with the port it enters by: the
+/// bridge both ways, each vid, or a port the node does not have.
+fn any_frame(rng: &mut un_sim::DetRng, unknown_port: bool) -> (&'static str, Packet) {
+    let kinds = if unknown_port { 7 } else { 6 };
+    let kind = rng.index(kinds);
+    let mut f = frame(&rng.next_u32().to_be_bytes());
+    let port = match kind {
+        0 => "eth0",
+        1 => "eth1",
+        6 => "eth9",
+        tagged => {
+            f.vlan_push(10 * (tagged as u16 - 1)).unwrap();
+            "eth0"
+        }
+    };
+    (port, f)
+}
+
+/// 64 random call sequences mixing good frames with every mid-walk
+/// death, one frame at a time and in bursts. After each call the node,
+/// whose walks share one scratch, emits the same bytes at the same cost
+/// and books the same ledger as a twin handed a fresh scratch for every
+/// call; and between calls the scratch holds no frame.
+#[test]
+fn a_reused_walk_scratch_changes_nothing() {
+    let mut deaths = FrameLedger::default();
+    for case in 0..64 {
+        let mut rng = un_sim::DetRng::new(case);
+        let (mut warm, mut twin) = (every_death_node(), every_death_node());
+        for call in 0..8 {
+            let tag = format!("case {case}, call {call}");
+            twin.walk_scratch = WalkScratch::default();
+            let (a, b) = if rng.chance(0.5) {
+                let (port, f) = any_frame(&mut rng, true);
+                (warm.inject(port, f.clone()), twin.inject(port, f))
+            } else {
+                let burst: Vec<_> = (0..1 + rng.index(6))
+                    .map(|_| any_frame(&mut rng, false))
+                    .collect();
+                let ids = |n: &UniversalNode| -> Vec<(PortId, Packet)> {
+                    let id = |port| n.port_id(port).unwrap();
+                    burst.iter().map(|(p, f)| (id(p), f.clone())).collect()
+                };
+                let (for_warm, for_twin) = (ids(&warm), ids(&twin));
+                (warm.inject_batch(for_warm), twin.inject_batch(for_twin))
+            };
+            let bytes = |io: &NodeIo| -> Vec<(Name, Vec<u8>)> {
+                let out = io.emitted.iter();
+                out.map(|(port, p)| (port.clone(), p.data().to_vec()))
+                    .collect()
+            };
+            assert_eq!(bytes(&a), bytes(&b), "{tag}");
+            assert_eq!(a.cost, b.cost, "{tag}");
+            assert_eq!(warm.frame_ledger(), twin.frame_ledger(), "{tag}");
+            assert!(
+                warm.walk_scratch.is_clear(),
+                "{tag}: a frame outlived its walk"
+            );
+        }
+        deaths += *warm.frame_ledger();
+    }
+    for reason in [
+        DropReason::FabricLoop,
+        DropReason::FabricWorkExhausted,
+        DropReason::FabricDeadSlot,
+        DropReason::L0UnmappedPort,
+        DropReason::InjectUnknownPort,
+    ] {
+        assert!(deaths.drops(reason) > 0, "no case died of {reason}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Failure injection: every way a deploy can fail, for every way an NF
 // can be placed. Whatever `build` took before the failure, `teardown`
 // gives back — and the node serves the next tenant as if nothing had

@@ -935,8 +935,8 @@ impl Domain {
     /// burst. The shuttle's per-call setup is O(touched nodes), not
     /// O(fleet): a queue is built for each node the frame reaches and
     /// nothing per fleet member. On a warm one-node bridge chain that
-    /// is 5 heap allocations more than the same frame through
-    /// [`UniversalNode::inject`], and 5 more per further node touched
+    /// is 6 heap allocations more than the same frame through
+    /// [`UniversalNode::inject`], and 6 more per further node touched
     /// (pinned by `tests/alloc_per_call.rs`). High-rate callers should
     /// batch frames into `inject_batch`, which amortizes that across
     /// the burst.

@@ -11,6 +11,7 @@ use un_linux::route::{Route, RouteTable};
 use un_linux::{Chain, Host, IfaceId, IoResult, NfRule, NfTable, RuleMatch, Target, MAIN_TABLE};
 use un_packet::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN as ETH};
 use un_packet::ipv4::{Ipv4Packet, IPV4_HEADER_LEN};
+use un_packet::mutate::{mutants, refilled, Mutation};
 use un_packet::{Ipv4Cidr, Packet, PacketBuilder};
 use un_sim::CostModel;
 
@@ -135,15 +136,6 @@ fn genuine(
     }
 }
 
-/// Refill the IPv4 header checksum behind the Ethernet header, where
-/// the header still parses, so a mutation reaches past the checksum.
-fn refilled(mut frame: Packet) -> Packet {
-    if let Some(Ok(mut ip)) = frame.data_mut().get_mut(ETH..).map(Ipv4Packet::new_checked) {
-        ip.fill_checksum();
-    }
-    frame
-}
-
 /// Every frame the host emitted is Ethernet + IPv4 with a valid header
 /// checksum; returns how many there were.
 fn emitted_ipv4(out: &IoResult) -> usize {
@@ -237,7 +229,8 @@ proptest! {
     /// Hostile frames never panic the host. A genuine frame — one of
     /// four that masquerade, DNAT, seal and open — is cut anywhere,
     /// has a byte behind its Ethernet header flipped, has noise spliced
-    /// in, and has its IPv4 total length and IHL overwritten; every
+    /// in, and has its IPv4 total length and IHL overwritten
+    /// (`un_packet::mutate`, which the node's own property uses too); every
     /// mutant that still parses is also fed with its header checksum
     /// refilled, so it reaches the stages behind the checksum. Whatever
     /// the host emits is Ethernet + IPv4 with a valid header checksum,
@@ -255,24 +248,8 @@ proptest! {
     ) {
         let (mut h, lan, wan) = edge();
         let (port, frame) = genuine(&h, lan, wan, kind, 1, &payload);
-        let len = frame.len();
-        let behind_eth = |n: u16| ETH + usize::from(n) % (len - ETH);
-
-        let mut flipped = frame.clone();
-        flipped.data_mut()[behind_eth(at)] ^= flip;
-        let mut short = frame.clone();
-        short.truncate(usize::from(cut) % len);
-        let pos = behind_eth(cut);
-        let mut spliced = frame.data()[..pos].to_vec();
-        spliced.extend_from_slice(&noise);
-        spliced.extend_from_slice(&frame.data()[pos..]);
-        let spliced = Packet::from_slice(&spliced);
-        let mut long = frame.clone();
-        long.data_mut()[ETH + 2..ETH + 4].copy_from_slice(&total_len.to_be_bytes());
-        let mut hl = frame.clone();
-        hl.data_mut()[ETH] = 0x40 | ihl;
-
-        for mutant in [flipped, short, spliced, long, hl] {
+        let m = Mutation { at, flip, cut, noise, total_len, ihl };
+        for mutant in mutants(&frame, &m) {
             for fed in [mutant.clone(), refilled(mutant)] {
                 if fed != frame {
                     emitted_ipv4(&h.inject(port, fed));

@@ -18,6 +18,9 @@
 //! simulated node: contiguous bytes plus headroom for encapsulation plus
 //! out-of-band metadata ([`meta::PacketMeta`]) such as the firewall mark
 //! used by the NNF adaptation layer.
+//!
+//! [`mutate`] derives hostile variants of a genuine frame for the
+//! "never panic" properties of every data path that parses one.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -31,6 +34,7 @@ pub mod ethernet;
 pub mod icmp;
 pub mod ipv4;
 pub mod meta;
+pub mod mutate;
 pub mod packet;
 pub mod tcp;
 pub mod udp;

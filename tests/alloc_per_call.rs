@@ -1,4 +1,11 @@
-//! Allocations per `Domain::inject` call, pinned.
+//! Allocations per `UniversalNode::inject` and `Domain::inject` call,
+//! pinned.
+//!
+//! A warm node walk works in buffers the node keeps between calls, so
+//! a one-frame `UniversalNode::inject` allocates only what crosses an
+//! NF boundary and what it returns: per NF crossed, the frame vector
+//! `ComputeManager::deliver_batch` takes and the outcomes it returns,
+//! plus what the NF's kernel allocates; and the `emitted` vector.
 //!
 //! What the domain layer adds on top of the nodes a frame visits: the
 //! shuttle's per-call work list (a queue per touched node, the ready
@@ -57,16 +64,31 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// What `Domain::inject` allocates beyond the node it drives, on a
 /// chain that stays on its ingress node: the node's interned name, its
-/// queue's map node, the TTL map node behind it, the ready FIFO and the
-/// `emitted` vector. (The one-frame burst vector is the node's own
-/// cost: `UniversalNode::inject` builds one too.)
-const DOMAIN_ALLOCS_ONE_NODE: u64 = 5;
+/// queue's map node, the TTL map node behind it and the burst vector
+/// there, the ready FIFO and the `emitted` vector. (The burst vector
+/// is the shuttle's own: `UniversalNode::inject` builds none.)
+const DOMAIN_ALLOCS_ONE_NODE: u64 = 6;
 
-/// What each further touched node adds: its queue (name and TTL map
-/// node — the queue's own map node is shared), the fabric bucket that
-/// carried the frame there (map node + vector) and the survivors
-/// vector of the crossing.
-const DOMAIN_ALLOCS_PER_FURTHER_NODE: u64 = 5;
+/// What each further touched node adds: its queue (name, TTL map node
+/// and burst vector — the queue's own map node is shared), the fabric
+/// bucket that carried the frame there (map node + vector) and the
+/// survivors vector of the crossing.
+const DOMAIN_ALLOCS_PER_FURTHER_NODE: u64 = 6;
+
+/// A warm one-frame `UniversalNode::inject` through the native IPsec
+/// CPE (`un_bench::build_ipsec_node`): the frame and outcome vectors
+/// of the one NF crossing, the buffer ESP seals into and the host's
+/// `emitted` vector, and the node's `emitted` vector (21 while the
+/// walk built its work list, buckets and buffers per call).
+const NODE_ALLOCS_IPSEC_CPE: u64 = 5;
+
+/// The same on `chain()` with both bridges on one node: two NF
+/// crossings of four allocations each — the frame and outcome vectors,
+/// the bridge kernel's flood list (the frame's destination MAC is never
+/// learned) and its `emitted` vector — and the node's `emitted` vector
+/// (30 while the walk built its work list, buckets and buffers per
+/// call).
+const NODE_ALLOCS_TWO_BRIDGES: u64 = 9;
 
 const CALLS: usize = 16;
 
@@ -156,6 +178,21 @@ fn domain_overhead(nodes: usize) -> u64 {
         on_wire = io.emitted.remove(0).1;
     }
     through_domain - by_hand
+}
+
+#[test]
+fn a_warm_node_inject_allocates_a_pinned_count() {
+    let (mut cpe, _) = un_bench::build_ipsec_node("native");
+    let spec = un_bench::lan_spec(&cpe);
+    let (allocs, io) = allocs_per_call(|| spec.frame(1500, 0), |pkt| cpe.inject("eth0", pkt));
+    assert_eq!(io.emitted.len(), 1);
+    assert_eq!(allocs, NODE_ALLOCS_IPSEC_CPE, "the IPsec CPE");
+
+    let mut d = fleet(1);
+    let node = d.node_mut("n1").unwrap();
+    let (allocs, io) = allocs_per_call(frame, |pkt| node.inject("eth0", pkt));
+    assert_eq!(io.emitted.len(), 1);
+    assert_eq!(allocs, NODE_ALLOCS_TWO_BRIDGES, "the two-bridge chain");
 }
 
 #[test]

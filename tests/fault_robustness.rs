@@ -1,9 +1,19 @@
 //! Robustness under adverse network conditions: the IPsec service must
 //! fail *closed* — a lossy/corrupting WAN reduces goodput but never
-//! delivers unauthentic bytes.
+//! delivers unauthentic bytes — and no frame, however mangled, panics
+//! a node or escapes its ledger.
 
+use std::net::Ipv4Addr;
+
+use proptest::prelude::*;
 use un_bench::{build_ipsec_node, lan_spec, GatewayPeer};
-use un_traffic::{FaultInjector, StreamGenerator};
+use un_core::UniversalNode;
+use un_nffg::NfFgBuilder;
+use un_obs::DropReason;
+use un_packet::mutate::{mutants, refilled, Mutation};
+use un_packet::{Packet, PacketBuilder};
+use un_sim::mem::mb;
+use un_traffic::{FaultInjector, FrameSpec, StreamGenerator};
 
 #[test]
 fn corrupted_wan_frames_never_deliver_wrong_bytes() {
@@ -134,4 +144,86 @@ fn gateway_recovers_after_fault_burst() {
         }
     }
     assert_eq!(gateway.accepted - before, 50);
+}
+
+/// `lan → br1 → br2 → wan` on one node, and the frames it carries.
+fn two_bridges() -> (UniversalNode, FrameSpec) {
+    let mut node = UniversalNode::new("n1", mb(2048));
+    node.add_physical_port("eth0");
+    node.add_physical_port("eth1");
+    let chain = NfFgBuilder::new("g1", "two bridges")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf("br1", "bridge", 2)
+        .nf("br2", "bridge", 2)
+        .chain("lan", &["br1", "br2"], "wan")
+        .build();
+    node.deploy(&chain).unwrap();
+    let spec = FrameSpec::udp(
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(192, 0, 2, 9),
+        5000,
+        5001,
+    );
+    (node, spec)
+}
+
+/// Every frame handed to `node`, and every copy fan-out minted, left
+/// on a port, was absorbed or died for a typed reason.
+fn balanced(node: &UniversalNode, sent: u64, emitted: u64) -> bool {
+    let ledger = node.frame_ledger();
+    let dropped: u64 = DropReason::ALL.iter().map(|r| ledger.drops(*r)).sum();
+    sent + ledger.fanout_extra == emitted + ledger.absorbed + dropped
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile frames never panic a node. A genuine LAN frame of the
+    /// Table-1 IPsec CPE or of a two-bridge chain is mangled by the
+    /// generator the host's own property uses (cut short, a byte
+    /// flipped, noise spliced in, IPv4 total length or IHL overwritten,
+    /// each also with its header checksum refilled) and handed to
+    /// `UniversalNode::inject`: the classifier extracts a key from it,
+    /// and what survives crosses the NF. After every frame the node's
+    /// ledger balances, and a genuine frame still crosses afterwards.
+    #[test]
+    fn a_hostile_frame_never_panics_a_node(
+        ipsec in 0usize..2,
+        payload in prop::collection::vec(any::<u8>(), 0..200),
+        at in any::<u16>(),
+        flip in 1u8..=255,
+        cut in any::<u16>(),
+        noise in prop::collection::vec(any::<u8>(), 1..40),
+        total_len in any::<u16>(),
+        ihl in 0u8..16,
+    ) {
+        let (mut node, spec) = if ipsec == 1 {
+            let (node, _) = build_ipsec_node("native");
+            let spec = lan_spec(&node);
+            (node, spec)
+        } else {
+            two_bridges()
+        };
+        let genuine = || -> Packet {
+            PacketBuilder::new()
+                .ethernet(spec.eth_src, spec.eth_dst)
+                .ipv4(spec.ip_src, spec.ip_dst)
+                .udp(spec.sport, spec.dport)
+                .payload(&payload)
+                .build()
+        };
+        let m = Mutation { at, flip, cut, noise, total_len, ihl };
+        let (mut sent, mut emitted) = (0, 0);
+        for mutant in mutants(&genuine(), &m) {
+            for fed in [mutant.clone(), refilled(mutant)] {
+                sent += 1;
+                emitted += node.inject("eth0", fed).emitted.len() as u64;
+                prop_assert!(balanced(&node, sent, emitted), "after frame {sent}");
+            }
+        }
+        let io = node.inject("eth0", genuine());
+        prop_assert_eq!(io.emitted.len(), 1, "the genuine frame crosses");
+        prop_assert!(balanced(&node, sent + 1, emitted + 1));
+    }
 }
