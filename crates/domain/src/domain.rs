@@ -222,8 +222,7 @@ pub enum DomainError {
     NoSuchNode(String),
     /// Fleet-level placement failed.
     Place(PlaceError),
-    /// The sharable-NNF registry rejected the plan (no usable host,
-    /// pinned host dead, or the instance is at its tenant capacity).
+    /// The sharable-NNF registry rejected the plan (no usable host).
     Sharing(SharingError),
     /// Graph partitioning failed.
     Partition(PartitionError),
@@ -512,7 +511,6 @@ un_sim::counters! {
         shared_instances_dropped,
         shared_instances_registered,
         shared_leases_acquired,
-        shared_scale_outs,
         sharing_disabled,
         sharing_enabled,
         standby_plans_computed,

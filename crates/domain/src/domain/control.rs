@@ -143,26 +143,10 @@ impl Domain {
         let dropped = self.sharing.release_except(gid, &keep);
         self.trace.shared_instances_dropped += dropped.len() as u64;
         for (key, claim) in claims {
-            let (instance_new, lease_new, replicas_dropped) =
-                self.sharing.commit(gid, key, &claim.host, claim.nfs);
+            let (instance_new, lease_new) = self.sharing.commit(gid, key, &claim.host, claim.nfs);
             if instance_new {
                 self.trace.shared_instances_registered += 1;
-                // A new replica beside a live one is a scale-out —
-                // counted here, where it becomes real, not at plan
-                // time (a plan may be staged and never committed).
-                if self.sharing.replicas(key).len() > 1 {
-                    self.trace.shared_scale_outs += 1;
-                    self.obs.event(
-                        "domain.shared.scale_out",
-                        vec![
-                            ("key", key.render().into()),
-                            ("host", claim.host.clone().into()),
-                        ],
-                    );
-                }
             }
-            // Sibling replicas a lease move emptied left the pool.
-            self.trace.shared_instances_dropped += replicas_dropped as u64;
             if lease_new {
                 self.trace.shared_leases_acquired += 1;
                 self.obs.event(

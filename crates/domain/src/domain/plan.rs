@@ -1,5 +1,5 @@
 //! Planning is a function of a view: [`plan`] decides where a graph
-//! goes — endpoints, shared replicas, NFs, the cut, the route of every
+//! goes — endpoints, shared instances, NFs, the cut, the route of every
 //! cut edge — and installs nothing. It reads one [`FleetView`] (filled
 //! in by [`super::Domain::planner`]; [`FleetView::without`] makes it
 //! the fleet "as if that node were dead"), one [`Constraints`] says
@@ -15,7 +15,7 @@ use un_nffg::{NfFg, PortRef};
 use super::{DeployHints, DomainConfig, DomainError, DomainGraph};
 use crate::partition::{install_transit, partition, OverlayLink, Partition, PartitionError};
 use crate::placement::{assign, assign_endpoints, NodeView};
-use crate::sharing::{claim_replicas, ShareKey, SharedClaim, SharedRegistry};
+use crate::sharing::{claim_shared, ShareKey, SharedClaim, SharedRegistry};
 
 /// Last valid VLAN id usable by the overlay pool.
 const OVERLAY_VID_MAX: u16 = 4094;
@@ -235,7 +235,7 @@ pub(crate) struct FleetView<'a> {
     pub(crate) sharing: &'a SharedRegistry,
     pub(crate) config: &'a DomainConfig,
     pub(super) obs: &'a un_obs::Obs,
-    /// Replacement hosts pre-elected for the shared replicas on the
+    /// Replacement hosts pre-elected for the shared instances on the
     /// node [`FleetView::without`] counted out.
     pub(crate) shared_standby: BTreeMap<ShareKey, String>,
 }
@@ -299,7 +299,7 @@ pub(super) fn plan(
     // registry; survivor pins are overridden (tenants converge on the
     // elected host).
     let shared = if view.config.sharing.enabled {
-        claim_replicas(view, graph, &c.hints.nf_node, &endpoints, &mut nf_pins)?
+        claim_shared(view, graph, &c.hints.nf_node, &endpoints, &mut nf_pins)?
     } else {
         BTreeMap::new()
     };

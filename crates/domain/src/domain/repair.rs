@@ -17,7 +17,7 @@ use super::plan::{plan, serving_hints, Constraints, FleetView, Plan};
 use super::{
     Domain, DomainError, DomainGraph, NodeHealth, RepairOutcome, RepairPolicy, ReplacementReport,
 };
-use crate::sharing::{elect, ShareKey};
+use crate::sharing::{elect, ShareKey, SharedClaim};
 use crate::standby::{GraphAvailability, GraphStandby, NodeStandby, RepairKind};
 
 /// NFs whose assignment differs between two plans of the same graph.
@@ -49,20 +49,16 @@ fn shared_blast(old: &DomainGraph, new: &DomainGraph) -> (usize, Vec<(String, St
     (moved, migrated)
 }
 
-/// Pick a replacement host for each of `keys` — shared replicas living
-/// on `dead`, which `view` no longer counts as serving. Demand is the
-/// surviving nodes the replica's tenants occupy; keys with no candidate
-/// are left out.
-fn elect_replacements(
-    view: &FleetView<'_>,
-    dead: &str,
-    keys: Vec<ShareKey>,
-) -> BTreeMap<ShareKey, String> {
+/// Pick a replacement host for each of `keys` — shared instances
+/// living on a node `view` no longer counts as serving. Demand is the
+/// surviving nodes the instance's tenants occupy; keys with no
+/// candidate are left out.
+fn elect_replacements(view: &FleetView<'_>, keys: Vec<ShareKey>) -> BTreeMap<ShareKey, String> {
     let mut elected = BTreeMap::new();
     for key in keys {
         let demand: BTreeSet<String> = view
             .sharing
-            .replica_on(&key, dead)
+            .get(&key)
             .map(|inst| inst.leases.keys())
             .into_iter()
             .flatten()
@@ -73,7 +69,6 @@ fn elect_replacements(
             .collect();
         if let Ok(host) = elect(
             &key,
-            &view.config.sharing.election,
             &view.views,
             view.fabric_hops.as_ref(),
             &demand,
@@ -152,7 +147,7 @@ impl Domain {
                 if !self.serves(&host) || taken.contains(&host) {
                     return true;
                 }
-                self.sharing.set_host(key, name, &host);
+                self.sharing.set_host(key, &host);
                 self.trace.shared_hosts_reelected += 1;
                 self.trace.standby_shared_promoted += 1;
                 self.obs.event(
@@ -165,14 +160,14 @@ impl Domain {
                 );
                 false
             });
-            // The common casualty hosts no replica: build no view for it.
+            // The common casualty hosts no shared instance: build no view for it.
             let elected = if orphaned.is_empty() {
                 BTreeMap::new()
             } else {
-                elect_replacements(&self.planner().0, name, orphaned)
+                elect_replacements(&self.planner().0, orphaned)
             };
             for (key, host) in elected {
-                self.sharing.set_host(&key, name, &host);
+                self.sharing.set_host(&key, &host);
                 self.trace.shared_hosts_reelected += 1;
                 self.obs.event(
                     "domain.shared.elect",
@@ -199,11 +194,19 @@ impl Domain {
             let entry = self.graphs.remove(&gid).expect("listed above");
             // A standby plan is only promotable under the incremental
             // policy, and only while still valid (same wires, every
-            // planned node still serving). Invalid plans are discarded
-            // explicitly — their reserved vids must return to the pool.
+            // planned node still serving, every shared claim on the
+            // host the re-election above left its key on). Invalid
+            // plans are discarded explicitly — their reserved vids
+            // must return to the pool.
             let incremental = self.config.repair == RepairPolicy::Incremental;
             let standby = match node_sb.graphs.remove(&gid) {
-                Some(sb) if incremental && self.standby_valid(&sb, &entry) => Some(sb),
+                Some(sb)
+                    if incremental
+                        && self.standby_valid(&sb, &entry)
+                        && self.shared_claims_current(&sb.plan.shared) =>
+                {
+                    Some(sb)
+                }
                 Some(sb) => {
                     self.discard_standby_plan(name, &gid, sb, "stale");
                     None
@@ -404,7 +407,7 @@ impl Domain {
 
     /// Pre-compute a standby repair plan per graph affected by the
     /// newly suspect node `name` (and pre-elect replacement hosts for
-    /// shared replicas it carries), so a later failure is a swap
+    /// shared instances it carries), so a later failure is a swap
     /// instead of a plan. Only the incremental repair policy stages
     /// one; idempotent while the suspicion lasts.
     pub(super) fn compute_standby(&mut self, name: &str) {
@@ -413,10 +416,10 @@ impl Domain {
         }
         let (view, vids) = self.planner();
         let mut view = view.without(name);
-        // Pre-elect a replacement host per shared replica the suspect
+        // Pre-elect a replacement host per shared instance the suspect
         // carries, so failure-time re-election is a promotion.
         if view.config.sharing.enabled {
-            view.shared_standby = elect_replacements(&view, name, view.sharing.hosted_on(name));
+            view.shared_standby = elect_replacements(&view, view.sharing.hosted_on(name));
         }
         // One pre-computed repair plan per graph with a part on the
         // suspect. The plan's fresh vids stay reserved (neither free
@@ -469,6 +472,21 @@ impl Domain {
             && sb.plan.partition.parts.keys().all(|n| self.serves(n))
             && sb.plan.paths.values().flatten().all(|n| self.serves(n))
             && sb.plan.shared.values().all(|c| self.serves(&c.host))
+    }
+
+    /// Does every shared claim of a plan name its key's host as the
+    /// registry has it now? A key with no instance may be claimed on
+    /// any host no sibling pool holds. Checked at failure time, after
+    /// re-election: while the node is only suspect, a staged plan
+    /// claims the standby hosts, not the live ones.
+    fn shared_claims_current(&self, claims: &BTreeMap<ShareKey, SharedClaim>) -> bool {
+        claims.iter().all(|(key, c)| match self.sharing.get(key) {
+            Some(inst) => inst.host == c.host,
+            None => !self
+                .sharing
+                .occupied(&key.functional_type, &BTreeMap::new())
+                .contains(&c.host),
+        })
     }
 
     /// Return one standby plan's reserved vids to the pool.

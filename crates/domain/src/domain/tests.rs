@@ -1775,14 +1775,23 @@ fn describe_reports_fleet_and_links() {
 // Domain-wide sharable-NNF registry
 // ----------------------------------------------------------------------
 
-use crate::sharing::{ElectionPolicy, SharingConfig, SharingError};
+use crate::sharing::{SharingConfig, SharingError};
 
 /// One tenant NAT service: `lan`/`wan` VLAN endpoints (per-tenant vid)
 /// around a single NAT NF carrying the config its shared binding needs.
 fn nat_graph(id: &str, vid: u16, wan_cidr: &str) -> NfFg {
-    let cfg = un_nffg::NfConfig::default()
+    nat_pool_graph(id, vid, wan_cidr, "")
+}
+
+/// [`nat_graph`] riding the NAT pool named `capability` (the default
+/// pool when empty).
+fn nat_pool_graph(id: &str, vid: u16, wan_cidr: &str, capability: &str) -> NfFg {
+    let mut cfg = un_nffg::NfConfig::default()
         .with_param("lan-addr", "192.168.1.1/24")
         .with_param("wan-addr", wan_cidr);
+    if !capability.is_empty() {
+        cfg = cfg.with_param("share-capability", capability);
+    }
     NfFgBuilder::new(id, "nat service")
         .vlan_endpoint("lan", "eth0", vid)
         .vlan_endpoint("wan", "eth1", vid)
@@ -1841,7 +1850,7 @@ fn tenant_frame(vid: u16) -> un_packet::Packet {
 }
 
 /// The acceptance scenario: a tenant on node A rides a shared NAT
-/// pinned to the non-adjacent node C of a line fabric (multi-hop over
+/// living on the non-adjacent node C of a line fabric (multi-hop over
 /// the transit middle), and its egress is byte-identical to a private
 /// (sharing-disabled) deployment of the same graph.
 #[test]
@@ -1857,24 +1866,30 @@ fn remote_shared_nnf_over_multihop_is_byte_identical_to_private() {
         n1.add_physical_port("eth1");
         d.add_node(n1);
         d.add_node(UniversalNode::new("n2", mb(2048)));
-        d.add_node(UniversalNode::new("n3", mb(2048)));
+        let mut n3 = UniversalNode::new("n3", mb(2048));
+        n3.add_physical_port("eth0");
+        n3.add_physical_port("eth1");
+        d.add_node(n3);
         d
     };
-    let mut shared = line(SharingConfig {
-        election: ElectionPolicy::Pinned([("nat".to_string(), "n3".to_string())].into()),
-        ..SharingConfig::for_types(&["nat"])
-    });
+    let mut shared = line(SharingConfig::for_types(&["nat"]));
     let mut private = line(SharingConfig::default());
+    // The first tenant demands the NAT from n3, so the instance lives
+    // there.
+    shared
+        .deploy_with(&nat_graph("t0", 10, "198.51.100.1/24"), &tenant_hints("n3"))
+        .unwrap();
     let g = nat_graph("t1", 11, "203.0.113.1/24");
-    shared.deploy(&g).unwrap();
-    private.deploy(&g).unwrap();
+    shared.deploy_with(&g, &tenant_hints("n1")).unwrap();
+    private.deploy_with(&g, &tenant_hints("n1")).unwrap();
 
-    // Shared: NAT landed on the pinned non-adjacent host, the lease is
-    // registered, and every overlay link rides the 3-node path.
+    // Shared: NAT is the instance on the non-adjacent host, the lease
+    // is registered, and every overlay link rides the 3-node path.
     assert_eq!(shared.assignment_of("t1").unwrap()["nat"], "n3");
     let instances = shared.shared_instances();
     assert_eq!(instances.len(), 1);
     assert_eq!(instances[0].host, "n3");
+    assert_eq!(instances[0].tenant_count(), 2);
     assert_eq!(instances[0].leases.get("t1"), Some(&1));
     assert_eq!(
         shared.graph_shared_leases("t1").unwrap()[&ShareKey::new("nat", "")],
@@ -1885,7 +1900,7 @@ fn remote_shared_nnf_over_multihop_is_byte_identical_to_private() {
     );
     assert_eq!(
         shared.node("n3").unwrap().shared_nnf_graphs("nat"),
-        vec!["t1".to_string()]
+        vec!["t0".to_string(), "t1".to_string()]
     );
     for l in shared.link_reports() {
         assert_eq!(l.path.len(), 3, "multi-hop via n2");
@@ -2001,40 +2016,20 @@ fn a_graph_with_two_shared_nfs_holds_one_lease() {
     assert!(d.shared_instances().is_empty());
 }
 
+/// Re-planning the tenant that holds a lease refreshes that lease; it
+/// never takes a second one.
 #[test]
-fn lease_capacity_is_typed_and_never_double_counts_a_held_lease() {
-    let mut d = sharing_fleet(
-        2,
-        SharingConfig {
-            max_leases: Some(1),
-            ..SharingConfig::for_types(&["nat"])
-        },
-    );
+fn a_replanned_lease_holder_never_double_counts_its_lease() {
+    let mut d = sharing_fleet(2, SharingConfig::for_types(&["nat"]));
     let t1 = nat_graph("t1", 11, "203.0.113.1/24");
     d.deploy_with(&t1, &tenant_hints("n1")).unwrap();
-    // Second tenant: the instance is full — a typed error, no deploy.
-    let err = d
-        .deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            DomainError::Sharing(SharingError::CapacityExhausted { max_leases: 1, .. })
-        ),
-        "got {err:?}"
-    );
-    // Regression: re-planning the tenant that holds the lease must not
-    // count its own lease against the capacity.
     let mut tweaked = t1.clone();
     tweaked.flow_rules[0].priority += 1;
     d.update(&tweaked).unwrap();
     assert_eq!(d.shared_instances()[0].tenant_count(), 1);
-    // The freed lease admits the waiting tenant.
+    assert_eq!(d.trace.counter("shared_leases_acquired"), 1);
     d.undeploy("t1").unwrap();
     assert!(d.shared_instances().is_empty(), "last lease drops instance");
-    d.deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
-        .unwrap();
-    assert_eq!(d.shared_instances()[0].tenant_count(), 1);
 }
 
 #[test]
@@ -2082,33 +2077,39 @@ fn sharing_toggle_applies_to_new_plans_only() {
     );
 }
 
+/// The shared host dies on a fleet where every survivor already
+/// carries a sibling NAT pool: no re-election is possible, every tenant
+/// parks, and recovery brings the instance back on its old host.
 #[test]
 fn pinned_host_death_parks_tenants_until_recovery() {
-    let mut d = sharing_fleet(
-        3,
-        SharingConfig {
-            election: ElectionPolicy::Pinned([("nat".to_string(), "n2".to_string())].into()),
-            ..SharingConfig::for_types(&["nat"])
-        },
-    );
+    let mut d = sharing_fleet(3, SharingConfig::for_types(&["nat"]));
+    for (gid, vid, pool, home) in [("a1", 21, "pool-a", "n1"), ("b3", 23, "pool-b", "n3")] {
+        let g = nat_pool_graph(gid, vid, "198.51.100.1/24", pool);
+        d.deploy_with(&g, &tenant_hints(home)).unwrap();
+    }
+    // The default pool's first demand comes from n1, but n1 and n3
+    // already run a NAT: the instance lands on n2.
     d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n1"))
         .unwrap();
     d.deploy_with(&nat_graph("t3", 13, "198.51.100.1/24"), &tenant_hints("n3"))
         .unwrap();
-    assert_eq!(d.shared_instances()[0].host, "n2");
+    let default = ShareKey::new("nat", "");
+    assert_eq!(d.sharing.get(&default).unwrap().host, "n2");
 
-    // The pinned host dies: no re-election is possible, every tenant
-    // parks, and the last released lease drops the instance.
+    // n2 dies: every survivor holds a sibling pool, so no re-election
+    // is possible, every tenant parks, and the last released lease
+    // drops the instance.
     let report = d.fail_node("n2").unwrap();
     assert!(report.replaced.is_empty(), "{report:?}");
-    assert_eq!(report.stranded.len(), 2);
-    assert!(d.shared_instances().is_empty(), "no orphan instance");
+    assert_eq!(report.stranded, ["t1", "t3"]);
+    assert!(d.sharing.get(&default).is_none(), "no orphan instance");
+    assert_eq!(d.shared_instances().len(), 2, "the sibling pools stay");
     assert_eq!(d.pending_graphs().len(), 2);
 
     // Recovery re-places the parked tenants and restores the leases.
     let retried = d.recover_node("n2").unwrap();
     assert_eq!(retried.len(), 2, "{retried:?}");
-    let inst = &d.shared_instances()[0];
+    let inst = d.sharing.get(&default).unwrap();
     assert_eq!(inst.host, "n2");
     assert_eq!(inst.tenant_count(), 2);
 }
@@ -2122,7 +2123,6 @@ fn shared_docs_surface_instances_and_leases() {
         .unwrap();
     // What `GET /domain/shared` is rendered from.
     assert!(d.config.sharing.enabled);
-    assert_eq!(d.config.sharing.election.name(), "first-demand");
     let instances = d.shared_instances();
     assert_eq!(instances.len(), 1);
     let inst = &instances[0];
@@ -2391,87 +2391,75 @@ fn shared_standby_promotes_host_on_failure() {
     assert_vid_conservation(&d);
 }
 
+/// A standby staged while the shared host was only suspect claims the
+/// host pre-elected for its instance. A sibling pool that lands on that
+/// host before the failure makes the registry re-elect elsewhere, and
+/// the staged plan stale: it is discarded and the tenant repairs onto
+/// the re-elected host, so no node ends up with two NAT pools.
 #[test]
-fn scale_out_splits_tenants_instead_of_rejecting() {
-    let mut d = sharing_fleet(
-        2,
-        SharingConfig {
-            max_leases: Some(1),
-            scale_out: true,
-            ..SharingConfig::for_types(&["nat"])
-        },
+fn a_stale_shared_standby_never_puts_two_pools_on_one_node() {
+    let mut d = sharing_fleet(4, SharingConfig::for_types(&["nat"]));
+    let (nat, cgnat) = (ShareKey::new("nat", ""), ShareKey::new("nat", "cgnat"));
+    d.deploy_with(&nat_graph("t", 11, "203.0.113.1/24"), &tenant_hints("n3"))
+        .unwrap();
+    assert_eq!(d.graph_shared_leases("t").unwrap()[&nat].host, "n3");
+    // The suspect's NAT gets n1 as its standby host, and t's standby
+    // plan claims it there.
+    d.suspect_node("n3").unwrap();
+    assert_eq!(d.standby_graphs(), ["t"]);
+    // A cgnat tenant from n1 elects its pool onto n1.
+    let u = nat_pool_graph("u", 12, "198.51.100.1/24", "cgnat");
+    d.deploy_with(&u, &tenant_hints("n1")).unwrap();
+    assert_eq!(d.graph_shared_leases("u").unwrap()[&cgnat].host, "n1");
+
+    let report = d.fail_node("n3").unwrap();
+    assert_eq!(report.replaced, ["t"]);
+    assert!(
+        !report.repairs[0].standby_promoted,
+        "the staged plan was stale"
     );
-    d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n1"))
-        .unwrap();
-    // The instance is full, but scale-out elects a second replica
-    // instead of failing the deploy.
-    d.deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
-        .unwrap();
-    assert_eq!(d.trace.counter("shared_scale_outs"), 1);
-    let instances = d.shared_instances();
-    assert_eq!(instances.len(), 2, "{instances:?}");
-    assert_ne!(instances[0].host, instances[1].host);
-    assert!(instances.iter().all(|i| i.tenant_count() == 1));
-    // Each tenant rides its own replica end to end.
-    let nat_host = |gid: &str| d.assignment_of(gid).unwrap()["nat"].clone();
-    assert_ne!(nat_host("t1"), nat_host("t2"));
-    for (gid, host) in [("t1", nat_host("t1")), ("t2", nat_host("t2"))] {
-        nat_neigh(&mut d, &host, gid);
-    }
-    for (home, vid) in [("n1", 11u16), ("n2", 12)] {
-        let io = d.inject(home, "eth0", tenant_frame(vid));
-        assert_eq!(io.emitted.len(), 1, "{:?}", d.trace);
-        assert_eq!(io.emitted[0].0, home);
-    }
+    let hosts: BTreeMap<ShareKey, String> = d
+        .shared_instances()
+        .into_iter()
+        .map(|i| (i.key, i.host))
+        .collect();
+    assert_eq!(
+        hosts,
+        [(nat, "n2".to_string()), (cgnat, "n1".to_string())].into()
+    );
+    assert_eq!(d.assignment_of("t").unwrap()["nat"], "n2");
+    assert!(d.verify().ok());
 }
 
-/// A scale-out is counted when the second replica registers, not when
-/// a plan first asks for one: a standby that plans a scale-out and is
-/// then discarded never scaled anything out.
 #[test]
-fn scale_out_is_counted_at_commit_not_in_a_discarded_standby() {
-    let staged = || {
-        let mut d = sharing_fleet(
-            3,
-            SharingConfig {
-                enabled: false,
-                max_leases: Some(1),
-                scale_out: true,
-                ..SharingConfig::for_types(&["nat"])
-            },
-        );
-        // t1 predates the registry (private NAT on n1); t2 fills the
-        // one shared replica on n2.
-        d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n1"))
-            .unwrap();
-        d.set_sharing_enabled(true);
-        d.deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
-            .unwrap();
-        // Planning t1 off n1 now goes through the registry: the only
-        // replica is full, so the standby plan scales out onto n3.
-        d.suspect_node("n1").unwrap();
-        assert_eq!(d.standby_graphs(), vec!["t1".to_string()]);
-        assert_eq!(d.trace.counter("shared_scale_outs"), 0, "only planned");
-        assert_eq!(d.shared_instances().len(), 1);
-        d
-    };
-
-    let mut discarded = staged();
-    discarded.heartbeat("n1", SimTime::from_nanos(1)).unwrap();
-    assert!(discarded.standby_graphs().is_empty());
-    assert_eq!(discarded.trace.counter("shared_scale_outs"), 0);
-    assert_eq!(discarded.shared_instances().len(), 1);
-
-    let mut promoted = staged();
-    let report = promoted.fail_node("n1").unwrap();
-    assert!(report.repairs[0].standby_promoted);
-    assert_eq!(promoted.trace.counter("shared_scale_outs"), 1);
-    let hosts: Vec<String> = promoted
-        .shared_instances()
-        .iter()
-        .map(|i| i.host.clone())
-        .collect();
-    assert_eq!(hosts, ["n2", "n3"]);
+fn a_standby_staged_before_sharing_was_disabled_is_not_promoted() {
+    let mut d = sharing_fleet(4, SharingConfig::for_types(&["nat"]));
+    let nat = ShareKey::new("nat", "");
+    d.deploy_with(&nat_graph("t", 11, "203.0.113.1/24"), &tenant_hints("n3"))
+        .unwrap();
+    // t's standby plan claims the NAT on its standby host.
+    d.suspect_node("n3").unwrap();
+    assert_eq!(d.standby_graphs(), ["t"]);
+    // With sharing off, the failure sweep re-elects nothing: the
+    // registry still has the NAT on n3, so the plan is stale.
+    d.set_sharing_enabled(false);
+    let report = d.fail_node("n3").unwrap();
+    assert_eq!(report.replaced, ["t"]);
+    assert!(
+        !report.repairs[0].standby_promoted,
+        "the staged plan was stale"
+    );
+    // t re-plans privately, and its release drops the dead instance.
+    assert!(d.graph_shared_leases("t").unwrap().is_empty());
+    assert!(d.shared_instances().is_empty());
+    assert_ne!(d.assignment_of("t").unwrap()["nat"], "n3");
+    assert!(d.verify().ok());
+    // Sharing back on: the next tenant elects a fresh instance.
+    d.set_sharing_enabled(true);
+    d.deploy_with(&nat_graph("v", 12, "198.51.100.1/24"), &tenant_hints("n2"))
+        .unwrap();
+    assert_eq!(d.graph_shared_leases("v").unwrap()[&nat].host, "n2");
+    assert!(d.verify().ok());
 }
 
 #[test]
@@ -2592,15 +2580,13 @@ fn availability_report_predicts_and_records() {
 // ----------------------------------------------------------------------
 
 /// A line `n1 – n2 – n3` (every node with `eth0`/`eth1`) whose shared
-/// NAT sits at the centroid n2: tenant `t1` rides it from n1, `t2` from
-/// n3, and n3 is suspect with a standby staged for `t2`.
+/// NAT sits on n2, where the anchor tenant `t0` first demanded it:
+/// tenant `t1` rides it from n1, `t2` from n3, and n3 is suspect with a
+/// standby staged for `t2`.
 fn suspect_shared_line() -> Domain {
     let mut d = Domain::new(DomainConfig {
         topology: Topology::line(&["n1", "n2", "n3"], EdgeAttrs::default()),
-        sharing: SharingConfig {
-            election: ElectionPolicy::TopologyCentroid,
-            ..SharingConfig::for_types(&["nat"])
-        },
+        sharing: SharingConfig::for_types(&["nat"]),
         ..DomainConfig::default()
     });
     for name in ["n1", "n2", "n3"] {
@@ -2609,13 +2595,19 @@ fn suspect_shared_line() -> Domain {
         node.add_physical_port("eth1");
         d.add_node(node);
     }
-    for (gid, vid, home) in [("t0", 10, "n1"), ("t1", 11, "n1"), ("t2", 12, "n3")] {
+    let tenants = [
+        ("t0", 10, "n2"),
+        ("t1", 11, "n1"),
+        ("t2", 12, "n3"),
+        ("t4", 14, "n1"),
+    ];
+    for (gid, vid, home) in tenants {
         d.deploy_with(&nat_graph(gid, vid, "203.0.113.1/24"), &tenant_hints(home))
             .unwrap();
     }
     assert_eq!(d.shared_instances()[0].host, "n2");
     // A tenant that came and went: its four vids wait in the free list.
-    d.undeploy("t0").unwrap();
+    d.undeploy("t4").unwrap();
     d.suspect_node("n3").unwrap();
     assert_eq!(d.standby_graphs(), vec!["t2".to_string()]);
     d
@@ -2665,14 +2657,34 @@ fn a_released_plan_leaves_no_trace() {
     d.release_plan(staged);
     assert_eq!(footprint(&d), before);
 
-    // So does a plan that could not stand: with the transit node
-    // counted out, t2's repair is cut but finds no route.
+    // So does a plan that could not stand. With the shared host
+    // counted out, t2's repair is refused at its claim: only the
+    // registry moves a live instance.
     let (view, vids) = d.planner();
     let view = view.without("n2");
     let t2 = &view.graphs["t2"];
     let c = plan::Constraints::repair(t2, &view.serving);
     assert!(matches!(
         plan::plan(&view, vids, &t2.original, &c),
+        Err(DomainError::Sharing(SharingError::NoSharableHost { .. }))
+    ));
+    assert_eq!(footprint(&d), before);
+    // And with the transit node counted out, a private NAT split
+    // across the two ends is cut but finds no route.
+    let (view, vids) = d.planner();
+    let view = view.without("n2");
+    let split = DeployHints {
+        endpoint_node: [
+            ("lan".to_string(), "n1".to_string()),
+            ("wan".to_string(), "n3".to_string()),
+        ]
+        .into(),
+        nf_node: [("nat".to_string(), "n1".to_string())].into(),
+        ..DeployHints::default()
+    };
+    let c = plan::Constraints::fresh(&split);
+    assert!(matches!(
+        plan::plan(&view, vids, &nat_graph("t5", 15, "203.0.113.1/24"), &c),
         Err(DomainError::NoRoute { .. })
     ));
     assert_eq!(footprint(&d), before);

@@ -23,9 +23,9 @@
 //!   Reassembly ([`partition::reassemble`]) is the exact inverse,
 //!   which the property tests exploit.
 //! * [`sharing`] — the domain-wide sharable-NNF registry: one native
-//!   instance serving tenant graphs across the whole fleet, with
-//!   explicit per-graph leases, host election (first-demand /
-//!   topology-centroid / pinned), and host re-election on failure.
+//!   instance per share key serving tenant graphs across the whole
+//!   fleet, with explicit per-graph leases, a host elected where the
+//!   instance is first demanded, and host re-election on failure.
 //! * [`topology`] — the fabric: an explicit node-adjacency graph
 //!   ([`topology::Topology`], per-edge latency/capacity, full mesh by
 //!   default) with a deterministic Dijkstra path engine. Overlay links
@@ -60,9 +60,7 @@ pub use partition::{
     install_transit, partition, reassemble, OverlayLink, Partition, PartitionError,
 };
 pub use placement::{assign, assign_endpoints, NodeView, PlaceError, PlacementStrategy};
-pub use sharing::{
-    ElectionPolicy, ShareKey, SharedClaim, SharedInstance, SharingConfig, SharingError,
-};
+pub use sharing::{ShareKey, SharedClaim, SharedInstance, SharingConfig, SharingError};
 pub use standby::{
     AvailabilityReport, GraphAvailability, GraphPrediction, RepairCalibration, RepairKind,
     DEFAULT_REPAIR_NS,

@@ -9,7 +9,7 @@
 //! *swap*: the pre-staged parts install directly, skipping the whole
 //! planning phase. A late heartbeat or `recover_node` discards the
 //! standby and returns its vids to the pool, keeping the vid
-//! conservation invariant intact. Shared-NNF replicas the suspect
+//! conservation invariant intact. Shared-NNF instances the suspect
 //! hosts get a standby *host* pre-elected the same way, so
 //! registry-level re-election at failure time is a promotion, not a
 //! fresh election.
@@ -205,7 +205,7 @@ pub(crate) struct GraphStandby {
 pub(crate) struct NodeStandby {
     /// Affected graph → its standby plan.
     pub graphs: BTreeMap<String, GraphStandby>,
-    /// Shared replica on the suspect → pre-elected replacement host.
+    /// Shared instance on the suspect → pre-elected replacement host.
     pub shared: BTreeMap<ShareKey, String>,
 }
 

@@ -9,6 +9,8 @@
 //! of a variant that still parses, so the damage also reaches the
 //! stages behind the checksum.
 
+use un_sim::DetRng;
+
 use crate::ethernet::ETHERNET_HEADER_LEN as ETH;
 use crate::ipv4::Ipv4Packet;
 use crate::Packet;
@@ -31,6 +33,23 @@ pub struct Mutation {
     /// The IPv4 header length, in 32-bit words, written over the real
     /// one (its low four bits).
     pub ihl: u8,
+}
+
+impl Mutation {
+    /// One set of choices drawn from `rng`: 1 to 40 bytes of noise, a
+    /// flip of at least one bit, any header length.
+    pub fn draw(rng: &mut DetRng) -> Self {
+        let mut noise = vec![0; 1 + rng.index(40)];
+        rng.fill(&mut noise);
+        Mutation {
+            at: rng.range_u16(0, u16::MAX),
+            flip: 1 + rng.index(255) as u8,
+            cut: rng.range_u16(0, u16::MAX),
+            noise,
+            total_len: rng.range_u16(0, u16::MAX),
+            ihl: rng.index(16) as u8,
+        }
+    }
 }
 
 /// Five variants of `frame` — an Ethernet + IPv4 frame with at least

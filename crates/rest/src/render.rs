@@ -500,12 +500,7 @@ pub fn shared(domain: &Domain) -> Json {
     });
     Json::obj()
         .set("enabled", sharing.enabled)
-        .set("election", sharing.election.name())
         .set("types", str_arr(&sharing.types))
-        .set(
-            "max-leases",
-            sharing.max_leases.map_or(Json::Null, Json::from),
-        )
         .set("instances", instances)
 }
 

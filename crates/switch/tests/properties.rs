@@ -2,9 +2,13 @@
 //! agree with a reference model.
 
 use proptest::prelude::*;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 use un_packet::ethernet::MacAddr;
-use un_packet::Ipv4Cidr;
+use un_packet::icmp::IcmpKind;
+use un_packet::mutate::{mutants, refilled, Mutation};
+use un_packet::{Ipv4Cidr, PacketBuilder};
+use un_sim::DetRng;
 use un_switch::{
     FlowAction, FlowEntry, FlowMatch, FlowTable, LookupHit, LookupPath, PackedKey, PacketKey,
     PortNo, TableStats, VlanSpec,
@@ -946,4 +950,58 @@ fn random_five_tuples_cannot_thrash_a_port_steering_table() {
     let s = t.stats();
     assert!(s.cache_misses <= u64::from(PORTS), "{s:?}");
     assert_eq!(s.cache_hits + s.cache_misses, 3 * CACHE_CAP as u64);
+}
+
+/// Typed error, never panic, at the classifier's door: the 256 cases of
+/// mutated frames `un-packet` feeds its checked views (UDP, TCP or ICMP
+/// over IPv4, some behind an 802.1Q tag) all extract a key. A layer
+/// that does not parse leaves its fields empty, the key's VLAN is the
+/// frame's, transport ports come only with TCP or UDP, and a tag pushed
+/// onto an untagged mutant changes nothing in its key but `vlan`.
+#[test]
+fn a_hostile_frame_still_extracts_a_key() {
+    let mut rng = DetRng::new(0x9ac4e7);
+    for _ in 0..256 {
+        let mut payload = vec![0; rng.index(200)];
+        rng.fill(&mut payload);
+        let mut b = PacketBuilder::new().ethernet(MacAddr::local(1), MacAddr::local(2));
+        let tagged = rng.chance(0.25);
+        if tagged {
+            b = b.vlan(rng.range_u16(1, 4095));
+        }
+        let b = b.ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let b = match rng.index(3) {
+            0 => b.udp(rng.range_u16(1, u16::MAX), 53),
+            1 => b.tcp_data(rng.range_u16(1, u16::MAX), 80, rng.next_u32(), 1),
+            _ => b.icmp_echo(IcmpKind::EchoRequest, 7, 1),
+        };
+        let frame = b.payload(&payload).build();
+        let m = Mutation::draw(&mut rng);
+        let vid = rng.range_u16(1, 4095);
+        for mutant in mutants(&frame, &m) {
+            for fed in [mutant.clone(), refilled(mutant)] {
+                let key = PacketKey::extract(PortNo(3), &fed);
+                assert_eq!(key.vlan, fed.vlan_id());
+                if fed.ethernet().is_err() {
+                    assert_eq!((key.eth_type, key.eth_src), (0, MacAddr::ZERO));
+                }
+                if key.ip_src.is_none() {
+                    assert_eq!((key.ip_dst, key.ip_proto), (None, None));
+                }
+                if key.l4_src.is_some() {
+                    assert!(matches!(key.ip_proto, Some(6 | 17)), "{key:?}");
+                }
+                let mut pushed = fed.clone();
+                if tagged || pushed.vlan_push(vid).is_err() {
+                    continue;
+                }
+                let with_tag = PacketKey::extract(PortNo(3), &pushed);
+                let expected = PacketKey {
+                    vlan: Some(vid),
+                    ..key
+                };
+                assert_eq!(with_tag, expected);
+            }
+        }
+    }
 }

@@ -61,6 +61,9 @@ pub mod code {
     pub const DANGLING_VID: &str = "dangling-vid";
     /// A shared-NNF lease points at a dead host or missing tenant.
     pub const DANGLING_LEASE: &str = "dangling-lease";
+    /// One node hosts two shared instances of one functional type
+    /// (a node-level NNF is a singleton).
+    pub const DOUBLE_HOSTED_TYPE: &str = "double-hosted-type";
 }
 
 /// One invariant violation.
@@ -1215,6 +1218,22 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             }
         }
     }
+    let mut hosted: BTreeMap<(&str, &str), &str> = BTreeMap::new();
+    for lease in &snap.leases {
+        let slot = (lease.host.as_str(), lease.functional_type.as_str());
+        if let Some(first) = hosted.insert(slot, &lease.key) {
+            v.push(
+                Violation::new(
+                    code::DOUBLE_HOSTED_TYPE,
+                    format!(
+                        "shared instances '{first}' and '{}' share one '{}' singleton",
+                        lease.key, lease.functional_type
+                    ),
+                )
+                .on_node(&lease.host),
+            );
+        }
+    }
 
     v
 }
@@ -1519,6 +1538,7 @@ mod tests {
         let mut snap = healthy();
         snap.leases.push(LeaseInfo {
             key: "nat".into(),
+            functional_type: "nat".into(),
             host: "n1".into(),
             tenants: vec!["g1".into()],
         });
@@ -1538,6 +1558,28 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.code == code::MISSING_PART));
+    }
+
+    #[test]
+    fn two_pools_of_one_type_on_one_host_are_flagged() {
+        let mut snap = healthy();
+        let lease = |key: &str, host: &str| LeaseInfo {
+            key: key.into(),
+            functional_type: "nat".into(),
+            host: host.into(),
+            tenants: vec!["g1".into()],
+        };
+        snap.leases.push(lease("nat", "n1"));
+        snap.leases.push(lease("nat/cgnat", "n2"));
+        assert!(run(&snap).ok(), "two pools on two hosts");
+        snap.leases[1].host = "n1".into();
+        let hits: Vec<_> = check_ledger(&snap)
+            .into_iter()
+            .filter(|v| v.code == code::DOUBLE_HOSTED_TYPE)
+            .collect();
+        assert_eq!(hits.len(), 1, "{hits:#?}");
+        assert_eq!(hits[0].node.as_deref(), Some("n1"));
+        assert!(hits[0].detail.contains("'nat' and 'nat/cgnat'"));
     }
 
     #[test]

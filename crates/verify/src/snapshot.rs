@@ -131,6 +131,9 @@ pub struct LinkInfo {
 pub struct LeaseInfo {
     /// Rendered share key (functional type + capability).
     pub key: String,
+    /// The key's functional type: a node runs at most one shared
+    /// instance of it.
+    pub functional_type: String,
     /// Node hosting the instance.
     pub host: String,
     /// Tenant graph ids holding a lease.
