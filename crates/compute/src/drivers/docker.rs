@@ -17,8 +17,8 @@ use un_packet::Packet;
 use un_sim::mem::mb;
 
 use super::sandbox::Sandbox;
-use super::{foreign, no_outcomes, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
-use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
+use super::{foreign, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
+use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId};
 
 struct DockerInstance {
     container: ContainerId,
@@ -121,15 +121,16 @@ impl ComputeDriver for DockerDriver {
         inst.sandbox.destroy(env.host)
     }
 
-    fn deliver_batch(
+    fn deliver_into(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        frames: Vec<(u32, Packet)>,
-    ) -> Vec<IoOutcome> {
+        frames: &mut Vec<(u32, Packet)>,
+        out: &mut Crossing,
+    ) {
         match self.instances.get(&id) {
-            Some(inst) => inst.sandbox.deliver_batch(frames, env.host),
-            None => no_outcomes(&frames),
+            Some(inst) => inst.sandbox.deliver_into(frames, env.host, out),
+            None => out.refuse(frames),
         }
     }
 

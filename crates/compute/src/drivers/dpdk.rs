@@ -11,8 +11,8 @@ use un_packet::Packet;
 use un_sim::mem::mb;
 use un_sim::{AccountId, Cost};
 
-use super::{foreign, no_outcomes, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
-use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
+use super::{foreign, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
+use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId};
 
 /// The statically linked DPDK application binary.
 const APP_BINARY_BYTES: u64 = 12_000_000;
@@ -102,36 +102,29 @@ impl ComputeDriver for DpdkDriver {
 
     /// One PMD poll slot serves the whole burst — the process resolves
     /// once, frames PMD-forward to the next port in order.
-    fn deliver_batch(
+    fn deliver_into(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        frames: Vec<(u32, Packet)>,
-    ) -> Vec<IoOutcome> {
+        frames: &mut Vec<(u32, Packet)>,
+        out: &mut Crossing,
+    ) {
         let Some(p) = self.procs.get(&id) else {
-            return no_outcomes(&frames);
+            return out.refuse(frames);
         };
-        frames
-            .into_iter()
-            .map(|(port, pkt)| {
-                if !p.running || (port as usize) >= p.n_ports {
-                    return IoOutcome::default();
-                }
-                let out = if p.n_ports >= 2 {
-                    if port == 0 {
-                        1
-                    } else {
-                        0
-                    }
-                } else {
-                    port
-                };
-                IoOutcome {
-                    outputs: vec![(out, pkt)],
-                    cost: Cost::from_nanos(env.costs.pmd_per_packet_ns),
-                }
-            })
-            .collect()
+        for (port, pkt) in frames.drain(..) {
+            if !p.running || (port as usize) >= p.n_ports {
+                out.end_frame(Cost::ZERO);
+                continue;
+            }
+            let to = match (p.n_ports >= 2, port) {
+                (true, 0) => 1,
+                (true, _) => 0,
+                (false, port) => port,
+            };
+            out.outputs.push((u64::from(to), pkt));
+            out.end_frame(Cost::from_nanos(env.costs.pmd_per_packet_ns));
+        }
     }
 
     fn image_footprint(&self, id: InstanceId) -> u64 {
@@ -158,6 +151,7 @@ impl ComputeDriver for DpdkDriver {
 mod tests {
     use super::super::testkit::Rig;
     use super::*;
+    use crate::types::IoOutcome;
     use un_nffg::NfConfig;
     use un_sim::CostModel;
 

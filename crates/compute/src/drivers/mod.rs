@@ -20,7 +20,7 @@ use un_nnf::{GraphBinding, NnfDescriptor};
 use un_packet::Packet;
 use un_sim::{AccountId, CostModel, MemLedger};
 
-use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
+use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId, IoOutcome};
 
 /// Mutable node-level state every compute call threads through.
 pub struct NodeEnv<'a> {
@@ -86,15 +86,31 @@ pub trait ComputeDriver {
     /// on the host.
     fn destroy(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError>;
 
-    /// Hand a burst of `(port, frame)`s to one instance; one
-    /// [`IoOutcome`] per input frame, in order. A frame for an unknown
-    /// instance or port yields an empty outcome.
+    /// The data path: hand a burst of `(port, frame)`s to one
+    /// instance, draining `frames` into `out` — every output, and per
+    /// input frame, in order, where its outputs end and its cost. A
+    /// frame for an unknown instance or port ends with no output at no
+    /// cost.
+    fn deliver_into(
+        &mut self,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
+        frames: &mut Vec<(u32, Packet)>,
+        out: &mut Crossing,
+    );
+
+    /// [`deliver_into`](Self::deliver_into) in owning form: one
+    /// [`IoOutcome`] per input frame, in order.
     fn deliver_batch(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        frames: Vec<(u32, Packet)>,
-    ) -> Vec<IoOutcome>;
+        mut frames: Vec<(u32, Packet)>,
+    ) -> Vec<IoOutcome> {
+        let mut out = Crossing::default();
+        self.deliver_into(env, id, &mut frames, &mut out);
+        out.into_outcomes()
+    }
 
     /// Size of the image the instance runs from (Table 1's image
     /// column); 0 for an unknown instance.
@@ -153,12 +169,6 @@ fn substrate(e: impl std::fmt::Display) -> ComputeError {
 /// The refusal of a request for another technology's spec.
 fn foreign(spec: &FlavorSpec) -> ComputeError {
     ComputeError::Unsupported(format!("a {} spec at another driver", spec.flavor()))
-}
-
-/// One empty outcome per frame: what a burst for an unknown instance
-/// comes to.
-pub(crate) fn no_outcomes(frames: &[(u32, Packet)]) -> Vec<IoOutcome> {
-    frames.iter().map(|_| IoOutcome::default()).collect()
 }
 
 #[cfg(test)]

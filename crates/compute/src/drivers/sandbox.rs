@@ -14,10 +14,10 @@ use un_linux::{Host, IfaceId, NsId};
 use un_nffg::NfConfig;
 use un_nnf::{NnfContext, NnfInstance};
 use un_packet::Packet;
-use un_sim::{AccountId, MemLedger};
+use un_sim::{AccountId, Cost, MemLedger};
 
 use super::{substrate, CreateRequest};
-use crate::types::{ComputeError, IoOutcome};
+use crate::types::{ComputeError, Crossing};
 
 /// An instance's ports are tagged `instance id * TAG_STRIDE + port` on
 /// the host side.
@@ -121,39 +121,53 @@ impl Sandbox {
         host.remove_namespace(self.ns).map_err(substrate)
     }
 
-    /// Inject a burst, one `IoOutcome` per input frame in order, so
-    /// callers keep per-frame accounting.
-    pub(super) fn deliver_batch(
+    /// Inject a burst, draining `frames`: each frame's emissions land
+    /// on `out` and close one entry, so callers keep per-frame
+    /// accounting.
+    pub(super) fn deliver_into(
         &self,
-        frames: Vec<(u32, Packet)>,
+        frames: &mut Vec<(u32, Packet)>,
         host: &mut Host,
-    ) -> Vec<IoOutcome> {
-        frames
-            .into_iter()
-            .map(|(port, pkt)| self.deliver(port, pkt, host))
-            .collect()
-    }
-
-    /// Inject one frame at instance port `port`.
-    pub(super) fn deliver(&self, port: u32, pkt: Packet, host: &mut Host) -> IoOutcome {
-        match self.port(port) {
-            Some(iface) => self.tag_filter(host.inject(iface, pkt)),
-            None => IoOutcome::default(),
+        out: &mut Crossing,
+    ) {
+        for (port, pkt) in frames.drain(..) {
+            let cost = self.deliver(port, pkt, host, &mut out.outputs);
+            out.end_frame(cost);
         }
     }
 
-    /// Keep only the emissions tagged into this sandbox's port range,
-    /// rebased to instance-local port numbers.
-    fn tag_filter(&self, res: un_linux::IoResult) -> IoOutcome {
-        let (base, n) = (self.base_tag, self.ports.len() as u64);
-        IoOutcome {
-            outputs: res
-                .emitted
-                .into_iter()
-                .filter(|(tag, _)| *tag >= base && *tag < base + n)
-                .map(|(tag, p)| ((tag - base) as u32, p))
-                .collect(),
-            cost: res.cost,
+    /// Inject one frame at instance port `port`, pushing what it emits
+    /// on this sandbox's ports onto `outputs` as `(instance port,
+    /// frame)`; returns the time charged.
+    pub(super) fn deliver(
+        &self,
+        port: u32,
+        pkt: Packet,
+        host: &mut Host,
+        outputs: &mut Vec<(u64, Packet)>,
+    ) -> Cost {
+        let Some(iface) = self.port(port) else {
+            return Cost::ZERO;
+        };
+        let from = outputs.len();
+        let cost = host.inject_into(iface, pkt, outputs);
+        self.rebase(outputs, from);
+        cost
+    }
+
+    /// Rebase the host tags of `outputs[from..]` to instance-local port
+    /// numbers in place, in order, dropping any emission tagged outside
+    /// this sandbox's port range.
+    fn rebase(&self, outputs: &mut Vec<(u64, Packet)>, from: usize) {
+        let ours = self.base_tag..self.base_tag + self.ports.len() as u64;
+        let mut kept = from;
+        for i in from..outputs.len() {
+            if ours.contains(&outputs[i].0) {
+                outputs[i].0 -= ours.start;
+                outputs.swap(kept, i);
+                kept += 1;
+            }
         }
+        outputs.truncate(kept);
     }
 }

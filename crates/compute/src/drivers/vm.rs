@@ -21,8 +21,8 @@ use un_sim::mem::{mb, mb_f};
 use un_sim::MemLedger;
 
 use super::sandbox::Sandbox;
-use super::{foreign, no_outcomes, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
-use crate::types::{ComputeError, FlavorSpec, InstanceId, IoOutcome};
+use super::{foreign, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
+use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId};
 
 struct VmInstance {
     vm: VmId,
@@ -119,37 +119,31 @@ impl ComputeDriver for VmDriver {
     }
 
     /// Each frame crosses the boundary into the guest kernel and back.
-    fn deliver_batch(
+    fn deliver_into(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        frames: Vec<(u32, Packet)>,
-    ) -> Vec<IoOutcome> {
+        frames: &mut Vec<(u32, Packet)>,
+        out: &mut Crossing,
+    ) {
         let Some(inst) = self.instances.get(&id) else {
-            return no_outcomes(&frames);
+            return out.refuse(frames);
         };
         let host = &mut *env.host;
-        frames
-            .into_iter()
-            .map(|(port, pkt)| {
-                let guest = |nic: usize, pkt| {
-                    let io = inst.sandbox.deliver(nic as u32, pkt, host);
-                    let outputs = io.outputs.into_iter().map(|(p, f)| (p as usize, f));
-                    (outputs.collect(), io.cost)
-                };
-                let io = self
-                    .hypervisor
-                    .deliver(inst.vm, port as usize, pkt, env.costs, guest);
-                IoOutcome {
-                    outputs: io
-                        .outputs
-                        .into_iter()
-                        .map(|(nic, p)| (nic as u32, p))
-                        .collect(),
-                    cost: io.cost,
-                }
-            })
-            .collect()
+        for (port, pkt) in frames.drain(..) {
+            let guest = |nic: usize, pkt| {
+                let mut emitted = Vec::new();
+                let cost = inst.sandbox.deliver(nic as u32, pkt, host, &mut emitted);
+                let outputs = emitted.into_iter().map(|(p, f)| (p as usize, f));
+                (outputs.collect(), cost)
+            };
+            let io = self
+                .hypervisor
+                .deliver(inst.vm, port as usize, pkt, env.costs, guest);
+            let outputs = io.outputs.into_iter().map(|(nic, p)| (nic as u64, p));
+            out.outputs.extend(outputs);
+            out.end_frame(io.cost);
+        }
     }
 
     /// The disk image's size.
@@ -186,6 +180,7 @@ mod tests {
     use super::super::native::NativeDriver;
     use super::super::testkit::{ipsec_config, Rig};
     use super::*;
+    use crate::types::IoOutcome;
     use un_hypervisor::DiskImage;
     use un_nffg::NfConfig;
     use un_packet::ethernet::ETHERNET_HEADER_LEN;

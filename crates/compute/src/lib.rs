@@ -32,7 +32,8 @@
 //!   its images are built from. The manager owns it and provisions the
 //!   drivers' image stores from it.
 //! * [`types`] — the data both speak in: [`Flavor`], [`FlavorSpec`],
-//!   instance ids, the deliver-a-packet result, errors.
+//!   instance ids, a burst's [`Crossing`] and the owning
+//!   deliver-a-packet result, errors.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -45,4 +46,4 @@ pub mod types;
 pub use drivers::{ComputeDriver, CreateRequest, NodeEnv};
 pub use manager::ComputeManager;
 pub use repository::{NfType, Repository};
-pub use types::{ComputeError, Flavor, FlavorSpec, InstanceId, IoOutcome};
+pub use types::{ComputeError, Crossing, Flavor, FlavorSpec, InstanceId, IoOutcome};

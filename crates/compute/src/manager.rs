@@ -9,11 +9,10 @@ use un_packet::Packet;
 use un_sim::{AccountId, MemLedger};
 
 use crate::drivers::{
-    no_outcomes, ComputeDriver, CreateRequest, DockerDriver, DpdkDriver, NativeDriver, NodeEnv,
-    VmDriver,
+    ComputeDriver, CreateRequest, DockerDriver, DpdkDriver, NativeDriver, NodeEnv, VmDriver,
 };
 use crate::repository::Repository;
-use crate::types::{ComputeError, Flavor, FlavorSpec, InstanceId, IoOutcome};
+use crate::types::{ComputeError, Crossing, Flavor, FlavorSpec, InstanceId, IoOutcome};
 
 #[derive(Debug)]
 struct InstanceInfo {
@@ -167,19 +166,34 @@ impl ComputeManager {
         Ok(())
     }
 
-    /// Deliver a burst of packets to one instance: table and driver
-    /// resolve once for the whole burst. One `IoOutcome` per input
-    /// frame, in order, so per-frame accounting stays exact.
+    /// Deliver a burst of packets to one instance, draining `frames`
+    /// into `out` ([`ComputeDriver::deliver_into`]): table and driver
+    /// resolve once for the whole burst, and every input frame closes
+    /// its own entry of `out`, so per-frame accounting stays exact.
+    pub fn deliver_into(
+        &mut self,
+        env: &mut NodeEnv<'_>,
+        id: InstanceId,
+        frames: &mut Vec<(u32, Packet)>,
+        out: &mut Crossing,
+    ) {
+        match self.serving_mut(id) {
+            Ok(driver) => driver.deliver_into(env, id, frames, out),
+            Err(_) => out.refuse(frames),
+        }
+    }
+
+    /// [`ComputeManager::deliver_into`] in owning form: one
+    /// [`IoOutcome`] per input frame, in order.
     pub fn deliver_batch(
         &mut self,
         env: &mut NodeEnv<'_>,
         id: InstanceId,
-        frames: Vec<(u32, Packet)>,
+        mut frames: Vec<(u32, Packet)>,
     ) -> Vec<IoOutcome> {
-        match self.serving_mut(id) {
-            Ok(driver) => driver.deliver_batch(env, id, frames),
-            Err(_) => no_outcomes(&frames),
-        }
+        let mut out = Crossing::default();
+        self.deliver_into(env, id, &mut frames, &mut out);
+        out.into_outcomes()
     }
 
     /// Bind a service graph to a shared instance.

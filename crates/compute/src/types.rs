@@ -2,6 +2,8 @@
 //! compute manager speak in.
 
 use std::fmt;
+use std::iter::Take;
+use std::vec::Drain;
 
 use un_packet::Packet;
 use un_sim::Cost;
@@ -106,6 +108,70 @@ pub struct IoOutcome {
     pub outputs: Vec<(u32, Packet)>,
     /// Virtual time charged.
     pub cost: Cost,
+}
+
+/// One burst's crossing of an NF boundary, flat, in buffers the caller
+/// owns and hands in clear: every frame the instance emitted, in order,
+/// and per input frame where its outputs end and the time it was
+/// charged. Drivers fill it; the caller reads it back with
+/// [`Crossing::drain_frames`]. The buffers keep their capacity from
+/// burst to burst, so a warm crossing allocates nothing here.
+#[derive(Debug, Default)]
+pub struct Crossing {
+    /// `(instance port, frame)` for every frame emitted, in order. A
+    /// port is as wide as the host's external tag, so a sandbox rebases
+    /// what its host emitted in place.
+    pub(crate) outputs: Vec<(u64, Packet)>,
+    /// Per input frame, in order: `outputs.len()` once its outputs are
+    /// in, and its cost. Never decreasing, never past `outputs.len()`.
+    pub(crate) ends: Vec<(usize, Cost)>,
+}
+
+impl Crossing {
+    /// Close the current input frame: its outputs are everything pushed
+    /// since the previous close.
+    pub(crate) fn end_frame(&mut self, cost: Cost) {
+        self.ends.push((self.outputs.len(), cost));
+    }
+
+    /// Drain `frames` as frames no instance took: each ends with no
+    /// output at no cost.
+    pub(crate) fn refuse(&mut self, frames: &mut Vec<(u32, Packet)>) {
+        for _ in frames.drain(..) {
+            self.end_frame(Cost::ZERO);
+        }
+    }
+
+    /// True when neither buffer holds anything.
+    pub fn is_clear(&self) -> bool {
+        self.outputs.is_empty() && self.ends.is_empty()
+    }
+
+    /// Drain both buffers input frame by input frame, in order: `each`
+    /// gets a frame's cost and its outputs. Both buffers are left
+    /// clear, with their capacity.
+    pub fn drain_frames(
+        &mut self,
+        mut each: impl FnMut(Cost, Take<&mut Drain<'_, (u64, Packet)>>),
+    ) {
+        let mut outputs = self.outputs.drain(..);
+        let mut start = 0;
+        for (end, cost) in self.ends.drain(..) {
+            each(cost, outputs.by_ref().take(end - start));
+            start = end;
+        }
+        debug_assert_eq!(outputs.len(), 0, "an output past the last end");
+    }
+
+    /// The owning form: one [`IoOutcome`] per input frame, in order.
+    pub fn into_outcomes(mut self) -> Vec<IoOutcome> {
+        let mut per_frame = Vec::with_capacity(self.ends.len());
+        self.drain_frames(|cost, mine| {
+            let outputs = mine.map(|(port, p)| (port as u32, p)).collect();
+            per_frame.push(IoOutcome { outputs, cost });
+        });
+        per_frame
+    }
 }
 
 /// Compute-layer failures.

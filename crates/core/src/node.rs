@@ -29,7 +29,7 @@ use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
 
-use un_compute::{ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, NodeEnv};
+use un_compute::{ComputeError, ComputeManager, Crossing, Flavor, FlavorSpec, InstanceId, NodeEnv};
 use un_linux::Host;
 use un_nffg::{
     validate, Endpoint, EndpointKind, FlowRule, NetworkFunction, NfFg, PortRef, RuleAction,
@@ -511,10 +511,12 @@ struct WalkScratch {
     /// A classified burst at a graph LSI: `(what the out port is,
     /// frame, ttl)`.
     routed_graph: Vec<(Option<GPort>, Packet, u32)>,
-    /// The TTLs of the frames crossing one NF boundary.
+    /// The frames crossing one NF boundary: `(nf port, frame)`.
+    nf_in: Vec<(u32, Packet)>,
+    /// Their TTLs, one per frame.
     ttls: Vec<u32>,
-    /// What an NF handed back: `(nf port it left by, frame, ttl)`.
-    back: Vec<(u32, Packet, u32)>,
+    /// What the NF handed back, flat, with each input frame's end.
+    crossing: Crossing,
 }
 
 impl WalkScratch {
@@ -525,8 +527,9 @@ impl WalkScratch {
             && self.outputs.is_empty()
             && self.routed_l0.is_empty()
             && self.routed_graph.is_empty()
+            && self.nf_in.is_empty()
             && self.ttls.is_empty()
-            && self.back.is_empty()
+            && self.crossing.is_clear()
     }
 }
 
@@ -537,6 +540,8 @@ impl WalkScratch {
 struct Walk<'a> {
     acct: Accounting<'a>,
     io: NodeIo,
+    /// Frames the walk was entered with.
+    frames_in: usize,
     /// Fabric steps left before the amplification valve closes.
     work_budget: u64,
     scratch: WalkScratch,
@@ -600,27 +605,36 @@ impl Walk<'_> {
         }
     }
 
-    /// Queue every frame of `back` — what an NF handed back — where
-    /// `enter` says the NF port it left by re-enters the fabric; a
-    /// frame whose port is wired nowhere dies as `GraphUnmappedNfPort`.
-    /// `back` returns to the scratch empty.
-    fn requeue(
-        &mut self,
-        node: &str,
-        mut back: Vec<(u32, Packet, u32)>,
-        enter: impl Fn(u32) -> Option<LocKey>,
-    ) {
-        for (nf_out, pkt, ttl) in back.drain(..) {
-            match enter(nf_out) {
-                Some(loc) => self.queue(loc, pkt, ttl),
-                None => {
-                    let detail = format_args!("nf port {nf_out}");
-                    self.acct
-                        .drop(node, DropReason::GraphUnmappedNfPort, 1, detail);
+    /// Book what the scratch's NF crossing handed back, input frame by
+    /// input frame — its cost, its fan-out — and queue each output, one
+    /// hop less on its input frame's TTL, where `enter` says the NF port
+    /// it left by re-enters the fabric; a frame whose port is wired
+    /// nowhere dies as `GraphUnmappedNfPort`. The crossing and the TTLs
+    /// return to the scratch empty.
+    fn requeue(&mut self, node: &str, enter: impl Fn(u32) -> Option<LocKey>) {
+        let mut crossing = mem::take(&mut self.scratch.crossing);
+        let mut ttls = mem::take(&mut self.scratch.ttls);
+        let mut ttl_of = ttls.drain(..);
+        crossing.drain_frames(|cost, outputs| {
+            let ttl = ttl_of.next().expect("one TTL per input frame");
+            self.io.cost += cost;
+            self.acct.produced(outputs.len());
+            for (nf_out, pkt) in outputs {
+                let nf_out = nf_out as u32;
+                match enter(nf_out) {
+                    Some(loc) => self.queue(loc, pkt, ttl - 1),
+                    None => {
+                        let detail = format_args!("nf port {nf_out}");
+                        self.acct
+                            .drop(node, DropReason::GraphUnmappedNfPort, 1, detail);
+                    }
                 }
             }
-        }
-        self.scratch.back = back;
+        });
+        debug_assert_eq!(ttl_of.len(), 0, "one end per input frame");
+        drop(ttl_of);
+        self.scratch.crossing = crossing;
+        self.scratch.ttls = ttls;
     }
 }
 
@@ -1347,11 +1361,14 @@ impl UniversalNode {
     /// XFRM sequence numbers and replay windows, the host's counters)
     /// moves, until a model of the NF (ROADMAP item 2's `NfModel`) can
     /// stand in for it.
-    pub fn inject_batch_flight(
-        &mut self,
-        batch: Vec<(PortId, Packet)>,
-        flight: Option<&TraceSink>,
-    ) -> NodeIo {
+    ///
+    /// `batch` is anything that counts its frames up front: a `Vec`, or
+    /// a `drain` of a buffer the caller keeps.
+    pub fn inject_batch_flight<I>(&mut self, batch: I, flight: Option<&TraceSink>) -> NodeIo
+    where
+        I: IntoIterator<Item = (PortId, Packet)>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.run_walk(flight, batch.into_iter())
     }
 
@@ -1368,6 +1385,7 @@ impl UniversalNode {
         let mut walk = Walk {
             acct: Accounting::new(flight),
             io: NodeIo::default(),
+            frames_in: frames_in as usize,
             work_budget: frames_in.saturating_mul(u64::from(FABRIC_TTL)),
             scratch: mem::take(&mut self.walk_scratch),
         };
@@ -1420,6 +1438,11 @@ impl UniversalNode {
                             },
                         );
                     }
+                    if walk.io.emitted.is_empty() {
+                        // One allocation for the result, sized for one
+                        // frame out per frame in, at the first egress.
+                        walk.io.emitted.reserve(walk.frames_in);
+                    }
                     walk.io.emitted.push((name.clone(), out_pkt));
                 }
                 Some(L0Port::Vlink { graph_slot, peer }) => {
@@ -1435,8 +1458,8 @@ impl UniversalNode {
                         Some((0, p, t))
                     });
                     let run = std::iter::once((0, out_pkt, ttl)).chain(same_port);
-                    let back = self.deliver_run(walk, inst, run);
-                    walk.requeue(&self.name, back, |_| Some(LocKey::L0(out.0)));
+                    self.deliver_run(walk, inst, run);
+                    walk.requeue(&self.name, |_| Some(LocKey::L0(out.0)));
                 }
                 None => walk
                     .acct
@@ -1498,14 +1521,14 @@ impl UniversalNode {
                         _ => None,
                     });
                     let run = std::iter::once((nf_port, out_pkt, ttl)).chain(same_inst);
-                    let back = self.deliver_run(walk, inst, run);
+                    self.deliver_run(walk, inst, run);
                     let wired = self
                         .slots
                         .get(slot as usize)
                         .and_then(|s| s.as_deref())
                         .and_then(|gid| self.graphs.get(gid))
                         .map(|g| &g.rev_nf);
-                    walk.requeue(&self.name, back, |nf_out| {
+                    walk.requeue(&self.name, |nf_out| {
                         let gp = wired?.get(&(inst, nf_out))?;
                         Some(LocKey::Graph(slot, gp.0))
                     });
@@ -1522,18 +1545,18 @@ impl UniversalNode {
     /// The NF-delivery stage, written once for shared attach ports and
     /// graph NF ports: hand `run` — consecutive `(nf port, frame, ttl)`s
     /// bound for one instance — across the NF boundary as one timed
-    /// `deliver_batch`, record the per-frame latency (histogram and NF
-    /// hop), account every frame's fan-in, and return every output as
-    /// `(nf port it left by, frame, ttl - 1)` in the scratch's `back`
-    /// buffer, for `Walk::requeue` to hand back. Where those re-enter
-    /// the fabric is the one thing the callers differ in.
+    /// `deliver_into`, in the scratch's buffers, and record the
+    /// per-frame latency (histogram and NF hop). What the NF handed back
+    /// waits in the scratch's `crossing`, the TTLs in `ttls`, for
+    /// `Walk::requeue` to book and queue; where the outputs re-enter the
+    /// fabric is the one thing the callers differ in.
     fn deliver_run(
         &mut self,
         walk: &mut Walk<'_>,
         inst: InstanceId,
         run: impl Iterator<Item = (u32, Packet, u32)>,
-    ) -> Vec<(u32, Packet, u32)> {
-        let mut frames = Vec::with_capacity(run.size_hint().0);
+    ) {
+        let mut frames = mem::take(&mut walk.scratch.nf_in);
         for (nf_port, pkt, ttl) in run {
             frames.push((nf_port, pkt));
             walk.scratch.ttls.push(ttl);
@@ -1545,7 +1568,10 @@ impl UniversalNode {
             ledger: &mut self.ledger,
             costs: &self.costs,
         };
-        let outs = self.compute.deliver_batch(&mut env, inst, frames);
+        let crossing = &mut walk.scratch.crossing;
+        self.compute
+            .deliver_into(&mut env, inst, &mut frames, crossing);
+        walk.scratch.nf_in = frames;
         if let Some(t0) = t0 {
             let per = t0.elapsed().as_nanos() as u64 / n;
             for _ in 0..n {
@@ -1557,18 +1583,6 @@ impl UniversalNode {
                 }
             }
         }
-        let mut back = mem::take(&mut walk.scratch.back);
-        for (out_io, ttl) in outs.into_iter().zip(walk.scratch.ttls.drain(..)) {
-            walk.io.cost += out_io.cost;
-            walk.acct.produced(out_io.outputs.len());
-            back.extend(
-                out_io
-                    .outputs
-                    .into_iter()
-                    .map(|(nf_out, pkt)| (nf_out, pkt, ttl - 1)),
-            );
-        }
-        back
     }
 
     /// Append one NF-delivery hop (instance, functional type, driver

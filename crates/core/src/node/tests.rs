@@ -552,6 +552,119 @@ fn a_reused_walk_scratch_changes_nothing() {
     }
 }
 
+/// A node whose NF crossings hand back 0, 1 and 2 frames per input, on
+/// eth0: untagged frames cross a three-port bridge — out eth1 and eth2
+/// — that has learned MAC 1 on its eth0 port and MAC 3 on its eth1
+/// port; vid 50 frames die in a firewall that forwards nothing.
+fn fan_node() -> UniversalNode {
+    let mut n = node();
+    n.add_physical_port("eth2");
+    let flood = NfFgBuilder::new("flood", "three-port bridge")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("a", "eth1")
+        .interface_endpoint("b", "eth2")
+        .nf("br", "bridge", 3)
+        .rule_through("in", 10, "lan", ("br", 0))
+        .rule_through("back", 10, ("br", 0), "lan")
+        .rule_through("out-a", 10, ("br", 1), "a")
+        .rule_through("in-a", 10, "a", ("br", 1))
+        .rule_through("out-b", 10, ("br", 2), "b")
+        .rule_through("in-b", 10, "b", ("br", 2))
+        .build();
+    let wall = NfFgBuilder::new("wall", "firewall sink")
+        .vlan_endpoint("lan", "eth0", 50)
+        .vlan_endpoint("wan", "eth1", 50)
+        .nf("fw", "firewall", 2)
+        .chain("lan", &["fw"], "wan")
+        .build();
+    for g in [flood, wall] {
+        n.deploy(&g).unwrap();
+    }
+    // The bridge learns MAC 3 behind eth1, then MAC 1 behind eth0.
+    n.inject("eth1", fan_frame(3, 1, 0));
+    n.inject("eth0", fan_frame(1, 3, 0));
+    n
+}
+
+/// A frame from MAC `src` to MAC `dst` carrying `tag`.
+fn fan_frame(src: u32, dst: u32, tag: u32) -> Packet {
+    un_packet::PacketBuilder::new()
+        .ethernet(MacAddr::local(src), MacAddr::local(dst))
+        .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+        .udp(1000, 2000)
+        .payload(&tag.to_be_bytes())
+        .build()
+}
+
+/// One frame into eth0 of `fan_node`, with how many frames its NF
+/// crossing hands back: a flood (2), a learned unicast (1), a frame
+/// for the port it came in by (0) or a firewalled one (0).
+fn fan_input(rng: &mut un_sim::DetRng) -> (Packet, usize) {
+    let tag = rng.next_u32();
+    match rng.index(4) {
+        0 => (fan_frame(1, 9, tag), 2),
+        1 => (fan_frame(1, 3, tag), 1),
+        2 => (fan_frame(1, 1, tag), 0),
+        _ => {
+            let mut f = fan_frame(1, 3, tag);
+            f.vlan_push(50).unwrap();
+            (f, 0)
+        }
+    }
+}
+
+/// 64 random call sequences of bursts that mix, within one NF crossing,
+/// frames handing back 0, 1 and 2 frames each. After each call the node
+/// — whose crossings reuse the walk scratch's flat buffers — emits the
+/// same bytes at the same cost and books the same ledger as a twin
+/// handed a fresh scratch for every call; the ledger's fan-out and
+/// absorbed terms move by what each frame's crossing handed back, so a
+/// per-frame boundary off by one shows; and between calls the scratch
+/// holds no frame.
+#[test]
+fn a_reused_nf_crossing_changes_nothing() {
+    for case in 0..64 {
+        let mut rng = un_sim::DetRng::new(1000 + case);
+        let (mut warm, mut twin) = (fan_node(), fan_node());
+        let eth0 = warm.port_id("eth0").unwrap();
+        for call in 0..8 {
+            let tag = format!("case {case}, call {call}");
+            twin.walk_scratch = WalkScratch::default();
+            let burst: Vec<(Packet, usize)> =
+                (0..1 + rng.index(6)).map(|_| fan_input(&mut rng)).collect();
+            let before = *warm.frame_ledger();
+            let frames = || burst.iter().map(|(f, _)| (eth0, f.clone())).collect();
+            let (a, b) = (warm.inject_batch(frames()), twin.inject_batch(frames()));
+            let bytes = |io: &NodeIo| -> Vec<(Name, Vec<u8>)> {
+                let out = io.emitted.iter();
+                out.map(|(port, p)| (port.clone(), p.data().to_vec()))
+                    .collect()
+            };
+            assert_eq!(bytes(&a), bytes(&b), "{tag}");
+            assert_eq!(a.cost, b.cost, "{tag}");
+            assert_eq!(warm.frame_ledger(), twin.frame_ledger(), "{tag}");
+            let after = warm.frame_ledger();
+            let handed_back = burst.iter().map(|(_, k)| *k);
+            let absorbed = handed_back.clone().filter(|k| *k == 0).count() as u64;
+            let fanned = handed_back
+                .clone()
+                .map(|k| k.saturating_sub(1))
+                .sum::<usize>();
+            assert_eq!(after.absorbed - before.absorbed, absorbed, "{tag}");
+            assert_eq!(
+                after.fanout_extra - before.fanout_extra,
+                fanned as u64,
+                "{tag}"
+            );
+            assert_eq!(a.emitted.len(), handed_back.sum::<usize>(), "{tag}");
+            assert!(
+                warm.walk_scratch.is_clear(),
+                "{tag}: a frame outlived its walk"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Failure injection: every way a deploy can fail, for every way an NF
 // can be placed. Whatever `build` took before the failure, `teardown`

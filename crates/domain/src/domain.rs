@@ -428,6 +428,8 @@ pub struct ReplacementReport {
 
 struct ManagedNode {
     node: UniversalNode,
+    /// The node's name, interned once.
+    name: Name,
     health: NodeHealth,
     last_heartbeat: SimTime,
 }
@@ -569,6 +571,9 @@ pub struct Domain {
     /// ([`Domain::verify`]); behind a lock so read-only verification
     /// can update its caches through `&self`.
     verify_cache: Mutex<verify::VerifyCache>,
+    /// The shuttle's work list, lent to each data-plane call and handed
+    /// back empty.
+    shuttle_work: shuttle::Work,
 }
 
 impl Domain {
@@ -595,6 +600,7 @@ impl Domain {
             obs,
             traces: TraceRing::new(un_obs::DEFAULT_TRACE_CAPACITY),
             verify_cache: Mutex::new(verify::VerifyCache::default()),
+            shuttle_work: shuttle::Work::default(),
         }
     }
 
@@ -647,6 +653,7 @@ impl Domain {
         self.nodes.insert(
             name.clone(),
             ManagedNode {
+                name: Name::new(&name),
                 node,
                 health: NodeHealth::Alive,
                 last_heartbeat: self.clock,

@@ -19,14 +19,16 @@
 //!    ([`crate::wire`]); every hop in between carries the sealed frame
 //!    and its transit node switches it on the outer vid alone.
 //!
-//! Per call only the [`Work`] list is built: a queue per *touched*
-//! node and the FIFO of nodes with work. Untouched nodes cost nothing.
+//! The [`Work`] list — a queue per *touched* node, the FIFO of nodes
+//! with work, the fabric buckets and the survivors of a crossing — is
+//! the domain's, lent to each call and handed back empty, so a warm call
+//! allocates none of it. Untouched nodes cost nothing.
 //!
 //! Every way a frame can die here goes through [`Accounting::drop`],
 //! the one drop primitive the node fabric uses too.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
+use std::mem;
 
 use un_core::{Name, PortId};
 use un_obs::{Accounting, DropReason, HopKind, TraceSink};
@@ -41,108 +43,152 @@ use crate::wire;
 /// Frames bound for one node, each with the port it enters on.
 type Burst = Vec<(PortId, Packet)>;
 
+/// The value at `key` of `sorted` — a `Vec` kept sorted by key — made
+/// on first use from a drained value of `free`.
+fn slot<'a, K: Ord + Copy, V: Default>(
+    sorted: &'a mut Vec<(K, V)>,
+    free: &mut Vec<V>,
+    key: K,
+) -> &'a mut V {
+    let at = match sorted.binary_search_by_key(&key, |(k, _)| *k) {
+        Ok(at) => at,
+        Err(at) => {
+            sorted.insert(at, (key, free.pop().unwrap_or_default()));
+            at
+        }
+    };
+    &mut sorted[at].1
+}
+
 /// The frames waiting on one touched node.
 struct NodeQueue {
-    fabric_id: Option<PortId>,
+    /// The node's interned name.
     name: Name,
-    /// Pending bursts keyed by remaining TTL, freshest first. Never
-    /// holds an empty burst.
-    pending: BTreeMap<Reverse<u32>, Burst>,
+    /// Its fabric port, resolved on its first touch in the call.
+    fabric_id: Option<PortId>,
+    /// Pending bursts keyed by remaining TTL, sorted so the freshest —
+    /// the largest TTL — is last. Never holds an empty burst.
+    pending: Vec<(u32, Burst)>,
     /// The node currently sits in the ready queue (dedup flag).
     enqueued: bool,
 }
 
 impl NodeQueue {
-    fn mark_ready(&mut self, ready: &mut VecDeque<Name>) {
+    fn mark_ready(&mut self, me: usize, ready: &mut VecDeque<usize>) {
         if !self.enqueued && !self.pending.is_empty() {
             self.enqueued = true;
             debug_assert!(
-                !ready.contains(&self.name),
+                !ready.contains(&me),
                 "{} enqueued twice: the dedup flag was clear but the \
                  node already sits in the ready queue",
                 self.name
             );
-            ready.push_back(self.name.clone());
+            ready.push_back(me);
         }
     }
 }
 
-/// The call's work list.
+/// The shuttle's work list. The domain keeps one and lends it to each
+/// call; between calls every buffer is empty and only capacity carries
+/// over.
 #[derive(Default)]
-struct Work {
-    queues: BTreeMap<Name, NodeQueue>,
-    /// Nodes with pending frames, each at most once, drained FIFO.
-    ready: VecDeque<Name>,
+pub(super) struct Work {
+    /// A queue per node touched this call, in first-touch order; the
+    /// ones from `touched` on are spares an earlier call left, kept for
+    /// their capacity.
+    queues: Vec<NodeQueue>,
+    touched: usize,
+    /// Nodes with pending frames (by queue index), each at most once,
+    /// drained FIFO.
+    ready: VecDeque<usize>,
+    /// Drained bursts, reused for the next TTL a node is queued at.
+    free: Vec<Burst>,
+    /// One node's fabric-bound egress, bucketed by vid, ascending.
+    fabric: Vec<(u16, Vec<Packet>)>,
+    /// Drained fabric buckets.
+    free_fabric: Vec<Vec<Packet>>,
+    /// The frames that made it over one link.
+    survivors: Vec<Packet>,
 }
 
 impl Work {
-    /// The queue for `node`, built on first touch; the error is why
-    /// frames bound for it die. Suspect nodes keep forwarding: they
-    /// are slow, not dead.
+    /// The index of `node`'s queue, set up on its first touch in the
+    /// call; the error is why frames bound for it die. Suspect nodes
+    /// keep forwarding: they are slow, not dead.
     fn queue(
         &mut self,
         nodes: &BTreeMap<String, ManagedNode>,
         node: &str,
         fabric: &str,
-    ) -> Result<&mut NodeQueue, DropReason> {
-        if !self.queues.contains_key(node) {
-            let managed = match nodes.get(node) {
-                None => return Err(DropReason::InjectUnknownNode),
-                Some(m) if m.health == NodeHealth::Failed => {
-                    return Err(DropReason::InjectDeadNode)
-                }
-                Some(m) => m,
-            };
-            let name = Name::new(&managed.node.name);
-            let queue = NodeQueue {
-                fabric_id: managed.node.port_id(fabric),
-                name: name.clone(),
-                pending: BTreeMap::new(),
-                enqueued: false,
-            };
-            self.queues.insert(name, queue);
+    ) -> Result<usize, DropReason> {
+        let touched = &self.queues[..self.touched];
+        if let Some(i) = touched.iter().position(|q| q.name.as_str() == node) {
+            return Ok(i);
         }
-        Ok(self.queues.get_mut(node).expect("inserted above"))
+        let managed = match nodes.get(node) {
+            None => return Err(DropReason::InjectUnknownNode),
+            Some(m) if m.health == NodeHealth::Failed => return Err(DropReason::InjectDeadNode),
+            Some(m) => m,
+        };
+        let (name, fabric_id) = (managed.name.clone(), managed.node.port_id(fabric));
+        let i = self.touched;
+        match self.queues.get_mut(i) {
+            Some(spare) => {
+                debug_assert!(spare.pending.is_empty() && !spare.enqueued);
+                (spare.name, spare.fabric_id) = (name, fabric_id);
+            }
+            None => self.queues.push(NodeQueue {
+                name,
+                fabric_id,
+                pending: Vec::new(),
+                enqueued: false,
+            }),
+        }
+        self.touched += 1;
+        Ok(i)
     }
 
-    /// Queue `frames` on `node` with `ttl` crossings left to spend and
-    /// put the node on the ready queue unless it already sits there —
-    /// so a node with pending frames is always queued, and, since only
-    /// [`Work::claim`] takes frames away, a queued node always has
-    /// some.
-    fn push(&mut self, node: &str, ttl: u32, frames: impl IntoIterator<Item = (PortId, Packet)>) {
-        let queue = self.queues.get_mut(node).expect("touched before push");
-        queue
-            .pending
-            .entry(Reverse(ttl))
-            .or_default()
-            .extend(frames);
-        queue.mark_ready(&mut self.ready);
+    /// Queue `frames` on queue `q` with `ttl` crossings left to spend
+    /// and put the node on the ready queue unless it already sits there
+    /// — so a node with pending frames is always queued, and, since only
+    /// [`Work::claim`] takes frames away, a queued node always has some.
+    fn push(&mut self, q: usize, ttl: u32, frames: impl IntoIterator<Item = (PortId, Packet)>) {
+        let queue = &mut self.queues[q];
+        slot(&mut queue.pending, &mut self.free, ttl).extend(frames);
+        queue.mark_ready(q, &mut self.ready);
     }
 
     /// Put a node that was just driven back in line if more is pending.
-    fn requeue(&mut self, node: &str) {
-        let queue = self
-            .queues
-            .get_mut(node)
-            .expect("a driven node has a queue");
-        queue.mark_ready(&mut self.ready);
+    fn requeue(&mut self, q: usize) {
+        self.queues[q].mark_ready(q, &mut self.ready);
     }
 
     /// Claim the node at the front of the ready queue together with
     /// its freshest pending burst and the overlay crossings those
     /// frames may still make.
-    fn claim(&mut self) -> Option<(Name, u32, Burst)> {
-        let name = self.ready.pop_front()?;
-        let queue = self
-            .queues
-            .get_mut(name.as_str())
-            .expect("queued nodes have a queue");
-        debug_assert!(queue.enqueued, "{name} was queued with its flag clear");
+    fn claim(&mut self) -> Option<(usize, u32, Burst)> {
+        let q = self.ready.pop_front()?;
+        let queue = &mut self.queues[q];
+        debug_assert!(
+            queue.enqueued,
+            "{} was queued with its flag clear",
+            queue.name
+        );
         queue.enqueued = false;
-        let (Reverse(ttl_left), burst) = queue.pending.pop_first().expect("a queued node has work");
-        debug_assert!(!burst.is_empty(), "{name} held an empty burst");
-        Some((name, ttl_left, burst))
+        let (ttl_left, burst) = queue.pending.pop().expect("a queued node has work");
+        debug_assert!(!burst.is_empty(), "{} held an empty burst", queue.name);
+        Some((q, ttl_left, burst))
+    }
+
+    /// True when no buffer holds a frame or a node.
+    fn is_clear(&self) -> bool {
+        self.touched == 0
+            && self.ready.is_empty()
+            && self.queues.iter().all(|q| q.pending.is_empty())
+            && self.free.iter().all(Vec::is_empty)
+            && self.fabric.is_empty()
+            && self.free_fabric.iter().all(Vec::is_empty)
+            && self.survivors.is_empty()
     }
 }
 
@@ -153,6 +199,7 @@ struct Drain<'a> {
     links: &'a mut BTreeMap<u16, LinkState>,
     config: &'a DomainConfig,
     trace: &'a mut DomainCounters,
+    /// The domain's work list, taken for the call.
     work: Work,
     /// Last-resort budget of overlay crossings left to this call:
     /// single-path traffic needs at most `seeded × ttl` (each frame
@@ -164,6 +211,8 @@ struct Drain<'a> {
     /// this valve trades completeness under amplification for a hard
     /// bound.
     crossings_left: u64,
+    /// Frames the call seeded.
+    seeded: usize,
     /// A ghost walk seals and opens for real, on SAs **cloned** at its
     /// first touch of a link and kept for the call: sequence numbers
     /// and replay windows move, and a probe must not advance the live
@@ -185,10 +234,13 @@ impl Drain<'_> {
         for (node, port, pkt) in ingress {
             self.acct.ingress(1);
             let (node, port) = (node.as_ref(), port.as_ref());
-            if let Err(reason) = self.work.queue(self.nodes, node, &self.config.fabric_port) {
-                self.acct.drop(node, reason, 1, "");
-                continue;
-            }
+            let q = match self.work.queue(self.nodes, node, &self.config.fabric_port) {
+                Ok(q) => q,
+                Err(reason) => {
+                    self.acct.drop(node, reason, 1, "");
+                    continue;
+                }
+            };
             let managed = self.nodes.get_mut(node).expect("a queued node exists");
             // An unknown port is the node's drop to book, not ours.
             let Some(pid) = managed.node.ingress_port(port, self.acct.flight()) else {
@@ -202,48 +254,76 @@ impl Drain<'_> {
                     },
                 );
             }
-            self.work.push(node, ttl, [(pid, pkt)]);
+            self.work.push(q, ttl, [(pid, pkt)]);
             seeded += 1;
         }
         self.crossings_left = seeded.saturating_mul(u64::from(ttl));
+        self.seeded = seeded as usize;
     }
 
     /// Drive ready nodes until no frame is pending anywhere.
     fn run(&mut self) {
-        while let Some((name, ttl_left, burst)) = self.work.claim() {
+        while let Some((q, ttl_left, mut burst)) = self.work.claim() {
+            let name = self.work.queues[q].name.clone();
             let managed = self
                 .nodes
                 .get_mut(name.as_str())
                 .expect("a queued node exists");
-            let node_io = managed.node.inject_batch_flight(burst, self.acct.flight());
+            let node_io = managed
+                .node
+                .inject_batch_flight(burst.drain(..), self.acct.flight());
+            self.work.free.push(burst);
             self.io.cost += node_io.cost;
             // Back in line before its egress crosses, so frames already
             // waiting here keep their turn ahead of the peers'.
-            self.work.requeue(&name);
+            self.work.requeue(q);
             // Split node egress: real egress vs fabric-bound, bucketed
             // by VLAN link identity.
-            let mut fabric_bursts: BTreeMap<u16, Vec<Packet>> = BTreeMap::new();
+            let mut fabric = mem::take(&mut self.work.fabric);
             for (port, pkt) in node_io.emitted {
                 if port.as_str() != self.config.fabric_port {
+                    if self.io.emitted.is_empty() {
+                        // One allocation for the result, sized for one
+                        // frame out per frame in, at the first egress.
+                        self.io.emitted.reserve(self.seeded);
+                    }
                     self.io.emitted.push((name.clone(), port, pkt));
                     continue;
                 }
                 match pkt.vlan_id() {
-                    Some(vid) => fabric_bursts.entry(vid).or_default().push(pkt),
+                    Some(vid) => slot(&mut fabric, &mut self.work.free_fabric, vid).push(pkt),
                     None => self.acct.drop(&name, DropReason::OverlayUntagged, 1, ""),
                 }
             }
-            for (vid, frames) in fabric_bursts {
-                self.cross_link(&name, vid, frames, ttl_left);
+            let mut survivors = mem::take(&mut self.work.survivors);
+            for (vid, frames) in fabric.iter_mut() {
+                self.cross_link(&name, *vid, frames, &mut survivors, ttl_left);
+                // What died on the way is booked: drop it, keep the
+                // buffers.
+                frames.clear();
+                survivors.clear();
             }
+            self.work.survivors = survivors;
+            let drained = fabric.drain(..).map(|(_, frames)| frames);
+            self.work.free_fabric.extend(drained);
+            self.work.fabric = fabric;
         }
         self.acct.egress(self.io.emitted.len() as u64);
     }
 
     /// Carry `frames`, which node `from` emitted on the fabric tagged
-    /// `vid`, over the next hop of that link's pinned path and queue
-    /// the survivors on the peer with one crossing less to spend.
-    fn cross_link(&mut self, from: &Name, vid: u16, frames: Vec<Packet>, ttl_left: u32) {
+    /// `vid`, over the next hop of that link's pinned path, collecting
+    /// the survivors in `survivors`, and queue them on the peer with one
+    /// crossing less to spend. Frames that die are left behind, booked,
+    /// for the caller to clear.
+    fn cross_link(
+        &mut self,
+        from: &Name,
+        vid: u16,
+        frames: &mut Vec<Packet>,
+        survivors: &mut Vec<Packet>,
+        ttl_left: u32,
+    ) {
         let (io, acct) = (&mut self.io, &mut self.acct);
         let n = frames.len() as u64;
         let Some(link) = self.links.get_mut(&vid) else {
@@ -289,9 +369,8 @@ impl Drain<'_> {
                 self.config.esp_fixed_ns as f64 + self.config.esp_ns_per_byte * inner_len as f64;
             Cost::from_nanos(ns as u64)
         };
-        let mut survivors: Vec<Packet> = Vec::with_capacity(frames.len());
         let (mut wire_frames, mut wire_bytes) = (0u64, 0u64);
-        for mut pkt in frames {
+        for mut pkt in frames.drain(..) {
             if let Some(sa_out) = seal.as_deref_mut() {
                 let inner_len = pkt.len();
                 io.cost += esp_cost(inner_len);
@@ -369,16 +448,16 @@ impl Drain<'_> {
             return acct.drop(from, DropReason::OverlayWorkExhausted, k, "");
         }
         self.crossings_left = self.crossings_left.saturating_sub(k);
-        let fabric_id = match self.work.queue(self.nodes, peer, &self.config.fabric_port) {
-            Ok(queue) => queue.fabric_id,
+        let q = match self.work.queue(self.nodes, peer, &self.config.fabric_port) {
+            Ok(q) => q,
             Err(reason) => return acct.drop(peer, reason, k, ""),
         };
-        let Some(fid) = fabric_id else {
+        let Some(fid) = self.work.queues[q].fabric_id else {
             let detail = format_args!("peer has no fabric port");
             return acct.drop(peer, DropReason::OverlayUnroutable, k, detail);
         };
-        self.work
-            .push(peer, ttl_left - 1, survivors.into_iter().map(|p| (fid, p)));
+        let arriving = survivors.drain(..).map(|p| (fid, p));
+        self.work.push(q, ttl_left - 1, arriving);
     }
 }
 
@@ -416,8 +495,9 @@ impl Domain {
             links: &mut self.links,
             config: &self.config,
             trace: &mut self.trace,
-            work: Work::default(),
+            work: mem::take(&mut self.shuttle_work),
             crossings_left: 0,
+            seeded: 0,
             ghost_sas: BTreeMap::new(),
             io: DomainIo::default(),
             acct: Accounting::new(flight),
@@ -425,6 +505,9 @@ impl Domain {
         drain.seed(ingress, self.config.overlay_ttl.max(1));
         drain.run();
         drain.acct.settle(&mut self.frame_ledger);
+        drain.work.touched = 0;
+        debug_assert!(drain.work.is_clear(), "a frame outlived its call");
+        self.shuttle_work = drain.work;
         drain.io
     }
 }

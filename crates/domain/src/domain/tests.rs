@@ -623,6 +623,33 @@ fn a_rejoin_carries_the_carcass_ledger() {
     assert_eq!(after.fanout_extra, 2 * before.fanout_extra);
 }
 
+/// The shuttle keeps its work list from call to call, but resolves a
+/// node's fabric port afresh in every call: a node that rejoins with
+/// its ports in another order is served its own fabric port, not its
+/// carcass's.
+#[test]
+fn a_rejoined_node_is_served_its_own_fabric_port() {
+    let mut d = two_node_domain();
+    d.deploy_with(&split_bridge_chain(), &split_hints())
+        .unwrap();
+    assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
+    let fabric = d.config.fabric_port.clone();
+    let carcass_port = d.node("n2").unwrap().port_id(&fabric);
+
+    d.fail_node("n2").unwrap();
+    let mut n2 = UniversalNode::new("n2", mb(2048));
+    n2.add_physical_port("spare");
+    n2.add_physical_port("eth1");
+    d.add_node(n2);
+    assert_ne!(d.node("n2").unwrap().port_id(&fabric), carcass_port);
+    assert_eq!(d.retry_pending(), vec!["g1".to_string()]);
+
+    let io = d.inject("n1", "eth0", frame());
+    assert_eq!(io.emitted.len(), 1);
+    assert_eq!(io.emitted[0].0, "n2");
+    assert_eq!(io.emitted[0].1, "eth1");
+}
+
 #[test]
 fn heartbeat_timeout_suspects_then_fails() {
     let mut d = two_node_domain();

@@ -104,26 +104,22 @@ un_sim::counters! {
     }
 }
 
-struct Ctx {
-    emitted: Vec<(ExternalTag, Packet)>,
+/// One call's pipeline state: the caller's `emitted` vector, which
+/// every external emission is pushed onto, and the time charged.
+struct Ctx<'a> {
+    emitted: &'a mut Vec<(ExternalTag, Packet)>,
     cost: Cost,
 }
 
-impl Ctx {
-    fn new() -> Self {
+impl<'a> Ctx<'a> {
+    fn new(emitted: &'a mut Vec<(ExternalTag, Packet)>) -> Self {
         Ctx {
-            emitted: Vec::new(),
+            emitted,
             cost: Cost::ZERO,
         }
     }
     fn charge(&mut self, ns: u64) {
         self.cost += Cost::from_nanos(ns);
-    }
-    fn into_result(self) -> IoResult {
-        IoResult {
-            emitted: self.emitted,
-            cost: self.cost,
-        }
     }
 }
 
@@ -611,28 +607,47 @@ impl Host {
     /// The kernel stamps the packet's metadata afresh.
     pub fn raw_send(&mut self, ns: NsId, mut pkt: Packet) -> Result<IoResult, HostError> {
         self.ns_check(ns)?;
-        let mut ctx = Ctx::new();
+        let mut emitted = Vec::new();
+        let mut ctx = Ctx::new(&mut emitted);
         ctx.charge(self.costs.user_kernel_crossing_ns);
         pkt.meta = PacketMeta::at(self.now, 0);
         self.local_output(ns, pkt, &mut ctx, 0);
-        Ok(ctx.into_result())
+        let cost = ctx.cost;
+        Ok(IoResult { emitted, cost })
     }
 
     // ------------------------------------------------------------------
     // Data plane
     // ------------------------------------------------------------------
 
-    /// Inject a frame as if it arrived on `iface` from the outside.
+    /// Inject a frame as if it arrived on `iface` from the outside: the
+    /// frames emitted on external interfaces and the time charged.
     pub fn inject(&mut self, iface: IfaceId, pkt: Packet) -> IoResult {
-        let mut ctx = Ctx::new();
+        let mut emitted = Vec::new();
+        let cost = self.inject_into(iface, pkt, &mut emitted);
+        IoResult { emitted, cost }
+    }
+
+    /// The data path itself: inject a frame on `iface` and push every
+    /// frame it emits on an external interface onto the caller's
+    /// `emitted`, in emission order; returns the time charged. A caller
+    /// that reuses one vector forwards a warm routed or bridged frame
+    /// without allocating.
+    pub fn inject_into(
+        &mut self,
+        iface: IfaceId,
+        pkt: Packet,
+        emitted: &mut Vec<(ExternalTag, Packet)>,
+    ) -> Cost {
+        let mut ctx = Ctx::new(emitted);
         if self.iface_check(iface).is_ok() {
             ctx.charge(self.costs.tap_ns);
             self.rx_frame(iface, pkt, &mut ctx, 0);
         }
-        ctx.into_result()
+        ctx.cost
     }
 
-    fn rx_frame(&mut self, iface_id: IfaceId, pkt: Packet, ctx: &mut Ctx, depth: u32) {
+    fn rx_frame(&mut self, iface_id: IfaceId, pkt: Packet, ctx: &mut Ctx<'_>, depth: u32) {
         if depth > MAX_DEPTH {
             self.trace.loop_drops += 1;
             return;
@@ -690,7 +705,7 @@ impl Host {
     /// ARP, or IPv4 with the Ethernet header stripped into the headroom,
     /// the interface's conntrack zone as the default zone and the
     /// interface as the ingress.
-    fn l2_input(&mut self, iface_id: IfaceId, mut pkt: Packet, ctx: &mut Ctx, depth: u32) {
+    fn l2_input(&mut self, iface_id: IfaceId, mut pkt: Packet, ctx: &mut Ctx<'_>, depth: u32) {
         let (ns, zone) = {
             let i = &self.ifaces[iface_id.0 as usize];
             (i.ns, i.ct_zone)
@@ -736,7 +751,7 @@ impl Host {
         bridge_id: IfaceId,
         member: IfaceId,
         pkt: Packet,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
         depth: u32,
     ) {
         ctx.charge(self.costs.bridge_fdb_ns);
@@ -747,21 +762,16 @@ impl Host {
         let (src, dst) = (eth.src(), eth.dst());
         let bridge_mac = self.ifaces[bridge_id.0 as usize].mac;
 
-        // Learn + decide with one mutable borrow of the FDB. `flood`
-        // stays unallocated unless the frame really fans out.
-        let mut flood: Vec<IfaceId> = Vec::new();
-        let mut to_local = false;
-        {
-            let IfaceKind::Bridge { members, fdb } = &mut self.ifaces[bridge_id.0 as usize].kind
-            else {
+        // Learn + decide with one mutable borrow of the FDB.
+        let (flood, to_local) = {
+            let IfaceKind::Bridge { fdb, .. } = &mut self.ifaces[bridge_id.0 as usize].kind else {
                 return;
             };
             fdb.insert(src, member);
             if dst == bridge_mac {
-                to_local = true;
+                (false, true)
             } else if dst.is_broadcast() || dst.is_multicast() {
-                to_local = true;
-                flood.extend(members.iter().copied().filter(|&m| m != member));
+                (true, true)
             } else if let Some(&out) = fdb.get(&dst) {
                 // Known unicast: the frame moves to its one target.
                 if out != member {
@@ -769,27 +779,68 @@ impl Host {
                 }
                 return;
             } else {
-                flood.extend(members.iter().copied().filter(|&m| m != member));
+                (true, false)
             }
-        }
-
-        // Every target but the last gets a copy; the last takes the
-        // frame itself unless local delivery still needs it.
-        let mut targets = flood.into_iter().peekable();
-        while let Some(out) = targets.next() {
-            if targets.peek().is_none() && !to_local {
-                self.tx_frame(out, pkt, ctx, depth + 1);
-                return;
-            }
-            self.tx_frame(out, pkt.clone(), ctx, depth + 1);
-        }
-        if to_local {
+        };
+        let local = if flood {
+            self.bridge_flood(bridge_id, Some(member), pkt, to_local, ctx, depth)
+        } else {
+            Some(pkt)
+        };
+        if let Some(pkt) = local {
             // Deliver up the stack via the bridge interface itself.
             self.l2_input(bridge_id, pkt, ctx, depth);
         }
     }
 
-    fn arp_input(&mut self, ns: NsId, iface_id: IfaceId, pkt: &Packet, ctx: &mut Ctx, depth: u32) {
+    /// Flood `pkt` out of every member of `bridge` but `except`, in
+    /// member order, walking the member list in place. Every target but
+    /// the last gets a copy and the last takes the frame itself — unless
+    /// `keep`, when every target gets a copy and the frame comes back.
+    fn bridge_flood(
+        &mut self,
+        bridge: IfaceId,
+        except: Option<IfaceId>,
+        pkt: Packet,
+        keep: bool,
+        ctx: &mut Ctx<'_>,
+        depth: u32,
+    ) -> Option<Packet> {
+        let mut next = self.flood_target(bridge, except, 0);
+        while let Some((at, out)) = next {
+            next = self.flood_target(bridge, except, at + 1);
+            if next.is_none() && !keep {
+                self.tx_frame(out, pkt, ctx, depth + 1);
+                return None;
+            }
+            self.tx_frame(out, pkt.clone(), ctx, depth + 1);
+        }
+        keep.then_some(pkt)
+    }
+
+    /// The first member of `bridge` from position `from` on that is not
+    /// `except`, with its position.
+    fn flood_target(
+        &self,
+        bridge: IfaceId,
+        except: Option<IfaceId>,
+        from: usize,
+    ) -> Option<(usize, IfaceId)> {
+        let IfaceKind::Bridge { members, .. } = &self.ifaces[bridge.0 as usize].kind else {
+            return None;
+        };
+        let mut rest = members.iter().copied().enumerate().skip(from);
+        rest.find(|&(_, m)| Some(m) != except)
+    }
+
+    fn arp_input(
+        &mut self,
+        ns: NsId,
+        iface_id: IfaceId,
+        pkt: &Packet,
+        ctx: &mut Ctx<'_>,
+        depth: u32,
+    ) {
         let Ok(eth) = pkt.ethernet() else {
             return;
         };
@@ -839,7 +890,7 @@ impl Host {
         table: NfTable,
         chain: Chain,
         nfp: &NfPacket,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
     ) -> (Verdict, ChainEffects) {
         let (verdict, effects) = self.namespaces[ns.0 as usize]
             .netfilter
@@ -857,7 +908,7 @@ impl Host {
         ns: NsId,
         in_iface: Option<IfaceId>,
         mut pkt: Packet,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
         depth: u32,
     ) {
         if depth > MAX_DEPTH {
@@ -1029,7 +1080,7 @@ impl Host {
         out_dev: IfaceId,
         next_hop: Ipv4Addr,
         pkt: Packet,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
         depth: u32,
     ) {
         // Already-ESP traffic is not re-matched (standard loop avoidance).
@@ -1064,7 +1115,7 @@ impl Host {
     }
 
     /// Locally generated traffic: route → filter/OUTPUT → XFRM → tx.
-    fn local_output(&mut self, ns: NsId, pkt: Packet, ctx: &mut Ctx, depth: u32) {
+    fn local_output(&mut self, ns: NsId, pkt: Packet, ctx: &mut Ctx<'_>, depth: u32) {
         let Ok(ip) = Ipv4Packet::new_checked(pkt.data()) else {
             return;
         };
@@ -1094,7 +1145,7 @@ impl Host {
     }
 
     /// Deliver an IP packet to local consumers (sockets, ICMP).
-    fn local_deliver(&mut self, ns: NsId, mut pkt: Packet, ctx: &mut Ctx, depth: u32) {
+    fn local_deliver(&mut self, ns: NsId, mut pkt: Packet, ctx: &mut Ctx<'_>, depth: u32) {
         let Ok(ip) = Ipv4Packet::new_checked(pkt.data()) else {
             return;
         };
@@ -1145,7 +1196,7 @@ impl Host {
         out_dev: IfaceId,
         next_hop: Ipv4Addr,
         pkt: Packet,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
         depth: u32,
     ) {
         if matches!(self.ifaces[out_dev.0 as usize].kind, IfaceKind::Loopback) {
@@ -1162,7 +1213,7 @@ impl Host {
         out_dev: IfaceId,
         next_hop: Ipv4Addr,
         mut pkt: Packet,
-        ctx: &mut Ctx,
+        ctx: &mut Ctx<'_>,
         depth: u32,
     ) {
         let (ns, my_mac) = {
@@ -1217,7 +1268,7 @@ impl Host {
     }
 
     /// Emit a frame on an interface (kind-specific delivery).
-    fn tx_frame(&mut self, iface_id: IfaceId, pkt: Packet, ctx: &mut Ctx, depth: u32) {
+    fn tx_frame(&mut self, iface_id: IfaceId, pkt: Packet, ctx: &mut Ctx<'_>, depth: u32) {
         if depth > MAX_DEPTH {
             self.trace.loop_drops += 1;
             return;
@@ -1244,18 +1295,16 @@ impl Host {
                 let _ = tagged.vlan_push(vid);
                 self.tx_frame(parent, tagged, ctx, depth + 1);
             }
-            IfaceKind::Bridge { members, fdb } => {
+            IfaceKind::Bridge { fdb, .. } => {
                 // Egress via the bridge: consult the FDB.
                 ctx.charge(self.costs.bridge_fdb_ns);
                 let Ok(eth) = pkt.ethernet() else {
                     return;
                 };
-                let dst = eth.dst();
-                if let Some(&out) = fdb.get(&dst) {
-                    self.tx_frame(out, pkt, ctx, depth + 1);
-                } else {
-                    for m in members.clone() {
-                        self.tx_frame(m, pkt.clone(), ctx, depth + 1);
+                match fdb.get(&eth.dst()).copied() {
+                    Some(out) => self.tx_frame(out, pkt, ctx, depth + 1),
+                    None => {
+                        self.bridge_flood(iface_id, None, pkt, false, ctx, depth);
                     }
                 }
             }

@@ -644,3 +644,77 @@ fn removed_namespace_leaves_no_residue_and_its_handles_are_reused() {
         (ns_before, if_before)
     );
 }
+
+/// A bridge `br0` (10.0.0.1/24) over three external members tagged 1,
+/// 2 and 3, in that order, everything up.
+fn three_port_bridge() -> (Host, NsId, IfaceId) {
+    let mut h = Host::new("br3", CostModel::default());
+    let ns = h.add_namespace("bridge-ns");
+    let br = h.add_bridge(ns, "br0").unwrap();
+    let ports = [1, 2, 3].map(|tag| h.add_external(ns, &format!("p{tag}"), tag).unwrap());
+    for i in [br].into_iter().chain(ports) {
+        h.set_up(i, true).unwrap();
+    }
+    for p in ports {
+        h.bridge_attach(br, p).unwrap();
+    }
+    h.addr_add(br, cidr("10.0.0.1/24")).unwrap();
+    (h, ns, ports[0])
+}
+
+/// What a call emitted, as `(tag, frame bytes in hex)` in emission
+/// order.
+fn emissions(res: &IoResult) -> Vec<(u64, String)> {
+    let hex = |p: &Packet| p.data().iter().map(|b| format!("{b:02x}")).collect();
+    res.emitted.iter().map(|(tag, p)| (*tag, hex(p))).collect()
+}
+
+/// `frame` out of each of `tags`, in that order.
+fn to_each(tags: &[u64], frame: &str) -> Vec<(u64, String)> {
+    tags.iter().map(|&t| (t, frame.to_string())).collect()
+}
+
+/// Both floods of a three-member bridge — a frame received for a MAC
+/// the FDB has not learned, and a frame sent out of the bridge itself
+/// toward one — reach their members in member order with the bytes
+/// unchanged. The sequences are the ones the bridge emitted when each
+/// flood still cloned the frame for every target.
+#[test]
+fn a_bridge_floods_in_member_order_with_the_frame_unchanged() {
+    let (mut h, ns, p1) = three_port_bridge();
+    let frame = |dst: MacAddr| {
+        un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(10), dst)
+            .ipv4(Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 0, 0, 9))
+            .udp(1, 2)
+            .payload(b"flood")
+            .build()
+    };
+    const IP_UDP: &str = "08004500002100000000401166bf0a0000050a00000900010002000db1e7666c6f6f64";
+
+    // Received on p1 for an unknown MAC: out every other member.
+    let res = h.inject(p1, frame(MacAddr::local(11)));
+    let unicast = format!("02000000000b02000000000a{IP_UDP}");
+    assert_eq!(emissions(&res), to_each(&[2, 3], &unicast));
+
+    // Broadcast: the same, and up the bridge's own stack too, which
+    // does not forward it.
+    let res = h.inject(p1, frame(MacAddr::BROADCAST));
+    let broadcast = format!("ffffffffffff02000000000a{IP_UDP}");
+    assert_eq!(emissions(&res), to_each(&[2, 3], &broadcast));
+    assert_eq!(h.trace.counter("rx_not_for_us"), 1);
+
+    // Sent out of the bridge toward a neighbour the FDB has not
+    // learned: out every member.
+    h.neigh_add(ns, Ipv4Addr::new(10, 0, 0, 9), MacAddr::local(77))
+        .unwrap();
+    let pkt = un_packet::PacketBuilder::new()
+        .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 9))
+        .udp(3, 4)
+        .payload(b"egress")
+        .build();
+    let res = h.raw_send(ns, pkt).unwrap();
+    let egress = "02000000004d020000000003\
+        08004500002200000000401166c20a0000010a00000900030004000ea081656772657373";
+    assert_eq!(emissions(&res), to_each(&[1, 2, 3], egress));
+}

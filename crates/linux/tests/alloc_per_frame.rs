@@ -5,10 +5,15 @@
 //! own, so the counter lives here. It counts per thread (the test
 //! harness runs tests, and prints, on other threads).
 //!
-//! The host carries one `Packet` from `Host::inject` to emission, so a
-//! warm frame allocates only what the call must build: the `emitted`
-//! vector of its result and, through XFRM, the buffer ESP seals into or
-//! opens into.
+//! The host carries one `Packet` from `Host::inject` to emission and
+//! floods a bridge by walking its member list in place, so a warm frame
+//! allocates only what the call must build: through XFRM, the buffer
+//! ESP seals into or opens into; and, through the owning
+//! `Host::inject`, the `emitted` vector of its result.
+//! `Host::inject_into` pushes onto a vector the caller reuses, so a
+//! routed or bridged forward through it allocates nothing. (ESP sealing
+//! in place, into the frame's own buffer, is not attempted: the sealed
+//! buffer stays.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -133,17 +138,34 @@ fn lan_frame(b: &Nf, src: [u8; 4], dst: [u8; 4]) -> Packet {
         .build()
 }
 
-/// Allocations per frame of `Host::inject` over `frames` on `port`,
-/// after one warm-up frame (neighbor, conntrack and SA state settled);
-/// every frame must leave the host as exactly one frame.
-fn allocs_per_frame(host: &mut Host, port: IfaceId, mut frames: Vec<Packet>) -> u64 {
+/// How a test drives the host: the owning `Host::inject`, or
+/// `Host::inject_into` onto one vector reused across frames.
+#[derive(Clone, Copy)]
+enum Call {
+    Owning,
+    Into,
+}
+
+/// Allocations per frame of `call` over `frames` on `port`, after one
+/// warm-up frame (neighbor, conntrack and SA state settled, the reused
+/// vector grown); every frame must leave the host as exactly one frame.
+fn allocs_per_frame(host: &mut Host, port: IfaceId, mut frames: Vec<Packet>, call: Call) -> u64 {
+    let mut reused = Vec::new();
+    let mut step = |host: &mut Host, f: Packet| match call {
+        Call::Owning => black_box(host.inject(port, f)).emitted.len(),
+        Call::Into => {
+            reused.clear();
+            black_box(host.inject_into(port, f, &mut reused));
+            reused.len()
+        }
+    };
     let warm = frames.remove(0);
-    assert_eq!(host.inject(port, warm).emitted.len(), 1);
+    assert_eq!(step(host, warm), 1);
     let n = frames.len() as u64;
     let mut emitted = 0;
     let before = ALLOCS.with(Cell::get);
     for f in frames {
-        emitted += black_box(host.inject(port, f)).emitted.len();
+        emitted += step(host, f);
     }
     let allocs = ALLOCS.with(Cell::get) - before;
     assert_eq!(emitted as u64, n, "every frame forwards");
@@ -151,21 +173,76 @@ fn allocs_per_frame(host: &mut Host, port: IfaceId, mut frames: Vec<Packet>) -> 
     allocs / n
 }
 
-/// A plain routed forward allocates the `emitted` vector and nothing
-/// else: the Ethernet header is stripped into the frame's headroom and
-/// pushed back out of it, and TTL and checksum are edited in place.
-#[test]
-fn a_routed_forward_allocates_only_the_emitted_vector() {
+/// A forwarder routing everything to a resolved default gateway out of
+/// its WAN port.
+fn router() -> Nf {
     let mut b = forwarder("192.168.1.1/24", "203.0.113.1/24");
     let gw = Ipv4Addr::new(203, 0, 113, 254);
     b.host
         .route_add(b.ns, MAIN_TABLE, cidr("0.0.0.0/0"), Some(gw), b.wan, 0)
         .unwrap();
     b.host.neigh_add(b.ns, gw, MacAddr::local(99)).unwrap();
-    let frames = (0..=FRAMES)
-        .map(|_| lan_frame(&b, [192, 168, 1, 10], [8, 8, 8, 8]))
-        .collect();
-    assert_eq!(allocs_per_frame(&mut b.host, b.lan, frames), 1);
+    b
+}
+
+/// Frames a LAN client routes through `router()`.
+fn routed_frames(b: &Nf) -> Vec<Packet> {
+    (0..=FRAMES)
+        .map(|_| lan_frame(b, [192, 168, 1, 10], [8, 8, 8, 8]))
+        .collect()
+}
+
+/// A plain routed forward allocates the `emitted` vector and nothing
+/// else: the Ethernet header is stripped into the frame's headroom and
+/// pushed back out of it, and TTL and checksum are edited in place.
+#[test]
+fn a_routed_forward_allocates_only_the_emitted_vector() {
+    let mut b = router();
+    let frames = routed_frames(&b);
+    assert_eq!(
+        allocs_per_frame(&mut b.host, b.lan, frames, Call::Owning),
+        1
+    );
+}
+
+/// Onto a vector the caller reuses, the same forward allocates nothing.
+#[test]
+fn a_routed_forward_into_a_reused_vector_allocates_nothing() {
+    let mut b = router();
+    let frames = routed_frames(&b);
+    assert_eq!(allocs_per_frame(&mut b.host, b.lan, frames, Call::Into), 0);
+}
+
+/// A frame flooded across a two-member bridge — its destination MAC is
+/// never learned — allocates the `emitted` vector through `inject` (2
+/// while the bridge collected its flood targets into a list per frame),
+/// and nothing onto a reused vector.
+#[test]
+fn a_bridged_forward_allocates_only_the_emitted_vector() {
+    let mut host = Host::new("alloc", CostModel::default());
+    let ns = host.add_namespace("br");
+    let br = host.add_bridge(ns, "br0").unwrap();
+    let lan = host.add_external(ns, "port0", 1).unwrap();
+    let wan = host.add_external(ns, "port1", 2).unwrap();
+    for i in [br, lan, wan] {
+        host.set_up(i, true).unwrap();
+    }
+    for p in [lan, wan] {
+        host.bridge_attach(br, p).unwrap();
+    }
+    for (call, pinned) in [(Call::Owning, 1), (Call::Into, 0)] {
+        let frames = (0..=FRAMES)
+            .map(|_| {
+                PacketBuilder::new()
+                    .ethernet(MacAddr::local(50), MacAddr::local(51))
+                    .ipv4(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2))
+                    .udp(5000, 5201)
+                    .payload(&[0xA5; PAYLOAD])
+                    .build()
+            })
+            .collect();
+        assert_eq!(allocs_per_frame(&mut host, lan, frames, call), pinned);
+    }
 }
 
 /// Frames sealed by the CPE end toward the gateway's WAN port, each
@@ -217,7 +294,24 @@ fn an_xfrm_tunnel_forward_allocates_the_sealed_buffer_and_the_emitted_vector() {
         .map(|_| lan_frame(&cpe, [192, 168, 1, 10], [172, 16, 0, 9]))
         .collect();
     let lan = cpe.lan;
-    assert_eq!(allocs_per_frame(&mut cpe.host, lan, frames), 2);
+    assert_eq!(
+        allocs_per_frame(&mut cpe.host, lan, frames, Call::Owning),
+        2
+    );
+    assert_eq!(cpe.host.trace.counter("xfrm_encap"), FRAMES + 1);
+}
+
+/// Onto a reused vector the sealed buffer is all that is left. Sealing
+/// in place, into the frame's own buffer, is out of scope, so 1 is this
+/// path's floor.
+#[test]
+fn an_xfrm_tunnel_forward_into_a_reused_vector_allocates_only_the_sealed_buffer() {
+    let (mut cpe, _) = tunnel();
+    let frames = (0..=FRAMES)
+        .map(|_| lan_frame(&cpe, [192, 168, 1, 10], [172, 16, 0, 9]))
+        .collect();
+    let lan = cpe.lan;
+    assert_eq!(allocs_per_frame(&mut cpe.host, lan, frames, Call::Into), 1);
     assert_eq!(cpe.host.trace.counter("xfrm_encap"), FRAMES + 1);
 }
 
@@ -229,6 +323,16 @@ fn a_decapsulate_and_forward_allocates_the_opened_buffer_and_the_emitted_vector(
     let (mut cpe, mut gw) = tunnel();
     let frames = sealed_frames(&mut cpe, FRAMES + 1);
     let wan = gw.wan;
-    assert_eq!(allocs_per_frame(&mut gw.host, wan, frames), 2);
+    assert_eq!(allocs_per_frame(&mut gw.host, wan, frames, Call::Owning), 2);
+    assert_eq!(gw.host.trace.counter("xfrm_decap"), FRAMES + 1);
+}
+
+/// Onto a reused vector the opened buffer is all that is left.
+#[test]
+fn a_decapsulate_and_forward_into_a_reused_vector_allocates_only_the_opened_buffer() {
+    let (mut cpe, mut gw) = tunnel();
+    let frames = sealed_frames(&mut cpe, FRAMES + 1);
+    let wan = gw.wan;
+    assert_eq!(allocs_per_frame(&mut gw.host, wan, frames, Call::Into), 1);
     assert_eq!(gw.host.trace.counter("xfrm_decap"), FRAMES + 1);
 }

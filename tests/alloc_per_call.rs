@@ -1,18 +1,22 @@
 //! Allocations per `UniversalNode::inject` and `Domain::inject` call,
 //! pinned.
 //!
-//! A warm node walk works in buffers the node keeps between calls, so
-//! a one-frame `UniversalNode::inject` allocates only what crosses an
-//! NF boundary and what it returns: per NF crossed, the frame vector
-//! `ComputeManager::deliver_batch` takes and the outcomes it returns,
-//! plus what the NF's kernel allocates; and the `emitted` vector.
+//! A warm node walk works in buffers the node keeps between calls —
+//! its NF crossings included: `ComputeManager::deliver_into` drains the
+//! walk's frame buffer into its flat output buffer, and the NF's kernel
+//! emits straight into it — so a one-frame `UniversalNode::inject`
+//! allocates only what the NF's own work allocates (ESP's sealed
+//! buffer) and the `emitted` vector it returns.
 //!
-//! What the domain layer adds on top of the nodes a frame visits: the
-//! shuttle's per-call work list (a queue per touched node, the ready
-//! FIFO) and its result. The per-call books are a fixed-size ledger
-//! delta and allocate nothing. Measured as allocations of one `Domain::inject`
-//! minus allocations of the same frame driven through the same nodes
-//! of a twin fleet by hand, so node-level changes cancel out.
+//! What the domain layer adds on top of the nodes a frame visits: its
+//! result. The shuttle's work list — a queue per touched node, the
+//! ready FIFO, the fabric buckets, the survivors of a crossing — is the
+//! domain's, lent to each call and handed back empty, each node's name
+//! is interned once when it joins, and the per-call books are a
+//! fixed-size ledger delta: none of them allocates on a warm call.
+//! Measured as allocations of one `Domain::inject` minus allocations of
+//! the same frame driven through the same nodes of a twin fleet by
+//! hand, so node-level changes cancel out.
 //!
 //! The workspace forbids `unsafe`, and counting allocations needs one
 //! `GlobalAlloc` implementation; an integration test is a crate of its
@@ -63,32 +67,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// What `Domain::inject` allocates beyond the node it drives, on a
-/// chain that stays on its ingress node: the node's interned name, its
-/// queue's map node, the TTL map node behind it and the burst vector
-/// there, the ready FIFO and the `emitted` vector. (The burst vector
-/// is the shuttle's own: `UniversalNode::inject` builds none.)
-const DOMAIN_ALLOCS_ONE_NODE: u64 = 6;
+/// chain that stays on its ingress node: the result's `emitted` vector.
+/// (6 while the work list — the node's name, its queue's and TTL's map
+/// nodes, the burst vector, the ready FIFO — was built per call.)
+const DOMAIN_ALLOCS_ONE_NODE: u64 = 1;
 
-/// What each further touched node adds: its queue (name, TTL map node
-/// and burst vector — the queue's own map node is shared), the fabric
-/// bucket that carried the frame there (map node + vector) and the
-/// survivors vector of the crossing.
-const DOMAIN_ALLOCS_PER_FURTHER_NODE: u64 = 6;
+/// What each further touched node adds: nothing — its queue, the fabric
+/// bucket that carried the frame there and the survivors of the
+/// crossing are warm buffers of the domain's work list. (6 while each
+/// was built per call.)
+const DOMAIN_ALLOCS_PER_FURTHER_NODE: u64 = 0;
 
 /// A warm one-frame `UniversalNode::inject` through the native IPsec
-/// CPE (`un_bench::build_ipsec_node`): the frame and outcome vectors
-/// of the one NF crossing, the buffer ESP seals into and the host's
-/// `emitted` vector, and the node's `emitted` vector (21 while the
-/// walk built its work list, buckets and buffers per call).
-const NODE_ALLOCS_IPSEC_CPE: u64 = 5;
+/// CPE (`un_bench::build_ipsec_node`): the buffer ESP seals into, and
+/// the node's `emitted` vector. Sealing in place, into the frame's own
+/// buffer, is out of scope, so the sealed buffer stays. (21 while the
+/// walk built its work list, buckets and buffers per call; 5 while each
+/// NF crossing built a frame vector, an outcome vector and the host's
+/// `emitted` vector.)
+const NODE_ALLOCS_IPSEC_CPE: u64 = 2;
 
-/// The same on `chain()` with both bridges on one node: two NF
-/// crossings of four allocations each — the frame and outcome vectors,
-/// the bridge kernel's flood list (the frame's destination MAC is never
-/// learned) and its `emitted` vector — and the node's `emitted` vector
-/// (30 while the walk built its work list, buckets and buffers per
-/// call).
-const NODE_ALLOCS_TWO_BRIDGES: u64 = 9;
+/// The same on `chain()` with both bridges on one node: the node's
+/// `emitted` vector, and nothing per NF crossing — the frame's
+/// destination MAC is never learned, and each bridge floods it by
+/// walking its member list in place. (30 while the walk built its work
+/// list, buckets and buffers per call; 9 while each crossing also built
+/// a frame vector, an outcome vector, the bridge kernel's flood list
+/// and its `emitted` vector.)
+const NODE_ALLOCS_TWO_BRIDGES: u64 = 1;
 
 const CALLS: usize = 16;
 
