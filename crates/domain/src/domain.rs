@@ -115,21 +115,10 @@ pub struct DomainConfig {
     /// nodes. Read at plan time — deployed graphs keep the paths they
     /// were routed with until the next update/repair re-plans them.
     pub topology: Topology,
-    /// Propagation + switching cost of one overlay hop (explicit
-    /// topology edges carry their own per-edge latency instead).
-    pub overlay_link_ns: u64,
     /// First VLAN id of the overlay pool (pool runs to 4094
     /// inclusive). Lets operators reserve part of the VLAN space —
     /// and lets tests exhaust the pool cheaply.
     pub overlay_vid_base: u16,
-    /// Fixed ESP cost per protected frame and operation: charged once
-    /// for the seal at the link's head and once for the open at its
-    /// tail, however many hops lie between.
-    pub esp_fixed_ns: u64,
-    /// Per-byte ESP cost, in nanoseconds per byte of the *inner* frame
-    /// (the fabric-tagged frame that is sealed), charged with
-    /// `esp_fixed_ns`: twice per link traversal, not twice per hop.
-    pub esp_ns_per_byte: f64,
     /// Heartbeats older than this mark a node **suspect** at
     /// [`Domain::tick`] (slow, not yet dead: it keeps serving and no
     /// repair runs).
@@ -181,10 +170,7 @@ impl Default for DomainConfig {
             fabric_port: "fab0".to_string(),
             protect_overlay: false,
             topology: Topology::full_mesh(),
-            overlay_link_ns: 5_000,
             overlay_vid_base: OVERLAY_VID_BASE,
-            esp_fixed_ns: 700,
-            esp_ns_per_byte: 2.0,
             heartbeat_timeout_ns: 3_000_000_000, // 3 virtual seconds
             suspect_grace_ns: 1_000_000_000,     // 1 more before repair
             repair: RepairPolicy::Incremental,

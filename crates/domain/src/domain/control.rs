@@ -50,8 +50,12 @@ impl Committed {
     }
 }
 
+/// Propagation + switching cost of one implicit full-mesh overlay hop
+/// (explicit topology edges carry their own per-edge latency instead).
+const OVERLAY_LINK_NS: u64 = 5_000;
+
 /// Per-hop cost of one routed path: explicit edges carry their own
-/// latency, full-mesh (implicit) hops cost `overlay_link_ns`. (A
+/// latency, full-mesh (implicit) hops cost [`OVERLAY_LINK_NS`]. (A
 /// routed path in explicit mode only ever walks explicit edges, so
 /// the default fires exactly for implicit full-mesh hops.)
 fn hop_latencies(config: &DomainConfig, path: &[String]) -> Vec<u64> {
@@ -60,7 +64,7 @@ fn hop_latencies(config: &DomainConfig, path: &[String]) -> Vec<u64> {
             config
                 .topology
                 .edge(&w[0], &w[1])
-                .map_or(config.overlay_link_ns, |e| e.latency_ns)
+                .map_or(OVERLAY_LINK_NS, |e| e.latency_ns)
         })
         .collect()
 }
@@ -153,7 +157,7 @@ impl Domain {
                     "domain.lease.acquire",
                     vec![
                         ("graph", gid.into()),
-                        ("key", key.render().into()),
+                        ("key", key.to_string().into()),
                         ("host", claim.host.clone().into()),
                     ],
                 );

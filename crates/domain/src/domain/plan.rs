@@ -304,15 +304,13 @@ pub(super) fn plan(
         BTreeMap::new()
     };
     // Leases the graph already holds confine the scorer's per-node
-    // shared-reuse bonus to the lease hosts (no double-counting; one
-    // entry per capability pool).
-    let mut held_leases: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (key, claim) in view.sharing.leases_of(&graph.id) {
-        held_leases
-            .entry(key.functional_type)
-            .or_default()
-            .insert(claim.host);
-    }
+    // shared-reuse bonus to the lease host (no double-counting).
+    let held_leases: BTreeMap<String, String> = view
+        .sharing
+        .leases_of(&graph.id)
+        .into_iter()
+        .map(|(key, claim)| (key.functional_type, claim.host))
+        .collect();
     let assignment = assign(
         graph,
         &view.views,

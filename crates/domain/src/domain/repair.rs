@@ -35,7 +35,7 @@ fn shared_blast(old: &DomainGraph, new: &DomainGraph) -> (usize, Vec<(String, St
         .shared
         .iter()
         .filter(|(key, claim)| old.shared.get(key).map(|old| &old.host) != Some(&claim.host))
-        .map(|(key, claim)| (key.render(), claim.host.clone()))
+        .map(|(key, claim)| (key.to_string(), claim.host.clone()))
         .collect();
     let moved = old
         .original
@@ -67,15 +67,7 @@ fn elect_replacements(view: &FleetView<'_>, keys: Vec<ShareKey>) -> BTreeMap<Sha
             .filter(|n| view.serving.contains(*n))
             .cloned()
             .collect();
-        if let Ok(host) = elect(
-            &key,
-            &view.views,
-            view.fabric_hops.as_ref(),
-            &demand,
-            &view
-                .sharing
-                .occupied(&key.functional_type, &BTreeMap::new()),
-        ) {
+        if let Ok(host) = elect(&key, &view.views, view.fabric_hops.as_ref(), &demand) {
             elected.insert(key, host);
         }
     }
@@ -136,15 +128,11 @@ impl Domain {
             let mut orphaned = self.sharing.hosted_on(name);
             orphaned.retain(|key| {
                 // Promote the pre-elected standby host if it still
-                // serves and no sibling instance of the type landed
-                // there since.
+                // serves.
                 let Some(host) = node_sb.shared.remove(key) else {
                     return true;
                 };
-                let taken = self
-                    .sharing
-                    .occupied(&key.functional_type, &BTreeMap::new());
-                if !self.serves(&host) || taken.contains(&host) {
+                if !self.serves(&host) {
                     return true;
                 }
                 self.sharing.set_host(key, &host);
@@ -154,7 +142,7 @@ impl Domain {
                     "domain.standby.promoted",
                     vec![
                         ("kind", "shared".into()),
-                        ("key", key.render().into()),
+                        ("key", key.to_string().into()),
                         ("host", host.into()),
                     ],
                 );
@@ -171,7 +159,7 @@ impl Domain {
                 self.trace.shared_hosts_reelected += 1;
                 self.obs.event(
                     "domain.shared.elect",
-                    vec![("key", key.render().into()), ("host", host.into())],
+                    vec![("key", key.to_string().into()), ("host", host.into())],
                 );
             }
         }
@@ -476,17 +464,13 @@ impl Domain {
 
     /// Does every shared claim of a plan name its key's host as the
     /// registry has it now? A key with no instance may be claimed on
-    /// any host no sibling pool holds. Checked at failure time, after
-    /// re-election: while the node is only suspect, a staged plan
-    /// claims the standby hosts, not the live ones.
+    /// any host. Checked at failure time, after re-election: while the
+    /// node is only suspect, a staged plan claims the standby hosts,
+    /// not the live ones.
     fn shared_claims_current(&self, claims: &BTreeMap<ShareKey, SharedClaim>) -> bool {
-        claims.iter().all(|(key, c)| match self.sharing.get(key) {
-            Some(inst) => inst.host == c.host,
-            None => !self
-                .sharing
-                .occupied(&key.functional_type, &BTreeMap::new())
-                .contains(&c.host),
-        })
+        claims
+            .iter()
+            .all(|(key, c)| self.sharing.get(key).is_none_or(|inst| inst.host == c.host))
     }
 
     /// Return one standby plan's reserved vids to the pool.

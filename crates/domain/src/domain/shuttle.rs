@@ -40,6 +40,15 @@ use super::{
 };
 use crate::wire;
 
+/// Fixed ESP cost per protected frame and operation: charged once for
+/// the seal at the link's head and once for the open at its tail,
+/// however many hops lie between.
+const ESP_FIXED_NS: u64 = 700;
+/// Per-byte ESP cost, in nanoseconds per byte of the *inner* frame (the
+/// fabric-tagged frame that is sealed), charged with [`ESP_FIXED_NS`]:
+/// twice per link traversal, not twice per hop.
+const ESP_NS_PER_BYTE: f64 = 2.0;
+
 /// Frames bound for one node, each with the port it enters on.
 type Burst = Vec<(PortId, Packet)>;
 
@@ -365,8 +374,7 @@ impl Drain<'_> {
             None => (None, None),
         };
         let esp_cost = |inner_len: usize| {
-            let ns =
-                self.config.esp_fixed_ns as f64 + self.config.esp_ns_per_byte * inner_len as f64;
+            let ns = ESP_FIXED_NS as f64 + ESP_NS_PER_BYTE * inner_len as f64;
             Cost::from_nanos(ns as u64)
         };
         let (mut wire_frames, mut wire_bytes) = (0u64, 0u64);

@@ -1807,18 +1807,9 @@ use crate::sharing::{SharingConfig, SharingError};
 /// One tenant NAT service: `lan`/`wan` VLAN endpoints (per-tenant vid)
 /// around a single NAT NF carrying the config its shared binding needs.
 fn nat_graph(id: &str, vid: u16, wan_cidr: &str) -> NfFg {
-    nat_pool_graph(id, vid, wan_cidr, "")
-}
-
-/// [`nat_graph`] riding the NAT pool named `capability` (the default
-/// pool when empty).
-fn nat_pool_graph(id: &str, vid: u16, wan_cidr: &str, capability: &str) -> NfFg {
-    let mut cfg = un_nffg::NfConfig::default()
+    let cfg = un_nffg::NfConfig::default()
         .with_param("lan-addr", "192.168.1.1/24")
         .with_param("wan-addr", wan_cidr);
-    if !capability.is_empty() {
-        cfg = cfg.with_param("share-capability", capability);
-    }
     NfFgBuilder::new(id, "nat service")
         .vlan_endpoint("lan", "eth0", vid)
         .vlan_endpoint("wan", "eth1", vid)
@@ -1919,7 +1910,7 @@ fn remote_shared_nnf_over_multihop_is_byte_identical_to_private() {
     assert_eq!(instances[0].tenant_count(), 2);
     assert_eq!(instances[0].leases.get("t1"), Some(&1));
     assert_eq!(
-        shared.graph_shared_leases("t1").unwrap()[&ShareKey::new("nat", "")],
+        shared.graph_shared_leases("t1").unwrap()[&ShareKey::new("nat")],
         SharedClaim {
             host: "n3".to_string(),
             nfs: 1
@@ -2104,41 +2095,39 @@ fn sharing_toggle_applies_to_new_plans_only() {
     );
 }
 
-/// The shared host dies on a fleet where every survivor already
-/// carries a sibling NAT pool: no re-election is possible, every tenant
-/// parks, and recovery brings the instance back on its old host.
+/// The shared host dies on a fleet whose other nodes have all failed
+/// before it: no re-election is possible, every tenant parks, and
+/// recovery brings the instance back on its old host.
 #[test]
 fn pinned_host_death_parks_tenants_until_recovery() {
     let mut d = sharing_fleet(3, SharingConfig::for_types(&["nat"]));
-    for (gid, vid, pool, home) in [("a1", 21, "pool-a", "n1"), ("b3", 23, "pool-b", "n3")] {
-        let g = nat_pool_graph(gid, vid, "198.51.100.1/24", pool);
-        d.deploy_with(&g, &tenant_hints(home)).unwrap();
+    d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n2"))
+        .unwrap();
+    d.deploy_with(&nat_graph("t2", 12, "198.51.100.1/24"), &tenant_hints("n2"))
+        .unwrap();
+    let nat = ShareKey::new("nat");
+    assert_eq!(d.sharing.get(&nat).unwrap().host, "n2");
+    for node in ["n1", "n3"] {
+        let report = d.fail_node(node).unwrap();
+        assert!(report.replaced.is_empty() && report.stranded.is_empty());
     }
-    // The default pool's first demand comes from n1, but n1 and n3
-    // already run a NAT: the instance lands on n2.
-    d.deploy_with(&nat_graph("t1", 11, "203.0.113.1/24"), &tenant_hints("n1"))
-        .unwrap();
-    d.deploy_with(&nat_graph("t3", 13, "198.51.100.1/24"), &tenant_hints("n3"))
-        .unwrap();
-    let default = ShareKey::new("nat", "");
-    assert_eq!(d.sharing.get(&default).unwrap().host, "n2");
 
-    // n2 dies: every survivor holds a sibling pool, so no re-election
-    // is possible, every tenant parks, and the last released lease
-    // drops the instance.
+    // n2 dies with no survivor: no re-election is possible, every
+    // tenant parks, and the last released lease drops the instance.
     let report = d.fail_node("n2").unwrap();
     assert!(report.replaced.is_empty(), "{report:?}");
-    assert_eq!(report.stranded, ["t1", "t3"]);
-    assert!(d.sharing.get(&default).is_none(), "no orphan instance");
-    assert_eq!(d.shared_instances().len(), 2, "the sibling pools stay");
+    assert_eq!(report.stranded, ["t1", "t2"]);
+    assert!(d.sharing.get(&nat).is_none(), "no orphan instance");
+    assert!(d.shared_instances().is_empty());
     assert_eq!(d.pending_graphs().len(), 2);
 
     // Recovery re-places the parked tenants and restores the leases.
     let retried = d.recover_node("n2").unwrap();
     assert_eq!(retried.len(), 2, "{retried:?}");
-    let inst = d.sharing.get(&default).unwrap();
+    let inst = d.sharing.get(&nat).unwrap();
     assert_eq!(inst.host, "n2");
     assert_eq!(inst.tenant_count(), 2);
+    assert!(d.verify().ok());
 }
 
 #[test]
@@ -2163,42 +2152,6 @@ fn shared_docs_surface_instances_and_leases() {
         let claim = &leases[&inst.key];
         assert_eq!((claim.host.as_str(), claim.nfs), ("n1", 1));
     }
-}
-
-#[test]
-fn sibling_capability_pools_never_co_elect_one_host() {
-    // One graph demands TWO NAT pools (default + cgnat) in a single
-    // deploy. Node-level NAT is a singleton, so the registry must put
-    // the pools on different hosts — including when both elections
-    // happen inside one plan (the registry is still empty for both).
-    let mut d = sharing_fleet(2, SharingConfig::for_types(&["nat"]));
-    let cfg = |cap: Option<&str>, wan: &str| {
-        let mut c = un_nffg::NfConfig::default()
-            .with_param("lan-addr", "192.168.1.1/24")
-            .with_param("wan-addr", wan);
-        if let Some(cap) = cap {
-            c = c.with_param("share-capability", cap);
-        }
-        c
-    };
-    let g = NfFgBuilder::new("t1", "two pools")
-        .vlan_endpoint("lan", "eth0", 11)
-        .vlan_endpoint("wan", "eth1", 11)
-        .nf_with_config("nat-a", "nat", 2, cfg(None, "203.0.113.1/24"))
-        .nf_with_config("nat-b", "nat", 2, cfg(Some("cgnat"), "198.51.100.1/24"))
-        .chain("lan", &["nat-a", "nat-b"], "wan")
-        .build();
-    d.deploy_with(&g, &tenant_hints("n1")).unwrap();
-    let instances = d.shared_instances();
-    assert_eq!(instances.len(), 2);
-    assert_ne!(
-        instances[0].host, instances[1].host,
-        "sibling pools must not share a node-level singleton"
-    );
-    let a = d.assignment_of("t1").unwrap();
-    assert_ne!(a["nat-a"], a["nat-b"]);
-    // One graph, one lease per pool.
-    assert_eq!(d.graph_shared_leases("t1").unwrap().len(), 2);
 }
 
 // ── Make-before-break standbys & the availability model ─────────────
@@ -2418,50 +2371,10 @@ fn shared_standby_promotes_host_on_failure() {
     assert_vid_conservation(&d);
 }
 
-/// A standby staged while the shared host was only suspect claims the
-/// host pre-elected for its instance. A sibling pool that lands on that
-/// host before the failure makes the registry re-elect elsewhere, and
-/// the staged plan stale: it is discarded and the tenant repairs onto
-/// the re-elected host, so no node ends up with two NAT pools.
-#[test]
-fn a_stale_shared_standby_never_puts_two_pools_on_one_node() {
-    let mut d = sharing_fleet(4, SharingConfig::for_types(&["nat"]));
-    let (nat, cgnat) = (ShareKey::new("nat", ""), ShareKey::new("nat", "cgnat"));
-    d.deploy_with(&nat_graph("t", 11, "203.0.113.1/24"), &tenant_hints("n3"))
-        .unwrap();
-    assert_eq!(d.graph_shared_leases("t").unwrap()[&nat].host, "n3");
-    // The suspect's NAT gets n1 as its standby host, and t's standby
-    // plan claims it there.
-    d.suspect_node("n3").unwrap();
-    assert_eq!(d.standby_graphs(), ["t"]);
-    // A cgnat tenant from n1 elects its pool onto n1.
-    let u = nat_pool_graph("u", 12, "198.51.100.1/24", "cgnat");
-    d.deploy_with(&u, &tenant_hints("n1")).unwrap();
-    assert_eq!(d.graph_shared_leases("u").unwrap()[&cgnat].host, "n1");
-
-    let report = d.fail_node("n3").unwrap();
-    assert_eq!(report.replaced, ["t"]);
-    assert!(
-        !report.repairs[0].standby_promoted,
-        "the staged plan was stale"
-    );
-    let hosts: BTreeMap<ShareKey, String> = d
-        .shared_instances()
-        .into_iter()
-        .map(|i| (i.key, i.host))
-        .collect();
-    assert_eq!(
-        hosts,
-        [(nat, "n2".to_string()), (cgnat, "n1".to_string())].into()
-    );
-    assert_eq!(d.assignment_of("t").unwrap()["nat"], "n2");
-    assert!(d.verify().ok());
-}
-
 #[test]
 fn a_standby_staged_before_sharing_was_disabled_is_not_promoted() {
     let mut d = sharing_fleet(4, SharingConfig::for_types(&["nat"]));
-    let nat = ShareKey::new("nat", "");
+    let nat = ShareKey::new("nat");
     d.deploy_with(&nat_graph("t", 11, "203.0.113.1/24"), &tenant_hints("n3"))
         .unwrap();
     // t's standby plan claims the NAT on its standby host.
@@ -2671,7 +2584,7 @@ fn a_released_plan_leaves_no_trace() {
     let view = view.without("n3");
     let staged = plan::plan(&view, vids, &nat_graph("t3", 13, "203.0.113.1/24"), &c).unwrap();
     assert_eq!(staged.taken.len(), 4, "lan and wan, each way, to the NAT");
-    assert_eq!(staged.shared[&ShareKey::new("nat", "")].host, "n2");
+    assert_eq!(staged.shared[&ShareKey::new("nat")].host, "n2");
     let reserved = staged.taken.clone();
     let (_, _, free, in_use, standby) = d.vid_accounting();
     assert!(

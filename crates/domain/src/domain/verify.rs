@@ -184,7 +184,6 @@ impl Domain {
             .sharing
             .instances()
             .map(|inst| LeaseInfo {
-                key: inst.key.render(),
                 functional_type: inst.key.functional_type.clone(),
                 host: inst.host.clone(),
                 tenants: inst.leases.keys().cloned().collect(),

@@ -206,10 +206,10 @@ const PATH_PENALTY_PER_HOP: i64 = 4_000;
 /// `pins` forces specific NFs onto specific nodes (used to keep
 /// surviving NFs in place across updates and re-placements).
 ///
-/// `held_leases` maps each functional type to the hosts whose
-/// domain-shared instances this graph **already holds a lease on**
-/// (one per capability pool). The per-node shared-reuse bonus (and
-/// its free-capacity treatment) then applies only on those hosts:
+/// `held_leases` maps each functional type to the host of the
+/// domain-shared instance this graph **already holds a lease on** (one
+/// instance, so one host, per type). The per-node shared-reuse bonus
+/// (and its free-capacity treatment) then applies only on that host:
 /// without the restriction, two NFs of one sharable type could be
 /// scattered across *different* nodes' shared instances — the graph
 /// would hold one lease but consume two instances, double-counting
@@ -237,7 +237,7 @@ pub fn assign(
     estimates: &BTreeMap<String, u64>,
     endpoint_node: &BTreeMap<String, String>,
     pins: &BTreeMap<String, String>,
-    held_leases: &BTreeMap<String, BTreeSet<String>>,
+    held_leases: &BTreeMap<String, String>,
     strategy: PlacementStrategy,
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
 ) -> Result<BTreeMap<String, String>, PlaceError> {
@@ -251,7 +251,7 @@ pub fn assign(
         view.shared_running.contains(functional_type)
             && held_leases
                 .get(functional_type)
-                .is_none_or(|hosts| hosts.contains(&view.name))
+                .is_none_or(|host| *host == view.name)
     };
     // Running free-memory picture as NFs are placed.
     let mut free: BTreeMap<&str, u64> = views
@@ -751,7 +751,7 @@ mod tests {
             view("b", 8192, &[], &["nat"], &[]),
         ];
         let eps = assign_endpoints(&g, &views, &BTreeMap::new(), None).unwrap();
-        let place = |held: &BTreeMap<String, BTreeSet<String>>| {
+        let place = |held: &BTreeMap<String, String>| {
             assign(
                 &g,
                 &views,
@@ -771,8 +771,7 @@ mod tests {
         assert_eq!(split["x1"], "a");
         assert_eq!(split["x2"], "b", "scenario must exhibit the split");
         // Holding the lease on a confines the shared bonus there.
-        let held: BTreeMap<String, BTreeSet<String>> =
-            [("nat".to_string(), ["a".to_string()].into())].into();
+        let held: BTreeMap<String, String> = [("nat".to_string(), "a".to_string())].into();
         let fixed = place(&held);
         assert_eq!(fixed["x1"], "a");
         assert_eq!(fixed["x2"], "a", "one lease, one instance");

@@ -4,12 +4,13 @@
 //! The paper's sharable NNFs let one native instance serve many graphs
 //! — but only for graphs that land on the node already running it.
 //! This module lifts that reuse to the whole fleet: a domain-wide
-//! catalog holding **one** shared instance per [`ShareKey`] (functional
-//! type plus an optional capability tag), with explicit **leases** (one
-//! per tenant graph, acquired on deploy and released on undeploy). The
-//! instance lives where it was first demanded — on the sharable node
-//! nearest the endpoints of the tenant that first needed it — and
-//! every later tenant rides it there.
+//! catalog holding **one** shared instance per functional type (its
+//! [`ShareKey`]), with explicit **leases** (one per tenant graph,
+//! acquired on deploy and released on undeploy). The instance lives
+//! where it was first demanded — on the sharable node nearest the
+//! endpoints of the tenant that first needed it — and every later
+//! tenant rides it there. Nothing in an NF's config picks an instance:
+//! every tenant of a type rides the same one.
 //!
 //! The registry itself is pure bookkeeping — `Domain::plan` consults it
 //! to pin a tenant's shared NFs onto the instance's host (the
@@ -29,54 +30,32 @@ use crate::domain::FleetView;
 use crate::placement::NodeView;
 use crate::topology::Topology;
 
-/// Identity of one domain-shared instance: the functional type plus a
-/// free-form capability tag (empty by default), so e.g. a default NAT
-/// pool and a `cgnat` pool can coexist as distinct shared instances.
+/// Identity of one domain-shared instance: its functional type. A node
+/// runs at most one sharable instance of a type, and the fleet shares
+/// at most one, so the type alone names it.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ShareKey {
     /// Functional type, e.g. `"nat"`.
     pub functional_type: String,
-    /// Capability tag (from the NF's `share-capability` config param);
-    /// empty string means the default pool.
-    pub capability: String,
 }
 
 impl ShareKey {
-    /// A key from its parts.
-    pub fn new(functional_type: &str, capability: &str) -> Self {
+    /// The key of `functional_type`'s shared instance.
+    pub fn new(functional_type: &str) -> Self {
         ShareKey {
             functional_type: functional_type.to_string(),
-            capability: capability.to_string(),
         }
     }
 
-    /// The key an NF demands: its functional type plus the
-    /// `share-capability` config param (default pool when absent).
+    /// The key an NF demands: its functional type.
     pub fn of_nf(nf: &un_nffg::NetworkFunction) -> Self {
-        ShareKey {
-            functional_type: nf.functional_type.clone(),
-            capability: nf
-                .config
-                .params
-                .get("share-capability")
-                .cloned()
-                .unwrap_or_default(),
-        }
-    }
-
-    /// Human-readable rendering: `nat` or `nat/cgnat`.
-    pub fn render(&self) -> String {
-        if self.capability.is_empty() {
-            self.functional_type.clone()
-        } else {
-            format!("{}/{}", self.functional_type, self.capability)
-        }
+        ShareKey::new(&nf.functional_type)
     }
 }
 
 impl fmt::Display for ShareKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        f.write_str(&self.functional_type)
     }
 }
 
@@ -107,12 +86,10 @@ impl SharingConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SharingError {
     /// No serving node can host the key: none offers the type as a
-    /// sharable NNF (or every candidate already hosts a different
-    /// instance of the type), or the key's live instance sits on a
-    /// node that no longer serves and the registry has not re-hosted
-    /// it.
+    /// sharable NNF, or the key's live instance sits on a node that no
+    /// longer serves and the registry has not re-hosted it.
     NoSharableHost {
-        /// The share key (rendered).
+        /// The share key: the functional type.
         key: String,
     },
 }
@@ -206,24 +183,6 @@ impl SharedRegistry {
                     )
                 })
             })
-            .collect()
-    }
-
-    /// Hosts that cannot take another instance of `functional_type`.
-    /// Node-level NNF singletons cannot host two instances of one
-    /// type, so every host already carrying it is out — sibling
-    /// capability pools, the host of the key's own instance (a
-    /// re-election must land elsewhere), and the hosts a plan under
-    /// construction `claimed` a few NFs ago.
-    pub(crate) fn occupied(
-        &self,
-        functional_type: &str,
-        claimed: &BTreeMap<ShareKey, SharedClaim>,
-    ) -> BTreeSet<String> {
-        let live = self.instances().map(|i| (&i.key, &i.host));
-        live.chain(claimed.iter().map(|(key, claim)| (key, &claim.host)))
-            .filter(|(key, _)| key.functional_type == functional_type)
-            .map(|(_, host)| host.clone())
             .collect()
     }
 
@@ -336,14 +295,12 @@ pub(crate) fn claim_shared(
         let host = match (live, standby) {
             (Some(host), _) if serves(host) => host.clone(),
             (_, Some(standby)) => standby.clone(),
-            (Some(_), None) => return Err(SharingError::NoSharableHost { key: key.render() }),
-            (None, None) => elect(
-                &key,
-                &view.views,
-                view.fabric_hops.as_ref(),
-                &demand,
-                &view.sharing.occupied(&key.functional_type, &claims),
-            )?,
+            (Some(_), None) => {
+                return Err(SharingError::NoSharableHost {
+                    key: key.to_string(),
+                })
+            }
+            (None, None) => elect(&key, &view.views, view.fabric_hops.as_ref(), &demand)?,
         };
         pins.insert(nf.id.clone(), host.clone());
         claims.insert(key, SharedClaim { host, nfs: 1 });
@@ -355,23 +312,21 @@ pub(crate) fn claim_shared(
 /// nearest the demand.
 ///
 /// Candidates are alive nodes whose NNF catalog marks the type
-/// sharable, excluding `occupied` (nodes already hosting an instance
-/// of the same functional type — node-level NNF singletons cannot run
-/// two). `demand` is the node set the demanding tenants occupy,
-/// `fabric_hops` the hop matrix (`None` = full mesh, every distinct
-/// pair one hop). Scoring is total hop distance to the demand, ties
-/// broken lexicographically, so election is deterministic and
-/// independent of memory churn.
+/// sharable. No live node can already hold the type: the registry
+/// holds one instance per type, and an election happens only for a
+/// type with none, or for one whose host no longer counts as alive
+/// (failed, or counted out by `FleetView::without`). `demand` is the
+/// node set the demanding tenants occupy, `fabric_hops` the hop matrix
+/// (`None` = full mesh, every distinct pair one hop). Scoring is total
+/// hop distance to the demand, ties broken lexicographically, so
+/// election is deterministic and independent of memory churn.
 pub(crate) fn elect(
     key: &ShareKey,
     views: &[NodeView],
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
     demand: &BTreeSet<String>,
-    occupied: &BTreeSet<String>,
 ) -> Result<String, SharingError> {
-    let usable = |v: &NodeView| {
-        v.alive && v.sharable_types.contains(&key.functional_type) && !occupied.contains(&v.name)
-    };
+    let usable = |v: &NodeView| v.alive && v.sharable_types.contains(&key.functional_type);
     let dist = |a: &str, b: &str| u64::from(Topology::hop_distance(fabric_hops, a, b));
     let mut best: Option<(u64, &str)> = None;
     for view in views.iter().filter(|v| usable(v)) {
@@ -381,7 +336,9 @@ pub(crate) fn elect(
         }
     }
     best.map(|(_, name)| name.to_string())
-        .ok_or_else(|| SharingError::NoSharableHost { key: key.render() })
+        .ok_or_else(|| SharingError::NoSharableHost {
+            key: key.to_string(),
+        })
 }
 
 #[cfg(test)]
@@ -415,21 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn share_key_reads_capability_from_config() {
-        let mut g = un_nffg::NfFgBuilder::new("g", "g")
-            .nf("a", "nat", 2)
-            .build();
-        assert_eq!(ShareKey::of_nf(&g.nfs[0]), ShareKey::new("nat", ""));
-        g.nfs[0]
-            .config
-            .params
-            .insert("share-capability".into(), "cgnat".into());
-        let key = ShareKey::of_nf(&g.nfs[0]);
-        assert_eq!(key, ShareKey::new("nat", "cgnat"));
-        assert_eq!(key.render(), "nat/cgnat");
-    }
-
-    #[test]
     fn first_demand_elects_nearest_sharable_node() {
         // line a–b–c–d; demand sits at a; only c and d are sharable.
         let views = vec![
@@ -447,28 +389,21 @@ mod tests {
             ("c", "d", 1),
         ]);
         let demand: BTreeSet<String> = ["a".to_string()].into();
-        let host = elect(
-            &ShareKey::new("nat", ""),
-            &views,
-            Some(&hops),
-            &demand,
-            &BTreeSet::new(),
-        )
-        .unwrap();
+        let host = elect(&ShareKey::new("nat"), &views, Some(&hops), &demand).unwrap();
         assert_eq!(host, "c", "nearest sharable node to the demand");
     }
 
     #[test]
-    fn occupied_hosts_and_dead_nodes_are_skipped() {
-        let views = vec![view("a", &["nat"], false), view("b", &["nat"], true)];
-        let key = ShareKey::new("nat", "cgnat");
-        let host = elect(&key, &views, None, &BTreeSet::new(), &BTreeSet::new()).unwrap();
+    fn dead_nodes_are_skipped() {
+        // The one host that ever held the type is the one a re-election
+        // replaces, and it is never alive to the election.
+        let mut views = vec![view("a", &["nat"], false), view("b", &["nat"], true)];
+        let key = ShareKey::new("nat");
+        let host = elect(&key, &views, None, &BTreeSet::new()).unwrap();
         assert_eq!(host, "b", "dead node is no candidate");
-        // b hosts the default pool already: the cgnat pool cannot land
-        // on the same node-level singleton.
-        let occupied: BTreeSet<String> = ["b".to_string()].into();
+        views[1].alive = false;
         assert!(matches!(
-            elect(&key, &views, None, &BTreeSet::new(), &occupied),
+            elect(&key, &views, None, &BTreeSet::new()),
             Err(SharingError::NoSharableHost { .. })
         ));
     }
@@ -476,7 +411,7 @@ mod tests {
     #[test]
     fn registry_leases_are_per_graph_and_last_release_drops() {
         let mut r = SharedRegistry::default();
-        let key = ShareKey::new("nat", "");
+        let key = ShareKey::new("nat");
         assert_eq!(r.commit("g1", &key, "n1", 1), (true, true));
         // Re-acquire by the same graph: no new lease, wires updated.
         assert_eq!(r.commit("g1", &key, "n1", 2), (false, false));
@@ -494,18 +429,18 @@ mod tests {
     #[test]
     fn set_host_moves_only_the_named_replica() {
         let mut r = SharedRegistry::default();
-        let nat = ShareKey::new("nat", "");
-        let cg = ShareKey::new("nat", "cgnat");
+        let nat = ShareKey::new("nat");
+        let fw = ShareKey::new("firewall");
         r.commit("g1", &nat, "n1", 1);
         r.commit("g2", &nat, "n1", 1);
-        r.commit("g2", &cg, "n2", 1);
+        r.commit("g2", &fw, "n2", 1);
         r.set_host(&nat, "n3");
         assert!(r.hosted_on("n1").is_empty());
         assert_eq!(r.hosted_on("n3"), vec![nat.clone()]);
         for g in ["g1", "g2"] {
             assert_eq!(r.leases_of(g)[&nat].host, "n3", "every lease moves along");
         }
-        assert_eq!(r.leases_of("g2")[&cg].host, "n2", "sibling pool untouched");
+        assert_eq!(r.leases_of("g2")[&fw].host, "n2", "other type untouched");
         assert_eq!(r.instances().count(), 2);
     }
 
@@ -514,7 +449,7 @@ mod tests {
     #[should_panic(expected = "claimed off its host")]
     fn a_live_key_is_never_claimed_off_its_host() {
         let mut r = SharedRegistry::default();
-        let key = ShareKey::new("nat", "");
+        let key = ShareKey::new("nat");
         r.commit("g1", &key, "n1", 1);
         r.commit("g2", &key, "n2", 1);
     }
@@ -522,12 +457,12 @@ mod tests {
     #[test]
     fn release_except_keeps_current_claims() {
         let mut r = SharedRegistry::default();
-        let nat = ShareKey::new("nat", "");
-        let cg = ShareKey::new("nat", "cgnat");
+        let nat = ShareKey::new("nat");
+        let fw = ShareKey::new("firewall");
         r.commit("g1", &nat, "n1", 1);
-        r.commit("g1", &cg, "n2", 1);
+        r.commit("g1", &fw, "n2", 1);
         let keep: BTreeSet<ShareKey> = [nat.clone()].into();
-        assert_eq!(r.release_except("g1", &keep), vec![cg]);
+        assert_eq!(r.release_except("g1", &keep), vec![fw]);
         assert_eq!(r.get(&nat).unwrap().host, "n1");
         assert_eq!(r.instances().count(), 1);
     }

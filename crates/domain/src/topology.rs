@@ -60,8 +60,8 @@ impl Default for EdgeAttrs {
 /// Two modes:
 ///
 /// * **full mesh** (the default): every pair of nodes is implicitly
-///   adjacent; edge attributes come from the domain config
-///   (`overlay_link_ns`). Backward compatible — no transit hops ever.
+///   adjacent, every hop costing the domain's fixed full-mesh hop
+///   latency. Backward compatible — no transit hops ever.
 /// * **explicit**: only edges added via [`Topology::add_edge`] (or the
 ///   [`Topology::line`] / [`Topology::ring`] constructors) exist, and
 ///   overlay links between non-adjacent nodes are routed multi-hop.

@@ -16,7 +16,7 @@ use un_sim::{AccountId, MemLedger};
 
 use crate::adaptation::AdaptationLayer;
 use crate::plugins::{execute, BRIDGE};
-use crate::translate::{self, NnfCommand, Program};
+use crate::translate::{self, Program};
 
 /// Static characteristics of one NNF type: what the paper's orchestrator
 /// consults when deciding whether to deploy an NF as a native component
@@ -216,10 +216,7 @@ impl NnfInstance {
         }
         let (need, have) = (self.descriptor.min_ports, ports.len());
         let program = match self.adaptation {
-            Some(_) if have == 1 => vec![
-                NnfCommand::LinkUp { dev_port: 0 },
-                NnfCommand::Sysctl { ip_forward: true },
-            ],
+            Some(_) if have == 1 => translate::shared_attachment(),
             Some(_) => return Err(NnfError::BadState("a shared instance starts on one port")),
             None if have < need => return Err(NnfError::NotEnoughPorts { need, have }),
             None => (self.program)(config, have)?,

@@ -12,9 +12,10 @@
 //! script would run (`ip addr add …`, `ip link add … type bridge`,
 //! `ip route add …`, `iptables -A …`, `ip xfrm state add …`), in the
 //! order the script runs them. For a dedicated NNF the list is its
-//! namespace's whole program: an instance's
+//! namespace's whole program, and a shared one runs
+//! `shared_attachment`: an instance's
 //! [`start`](crate::NnfInstance::start) is a guard,
-//! [`execute`](crate::plugins::execute) of this list, and its RSS
+//! [`execute`](crate::plugins::execute) of the list, and its RSS
 //! booking. Every flavor is configured from here: native, Docker and VM
 //! instances run the list in a namespace (a VM's is its guest kernel),
 //! and a shared NAT reads each graph's binding through
@@ -330,6 +331,16 @@ fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, 
         cmds.push(forward(matches, target));
     }
     Ok(cmds)
+}
+
+/// A shared instance's program, whatever its type: its one attachment
+/// port up and forwarding on. Each binding brings the rest through the
+/// adaptation layer.
+pub(crate) fn shared_attachment() -> Vec<NnfCommand> {
+    vec![
+        NnfCommand::LinkUp { dev_port: 0 },
+        NnfCommand::Sysctl { ip_forward: true },
+    ]
 }
 
 /// A NAT graph's addressing — `lan-addr`, `wan-addr` and an optional

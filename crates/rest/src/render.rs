@@ -415,7 +415,6 @@ pub fn domain(domain: &Domain) -> Json {
         let leases = arr(&leases, |(key, claim)| {
             Json::obj()
                 .set("type", key.functional_type.as_str())
-                .set("capability", key.capability.as_str())
                 .set("host", claim.host.as_str())
                 .set("nfs", claim.nfs)
         });
@@ -492,7 +491,6 @@ pub fn shared(domain: &Domain) -> Json {
         });
         Json::obj()
             .set("type", inst.key.functional_type.as_str())
-            .set("capability", inst.key.capability.as_str())
             .set("host", inst.host.as_str())
             .set("tenants", inst.tenant_count())
             .set("wires", inst.wires())

@@ -1184,11 +1184,12 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
 
     // Shared-NNF leases point at live hosts with deployed tenants.
     for lease in &snap.leases {
+        let ty = &lease.functional_type;
         if snap.serving(&lease.host) != Some(true) {
             v.push(
                 Violation::new(
                     code::DANGLING_LEASE,
-                    format!("shared instance '{}' hosted on dead node", lease.key),
+                    format!("shared instance '{ty}' hosted on dead node"),
                 )
                 .on_node(&lease.host),
             );
@@ -1197,7 +1198,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             v.push(
                 Violation::new(
                     code::DANGLING_LEASE,
-                    format!("shared instance '{}' has no tenants", lease.key),
+                    format!("shared instance '{ty}' has no tenants"),
                 )
                 .on_node(&lease.host),
             );
@@ -1207,10 +1208,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
                 v.push(
                     Violation::new(
                         code::DANGLING_LEASE,
-                        format!(
-                            "shared instance '{}' leased by undeployed graph '{tenant}'",
-                            lease.key
-                        ),
+                        format!("shared instance '{ty}' leased by undeployed graph '{tenant}'"),
                     )
                     .on_graph(tenant)
                     .on_node(&lease.host),
@@ -1218,16 +1216,15 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             }
         }
     }
-    let mut hosted: BTreeMap<(&str, &str), &str> = BTreeMap::new();
+    let mut hosted: BTreeSet<(&str, &str)> = BTreeSet::new();
     for lease in &snap.leases {
-        let slot = (lease.host.as_str(), lease.functional_type.as_str());
-        if let Some(first) = hosted.insert(slot, &lease.key) {
+        if !hosted.insert((lease.host.as_str(), lease.functional_type.as_str())) {
             v.push(
                 Violation::new(
                     code::DOUBLE_HOSTED_TYPE,
                     format!(
-                        "shared instances '{first}' and '{}' share one '{}' singleton",
-                        lease.key, lease.functional_type
+                        "two shared instances share one '{}' singleton",
+                        lease.functional_type
                     ),
                 )
                 .on_node(&lease.host),
@@ -1537,7 +1534,6 @@ mod tests {
     fn lease_on_dead_host_is_flagged() {
         let mut snap = healthy();
         snap.leases.push(LeaseInfo {
-            key: "nat".into(),
             functional_type: "nat".into(),
             host: "n1".into(),
             tenants: vec!["g1".into()],
@@ -1563,15 +1559,14 @@ mod tests {
     #[test]
     fn two_pools_of_one_type_on_one_host_are_flagged() {
         let mut snap = healthy();
-        let lease = |key: &str, host: &str| LeaseInfo {
-            key: key.into(),
+        let lease = |host: &str| LeaseInfo {
             functional_type: "nat".into(),
             host: host.into(),
             tenants: vec!["g1".into()],
         };
-        snap.leases.push(lease("nat", "n1"));
-        snap.leases.push(lease("nat/cgnat", "n2"));
-        assert!(run(&snap).ok(), "two pools on two hosts");
+        snap.leases.push(lease("n1"));
+        snap.leases.push(lease("n2"));
+        assert!(run(&snap).ok(), "one instance on each of two hosts");
         snap.leases[1].host = "n1".into();
         let hits: Vec<_> = check_ledger(&snap)
             .into_iter()
@@ -1579,7 +1574,7 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1, "{hits:#?}");
         assert_eq!(hits[0].node.as_deref(), Some("n1"));
-        assert!(hits[0].detail.contains("'nat' and 'nat/cgnat'"));
+        assert!(hits[0].detail.contains("one 'nat' singleton"));
     }
 
     #[test]

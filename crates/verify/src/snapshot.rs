@@ -129,10 +129,8 @@ pub struct LinkInfo {
 /// One shared-NNF instance and its tenancy.
 #[derive(Debug, Clone)]
 pub struct LeaseInfo {
-    /// Rendered share key (functional type + capability).
-    pub key: String,
-    /// The key's functional type: a node runs at most one shared
-    /// instance of it.
+    /// The instance's functional type, which names it: the domain
+    /// shares one instance per type, and a node runs at most one.
     pub functional_type: String,
     /// Node hosting the instance.
     pub host: String,
