@@ -161,10 +161,9 @@ impl ComputeDriver for DockerDriver {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{ipsec_config, Rig};
+    use super::super::testkit::{ipsec, Rig};
     use super::*;
     use un_container::{Image, Layer};
-    use un_nffg::NfConfig;
     use un_sim::mem::mb_f;
 
     fn registry() -> Registry {
@@ -202,7 +201,7 @@ mod tests {
                 1,
                 "ipsec",
                 &spec("strongswan", mb_f(19.4)),
-                &ipsec_config(),
+                &ipsec(),
                 false,
             )
             .unwrap();
@@ -257,20 +256,19 @@ mod tests {
     fn create_failures() {
         let mut rig = Rig::new();
         let mut d = DockerDriver::default();
-        let plain = NfConfig::default();
         // No such functional type.
         assert!(matches!(
-            rig.create(&mut d, 1, "quantum", &spec("img", 0), &plain, false),
+            rig.create(&mut d, 1, "quantum", &spec("img", 0), &[], false),
             Err(ComputeError::Unsupported(_))
         ));
         // Image not in registry.
         assert!(matches!(
-            rig.create(&mut d, 1, "ipsec", &spec("ghost", 0), &plain, false),
+            rig.create(&mut d, 1, "ipsec", &spec("ghost", 0), &[], false),
             Err(ComputeError::Substrate(_))
         ));
         // A spec of another technology.
         assert!(matches!(
-            rig.create(&mut d, 1, "ipsec", &FlavorSpec::Native, &plain, false),
+            rig.create(&mut d, 1, "ipsec", &FlavorSpec::Native, &[], false),
             Err(ComputeError::Unsupported(_))
         ));
         assert_eq!(d.instance_count(), 0);

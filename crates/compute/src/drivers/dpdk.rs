@@ -152,7 +152,6 @@ mod tests {
     use super::super::testkit::Rig;
     use super::*;
     use crate::types::IoOutcome;
-    use un_nffg::NfConfig;
     use un_sim::CostModel;
 
     const PROC: InstanceId = InstanceId(1);
@@ -162,8 +161,7 @@ mod tests {
             cores,
             hugepages_mb,
         };
-        rig.create(d, PROC.0, "l2fwd", &spec, &NfConfig::default(), false)
-            .unwrap()
+        rig.create(d, PROC.0, "l2fwd", &spec, &[], false).unwrap()
     }
 
     /// A one-frame burst on `port` of the process.

@@ -15,8 +15,7 @@ pub use vm::VmDriver;
 use std::collections::HashMap;
 
 use un_linux::{Host, IfaceId, NsId};
-use un_nffg::NfConfig;
-use un_nnf::{GraphBinding, NnfDescriptor};
+use un_nnf::{GraphBinding, NnfCommand, NnfDescriptor};
 use un_packet::Packet;
 use un_sim::{AccountId, CostModel, MemLedger};
 
@@ -33,7 +32,8 @@ pub struct NodeEnv<'a> {
 }
 
 /// One NF to realize: what the compute manager hands the driver of
-/// `spec`'s technology.
+/// `spec`'s technology, with the NF's compiled command list, never its
+/// config.
 #[derive(Debug, Clone, Copy)]
 pub struct CreateRequest<'a> {
     /// The node-unique id the instance will answer to.
@@ -48,8 +48,9 @@ pub struct CreateRequest<'a> {
     pub spec: &'a FlavorSpec,
     /// Ports the graph wires.
     pub n_ports: usize,
-    /// The NF's generic configuration.
-    pub config: &'a NfConfig,
+    /// What the NF's config compiled to; a shared instance runs its
+    /// attachment program instead.
+    pub program: &'a [NnfCommand],
     /// The type's native descriptor from the repository, when it has
     /// one: the native, Docker and VM drivers build the NF's
     /// [`NnfInstance`](un_nnf::NnfInstance) from it, and refuse a type
@@ -174,6 +175,8 @@ fn foreign(spec: &FlavorSpec) -> ComputeError {
 #[cfg(test)]
 pub(crate) mod testkit {
     use super::*;
+    use un_nffg::{NfConfig, NfFgBuilder};
+    use un_nnf::NnfError;
 
     /// A host, ledger and cost model to drive one driver against.
     pub struct Rig {
@@ -201,14 +204,14 @@ pub(crate) mod testkit {
 
         /// Open an account and ask `driver` for a two-port instance
         /// `id`, named `nf<id>`, described as the standard repository
-        /// describes its type.
+        /// describes its type, to run `program`.
         pub fn create(
             &mut self,
             driver: &mut dyn ComputeDriver,
             id: u64,
             functional_type: &str,
             spec: &FlavorSpec,
-            config: &NfConfig,
+            program: &[NnfCommand],
             shared: bool,
         ) -> Result<AccountId, ComputeError> {
             let name = format!("nf{id}");
@@ -221,12 +224,29 @@ pub(crate) mod testkit {
                 functional_type,
                 spec,
                 n_ports: 2,
-                config,
+                program,
                 nf: repository.nnf(functional_type),
                 shared,
             };
             driver.create(&mut self.env(), &req).map(|()| account)
         }
+    }
+
+    /// What `config` compiles to for a two-port `functional_type` NF:
+    /// its command list, empty for a type without a program.
+    pub fn program(functional_type: &str, config: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
+        let graph = NfFgBuilder::new("g", "one NF")
+            .nf_with_config("nf", functional_type, 2, config.clone())
+            .build();
+        let mut programs = un_nnf::compile(&graph).map_err(|e| e.error)?;
+        Ok(programs
+            .remove("nf")
+            .map_or_else(Vec::new, |c| c.commands.to_vec()))
+    }
+
+    /// The IPsec CPE's command list: [`ipsec_config`] compiled.
+    pub fn ipsec() -> Vec<NnfCommand> {
+        program("ipsec", &ipsec_config()).unwrap()
     }
 
     pub fn ipsec_config() -> NfConfig {

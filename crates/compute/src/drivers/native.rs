@@ -9,8 +9,8 @@
 //! script." — §2.
 //!
 //! Here the plugin is an [`NnfInstance`] built from the descriptor the
-//! request carries, and the script is the command list `un_nnf::translate`
-//! compiles from the NF's config.
+//! request carries, and the script is the command list it carries,
+//! compiled from the NF's config by `un_nnf::compile`.
 
 use std::collections::HashMap;
 
@@ -54,21 +54,19 @@ impl NativeDriver {
         self.singletons.get(functional_type).copied()
     }
 
-    /// The graph of each binding on a shared instance, in bind order, as
-    /// its adaptation layer records them (a graph with two NFs on it is
-    /// there twice); empty for any other.
-    pub fn bound_graphs(&self, id: InstanceId) -> Vec<String> {
-        let bindings = self.instances.get(&id).map(|i| i.sandbox.plugin.bindings());
-        bindings
+    /// The bindings on a shared instance, in bind order, as its
+    /// adaptation layer records them (a graph with two NFs on it holds
+    /// two); none on any other.
+    pub fn bindings(&self, id: InstanceId) -> impl Iterator<Item = &GraphBinding> {
+        let instance = self.instances.get(&id);
+        instance
             .into_iter()
-            .flatten()
-            .map(|b| b.graph.clone())
-            .collect()
+            .flat_map(|i| i.sandbox.plugin.bindings())
     }
 
     /// Bindings on an instance (shared mode).
     pub fn binding_count(&self, id: InstanceId) -> usize {
-        self.bound_graphs(id).len()
+        self.bindings(id).count()
     }
 }
 
@@ -192,9 +190,9 @@ impl ComputeDriver for NativeDriver {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{ipsec_config, Rig};
+    use super::super::testkit::{ipsec, Rig};
     use super::*;
-    use un_nffg::NfConfig;
+    use un_nnf::NatBinding;
 
     const NATIVE: &FlavorSpec = &FlavorSpec::Native;
 
@@ -202,18 +200,18 @@ mod tests {
     fn single_instance_nnf_enforced() {
         let mut rig = Rig::new();
         let mut d = NativeDriver::default();
-        rig.create(&mut d, 1, "ipsec", NATIVE, &ipsec_config(), false)
+        rig.create(&mut d, 1, "ipsec", NATIVE, &ipsec(), false)
             .unwrap();
         // A second native IPsec must be refused (charon is a singleton).
         let err = rig
-            .create(&mut d, 2, "ipsec", NATIVE, &ipsec_config(), false)
+            .create(&mut d, 2, "ipsec", NATIVE, &ipsec(), false)
             .unwrap_err();
         assert!(matches!(err, ComputeError::NnfBusy(_)));
         assert_eq!(d.existing_instance("ipsec"), Some(InstanceId(1)));
 
         // Multi-instance NNFs are fine twice.
         for id in [3, 4] {
-            rig.create(&mut d, id, "firewall", NATIVE, &NfConfig::default(), false)
+            rig.create(&mut d, id, "firewall", NATIVE, &[], false)
                 .unwrap();
         }
     }
@@ -222,29 +220,31 @@ mod tests {
     fn shared_mode_rules() {
         let mut rig = Rig::new();
         let mut d = NativeDriver::default();
-        let plain = NfConfig::default();
         // firewall is not sharable.
         assert!(matches!(
-            rig.create(&mut d, 1, "firewall", NATIVE, &plain, true),
+            rig.create(&mut d, 1, "firewall", NATIVE, &[], true),
             Err(ComputeError::Unsupported(_))
         ));
         // nat is sharable; shared instance gets a single port.
         let nat = InstanceId(2);
-        rig.create(&mut d, 2, "nat", NATIVE, &plain, true).unwrap();
+        rig.create(&mut d, 2, "nat", NATIVE, &[], true).unwrap();
         assert!(d.port_iface(nat, 0).is_some());
         assert!(d.port_iface(nat, 1).is_none());
         d.start(&mut rig.env(), nat).unwrap();
 
-        let mut params = std::collections::BTreeMap::new();
-        params.insert("lan-addr".into(), "192.168.1.1/24".into());
-        params.insert("wan-addr".into(), "203.0.113.1/24".into());
+        let addressing = NatBinding {
+            lan: "192.168.1.1/24".parse().unwrap(),
+            wan: "203.0.113.1/24".parse().unwrap(),
+            gw: None,
+            dnat: Vec::new(),
+        };
         let binding = GraphBinding {
             graph: "g1".into(),
             mark: 1,
             zone: 1,
             vid_lan: 100,
             vid_wan: 101,
-            params,
+            nat: Some(addressing),
         };
         d.bind_graph(&mut rig.env(), nat, &binding).unwrap();
         assert_eq!(d.binding_count(nat), 1);
@@ -261,7 +261,7 @@ mod tests {
         let mut rig = Rig::new();
         let mut d = NativeDriver::default();
         let swan = InstanceId(1);
-        rig.create(&mut d, 1, "ipsec", NATIVE, &ipsec_config(), false)
+        rig.create(&mut d, 1, "ipsec", NATIVE, &ipsec(), false)
             .unwrap();
         d.start(&mut rig.env(), swan).unwrap();
 
@@ -304,7 +304,7 @@ mod tests {
             "namespace outlived its NNF"
         );
         assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
-        rig.create(&mut d, 9, "ipsec", NATIVE, &ipsec_config(), false)
+        rig.create(&mut d, 9, "ipsec", NATIVE, &ipsec(), false)
             .unwrap();
     }
 }

@@ -11,8 +11,7 @@
 //! file — and why a VM's NF costs the same plus its boundary.
 
 use un_linux::{Host, IfaceId, NsId};
-use un_nffg::NfConfig;
-use un_nnf::{NnfContext, NnfInstance};
+use un_nnf::{NnfCommand, NnfContext, NnfInstance};
 use un_packet::Packet;
 use un_sim::{AccountId, Cost, MemLedger};
 
@@ -29,7 +28,7 @@ pub(super) struct Sandbox {
     base_tag: u64,
     /// The NNF (a shared one takes per-graph bindings).
     pub(super) plugin: NnfInstance,
-    config: NfConfig,
+    program: Vec<NnfCommand>,
     account: AccountId,
 }
 
@@ -57,7 +56,7 @@ impl Sandbox {
                 ports,
                 base_tag,
                 plugin,
-                config: req.config.clone(),
+                program: req.program.to_vec(),
                 account: req.account,
             }),
             Err(e) => {
@@ -98,7 +97,7 @@ impl Sandbox {
     ) -> Result<(), ComputeError> {
         let mut ctx = self.ctx(host, ledger);
         self.plugin
-            .start(&mut ctx, &self.ports, &self.config)
+            .start(&mut ctx, &self.ports, &self.program)
             .map_err(substrate)
     }
 

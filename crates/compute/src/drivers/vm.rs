@@ -178,11 +178,12 @@ impl ComputeDriver for VmDriver {
 #[cfg(test)]
 mod tests {
     use super::super::native::NativeDriver;
-    use super::super::testkit::{ipsec_config, Rig};
+    use super::super::testkit::{ipsec, ipsec_config, program, Rig};
     use super::*;
     use crate::types::IoOutcome;
     use un_hypervisor::DiskImage;
     use un_nffg::NfConfig;
+    use un_nnf::NnfError;
     use un_packet::ethernet::ETHERNET_HEADER_LEN;
     use un_packet::{MacAddr, PacketBuilder};
 
@@ -231,7 +232,7 @@ mod tests {
     /// same config (instance 2), side by side on one host.
     fn both_flavors(rig: &mut Rig) -> (NativeDriver, VmDriver) {
         let (mut native, mut vm) = (NativeDriver::default(), driver());
-        let config = ipsec_config();
+        let config = ipsec();
         rig.create(&mut native, 1, "ipsec", &FlavorSpec::Native, &config, false)
             .unwrap();
         native.start(&mut rig.env(), InstanceId(1)).unwrap();
@@ -246,29 +247,28 @@ mod tests {
         let mut d = VmDriver::default();
         let mut rig = Rig::new();
         let plain = NfConfig::default();
+        let bridge = program("bridge", &plain).unwrap();
         // Missing image: refused before the guest exists.
         assert!(matches!(
-            rig.create(&mut d, 1, "bridge", &spec("ghost"), &plain, false),
+            rig.create(&mut d, 1, "bridge", &spec("ghost"), &bridge, false),
             Err(ComputeError::Substrate(_))
         ));
         assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
         let mut d = driver();
         // No guest runs a type the repository has no native NF for.
         assert!(matches!(
-            rig.create(&mut d, 1, "quantum", &spec("img"), &plain, false),
+            rig.create(&mut d, 1, "quantum", &spec("img"), &[], false),
             Err(ComputeError::Unsupported(_))
         ));
         assert_eq!(d.instance_count(), 0);
-        // IPsec without its config: the guest refuses it at start, as a
-        // native NNF does.
-        rig.create(&mut d, 1, "ipsec", &spec("img"), &plain, false)
-            .unwrap();
-        assert!(matches!(
-            d.start(&mut rig.env(), InstanceId(1)),
-            Err(ComputeError::Substrate(_))
-        ));
+        // IPsec without its config never reaches a guest: it does not
+        // compile, as it would not for a native NNF.
+        assert_eq!(
+            program("ipsec", &plain).unwrap_err(),
+            NnfError::MissingParam("lan-addr")
+        );
         // A bridge needs nothing.
-        rig.create(&mut d, 2, "bridge", &spec("img"), &plain, false)
+        rig.create(&mut d, 2, "bridge", &spec("img"), &bridge, false)
             .unwrap();
         let vm = InstanceId(2);
         d.start(&mut rig.env(), vm).unwrap();
@@ -288,7 +288,8 @@ mod tests {
     /// One config, two flavors: the native NNF's kernel and the VM's
     /// guest kernel run the same command list, so one frame forwards and
     /// seals into the same outer IPv4 packet, header and ESP bytes alike.
-    /// Both refuse a config without interface addresses at start.
+    /// A config without interface addresses reaches neither: it does not
+    /// compile, and the list it would have been is the one both run.
     #[test]
     fn a_vm_guest_and_a_native_nnf_seal_alike() {
         let mut rig = Rig::new();
@@ -307,22 +308,10 @@ mod tests {
         let mut tunnel_only = ipsec_config();
         tunnel_only.params.remove("lan-addr");
         tunnel_only.params.remove("wan-addr");
-        native.stop(&mut rig.env(), kernel).unwrap();
-        native.destroy(&mut rig.env(), kernel).unwrap();
-        let native_spec = FlavorSpec::Native;
-        rig.create(&mut native, 3, "ipsec", &native_spec, &tunnel_only, false)
-            .unwrap();
-        rig.create(&mut vm, 4, "ipsec", &spec("img"), &tunnel_only, false)
-            .unwrap();
-        for (driver, id) in [
-            (&mut native as &mut dyn ComputeDriver, InstanceId(3)),
-            (&mut vm, InstanceId(4)),
-        ] {
-            assert!(matches!(
-                driver.start(&mut rig.env(), id),
-                Err(ComputeError::Substrate(e)) if e.contains("lan-addr")
-            ));
-        }
+        assert_eq!(
+            program("ipsec", &tunnel_only).unwrap_err(),
+            NnfError::MissingParam("lan-addr")
+        );
     }
 
     /// For one 1500-byte IPsec frame, the VM charges what the native NNF
@@ -353,7 +342,7 @@ mod tests {
     fn the_host_books_what_a_guest_kernel_drops() {
         let mut rig = Rig::new();
         let mut d = driver();
-        rig.create(&mut d, 1, "ipsec", &spec("img"), &ipsec_config(), false)
+        rig.create(&mut d, 1, "ipsec", &spec("img"), &ipsec(), false)
             .unwrap();
         let vm = InstanceId(1);
         d.start(&mut rig.env(), vm).unwrap();
@@ -382,7 +371,7 @@ mod tests {
         let mut d = driver();
         let spec = spec("img");
         let account = rig
-            .create(&mut d, 1, "ipsec", &spec, &ipsec_config(), false)
+            .create(&mut d, 1, "ipsec", &spec, &ipsec(), false)
             .unwrap();
         d.start(&mut rig.env(), InstanceId(1)).unwrap();
         assert_eq!(rig.ledger.usage(account), d.estimate_ram(&spec));

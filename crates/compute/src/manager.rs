@@ -3,8 +3,7 @@
 use std::collections::BTreeMap;
 
 use un_linux::{IfaceId, NsId};
-use un_nffg::NfConfig;
-use un_nnf::GraphBinding;
+use un_nnf::{GraphBinding, NnfCommand};
 use un_packet::Packet;
 use un_sim::{AccountId, MemLedger};
 
@@ -98,9 +97,10 @@ impl ComputeManager {
         Ok(self.driver(flavor))
     }
 
-    /// Create an NF instance with the chosen flavor. The request carries
-    /// the type's native descriptor from the repository, which every
-    /// driver that runs an NNF instance builds it from.
+    /// Create an NF instance with the chosen flavor, to run `program`.
+    /// The request carries the type's native descriptor from the
+    /// repository, which every driver that runs an NNF instance builds
+    /// it from.
     ///
     /// `shared_native` asks for a shared native instance, which graphs
     /// bind to ([`CreateRequest::shared`]).
@@ -112,7 +112,7 @@ impl ComputeManager {
         functional_type: &str,
         spec: &FlavorSpec,
         n_ports: usize,
-        config: &NfConfig,
+        program: &[NnfCommand],
         shared_native: bool,
         parent_account: AccountId,
     ) -> Result<InstanceId, ComputeError> {
@@ -128,7 +128,7 @@ impl ComputeManager {
             functional_type,
             spec,
             n_ports,
-            config,
+            program,
             nf: nf.as_ref(),
             shared: shared_native,
         };
@@ -285,7 +285,7 @@ impl ComputeManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::testkit::ipsec_config;
+    use crate::drivers::testkit::{ipsec_config, program};
     use un_container::{Image, Layer};
     use un_hypervisor::vm::QEMU_OVERHEAD_MB;
     use un_hypervisor::DiskImage;
@@ -335,7 +335,7 @@ mod tests {
                     mem_mb: 320,
                 },
                 2,
-                &ipsec_config(),
+                &program("ipsec", &ipsec_config()).unwrap(),
                 false,
                 node,
             )
@@ -351,7 +351,7 @@ mod tests {
                     process_rss: mb_f(19.4) - mb_f(0.9), // plugin adds tooling RSS
                 },
                 2,
-                &ipsec_config(),
+                &program("ipsec", &ipsec_config()).unwrap(),
                 false,
                 node,
             )
@@ -363,7 +363,7 @@ mod tests {
                 "ipsec",
                 &FlavorSpec::Native,
                 2,
-                &ipsec_config(),
+                &program("ipsec", &ipsec_config()).unwrap(),
                 false,
                 node,
             )
@@ -442,7 +442,7 @@ mod tests {
                     hugepages_mb: 256,
                 },
                 2,
-                &NfConfig::default(),
+                &[],
                 false,
                 node,
             )
@@ -476,7 +476,7 @@ mod tests {
                     hugepages_mb: 256,
                 },
                 2,
-                &NfConfig::default(),
+                &[],
                 false,
                 node,
             )
@@ -522,7 +522,7 @@ mod tests {
                 "ipsec",
                 &FlavorSpec::Native,
                 2,
-                &ipsec_config(),
+                &program("ipsec", &ipsec_config()).unwrap(),
                 false,
                 node,
             )
@@ -541,7 +541,7 @@ mod tests {
             "ipsec",
             &FlavorSpec::Native,
             2,
-            &ipsec_config(),
+            &program("ipsec", &ipsec_config()).unwrap(),
             false,
             node,
         );

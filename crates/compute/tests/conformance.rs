@@ -16,6 +16,18 @@ use un_sim::{CostModel, MemLedger};
 
 const ID: InstanceId = InstanceId(7);
 
+/// What `config` compiles to for a two-port `functional_type` NF: its
+/// command list, empty for a type without a program.
+fn compiled(functional_type: &str, config: &NfConfig) -> Vec<un_nnf::NnfCommand> {
+    let graph = un_nffg::NfFgBuilder::new("g", "one NF")
+        .nf_with_config("nf", functional_type, 2, config.clone())
+        .build();
+    let mut programs = un_nnf::compile(&graph).expect("the config compiles");
+    programs
+        .remove("nf")
+        .map_or_else(Vec::new, |c| c.commands.to_vec())
+}
+
 fn frame() -> Packet {
     PacketBuilder::new()
         .ethernet(MacAddr::local(1), MacAddr::local(2))
@@ -73,7 +85,7 @@ fn conforms(driver: &mut dyn ComputeDriver, functional_type: &str, spec: &Flavor
         functional_type,
         spec,
         n_ports: 2,
-        config: &NfConfig::default(),
+        program: &compiled(functional_type, &NfConfig::default()),
         nf: repository.nnf(functional_type),
         shared: false,
     };

@@ -100,7 +100,7 @@ impl Instance {
             functional_type,
             spec: &spec,
             n_ports: 2,
-            config,
+            program: &compiled(functional_type, config),
             nf: repository.nnf(functional_type),
             shared: false,
         };
@@ -145,6 +145,18 @@ impl Instance {
             .map(|(port, pkt)| (port, pkt.data()[ETHERNET_HEADER_LEN..].to_vec()))
             .collect()
     }
+}
+
+/// What `config` compiles to for a two-port `functional_type` NF: its
+/// command list, empty for a type without a program.
+fn compiled(functional_type: &str, config: &NfConfig) -> Vec<un_nnf::NnfCommand> {
+    let graph = un_nffg::NfFgBuilder::new("g", "one NF")
+        .nf_with_config("nf", functional_type, 2, config.clone())
+        .build();
+    let mut programs = un_nnf::compile(&graph).expect("the config compiles");
+    programs
+        .remove("nf")
+        .map_or_else(Vec::new, |c| c.commands.to_vec())
 }
 
 /// A random packet from a LAN host: toward the tunnel's remote prefix,

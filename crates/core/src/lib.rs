@@ -33,3 +33,6 @@ pub use node::{
     UniversalNode,
 };
 pub use placement::{decide, Decision};
+/// The NF config compiler and what it makes, for the layers above the
+/// node (the domain's planner compiles before its first node call).
+pub use un_nnf::{compile, CompileError, NnfError, Programs};

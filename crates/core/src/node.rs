@@ -5,9 +5,15 @@
 //! four drivers, the base LSI (LSI-0) and one LSI per deployed NF-FG,
 //! and the virtual links between them. Deploying an NF-FG:
 //!
+//! 0. compile every NF's config into its command list
+//!    ([`un_nnf::compile`]) — [`UniversalNode::deploy`] does it first,
+//!    the domain's planner hands its lists to
+//!    [`UniversalNode::deploy_compiled`] — so a refused config costs no
+//!    node call;
 //! 1. validate the graph;
 //! 2. for every NF, run the placement policy (NNF vs VNF) and create /
-//!    reuse an instance through the compute manager;
+//!    reuse an instance through the compute manager, handing it the
+//!    NF's list (a shared one takes the graph's compiled NAT binding);
 //! 3. create the per-graph LSI, one virtual link per endpoint (plus one
 //!    per *shared* NNF), and LSI-0 classification rules;
 //! 4. compile the graph's big-switch rules into LSI flow entries —
@@ -35,7 +41,7 @@ use un_nffg::{
     validate, Endpoint, EndpointKind, FlowRule, NetworkFunction, NfFg, PortRef, RuleAction,
     TrafficMatch,
 };
-use un_nnf::GraphBinding;
+use un_nnf::{compile, CompileError, GraphBinding, NatBinding, NnfCommand, NnfError, Programs};
 use un_obs::{Accounting, ClassifierStage, DropReason, FrameLedger, HopKind, TraceSink};
 use un_packet::ethernet::MacAddr;
 use un_packet::{Ipv4Cidr, Packet};
@@ -65,6 +71,21 @@ pub enum DeployError {
     NoTemplate(String),
     /// The compute layer failed.
     Compute(String),
+    /// An NF's config does not compile; refused before any instance is
+    /// created.
+    NfConfig {
+        /// The NF id.
+        nf: String,
+        /// Why its config was refused.
+        error: NnfError,
+    },
+    /// An NF whose type runs a compiled program was handed none (a
+    /// caller of `deploy_compiled` / `update_compiled` left it out);
+    /// refused before its instance is created.
+    NotCompiled(String),
+    /// Every mark a shared NNF binding can take is held: the next one's
+    /// WAN-side VLAN id would pass 4094.
+    NoFreeMark,
     /// Admission control: node memory exhausted.
     InsufficientMemory {
         /// Bytes needed.
@@ -84,6 +105,11 @@ impl fmt::Display for DeployError {
             DeployError::EndpointConflict(e) => write!(f, "endpoint conflict on '{e}'"),
             DeployError::NoTemplate(t) => write!(f, "no template for '{t}'"),
             DeployError::Compute(e) => write!(f, "compute error: {e}"),
+            DeployError::NfConfig { nf, error } => write!(f, "NF '{nf}': {error}"),
+            DeployError::NotCompiled(nf) => write!(f, "NF '{nf}' was handed no compiled config"),
+            DeployError::NoFreeMark => {
+                write!(f, "no free shared-NNF mark (VLAN ids run out at 4094)")
+            }
             DeployError::InsufficientMemory { needed, capacity } => {
                 write!(f, "insufficient memory: need {needed}, capacity {capacity}")
             }
@@ -96,6 +122,12 @@ impl std::error::Error for DeployError {}
 impl From<ComputeError> for DeployError {
     fn from(e: ComputeError) -> Self {
         DeployError::Compute(e.to_string())
+    }
+}
+
+impl From<CompileError> for DeployError {
+    fn from(CompileError { nf, error }: CompileError) -> Self {
+        DeployError::NfConfig { nf, error }
     }
 }
 
@@ -207,6 +239,9 @@ pub struct NodeIo {
 /// NF crossing decrements it, so one looping frame dies alone instead
 /// of starving the rest of its batch.
 const FABRIC_TTL: u32 = 256;
+
+/// The highest VLAN id a shared binding's sub-interface may carry.
+const MAX_VID: u32 = 4094;
 
 /// Where a burst currently is inside the fabric (ordered so the work
 /// list drains LSI-0 buckets before graph buckets).
@@ -416,7 +451,6 @@ pub struct UniversalNode {
     graphs: BTreeMap<String, DeployedGraph>,
     slots: Vec<Option<String>>, // slot index → graph id
     internal_groups: BTreeMap<String, Vec<PortNo>>, // group → lsi0 vlink ports
-    next_mark: u32,
     next_dpid: u64,
     clock: SimTime,
     /// The node's closed counter set (the frame ledger aside).
@@ -658,7 +692,6 @@ impl UniversalNode {
             graphs: BTreeMap::new(),
             slots: Vec::new(),
             internal_groups: BTreeMap::new(),
-            next_mark: 1,
             next_dpid: 2,
             clock: SimTime::ZERO,
             trace: NodeCounters::default(),
@@ -861,8 +894,9 @@ impl UniversalNode {
     /// cross-checks its registry against this node-level truth.
     pub fn shared_nnf_graphs(&self, functional_type: &str) -> Vec<String> {
         let native = &self.compute.native;
-        let instance = native.existing_instance(functional_type);
-        instance.map_or_else(Vec::new, |id| native.bound_graphs(id))
+        let instance = native.existing_instance(functional_type).into_iter();
+        let bindings = instance.flat_map(|id| native.bindings(id));
+        bindings.map(|b| b.graph.clone()).collect()
     }
 
     /// Rough RAM a new NF of this type would consume, for fleet-level
@@ -898,9 +932,23 @@ impl UniversalNode {
     // Deploy / undeploy / update
     // ------------------------------------------------------------------
 
-    /// Deploy an NF-FG: check it against the node, build it, then adopt
-    /// the built graph — or hand what was built so far to `teardown`.
+    /// Deploy an NF-FG: compile its NFs' configs, then
+    /// [`deploy_compiled`](Self::deploy_compiled). A config refused here
+    /// is a [`DeployError::NfConfig`], before the node is touched.
     pub fn deploy(&mut self, nffg: &NfFg) -> Result<DeployReport, DeployError> {
+        let programs = compile(nffg)?;
+        self.deploy_compiled(nffg, &programs)
+    }
+
+    /// Deploy an NF-FG whose NFs' configs `programs` holds compiled (the
+    /// domain's plan carries them): check it against the node, build it,
+    /// then adopt the built graph — or hand what was built so far to
+    /// `teardown`.
+    pub fn deploy_compiled(
+        &mut self,
+        nffg: &NfFg,
+        programs: &Programs,
+    ) -> Result<DeployReport, DeployError> {
         let errs = validate(nffg);
         if !errs.is_empty() {
             return Err(DeployError::Invalid(errs));
@@ -944,7 +992,7 @@ impl UniversalNode {
             nfs: BTreeMap::new(),
             next_port: 1,
         };
-        match self.build(nffg, &mut graph) {
+        match self.build(nffg, programs, &mut graph) {
             Ok(report) => {
                 self.slots[slot as usize] = Some(nffg.id.clone());
                 self.graphs.insert(nffg.id.clone(), graph);
@@ -964,10 +1012,11 @@ impl UniversalNode {
     fn build(
         &mut self,
         nffg: &NfFg,
+        programs: &Programs,
         graph: &mut DeployedGraph,
     ) -> Result<DeployReport, DeployError> {
         for nf in &nffg.nfs {
-            self.place_nf(graph, nf)?;
+            self.place_nf(graph, nf, programs)?;
         }
         let used = self.memory_used();
         if used > self.mem_capacity {
@@ -1003,24 +1052,34 @@ impl UniversalNode {
         Ok(graph.report(&self.compute, self.lsi0.flow_count()))
     }
 
-    /// Create or join the instance serving `nf`.
+    /// Create or join the instance serving `nf`, from what its config
+    /// compiled to in `programs`. Every type with a native
+    /// implementation runs a program, whatever the flavor, so such an NF
+    /// missing from `programs` is refused.
     fn place_nf(
         &mut self,
         graph: &mut DeployedGraph,
         nf: &NetworkFunction,
+        programs: &Programs,
     ) -> Result<(), DeployError> {
         let gid = graph.nffg.id.clone();
         let own = format!("{gid}-{}", nf.id);
+        let compiled = programs.get(&nf.id);
+        if compiled.is_none() && self.compute.repository().nnf(&nf.functional_type).is_some() {
+            return Err(DeployError::NotCompiled(nf.id.clone()));
+        }
+        let program = compiled.map_or(&[][..], |c| &c.commands[..]);
+        let nat = compiled.and_then(|c| c.nat.as_ref());
         match self.decide_nf(&nf.functional_type, nf.flavor.as_deref())? {
-            Decision::NativeNew => self.launch(graph, nf, &own, &FlavorSpec::Native, None),
-            Decision::Vnf(spec) => self.launch(graph, nf, &own, &spec, None),
+            Decision::NativeNew => self.launch(graph, nf, &own, &FlavorSpec::Native, program, None),
+            Decision::Vnf(spec) => self.launch(graph, nf, &own, &spec, program, None),
             Decision::NativeNewShared => {
-                let binding = self.make_binding(&gid, nf);
+                let binding = self.make_binding(&gid, nat, None)?;
                 let name = format!("shared-{}", nf.functional_type);
-                self.launch(graph, nf, &name, &FlavorSpec::Native, Some(binding))
+                self.launch(graph, nf, &name, &FlavorSpec::Native, &[], Some(binding))
             }
             Decision::NativeShare(instance) => {
-                let binding = self.make_binding(&gid, nf);
+                let binding = self.make_binding(&gid, nat, Some(instance))?;
                 self.join(graph, nf, instance, Some(binding), false)?;
                 self.trace.nnf_shares += 1;
                 Ok(())
@@ -1028,14 +1087,15 @@ impl UniversalNode {
         }
     }
 
-    /// Create an instance for `nf` and start it; a shared one gets its
-    /// LSI-0 attach port and this graph's binding.
+    /// Create an instance for `nf` to run `program` and start it; a
+    /// shared one gets its LSI-0 attach port and this graph's binding.
     fn launch(
         &mut self,
         graph: &mut DeployedGraph,
         nf: &NetworkFunction,
         name: &str,
         spec: &FlavorSpec,
+        program: &[NnfCommand],
         shared: Option<GraphBinding>,
     ) -> Result<(), DeployError> {
         let mut env = NodeEnv {
@@ -1049,7 +1109,7 @@ impl UniversalNode {
             &nf.functional_type,
             spec,
             nf.ports.len().max(1),
-            &nf.config,
+            program,
             shared.is_some(),
             self.node_account,
         )?;
@@ -1086,17 +1146,38 @@ impl UniversalNode {
         Ok(())
     }
 
-    fn make_binding(&mut self, graph_id: &str, nf: &NetworkFunction) -> GraphBinding {
-        let mark = self.next_mark;
-        self.next_mark += 1;
-        GraphBinding {
+    /// A binding of `graph_id` on shared `instance` (`None`: one about
+    /// to be created), carrying the NAT binding its NF compiled to. Its
+    /// mark is the lowest no binding on the instance holds — its
+    /// adaptation layer is the one record of those, so a departed
+    /// binding's mark is free again — and its zone and VLAN pair follow
+    /// from the mark; a mark whose WAN-side VLAN id would pass 4094 is
+    /// refused.
+    fn make_binding(
+        &self,
+        graph_id: &str,
+        nat: Option<&NatBinding>,
+        instance: Option<InstanceId>,
+    ) -> Result<GraphBinding, DeployError> {
+        let bindings = instance
+            .into_iter()
+            .flat_map(|id| self.compute.native.bindings(id));
+        let mut held: Vec<u32> = bindings.map(|b| b.mark).collect();
+        held.sort_unstable();
+        let gap = (1u32..).zip(&held).find(|(m, h)| m != *h);
+        let mark = gap.map_or(held.len() as u32 + 1, |(m, _)| m);
+        let vid_wan = 101 + 2 * mark;
+        if vid_wan > MAX_VID {
+            return Err(DeployError::NoFreeMark);
+        }
+        Ok(GraphBinding {
             graph: graph_id.to_string(),
             mark,
             zone: mark as u16,
-            vid_lan: (100 + mark * 2) as u16,
-            vid_wan: (101 + mark * 2) as u16,
-            params: nf.config.params.clone(),
-        }
+            vid_lan: (vid_wan - 1) as u16,
+            vid_wan: vid_wan as u16,
+            nat: nat.cloned(),
+        })
     }
 
     /// A virtual link between LSI-0 and the graph LSI; returns its
@@ -1265,9 +1346,28 @@ impl UniversalNode {
     /// Update a deployed graph.
     ///
     /// Rule-only changes are applied in place (remove + reinstall flow
-    /// entries); structural changes (NFs or endpoints) trigger an
-    /// undeploy + redeploy of the graph.
+    /// entries); structural changes (NFs or endpoints) compile the new
+    /// graph's configs, then undeploy and redeploy it — so a config
+    /// refused leaves the deployed graph as it was.
     pub fn update(&mut self, nffg: &NfFg) -> Result<DeployReport, DeployError> {
+        let old = self
+            .graphs
+            .get(&nffg.id)
+            .ok_or_else(|| DeployError::NoSuchGraph(nffg.id.clone()))?;
+        let programs = match un_nffg::diff(&old.nffg, nffg).is_structural() {
+            true => compile(nffg)?,
+            false => Programs::new(),
+        };
+        self.update_compiled(nffg, &programs)
+    }
+
+    /// [`update`](Self::update) with the NFs' configs compiled in
+    /// `programs`, which a structural change deploys from.
+    pub fn update_compiled(
+        &mut self,
+        nffg: &NfFg,
+        programs: &Programs,
+    ) -> Result<DeployReport, DeployError> {
         let old = self
             .graphs
             .get(&nffg.id)
@@ -1276,7 +1376,7 @@ impl UniversalNode {
         if diff.is_structural() {
             self.undeploy(&nffg.id)?;
             self.trace.graph_updates_structural += 1;
-            return self.deploy(nffg);
+            return self.deploy_compiled(nffg, programs);
         }
         // Rule-level update.
         let errs = validate(nffg);

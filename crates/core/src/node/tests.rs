@@ -700,10 +700,11 @@ impl Subject {
 enum Failure {
     /// The driver refuses `create`: the image is not in its store.
     Create,
-    /// A config parameter the NF needs is missing: the NNF instance's
-    /// `start` fails, in a VM's guest as in a namespace of its own.
+    /// A config parameter the NF needs is missing: the config does not
+    /// compile, in a VM's guest as in a namespace of its own.
     Start,
-    /// `bind` fails: the binding lacks the graph's LAN address.
+    /// The binding would lack the graph's LAN address: the shared NAT's
+    /// config does not compile.
     Bind,
     /// Every NF runs, then memory admission refuses the graph.
     Memory,
@@ -988,6 +989,32 @@ fn a_one_port_bridge_is_refused_on_every_flavor() {
     }
 }
 
+/// `deploy_compiled` trusts no caller to have compiled every NF: one
+/// whose type runs a program but has no entry in the map is refused
+/// before its instance is created, on every flavor, and a type with no
+/// program (DPDK's fast path) needs none.
+#[test]
+fn an_nf_handed_no_program_is_refused() {
+    for flavor in ["native", "docker", "vm"] {
+        let mut n = node();
+        let before = census(&n);
+        let mut g = bridge_graph("g");
+        g.nfs[0].flavor = Some(flavor.into());
+        let err = n.deploy_compiled(&g, &Programs::new()).unwrap_err();
+        assert_eq!(err, DeployError::NotCompiled("br".into()), "{flavor}");
+        assert_eq!(census(&n), before, "{flavor}");
+    }
+    let mut n = node();
+    let g = NfFgBuilder::new("g", "fast path")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf("fwd", "l2fwd-fast", 2)
+        .chain("lan", &["fwd"], "wan")
+        .build();
+    n.deploy_compiled(&g, &Programs::new())
+        .expect("nothing to compile");
+}
+
 /// Every implementation the repository lists deploys: for each row and
 /// each flavor it offers, a one-NF graph hinted to that flavor lands on
 /// it, runs from an image, and leaves the node as it found it. A hint
@@ -1059,8 +1086,11 @@ fn a_failed_deploy_leaves_the_node_as_it_found_it() {
                 .deploy(&subject_graph("broken", subject, Some(failure)))
                 .expect_err(&tag);
             match failure {
-                Create | Start | Bind => {
+                Create => {
                     assert!(matches!(err, DeployError::Compute(_)), "{tag}: {err}")
+                }
+                Start | Bind => {
+                    assert!(matches!(err, DeployError::NfConfig { .. }), "{tag}: {err}")
                 }
                 Memory => assert!(
                     matches!(err, DeployError::InsufficientMemory { .. }),
@@ -1101,4 +1131,179 @@ fn a_failed_deploy_leaves_the_node_as_it_found_it() {
         }
     }
     assert_eq!(cells, 25);
+}
+
+/// `lan → nat → wan` on eth0 / eth1, in `flavor` if given.
+fn nat_graph(id: &str, config: un_nffg::NfConfig, flavor: Option<&str>) -> un_nffg::NfFg {
+    let mut b = NfFgBuilder::new(id, "one NAT")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf_with_config("nat", "nat", 2, config);
+    if let Some(flavor) = flavor {
+        b = b.with_flavor(flavor);
+    }
+    b.chain("lan", &["nat"], "wan").build()
+}
+
+/// A shared binding's mark is the lowest no live binding holds, so its
+/// VLAN pair never runs out however often tenants come and go: 2100
+/// deploy / undeploy cycles of one NAT graph each forward their frame.
+/// (Marks that only ever grew put the 1998th binding's LAN side on VLAN
+/// 4096, which a 12-bit tag carries as 0.)
+#[test]
+fn a_departed_bindings_mark_is_taken_again() {
+    let mut n = node();
+    let before = census(&n);
+    let g = nat_graph("g", nat_config("203.0.113.1/24"), None);
+    for cycle in 0..2100 {
+        n.deploy(&g)
+            .unwrap_or_else(|e| panic!("cycle {cycle}: {e}"));
+        let (inst, _) = n.instance_of("g", "nat").unwrap();
+        let ns = n.compute.namespace_of(inst).unwrap();
+        let far = "8.8.8.8".parse().unwrap();
+        n.host.neigh_add(ns, far, MacAddr::local(0x99)).unwrap();
+        let pkt = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(5), MacAddr::BROADCAST)
+            .ipv4("192.168.1.10".parse().unwrap(), far)
+            .udp(5000, 53)
+            .payload(b"tenant")
+            .build();
+        let io = n.inject("eth0", pkt);
+        assert_eq!(io.emitted.len(), 1, "cycle {cycle}");
+        assert_eq!(io.emitted[0].0, "eth1", "cycle {cycle}");
+        n.undeploy("g").unwrap();
+    }
+    assert_eq!(census(&n), before);
+}
+
+/// Marks come from the adaptation layers: with 1996 bindings live on the
+/// shared NAT, the next one's WAN-side VLAN id would pass 4094, and the
+/// deploy is refused with a typed error that leaves nothing behind.
+#[test]
+fn a_binding_past_the_last_vlan_is_refused() {
+    let mut n = node();
+    let config = nat_config("203.0.113.1/24");
+    for i in 0..1996 {
+        let id = format!("g{i}");
+        let g = NfFgBuilder::new(&id, "one NAT")
+            .vlan_endpoint("lan", "eth0", 1 + (i % 4000) as u16)
+            .vlan_endpoint("wan", "eth1", 1 + (i % 4000) as u16)
+            .nf_with_config("nat", "nat", 2, config.clone())
+            .chain("lan", &["nat"], "wan")
+            .build();
+        n.deploy(&g).unwrap_or_else(|e| panic!("{id}: {e}"));
+    }
+    let before = census(&n);
+    let g = NfFgBuilder::new("last", "one NAT too many")
+        .vlan_endpoint("lan", "eth0", 4001)
+        .vlan_endpoint("wan", "eth1", 4001)
+        .nf_with_config("nat", "nat", 2, config)
+        .chain("lan", &["nat"], "wan")
+        .build();
+    assert_eq!(n.deploy(&g).unwrap_err(), DeployError::NoFreeMark);
+    assert_eq!(census(&n), before);
+    // One tenant leaves: its mark is free, and the newcomer takes it.
+    n.undeploy("g7").unwrap();
+    n.deploy(&g).unwrap();
+}
+
+/// A NAT's port forwards are part of its config in every flavor: a WAN
+/// frame to `wan-addr:8080` leaves on the LAN side rewritten to
+/// `192.168.1.20:80`, whether the NAT is the node's shared native
+/// instance (the forward scoped to the binding's WAN sub-interface) or
+/// a dedicated one in a container or a VM.
+#[test]
+fn a_nat_forwards_its_ports_in_every_flavor() {
+    let mut config = nat_config("203.0.113.1/24");
+    let web: std::collections::BTreeMap<String, String> = [
+        ("kind", "dnat"),
+        ("dport", "8080"),
+        ("to", "192.168.1.20"),
+        ("to-port", "80"),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v.to_string()))
+    .collect();
+    config.rules.push(web);
+    for flavor in [None, Some("docker"), Some("vm")] {
+        let mut n = node();
+        let before = census(&n);
+        n.deploy(&nat_graph("g", config.clone(), flavor)).unwrap();
+        let (inst, placed) = n.instance_of("g", "nat").unwrap();
+        let tag = format!("{placed}");
+        let ns = n.compute.namespace_of(inst).unwrap();
+        let server = "192.168.1.20".parse().unwrap();
+        n.host.neigh_add(ns, server, MacAddr::local(0x20)).unwrap();
+        let pkt = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(5), MacAddr::BROADCAST)
+            .ipv4(
+                "198.51.100.7".parse().unwrap(),
+                "203.0.113.1".parse().unwrap(),
+            )
+            .udp(5555, 8080)
+            .payload(b"GET /")
+            .build();
+        let io = n.inject("eth1", pkt);
+        assert_eq!(io.emitted.len(), 1, "{tag}");
+        let (port, out) = &io.emitted[0];
+        assert_eq!(port, "eth0", "{tag}");
+        let eth = out.ethernet().unwrap();
+        let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+        assert_eq!(ip.dst(), server, "{tag}");
+        let udp = un_packet::udp::UdpDatagram::new_checked(ip.payload()).unwrap();
+        assert_eq!(udp.dst_port(), 80, "{tag}");
+        n.undeploy("g").unwrap();
+        assert_eq!(census(&n), before, "{tag}");
+    }
+}
+
+/// A recycled mark brings its conntrack zone with it, so a departed
+/// binding's connections go with it: a newcomer on the mark a tenant
+/// left sends the same flow and is translated to its own WAN address,
+/// not the one the departed tenant's connection recorded.
+#[test]
+fn a_recycled_mark_starts_with_an_empty_zone() {
+    let mut n = node();
+    let tenant = |id: &str, vid: u16, wan: &str| {
+        NfFgBuilder::new(id, "NAT tenant")
+            .vlan_endpoint("lan", "eth0", vid)
+            .vlan_endpoint("wan", "eth1", vid)
+            .nf_with_config("nat", "nat", 2, nat_config(wan))
+            .chain("lan", &["nat"], "wan")
+            .build()
+    };
+    // The resident keeps the shared instance, and mark 1, alive.
+    n.deploy(&tenant("resident", 10, "192.0.2.1/24")).unwrap();
+    let far = "8.8.8.8".parse().unwrap();
+    let egress_src = |n: &mut UniversalNode, vid: u16| {
+        let (inst, _) = n.instance_of("resident", "nat").unwrap();
+        let ns = n.compute.namespace_of(inst).unwrap();
+        n.host.neigh_add(ns, far, MacAddr::local(0x99)).unwrap();
+        let pkt = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(5), MacAddr::BROADCAST)
+            .vlan(vid)
+            .ipv4("192.168.1.10".parse().unwrap(), far)
+            .udp(5000, 53)
+            .payload(b"tenant")
+            .build();
+        let mut io = n.inject("eth0", pkt);
+        assert_eq!(io.emitted.len(), 1);
+        let (_, mut out) = io.emitted.remove(0);
+        out.vlan_pop().unwrap();
+        let eth = out.ethernet().unwrap();
+        un_packet::Ipv4Packet::new_checked(eth.payload())
+            .unwrap()
+            .src()
+    };
+    n.deploy(&tenant("first", 20, "203.0.113.1/24")).unwrap();
+    assert_eq!(
+        egress_src(&mut n, 20),
+        "203.0.113.1".parse::<std::net::Ipv4Addr>().unwrap()
+    );
+    n.undeploy("first").unwrap();
+    n.deploy(&tenant("second", 30, "198.51.100.1/24")).unwrap();
+    assert_eq!(
+        egress_src(&mut n, 30),
+        "198.51.100.1".parse::<std::net::Ipv4Addr>().unwrap()
+    );
 }

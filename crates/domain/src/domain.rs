@@ -49,7 +49,7 @@ use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use un_core::{DeployReport, Name, UniversalNode};
+use un_core::{CompileError, DeployReport, Name, NnfError, UniversalNode};
 use un_ipsec::SecurityAssociation;
 use un_nffg::{NfFg, ValidationError};
 use un_obs::{FrameLedger, PacketTrace, TraceRing, TraceSink};
@@ -223,6 +223,14 @@ pub enum DomainError {
         /// Node hosting the receiving side.
         to: String,
     },
+    /// An NF's config does not compile: refused by the planner, before
+    /// any node call.
+    NfConfig {
+        /// The NF id.
+        nf: String,
+        /// Why its config was refused.
+        error: NnfError,
+    },
     /// A node rejected its part.
     Deploy {
         /// The node that failed.
@@ -257,6 +265,7 @@ impl fmt::Display for DomainError {
             DomainError::NoRoute { from, to } => {
                 write!(f, "no fabric path from '{from}' to '{to}'")
             }
+            DomainError::NfConfig { nf, error } => write!(f, "NF '{nf}': {error}"),
             DomainError::Deploy { node, error } => write!(f, "deploy on '{node}': {error}"),
         }
     }
@@ -273,6 +282,12 @@ impl From<PlaceError> for DomainError {
 impl From<PartitionError> for DomainError {
     fn from(e: PartitionError) -> Self {
         DomainError::Partition(e)
+    }
+}
+
+impl From<CompileError> for DomainError {
+    fn from(CompileError { nf, error }: CompileError) -> Self {
+        DomainError::NfConfig { nf, error }
     }
 }
 

@@ -185,8 +185,9 @@ impl Domain {
     }
 
     /// Install `plan` as the deployment of `graph`: the one place a
-    /// partitioned graph reaches [`un_core::UniversalNode::deploy`] /
-    /// `update`, whatever built the plan.
+    /// partitioned graph reaches [`un_core::UniversalNode::deploy_compiled`]
+    /// / `update_compiled`, whatever built the plan. Each node is handed
+    /// the plan's compiled lists; none compiles a config.
     ///
     /// `old` is what the fleet holds of the graph today (`None` for a
     /// fresh deploy); the caller took it out of `self.graphs` and keeps
@@ -238,8 +239,8 @@ impl Domain {
                 .expect("assignment uses fleet")
                 .node;
             let result = match old_part {
-                Some(_) => node.update(sub),
-                None => node.deploy(sub),
+                Some(_) => node.update_compiled(sub, &plan.programs),
+                None => node.deploy_compiled(sub, &plan.programs),
             };
             match result {
                 Ok(report) => done.per_node.push((node_name.clone(), report)),

@@ -1,15 +1,16 @@
-//! Planning is a function of a view: [`plan`] decides where a graph
-//! goes — endpoints, shared instances, NFs, the cut, the route of every
-//! cut edge — and installs nothing. It reads one [`FleetView`] (filled
-//! in by [`super::Domain::planner`]; [`FleetView::without`] makes it
-//! the fleet "as if that node were dead"), one [`Constraints`] says
-//! what the graph's live deployment pins, and all it writes is the
-//! [`VidPool`] it draws fresh overlay vids from.
+//! Planning is a function of a view: [`plan`] compiles the graph's NF
+//! configs and decides where the graph goes — endpoints, shared
+//! instances, NFs, the cut, the route of every cut edge — and installs
+//! nothing. It reads one [`FleetView`] (filled in by
+//! [`super::Domain::planner`]; [`FleetView::without`] makes it the fleet
+//! "as if that node were dead"), one [`Constraints`] says what the
+//! graph's live deployment pins, and all it writes is the [`VidPool`] it
+//! draws fresh overlay vids from.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use un_core::UniversalNode;
+use un_core::{compile, Programs, UniversalNode};
 use un_nffg::{NfFg, PortRef};
 
 use super::{DeployHints, DomainConfig, DomainError, DomainGraph};
@@ -35,6 +36,9 @@ pub(crate) struct Plan {
     /// owned by the live deployment). While a standby plan is staged,
     /// these are neither free nor in use: they are reserved.
     pub(crate) taken: Vec<u16>,
+    /// Each NF's compiled config, by NF id: what every node is handed
+    /// with its part.
+    pub(crate) programs: Programs,
 }
 
 /// The overlay VLAN id pool (`base..=4094`): ids handed back are
@@ -277,11 +281,12 @@ impl FleetView<'_> {
     }
 }
 
-/// Assignment + partition + routes for `graph` on the fleet `view`
-/// shows, under the constraints `c` of its live deployment. No node
-/// and no registry is touched: all a plan takes is the fresh vids it
-/// draws from `vids` (`plan.taken`), and one that cannot stand gives
-/// those back before it returns its error.
+/// Compiled configs + assignment + partition + routes for `graph` on
+/// the fleet `view` shows, under the constraints `c` of its live
+/// deployment. No node and no registry is touched: all a plan takes is
+/// the fresh vids it draws from `vids` (`plan.taken`), and one that
+/// cannot stand gives those back before it returns its error. A config
+/// that does not compile is refused first, before any vid is drawn.
 pub(super) fn plan(
     view: &FleetView<'_>,
     vids: &mut VidPool,
@@ -289,6 +294,7 @@ pub(super) fn plan(
     c: &Constraints,
 ) -> Result<Plan, DomainError> {
     let plan_started = Instant::now();
+    let programs = compile(graph)?;
     let fabric_hops = view.fabric_hops.as_ref();
     let mut ep_pins = c.hints.endpoint_node.clone();
     ep_pins.extend(c.ep_pins.clone());
@@ -362,6 +368,7 @@ pub(super) fn plan(
         paths,
         shared,
         taken,
+        programs,
     })
 }
 

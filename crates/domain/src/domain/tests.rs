@@ -2722,3 +2722,70 @@ fn lease_release_fires_only_for_graphs_that_held_a_lease() {
         ]
     );
 }
+
+/// A config that does not compile is refused by the planner, before any
+/// node call: the graph is split over two nodes and only the second
+/// node's NF is broken, yet the first node never deploys its part —
+/// nothing rolls back, no node counts a deploy, no vid is drawn, and
+/// every node's substrate is as it was.
+#[test]
+fn a_bad_config_is_refused_before_any_node_call() {
+    let mut d = two_node_domain();
+    let mut reject = un_nffg::NfConfig::default();
+    reject.rules.push(
+        [("action".to_string(), "reject".to_string())]
+            .into_iter()
+            .collect(),
+    );
+    let g = NfFgBuilder::new("g1", "split, broken on n2")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf("br1", "bridge", 2)
+        .nf_with_config("fw", "firewall", 2, reject)
+        .chain("lan", &["br1", "fw"], "wan")
+        .build();
+    let hints = DeployHints {
+        nf_node: [
+            ("br1".to_string(), "n1".to_string()),
+            ("fw".to_string(), "n2".to_string()),
+        ]
+        .into(),
+        ..DeployHints::default()
+    };
+    let substrate = |d: &Domain| -> Vec<(usize, usize, usize, usize, usize, usize, u64)> {
+        d.node_names()
+            .iter()
+            .map(|name| {
+                let n = d.node(name).unwrap();
+                (
+                    n.host.namespace_count(),
+                    n.host.iface_count(),
+                    n.ledger.live_accounts(),
+                    n.total_instances(),
+                    n.lsis().count(),
+                    n.total_flows(),
+                    n.trace.graphs_deployed,
+                )
+            })
+            .collect()
+    };
+    let (before, vids) = (substrate(&d), d.vid_accounting());
+    let rolled_back = d.trace.deploys_rolled_back;
+
+    let err = d.deploy_with(&g, &hints).unwrap_err();
+    let refusal = un_core::NnfError::BadParam {
+        key: "rules[0].action".into(),
+        value: "reject".into(),
+    };
+    assert_eq!(
+        err,
+        DomainError::NfConfig {
+            nf: "fw".into(),
+            error: refusal
+        }
+    );
+    assert_eq!(d.trace.deploys_rolled_back, rolled_back);
+    assert_eq!(d.vid_accounting(), vids);
+    assert_eq!(substrate(&d), before);
+    assert!(d.graph_ids().is_empty());
+}

@@ -215,6 +215,18 @@ impl Conntrack {
         self.used_ports.clear();
     }
 
+    /// Forget every connection of `zone`, and the NAT ports it held
+    /// (the zone's owner left; the next one must not inherit its state).
+    pub fn flush_zone(&mut self, zone: u16) {
+        self.conns.retain(|c| c.zone != zone);
+        self.used_ports.retain(|(z, ..)| *z != zone);
+        self.lookup.clear();
+        for (i, c) in self.conns.iter().enumerate().filter(|(_, c)| c.confirmed) {
+            self.lookup.insert((c.zone, c.orig), i);
+            self.lookup.insert((c.zone, c.trans.reversed()), i);
+        }
+    }
+
     /// Iterate confirmed connections of a zone (diagnostics).
     pub fn zone_conns(&self, zone: u16) -> impl Iterator<Item = (&FlowTuple, &FlowTuple, CtState)> {
         self.conns
@@ -276,6 +288,35 @@ mod tests {
         let back = ct.rewrite(rid, dir);
         assert_eq!(back.dst, Ipv4Addr::new(192, 168, 1, 10));
         assert_eq!(back.dport, 5000);
+    }
+
+    /// Flushing a zone forgets its connections and NAT ports, and the
+    /// other zones' connections stay found in both directions.
+    #[test]
+    fn a_flushed_zone_keeps_the_others() {
+        let mut ct = Conntrack::new();
+        let pub_ip = Ipv4Addr::new(203, 0, 113, 1);
+        let t = tuple([192, 168, 1, 10], 5000, [8, 8, 8, 8], 53);
+        let mut translated = Vec::new();
+        for zone in [1, 2, 1] {
+            let id = ct.begin(zone, t);
+            ct.set_snat(id, pub_ip, Some(40000));
+            ct.confirm(id);
+            translated.push(ct.rewrite(id, CtDirection::Original));
+        }
+        ct.flush_zone(1);
+        assert_eq!(ct.len(), 1);
+        assert!(ct.find(1, &t).is_none());
+        assert_eq!(ct.zone_conns(1).count(), 0);
+        let (id, _) = ct.find(2, &t).unwrap();
+        assert_eq!(
+            ct.find(2, &translated[1].reversed()),
+            Some((id, CtDirection::Reply))
+        );
+        // The zone's port is free again: a new connection takes it.
+        let id = ct.begin(1, t);
+        ct.set_snat(id, pub_ip, Some(40000));
+        assert_eq!(ct.rewrite(id, CtDirection::Original), translated[0]);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! apart by their marks.
 //!
 //! The one sharable NNF is NAT: [`AdaptationLayer::bind_nat`] gives each
-//! binding its addresses, private routes and masquerade rule.
+//! binding the addresses, private routes, masquerade rule and port
+//! forwards its graph's config compiled to. It parses nothing: the
+//! binding carries the [`NatBinding`](crate::translate::NatBinding)
+//! [`compile`](crate::translate::compile) made.
 
 use std::net::Ipv4Addr;
 
@@ -37,7 +40,6 @@ use un_linux::IfaceId;
 use un_packet::Ipv4Cidr;
 
 use crate::plugin::{GraphBinding, NnfContext, NnfError};
-use crate::translate::nat_addressing;
 
 /// Routing-table id offset for per-graph tables.
 pub const GRAPH_TABLE_BASE: u32 = 100;
@@ -121,8 +123,9 @@ impl AdaptationLayer {
     }
 
     /// Detach a binding: remove its sub-interfaces (their addresses and
-    /// connected routes go with them), marking rules and routing table.
-    /// Returns the sub-interfaces it had.
+    /// connected routes go with them), marking rules, routing table and
+    /// the connections tracked in its zone, which a later binding may
+    /// take. Returns the sub-interfaces it had.
     pub fn detach(
         &mut self,
         ctx: &mut NnfContext<'_>,
@@ -150,60 +153,73 @@ impl AdaptationLayer {
         let ns = ctx.ns;
         if let Some(nsr) = ctx.host.namespace_mut(ns) {
             nsr.routing.remove_table(Self::table_for(binding));
+            nsr.conntrack.flush_zone(binding.zone);
         }
         Ok(ifaces)
     }
 
     /// Attach a binding to a shared NAT over `parent`: its sub-interfaces
     /// take the binding's addresses, its table routes the LAN prefix and
-    /// a default out its WAN side, and its traffic is masqueraded out its
-    /// own WAN sub-interface.
+    /// a default out its WAN side, its traffic is masqueraded out its own
+    /// WAN sub-interface, and its port forwards apply to what arrives on
+    /// that sub-interface.
     pub fn bind_nat(
         &mut self,
         ctx: &mut NnfContext<'_>,
         parent: IfaceId,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
-        let (lan_addr, wan_addr, wan_gw) = nat_addressing(&binding.params)?;
-
-        // Every parameter is parsed: nothing past this point fails on
-        // what the tenant sent, so a refused bind has attached nothing.
+        let nat = binding.nat.as_ref().ok_or(NnfError::BadState(
+            "a NAT binding without its compiled config",
+        ))?;
         let ifaces = self.attach(ctx, parent, binding)?;
-        ctx.host.addr_add(ifaces.lan, lan_addr)?;
-        ctx.host.addr_add(ifaces.wan, wan_addr)?;
+        ctx.host.addr_add(ifaces.lan, nat.lan)?;
+        ctx.host.addr_add(ifaces.wan, nat.wan)?;
 
         // This binding's private internal path: connected prefixes plus a
         // default toward its own WAN side, all in its dedicated table.
         let table = Self::table_for(binding);
-        let lan_net = Ipv4Cidr::new(lan_addr.network(), lan_addr.prefix_len());
+        let lan_net = Ipv4Cidr::new(nat.lan.network(), nat.lan.prefix_len());
         ctx.host
             .route_add(ctx.ns, table, lan_net, None, ifaces.lan, 0)?;
         let default = Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0);
         ctx.host
-            .route_add(ctx.ns, table, default, wan_gw, ifaces.wan, 0)?;
+            .route_add(ctx.ns, table, default, nat.gw, ifaces.wan, 0)?;
 
         // Masquerade this binding's traffic out its own WAN sub-interface.
         let masquerade = NfRule::new(Self::masqueraded(binding, ifaces), Target::Masquerade);
         ctx.host
             .nf_append(ctx.ns, NfTable::Nat, Chain::Postrouting, masquerade)?;
+        // Its port forwards take only what arrives on its WAN side.
+        for forward in &nat.dnat {
+            let rule = forward.rule(Some(ifaces.wan));
+            ctx.host
+                .nf_append(ctx.ns, NfTable::Nat, Chain::Prerouting, rule)?;
+        }
         Ok(())
     }
 
     /// Detach a binding from a shared NAT: everything [`Self::attach`]
-    /// made, then its masquerade rule.
+    /// made, then its masquerade rule and port forwards.
     pub fn unbind_nat(
         &mut self,
         ctx: &mut NnfContext<'_>,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
-        let matches = Self::masqueraded(binding, self.detach(ctx, binding)?);
+        let ifaces = self.detach(ctx, binding)?;
         if let Some(nsr) = ctx.host.namespace_mut(ctx.ns) {
-            nsr.netfilter.remove_rule(
+            let nf = &mut nsr.netfilter;
+            let masqueraded = Self::masqueraded(binding, ifaces);
+            nf.remove_rule(
                 NfTable::Nat,
                 Chain::Postrouting,
-                &matches,
+                &masqueraded,
                 &Target::Masquerade,
             );
+            for forward in binding.nat.iter().flat_map(|nat| &nat.dnat) {
+                let rule = forward.rule(Some(ifaces.wan));
+                nf.remove_rule(NfTable::Nat, Chain::Prerouting, &rule.matches, &rule.target);
+            }
         }
         Ok(())
     }
@@ -232,7 +248,7 @@ mod tests {
             zone: mark as u16,
             vid_lan: (mark * 2) as u16 + 100,
             vid_wan: (mark * 2) as u16 + 101,
-            params: Default::default(),
+            nat: None,
         }
     }
 

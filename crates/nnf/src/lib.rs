@@ -13,15 +13,16 @@
 //!   (`un_compute::Repository`) holds one per native type. And
 //!   [`NnfInstance`], built from a descriptor, the Rust equivalent of the
 //!   paper's "collection of bash scripts that control the basic
-//!   lifecycle (create, update, etc.)": start runs the type's command
-//!   list in the NNF's namespace through [`plugins::execute`] and books
-//!   its RSS; stop undoes it. An update is a fresh start from the new
-//!   config (see [`NnfInstance`]).
+//!   lifecycle (create, update, etc.)": start runs the NF's compiled
+//!   command list in the NNF's namespace through [`plugins::execute`]
+//!   and books its RSS; stop undoes it. An update is a fresh start from
+//!   the new config's list (see [`NnfInstance`]).
 //! * [`mod@translate`] — the generic-config → per-NNF-commands translation
 //!   the paper leaves as future work, implemented here as an extension:
-//!   the one reader of an NF's config, whose command list is a dedicated
-//!   NNF's whole namespace program (its module docs give the mapping),
-//!   and the one map from a type's name to that program.
+//!   the one reader of an NF's config. [`compile`] turns a whole graph's
+//!   configs into command lists once, before anything is built for it
+//!   (its module docs give the mapping); it holds the one map from a
+//!   type's name to its program.
 //! * [`adaptation`] — the paper's *adaptation layer* for sharable NNFs
 //!   attached through a single port: per-graph VLAN sub-interfaces whose
 //!   ingress traffic is marked (fwmark + conntrack zone) and whose
@@ -38,4 +39,4 @@ pub mod translate;
 
 pub use adaptation::AdaptationLayer;
 pub use plugin::{GraphBinding, NnfContext, NnfDescriptor, NnfError, NnfInstance};
-pub use translate::{translate, NnfCommand};
+pub use translate::{compile, CompileError, CompiledNf, NatBinding, NnfCommand, Programs};

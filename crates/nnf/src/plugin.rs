@@ -1,22 +1,23 @@
 //! The NNF instance: one native function in one namespace.
 //!
-//! An instance is its type's [`NnfDescriptor`] plus the namespace program
-//! [`translate`](mod@crate::translate) compiles for that type. Running
-//! the program configures kernel objects (XFRM, iptables, bridges,
-//! routes) inside the network namespace the NNF driver created for it. A
-//! shared instance instead accepts per-service-graph *bindings* carrying
-//! the mark / VLAN / conntrack-zone triple the node assigned, and its
-//! adaptation layer is their one record.
+//! An instance is its type's [`NnfDescriptor`]; what it runs is the
+//! command list [`compile`](crate::translate::compile) made of its NF's
+//! config before anything was built, handed to `start`. Running the list
+//! configures kernel objects (XFRM, iptables, bridges, routes) inside
+//! the network namespace the NNF driver created for it. A shared
+//! instance instead accepts per-service-graph *bindings* carrying the
+//! mark / VLAN / conntrack-zone triple the node assigned and the NAT
+//! binding compiled from the graph's config, and its adaptation layer is
+//! their one record.
 
 use std::fmt;
 
 use un_linux::{Host, IfaceId, NsId};
-use un_nffg::NfConfig;
 use un_sim::{AccountId, MemLedger};
 
 use crate::adaptation::AdaptationLayer;
 use crate::plugins::{execute, BRIDGE};
-use crate::translate::{self, Program};
+use crate::translate::{self, NatBinding, NnfCommand};
 
 /// Static characteristics of one NNF type: what the paper's orchestrator
 /// consults when deciding whether to deploy an NF as a native component
@@ -56,8 +57,9 @@ pub struct NnfContext<'a> {
 
 /// Per-binding identifiers the node assigns when a sharable NNF serves
 /// multiple service graphs through one attachment port (paper §2:
-/// marking + multiple internal paths). The adaptation layer keys on the
-/// whole binding: a graph with two NFs on one instance holds two.
+/// marking + multiple internal paths), and what the graph's config
+/// compiled to. The adaptation layer keys on the whole binding: a graph
+/// with two NFs on one instance holds two.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GraphBinding {
     /// Graph id.
@@ -70,9 +72,9 @@ pub struct GraphBinding {
     pub vid_lan: u16,
     /// VLAN id carrying this graph's WAN-side traffic on the single port.
     pub vid_wan: u16,
-    /// Function-specific addressing/config for this graph (e.g.
-    /// `lan-addr`, `wan-addr`, `wan-gw` for the NAT NNF).
-    pub params: std::collections::BTreeMap<String, String>,
+    /// The NAT binding [`compile`](crate::translate::compile) parsed
+    /// from the graph's NF config: addresses, next hop, port forwards.
+    pub nat: Option<NatBinding>,
 }
 
 /// NNF failures.
@@ -129,7 +131,9 @@ impl From<un_linux::HostError> for NnfError {
 }
 
 /// One native network function instance, built by [`NnfInstance::new`]
-/// from its type's descriptor.
+/// from its type's descriptor. It holds no config and no program: the
+/// compiled command list arrives with `start`, and a shared instance's
+/// bindings bring what their graphs compiled to.
 ///
 /// Lifecycle: `start` → zero or more `bind_graph`/`unbind_graph` (shared
 /// only) → `stop`. The driver guarantees `start` is called before any
@@ -138,9 +142,10 @@ impl From<un_linux::HostError> for NnfError {
 /// An instance is shared because it was built as one, and
 /// holds its [`AdaptationLayer`], the one record of who rides it, from
 /// construction. A dedicated instance starts on at least `min_ports` and
-/// runs its type's program; a shared one starts on its one attachment
-/// port, brings it up and turns forwarding on, and each binding brings
-/// the rest.
+/// runs its list; a shared one starts on its one attachment port, brings
+/// it up and turns forwarding on, and each binding brings the rest. Both
+/// port guards stay here, at `start`: whether an instance is shared is
+/// the node's decision, made after compilation.
 ///
 /// There is no in-place update. A changed NF config is a structural
 /// change of the graph (`un_nffg::diff`): the node undeploys the graph
@@ -156,28 +161,23 @@ impl From<un_linux::HostError> for NnfError {
 #[derive(Debug)]
 pub struct NnfInstance {
     descriptor: NnfDescriptor,
-    program: Program,
     started: bool,
-    /// The ports `start` ran the program on.
+    /// The ports `start` ran the list on.
     ports: Vec<IfaceId>,
     /// Who rides a shared instance; `None` on a dedicated one.
     adaptation: Option<AdaptationLayer>,
 }
 
 impl NnfInstance {
-    /// An instance of `descriptor`'s type, running the program
-    /// [`translate`](crate::translate()) has for it, or a `shared` one. A
-    /// type with no program is a bad `functional-type`, and a shared
-    /// instance of a type not sharable is refused with
+    /// An instance of `descriptor`'s type, dedicated or `shared`. A
+    /// shared instance of a type not sharable is refused with
     /// [`NnfError::NotSharable`].
     pub fn new(descriptor: &NnfDescriptor, shared: bool) -> Result<Self, NnfError> {
-        let program = translate::program(descriptor.functional_type)?;
         if shared && !descriptor.sharable {
             return Err(NnfError::NotSharable);
         }
         Ok(NnfInstance {
             descriptor: *descriptor,
-            program,
             started: false,
             ports: Vec::new(),
             adaptation: shared.then(AdaptationLayer::default),
@@ -194,14 +194,22 @@ impl NnfInstance {
         self.started
     }
 
+    /// Was it built shared?
+    #[cfg(test)]
+    pub(crate) fn is_shared(&self) -> bool {
+        self.adaptation.is_some()
+    }
+
     /// The bindings riding a shared instance, in bind order; none on a
     /// dedicated one.
     pub fn bindings(&self) -> impl Iterator<Item = &GraphBinding> {
         self.adaptation.iter().flat_map(AdaptationLayer::bindings)
     }
 
-    /// Bring the function up inside the namespace: run its program and
-    /// book its RSS on the instance's account.
+    /// Bring the function up inside the namespace: run `program`, the
+    /// NF's compiled command list, and book its RSS on the instance's
+    /// account. A shared instance runs its attachment program instead;
+    /// its tenants' configs arrive with their bindings.
     ///
     /// `ports` are interfaces the driver created in the namespace, in NF
     /// port order (port 0 first).
@@ -209,17 +217,17 @@ impl NnfInstance {
         &mut self,
         ctx: &mut NnfContext<'_>,
         ports: &[IfaceId],
-        config: &NfConfig,
+        program: &[NnfCommand],
     ) -> Result<(), NnfError> {
         if self.started {
             return Err(NnfError::BadState("already started"));
         }
         let (need, have) = (self.descriptor.min_ports, ports.len());
         let program = match self.adaptation {
-            Some(_) if have == 1 => translate::shared_attachment(),
+            Some(_) if have == 1 => translate::SHARED_ATTACHMENT,
             Some(_) => return Err(NnfError::BadState("a shared instance starts on one port")),
             None if have < need => return Err(NnfError::NotEnoughPorts { need, have }),
-            None => (self.program)(config, have)?,
+            None => program,
         };
         execute(ctx, ports, program)?;
         let d = &self.descriptor;
@@ -297,9 +305,18 @@ pub(crate) fn described(functional_type: &'static str) -> NnfDescriptor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::translate::compiled;
     use std::collections::BTreeMap;
+    use un_nffg::NfConfig;
     use un_packet::MacAddr;
     use un_sim::CostModel;
+
+    /// What `config` compiles to for a `functional_type` NF on `n_ports`
+    /// ports.
+    fn program(functional_type: &str, config: &NfConfig, n_ports: u32) -> Vec<NnfCommand> {
+        let compiled = compiled(functional_type, config, n_ports).expect("a type with a program");
+        compiled.expect("the config compiles").commands.to_vec()
+    }
 
     fn nnf(functional_type: &'static str) -> NnfInstance {
         NnfInstance::new(&described(functional_type), false).unwrap()
@@ -314,14 +331,10 @@ mod tests {
         described(functional_type).rss_bytes
     }
 
-    /// A type with no program is refused whatever its descriptor says,
-    /// and so is a shared instance of a type not sharable.
+    /// A shared instance of a type not sharable is refused; a dedicated
+    /// one is built from the descriptor alone.
     #[test]
-    fn a_type_without_a_program_is_refused() {
-        assert!(matches!(
-            NnfInstance::new(&described("dpi"), false),
-            Err(NnfError::BadParam { key, value }) if key == "functional-type" && value == "dpi"
-        ));
+    fn a_shared_instance_of_a_dedicated_type_is_refused() {
         let dedicated_only = NnfDescriptor {
             sharable: false,
             ..described("nat")
@@ -402,7 +415,7 @@ mod tests {
         let mut rig = Rig::new(3);
         let (mut ctx, ports) = rig.ctx();
         nnf("bridge")
-            .start(&mut ctx, ports, &NfConfig::default())
+            .start(&mut ctx, ports, &program("bridge", &NfConfig::default(), 3))
             .unwrap();
 
         let frame = un_packet::PacketBuilder::new()
@@ -422,12 +435,13 @@ mod tests {
         let mut rig = Rig::new(2);
         let (ns, account) = (rig.ns, rig.account);
         let mut plugin = nnf("bridge");
+        let bridge = program("bridge", &NfConfig::default(), 2);
         let (mut ctx, ports) = rig.ctx();
         assert!(matches!(
-            plugin.start(&mut ctx, &ports[..1], &NfConfig::default()),
+            plugin.start(&mut ctx, &ports[..1], &bridge),
             Err(NnfError::NotEnoughPorts { .. })
         ));
-        plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();
+        plugin.start(&mut ctx, ports, &bridge).unwrap();
         assert!(ctx.host.iface_by_name(ns, BRIDGE).is_some());
         assert_eq!(ctx.ledger.usage(account), rss("bridge"));
         plugin.stop(&mut ctx).unwrap();
@@ -453,7 +467,7 @@ mod tests {
         let mut rig = Rig::new(2);
         let (mut ctx, ports) = rig.ctx();
         nnf("firewall")
-            .start(&mut ctx, ports, &firewall_config())
+            .start(&mut ctx, ports, &program("firewall", &firewall_config(), 2))
             .unwrap();
         // Neighbor for the outside next hops.
         rig.host
@@ -485,7 +499,8 @@ mod tests {
         let account = rig.account;
         let mut plugin = nnf("firewall");
         let (mut ctx, ports) = rig.ctx();
-        plugin.start(&mut ctx, ports, &firewall_config()).unwrap();
+        let firewall = program("firewall", &firewall_config(), 2);
+        plugin.start(&mut ctx, ports, &firewall).unwrap();
         assert_eq!(ctx.ledger.usage(account), rss("firewall"));
         plugin.stop(&mut ctx).unwrap();
         assert_eq!(ctx.ledger.usage(account), 0);
@@ -520,7 +535,9 @@ mod tests {
         let mut rig = Rig::new(2);
         let mut plugin = nnf("ipsec");
         let (mut ctx, ports) = rig.ctx();
-        plugin.start(&mut ctx, ports, &ipsec_config()).unwrap();
+        plugin
+            .start(&mut ctx, ports, &program("ipsec", &ipsec_config(), 2))
+            .unwrap();
         assert_eq!(rig.ledger.usage(rig.account), rss("ipsec"));
         let nsr = rig.host.namespace(rig.ns).unwrap();
         assert_eq!(nsr.xfrm.sad.len(), 2, "out + in SA installed");
@@ -533,28 +550,31 @@ mod tests {
         assert!(!rig.host.iface(rig.ports[0]).unwrap().up);
     }
 
+    /// `start` guards the lifecycle and the port count; the config was
+    /// checked when it compiled.
     #[test]
     fn start_guards_and_param_validation() {
         let mut rig = Rig::new(2);
         let mut plugin = nnf("ipsec");
+        let ipsec = program("ipsec", &ipsec_config(), 2);
         let (mut ctx, ports) = rig.ctx();
         assert!(matches!(plugin.stop(&mut ctx), Err(NnfError::BadState(_))));
         assert!(matches!(
-            plugin.start(&mut ctx, &ports[..1], &ipsec_config()),
+            plugin.start(&mut ctx, &ports[..1], &ipsec),
             Err(NnfError::NotEnoughPorts { need: 2, have: 1 })
         ));
         assert!(matches!(
-            plugin.start(&mut ctx, ports, &NfConfig::default()),
-            Err(NnfError::MissingParam(_))
+            compiled("ipsec", &NfConfig::default(), 2),
+            Some(Err(NnfError::MissingParam(_)))
         ));
         let bad = ipsec_config().with_param("lan-addr", "not-a-cidr");
         assert!(matches!(
-            plugin.start(&mut ctx, ports, &bad),
-            Err(NnfError::BadParam { .. })
+            compiled("ipsec", &bad, 2),
+            Some(Err(NnfError::BadParam { .. }))
         ));
-        plugin.start(&mut ctx, ports, &ipsec_config()).unwrap();
+        plugin.start(&mut ctx, ports, &ipsec).unwrap();
         assert!(matches!(
-            plugin.start(&mut ctx, ports, &ipsec_config()),
+            plugin.start(&mut ctx, ports, &ipsec),
             Err(NnfError::BadState(_))
         ));
     }
@@ -593,7 +613,11 @@ mod tests {
                 account: a1,
             };
             cpe_plugin
-                .start(&mut ctx, &[cpe_lan, cpe_wan], &cpe_cfg)
+                .start(
+                    &mut ctx,
+                    &[cpe_lan, cpe_wan],
+                    &program("ipsec", &cpe_cfg, 2),
+                )
                 .unwrap();
         }
         {
@@ -604,7 +628,7 @@ mod tests {
                 account: a2,
             };
             gw_plugin
-                .start(&mut ctx, &[gw_lan, gw_wan], &gw_cfg)
+                .start(&mut ctx, &[gw_lan, gw_wan], &program("ipsec", &gw_cfg, 2))
                 .unwrap();
         }
         // Static neighbors (the fabric's LSIs would let ARP resolve).
@@ -681,7 +705,11 @@ mod tests {
             account: gw_account,
         };
         nnf("ipsec")
-            .start(&mut ctx, &[gw_lan, gw_wan], &responder_config())
+            .start(
+                &mut ctx,
+                &[gw_lan, gw_wan],
+                &program("ipsec", &responder_config(), 2),
+            )
             .unwrap();
         gw.neigh_add(gw_ns, "172.16.0.9".parse().unwrap(), MacAddr::local(88))
             .unwrap();
@@ -703,7 +731,7 @@ mod tests {
                 account,
             };
             plugin
-                .start(&mut ctx, &[lan, wan], &ipsec_config())
+                .start(&mut ctx, &[lan, wan], &program("ipsec", &ipsec_config(), 2))
                 .unwrap();
             cpe.neigh_add(ns, "192.0.2.2".parse().unwrap(), gw_wan_mac)
                 .unwrap();
@@ -754,16 +782,19 @@ mod tests {
     }
 
     fn nat_binding(graph: &str, mark: u32, lan: &str, wan: &str) -> GraphBinding {
-        let mut params = BTreeMap::new();
-        params.insert("lan-addr".into(), lan.into());
-        params.insert("wan-addr".into(), wan.into());
+        let nat = NatBinding {
+            lan: lan.parse().unwrap(),
+            wan: wan.parse().unwrap(),
+            gw: None,
+            dnat: Vec::new(),
+        };
         GraphBinding {
             graph: graph.into(),
             mark,
             zone: mark as u16,
             vid_lan: 100 + (mark * 2) as u16,
             vid_wan: 101 + (mark * 2) as u16,
-            params,
+            nat: Some(nat),
         }
     }
 
@@ -771,7 +802,8 @@ mod tests {
     fn dedicated_mode_masquerades() {
         let mut rig = Rig::new(2);
         let (mut ctx, ports) = rig.ctx();
-        nnf("nat").start(&mut ctx, ports, &nat_config()).unwrap();
+        let nat = program("nat", &nat_config(), 2);
+        nnf("nat").start(&mut ctx, ports, &nat).unwrap();
         let Rig {
             mut host,
             ns,
@@ -814,7 +846,7 @@ mod tests {
         let b2 = nat_binding("g2", 2, "192.168.1.1/24", "198.51.100.1/24");
         {
             let (mut ctx, ports) = rig.ctx();
-            plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();
+            plugin.start(&mut ctx, ports, &[]).unwrap();
             plugin.bind_graph(&mut ctx, &b1).unwrap();
             plugin.bind_graph(&mut ctx, &b2).unwrap();
         }
@@ -895,7 +927,7 @@ mod tests {
         let mut plugin = shared_nat();
         let b1 = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
         let (mut ctx, ports) = rig.ctx();
-        plugin.start(&mut ctx, ports, &NfConfig::default()).unwrap();
+        plugin.start(&mut ctx, ports, &[]).unwrap();
         plugin.bind_graph(&mut ctx, &b1).unwrap();
         assert_eq!(bound_graphs(&plugin), 1);
         plugin.unbind_graph(&mut ctx, &b1).unwrap();
@@ -911,7 +943,9 @@ mod tests {
         let mut rig = Rig::new(2);
         let mut plugin = nnf("nat");
         let (mut ctx, ports) = rig.ctx();
-        plugin.start(&mut ctx, ports, &nat_config()).unwrap();
+        plugin
+            .start(&mut ctx, ports, &program("nat", &nat_config(), 2))
+            .unwrap();
         let b = nat_binding("g1", 1, "192.168.1.1/24", "203.0.113.1/24");
         assert!(matches!(
             plugin.bind_graph(&mut ctx, &b),
@@ -932,7 +966,8 @@ mod tests {
         cfg.rules.push(extra);
 
         let (mut ctx, ports) = rig.ctx();
-        nnf("router").start(&mut ctx, ports, &cfg).unwrap();
+        let router = program("router", &cfg, 2);
+        nnf("router").start(&mut ctx, ports, &router).unwrap();
         let Rig {
             mut host,
             ns,

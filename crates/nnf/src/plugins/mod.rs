@@ -8,7 +8,7 @@ use crate::translate::NnfCommand;
 /// The name of the bridge [`NnfCommand::Bridge`] creates.
 pub(crate) const BRIDGE: &str = "br0";
 
-/// Execute translated commands against the NNF's namespace.
+/// Execute compiled commands against the NNF's namespace.
 ///
 /// This is the plugin scripts' shared "shell": every [`NnfCommand`]
 /// corresponds to the `ip`/`iptables`/`sysctl` invocation its doc names.
@@ -17,7 +17,7 @@ pub(crate) const BRIDGE: &str = "br0";
 pub fn execute(
     ctx: &mut NnfContext<'_>,
     ports: &[IfaceId],
-    cmds: Vec<NnfCommand>,
+    cmds: &[NnfCommand],
 ) -> Result<(), NnfError> {
     let port = |i: usize| {
         ports.get(i).copied().ok_or(NnfError::NotEnoughPorts {
@@ -27,8 +27,8 @@ pub fn execute(
     };
     for cmd in cmds {
         match cmd {
-            NnfCommand::IpAddr { cidr, dev_port } => ctx.host.addr_add(port(dev_port)?, cidr)?,
-            NnfCommand::LinkUp { dev_port } => ctx.host.set_up(port(dev_port)?, true)?,
+            NnfCommand::IpAddr { cidr, dev_port } => ctx.host.addr_add(port(*dev_port)?, *cidr)?,
+            NnfCommand::LinkUp { dev_port } => ctx.host.set_up(port(*dev_port)?, true)?,
             NnfCommand::IpRoute {
                 table,
                 dst,
@@ -36,31 +36,35 @@ pub fn execute(
                 dev_port,
                 metric,
             } => {
-                let dev = port(dev_port)?;
-                ctx.host.route_add(ctx.ns, table, dst, via, dev, metric)?;
+                let dev = port(*dev_port)?;
+                ctx.host
+                    .route_add(ctx.ns, *table, *dst, *via, dev, *metric)?;
             }
-            NnfCommand::Sysctl { ip_forward } => ctx.host.sysctl_ip_forward(ctx.ns, ip_forward)?,
+            NnfCommand::Sysctl { ip_forward } => ctx.host.sysctl_ip_forward(ctx.ns, *ip_forward)?,
             NnfCommand::IptablesPolicy {
                 table,
                 chain,
                 accept,
-            } => ctx.host.nf_policy(ctx.ns, table, chain, accept)?,
+            } => ctx.host.nf_policy(ctx.ns, *table, *chain, *accept)?,
             NnfCommand::IptablesAppend {
                 table,
                 chain,
-                mut rule,
+                rule,
                 out_port,
             } => {
+                let mut rule = rule.clone();
                 if let Some(i) = out_port {
-                    rule.matches.out_iface = Some(port(i)?);
+                    rule.matches.out_iface = Some(port(*i)?);
                 }
-                ctx.host.nf_append(ctx.ns, table, chain, rule)?;
+                ctx.host.nf_append(ctx.ns, *table, *chain, rule)?;
             }
-            NnfCommand::XfrmState(sa) => ctx.host.xfrm_mut(ctx.ns)?.sad.install(sa),
-            NnfCommand::XfrmPolicy(policy) => ctx.host.xfrm_mut(ctx.ns)?.spd.install(policy),
+            NnfCommand::XfrmState(sa) => ctx.host.xfrm_mut(ctx.ns)?.sad.install(sa.clone()),
+            NnfCommand::XfrmPolicy(policy) => {
+                ctx.host.xfrm_mut(ctx.ns)?.spd.install(policy.clone())
+            }
             NnfCommand::Bridge { members } => {
                 let br = ctx.host.add_bridge(ctx.ns, BRIDGE)?;
-                for i in members {
+                for &i in members {
                     let dev = port(i)?;
                     ctx.host.bridge_attach(br, dev)?;
                     ctx.host.set_up(dev, true)?;
@@ -94,7 +98,7 @@ mod tests {
     use un_sim::{CostModel, MemLedger};
 
     use crate::plugin::{described, GraphBinding, NnfContext, NnfError, NnfInstance};
-    use crate::translate::derive_psk_tunnel;
+    use crate::translate::{compiled, derive_psk_tunnel, NatBinding, PortForward};
 
     /// A namespace with `n` external ports, as the driver hands it over.
     fn fresh(n: usize) -> (Host, NsId, Vec<IfaceId>) {
@@ -158,6 +162,9 @@ mod tests {
         NnfInstance::new(&described("nat"), true).unwrap()
     }
 
+    /// Start `plugin` on `ports` with what `config` compiles to on that
+    /// many ports; a shared instance runs its attachment program, and its
+    /// config is its tenants'.
     fn start(
         plugin: &mut NnfInstance,
         host: &mut Host,
@@ -165,6 +172,14 @@ mod tests {
         ports: &[IfaceId],
         config: &NfConfig,
     ) -> Result<(), NnfError> {
+        let program = match plugin.is_shared() {
+            true => Vec::new(),
+            false => {
+                let n_ports = ports.len() as u32;
+                let compiled = compiled(plugin.functional_type(), config, n_ports);
+                compiled.expect("a type with a program")?.commands.to_vec()
+            }
+        };
         let mut ledger = MemLedger::new();
         let account = ledger.create_account("nnf", None);
         let mut ctx = NnfContext {
@@ -173,7 +188,7 @@ mod tests {
             ledger: &mut ledger,
             account,
         };
-        plugin.start(&mut ctx, ports, config)
+        plugin.start(&mut ctx, ports, &program)
     }
 
     /// `plugin` started with `config` on `n` ports leaves the namespace
@@ -341,7 +356,7 @@ mod tests {
     /// without a trace. Whenever the last binding has left, the namespace
     /// is the one the instance started with — each binding's addresses
     /// and connected routes, table and rule, marking and masquerade rules
-    /// are gone.
+    /// and port forwards are gone.
     #[test]
     fn bind_unbind_churn_leaves_the_started_namespace() {
         let mut rng = un_sim::DetRng::new(31);
@@ -356,7 +371,7 @@ mod tests {
                 account,
             };
             let mut nat = shared_nat();
-            nat.start(&mut ctx, &ports, &NfConfig::default()).unwrap();
+            nat.start(&mut ctx, &ports, &[]).unwrap();
             let started = snapshot(ctx.host, ns);
             let mut model: Vec<GraphBinding> = Vec::new();
             for step in 0..48u32 {
@@ -364,19 +379,27 @@ mod tests {
                 // The second half drains what the first half bound.
                 if step < 24 && (model.is_empty() || rng.chance(0.6)) {
                     let mark = step + 1;
-                    let wan = format!("203.0.{mark}.1/24");
-                    let mut params =
-                        rule(&[("lan-addr", "192.168.1.1/24"), ("wan-addr", wan.as_str())]);
-                    if rng.chance(0.5) {
-                        params.insert("wan-gw".into(), format!("203.0.{mark}.254"));
-                    }
+                    let gw = rng.chance(0.5).then(|| ip(&format!("203.0.{mark}.254")));
+                    let dnat = (0..rng.index(3))
+                        .map(|i| PortForward {
+                            dport: 8080 + i as u16,
+                            to: ip(&format!("192.168.1.{}", 20 + i)),
+                            port: rng.chance(0.5).then_some(80),
+                        })
+                        .collect();
+                    let addressing = NatBinding {
+                        lan: cidr("192.168.1.1/24"),
+                        wan: cidr(&format!("203.0.{mark}.1/24")),
+                        gw,
+                        dnat,
+                    };
                     let binding = GraphBinding {
                         graph: format!("g{}", rng.index(3)),
                         mark,
                         zone: mark as u16,
                         vid_lan: (100 + 2 * mark) as u16,
                         vid_wan: (101 + 2 * mark) as u16,
-                        params,
+                        nat: Some(addressing),
                     };
                     nat.bind_graph(&mut ctx, &binding).expect(&tag);
                     model.push(binding);
@@ -440,9 +463,10 @@ mod tests {
         });
     }
 
-    /// A config is parsed whole before the first command runs: a start
-    /// refused on its config returns a typed error and leaves the
-    /// namespace as the driver made it.
+    /// A config is parsed whole before anything is built: one the
+    /// compiler refuses is a typed error with no command list, so there
+    /// is nothing a `start` could run. (`UniversalNode::deploy` and the
+    /// domain's planner compile before their first node call.)
     #[test]
     fn a_start_refused_on_its_config_configures_nothing() {
         let mut no_psk = ipsec_config();
@@ -466,12 +490,9 @@ mod tests {
                 NnfError::NotEnoughPorts { need: 6, have: 2 },
             ),
         ];
-        for (mut plugin, config, refusal) in cases {
-            let (mut host, ns, ports) = fresh(2);
-            let before = snapshot(&host, ns);
-            let err = start(&mut plugin, &mut host, ns, &ports, &config).unwrap_err();
-            assert_eq!(err, refusal);
-            assert_eq!(snapshot(&host, ns), before, "{}", plugin.functional_type());
+        for (plugin, config, refusal) in cases {
+            let compiled = compiled(plugin.functional_type(), &config, 2);
+            assert_eq!(compiled.unwrap().unwrap_err(), refusal);
         }
     }
 }

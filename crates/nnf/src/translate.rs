@@ -6,23 +6,25 @@
 //! implementation and will be targeted by future work." — §2.
 //!
 //! This module implements that mechanism, and it is the one reader of an
-//! NF's [`NfConfig`]: nothing else parses a config key. [`translate`]
-//! compiles the orchestrator's NF-agnostic configuration into
+//! NF's [`NfConfig`]: nothing else parses a config key. [`compile`] runs
+//! once per graph, before anything is built for it — in the domain's
+//! planner, or at the top of a standalone node's deploy — and turns
+//! every NF's NF-agnostic configuration into a [`CompiledNf`]: its
 //! [`NnfCommand`]s, the typed equivalent of the shell commands a plugin
 //! script would run (`ip addr add …`, `ip link add … type bridge`,
 //! `ip route add …`, `iptables -A …`, `ip xfrm state add …`), in the
-//! order the script runs them. For a dedicated NNF the list is its
-//! namespace's whole program, and a shared one runs
-//! `shared_attachment`: an instance's
-//! [`start`](crate::NnfInstance::start) is a guard,
-//! [`execute`](crate::plugins::execute) of the list, and its RSS
-//! booking. Every flavor is configured from here: native, Docker and VM
-//! instances run the list in a namespace (a VM's is its guest kernel),
-//! and a shared NAT reads each graph's binding through
-//! [`nat_addressing`].
+//! order the script runs them, and for a NAT the [`NatBinding`] it
+//! parsed. Below the compiler only the lists travel: a dedicated
+//! instance's [`start`](crate::NnfInstance::start) is a guard,
+//! [`execute`](crate::plugins::execute) of its list, and its RSS
+//! booking; a shared one runs `SHARED_ATTACHMENT`, and each graph's
+//! binding installs its [`NatBinding`] through the adaptation layer.
+//! Every flavor is configured from here: native, Docker and VM instances
+//! run the same list in a namespace (a VM's is its guest kernel).
 //!
-//! Translation parses everything before it emits anything, so a config
-//! refused here has configured nothing.
+//! Translation parses everything before it emits anything, and
+//! compilation happens before the first node call, so a config refused
+//! here has configured nothing anywhere.
 
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -33,7 +35,8 @@ use un_ipsec::sa::SecurityAssociation;
 use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
 use un_linux::conntrack::CtState;
 use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
-use un_nffg::NfConfig;
+use un_linux::IfaceId;
+use un_nffg::{NfConfig, NfFg};
 use un_packet::Ipv4Cidr;
 
 use crate::plugin::NnfError;
@@ -105,25 +108,72 @@ pub enum NnfCommand {
     },
 }
 
-/// A functional type's namespace program: its config and port count in,
-/// its commands out.
-pub(crate) type Program = fn(&NfConfig, usize) -> Result<Vec<NnfCommand>, NnfError>;
+/// One NF's configuration, compiled.
+#[derive(Debug, Clone)]
+pub struct CompiledNf {
+    /// A dedicated instance's namespace program; the instance's sandbox
+    /// keeps its own copy, to run on each start.
+    pub commands: Vec<NnfCommand>,
+    /// A NAT's addressing and port forwards: what a shared instance's
+    /// adaptation layer installs for the graph's binding.
+    pub nat: Option<NatBinding>,
+}
 
-/// The program for `functional_type`: the one map from a type's name to
-/// its code. A type this module has none for is a bad `functional-type`.
-pub(crate) fn program(functional_type: &str) -> Result<Program, NnfError> {
-    Ok(match functional_type {
+impl From<Vec<NnfCommand>> for CompiledNf {
+    fn from(commands: Vec<NnfCommand>) -> Self {
+        CompiledNf {
+            commands,
+            nat: None,
+        }
+    }
+}
+
+/// A graph's compiled NFs, by NF id. An NF whose type has no program (a
+/// DPDK fast path, or a type no node offers) has no entry.
+pub type Programs = BTreeMap<String, CompiledNf>;
+
+/// A config [`compile`] refused, and the NF it belongs to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompileError {
+    /// The NF id.
+    pub nf: String,
+    /// Why its config was refused.
+    pub error: NnfError,
+}
+
+/// Compile every NF of `graph` whose type has a program, each on the
+/// ports the graph gives it (at least one, as the node creates them).
+/// The first config refused is the error, and nothing has been built.
+pub fn compile(graph: &NfFg) -> Result<Programs, CompileError> {
+    graph
+        .nfs
+        .iter()
+        .filter_map(|nf| {
+            let program = program(&nf.functional_type)?;
+            let compiled = program(&nf.config, nf.ports.len().max(1));
+            let refused = |error| CompileError {
+                nf: nf.id.clone(),
+                error,
+            };
+            Some(compiled.map(|c| (nf.id.clone(), c)).map_err(refused))
+        })
+        .collect()
+}
+
+/// A functional type's program: its config and port count in, its
+/// compiled form out.
+type Program = fn(&NfConfig, usize) -> Result<CompiledNf, NnfError>;
+
+/// The program for `functional_type`, the one map from a type's name to
+/// its code; `None` for a type that runs none.
+fn program(functional_type: &str) -> Option<Program> {
+    Some(match functional_type {
         "ipsec" => translate_ipsec,
         "firewall" => translate_firewall,
         "nat" => translate_nat,
         "router" => translate_router,
         "bridge" => translate_bridge,
-        _ => {
-            return Err(NnfError::BadParam {
-                key: "functional-type".into(),
-                value: functional_type.into(),
-            })
-        }
+        _ => return None,
     })
 }
 
@@ -175,16 +225,6 @@ pub fn derive_psk_tunnel(
     }
 }
 
-/// Translate a generic configuration into commands for `functional_type`
-/// on an instance with `n_ports` ports.
-pub fn translate(
-    functional_type: &str,
-    config: &NfConfig,
-    n_ports: usize,
-) -> Result<Vec<NnfCommand>, NnfError> {
-    program(functional_type)?(config, n_ports)
-}
-
 /// A main-table route out `dev_port`.
 fn route(dst: Ipv4Cidr, via: Option<Ipv4Addr>, dev_port: usize) -> NnfCommand {
     NnfCommand::IpRoute {
@@ -229,11 +269,11 @@ fn lan_wan(lan: Ipv4Cidr, wan: Ipv4Cidr) -> Vec<NnfCommand> {
 
 /// Port 0 faces the protected LAN, port 1 the WAN: the interface half
 /// (`lan-addr`, `wan-addr`), then the tunnel half.
-fn translate_ipsec(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
+fn translate_ipsec(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
     let p = &c.params;
     let mut cmds = lan_wan(req(p, "", "lan-addr")?, req(p, "", "wan-addr")?);
     cmds.extend(ipsec_tunnel(c)?);
-    Ok(cmds)
+    Ok(cmds.into())
 }
 
 /// The tunnel half of an IPsec config. Keys `psk`, `local-addr`,
@@ -279,7 +319,7 @@ fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
 /// `stateful` (`true` by default) lets replies pass, and each `rules`
 /// entry (`action`, `src`, `dst`, `proto`, `sport`, `dport`) is one
 /// FORWARD rule.
-fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
+fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
     let p = &c.params;
     let mut cmds = bring_up(&[opt(p, "", "addr0")?, opt(p, "", "addr1")?]);
     cmds.extend(opt(p, "", "gw")?.map(default_route));
@@ -330,39 +370,92 @@ fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, 
         };
         cmds.push(forward(matches, target));
     }
-    Ok(cmds)
+    Ok(cmds.into())
 }
 
 /// A shared instance's program, whatever its type: its one attachment
 /// port up and forwarding on. Each binding brings the rest through the
 /// adaptation layer.
-pub(crate) fn shared_attachment() -> Vec<NnfCommand> {
-    vec![
-        NnfCommand::LinkUp { dev_port: 0 },
-        NnfCommand::Sysctl { ip_forward: true },
-    ]
+pub(crate) const SHARED_ATTACHMENT: &[NnfCommand] = &[
+    NnfCommand::LinkUp { dev_port: 0 },
+    NnfCommand::Sysctl { ip_forward: true },
+];
+
+/// A NAT's addressing and port forwards, parsed from `lan-addr`,
+/// `wan-addr`, an optional `wan-gw`, and each `rules` entry of `kind`
+/// `dnat`. A dedicated NAT's program is built from it; a shared NAT
+/// installs it per graph through the adaptation layer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NatBinding {
+    /// LAN-side address with prefix.
+    pub lan: Ipv4Cidr,
+    /// WAN-side address with prefix.
+    pub wan: Ipv4Cidr,
+    /// Upstream next hop, if any.
+    pub gw: Option<Ipv4Addr>,
+    /// Static port forwards, in config order.
+    pub dnat: Vec<PortForward>,
 }
 
-/// A NAT graph's addressing — `lan-addr`, `wan-addr` and an optional
-/// `wan-gw` — from a dedicated instance's params or a shared instance's
-/// per-graph binding.
-pub fn nat_addressing(
-    p: &BTreeMap<String, String>,
-) -> Result<(Ipv4Cidr, Ipv4Cidr, Option<Ipv4Addr>), NnfError> {
-    Ok((
-        req(p, "", "lan-addr")?,
-        req(p, "", "wan-addr")?,
-        opt(p, "", "wan-gw")?,
-    ))
+impl NatBinding {
+    /// Parse it from a NAT's config, addresses first, then each port
+    /// forward in order.
+    fn parse(c: &NfConfig) -> Result<Self, NnfError> {
+        let p = &c.params;
+        let (lan, wan, gw) = (
+            req(p, "", "lan-addr")?,
+            req(p, "", "wan-addr")?,
+            opt(p, "", "wan-gw")?,
+        );
+        let mut dnat = Vec::new();
+        for (i, r) in c.rules.iter().enumerate() {
+            if r.get("kind").map(String::as_str) != Some("dnat") {
+                continue;
+            }
+            let at = format!("rules[{i}].");
+            let to = req(r, &at, "to")?;
+            let dport = req(r, &at, "dport")?;
+            let port = opt(r, &at, "to-port")?;
+            dnat.push(PortForward { dport, to, port });
+        }
+        Ok(NatBinding { lan, wan, gw, dnat })
+    }
+}
+
+/// One static port forward: what arrives for `dport` goes to `to`, on
+/// `port` if given.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PortForward {
+    /// Destination port matched.
+    pub dport: u16,
+    /// Address traffic is forwarded to.
+    pub to: Ipv4Addr,
+    /// Port it is forwarded to; the matched one if `None`.
+    pub port: Option<u16>,
+}
+
+impl PortForward {
+    /// The `nat/PREROUTING` rule, matching only traffic that arrives on
+    /// `in_iface` when one is given.
+    pub fn rule(&self, in_iface: Option<IfaceId>) -> NfRule {
+        let matches = RuleMatch {
+            in_iface,
+            dport: Some(self.dport),
+            ..Default::default()
+        };
+        let (to, port) = (self.to, self.port);
+        NfRule::new(matches, Target::Dnat { to, port })
+    }
 }
 
 /// A dedicated NAT: a masquerading router from LAN (port 0) to WAN
-/// (port 1). A shared NAT runs no program of its own; each graph's
-/// binding configures it through the adaptation layer.
-fn translate_nat(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
-    let (lan, wan, gw) = nat_addressing(&c.params)?;
-    let mut cmds = lan_wan(lan, wan);
-    cmds.extend(gw.map(default_route));
+/// (port 1), then its port forwards. A shared NAT runs no program of
+/// its own; each graph's binding configures it through the adaptation
+/// layer.
+fn translate_nat(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
+    let nat = NatBinding::parse(c)?;
+    let mut cmds = lan_wan(nat.lan, nat.wan);
+    cmds.extend(nat.gw.map(default_route));
     cmds.push(NnfCommand::Sysctl { ip_forward: true });
     cmds.push(NnfCommand::IptablesAppend {
         table: NfTable::Nat,
@@ -370,34 +463,21 @@ fn translate_nat(c: &NfConfig, _n_ports: usize) -> Result<Vec<NnfCommand>, NnfEr
         rule: NfRule::new(RuleMatch::default(), Target::Masquerade),
         out_port: Some(1),
     });
-    // Optional static DNAT entries ("port forwardings").
-    for (i, r) in c.rules.iter().enumerate() {
-        if r.get("kind").map(String::as_str) != Some("dnat") {
-            continue;
-        }
-        let at = format!("rules[{i}].");
-        let to = req(r, &at, "to")?;
-        let dport = Some(req(r, &at, "dport")?);
-        let port = opt(r, &at, "to-port")?;
-        cmds.push(NnfCommand::IptablesAppend {
-            table: NfTable::Nat,
-            chain: Chain::Prerouting,
-            rule: NfRule::new(
-                RuleMatch {
-                    dport,
-                    ..Default::default()
-                },
-                Target::Dnat { to, port },
-            ),
-            out_port: None,
-        });
-    }
-    Ok(cmds)
+    cmds.extend(nat.dnat.iter().map(|f| NnfCommand::IptablesAppend {
+        table: NfTable::Nat,
+        chain: Chain::Prerouting,
+        rule: f.rule(None),
+        out_port: None,
+    }));
+    Ok(CompiledNf {
+        commands: cmds,
+        nat: Some(nat),
+    })
 }
 
 /// `addr<i>` addresses port *i*; `rules` entries (`dst`, optional `via`,
 /// `port`) are static routes.
-fn translate_router(c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
+fn translate_router(c: &NfConfig, n_ports: usize) -> Result<CompiledNf, NnfError> {
     let addrs: Vec<Option<Ipv4Cidr>> = (0..n_ports)
         .map(|i| opt(&c.params, "", &format!("addr{i}")))
         .collect::<Result<_, _>>()?;
@@ -416,20 +496,52 @@ fn translate_router(c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, Nnf
         }
         cmds.push(route(dst, via, dev_port));
     }
-    Ok(cmds)
+    Ok(cmds.into())
 }
 
 /// A bridge is pure topology: every port enslaved to one `br0`.
-fn translate_bridge(_c: &NfConfig, n_ports: usize) -> Result<Vec<NnfCommand>, NnfError> {
-    Ok(vec![NnfCommand::Bridge {
+fn translate_bridge(_c: &NfConfig, n_ports: usize) -> Result<CompiledNf, NnfError> {
+    let bridge = NnfCommand::Bridge {
         members: (0..n_ports).collect(),
-    }])
+    };
+    Ok(vec![bridge].into())
+}
+
+/// `config` compiled as the one NF, `nf`, of a graph that gives it
+/// `n_ports` ports; `None` for a type without a program.
+#[cfg(test)]
+pub(crate) fn compiled(
+    functional_type: &str,
+    config: &NfConfig,
+    n_ports: u32,
+) -> Option<Result<CompiledNf, NnfError>> {
+    let graph = un_nffg::NfFgBuilder::new("g", "one NF")
+        .nf_with_config("nf", functional_type, n_ports, config.clone())
+        .build();
+    match compile(&graph) {
+        Ok(mut programs) => programs.remove("nf").map(Ok),
+        Err(CompileError { nf, error }) => {
+            assert_eq!(nf, "nf");
+            Some(Err(error))
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use un_ipsec::sa::SaDirection;
+
+    /// The commands `config` compiles to for a `functional_type` NF on
+    /// `n_ports` ports.
+    fn translate(
+        functional_type: &str,
+        config: &NfConfig,
+        n_ports: u32,
+    ) -> Result<Vec<NnfCommand>, NnfError> {
+        let compiled = compiled(functional_type, config, n_ports).expect("a type with a program");
+        compiled.map(|c| c.commands.to_vec())
+    }
 
     fn tunnel_config() -> NfConfig {
         NfConfig::default()
@@ -595,15 +707,69 @@ mod tests {
         );
     }
 
+    /// A type with no program — a DPDK fast path, or one no node offers
+    /// — compiles to nothing: the repository, not the compiler, refuses
+    /// a type it does not list. A bridge's program needs no config.
     #[test]
-    fn unknown_function_rejected() {
-        assert!(matches!(
-            translate("quantum-fw", &NfConfig::default(), 2).unwrap_err(),
-            NnfError::BadParam { .. }
-        ));
+    fn a_type_without_a_program_compiles_to_nothing() {
+        for functional_type in ["quantum-fw", "l2fwd-fast"] {
+            assert!(compiled(functional_type, &NfConfig::default(), 2).is_none());
+        }
         assert!(matches!(
             &translate("bridge", &NfConfig::default(), 2).unwrap()[..],
             [NnfCommand::Bridge { members }] if members == &[0, 1]
         ));
+    }
+
+    /// A graph compiles NF by NF: every NF with a program has its list,
+    /// a NAT its parsed binding, and the first config refused names its
+    /// NF.
+    #[test]
+    fn a_graph_compiles_per_nf_and_a_refusal_names_its_nf() {
+        let mut nat = NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "203.0.113.1/24")
+            .with_param("wan-gw", "203.0.113.254");
+        let mut web = BTreeMap::new();
+        web.insert("kind".into(), "dnat".into());
+        web.insert("dport".into(), "8080".into());
+        web.insert("to".into(), "192.168.1.20".into());
+        nat.rules.push(web);
+        let graph = un_nffg::NfFgBuilder::new("g", "three NFs")
+            .nf("br", "bridge", 2)
+            .nf_with_config("nat", "nat", 2, nat)
+            .nf("fast", "l2fwd-fast", 2)
+            .build();
+        let programs = compile(&graph).unwrap();
+        assert_eq!(programs.keys().collect::<Vec<_>>(), ["br", "nat"]);
+        assert!(programs["br"].nat.is_none());
+        let binding = NatBinding {
+            lan: "192.168.1.1/24".parse().unwrap(),
+            wan: "203.0.113.1/24".parse().unwrap(),
+            gw: Some(Ipv4Addr::new(203, 0, 113, 254)),
+            dnat: vec![PortForward {
+                dport: 8080,
+                to: Ipv4Addr::new(192, 168, 1, 20),
+                port: None,
+            }],
+        };
+        assert_eq!(programs["nat"].nat, Some(binding));
+
+        let broken = un_nffg::NfFgBuilder::new("g", "a NAT without its WAN")
+            .nf("br", "bridge", 2)
+            .nf_with_config(
+                "nat",
+                "nat",
+                2,
+                NfConfig::default().with_param("lan-addr", "192.168.1.1/24"),
+            )
+            .build();
+        assert_eq!(
+            compile(&broken).unwrap_err(),
+            CompileError {
+                nf: "nat".into(),
+                error: NnfError::MissingParam("wan-addr"),
+            }
+        );
     }
 }

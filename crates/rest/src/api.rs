@@ -14,6 +14,10 @@ pub type NodeHandle = Arc<Mutex<UniversalNode>>;
 /// Handle one request against the node (pure function; used directly by
 /// unit tests and by the TCP server loop).
 pub fn handle(node: &NodeHandle, req: &Request) -> Response {
+    // The lock is poisoned only if an earlier handler panicked while it
+    // held the node, which may have left the node half-updated: serving
+    // from it would hide that, so this handler fails too. No handler
+    // panics on its input (`tests/hostile_input.rs`).
     let mut node = node.lock().expect("a request handler panicked mid-update");
     let segments: Vec<&str> = req.path.trim_matches('/').split('/').collect();
     match (req.method.as_str(), segments.as_slice()) {

@@ -44,6 +44,9 @@ pub type DomainHandle = Arc<Mutex<Domain>>;
 /// only: every body is built (and every request body parsed) by
 /// [`crate::render`].
 pub fn handle_cluster(domain: &DomainHandle, req: &Request) -> Response {
+    // Poisoned only if an earlier handler panicked holding the domain,
+    // possibly mid-update: failing here too is the honest answer. No
+    // handler panics on its input (`tests/hostile_input.rs`).
     let mut domain = domain
         .lock()
         .expect("a request handler panicked mid-update");

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use un_core::UniversalNode;
 use un_domain::{DeployHints, Domain, DomainConfig, DomainError, PlacementStrategy, SharingConfig};
-use un_nffg::{NfConfig, NfFg, NfFgBuilder};
+use un_nffg::{NfConfig, NfFg, NfFgBuilder, PortRef, RuleAction};
 use un_sim::mem::mb;
 
 const CYCLES: usize = 300;
@@ -206,8 +206,9 @@ enum Rejection {
     /// `z`'s native IPsec singleton is taken: the driver refuses
     /// `create`, nothing of the NF ever exists.
     Busy,
-    /// `z` is free and takes the NF, whose configuration lacks the
-    /// `psk`: the instance is created, then its `start` fails.
+    /// `z` is free and takes the NF, which has one port where IPsec
+    /// needs two: its config compiles and the instance is created, then
+    /// its `start` fails.
     StartFails,
 }
 
@@ -358,7 +359,18 @@ fn rollback_case(entry: Entry, rejection: Rejection) {
     if rejection == Rejection::StartFails {
         d.undeploy("occ").expect("the occupier leaves");
         let vpn = spec.nfs.iter_mut().find(|nf| nf.id == "vpn").expect("vpn");
-        vpn.config.params.remove("psk");
+        vpn.ports.truncate(1);
+        for rule in &mut spec.flow_rules {
+            let outputs = rule.actions.iter_mut().filter_map(|a| match a {
+                RuleAction::Output(port) => Some(port),
+                _ => None,
+            });
+            for port in rule.matches.port_in.iter_mut().chain(outputs) {
+                if *port == PortRef::Nf("vpn".into(), 1) {
+                    *port = PortRef::Nf("vpn".into(), 0);
+                }
+            }
+        }
     }
     let empty = census(&d);
 
