@@ -859,8 +859,8 @@ impl Domain {
                 // failure time; any leftover must return its vids.
                 self.discard_standby(name, "recover");
                 // The node re-enters the audited set with freshly
-                // purged tables; cached results for it are stale.
-                self.verify_mark_all();
+                // purged tables: re-audit it and what it still hosts.
+                self.verify_mark_node(name);
                 Ok(self.retry_pending())
             }
         }

@@ -108,10 +108,10 @@ impl Domain {
         self.trace.nodes_failed += 1;
         self.obs
             .event("domain.node.failed", vec![("node", name.into())]);
-        // Fleet health changed: like every fleet-wide mutation, a
-        // failure re-verifies everything, not just the graphs the
-        // sweep re-plans.
-        self.verify_mark_all();
+        // What the failure alone changes is the node and the graphs
+        // with a part on it (transit hops included); the sweep's own
+        // commits mark the hosts they touch.
+        self.verify_mark_node(name);
         // Standby plans staged while the node was merely suspect: the
         // make-before-break payload. Graph plans promote below; shared
         // standby hosts promote here.

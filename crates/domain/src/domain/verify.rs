@@ -12,11 +12,16 @@
 //!   the nodes hosting their parts); [`Domain::verify`] lowers and
 //!   re-checks only the dirty portion and splices cached results in
 //!   for the rest, so a pass costs what changed, not what is deployed.
-//!   The ledger checks are global but cheap, so they always re-run;
-//!   fleet-wide mutations (membership, health, repair, sharing policy)
-//!   force a full pass because their blast radius is unbounded.
+//!   A graph LSI changes only when its graph is committed or torn
+//!   down, so on a re-audited node only LSI-0 and the LSIs of dirty
+//!   graphs are lowered; every other graph LSI keeps its cached audit.
+//!   The ledger checks are global, so they always re-run, over one
+//!   index of the snapshot. A node failure or recovery marks that node
+//!   and the graphs with a part on it; membership changes and raw node
+//!   access force a full pass because their blast radius is unbounded.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem::take;
 use std::time::Instant;
 
 use un_verify::check::{self, CheckStats, VerifyReport, Violation};
@@ -26,6 +31,18 @@ use un_verify::snapshot::{
 };
 
 use super::{Domain, DomainGraph};
+
+/// One check's result: its violations and the work it did.
+type Checked = (Vec<Violation>, CheckStats);
+
+/// One node's table audits from the last pass, one per LSI.
+#[derive(Default)]
+struct NodeAudits {
+    /// LSI-0's.
+    base: Checked,
+    /// Each graph LSI's, by owning graph.
+    graphs: BTreeMap<String, Checked>,
+}
 
 /// Dirty-set bookkeeping between verification passes.
 #[derive(Default)]
@@ -38,11 +55,39 @@ pub(super) struct VerifyCache {
     /// mutation, so vacated hosts are re-audited too.
     nodes_dirty: BTreeSet<String>,
     /// Per-graph results from the last pass.
-    graph_results: BTreeMap<String, (Vec<Violation>, CheckStats)>,
-    /// Per-node audits from the last pass.
-    node_results: BTreeMap<String, (Vec<Violation>, CheckStats)>,
+    graph_results: BTreeMap<String, Checked>,
+    /// Per-(node, LSI) audits from the last pass.
+    node_results: BTreeMap<String, NodeAudits>,
+    /// What the last pass lowered, for the next to reuse.
+    spare: Spare,
     /// False until a pass has populated the caches.
     primed: bool,
+}
+
+/// Lowered state a pass hands to the next: an entry still equal to the
+/// live one it stood for is moved into the new snapshot instead of
+/// cloned again.
+#[derive(Default)]
+struct Spare {
+    /// Links, by vid.
+    links: Vec<LinkInfo>,
+    /// Each node's LSI-0 rules, in match order.
+    base_rules: BTreeMap<String, Vec<RuleState>>,
+}
+
+/// How far ahead of its place a spare LSI-0 rule is looked for: rules a
+/// commit removed are skipped over, up to this many at a time.
+const REUSE_WINDOW: usize = 8;
+
+/// The first of the next [`REUSE_WINDOW`] spare rules that is `same` as
+/// the live entry being lowered, the spare rules before it dropped.
+fn take_spare(
+    last: &mut VecDeque<RuleState>,
+    same: impl Fn(&RuleState) -> bool,
+) -> Option<RuleState> {
+    let skipped = last.iter().take(REUSE_WINDOW).position(same)?;
+    last.drain(..skipped);
+    last.pop_front()
 }
 
 /// What an incremental pass re-checks, and therefore all it lowers in
@@ -50,6 +95,23 @@ pub(super) struct VerifyCache {
 struct Scope<'a> {
     graphs: BTreeSet<&'a str>,
     nodes: BTreeSet<&'a str>,
+    /// The cache the pass splices from.
+    cache: &'a VerifyCache,
+}
+
+impl Scope<'_> {
+    /// Whether graph `gid`'s LSI on node `node` keeps its cached audit:
+    /// it has one, and the graph was not touched — deployed or not, so
+    /// a torn-down graph's leftover LSI is audited.
+    fn reuses(&self, node: &str, gid: &str) -> bool {
+        !self.graphs.contains(gid)
+            && !self.cache.graphs_dirty.contains(gid)
+            && self
+                .cache
+                .node_results
+                .get(node)
+                .is_some_and(|a| a.graphs.contains_key(gid))
+    }
 }
 
 /// Lower one deployed graph (intent, plan, install receipt) into the
@@ -99,6 +161,22 @@ impl Domain {
         c.nodes_dirty.extend(hosts.into_iter().cloned());
     }
 
+    /// Flag node `name` and every graph with a part on it: what a
+    /// change of the node's health can alter. Transit hops hold parts,
+    /// so a graph whose wire only crosses the node is flagged too. The
+    /// node's cached audits go: whatever it holds when it next serves is
+    /// audited afresh.
+    pub(super) fn verify_mark_node(&self, name: &str) {
+        let mut c = self.verify_cache.lock().expect("verify cache poisoned");
+        for (gid, g) in &self.graphs {
+            if g.partition.parts.contains_key(name) {
+                c.graphs_dirty.insert(gid.clone());
+            }
+        }
+        c.nodes_dirty.insert(name.to_string());
+        c.node_results.remove(name);
+    }
+
     /// Flag the whole domain for re-verification.
     pub(super) fn verify_mark_all(&self) {
         self.verify_cache
@@ -112,15 +190,17 @@ impl Domain {
     /// Public so negative tests can corrupt a *real* snapshot and feed
     /// it straight to [`un_verify::check::run`].
     pub fn verify_snapshot(&self) -> Snapshot {
-        self.lower(None)
+        self.lower(None, &mut Spare::default())
     }
 
     /// The one lowering path. The ledger side (membership, links,
     /// leases, the vid pool) is always whole; tables, plans and
     /// expected rules are lowered for everything (`scope == None`) or
     /// only for what `scope` names, the rest being recorded by name so
-    /// reading it is an error rather than an empty answer.
-    fn lower(&self, scope: Option<&Scope<'_>>) -> Snapshot {
+    /// reading it is an error rather than an empty answer. What `spare`
+    /// holds is taken: each link and LSI-0 rule in it that equals its
+    /// live counterpart is reused.
+    fn lower(&self, scope: Option<&Scope<'_>>, spare: &mut Spare) -> Snapshot {
         let (vid_base, vid_next, free_vids, _in_use, standby_vids) = self.vid_accounting();
         let mut snap = Snapshot {
             vid_base,
@@ -135,33 +215,56 @@ impl Domain {
                 snap.unlowered_nodes.push((name.clone(), serving));
                 continue;
             }
-            snap.nodes.push(NodeState {
-                name: name.clone(),
-                serving,
-                lsis: managed
-                    .node
-                    .lsis()
-                    .map(|(gid, lsi)| LsiState {
-                        name: lsi.name.clone(),
-                        graph: gid.map(str::to_string),
-                        ports: lsi.ports().map(|(no, _)| no.0).collect(),
-                        tables: lsi
-                            .tables()
-                            .map(|(index, table)| TableState {
-                                index,
-                                rules: table
-                                    .entries()
-                                    .map(|e| RuleState {
+            let (mut lsis, mut unlowered_lsis) = (Vec::new(), Vec::new());
+            for (gid, lsi) in managed.node.lsis() {
+                let reused = |g: &&str| scope.is_some_and(|s| s.reuses(name, g));
+                if let Some(g) = gid.filter(reused) {
+                    unlowered_lsis.push(g.to_string());
+                    continue;
+                }
+                let mut last = VecDeque::new();
+                if gid.is_none() {
+                    last = spare
+                        .base_rules
+                        .get_mut(name)
+                        .map(take)
+                        .unwrap_or_default()
+                        .into();
+                }
+                lsis.push(LsiState {
+                    name: lsi.name.clone(),
+                    graph: gid.map(str::to_string),
+                    ports: lsi.ports().map(|(no, _)| no.0).collect(),
+                    tables: lsi
+                        .tables()
+                        .map(|(index, table)| TableState {
+                            index,
+                            rules: table
+                                .entries()
+                                .map(|e| {
+                                    let same = |r: &RuleState| {
+                                        r.priority == e.priority
+                                            && r.cookie == e.cookie
+                                            && r.matches == e.matches
+                                            && r.actions[..] == e.actions[..]
+                                    };
+                                    take_spare(&mut last, same).unwrap_or_else(|| RuleState {
                                         priority: e.priority,
                                         matches: e.matches.clone(),
                                         actions: e.actions.to_vec(),
                                         cookie: e.cookie,
                                     })
-                                    .collect(),
-                            })
-                            .collect(),
-                    })
-                    .collect(),
+                                })
+                                .collect(),
+                        })
+                        .collect(),
+                });
+            }
+            snap.nodes.push(NodeState {
+                name: name.clone(),
+                serving,
+                lsis,
+                unlowered_lsis,
             });
         }
         for (id, g) in &self.graphs {
@@ -171,13 +274,19 @@ impl Domain {
                 snap.graphs.push(snapshot_graph(id, g));
             }
         }
+        let mut last = take(&mut spare.links).into_iter().peekable();
         snap.links = self
             .links
             .iter()
-            .map(|(vid, state)| LinkInfo {
-                vid: *vid,
-                graph: state.graph.clone(),
-                path: state.path.clone(),
+            .map(|(vid, state)| {
+                while last.next_if(|l| l.vid < *vid).is_some() {}
+                let same =
+                    |l: &LinkInfo| l.vid == *vid && l.graph == state.graph && l.path == state.path;
+                last.next_if(same).unwrap_or_else(|| LinkInfo {
+                    vid: *vid,
+                    graph: state.graph.clone(),
+                    path: state.path.clone(),
+                })
             })
             .collect();
         snap.leases = self
@@ -192,14 +301,46 @@ impl Domain {
         snap
     }
 
+    /// What an incremental pass re-checks. Only serving nodes are
+    /// audited: a failed carcass keeps its installed state (expected
+    /// stale) until recovery purges it. Hosts of a re-checked graph are
+    /// audited with it — its compile-consistency step reads their
+    /// tables — whether or not the mutation remembered to mark them.
+    fn scope<'a>(&'a self, cache: &'a VerifyCache) -> Scope<'a> {
+        let graphs: BTreeSet<&str> = self
+            .graphs
+            .keys()
+            .map(String::as_str)
+            .filter(|id| cache.graphs_dirty.contains(*id) || !cache.graph_results.contains_key(*id))
+            .collect();
+        let mut nodes: BTreeSet<&str> = self
+            .nodes
+            .iter()
+            .filter(|(name, managed)| {
+                managed.health.is_serving()
+                    && (cache.nodes_dirty.contains(*name)
+                        || !cache.node_results.contains_key(*name))
+            })
+            .map(|(name, _)| name.as_str())
+            .collect();
+        for id in &graphs {
+            nodes.extend(self.graphs[*id].partition.parts.keys().map(String::as_str));
+        }
+        Scope {
+            graphs,
+            nodes,
+            cache,
+        }
+    }
+
     /// Statically verify the domain: reachability, loop-freedom,
     /// blackhole-freedom, shadowed rules, and ledger consistency over
     /// a snapshot of current state.
     ///
-    /// Incremental: only graphs (and nodes) touched since the last
-    /// call are lowered and re-checked; cached results cover the rest.
-    /// The first call, and any call after a fleet-wide mutation, runs
-    /// full.
+    /// Incremental: only graphs (and nodes, and on those nodes LSI-0
+    /// and the touched graphs' LSIs) touched since the last call are
+    /// lowered and re-checked; cached results cover the rest. The
+    /// first call, and any call after a fleet-wide mutation, runs full.
     pub fn verify(&self) -> VerifyReport {
         self.verify_inner(false)
     }
@@ -224,48 +365,27 @@ impl Domain {
             .retain(|name, _| self.nodes.contains_key(name));
 
         // Derive once what this pass re-checks, and lower only that.
-        // Only serving nodes are audited: a failed carcass keeps its
-        // installed state (expected stale) until recovery purges it.
-        // Hosts of a re-checked graph are audited with it — its
-        // compile-consistency step reads their tables — whether or not
-        // the mutation remembered to mark them.
-        let scope = (!full).then(|| {
-            let graphs: BTreeSet<&str> = self
-                .graphs
-                .keys()
-                .map(String::as_str)
-                .filter(|id| {
-                    cache.graphs_dirty.contains(*id) || !cache.graph_results.contains_key(*id)
-                })
-                .collect();
-            let mut nodes: BTreeSet<&str> = self
-                .nodes
-                .iter()
-                .filter(|(name, managed)| {
-                    managed.health.is_serving()
-                        && (cache.nodes_dirty.contains(*name)
-                            || !cache.node_results.contains_key(*name))
-                })
-                .map(|(name, _)| name.as_str())
-                .collect();
-            for id in &graphs {
-                nodes.extend(self.graphs[*id].partition.parts.keys().map(String::as_str));
-            }
-            Scope { graphs, nodes }
-        });
-        let snap = self.lower(scope.as_ref());
+        let mut spare = take(&mut cache.spare);
+        spare
+            .base_rules
+            .retain(|name, _| self.nodes.contains_key(name));
+        let mut snap = {
+            let scope = (!full).then(|| self.scope(&cache));
+            self.lower(scope.as_ref(), &mut spare)
+        };
+        let ix = snap.index();
 
         let mut report = VerifyReport {
             mode: if full { "full" } else { "incremental" },
             rules_lowered: snap.installed_rules(),
             ..VerifyReport::default()
         };
-        report.violations.extend(check::check_ledger(&snap));
+        report.violations.extend(check::check_ledger(&ix));
 
         // Everything lowered is re-checked into the cache; the report
         // then reads the cache in fleet order, fresh and reused alike.
         for g in &snap.graphs {
-            let (v, stats) = check::check_graph(&snap, g);
+            let (v, stats) = check::check_graph(&ix, g);
             report.stats.merge(stats);
             cache.graph_results.insert(g.id.clone(), (v, stats));
         }
@@ -276,20 +396,61 @@ impl Domain {
             report.violations.extend(v.iter().cloned());
         }
 
-        let in_use: BTreeSet<u16> = snap.links.iter().map(|l| l.vid).collect();
         for node in snap.nodes.iter().filter(|n| n.serving) {
-            let (v, stats) = check::audit_node(node, snap.vid_base, snap.vid_next, &in_use);
-            report.stats.merge(stats);
+            // The node's audits are rebuilt from its LSIs as they stand:
+            // fresh for every lowered LSI, the cached one for each LSI
+            // left out; an LSI the node no longer has drops out.
+            let (name, mut old) = cache
+                .node_results
+                .remove_entry(&node.name)
+                .unwrap_or_else(|| (node.name.clone(), NodeAudits::default()));
+            let mut fresh = NodeAudits::default();
+            for lsi in &node.lsis {
+                let audit = check::audit_lsi(&ix, &node.name, lsi);
+                report.stats.merge(audit.1);
+                match &lsi.graph {
+                    None => fresh.base = audit,
+                    Some(gid) => {
+                        fresh.graphs.insert(gid.clone(), audit);
+                    }
+                }
+            }
+            for gid in &node.unlowered_lsis {
+                let (gid, audit) = old
+                    .graphs
+                    .remove_entry(gid)
+                    .expect("a reused LSI audit is cached");
+                fresh.graphs.insert(gid, audit);
+            }
             report.nodes_checked += 1;
-            cache.node_results.insert(node.name.clone(), (v, stats));
+            cache.node_results.insert(name, fresh);
         }
         for (name, managed) in &self.nodes {
             if managed.health.is_serving() {
-                let (v, _) = &cache.node_results[name];
-                report.violations.extend(v.iter().cloned());
+                let audits = &cache.node_results[name];
+                report.violations.extend(audits.base.0.iter().cloned());
+                for (v, _) in audits.graphs.values() {
+                    report.violations.extend(v.iter().cloned());
+                }
             }
         }
         report.nodes_reused = snap.unlowered_nodes.iter().filter(|(_, s)| *s).count();
+        drop(ix);
+        spare.links = take(&mut snap.links);
+        for node in &mut snap.nodes {
+            let base = node.lsis.iter_mut().find(|l| l.graph.is_none());
+            let Some(table) = base.and_then(|l| l.tables.first_mut()) else {
+                continue;
+            };
+            let rules = take(&mut table.rules);
+            match spare.base_rules.get_mut(&node.name) {
+                Some(slot) => *slot = rules,
+                None => {
+                    spare.base_rules.insert(node.name.clone(), rules);
+                }
+            }
+        }
+        cache.spare = spare;
 
         cache.graphs_dirty.clear();
         cache.nodes_dirty.clear();
@@ -412,17 +573,93 @@ mod tests {
         assert_eq!(lowered.len(), 1, "rules lowered per pass: {lowered:?}");
     }
 
+    /// A graph LSI is scoped with its graph: on a node two graphs
+    /// share, touching `g0` lowers that node's LSI-0 and `g0`'s own LSI,
+    /// never `g1`'s, whose cached audit is spliced in.
+    #[test]
+    fn touching_a_graph_lowers_only_its_own_lsis_on_a_shared_node() {
+        let mut d = paired_fleet(4);
+        d.undeploy("g1").unwrap();
+        // g1 again, its first NF now beside g0's second on n1.
+        let g1 = NfFgBuilder::new("g1", "shared-host")
+            .interface_endpoint("lan", "p2")
+            .interface_endpoint("wan", "p3")
+            .nf("g1-a", "bridge", 2)
+            .nf("g1-b", "bridge", 2)
+            .chain("lan", &["g1-a", "g1-b"], "wan")
+            .build();
+        let hints = DeployHints {
+            nf_node: [("g1-a", "n1"), ("g1-b", "n3")]
+                .map(|(nf, n)| (nf.to_string(), n.to_string()))
+                .into(),
+            strategy: Some(PlacementStrategy::Spread),
+            ..DeployHints::default()
+        };
+        d.deploy_with(&g1, &hints).expect("g1 deploys across n1");
+        let rules_of = |d: &Domain, node: &str, graph: Option<&str>| -> usize {
+            let lsis = d.node(node).unwrap().lsis();
+            lsis.filter(|(g, _)| *g == graph)
+                .map(|(_, l)| l.flow_count())
+                .sum()
+        };
+        assert!(rules_of(&d, "n1", Some("g1")) > 0, "n1 hosts g1's LSI");
+        assert!(d.verify_full().ok());
+
+        d.undeploy("g0").unwrap();
+        deploy_pair(&mut d, 0);
+        let report = d.verify();
+        assert_eq!(report.mode, "incremental");
+        assert!(report.ok(), "{:#?}", report.violations);
+        assert_eq!((report.graphs_checked, report.graphs_reused), (1, 1));
+        assert_eq!((report.nodes_checked, report.nodes_reused), (2, 2));
+        let lowered: usize = ["n0", "n1"]
+            .iter()
+            .map(|n| rules_of(&d, n, None) + rules_of(&d, n, Some("g0")))
+            .sum();
+        assert_eq!(report.rules_lowered, lowered);
+        let full = check::run(&d.verify_snapshot());
+        assert_eq!(rendered(&report), rendered(&full));
+    }
+
+    /// A node failure dirties the node and the graphs with a part on
+    /// it, not the fleet; so does its recovery. Both passes splice the
+    /// untouched graphs from cache and agree with a full run.
+    #[test]
+    fn a_node_failure_and_its_recovery_verify_incrementally() {
+        let mut d = paired_fleet(6);
+        assert!(d.verify().ok());
+        let report = d.fail_node("n1").expect("n1 fails");
+        // g0's wan endpoint lives only on n1: it parks.
+        assert_eq!(report.stranded, ["g0"]);
+        for step in ["fail", "recover"] {
+            if step == "recover" {
+                assert_eq!(d.recover_node("n1").expect("n1 recovers"), ["g0"]);
+            }
+            let report = d.verify();
+            assert_eq!(report.mode, "incremental", "{step}");
+            assert!(report.ok(), "{step}: {:#?}", report.violations);
+            assert_eq!(report.graphs_reused, 2, "{step}: g1 and g2 untouched");
+            let full = check::run(&d.verify_snapshot());
+            assert_eq!(rendered(&report), rendered(&full), "{step}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "outside this snapshot's scope")]
     fn under_scoped_snapshot_refuses_to_answer() {
         let d = paired_fleet(4);
         // g0 without its hosts: its consistency check must not be able
         // to mistake "not lowered" for "no rules installed".
-        let snap = d.lower(Some(&Scope {
-            graphs: ["g0"].into(),
-            nodes: BTreeSet::new(),
-        }));
-        assert_eq!(snap.serving("n0"), Some(true));
-        check::check_graph(&snap, &snap.graphs[0]);
+        let snap = d.lower(
+            Some(&Scope {
+                graphs: ["g0"].into(),
+                nodes: BTreeSet::new(),
+                cache: &VerifyCache::default(),
+            }),
+            &mut Spare::default(),
+        );
+        let ix = snap.index();
+        assert_eq!(ix.serving("n0"), Some(true));
+        check::check_graph(&ix, &snap.graphs[0]);
     }
 }

@@ -9,7 +9,7 @@
 //!   into nothing, missing delivery/transit rules). The orchestrator's
 //!   install receipt is cross-checked against the rules actually
 //!   sitting in the node's tables (compile consistency).
-//! * **Table level** ([`audit_node`]): every installed entry must be
+//! * **Table level** ([`audit_lsi`]): every installed entry must be
 //!   matchable (not fully shadowed by higher-priority entries — see
 //!   [`crate::region`]), output to an existing port, and reference
 //!   only live overlay vids.
@@ -18,16 +18,17 @@
 //!   paths must start/end where the graph thinks they do, and every
 //!   shared-NNF lease must point at a live host with deployed tenants.
 //!
-//! [`run`] executes all three over a whole [`Snapshot`].
+//! [`run`] executes all three over a whole [`Snapshot`], through one
+//! [`Index`] of it.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
 use un_nffg::{NfFg, PortRef, RuleAction};
 use un_obs::{ClassifierStage, DropReason, HopKind, HopRecord, PacketTrace};
 use un_switch::FlowAction;
 
 use crate::region::shadowed_rules;
-use crate::snapshot::{GraphState, NodeState, Snapshot};
+use crate::snapshot::{GraphState, Index, LsiState, Snapshot};
 
 /// Max region pieces per analyzed rule before the shadow analysis
 /// conservatively declares the rule live (see [`shadowed_rules`]).
@@ -179,74 +180,123 @@ impl VerifyReport {
 // Plan-level checks
 // ---------------------------------------------------------------------
 
+/// A port of one part, borrowed from the graph it was read from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Port<'a> {
+    /// An endpoint, by id.
+    Endpoint(&'a str),
+    /// A port of an NF: (nf id, port index).
+    Nf(&'a str, u32),
+}
+
+impl<'a> Port<'a> {
+    fn of(p: &'a PortRef) -> Self {
+        match p {
+            PortRef::Endpoint(id) => Port::Endpoint(id),
+            PortRef::Nf(nf, port) => Port::Nf(nf, *port),
+        }
+    }
+
+    fn to_port_ref(self) -> PortRef {
+        match self {
+            Port::Endpoint(id) => PortRef::Endpoint(id.to_string()),
+            Port::Nf(nf, port) => PortRef::Nf(nf.to_string(), port),
+        }
+    }
+
+    /// The reachability label of a terminal: `ep:<id>` or
+    /// `nf:<id>:<port>`.
+    fn label(self) -> String {
+        match self {
+            Port::Endpoint(id) => format!("ep:{id}"),
+            Port::Nf(nf, port) => format!("nf:{nf}:{port}"),
+        }
+    }
+}
+
 /// Direction-qualified port vertex of the reachability graph. Traffic
 /// *emitted from* a port traverses a rule to *arrive at* another; NF
 /// and link traversal connect the two directions.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Vertex {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Vertex<'a> {
     /// Traffic coming out of a port (out of an endpoint into the
     /// graph, or out of an NF port).
-    Emitted(usize, PortRef),
+    Emitted(usize, Port<'a>),
     /// Traffic delivered into a port (into an NF port, or out of the
     /// graph at an endpoint).
-    Arrived(usize, PortRef),
+    Arrived(usize, Port<'a>),
+}
+
+impl Vertex<'_> {
+    fn part(&self) -> usize {
+        let (Vertex::Emitted(pi, _) | Vertex::Arrived(pi, _)) = self;
+        *pi
+    }
 }
 
 /// The port graph of one deployment (or of the original, as a single
-/// unnamed part).
-struct PortGraph {
-    verts: BTreeMap<Vertex, usize>,
-    edges: Vec<Vec<usize>>,
+/// unnamed part), over ids borrowed from the graph: vertex `i` is
+/// `verts[i]`, its out-edges `targets[offsets[i]..offsets[i + 1]]` in
+/// insertion order.
+struct PortGraph<'a> {
+    verts: Vec<Vertex<'a>>,
+    ids: HashMap<Vertex<'a>, usize>,
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
     /// `(endpoint id, vertex)` for every real (non-`ovl-`) endpoint.
-    ingress: Vec<(String, usize)>,
-    /// Terminal labels: real egress endpoints (`ep:<id>`) **and** NF
-    /// boundary ports (`nf:<id>:<port>`). Including NF arrivals in the
-    /// relation is what catches a rewired path that still connects the
-    /// right endpoints but skips an NF in between.
-    egress: BTreeMap<usize, String>,
+    ingress: Vec<(&'a str, usize)>,
+    /// Terminals of the reachability relation: real egress endpoints
+    /// **and** NF boundary ports, each labelled by its (part-free)
+    /// port. Including NF arrivals in the relation is what catches a
+    /// rewired path that still connects the right endpoints but skips
+    /// an NF in between.
+    terminal: Vec<bool>,
 }
 
-impl PortGraph {
-    fn vert(&mut self, v: Vertex) -> usize {
-        let next = self.verts.len();
-        let id = *self.verts.entry(v).or_insert(next);
-        if id == next {
-            self.edges.push(Vec::new());
-        }
-        id
-    }
+/// One reachability pair: an ingress endpoint reaches a terminal port.
+type Pair<'a> = (&'a str, Port<'a>);
 
-    fn edge(&mut self, a: Vertex, b: Vertex) {
-        let a = self.vert(a);
-        let b = self.vert(b);
-        self.edges[a].push(b);
-    }
-
+impl<'a> PortGraph<'a> {
     /// Build from per-node parts plus overlay hops.
     ///
-    /// `hops` are `(node_a, node_b)` pairs per link endpoint id:
-    /// traffic arriving at `ovl-<vid>` on `node_a` re-emerges emitted
-    /// from the same endpoint on `node_b`.
-    fn build(parts: &[(usize, &NfFg)], hops: &[(String, usize, usize)]) -> PortGraph {
+    /// `hops` are `(endpoint id, part_a, part_b)` per link hop: traffic
+    /// arriving at `ovl-<vid>` on `part_a` re-emerges emitted from the
+    /// same endpoint on `part_b`.
+    fn build(parts: &[(usize, &'a NfFg)], hops: &[(&'a str, usize, usize)]) -> PortGraph<'a> {
+        // Sized once: every rule end, NF port and endpoint is at most
+        // two vertices, every hop two more.
+        let (mut ends, mut edge_count) = (2 * hops.len(), hops.len());
+        for (_, part) in parts {
+            for rule in &part.flow_rules {
+                ends += 1 + rule.actions.len();
+                edge_count += rule.actions.len();
+            }
+            for nf in &part.nfs {
+                ends += nf.ports.len();
+                edge_count += nf.ports.len() * nf.ports.len().saturating_sub(1);
+            }
+            ends += 2 * part.endpoints.len();
+        }
         let mut g = PortGraph {
-            verts: BTreeMap::new(),
-            edges: Vec::new(),
+            verts: Vec::with_capacity(ends),
+            ids: HashMap::with_capacity(ends),
+            offsets: Vec::new(),
+            targets: Vec::new(),
             ingress: Vec::new(),
-            egress: BTreeMap::new(),
+            terminal: Vec::with_capacity(ends),
         };
-        for (part_idx, part) in parts {
-            let pi = *part_idx;
+        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(edge_count);
+        for &(pi, part) in parts {
             // Rule edges.
             for rule in &part.flow_rules {
-                let Some(port_in) = rule.matches.port_in.clone() else {
+                let Some(port_in) = &rule.matches.port_in else {
                     continue; // flagged structurally elsewhere
                 };
                 for action in &rule.actions {
                     if let RuleAction::Output(target) = action {
-                        g.edge(
-                            Vertex::Emitted(pi, port_in.clone()),
-                            Vertex::Arrived(pi, target.clone()),
-                        );
+                        let a = g.vert(Vertex::Emitted(pi, Port::of(port_in)));
+                        let b = g.vert(Vertex::Arrived(pi, Port::of(target)));
+                        edges.push((a, b));
                     }
                 }
             }
@@ -254,14 +304,12 @@ impl PortGraph {
             // is also a terminal of the reachability relation.
             for nf in &part.nfs {
                 for p in &nf.ports {
-                    let arrived = g.vert(Vertex::Arrived(pi, PortRef::Nf(nf.id.clone(), p.id)));
-                    g.egress.insert(arrived, format!("nf:{}:{}", nf.id, p.id));
+                    let arrived = g.vert(Vertex::Arrived(pi, Port::Nf(&nf.id, p.id)));
+                    g.terminal[arrived] = true;
                     for q in &nf.ports {
                         if p.id != q.id {
-                            g.edge(
-                                Vertex::Arrived(pi, PortRef::Nf(nf.id.clone(), p.id)),
-                                Vertex::Emitted(pi, PortRef::Nf(nf.id.clone(), q.id)),
-                            );
+                            let out = g.vert(Vertex::Emitted(pi, Port::Nf(&nf.id, q.id)));
+                            edges.push((arrived, out));
                         }
                     }
                 }
@@ -271,34 +319,68 @@ impl PortGraph {
                 if ep.id.starts_with("ovl-") {
                     continue;
                 }
-                let id = g.vert(Vertex::Emitted(pi, PortRef::Endpoint(ep.id.clone())));
-                g.ingress.push((ep.id.clone(), id));
-                let id = g.vert(Vertex::Arrived(pi, PortRef::Endpoint(ep.id.clone())));
-                g.egress.insert(id, format!("ep:{}", ep.id));
+                let id = g.vert(Vertex::Emitted(pi, Port::Endpoint(&ep.id)));
+                g.ingress.push((&ep.id, id));
+                let id = g.vert(Vertex::Arrived(pi, Port::Endpoint(&ep.id)));
+                g.terminal[id] = true;
             }
         }
         // Overlay hops.
-        for (endpoint_id, a, b) in hops {
-            g.edge(
-                Vertex::Arrived(*a, PortRef::Endpoint(endpoint_id.clone())),
-                Vertex::Emitted(*b, PortRef::Endpoint(endpoint_id.clone())),
-            );
+        for &(endpoint_id, a, b) in hops {
+            let from = g.vert(Vertex::Arrived(a, Port::Endpoint(endpoint_id)));
+            let to = g.vert(Vertex::Emitted(b, Port::Endpoint(endpoint_id)));
+            edges.push((from, to));
         }
+        // Out-edges grouped by source, each group in insertion order.
+        edges.sort_by_key(|(a, _)| *a);
+        g.offsets = Vec::with_capacity(g.verts.len() + 1);
+        g.offsets.push(0);
+        let mut at = 0;
+        for v in 0..g.verts.len() {
+            while at < edges.len() && edges[at].0 == v {
+                at += 1;
+            }
+            g.offsets.push(at);
+        }
+        g.targets = edges.into_iter().map(|(_, b)| b).collect();
         g
     }
 
-    /// Endpoint-to-endpoint reachability pairs.
-    fn reach(&self) -> BTreeSet<(String, String)> {
-        let mut pairs = BTreeSet::new();
-        for (ep, start) in &self.ingress {
-            let mut seen = vec![false; self.edges.len()];
-            let mut stack = vec![*start];
-            seen[*start] = true;
+    fn vert(&mut self, v: Vertex<'a>) -> usize {
+        let next = self.verts.len();
+        let id = *self.ids.entry(v).or_insert(next);
+        if id == next {
+            self.verts.push(v);
+            self.terminal.push(false);
+        }
+        id
+    }
+
+    fn out(&self, v: usize) -> &[usize] {
+        &self.targets[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The port a terminal vertex is labelled by.
+    fn port(&self, v: usize) -> Port<'a> {
+        let (Vertex::Emitted(_, p) | Vertex::Arrived(_, p)) = self.verts[v];
+        p
+    }
+
+    /// Endpoint-to-terminal reachability pairs, sorted and distinct.
+    fn reach(&self) -> Vec<Pair<'a>> {
+        let terminals = self.terminal.iter().filter(|t| **t).count();
+        let mut pairs = Vec::with_capacity(self.ingress.len() * terminals);
+        let mut seen = vec![false; self.verts.len()];
+        let mut stack = Vec::with_capacity(self.verts.len());
+        for &(ep, start) in &self.ingress {
+            seen.fill(false);
+            stack.push(start);
+            seen[start] = true;
             while let Some(v) = stack.pop() {
-                if let Some(out) = self.egress.get(&v) {
-                    pairs.insert((ep.clone(), out.clone()));
+                if self.terminal[v] {
+                    pairs.push((ep, self.port(v)));
                 }
-                for &w in &self.edges[v] {
+                for &w in self.out(v) {
                     if !seen[w] {
                         seen[w] = true;
                         stack.push(w);
@@ -306,64 +388,56 @@ impl PortGraph {
                 }
             }
         }
+        pairs.sort_unstable();
+        pairs.dedup();
         pairs
     }
 
     /// A vertex on a cycle reachable from any ingress, if one exists.
-    fn find_cycle(&self) -> Option<&Vertex> {
+    fn find_cycle(&self) -> Option<Vertex<'a>> {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
-        let mut color = vec![WHITE; self.edges.len()];
-        let mut cyclic: Option<usize> = None;
-        for (_, start) in &self.ingress {
-            if color[*start] != WHITE {
+        let mut color = vec![WHITE; self.verts.len()];
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for &(_, start) in &self.ingress {
+            if color[start] != WHITE {
                 continue;
             }
             // Iterative DFS with an explicit edge cursor.
-            let mut stack: Vec<(usize, usize)> = vec![(*start, 0)];
-            color[*start] = GRAY;
+            stack.push((start, 0));
+            color[start] = GRAY;
             while let Some((v, i)) = stack.pop() {
-                if i < self.edges[v].len() {
+                if let Some(&w) = self.out(v).get(i) {
                     stack.push((v, i + 1));
-                    let w = self.edges[v][i];
                     match color[w] {
                         WHITE => {
                             color[w] = GRAY;
                             stack.push((w, 0));
                         }
-                        GRAY => {
-                            cyclic = Some(w);
-                            break;
-                        }
+                        GRAY => return Some(self.verts[w]),
                         _ => {}
                     }
                 } else {
                     color[v] = BLACK;
                 }
             }
-            if cyclic.is_some() {
-                break;
-            }
         }
-        let target = cyclic?;
-        self.verts
-            .iter()
-            .find_map(|(v, id)| (*id == target).then_some(v))
+        None
     }
 
     /// BFS tree from `start`: per vertex, the predecessor it was first
     /// reached from (`None` for the root and for unreached vertices)
     /// plus whether it was reached at all.
     fn bfs(&self, start: usize) -> (Vec<Option<usize>>, Vec<bool>, Vec<usize>) {
-        let mut parent = vec![None; self.edges.len()];
-        let mut seen = vec![false; self.edges.len()];
+        let mut parent = vec![None; self.verts.len()];
+        let mut seen = vec![false; self.verts.len()];
         let mut order = Vec::new();
         seen[start] = true;
         let mut queue = std::collections::VecDeque::from([start]);
         while let Some(v) = queue.pop_front() {
             order.push(v);
-            for &w in &self.edges[v] {
+            for &w in self.out(v) {
                 if !seen[w] {
                     seen[w] = true;
                     parent[w] = Some(v);
@@ -407,11 +481,19 @@ impl PortGraph {
         path.reverse();
         path
     }
+}
 
-    /// The vertex behind an id (reverse lookup; witness paths only).
-    fn vertex(&self, id: usize) -> Option<&Vertex> {
-        self.verts.iter().find_map(|(v, i)| (*i == id).then_some(v))
-    }
+/// The pairs of sorted `a` missing from sorted `b`, as rendered
+/// `(endpoint, label)` strings in their rendered order — built only
+/// for a violation.
+fn missing_pairs<'a>(a: &[Pair<'a>], b: &[Pair<'a>]) -> Vec<(String, String, Pair<'a>)> {
+    let mut out: Vec<_> = a
+        .iter()
+        .filter(|p| b.binary_search(p).is_err())
+        .map(|&(ep, port)| (ep.to_string(), port.label(), (ep, port)))
+        .collect();
+    out.sort_unstable_by(|x, y| (&x.0, &x.1).cmp(&(&y.0, &y.1)));
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -596,19 +678,16 @@ fn witness_blackhole_unknown_overlay(
 /// Render a vertex path through the installed port graph as a witness
 /// walk, closed by `terminal` (built from the final node's name).
 fn witness_from_vertex_path(
-    g: &PortGraph,
+    g: &PortGraph<'_>,
     part_names: &[&String],
     graph_id: &str,
     from_ep: &str,
     vpath: &[usize],
     terminal: impl FnOnce(&str) -> HopKind,
 ) -> PacketTrace {
-    fn node_of<'a>(part_names: &[&'a String], v: &Vertex) -> &'a str {
-        let (Vertex::Emitted(pi, _) | Vertex::Arrived(pi, _)) = v;
-        part_names.get(*pi).map(|s| s.as_str()).unwrap_or("?")
-    }
-    let verts: Vec<&Vertex> = vpath.iter().filter_map(|id| g.vertex(*id)).collect();
-    let origin = verts.first().map(|v| node_of(part_names, v)).unwrap_or("?");
+    let node_of = |v: &Vertex| part_names.get(v.part()).map_or("?", |s| s.as_str());
+    let verts: Vec<Vertex> = vpath.iter().map(|id| g.verts[*id]).collect();
+    let origin = verts.first().map_or("?", node_of);
     let mut w = Witness::new(origin, from_ep);
     w.hop(
         origin,
@@ -617,7 +696,7 @@ fn witness_from_vertex_path(
         },
     );
     for pair in verts.windows(2) {
-        let (here, next) = (node_of(part_names, pair[0]), node_of(part_names, pair[1]));
+        let (here, next) = (node_of(&pair[0]), node_of(&pair[1]));
         match (pair[0], pair[1]) {
             // A rule carried the frame from an emitted port to an
             // arrived one inside the same part.
@@ -634,13 +713,13 @@ fn witness_from_vertex_path(
                 );
             }
             // The frame traversed an NF (in one port, out another).
-            (Vertex::Arrived(pi, PortRef::Nf(nf, _)), Vertex::Emitted(pj, PortRef::Nf(nf2, _)))
+            (Vertex::Arrived(pi, Port::Nf(nf, _)), Vertex::Emitted(pj, Port::Nf(nf2, _)))
                 if pi == pj && nf == nf2 =>
             {
                 w.hop(
                     here,
                     HopKind::NfDeliver {
-                        instance: nf.clone(),
+                        instance: nf.to_string(),
                         nf_type: "static".to_string(),
                         flavor: "static".to_string(),
                         latency_ns: 0,
@@ -648,7 +727,7 @@ fn witness_from_vertex_path(
                 );
             }
             // An overlay hop re-emitted the frame on the peer part.
-            (Vertex::Arrived(pi, PortRef::Endpoint(ep)), Vertex::Emitted(pj, _)) if pi != pj => {
+            (Vertex::Arrived(pi, Port::Endpoint(ep)), Vertex::Emitted(pj, _)) if pi != pj => {
                 w.hop(
                     here,
                     HopKind::OverlayHop {
@@ -664,10 +743,7 @@ fn witness_from_vertex_path(
             _ => {}
         }
     }
-    let last = verts
-        .last()
-        .map(|v| node_of(part_names, v))
-        .unwrap_or(origin);
+    let last = verts.last().map_or(origin, node_of);
     let kind = terminal(last);
     w.hop(last, kind);
     w.finish()
@@ -684,28 +760,20 @@ fn resolves(part: &NfFg, target: &PortRef) -> bool {
     }
 }
 
-/// Verify one deployed graph against the fleet snapshot. Reads the
-/// tables of every node hosting one of its parts, so a scoped snapshot
-/// must have lowered those hosts.
-pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckStats) {
+/// Verify one deployed graph against the fleet snapshot `ix` indexes.
+/// Reads the graph LSIs of every node hosting one of its parts, so a
+/// scoped snapshot must have lowered those hosts and those LSIs.
+pub fn check_graph(ix: &Index<'_>, g: &GraphState) -> (Vec<Violation>, CheckStats) {
     let mut v: Vec<Violation> = Vec::new();
     let mut stats = CheckStats::default();
 
+    // Part index = position in the (sorted) part map.
     let part_names: Vec<&String> = g.parts.keys().collect();
-    let part_idx: BTreeMap<&str, usize> = part_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-    let link_by_ep: BTreeMap<&str, &crate::snapshot::GraphLink> = g
-        .links
-        .iter()
-        .map(|l| (l.endpoint_id.as_str(), l))
-        .collect();
+    let idx_of = |n: &String| part_names.binary_search(&n).ok();
 
     // ---- Structural part checks ----
     for (node, part) in &g.parts {
-        match snap.node(node) {
+        match ix.node(node) {
             None => v.push(
                 Violation::new(
                     code::MISSING_PART,
@@ -758,7 +826,7 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
                 }
                 // Sending into an overlay endpoint requires the wire.
                 if let PortRef::Endpoint(ep) = target {
-                    if ep.starts_with("ovl-") && !link_by_ep.contains_key(ep.as_str()) {
+                    if ep.starts_with("ovl-") && !g.links.iter().any(|l| l.endpoint_id == *ep) {
                         let port_in = rule
                             .matches
                             .port_in
@@ -785,33 +853,30 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
     }
 
     // ---- Overlay link checks + hop edges ----
-    let mut hops: Vec<(String, usize, usize)> = Vec::new();
+    let mut hops: Vec<(&str, usize, usize)> = Vec::with_capacity(2 * g.links.len());
     for link in &g.links {
-        let info = snap.link(link.vid);
-        let path: Vec<String> = match info {
-            Some(info) if info.graph == g.id => info.path.clone(),
-            Some(info) => {
+        let fallback: [String; 2];
+        let path: &[String] = match ix.link(link.vid) {
+            Some(info) if info.graph == g.id => &info.path,
+            other => {
                 v.push(
-                    Violation::new(
-                        code::VID_LEDGER,
-                        format!(
-                            "link vid {} claimed by graph but owned by '{}'",
-                            link.vid, info.graph
+                    match other {
+                        Some(info) => Violation::new(
+                            code::VID_LEDGER,
+                            format!(
+                                "link vid {} claimed by graph but owned by '{}'",
+                                link.vid, info.graph
+                            ),
                         ),
-                    )
+                        None => Violation::new(
+                            code::DANGLING_VID,
+                            format!("overlay link vid {} has no live wire", link.vid),
+                        ),
+                    }
                     .on_graph(&g.id),
                 );
-                vec![link.from_node.clone(), link.to_node.clone()]
-            }
-            None => {
-                v.push(
-                    Violation::new(
-                        code::DANGLING_VID,
-                        format!("overlay link vid {} has no live wire", link.vid),
-                    )
-                    .on_graph(&g.id),
-                );
-                vec![link.from_node.clone(), link.to_node.clone()]
+                fallback = [link.from_node.clone(), link.to_node.clone()];
+                &fallback
             }
         };
         if path.first() != Some(&link.from_node) || path.last() != Some(&link.to_node) {
@@ -826,22 +891,19 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
                 .on_graph(&g.id),
             );
         }
-        {
-            let mut seen = BTreeSet::new();
-            if !path.iter().all(|n| seen.insert(n)) {
-                v.push(
-                    Violation::new(
-                        code::TRANSIT_LOOP,
-                        format!("link vid {} path {:?} revisits a node", link.vid, path),
-                    )
-                    .on_graph(&g.id)
-                    .with_witness(witness_transit_loop(
-                        link.vid,
-                        &link.endpoint_id,
-                        &path,
-                    )),
-                );
-            }
+        if (1..path.len()).any(|i| path[..i].contains(&path[i])) {
+            v.push(
+                Violation::new(
+                    code::TRANSIT_LOOP,
+                    format!("link vid {} path {:?} revisits a node", link.vid, path),
+                )
+                .on_graph(&g.id)
+                .with_witness(witness_transit_loop(
+                    link.vid,
+                    &link.endpoint_id,
+                    path,
+                )),
+            );
         }
         // The delivery rule must exist on the last hop; a transit rule
         // on every intermediate hop.
@@ -861,7 +923,7 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
                         &g.id,
                         link.vid,
                         &link.endpoint_id,
-                        &path,
+                        path,
                         None,
                         &format!(
                             "no delivery rule '{}' for vid {}",
@@ -871,13 +933,14 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
                 );
             }
         }
+        let on_wire = |p: &PortRef| matches!(p, PortRef::Endpoint(e) if *e == link.endpoint_id);
         for mid in path.iter().take(path.len().saturating_sub(1)).skip(1) {
             let has_transit = g.parts.get(mid).is_some_and(|p| {
                 p.flow_rules.iter().any(|r| {
-                    r.matches.port_in == Some(PortRef::Endpoint(link.endpoint_id.clone()))
-                        && r.actions.iter().any(|a| {
-                            *a == RuleAction::Output(PortRef::Endpoint(link.endpoint_id.clone()))
-                        })
+                    r.matches.port_in.as_ref().is_some_and(on_wire)
+                        && r.actions
+                            .iter()
+                            .any(|a| matches!(a, RuleAction::Output(t) if on_wire(t)))
                 })
             });
             if !has_transit {
@@ -892,7 +955,7 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
                         &g.id,
                         link.vid,
                         &link.endpoint_id,
-                        &path,
+                        path,
                         Some(mid),
                         &format!("no transit rule for vid {} on '{mid}'", link.vid),
                     )),
@@ -901,17 +964,16 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
         }
         // Hop edges along the pinned path (degenerate paths still get
         // a best-effort from→to edge so reachability stays comparable).
-        let idx_of = |n: &String| part_idx.get(n.as_str()).copied();
         let mut wired = false;
         for w in path.windows(2) {
             if let (Some(a), Some(b)) = (idx_of(&w[0]), idx_of(&w[1])) {
-                hops.push((link.endpoint_id.clone(), a, b));
+                hops.push((&link.endpoint_id, a, b));
                 wired = true;
             }
         }
         if !wired {
             if let (Some(a), Some(b)) = (idx_of(&link.from_node), idx_of(&link.to_node)) {
-                hops.push((link.endpoint_id.clone(), a, b));
+                hops.push((&link.endpoint_id, a, b));
             }
         }
     }
@@ -924,22 +986,25 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
 
     let want = original.reach();
     let have = installed.reach();
-    for (from, to) in want.difference(&have) {
-        // Witness: walk the installed graph from `from` as far as any
-        // frame can get; the walk dead-ends short of `to`.
-        let witness = installed
+    let ingress_of = |from: &str| {
+        installed
             .ingress
             .iter()
-            .find(|(ep, _)| ep == from)
-            .map(|(_, start)| {
-                let vpath = installed.deepest_path(*start);
-                witness_from_vertex_path(&installed, &part_names, &g.id, from, &vpath, |_| {
-                    HopKind::Drop {
-                        reason: DropReason::TableMiss,
-                        detail: format!("static walk dead-ends; '{to}' is unreachable"),
-                    }
-                })
-            });
+            .find(|(ep, _)| *ep == from)
+            .map(|(_, start)| *start)
+    };
+    for (from, to, _) in missing_pairs(&want, &have) {
+        // Witness: walk the installed graph from `from` as far as any
+        // frame can get; the walk dead-ends short of `to`.
+        let witness = ingress_of(&from).map(|start| {
+            let vpath = installed.deepest_path(start);
+            witness_from_vertex_path(&installed, &part_names, &g.id, &from, &vpath, |_| {
+                HopKind::Drop {
+                    reason: DropReason::TableMiss,
+                    detail: format!("static walk dead-ends; '{to}' is unreachable"),
+                }
+            })
+        });
         let mut viol = Violation::new(
             code::UNREACHABLE,
             format!("endpoint '{from}' no longer reaches '{to}'"),
@@ -950,29 +1015,22 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
         }
         v.push(viol);
     }
-    for (from, to) in have.difference(&want) {
+    for (from, to, (_, port)) in missing_pairs(&have, &want) {
         // Witness: the concrete installed walk that reaches `to` even
         // though the tenant graph never connected the pair.
-        let witness = installed
-            .ingress
-            .iter()
-            .find(|(ep, _)| ep == from)
-            .and_then(|(_, start)| {
-                let target = installed
-                    .egress
-                    .iter()
-                    .find(|(_, label)| *label == to)
-                    .map(|(id, _)| *id)?;
-                let vpath = installed.path_to(*start, target)?;
-                Some(witness_from_vertex_path(
-                    &installed,
-                    &part_names,
-                    &g.id,
-                    from,
-                    &vpath,
-                    |_| HopKind::Egress { port: to.clone() },
-                ))
-            });
+        let witness = ingress_of(&from).and_then(|start| {
+            let target = (0..installed.verts.len())
+                .find(|&t| installed.terminal[t] && installed.port(t) == port)?;
+            let vpath = installed.path_to(start, target)?;
+            Some(witness_from_vertex_path(
+                &installed,
+                &part_names,
+                &g.id,
+                &from,
+                &vpath,
+                |_| HopKind::Egress { port: to.clone() },
+            ))
+        });
         let mut viol = Violation::new(
             code::PHANTOM_REACH,
             format!("installed state lets '{from}' reach '{to}' but the graph does not"),
@@ -987,14 +1045,17 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
     // ---- Loop freedom ----
     if let Some(vertex) = installed.find_cycle() {
         let (dir, pi, port) = match vertex {
-            Vertex::Emitted(pi, p) => ("emitted-from", *pi, p),
-            Vertex::Arrived(pi, p) => ("arrived-at", *pi, p),
+            Vertex::Emitted(pi, p) => ("emitted-from", pi, p),
+            Vertex::Arrived(pi, p) => ("arrived-at", pi, p),
         };
         let node = part_names.get(pi).map(|s| s.as_str()).unwrap_or("?");
         v.push(
             Violation::new(
                 code::FORWARDING_LOOP,
-                format!("class cycles through {dir} {port:?} on '{node}'"),
+                format!(
+                    "class cycles through {dir} {:?} on '{node}'",
+                    port.to_port_ref()
+                ),
             )
             .on_graph(&g.id),
         );
@@ -1002,15 +1063,7 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
 
     // ---- Compile consistency ----
     for exp in &g.expected_rules {
-        let installed = snap.node(&exp.node).is_some_and(|n| {
-            n.lsis
-                .iter()
-                .filter(|l| l.graph.as_deref() == Some(g.id.as_str()))
-                .flat_map(|l| &l.tables)
-                .flat_map(|t| &t.rules)
-                .any(|r| r.cookie == exp.cookie)
-        });
-        if !installed {
+        if !ix.graph_rule_installed(&exp.node, &g.id, exp.cookie) {
             v.push(
                 Violation::new(
                     code::MISSING_RULE,
@@ -1029,84 +1082,74 @@ pub fn check_graph(snap: &Snapshot, g: &GraphState) -> (Vec<Violation>, CheckSta
 // Table-level checks
 // ---------------------------------------------------------------------
 
-/// Audit one node's installed tables: shadowed rules, dead outputs and
+/// Audit one LSI of node `node`: shadowed rules, dead outputs and
 /// overlay-vid references.
 ///
-/// `in_use` is the set of vids carried by live links; actions naming a
-/// pool vid (`vid_base..vid_next`) outside it are dangling. Every
-/// [`FlowAction`] is classified by name, so a new action does not
-/// compile until this audit decides what it means.
-pub fn audit_node(
-    node: &NodeState,
-    vid_base: u16,
-    vid_next: u16,
-    in_use: &BTreeSet<u16>,
-) -> (Vec<Violation>, CheckStats) {
+/// An action naming a pool vid (`vid_base..vid_next`) that no live link
+/// carries is dangling. Every [`FlowAction`] is classified by name, so
+/// a new action does not compile until this audit decides what it
+/// means.
+pub fn audit_lsi(ix: &Index<'_>, node: &str, lsi: &LsiState) -> (Vec<Violation>, CheckStats) {
     let mut v = Vec::new();
     let mut stats = CheckStats::default();
+    let pool = ix.snapshot().vid_base..ix.snapshot().vid_next;
 
-    for lsi in &node.lsis {
-        let ports: BTreeSet<u32> = lsi.ports.iter().copied().collect();
-        for table in &lsi.tables {
-            stats.rules_checked += table.rules.len();
-            // Shadow analysis over the table in match order.
-            let matches: Vec<_> = table.rules.iter().map(|r| &r.matches).collect();
-            let (shadowed, classes) = shadowed_rules(&matches, PIECE_BUDGET);
-            stats.classes += classes;
-            for (idx, covering) in shadowed {
-                let cover: Vec<String> = covering
-                    .iter()
-                    .map(|j| format!("#{j}(cookie {:#x})", table.rules[*j].cookie))
-                    .collect();
-                v.push(
-                    Violation::new(
-                        code::SHADOWED_RULE,
-                        format!(
-                            "{} table {} entry #{idx} (cookie {:#x}) is fully covered by {}",
-                            lsi.name,
-                            table.index,
-                            table.rules[idx].cookie,
-                            cover.join(", "),
-                        ),
-                    )
-                    .on_node(&node.name),
-                );
-            }
-            // Action sanity.
-            for (idx, rule) in table.rules.iter().enumerate() {
-                for action in &rule.actions {
-                    match *action {
-                        FlowAction::Output(p) if !ports.contains(&p.0) => v.push(
+    for table in &lsi.tables {
+        stats.rules_checked += table.rules.len();
+        // Shadow analysis over the table in match order.
+        let matches: Vec<_> = table.rules.iter().map(|r| &r.matches).collect();
+        let (shadowed, classes) = shadowed_rules(&matches, PIECE_BUDGET);
+        stats.classes += classes;
+        for (idx, covering) in shadowed {
+            let cover: Vec<String> = covering
+                .iter()
+                .map(|j| format!("#{j}(cookie {:#x})", table.rules[*j].cookie))
+                .collect();
+            v.push(
+                Violation::new(
+                    code::SHADOWED_RULE,
+                    format!(
+                        "{} table {} entry #{idx} (cookie {:#x}) is fully covered by {}",
+                        lsi.name,
+                        table.index,
+                        table.rules[idx].cookie,
+                        cover.join(", "),
+                    ),
+                )
+                .on_node(node),
+            );
+        }
+        // Action sanity.
+        for (idx, rule) in table.rules.iter().enumerate() {
+            for action in &rule.actions {
+                match *action {
+                    FlowAction::Output(p) if !lsi.ports.contains(&p.0) => v.push(
+                        Violation::new(
+                            code::DEAD_OUTPUT,
+                            format!(
+                                "{} table {} entry #{idx} outputs to missing port {}",
+                                lsi.name, table.index, p.0
+                            ),
+                        )
+                        .on_node(node),
+                    ),
+                    FlowAction::PushVlan(vid) if pool.contains(&vid) && ix.link(vid).is_none() => v
+                        .push(
                             Violation::new(
-                                code::DEAD_OUTPUT,
+                                code::DANGLING_VID,
                                 format!(
-                                    "{} table {} entry #{idx} outputs to missing port {}",
-                                    lsi.name, table.index, p.0
+                                    "{} table {} entry #{idx} tags pool vid {vid} with no live wire",
+                                    lsi.name, table.index
                                 ),
                             )
-                            .on_node(&node.name),
+                            .on_node(node),
                         ),
-                        FlowAction::PushVlan(vid)
-                            if (vid_base..vid_next).contains(&vid) && !in_use.contains(&vid) =>
-                        {
-                            v.push(
-                                Violation::new(
-                                    code::DANGLING_VID,
-                                    format!(
-                                        "{} table {} entry #{idx} tags pool vid {vid} with no live wire",
-                                        lsi.name, table.index
-                                    ),
-                                )
-                                .on_node(&node.name),
-                            )
-                        }
-                        // A live port, a vid off the pool or on a live
-                        // wire, or an action that names neither.
-                        FlowAction::Output(_)
-                        | FlowAction::PushVlan(_)
-                        | FlowAction::PopVlan
-                        | FlowAction::SetFwmark(_) => {}
-                    }
+                    // A live port, a vid off the pool or on a live
+                    // wire, or an action that names neither.
+                    FlowAction::Output(_)
+                    | FlowAction::PushVlan(_)
+                    | FlowAction::PopVlan
+                    | FlowAction::SetFwmark(_) => {}
                 }
             }
         }
@@ -1120,17 +1163,17 @@ pub fn audit_node(
 
 /// Verify the vid pool and the shared-NNF lease table. Reads only the
 /// fleet-wide side of the snapshot, so it is exact on a scoped one.
-pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
+pub fn check_ledger(ix: &Index<'_>) -> Vec<Violation> {
+    let snap = ix.snapshot();
     let mut v = Vec::new();
 
     // Every minted vid (base..next) is exactly one of: free, in use by
     // a live link, or reserved by a staged standby plan.
     let free: BTreeSet<u16> = snap.free_vids.iter().copied().collect();
     let standby: BTreeSet<u16> = snap.standby_vids.iter().copied().collect();
-    let in_use: BTreeSet<u16> = snap.links.iter().map(|l| l.vid).collect();
     for vid in snap.vid_base..snap.vid_next {
-        let spots =
-            free.contains(&vid) as u8 + standby.contains(&vid) as u8 + in_use.contains(&vid) as u8;
+        let in_use = ix.link(vid).is_some();
+        let spots = free.contains(&vid) as u8 + standby.contains(&vid) as u8 + in_use as u8;
         if spots != 1 {
             let state = if spots == 0 {
                 "leaked"
@@ -1140,16 +1183,16 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             v.push(Violation::new(
                 code::VID_LEDGER,
                 format!(
-                    "vid {vid} is {state} (free={}, standby={}, in-use={})",
+                    "vid {vid} is {state} (free={}, standby={}, in-use={in_use})",
                     free.contains(&vid),
                     standby.contains(&vid),
-                    in_use.contains(&vid)
                 ),
             ));
         }
     }
-    for vid in free.iter().chain(&standby).chain(&in_use) {
-        if *vid < snap.vid_base || *vid >= snap.vid_next {
+    let minted = |vid: &u16| (snap.vid_base..snap.vid_next).contains(vid);
+    for vid in free.iter().chain(&standby).copied().chain(ix.live_vids()) {
+        if !minted(&vid) {
             v.push(Violation::new(
                 code::VID_LEDGER,
                 format!("vid {vid} was never minted by the pool"),
@@ -1159,7 +1202,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
 
     // Links belong to deployed graphs and ride serving nodes.
     for link in &snap.links {
-        if !snap.has_graph(&link.graph) {
+        if !ix.has_graph(&link.graph) {
             v.push(
                 Violation::new(
                     code::DANGLING_VID,
@@ -1169,7 +1212,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             );
         }
         for node in &link.path {
-            if snap.serving(node) != Some(true) {
+            if ix.serving(node) != Some(true) {
                 v.push(
                     Violation::new(
                         code::DANGLING_VID,
@@ -1185,7 +1228,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
     // Shared-NNF leases point at live hosts with deployed tenants.
     for lease in &snap.leases {
         let ty = &lease.functional_type;
-        if snap.serving(&lease.host) != Some(true) {
+        if ix.serving(&lease.host) != Some(true) {
             v.push(
                 Violation::new(
                     code::DANGLING_LEASE,
@@ -1204,7 +1247,7 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
             );
         }
         for tenant in &lease.tenants {
-            if !snap.has_graph(tenant) {
+            if !ix.has_graph(tenant) {
                 v.push(
                     Violation::new(
                         code::DANGLING_LEASE,
@@ -1238,26 +1281,28 @@ pub fn check_ledger(snap: &Snapshot) -> Vec<Violation> {
 /// Run every check over the whole snapshot (full verification).
 /// Duration is left zero — the caller owns the clock.
 pub fn run(snap: &Snapshot) -> VerifyReport {
+    let ix = snap.index();
     let mut report = VerifyReport {
         mode: "full",
         rules_lowered: snap.installed_rules(),
         ..VerifyReport::default()
     };
-    report.violations.extend(check_ledger(snap));
+    report.violations.extend(check_ledger(&ix));
     for g in &snap.graphs {
-        let (v, stats) = check_graph(snap, g);
+        let (v, stats) = check_graph(&ix, g);
         report.violations.extend(v);
         report.stats.merge(stats);
         report.graphs_checked += 1;
     }
-    let in_use: BTreeSet<u16> = snap.links.iter().map(|l| l.vid).collect();
     // Failed carcasses keep their installed state until recovery
     // purges it; their tables are off the traffic path and expected to
     // be stale, so only serving nodes are audited.
     for node in snap.nodes.iter().filter(|n| n.serving) {
-        let (v, stats) = audit_node(node, snap.vid_base, snap.vid_next, &in_use);
-        report.violations.extend(v);
-        report.stats.merge(stats);
+        for lsi in &node.lsis {
+            let (v, stats) = audit_lsi(&ix, &node.name, lsi);
+            report.violations.extend(v);
+            report.stats.merge(stats);
+        }
         report.nodes_checked += 1;
     }
     report
@@ -1267,6 +1312,7 @@ pub fn run(snap: &Snapshot) -> VerifyReport {
 mod tests {
     use super::*;
     use crate::snapshot::*;
+    use std::collections::BTreeMap;
     use un_nffg::{Endpoint, EndpointKind, FlowRule, NfFgBuilder, TrafficMatch};
     use un_switch::{FlowMatch, PortNo};
 
@@ -1384,6 +1430,7 @@ mod tests {
                         }],
                     }],
                 }],
+                unlowered_lsis: Vec::new(),
             })
             .collect();
 
@@ -1568,7 +1615,7 @@ mod tests {
         snap.leases.push(lease("n2"));
         assert!(run(&snap).ok(), "one instance on each of two hosts");
         snap.leases[1].host = "n1".into();
-        let hits: Vec<_> = check_ledger(&snap)
+        let hits: Vec<_> = check_ledger(&snap.index())
             .into_iter()
             .filter(|v| v.code == code::DOUBLE_HOSTED_TYPE)
             .collect();

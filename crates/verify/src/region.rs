@@ -500,6 +500,18 @@ impl Region {
     }
 }
 
+/// True when two VLAN constraints accept no common frame.
+fn vlans_exclude(a: Option<VlanSpec>, b: Option<VlanSpec>) -> bool {
+    match (a, b) {
+        (Some(VlanSpec::Id(x)), Some(VlanSpec::Id(y))) => x != y,
+        (Some(VlanSpec::Untagged), Some(other)) | (Some(other), Some(VlanSpec::Untagged)) => {
+            other != VlanSpec::Untagged
+        }
+        // AnyTagged meets every Id; a wildcard side meets anything.
+        _ => false,
+    }
+}
+
 /// True when `a` and `b` provably accept no common header, decided from
 /// the two matches alone without building a [`Region`]: both pin an
 /// exact field to different values, their VLAN specs exclude each other,
@@ -510,16 +522,6 @@ impl Region {
 pub fn provably_disjoint(a: &FlowMatch, b: &FlowMatch) -> bool {
     fn differ<T: PartialEq>(a: &Option<T>, b: &Option<T>) -> bool {
         matches!((a, b), (Some(x), Some(y)) if x != y)
-    }
-    fn vlans_exclude(a: Option<VlanSpec>, b: Option<VlanSpec>) -> bool {
-        match (a, b) {
-            (Some(VlanSpec::Id(x)), Some(VlanSpec::Id(y))) => x != y,
-            (Some(VlanSpec::Untagged), Some(other)) | (Some(other), Some(VlanSpec::Untagged)) => {
-                other != VlanSpec::Untagged
-            }
-            // AnyTagged meets every Id; a wildcard side meets anything.
-            _ => false,
-        }
     }
     fn prefixes_apart(a: &Option<Ipv4Cidr>, b: &Option<Ipv4Cidr>) -> bool {
         let (Some(a), Some(b)) = (a, b) else {
@@ -551,35 +553,92 @@ pub fn provably_disjoint(a: &FlowMatch, b: &FlowMatch) -> bool {
 /// (adversarial tables can force exponential splits; real tables stay
 /// tiny). The analysis is exact within budget: a rule is flagged iff
 /// the union of its predecessors covers its whole match region.
+///
+/// A predecessor pinning another ingress port than rule `i`, or a VLAN
+/// constraint that excludes `i`'s, cannot meet it: only the
+/// predecessors on `i`'s port or on any port whose VLAN constraint may
+/// meet `i`'s are walked one by one; the runs between them are charged
+/// in bulk, as the [`provably_disjoint`] step would charge each. A
+/// rule's region is built only once a predecessor may meet it.
 pub fn shadowed_rules(
     matches: &[&FlowMatch],
     piece_budget: usize,
 ) -> (Vec<(usize, Vec<usize>)>, usize) {
+    // `(port, rule, vlan)` for every port-pinned rule, sorted; the
+    // rules on any port, in order.
+    let mut pinned: Vec<(u32, usize, Option<VlanSpec>)> = Vec::new();
+    let mut wild: Vec<usize> = Vec::new();
+    for (i, m) in matches.iter().enumerate() {
+        match m.in_port {
+            Some(p) => pinned.push((p.0, i, m.vlan)),
+            None => wild.push(i),
+        }
+    }
+    pinned.sort_unstable_by_key(|&(port, i, _)| (port, i));
+
     let mut shadowed = Vec::new();
     let mut classes = 0usize;
+    let mut walk: Vec<usize> = Vec::new();
     for i in 1..matches.len() {
-        let Some(start) = Region::from_match(matches[i]) else {
-            continue;
-        };
-        let mut pieces = vec![start];
+        let rule = matches[i];
+        // The predecessors that may meet rule `i`, ascending: those on
+        // its port (all of them when it has none) or on any port, whose
+        // VLAN constraint does not exclude its own.
+        walk.clear();
+        let vlan_meets = |vlan: Option<VlanSpec>| !vlans_exclude(rule.vlan, vlan);
+        let wild = &wild[..wild.partition_point(|&j| j < i)];
+        match rule.in_port {
+            Some(p) => {
+                let lo = pinned.partition_point(|&(q, _, _)| q < p.0);
+                let hi = pinned.partition_point(|&(q, j, _)| (q, j) < (p.0, i));
+                let same = pinned[lo..hi]
+                    .iter()
+                    .filter(|(_, _, vlan)| vlan_meets(*vlan));
+                walk.extend(same.map(|&(_, j, _)| j));
+                let unsorted = !walk.is_empty() && !wild.is_empty();
+                walk.extend(wild.iter().filter(|&&j| vlan_meets(matches[j].vlan)));
+                if unsorted {
+                    walk.sort_unstable();
+                }
+            }
+            None => walk.extend((0..i).filter(|&j| vlan_meets(matches[j].vlan))),
+        }
+
+        // Until a predecessor may meet the rule, its region is not
+        // built: it stands as one piece.
+        let mut pieces: Vec<Region> = Vec::new();
+        let mut built = false;
         let mut covering: Vec<usize> = Vec::new();
         let mut over_budget = false;
-        for (j, m) in matches.iter().enumerate().take(i) {
-            // A predecessor that cannot meet rule `i` subtracts as the
-            // identity from every piece: account for it exactly as the
-            // algebra would (budget, then classes), build nothing.
-            if provably_disjoint(matches[i], m) {
-                if pieces.len() > piece_budget {
+        let mut charged = 0; // rules before this index are accounted for
+        for &j in walk.iter().chain(std::iter::once(&i)) {
+            // Rules `charged..j` pin another port or exclude the VLAN;
+            // with `j` itself when provably disjoint, each subtracts as
+            // the identity: budget, then classes, and nothing built.
+            let meets = j < i && !provably_disjoint(rule, matches[j]);
+            let identities = j - charged + usize::from(j < i && !meets);
+            let len = if built { pieces.len() } else { 1 };
+            if identities > 0 {
+                if len > piece_budget {
                     over_budget = true;
                     break;
                 }
-                classes += pieces.len();
+                classes += identities * len;
+            }
+            charged = j + 1;
+            if !meets {
                 continue;
+            }
+            if !built {
+                // Never empty: every field of the full region meets any
+                // single constraint.
+                pieces.push(Region::from_match(rule).expect("a match's region is non-empty"));
+                built = true;
             }
             let mut next: Vec<Region> = Vec::new();
             let mut cut = false;
             for p in &pieces {
-                let parts = p.subtract_match(m);
+                let parts = p.subtract_match(matches[j]);
                 cut |= parts.len() != 1 || parts[0] != *p;
                 next.extend(parts);
             }
@@ -596,7 +655,7 @@ pub fn shadowed_rules(
                 break;
             }
         }
-        if pieces.is_empty() && !over_budget {
+        if built && pieces.is_empty() && !over_budget {
             shadowed.push((i, covering));
         }
     }

@@ -6,15 +6,22 @@
 //! types means the checker in [`crate::check`] can be exercised on any
 //! state — live, replayed, or hand-seeded — through one entry point.
 //!
-//! A snapshot may be *scoped*: an incremental pass lowers tables and
-//! plans only for the nodes and graphs it re-checks. The rest of the
-//! fleet is still named ([`Snapshot::unlowered_nodes`],
-//! [`Snapshot::unlowered_graphs`]) because the ledger checks need to
-//! know it exists — but it carries no tables to read, and asking
-//! [`Snapshot::node`] / [`Snapshot::graph`] for it panics rather than
-//! answer "no such node".
+//! A snapshot may be *scoped*: an incremental pass lowers plans only
+//! for the graphs it re-checks, tables only on the nodes hosting them
+//! (and on nodes marked dirty), and on those nodes only LSI-0 and the
+//! LSIs of re-checked graphs — another graph's LSI keeps its cached
+//! audit. What was left out is still named
+//! ([`Snapshot::unlowered_nodes`], [`Snapshot::unlowered_graphs`],
+//! [`NodeState::unlowered_lsis`]) because the ledger checks need to know
+//! the fleet exists — but it carries no tables to read, and asking the
+//! [`Index`] for it panics rather than answer "no such node" or "no
+//! such rule".
+//!
+//! The checker never scans the snapshot per item: one [`Index`] per
+//! pass, built by [`Snapshot::index`], answers every by-name, by-vid and
+//! by-id lookup from borrowed keys.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use un_nffg::NfFg;
 use un_switch::{FlowAction, FlowMatch};
@@ -67,8 +74,12 @@ pub struct NodeState {
     /// (`Alive` or `Suspect`); failed nodes are snapshotted too so the
     /// checker can tell "part on a dead node" from "part on no node".
     pub serving: bool,
-    /// Every LSI on the node, LSI-0 first.
+    /// Every LSI on the node, LSI-0 first — in a scoped snapshot, all
+    /// but those of [`NodeState::unlowered_lsis`].
     pub lsis: Vec<LsiState>,
+    /// Graphs whose LSI on this node a scoped snapshot left out: their
+    /// graph was not re-checked, so their cached audit stands.
+    pub unlowered_lsis: Vec<String>,
 }
 
 /// One synthesized cut edge of a deployed graph (the graph-side view
@@ -168,51 +179,36 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The node with `name`, if the fleet has one.
-    ///
-    /// # Panics
-    /// When the node exists but lies outside the snapshot's scope: its
-    /// tables were never lowered, so any answer would be a guess.
-    pub fn node(&self, name: &str) -> Option<&NodeState> {
-        let found = self.nodes.iter().find(|n| n.name == name);
-        assert!(
-            found.is_some() || !self.unlowered_nodes.iter().any(|(n, _)| n == name),
-            "node '{name}' is outside this snapshot's scope"
-        );
-        found
-    }
-
-    /// Whether node `name` is serving; `None` when the fleet has no
-    /// such node. Answers for nodes outside the scope too.
-    pub fn serving(&self, name: &str) -> Option<bool> {
-        let lowered = self.nodes.iter().map(|n| (&n.name, n.serving));
-        let unlowered = self.unlowered_nodes.iter().map(|(n, s)| (n, *s));
-        lowered
-            .chain(unlowered)
-            .find_map(|(n, serving)| (n == name).then_some(serving))
-    }
-
-    /// The live link carrying `vid`, if any.
-    pub fn link(&self, vid: u16) -> Option<&LinkInfo> {
-        self.links.iter().find(|l| l.vid == vid)
-    }
-
-    /// The deployed graph `id`, if any.
-    ///
-    /// # Panics
-    /// When the graph is deployed but outside the snapshot's scope.
-    pub fn graph(&self, id: &str) -> Option<&GraphState> {
-        let found = self.graphs.iter().find(|g| g.id == id);
-        assert!(
-            found.is_some() || !self.unlowered_graphs.iter().any(|g| g == id),
-            "graph '{id}' is outside this snapshot's scope"
-        );
-        found
-    }
-
-    /// Whether graph `id` is deployed, inside the scope or not.
-    pub fn has_graph(&self, id: &str) -> bool {
-        self.graphs.iter().any(|g| g.id == id) || self.unlowered_graphs.iter().any(|g| g == id)
+    /// Build the lookups the checks share. `O(nodes + graphs + links)`,
+    /// once per pass; every answer borrows from `self`.
+    pub fn index(&self) -> Index<'_> {
+        // Of two entries with one key, the first listed (lowered before
+        // unlowered) answers.
+        let fleet = self.nodes.len() + self.unlowered_nodes.len();
+        let mut nodes = Names::with_capacity(fleet);
+        for n in &self.nodes {
+            nodes.entry(&n.name).or_insert(Lowering::Lowered(n));
+        }
+        for (name, serving) in &self.unlowered_nodes {
+            nodes.entry(name).or_insert(Lowering::Unlowered(*serving));
+        }
+        let deployed = self.graphs.len() + self.unlowered_graphs.len();
+        let mut graphs = Names::with_capacity(deployed);
+        for g in &self.graphs {
+            graphs.entry(&g.id).or_insert(Some(g));
+        }
+        for id in &self.unlowered_graphs {
+            graphs.entry(id).or_insert(None);
+        }
+        let mut links: Vec<(u16, &LinkInfo)> = self.links.iter().map(|l| (l.vid, l)).collect();
+        links.sort_by_key(|(vid, _)| *vid);
+        links.dedup_by_key(|(vid, _)| *vid);
+        Index {
+            snap: self,
+            nodes,
+            graphs,
+            links,
+        }
     }
 
     /// Total installed rules across every lowered node and LSI.
@@ -226,6 +222,108 @@ impl Snapshot {
     }
 }
 
+/// A by-name table of the index.
+type Names<'a, V> = HashMap<&'a str, V>;
+
+/// A node as the index knows it: lowered, or named with its health only.
+enum Lowering<'a> {
+    Lowered(&'a NodeState),
+    Unlowered(bool),
+}
+
+/// Borrowed lookups over one [`Snapshot`]: node by name, graph by id,
+/// live link by vid. Built from the snapshot's public fields, so a
+/// snapshot a test corrupted is indexed as it stands.
+pub struct Index<'a> {
+    snap: &'a Snapshot,
+    nodes: Names<'a, Lowering<'a>>,
+    /// `None`: deployed, but outside the scope.
+    graphs: Names<'a, Option<&'a GraphState>>,
+    /// Every live link, sorted by vid.
+    links: Vec<(u16, &'a LinkInfo)>,
+}
+
+impl<'a> Index<'a> {
+    /// The snapshot this index reads.
+    pub fn snapshot(&self) -> &'a Snapshot {
+        self.snap
+    }
+
+    /// The node with `name`, if the fleet has one.
+    ///
+    /// # Panics
+    /// When the node exists but lies outside the snapshot's scope: its
+    /// tables were never lowered, so any answer would be a guess.
+    pub fn node(&self, name: &str) -> Option<&'a NodeState> {
+        match self.nodes.get(name)? {
+            Lowering::Lowered(n) => Some(n),
+            Lowering::Unlowered(_) => panic!("node '{name}' is outside this snapshot's scope"),
+        }
+    }
+
+    /// Whether node `name` is serving; `None` when the fleet has no
+    /// such node. Answers for nodes outside the scope too.
+    pub fn serving(&self, name: &str) -> Option<bool> {
+        self.nodes.get(name).map(|n| match n {
+            Lowering::Lowered(n) => n.serving,
+            Lowering::Unlowered(serving) => *serving,
+        })
+    }
+
+    /// The live link carrying `vid`, if any.
+    pub fn link(&self, vid: u16) -> Option<&'a LinkInfo> {
+        let at = self.links.binary_search_by_key(&vid, |(v, _)| *v).ok()?;
+        Some(self.links[at].1)
+    }
+
+    /// The vids of every live link, ascending.
+    pub fn live_vids(&self) -> impl Iterator<Item = u16> + '_ {
+        self.links.iter().map(|(vid, _)| *vid)
+    }
+
+    /// The deployed graph `id`, if any.
+    ///
+    /// # Panics
+    /// When the graph is deployed but outside the snapshot's scope.
+    pub fn graph(&self, id: &str) -> Option<&'a GraphState> {
+        let found = *self.graphs.get(id)?;
+        assert!(
+            found.is_some(),
+            "graph '{id}' is outside this snapshot's scope"
+        );
+        found
+    }
+
+    /// Whether graph `id` is deployed, inside the scope or not.
+    pub fn has_graph(&self, id: &str) -> bool {
+        self.graphs.contains_key(id)
+    }
+
+    /// Whether an LSI of graph `graph` on node `node` holds an entry
+    /// stamped `cookie`; `false` on a node the fleet does not have.
+    ///
+    /// # Panics
+    /// When the node, or that graph's LSI on it, lies outside the
+    /// snapshot's scope: "not lowered" must never read as "missing".
+    pub fn graph_rule_installed(&self, node: &str, graph: &str, cookie: u64) -> bool {
+        let Some(n) = self.node(node) else {
+            return false;
+        };
+        let found = n
+            .lsis
+            .iter()
+            .filter(|l| l.graph.as_deref() == Some(graph))
+            .flat_map(|l| &l.tables)
+            .flat_map(|t| &t.rules)
+            .any(|r| r.cookie == cookie);
+        assert!(
+            found || !n.unlowered_lsis.iter().any(|g| g == graph),
+            "graph '{graph}'s LSI on node '{node}' is outside this snapshot's scope"
+        );
+        found
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,6 +334,7 @@ mod tests {
                 name: "in".into(),
                 serving: true,
                 lsis: Vec::new(),
+                unlowered_lsis: vec!["g-out".into()],
             }],
             unlowered_nodes: vec![("out".into(), false)],
             unlowered_graphs: vec!["g-out".into()],
@@ -246,23 +345,34 @@ mod tests {
     #[test]
     fn fleet_wide_questions_are_answered_for_the_whole_fleet() {
         let snap = scoped();
-        assert_eq!(snap.serving("in"), Some(true));
-        assert_eq!(snap.serving("out"), Some(false));
-        assert_eq!(snap.serving("nowhere"), None);
-        assert!(snap.has_graph("g-out") && !snap.has_graph("g-none"));
-        assert!(snap.node("in").is_some());
-        assert!(snap.node("nowhere").is_none() && snap.graph("g-none").is_none());
+        let ix = snap.index();
+        assert_eq!(ix.serving("in"), Some(true));
+        assert_eq!(ix.serving("out"), Some(false));
+        assert_eq!(ix.serving("nowhere"), None);
+        assert!(ix.has_graph("g-out") && !ix.has_graph("g-none"));
+        assert!(ix.node("in").is_some());
+        assert!(ix.node("nowhere").is_none() && ix.graph("g-none").is_none());
     }
 
     #[test]
     #[should_panic(expected = "node 'out' is outside this snapshot's scope")]
     fn reading_an_unlowered_node_panics() {
-        scoped().node("out");
+        scoped().index().node("out");
     }
 
     #[test]
     #[should_panic(expected = "graph 'g-out' is outside this snapshot's scope")]
     fn reading_an_unlowered_graph_panics() {
-        scoped().graph("g-out");
+        scoped().index().graph("g-out");
+    }
+
+    #[test]
+    #[should_panic(expected = "graph 'g-out's LSI on node 'in' is outside this snapshot's scope")]
+    fn reading_an_unlowered_lsi_panics() {
+        let snap = scoped();
+        let ix = snap.index();
+        // A lowered LSI of another graph answers; the left-out one must not.
+        assert!(!ix.graph_rule_installed("in", "g-in", 7));
+        ix.graph_rule_installed("in", "g-out", 7);
     }
 }

@@ -13,6 +13,13 @@
 //! from every piece — and `shadowed_rules` must return the same
 //! shadowed indices, covering sets and class count on every table,
 //! including ones that run out of piece budget.
+//!
+//! Third property: walking only the predecessors on a rule's ingress
+//! port (or on any port) changes nothing either. `reference_shadowed_rules`
+//! is the analysis that walks every predecessor through the
+//! disjointness filter, and `shadowed_rules` must agree with it on
+//! LSI-0-shaped tables — many pinned ports, VLAN ids per port, rules on
+//! any port mixed in — under budgets low enough to trip.
 
 use proptest::prelude::*;
 use un_switch::{FlowMatch, PortNo, VlanSpec};
@@ -58,6 +65,94 @@ fn oracle_shadowed_rules(
         }
     }
     (shadowed, classes)
+}
+
+/// The dead-rule analysis walking every predecessor, each one through
+/// the disjointness filter: the implementation before predecessors were
+/// grouped by ingress port, kept as the reference.
+fn reference_shadowed_rules(
+    matches: &[&FlowMatch],
+    piece_budget: usize,
+) -> (Vec<(usize, Vec<usize>)>, usize) {
+    let mut shadowed = Vec::new();
+    let mut classes = 0usize;
+    for i in 1..matches.len() {
+        let Some(start) = Region::from_match(matches[i]) else {
+            continue;
+        };
+        let mut pieces = vec![start];
+        let mut covering: Vec<usize> = Vec::new();
+        let mut over_budget = false;
+        for (j, m) in matches.iter().enumerate().take(i) {
+            if provably_disjoint(matches[i], m) {
+                if pieces.len() > piece_budget {
+                    over_budget = true;
+                    break;
+                }
+                classes += pieces.len();
+                continue;
+            }
+            let mut next: Vec<Region> = Vec::new();
+            let mut cut = false;
+            for p in &pieces {
+                let parts = p.subtract_match(m);
+                cut |= parts.len() != 1 || parts[0] != *p;
+                next.extend(parts);
+            }
+            if cut {
+                covering.push(j);
+            }
+            if next.len() > piece_budget {
+                over_budget = true;
+                break;
+            }
+            classes += next.len();
+            pieces = next;
+            if pieces.is_empty() {
+                break;
+            }
+        }
+        if pieces.is_empty() && !over_budget {
+            shadowed.push((i, covering));
+        }
+    }
+    (shadowed, classes)
+}
+
+/// A rule of an LSI-0-shaped table: mostly pinned to one of eight ports
+/// (a port per virtual link, the uplink and the fabric carrying many),
+/// often with a VLAN id, sometimes `Untagged` or `AnyTagged`; one in
+/// eight on any port; prefixes that nest or sit side by side.
+fn lsi0_match_strategy() -> impl Strategy<Value = FlowMatch> {
+    (0u32..u32::MAX, 0u32..u32::MAX).prop_map(|(a, b)| {
+        let pick = |x: u32, shift: u32, n: u32| (x >> shift) % n;
+        let mut m = FlowMatch::any();
+        if pick(a, 0, 8) != 0 {
+            m.in_port = Some(PortNo(pick(a, 3, 8)));
+        }
+        m.vlan = match pick(a, 6, 8) {
+            0 => None,
+            1 => Some(VlanSpec::Untagged),
+            2 => Some(VlanSpec::AnyTagged),
+            _ => Some(VlanSpec::Id(100 + pick(a, 9, 6) as u16)),
+        };
+        if pick(a, 12, 4) == 0 {
+            m.ip_dst = Some(NETS[pick(b, 0, 6) as usize].parse().unwrap());
+        }
+        if pick(a, 14, 6) == 0 {
+            m.ip_src = Some(NETS[pick(b, 3, 6) as usize].parse().unwrap());
+        }
+        if pick(a, 17, 5) == 0 {
+            m.eth_type = Some(0x0800);
+        }
+        if pick(a, 20, 6) == 0 {
+            m.l4_dst = Some(80 + pick(b, 6, 2) as u16);
+        }
+        if pick(a, 23, 8) == 0 {
+            m.fwmark = Some(pick(b, 8, 2));
+        }
+        m
+    })
 }
 
 /// Prefixes that nest (`/8 ⊃ /16 ⊃ /24`), sit side by side
@@ -212,6 +307,20 @@ proptest! {
         prop_assert_eq!(
             shadowed_rules(&matches, budget),
             oracle_shadowed_rules(&matches, budget),
+            "budget {}: {:#?}", budget, table
+        );
+    }
+
+    #[test]
+    fn port_grouped_walk_matches_the_reference(
+        table in prop::collection::vec(lsi0_match_strategy(), 1..96),
+        budget in 0usize..5,
+    ) {
+        let budget = [0, 1, 2, 8, 4096][budget];
+        let matches: Vec<&FlowMatch> = table.iter().collect();
+        prop_assert_eq!(
+            shadowed_rules(&matches, budget),
+            reference_shadowed_rules(&matches, budget),
             "budget {}: {:#?}", budget, table
         );
     }

@@ -461,14 +461,9 @@ fn rollback_case(entry: Entry, rejection: Rejection) {
     assert!(report.ok(), "{tag}: {:#?}", report.violations);
     let full = un_verify::check::run(&d.verify_snapshot());
     assert!(full.ok(), "{tag}: {:#?}", full.violations);
-    // A node failure re-verifies the whole fleet by design; every
-    // other entry point must have dirtied only what it touched.
-    let fleet_wide = matches!(entry, Entry::Repair | Entry::Promote);
-    assert_eq!(
-        report.mode,
-        if fleet_wide { "full" } else { "incremental" },
-        "{tag}"
-    );
+    // Every entry point, a node failure included, must have dirtied
+    // only what it touched.
+    assert_eq!(report.mode, "incremental", "{tag}");
     assert_vids_conserved(&d, &tag);
     assert_leases_balance(&d, &tag);
     match entry {
