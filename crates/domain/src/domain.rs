@@ -938,14 +938,14 @@ impl Domain {
     /// domain until every resulting frame left on a real egress.
     ///
     /// Thin wrapper over [`Domain::inject_batch`] with a one-frame
-    /// burst. The shuttle's per-call setup is O(touched nodes), not
-    /// O(fleet): a queue is built for each node the frame reaches and
-    /// nothing per fleet member. On a warm one-node bridge chain that
-    /// is 6 heap allocations more than the same frame through
-    /// [`UniversalNode::inject`], and 6 more per further node touched
+    /// burst. The shuttle works in the domain's own work list, lent to
+    /// each call and handed back empty, so a warm call allocates only
+    /// its result: on a one-node bridge chain that is 1 heap allocation
+    /// (the returned `emitted` vector) more than the same frame through
+    /// [`UniversalNode::inject`], and 0 more per further node touched
     /// (pinned by `tests/alloc_per_call.rs`). High-rate callers should
-    /// batch frames into `inject_batch`, which amortizes that across
-    /// the burst.
+    /// still batch frames into `inject_batch`, which amortizes that one
+    /// allocation, and the per-call setup, across the burst.
     pub fn inject(&mut self, node: &str, port: &str, pkt: Packet) -> DomainIo {
         self.inject_batch(std::iter::once((node, port, pkt)), 1)
     }

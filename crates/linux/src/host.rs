@@ -35,7 +35,7 @@ use un_packet::{Ipv4Cidr, Packet, PacketMeta};
 use un_sim::{Cost, CostModel, SimTime};
 
 use crate::conntrack::{Conntrack, CtDirection, CtState, FlowTuple};
-use crate::iface::{Iface, IfaceId, IfaceKind, NeighState, NEIGH_QUEUE_MAX};
+use crate::iface::{Fdb, Iface, IfaceId, IfaceKind, NeighState, NEIGH_QUEUE_MAX};
 use crate::netfilter::{Chain, ChainEffects, Netfilter, NfPacket, NfTable, Verdict};
 use crate::route::{IpRule, Route, RoutingPolicy};
 use crate::slots::Slots;
@@ -86,6 +86,7 @@ un_sim::counters! {
         rx_bad_ip,
         rx_csum_errors,
         rx_down_iface,
+        rx_invalid_src_mac,
         rx_malformed,
         rx_malformed_arp,
         rx_not_for_us,
@@ -238,7 +239,7 @@ impl Host {
                 match self.ifaces.get_mut(sibling.0).map(|i| &mut i.kind) {
                     Some(IfaceKind::Bridge { members, fdb }) => {
                         members.retain(|m| *m != id);
-                        fdb.retain(|_, port| *port != id);
+                        fdb.forget_port(id);
                     }
                     Some(IfaceKind::VlanSub { parent, .. }) if *parent == id => {
                         let _ = self.remove_iface(sibling);
@@ -330,7 +331,7 @@ impl Host {
             name,
             IfaceKind::Bridge {
                 members: Vec::new(),
-                fdb: HashMap::new(),
+                fdb: Fdb::default(),
             },
         ))
     }
@@ -760,6 +761,13 @@ impl Host {
             return;
         };
         let (src, dst) = (eth.src(), eth.dst());
+        // Linux's `br_handle_frame` drops a frame whose source is not a
+        // valid station address (`!is_valid_ether_addr`): multicast,
+        // broadcast or all-zero. It is neither learned nor forwarded.
+        if src.is_multicast() || src == MacAddr::ZERO {
+            self.trace.rx_invalid_src_mac += 1;
+            return;
+        }
         let bridge_mac = self.ifaces[bridge_id.0 as usize].mac;
 
         // Learn + decide with one mutable borrow of the FDB.
@@ -767,12 +775,12 @@ impl Host {
             let IfaceKind::Bridge { fdb, .. } = &mut self.ifaces[bridge_id.0 as usize].kind else {
                 return;
             };
-            fdb.insert(src, member);
+            fdb.learn(src, member);
             if dst == bridge_mac {
                 (false, true)
             } else if dst.is_broadcast() || dst.is_multicast() {
                 (true, true)
-            } else if let Some(&out) = fdb.get(&dst) {
+            } else if let Some(out) = fdb.lookup(dst) {
                 // Known unicast: the frame moves to its one target.
                 if out != member {
                     self.tx_frame(out, pkt, ctx, depth + 1);
@@ -1280,16 +1288,16 @@ impl Host {
         }
         iface.tx_packets += 1;
         iface.tx_bytes += pkt.len() as u64;
-        match &iface.kind {
-            &IfaceKind::Veth { peer } => {
+        match &mut iface.kind {
+            &mut IfaceKind::Veth { peer } => {
                 ctx.charge(self.costs.veth_crossing_ns);
                 self.rx_frame(peer, pkt, ctx, depth + 1);
             }
-            &IfaceKind::External { tag } => {
+            &mut IfaceKind::External { tag } => {
                 ctx.charge(self.costs.tap_ns);
                 ctx.emitted.push((tag, pkt));
             }
-            &IfaceKind::VlanSub { parent, vid } => {
+            &mut IfaceKind::VlanSub { parent, vid } => {
                 ctx.charge(self.costs.vlan_op_ns);
                 let mut tagged = pkt;
                 let _ = tagged.vlan_push(vid);
@@ -1301,7 +1309,7 @@ impl Host {
                 let Ok(eth) = pkt.ethernet() else {
                     return;
                 };
-                match fdb.get(&eth.dst()).copied() {
+                match fdb.lookup(eth.dst()) {
                     Some(out) => self.tx_frame(out, pkt, ctx, depth + 1),
                     None => {
                         self.bridge_flood(iface_id, None, pkt, false, ctx, depth);

@@ -718,3 +718,146 @@ fn a_bridge_floods_in_member_order_with_the_frame_unchanged() {
         08004500002200000000401166c20a0000010a00000900030004000ea081656772657373";
     assert_eq!(emissions(&res), to_each(&[1, 2, 3], egress));
 }
+
+/// A UDP frame `src → dst` on the bridge's subnet.
+fn bridged(src: MacAddr, dst: MacAddr) -> Packet {
+    un_packet::PacketBuilder::new()
+        .ethernet(src, dst)
+        .ipv4(Ipv4Addr::new(10, 0, 0, 5), Ipv4Addr::new(10, 0, 0, 9))
+        .udp(1, 2)
+        .build()
+}
+
+/// The tags a call emitted on, in emission order.
+fn tags(res: &IoResult) -> Vec<u64> {
+    res.emitted.iter().map(|(tag, _)| *tag).collect()
+}
+
+/// The learned-MAC count of `bridge`'s FDB.
+fn fdb_len(h: &Host, bridge: IfaceId) -> usize {
+    match &h.iface(bridge).unwrap().kind {
+        IfaceKind::Bridge { fdb, .. } => fdb.len(),
+        other => panic!("not a bridge: {other:?}"),
+    }
+}
+
+/// Linux's bridge drops a frame whose source is not a station address
+/// — multicast, broadcast or all-zero (`br_handle_frame`,
+/// `!is_valid_ether_addr`) — before it learns anything: the frame is
+/// neither learned nor forwarded, and is booked once under
+/// `rx_invalid_src_mac`.
+#[test]
+fn a_bridge_neither_learns_nor_forwards_an_invalid_source() {
+    let (mut h, ns, p1) = three_port_bridge();
+    let br = h.iface_by_name(ns, "br0").unwrap().id;
+    let multicast = MacAddr([0x01, 0x00, 0x5e, 0x00, 0x00, 0x01]);
+    for src in [MacAddr::BROADCAST, multicast, MacAddr::ZERO] {
+        let res = h.inject(p1, bridged(src, MacAddr::local(11)));
+        assert!(res.emitted.is_empty(), "{src:?} was forwarded");
+    }
+    assert_eq!(h.trace.counter("rx_invalid_src_mac"), 3);
+    assert_eq!(fdb_len(&h, br), 0, "an invalid source was learned");
+
+    // A station address is learned, and its frame floods as before.
+    let res = h.inject(p1, bridged(MacAddr::local(10), MacAddr::local(11)));
+    assert_eq!(tags(&res), [2, 3]);
+    assert_eq!(fdb_len(&h, br), 1);
+}
+
+/// A MAC learned on a member that leaves the bridge is forgotten with
+/// it, memo included: a frame for it floods, also when a new member
+/// takes the departed member's handle.
+#[test]
+fn a_mac_learned_on_a_detached_member_floods() {
+    let (mut h, ns, p1) = three_port_bridge();
+    let br = h.iface_by_name(ns, "br0").unwrap().id;
+    let p2 = h.iface_by_name(ns, "p2").unwrap().id;
+    let (a, b) = (MacAddr::local(20), MacAddr::local(21));
+    assert_eq!(
+        tags(&h.inject(p2, bridged(a, b))),
+        [1, 3],
+        "unknown: floods"
+    );
+    assert_eq!(tags(&h.inject(p1, bridged(b, a))), [2], "learned on p2");
+    assert_eq!(tags(&h.inject(p1, bridged(b, a))), [2], "and again");
+
+    h.remove_iface(p2).unwrap();
+    assert_eq!(tags(&h.inject(p1, bridged(b, a))), [3], "p2 left: floods");
+
+    let p4 = h.add_external(ns, "p4", 4).unwrap();
+    assert_eq!(p4, p2, "the departed member's handle is reused");
+    h.set_up(p4, true).unwrap();
+    h.bridge_attach(br, p4).unwrap();
+    assert_eq!(tags(&h.inject(p1, bridged(b, a))), [3, 4]);
+}
+
+/// The FDB's memo is invisible: over random learn / forward /
+/// member-detach sequences on `three_port_bridge` — a detached member
+/// half the time replaced by a new one on its handle — every frame
+/// leaves on exactly the members a plain `HashMap` FDB picks, in member
+/// order.
+#[test]
+fn the_fdb_memo_is_invisible() {
+    let mut rng = un_sim::DetRng::new(0xfdb);
+    for _ in 0..64 {
+        let (mut h, ns, _) = three_port_bridge();
+        let br = h.iface_by_name(ns, "br0").unwrap().id;
+        let bridge_mac = h.iface(br).unwrap().mac;
+        let mut members: Vec<(IfaceId, u64)> = (1..=3)
+            .map(|tag| (h.iface_by_name(ns, &format!("p{tag}")).unwrap().id, tag))
+            .collect();
+        let mut next_tag = 4;
+        let mut model: HashMap<MacAddr, IfaceId> = HashMap::new();
+        // Few stations, so learns repeat, move and get looked up.
+        let station = |rng: &mut un_sim::DetRng| MacAddr::local(10 + rng.index(4) as u32);
+        for _ in 0..64 {
+            if rng.index(8) == 0 {
+                let (gone, _) = members.remove(rng.index(members.len()));
+                h.remove_iface(gone).unwrap();
+                model.retain(|_, port| *port != gone);
+                if members.is_empty() || rng.chance(0.5) {
+                    let tag = next_tag;
+                    next_tag += 1;
+                    let id = h.add_external(ns, &format!("p{tag}"), tag).unwrap();
+                    h.set_up(id, true).unwrap();
+                    h.bridge_attach(br, id).unwrap();
+                    members.push((id, tag));
+                }
+                continue;
+            }
+            let (ingress, _) = members[rng.index(members.len())];
+            let src = station(&mut rng);
+            let dst = match rng.index(8) {
+                0 => MacAddr::BROADCAST,
+                1 => bridge_mac,
+                _ => station(&mut rng),
+            };
+            model.insert(src, ingress);
+            let others = || {
+                members
+                    .iter()
+                    .filter(|(id, _)| *id != ingress)
+                    .map(|&(_, tag)| tag)
+                    .collect::<Vec<_>>()
+            };
+            let want = if dst == bridge_mac {
+                Vec::new()
+            } else if dst.is_broadcast() {
+                others()
+            } else {
+                match model.get(&dst) {
+                    Some(&out) if out == ingress => Vec::new(),
+                    Some(&out) => members
+                        .iter()
+                        .filter(|(id, _)| *id == out)
+                        .map(|&(_, tag)| tag)
+                        .collect(),
+                    None => others(),
+                }
+            };
+            let res = h.inject(ingress, bridged(src, dst));
+            assert_eq!(tags(&res), want, "{src:?} → {dst:?} in on {ingress}");
+            assert_eq!(fdb_len(&h, br), model.len());
+        }
+    }
+}

@@ -33,7 +33,7 @@ pub enum IfaceKind {
         /// Enslaved member interfaces.
         members: Vec<IfaceId>,
         /// MAC → member forwarding database.
-        fdb: HashMap<MacAddr, IfaceId>,
+        fdb: Fdb,
     },
     /// An 802.1Q sub-interface (`ip link add link eth0 name eth0.10 …`).
     VlanSub {
@@ -47,6 +47,70 @@ pub enum IfaceKind {
         /// Opaque tag the fabric uses to route emissions.
         tag: ExternalTag,
     },
+}
+
+/// A bridge's forwarding database: MAC → member, a keyed `HashMap`
+/// (its own `RandomState`: source MACs are attacker-chosen) behind a
+/// memo of the last pair learned and the last destination looked up.
+///
+/// A bridge re-learns one `src → member` pair on every frame of a flow
+/// and looks one destination up, so a warm frame is answered by a
+/// six-byte compare instead of two SipHash passes. The lookup memo
+/// remembers an absent destination too — a frame for a MAC never
+/// learned floods every time. Both memos only ever hold what the map
+/// holds: learning the memoised pair is a no-op because the map has it
+/// already, a learn that changes the map clears the lookup memo, and
+/// [`Fdb::forget_port`] clears both. A sender who alternates MACs pays
+/// one compare more per frame, never a collision chain.
+#[derive(Debug, Clone, Default)]
+pub struct Fdb {
+    map: HashMap<MacAddr, IfaceId>,
+    /// The last pair learned; the map holds it.
+    learned: Option<(MacAddr, IfaceId)>,
+    /// The last destination looked up and the map's answer for it.
+    looked_up: Option<(MacAddr, Option<IfaceId>)>,
+}
+
+impl Fdb {
+    /// Learn (or move) `mac` onto member `port`.
+    pub fn learn(&mut self, mac: MacAddr, port: IfaceId) {
+        if self.learned == Some((mac, port)) {
+            return;
+        }
+        self.learned = Some((mac, port));
+        if self.map.insert(mac, port) != Some(port) {
+            self.looked_up = None;
+        }
+    }
+
+    /// The member `mac` was learned on, if any.
+    pub fn lookup(&mut self, mac: MacAddr) -> Option<IfaceId> {
+        match self.looked_up {
+            Some((looked, answer)) if looked == mac => answer,
+            _ => {
+                let answer = self.map.get(&mac).copied();
+                self.looked_up = Some((mac, answer));
+                answer
+            }
+        }
+    }
+
+    /// Forget every MAC learned on `port` (a member leaving the bridge).
+    pub fn forget_port(&mut self, port: IfaceId) {
+        self.map.retain(|_, p| *p != port);
+        self.learned = None;
+        self.looked_up = None;
+    }
+
+    /// Number of learned MACs.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// True if nothing is learned.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
 }
 
 /// ARP neighbor entry state.
@@ -139,5 +203,44 @@ mod tests {
         assert!(i.on_link(Ipv4Addr::new(10, 0, 0, 200)));
         assert!(!i.on_link(Ipv4Addr::new(10, 0, 1, 1)));
         assert_eq!(i.primary_addr(), Some(Ipv4Addr::new(10, 0, 0, 1)));
+    }
+
+    /// Source MACs are attacker-chosen, so every FDB is keyed by its own
+    /// `RandomState`: two bridges that learned the same MAC hash it to
+    /// different values.
+    #[test]
+    fn fdb_is_keyed() {
+        use std::hash::BuildHasher;
+        let mac = MacAddr::local(1);
+        let build = || {
+            let mut fdb = Fdb::default();
+            fdb.learn(mac, IfaceId(1));
+            assert_eq!(fdb.lookup(mac), Some(IfaceId(1)));
+            fdb
+        };
+        let (a, b) = (build(), build());
+        assert_ne!(a.map.hasher().hash_one(mac), b.map.hasher().hash_one(mac));
+    }
+
+    /// The lookup memo keeps an absent answer until a learn of that MAC
+    /// changes the map, and follows a MAC that moves.
+    #[test]
+    fn the_fdb_memo_follows_the_map() {
+        let (mac, other) = (MacAddr::local(1), MacAddr::local(2));
+        let mut fdb = Fdb::default();
+        assert_eq!(fdb.lookup(mac), None);
+        fdb.learn(other, IfaceId(3));
+        assert_eq!(fdb.lookup(mac), None);
+        fdb.learn(mac, IfaceId(1));
+        assert_eq!(fdb.lookup(mac), Some(IfaceId(1)));
+        fdb.learn(mac, IfaceId(2));
+        assert_eq!(fdb.lookup(mac), Some(IfaceId(2)));
+        fdb.learn(other, IfaceId(3));
+        fdb.learn(mac, IfaceId(1));
+        assert_eq!(fdb.lookup(mac), Some(IfaceId(1)));
+        fdb.forget_port(IfaceId(1));
+        assert_eq!(fdb.lookup(mac), None);
+        assert_eq!(fdb.lookup(other), Some(IfaceId(3)));
+        assert_eq!(fdb.len(), 1);
     }
 }

@@ -18,7 +18,8 @@
 //! * [`table`] — a priority-ordered flow table fronted by a two-stage
 //!   fast path: a generation-stamped microflow cache keyed by the bits
 //!   the table's rules read (the OvS fast path) plus one hash table per
-//!   distinct match mask.
+//!   distinct match mask, with a one-entry memo of the last class
+//!   resolved in front of both.
 //! * [`lsi`] — the switch itself: ports, one table, per-port and
 //!   per-switch counters.
 

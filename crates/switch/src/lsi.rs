@@ -99,7 +99,8 @@ pub struct PipelineStep {
 pub struct ProcessOptions {
     /// Ghost walk: take every decision a real walk would, but move
     /// *no* counter — port/switch stats, flow-entry packet/byte counts,
-    /// classifier stats and the microflow cache all stay untouched.
+    /// classifier stats, the microflow cache and its memo all stay
+    /// untouched.
     pub ghost: bool,
     /// Record the [`PipelineStep`].
     pub record: bool,

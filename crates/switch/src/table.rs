@@ -1,11 +1,21 @@
-//! A priority-ordered flow table with a two-stage fast path.
+//! A priority-ordered flow table with a memoised two-stage fast path.
 //!
 //! Every classifier structure here speaks [`PackedKey`] — the packet's
 //! header fields as five words (layout in [`crate::key`]). A flow
 //! entry's match is compiled once, at [`FlowTable::insert`], into
 //! `(mask, value)` words with "key matches ⇔ `key & mask == value`".
-//! Lookup tries two stages, cheapest first:
+//! Lookup tries three stages, cheapest first:
 //!
+//! 0. **Memo** — the `(generation, class, entry index)` of the last
+//!    class a real lookup resolved, `class` being `key & union` (stage
+//!    1). A lookup of the same class at the same generation is answered
+//!    by one five-word compare, without hashing, and counts as the
+//!    cache hit it is: the memo only ever holds what the microflow
+//!    cache holds at that generation, the recycle included. A steering
+//!    table sees long runs of one class — the node drains one
+//!    `(LSI, in_port)` burst at a time — so most warm lookups stop
+//!    here. It is Open vSwitch's exact-match cache in its smallest
+//!    form; ghost lookups read it and never write it.
 //! 1. **Microflow cache** — `key & union → entry index`, where `union`
 //!    is the OR of every installed rule's mask: the bits *some* rule
 //!    can read. The cache is keyed by what the rules can tell apart,
@@ -42,11 +52,13 @@
 //!    after any mutation, so a rule delete/modify can never serve a
 //!    stale action.
 //!
-//! Each map probe is one SipHash pass over the five words, keyed per
-//! map by `RandomState`: packet headers are attacker-chosen, so an
-//! unkeyed hash over them would let a sender aim every flow at one
-//! bucket. The microflow probe and the cache insert that follows a
-//! fall-through share one hash through the map's entry API.
+//! Each map probe the memo does not answer is one SipHash pass over the
+//! five words, keyed per map by `RandomState`: packet headers are
+//! attacker-chosen, so an unkeyed hash over them would let a sender aim
+//! every flow at one bucket. The memo does not weaken that: a sender
+//! who alternates classes pays one compare more per lookup, never a
+//! collision chain. The microflow probe and the cache insert that
+//! follows a fall-through share one hash through the map's entry API.
 //!
 //! Entries are kept sorted by (priority desc, insertion order), so
 //! "first match wins" reduces to "smallest index wins" across all mask
@@ -172,6 +184,9 @@ pub struct FlowTable {
     /// invalidates cache entries and the mask-table index.
     generation: u64,
     cache: HashMap<PackedKey, (u64, usize)>,
+    /// `(generation, class, entry index)` of the last class a real
+    /// lookup resolved; always a pair `cache` holds at that generation.
+    memo: Option<(u64, PackedKey, usize)>,
     /// Mask tables, rebuilt lazily per generation.
     index: Vec<MaskTable>,
     /// OR of every rule's mask — the bits any rule can read, and so the
@@ -193,6 +208,9 @@ pub struct FlowTable {
     /// Megaflow hash probes issued since creation: one per distinct
     /// non-exact mask per classification, the O(#masks) evidence.
     pub megaflow_probes: u64,
+    /// Cache hits the memo answered without hashing, since creation
+    /// (a subset of `cache_hits`).
+    pub memo_hits: u64,
 }
 
 impl FlowTable {
@@ -342,9 +360,14 @@ impl FlowTable {
         self.ensure_index();
         let key = key.pack();
         let generation = self.generation;
-        let full = self.cache.len() >= CACHE_CAP;
         // What the rules can tell apart about this packet.
         let class = key.and(&self.union);
+        if let Some(idx) = self.memo_of(&class) {
+            self.memo_hits += 1;
+            self.cache_hits += 1;
+            return Some(self.count(idx, bytes, LookupPath::CacheHit));
+        }
+        let full = self.cache.len() >= CACHE_CAP;
         // One hash serves the probe and, on a fall-through, the insert.
         let (idx, path) = match self.cache.entry(class) {
             // Generation match ⇒ the table (and with it the union this
@@ -374,18 +397,37 @@ impl FlowTable {
                 (idx, path)
             }
         };
+        // The map holds `class` at this generation now, hit or insert.
+        self.memo = Some((generation, class, idx));
+        Some(self.count(idx, bytes, path))
+    }
+
+    /// The memo's entry index if it resolved `class` at the current
+    /// generation.
+    fn memo_of(&self, class: &PackedKey) -> Option<usize> {
+        match self.memo {
+            Some((generation, memo, idx)) if generation == self.generation && memo == *class => {
+                Some(idx)
+            }
+            _ => None,
+        }
+    }
+
+    /// Book one resolved lookup of `bytes` on entry `idx`.
+    fn count(&mut self, idx: usize, bytes: usize, path: LookupPath) -> (usize, LookupPath) {
         let entry = &mut self.rules[idx].entry;
         entry.packet_count += 1;
         entry.byte_count += bytes as u64;
-        Some((idx, path))
+        (idx, path)
     }
 
     /// Ghost lookup: the same decision [`FlowTable::lookup`] takes —
-    /// generation-checked microflow probe under the same `key & union`
-    /// projection, else the mask tables — with *zero* observable side
-    /// effects: no stats, no entry packet/byte counters, no
-    /// microflow-cache insertion, no probe effort accounting. (`&mut`
-    /// only because a stale index may need rebuilding.)
+    /// the memo, then a generation-checked microflow probe under the
+    /// same `key & union` projection, else the mask tables — with
+    /// *zero* observable side effects: no stats, no entry packet/byte
+    /// counters, no microflow-cache insertion or memo write, no probe
+    /// effort accounting. (`&mut` only because a stale index may need
+    /// rebuilding.)
     pub fn lookup_ghost(&mut self, key: &PacketKey) -> Option<LookupHit> {
         let (idx, path) = self.lookup_ghost_index(key)?;
         Some(self.hit(idx, path))
@@ -396,7 +438,11 @@ impl FlowTable {
     pub(crate) fn lookup_ghost_index(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
         self.ensure_index();
         let key = key.pack();
-        match self.cache.get(&key.and(&self.union)) {
+        let class = key.and(&self.union);
+        if let Some(idx) = self.memo_of(&class) {
+            return Some((idx, LookupPath::CacheHit));
+        }
+        match self.cache.get(&class) {
             Some(&(generation, idx)) if generation == self.generation => {
                 Some((idx, LookupPath::CacheHit))
             }

@@ -1005,3 +1005,366 @@ fn a_hostile_frame_still_extracts_a_key() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The memo in front of the microflow cache: the `(generation, class,
+// entry)` of the last class a real lookup resolved, which answers the
+// same class again without hashing. It must be invisible: every
+// decision, `TableStats` and entry counter is what the cache alone
+// gives.
+// ---------------------------------------------------------------------
+
+/// The population at which `FlowTable` recycles its microflow cache.
+const CACHE_CAP: usize = 8_192;
+
+/// One rule of [`CacheModel`], with the counters a lookup books on it.
+#[derive(Debug)]
+struct ModelRule {
+    priority: u16,
+    matches: FlowMatch,
+    out: u32,
+    cookie: u64,
+    packets: u64,
+    bytes: u64,
+}
+
+/// The flow table with the microflow cache alone: a first-match scan
+/// decides, `class → generation` stands for the cache (same `key &
+/// union` class, same generation bumps, same recycle rule), and the
+/// stats and entry counters are what those imply. It has no memo; it
+/// only notes which lookups the memo should answer.
+#[derive(Debug, Default)]
+struct CacheModel {
+    /// In match order: priority desc, then insertion.
+    rules: Vec<ModelRule>,
+    union: PackedKey,
+    generation: u64,
+    cache: std::collections::HashMap<PackedKey, u64>,
+    stats: TableStats,
+    /// `(generation, class)` of the last resolved real lookup.
+    last: Option<(u64, PackedKey)>,
+    memo_hits: u64,
+}
+
+impl CacheModel {
+    fn mutated(&mut self) {
+        self.generation += 1;
+        self.union = self
+            .rules
+            .iter()
+            .fold(PackedKey::default(), |u, r| u.or(&r.matches.compile().mask));
+    }
+
+    fn insert(&mut self, priority: u16, matches: FlowMatch, out: u32, cookie: u64) {
+        let pos = self.rules.partition_point(|r| r.priority >= priority);
+        let rule = ModelRule {
+            priority,
+            matches,
+            out,
+            cookie,
+            packets: 0,
+            bytes: 0,
+        };
+        self.rules.insert(pos, rule);
+        self.mutated();
+    }
+
+    fn remove_by_cookie(&mut self, cookie: u64) -> usize {
+        let before = self.rules.len();
+        self.rules.retain(|r| r.cookie != cookie);
+        let removed = before - self.rules.len();
+        if removed > 0 {
+            self.mutated();
+        }
+        removed
+    }
+
+    fn clear(&mut self) {
+        self.rules.clear();
+        self.mutated();
+    }
+
+    /// The decision for `key` — winning rule and the stage that would
+    /// report it — read off the model without changing it.
+    fn decide(&self, key: &PacketKey) -> Option<(usize, LookupPath)> {
+        let idx = self.rules.iter().position(|r| r.matches.matches(key))?;
+        let class = key.pack().and(&self.union);
+        let path = if self.cache.get(&class) == Some(&self.generation) {
+            LookupPath::CacheHit
+        } else if self.rules[idx].matches.compile().exact {
+            LookupPath::ExactHit
+        } else {
+            LookupPath::MegaflowHit
+        };
+        Some((idx, path))
+    }
+
+    fn lookup(&mut self, key: &PacketKey, bytes: u64) -> Option<(usize, LookupPath)> {
+        let class = key.pack().and(&self.union);
+        let Some((idx, path)) = self.decide(key) else {
+            self.stats.cache_misses += 1;
+            self.stats.misses += 1;
+            return None;
+        };
+        if path == LookupPath::CacheHit {
+            self.stats.cache_hits += 1;
+            if self.last == Some((self.generation, class)) {
+                self.memo_hits += 1;
+            }
+        } else {
+            self.stats.cache_misses += 1;
+            match path {
+                LookupPath::ExactHit => self.stats.exact_hits += 1,
+                _ => self.stats.megaflow_hits += 1,
+            }
+            if self.cache.len() >= CACHE_CAP {
+                self.cache.clear();
+            }
+            self.cache.insert(class, self.generation);
+        }
+        self.last = Some((self.generation, class));
+        let rule = &mut self.rules[idx];
+        rule.packets += 1;
+        rule.bytes += bytes;
+        Some((idx, path))
+    }
+
+    /// The hit the table must report for a decision.
+    fn hit(&self, decision: Option<(usize, LookupPath)>) -> Option<(u64, u16, u32, LookupPath)> {
+        decision.map(|(idx, path)| {
+            let r = &self.rules[idx];
+            (r.cookie, r.priority, r.out, path)
+        })
+    }
+
+    /// Everything a lookup may change, as the table reports it.
+    fn observed(table: &FlowTable) -> (TableStats, usize, Vec<(u64, u64)>) {
+        let counters = table
+            .entries()
+            .map(|e| (e.packet_count, e.byte_count))
+            .collect();
+        (table.stats(), table.cache_entries(), counters)
+    }
+
+    /// The same, as the model predicts it.
+    fn expected(&self) -> (TableStats, usize, Vec<(u64, u64)>) {
+        let counters = self.rules.iter().map(|r| (r.packets, r.bytes)).collect();
+        (self.stats, self.cache.len(), counters)
+    }
+}
+
+/// A table's hit in the model's terms.
+fn seen(hit: Option<LookupHit>) -> Option<(u64, u16, u32, LookupPath)> {
+    hit.map(|h| {
+        let out = match &h.actions[..] {
+            [FlowAction::Output(p)] => p.0,
+            other => panic!("unexpected actions {other:?}"),
+        };
+        (h.cookie, h.priority, out, h.path)
+    })
+}
+
+/// One step of a memo run. Runs and alternations are where the memo
+/// answers and where it must not; a ghost lookup sits between two real
+/// ones, the second of its own class; a sweep of distinct source
+/// addresses trips the cache recycle.
+#[derive(Debug, Clone)]
+enum MemoOp {
+    Insert(RuleSpec, Option<u8>, u64),
+    RemoveCookie(u64),
+    Clear,
+    Lookup(PacketKey),
+    GhostBetween(PacketKey, PacketKey),
+    Run(PacketKey, u16),
+    Alternate(PacketKey, PacketKey, u16),
+    Sweep(PacketKey),
+}
+
+fn memo_op_strategy() -> impl Strategy<Value = MemoOp> {
+    (
+        0u8..16,
+        rule_strategy(),
+        prop::option::of(0u8..2),
+        0u64..4,
+        key_strategy(),
+        key_strategy(),
+        1u16..40,
+    )
+        .prop_map(|(kind, rule, src, cookie, a, b, n)| match kind {
+            0..=2 => MemoOp::Insert(rule, src, cookie),
+            3 => MemoOp::RemoveCookie(cookie),
+            4 => MemoOp::Clear,
+            5..=7 => MemoOp::Lookup(a),
+            8..=9 => MemoOp::GhostBetween(a, b),
+            10..=11 => MemoOp::Run(a, n),
+            12..=14 => MemoOp::Alternate(a, b, n),
+            _ => MemoOp::Sweep(a),
+        })
+}
+
+/// `spec`'s match, also reading the source address `10.0.0.<1 + src>`
+/// when `src` is set: 10.0.0.1 is what `key_strategy` sends.
+fn with_src(spec: &FlowMatch, src: Option<u8>) -> FlowMatch {
+    let mut m = spec.clone();
+    m.ip_src = src.map(|s| Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 1 + s), 32));
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Across any interleaving of inserts, cookie removals, clears,
+    /// real and ghost lookups — runs of one class, two classes in
+    /// turn, and sweeps past the cache's capacity — the table with its
+    /// memo reports what the cache alone gives: the first-match scan's
+    /// decision, the cache model's stage, the same `TableStats`, cache
+    /// population and entry counters. A ghost lookup moves none of
+    /// them, and `memo_hits` counts exactly the cache hits on the class
+    /// the previous real lookup resolved.
+    #[test]
+    fn the_flow_table_memo_is_invisible(
+        ops in prop::collection::vec(memo_op_strategy(), 1..40),
+    ) {
+        let mut rig = MemoRig::default();
+        for op in &ops {
+            match op {
+                MemoOp::Insert(r, src, cookie) => {
+                    rig.insert(r.priority, with_src(&to_match(r), *src), r.out, *cookie);
+                }
+                MemoOp::RemoveCookie(cookie) => {
+                    let removed = rig.table.remove_by_cookie(*cookie);
+                    prop_assert_eq!(removed, rig.model.remove_by_cookie(*cookie));
+                    rig.again();
+                }
+                MemoOp::Clear => {
+                    rig.table.clear();
+                    rig.model.clear();
+                    rig.again();
+                }
+                MemoOp::Lookup(key) => rig.real(key),
+                MemoOp::GhostBetween(a, b) => {
+                    rig.real(a);
+                    rig.ghost(b);
+                    rig.real(b);
+                }
+                MemoOp::Run(key, n) => {
+                    for i in 0..*n {
+                        // Another flow of the same class each time:
+                        // no rule reads `l4_src`.
+                        rig.real(&PacketKey { l4_src: Some(2000 + i), ..*key });
+                    }
+                }
+                MemoOp::Alternate(a, b, n) => {
+                    for i in 0..*n {
+                        let (k, next) = if i % 2 == 0 { (a, b) } else { (b, a) };
+                        rig.real(k);
+                        if i % 5 == 4 {
+                            // The class the next real lookup takes.
+                            rig.ghost(next);
+                        }
+                    }
+                }
+                MemoOp::Sweep(key) => {
+                    // A rule that reads the whole source address, so
+                    // every swept source is a class of its own, and a
+                    // catch-all, so every class resolves and is cached.
+                    rig.insert(0, with_src(&FlowMatch::any(), Some(0)), 99, 3);
+                    rig.insert(0, FlowMatch::any(), 99, 3);
+                    let swept = |i: u32| PacketKey {
+                        ip_src: Some(Ipv4Addr::from(0x0a01_0000 + i)),
+                        ..*key
+                    };
+                    for i in 0..CACHE_CAP as u32 + 8 {
+                        rig.real(&swept(i));
+                        if i > 0 && rig.model.cache.len() == 1 {
+                            // Just recycled: the class before is gone
+                            // from the cache, and so from the memo.
+                            rig.real(&swept(i - 1));
+                        }
+                    }
+                    // Back to a source a rule may read.
+                    rig.real(key);
+                }
+            }
+            let observed = CacheModel::observed(&rig.table);
+            prop_assert_eq!(observed, rig.model.expected(), "after {:?}", op);
+            prop_assert_eq!(rig.table.memo_hits, rig.model.memo_hits, "after {:?}", op);
+        }
+    }
+}
+
+/// The table under test beside its model, and the last key a real
+/// lookup took: a rule change is followed by that key again, the class
+/// the memo holds, so a memo that outlives its generation shows.
+#[derive(Debug, Default)]
+struct MemoRig {
+    table: FlowTable,
+    model: CacheModel,
+    bytes: u64,
+    last: Option<PacketKey>,
+}
+
+impl MemoRig {
+    /// A real lookup on both sides: the linear baseline's actions and
+    /// the model's rule and stage.
+    fn real(&mut self, key: &PacketKey) {
+        self.bytes = self.bytes % 1500 + 61;
+        let want = self.model.lookup(key, self.bytes);
+        let want = self.model.hit(want);
+        let got = self.table.lookup(key, self.bytes as usize);
+        let base = linear_scan(&self.table, key);
+        assert_eq!(got.as_ref().map(|h| h.actions.clone()), base);
+        assert_eq!(seen(got), want, "{key:?}");
+        self.last = Some(*key);
+    }
+
+    /// A ghost lookup: the model's decision, and the model unmoved.
+    fn ghost(&mut self, key: &PacketKey) {
+        let want = self.model.hit(self.model.decide(key));
+        assert_eq!(seen(self.table.lookup_ghost(key)), want, "ghost {key:?}");
+    }
+
+    fn insert(&mut self, priority: u16, m: FlowMatch, out: u32, cookie: u64) {
+        let entry = FlowEntry::new(priority, m.clone(), vec![FlowAction::Output(PortNo(out))]);
+        self.table.insert(entry.with_cookie(cookie));
+        self.model.insert(priority, m, out, cookie);
+        self.again();
+    }
+
+    /// The last real lookup's key again, after a rule change.
+    fn again(&mut self) {
+        if let Some(key) = self.last {
+            self.real(&key);
+        }
+    }
+}
+
+/// A run of one class is the memo's: 256 lookups of 256 flows on one
+/// port cost one classification and 255 memo answers. Two classes in
+/// turn never meet the memo: every lookup after the first two is a
+/// hashed cache hit.
+#[test]
+fn a_run_of_one_class_is_answered_by_the_memo() {
+    let table = || {
+        let mut t = FlowTable::new();
+        for port in [1, 2] {
+            t.insert(FlowEntry::new(
+                5,
+                FlowMatch::in_port(PortNo(port)),
+                vec![FlowAction::Output(PortNo(10 + port))],
+            ));
+        }
+        t
+    };
+    let mut run = table();
+    assert_eq!(misses_over(&mut run, &flows(1, None, 256)), 1);
+    assert_eq!(run.memo_hits, 255);
+    assert_eq!(run.stats().cache_hits, 255);
+
+    let mut alternating = table();
+    let (one, two) = (flows(1, None, 128), flows(2, None, 128));
+    let turns: Vec<PacketKey> = one.iter().zip(&two).flat_map(|(a, b)| [*a, *b]).collect();
+    assert_eq!(misses_over(&mut alternating, &turns), 2);
+    assert_eq!(alternating.memo_hits, 0);
+    assert_eq!(alternating.stats().cache_hits, 254);
+}
