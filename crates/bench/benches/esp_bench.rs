@@ -49,6 +49,56 @@ fn decap(c: &mut Criterion) {
     group.finish();
 }
 
+/// A protected overlay link's crossing: 174-byte frames — the size
+/// `split_esp` seals — in bursts of 1, 16 and 256, sealed and opened
+/// through the burst functions the overlay wire uses.
+fn burst(c: &mut Criterion) {
+    use criterion::BatchSize;
+    use un_ipsec::esp::{decapsulate_burst, encapsulate_burst};
+    const FRAME: usize = 174;
+    let mut group = c.benchmark_group("esp_burst_174");
+    for frames in [1usize, 16, 256] {
+        let inners = vec![vec![0xEEu8; FRAME]; frames];
+        group.throughput(Throughput::Bytes((FRAME * frames) as u64));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("seal/{frames}")),
+            &frames,
+            |b, _| {
+                let (mut tx, _) = sa_pair();
+                b.iter(|| {
+                    let burst = inners.iter().map(Vec::as_slice);
+                    encapsulate_burst(&mut tx, burst, 0, |v| {
+                        std::hint::black_box(v.unwrap());
+                    });
+                });
+            },
+        );
+        let (mut tx, _) = sa_pair();
+        let wire: Vec<Vec<u8>> = inners
+            .iter()
+            .map(|inner| un_ipsec::encapsulate(&mut tx, inner).unwrap())
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("open/{frames}")),
+            &frames,
+            |b, _| {
+                // A fresh inbound SA per iteration, as in `esp_decapsulate`.
+                b.iter_batched(
+                    || sa_pair().1,
+                    |mut rx| {
+                        let burst = wire.iter().map(Vec::as_slice);
+                        decapsulate_burst(&mut rx, burst, 0, |v| {
+                            std::hint::black_box(v.unwrap());
+                        });
+                    },
+                    BatchSize::SmallInput,
+                );
+            },
+        );
+    }
+    group.finish();
+}
+
 fn handshake(c: &mut Criterion) {
     c.bench_function("ike_lite_handshake", |b| {
         let mut rng = un_sim::DetRng::new(1);
@@ -74,5 +124,5 @@ fn handshake(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, encap, decap, handshake);
+criterion_group!(benches, encap, decap, burst, handshake);
 criterion_main!(benches);

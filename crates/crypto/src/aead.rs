@@ -3,8 +3,14 @@
 //! This is the AEAD that ESP uses when configured with
 //! `rfc7634`-style ChaCha20-Poly1305, and what the simulated strongSwan
 //! (`un-ipsec`) negotiates for its SAs.
+//!
+//! [`seal_burst`] and [`open_burst`] run a burst of messages under one
+//! key: consecutive messages short enough share the lanes of one wide
+//! ChaCha20 pass, each lane under its own message's nonce and counter,
+//! so frames too short to fill a pass alone still take the wide block
+//! function together. [`seal`] and [`open`] are bursts of one.
 
-use crate::chacha20::ChaCha20;
+use crate::chacha20::{ChaCha20, Lanes};
 use crate::poly1305::{tags_equal, Poly1305};
 
 /// Key length in bytes.
@@ -52,26 +58,109 @@ fn pad16(len: usize) -> usize {
     (16 - (len % 16)) % 16
 }
 
+/// One message of a burst: its nonce, its AAD, its data — sealed or
+/// opened in place — and its tag.
+#[derive(Debug, Default)]
+pub struct Job<'a> {
+    /// The message's nonce.
+    pub nonce: [u8; NONCE_LEN],
+    /// Authenticated, not encrypted.
+    pub aad: &'a [u8],
+    /// Plaintext to seal or ciphertext to open, in place.
+    pub data: &'a mut [u8],
+    /// The tag [`seal_burst`] writes and [`open_burst`] checks.
+    pub tag: [u8; TAG_LEN],
+}
+
+/// Run the AEAD pass of every job under `key`, in order, telling
+/// `verdict` each job's index and whether its keystream was applied.
+///
+/// Consecutive jobs are packed into the lanes of one wide pass while the
+/// lanes last. A pass too thin to pay for the wide block function, and a
+/// message too long for sixteen lanes, takes [`ChaCha20::aead_pass`] per
+/// message instead — so a lone short message runs exactly as it would
+/// on its own. Sealing always applies the keystream and then tags;
+/// opening applies it only to a message whose tag verifies.
+fn burst(
+    key: &[u8; KEY_LEN],
+    jobs: &mut [Job<'_>],
+    seal: bool,
+    mut verdict: impl FnMut(usize, bool),
+) {
+    // The lanes bring their own nonces; this one is never used.
+    let keyed = ChaCha20::new(key, &[0; NONCE_LEN]);
+    let mut at = 0;
+    while at < jobs.len() {
+        let mut lanes = Lanes::default();
+        let packed = jobs[at..]
+            .iter()
+            .take_while(|job| lanes.book(&job.nonce, job.data.len()))
+            .count();
+        let mut wide = lanes.pays().then(|| keyed.lane_pass(&lanes));
+        let pass = packed.max(1);
+        for (i, job) in jobs[at..at + pass].iter_mut().enumerate() {
+            let (aad, tag) = (job.aad, &job.tag);
+            let admit =
+                |otk: &[u8; 32], data: &[u8]| seal || tags_equal(&compute_tag(otk, aad, data), tag);
+            let (otk, applied) = match &mut wide {
+                Some(pass) => pass.aead_pass(job.data, admit),
+                None => ChaCha20::new(key, &job.nonce).aead_pass(job.data, admit),
+            };
+            if seal {
+                job.tag = compute_tag(&otk, job.aad, job.data);
+            }
+            verdict(at + i, applied);
+        }
+        at += pass;
+    }
+}
+
+/// Encrypt every job's data in place and write its tag.
+pub fn seal_burst(key: &[u8; KEY_LEN], jobs: &mut [Job<'_>]) {
+    burst(key, jobs, true, |_, _| {});
+}
+
+/// Verify every job's tag over its data and AAD, and decrypt the data
+/// of each job whose tag verifies, telling `verdict` each job's index
+/// and outcome in order. A job whose tag fails keeps its ciphertext
+/// **untouched**: its tag is checked before a byte of it is written.
+pub fn open_burst(
+    key: &[u8; KEY_LEN],
+    jobs: &mut [Job<'_>],
+    mut verdict: impl FnMut(usize, Result<(), AeadError>),
+) {
+    burst(key, jobs, false, |i, opened| {
+        verdict(i, opened.then_some(()).ok_or(AeadError::TagMismatch));
+    });
+}
+
 /// Encrypt `plaintext` in place and return the authentication tag.
 ///
 /// `aad` is authenticated but not encrypted (ESP uses the SPI + sequence
 /// number here). One cipher instance, one keystream pass: the one-time
-/// Poly1305 key (RFC 8439 §2.6) is block 0 of the run that encrypts.
+/// Poly1305 key (RFC 8439 §2.6) is block 0 of the run that encrypts. A
+/// burst of one.
 pub fn seal(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
     aad: &[u8],
     plaintext: &mut [u8],
 ) -> [u8; TAG_LEN] {
-    let (otk, _) = ChaCha20::new(key, nonce).aead_pass(plaintext, |_, _| true);
-    compute_tag(&otk, aad, plaintext)
+    let mut job = [Job {
+        nonce: *nonce,
+        aad,
+        data: plaintext,
+        tag: [0; TAG_LEN],
+    }];
+    seal_burst(key, &mut job);
+    job[0].tag
 }
 
 /// Verify `tag` over `ciphertext`/`aad` and decrypt in place.
 ///
 /// On tag mismatch the ciphertext is left **untouched** and an error is
 /// returned: the tag is checked after the one-time key is known and
-/// before the keystream is applied.
+/// before the keystream is applied. A burst of one.
 pub fn open(
     key: &[u8; KEY_LEN],
     nonce: &[u8; NONCE_LEN],
@@ -79,10 +168,15 @@ pub fn open(
     ciphertext: &mut [u8],
     tag: &[u8; TAG_LEN],
 ) -> Result<(), AeadError> {
-    let (_, opened) = ChaCha20::new(key, nonce).aead_pass(ciphertext, |otk, ciphertext| {
-        tags_equal(&compute_tag(otk, aad, ciphertext), tag)
-    });
-    opened.then_some(()).ok_or(AeadError::TagMismatch)
+    let mut job = [Job {
+        nonce: *nonce,
+        aad,
+        data: ciphertext,
+        tag: *tag,
+    }];
+    let mut opened = Err(AeadError::TagMismatch);
+    open_burst(key, &mut job, |_, verdict| opened = verdict);
+    opened
 }
 
 #[cfg(test)]

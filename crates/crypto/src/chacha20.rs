@@ -6,20 +6,29 @@
 //!
 //! # Lane layout
 //!
-//! Blocks differ only in their counter word, so `N` consecutive blocks
-//! are computed side by side on *word-sliced* state: `state[w][lane]` is
-//! word `w` of block `counter + lane`. Every step of a quarter-round is
-//! then the same operation on `N` independent lanes, written as a plain
-//! `for lane in 0..N` loop — the one form the auto-vectoriser turns into
-//! packed adds, xors and shifts on baseline x86-64 (row layouts and
-//! `[u32; 4]` helpers stay scalar: the SLP pass refuses the rotates).
-//! Narrower lane loops (4, 8) are unrolled before the vectoriser sees
-//! them and come out scalar too, hence sixteen. There is one
-//! implementation, the private `ChaCha20::blocks::<N>`, instantiated at
-//! [`WIDE`] lanes for bulk data and at one lane for short messages and
-//! tails; which one runs depends on the message length alone — no
-//! `unsafe`, no `std::arch`, no CPU-feature switch. CI disassembles the
-//! release build and fails if the lane loop holds no packed shift.
+//! `N` blocks are computed side by side on *word-sliced* state:
+//! `state[w][lane]` is word `w` of the `lane`-th block. Every step of a
+//! quarter-round is then the same operation on `N` independent lanes,
+//! written as a plain `for lane in 0..N` loop — the one form the
+//! auto-vectoriser turns into packed adds, xors and shifts on baseline
+//! x86-64 (row layouts and `[u32; 4]` helpers stay scalar: the SLP pass
+//! refuses the rotates). Narrower lane loops (4, 8) are unrolled before
+//! the vectoriser sees them and come out scalar too, hence sixteen.
+//!
+//! The lanes share the key; rows 12–15 — counter and nonce — come from a
+//! *lane schedule*, one column per lane. A run of one message schedules
+//! `counter + lane` under its own nonce; a burst of AEAD messages
+//! (`Lanes`) packs the blocks of several messages, each lane with its
+//! own nonce and counter — the multi-buffer technique.
+//!
+//! There is one implementation, the private `ChaCha20::blocks::<N>`,
+//! instantiated at [`WIDE`] lanes and at one lane. Which one runs depends
+//! on how many blocks a pass can fill: a message long enough to fill
+//! `WIDE_MIN_BLOCKS` lanes on its own, or a burst of short messages
+//! that fill them together, takes the wide one; a lone short message and
+//! tails take the one-lane one — no `unsafe`, no `std::arch`, no
+//! CPU-feature switch. CI disassembles the release build and fails if
+//! the lane loop holds no packed shift.
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
@@ -45,6 +54,10 @@ const COUNTER: usize = 12;
 /// `w` of the `lane`-th block.
 type Sliced<const N: usize> = [[u32; N]; 16];
 
+/// A lane schedule: rows 12–15 of `N` blocks' input — the counter, then
+/// the three nonce words — one column per lane.
+type Schedule<const N: usize> = [[u32; N]; 4];
+
 /// A ChaCha20 cipher instance bound to a key and nonce.
 #[derive(Clone)]
 pub struct ChaCha20 {
@@ -60,23 +73,17 @@ impl ChaCha20 {
         for (w, bytes) in state[4..COUNTER].iter_mut().zip(key.as_chunks::<4>().0) {
             *w = u32::from_le_bytes(*bytes);
         }
-        for (w, bytes) in state[COUNTER + 1..]
-            .iter_mut()
-            .zip(nonce.as_chunks::<4>().0)
-        {
-            *w = u32::from_le_bytes(*bytes);
-        }
+        state[COUNTER + 1..].copy_from_slice(&nonce_words(nonce));
         ChaCha20 { state }
     }
 
-    /// The `N` blocks for counters `counter`, `counter + 1`, … (each
-    /// wrapping on its own, as RFC 8439's per-block increment does).
+    /// The `N` blocks `schedule` names, under this cipher's key: lane
+    /// `l` is the block at counter `schedule[0][l]` under the nonce in
+    /// `schedule[1..][l]`.
     #[inline]
-    fn blocks<const N: usize>(&self, counter: u32) -> Sliced<N> {
+    fn blocks<const N: usize>(&self, schedule: &Schedule<N>) -> Sliced<N> {
         let mut init: Sliced<N> = self.state.map(|word| [word; N]);
-        for (lane, ctr) in init[COUNTER].iter_mut().enumerate() {
-            *ctr = counter.wrapping_add(lane as u32);
-        }
+        init[COUNTER..].copy_from_slice(schedule);
 
         let mut s = init;
         for _ in 0..10 {
@@ -99,10 +106,25 @@ impl ChaCha20 {
         s
     }
 
+    /// The schedule of `N` consecutive blocks under this cipher's
+    /// nonce: counters `counter`, `counter + 1`, … (each wrapping on its
+    /// own, as RFC 8439's per-block increment does).
+    #[inline]
+    fn consecutive<const N: usize>(&self, counter: u32) -> Schedule<N> {
+        let mut schedule = [[0; N]; 4];
+        for (row, word) in schedule.iter_mut().zip(&self.state[COUNTER..]) {
+            *row = [*word; N];
+        }
+        for (lane, ctr) in schedule[0].iter_mut().enumerate() {
+            *ctr = counter.wrapping_add(lane as u32);
+        }
+        schedule
+    }
+
     /// Compute the raw 64-byte block for `counter` (RFC 8439 §2.3).
     pub fn block(&self, counter: u32) -> [u8; BLOCK_LEN] {
         let mut out = [0u8; BLOCK_LEN];
-        xor_lanes(&self.blocks::<1>(counter), 0, &mut out);
+        xor_lanes(&self.blocks::<1>(&self.consecutive(counter)), 0, &mut out);
         out
     }
 
@@ -113,12 +135,12 @@ impl ChaCha20 {
         let mut rest = data;
         while wide_pays(rest.len(), 0) {
             let (chunk, tail) = rest.split_at_mut(rest.len().min(WIDE * BLOCK_LEN));
-            xor_lanes(&self.blocks::<WIDE>(ctr), 0, chunk);
+            xor_lanes(&self.blocks::<WIDE>(&self.consecutive(ctr)), 0, chunk);
             ctr = ctr.wrapping_add(WIDE as u32);
             rest = tail;
         }
         for chunk in rest.chunks_mut(BLOCK_LEN) {
-            xor_lanes(&self.blocks::<1>(ctr), 0, chunk);
+            xor_lanes(&self.blocks::<1>(&self.consecutive(ctr)), 0, chunk);
             ctr = ctr.wrapping_add(1);
         }
     }
@@ -148,11 +170,8 @@ impl ChaCha20 {
         data: &mut [u8],
         admit: impl FnOnce(&[u8; 32], &[u8]) -> bool,
     ) -> ([u8; 32], bool) {
-        let first = self.blocks::<N>(0);
-        let mut key = [0u8; 32];
-        for (bytes, row) in key.as_chunks_mut::<4>().0.iter_mut().zip(&first) {
-            *bytes = row[0].to_le_bytes();
-        }
+        let first = self.blocks::<N>(&self.consecutive(0));
+        let key = one_time_key(&first, 0);
         if !admit(&key, data) {
             return (key, false);
         }
@@ -161,6 +180,96 @@ impl ChaCha20 {
         self.apply_keystream(N as u32, rest);
         (key, true)
     }
+
+    /// The wide pass `lanes` booked, under this cipher's key (the lanes
+    /// bring their own nonces).
+    pub(crate) fn lane_pass(&self, lanes: &Lanes) -> LanePass {
+        LanePass {
+            ks: self.blocks::<WIDE>(&lanes.schedule),
+            next: 0,
+        }
+    }
+}
+
+/// The lanes of one wide pass shared by several AEAD messages under one
+/// key, booked in message order: each message takes one lane for its
+/// block 0 — the one-time MAC key — and one per block of its data, each
+/// under its own nonce.
+#[derive(Default)]
+pub(crate) struct Lanes {
+    schedule: Schedule<WIDE>,
+    booked: usize,
+}
+
+impl Lanes {
+    /// Book the AEAD blocks of a message of `len` bytes under `nonce`
+    /// into the next free lanes; `false`, and nothing booked, when they
+    /// do not fit.
+    pub(crate) fn book(&mut self, nonce: &[u8; NONCE_LEN], len: usize) -> bool {
+        let first = self.booked;
+        let end = first + 1 + len.div_ceil(BLOCK_LEN);
+        if end > WIDE {
+            return false;
+        }
+        let nonce = nonce_words(nonce);
+        for (counter, lane) in (first..end).enumerate() {
+            self.schedule[0][lane] = counter as u32;
+            for (row, word) in self.schedule[1..].iter_mut().zip(nonce) {
+                row[lane] = word;
+            }
+        }
+        self.booked = end;
+        true
+    }
+
+    /// Whether the lanes booked fill enough of a wide pass to pay for it.
+    pub(crate) fn pays(&self) -> bool {
+        self.booked >= WIDE_MIN_BLOCKS
+    }
+}
+
+/// The keystream of one wide pass [`Lanes`] booked, handed out message
+/// by message in booking order.
+pub(crate) struct LanePass {
+    ks: Sliced<WIDE>,
+    /// The first lane of the next message.
+    next: usize,
+}
+
+impl LanePass {
+    /// [`ChaCha20::aead_pass`] for the next message booked, whose data is
+    /// `data`, from the lanes booked for it.
+    pub(crate) fn aead_pass(
+        &mut self,
+        data: &mut [u8],
+        admit: impl FnOnce(&[u8; 32], &[u8]) -> bool,
+    ) -> ([u8; 32], bool) {
+        let lane = self.next;
+        self.next += 1 + data.len().div_ceil(BLOCK_LEN);
+        debug_assert!(self.next <= WIDE, "a message outran its lanes");
+        let key = one_time_key(&self.ks, lane);
+        if !admit(&key, data) {
+            return (key, false);
+        }
+        xor_lanes(&self.ks, lane + 1, data);
+        (key, true)
+    }
+}
+
+/// The three nonce words of `nonce`, little-endian.
+fn nonce_words(nonce: &[u8; NONCE_LEN]) -> [u32; 3] {
+    let (words, _) = nonce.as_chunks::<4>();
+    [0, 1, 2].map(|i| u32::from_le_bytes(words[i]))
+}
+
+/// The one-time MAC key in lane `lane` of `ks`: the first half of that
+/// block.
+fn one_time_key<const N: usize>(ks: &Sliced<N>, lane: usize) -> [u8; 32] {
+    let mut key = [0u8; 32];
+    for (bytes, row) in key.as_chunks_mut::<4>().0.iter_mut().zip(ks) {
+        *bytes = row[lane].to_le_bytes();
+    }
+    key
 }
 
 /// Whether a wide pass is the cheaper way to produce keystream for
@@ -296,10 +405,63 @@ offer you only one tip for the future, sunscreen would be it.";
     fn wide_lanes_are_consecutive_single_blocks() {
         let cipher = ChaCha20::new(&[0x5c; 32], &[0xa3; 12]);
         let counter = u32::MAX - 5;
-        let wide = cipher.blocks::<WIDE>(counter);
+        let wide = cipher.blocks::<WIDE>(&cipher.consecutive(counter));
         for lane in 0..WIDE {
-            let single = cipher.blocks::<1>(counter.wrapping_add(lane as u32));
+            let single = cipher.blocks::<1>(&cipher.consecutive(counter.wrapping_add(lane as u32)));
             assert_eq!(wide.map(|row| [row[lane]]), single, "lane {lane}");
+        }
+    }
+
+    /// A schedule of mixed nonces and counters: every lane is the
+    /// one-lane function at that lane's own (counter, nonce), a counter
+    /// wrapping from `u32::MAX` to 0 mid-pass included.
+    #[test]
+    fn each_lane_is_the_single_block_at_its_own_counter_and_nonce() {
+        let key = [0x3d; 32];
+        let keyed = ChaCha20::new(&key, &[0; 12]);
+        let nonce = |lane: usize| [lane as u8 % 5; 12].map(|b| b.wrapping_mul(0x9b) ^ 0x11);
+        let counter = |lane: usize| match lane {
+            0..=3 => (u32::MAX - 1).wrapping_add(lane as u32),
+            _ => (lane as u32).wrapping_mul(0x0101_0101),
+        };
+        let mut schedule: Schedule<WIDE> = [[0; WIDE]; 4];
+        for lane in 0..WIDE {
+            schedule[0][lane] = counter(lane);
+            for (row, word) in schedule[1..].iter_mut().zip(nonce_words(&nonce(lane))) {
+                row[lane] = word;
+            }
+        }
+        let wide = keyed.blocks::<WIDE>(&schedule);
+        for lane in 0..WIDE {
+            let mut got = [0u8; BLOCK_LEN];
+            xor_lanes(&wide, lane, &mut got);
+            let single = ChaCha20::new(&key, &nonce(lane)).block(counter(lane));
+            assert_eq!(got, single, "lane {lane}");
+        }
+    }
+
+    /// Booked lanes are each message's block 0 and data blocks under its
+    /// nonce; a message that does not fit books nothing.
+    #[test]
+    fn booked_lanes_are_each_messages_own_pass() {
+        let key = [0x77; 32];
+        let lens = [0usize, 1, 64, 65, 300];
+        let mut lanes = Lanes::default();
+        for (i, len) in lens.iter().enumerate() {
+            assert!(lanes.book(&[i as u8; 12], *len), "len {len}");
+        }
+        assert_eq!(lanes.booked, 1 + 2 + 2 + 3 + 6);
+        assert!(!lanes.book(&[9; 12], 65), "past the sixteenth lane");
+        assert_eq!(lanes.booked, 14);
+        assert!(lanes.pays());
+        let mut pass = ChaCha20::new(&key, &[0; 12]).lane_pass(&lanes);
+        for (i, len) in lens.iter().enumerate() {
+            let own = ChaCha20::new(&key, &[i as u8; 12]);
+            let plain: Vec<u8> = (0..*len).map(|b| b as u8).collect();
+            let (mut lanes_data, mut own_data) = (plain.clone(), plain.clone());
+            let got = pass.aead_pass(&mut lanes_data, |_, seen| seen == plain);
+            assert_eq!(got, own.aead_pass(&mut own_data, |_, _| true), "len {len}");
+            assert_eq!(lanes_data, own_data, "len {len}");
         }
     }
 

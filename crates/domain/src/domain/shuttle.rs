@@ -15,12 +15,14 @@
 //! 3. **cross one link** ([`Drain::cross_link`]) — carry one such
 //!    bucket over the next hop of its pinned path (wire counters, hop
 //!    cost) and queue the survivors on the peer. A protected link
-//!    seals each frame at the first hop and opens it at the last
-//!    ([`crate::wire`]); every hop in between carries the sealed frame
-//!    and its transit node switches it on the outer vid alone.
+//!    seals the bucket at the first hop and opens it at the last, one
+//!    burst each ([`crate::wire`]), then books frame by frame in order;
+//!    every hop in between carries the sealed frames and its transit
+//!    node switches them on the outer vid alone.
 //!
 //! The [`Work`] list — a queue per *touched* node, the FIFO of nodes
-//! with work, the fabric buckets and the survivors of a crossing — is
+//! with work, the fabric buckets, a crossing's sealed and opened
+//! verdicts and its survivors — is
 //! the domain's, lent to each call and handed back empty, so a warm call
 //! allocates none of it. Untouched nodes cost nothing.
 //!
@@ -38,7 +40,7 @@ use un_sim::Cost;
 use super::{
     Domain, DomainConfig, DomainCounters, DomainIo, LinkSas, LinkState, ManagedNode, NodeHealth,
 };
-use crate::wire;
+use crate::wire::{self, WireError};
 
 /// Fixed ESP cost per protected frame and operation: charged once for
 /// the seal at the link's head and once for the open at its tail,
@@ -118,6 +120,12 @@ pub(super) struct Work {
     free_fabric: Vec<Vec<Packet>>,
     /// The frames that made it over one link.
     survivors: Vec<Packet>,
+    /// One crossing's frames as they go on the wire — sealed at a
+    /// protected link's head — or why the head refused them.
+    on_wire: Vec<Result<Packet, WireError>>,
+    /// The verdicts of a protected link's tail, one per frame on the
+    /// wire.
+    opened: Vec<Result<Packet, WireError>>,
 }
 
 impl Work {
@@ -198,6 +206,8 @@ impl Work {
             && self.fabric.is_empty()
             && self.free_fabric.iter().all(Vec::is_empty)
             && self.survivors.is_empty()
+            && self.on_wire.is_empty()
+            && self.opened.is_empty()
     }
 }
 
@@ -323,8 +333,9 @@ impl Drain<'_> {
     /// Carry `frames`, which node `from` emitted on the fabric tagged
     /// `vid`, over the next hop of that link's pinned path, collecting
     /// the survivors in `survivors`, and queue them on the peer with one
-    /// crossing less to spend. Frames that die are left behind, booked,
-    /// for the caller to clear.
+    /// crossing less to spend. Frames that die — and at a protected
+    /// link's head the plaintext of every frame sealed — are left
+    /// behind, booked, for the caller to clear.
     fn cross_link(
         &mut self,
         from: &Name,
@@ -366,7 +377,7 @@ impl Drain<'_> {
         };
         // One side of the SA pair works per end of the pinned path: the
         // head seals, the tail opens (a one-hop link is both at once).
-        let (mut seal, mut open) = match sas {
+        let (seal, open) = match sas {
             Some((sa_out, sa_in)) => (
                 (hop_idx == 0).then_some(sa_out),
                 (hop_idx + 2 == link.path.len()).then_some(sa_in),
@@ -377,21 +388,36 @@ impl Drain<'_> {
             let ns = ESP_FIXED_NS as f64 + ESP_NS_PER_BYTE * inner_len as f64;
             Cost::from_nanos(ns as u64)
         };
+        // The crypto runs a burst per end — the head seals the bucket,
+        // the tail opens what made it onto the wire — and the frames are
+        // booked after it, one by one in order, as frame after frame.
+        let sealing = seal.is_some();
+        let on_wire = &mut self.work.on_wire;
+        match seal {
+            Some(sa_out) => wire::seal(sa_out, frames, vid, on_wire),
+            None => on_wire.extend(frames.drain(..).map(Ok)),
+        }
+        let opening = open.is_some();
+        if let Some(sa_in) = open {
+            let sealed = on_wire.iter().filter_map(|frame| frame.as_ref().ok());
+            wire::open(sa_in, sealed, vid, &mut self.work.opened);
+        }
         let (mut wire_frames, mut wire_bytes) = (0u64, 0u64);
-        for mut pkt in frames.drain(..) {
-            if let Some(sa_out) = seal.as_deref_mut() {
-                let inner_len = pkt.len();
+        let mut opened = self.work.opened.drain(..);
+        for (i, on_wire) in on_wire.drain(..).enumerate() {
+            let inner_len = sealing.then(|| frames[i].len());
+            if let Some(inner_len) = inner_len {
                 io.cost += esp_cost(inner_len);
-                pkt = match wire::seal(sa_out, pkt, vid) {
-                    Ok(sealed) => sealed,
-                    Err(e) => {
-                        let detail = format_args!("vid {vid}: {e}");
-                        acct.drop(from, DropReason::OverlayEspSealFail, 1, detail);
-                        continue;
-                    }
-                };
-                io.protected_bytes += inner_len as u64;
             }
+            let pkt = match on_wire {
+                Ok(pkt) => pkt,
+                Err(e) => {
+                    let detail = format_args!("vid {vid}: {e}");
+                    acct.drop(from, DropReason::OverlayEspSealFail, 1, detail);
+                    continue;
+                }
+            };
+            io.protected_bytes += inner_len.unwrap_or(0) as u64;
             // Wire counters count what is on the wire at every hop of
             // the pinned path — the sealed length on a protected one. A
             // frame whose TTL is spent is still on the wire here, and
@@ -414,26 +440,27 @@ impl Drain<'_> {
                     },
                 );
             }
-            if let Some(sa_in) = open.as_deref_mut() {
-                let opened = wire::open(sa_in, pkt, vid);
-                // The open is paid for whether or not it succeeds: by
-                // the inner length, or by what the AEAD walked (up to
-                // three bytes of padding more) when it is never known.
-                let walked = opened
-                    .as_ref()
-                    .map_or(len.saturating_sub(wire::OVERHEAD), Packet::len);
-                io.cost += esp_cost(walked);
-                pkt = match opened {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        let detail = format_args!("vid {vid}: {e}");
-                        acct.drop(peer, DropReason::OverlayEspVerifyFail, 1, detail);
-                        continue;
-                    }
-                };
+            if !opening {
+                survivors.push(pkt);
+                continue;
             }
-            survivors.push(pkt);
+            let opened = opened.next().expect("a verdict per frame on the wire");
+            // The open is paid for whether or not it succeeds: by the
+            // inner length, or by what the AEAD walked (up to three
+            // bytes of padding more) when it is never known.
+            let walked = opened
+                .as_ref()
+                .map_or(len.saturating_sub(wire::OVERHEAD), Packet::len);
+            io.cost += esp_cost(walked);
+            match opened {
+                Ok(frame) => survivors.push(frame),
+                Err(e) => {
+                    let detail = format_args!("vid {vid}: {e}");
+                    acct.drop(peer, DropReason::OverlayEspVerifyFail, 1, detail);
+                }
+            }
         }
+        drop(opened);
         if !acct.ghost() {
             link.count_hop(hop_idx, wire_frames, wire_bytes);
         }

@@ -1432,7 +1432,9 @@ fn a_reused_vid_never_reuses_a_key() {
                 sa_out.seq_out = 0;
                 let mut tagged = patterned_frame(0);
                 tagged.vlan_push(*vid).unwrap();
-                let wire = crate::wire::seal(&mut sa_out, tagged, *vid).unwrap();
+                let mut sealed = Vec::new();
+                crate::wire::seal(&mut sa_out, &[tagged], *vid, &mut sealed);
+                let wire = sealed.pop().expect("one verdict").unwrap();
                 (*vid, (sa_out.key, wire.data().to_vec()))
             })
             .collect();

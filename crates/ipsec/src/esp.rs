@@ -13,6 +13,14 @@
 //! tunnel mode). Padding aligns the (payload ‖ pad_len ‖ NH) trailer to
 //! 4 bytes and carries the monotone pattern 1,2,3… that RFC 4303
 //! specifies, which [`decapsulate`] verifies.
+//!
+//! [`encapsulate_burst`] and [`decapsulate_burst`] run a burst of frames
+//! under one SA and hand back, in frame order, exactly the verdicts,
+//! bytes, sequence numbers and counters the one-frame functions would
+//! have given frame by frame; the AEAD work of up to eight
+//! frames at a time is one [`aead::seal_burst`] / [`aead::open_burst`],
+//! which packs short frames into the lanes of one wide cipher pass. The
+//! one-frame functions are bursts of one.
 
 use un_crypto::aead;
 use un_packet::ipv4::{IpProtocol, Ipv4Packet};
@@ -44,6 +52,12 @@ pub enum IpsecError {
     AuthFailed,
     /// Decrypted trailer is malformed (pad pattern/next header).
     BadTrailer,
+    /// No SA for this SPI (RFC 4303 §3.4.2: an auditable event of its
+    /// own, not a malformed packet).
+    NoSa {
+        /// The SPI nothing is installed for.
+        spi: u32,
+    },
 }
 
 impl std::fmt::Display for IpsecError {
@@ -55,6 +69,7 @@ impl std::fmt::Display for IpsecError {
             IpsecError::Replay(v) => write!(f, "anti-replay rejection: {v:?}"),
             IpsecError::AuthFailed => write!(f, "ICV authentication failed"),
             IpsecError::BadTrailer => write!(f, "malformed ESP trailer"),
+            IpsecError::NoSa { spi } => write!(f, "no SA for SPI {spi:#x}"),
         }
     }
 }
@@ -68,12 +83,18 @@ fn nonce_for(sa: &SecurityAssociation, iv: &[u8; ESP_IV_LEN]) -> [u8; 12] {
     nonce
 }
 
-fn aad_for(spi: u32, seq: u32) -> [u8; 8] {
-    let mut aad = [0u8; 8];
-    aad[..4].copy_from_slice(&spi.to_be_bytes());
-    aad[4..].copy_from_slice(&seq.to_be_bytes());
-    aad
+/// The IV of sequence number `seq`: derived from it, so unique per SA
+/// per packet.
+fn iv_for(seq: u32) -> [u8; ESP_IV_LEN] {
+    let mut iv = [0u8; ESP_IV_LEN];
+    iv[4..].copy_from_slice(&seq.to_be_bytes());
+    iv
 }
+
+/// Frames whose AEAD work is handed over as one burst: a frame's AEAD
+/// message is at least two blocks — its one-time key and its trailer —
+/// so this many can fill the sixteen lanes of one pass.
+const PASS_FRAMES: usize = 8;
 
 /// Encapsulate `inner` (a complete inner IPv4 packet) under an outbound
 /// SA, producing the ESP payload for the outer packet.
@@ -85,46 +106,106 @@ pub fn encapsulate(sa: &mut SecurityAssociation, inner: &[u8]) -> Result<Vec<u8>
 
 /// [`encapsulate`] behind `headroom` zero bytes: the ESP payload starts
 /// at offset `headroom` of the returned buffer, so the caller writes its
-/// outer headers in front of it instead of copying it behind them.
+/// outer headers in front of it instead of copying it behind them. A
+/// burst of one.
 pub fn encapsulate_into(
     sa: &mut SecurityAssociation,
     inner: &[u8],
     headroom: usize,
 ) -> Result<Vec<u8>, IpsecError> {
-    if sa.direction != SaDirection::Out {
-        return Err(IpsecError::WrongDirection);
+    let mut verdict = None;
+    encapsulate_burst(sa, [inner], headroom, |v| verdict = Some(v));
+    verdict.expect("one verdict per frame")
+}
+
+/// [`encapsulate_into`] for every frame of `inners`, in order, handing
+/// `sealed` one verdict per frame, in frame order.
+///
+/// Sequence numbers are assigned in frame order; once they run out
+/// every further frame is [`IpsecError::SeqOverflow`], as it is frame by
+/// frame. Each frame sealed is one allocation, its wire buffer.
+pub fn encapsulate_burst<'a>(
+    sa: &mut SecurityAssociation,
+    inners: impl IntoIterator<Item = &'a [u8]>,
+    headroom: usize,
+    mut sealed: impl FnMut(Result<Vec<u8>, IpsecError>),
+) {
+    let body = headroom + ESP_HEADER_LEN + ESP_IV_LEN;
+    let mut inners = inners.into_iter().peekable();
+    while inners.peek().is_some() {
+        // Each frame of the pass refused before any crypto has its
+        // verdict here; the others are laid out in order, one buffer and
+        // one job each, AAD (SPI ‖ SEQ) and plaintext borrowed from it.
+        let mut refused = [None; PASS_FRAMES];
+        let mut bufs: [Vec<u8>; PASS_FRAMES] = Default::default();
+        let mut jobs: [aead::Job<'_>; PASS_FRAMES] = Default::default();
+        let mut free = bufs.iter_mut().zip(jobs.iter_mut());
+        let (mut frames, mut built) = (0, 0);
+        // The pass's slots lead the zip: a full pass takes no frame it
+        // cannot hold.
+        for (refusal, inner) in refused.iter_mut().zip(inners.by_ref()) {
+            frames += 1;
+            if sa.direction != SaDirection::Out {
+                *refusal = Some(IpsecError::WrongDirection);
+                continue;
+            }
+            let Some(seq) = sa.seq_out.checked_add(1) else {
+                *refusal = Some(IpsecError::SeqOverflow);
+                continue;
+            };
+            sa.seq_out = seq;
+            sa.packets += 1;
+            sa.bytes += inner.len() as u64;
+            let iv = iv_for(seq);
+            let (buf, job) = free.next().expect("a buffer per frame");
+            *buf = wire_layout(sa.spi, seq, &iv, inner, headroom);
+            let (header, plaintext) = buf.split_at_mut(body);
+            job.nonce = nonce_for(sa, &iv);
+            job.aad = &header[headroom..headroom + ESP_HEADER_LEN];
+            job.data = plaintext;
+            built += 1;
+        }
+        aead::seal_burst(&sa.key, &mut jobs[..built]);
+        let tags = jobs.map(|job| job.tag);
+
+        let mut done = bufs.into_iter().zip(tags);
+        for refusal in &refused[..frames] {
+            sealed(match refusal {
+                Some(e) => Err(*e),
+                None => {
+                    let (mut buf, tag) = done.next().expect("a buffer per frame sealed");
+                    buf.extend_from_slice(&tag);
+                    Ok(buf)
+                }
+            });
+        }
     }
-    let seq = sa.seq_out.checked_add(1).ok_or(IpsecError::SeqOverflow)?;
-    sa.seq_out = seq;
+}
 
-    // IV: derived from the sequence number — unique per SA per packet.
-    let mut iv = [0u8; ESP_IV_LEN];
-    iv[4..].copy_from_slice(&seq.to_be_bytes());
-
-    // The whole wire layout is built once; the plaintext — inner ||
-    // padding || pad_len || next_header, trailer 4-byte aligned — is
-    // sealed where it sits.
+/// The wire layout of one frame, built once: `headroom` zero bytes,
+/// SPI, sequence number, IV, then the plaintext — inner ‖ padding ‖
+/// pad_len ‖ next_header, trailer 4-byte aligned — to be sealed where it
+/// sits, with room for the tag behind it.
+fn wire_layout(
+    spi: u32,
+    seq: u32,
+    iv: &[u8; ESP_IV_LEN],
+    inner: &[u8],
+    headroom: usize,
+) -> Vec<u8> {
     let unpadded = inner.len() + 2;
     let pad_len = (4 - (unpadded % 4)) % 4;
     let body = headroom + ESP_HEADER_LEN + ESP_IV_LEN;
     let mut out = Vec::with_capacity(body + unpadded + pad_len + ESP_ICV_LEN);
     out.resize(headroom, 0);
-    out.extend_from_slice(&sa.spi.to_be_bytes());
+    out.extend_from_slice(&spi.to_be_bytes());
     out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&iv);
+    out.extend_from_slice(iv);
     out.extend_from_slice(inner);
     out.extend(1..=pad_len as u8); // RFC 4303 monotone pad pattern
     out.push(pad_len as u8);
     out.push(NEXT_HEADER_IPV4);
-
-    let nonce = nonce_for(sa, &iv);
-    let aad = aad_for(sa.spi, seq);
-    let tag = aead::seal(&sa.key, &nonce, &aad, &mut out[body..]);
-    out.extend_from_slice(&tag);
-
-    sa.packets += 1;
-    sa.bytes += inner.len() as u64;
-    Ok(out)
+    out
 }
 
 /// Write the tunnel-mode outer IPv4 header — `sa`'s tunnel endpoints,
@@ -147,7 +228,8 @@ pub fn fill_tunnel_header(sa: &SecurityAssociation, outer: &mut [u8]) {
 
 /// The fields of an ESP payload, borrowed from the wire bytes.
 struct Framing<'a> {
-    spi: u32,
+    /// SPI ‖ SEQ, the AAD.
+    header: &'a [u8; ESP_HEADER_LEN],
     seq: u32,
     iv: &'a [u8; ESP_IV_LEN],
     /// Ciphertext of inner ‖ pad ‖ pad_len ‖ next_header.
@@ -159,12 +241,12 @@ impl<'a> Framing<'a> {
     /// `None` if `payload` is too short to hold every fixed field and
     /// the two trailer bytes.
     fn parse(payload: &'a [u8]) -> Option<Self> {
-        let (spi, rest) = payload.split_first_chunk()?;
-        let (seq, rest) = rest.split_first_chunk()?;
+        let (header, rest) = payload.split_first_chunk::<ESP_HEADER_LEN>()?;
         let (iv, rest) = rest.split_first_chunk()?;
         let (body, tag) = rest.split_last_chunk()?;
+        let (_spi, seq) = header.split_last_chunk()?;
         (body.len() >= 2).then_some(Framing {
-            spi: u32::from_be_bytes(*spi),
+            header,
             seq: u32::from_be_bytes(*seq),
             iv,
             body,
@@ -189,45 +271,134 @@ pub fn decapsulate(
 /// [`decapsulate`] behind `headroom` zero bytes, the mirror of
 /// [`encapsulate_into`]: the inner packet starts at offset `headroom` of
 /// the returned buffer, so the caller adopts it as a packet with room to
-/// prepend headers instead of copying it into one.
+/// prepend headers instead of copying it into one. A burst of one.
 pub fn decapsulate_into(
     sa: &mut SecurityAssociation,
     esp_payload: &[u8],
     headroom: usize,
 ) -> Result<Vec<u8>, IpsecError> {
-    if sa.direction != SaDirection::In {
-        return Err(IpsecError::WrongDirection);
+    let mut verdict = None;
+    decapsulate_burst(sa, [esp_payload], headroom, |v| verdict = Some(v));
+    verdict.expect("one verdict per frame")
+}
+
+/// Where one frame of a decapsulate pass stands between its phases.
+#[derive(Clone, Copy)]
+enum Inbound {
+    /// Refused before the replay window was consulted.
+    Refused(IpsecError),
+    /// Refused by the window as it stood when the pass began: no crypto.
+    Stale(u32),
+    /// Opened (or not) in the pass's next buffer; its sequence number.
+    Opened(u32),
+}
+
+/// [`decapsulate_into`] for every payload of `payloads`, in order,
+/// handing `opened` one verdict per payload, in payload order — each the
+/// verdict the one-frame function would give it after the payloads
+/// before it.
+///
+/// Per pass of up to eight payloads, three phases:
+///
+/// 1. parse each payload and check it against the replay window as it
+///    stands — the window only moves forward, so a payload it refuses
+///    now it refuses later too, and that payload gets no crypto (a
+///    replay flood costs no more than frame by frame);
+/// 2. open the rest as one burst, the caller's bytes never written;
+/// 3. in payload order, against the window as it moves: replay check
+///    (a sequence number twice in one burst is a replay the second
+///    time), authentication, window update, trailer.
+pub fn decapsulate_burst<'a>(
+    sa: &mut SecurityAssociation,
+    payloads: impl IntoIterator<Item = &'a [u8]>,
+    headroom: usize,
+    mut opened: impl FnMut(Result<Vec<u8>, IpsecError>),
+) {
+    let mut payloads = payloads.into_iter().peekable();
+    while payloads.peek().is_some() {
+        // Phase 1: framing and the window as it stands. Each survivor's
+        // body is copied behind the headroom — the one copy, opened in
+        // place and truncated to the inner packet it is returned as —
+        // and gets a job; its AAD and tag are borrowed from the wire.
+        let mut frames = [Inbound::Refused(IpsecError::Truncated); PASS_FRAMES];
+        let mut bufs: [Vec<u8>; PASS_FRAMES] = Default::default();
+        let mut jobs: [aead::Job<'_>; PASS_FRAMES] = Default::default();
+        let mut free = bufs.iter_mut().zip(jobs.iter_mut());
+        let (mut count, mut built) = (0, 0);
+        // The pass's slots lead the zip: a full pass takes no payload it
+        // cannot hold.
+        for (frame, payload) in frames.iter_mut().zip(payloads.by_ref()) {
+            count += 1;
+            if sa.direction != SaDirection::In {
+                *frame = Inbound::Refused(IpsecError::WrongDirection);
+                continue;
+            }
+            let Some(framing) = Framing::parse(payload) else {
+                *frame = Inbound::Refused(IpsecError::Truncated);
+                continue;
+            };
+            if sa.replay.check(framing.seq) != ReplayVerdict::Ok {
+                *frame = Inbound::Stale(framing.seq);
+                continue;
+            }
+            let (buf, job) = free.next().expect("a buffer per frame");
+            buf.reserve_exact(headroom + framing.body.len());
+            buf.resize(headroom, 0);
+            buf.extend_from_slice(framing.body);
+            job.nonce = nonce_for(sa, framing.iv);
+            job.aad = framing.header;
+            job.data = &mut buf[headroom..];
+            job.tag = *framing.tag;
+            *frame = Inbound::Opened(framing.seq);
+            built += 1;
+        }
+
+        // Phase 2: one burst over the survivors.
+        let mut authentic = [false; PASS_FRAMES];
+        aead::open_burst(&sa.key, &mut jobs[..built], |i, v| {
+            authentic[i] = v.is_ok();
+        });
+
+        // Phase 3: the verdicts, in order, against the moving window.
+        let mut done = bufs.into_iter().zip(authentic);
+        for frame in &frames[..count] {
+            opened(match *frame {
+                Inbound::Refused(e) => Err(e),
+                Inbound::Stale(seq) => {
+                    let verdict = sa.replay.check(seq);
+                    debug_assert_ne!(verdict, ReplayVerdict::Ok, "the window moved back");
+                    Err(IpsecError::Replay(verdict))
+                }
+                Inbound::Opened(seq) => {
+                    let (buf, authentic) = done.next().expect("a buffer per frame opened");
+                    match sa.replay.check(seq) {
+                        ReplayVerdict::Ok => finish(sa, seq, buf, authentic, headroom),
+                        v => Err(IpsecError::Replay(v)),
+                    }
+                }
+            });
+        }
     }
-    let Framing {
-        spi,
-        seq,
-        iv,
-        body,
-        tag,
-    } = Framing::parse(esp_payload).ok_or(IpsecError::Truncated)?;
+}
 
-    match sa.replay.check(seq) {
-        ReplayVerdict::Ok => {}
-        v => return Err(IpsecError::Replay(v)),
+/// The last steps of one frame's decapsulation, once its replay check
+/// passed: authentication, window update (only after it, per RFC 4303),
+/// trailer, lifetime counters.
+fn finish(
+    sa: &mut SecurityAssociation,
+    seq: u32,
+    mut out: Vec<u8>,
+    authentic: bool,
+    headroom: usize,
+) -> Result<Vec<u8>, IpsecError> {
+    if !authentic {
+        return Err(IpsecError::AuthFailed);
     }
-
-    // The one copy: opened in place behind the headroom, then truncated
-    // to the inner packet it is returned as (the caller's bytes are
-    // never written).
-    let mut out = Vec::with_capacity(headroom + body.len());
-    out.resize(headroom, 0);
-    out.extend_from_slice(body);
-    let opened = &mut out[headroom..];
-
-    let nonce = nonce_for(sa, iv);
-    let aad = aad_for(spi, seq);
-    aead::open(&sa.key, &nonce, &aad, opened, tag).map_err(|_| IpsecError::AuthFailed)?;
-
     // Auth passed: now (and only now) slide the replay window.
     sa.replay.update(seq);
 
     // Trailer: … pad | pad_len | next_header
-    let [plain @ .., pad_len, next_header] = &*opened else {
+    let [plain @ .., pad_len, next_header] = &out[headroom..] else {
         return Err(IpsecError::BadTrailer);
     };
     let pad_len = usize::from(*pad_len);
@@ -252,6 +423,13 @@ mod tests {
     use super::*;
     use crate::sa::SecurityAssociation;
     use std::net::Ipv4Addr;
+
+    fn aad_for(spi: u32, seq: u32) -> [u8; 8] {
+        let mut aad = [0u8; 8];
+        aad[..4].copy_from_slice(&spi.to_be_bytes());
+        aad[4..].copy_from_slice(&seq.to_be_bytes());
+        aad
+    }
 
     fn pair() -> (SecurityAssociation, SecurityAssociation) {
         let key = [0x42u8; 32];

@@ -81,7 +81,7 @@ impl Xfrm {
             PolicyAction::Protect(spi) => {
                 let Some(sa) = self.sad.get_mut(spi) else {
                     self.errors += 1;
-                    return XfrmOutput::Error(IpsecError::Truncated);
+                    return XfrmOutput::Error(IpsecError::NoSa { spi });
                 };
                 *cost_acc += costs.aead_kernel(ip_bytes.len());
                 // Sealed straight behind room for the outer IPv4 header,
@@ -127,7 +127,7 @@ impl Xfrm {
         *cost_acc += Cost::from_nanos(costs.xfrm_lookup_ns);
         let Some(sa) = self.sad.get_mut(spi) else {
             self.errors += 1;
-            return Err(IpsecError::Truncated);
+            return Err(IpsecError::NoSa { spi });
         };
         *cost_acc += costs.aead_kernel(payload.len());
         match esp::decapsulate_into(sa, payload, DEFAULT_HEADROOM) {
@@ -271,8 +271,9 @@ mod tests {
         let mut cost = Cost::ZERO;
         assert!(matches!(
             x.output(&inner_packet(), &costs, &mut cost),
-            XfrmOutput::Error(_)
+            XfrmOutput::Error(IpsecError::NoSa { spi: 0x999 })
         ));
+        assert_eq!(x.errors, 1);
     }
 
     #[test]
@@ -300,7 +301,11 @@ mod tests {
         else {
             panic!()
         };
-        assert!(other_rx.input(outer.data(), &costs, &mut cost).is_err());
+        assert_eq!(
+            other_rx.input(outer.data(), &costs, &mut cost),
+            Err(IpsecError::NoSa { spi: 0x500 })
+        );
+        assert_eq!(other_rx.errors, 1);
         assert!(!other_rx.knows_spi(0x500));
     }
 }
