@@ -1,33 +1,20 @@
 //! The Docker driver.
 //!
-//! Containers share the host kernel: the driver joins the container to
-//! the same NNF-in-a-namespace sandbox the native driver runs — the
-//! instance's command list is the entrypoint script of the
-//! containerized NF.
-//! Packaging and footprint differ (image layers, runtime shim); the
-//! data path does not. Table 1's near-identical Docker/native
-//! throughput follows.
+//! Containers share the host kernel: a container joins the instance's
+//! sandbox namespace, where the same NNF instance a native NF runs is
+//! configured by the same command list — the entrypoint script of the
+//! containerized NF. Packaging and footprint differ (image layers,
+//! runtime shim); the data path does not. Table 1's near-identical
+//! Docker/native throughput follows.
 
-use std::collections::HashMap;
-
-use un_container::{ContainerId, ContainerRuntime, Registry};
-use un_linux::{IfaceId, NsId};
-use un_nnf::NnfInstance;
-use un_packet::Packet;
+use un_container::{ContainerRuntime, Registry};
+use un_nnf::NnfDescriptor;
 use un_sim::mem::mb;
 
-use super::sandbox::Sandbox;
-use super::{foreign, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
-use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId};
+use super::{foreign, foreign_handle, substrate, ComputeDriver, CreateRequest, NodeEnv, Packaging};
+use crate::types::{ComputeError, FlavorSpec};
 
-struct DockerInstance {
-    container: ContainerId,
-    sandbox: Sandbox,
-    /// Virtual size (all layers) of the image the container runs.
-    image_bytes: u64,
-}
-
-/// Driver state: the container engine plus per-instance bookkeeping.
+/// Driver state: the container engine and the registry it pulls from.
 /// The default driver's registry is empty.
 #[derive(Default)]
 pub struct DockerDriver {
@@ -35,7 +22,13 @@ pub struct DockerDriver {
     pub runtime: ContainerRuntime,
     /// The registry images are pulled from.
     pub registry: Registry,
-    instances: HashMap<InstanceId, DockerInstance>,
+}
+
+fn container(packaging: &Packaging) -> Result<un_container::ContainerId, ComputeError> {
+    match packaging {
+        Packaging::Docker(container) => Ok(*container),
+        _ => Err(foreign_handle()),
+    }
 }
 
 impl ComputeDriver for DockerDriver {
@@ -43,12 +36,13 @@ impl ComputeDriver for DockerDriver {
         "Docker driver"
     }
 
-    /// Pull the image, make namespace + ports, define the container.
+    /// Pull the image, then define a container in the sandbox's
+    /// namespace.
     fn create(
         &mut self,
         env: &mut NodeEnv<'_>,
         req: &CreateRequest<'_>,
-    ) -> Result<(), ComputeError> {
+    ) -> Result<Packaging, ComputeError> {
         let FlavorSpec::Docker {
             image,
             tag,
@@ -57,85 +51,49 @@ impl ComputeDriver for DockerDriver {
         else {
             return Err(foreign(req.spec));
         };
-        let ft = req.functional_type;
-        let plugin = req
-            .nf
-            .and_then(|nf| NnfInstance::new(nf, false).ok())
-            .ok_or_else(|| {
-                ComputeError::Unsupported(format!("no container entrypoint for '{ft}'"))
-            })?;
         self.runtime
             .store
             .pull(&self.registry, image, tag)
             .ok_or_else(|| {
                 ComputeError::Substrate(format!("image {image}:{tag} not in registry"))
             })?;
+        let made = self.runtime.create(
+            req.name,
+            image,
+            tag,
+            req.ns,
+            *process_rss,
+            env.ledger,
+            req.account,
+        );
+        made.map(Packaging::Docker).map_err(substrate)
+    }
 
-        let sandbox = Sandbox::create(env.host, "docker", "eth", req.n_ports, plugin, req)?;
-        let (ns, rss) = (sandbox.ns(), *process_rss);
-        let made = self
-            .runtime
-            .create(req.name, image, tag, ns, rss, env.ledger, req.account);
-        match made {
-            Ok(container) => {
-                let image_bytes = self.runtime.store.image_virtual_size(image, tag);
-                let inst = DockerInstance {
-                    container,
-                    sandbox,
-                    image_bytes: image_bytes.unwrap_or(0),
-                };
-                self.instances.insert(req.id, inst);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = sandbox.destroy(env.host);
-                Err(substrate(e))
-            }
+    fn start(&mut self, env: &mut NodeEnv<'_>, packaging: &Packaging) -> Result<(), ComputeError> {
+        let container = container(packaging)?;
+        self.runtime.start(container, env.ledger).map_err(substrate)
+    }
+
+    fn stop(&mut self, env: &mut NodeEnv<'_>, packaging: &Packaging) -> Result<(), ComputeError> {
+        let container = container(packaging)?;
+        self.runtime.stop(container, env.ledger).map_err(substrate)
+    }
+
+    fn destroy(&mut self, packaging: &Packaging) -> Result<(), ComputeError> {
+        let removed = self.runtime.remove(container(packaging)?);
+        removed.map(drop).map_err(substrate)
+    }
+
+    /// Virtual size (all layers) of the image the container runs.
+    fn image_footprint(&self, spec: &FlavorSpec, _nf: &NnfDescriptor) -> u64 {
+        match spec {
+            FlavorSpec::Docker { image, tag, .. } => self
+                .runtime
+                .store
+                .image_virtual_size(image, tag)
+                .unwrap_or(0),
+            _ => 0,
         }
-    }
-
-    /// Start the container and run its entrypoint configuration.
-    fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let inst = record(&mut self.instances, id)?;
-        self.runtime
-            .start(inst.container, env.ledger)
-            .map_err(substrate)?;
-        inst.sandbox.start(env.host, env.ledger)
-    }
-
-    /// Entrypoint teardown, then the runtime's stop.
-    fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let inst = record(&mut self.instances, id)?;
-        inst.sandbox.stop(env.host, env.ledger)?;
-        self.runtime
-            .stop(inst.container, env.ledger)
-            .map_err(substrate)
-    }
-
-    /// The runtime refuses a running container; a stopped one goes
-    /// with its network namespace.
-    fn destroy(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let container = record(&mut self.instances, id)?.container;
-        self.runtime.remove(container).map_err(substrate)?;
-        let inst = self.instances.remove(&id).expect("looked up above");
-        inst.sandbox.destroy(env.host)
-    }
-
-    fn deliver_into(
-        &mut self,
-        env: &mut NodeEnv<'_>,
-        id: InstanceId,
-        frames: &mut Vec<(u32, Packet)>,
-        out: &mut Crossing,
-    ) {
-        match self.instances.get(&id) {
-            Some(inst) => inst.sandbox.deliver_into(frames, env.host, out),
-            None => out.refuse(frames),
-        }
-    }
-
-    fn image_footprint(&self, id: InstanceId) -> u64 {
-        self.instances.get(&id).map_or(0, |i| i.image_bytes)
     }
 
     /// The entrypoint's userland plus the NF daemon and runtime shim.
@@ -147,86 +105,44 @@ impl ComputeDriver for DockerDriver {
     }
 
     fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
-    fn namespace_of(&self, id: InstanceId) -> Option<NsId> {
-        self.instances.get(&id).map(|i| i.sandbox.ns())
-    }
-
-    fn port_iface(&self, id: InstanceId, port: u32) -> Option<IfaceId> {
-        self.instances.get(&id)?.sandbox.port(port)
+        self.runtime.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{ipsec, Rig};
-    use super::*;
-    use un_container::{Image, Layer};
-    use un_sim::mem::mb_f;
+    //! Docker NFs through the compute manager.
 
-    fn registry() -> Registry {
-        let mut r = Registry::new();
-        r.push(Image {
-            name: "strongswan".into(),
-            tag: "latest".into(),
-            layers: vec![
-                Layer::new("sha256:base", mb(235)),
-                Layer::new("sha256:swan", mb(5)),
-            ],
-        });
-        r
-    }
+    use un_packet::{MacAddr, PacketBuilder};
+    use un_sim::mem::{mb, mb_f};
 
-    fn spec(image: &str, process_rss: u64) -> FlavorSpec {
-        FlavorSpec::Docker {
-            image: image.into(),
-            tag: "latest".into(),
-            process_rss,
-        }
-    }
+    use crate::drivers::{ComputeDriver, CreateRequest, NodeEnv};
+    use crate::manager::tests::{docker_spec, ipsec, Rig, NATIVE};
+    use crate::types::ComputeError;
 
     #[test]
     fn containerized_ipsec_encrypts_via_host_kernel() {
         let mut rig = Rig::new();
-        let mut d = DockerDriver {
-            registry: registry(),
-            ..Default::default()
-        };
-        let swan = InstanceId(1);
-        let acct = rig
-            .create(
-                &mut d,
-                1,
-                "ipsec",
-                &spec("strongswan", mb_f(19.4)),
-                &ipsec(),
-                false,
-            )
-            .unwrap();
-        d.start(&mut rig.env(), swan).unwrap();
+        let spec = docker_spec("strongswan", mb_f(19.4));
+        let swan = rig.create("ipsec", &spec, &ipsec(), false).unwrap();
+        rig.start(swan).unwrap();
 
         // RAM = process + shim + charon bookkeeping (plugin).
-        assert!(rig.ledger.usage(acct) >= mb_f(19.4) + mb_f(4.8));
-        assert_eq!(d.image_footprint(swan), mb(240));
+        assert!(rig.ram(swan) >= mb_f(19.4) + mb_f(4.8));
+        assert_eq!(rig.mgr.image_footprint(swan), mb(240));
 
         // Static neighbor toward the peer, then traffic through port 0
         // leaves encrypted on port 1 — all in the *host* kernel.
-        let ns = d.namespace_of(swan).unwrap();
+        let ns = rig.ns(swan).unwrap();
         rig.host
-            .neigh_add(
-                ns,
-                "192.0.2.2".parse().unwrap(),
-                un_packet::MacAddr::local(99),
-            )
+            .neigh_add(ns, "192.0.2.2".parse().unwrap(), MacAddr::local(99))
             .unwrap();
-        let lan = d.port_iface(swan, 0).unwrap();
+        let lan = rig.port(swan, 0).unwrap();
         assert_eq!(rig.host.iface_by_name(ns, "eth0").unwrap().id, lan);
         let lan_mac = rig.host.iface(lan).unwrap().mac;
         let payload = vec![0x77u8; 333];
-        let pkt = un_packet::PacketBuilder::new()
-            .ethernet(un_packet::MacAddr::local(5), lan_mac)
+        let pkt = PacketBuilder::new()
+            .ethernet(MacAddr::local(5), lan_mac)
             .ipv4(
                 "192.168.1.10".parse().unwrap(),
                 "172.16.0.9".parse().unwrap(),
@@ -234,7 +150,7 @@ mod tests {
             .udp(1000, 2000)
             .payload(&payload)
             .build();
-        let io = &d.deliver_batch(&mut rig.env(), swan, vec![(0, pkt)])[0];
+        let io = rig.deliver_one(swan, 0, pkt);
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1, "out the WAN port");
         assert!(
@@ -246,32 +162,44 @@ mod tests {
             "encrypted on the wire"
         );
 
-        d.stop(&mut rig.env(), swan).unwrap();
-        assert_eq!(rig.ledger.usage(acct), 0);
-        d.destroy(&mut rig.env(), swan).unwrap();
-        assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
+        rig.stop(swan).unwrap();
+        assert_eq!(rig.ram(swan), 0);
+        rig.destroy(swan).unwrap();
+        assert_eq!(rig.residue(), (1, 1));
     }
 
     #[test]
     fn create_failures() {
         let mut rig = Rig::new();
-        let mut d = DockerDriver::default();
         // No such functional type.
         assert!(matches!(
-            rig.create(&mut d, 1, "quantum", &spec("img", 0), &[], false),
+            rig.create("quantum", &docker_spec("img", 0), &[], false),
             Err(ComputeError::Unsupported(_))
         ));
         // Image not in registry.
         assert!(matches!(
-            rig.create(&mut d, 1, "ipsec", &spec("ghost", 0), &[], false),
+            rig.create("ipsec", &docker_spec("ghost", 0), &[], false),
             Err(ComputeError::Substrate(_))
         ));
         // A spec of another technology.
+        let req = CreateRequest {
+            account: rig.node,
+            name: "nf",
+            spec: NATIVE,
+            n_ports: 2,
+            ns: rig.host.add_namespace("docker-nf"),
+        };
+        let mut env = NodeEnv {
+            host: &mut rig.host,
+            ledger: &mut rig.ledger,
+            costs: &rig.costs,
+        };
         assert!(matches!(
-            rig.create(&mut d, 1, "ipsec", &FlavorSpec::Native, &[], false),
+            rig.mgr.docker.create(&mut env, &req),
             Err(ComputeError::Unsupported(_))
         ));
-        assert_eq!(d.instance_count(), 0);
-        assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
+        rig.host.remove_namespace(req.ns).unwrap();
+        assert_eq!(rig.mgr.docker.instance_count(), 0);
+        assert_eq!(rig.residue(), (1, 1));
     }
 }

@@ -1,35 +1,23 @@
 //! The DPDK driver: poll-mode userspace NF processes.
 //!
-//! A DPDK process bypasses the kernel entirely — per-packet cost is a
-//! few tens of nanoseconds of PMD work, no interrupts, no syscalls —
-//! but each instance pins dedicated cores and hugepage memory, which is
-//! why the orchestrator reserves it for NFs that need the speed.
+//! A DPDK process bypasses the kernel — per-packet cost is a few tens of
+//! nanoseconds of PMD work, no interrupts, no syscalls — but each
+//! instance pins dedicated cores and hugepage memory, which is why the
+//! orchestrator reserves it for NFs that need the speed. What the
+//! process forwards is its NF's command list, run in a sandbox like
+//! every other flavor's; the compute manager charges each frame the PMD
+//! cost in place of the kernel's. This driver pins and maps.
 
-use std::collections::HashMap;
-
-use un_packet::Packet;
+use un_nnf::NnfDescriptor;
 use un_sim::mem::mb;
-use un_sim::{AccountId, Cost};
 
-use super::{foreign, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
-use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId};
-
-/// The statically linked DPDK application binary.
-const APP_BINARY_BYTES: u64 = 12_000_000;
-
-#[derive(Debug)]
-struct DpdkProc {
-    cores: u32,
-    hugepages_mb: u64,
-    n_ports: usize,
-    running: bool,
-    account: AccountId,
-}
+use super::{foreign, foreign_handle, substrate, ComputeDriver, CreateRequest, NodeEnv, Packaging};
+use crate::types::{ComputeError, FlavorSpec};
 
 /// Driver state.
 #[derive(Debug, Default)]
 pub struct DpdkDriver {
-    procs: HashMap<InstanceId, DpdkProc>,
+    procs: usize,
     /// Cores currently pinned by running instances.
     pub cores_in_use: u32,
 }
@@ -39,13 +27,12 @@ impl ComputeDriver for DpdkDriver {
         "DPDK driver"
     }
 
-    /// Define a DPDK process NF (a transparent forwarder between its
-    /// ports, processed at PMD cost).
+    /// Define a DPDK process: the cores and hugepages it will take.
     fn create(
         &mut self,
         _env: &mut NodeEnv<'_>,
         req: &CreateRequest<'_>,
-    ) -> Result<(), ComputeError> {
+    ) -> Result<Packaging, ComputeError> {
         let FlavorSpec::Dpdk {
             cores,
             hugepages_mb,
@@ -53,85 +40,57 @@ impl ComputeDriver for DpdkDriver {
         else {
             return Err(foreign(req.spec));
         };
-        let proc = DpdkProc {
+        self.procs += 1;
+        Ok(Packaging::Dpdk {
             cores,
             hugepages_mb,
-            n_ports: req.n_ports,
-            running: false,
             account: req.account,
+        })
+    }
+
+    /// Pin cores, map hugepages.
+    fn start(&mut self, env: &mut NodeEnv<'_>, packaging: &Packaging) -> Result<(), ComputeError> {
+        let &Packaging::Dpdk {
+            cores,
+            hugepages_mb,
+            account,
+        } = packaging
+        else {
+            return Err(foreign_handle());
         };
-        self.procs.insert(req.id, proc);
-        Ok(())
-    }
-
-    /// Start: pins cores, maps hugepages.
-    fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let p = record(&mut self.procs, id)?;
-        if p.running {
-            return Err(ComputeError::BadState("already running"));
-        }
         env.ledger
-            .alloc(p.account, "hugepages", mb(p.hugepages_mb))
+            .alloc(account, "hugepages", mb(hugepages_mb))
             .map_err(substrate)?;
-        p.running = true;
-        self.cores_in_use += p.cores;
+        self.cores_in_use += cores;
         Ok(())
     }
 
-    /// Stop: releases cores and hugepages.
-    fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let p = record(&mut self.procs, id)?;
-        if !p.running {
-            return Err(ComputeError::BadState("not running"));
-        }
-        env.ledger
-            .free(p.account, "hugepages", mb(p.hugepages_mb))
-            .map_err(substrate)?;
-        p.running = false;
-        self.cores_in_use -= p.cores;
-        Ok(())
-    }
-
-    fn destroy(&mut self, _env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        if record(&mut self.procs, id)?.running {
-            return Err(ComputeError::BadState("destroy while running"));
-        }
-        self.procs.remove(&id);
-        Ok(())
-    }
-
-    /// One PMD poll slot serves the whole burst — the process resolves
-    /// once, frames PMD-forward to the next port in order.
-    fn deliver_into(
-        &mut self,
-        env: &mut NodeEnv<'_>,
-        id: InstanceId,
-        frames: &mut Vec<(u32, Packet)>,
-        out: &mut Crossing,
-    ) {
-        let Some(p) = self.procs.get(&id) else {
-            return out.refuse(frames);
+    /// Release cores and hugepages.
+    fn stop(&mut self, env: &mut NodeEnv<'_>, packaging: &Packaging) -> Result<(), ComputeError> {
+        let &Packaging::Dpdk {
+            cores,
+            hugepages_mb,
+            account,
+        } = packaging
+        else {
+            return Err(foreign_handle());
         };
-        for (port, pkt) in frames.drain(..) {
-            if !p.running || (port as usize) >= p.n_ports {
-                out.end_frame(Cost::ZERO);
-                continue;
-            }
-            let to = match (p.n_ports >= 2, port) {
-                (true, 0) => 1,
-                (true, _) => 0,
-                (false, port) => port,
-            };
-            out.outputs.push((u64::from(to), pkt));
-            out.end_frame(Cost::from_nanos(env.costs.pmd_per_packet_ns));
-        }
+        env.ledger
+            .free(account, "hugepages", mb(hugepages_mb))
+            .map_err(substrate)?;
+        self.cores_in_use -= cores;
+        Ok(())
     }
 
-    fn image_footprint(&self, id: InstanceId) -> u64 {
-        match self.procs.contains_key(&id) {
-            true => APP_BINARY_BYTES,
-            false => 0,
-        }
+    fn destroy(&mut self, _packaging: &Packaging) -> Result<(), ComputeError> {
+        self.procs -= 1;
+        Ok(())
+    }
+
+    /// The statically linked application binary: the descriptor's
+    /// package.
+    fn image_footprint(&self, _spec: &FlavorSpec, nf: &NnfDescriptor) -> u64 {
+        nf.package_bytes
     }
 
     /// The hugepages it maps.
@@ -143,43 +102,33 @@ impl ComputeDriver for DpdkDriver {
     }
 
     fn instance_count(&self) -> usize {
-        self.procs.len()
+        self.procs
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::Rig;
-    use super::*;
-    use crate::types::IoOutcome;
-    use un_sim::CostModel;
+    //! DPDK NFs through the compute manager.
 
-    const PROC: InstanceId = InstanceId(1);
+    use un_nnf::NnfError;
+    use un_packet::{MacAddr, Packet};
+    use un_sim::mem::mb;
+    use un_sim::{Cost, CostModel};
 
-    fn create(rig: &mut Rig, d: &mut DpdkDriver, cores: u32, hugepages_mb: u64) -> AccountId {
-        let spec = FlavorSpec::Dpdk {
-            cores,
-            hugepages_mb,
-        };
-        rig.create(d, PROC.0, "l2fwd", &spec, &[], false).unwrap()
-    }
-
-    /// A one-frame burst on `port` of the process.
-    fn deliver(rig: &mut Rig, d: &mut DpdkDriver, port: u32, bytes: &[u8]) -> IoOutcome {
-        let burst = vec![(port, Packet::from_slice(bytes))];
-        d.deliver_batch(&mut rig.env(), PROC, burst).remove(0)
-    }
+    use crate::manager::tests::{dpdk_spec, frame, l2fwd, Rig};
+    use crate::types::ComputeError;
 
     #[test]
     fn lifecycle_resources_and_forwarding() {
-        let mut d = DpdkDriver::default();
         let mut rig = Rig::new();
-        let a = create(&mut rig, &mut d, 2, 512);
-        d.start(&mut rig.env(), PROC).unwrap();
-        assert_eq!(d.cores_in_use, 2);
-        assert_eq!(rig.ledger.usage(a), mb(512));
+        let proc = rig
+            .create("l2fwd-fast", &dpdk_spec(2, 512), &l2fwd(), false)
+            .unwrap();
+        rig.start(proc).unwrap();
+        assert_eq!(rig.mgr.dpdk.cores_in_use, 2);
+        assert_eq!(rig.ram(proc), mb(512));
 
-        let io = deliver(&mut rig, &mut d, 0, &[0u8; 64]);
+        let io = rig.deliver_one(proc, 0, frame(MacAddr::local(1), MacAddr::local(2), 64));
         assert_eq!(io.outputs.len(), 1);
         assert_eq!(io.outputs[0].0, 1);
         assert_eq!(
@@ -188,23 +137,77 @@ mod tests {
             "DPDK path is cheap and kernel-free"
         );
 
-        assert!(matches!(
-            d.destroy(&mut rig.env(), PROC),
-            Err(ComputeError::BadState(_))
-        ));
-        d.stop(&mut rig.env(), PROC).unwrap();
-        assert_eq!(d.cores_in_use, 0);
-        assert_eq!(rig.ledger.usage(a), 0);
-        d.destroy(&mut rig.env(), PROC).unwrap();
-        assert!(deliver(&mut rig, &mut d, 0, &[0]).outputs.is_empty());
+        assert!(matches!(rig.destroy(proc), Err(ComputeError::BadState(_))));
+        rig.stop(proc).unwrap();
+        assert_eq!(rig.mgr.dpdk.cores_in_use, 0);
+        assert_eq!(rig.ram(proc), 0);
+        rig.destroy(proc).unwrap();
+        let gone = rig.deliver_one(proc, 0, Packet::from_slice(&[0]));
+        assert!(gone.outputs.is_empty());
     }
 
+    /// A process that does not run takes no frame and charges nothing.
     #[test]
     fn stopped_process_drops() {
-        let mut d = DpdkDriver::default();
         let mut rig = Rig::new();
-        create(&mut rig, &mut d, 1, 64);
-        let io = deliver(&mut rig, &mut d, 0, &[0u8; 64]);
+        let proc = rig
+            .create("l2fwd-fast", &dpdk_spec(1, 64), &l2fwd(), false)
+            .unwrap();
+        let io = rig.deliver_one(proc, 0, frame(MacAddr::local(1), MacAddr::local(2), 64));
         assert!(io.outputs.is_empty());
+        assert_eq!(io.cost, Cost::ZERO);
+        rig.start(proc).unwrap();
+        rig.stop(proc).unwrap();
+        let io = rig.deliver_one(proc, 0, frame(MacAddr::local(1), MacAddr::local(2), 64));
+        assert!(io.outputs.is_empty());
+        assert_eq!(io.cost, Cost::ZERO);
+    }
+
+    /// A DPDK NF forwards what a two-port bridge forwards: a frame whose
+    /// destination was learned on its ingress port, or whose source is not
+    /// a unicast MAC, is taken at PMD cost and dropped, and the host's
+    /// counters see it.
+    #[test]
+    fn a_dpdk_nf_forwards_what_a_bridge_forwards() {
+        let mut rig = Rig::new();
+        let proc = rig
+            .create("l2fwd-fast", &dpdk_spec(1, 64), &l2fwd(), false)
+            .unwrap();
+        rig.start(proc).unwrap();
+        let pmd = rig.costs.pmd_per_packet_ns;
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        // b is learned behind port 0; a frame from port 0 to it stays there.
+        assert_eq!(rig.deliver_one(proc, 0, frame(b, a, 64)).outputs.len(), 1);
+        let hairpin = rig.deliver_one(proc, 0, frame(a, b, 64));
+        assert!(hairpin.outputs.is_empty());
+        assert_eq!(hairpin.cost.as_nanos(), pmd);
+        let invalid = rig.host.trace.rx_invalid_src_mac;
+        let zero = rig.deliver_one(proc, 0, Packet::from_slice(&[0u8; 64]));
+        assert!(zero.outputs.is_empty());
+        assert_eq!(zero.cost.as_nanos(), pmd);
+        assert_eq!(rig.host.trace.rx_invalid_src_mac, invalid + 1);
+    }
+
+    /// A DPDK NF with one port is refused at start, and keeps no core or
+    /// hugepage.
+    #[test]
+    fn a_one_port_dpdk_nf_is_refused_at_start() {
+        let mut rig = Rig::new();
+        let node = rig.node;
+        let proc = rig
+            .run(|m, env| {
+                let spec = dpdk_spec(1, 64);
+                m.create(env, "one", "l2fwd-fast", &spec, 1, &l2fwd(), false, node)
+            })
+            .unwrap();
+        let refusal = NnfError::NotEnoughPorts { need: 2, have: 1 };
+        assert_eq!(
+            rig.start(proc),
+            Err(ComputeError::Substrate(refusal.to_string()))
+        );
+        assert_eq!(rig.mgr.dpdk.cores_in_use, 0);
+        assert_eq!(rig.ram(proc), 0);
+        rig.destroy(proc).unwrap();
+        assert_eq!(rig.residue(), (1, 1));
     }
 }

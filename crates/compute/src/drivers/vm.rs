@@ -1,45 +1,37 @@
 //! The VM (libvirt/KVM-QEMU) driver.
 //!
-//! A VM is the sandbox the native and Docker drivers also run — an NNF
-//! instance in a namespace — behind a virtio boundary, as a Docker
-//! instance is that sandbox plus a container. The guest kernel is
-//! namespace `vm-<name>` of the node's host with ports `eth<i>`, and it
-//! runs the functional type's own [`NnfInstance`]:
-//! the same command list every flavor runs. `un-hypervisor` charges
-//! every frame its crossing into and out of that namespace. The NF's RSS
-//! lives inside the guest RAM the hypervisor books, so the guest keeps
-//! its own ledger.
-
-use std::collections::HashMap;
+//! A VM is the sandbox every flavor runs — an NNF instance in a
+//! namespace — behind a virtio boundary, as a Docker instance is that
+//! sandbox plus a container. The guest kernel is namespace `vm-<name>`
+//! of the node's host with ports `eth<i>`, and it runs the functional
+//! type's own [`NnfInstance`](un_nnf::NnfInstance): the same command
+//! list every flavor runs. `un-hypervisor` charges every frame its
+//! crossing into and out of that namespace. The NF's RSS lives inside
+//! the guest RAM the hypervisor books, so the guest keeps its own
+//! ledger.
 
 use un_hypervisor::vm::QEMU_OVERHEAD_MB;
 use un_hypervisor::{Hypervisor, VmId};
-use un_linux::{IfaceId, NsId};
-use un_nnf::NnfInstance;
-use un_packet::Packet;
+use un_nnf::NnfDescriptor;
 use un_sim::mem::{mb, mb_f};
 use un_sim::MemLedger;
 
-use super::sandbox::Sandbox;
-use super::{foreign, record, substrate, ComputeDriver, CreateRequest, NodeEnv};
-use crate::types::{ComputeError, Crossing, FlavorSpec, InstanceId};
+use super::{foreign, foreign_handle, substrate, ComputeDriver, CreateRequest, NodeEnv, Packaging};
+use crate::types::{ComputeError, FlavorSpec};
 
-struct VmInstance {
-    vm: VmId,
-    /// The guest kernel and the NF configured in it.
-    sandbox: Sandbox,
-    /// The guest's own books: what its NF allocates is guest RAM, which
-    /// the node's ledger already holds.
-    guest: MemLedger,
-}
-
-/// Driver state: the hypervisor plus per-instance guests. The default
-/// driver's image store is empty.
+/// Driver state: the hypervisor. The default driver's image store is
+/// empty.
 #[derive(Default)]
 pub struct VmDriver {
     /// The node's hypervisor (image store + VMs).
     pub hypervisor: Hypervisor,
-    instances: HashMap<InstanceId, VmInstance>,
+}
+
+fn vm(packaging: &Packaging) -> Result<VmId, ComputeError> {
+    match packaging {
+        Packaging::Vm { vm, .. } => Ok(*vm),
+        _ => Err(foreign_handle()),
+    }
 }
 
 impl ComputeDriver for VmDriver {
@@ -47,13 +39,13 @@ impl ComputeDriver for VmDriver {
         "VM driver (libvirt/KVM)"
     }
 
-    /// Define the VM, then its guest: a namespace with the type's NNF
-    /// instance. A guest the host refuses takes the VM with it.
+    /// Define the VM, one virtio NIC per sandbox port, and open the
+    /// guest's books.
     fn create(
         &mut self,
         env: &mut NodeEnv<'_>,
         req: &CreateRequest<'_>,
-    ) -> Result<(), ComputeError> {
+    ) -> Result<Packaging, ComputeError> {
         let FlavorSpec::Vm {
             image,
             vcpus,
@@ -62,11 +54,6 @@ impl ComputeDriver for VmDriver {
         else {
             return Err(foreign(req.spec));
         };
-        let ft = req.functional_type;
-        let plugin = req
-            .nf
-            .and_then(|nf| NnfInstance::new(nf, false).ok())
-            .ok_or_else(|| ComputeError::Unsupported(format!("no guest image runs '{ft}'")))?;
         let made = self.hypervisor.create_vm(
             req.name,
             image,
@@ -79,79 +66,32 @@ impl ComputeDriver for VmDriver {
         let vm = made.map_err(substrate)?;
         let mut guest = MemLedger::new();
         let account = guest.create_account(req.name, None);
-        let guest_req = CreateRequest { account, ..*req };
-        match Sandbox::create(env.host, "vm", "eth", req.n_ports, plugin, &guest_req) {
-            Ok(sandbox) => {
-                let inst = VmInstance { vm, sandbox, guest };
-                self.instances.insert(req.id, inst);
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.hypervisor.destroy(vm);
-                Err(e)
-            }
-        }
+        Ok(Packaging::Vm { vm, guest, account })
     }
 
-    /// Boot, then run the NF's command list in the guest.
-    fn start(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let inst = record(&mut self.instances, id)?;
-        self.hypervisor
-            .start(inst.vm, env.ledger)
-            .map_err(substrate)?;
-        inst.sandbox.start(env.host, &mut inst.guest)
+    /// Boot, before the NF's command list runs in the guest.
+    fn start(&mut self, env: &mut NodeEnv<'_>, packaging: &Packaging) -> Result<(), ComputeError> {
+        let vm = vm(packaging)?;
+        self.hypervisor.start(vm, env.ledger).map_err(substrate)
     }
 
-    /// The NF's teardown, then shut down.
-    fn stop(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let inst = record(&mut self.instances, id)?;
-        inst.sandbox.stop(env.host, &mut inst.guest)?;
-        self.hypervisor.stop(inst.vm, env.ledger).map_err(substrate)
+    /// Shut down, after the NF's teardown.
+    fn stop(&mut self, env: &mut NodeEnv<'_>, packaging: &Packaging) -> Result<(), ComputeError> {
+        let vm = vm(packaging)?;
+        self.hypervisor.stop(vm, env.ledger).map_err(substrate)
     }
 
-    /// The hypervisor refuses a VM that runs; an undefined one goes with
-    /// its guest's namespace.
-    fn destroy(&mut self, env: &mut NodeEnv<'_>, id: InstanceId) -> Result<(), ComputeError> {
-        let vm = record(&mut self.instances, id)?.vm;
-        self.hypervisor.destroy(vm).map_err(substrate)?;
-        let inst = self.instances.remove(&id).expect("looked up above");
-        inst.sandbox.destroy(env.host)
-    }
-
-    /// Each frame crosses the boundary into the guest kernel and back.
-    fn deliver_into(
-        &mut self,
-        env: &mut NodeEnv<'_>,
-        id: InstanceId,
-        frames: &mut Vec<(u32, Packet)>,
-        out: &mut Crossing,
-    ) {
-        let Some(inst) = self.instances.get(&id) else {
-            return out.refuse(frames);
-        };
-        let host = &mut *env.host;
-        for (port, pkt) in frames.drain(..) {
-            let guest = |nic: usize, pkt| {
-                let mut emitted = Vec::new();
-                let cost = inst.sandbox.deliver(nic as u32, pkt, host, &mut emitted);
-                let outputs = emitted.into_iter().map(|(p, f)| (p as usize, f));
-                (outputs.collect(), cost)
-            };
-            let io = self
-                .hypervisor
-                .deliver(inst.vm, port as usize, pkt, env.costs, guest);
-            let outputs = io.outputs.into_iter().map(|(nic, p)| (nic as u64, p));
-            out.outputs.extend(outputs);
-            out.end_frame(io.cost);
-        }
+    fn destroy(&mut self, packaging: &Packaging) -> Result<(), ComputeError> {
+        let undefined = self.hypervisor.destroy(vm(packaging)?);
+        undefined.map(drop).map_err(substrate)
     }
 
     /// The disk image's size.
-    fn image_footprint(&self, id: InstanceId) -> u64 {
-        let inst = self.instances.get(&id);
-        let vm = inst.and_then(|i| self.hypervisor.vm(i.vm));
-        vm.and_then(|vm| self.hypervisor.images.get(&vm.image))
-            .map_or(0, |image| image.size)
+    fn image_footprint(&self, spec: &FlavorSpec, _nf: &NnfDescriptor) -> u64 {
+        match spec {
+            FlavorSpec::Vm { image, .. } => self.hypervisor.images.get(image).map_or(0, |i| i.size),
+            _ => 0,
+        }
     }
 
     /// Guest RAM plus the QEMU process around it.
@@ -163,55 +103,31 @@ impl ComputeDriver for VmDriver {
     }
 
     fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
-    fn namespace_of(&self, id: InstanceId) -> Option<NsId> {
-        self.instances.get(&id).map(|i| i.sandbox.ns())
-    }
-
-    fn port_iface(&self, id: InstanceId, port: u32) -> Option<IfaceId> {
-        self.instances.get(&id)?.sandbox.port(port)
+        self.hypervisor.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::native::NativeDriver;
-    use super::super::testkit::{ipsec, ipsec_config, program, Rig};
-    use super::*;
-    use crate::types::IoOutcome;
-    use un_hypervisor::DiskImage;
+    //! VM NFs through the compute manager, beside native ones.
+
     use un_nffg::NfConfig;
     use un_nnf::NnfError;
     use un_packet::ethernet::ETHERNET_HEADER_LEN;
     use un_packet::{MacAddr, PacketBuilder};
+    use un_sim::mem::mb;
 
-    fn spec(image: &str) -> FlavorSpec {
-        FlavorSpec::Vm {
-            image: image.into(),
-            vcpus: 1,
-            mem_mb: 64,
-        }
-    }
-
-    /// A driver whose store holds image `img`.
-    fn driver() -> VmDriver {
-        let mut d = VmDriver::default();
-        d.hypervisor.images.add(DiskImage {
-            name: "img".into(),
-            size: mb(522),
-        });
-        d
-    }
+    use crate::drivers::ComputeDriver;
+    use crate::manager::tests::{ipsec, ipsec_config, program, vm_spec, Rig, NATIVE};
+    use crate::types::{ComputeError, InstanceId, IoOutcome};
 
     /// One 1500-byte frame into the LAN port of IPsec NNF `id`, addressed
     /// to that port's MAC, with the tunnel peer resolvable in its kernel.
-    fn seal_one(rig: &mut Rig, driver: &mut dyn ComputeDriver, id: InstanceId) -> IoOutcome {
-        let ns = driver.namespace_of(id).unwrap();
+    fn seal_one(rig: &mut Rig, id: InstanceId) -> IoOutcome {
+        let ns = rig.ns(id).unwrap();
         let peer = "192.0.2.2".parse().unwrap();
         rig.host.neigh_add(ns, peer, MacAddr::local(99)).unwrap();
-        let lan = driver.port_iface(id, 0).unwrap();
+        let lan = rig.port(id, 0).unwrap();
         let lan_mac = rig.host.iface(lan).unwrap().mac;
         let frame = PacketBuilder::new()
             .ethernet(MacAddr::local(5), lan_mac)
@@ -223,44 +139,39 @@ mod tests {
             .payload(&[0x77; 1458])
             .build();
         assert_eq!(frame.len(), 1500);
-        driver
-            .deliver_batch(&mut rig.env(), id, vec![(0, frame)])
-            .remove(0)
+        rig.deliver_one(id, 0, frame)
     }
 
-    /// A running native IPsec NNF (instance 1) and a running VM of the
-    /// same config (instance 2), side by side on one host.
-    fn both_flavors(rig: &mut Rig) -> (NativeDriver, VmDriver) {
-        let (mut native, mut vm) = (NativeDriver::default(), driver());
+    /// A running native IPsec NNF and a running VM of the same config, side
+    /// by side on one host.
+    fn both_flavors(rig: &mut Rig) -> (InstanceId, InstanceId) {
         let config = ipsec();
-        rig.create(&mut native, 1, "ipsec", &FlavorSpec::Native, &config, false)
+        let native = rig.create("ipsec", NATIVE, &config, false).unwrap();
+        rig.start(native).unwrap();
+        let vm = rig
+            .create("ipsec", &vm_spec("img"), &config, false)
             .unwrap();
-        native.start(&mut rig.env(), InstanceId(1)).unwrap();
-        rig.create(&mut vm, 2, "ipsec", &spec("img"), &config, false)
-            .unwrap();
-        vm.start(&mut rig.env(), InstanceId(2)).unwrap();
+        rig.start(vm).unwrap();
         (native, vm)
     }
 
     #[test]
     fn create_requires_image_and_config() {
-        let mut d = VmDriver::default();
         let mut rig = Rig::new();
         let plain = NfConfig::default();
         let bridge = program("bridge", &plain).unwrap();
-        // Missing image: refused before the guest exists.
+        // Missing image: refused, and the guest's namespace goes with it.
         assert!(matches!(
-            rig.create(&mut d, 1, "bridge", &spec("ghost"), &bridge, false),
+            rig.create("bridge", &vm_spec("ghost"), &bridge, false),
             Err(ComputeError::Substrate(_))
         ));
-        assert_eq!((rig.host.namespace_count(), rig.host.iface_count()), (1, 1));
-        let mut d = driver();
-        // No guest runs a type the repository has no native NF for.
+        assert_eq!(rig.residue(), (1, 1));
+        // No guest runs a type the repository does not list.
         assert!(matches!(
-            rig.create(&mut d, 1, "quantum", &spec("img"), &[], false),
+            rig.create("quantum", &vm_spec("img"), &[], false),
             Err(ComputeError::Unsupported(_))
         ));
-        assert_eq!(d.instance_count(), 0);
+        assert_eq!(rig.mgr.vm.instance_count(), 0);
         // IPsec without its config never reaches a guest: it does not
         // compile, as it would not for a native NNF.
         assert_eq!(
@@ -268,21 +179,21 @@ mod tests {
             NnfError::MissingParam("lan-addr")
         );
         // A bridge needs nothing.
-        rig.create(&mut d, 2, "bridge", &spec("img"), &bridge, false)
+        let vm = rig
+            .create("bridge", &vm_spec("img"), &bridge, false)
             .unwrap();
-        let vm = InstanceId(2);
-        d.start(&mut rig.env(), vm).unwrap();
+        rig.start(vm).unwrap();
         let frame = PacketBuilder::new()
             .ethernet(MacAddr::local(5), MacAddr::local(6))
             .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
             .udp(1000, 2000)
             .payload(b"through the guest")
             .build();
-        let io = &d.deliver_batch(&mut rig.env(), vm, vec![(0, frame.clone())])[0];
+        let io = rig.deliver_one(vm, 0, frame.clone());
         assert_eq!(io.outputs.len(), 1);
         assert_eq!((io.outputs[0].0, io.outputs[0].1.data()), (1, frame.data()));
-        assert_eq!(d.image_footprint(vm), mb(522));
-        assert_eq!(d.image_footprint(InstanceId(3)), 0);
+        assert_eq!(rig.mgr.image_footprint(vm), mb(522));
+        assert_eq!(rig.mgr.image_footprint(InstanceId(999)), 0);
     }
 
     /// One config, two flavors: the native NNF's kernel and the VM's
@@ -293,16 +204,15 @@ mod tests {
     #[test]
     fn a_vm_guest_and_a_native_nnf_seal_alike() {
         let mut rig = Rig::new();
-        let (mut native, mut vm) = both_flavors(&mut rig);
-        let (kernel, guest) = (InstanceId(1), InstanceId(2));
+        let (kernel, guest) = both_flavors(&mut rig);
         let sealed = |io: IoOutcome| {
             assert_eq!(io.outputs.len(), 1);
             let (port, pkt) = &io.outputs[0];
             assert_eq!(*port, 1, "out the WAN side");
             pkt.data()[ETHERNET_HEADER_LEN..].to_vec()
         };
-        let by_kernel = sealed(seal_one(&mut rig, &mut native, kernel));
-        let by_guest = sealed(seal_one(&mut rig, &mut vm, guest));
+        let by_kernel = sealed(seal_one(&mut rig, kernel));
+        let by_guest = sealed(seal_one(&mut rig, guest));
         assert_eq!(by_kernel, by_guest);
 
         let mut tunnel_only = ipsec_config();
@@ -320,9 +230,9 @@ mod tests {
     #[test]
     fn a_vm_charges_the_native_path_plus_its_boundary() {
         let mut rig = Rig::new();
-        let (mut native, mut vm) = both_flavors(&mut rig);
-        let by_kernel = seal_one(&mut rig, &mut native, InstanceId(1));
-        let by_guest = seal_one(&mut rig, &mut vm, InstanceId(2));
+        let (kernel, guest) = both_flavors(&mut rig);
+        let by_kernel = seal_one(&mut rig, kernel);
+        let by_guest = seal_one(&mut rig, guest);
         let c = &rig.costs;
         let outer = by_guest.outputs[0].1.len();
         assert_eq!(outer, 1554, "20 B outer header + 34 B of ESP framing");
@@ -341,15 +251,14 @@ mod tests {
     #[test]
     fn the_host_books_what_a_guest_kernel_drops() {
         let mut rig = Rig::new();
-        let mut d = driver();
-        rig.create(&mut d, 1, "ipsec", &spec("img"), &ipsec(), false)
+        let vm = rig
+            .create("ipsec", &vm_spec("img"), &ipsec(), false)
             .unwrap();
-        let vm = InstanceId(1);
-        d.start(&mut rig.env(), vm).unwrap();
-        let ns = d.namespace_of(vm).unwrap();
+        rig.start(vm).unwrap();
+        let ns = rig.ns(vm).unwrap();
         assert_eq!(rig.host.namespace(ns).unwrap().name, "vm-nf1");
         let lan = rig.host.iface_by_name(ns, "eth0").unwrap();
-        assert_eq!(Some(lan.id), d.port_iface(vm, 0));
+        assert_eq!(Some(lan.id), rig.port(vm, 0));
         let unroutable = PacketBuilder::new()
             .ethernet(MacAddr::local(5), lan.mac)
             .ipv4(
@@ -358,7 +267,7 @@ mod tests {
             )
             .udp(1000, 2000)
             .build();
-        let io = &d.deliver_batch(&mut rig.env(), vm, vec![(0, unroutable)])[0];
+        let io = rig.deliver_one(vm, 0, unroutable);
         assert!(io.outputs.is_empty());
         assert_eq!(rig.host.trace.no_route, 1);
     }
@@ -368,12 +277,9 @@ mod tests {
     #[test]
     fn the_estimate_is_what_a_started_vm_books() {
         let mut rig = Rig::new();
-        let mut d = driver();
-        let spec = spec("img");
-        let account = rig
-            .create(&mut d, 1, "ipsec", &spec, &ipsec(), false)
-            .unwrap();
-        d.start(&mut rig.env(), InstanceId(1)).unwrap();
-        assert_eq!(rig.ledger.usage(account), d.estimate_ram(&spec));
+        let spec = vm_spec("img");
+        let vm = rig.create("ipsec", &spec, &ipsec(), false).unwrap();
+        rig.start(vm).unwrap();
+        assert_eq!(rig.ram(vm), rig.mgr.estimate_ram(&spec));
     }
 }

@@ -6,8 +6,9 @@
 //! one body of knowledge, kept as un-orchestrator's name-resolver keeps
 //! it: one entry per network function, its implementations listed under
 //! it. The scheduler reads a row to pick a flavor, the compute manager
-//! hands a driver the row's [`NnfDescriptor`], and the images every VNF
-//! flavor runs from are built from the row's package.
+//! builds every instance of the type from the row's [`NnfDescriptor`],
+//! whatever its flavor, and the images every VNF flavor runs from are
+//! built from the row's package.
 
 use un_container::{Image, Layer};
 use un_hypervisor::DiskImage;
@@ -26,25 +27,28 @@ const DOCKER_BASE: u64 = mb(235);
 /// One functional type and every implementation of it the node offers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NfType {
-    /// Functional type, e.g. `"ipsec"`.
-    pub name: &'static str,
-    /// The native implementation, when the node ships one.
-    pub nnf: Option<NnfDescriptor>,
-    /// The VNF implementations, in fallback preference order (used when
-    /// the native one is unavailable).
-    pub vnfs: Vec<FlavorSpec>,
+    /// What every instance of the type is built from, whatever its
+    /// flavor: the NNF instance each flavor's sandbox runs. Its
+    /// functional type is the row's name.
+    pub nf: NnfDescriptor,
+    /// The implementations, in preference order: [`FlavorSpec::Native`]
+    /// first when the node ships the type natively, then the VNFs in
+    /// fallback order (used when the native one is unavailable).
+    pub flavors: Vec<FlavorSpec>,
     /// Bytes of the NF's package: the layer each of its images adds to
     /// its base.
     pub package: u64,
 }
 
 impl NfType {
+    /// Functional type, e.g. `"ipsec"`.
+    pub fn name(&self) -> &'static str {
+        self.nf.functional_type
+    }
+
     /// The spec for a technology, if the type is offered in it.
     pub fn spec_for(&self, flavor: Flavor) -> Option<&FlavorSpec> {
-        match flavor {
-            Flavor::Native => self.nnf.as_ref().map(|_| &FlavorSpec::Native),
-            _ => self.vnfs.iter().find(|s| s.flavor() == flavor),
-        }
+        self.flavors.iter().find(|s| s.flavor() == flavor)
     }
 }
 
@@ -58,8 +62,10 @@ impl Repository {
     /// The repository of a stock Linux CPE, used by the evaluation. Each
     /// of its five native types is also a Docker and a VM flavor, with
     /// footprints composing the paper's Table 1 numbers; `l2fwd-fast` is
-    /// a DPDK fast path with no native equivalent. The native
-    /// characteristics:
+    /// a DPDK fast path with no native equivalent, whose descriptor
+    /// books no RSS (its process's memory is its hugepages) and whose
+    /// package is the 12 MB statically linked application binary. The
+    /// native characteristics:
     ///
     /// * `ipsec` — strongSwan: single instance (one charon per host), not
     ///   sharable. 5 MB package; the charon daemon's 19.4 MB RSS is, with
@@ -107,35 +113,41 @@ impl Repository {
                     mem_mb: vm_mb,
                 };
                 NfType {
-                    name,
-                    nnf: Some(nnf),
-                    vnfs: vec![docker, vm],
+                    nf: nnf,
+                    flavors: vec![FlavorSpec::Native, docker, vm],
                     package,
                 }
             },
         );
         let fast_path = NfType {
-            name: "l2fwd-fast",
-            nnf: None,
-            vnfs: vec![FlavorSpec::Dpdk {
+            nf: NnfDescriptor {
+                functional_type: "l2fwd-fast",
+                multi_instance: true,
+                sharable: false,
+                package_bytes: 12_000_000,
+                rss_bytes: 0,
+                min_ports: 2,
+            },
+            flavors: vec![FlavorSpec::Dpdk {
                 cores: 1,
                 hugepages_mb: 256,
             }],
             package: 0,
         };
         let mut types: Vec<NfType> = cpe.into_iter().chain([fast_path]).collect();
-        types.sort_by_key(|t| t.name);
+        types.sort_by_key(NfType::name);
         Repository { types }
     }
 
     /// The row of a functional type.
     pub fn resolve(&self, functional_type: &str) -> Option<&NfType> {
-        self.types.iter().find(|t| t.name == functional_type)
+        self.types.iter().find(|t| t.name() == functional_type)
     }
 
     /// The native implementation of a functional type, if there is one.
     pub fn nnf(&self, functional_type: &str) -> Option<&NnfDescriptor> {
-        self.resolve(functional_type)?.nnf.as_ref()
+        let row = self.resolve(functional_type)?;
+        row.spec_for(Flavor::Native).map(|_| &row.nf)
     }
 
     /// Every row, in name order.
@@ -146,7 +158,11 @@ impl Repository {
     /// Every native implementation, in name order (the node's NNF
     /// capability set).
     pub fn nnfs(&self) -> impl Iterator<Item = &NnfDescriptor> {
-        self.types.iter().filter_map(|t| t.nnf.as_ref())
+        let native = self
+            .types
+            .iter()
+            .filter(|t| t.spec_for(Flavor::Native).is_some());
+        native.map(|t| &t.nf)
     }
 
     /// Put the image each VNF implementation runs from into its driver's
@@ -155,7 +171,7 @@ impl Repository {
     /// package layer (240 MB), so pulling two dedupes the base.
     pub(crate) fn provision(&self, vm: &mut VmDriver, docker: &mut DockerDriver) {
         for t in &self.types {
-            for spec in &t.vnfs {
+            for spec in &t.flavors {
                 match spec {
                     FlavorSpec::Vm { image, .. } => vm.hypervisor.images.add(DiskImage {
                         name: image.clone(),
@@ -166,7 +182,7 @@ impl Repository {
                         tag: tag.clone(),
                         layers: vec![
                             Layer::new("sha256:base-os", DOCKER_BASE),
-                            Layer::new(&format!("sha256:{}-pkg", t.name), t.package),
+                            Layer::new(&format!("sha256:{}-pkg", t.name()), t.package),
                         ],
                     }),
                     FlavorSpec::Dpdk { .. } | FlavorSpec::Native => {}
@@ -212,13 +228,14 @@ mod tests {
         assert!(r.nnf("quantum").is_none());
     }
 
-    /// Every native implementation the table lists has a program.
+    /// Every row builds its instances, in every flavor, from its
+    /// descriptor, and only a sharable type builds a shared one.
     #[test]
     fn instantiates_plugins() {
-        for nnf in Repository::standard().nnfs() {
-            let instance = NnfInstance::new(nnf, false).unwrap();
-            assert_eq!(instance.functional_type(), nnf.functional_type);
-            assert_eq!(NnfInstance::new(nnf, true).is_ok(), nnf.sharable);
+        for row in Repository::standard().iter() {
+            let instance = NnfInstance::new(&row.nf, false).unwrap();
+            assert_eq!(instance.descriptor(), &row.nf);
+            assert_eq!(NnfInstance::new(&row.nf, true).is_ok(), row.nf.sharable);
         }
     }
 

@@ -1,11 +1,8 @@
 //! Driver conformance: the paper's claim that an NF is the same thing
-//! to the orchestrator whatever technology runs it, as one test body
-//! over `&mut dyn ComputeDriver`, run for all four drivers.
+//! to the orchestrator whatever technology runs it, as one lifecycle
+//! body through a `ComputeManager`, run for all four drivers.
 
-use un_compute::drivers::{DockerDriver, DpdkDriver, NativeDriver, VmDriver};
-use un_compute::{
-    ComputeDriver, ComputeError, CreateRequest, FlavorSpec, InstanceId, NodeEnv, Repository,
-};
+use un_compute::{ComputeError, ComputeManager, Flavor, FlavorSpec, InstanceId, NodeEnv};
 use un_container::{Image, Layer};
 use un_hypervisor::DiskImage;
 use un_linux::Host;
@@ -37,71 +34,75 @@ fn frame() -> Packet {
         .build()
 }
 
-/// Everything an instance can hold outside its driver.
-fn residue(host: &Host, ledger: &MemLedger, driver: &dyn ComputeDriver) -> [usize; 4] {
+/// Everything an instance can hold outside the manager.
+fn residue(host: &Host, ledger: &MemLedger, mgr: &ComputeManager, flavor: Flavor) -> [usize; 4] {
     [
         host.namespace_count(),
         host.iface_count(),
         ledger.live_accounts(),
-        driver.instance_count(),
+        mgr.drivers()[flavor as usize].instance_count(),
     ]
 }
 
-fn unknown(result: Result<(), ComputeError>) -> bool {
-    result == Err(ComputeError::NoSuchInstance(ID.0))
+fn unknown(id: InstanceId, result: Result<(), ComputeError>) -> bool {
+    result == Err(ComputeError::NoSuchInstance(id.0))
 }
 
 /// The whole life of one transparent two-port NF of `functional_type`,
-/// realized from `spec`, with the test in the compute manager's place.
-fn conforms(driver: &mut dyn ComputeDriver, functional_type: &str, spec: &FlavorSpec) {
-    let who = driver.label();
+/// realized from `spec` by `mgr`.
+fn conforms(mut mgr: ComputeManager, functional_type: &str, spec: &FlavorSpec) {
+    let flavor = spec.flavor();
+    let who = mgr.drivers()[flavor as usize].label();
     let mut host = Host::new("cpe", CostModel::default());
     let mut ledger = MemLedger::new();
     let costs = CostModel::default();
     let node = ledger.create_account("node", None);
-    let baseline = residue(&host, &ledger, driver);
-    let account = ledger.create_account("nf", Some(node));
+    let baseline = residue(&host, &ledger, &mgr, flavor);
     let mut env = NodeEnv {
         host: &mut host,
         ledger: &mut ledger,
         costs: &costs,
     };
-    assert!(driver.estimate_ram(spec) > 0, "{who}");
+    assert!(mgr.estimate_ram(spec) > 0, "{who}");
 
     // Nothing answers to the id yet.
-    assert!(unknown(driver.start(&mut env, ID)), "{who}");
-    assert!(unknown(driver.stop(&mut env, ID)), "{who}");
-    assert!(unknown(driver.destroy(&mut env, ID)), "{who}");
-    assert_eq!(driver.image_footprint(ID), 0, "{who}");
-    let outs = driver.deliver_batch(&mut env, ID, vec![(0, frame())]);
+    assert!(unknown(ID, mgr.start(&mut env, ID)), "{who}");
+    assert!(unknown(ID, mgr.stop(&mut env, ID)), "{who}");
+    assert!(unknown(ID, mgr.destroy(&mut env, ID)), "{who}");
+    assert_eq!(mgr.image_footprint(ID), 0, "{who}");
+    let outs = mgr.deliver_batch(&mut env, ID, vec![(0, frame())]);
     assert_eq!(outs.len(), 1, "{who}: one outcome per frame");
     assert!(outs[0].outputs.is_empty(), "{who}");
 
-    let repository = Repository::standard();
-    let req = CreateRequest {
-        id: ID,
-        account,
-        name: "nf",
-        functional_type,
-        spec,
-        n_ports: 2,
-        program: &compiled(functional_type, &NfConfig::default()),
-        nf: repository.nnf(functional_type),
-        shared: false,
-    };
-    driver.create(&mut env, &req).expect(who);
-    assert_eq!(driver.instance_count(), baseline[3] + 1, "{who}");
-    assert!(driver.image_footprint(ID) > 0, "{who}");
-    // A namespace and the ports inside it come together.
-    let in_kernel = driver.namespace_of(ID).is_some();
-    assert_eq!(driver.port_iface(ID, 0).is_some(), in_kernel, "{who}");
-    assert_eq!(driver.port_iface(ID, 2), None, "{who}");
+    let program = compiled(functional_type, &NfConfig::default());
+    let id = mgr
+        .create(
+            &mut env,
+            "nf",
+            functional_type,
+            spec,
+            2,
+            &program,
+            false,
+            node,
+        )
+        .expect(who);
+    let count = |mgr: &ComputeManager| mgr.drivers()[flavor as usize].instance_count();
+    assert_eq!(count(&mgr), baseline[3] + 1, "{who}");
+    assert!(mgr.image_footprint(id) > 0, "{who}");
+    // Every flavor runs its NF in a namespace, with the ports inside it.
+    assert!(mgr.namespace_of(id).is_some(), "{who}");
+    assert!(mgr.port_iface(id, 0).is_some(), "{who}");
+    assert_eq!(mgr.port_iface(id, 2), None, "{who}");
 
-    driver.start(&mut env, ID).expect(who);
-    assert!(env.ledger.usage(account) > 0, "{who}: running takes RAM");
+    mgr.start(&mut env, id).expect(who);
+    assert!(
+        mgr.ram_usage(env.ledger, id) > 0,
+        "{who}: running takes RAM"
+    );
 
     // Port 0 to port 1, the frame untouched; no such port, no output.
-    let outs = driver.deliver_batch(&mut env, ID, vec![(0, frame()), (9, frame())]);
+    let outs = mgr.deliver_batch(&mut env, id, vec![(0, frame()), (9, frame())]);
     assert_eq!(outs.len(), 2, "{who}");
     let through: Vec<_> = outs[0]
         .outputs
@@ -113,34 +114,46 @@ fn conforms(driver: &mut dyn ComputeDriver, functional_type: &str, spec: &Flavor
     assert!(outs[1].outputs.is_empty(), "{who}: unknown port");
 
     // A running instance is not destroyed, and keeps serving.
-    assert!(driver.destroy(&mut env, ID).is_err(), "{who}");
-    assert_eq!(driver.instance_count(), baseline[3] + 1, "{who}");
-    let outs = driver.deliver_batch(&mut env, ID, vec![(1, frame())]);
+    assert!(mgr.destroy(&mut env, id).is_err(), "{who}");
+    assert_eq!(count(&mgr), baseline[3] + 1, "{who}");
+    let outs = mgr.deliver_batch(&mut env, id, vec![(1, frame())]);
     assert_eq!(outs[0].outputs.len(), 1, "{who}");
     assert_eq!(outs[0].outputs[0].0, 0, "{who}: and back");
 
-    driver.stop(&mut env, ID).expect(who);
+    mgr.stop(&mut env, id).expect(who);
     assert_eq!(
-        env.ledger.usage(account),
+        mgr.ram_usage(env.ledger, id),
         0,
         "{who}: stopping gives it back"
     );
-    driver.destroy(&mut env, ID).expect(who);
-    assert!(unknown(driver.start(&mut env, ID)), "{who}");
-    ledger.free_account(account);
-    assert_eq!(residue(&host, &ledger, driver), baseline, "{who}");
+    // A stopped instance does not restart, and the refusal takes
+    // nothing.
+    let stopped = residue(env.host, env.ledger, &mgr, flavor);
+    assert!(
+        matches!(mgr.start(&mut env, id), Err(ComputeError::BadState(_))),
+        "{who}: a restart"
+    );
+    assert_eq!(mgr.ram_usage(env.ledger, id), 0, "{who}");
+    assert_eq!(
+        residue(env.host, env.ledger, &mgr, flavor),
+        stopped,
+        "{who}"
+    );
+    mgr.destroy(&mut env, id).expect(who);
+    assert!(unknown(id, mgr.start(&mut env, id)), "{who}");
+    assert_eq!(residue(&host, &ledger, &mgr, flavor), baseline, "{who}");
     assert_eq!(ledger.usage(node), 0, "{who}");
 }
 
 #[test]
 fn native_driver_conforms() {
-    conforms(&mut NativeDriver::default(), "bridge", &FlavorSpec::Native);
+    conforms(ComputeManager::new(), "bridge", &FlavorSpec::Native);
 }
 
 #[test]
 fn docker_driver_conforms() {
-    let mut d = DockerDriver::default();
-    d.registry.push(Image {
+    let mut mgr = ComputeManager::new();
+    mgr.docker.registry.push(Image {
         name: "bridge".into(),
         tag: "latest".into(),
         layers: vec![Layer::new("sha256:base-os", mb(235))],
@@ -150,13 +163,13 @@ fn docker_driver_conforms() {
         tag: "latest".into(),
         process_rss: mb(3),
     };
-    conforms(&mut d, "bridge", &spec);
+    conforms(mgr, "bridge", &spec);
 }
 
 #[test]
 fn vm_driver_conforms() {
-    let mut d = VmDriver::default();
-    d.hypervisor.images.add(DiskImage {
+    let mut mgr = ComputeManager::new();
+    mgr.vm.hypervisor.images.add(DiskImage {
         name: "bridge-vm".into(),
         size: mb(518),
     });
@@ -165,7 +178,7 @@ fn vm_driver_conforms() {
         vcpus: 1,
         mem_mb: 256,
     };
-    conforms(&mut d, "bridge", &spec);
+    conforms(mgr, "bridge", &spec);
 }
 
 #[test]
@@ -174,32 +187,49 @@ fn dpdk_driver_conforms() {
         cores: 1,
         hugepages_mb: 256,
     };
-    conforms(&mut DpdkDriver::default(), "l2fwd-fast", &spec);
+    conforms(ComputeManager::new(), "l2fwd-fast", &spec);
 }
 
-/// What a driver does not offer it refuses, and the four are told
-/// apart by name only.
+/// A binding is refused by an instance that is not shared, and the
+/// four drivers are told apart by name only.
 #[test]
 fn defaults_refuse_and_labels_differ() {
     let mut host = Host::new("cpe", CostModel::default());
     let mut ledger = MemLedger::new();
     let costs = CostModel::default();
+    let node = ledger.create_account("node", None);
     let mut env = NodeEnv {
         host: &mut host,
         ledger: &mut ledger,
         costs: &costs,
     };
-    let mut dpdk = DpdkDriver::default();
+    let mut mgr = ComputeManager::new();
+    let spec = FlavorSpec::Dpdk {
+        cores: 1,
+        hugepages_mb: 256,
+    };
+    let program = compiled("l2fwd-fast", &NfConfig::default());
+    let dpdk = mgr
+        .create(
+            &mut env,
+            "fast",
+            "l2fwd-fast",
+            &spec,
+            2,
+            &program,
+            false,
+            node,
+        )
+        .unwrap();
     let binding = un_nnf::GraphBinding::default();
     assert!(matches!(
-        dpdk.bind_graph(&mut env, ID, &binding),
+        mgr.bind_graph(&mut env, dpdk, &binding),
         Err(ComputeError::Unsupported(_))
     ));
     assert!(matches!(
-        dpdk.unbind_graph(&mut env, ID, &binding),
+        mgr.unbind_graph(&mut env, dpdk, &binding),
         Err(ComputeError::Unsupported(_))
     ));
-    let mgr = un_compute::ComputeManager::new();
     let mut labels = mgr.drivers().map(|d| d.label()).to_vec();
     labels.sort_unstable();
     labels.dedup();

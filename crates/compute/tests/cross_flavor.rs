@@ -8,8 +8,7 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use un_compute::drivers::{DockerDriver, NativeDriver, VmDriver};
-use un_compute::{ComputeDriver, CreateRequest, FlavorSpec, InstanceId, NodeEnv, Repository};
+use un_compute::{ComputeManager, FlavorSpec, InstanceId, NodeEnv};
 use un_container::{Image, Layer};
 use un_hypervisor::DiskImage;
 use un_ipsec::esp;
@@ -23,7 +22,6 @@ use un_packet::{MacAddr, Packet, PacketBuilder};
 use un_sim::mem::mb;
 use un_sim::{CostModel, DetRng, MemLedger};
 
-const ID: InstanceId = InstanceId(1);
 const CASES: usize = 128;
 const PSK: &str = "hunter2";
 
@@ -50,85 +48,80 @@ struct Instance {
     host: Host,
     ledger: MemLedger,
     costs: CostModel,
-    driver: Box<dyn ComputeDriver>,
+    mgr: ComputeManager,
+    id: InstanceId,
 }
 
 impl Instance {
     fn new(flavor: &str, functional_type: &str, config: &NfConfig) -> Self {
-        let (driver, spec): (Box<dyn ComputeDriver>, FlavorSpec) = match flavor {
-            "native" => (Box::new(NativeDriver::default()), FlavorSpec::Native),
+        let mut mgr = ComputeManager::new();
+        let spec = match flavor {
+            "native" => FlavorSpec::Native,
             "docker" => {
-                let mut d = DockerDriver::default();
-                d.registry.push(Image {
+                mgr.docker.registry.push(Image {
                     name: functional_type.into(),
                     tag: "latest".into(),
                     layers: vec![Layer::new("sha256:base-os", mb(235))],
                 });
-                let spec = FlavorSpec::Docker {
+                FlavorSpec::Docker {
                     image: functional_type.into(),
                     tag: "latest".into(),
                     process_rss: 0,
-                };
-                (Box::new(d), spec)
+                }
             }
             _ => {
-                let mut d = VmDriver::default();
-                d.hypervisor.images.add(DiskImage {
+                mgr.vm.hypervisor.images.add(DiskImage {
                     name: "guest".into(),
                     size: mb(518),
                 });
-                let spec = FlavorSpec::Vm {
+                FlavorSpec::Vm {
                     image: "guest".into(),
                     vcpus: 1,
                     mem_mb: 256,
-                };
-                (Box::new(d), spec)
+                }
             }
         };
-        let mut inst = Instance {
-            host: Host::new("cpe", CostModel::default()),
-            ledger: MemLedger::new(),
-            costs: CostModel::default(),
-            driver,
-        };
-        let account = inst.ledger.create_account("nf", None);
-        let repository = Repository::standard();
-        let req = CreateRequest {
-            id: ID,
-            account,
-            name: "nf",
-            functional_type,
-            spec: &spec,
-            n_ports: 2,
-            program: &compiled(functional_type, config),
-            nf: repository.nnf(functional_type),
-            shared: false,
-        };
-        let Instance {
-            host,
-            ledger,
-            costs,
-            driver,
-        } = &mut inst;
+        let mut host = Host::new("cpe", CostModel::default());
+        let mut ledger = MemLedger::new();
+        let costs = CostModel::default();
+        let node = ledger.create_account("node", None);
         let mut env = NodeEnv {
-            host,
-            ledger,
-            costs,
+            host: &mut host,
+            ledger: &mut ledger,
+            costs: &costs,
         };
-        driver.create(&mut env, &req).expect(flavor);
-        driver.start(&mut env, ID).expect(flavor);
-        let ns = driver.namespace_of(ID).expect("the NF runs in a namespace");
+        let program = compiled(functional_type, config);
+        let id = mgr
+            .create(
+                &mut env,
+                "nf",
+                functional_type,
+                &spec,
+                2,
+                &program,
+                false,
+                node,
+            )
+            .expect(flavor);
+        mgr.start(&mut env, id).expect(flavor);
+        let ns = mgr.namespace_of(id).expect("the NF runs in a namespace");
         for (i, ip) in NEIGHBOURS.into_iter().enumerate() {
             let mac = MacAddr::local(0x900 + i as u32);
             host.neigh_add(ns, Ipv4Addr::from(ip), mac).unwrap();
         }
-        inst
+        Instance {
+            host,
+            ledger,
+            costs,
+            mgr,
+            id,
+        }
     }
 
     /// Send the IPv4 packet `ip` into `port`, addressed to that port's
     /// MAC.
     fn send(&mut self, port: u32, ip: &[u8]) -> Emitted {
-        let iface = self.driver.port_iface(ID, port).expect("port exists");
+        let iface = self.mgr.port_iface(self.id, port).expect("port exists");
         let dst = self.host.iface(iface).expect("port is up").mac;
         let mut frame = Packet::from_slice(ip);
         let mut eth = [dst.octets(), MacAddr::local(0xC1).octets()].concat();
@@ -139,7 +132,9 @@ impl Instance {
             ledger: &mut self.ledger,
             costs: &self.costs,
         };
-        let io = self.driver.deliver_batch(&mut env, ID, vec![(port, frame)]);
+        let io = self
+            .mgr
+            .deliver_batch(&mut env, self.id, vec![(port, frame)]);
         let outputs = io.into_iter().flat_map(|io| io.outputs);
         outputs
             .map(|(port, pkt)| (port, pkt.data()[ETHERNET_HEADER_LEN..].to_vec()))

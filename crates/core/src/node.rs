@@ -893,9 +893,8 @@ impl UniversalNode {
     /// instance runs). The domain's lease-conservation invariant
     /// cross-checks its registry against this node-level truth.
     pub fn shared_nnf_graphs(&self, functional_type: &str) -> Vec<String> {
-        let native = &self.compute.native;
-        let instance = native.existing_instance(functional_type).into_iter();
-        let bindings = instance.flat_map(|id| native.bindings(id));
+        let instance = self.compute.existing_instance(functional_type).into_iter();
+        let bindings = instance.flat_map(|id| self.compute.bindings(id));
         bindings.map(|b| b.graph.clone()).collect()
     }
 
@@ -1053,9 +1052,9 @@ impl UniversalNode {
     }
 
     /// Create or join the instance serving `nf`, from what its config
-    /// compiled to in `programs`. Every type with a native
-    /// implementation runs a program, whatever the flavor, so such an NF
-    /// missing from `programs` is refused.
+    /// compiled to in `programs`. Every type the repository lists runs a
+    /// program, whatever the flavor, so such an NF missing from
+    /// `programs` is refused.
     fn place_nf(
         &mut self,
         graph: &mut DeployedGraph,
@@ -1065,7 +1064,13 @@ impl UniversalNode {
         let gid = graph.nffg.id.clone();
         let own = format!("{gid}-{}", nf.id);
         let compiled = programs.get(&nf.id);
-        if compiled.is_none() && self.compute.repository().nnf(&nf.functional_type).is_some() {
+        if compiled.is_none()
+            && self
+                .compute
+                .repository()
+                .resolve(&nf.functional_type)
+                .is_some()
+        {
             return Err(DeployError::NotCompiled(nf.id.clone()));
         }
         let program = compiled.map_or(&[][..], |c| &c.commands[..]);
@@ -1161,7 +1166,7 @@ impl UniversalNode {
     ) -> Result<GraphBinding, DeployError> {
         let bindings = instance
             .into_iter()
-            .flat_map(|id| self.compute.native.bindings(id));
+            .flat_map(|id| self.compute.bindings(id));
         let mut held: Vec<u32> = bindings.map(|b| b.mark).collect();
         held.sort_unstable();
         let gap = (1u32..).zip(&held).find(|(m, h)| m != *h);
@@ -1285,7 +1290,7 @@ impl UniversalNode {
             // this unbind leaves it no binding.
             if let Some(binding) = &placed.shared {
                 result = result.and(self.compute.unbind_graph(&mut env, id, binding));
-                if self.compute.native.binding_count(id) > 0 {
+                if self.compute.binding_count(id) > 0 {
                     continue;
                 }
                 gone.extend(attach_port(&self.l0_ports, id));
@@ -1834,7 +1839,7 @@ impl UniversalNode {
 impl NativeStatus for UniversalNode {
     /// A shared instance is a single-instance NNF on an attach port.
     fn existing(&self, functional_type: &str) -> Option<(InstanceId, bool)> {
-        let id = self.compute.native.existing_instance(functional_type)?;
+        let id = self.compute.existing_instance(functional_type)?;
         Some((id, attach_port(&self.l0_ports, id).is_some()))
     }
 }

@@ -991,8 +991,8 @@ fn a_one_port_bridge_is_refused_on_every_flavor() {
 
 /// `deploy_compiled` trusts no caller to have compiled every NF: one
 /// whose type runs a program but has no entry in the map is refused
-/// before its instance is created, on every flavor, and a type with no
-/// program (DPDK's fast path) needs none.
+/// before its instance is created, on every flavor, DPDK's fast path
+/// included.
 #[test]
 fn an_nf_handed_no_program_is_refused() {
     for flavor in ["native", "docker", "vm"] {
@@ -1005,20 +1005,23 @@ fn an_nf_handed_no_program_is_refused() {
         assert_eq!(census(&n), before, "{flavor}");
     }
     let mut n = node();
+    let before = census(&n);
     let g = NfFgBuilder::new("g", "fast path")
         .interface_endpoint("lan", "eth0")
         .interface_endpoint("wan", "eth1")
         .nf("fwd", "l2fwd-fast", 2)
         .chain("lan", &["fwd"], "wan")
         .build();
-    n.deploy_compiled(&g, &Programs::new())
-        .expect("nothing to compile");
+    let err = n.deploy_compiled(&g, &Programs::new()).unwrap_err();
+    assert_eq!(err, DeployError::NotCompiled("fwd".into()), "dpdk");
+    assert_eq!(census(&n), before, "dpdk");
 }
 
 /// Every implementation the repository lists deploys: for each row and
 /// each flavor it offers, a one-NF graph hinted to that flavor lands on
-/// it, runs from an image, and leaves the node as it found it. A hint
-/// for a flavor the row lacks is refused.
+/// it, runs its command list in a namespace from an image, and leaves
+/// the node as it found it. A hint for a flavor the row lacks is
+/// refused.
 #[test]
 fn every_implementation_the_repository_lists_deploys() {
     let mut n = node();
@@ -1026,27 +1029,28 @@ fn every_implementation_the_repository_lists_deploys() {
     let rows: Vec<_> = n.compute.repository().iter().cloned().collect();
     let mut deployed = 0;
     for row in &rows {
-        let config = match row.name {
+        let config = match row.name() {
             "ipsec" => ipsec_config(),
             "nat" => nat_config("203.0.113.1/24"),
             _ => un_nffg::NfConfig::default(),
         };
         for flavor in [Flavor::Native, Flavor::Docker, Flavor::Vm, Flavor::Dpdk] {
-            let tag = format!("{} on {flavor}", row.name);
+            let tag = format!("{} on {flavor}", row.name());
             let g = NfFgBuilder::new("g", "one implementation")
                 .interface_endpoint("lan", "eth0")
                 .interface_endpoint("wan", "eth1")
-                .nf_with_config("nf", row.name, 2, config.clone())
+                .nf_with_config("nf", row.name(), 2, config.clone())
                 .with_flavor(&flavor.to_string())
                 .chain("lan", &["nf"], "wan")
                 .build();
             let deploy = n.deploy(&g);
             if row.spec_for(flavor).is_none() {
                 let refusal = match flavor {
-                    Flavor::Native => ComputeError::NoSuchNnf(row.name.to_string()),
-                    _ => {
-                        ComputeError::Unsupported(format!("'{}' has no {flavor} flavor", row.name))
-                    }
+                    Flavor::Native => ComputeError::NoSuchNnf(row.name().to_string()),
+                    _ => ComputeError::Unsupported(format!(
+                        "'{}' has no {flavor} flavor",
+                        row.name()
+                    )),
                 };
                 assert_eq!(deploy.unwrap_err(), refusal.into(), "{tag}");
                 assert_eq!(census(&n), before, "{tag}");
@@ -1055,6 +1059,8 @@ fn every_implementation_the_repository_lists_deploys() {
             let report = deploy.unwrap_or_else(|e| panic!("{tag}: {e}"));
             assert_eq!(report.placements[0].1, flavor, "{tag}");
             assert!(n.nf_image_footprint("g", "nf") > 0, "{tag}");
+            let (instance, _) = n.instance_of("g", "nf").unwrap();
+            assert!(n.compute.namespace_of(instance).is_some(), "{tag}");
             n.undeploy("g").unwrap();
             assert_eq!(census(&n), before, "{tag}");
             deployed += 1;

@@ -51,7 +51,7 @@ pub fn decide(
         let spec = row
             .spec_for(flavor)
             .ok_or_else(|| {
-                ComputeError::Unsupported(format!("'{}' has no {flavor} flavor", row.name))
+                ComputeError::Unsupported(format!("'{}' has no {flavor} flavor", row.name()))
             })?
             .clone();
         return Ok(Decision::Vnf(spec));
@@ -66,10 +66,11 @@ pub fn decide(
 }
 
 fn decide_native(row: &NfType, status: &dyn NativeStatus) -> Result<Decision, ComputeError> {
-    let ft = row.name;
-    let Some(desc) = &row.nnf else {
+    let ft = row.name();
+    if row.spec_for(Flavor::Native).is_none() {
         return Err(ComputeError::NoSuchNnf(ft.to_string()));
-    };
+    }
+    let desc = &row.nf;
     match status.existing(ft) {
         None => {
             // First user. Sharable single-instance NNFs start in shared
@@ -98,11 +99,12 @@ fn decide_native(row: &NfType, status: &dyn NativeStatus) -> Result<Decision, Co
 /// The row's first VNF: its list is in fallback preference order
 /// (cheapest first on a CPE).
 fn fallback_vnf(row: &NfType) -> Result<Decision, ComputeError> {
-    match row.vnfs.first() {
+    let mut vnfs = row.flavors.iter().filter(|s| **s != FlavorSpec::Native);
+    match vnfs.next() {
         Some(spec) => Ok(Decision::Vnf(spec.clone())),
         None => Err(ComputeError::Unsupported(format!(
             "'{}' has no deployable flavor",
-            row.name
+            row.name()
         ))),
     }
 }
@@ -198,10 +200,12 @@ mod tests {
 
     #[test]
     fn no_native_in_catalog_falls_back() {
+        let ipsec = row("ipsec");
         let vnf_only = NfType {
-            nnf: None,
-            ..row("ipsec")
+            flavors: ipsec.flavors[1..].to_vec(),
+            ..ipsec
         };
+        assert!(vnf_only.spec_for(Flavor::Native).is_none());
         let d = decide(&vnf_only, None, &Status(vec![])).unwrap();
         match d {
             Decision::Vnf(spec) => assert_eq!(spec.flavor(), Flavor::Docker),

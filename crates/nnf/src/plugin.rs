@@ -4,7 +4,7 @@
 //! command list [`compile`](crate::translate::compile) made of its NF's
 //! config before anything was built, handed to `start`. Running the list
 //! configures kernel objects (XFRM, iptables, bridges, routes) inside
-//! the network namespace the NNF driver created for it. A shared
+//! the network namespace the compute manager created for it. A shared
 //! instance instead accepts per-service-graph *bindings* carrying the
 //! mark / VLAN / conntrack-zone triple the node assigned and the NAT
 //! binding compiled from the graph's config, and its adaptation layer is
@@ -47,7 +47,7 @@ pub struct NnfDescriptor {
 pub struct NnfContext<'a> {
     /// The CPE's kernel.
     pub host: &'a mut Host,
-    /// The namespace the driver created for this NNF instance.
+    /// The namespace the compute manager created for this NNF instance.
     pub ns: NsId,
     /// Memory ledger for RSS accounting.
     pub ledger: &'a mut MemLedger,
@@ -136,8 +136,8 @@ impl From<un_linux::HostError> for NnfError {
 /// bindings bring what their graphs compiled to.
 ///
 /// Lifecycle: `start` → zero or more `bind_graph`/`unbind_graph` (shared
-/// only) → `stop`. The driver guarantees `start` is called before any
-/// other method.
+/// only) → `stop`. The compute manager guarantees `start` is called
+/// before any other method, and once.
 ///
 /// An instance is shared because it was built as one, and
 /// holds its [`AdaptationLayer`], the one record of who rides it, from
@@ -184,9 +184,10 @@ impl NnfInstance {
         })
     }
 
-    /// The functional type this instance implements (`"ipsec"`, …).
-    pub fn functional_type(&self) -> &'static str {
-        self.descriptor.functional_type
+    /// The descriptor the instance was built from: its functional type
+    /// and characteristics.
+    pub fn descriptor(&self) -> &NnfDescriptor {
+        &self.descriptor
     }
 
     /// Is the function up?
@@ -211,8 +212,8 @@ impl NnfInstance {
     /// account. A shared instance runs its attachment program instead;
     /// its tenants' configs arrive with their bindings.
     ///
-    /// `ports` are interfaces the driver created in the namespace, in NF
-    /// port order (port 0 first).
+    /// `ports` are interfaces the compute manager created in the
+    /// namespace, in NF port order (port 0 first).
     pub fn start(
         &mut self,
         ctx: &mut NnfContext<'_>,

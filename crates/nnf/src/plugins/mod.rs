@@ -176,7 +176,7 @@ mod tests {
             true => Vec::new(),
             false => {
                 let n_ports = ports.len() as u32;
-                let compiled = compiled(plugin.functional_type(), config, n_ports);
+                let compiled = compiled(plugin.descriptor().functional_type, config, n_ports);
                 compiled.expect("a type with a program")?.commands.to_vec()
             }
         };
@@ -491,7 +491,7 @@ mod tests {
             ),
         ];
         for (plugin, config, refusal) in cases {
-            let compiled = compiled(plugin.functional_type(), &config, 2);
+            let compiled = compiled(plugin.descriptor().functional_type, &config, 2);
             assert_eq!(compiled.unwrap().unwrap_err(), refusal);
         }
     }

@@ -19,8 +19,9 @@
 //! [`execute`](crate::plugins::execute) of its list, and its RSS
 //! booking; a shared one runs `SHARED_ATTACHMENT`, and each graph's
 //! binding installs its [`NatBinding`] through the adaptation layer.
-//! Every flavor is configured from here: native, Docker and VM instances
-//! run the same list in a namespace (a VM's is its guest kernel).
+//! Every flavor is configured from here: native, Docker, VM and DPDK
+//! instances run the same list in a namespace (a VM's is its guest
+//! kernel), and every type the node lists has a program.
 //!
 //! Translation parses everything before it emits anything, and
 //! compilation happens before the first node call, so a config refused
@@ -129,7 +130,7 @@ impl From<Vec<NnfCommand>> for CompiledNf {
 }
 
 /// A graph's compiled NFs, by NF id. An NF whose type has no program (a
-/// DPDK fast path, or a type no node offers) has no entry.
+/// type no node offers) has no entry.
 pub type Programs = BTreeMap<String, CompiledNf>;
 
 /// A config [`compile`] refused, and the NF it belongs to.
@@ -173,6 +174,7 @@ fn program(functional_type: &str) -> Option<Program> {
         "nat" => translate_nat,
         "router" => translate_router,
         "bridge" => translate_bridge,
+        "l2fwd-fast" => translate_l2fwd,
         _ => return None,
     })
 }
@@ -507,6 +509,15 @@ fn translate_bridge(_c: &NfConfig, n_ports: usize) -> Result<CompiledNf, NnfErro
     Ok(vec![bridge].into())
 }
 
+/// DPDK's `l2fwd-fast` forwards port 0 to port 1 and back: a bridge of
+/// the two, whatever else the graph wires. It takes no config.
+fn translate_l2fwd(_c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
+    let bridge = NnfCommand::Bridge {
+        members: vec![0, 1],
+    };
+    Ok(vec![bridge].into())
+}
+
 /// `config` compiled as the one NF, `nf`, of a graph that gives it
 /// `n_ports` ports; `None` for a type without a program.
 #[cfg(test)]
@@ -707,18 +718,19 @@ mod tests {
         );
     }
 
-    /// A type with no program — a DPDK fast path, or one no node offers
-    /// — compiles to nothing: the repository, not the compiler, refuses
-    /// a type it does not list. A bridge's program needs no config.
+    /// A type with no program — one no node offers — compiles to
+    /// nothing: the repository, not the compiler, refuses a type it does
+    /// not list. A bridge's program needs no config, and neither does
+    /// DPDK's fast path, which is the two-port bridge.
     #[test]
     fn a_type_without_a_program_compiles_to_nothing() {
-        for functional_type in ["quantum-fw", "l2fwd-fast"] {
-            assert!(compiled(functional_type, &NfConfig::default(), 2).is_none());
+        assert!(compiled("quantum-fw", &NfConfig::default(), 2).is_none());
+        for functional_type in ["bridge", "l2fwd-fast"] {
+            assert!(matches!(
+                &translate(functional_type, &NfConfig::default(), 2).unwrap()[..],
+                [NnfCommand::Bridge { members }] if members == &[0, 1]
+            ));
         }
-        assert!(matches!(
-            &translate("bridge", &NfConfig::default(), 2).unwrap()[..],
-            [NnfCommand::Bridge { members }] if members == &[0, 1]
-        ));
     }
 
     /// A graph compiles NF by NF: every NF with a program has its list,
@@ -738,7 +750,7 @@ mod tests {
         let graph = un_nffg::NfFgBuilder::new("g", "three NFs")
             .nf("br", "bridge", 2)
             .nf_with_config("nat", "nat", 2, nat)
-            .nf("fast", "l2fwd-fast", 2)
+            .nf("fw", "quantum-fw", 2)
             .build();
         let programs = compile(&graph).unwrap();
         assert_eq!(programs.keys().collect::<Vec<_>>(), ["br", "nat"]);

@@ -52,7 +52,7 @@ fn one_instance_serves_both_graphs() {
     let (i1, _) = n.instance_of("c1", "nat").unwrap();
     let (i2, _) = n.instance_of("c2", "nat").unwrap();
     assert_eq!(i1, i2, "both graphs must share the single NAT instance");
-    assert_eq!(n.compute.native.binding_count(i1), 2);
+    assert_eq!(n.compute.binding_count(i1), 2);
 }
 
 /// What sharing buys: one native instance whatever the graph count,
