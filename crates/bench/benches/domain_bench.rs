@@ -29,7 +29,6 @@ fn fleet_views(n: usize) -> Vec<NodeView> {
             ports: ["eth0".to_string(), "eth1".to_string()]
                 .into_iter()
                 .collect(),
-            alive: true,
         })
         .collect()
 }

@@ -56,7 +56,7 @@ use un_obs::{FrameLedger, PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
 use un_sim::{Cost, SimTime};
 
-use crate::partition::{OverlayLink, Partition, PartitionError};
+use crate::partition::{Partition, PartitionError};
 use crate::placement::{NodeView, PlaceError, PlacementStrategy};
 use crate::sharing::{
     ShareKey, SharedClaim, SharedInstance, SharedRegistry, SharingConfig, SharingError,
@@ -438,8 +438,9 @@ struct ManagedNode {
 /// The SA pair of one protected overlay link: `(outbound, inbound)`.
 type LinkSas = Box<(SecurityAssociation, SecurityAssociation)>;
 
+/// One live overlay link, under its vid: its ends are its path's ends,
+/// and the rest of its cut edge is its graph's `partition.links` entry.
 struct LinkState {
-    link: OverlayLink,
     graph: String,
     /// Pinned fabric path `[from_node, …, to_node]` this link rides;
     /// length two when the nodes are adjacent (every full-mesh link).
@@ -475,9 +476,14 @@ struct DomainGraph {
     /// endpoints without re-deriving them from the partition).
     endpoints: BTreeMap<String, String>,
     partition: Partition,
-    /// Leases this graph holds on domain-shared instances (mirrors the
-    /// registry's lease table; the chaos suite balances the two).
-    shared: BTreeMap<ShareKey, SharedClaim>,
+}
+
+/// A graph no surviving fleet could host: its spec, its hints pruned to
+/// the survivors, and when it lost service (stamped when it returns).
+struct Parked {
+    graph: NfFg,
+    hints: DeployHints,
+    since: Instant,
 }
 
 un_sim::counters! {
@@ -534,7 +540,7 @@ pub struct Domain {
     nodes: BTreeMap<String, ManagedNode>,
     graphs: BTreeMap<String, DomainGraph>,
     /// Graphs lost in a failure that no surviving fleet could host.
-    pending: BTreeMap<String, (NfFg, DeployHints)>,
+    pending: BTreeMap<String, Parked>,
     /// Overlay link state by VLAN id.
     links: BTreeMap<u16, LinkState>,
     /// The domain-wide sharable-NNF registry (instances, hosts,
@@ -546,9 +552,6 @@ pub struct Domain {
     avail: BTreeMap<String, GraphAvailability>,
     /// Running repair-cost calibration feeding the availability model.
     calibration: RepairCalibration,
-    /// When each currently-parked graph lost service (park→drain
-    /// downtime is stamped when the graph is restored).
-    parked_at: BTreeMap<String, Instant>,
     /// The overlay VLAN id pool.
     vids: plan::VidPool,
     /// How many link SA pairs were ever minted. Every derivation runs
@@ -592,7 +595,6 @@ impl Domain {
             standby: StandbyRegistry::default(),
             avail: BTreeMap::new(),
             calibration: RepairCalibration::default(),
-            parked_at: BTreeMap::new(),
             vids,
             link_epoch: 0,
             clock: SimTime::ZERO,
@@ -666,11 +668,6 @@ impl Domain {
         name
     }
 
-    /// Fleet size (including failed nodes).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Names of every registered node, including failed carcasses.
     pub fn node_names(&self) -> Vec<String> {
         self.nodes.keys().cloned().collect()
@@ -679,11 +676,6 @@ impl Domain {
     fn nodes_where<C: FromIterator<String>>(&self, health: impl Fn(&NodeHealth) -> bool) -> C {
         let matching = self.nodes.iter().filter(|(_, m)| health(&m.health));
         matching.map(|(n, _)| n.clone()).collect()
-    }
-
-    /// Names of alive nodes (excluding suspects).
-    pub fn alive_nodes(&self) -> Vec<String> {
-        self.nodes_where(|h| *h == NodeHealth::Alive)
     }
 
     /// Names of nodes that can host partitions and carry traffic
@@ -876,14 +868,15 @@ impl Domain {
     /// only place planning inputs are gathered — node views and who
     /// serves, hop distances, the pinned paths loading each fabric
     /// edge, and handles on the live graphs, the registry, the
-    /// settings and the span sink. Suspect nodes still count as
-    /// placeable (`alive`): suspicion is a short grace window, not a
+    /// settings and the span sink. Only serving nodes get a view, and
+    /// suspect nodes serve: suspicion is a short grace window, not a
     /// quarantine, and quarantining them would force every concurrent
     /// update to migrate off a node that is probably just slow.
     fn planner(&mut self) -> (FleetView<'_>, &mut plan::VidPool) {
-        let views = self
+        let views: Vec<NodeView> = self
             .nodes
             .values()
+            .filter(|m| m.health.is_serving())
             .map(|m| NodeView {
                 name: m.node.name.clone(),
                 free_memory: m.node.free_memory(),
@@ -897,10 +890,9 @@ impl Domain {
                     .into_iter()
                     .filter(|p| *p != self.config.fabric_port)
                     .collect(),
-                alive: m.health.is_serving(),
             })
             .collect();
-        let serving: BTreeSet<String> = self.nodes_where(NodeHealth::is_serving);
+        let serving: BTreeSet<String> = views.iter().map(|v| v.name.clone()).collect();
         let mut edge_riders: BTreeMap<_, Vec<&str>> = BTreeMap::new();
         if !self.config.topology.is_full_mesh() {
             for state in self.links.values() {
@@ -1120,10 +1112,12 @@ impl Domain {
         self.sharing.instances().cloned().collect()
     }
 
-    /// The shared leases a deployed graph holds (`None` for unknown
+    /// The registry's leases of a deployed graph (`None` for unknown
     /// graphs; an empty map for tenants of nothing).
     pub fn graph_shared_leases(&self, id: &str) -> Option<BTreeMap<ShareKey, SharedClaim>> {
-        self.graphs.get(id).map(|g| g.shared.clone())
+        self.graphs
+            .contains_key(id)
+            .then(|| self.sharing.leases_of(id))
     }
 }
 

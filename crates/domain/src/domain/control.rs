@@ -13,6 +13,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::time::Instant;
 
 use un_core::DeployReport;
 use un_ipsec::SecurityAssociation;
@@ -117,8 +118,8 @@ impl Domain {
         // An explicit deploy supersedes any copy parked by an earlier
         // failure; otherwise retry_pending could double-deploy it. The
         // redeploy ends the park window, so stamp its downtime.
-        if self.pending.remove(&graph.id).is_some() {
-            self.stamp_park_drain(&graph.id);
+        if let Some(parked) = self.pending.remove(&graph.id) {
+            self.stamp_park_drain(&graph.id, parked.since);
         }
         self.trace.graphs_deployed += 1;
         Ok(done.report(&graph.id))
@@ -287,7 +288,6 @@ impl Domain {
                 Entry::Vacant(slot) => {
                     let sas = self.config.protect_overlay.then(|| fresh_sas(link.vid));
                     slot.insert(LinkState {
-                        link: link.clone(),
                         graph: gid.to_string(),
                         path: path.clone(),
                         hop_latency_ns: hop_latencies(&self.config, path),
@@ -301,15 +301,13 @@ impl Domain {
                 }
                 Entry::Occupied(mut slot) => {
                     let state = slot.get_mut();
-                    if state.link.from_node == link.from_node && state.link.to_node == link.to_node
-                    {
+                    if state.ends() == (&link.from_node, &link.to_node) {
                         done.links_kept += 1;
                     } else if let Some(sas) = &mut state.sas {
                         // Another node holds an end now: it is never
                         // handed the old pair or its sequence counter.
                         *sas = fresh_sas(link.vid);
                     }
-                    state.link = link.clone();
                     if state.path != *path {
                         // The hop axis changed identity; totals
                         // survive, per-hop counters restart.
@@ -334,7 +332,6 @@ impl Domain {
                 assignment: plan.assignment,
                 endpoints: plan.endpoints,
                 partition: plan.partition,
-                shared: plan.shared,
             },
         );
         Ok(done)
@@ -428,15 +425,14 @@ impl Domain {
     /// drop any copy parked for re-placement — an undeployed graph
     /// must never resurrect through `retry_pending`).
     pub fn undeploy(&mut self, graph_id: &str) -> Result<(), DomainError> {
+        // The park window (if any) ends without a drain: the operator
+        // gave the graph up.
         let parked = self.pending.remove(graph_id).is_some();
         match self.graphs.remove(graph_id) {
             Some(entry) => self.teardown(&entry),
             None if parked => {}
             None => return Err(DomainError::NoSuchGraph(graph_id.to_string())),
         }
-        // The park window (if any) ends without a drain: the operator
-        // gave the graph up.
-        self.parked_at.remove(graph_id);
         self.release_shared(graph_id);
         self.trace.graphs_undeployed += 1;
         Ok(())
@@ -467,46 +463,41 @@ impl Domain {
         self.pending.keys().cloned().collect()
     }
 
-    /// Stamp the park→drain downtime of a just-restored graph into its
-    /// availability ledger (closing the blind spot where parked graphs
-    /// never stamped `downtime_estimate_ns`).
-    fn stamp_park_drain(&mut self, gid: &str) {
-        if let Some(at) = self.parked_at.remove(gid) {
-            let downtime_ns = at.elapsed().as_nanos() as u64;
-            let ledger = self
-                .avail
-                .entry(gid.to_string())
-                .or_insert_with(|| GraphAvailability::new(gid));
-            ledger.park_downtime_ns += downtime_ns;
-            self.trace.park_drains += 1;
-            self.obs.event(
-                "domain.park.drained",
-                vec![("graph", gid.into()), ("downtime_ns", downtime_ns.into())],
-            );
-        }
+    /// Stamp the park→drain downtime of a just-restored graph, parked
+    /// `since`, into its availability ledger (closing the blind spot
+    /// where parked graphs never stamped `downtime_estimate_ns`).
+    fn stamp_park_drain(&mut self, gid: &str, since: Instant) {
+        let downtime_ns = since.elapsed().as_nanos() as u64;
+        let ledger = self
+            .avail
+            .entry(gid.to_string())
+            .or_insert_with(|| GraphAvailability::new(gid));
+        ledger.park_downtime_ns += downtime_ns;
+        self.trace.park_drains += 1;
+        self.obs.event(
+            "domain.park.drained",
+            vec![("graph", gid.into()), ("downtime_ns", downtime_ns.into())],
+        );
     }
 
     /// Try to deploy graphs stranded by earlier failures (call after
     /// adding capacity).
     pub fn retry_pending(&mut self) -> Vec<String> {
-        let pending: Vec<(String, (NfFg, DeployHints))> =
-            std::mem::take(&mut self.pending).into_iter().collect();
         let mut deployed = Vec::new();
-        for (gid, (graph, hints)) in pending {
+        for (gid, parked) in std::mem::take(&mut self.pending) {
             if self.graphs.contains_key(&gid) {
                 // A live deployment supersedes the parked copy (the
                 // operator re-deployed it since the failure; the park
                 // window was stamped then).
-                self.parked_at.remove(&gid);
                 continue;
             }
-            match self.deploy_fresh(&graph, &hints) {
+            match self.deploy_fresh(&parked.graph, &parked.hints) {
                 Ok(_) => {
-                    self.stamp_park_drain(&gid);
+                    self.stamp_park_drain(&gid, parked.since);
                     deployed.push(gid);
                 }
                 Err(_) => {
-                    self.pending.insert(gid, (graph, hints));
+                    self.pending.insert(gid, parked);
                 }
             }
         }

@@ -223,6 +223,7 @@ impl Constraints {
 
 /// Everything planning reads, gathered by [`super::Domain::planner`].
 pub(crate) struct FleetView<'a> {
+    /// One view per node in `serving`, in name order.
     pub(crate) views: Vec<NodeView>,
     /// The nodes a plan may place on and route through.
     pub(crate) serving: BTreeSet<String>,
@@ -249,9 +250,7 @@ impl FleetView<'_> {
     /// serves: what a plan staged for a suspect is computed against.
     pub(super) fn without(mut self, node: &str) -> Self {
         if self.serving.remove(node) {
-            for v in self.views.iter_mut().filter(|v| v.name == node) {
-                v.alive = false;
-            }
+            self.views.retain(|v| v.name != node);
             self.fabric_hops = self.config.topology.hop_matrix(&self.serving);
         }
         self

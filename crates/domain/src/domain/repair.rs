@@ -15,7 +15,8 @@ use std::time::Instant;
 use super::control::Committed;
 use super::plan::{plan, serving_hints, Constraints, FleetView, Plan};
 use super::{
-    Domain, DomainError, DomainGraph, NodeHealth, RepairOutcome, RepairPolicy, ReplacementReport,
+    Domain, DomainError, DomainGraph, NodeHealth, Parked, RepairOutcome, RepairPolicy,
+    ReplacementReport,
 };
 use crate::sharing::{elect, ShareKey, SharedClaim};
 use crate::standby::{GraphAvailability, GraphStandby, NodeStandby, RepairKind};
@@ -27,14 +28,19 @@ fn moved_count(old: &BTreeMap<String, String>, new: &BTreeMap<String, String>) -
         .count()
 }
 
-/// Shared-tenancy blast radius of a repair: how many of the moved NFs
-/// moved because the shared instance they ride was re-hosted, and
-/// which instances migrated (`(key, new host)`).
-fn shared_blast(old: &DomainGraph, new: &DomainGraph) -> (usize, Vec<(String, String)>) {
-    let migrated: Vec<(String, String)> = new
-        .shared
+/// Shared-tenancy blast radius of a repair from `old` to `new`, whose
+/// leases were `held` before the failure and are `now` after: how many
+/// of the moved NFs moved because the shared instance they ride was
+/// re-hosted, and which instances migrated (`(key, new host)`).
+fn shared_blast(
+    held: &BTreeMap<ShareKey, SharedClaim>,
+    now: &BTreeMap<ShareKey, SharedClaim>,
+    old: &DomainGraph,
+    new: &DomainGraph,
+) -> (usize, Vec<(String, String)>) {
+    let migrated: Vec<(String, String)> = now
         .iter()
-        .filter(|(key, claim)| old.shared.get(key).map(|old| &old.host) != Some(&claim.host))
+        .filter(|(key, claim)| held.get(key).map(|old| &old.host) != Some(&claim.host))
         .map(|(key, claim)| (key.to_string(), claim.host.clone()))
         .collect();
     let moved = old
@@ -42,7 +48,7 @@ fn shared_blast(old: &DomainGraph, new: &DomainGraph) -> (usize, Vec<(String, St
         .nfs
         .iter()
         .filter(|nf| {
-            new.shared.contains_key(&ShareKey::of_nf(nf))
+            now.contains_key(&ShareKey::of_nf(nf))
                 && old.assignment.get(&nf.id) != new.assignment.get(&nf.id)
         })
         .count();
@@ -116,6 +122,14 @@ impl Domain {
         // make-before-break payload. Graph plans promote below; shared
         // standby hosts promote here.
         let mut node_sb = self.standby.take(name).unwrap_or_default();
+        // Graphs with a part on the dead node, and the leases each holds
+        // before the re-election below: what its repair report compares.
+        let affected: Vec<(String, BTreeMap<ShareKey, SharedClaim>)> = self
+            .graphs
+            .iter()
+            .filter(|(_, g)| g.partition.parts.contains_key(name))
+            .map(|(id, _)| (id.clone(), self.sharing.leases_of(id)))
+            .collect();
         // Shared instances the casualty hosted are re-elected **once**
         // at registry level before any tenant is repaired, so every
         // tenant plan converges on the same new home (demand = the
@@ -163,13 +177,6 @@ impl Domain {
                 );
             }
         }
-        // Graphs with a part on the dead node.
-        let affected: Vec<String> = self
-            .graphs
-            .iter()
-            .filter(|(_, g)| g.partition.parts.contains_key(name))
-            .map(|(id, _)| id.clone())
-            .collect();
 
         let mut report = ReplacementReport::default();
         // The model's running clock through the sweep: graph i's
@@ -177,7 +184,7 @@ impl Domain {
         // i-1 repairs before it, mirroring how `downtime_estimate_ns`
         // accumulates on the measured side.
         let mut queue_model_ns: u64 = 0;
-        for gid in affected {
+        for (gid, held) in affected {
             let repair_started = Instant::now();
             let entry = self.graphs.remove(&gid).expect("listed above");
             // A standby plan is only promotable under the incremental
@@ -225,6 +232,9 @@ impl Domain {
                     o.repair_duration_ns = repair_started.elapsed().as_nanos() as u64;
                     o.downtime_estimate_ns = failed_at.elapsed().as_nanos() as u64;
                     o.modeled_downtime_ns = modeled;
+                    let now = self.sharing.leases_of(&gid);
+                    (o.shared_nfs_moved, o.shared_migrated) =
+                        shared_blast(&held, &now, &entry, &self.graphs[&gid]);
                     queue_model_ns = modeled;
                     let actual_kind = if o.standby_promoted {
                         RepairKind::StandbySwap
@@ -280,14 +290,16 @@ impl Domain {
                     let hints = serving_hints(&entry.hints, |n| self.serves(n));
                     self.release_shared(&gid);
                     self.trace.graphs_stranded += 1;
-                    // Park epoch: the downtime ledger stamps the park→
-                    // drain window when the graph is restored.
-                    self.parked_at.insert(gid.clone(), Instant::now());
                     self.avail
                         .entry(gid.clone())
                         .or_insert_with(|| GraphAvailability::new(&gid))
                         .park_events += 1;
-                    self.pending.insert(gid.clone(), (entry.original, hints));
+                    let parked = Parked {
+                        graph: entry.original,
+                        hints,
+                        since: Instant::now(),
+                    };
+                    self.pending.insert(gid.clone(), parked);
                     report.stranded.push(gid);
                 }
             }
@@ -308,8 +320,8 @@ impl Domain {
     }
 
     /// What a repair cost, from what its commit did and how the
-    /// re-registered graph differs from `old`. The clocks, the model
-    /// and `standby_promoted` are stamped by the callers that own them.
+    /// re-registered graph differs from `old`. The clocks, the model,
+    /// the shared blast and `standby_promoted` are the sweep's to stamp.
     fn repair_outcome(
         &self,
         old: &DomainGraph,
@@ -318,7 +330,6 @@ impl Domain {
     ) -> RepairOutcome {
         let new = &self.graphs[&old.original.id];
         let nfs_moved = moved_count(&old.assignment, &new.assignment);
-        let (shared_nfs_moved, shared_migrated) = shared_blast(old, new);
         RepairOutcome {
             graph: old.original.id.clone(),
             nfs_moved,
@@ -327,8 +338,8 @@ impl Domain {
             links_kept: done.links_kept,
             nodes_touched: done.nodes_touched,
             full_replace,
-            shared_nfs_moved,
-            shared_migrated,
+            shared_nfs_moved: 0,
+            shared_migrated: Vec::new(),
             repair_duration_ns: 0,
             downtime_estimate_ns: 0,
             standby_promoted: false,

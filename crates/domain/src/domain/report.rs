@@ -86,12 +86,12 @@ impl Domain {
     /// protection and wire counters.
     pub fn link_reports(&self) -> Vec<LinkReport> {
         self.links
-            .values()
-            .map(|s| LinkReport {
-                vid: s.link.vid,
+            .iter()
+            .map(|(vid, s)| LinkReport {
+                vid: *vid,
                 graph: s.graph.clone(),
-                from: s.link.from_node.clone(),
-                to: s.link.to_node.clone(),
+                from: s.ends().0.clone(),
+                to: s.ends().1.clone(),
                 path: s.path.clone(),
                 protected: s.sas.is_some(),
                 packets: s.packets,

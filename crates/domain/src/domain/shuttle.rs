@@ -497,6 +497,11 @@ impl Drain<'_> {
 }
 
 impl LinkState {
+    /// The wire's two ends, `(from_node, to_node)`: its path's ends.
+    pub(super) fn ends(&self) -> (&String, &String) {
+        (&self.path[0], &self.path[self.path.len() - 1])
+    }
+
     /// Count `frames` frames of `bytes` bytes in all on the wire at hop
     /// `hop_idx` of the pinned path: a frame riding an n-hop wire adds
     /// n to `packets` and one to each `hop_packets[i]`.

@@ -524,13 +524,13 @@ fn undeploying_a_parked_graph_closes_its_park_window() {
     d.deploy(&split_bridge_chain()).unwrap();
     d.fail_node("n1").unwrap();
     assert_eq!(d.pending_graphs(), vec!["g1".to_string()]);
-    assert!(d.parked_at.contains_key("g1"));
+    assert!(d.pending.contains_key("g1"));
 
     // The operator gives the parked graph up: same tail as undeploying
     // a live one — counted, and the park window ends without a drain.
     d.undeploy("g1").unwrap();
     assert!(d.pending_graphs().is_empty());
-    assert!(d.parked_at.is_empty(), "park window left open");
+    assert!(d.pending.is_empty(), "park window left open");
     assert_eq!(d.trace.counter("graphs_undeployed"), 1);
     assert_eq!(d.undeploy("g1"), Err(DomainError::NoSuchGraph("g1".into())));
 
@@ -1523,6 +1523,24 @@ fn no_key_and_sequence_number_is_ever_sealed_twice() {
     assert!(retired.len() >= 5, "{} keys retired", retired.len());
 }
 
+/// Every reported wire joins the two nodes of its graph's cut edge of
+/// the same vid: a link's ends are its pinned path's ends.
+fn assert_link_ends_match_the_partition(d: &Domain) {
+    for l in d.link_reports() {
+        let cut = &d.partition_of(&l.graph).unwrap().links;
+        let cut = cut
+            .iter()
+            .find(|c| c.vid == l.vid)
+            .expect("a live vid is a cut edge");
+        assert_eq!(
+            (&l.from, &l.to),
+            (&cut.from_node, &cut.to_node),
+            "vid {}",
+            l.vid
+        );
+    }
+}
+
 /// A repair that moves one end of a kept vid mints a new pair for it; a
 /// reroute between the same two nodes keeps pair and counter.
 #[test]
@@ -1535,10 +1553,12 @@ fn a_moved_link_end_gets_a_fresh_sa_and_a_reroute_keeps_it() {
     }
     let before = sa_states(&d);
     let transit = d.link_reports()[0].path[1].clone();
+    assert_link_ends_match_the_partition(&d);
 
     // The transit node dies: same endpoints, new path, same SAs.
     d.fail_node(&transit).unwrap();
     assert!(d.link_reports().iter().all(|l| l.path[1] != transit));
+    assert_link_ends_match_the_partition(&d);
     assert_eq!(sa_states(&d), before, "a reroute keeps key and counter");
     assert_eq!(d.inject("n1", "eth0", frame()).emitted.len(), 1);
 
@@ -1546,6 +1566,7 @@ fn a_moved_link_end_gets_a_fresh_sa_and_a_reroute_keeps_it() {
     // keeps a key it had while n3 held an end of it.
     let before = sa_states(&d);
     d.fail_node("n3").unwrap();
+    assert_link_ends_match_the_partition(&d);
     let after = sa_states(&d);
     assert!(
         after.keys().any(|vid| before.contains_key(vid)),
@@ -1590,6 +1611,7 @@ fn transit_node_failure_reroutes_kept_links() {
     for l in d.link_reports() {
         assert_eq!(l.path[1], "n2", "lexicographic tie");
     }
+    assert_link_ends_match_the_partition(&d);
 
     let report = d.fail_node("n2").unwrap();
     assert_eq!(report.replaced, vec!["g1".to_string()]);
@@ -1604,6 +1626,7 @@ fn transit_node_failure_reroutes_kept_links() {
 
     let vids_after: Vec<u16> = d.link_reports().iter().map(|l| l.vid).collect();
     assert_eq!(vids_before, vids_after, "vids survive the reroute");
+    assert_link_ends_match_the_partition(&d);
     for l in d.link_reports() {
         let path = l.path;
         assert_eq!(path[1], "n4", "rerouted around the casualty: {path:?}");
@@ -2667,12 +2690,21 @@ fn plan_without_a_suspect_equals_the_plan_after_its_failure() {
     for d in [&mut warned, &mut surprised] {
         d.deploy_with(&split_bridge_chain(), &hub_hints()).unwrap();
     }
+    // A view lists exactly the serving nodes, in name order, and
+    // counting a node out drops its view with it.
+    let viewed = |view: &plan::FleetView<'_>| view.views.iter().map(|v| &v.name).eq(&view.serving);
+    let (view, _) = warned.planner();
+    assert!(viewed(&view) && view.serving.contains("n2"));
+    let view = view.without("n2");
+    assert!(viewed(&view) && !view.serving.contains("n2"));
+
     warned.suspect_node("n2").unwrap();
     let staged = warned.standby.take("n2").unwrap().graphs.remove("g1");
     let staged = staged.unwrap().plan;
 
     surprised.nodes.get_mut("n2").unwrap().health = NodeHealth::Failed;
     let (view, vids) = surprised.planner();
+    assert!(viewed(&view) && !view.serving.contains("n2"));
     let g1 = &view.graphs["g1"];
     let c = plan::Constraints::repair(g1, &view.serving);
     let reactive = plan::plan(&view, vids, &g1.original, &c).unwrap();

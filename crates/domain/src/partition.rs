@@ -63,11 +63,6 @@ impl Partition {
     pub fn node_names(&self) -> Vec<String> {
         self.parts.keys().cloned().collect()
     }
-
-    /// Number of cut edges.
-    pub fn cut_edges(&self) -> usize {
-        self.links.len()
-    }
 }
 
 /// Why partitioning failed.

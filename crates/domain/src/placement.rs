@@ -16,6 +16,9 @@
 //! 4. ties break by memory: [`PlacementStrategy::Pack`] fills the
 //!    fullest feasible node (classic bin-packing, frees whole nodes),
 //!    [`PlacementStrategy::Spread`] picks the emptiest (load balance).
+//!
+//! A node is a candidate by having a [`NodeView`]; a pin to one without
+//! is refused.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -24,7 +27,9 @@ use un_nffg::{NfFg, PortRef};
 
 use crate::topology::Topology;
 
-/// What the domain scheduler knows about one node.
+/// What the domain scheduler knows about one node. Only a serving node
+/// has a view: a node that fails, or that `FleetView::without` counts
+/// out, leaves the list, so every view is a candidate.
 #[derive(Debug, Clone)]
 pub struct NodeView {
     /// Node name (fleet-unique).
@@ -43,8 +48,6 @@ pub struct NodeView {
     pub sharable_types: BTreeSet<String>,
     /// Physical interface names (for endpoint placement).
     pub ports: BTreeSet<String>,
-    /// False once the node is considered failed.
-    pub alive: bool,
 }
 
 /// Tie-breaking goal of the assignment.
@@ -110,13 +113,13 @@ fn endpoint_iface(ep: &un_nffg::Endpoint) -> Option<&str> {
 ///
 /// Pinned endpoints are honored (and verified). With an explicit
 /// fabric topology (`fabric_hops` is the hop matrix), an unpinned
-/// interface/VLAN endpoint goes to the **topologically closest** alive
+/// interface/VLAN endpoint goes to the **topologically closest**
 /// owner of the interface — closest meaning minimum total hop distance
 /// to the endpoints already assigned (pins first, then declaration
 /// order), so a graph's endpoints cluster and the overlay paths
 /// between them stay short. Ties, the very first endpoint, and
-/// full-mesh mode (`None`) keep the old first-alive-owner choice;
-/// internal endpoints go to the anchor (first alive) node.
+/// full-mesh mode (`None`) keep the old first-owner choice; internal
+/// endpoints go to the anchor (first viewed) node.
 pub fn assign_endpoints(
     graph: &NfFg,
     views: &[NodeView],
@@ -124,8 +127,7 @@ pub fn assign_endpoints(
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
 ) -> Result<BTreeMap<String, String>, PlaceError> {
     let anchor = views
-        .iter()
-        .find(|v| v.alive)
+        .first()
         .map(|v| v.name.clone())
         .ok_or(PlaceError::NoNodes)?;
     let mut out = BTreeMap::new();
@@ -137,7 +139,7 @@ pub fn assign_endpoints(
         let if_name = endpoint_iface(ep);
         let ok = views
             .iter()
-            .any(|v| v.alive && v.name == *pin && if_name.is_none_or(|i| v.ports.contains(i)));
+            .any(|v| v.name == *pin && if_name.is_none_or(|i| v.ports.contains(i)));
         if !ok {
             return Err(PlaceError::BadEndpointPin {
                 endpoint: ep.id.clone(),
@@ -151,10 +153,8 @@ pub fn assign_endpoints(
             continue;
         }
         let node = if let Some(if_name) = endpoint_iface(ep) {
-            let owners: Vec<&NodeView> = views
-                .iter()
-                .filter(|v| v.alive && v.ports.contains(if_name))
-                .collect();
+            let owners: Vec<&NodeView> =
+                views.iter().filter(|v| v.ports.contains(if_name)).collect();
             if owners.is_empty() {
                 return Err(PlaceError::NoSuchInterface {
                     endpoint: ep.id.clone(),
@@ -241,7 +241,7 @@ pub fn assign(
     strategy: PlacementStrategy,
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
 ) -> Result<BTreeMap<String, String>, PlaceError> {
-    if !views.iter().any(|v| v.alive) {
+    if views.is_empty() {
         return Err(PlaceError::NoNodes);
     }
     // A node's shared instance is only "free reuse" for this graph if
@@ -256,7 +256,6 @@ pub fn assign(
     // Running free-memory picture as NFs are placed.
     let mut free: BTreeMap<&str, u64> = views
         .iter()
-        .filter(|v| v.alive)
         .map(|v| (v.name.as_str(), v.free_memory))
         .collect();
 
@@ -290,8 +289,7 @@ pub fn assign(
     for nf in &graph.nfs {
         let needed = estimates.get(&nf.id).copied().unwrap_or(0);
         if let Some(pin) = pins.get(&nf.id) {
-            let alive = views.iter().any(|v| v.alive && v.name == *pin);
-            if !alive {
+            if !views.iter().any(|v| v.name == *pin) {
                 return Err(PlaceError::BadPin {
                     nf: nf.id.clone(),
                     node: pin.clone(),
@@ -319,7 +317,7 @@ pub fn assign(
         // no bonus stack can elect a fabric-isolated node while a
         // routable one exists.
         let mut best: Option<(bool, i64, &NodeView)> = None;
-        for view in views.iter().filter(|v| v.alive) {
+        for view in views {
             let avail = free.get(view.name.as_str()).copied().unwrap_or(0);
             // A shared joinable instance costs nothing extra; otherwise
             // the estimate must fit.
@@ -382,7 +380,7 @@ pub fn assign(
         };
         let reusable = joinable(view, &nf.functional_type);
         if !reusable {
-            let slot = free.get_mut(view.name.as_str()).expect("alive node");
+            let slot = free.get_mut(view.name.as_str()).expect("a viewed node");
             *slot = slot.saturating_sub(needed);
         }
         out.insert(nf.id.clone(), view.name.clone());
@@ -410,7 +408,6 @@ mod tests {
             shared_running: shared.iter().map(|s| s.to_string()).collect(),
             sharable_types: shared.iter().map(|s| s.to_string()).collect(),
             ports: ports.iter().map(|s| s.to_string()).collect(),
-            alive: true,
         }
     }
 
@@ -554,7 +551,7 @@ mod tests {
         .unwrap();
         assert_eq!(a["fw"], "n2");
 
-        views[1].alive = false;
+        views.remove(1);
         let err = assign(
             &g,
             &views,

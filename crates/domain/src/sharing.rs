@@ -20,6 +20,8 @@
 //! the host node fails, the domain re-elects a host **once** at
 //! registry level and every tenant repair converges on the new home; a
 //! tenant's own plan never moves a live instance.
+//! The registry is the one record of tenancy: a graph's leases are
+//! [`SharedRegistry::leases_of`], and no graph keeps a copy.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -106,8 +108,8 @@ impl fmt::Display for SharingError {
 
 impl std::error::Error for SharingError {}
 
-/// One graph's stake in one shared instance (stored per graph and
-/// mirrored by the registry's lease table).
+/// One graph's stake in one shared instance: what a plan claims, and
+/// what [`SharedRegistry::leases_of`] reads back from the lease table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedClaim {
     /// The node hosting the instance this graph rides.
@@ -135,9 +137,7 @@ impl SharedInstance {
         self.leases.len()
     }
 
-    /// Total NF wires across all leases (the chaos suite's
-    /// lease-conservation invariant balances this against the per-graph
-    /// claim ledger).
+    /// Total NF wires across all leases.
     pub fn wires(&self) -> usize {
         self.leases.values().sum()
     }
@@ -311,11 +311,11 @@ pub(crate) fn claim_shared(
 /// Elect the host node for a shared instance: the sharable node
 /// nearest the demand.
 ///
-/// Candidates are alive nodes whose NNF catalog marks the type
-/// sharable. No live node can already hold the type: the registry
-/// holds one instance per type, and an election happens only for a
-/// type with none, or for one whose host no longer counts as alive
-/// (failed, or counted out by `FleetView::without`). `demand` is the
+/// Candidates are the viewed (serving) nodes whose NNF catalog marks
+/// the type sharable. No candidate can already hold the type: the
+/// registry holds one instance per type, and an election happens only
+/// for a type with none, or for one whose host has no view (failed, or
+/// counted out by `FleetView::without`). `demand` is the
 /// node set the demanding tenants occupy, `fabric_hops` the hop matrix
 /// (`None` = full mesh, every distinct pair one hop). Scoring is total
 /// hop distance to the demand, ties broken lexicographically, so
@@ -326,7 +326,7 @@ pub(crate) fn elect(
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
     demand: &BTreeSet<String>,
 ) -> Result<String, SharingError> {
-    let usable = |v: &NodeView| v.alive && v.sharable_types.contains(&key.functional_type);
+    let usable = |v: &NodeView| v.sharable_types.contains(&key.functional_type);
     let dist = |a: &str, b: &str| u64::from(Topology::hop_distance(fabric_hops, a, b));
     let mut best: Option<(u64, &str)> = None;
     for view in views.iter().filter(|v| usable(v)) {
@@ -345,7 +345,7 @@ pub(crate) fn elect(
 mod tests {
     use super::*;
 
-    fn view(name: &str, sharable: &[&str], alive: bool) -> NodeView {
+    fn view(name: &str, sharable: &[&str]) -> NodeView {
         NodeView {
             name: name.to_string(),
             free_memory: 1 << 30,
@@ -354,7 +354,6 @@ mod tests {
             shared_running: BTreeSet::new(),
             sharable_types: sharable.iter().map(|s| s.to_string()).collect(),
             ports: BTreeSet::new(),
-            alive,
         }
     }
 
@@ -375,10 +374,10 @@ mod tests {
     fn first_demand_elects_nearest_sharable_node() {
         // line a–b–c–d; demand sits at a; only c and d are sharable.
         let views = vec![
-            view("a", &[], true),
-            view("b", &[], true),
-            view("c", &["nat"], true),
-            view("d", &["nat"], true),
+            view("a", &[]),
+            view("b", &[]),
+            view("c", &["nat"]),
+            view("d", &["nat"]),
         ];
         let hops = matrix(&[
             ("a", "b", 1),
@@ -396,14 +395,12 @@ mod tests {
     #[test]
     fn dead_nodes_are_skipped() {
         // The one host that ever held the type is the one a re-election
-        // replaces, and it is never alive to the election.
-        let mut views = vec![view("a", &["nat"], false), view("b", &["nat"], true)];
+        // replaces, and it has no view: only serving nodes are listed.
         let key = ShareKey::new("nat");
-        let host = elect(&key, &views, None, &BTreeSet::new()).unwrap();
+        let host = elect(&key, &[view("b", &["nat"])], None, &BTreeSet::new()).unwrap();
         assert_eq!(host, "b", "dead node is no candidate");
-        views[1].alive = false;
         assert!(matches!(
-            elect(&key, &views, None, &BTreeSet::new()),
+            elect(&key, &[], None, &BTreeSet::new()),
             Err(SharingError::NoSharableHost { .. })
         ));
     }

@@ -553,11 +553,6 @@ impl Host {
         self.sockets.recv(sock)
     }
 
-    /// Pending datagrams on a socket.
-    pub fn udp_pending(&self, sock: SocketId) -> usize {
-        self.sockets.pending(sock)
-    }
-
     /// Send a datagram from a bound socket.
     pub fn udp_send(
         &mut self,
@@ -934,7 +929,7 @@ impl Host {
         }
         let tuple = extract_tuple(pkt.data());
 
-        // mangle/PREROUTING: marks + zones.
+        // mangle/PREROUTING: marks.
         let mut nfp = nf_view(&tuple, in_iface, None, pkt.meta.fwmark);
         let (verdict, effects) = self.hook(ns, NfTable::Mangle, Chain::Prerouting, &nfp, ctx);
         if verdict == Verdict::Drop {
@@ -943,9 +938,6 @@ impl Host {
         if let Some(m) = effects.set_mark {
             pkt.meta.fwmark = m;
             nfp.fwmark = m;
-        }
-        if let Some(z) = effects.set_zone {
-            pkt.meta.ct_zone = z;
         }
         let zone = pkt.meta.ct_zone;
 
@@ -1051,19 +1043,16 @@ impl Host {
             return;
         }
 
-        // nat/POSTROUTING (SNAT/MASQUERADE) for new flows.
+        // nat/POSTROUTING (MASQUERADE) for new flows.
         if fresh {
             let snat = match self.hook(ns, NfTable::Nat, Chain::Postrouting, &nfp, ctx).0 {
                 Verdict::Drop => return,
-                Verdict::Snat { to, port } => Some((to, port)),
-                Verdict::Masquerade => self.ifaces[out_dev.0 as usize]
-                    .primary_addr()
-                    .map(|ip| (ip, None)),
+                Verdict::Masquerade => self.ifaces[out_dev.0 as usize].primary_addr(),
                 _ => None,
             };
             let ct = &mut self.namespaces[ns.0 as usize].conntrack;
-            if let Some((to, port)) = snat {
-                ct.set_snat(conn, to, port);
+            if let Some(to) = snat {
+                ct.set_snat(conn, to, None);
             }
             // Apply any SNAT decided just now.
             let want = ct.rewrite(conn, dir);

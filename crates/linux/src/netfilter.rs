@@ -18,7 +18,7 @@ use crate::iface::IfaceId;
 pub enum NfTable {
     /// Mark/mangle operations.
     Mangle,
-    /// NAT (PREROUTING=DNAT, POSTROUTING=SNAT/MASQUERADE).
+    /// NAT (PREROUTING=DNAT, POSTROUTING=MASQUERADE).
     Nat,
     /// Accept/drop filtering.
     Filter,
@@ -76,13 +76,6 @@ pub enum Target {
     Accept,
     /// Silently drop.
     Drop,
-    /// Rewrite the source address (and optionally port) — `nat/POSTROUTING`.
-    Snat {
-        /// New source address.
-        to: Ipv4Addr,
-        /// Optional fixed source port (None = keep/allocate).
-        port: Option<u16>,
-    },
     /// Rewrite the destination address/port — `nat/PREROUTING`.
     Dnat {
         /// New destination address.
@@ -94,8 +87,6 @@ pub enum Target {
     Masquerade,
     /// Set the firewall mark and continue (`mangle` tables).
     SetMark(u32),
-    /// Set the conntrack zone for this packet and continue.
-    SetZone(u16),
 }
 
 /// One rule.
@@ -158,13 +149,6 @@ pub enum Verdict {
         /// Optional new port.
         port: Option<u16>,
     },
-    /// Apply source NAT.
-    Snat {
-        /// New source address.
-        to: Ipv4Addr,
-        /// Optional fixed port.
-        port: Option<u16>,
-    },
     /// SNAT to egress interface address.
     Masquerade,
 }
@@ -174,8 +158,6 @@ pub enum Verdict {
 pub struct ChainEffects {
     /// New fwmark, if a SetMark rule fired.
     pub set_mark: Option<u32>,
-    /// New conntrack zone, if a SetZone rule fired.
-    pub set_zone: Option<u16>,
     /// Number of rules evaluated (for cost accounting).
     pub rules_evaluated: u32,
 }
@@ -340,9 +322,9 @@ impl Netfilter {
 
     /// Run a (table, chain) over a packet summary.
     ///
-    /// First matching terminal rule (ACCEPT/DROP/NAT) decides; SetMark /
-    /// SetZone record their effect and continue (as `mangle` targets
-    /// do), and a new mark is what later rules of the traversal see.
+    /// First matching terminal rule (ACCEPT/DROP/NAT) decides; SetMark
+    /// records its effect and continues (as `mangle` targets do), and
+    /// the new mark is what later rules of the traversal see.
     pub fn run(&mut self, table: NfTable, chain: Chain, pkt: &NfPacket) -> (Verdict, ChainEffects) {
         let mut effects = ChainEffects::default();
         let Some(rc) = self.chains.get_mut(&(table, chain)) else {
@@ -359,16 +341,11 @@ impl Netfilter {
             decided = Some(match rule.target {
                 Target::Accept => Verdict::Accept,
                 Target::Drop => Verdict::Drop,
-                Target::Snat { to, port } => Verdict::Snat { to, port },
                 Target::Dnat { to, port } => Verdict::Dnat { to, port },
                 Target::Masquerade => Verdict::Masquerade,
                 Target::SetMark(m) => {
                     effects.set_mark = Some(m);
                     view.fwmark = m;
-                    continue;
-                }
-                Target::SetZone(z) => {
-                    effects.set_zone = Some(z);
                     continue;
                 }
             });
@@ -477,13 +454,16 @@ mod tests {
                     fwmark: Some(42),
                     ..Default::default()
                 },
-                Target::SetZone(7),
+                Target::SetMark(43),
             ),
         );
         let (v, fx) = nf.run(NfTable::Mangle, Chain::Prerouting, &pkt());
         assert_eq!(v, Verdict::Accept);
-        assert_eq!(fx.set_mark, Some(42));
-        assert_eq!(fx.set_zone, Some(7));
+        assert_eq!(
+            fx.set_mark,
+            Some(43),
+            "the second rule saw the first's mark"
+        );
     }
 
     #[test]

@@ -148,14 +148,6 @@ impl RoutingPolicy {
         self.rules.retain(|r| r.table != table);
     }
 
-    /// Remove rules selecting a table; returns how many.
-    pub fn remove_rules_for_table(&mut self, table: u32) -> usize {
-        let before = self.rules.len();
-        self.rules
-            .retain(|r| r.table != table || r.table == MAIN_TABLE);
-        before - self.rules.len()
-    }
-
     /// Get (or create) a table.
     pub fn table_mut(&mut self, id: u32) -> &mut RouteTable {
         self.tables.entry(id).or_default()

@@ -83,11 +83,6 @@ impl<T: AsRef<[u8]>> ArpPacket<T> {
         Ipv4Addr::new(b[14], b[15], b[16], b[17])
     }
 
-    /// Target hardware address.
-    pub fn target_mac(&self) -> MacAddr {
-        MacAddr(self.buffer.as_ref()[18..24].try_into().unwrap())
-    }
-
     /// Target protocol address.
     pub fn target_ip(&self) -> Ipv4Addr {
         let b = self.buffer.as_ref();
