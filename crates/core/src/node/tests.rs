@@ -1215,9 +1215,11 @@ fn a_binding_past_the_last_vlan_is_refused() {
 
 /// A NAT's port forwards are part of its config in every flavor: a WAN
 /// frame to `wan-addr:8080` leaves on the LAN side rewritten to
-/// `192.168.1.20:80`, whether the NAT is the node's shared native
-/// instance (the forward scoped to the binding's WAN sub-interface) or
-/// a dedicated one in a container or a VM.
+/// `192.168.1.20:80`, and a LAN host's frame to an outside server's
+/// port 8080 leaves on the WAN side for that server, whether the NAT is
+/// the node's shared native instance or a dedicated one in a container
+/// or a VM: either way the forward takes only what arrives on the WAN
+/// side.
 #[test]
 fn a_nat_forwards_its_ports_in_every_flavor() {
     let mut config = nat_config("203.0.113.1/24");
@@ -1258,6 +1260,28 @@ fn a_nat_forwards_its_ports_in_every_flavor() {
         assert_eq!(ip.dst(), server, "{tag}");
         let udp = un_packet::udp::UdpDatagram::new_checked(ip.payload()).unwrap();
         assert_eq!(udp.dst_port(), 80, "{tag}");
+
+        // A LAN host's flow to an outside server on the forwarded port
+        // leaves for that server, masqueraded, not hairpinned inside.
+        let far = "203.0.113.9".parse().unwrap();
+        n.host.neigh_add(ns, far, MacAddr::local(0x09)).unwrap();
+        let pkt = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(6), MacAddr::BROADCAST)
+            .ipv4("192.168.1.5".parse().unwrap(), far)
+            .udp(5556, 8080)
+            .payload(b"GET /")
+            .build();
+        let io = n.inject("eth0", pkt);
+        assert_eq!(io.emitted.len(), 1, "{tag}");
+        let (port, out) = &io.emitted[0];
+        assert_eq!(port, "eth1", "{tag}");
+        let eth = out.ethernet().unwrap();
+        let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+        assert_eq!(ip.dst(), far, "{tag}");
+        let wan: std::net::Ipv4Addr = "203.0.113.1".parse().unwrap();
+        assert_eq!(ip.src(), wan, "{tag}");
+        let udp = un_packet::udp::UdpDatagram::new_checked(ip.payload()).unwrap();
+        assert_eq!(udp.dst_port(), 8080, "{tag}");
         n.undeploy("g").unwrap();
         assert_eq!(census(&n), before, "{tag}");
     }

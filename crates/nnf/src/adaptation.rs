@@ -6,57 +6,29 @@
 //! switch and configures it to receive the traffic from multiple
 //! service graphs, appropriately marked to make it distinguishable."
 //!
-//! Mechanically (all standard Linux machinery, which is the point):
-//!
-//! * the NNF has **one** attachment interface (`parent`), the only port
-//!   a shared instance starts on;
-//! * per [`GraphBinding`], two 802.1Q sub-interfaces are created on it
-//!   on the binding's LAN-side and WAN-side VIDs, named by its mark:
-//!   `m<mark>-lan` and `m<mark>-wan`;
-//! * ingress on those sub-interfaces stamps the binding's **fwmark** (via
-//!   a mangle/PREROUTING rule) and **conntrack zone** (per-interface);
-//! * a per-binding **routing table**, selected by an `ip rule fwmark`,
-//!   forms its private internal path;
-//! * egress through a sub-interface re-tags traffic automatically, so
-//!   the LSI can demultiplex graphs on the way out.
+//! A shared instance starts on **one** attachment interface. Each
+//! [`GraphBinding`] riding it is a command list,
+//! [`binding_program`](crate::translate::binding_program): two marked
+//! VLAN sub-interfaces, a private routing table ("multiple internal
+//! paths") and the NAT program over them. [`execute`](crate::plugins::execute)
+//! runs it and [`undo`](crate::plugins::undo) removes it; the layer
+//! makes no kernel call of its own.
 //!
 //! The layer is the one record of who rides a shared instance: a binding
-//! is in [`AdaptationLayer::bindings`] exactly while its sub-interfaces,
-//! rules and table exist. It is keyed by the binding, not the graph, so a
-//! graph with two NFs on one shared instance holds two bindings, told
-//! apart by their marks.
-//!
-//! The one sharable NNF is NAT: [`AdaptationLayer::bind_nat`] gives each
-//! binding the addresses, private routes, masquerade rule and port
-//! forwards its graph's config compiled to. It parses nothing: the
-//! binding carries the [`NatBinding`](crate::translate::NatBinding)
-//! [`compile`](crate::translate::compile) made.
+//! is in [`AdaptationLayer::bindings`] exactly while its list is
+//! installed, kept with the ports it ran on. It is keyed by the binding,
+//! not the graph, so a graph with two NFs on one shared instance holds
+//! two bindings, told apart by their marks.
 
-use std::net::Ipv4Addr;
-
-use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
-use un_linux::route::IpRule;
 use un_linux::IfaceId;
-use un_packet::Ipv4Cidr;
 
-use crate::plugin::{GraphBinding, NnfContext, NnfError};
+use crate::plugin::GraphBinding;
 
-/// Routing-table id offset for per-graph tables.
-pub const GRAPH_TABLE_BASE: u32 = 100;
-
-/// Sub-interfaces created for one binding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphIfaces {
-    /// LAN-side sub-interface.
-    pub lan: IfaceId,
-    /// WAN-side sub-interface.
-    pub wan: IfaceId,
-}
-
-/// The bindings riding one shared instance, with what each was given.
+/// The bindings riding one shared instance, each with the ports its list
+/// ran on: the attachment, then its two sub-interfaces.
 #[derive(Debug, Default)]
 pub struct AdaptationLayer {
-    attached: Vec<(GraphBinding, GraphIfaces)>,
+    attached: Vec<(GraphBinding, Vec<IfaceId>)>,
 }
 
 impl AdaptationLayer {
@@ -65,222 +37,114 @@ impl AdaptationLayer {
         self.attached.iter().map(|(b, _)| b)
     }
 
-    /// The per-graph routing table id for a binding.
-    pub fn table_for(binding: &GraphBinding) -> u32 {
-        GRAPH_TABLE_BASE + binding.mark
+    /// Record `binding`, installed on `ports`.
+    pub(crate) fn insert(&mut self, binding: &GraphBinding, ports: Vec<IfaceId>) {
+        self.attached.push((binding.clone(), ports));
     }
 
-    /// Attach one more binding over the instance's attachment interface
-    /// `parent`: create its marked sub-interfaces and its private routing
-    /// table/rule.
-    pub fn attach(
-        &mut self,
-        ctx: &mut NnfContext<'_>,
-        parent: IfaceId,
-        binding: &GraphBinding,
-    ) -> Result<GraphIfaces, NnfError> {
-        let name = |side: &str| format!("m{}-{side}", binding.mark);
-        let lan = ctx
-            .host
-            .add_vlan_sub(parent, binding.vid_lan, &name("lan"))?;
-        let wan = ctx
-            .host
-            .add_vlan_sub(parent, binding.vid_wan, &name("wan"))?;
-        ctx.host.set_up(lan, true)?;
-        ctx.host.set_up(wan, true)?;
-        ctx.host.set_ct_zone(lan, binding.zone)?;
-        ctx.host.set_ct_zone(wan, binding.zone)?;
-
-        // Mark everything arriving from either side of this binding.
-        for sub in [lan, wan] {
-            ctx.host.nf_append(
-                ctx.ns,
-                NfTable::Mangle,
-                Chain::Prerouting,
-                NfRule::new(
-                    RuleMatch {
-                        in_iface: Some(sub),
-                        ..Default::default()
-                    },
-                    Target::SetMark(binding.mark),
-                ),
-            )?;
-        }
-
-        // Private internal path: fwmark → dedicated table.
-        ctx.host.rule_add(
-            ctx.ns,
-            IpRule {
-                priority: 100 + binding.mark,
-                fwmark: Some(binding.mark),
-                table: Self::table_for(binding),
-            },
-        )?;
-
-        self.attached
-            .push((binding.clone(), GraphIfaces { lan, wan }));
-        Ok(GraphIfaces { lan, wan })
-    }
-
-    /// Detach a binding: remove its sub-interfaces (their addresses and
-    /// connected routes go with them), marking rules, routing table and
-    /// the connections tracked in its zone, which a later binding may
-    /// take. Returns the sub-interfaces it had.
-    pub fn detach(
-        &mut self,
-        ctx: &mut NnfContext<'_>,
-        binding: &GraphBinding,
-    ) -> Result<GraphIfaces, NnfError> {
-        let Some(pos) = self.attached.iter().position(|(b, _)| b == binding) else {
-            return Err(NnfError::BadState("graph not attached"));
-        };
-        let (_, ifaces) = self.attached.remove(pos);
-        for sub in [ifaces.lan, ifaces.wan] {
-            ctx.host.remove_iface(sub)?;
-            let ns = ctx.ns;
-            if let Some(nsr) = ctx.host.namespace_mut(ns) {
-                nsr.netfilter.remove_rule(
-                    NfTable::Mangle,
-                    Chain::Prerouting,
-                    &RuleMatch {
-                        in_iface: Some(sub),
-                        ..Default::default()
-                    },
-                    &Target::SetMark(binding.mark),
-                );
-            }
-        }
-        let ns = ctx.ns;
-        if let Some(nsr) = ctx.host.namespace_mut(ns) {
-            nsr.routing.remove_table(Self::table_for(binding));
-            nsr.conntrack.flush_zone(binding.zone);
-        }
-        Ok(ifaces)
-    }
-
-    /// Attach a binding to a shared NAT over `parent`: its sub-interfaces
-    /// take the binding's addresses, its table routes the LAN prefix and
-    /// a default out its WAN side, its traffic is masqueraded out its own
-    /// WAN sub-interface, and its port forwards apply to what arrives on
-    /// that sub-interface.
-    pub fn bind_nat(
-        &mut self,
-        ctx: &mut NnfContext<'_>,
-        parent: IfaceId,
-        binding: &GraphBinding,
-    ) -> Result<(), NnfError> {
-        let nat = binding.nat.as_ref().ok_or(NnfError::BadState(
-            "a NAT binding without its compiled config",
-        ))?;
-        let ifaces = self.attach(ctx, parent, binding)?;
-        ctx.host.addr_add(ifaces.lan, nat.lan)?;
-        ctx.host.addr_add(ifaces.wan, nat.wan)?;
-
-        // This binding's private internal path: connected prefixes plus a
-        // default toward its own WAN side, all in its dedicated table.
-        let table = Self::table_for(binding);
-        let lan_net = Ipv4Cidr::new(nat.lan.network(), nat.lan.prefix_len());
-        ctx.host
-            .route_add(ctx.ns, table, lan_net, None, ifaces.lan, 0)?;
-        let default = Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0);
-        ctx.host
-            .route_add(ctx.ns, table, default, nat.gw, ifaces.wan, 0)?;
-
-        // Masquerade this binding's traffic out its own WAN sub-interface.
-        let masquerade = NfRule::new(Self::masqueraded(binding, ifaces), Target::Masquerade);
-        ctx.host
-            .nf_append(ctx.ns, NfTable::Nat, Chain::Postrouting, masquerade)?;
-        // Its port forwards take only what arrives on its WAN side.
-        for forward in &nat.dnat {
-            let rule = forward.rule(Some(ifaces.wan));
-            ctx.host
-                .nf_append(ctx.ns, NfTable::Nat, Chain::Prerouting, rule)?;
-        }
-        Ok(())
-    }
-
-    /// Detach a binding from a shared NAT: everything [`Self::attach`]
-    /// made, then its masquerade rule and port forwards.
-    pub fn unbind_nat(
-        &mut self,
-        ctx: &mut NnfContext<'_>,
-        binding: &GraphBinding,
-    ) -> Result<(), NnfError> {
-        let ifaces = self.detach(ctx, binding)?;
-        if let Some(nsr) = ctx.host.namespace_mut(ctx.ns) {
-            let nf = &mut nsr.netfilter;
-            let masqueraded = Self::masqueraded(binding, ifaces);
-            nf.remove_rule(
-                NfTable::Nat,
-                Chain::Postrouting,
-                &masqueraded,
-                &Target::Masquerade,
-            );
-            for forward in binding.nat.iter().flat_map(|nat| &nat.dnat) {
-                let rule = forward.rule(Some(ifaces.wan));
-                nf.remove_rule(NfTable::Nat, Chain::Prerouting, &rule.matches, &rule.target);
-            }
-        }
-        Ok(())
-    }
-
-    /// What a binding masquerades: its marked traffic leaving its WAN
-    /// side.
-    fn masqueraded(binding: &GraphBinding, ifaces: GraphIfaces) -> RuleMatch {
-        RuleMatch {
-            out_iface: Some(ifaces.wan),
-            fwmark: Some(binding.mark),
-            ..Default::default()
-        }
+    /// Forget `binding`, returning the ports it was installed on; `None`
+    /// if it is not attached.
+    pub(crate) fn remove(&mut self, binding: &GraphBinding) -> Option<Vec<IfaceId>> {
+        let pos = self.attached.iter().position(|(b, _)| b == binding)?;
+        Some(self.attached.remove(pos).1)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use un_linux::netfilter::{Chain, NfTable};
+    use un_linux::{Host, NsId};
+    use un_sim::{AccountId, CostModel, MemLedger};
+
+    use crate::plugin::{described, NnfContext, NnfError, NnfInstance};
+    use crate::plugins::tests::snapshot;
+    use crate::translate::NatBinding;
+
     use super::*;
-    use un_linux::Host;
-    use un_sim::{CostModel, MemLedger};
 
     fn binding(graph: &str, mark: u32) -> GraphBinding {
+        let nat = NatBinding {
+            lan: "192.168.1.1/24".parse().unwrap(),
+            wan: format!("203.0.113.{mark}/24").parse().unwrap(),
+            gw: None,
+            dnat: Vec::new(),
+        };
         GraphBinding {
             graph: graph.to_string(),
             mark,
             zone: mark as u16,
             vid_lan: (mark * 2) as u16 + 100,
             vid_wan: (mark * 2) as u16 + 101,
-            nat: None,
+            nat: Some(nat),
+        }
+    }
+
+    /// A shared NAT started on its one attachment port, `attach0`.
+    struct Rig {
+        host: Host,
+        ns: NsId,
+        ledger: MemLedger,
+        account: AccountId,
+        nat: NnfInstance,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let mut host = Host::new("cpe", CostModel::default());
+            let ns = host.add_namespace("nnf");
+            let port = host.add_external(ns, "attach0", 7).unwrap();
+            let mut ledger = MemLedger::new();
+            let account = ledger.create_account("nnf", None);
+            let nat = NnfInstance::new(&described("nat"), true).unwrap();
+            let mut rig = Rig {
+                host,
+                ns,
+                ledger,
+                account,
+                nat,
+            };
+            let (nat, mut ctx) = rig.parts();
+            nat.start(&mut ctx, &[port], &[]).unwrap();
+            rig
+        }
+
+        /// The instance, and the context it configures the namespace
+        /// through.
+        fn parts(&mut self) -> (&mut NnfInstance, NnfContext<'_>) {
+            let ctx = NnfContext {
+                host: &mut self.host,
+                ns: self.ns,
+                ledger: &mut self.ledger,
+                account: self.account,
+            };
+            (&mut self.nat, ctx)
+        }
+
+        fn bind(&mut self, binding: &GraphBinding) -> Result<(), NnfError> {
+            let (nat, mut ctx) = self.parts();
+            nat.bind_graph(&mut ctx, binding)
+        }
+
+        fn unbind(&mut self, binding: &GraphBinding) -> Result<(), NnfError> {
+            let (nat, mut ctx) = self.parts();
+            nat.unbind_graph(&mut ctx, binding)
         }
     }
 
     #[test]
     fn attach_creates_marked_subifaces_and_table() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let ns = host.add_namespace("nnf");
-        let port = host.add_external(ns, "attach0", 7).unwrap();
-        host.set_up(port, true).unwrap();
-        let mut ledger = MemLedger::new();
-        let account = ledger.create_account("nnf", None);
-
-        let mut layer = AdaptationLayer::default();
+        let mut rig = Rig::new();
         let b1 = binding("g1", 1);
         let b2 = binding("g2", 2);
-        let g1 = {
-            let mut ctx = NnfContext {
-                host: &mut host,
-                ns,
-                ledger: &mut ledger,
-                account,
-            };
-            let g1 = layer.attach(&mut ctx, port, &b1).unwrap();
-            layer.attach(&mut ctx, port, &b2).unwrap();
-            g1
-        };
-        assert_eq!(layer.bindings().collect::<Vec<_>>(), [&b1, &b2]);
-        assert_eq!(host.iface(g1.lan).unwrap().name, "m1-lan");
+        rig.bind(&b1).unwrap();
+        rig.bind(&b2).unwrap();
+        assert_eq!(rig.nat.bindings().collect::<Vec<_>>(), [&b1, &b2]);
+        let g1_lan = rig.host.iface_by_name(rig.ns, "m1-lan").unwrap();
+        assert_eq!(g1_lan.name, "m1-lan");
 
         // The namespace now has: 2 marking rules per graph, a policy
         // rule per graph, and per-interface zones.
-        let nsr = host.namespace(ns).unwrap();
+        let nsr = rig.host.namespace(rig.ns).unwrap();
         assert_eq!(
             nsr.netfilter
                 .rules(NfTable::Mangle, Chain::Prerouting)
@@ -291,59 +155,36 @@ mod tests {
         assert!(rules.iter().any(|r| r.fwmark == Some(1) && r.table == 101));
         assert!(rules.iter().any(|r| r.fwmark == Some(2) && r.table == 102));
 
-        assert_eq!(host.iface(g1.lan).unwrap().ct_zone, 1);
+        assert_eq!(g1_lan.ct_zone, 1);
     }
 
+    /// A binding refused part-way leaves the namespace as it found it:
+    /// its WAN VID is taken, so its LAN sub-interface was made first and
+    /// must go again, or no later unbind could reach it.
     #[test]
     fn duplicate_vid_rejected() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let ns = host.add_namespace("nnf");
-        let port = host.add_external(ns, "attach0", 7).unwrap();
-        let mut ledger = MemLedger::new();
-        let account = ledger.create_account("nnf", None);
-        let mut layer = AdaptationLayer::default();
+        let mut rig = Rig::new();
         let b = binding("g1", 1);
-        let mut ctx = NnfContext {
-            host: &mut host,
-            ns,
-            ledger: &mut ledger,
-            account,
-        };
-        layer.attach(&mut ctx, port, &b).unwrap();
+        rig.bind(&b).unwrap();
+        let before = snapshot(&rig.host, rig.ns);
         let mut dup = binding("g9", 9);
-        dup.vid_lan = b.vid_lan; // collides
-        assert!(matches!(
-            layer.attach(&mut ctx, port, &dup),
-            Err(NnfError::Kernel(_))
-        ));
+        dup.vid_wan = b.vid_wan; // collides
+        assert!(matches!(rig.bind(&dup), Err(NnfError::Kernel(_))));
+        assert_eq!(snapshot(&rig.host, rig.ns), before);
+        assert!(rig.host.iface_by_name(rig.ns, "m9-lan").is_none());
+        assert_eq!(rig.nat.bindings().collect::<Vec<_>>(), [&b]);
     }
 
     #[test]
     fn detach_cleans_up() {
-        let mut host = Host::new("cpe", CostModel::default());
-        let ns = host.add_namespace("nnf");
-        let port = host.add_external(ns, "attach0", 7).unwrap();
-        let mut ledger = MemLedger::new();
-        let account = ledger.create_account("nnf", None);
-        let mut layer = AdaptationLayer::default();
+        let mut rig = Rig::new();
         let b = binding("g1", 1);
-        {
-            let mut ctx = NnfContext {
-                host: &mut host,
-                ns,
-                ledger: &mut ledger,
-                account,
-            };
-            layer.attach(&mut ctx, port, &b).unwrap();
-            layer.detach(&mut ctx, &b).unwrap();
-            assert!(matches!(
-                layer.detach(&mut ctx, &b),
-                Err(NnfError::BadState(_))
-            ));
-        }
-        assert_eq!(layer.bindings().count(), 0);
-        assert_eq!(host.iface_count(), 3, "root lo, nnf lo, attach0");
-        let nsr = host.namespace(ns).unwrap();
+        rig.bind(&b).unwrap();
+        rig.unbind(&b).unwrap();
+        assert!(matches!(rig.unbind(&b), Err(NnfError::BadState(_))));
+        assert_eq!(rig.nat.bindings().count(), 0);
+        assert_eq!(rig.host.iface_count(), 3, "root lo, nnf lo, attach0");
+        let nsr = rig.host.namespace(rig.ns).unwrap();
         assert!(nsr
             .netfilter
             .rules(NfTable::Mangle, Chain::Prerouting)

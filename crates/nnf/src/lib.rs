@@ -24,10 +24,10 @@
 //!   (its module docs give the mapping); it holds the one map from a
 //!   type's name to its program.
 //! * [`adaptation`] — the paper's *adaptation layer* for sharable NNFs
-//!   attached through a single port: per-graph VLAN sub-interfaces whose
-//!   ingress traffic is marked (fwmark + conntrack zone) and whose
-//!   egress is re-tagged, plus per-graph routing tables ("multiple
-//!   internal paths"), and the shared NAT's per-graph attachments.
+//!   attached through a single port, the record of who rides one. Each
+//!   binding is a compiled list, [`binding_program`]: per-graph marked
+//!   VLAN sub-interfaces, a per-graph routing table ("multiple internal
+//!   paths") and the NAT program a dedicated NAT runs too.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -39,4 +39,6 @@ pub mod translate;
 
 pub use adaptation::AdaptationLayer;
 pub use plugin::{GraphBinding, NnfContext, NnfDescriptor, NnfError, NnfInstance};
-pub use translate::{compile, CompileError, CompiledNf, NatBinding, NnfCommand, Programs};
+pub use translate::{
+    binding_program, compile, CompileError, CompiledNf, NatBinding, NnfCommand, Programs,
+};

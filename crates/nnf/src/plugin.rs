@@ -7,8 +7,8 @@
 //! the network namespace the compute manager created for it. A shared
 //! instance instead accepts per-service-graph *bindings* carrying the
 //! mark / VLAN / conntrack-zone triple the node assigned and the NAT
-//! binding compiled from the graph's config, and its adaptation layer is
-//! their one record.
+//! binding compiled from the graph's config; each runs as its own
+//! command list, and the adaptation layer is their one record.
 
 use std::fmt;
 
@@ -16,8 +16,8 @@ use un_linux::{Host, IfaceId, NsId};
 use un_sim::{AccountId, MemLedger};
 
 use crate::adaptation::AdaptationLayer;
-use crate::plugins::{execute, BRIDGE};
-use crate::translate::{self, NatBinding, NnfCommand};
+use crate::plugins::{execute, undo, BRIDGE};
+use crate::translate::{self, binding_program, NatBinding, NnfCommand};
 
 /// Static characteristics of one NNF type: what the paper's orchestrator
 /// consults when deciding whether to deploy an NF as a native component
@@ -230,39 +230,45 @@ impl NnfInstance {
             None if have < need => return Err(NnfError::NotEnoughPorts { need, have }),
             None => program,
         };
-        execute(ctx, ports, program)?;
+        let ports = execute(ctx, ports, program)?;
         let d = &self.descriptor;
         ctx.ledger
             .alloc(ctx.account, d.functional_type, d.rss_bytes)
             .map_err(|e| NnfError::Kernel(e.to_string()))?;
-        self.ports = ports.to_vec();
+        self.ports = ports;
         self.started = true;
         Ok(())
     }
 
-    /// Attach one more binding to a running shared instance, over its
-    /// attachment port.
+    /// Attach one more binding to a running shared instance: execute its
+    /// [`binding_program`] over the attachment port. A binding that fails
+    /// leaves the namespace as it was.
     pub fn bind_graph(
         &mut self,
         ctx: &mut NnfContext<'_>,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
         let adaptation = self.adaptation.as_mut().ok_or(NnfError::NotSharable)?;
-        match self.ports[..] {
-            [parent] if self.started => adaptation.bind_nat(ctx, parent, binding),
-            _ => Err(NnfError::BadState("bind before start")),
+        if !self.started {
+            return Err(NnfError::BadState("bind before start"));
         }
+        let ports = execute(ctx, &self.ports, &binding_program(binding)?)?;
+        adaptation.insert(binding, ports);
+        Ok(())
     }
 
-    /// Detach a binding from a shared instance; a binding it does not
-    /// hold is a `BadState`.
+    /// Detach a binding from a shared instance: undo its
+    /// [`binding_program`]. A binding it does not hold is a `BadState`.
     pub fn unbind_graph(
         &mut self,
         ctx: &mut NnfContext<'_>,
         binding: &GraphBinding,
     ) -> Result<(), NnfError> {
         let adaptation = self.adaptation.as_mut().ok_or(NnfError::NotSharable)?;
-        adaptation.unbind_nat(ctx, binding)
+        let ports = adaptation
+            .remove(binding)
+            .ok_or(NnfError::BadState("graph not attached"))?;
+        undo(ctx, &ports, &binding_program(binding)?)
     }
 
     /// Tear the function down: free its RSS, down what `start` brought

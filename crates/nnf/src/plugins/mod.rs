@@ -1,6 +1,7 @@
-//! The shell every NNF's program runs in.
+//! The shell every NNF's program runs in, and its inverse.
 
-use un_linux::IfaceId;
+use un_linux::netfilter::NfRule;
+use un_linux::{HostError, IfaceId};
 
 use crate::plugin::{NnfContext, NnfError};
 use crate::translate::NnfCommand;
@@ -8,76 +9,165 @@ use crate::translate::NnfCommand;
 /// The name of the bridge [`NnfCommand::Bridge`] creates.
 pub(crate) const BRIDGE: &str = "br0";
 
-/// Execute compiled commands against the NNF's namespace.
+/// Execute compiled commands against the NNF's namespace, and return its
+/// ports after them: `ports`, then each sub-interface the list made.
 ///
 /// This is the plugin scripts' shared "shell": every [`NnfCommand`]
 /// corresponds to the `ip`/`iptables`/`sysctl` invocation its doc names.
 /// Port indices resolve to `ports`, the namespace's interfaces in NF
-/// port order.
+/// port order, and a sub-interface takes the next index. A command that
+/// fails is the error, once [`undo`] has removed what ran before it.
 pub fn execute(
     ctx: &mut NnfContext<'_>,
     ports: &[IfaceId],
     cmds: &[NnfCommand],
+) -> Result<Vec<IfaceId>, NnfError> {
+    let mut ports = ports.to_vec();
+    for (ran, cmd) in cmds.iter().enumerate() {
+        if let Err(error) = run(ctx, &mut ports, cmd) {
+            undo(ctx, &ports, &cmds[..ran])?;
+            return Err(error);
+        }
+    }
+    Ok(ports)
+}
+
+/// Undo what [`execute`] made of `cmds` on `ports` (the ports it
+/// returned), last command first: a sub-interface is removed with its
+/// addresses and routes, an appended rule is deleted, an `ip rule`'s
+/// table is dropped with every rule pointing at it, and a zone's
+/// connections are flushed. Everything else a binding's list sets lives
+/// on one of those; a dedicated list goes with its namespace.
+pub fn undo(
+    ctx: &mut NnfContext<'_>,
+    ports: &[IfaceId],
+    cmds: &[NnfCommand],
 ) -> Result<(), NnfError> {
-    let port = |i: usize| {
-        ports.get(i).copied().ok_or(NnfError::NotEnoughPorts {
-            need: i + 1,
-            have: ports.len(),
-        })
-    };
-    for cmd in cmds {
+    let mut made = ports.len();
+    for cmd in cmds.iter().rev() {
+        if let NnfCommand::VlanSub { .. } = cmd {
+            made -= 1;
+            ctx.host.remove_iface(ports[made])?;
+            continue;
+        }
+        let missing = HostError::NoSuchNamespace(ctx.ns.0);
+        let nsr = ctx.host.namespace_mut(ctx.ns).ok_or(missing)?;
         match cmd {
-            NnfCommand::IpAddr { cidr, dev_port } => ctx.host.addr_add(port(*dev_port)?, *cidr)?,
-            NnfCommand::LinkUp { dev_port } => ctx.host.set_up(port(*dev_port)?, true)?,
-            NnfCommand::IpRoute {
-                table,
-                dst,
-                via,
-                dev_port,
-                metric,
-            } => {
-                let dev = port(*dev_port)?;
-                ctx.host
-                    .route_add(ctx.ns, *table, *dst, *via, dev, *metric)?;
-            }
-            NnfCommand::Sysctl { ip_forward } => ctx.host.sysctl_ip_forward(ctx.ns, *ip_forward)?,
-            NnfCommand::IptablesPolicy {
-                table,
-                chain,
-                accept,
-            } => ctx.host.nf_policy(ctx.ns, *table, *chain, *accept)?,
             NnfCommand::IptablesAppend {
                 table,
                 chain,
                 rule,
+                in_port,
                 out_port,
             } => {
-                let mut rule = rule.clone();
-                if let Some(i) = out_port {
-                    rule.matches.out_iface = Some(port(*i)?);
-                }
-                ctx.host.nf_append(ctx.ns, *table, *chain, rule)?;
+                let rule = bound(rule, *in_port, *out_port, &ports[..made])?;
+                let (matches, target) = (&rule.matches, &rule.target);
+                nsr.netfilter.remove_rule(*table, *chain, matches, target);
             }
-            NnfCommand::XfrmState(sa) => ctx.host.xfrm_mut(ctx.ns)?.sad.install(sa.clone()),
-            NnfCommand::XfrmPolicy(policy) => {
-                ctx.host.xfrm_mut(ctx.ns)?.spd.install(policy.clone())
-            }
-            NnfCommand::Bridge { members } => {
-                let br = ctx.host.add_bridge(ctx.ns, BRIDGE)?;
-                for &i in members {
-                    let dev = port(i)?;
-                    ctx.host.bridge_attach(br, dev)?;
-                    ctx.host.set_up(dev, true)?;
-                }
-                ctx.host.set_up(br, true)?;
-            }
+            NnfCommand::IpRule(rule) => nsr.routing.remove_table(rule.table),
+            NnfCommand::CtZone { zone, .. } => nsr.conntrack.flush_zone(*zone),
+            NnfCommand::VlanSub { .. }
+            | NnfCommand::IpAddr { .. }
+            | NnfCommand::LinkUp { .. }
+            | NnfCommand::IpRoute { .. }
+            | NnfCommand::Sysctl { .. }
+            | NnfCommand::IptablesPolicy { .. }
+            | NnfCommand::XfrmState(_)
+            | NnfCommand::XfrmPolicy(_)
+            | NnfCommand::Bridge { .. } => {}
         }
     }
     Ok(())
 }
 
+/// The interface at NF port index `i`.
+fn port(ports: &[IfaceId], i: usize) -> Result<IfaceId, NnfError> {
+    ports.get(i).copied().ok_or(NnfError::NotEnoughPorts {
+        need: i + 1,
+        have: ports.len(),
+    })
+}
+
+/// `rule` matching the interfaces at `in_port` and `out_port`.
+fn bound(
+    rule: &NfRule,
+    in_port: Option<usize>,
+    out_port: Option<usize>,
+    ports: &[IfaceId],
+) -> Result<NfRule, NnfError> {
+    let mut rule = rule.clone();
+    rule.matches.in_iface = in_port.map(|i| port(ports, i)).transpose()?;
+    rule.matches.out_iface = out_port.map(|i| port(ports, i)).transpose()?;
+    Ok(rule)
+}
+
+/// Run one command, pushing the sub-interface it makes onto `ports`.
+fn run(
+    ctx: &mut NnfContext<'_>,
+    ports: &mut Vec<IfaceId>,
+    cmd: &NnfCommand,
+) -> Result<(), NnfError> {
+    match cmd {
+        NnfCommand::IpAddr { cidr, dev_port } => {
+            ctx.host.addr_add(port(ports, *dev_port)?, *cidr)?
+        }
+        NnfCommand::LinkUp { dev_port } => ctx.host.set_up(port(ports, *dev_port)?, true)?,
+        NnfCommand::IpRoute {
+            table,
+            dst,
+            via,
+            dev_port,
+            metric,
+        } => {
+            let dev = port(ports, *dev_port)?;
+            ctx.host
+                .route_add(ctx.ns, *table, *dst, *via, dev, *metric)?;
+        }
+        NnfCommand::Sysctl { ip_forward } => ctx.host.sysctl_ip_forward(ctx.ns, *ip_forward)?,
+        NnfCommand::IptablesPolicy {
+            table,
+            chain,
+            accept,
+        } => ctx.host.nf_policy(ctx.ns, *table, *chain, *accept)?,
+        NnfCommand::IptablesAppend {
+            table,
+            chain,
+            rule,
+            in_port,
+            out_port,
+        } => {
+            let rule = bound(rule, *in_port, *out_port, ports)?;
+            ctx.host.nf_append(ctx.ns, *table, *chain, rule)?;
+        }
+        NnfCommand::XfrmState(sa) => ctx.host.xfrm_mut(ctx.ns)?.sad.install(sa.clone()),
+        NnfCommand::XfrmPolicy(policy) => ctx.host.xfrm_mut(ctx.ns)?.spd.install(policy.clone()),
+        NnfCommand::Bridge { members } => {
+            let br = ctx.host.add_bridge(ctx.ns, BRIDGE)?;
+            for &i in members {
+                let dev = port(ports, i)?;
+                ctx.host.bridge_attach(br, dev)?;
+                ctx.host.set_up(dev, true)?;
+            }
+            ctx.host.set_up(br, true)?;
+        }
+        NnfCommand::VlanSub {
+            parent_port,
+            vid,
+            name,
+        } => {
+            let parent = port(ports, *parent_port)?;
+            ports.push(ctx.host.add_vlan_sub(parent, *vid, name)?);
+        }
+        NnfCommand::CtZone { dev_port, zone } => {
+            ctx.host.set_ct_zone(port(ports, *dev_port)?, *zone)?
+        }
+        NnfCommand::IpRule(rule) => ctx.host.rule_add(ctx.ns, rule.clone())?,
+    }
+    Ok(())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     //! Each NNF's namespace, pinned against the host calls the plugins
     //! made by hand before `start` became one command list: an instance
     //! starts on a fresh namespace, its twin runs the reference script,
@@ -92,9 +182,10 @@ mod tests {
     use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
     use un_linux::conntrack::CtState;
     use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
+    use un_linux::route::IpRule;
     use un_linux::{Host, IfaceId, IfaceKind, NsId, MAIN_TABLE};
     use un_nffg::NfConfig;
-    use un_packet::Ipv4Cidr;
+    use un_packet::{Ipv4Cidr, MacAddr, Packet, PacketBuilder};
     use un_sim::{CostModel, MemLedger};
 
     use crate::plugin::{described, GraphBinding, NnfContext, NnfError, NnfInstance};
@@ -112,15 +203,16 @@ mod tests {
     }
 
     /// Everything a plugin configures in a namespace: each interface's
-    /// addresses and up flag, each bridge's members, the routing tables
-    /// and rules, every netfilter chain with its policy and rule order,
-    /// the SAD/SPD and `ip_forward`.
-    fn snapshot(host: &Host, ns: NsId) -> String {
+    /// addresses, up flag and conntrack zone, each bridge's members, the
+    /// routing tables and rules, every netfilter chain with its policy
+    /// and rule order, the SAD/SPD and `ip_forward`.
+    pub(crate) fn snapshot(host: &Host, ns: NsId) -> String {
         let nsr = host.namespace(ns).unwrap();
         let mut out = String::new();
         for id in &nsr.ifaces {
             let iface = host.iface(*id).unwrap();
-            writeln!(out, "{} {:?} up={}", iface.name, iface.addrs, iface.up).unwrap();
+            let (name, addrs, up, zone) = (&iface.name, &iface.addrs, iface.up, iface.ct_zone);
+            writeln!(out, "{name} {addrs:?} up={up} zone={zone}").unwrap();
             if let IfaceKind::Bridge { members, .. } = &iface.kind {
                 let names: Vec<&str> = members
                     .iter()
@@ -331,6 +423,7 @@ mod tests {
             let masquerade = NfRule::new(wan, Target::Masquerade);
             h.nf_append(ns, NfTable::Nat, Chain::Postrouting, masquerade)?;
             let web = RuleMatch {
+                in_iface: Some(p[1]),
                 dport: Some(8080),
                 ..Default::default()
             };
@@ -348,6 +441,122 @@ mod tests {
             h.set_up(p[0], true)?;
             h.sysctl_ip_forward(ns, true)
         });
+    }
+
+    /// A binding of `mark` whose NAT faces the LAN `192.168.1.1/24` and
+    /// the WAN `wan`, with next hop `gw` and port forwards `dnat`.
+    fn nat_binding(mark: u32, wan: &str, gw: Option<&str>, dnat: Vec<PortForward>) -> GraphBinding {
+        let addressing = NatBinding {
+            lan: cidr("192.168.1.1/24"),
+            wan: cidr(wan),
+            gw: gw.map(ip),
+            dnat,
+        };
+        GraphBinding {
+            graph: format!("g{mark}"),
+            mark,
+            zone: mark as u16,
+            vid_lan: (100 + 2 * mark) as u16,
+            vid_wan: (101 + 2 * mark) as u16,
+            nat: Some(addressing),
+        }
+    }
+
+    /// Two bindings on a started shared NAT — one with `wan-gw` and two
+    /// port forwards, one without a next hop — leave the namespace that
+    /// the adaptation layer's hand-written host calls built, binding by
+    /// binding: marked sub-interfaces, zones, marking rules and `ip
+    /// rule`, then addresses, private table, masquerade rule and port
+    /// forwards.
+    #[test]
+    fn shared_nat_binding_namespace_is_pinned() {
+        let forwards = vec![
+            PortForward {
+                dport: 8080,
+                to: ip("192.168.1.20"),
+                port: Some(80),
+            },
+            PortForward {
+                dport: 2222,
+                to: ip("192.168.1.21"),
+                port: None,
+            },
+        ];
+        let bindings = [
+            nat_binding(1, "203.0.113.1/24", Some("203.0.113.254"), forwards),
+            nat_binding(2, "198.51.100.1/24", None, Vec::new()),
+        ];
+        let (mut host, ns, ports) = fresh(1);
+        let mut nat = shared_nat();
+        start(&mut nat, &mut host, ns, &ports, &NfConfig::default()).unwrap();
+        let mut ledger = MemLedger::new();
+        let account = ledger.create_account("nnf", None);
+        let mut ctx = NnfContext {
+            host: &mut host,
+            ns,
+            ledger: &mut ledger,
+            account,
+        };
+        for binding in &bindings {
+            nat.bind_graph(&mut ctx, binding).unwrap();
+        }
+
+        let (mut twin, twin_ns, twin_ports) = fresh(1);
+        let script = |h: &mut Host, ns: NsId, parent: IfaceId| {
+            h.set_up(parent, true)?;
+            h.sysctl_ip_forward(ns, true)?;
+            for b in &bindings {
+                let nat = b.nat.as_ref().unwrap();
+                let lan = h.add_vlan_sub(parent, b.vid_lan, &format!("m{}-lan", b.mark))?;
+                let wan = h.add_vlan_sub(parent, b.vid_wan, &format!("m{}-wan", b.mark))?;
+                h.set_up(lan, true)?;
+                h.set_up(wan, true)?;
+                h.set_ct_zone(lan, b.zone)?;
+                h.set_ct_zone(wan, b.zone)?;
+                for sub in [lan, wan] {
+                    let arrived = RuleMatch {
+                        in_iface: Some(sub),
+                        ..Default::default()
+                    };
+                    let mark = NfRule::new(arrived, Target::SetMark(b.mark));
+                    h.nf_append(ns, NfTable::Mangle, Chain::Prerouting, mark)?;
+                }
+                let table = 100 + b.mark;
+                let rule = IpRule {
+                    priority: 100 + b.mark,
+                    fwmark: Some(b.mark),
+                    table,
+                };
+                h.rule_add(ns, rule)?;
+                h.addr_add(lan, nat.lan)?;
+                h.addr_add(wan, nat.wan)?;
+                h.route_add(ns, table, cidr("192.168.1.0/24"), None, lan, 0)?;
+                h.route_add(ns, table, cidr("0.0.0.0/0"), nat.gw, wan, 0)?;
+                let leaving = RuleMatch {
+                    out_iface: Some(wan),
+                    fwmark: Some(b.mark),
+                    ..Default::default()
+                };
+                let masquerade = NfRule::new(leaving, Target::Masquerade);
+                h.nf_append(ns, NfTable::Nat, Chain::Postrouting, masquerade)?;
+                for f in &nat.dnat {
+                    let arrived = RuleMatch {
+                        in_iface: Some(wan),
+                        dport: Some(f.dport),
+                        ..Default::default()
+                    };
+                    let to = Target::Dnat {
+                        to: f.to,
+                        port: f.port,
+                    };
+                    let forward = NfRule::new(arrived, to);
+                    h.nf_append(ns, NfTable::Nat, Chain::Prerouting, forward)?;
+                }
+            }
+            Ok::<_, un_linux::HostError>(())
+        };
+        script(&mut twin, twin_ns, twin_ports[0]).unwrap();
+        assert_eq!(snapshot(&host, ns), snapshot(&twin, twin_ns));
     }
 
     /// Random bind / unbind sequences over one shared NAT, some bindings
@@ -422,6 +631,176 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A side of a NAT.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Side {
+        Lan,
+        Wan,
+    }
+
+    /// One UDP or TCP frame's addresses and ports, and the side it
+    /// arrives on.
+    #[derive(Debug, Clone, Copy)]
+    struct Flow {
+        side: Side,
+        tcp: bool,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        sport: u16,
+        dport: u16,
+    }
+
+    impl Flow {
+        /// The reply to the IPv4 packet `ip`, which left on `side`.
+        fn reply(side: Side, ip: &[u8]) -> Self {
+            let at = |i: usize| Ipv4Addr::new(ip[i], ip[i + 1], ip[i + 2], ip[i + 3]);
+            let l4 = usize::from(ip[0] & 0x0f) * 4;
+            let port = |i: usize| u16::from_be_bytes([ip[l4 + i], ip[l4 + i + 1]]);
+            Flow {
+                side,
+                tcp: ip[9] == 6,
+                src: at(16),
+                dst: at(12),
+                sport: port(2),
+                dport: port(0),
+            }
+        }
+
+        /// The frame, to `mac`, tagged `vid` if given.
+        fn frame(&self, mac: MacAddr, vid: Option<u16>) -> Packet {
+            let mut b = PacketBuilder::new().ethernet(MacAddr::local(50), mac);
+            if let Some(vid) = vid {
+                b = b.vlan(vid);
+            }
+            b = b.ipv4(self.src, self.dst);
+            b = match self.tcp {
+                true => b.tcp_data(self.sport, self.dport, 1, 1),
+                false => b.udp(self.sport, self.dport),
+            };
+            b.payload(b"nat").build()
+        }
+    }
+
+    /// A frame's bytes from its IPv4 header on, its VLAN tag popped.
+    fn ipv4_bytes(mut frame: Packet) -> Vec<u8> {
+        if frame.vlan_id().is_some() {
+            frame.vlan_pop().unwrap();
+        }
+        frame.ethernet().unwrap().payload().to_vec()
+    }
+
+    /// One NAT program serves both modes: a dedicated NAT and a shared
+    /// NAT holding the same config as its only binding emit the same
+    /// IPv4 bytes on the same side, VLAN tags and MACs aside. Each case
+    /// is a random config with `wan-gw` and 0–2 port forwards, and a run
+    /// of UDP and TCP frames from either side: replies to what left,
+    /// unsolicited frames, frames to forwarded and unforwarded ports and
+    /// to the NAT's own addresses. The one difference left between the
+    /// modes is a binding without `wan-gw`: its private table still has
+    /// a catch-all out its WAN side, where a dedicated NAT has no default
+    /// route.
+    #[test]
+    fn a_dedicated_and_a_shared_nat_translate_alike() {
+        let inside = ["192.168.1.5", "192.168.1.20", "192.168.1.21"].map(ip);
+        let outside = ["203.0.113.9", "198.51.100.7"].map(ip);
+        let own = ["192.168.1.1", "203.0.113.1"].map(ip);
+        let anyone = [&inside[..], &outside, &own].concat();
+        let neighbours = [&inside[..], &outside, &[ip("203.0.113.254")]].concat();
+        let mut rng = un_sim::DetRng::new(44);
+        let mut left = [0usize; 2];
+        for case in 0..64 {
+            let mut config = NfConfig::default()
+                .with_param("lan-addr", "192.168.1.1/24")
+                .with_param("wan-addr", "203.0.113.1/24")
+                .with_param("wan-gw", "203.0.113.254");
+            for i in 0..rng.index(3) {
+                let (dport, to) = (format!("{}", 8080 + i), format!("192.168.1.{}", 20 + i));
+                let mut forward = rule(&[("kind", "dnat"), ("dport", &dport), ("to", &to)]);
+                if rng.chance(0.5) {
+                    forward.insert("to-port".into(), "80".into());
+                }
+                config.rules.push(forward);
+            }
+            let (mut dedicated, d_ns, d_ports) = fresh(2);
+            start(&mut nnf("nat"), &mut dedicated, d_ns, &d_ports, &config).unwrap();
+            let (mut shared, s_ns, s_ports) = fresh(1);
+            let mut nat = shared_nat();
+            start(&mut nat, &mut shared, s_ns, &s_ports, &NfConfig::default()).unwrap();
+            let compiled = compiled("nat", &config, 2).unwrap().unwrap();
+            let binding = GraphBinding {
+                nat: compiled.nat,
+                ..nat_binding(1, "203.0.113.1/24", None, Vec::new())
+            };
+            let mut ledger = MemLedger::new();
+            let account = ledger.create_account("nnf", None);
+            let mut ctx = NnfContext {
+                host: &mut shared,
+                ns: s_ns,
+                ledger: &mut ledger,
+                account,
+            };
+            nat.bind_graph(&mut ctx, &binding).unwrap();
+            for (i, &addr) in neighbours.iter().enumerate() {
+                let mac = MacAddr::local(100 + i as u32);
+                dedicated.neigh_add(d_ns, addr, mac).unwrap();
+                shared.neigh_add(s_ns, addr, mac).unwrap();
+            }
+            let shared_mac = shared.iface(s_ports[0]).unwrap().mac;
+
+            let mut sent: Vec<(Side, Vec<u8>)> = Vec::new();
+            for step in 0..24 {
+                let tag = format!("case {case} step {step}");
+                let pick =
+                    |rng: &mut un_sim::DetRng, from: &[Ipv4Addr]| from[rng.index(from.len())];
+                let flow = if !sent.is_empty() && rng.chance(0.3) {
+                    let (side, ip) = &sent[rng.index(sent.len())];
+                    Flow::reply(*side, ip)
+                } else {
+                    let (side, hosts) =
+                        [(Side::Lan, &inside[..]), (Side::Wan, &outside[..])][rng.index(2)];
+                    let dports = [53, 80, 8080, 8081, 9999];
+                    Flow {
+                        side,
+                        tcp: rng.chance(0.5),
+                        src: pick(&mut rng, hosts),
+                        dst: pick(&mut rng, &anyone),
+                        sport: [5000, 5001, 40000][rng.index(3)],
+                        dport: dports[rng.index(dports.len())],
+                    }
+                };
+                let port = d_ports[flow.side as usize];
+                let mac = dedicated.iface(port).unwrap().mac;
+                let by_port = |(tag, frame): (u64, Packet)| {
+                    let side = if tag == 1 { Side::Lan } else { Side::Wan };
+                    (side, ipv4_bytes(frame))
+                };
+                let out = dedicated.inject(port, flow.frame(mac, None)).emitted;
+                let out: Vec<_> = out.into_iter().map(by_port).collect();
+                let vid = [binding.vid_lan, binding.vid_wan][flow.side as usize];
+                let by_vid = |(_, frame): (u64, Packet)| {
+                    let side = match frame.vlan_id() {
+                        Some(vid) if vid == binding.vid_lan => Side::Lan,
+                        Some(vid) if vid == binding.vid_wan => Side::Wan,
+                        other => panic!("left on VLAN {other:?}"),
+                    };
+                    (side, ipv4_bytes(frame))
+                };
+                let frame = flow.frame(shared_mac, Some(vid));
+                let shared_out = shared.inject(s_ports[0], frame).emitted;
+                let shared_out: Vec<_> = shared_out.into_iter().map(by_vid).collect();
+                assert_eq!(out, shared_out, "{tag}: {flow:?}");
+                for (side, _) in &out {
+                    left[*side as usize] += 1;
+                }
+                sent.extend(out);
+            }
+        }
+        assert!(
+            left.iter().all(|&n| n > 100),
+            "frames left each side: {left:?}"
+        );
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //! script would run (`ip addr add …`, `ip link add … type bridge`,
 //! `ip route add …`, `iptables -A …`, `ip xfrm state add …`), in the
 //! order the script runs them, and for a NAT the [`NatBinding`] it
-//! parsed. Below the compiler only the lists travel: a dedicated
-//! instance's [`start`](crate::NnfInstance::start) is a guard,
+//! parsed. Below the compiler only lists travel: a dedicated instance's
+//! [`start`](crate::NnfInstance::start) is a guard,
 //! [`execute`](crate::plugins::execute) of its list, and its RSS
-//! booking; a shared one runs `SHARED_ATTACHMENT`, and each graph's
-//! binding installs its [`NatBinding`] through the adaptation layer.
-//! Every flavor is configured from here: native, Docker, VM and DPDK
-//! instances run the same list in a namespace (a VM's is its guest
+//! booking; a shared one runs `SHARED_ATTACHMENT`, and each binding
+//! riding it is [`binding_program`], the same NAT program a dedicated
+//! NAT runs, written over the binding's own sub-interfaces, table and
+//! mark. Every flavor is configured from here: native, Docker, VM and
+//! DPDK instances run the same list in a namespace (a VM's is its guest
 //! kernel), and every type the node lists has a program.
 //!
 //! Translation parses everything before it emits anything, and
@@ -36,11 +37,12 @@ use un_ipsec::sa::SecurityAssociation;
 use un_ipsec::spd::{PolicyAction, PolicyDirection, SecurityPolicy, TrafficSelector};
 use un_linux::conntrack::CtState;
 use un_linux::netfilter::{Chain, NfRule, NfTable, RuleMatch, Target};
-use un_linux::IfaceId;
+use un_linux::route::IpRule;
+use un_linux::MAIN_TABLE;
 use un_nffg::{NfConfig, NfFg};
 use un_packet::Ipv4Cidr;
 
-use crate::plugin::NnfError;
+use crate::plugin::{GraphBinding, NnfError};
 
 /// A typed NNF configuration command (what the bash scripts would run).
 /// Ports are NF port indices; [`execute`](crate::plugins::execute)
@@ -86,7 +88,7 @@ pub enum NnfCommand {
         /// ACCEPT (true) or DROP (false).
         accept: bool,
     },
-    /// `iptables -t <table> -A <chain> [-o <port idx>] …`
+    /// `iptables -t <table> -A <chain> [-i <port idx>] [-o <port idx>] …`
     IptablesAppend {
         /// Table.
         table: NfTable,
@@ -94,6 +96,8 @@ pub enum NnfCommand {
         chain: Chain,
         /// The rule.
         rule: NfRule,
+        /// NF port index the rule matches as its in-interface.
+        in_port: Option<usize>,
         /// NF port index the rule matches as its out-interface.
         out_port: Option<usize>,
     },
@@ -107,6 +111,25 @@ pub enum NnfCommand {
         /// NF port indices enslaved to the bridge, in order.
         members: Vec<usize>,
     },
+    /// `ip link add link <port idx> name <name> type vlan id <vid>`; the
+    /// sub-interface is the next port index.
+    VlanSub {
+        /// NF port index of the parent interface.
+        parent_port: usize,
+        /// 802.1Q VLAN id.
+        vid: u16,
+        /// Interface name.
+        name: String,
+    },
+    /// Track what arrives on `<port idx>` in conntrack zone `zone`.
+    CtZone {
+        /// NF port index.
+        dev_port: usize,
+        /// Conntrack zone.
+        zone: u16,
+    },
+    /// `ip rule add fwmark <mark> table <table> priority <priority>`
+    IpRule(IpRule),
 }
 
 /// One NF's configuration, compiled.
@@ -115,8 +138,8 @@ pub struct CompiledNf {
     /// A dedicated instance's namespace program; the instance's sandbox
     /// keeps its own copy, to run on each start.
     pub commands: Vec<NnfCommand>,
-    /// A NAT's addressing and port forwards: what a shared instance's
-    /// adaptation layer installs for the graph's binding.
+    /// A NAT's addressing and port forwards: what a binding on a shared
+    /// instance carries to its [`binding_program`].
     pub nat: Option<NatBinding>,
 }
 
@@ -227,10 +250,10 @@ pub fn derive_psk_tunnel(
     }
 }
 
-/// A main-table route out `dev_port`.
-fn route(dst: Ipv4Cidr, via: Option<Ipv4Addr>, dev_port: usize) -> NnfCommand {
+/// A route in `table` out `dev_port`.
+fn route(table: u32, dst: Ipv4Cidr, via: Option<Ipv4Addr>, dev_port: usize) -> NnfCommand {
     NnfCommand::IpRoute {
-        table: un_linux::MAIN_TABLE,
+        table,
         dst,
         via,
         dev_port,
@@ -238,9 +261,10 @@ fn route(dst: Ipv4Cidr, via: Option<Ipv4Addr>, dev_port: usize) -> NnfCommand {
     }
 }
 
-/// The default route toward the next hop `gw` behind port 1.
-fn default_route(gw: Ipv4Addr) -> NnfCommand {
-    route(Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0), Some(gw), 1)
+/// The default route in `table` toward `via` out `dev_port`.
+fn default_route(table: u32, via: Option<Ipv4Addr>, dev_port: usize) -> NnfCommand {
+    let any = Ipv4Cidr::new(Ipv4Addr::UNSPECIFIED, 0);
+    route(table, any, via, dev_port)
 }
 
 /// Port by port: its address, if it has one, then link up.
@@ -253,27 +277,19 @@ fn bring_up(addrs: &[Option<Ipv4Cidr>]) -> Vec<NnfCommand> {
     cmds
 }
 
-/// A LAN (port 0) / WAN (port 1) pair: both addresses, then both links.
-fn lan_wan(lan: Ipv4Cidr, wan: Ipv4Cidr) -> Vec<NnfCommand> {
-    vec![
-        NnfCommand::IpAddr {
-            cidr: lan,
-            dev_port: 0,
-        },
-        NnfCommand::IpAddr {
-            cidr: wan,
-            dev_port: 1,
-        },
-        NnfCommand::LinkUp { dev_port: 0 },
-        NnfCommand::LinkUp { dev_port: 1 },
-    ]
+/// A LAN / WAN pair on its two ports: both addresses, then both links.
+fn lan_wan(ports: [usize; 2], lan: Ipv4Cidr, wan: Ipv4Cidr) -> Vec<NnfCommand> {
+    let addrs = [lan, wan].into_iter().zip(ports);
+    let addrs = addrs.map(|(cidr, dev_port)| NnfCommand::IpAddr { cidr, dev_port });
+    let links = ports.map(|dev_port| NnfCommand::LinkUp { dev_port });
+    addrs.chain(links).collect()
 }
 
 /// Port 0 faces the protected LAN, port 1 the WAN: the interface half
 /// (`lan-addr`, `wan-addr`), then the tunnel half.
 fn translate_ipsec(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
     let p = &c.params;
-    let mut cmds = lan_wan(req(p, "", "lan-addr")?, req(p, "", "wan-addr")?);
+    let mut cmds = lan_wan([0, 1], req(p, "", "lan-addr")?, req(p, "", "wan-addr")?);
     cmds.extend(ipsec_tunnel(c)?);
     Ok(cmds.into())
 }
@@ -298,7 +314,7 @@ fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
     Ok(vec![
         // Traffic for the protected remote prefix heads toward the peer;
         // XFRM intercepts and encapsulates it on the way out.
-        route(prot_remote, Some(peer), 1),
+        route(MAIN_TABLE, prot_remote, Some(peer), 1),
         NnfCommand::Sysctl { ip_forward: true },
         NnfCommand::XfrmState(SecurityAssociation::outbound(
             spi_out, local, peer, key_out, salt_out,
@@ -324,12 +340,14 @@ fn ipsec_tunnel(c: &NfConfig) -> Result<Vec<NnfCommand>, NnfError> {
 fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
     let p = &c.params;
     let mut cmds = bring_up(&[opt(p, "", "addr0")?, opt(p, "", "addr1")?]);
-    cmds.extend(opt(p, "", "gw")?.map(default_route));
+    let gw: Option<Ipv4Addr> = opt(p, "", "gw")?;
+    cmds.extend(gw.map(|gw| default_route(MAIN_TABLE, Some(gw), 1)));
     cmds.push(NnfCommand::Sysctl { ip_forward: true });
     let forward = |matches, target| NnfCommand::IptablesAppend {
         table: NfTable::Filter,
         chain: Chain::Forward,
         rule: NfRule::new(matches, target),
+        in_port: None,
         out_port: None,
     };
     cmds.push(NnfCommand::IptablesPolicy {
@@ -376,8 +394,8 @@ fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfEr
 }
 
 /// A shared instance's program, whatever its type: its one attachment
-/// port up and forwarding on. Each binding brings the rest through the
-/// adaptation layer.
+/// port up and forwarding on. Each binding brings the rest, as its
+/// [`binding_program`].
 pub(crate) const SHARED_ATTACHMENT: &[NnfCommand] = &[
     NnfCommand::LinkUp { dev_port: 0 },
     NnfCommand::Sysctl { ip_forward: true },
@@ -385,8 +403,8 @@ pub(crate) const SHARED_ATTACHMENT: &[NnfCommand] = &[
 
 /// A NAT's addressing and port forwards, parsed from `lan-addr`,
 /// `wan-addr`, an optional `wan-gw`, and each `rules` entry of `kind`
-/// `dnat`. A dedicated NAT's program is built from it; a shared NAT
-/// installs it per graph through the adaptation layer.
+/// `dnat`. A dedicated NAT's program and a shared NAT's
+/// [`binding_program`] run the one NAT program over it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NatBinding {
     /// LAN-side address with prefix.
@@ -424,8 +442,8 @@ impl NatBinding {
     }
 }
 
-/// One static port forward: what arrives for `dport` goes to `to`, on
-/// `port` if given.
+/// One static port forward: what arrives on the WAN side for `dport`
+/// goes to `to`, on `port` if given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PortForward {
     /// Destination port matched.
@@ -436,45 +454,106 @@ pub struct PortForward {
     pub port: Option<u16>,
 }
 
-impl PortForward {
-    /// The `nat/PREROUTING` rule, matching only traffic that arrives on
-    /// `in_iface` when one is given.
-    pub fn rule(&self, in_iface: Option<IfaceId>) -> NfRule {
-        let matches = RuleMatch {
-            in_iface,
-            dport: Some(self.dport),
-            ..Default::default()
-        };
-        let (to, port) = (self.to, self.port);
-        NfRule::new(matches, Target::Dnat { to, port })
+/// The one NAT program, dedicated or shared: a masquerading router from
+/// the `lan` port to the `wan` port, its routes in `table`, masquerading
+/// the traffic that carries `mark` (all of it if `None`), then the port
+/// forwards, which take only what arrives on the WAN port. The main
+/// table has the connected routes, so there a default route comes only
+/// from `wan-gw`. A private table holds the LAN route and a catch-all
+/// out its own WAN side: without it a marked frame falls through to the
+/// main table, which holds every tenant's connected routes.
+fn nat_program(
+    nat: &NatBinding,
+    [lan, wan]: [usize; 2],
+    table: u32,
+    mark: Option<u32>,
+) -> Vec<NnfCommand> {
+    let mut cmds = lan_wan([lan, wan], nat.lan, nat.wan);
+    if table == MAIN_TABLE {
+        cmds.extend(nat.gw.map(|gw| default_route(table, Some(gw), wan)));
+    } else {
+        let lan_net = Ipv4Cidr::new(nat.lan.network(), nat.lan.prefix_len());
+        cmds.push(route(table, lan_net, None, lan));
+        cmds.push(default_route(table, nat.gw, wan));
     }
-}
-
-/// A dedicated NAT: a masquerading router from LAN (port 0) to WAN
-/// (port 1), then its port forwards. A shared NAT runs no program of
-/// its own; each graph's binding configures it through the adaptation
-/// layer.
-fn translate_nat(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
-    let nat = NatBinding::parse(c)?;
-    let mut cmds = lan_wan(nat.lan, nat.wan);
-    cmds.extend(nat.gw.map(default_route));
     cmds.push(NnfCommand::Sysctl { ip_forward: true });
+    let marked = RuleMatch {
+        fwmark: mark,
+        ..Default::default()
+    };
     cmds.push(NnfCommand::IptablesAppend {
         table: NfTable::Nat,
         chain: Chain::Postrouting,
-        rule: NfRule::new(RuleMatch::default(), Target::Masquerade),
-        out_port: Some(1),
+        rule: NfRule::new(marked, Target::Masquerade),
+        in_port: None,
+        out_port: Some(wan),
     });
-    cmds.extend(nat.dnat.iter().map(|f| NnfCommand::IptablesAppend {
-        table: NfTable::Nat,
-        chain: Chain::Prerouting,
-        rule: f.rule(None),
-        out_port: None,
-    }));
+    for &PortForward { dport, to, port } in &nat.dnat {
+        let arriving = RuleMatch {
+            dport: Some(dport),
+            ..Default::default()
+        };
+        cmds.push(NnfCommand::IptablesAppend {
+            table: NfTable::Nat,
+            chain: Chain::Prerouting,
+            rule: NfRule::new(arriving, Target::Dnat { to, port }),
+            in_port: Some(wan),
+            out_port: None,
+        });
+    }
+    cmds
+}
+
+/// A dedicated NAT: the NAT program from LAN (port 0) to WAN (port 1) in
+/// the main table.
+fn translate_nat(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfError> {
+    let nat = NatBinding::parse(c)?;
+    let commands = nat_program(&nat, [0, 1], MAIN_TABLE, None);
     Ok(CompiledNf {
-        commands: cmds,
+        commands,
         nat: Some(nat),
     })
+}
+
+/// A binding's program on a shared NAT whose attachment is port 0. Per
+/// side, an 802.1Q sub-interface on the binding's VID (`m<mark>-lan` is
+/// port 1, `m<mark>-wan` port 2) in its conntrack zone, and a mangle rule
+/// stamping its mark on what arrives there; then an `ip rule` sending
+/// marked traffic to its private table, and the NAT program over the two
+/// sides in that table, masquerading only its marked traffic. Egress
+/// through a sub-interface re-tags the frame, so the LSI tells the graphs
+/// apart on the way out. [`undo`](crate::plugins::undo) removes it.
+pub fn binding_program(binding: &GraphBinding) -> Result<Vec<NnfCommand>, NnfError> {
+    let nat = binding.nat.as_ref().ok_or(NnfError::BadState(
+        "a NAT binding without its compiled config",
+    ))?;
+    let (mark, zone) = (binding.mark, binding.zone);
+    let mut cmds = Vec::new();
+    for (dev_port, vid, side) in [(1, binding.vid_lan, "lan"), (2, binding.vid_wan, "wan")] {
+        let name = format!("m{mark}-{side}");
+        cmds.push(NnfCommand::VlanSub {
+            parent_port: 0,
+            vid,
+            name,
+        });
+        cmds.push(NnfCommand::CtZone { dev_port, zone });
+        cmds.push(NnfCommand::IptablesAppend {
+            table: NfTable::Mangle,
+            chain: Chain::Prerouting,
+            rule: NfRule::new(RuleMatch::default(), Target::SetMark(mark)),
+            in_port: Some(dev_port),
+            out_port: None,
+        });
+    }
+    // The rule's priority and its table are both 100 + mark.
+    let table = 100 + mark;
+    cmds.push(NnfCommand::IpRule(IpRule {
+        priority: table,
+        fwmark: Some(mark),
+        table,
+    }));
+    cmds.extend(nat_program(nat, [1, 2], table, Some(mark)));
+    Ok(cmds)
 }
 
 /// `addr<i>` addresses port *i*; `rules` entries (`dst`, optional `via`,
@@ -496,7 +575,7 @@ fn translate_router(c: &NfConfig, n_ports: usize) -> Result<CompiledNf, NnfError
                 have: n_ports,
             });
         }
-        cmds.push(route(dst, via, dev_port));
+        cmds.push(route(MAIN_TABLE, dst, via, dev_port));
     }
     Ok(cmds.into())
 }
