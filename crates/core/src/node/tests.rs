@@ -427,6 +427,205 @@ fn a_steering_node_caches_per_port_not_per_flow() {
 }
 
 // ---------------------------------------------------------------------
+// The walk, pinned: every kind of port a frame crosses on one node.
+// ---------------------------------------------------------------------
+
+/// One node with every kind of LSI port a walk crosses: physical ports,
+/// virtual links, a dedicated NF's ports on a graph LSI and a shared
+/// NAT's attach port on LSI-0. `chain` runs two dedicated bridges on
+/// untagged eth0/eth1; `t10` and `t20` ride the shared NAT on VLANs 10
+/// and 20; `left` and `right`, deployed first, are the two members of
+/// internal group `grp` on VLAN 30, so every later LSI-0 port is
+/// numbered after theirs.
+fn every_port_node() -> UniversalNode {
+    let mut n = node();
+    let left = NfFgBuilder::new("left", "group member")
+        .vlan_endpoint("lan", "eth0", 30)
+        .internal_endpoint("peer", "grp")
+        .chain("lan", &[], "peer")
+        .build();
+    let right = NfFgBuilder::new("right", "group member")
+        .internal_endpoint("peer", "grp")
+        .vlan_endpoint("wan", "eth1", 30)
+        .chain("peer", &[], "wan")
+        .build();
+    let chain = NfFgBuilder::new("chain", "two dedicated bridges")
+        .interface_endpoint("lan", "eth0")
+        .interface_endpoint("wan", "eth1")
+        .nf("br1", "bridge", 2)
+        .nf("br2", "bridge", 2)
+        .chain("lan", &["br1", "br2"], "wan")
+        .build();
+    let tenant = |id: &str, vid: u16, wan: &str| {
+        NfFgBuilder::new(id, "shared NAT tenant")
+            .vlan_endpoint("lan", "eth0", vid)
+            .vlan_endpoint("wan", "eth1", vid)
+            .nf_with_config("nat", "nat", 2, nat_config(wan))
+            .chain("lan", &["nat"], "wan")
+            .build()
+    };
+    let t10 = tenant("t10", 10, "203.0.113.1/24");
+    let t20 = tenant("t20", 20, "198.51.100.1/24");
+    for g in [left, right, chain, t10, t20] {
+        n.deploy(&g).unwrap();
+    }
+    let (inst, _) = n.instance_of("t10", "nat").unwrap();
+    let ns = n.compute.namespace_of(inst).unwrap();
+    let far = "8.8.8.8".parse().unwrap();
+    n.host.neigh_add(ns, far, MacAddr::local(0x99)).unwrap();
+    n
+}
+
+/// A tenant frame from MAC `src` to 8.8.8.8, on `vid` if given.
+fn tenant_frame(src: u32, vid: Option<u16>, tag: u8) -> Packet {
+    let mut b = un_packet::PacketBuilder::new().ethernet(MacAddr::local(src), MacAddr::BROADCAST);
+    if let Some(vid) = vid {
+        b = b.vlan(vid);
+    }
+    b.ipv4("192.168.1.10".parse().unwrap(), "8.8.8.8".parse().unwrap())
+        .udp(5000 + u16::from(tag), 53)
+        .payload(&[tag])
+        .build()
+}
+
+/// A rendered trace without its wall-clock NF latencies.
+fn without_latencies(trace: &str) -> String {
+    let lines = trace
+        .lines()
+        .map(|line| match line.split_once(" latency=") {
+            Some((head, _)) => format!("{head} latency=?"),
+            None => line.to_string(),
+        });
+    lines.map(|l| l + "\n").collect()
+}
+
+/// One mixed burst through `every_port_node`, traced: the chain both
+/// ways, two LAN frames of one NAT tenant and one of the other (two
+/// runs across the shared attach port), a frame on the other tenant's
+/// WAN side, which the NAT routes back out of it, and a vid no graph
+/// owns. What leaves, in order, what it costs, the ledger, the
+/// classifier counters and the trace (NF latencies are wall-clock, so
+/// masked) are literals: change one only with the behaviour it pins.
+/// A trace names each rule's cookie, and the group's rules carry the
+/// group's, so the traced burst leaves the group alone; a frame across
+/// it follows, untraced.
+#[test]
+fn a_walk_across_every_port_kind_is_pinned() {
+    let mut n = every_port_node();
+    let (eth0, eth1) = (n.port_id("eth0").unwrap(), n.port_id("eth1").unwrap());
+    let burst = vec![
+        (eth0, tenant_frame(1, None, 1)),
+        (eth0, tenant_frame(5, Some(10), 2)),
+        (eth0, tenant_frame(5, Some(20), 3)),
+        (eth1, tenant_frame(3, None, 4)),
+        (eth0, tenant_frame(5, Some(10), 5)),
+        (eth1, tenant_frame(7, Some(20), 6)),
+        (eth0, tenant_frame(1, Some(99), 7)),
+    ];
+    let sink = TraceSink::new("cpe-1", "eth0", false);
+    let io = n.inject_batch_flight(burst, Some(&sink));
+    let emitted: Vec<(String, String)> = io
+        .emitted
+        .iter()
+        .map(|(port, p)| {
+            let hex = p.data().iter().map(|b| format!("{b:02x}")).collect();
+            (port.to_string(), hex)
+        })
+        .collect();
+    let trace = without_latencies(&sink.finish().render());
+    let expected_emitted = [
+        ("eth1", "ffffffffffff02000000000108004500001d000000004011a90ec0a8010a08080808138900350009195c01"),
+        ("eth0", "ffffffffffff02000000000308004500001d000000004011a90ec0a8010a08080808138c00350009165904"),
+        ("eth1", "02000000009902000000000b8100000a08004500001d000000003f112fbfcb00710108080808138a003500099e0b02"),
+        ("eth1", "02000000009902000000000b8100000a08004500001d000000003f112fbfcb00710108080808138d003500099b0805"),
+        ("eth1", "02000000009902000000000b8100001408004500001d000000003f11418cc633640108080808138b00350009aed703"),
+        ("eth1", "02000000009902000000000b8100001408004500001d000000003f11418cc633640108080808138e00350009abd406"),
+    ];
+    let expected_emitted: Vec<(String, String)> = expected_emitted
+        .iter()
+        .map(|(port, hex)| (port.to_string(), hex.to_string()))
+        .collect();
+    assert_eq!(emitted, expected_emitted);
+    assert_eq!(io.cost.as_nanos(), 18350);
+    let mut absorbed = FrameLedger::default();
+    absorbed.absorbed = 1;
+    let counters: Vec<(&str, u64)> = n.frame_ledger().counters().collect();
+    assert_eq!(counters, absorbed.counters().collect::<Vec<_>>());
+    let stats = un_switch::TableStats {
+        cache_hits: 9,
+        cache_misses: 26,
+        exact_hits: 25,
+        megaflow_hits: 0,
+        wildcard_hits: 0,
+        misses: 1,
+    };
+    assert_eq!(n.flow_cache_stats(), stats);
+    let expected_trace = "\
+trace of frame @ cpe-1/eth0: 49 hop(s)
+  [ 0] cpe-1        classify lsi=LSI-0 stage=exact cookie=0x6cede7764c1a3056 prio=5 outputs=1
+  [ 1] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa709b1943bdfa92 prio=10 outputs=1
+  [ 2] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=10 outputs=1
+  [ 3] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa709b1943bdfa92 prio=10 outputs=1
+  [ 4] cpe-1        classify lsi=LSI-0 stage=miss outputs=0
+  [ 5] cpe-1        classify lsi=LSI-0 stage=exact cookie=0x6cede7764c1a3056 prio=5 outputs=1
+  [ 6] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=10 outputs=1
+  [ 7] cpe-1        classify lsi=LSI-chain stage=exact cookie=0x77e1479077e2b360 prio=10 outputs=1
+  [ 8] cpe-1        nf chain-br1 type=bridge flavor=native latency=?
+  [ 9] cpe-1        classify lsi=LSI-chain stage=exact cookie=0xdfa6393a8ee775f prio=10 outputs=1
+  [10] cpe-1        nf chain-br2 type=bridge flavor=native latency=?
+  [11] cpe-1        classify lsi=LSI-chain stage=exact cookie=0xc5f4c18d7006dc5e prio=10 outputs=1
+  [12] cpe-1        classify lsi=LSI-0 stage=exact cookie=0x6cede7764c1a3056 prio=5 outputs=1
+  [13] cpe-1        egress port=eth1
+  [14] cpe-1        classify lsi=LSI-chain stage=exact cookie=0xf002618d0dcad91e prio=10 outputs=1
+  [15] cpe-1        nf chain-br2 type=bridge flavor=native latency=?
+  [16] cpe-1        classify lsi=LSI-chain stage=exact cookie=0x988b4393e469ef7b prio=10 outputs=1
+  [17] cpe-1        nf chain-br1 type=bridge flavor=native latency=?
+  [18] cpe-1        classify lsi=LSI-chain stage=exact cookie=0xed53a7903c6793a0 prio=10 outputs=1
+  [19] cpe-1        classify lsi=LSI-0 stage=exact cookie=0x6cede7764c1a3056 prio=5 outputs=1
+  [20] cpe-1        egress port=eth0
+  [21] cpe-1        classify lsi=LSI-t10 stage=exact cookie=0x53b706d84596dc5c prio=10 outputs=1
+  [22] cpe-1        classify lsi=LSI-t10 stage=microflow cookie=0x53b706d84596dc5c prio=10 outputs=1
+  [23] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa709b1943bdfa92 prio=20 outputs=1
+  [24] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa709b1943bdfa92 prio=20 outputs=1
+  [25] cpe-1        nf shared-nat type=nat flavor=native latency=?
+  [26] cpe-1        nf shared-nat type=nat flavor=native latency=?
+  [27] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa709b1943bdfa92 prio=20 outputs=1
+  [28] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa709b1943bdfa92 prio=20 outputs=1
+  [29] cpe-1        classify lsi=LSI-t10 stage=exact cookie=0x668a24ef79f3266b prio=10 outputs=1
+  [30] cpe-1        classify lsi=LSI-t10 stage=microflow cookie=0x668a24ef79f3266b prio=10 outputs=1
+  [31] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa709b1943bdfa92 prio=10 outputs=1
+  [32] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa709b1943bdfa92 prio=10 outputs=1
+  [33] cpe-1        egress port=eth1
+  [34] cpe-1        egress port=eth1
+  [35] cpe-1        classify lsi=LSI-t20 stage=exact cookie=0xdc0eca9584516b3d prio=10 outputs=1
+  [36] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=20 outputs=1
+  [37] cpe-1        nf shared-nat type=nat flavor=native latency=?
+  [38] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=20 outputs=1
+  [39] cpe-1        classify lsi=LSI-t20 stage=exact cookie=0xa7e04cc002f24cb6 prio=10 outputs=1
+  [40] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=20 outputs=1
+  [41] cpe-1        nf shared-nat type=nat flavor=native latency=?
+  [42] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa383b1943bae109 prio=20 outputs=1
+  [43] cpe-1        classify lsi=LSI-t20 stage=exact cookie=0x1d42acbfc77579f6 prio=10 outputs=1
+  [44] cpe-1        classify lsi=LSI-t20 stage=microflow cookie=0x1d42acbfc77579f6 prio=10 outputs=1
+  [45] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=10 outputs=1
+  [46] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa383b1943bae109 prio=10 outputs=1
+  [47] cpe-1        egress port=eth1
+  [48] cpe-1        egress port=eth1
+";
+    assert_eq!(trace, expected_trace);
+
+    // Across the group, untraced: left's LAN on VLAN 30 to right's WAN.
+    let io = n.inject("eth0", tenant_frame(9, Some(30), 8));
+    let out: Vec<_> = io
+        .emitted
+        .iter()
+        .map(|(p, f)| (p.to_string(), f.vlan_id()))
+        .collect();
+    assert_eq!(out, [("eth1".to_string(), Some(30))]);
+    assert_eq!(io.cost.as_nanos(), 970);
+}
+
+// ---------------------------------------------------------------------
 // The walk scratch: what one walk leaves in the node's buffers never
 // reaches the next.
 // ---------------------------------------------------------------------
