@@ -243,13 +243,10 @@ const FABRIC_TTL: u32 = 256;
 /// The highest VLAN id a shared binding's sub-interface may carry.
 const MAX_VID: u32 = 4094;
 
-/// Where a burst currently is inside the fabric (ordered so the work
-/// list drains LSI-0 buckets before graph buckets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum LocKey {
-    L0(u32),
-    Graph(u32, u32), // (graph slot, graph-LSI port)
-}
+/// Where a burst currently is inside the fabric: `(LSI index, port)`.
+/// LSI-0 is index 0, so the work list drains LSI-0 buckets before the
+/// graph LSIs', and those in index order.
+type Loc = (usize, PortNo);
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum VlinkKey {
@@ -257,17 +254,70 @@ enum VlinkKey {
     SharedNf(String),
 }
 
-#[derive(Debug, Clone)]
-enum L0Port {
+/// What an LSI port leads to.
+#[derive(Debug)]
+enum PortKind {
+    /// A physical interface of the node (LSI-0 only).
     Physical(Name),
-    Vlink { graph_slot: u32, peer: PortNo },
-    SharedAttach(InstanceId),
+    /// One end of a virtual link; `peer` is the other end, on LSI `lsi`.
+    Vlink { lsi: usize, peer: PortNo },
+    /// Port `u32` of an NF instance: a dedicated NF's port on its
+    /// graph's LSI, or a shared NNF's one attach port (port 0) on LSI-0.
+    Nf(InstanceId, u32),
 }
 
-#[derive(Debug, Clone)]
-enum GPort {
-    Vlink { l0_port: PortNo },
-    Nf(InstanceId, u32),
+/// One logical switch of the node and what its ports lead to.
+struct Lsi {
+    switch: LogicalSwitch,
+    ports: BTreeMap<PortNo, PortKind>,
+    /// The port each NF port is wired to, where the NF's output
+    /// re-enters this LSI.
+    nf_ports: BTreeMap<(InstanceId, u32), PortNo>,
+    next_port: u32,
+}
+
+impl Lsi {
+    fn new(name: &str, dpid: u64) -> Self {
+        Lsi {
+            switch: LogicalSwitch::new(name, dpid, Backend::SingleTableCached),
+            ports: BTreeMap::new(),
+            nf_ports: BTreeMap::new(),
+            next_port: 1,
+        }
+    }
+
+    fn add_port(&mut self, name: &str, kind: PortKind) -> PortNo {
+        let port = PortNo(self.next_port);
+        self.next_port += 1;
+        self.switch.add_port(port, name).expect("fresh port");
+        if let PortKind::Nf(instance, nf_port) = kind {
+            self.nf_ports.insert((instance, nf_port), port);
+        }
+        self.ports.insert(port, kind);
+        port
+    }
+
+    fn remove_port(&mut self, port: PortNo) {
+        let _ = self.switch.remove_port(port);
+        if let Some(PortKind::Nf(instance, nf_port)) = self.ports.remove(&port) {
+            self.nf_ports.remove(&(instance, nf_port));
+        }
+    }
+
+    fn rule(&mut self, cookie: u64, priority: u16, m: FlowMatch, actions: Vec<FlowAction>) {
+        let entry = FlowEntry::new(priority, m, actions).with_cookie(cookie);
+        self.switch.install(0, entry).expect("table 0 exists");
+    }
+
+    /// Compile one big-switch rule of `graph`, whose LSI this is, and
+    /// install it under its cookie.
+    fn install_rule(&mut self, graph: &DeployedGraph, rule: &FlowRule) -> Result<(), DeployError> {
+        let entry = compile_rule(graph, &self.nf_ports, rule)
+            .map_err(DeployError::Compute)?
+            .with_cookie(rule_cookie(&graph.nffg.id, &rule.id));
+        self.switch.install(0, entry).expect("table 0 exists");
+        Ok(())
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -277,51 +327,16 @@ struct PlacedNf {
 }
 
 /// A graph on the node — deployed, or under construction. It is its own
-/// journal: whatever `build` takes for it is recorded here before the
-/// next call that can fail (an instance right after `create`, a binding
-/// before `bind`, a virtual link as its LSI-0 port is added), and
-/// `teardown` reads nothing else to give all of it back.
+/// journal: whatever `build` takes for it is recorded here or on its
+/// LSI before the next call that can fail (an instance right after
+/// `create`, a binding before `bind`, a virtual link as its ports are
+/// added), and `teardown` reads nothing else to give all of it back.
 struct DeployedGraph {
     nffg: NfFg,
-    lsi: LogicalSwitch,
-    slot: u32,
-    ports: BTreeMap<PortNo, GPort>,
+    /// Its LSI's index in the node's table (≥ 1).
+    lsi: usize,
     vlinks: BTreeMap<VlinkKey, PortNo>, // graph-side port
-    rev_nf: BTreeMap<(InstanceId, u32), PortNo>,
     nfs: BTreeMap<String, PlacedNf>,
-    next_port: u32,
-}
-
-impl DeployedGraph {
-    fn add_port(&mut self, name: &str, kind: GPort) -> PortNo {
-        let port = PortNo(self.next_port);
-        self.next_port += 1;
-        self.lsi.add_port(port, name).expect("fresh port");
-        self.ports.insert(port, kind);
-        port
-    }
-
-    /// Compile one big-switch rule and install it under its cookie.
-    fn install_rule(&mut self, rule: &FlowRule) -> Result<(), DeployError> {
-        let entry = compile_rule(self, rule)
-            .map_err(DeployError::Compute)?
-            .with_cookie(rule_cookie(&self.nffg.id, &rule.id));
-        self.lsi.install(0, entry).expect("table 0 exists");
-        Ok(())
-    }
-
-    fn report(&self, compute: &ComputeManager, lsi0_flows: usize) -> DeployReport {
-        let placed = |nf: &NetworkFunction| {
-            let p = self.nfs.get(&nf.id)?;
-            let flavor = compute.flavor(p.instance)?;
-            Some((nf.id.clone(), flavor, p.instance, p.shared.is_some()))
-        };
-        DeployReport {
-            graph: self.nffg.id.clone(),
-            placements: self.nffg.nfs.iter().filter_map(placed).collect(),
-            flow_entries: lsi0_flows + self.lsi.flow_count(),
-        }
-    }
 }
 
 /// Serializable node self-description ("node description, capabilities
@@ -444,13 +459,13 @@ pub struct UniversalNode {
     pub costs: CostModel,
     /// The compute manager (the node's repository inside).
     pub compute: ComputeManager,
-    lsi0: LogicalSwitch,
-    l0_ports: BTreeMap<PortNo, L0Port>,
+    /// The node's LSIs: LSI-0 at index 0, never freed, then each graph's
+    /// at the index it holds; a freed index is `None` until a graph
+    /// takes it again.
+    lsis: Vec<Option<Lsi>>,
+    /// LSI-0's physical ports by name.
     physical: BTreeMap<String, PortNo>,
-    next_l0_port: u32,
     graphs: BTreeMap<String, DeployedGraph>,
-    slots: Vec<Option<String>>, // slot index → graph id
-    internal_groups: BTreeMap<String, Vec<PortNo>>, // group → lsi0 vlink ports
     next_dpid: u64,
     clock: SimTime,
     /// The node's closed counter set (the frame ledger aside).
@@ -488,9 +503,15 @@ pub fn rule_cookie(graph_id: &str, rule_id: &str) -> u64 {
 }
 
 /// The cookie stamped on a graph's LSI-0 plumbing rules (endpoint
-/// classification, internal groups, shared-NNF vlinks).
+/// classification, shared-NNF vlinks).
 pub fn graph_cookie(graph_id: &str) -> u64 {
     fnv1a(graph_id)
+}
+
+/// The cookie stamped on an internal group's LSI-0 rules, which belong
+/// to the group, not to any one member.
+fn group_cookie(group: &str) -> u64 {
+    fnv1a(&format!("group:{group}"))
 }
 
 /// Translate an LSI's recorded step into a classify hop on an active
@@ -535,16 +556,13 @@ struct WalkScratch {
     /// Bursts waiting at a fabric location, sorted by location largest
     /// first, so the next to drain — the smallest — is the last. Never
     /// holds an empty burst.
-    pending: Vec<(LocKey, Burst)>,
+    pending: Vec<(Loc, Burst)>,
     /// Drained bursts, reused for the next location a frame is queued at.
     free: Vec<Burst>,
     /// One frame's outputs from an LSI.
     outputs: Vec<(PortNo, Packet)>,
-    /// A classified burst at LSI-0: `(out port, frame, ttl)`.
-    routed_l0: Vec<(PortNo, Packet, u32)>,
-    /// A classified burst at a graph LSI: `(what the out port is,
-    /// frame, ttl)`.
-    routed_graph: Vec<(Option<GPort>, Packet, u32)>,
+    /// A classified burst: `(out port, frame, ttl)`.
+    routed: Vec<(PortNo, Packet, u32)>,
     /// The frames crossing one NF boundary: `(nf port, frame)`.
     nf_in: Vec<(u32, Packet)>,
     /// Their TTLs, one per frame.
@@ -559,8 +577,7 @@ impl WalkScratch {
         self.pending.is_empty()
             && self.free.iter().all(Vec::is_empty)
             && self.outputs.is_empty()
-            && self.routed_l0.is_empty()
-            && self.routed_graph.is_empty()
+            && self.routed.is_empty()
             && self.nf_in.is_empty()
             && self.ttls.is_empty()
             && self.crossing.is_clear()
@@ -584,7 +601,7 @@ struct Walk<'a> {
 impl Walk<'_> {
     /// Queue `pkt` at `loc`: on the burst already waiting there, or on
     /// a drained one reused for it.
-    fn queue(&mut self, loc: LocKey, pkt: Packet, ttl: u32) {
+    fn queue(&mut self, loc: Loc, pkt: Packet, ttl: u32) {
         let WalkScratch { pending, free, .. } = &mut self.scratch;
         let i = match pending.binary_search_by(|(at, _)| loc.cmp(at)) {
             Ok(i) => i,
@@ -596,13 +613,11 @@ impl Walk<'_> {
         pending[i].1.push((pkt, ttl));
     }
 
-    /// The classify stage, written once for LSI-0 and the graph LSIs:
-    /// drain a burst that arrived on `in_port` of `node`'s `lsi`
-    /// through it under one borrow — per frame the TTL check, the work
+    /// The classify stage: drain a burst that arrived on `in_port` of
+    /// `node`'s `lsi` through it — per frame the TTL check, the work
     /// budget, the LSI, its classify hop and the fan-out accounting —
-    /// and hand every output to `route` as `(out port, frame, ttl)` in
-    /// (frame, output) order. `route` lets the caller resolve what an
-    /// output port means while it still holds the LSI's owner.
+    /// and leave every output in the scratch's `routed` as `(out port,
+    /// frame, ttl)`, in (frame, output) order.
     fn classify(
         &mut self,
         lsi: &mut LogicalSwitch,
@@ -610,7 +625,6 @@ impl Walk<'_> {
         node: &str,
         in_port: PortNo,
         burst: &mut Burst,
-        mut route: impl FnMut(PortNo, Packet, u32),
     ) {
         let popts = ProcessOptions {
             ghost: self.acct.ghost(),
@@ -633,9 +647,8 @@ impl Walk<'_> {
             }
             self.io.cost += res.cost;
             self.acct.produced(outputs.len());
-            for (out, p) in outputs.drain(..) {
-                route(out, p, ttl);
-            }
+            let routed = outputs.drain(..).map(|(out, p)| (out, p, ttl));
+            self.scratch.routed.extend(routed);
         }
     }
 
@@ -645,7 +658,7 @@ impl Walk<'_> {
     /// it left by re-enters the fabric; a frame whose port is wired
     /// nowhere dies as `GraphUnmappedNfPort`. The crossing and the TTLs
     /// return to the scratch empty.
-    fn requeue(&mut self, node: &str, enter: impl Fn(u32) -> Option<LocKey>) {
+    fn requeue(&mut self, node: &str, enter: impl Fn(u32) -> Option<Loc>) {
         let mut crossing = mem::take(&mut self.scratch.crossing);
         let mut ttls = mem::take(&mut self.scratch.ttls);
         let mut ttl_of = ttls.drain(..);
@@ -685,13 +698,9 @@ impl UniversalNode {
             node_account,
             costs: CostModel::default(),
             compute: ComputeManager::new(),
-            lsi0: LogicalSwitch::new("LSI-0", 1, Backend::SingleTableCached),
-            l0_ports: BTreeMap::new(),
+            lsis: vec![Some(Lsi::new("LSI-0", 1))],
             physical: BTreeMap::new(),
-            next_l0_port: 1,
             graphs: BTreeMap::new(),
-            slots: Vec::new(),
-            internal_groups: BTreeMap::new(),
             next_dpid: 2,
             clock: SimTime::ZERO,
             trace: NodeCounters::default(),
@@ -742,19 +751,20 @@ impl UniversalNode {
 
     /// Register a physical interface (e.g. `"eth0"`) as an LSI-0 port.
     pub fn add_physical_port(&mut self, name: &str) -> PortNo {
-        let port = self.add_l0_port(name, L0Port::Physical(Name::new(name)));
+        let port = self
+            .lsi_mut(0)
+            .add_port(name, PortKind::Physical(Name::new(name)));
         self.physical.insert(name.to_string(), port);
         port
     }
 
-    fn add_l0_port(&mut self, name: &str, kind: L0Port) -> PortNo {
-        let port = PortNo(self.next_l0_port);
-        self.next_l0_port += 1;
-        self.lsi0
-            .add_port(port, name)
-            .expect("fresh port number cannot collide");
-        self.l0_ports.insert(port, kind);
-        port
+    /// The live LSI at index `at` (0 is LSI-0).
+    fn lsi(&self, at: usize) -> &Lsi {
+        self.lsis[at].as_ref().expect("a live LSI")
+    }
+
+    fn lsi_mut(&mut self, at: usize) -> &mut Lsi {
+        self.lsis[at].as_mut().expect("a live LSI")
     }
 
     /// Resolve a physical port name to its interned id (for the batch
@@ -766,9 +776,9 @@ impl UniversalNode {
     /// Aggregated flow-table fast-path counters across LSI-0 and every
     /// graph LSI (exported through [`NodeDescription`] and REST).
     pub fn flow_cache_stats(&self) -> un_switch::TableStats {
-        let mut stats = self.lsi0.cache_stats();
-        for g in self.graphs.values() {
-            stats.merge(&g.lsi.cache_stats());
+        let mut stats = un_switch::TableStats::default();
+        for (_, lsi) in self.lsis() {
+            stats.merge(&lsi.cache_stats());
         }
         stats
     }
@@ -777,23 +787,13 @@ impl UniversalNode {
     /// (exported through [`NodeDescription`] and as a gauge through
     /// `/metrics`).
     pub fn flow_cache_entries(&self) -> usize {
-        self.lsi0.cache_entries()
-            + self
-                .graphs
-                .values()
-                .map(|g| g.lsi.cache_entries())
-                .sum::<usize>()
+        self.lsis().map(|(_, lsi)| lsi.cache_entries()).sum()
     }
 
     /// Total installed flow entries across LSI-0 and every graph LSI
     /// (table occupancy, exported as a gauge through `/metrics`).
     pub fn flow_table_occupancy(&self) -> usize {
-        self.lsi0.flow_count()
-            + self
-                .graphs
-                .values()
-                .map(|g| g.lsi.flow_count())
-                .sum::<usize>()
+        self.lsis().map(|(_, lsi)| lsi.flow_count()).sum()
     }
 
     /// Advance the node clock (stamps traces, host time).
@@ -872,8 +872,8 @@ impl UniversalNode {
     /// running (joinable by further graphs): the instances on an LSI-0
     /// attach port.
     pub fn shared_nnf_types(&self) -> Vec<String> {
-        let types = self.l0_ports.values().filter_map(|p| match p {
-            L0Port::SharedAttach(id) => self.compute.functional_type(*id),
+        let types = self.lsi(0).ports.values().filter_map(|p| match p {
+            PortKind::Nf(id, _) => self.compute.functional_type(*id),
             _ => None,
         });
         types.map(String::from).collect()
@@ -967,53 +967,54 @@ impl UniversalNode {
             }
         }
 
-        let slot = self
-            .slots
-            .iter()
-            .position(|s| s.is_none())
-            .unwrap_or_else(|| {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }) as u32;
-        let dpid = self.next_dpid;
+        // The graph's LSI takes the lowest free index.
+        let at = (self.lsis.iter().position(Option::is_none)).unwrap_or_else(|| {
+            self.lsis.push(None);
+            self.lsis.len() - 1
+        });
+        self.lsis[at] = Some(Lsi::new(&format!("LSI-{}", nffg.id), self.next_dpid));
         self.next_dpid += 1;
         let mut graph = DeployedGraph {
             nffg: nffg.clone(),
-            lsi: LogicalSwitch::new(
-                &format!("LSI-{}", nffg.id),
-                dpid,
-                Backend::SingleTableCached,
-            ),
-            slot,
-            ports: BTreeMap::new(),
+            lsi: at,
             vlinks: BTreeMap::new(),
-            rev_nf: BTreeMap::new(),
             nfs: BTreeMap::new(),
-            next_port: 1,
         };
-        match self.build(nffg, programs, &mut graph) {
-            Ok(report) => {
-                self.slots[slot as usize] = Some(nffg.id.clone());
-                self.graphs.insert(nffg.id.clone(), graph);
-                self.trace.graphs_deployed += 1;
-                Ok(report)
-            }
-            Err(e) => {
-                let _ = self.teardown(graph);
-                Err(e)
-            }
+        if let Err(e) = self.build(nffg, programs, &mut graph) {
+            let _ = self.teardown(graph);
+            return Err(e);
+        }
+        self.graphs.insert(nffg.id.clone(), graph);
+        self.regroup(nffg);
+        self.trace.graphs_deployed += 1;
+        Ok(self.report(&self.graphs[&nffg.id]))
+    }
+
+    /// What a deploy or an update of `graph` reports.
+    fn report(&self, graph: &DeployedGraph) -> DeployReport {
+        let placed = |nf: &NetworkFunction| {
+            let p = graph.nfs.get(&nf.id)?;
+            let flavor = self.compute.flavor(p.instance)?;
+            Some((nf.id.clone(), flavor, p.instance, p.shared.is_some()))
+        };
+        let flows = self.lsi(0).switch.flow_count() + self.lsi(graph.lsi).switch.flow_count();
+        DeployReport {
+            graph: graph.nffg.id.clone(),
+            placements: graph.nffg.nfs.iter().filter_map(placed).collect(),
+            flow_entries: flows,
         }
     }
 
     /// Realize `nffg` in `graph`: place the NFs, admit their memory,
     /// wire ports, virtual links and LSI-0 classification, compile the
-    /// rules. Wherever it stops, `teardown(graph)` undoes it.
+    /// rules. Wherever it stops, `teardown(graph)` undoes it. The
+    /// internal groups it joins are rebuilt once it is adopted.
     fn build(
         &mut self,
         nffg: &NfFg,
         programs: &Programs,
         graph: &mut DeployedGraph,
-    ) -> Result<DeployReport, DeployError> {
+    ) -> Result<(), DeployError> {
         for nf in &nffg.nfs {
             self.place_nf(graph, nf, programs)?;
         }
@@ -1030,10 +1031,10 @@ impl UniversalNode {
                 continue; // shared NFs are reached via LSI-0
             }
             let instance = placed.instance;
+            let lsi = self.lsi_mut(graph.lsi);
             for port in &nf.ports {
                 let name = format!("to-{}:{}", nf.id, port.id);
-                let p = graph.add_port(&name, GPort::Nf(instance, port.id));
-                graph.rev_nf.insert((instance, port.id), p);
+                lsi.add_port(&name, PortKind::Nf(instance, port.id));
             }
         }
         for ep in &nffg.endpoints {
@@ -1045,10 +1046,11 @@ impl UniversalNode {
                 self.wire_shared(graph, nf, vids);
             }
         }
+        let lsi = self.lsi_mut(graph.lsi);
         for rule in &nffg.flow_rules {
-            graph.install_rule(rule)?;
+            lsi.install_rule(graph, rule)?;
         }
-        Ok(graph.report(&self.compute, self.lsi0.flow_count()))
+        Ok(())
     }
 
     /// Create or join the instance serving `nf`, from what its config
@@ -1120,7 +1122,7 @@ impl UniversalNode {
         )?;
         if shared.is_some() {
             let name = format!("nnf-{}", nf.functional_type);
-            self.add_l0_port(&name, L0Port::SharedAttach(instance));
+            self.lsi_mut(0).add_port(&name, PortKind::Nf(instance, 0));
         }
         self.join(graph, nf, instance, shared, true)
     }
@@ -1185,28 +1187,32 @@ impl UniversalNode {
         })
     }
 
-    /// A virtual link between LSI-0 and the graph LSI; returns its
-    /// LSI-0 port.
+    /// A virtual link between LSI-0 and the graph's LSI: two `Vlink`
+    /// ports, each the other's peer. Returns its LSI-0 end.
     fn add_vlink(&mut self, graph: &mut DeployedGraph, key: VlinkKey) -> PortNo {
         let (id, g_name) = match &key {
             VlinkKey::Endpoint(ep) => (ep, format!("vlink-{ep}")),
             VlinkKey::SharedNf(nf) => (nf, format!("vlink-shared-{nf}")),
         };
         let l0_name = format!("vlink-{}-{id}", graph.nffg.id);
-        let (graph_slot, peer) = (graph.slot, PortNo(graph.next_port));
-        let l0_port = self.add_l0_port(&l0_name, L0Port::Vlink { graph_slot, peer });
-        let g_port = graph.add_port(&g_name, GPort::Vlink { l0_port });
+        let at = graph.lsi;
+        let peer = PortNo(self.lsi(at).next_port);
+        let l0_port = self
+            .lsi_mut(0)
+            .add_port(&l0_name, PortKind::Vlink { lsi: at, peer });
+        let back = PortKind::Vlink {
+            lsi: 0,
+            peer: l0_port,
+        };
+        let g_port = self.lsi_mut(at).add_port(&g_name, back);
         debug_assert_eq!(g_port, peer);
         graph.vlinks.insert(key, g_port);
         l0_port
     }
 
-    fn l0_rule(&mut self, cookie: u64, priority: u16, m: FlowMatch, actions: Vec<FlowAction>) {
-        let entry = FlowEntry::new(priority, m, actions).with_cookie(cookie);
-        self.lsi0.install(0, entry).expect("table 0 exists");
-    }
-
-    /// One endpoint: its virtual link and LSI-0 classification rules.
+    /// One endpoint: its virtual link and LSI-0 classification rules
+    /// (an internal endpoint's are its group's, rebuilt by `regroup`).
+    /// The traffic an interface or VLAN endpoint takes has one owner.
     fn wire_endpoint(
         &mut self,
         graph: &mut DeployedGraph,
@@ -1215,36 +1221,75 @@ impl UniversalNode {
         use FlowAction::{Output, PopVlan, PushVlan};
         let cookie = graph_cookie(&graph.nffg.id);
         let vlink = self.add_vlink(graph, VlinkKey::Endpoint(ep.id.clone()));
-        match &ep.kind {
-            EndpointKind::Interface { if_name } => {
-                let phys = self.physical[if_name];
-                // Untagged traffic of an interface has one owner.
-                let untagged = FlowMatch::in_port(phys).with_vlan(VlanSpec::Untagged);
-                if self.lsi0.table().find(5, &untagged).is_some() {
-                    return Err(DeployError::EndpointConflict(if_name.clone()));
-                }
-                self.l0_rule(cookie, 5, untagged, vec![Output(vlink)]);
-                self.l0_rule(cookie, 5, FlowMatch::in_port(vlink), vec![Output(phys)]);
-            }
-            EndpointKind::Vlan { if_name, vlan_id } => {
-                let phys = self.physical[if_name];
-                let tagged = FlowMatch::in_port(phys).with_vlan(VlanSpec::Id(*vlan_id));
-                self.l0_rule(cookie, 10, tagged, vec![PopVlan, Output(vlink)]);
-                let retag = vec![PushVlan(*vlan_id), Output(phys)];
-                self.l0_rule(cookie, 10, FlowMatch::in_port(vlink), retag);
-            }
-            EndpointKind::Internal { group } => {
-                // Cross-connect with every existing member.
-                let members = self.internal_groups.entry(group.clone()).or_default();
-                let others = members.clone();
-                members.push(vlink);
-                for other in others {
-                    self.l0_rule(cookie, 7, FlowMatch::in_port(vlink), vec![Output(other)]);
-                    self.l0_rule(cookie, 7, FlowMatch::in_port(other), vec![Output(vlink)]);
+        let (if_name, vlan_id) = match &ep.kind {
+            EndpointKind::Interface { if_name } => (if_name, None),
+            EndpointKind::Vlan { if_name, vlan_id } => (if_name, Some(*vlan_id)),
+            EndpointKind::Internal { .. } => return Ok(()),
+        };
+        let phys = self.physical[if_name];
+        let (priority, vlan) = vlan_id.map_or((5, VlanSpec::Untagged), |v| (10, VlanSpec::Id(v)));
+        let traffic = FlowMatch::in_port(phys).with_vlan(vlan);
+        let l0 = self.lsi_mut(0);
+        if l0.switch.table().find(priority, &traffic).is_some() {
+            let owned = vlan_id.map_or(if_name.clone(), |v| format!("{if_name}.{v}"));
+            return Err(DeployError::EndpointConflict(owned));
+        }
+        let untag = vlan_id.map(|_| PopVlan).into_iter().chain([Output(vlink)]);
+        l0.rule(cookie, priority, traffic, untag.collect());
+        let tag = vlan_id.map(PushVlan).into_iter().chain([Output(phys)]);
+        l0.rule(cookie, priority, FlowMatch::in_port(vlink), tag.collect());
+        Ok(())
+    }
+
+    /// Each internal group's members: the LSI-0 ends of the deployed
+    /// graphs' internal endpoints, in port order, which is join order.
+    fn groups(&self) -> BTreeMap<String, Vec<PortNo>> {
+        let mut groups: BTreeMap<String, Vec<PortNo>> = BTreeMap::new();
+        for graph in self.graphs.values() {
+            let Some(lsi) = &self.lsis[graph.lsi] else {
+                continue;
+            };
+            for ep in &graph.nffg.endpoints {
+                let EndpointKind::Internal { group } = &ep.kind else {
+                    continue;
+                };
+                let port = graph.vlinks.get(&VlinkKey::Endpoint(ep.id.clone()));
+                if let Some(PortKind::Vlink { peer, .. }) = port.and_then(|p| lsi.ports.get(p)) {
+                    groups.entry(group.clone()).or_default().push(*peer);
                 }
             }
         }
-        Ok(())
+        groups
+            .values_mut()
+            .for_each(|members| members.sort_unstable());
+        groups
+    }
+
+    /// Rebuild the LSI-0 rules of every internal group `nffg` joins,
+    /// after it joined or left: a group is a hub that owns its rules —
+    /// one per member, under the group's own cookie, sending what the
+    /// member emits to every other member in port order. A group of
+    /// fewer than two members has none.
+    fn regroup(&mut self, nffg: &NfFg) {
+        let mut groups = None;
+        for ep in &nffg.endpoints {
+            let EndpointKind::Internal { group } = &ep.kind else {
+                continue;
+            };
+            let groups = groups.get_or_insert_with(|| self.groups());
+            let members = groups.get(group).map_or(&[][..], Vec::as_slice);
+            let cookie = group_cookie(group);
+            let l0 = self.lsis[0].as_mut().expect("LSI-0");
+            l0.switch.remove_by_cookie(cookie);
+            if members.len() < 2 {
+                continue;
+            }
+            for &member in members {
+                let others = members.iter().filter(|m| **m != member);
+                let outputs = others.map(|m| FlowAction::Output(*m)).collect();
+                l0.rule(cookie, 7, FlowMatch::in_port(member), outputs);
+            }
+        }
     }
 
     /// One shared NF of the graph: its virtual link and the LSI-0 rules
@@ -1253,29 +1298,29 @@ impl UniversalNode {
         use FlowAction::Output;
         let cookie = graph_cookie(&graph.nffg.id);
         let instance = graph.nfs[&nf.id].instance;
-        let attach = attach_port(&self.l0_ports, instance).expect("a shared NNF is attached");
+        let attach = self.lsi(0).nf_ports[&(instance, 0)];
         let vlink = self.add_vlink(graph, VlinkKey::SharedNf(nf.id.clone()));
+        let l0 = self.lsi_mut(0);
         for vid in vids.map(VlanSpec::Id) {
             let out = FlowMatch::in_port(vlink).with_vlan(vid);
-            self.l0_rule(cookie, 20, out, vec![Output(attach)]);
+            l0.rule(cookie, 20, out, vec![Output(attach)]);
             let back = FlowMatch::in_port(attach).with_vlan(vid);
-            self.l0_rule(cookie, 20, back, vec![Output(vlink)]);
+            l0.rule(cookie, 20, back, vec![Output(vlink)]);
         }
     }
 
     /// Take `graph` — deployed or half-built — off the node: the one
     /// place instances are stopped and destroyed, shared bindings
-    /// released and LSI-0 plumbing removed. Best-effort: the walk
-    /// always finishes and frees the slot; the first error is returned.
+    /// released, LSI-0 plumbing removed and the groups it was in
+    /// rebuilt. Best-effort: the walk always finishes and frees the
+    /// graph's LSI; the first error is returned.
     fn teardown(&mut self, graph: DeployedGraph) -> Result<(), DeployError> {
-        let gid = &graph.nffg.id;
-        self.lsi0.remove_by_cookie(graph_cookie(gid));
-        let mut gone: Vec<PortNo> = graph
-            .ports
-            .values()
+        let ports = self.lsis[graph.lsi].take().map(|l| l.ports);
+        let vlinks = ports.iter().flat_map(BTreeMap::values);
+        let mut gone: Vec<PortNo> = vlinks
             .filter_map(|p| match p {
-                GPort::Vlink { l0_port } => Some(*l0_port),
-                GPort::Nf(..) => None,
+                PortKind::Vlink { peer, .. } => Some(*peer),
+                _ => None,
             })
             .collect();
         let mut env = NodeEnv {
@@ -1293,21 +1338,19 @@ impl UniversalNode {
                 if self.compute.binding_count(id) > 0 {
                     continue;
                 }
-                gone.extend(attach_port(&self.l0_ports, id));
+                let l0 = self.lsis[0].as_ref().expect("LSI-0");
+                gone.extend(l0.nf_ports.get(&(id, 0)));
             }
             result = result.and(self.compute.stop(&mut env, id));
             result = result.and(self.compute.destroy(&mut env, id));
             self.obs_nf_hist.remove(&id);
         }
-        for port in &gone {
-            let _ = self.lsi0.remove_port(*port);
-            self.l0_ports.remove(port);
+        let l0 = self.lsi_mut(0);
+        l0.switch.remove_by_cookie(graph_cookie(&graph.nffg.id));
+        for port in gone {
+            l0.remove_port(port);
         }
-        self.internal_groups.retain(|_, members| {
-            members.retain(|m| !gone.contains(m));
-            !members.is_empty()
-        });
-        self.slots[graph.slot as usize] = None;
+        self.regroup(&graph.nffg);
         Ok(result?)
     }
 
@@ -1389,19 +1432,20 @@ impl UniversalNode {
             return Err(DeployError::Invalid(errs));
         }
         let graph = self.graphs.get_mut(&nffg.id).expect("looked up above");
+        let lsi = self.lsis[graph.lsi].as_mut().expect("a graph's LSI");
         for rule_id in diff
             .removed_rules
             .iter()
             .chain(diff.changed_rules.iter().map(|r| &r.id))
         {
-            graph.lsi.remove_by_cookie(rule_cookie(&nffg.id, rule_id));
+            lsi.switch.remove_by_cookie(rule_cookie(&nffg.id, rule_id));
         }
         for rule in diff.added_rules.iter().chain(diff.changed_rules.iter()) {
-            graph.install_rule(rule)?;
+            lsi.install_rule(graph, rule)?;
         }
         graph.nffg = nffg.clone();
         self.trace.graph_updates_rules += 1;
-        Ok(graph.report(&self.compute, self.lsi0.flow_count()))
+        Ok(self.report(&self.graphs[&nffg.id]))
     }
 
     // ------------------------------------------------------------------
@@ -1495,13 +1539,10 @@ impl UniversalNode {
             scratch: mem::take(&mut self.walk_scratch),
         };
         for (PortId(port), pkt) in ingress {
-            walk.queue(LocKey::L0(port.0), pkt, FABRIC_TTL);
+            walk.queue((0, port), pkt, FABRIC_TTL);
         }
-        while let Some((loc, mut burst)) = walk.scratch.pending.pop() {
-            match loc {
-                LocKey::L0(p) => self.run_l0(&mut walk, PortNo(p), &mut burst),
-                LocKey::Graph(slot, p) => self.run_graph(&mut walk, slot, PortNo(p), &mut burst),
-            }
+        while let Some(((at, port), mut burst)) = walk.scratch.pending.pop() {
+            self.run_lsi(&mut walk, at, port, &mut burst);
             walk.scratch.free.push(burst);
         }
         if !walk.acct.ghost() {
@@ -1517,24 +1558,27 @@ impl UniversalNode {
         walk.io
     }
 
-    /// One burst at LSI-0: classify it, then dispatch every output in
-    /// (frame, output) order — out a physical port, over a virtual
-    /// link into a graph LSI, or across the boundary of a shared NF,
-    /// whose outputs re-enter LSI-0 on the attach port they left by.
-    fn run_l0(&mut self, walk: &mut Walk<'_>, in_port: PortNo, burst: &mut Burst) {
-        let mut routed = mem::take(&mut walk.scratch.routed_l0);
-        walk.classify(
-            &mut self.lsi0,
-            &self.costs,
-            &self.name,
-            in_port,
-            burst,
-            |out, p, ttl| routed.push((out, p, ttl)),
-        );
+    /// One burst at the LSI at index `at`: classify it, then dispatch
+    /// every output in (frame, output) order — out a physical port, over
+    /// a virtual link into its peer LSI, or across the boundary of an NF
+    /// instance, whose outputs re-enter this LSI on the port wired to the
+    /// NF port they left by.
+    fn run_lsi(&mut self, walk: &mut Walk<'_>, at: usize, in_port: PortNo, burst: &mut Burst) {
+        let Some(lsi) = self.lsis.get_mut(at).and_then(Option::as_mut) else {
+            let dead = burst.len() as u64;
+            burst.clear();
+            let detail = format_args!("LSI {at} is gone");
+            return walk
+                .acct
+                .drop(&self.name, DropReason::FabricDeadSlot, dead, detail);
+        };
+        walk.classify(&mut lsi.switch, &self.costs, &self.name, in_port, burst);
+        let mut routed = mem::take(&mut walk.scratch.routed);
         let mut it = routed.drain(..).peekable();
         while let Some((out, out_pkt, ttl)) = it.next() {
-            match self.l0_ports.get(&out) {
-                Some(L0Port::Physical(name)) => {
+            let ports = &self.lsi(at).ports;
+            match ports.get(&out) {
+                Some(PortKind::Physical(name)) => {
                     if let Some(f) = walk.acct.flight() {
                         f.hop(
                             &self.name,
@@ -1550,122 +1594,55 @@ impl UniversalNode {
                     }
                     walk.io.emitted.push((name.clone(), out_pkt));
                 }
-                Some(L0Port::Vlink { graph_slot, peer }) => {
+                Some(&PortKind::Vlink { lsi, peer }) => {
                     walk.io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
-                    walk.queue(LocKey::Graph(*graph_slot, peer.0), out_pkt, ttl - 1);
+                    walk.queue((lsi, peer), out_pkt, ttl - 1);
                 }
-                Some(L0Port::SharedAttach(inst)) => {
-                    // Consecutive frames bound for the same attach port
-                    // cross the boundary as one burst.
-                    let inst = *inst;
-                    let same_port = std::iter::from_fn(|| {
-                        let (_, p, t) = it.next_if(|(next, _, _)| *next == out)?;
-                        Some((0, p, t))
-                    });
-                    let run = std::iter::once((0, out_pkt, ttl)).chain(same_port);
-                    self.deliver_run(walk, inst, run);
-                    walk.requeue(&self.name, |_| Some(LocKey::L0(out.0)));
-                }
-                None => walk
-                    .acct
-                    .drop(&self.name, DropReason::L0UnmappedPort, 1, ""),
-            }
-        }
-        drop(it);
-        walk.scratch.routed_l0 = routed;
-    }
-
-    /// One burst at a graph LSI: classify it, then dispatch every
-    /// output in order — over the virtual link back to LSI-0, or
-    /// across the boundary of one of the graph's NFs, whose outputs
-    /// re-enter the graph LSI on the port wired to the NF port they
-    /// left by.
-    fn run_graph(&mut self, walk: &mut Walk<'_>, slot: u32, in_port: PortNo, burst: &mut Burst) {
-        let Some(graph) = self
-            .slots
-            .get(slot as usize)
-            .and_then(|s| s.as_deref())
-            .and_then(|gid| self.graphs.get_mut(gid))
-        else {
-            let dead = burst.len() as u64;
-            burst.clear();
-            let detail = format_args!("graph slot {slot} is gone");
-            return walk
-                .acct
-                .drop(&self.name, DropReason::FabricDeadSlot, dead, detail);
-        };
-        // Resolve every output port while the graph is borrowed: the
-        // NF boundary below needs the whole node.
-        let ports = &graph.ports;
-        let mut routed = mem::take(&mut walk.scratch.routed_graph);
-        walk.classify(
-            &mut graph.lsi,
-            &self.costs,
-            &self.name,
-            in_port,
-            burst,
-            |out, p, ttl| routed.push((ports.get(&out).cloned(), p, ttl)),
-        );
-        let mut it = routed.drain(..).peekable();
-        while let Some((kind, out_pkt, ttl)) = it.next() {
-            match kind {
-                Some(GPort::Vlink { l0_port }) => {
-                    walk.io.cost += Cost::from_nanos(self.costs.virtual_link_ns);
-                    walk.queue(LocKey::L0(l0_port.0), out_pkt, ttl - 1);
-                }
-                Some(GPort::Nf(inst, nf_port)) => {
+                Some(&PortKind::Nf(inst, nf_port)) => {
                     // Consecutive frames bound for the same instance
                     // (any of its ports) cross the boundary as one
                     // burst.
-                    let same_inst = std::iter::from_fn(|| match it.peek()? {
-                        (Some(GPort::Nf(ni, np)), _, _) if *ni == inst => {
-                            let np = *np;
-                            let (_, p, t) = it.next()?;
-                            Some((np, p, t))
+                    let WalkScratch { nf_in, ttls, .. } = &mut walk.scratch;
+                    nf_in.push((nf_port, out_pkt));
+                    ttls.push(ttl);
+                    while let Some((next, _, _)) = it.peek() {
+                        let Some(&PortKind::Nf(i, np)) = ports.get(next) else {
+                            break;
+                        };
+                        if i != inst {
+                            break;
                         }
-                        _ => None,
-                    });
-                    let run = std::iter::once((nf_port, out_pkt, ttl)).chain(same_inst);
-                    self.deliver_run(walk, inst, run);
-                    let wired = self
-                        .slots
-                        .get(slot as usize)
-                        .and_then(|s| s.as_deref())
-                        .and_then(|gid| self.graphs.get(gid))
-                        .map(|g| &g.rev_nf);
+                        let (_, p, t) = it.next().expect("peeked");
+                        nf_in.push((np, p));
+                        ttls.push(t);
+                    }
+                    self.deliver_run(walk, inst);
+                    let wired = &self.lsi(at).nf_ports;
                     walk.requeue(&self.name, |nf_out| {
-                        let gp = wired?.get(&(inst, nf_out))?;
-                        Some(LocKey::Graph(slot, gp.0))
+                        Some((at, *wired.get(&(inst, nf_out))?))
                     });
                 }
-                None => walk
-                    .acct
-                    .drop(&self.name, DropReason::GraphUnmappedPort, 1, ""),
+                None => {
+                    let reason = match at {
+                        0 => DropReason::L0UnmappedPort,
+                        _ => DropReason::GraphUnmappedPort,
+                    };
+                    walk.acct.drop(&self.name, reason, 1, "")
+                }
             }
         }
         drop(it);
-        walk.scratch.routed_graph = routed;
+        walk.scratch.routed = routed;
     }
 
-    /// The NF-delivery stage, written once for shared attach ports and
-    /// graph NF ports: hand `run` — consecutive `(nf port, frame, ttl)`s
-    /// bound for one instance — across the NF boundary as one timed
-    /// `deliver_into`, in the scratch's buffers, and record the
-    /// per-frame latency (histogram and NF hop). What the NF handed back
-    /// waits in the scratch's `crossing`, the TTLs in `ttls`, for
-    /// `Walk::requeue` to book and queue; where the outputs re-enter the
-    /// fabric is the one thing the callers differ in.
-    fn deliver_run(
-        &mut self,
-        walk: &mut Walk<'_>,
-        inst: InstanceId,
-        run: impl Iterator<Item = (u32, Packet, u32)>,
-    ) {
+    /// The NF-delivery stage: hand the scratch's `nf_in` — consecutive
+    /// `(nf port, frame)`s bound for one instance, their TTLs in `ttls`
+    /// — across the NF boundary as one timed `deliver_into`, and record
+    /// the per-frame latency (histogram and NF hop). What the NF handed
+    /// back waits in the scratch's `crossing` for `Walk::requeue` to
+    /// book and queue.
+    fn deliver_run(&mut self, walk: &mut Walk<'_>, inst: InstanceId) {
         let mut frames = mem::take(&mut walk.scratch.nf_in);
-        for (nf_port, pkt, ttl) in run {
-            frames.push((nf_port, pkt));
-            walk.scratch.ttls.push(ttl);
-        }
         let n = frames.len() as u64;
         let t0 = (self.obs.is_some() || walk.acct.flight().is_some()).then(Instant::now);
         let mut env = NodeEnv {
@@ -1769,32 +1746,29 @@ impl UniversalNode {
             format_bytes(self.mem_capacity)
         ));
         out.push_str("   ├─ Traffic steering\n");
-        out.push_str(&format!(
-            "   │  ├─ {} (dpid {}): {} ports, {} flows\n",
-            self.lsi0.name,
-            self.lsi0.dpid,
-            self.lsi0.port_count(),
-            self.lsi0.flow_count()
-        ));
-        for (pno, kind) in &self.l0_ports {
-            let desc = match kind {
-                L0Port::Physical(n) => format!("physical '{n}'"),
-                L0Port::Vlink { graph_slot, .. } => {
-                    let g = self.slots[*graph_slot as usize].clone().unwrap_or_default();
-                    format!("virtual link → LSI-{g}")
-                }
-                L0Port::SharedAttach(i) => format!("shared NNF attach ({i})"),
-            };
-            out.push_str(&format!("   │  │   {pno}: {desc}\n"));
-        }
-        for graph in self.graphs.values() {
+        for (graph, lsi) in self.entries() {
+            let sw = &lsi.switch;
             out.push_str(&format!(
                 "   │  ├─ {} (dpid {}): {} ports, {} flows\n",
-                graph.lsi.name,
-                graph.lsi.dpid,
-                graph.lsi.port_count(),
-                graph.lsi.flow_count()
+                sw.name,
+                sw.dpid,
+                sw.port_count(),
+                sw.flow_count()
             ));
+            if graph.is_some() {
+                continue; // only LSI-0's ports are drawn
+            }
+            for (pno, kind) in &lsi.ports {
+                let desc = match kind {
+                    PortKind::Physical(n) => format!("physical '{n}'"),
+                    PortKind::Vlink { lsi, .. } => {
+                        let peer = self.lsis[*lsi].as_ref().map(|l| l.switch.name.as_str());
+                        format!("virtual link → {}", peer.unwrap_or("LSI-"))
+                    }
+                    PortKind::Nf(i, _) => format!("shared NNF attach ({i})"),
+                };
+                out.push_str(&format!("   │  │   {pno}: {desc}\n"));
+            }
         }
         out.push_str("   └─ Compute manager\n");
         for (id, _, name) in self.compute.iter() {
@@ -1811,28 +1785,29 @@ impl UniversalNode {
 
     /// LSI-0 statistics (tests / metrics endpoint).
     pub fn lsi0_stats(&self) -> un_switch::SwitchStats {
-        self.lsi0.stats
+        self.lsi(0).switch.stats
     }
 
     /// Flow count across all LSIs.
     pub fn total_flows(&self) -> usize {
-        self.lsi0.flow_count()
-            + self
-                .graphs
-                .values()
-                .map(|g| g.lsi.flow_count())
-                .sum::<usize>()
+        self.flow_table_occupancy()
+    }
+
+    /// Every LSI entry — LSI-0 (`None`) first, then each deployed
+    /// graph's (`Some(graph id)`) by graph id.
+    fn entries(&self) -> impl Iterator<Item = (Option<&str>, &Lsi)> {
+        let graphs = self.graphs.iter().filter_map(|(id, g)| {
+            let lsi = self.lsis[g.lsi].as_ref()?;
+            Some((Some(id.as_str()), lsi))
+        });
+        std::iter::once((None, self.lsi(0))).chain(graphs)
     }
 
     /// Iterate every LSI on the node — LSI-0 first, then one per
     /// deployed graph (`Some(graph id)`). Read-only view for static
     /// analysis and table dumps.
     pub fn lsis(&self) -> impl Iterator<Item = (Option<&str>, &un_switch::LogicalSwitch)> {
-        std::iter::once((None, &self.lsi0)).chain(
-            self.graphs
-                .iter()
-                .map(|(id, g)| (Some(id.as_str()), &g.lsi)),
-        )
+        self.entries().map(|(graph, lsi)| (graph, &lsi.switch))
     }
 }
 
@@ -1840,21 +1815,17 @@ impl NativeStatus for UniversalNode {
     /// A shared instance is a single-instance NNF on an attach port.
     fn existing(&self, functional_type: &str) -> Option<(InstanceId, bool)> {
         let id = self.compute.existing_instance(functional_type)?;
-        Some((id, attach_port(&self.l0_ports, id).is_some()))
+        Some((id, self.lsi(0).nf_ports.contains_key(&(id, 0))))
     }
 }
 
-/// The LSI-0 port shared instance `id` is attached on, if it is one.
-fn attach_port(l0_ports: &BTreeMap<PortNo, L0Port>, id: InstanceId) -> Option<PortNo> {
-    let attached = |(port, kind): (&PortNo, &L0Port)| match kind {
-        L0Port::SharedAttach(i) if *i == id => Some(*port),
-        _ => None,
-    };
-    l0_ports.iter().find_map(attached)
-}
-
-/// Compile one NF-FG rule into a graph-LSI flow entry.
-fn compile_rule(graph: &DeployedGraph, rule: &FlowRule) -> Result<FlowEntry, String> {
+/// Compile one NF-FG rule into a flow entry of the graph's LSI, whose
+/// NF ports are wired as `nf_ports` says.
+fn compile_rule(
+    graph: &DeployedGraph,
+    nf_ports: &BTreeMap<(InstanceId, u32), PortNo>,
+    rule: &FlowRule,
+) -> Result<FlowEntry, String> {
     let mut m = FlowMatch::any();
     let mut actions: Vec<FlowAction> = Vec::new();
 
@@ -1871,8 +1842,7 @@ fn compile_rule(graph: &DeployedGraph, rule: &FlowRule) -> Result<FlowEntry, Str
                     .get(nf)
                     .ok_or_else(|| format!("NF '{nf}' not placed"))?;
                 match &placed.shared {
-                    None => graph
-                        .rev_nf
+                    None => nf_ports
                         .get(&(placed.instance, *port))
                         .map(|p| (*p, None))
                         .ok_or_else(|| format!("NF '{nf}' port {port} not mapped")),

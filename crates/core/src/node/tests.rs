@@ -120,6 +120,17 @@ fn endpoint_conflict_detected() {
         .chain("lan", &["br"], "wan")
         .build();
     n.deploy(&g3).unwrap();
+    // A VLAN of an interface has one owner too.
+    let g4 = NfFgBuilder::new("g4", "same tag")
+        .vlan_endpoint("lan", "eth0", 42)
+        .vlan_endpoint("wan", "eth1", 43)
+        .nf("br", "bridge", 2)
+        .chain("lan", &["br"], "wan")
+        .build();
+    assert_eq!(
+        n.deploy(&g4).unwrap_err(),
+        DeployError::EndpointConflict("eth0.42".into())
+    );
 
     // Tagged traffic reaches g3 and comes out re-tagged on eth1.
     let mut f = frame(b"tagged");
@@ -128,6 +139,90 @@ fn endpoint_conflict_detected() {
     assert_eq!(io.emitted.len(), 1);
     assert_eq!(io.emitted[0].0, "eth1");
     assert_eq!(io.emitted[0].1.vlan_id(), Some(42));
+}
+
+/// A member of internal group `grp`, its LAN on VLAN `vid` of eth0.
+fn member(id: &str, vid: u16) -> un_nffg::NfFg {
+    NfFgBuilder::new(id, "group member")
+        .vlan_endpoint("lan", "eth0", vid)
+        .internal_endpoint("peer", "grp")
+        .chain("lan", &[], "peer")
+        .build()
+}
+
+/// The VLANs of eth0 on which a frame sent on VLAN `vid` of eth0 comes
+/// back, in order.
+fn heard(n: &mut UniversalNode, vid: u16) -> Vec<u16> {
+    let mut f = frame(b"group");
+    f.vlan_push(vid).unwrap();
+    let io = n.inject("eth0", f);
+    let out = io.emitted.iter().map(|(port, f)| {
+        assert_eq!(port, "eth0");
+        f.vlan_id().expect("tagged")
+    });
+    out.collect()
+}
+
+/// An internal group's rules are the group's: a member that leaves
+/// takes its share of them along, and the next member to join hears
+/// those who stayed.
+#[test]
+fn a_departed_group_member_leaves_no_rule_behind() {
+    let mut n = node();
+    n.deploy(&member("x0", 10)).unwrap();
+    n.deploy(&member("b", 20)).unwrap();
+    n.undeploy("x0").unwrap();
+    n.deploy(&member("a", 30)).unwrap();
+    assert_eq!(heard(&mut n, 20), [30]);
+    assert_eq!(heard(&mut n, 30), [20]);
+    assert_eq!(*n.frame_ledger(), FrameLedger::default());
+    n.undeploy("a").unwrap();
+    n.undeploy("b").unwrap();
+    assert_eq!(n.total_flows(), 0);
+}
+
+/// An internal group is a hub: whatever one member sends reaches every
+/// other, in join order, however many there are.
+#[test]
+fn an_internal_group_reaches_every_other_member() {
+    let mut n = node();
+    for (id, vid) in [("r1", 10), ("r2", 20), ("s", 30)] {
+        n.deploy(&member(id, vid)).unwrap();
+    }
+    assert_eq!(heard(&mut n, 30), [10, 20]);
+    assert_eq!(heard(&mut n, 10), [20, 30]);
+    assert_eq!(heard(&mut n, 20), [10, 30]);
+    n.undeploy("r1").unwrap();
+    assert_eq!(heard(&mut n, 30), [20]);
+}
+
+/// A deploy that joins a group, then fails, leaves the group's rules
+/// as they were, and the members still hear each other.
+#[test]
+fn a_failed_deploy_leaves_its_groups_rules_as_they_were() {
+    let mut n = node();
+    n.deploy(&bridge_graph("occ")).unwrap();
+    n.deploy(&member("a", 10)).unwrap();
+    n.deploy(&member("b", 20)).unwrap();
+    let rules = |n: &UniversalNode| -> Vec<(u16, FlowMatch, Vec<FlowAction>, u64)> {
+        let l0 = n.lsis().next().unwrap().1;
+        let entries = l0.table().entries();
+        entries
+            .map(|e| (e.priority, e.matches.clone(), e.actions.to_vec(), e.cookie))
+            .collect()
+    };
+    let before = rules(&n);
+    let late = NfFgBuilder::new("late", "joins, then conflicts")
+        .internal_endpoint("peer", "grp")
+        .interface_endpoint("lan", "eth0")
+        .chain("lan", &[], "peer")
+        .build();
+    assert_eq!(
+        n.deploy(&late).unwrap_err(),
+        DeployError::EndpointConflict("eth0".into())
+    );
+    assert_eq!(rules(&n), before);
+    assert_eq!(heard(&mut n, 10), [20]);
 }
 
 /// A frame too short to carry an Ethernet header cannot take the VLAN
@@ -667,15 +762,19 @@ fn every_death_node() -> UniversalNode {
     for g in [bridge_graph("good"), ring_a, ring_b, amp, gone] {
         n.deploy(&g).unwrap();
     }
-    let amp_link = n.internal_groups["amp"][0];
+    let mut l0 = n.lsi(0).switch.ports();
+    let amp_link = l0.find(|(_, p)| p.name == "vlink-amp-loop").unwrap().0;
+    drop(l0);
     let twice = vec![FlowAction::Output(amp_link), FlowAction::Output(amp_link)];
-    n.l0_rule(0, 30, FlowMatch::in_port(amp_link), twice);
-    let slot = n.graphs["gone"].slot as usize;
-    n.slots[slot] = None;
+    n.lsi_mut(0)
+        .rule(0, 30, FlowMatch::in_port(amp_link), twice);
+    let at = n.graphs["gone"].lsi;
+    n.lsis[at] = None;
     let stray = PortNo(999);
-    n.lsi0.add_port(stray, "stray").unwrap();
     let to_stray = FlowMatch::in_port(n.physical["eth0"]).with_vlan(VlanSpec::Id(40));
-    n.l0_rule(0, 10, to_stray, vec![FlowAction::Output(stray)]);
+    let l0 = n.lsi_mut(0);
+    l0.switch.add_port(stray, "stray").unwrap();
+    l0.rule(0, 10, to_stray, vec![FlowAction::Output(stray)]);
     n
 }
 
@@ -953,7 +1052,7 @@ fn census(n: &UniversalNode) -> Census {
         memory: n.memory_used(),
         instances: n.total_instances(),
         driver_instances: n.compute.drivers().map(|d| d.instance_count()),
-        lsi0_ports: n.lsi0.port_count(),
+        lsi0_ports: n.lsis().next().unwrap().1.port_count(),
         flows: n.total_flows(),
         shared_types: n.shared_nnf_types(),
         bindings: n
@@ -961,7 +1060,7 @@ fn census(n: &UniversalNode) -> Census {
             .iter()
             .map(|ft| n.shared_nnf_graphs(ft).len())
             .sum(),
-        group_members: n.internal_groups.values().map(Vec::len).sum(),
+        group_members: n.groups().values().map(Vec::len).sum(),
         nf_histograms: n.obs_nf_hist.len(),
     }
 }
