@@ -9,26 +9,21 @@ use un_domain::{assign, assign_endpoints, partition, Domain, NodeView, Placement
 use un_nffg::NfFgBuilder;
 use un_sim::mem::mb;
 
-fn fleet_views(n: usize) -> Vec<NodeView> {
+fn fleet_views(n: usize) -> Vec<NodeView<'static>> {
     (0..n)
         .map(|i| NodeView {
             name: format!("node{i:04}"),
             // Heterogeneous free memory so bin-packing has real work.
             free_memory: mb(512 + (i as u64 * 37) % 3584),
             capacity: mb(4096),
-            native_types: ["ipsec", "firewall", "nat", "bridge", "router"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            native_types: ["ipsec", "firewall", "nat", "bridge", "router"].into(),
             shared_running: if i % 7 == 0 {
-                ["nat".to_string()].into_iter().collect()
+                ["nat"].into()
             } else {
                 Default::default()
             },
-            sharable_types: ["nat".to_string()].into_iter().collect(),
-            ports: ["eth0".to_string(), "eth1".to_string()]
-                .into_iter()
-                .collect(),
+            sharable_types: ["nat"].into(),
+            ports: ["eth0", "eth1"].into(),
         })
         .collect()
 }

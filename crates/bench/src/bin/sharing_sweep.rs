@@ -160,12 +160,7 @@ fn run_mode(
     let nat_instances = d
         .node_names()
         .iter()
-        .filter(|n| {
-            d.node(n)
-                .unwrap()
-                .shared_nnf_types()
-                .contains(&"nat".to_string())
-        })
+        .filter(|n| d.node(n).unwrap().shared_nnf_types().any(|t| t == "nat"))
         .count();
 
     let mut out = Measured {

@@ -790,12 +790,6 @@ impl UniversalNode {
         self.lsis().map(|(_, lsi)| lsi.cache_entries()).sum()
     }
 
-    /// Total installed flow entries across LSI-0 and every graph LSI
-    /// (table occupancy, exported as a gauge through `/metrics`).
-    pub fn flow_table_occupancy(&self) -> usize {
-        self.lsis().map(|(_, lsi)| lsi.flow_count()).sum()
-    }
-
     /// Advance the node clock (stamps traces, host time).
     pub fn set_time(&mut self, now: SimTime) {
         self.clock = now;
@@ -852,9 +846,9 @@ impl UniversalNode {
         self.mem_capacity.saturating_sub(self.memory_used())
     }
 
-    /// Names of the node's physical interfaces.
-    pub fn physical_port_names(&self) -> Vec<String> {
-        self.physical.keys().cloned().collect()
+    /// Names of the node's physical interfaces, in name order.
+    pub fn physical_port_names(&self) -> impl Iterator<Item = &str> {
+        self.physical.keys().map(String::as_str)
     }
 
     /// True if a physical interface with this name exists.
@@ -863,28 +857,26 @@ impl UniversalNode {
     }
 
     /// Functional types this node offers as native NFs.
-    pub fn native_nnf_types(&self) -> Vec<String> {
-        let nnfs = self.compute.repository().nnfs();
-        nnfs.map(|d| d.functional_type.to_string()).collect()
+    pub fn native_nnf_types(&self) -> impl Iterator<Item = &str> {
+        self.compute.repository().nnfs().map(|d| d.functional_type)
     }
 
     /// Functional types with a *shared* native instance currently
     /// running (joinable by further graphs): the instances on an LSI-0
     /// attach port.
-    pub fn shared_nnf_types(&self) -> Vec<String> {
-        let types = self.lsi(0).ports.values().filter_map(|p| match p {
+    pub fn shared_nnf_types(&self) -> impl Iterator<Item = &str> {
+        self.lsi(0).ports.values().filter_map(|p| match p {
             PortKind::Nf(id, _) => self.compute.functional_type(*id),
             _ => None,
-        });
-        types.map(String::from).collect()
+        })
     }
 
     /// Functional types whose native descriptor marks a single instance
     /// *sharable* across graphs — the types this node could host a
     /// domain-shared instance of (whether or not one runs yet).
-    pub fn sharable_nnf_types(&self) -> Vec<String> {
+    pub fn sharable_nnf_types(&self) -> impl Iterator<Item = &str> {
         let sharable = self.compute.repository().nnfs().filter(|d| d.sharable);
-        sharable.map(|d| d.functional_type.to_string()).collect()
+        sharable.map(|d| d.functional_type)
     }
 
     /// The graph of each binding on the running shared instance of a
@@ -1788,9 +1780,10 @@ impl UniversalNode {
         self.lsi(0).switch.stats
     }
 
-    /// Flow count across all LSIs.
+    /// Installed flow entries across LSI-0 and every graph LSI (table
+    /// occupancy, exported as a gauge through `/metrics`).
     pub fn total_flows(&self) -> usize {
-        self.flow_table_occupancy()
+        self.lsis().map(|(_, lsi)| lsi.flow_count()).sum()
     }
 
     /// Every LSI entry — LSI-0 (`None`) first, then each deployed

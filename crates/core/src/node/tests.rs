@@ -597,8 +597,8 @@ fn without_latencies(trace: &str) -> String {
 /// One mixed burst through `every_port_node`, traced: the chain both
 /// ways, two LAN frames of one NAT tenant and one of the other (two
 /// runs across the shared attach port), a frame on the other tenant's
-/// WAN side, which the NAT routes back out of it, and a vid no graph
-/// owns. What leaves, in order, what it costs, the ledger, the
+/// WAN side, which the NAT drops (it forwards only what it translates),
+/// and a vid no graph owns. What leaves, in order, what it costs, the ledger, the
 /// classifier counters and the trace (NF latencies are wall-clock, so
 /// masked) are literals: change one only with the behaviour it pins.
 /// A trace names each rule's cookie, and the group's rules carry the
@@ -634,20 +634,19 @@ fn a_walk_across_every_port_kind_is_pinned() {
         ("eth1", "02000000009902000000000b8100000a08004500001d000000003f112fbfcb00710108080808138a003500099e0b02"),
         ("eth1", "02000000009902000000000b8100000a08004500001d000000003f112fbfcb00710108080808138d003500099b0805"),
         ("eth1", "02000000009902000000000b8100001408004500001d000000003f11418cc633640108080808138b00350009aed703"),
-        ("eth1", "02000000009902000000000b8100001408004500001d000000003f11418cc633640108080808138e00350009abd406"),
     ];
     let expected_emitted: Vec<(String, String)> = expected_emitted
         .iter()
         .map(|(port, hex)| (port.to_string(), hex.to_string()))
         .collect();
     assert_eq!(emitted, expected_emitted);
-    assert_eq!(io.cost.as_nanos(), 18350);
+    assert_eq!(io.cost.as_nanos(), 17610);
     let mut absorbed = FrameLedger::default();
-    absorbed.absorbed = 1;
+    absorbed.absorbed = 2;
     let counters: Vec<(&str, u64)> = n.frame_ledger().counters().collect();
     assert_eq!(counters, absorbed.counters().collect::<Vec<_>>());
     let stats = un_switch::TableStats {
-        cache_hits: 9,
+        cache_hits: 6,
         cache_misses: 26,
         exact_hits: 25,
         megaflow_hits: 0,
@@ -656,7 +655,7 @@ fn a_walk_across_every_port_kind_is_pinned() {
     };
     assert_eq!(n.flow_cache_stats(), stats);
     let expected_trace = "\
-trace of frame @ cpe-1/eth0: 49 hop(s)
+trace of frame @ cpe-1/eth0: 45 hop(s)
   [ 0] cpe-1        classify lsi=LSI-0 stage=exact cookie=0x6cede7764c1a3056 prio=5 outputs=1
   [ 1] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa709b1943bdfa92 prio=10 outputs=1
   [ 2] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=10 outputs=1
@@ -699,13 +698,9 @@ trace of frame @ cpe-1/eth0: 49 hop(s)
   [39] cpe-1        classify lsi=LSI-t20 stage=exact cookie=0xa7e04cc002f24cb6 prio=10 outputs=1
   [40] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=20 outputs=1
   [41] cpe-1        nf shared-nat type=nat flavor=native latency=?
-  [42] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa383b1943bae109 prio=20 outputs=1
-  [43] cpe-1        classify lsi=LSI-t20 stage=exact cookie=0x1d42acbfc77579f6 prio=10 outputs=1
-  [44] cpe-1        classify lsi=LSI-t20 stage=microflow cookie=0x1d42acbfc77579f6 prio=10 outputs=1
-  [45] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=10 outputs=1
-  [46] cpe-1        classify lsi=LSI-0 stage=microflow cookie=0xa383b1943bae109 prio=10 outputs=1
-  [47] cpe-1        egress port=eth1
-  [48] cpe-1        egress port=eth1
+  [42] cpe-1        classify lsi=LSI-t20 stage=exact cookie=0x1d42acbfc77579f6 prio=10 outputs=1
+  [43] cpe-1        classify lsi=LSI-0 stage=exact cookie=0xa383b1943bae109 prio=10 outputs=1
+  [44] cpe-1        egress port=eth1
 ";
     assert_eq!(trace, expected_trace);
 
@@ -1054,10 +1049,9 @@ fn census(n: &UniversalNode) -> Census {
         driver_instances: n.compute.drivers().map(|d| d.instance_count()),
         lsi0_ports: n.lsis().next().unwrap().1.port_count(),
         flows: n.total_flows(),
-        shared_types: n.shared_nnf_types(),
+        shared_types: n.shared_nnf_types().map(String::from).collect(),
         bindings: n
             .shared_nnf_types()
-            .iter()
             .map(|ft| n.shared_nnf_graphs(ft).len())
             .sum(),
         group_members: n.groups().values().map(Vec::len).sum(),

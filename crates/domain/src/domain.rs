@@ -441,10 +441,12 @@ type LinkSas = Box<(SecurityAssociation, SecurityAssociation)>;
 /// One live overlay link, under its vid: its ends are its path's ends,
 /// and the rest of its cut edge is its graph's `partition.links` entry.
 struct LinkState {
-    graph: String,
+    /// The owning graph's id, shared with every verifier snapshot.
+    graph: Arc<str>,
     /// Pinned fabric path `[from_node, …, to_node]` this link rides;
     /// length two when the nodes are adjacent (every full-mesh link).
-    path: Vec<String>,
+    /// Shared with every verifier snapshot, like `graph`.
+    path: Arc<[String]>,
     /// Cost of each path hop, in ns (`path.len() - 1` entries).
     hop_latency_ns: Vec<u64>,
     /// The SA pair protecting this wire, end to end (ESP mode): the
@@ -469,7 +471,8 @@ struct LinkState {
 
 #[derive(Clone)]
 struct DomainGraph {
-    original: NfFg,
+    /// The tenant's NF-FG, shared with every verifier snapshot.
+    original: Arc<NfFg>,
     hints: DeployHints,
     assignment: BTreeMap<String, String>,
     /// Endpoint id → node name (kept so a repair can pin surviving
@@ -873,7 +876,8 @@ impl Domain {
     /// quarantine, and quarantining them would force every concurrent
     /// update to migrate off a node that is probably just slow.
     fn planner(&mut self) -> (FleetView<'_>, &mut plan::VidPool) {
-        let views: Vec<NodeView> = self
+        let fabric = self.config.fabric_port.as_str();
+        let views: Vec<NodeView<'_>> = self
             .nodes
             .values()
             .filter(|m| m.health.is_serving())
@@ -881,14 +885,13 @@ impl Domain {
                 name: m.node.name.clone(),
                 free_memory: m.node.free_memory(),
                 capacity: m.node.mem_capacity(),
-                native_types: m.node.native_nnf_types().into_iter().collect(),
-                shared_running: m.node.shared_nnf_types().into_iter().collect(),
-                sharable_types: m.node.sharable_nnf_types().into_iter().collect(),
+                native_types: m.node.native_nnf_types().collect(),
+                shared_running: m.node.shared_nnf_types().collect(),
+                sharable_types: m.node.sharable_nnf_types().collect(),
                 ports: m
                     .node
                     .physical_port_names()
-                    .into_iter()
-                    .filter(|p| *p != self.config.fabric_port)
+                    .filter(|p| *p != fabric)
                     .collect(),
             })
             .collect();

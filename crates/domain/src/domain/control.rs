@@ -13,6 +13,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Instant;
 
 use un_core::DeployReport;
@@ -228,7 +229,7 @@ impl Domain {
         self.verify_mark(gid, hosts());
 
         let mut done = Committed::default();
-        for (node_name, sub) in &plan.partition.parts {
+        for (node_name, sub) in plan.partition.parts.iter() {
             let old_part = old_parts.get(node_name);
             if old_part.is_some_and(|o| un_nffg::diff(o, sub).is_empty()) {
                 continue;
@@ -288,8 +289,8 @@ impl Domain {
                 Entry::Vacant(slot) => {
                     let sas = self.config.protect_overlay.then(|| fresh_sas(link.vid));
                     slot.insert(LinkState {
-                        graph: gid.to_string(),
-                        path: path.clone(),
+                        graph: gid.into(),
+                        path: path[..].into(),
                         hop_latency_ns: hop_latencies(&self.config, path),
                         sas,
                         packets: 0,
@@ -308,10 +309,10 @@ impl Domain {
                         // handed the old pair or its sequence counter.
                         *sas = fresh_sas(link.vid);
                     }
-                    if state.path != *path {
+                    if *state.path != path[..] {
                         // The hop axis changed identity; totals
                         // survive, per-hop counters restart.
-                        state.path = path.clone();
+                        state.path = path[..].into();
                         state.hop_latency_ns = hop_latencies(&self.config, path);
                         state.hop_packets = vec![0; hops];
                         state.hop_bytes = vec![0; hops];
@@ -327,7 +328,7 @@ impl Domain {
         self.graphs.insert(
             gid.to_string(),
             DomainGraph {
-                original: graph.clone(),
+                original: Arc::new(graph.clone()),
                 hints,
                 assignment: plan.assignment,
                 endpoints: plan.endpoints,
@@ -445,7 +446,7 @@ impl Domain {
 
     /// The original (whole) NF-FG of a deployed graph.
     pub fn graph(&self, id: &str) -> Option<&NfFg> {
-        self.graphs.get(id).map(|g| &g.original)
+        self.graphs.get(id).map(|g| &*g.original)
     }
 
     /// The current partition of a deployed graph.

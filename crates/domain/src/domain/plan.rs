@@ -8,6 +8,7 @@
 //! draws fresh overlay vids from.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use un_core::{compile, Programs, UniversalNode};
@@ -224,7 +225,7 @@ impl Constraints {
 /// Everything planning reads, gathered by [`super::Domain::planner`].
 pub(crate) struct FleetView<'a> {
     /// One view per node in `serving`, in name order.
-    pub(crate) views: Vec<NodeView>,
+    pub(crate) views: Vec<NodeView<'a>>,
     /// The nodes a plan may place on and route through.
     pub(crate) serving: BTreeSet<String>,
     /// Hop distances between serving nodes; `None` in full-mesh mode
@@ -338,7 +339,8 @@ pub(super) fn plan(
     )?;
     let fabric = &view.config.fabric_port;
     let transit_started = Instant::now();
-    install_transit(graph, &mut part.parts, &part.links, &paths, fabric);
+    let parts = Arc::make_mut(&mut part.parts);
+    install_transit(graph, parts, &part.links, &paths, fabric);
     if view.obs.is_enabled() {
         let multi_hop = paths.values().filter(|p| p.len() > 2).count();
         view.obs.span(

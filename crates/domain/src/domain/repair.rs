@@ -10,6 +10,7 @@
 //! update; a rolled-back commit falls through to the next builder.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use super::control::Committed;
@@ -295,7 +296,7 @@ impl Domain {
                         .or_insert_with(|| GraphAvailability::new(&gid))
                         .park_events += 1;
                     let parked = Parked {
-                        graph: entry.original,
+                        graph: Arc::unwrap_or_clone(entry.original),
                         hints,
                         since: Instant::now(),
                     };

@@ -89,10 +89,10 @@ impl Domain {
             .iter()
             .map(|(vid, s)| LinkReport {
                 vid: *vid,
-                graph: s.graph.clone(),
+                graph: s.graph.to_string(),
                 from: s.ends().0.clone(),
                 to: s.ends().1.clone(),
-                path: s.path.clone(),
+                path: s.path.to_vec(),
                 protected: s.sas.is_some(),
                 packets: s.packets,
                 bytes: s.bytes,

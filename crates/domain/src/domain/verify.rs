@@ -7,7 +7,10 @@
 //! * **Extraction** — [`Domain::verify_snapshot`] lowers live fleet
 //!   state (installed LSI tables, partitions, overlay wires, shared
 //!   leases, the vid pool) into a snapshot that the checker, the REST
-//!   endpoint, and the negative tests all share.
+//!   endpoint, and the negative tests all share. The snapshot shares
+//!   the live state's bulky values — each rule's action list, each
+//!   graph's original and parts, each link's graph id and path — by
+//!   reference count instead of copying them.
 //! * **Incrementality** — mutations mark the graphs they touched (and
 //!   the nodes hosting their parts); [`Domain::verify`] lowers and
 //!   re-checks only the dirty portion and splices cached results in
@@ -20,8 +23,8 @@
 //!   and the graphs with a part on it; membership changes and raw node
 //!   access force a full pass because their blast radius is unbounded.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::mem::take;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 use un_verify::check::{self, CheckStats, VerifyReport, Violation};
@@ -58,36 +61,8 @@ pub(super) struct VerifyCache {
     graph_results: BTreeMap<String, Checked>,
     /// Per-(node, LSI) audits from the last pass.
     node_results: BTreeMap<String, NodeAudits>,
-    /// What the last pass lowered, for the next to reuse.
-    spare: Spare,
     /// False until a pass has populated the caches.
     primed: bool,
-}
-
-/// Lowered state a pass hands to the next: an entry still equal to the
-/// live one it stood for is moved into the new snapshot instead of
-/// cloned again.
-#[derive(Default)]
-struct Spare {
-    /// Links, by vid.
-    links: Vec<LinkInfo>,
-    /// Each node's LSI-0 rules, in match order.
-    base_rules: BTreeMap<String, Vec<RuleState>>,
-}
-
-/// How far ahead of its place a spare LSI-0 rule is looked for: rules a
-/// commit removed are skipped over, up to this many at a time.
-const REUSE_WINDOW: usize = 8;
-
-/// The first of the next [`REUSE_WINDOW`] spare rules that is `same` as
-/// the live entry being lowered, the spare rules before it dropped.
-fn take_spare(
-    last: &mut VecDeque<RuleState>,
-    same: impl Fn(&RuleState) -> bool,
-) -> Option<RuleState> {
-    let skipped = last.iter().take(REUSE_WINDOW).position(same)?;
-    last.drain(..skipped);
-    last.pop_front()
 }
 
 /// What an incremental pass re-checks, and therefore all it lowers in
@@ -132,8 +107,8 @@ fn snapshot_graph(id: &str, g: &DomainGraph) -> GraphState {
         .collect();
     GraphState {
         id: id.to_string(),
-        original: g.original.clone(),
-        parts: g.partition.parts.clone(),
+        original: Arc::clone(&g.original),
+        parts: Arc::clone(&g.partition.parts),
         links: g
             .partition
             .links
@@ -190,17 +165,15 @@ impl Domain {
     /// Public so negative tests can corrupt a *real* snapshot and feed
     /// it straight to [`un_verify::check::run`].
     pub fn verify_snapshot(&self) -> Snapshot {
-        self.lower(None, &mut Spare::default())
+        self.lower(None)
     }
 
     /// The one lowering path. The ledger side (membership, links,
     /// leases, the vid pool) is always whole; tables, plans and
     /// expected rules are lowered for everything (`scope == None`) or
     /// only for what `scope` names, the rest being recorded by name so
-    /// reading it is an error rather than an empty answer. What `spare`
-    /// holds is taken: each link and LSI-0 rule in it that equals its
-    /// live counterpart is reused.
-    fn lower(&self, scope: Option<&Scope<'_>>, spare: &mut Spare) -> Snapshot {
+    /// reading it is an error rather than an empty answer.
+    fn lower(&self, scope: Option<&Scope<'_>>) -> Snapshot {
         let (vid_base, vid_next, free_vids, _in_use, standby_vids) = self.vid_accounting();
         let mut snap = Snapshot {
             vid_base,
@@ -222,15 +195,6 @@ impl Domain {
                     unlowered_lsis.push(g.to_string());
                     continue;
                 }
-                let mut last = VecDeque::new();
-                if gid.is_none() {
-                    last = spare
-                        .base_rules
-                        .get_mut(name)
-                        .map(take)
-                        .unwrap_or_default()
-                        .into();
-                }
                 lsis.push(LsiState {
                     name: lsi.name.clone(),
                     graph: gid.map(str::to_string),
@@ -241,19 +205,11 @@ impl Domain {
                             index,
                             rules: table
                                 .entries()
-                                .map(|e| {
-                                    let same = |r: &RuleState| {
-                                        r.priority == e.priority
-                                            && r.cookie == e.cookie
-                                            && r.matches == e.matches
-                                            && r.actions[..] == e.actions[..]
-                                    };
-                                    take_spare(&mut last, same).unwrap_or_else(|| RuleState {
-                                        priority: e.priority,
-                                        matches: e.matches.clone(),
-                                        actions: e.actions.to_vec(),
-                                        cookie: e.cookie,
-                                    })
+                                .map(|e| RuleState {
+                                    priority: e.priority,
+                                    matches: e.matches.clone(),
+                                    actions: Arc::clone(&e.actions),
+                                    cookie: e.cookie,
                                 })
                                 .collect(),
                         })
@@ -274,19 +230,13 @@ impl Domain {
                 snap.graphs.push(snapshot_graph(id, g));
             }
         }
-        let mut last = take(&mut spare.links).into_iter().peekable();
         snap.links = self
             .links
             .iter()
-            .map(|(vid, state)| {
-                while last.next_if(|l| l.vid < *vid).is_some() {}
-                let same =
-                    |l: &LinkInfo| l.vid == *vid && l.graph == state.graph && l.path == state.path;
-                last.next_if(same).unwrap_or_else(|| LinkInfo {
-                    vid: *vid,
-                    graph: state.graph.clone(),
-                    path: state.path.clone(),
-                })
+            .map(|(vid, state)| LinkInfo {
+                vid: *vid,
+                graph: Arc::clone(&state.graph),
+                path: Arc::clone(&state.path),
             })
             .collect();
         snap.leases = self
@@ -365,13 +315,9 @@ impl Domain {
             .retain(|name, _| self.nodes.contains_key(name));
 
         // Derive once what this pass re-checks, and lower only that.
-        let mut spare = take(&mut cache.spare);
-        spare
-            .base_rules
-            .retain(|name, _| self.nodes.contains_key(name));
-        let mut snap = {
+        let snap = {
             let scope = (!full).then(|| self.scope(&cache));
-            self.lower(scope.as_ref(), &mut spare)
+            self.lower(scope.as_ref())
         };
         let ix = snap.index();
 
@@ -435,22 +381,6 @@ impl Domain {
             }
         }
         report.nodes_reused = snap.unlowered_nodes.iter().filter(|(_, s)| *s).count();
-        drop(ix);
-        spare.links = take(&mut snap.links);
-        for node in &mut snap.nodes {
-            let base = node.lsis.iter_mut().find(|l| l.graph.is_none());
-            let Some(table) = base.and_then(|l| l.tables.first_mut()) else {
-                continue;
-            };
-            let rules = take(&mut table.rules);
-            match spare.base_rules.get_mut(&node.name) {
-                Some(slot) => *slot = rules,
-                None => {
-                    spare.base_rules.insert(node.name.clone(), rules);
-                }
-            }
-        }
-        cache.spare = spare;
 
         cache.graphs_dirty.clear();
         cache.nodes_dirty.clear();
@@ -644,20 +574,47 @@ mod tests {
         }
     }
 
+    /// A snapshot shares the domain's graphs and links rather than
+    /// copying them, so a test that corrupts one writes through
+    /// `Arc::make_mut`, which copies first: the corrupted snapshot fails
+    /// the checker, and the domain it came from is as it was.
+    #[test]
+    fn a_corrupted_snapshot_leaves_the_domain_as_it_was() {
+        let d = paired_fleet(4);
+        let original = d.graph("g0").expect("g0 deployed").clone();
+        let partition = d.partition_of("g0").unwrap().clone();
+        let links = d.link_reports();
+        let mut snap = d.verify_snapshot();
+        let g = snap.graphs.iter_mut().find(|g| g.id == "g0").unwrap();
+        assert!(Arc::ptr_eq(&g.parts, &partition.parts), "parts are shared");
+        for part in Arc::make_mut(&mut g.parts).values_mut() {
+            part.flow_rules.clear();
+        }
+        Arc::make_mut(&mut g.original).flow_rules.clear();
+        for link in &mut snap.links {
+            Arc::make_mut(&mut link.path).reverse();
+        }
+        assert!(!check::run(&snap).ok(), "the corruption is seen");
+
+        assert!(d.verify_full().ok());
+        let now = d.partition_of("g0").unwrap();
+        assert_eq!(*now.parts, *partition.parts);
+        assert_eq!(now.links, partition.links);
+        assert_eq!(*d.graph("g0").unwrap(), original);
+        assert_eq!(d.link_reports(), links);
+    }
+
     #[test]
     #[should_panic(expected = "outside this snapshot's scope")]
     fn under_scoped_snapshot_refuses_to_answer() {
         let d = paired_fleet(4);
         // g0 without its hosts: its consistency check must not be able
         // to mistake "not lowered" for "no rules installed".
-        let snap = d.lower(
-            Some(&Scope {
-                graphs: ["g0"].into(),
-                nodes: BTreeSet::new(),
-                cache: &VerifyCache::default(),
-            }),
-            &mut Spare::default(),
-        );
+        let snap = d.lower(Some(&Scope {
+            graphs: ["g0"].into(),
+            nodes: BTreeSet::new(),
+            cache: &VerifyCache::default(),
+        }));
         let ix = snap.index();
         assert_eq!(ix.serving("n0"), Some(true));
         check::check_graph(&ix, &snap.graphs[0]);

@@ -24,6 +24,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use un_nffg::{Endpoint, EndpointKind, FlowRule, NfFg, PortRef, RuleAction, TrafficMatch};
 
@@ -52,8 +53,10 @@ pub struct OverlayLink {
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Per-node sub-graphs (node name → part). Part ids equal the
-    /// original graph id; names carry a `@node` suffix.
-    pub parts: BTreeMap<String, NfFg>,
+    /// original graph id; names carry a `@node` suffix. Shared with
+    /// every verifier snapshot that lowers the graph; a plan still
+    /// being built holds it alone, so `Arc::make_mut` does not copy.
+    pub parts: Arc<BTreeMap<String, NfFg>>,
     /// Synthesized inter-node links.
     pub links: Vec<OverlayLink>,
 }
@@ -260,7 +263,10 @@ pub fn partition(
             .push(placed);
     }
 
-    Ok(Partition { parts, links })
+    Ok(Partition {
+        parts: parts.into(),
+        links,
+    })
 }
 
 /// A fresh NF-less part for `node`. The id/name convention (graph id,
@@ -514,7 +520,7 @@ mod tests {
                 )
             })
             .collect();
-        install_transit(&g, &mut p.parts, &p.links, &paths, "fab0");
+        install_transit(&g, Arc::make_mut(&mut p.parts), &p.links, &paths, "fab0");
         let transit = &p.parts["n2"];
         assert!(transit.nfs.is_empty());
         assert_eq!(transit.endpoints.len(), 2);

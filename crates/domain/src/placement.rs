@@ -29,9 +29,11 @@ use crate::topology::Topology;
 
 /// What the domain scheduler knows about one node. Only a serving node
 /// has a view: a node that fails, or that `FleetView::without` counts
-/// out, leaves the list, so every view is a candidate.
+/// out, leaves the list, so every view is a candidate. A view is built
+/// per planning call, so its sets borrow the node's own type and port
+/// names instead of copying them.
 #[derive(Debug, Clone)]
-pub struct NodeView {
+pub struct NodeView<'a> {
     /// Node name (fleet-unique).
     pub name: String,
     /// Memory not yet committed.
@@ -39,15 +41,15 @@ pub struct NodeView {
     /// Total memory capacity.
     pub capacity: u64,
     /// Functional types offered as native NFs.
-    pub native_types: BTreeSet<String>,
+    pub native_types: BTreeSet<&'a str>,
     /// Functional types with a running, joinable shared NNF.
-    pub shared_running: BTreeSet<String>,
+    pub shared_running: BTreeSet<&'a str>,
     /// Functional types whose catalog descriptor marks a single
     /// instance *sharable* across graphs (the nodes eligible to host a
     /// domain-shared instance).
-    pub sharable_types: BTreeSet<String>,
+    pub sharable_types: BTreeSet<&'a str>,
     /// Physical interface names (for endpoint placement).
-    pub ports: BTreeSet<String>,
+    pub ports: BTreeSet<&'a str>,
 }
 
 /// Tie-breaking goal of the assignment.
@@ -122,7 +124,7 @@ fn endpoint_iface(ep: &un_nffg::Endpoint) -> Option<&str> {
 /// endpoints go to the anchor (first viewed) node.
 pub fn assign_endpoints(
     graph: &NfFg,
-    views: &[NodeView],
+    views: &[NodeView<'_>],
     pins: &BTreeMap<String, String>,
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
 ) -> Result<BTreeMap<String, String>, PlaceError> {
@@ -153,7 +155,7 @@ pub fn assign_endpoints(
             continue;
         }
         let node = if let Some(if_name) = endpoint_iface(ep) {
-            let owners: Vec<&NodeView> =
+            let owners: Vec<&NodeView<'_>> =
                 views.iter().filter(|v| v.ports.contains(if_name)).collect();
             if owners.is_empty() {
                 return Err(PlaceError::NoSuchInterface {
@@ -168,7 +170,7 @@ pub fn assign_endpoints(
                     // Closest owner to the endpoints placed so far;
                     // stable (first-owner) on ties and when nothing is
                     // placed yet.
-                    let mut best: (&NodeView, u64) = (owners[0], u64::MAX);
+                    let mut best: (&NodeView<'_>, u64) = (owners[0], u64::MAX);
                     for owner in &owners {
                         let score: u64 = out
                             .values()
@@ -233,7 +235,7 @@ const PATH_PENALTY_PER_HOP: i64 = 4_000;
 #[allow(clippy::too_many_arguments)] // a scheduler input per concern, all orthogonal
 pub fn assign(
     graph: &NfFg,
-    views: &[NodeView],
+    views: &[NodeView<'_>],
     estimates: &BTreeMap<String, u64>,
     endpoint_node: &BTreeMap<String, String>,
     pins: &BTreeMap<String, String>,
@@ -247,7 +249,7 @@ pub fn assign(
     // A node's shared instance is only "free reuse" for this graph if
     // the graph does not already hold a lease on the same type
     // elsewhere (see `held_leases` above).
-    let joinable = |view: &NodeView, functional_type: &String| {
+    let joinable = |view: &NodeView<'_>, functional_type: &str| {
         view.shared_running.contains(functional_type)
             && held_leases
                 .get(functional_type)
@@ -316,7 +318,7 @@ pub fn assign(
         // (reaches every used node, score): reachability dominates, so
         // no bonus stack can elect a fabric-isolated node while a
         // routable one exists.
-        let mut best: Option<(bool, i64, &NodeView)> = None;
+        let mut best: Option<(bool, i64, &NodeView<'_>)> = None;
         for view in views {
             let avail = free.get(view.name.as_str()).copied().unwrap_or(0);
             // A shared joinable instance costs nothing extra; otherwise
@@ -337,7 +339,7 @@ pub fn assign(
             if reusable {
                 score += 1_000_000;
             }
-            if view.native_types.contains(&nf.functional_type) {
+            if view.native_types.contains(nf.functional_type.as_str()) {
                 score += 100_000;
             }
             // Co-location: neighbors already resolved to this node
@@ -393,21 +395,21 @@ mod tests {
     use super::*;
     use un_nffg::NfFgBuilder;
 
-    fn view(
+    fn view<'a>(
         name: &str,
         free_mb: u64,
-        native: &[&str],
-        shared: &[&str],
-        ports: &[&str],
-    ) -> NodeView {
+        native: &[&'a str],
+        shared: &[&'a str],
+        ports: &[&'a str],
+    ) -> NodeView<'a> {
         NodeView {
             name: name.into(),
             free_memory: free_mb << 20,
             capacity: free_mb << 20,
-            native_types: native.iter().map(|s| s.to_string()).collect(),
-            shared_running: shared.iter().map(|s| s.to_string()).collect(),
-            sharable_types: shared.iter().map(|s| s.to_string()).collect(),
-            ports: ports.iter().map(|s| s.to_string()).collect(),
+            native_types: native.iter().copied().collect(),
+            shared_running: shared.iter().copied().collect(),
+            sharable_types: shared.iter().copied().collect(),
+            ports: ports.iter().copied().collect(),
         }
     }
 

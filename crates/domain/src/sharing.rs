@@ -322,11 +322,11 @@ pub(crate) fn claim_shared(
 /// election is deterministic and independent of memory churn.
 pub(crate) fn elect(
     key: &ShareKey,
-    views: &[NodeView],
+    views: &[NodeView<'_>],
     fabric_hops: Option<&BTreeMap<String, BTreeMap<String, u32>>>,
     demand: &BTreeSet<String>,
 ) -> Result<String, SharingError> {
-    let usable = |v: &NodeView| v.sharable_types.contains(&key.functional_type);
+    let usable = |v: &NodeView<'_>| v.sharable_types.contains(key.functional_type.as_str());
     let dist = |a: &str, b: &str| u64::from(Topology::hop_distance(fabric_hops, a, b));
     let mut best: Option<(u64, &str)> = None;
     for view in views.iter().filter(|v| usable(v)) {
@@ -345,14 +345,14 @@ pub(crate) fn elect(
 mod tests {
     use super::*;
 
-    fn view(name: &str, sharable: &[&str]) -> NodeView {
+    fn view<'a>(name: &str, sharable: &[&'a str]) -> NodeView<'a> {
         NodeView {
             name: name.to_string(),
             free_memory: 1 << 30,
             capacity: 1 << 30,
-            native_types: sharable.iter().map(|s| s.to_string()).collect(),
+            native_types: sharable.iter().copied().collect(),
             shared_running: BTreeSet::new(),
-            sharable_types: sharable.iter().map(|s| s.to_string()).collect(),
+            sharable_types: sharable.iter().copied().collect(),
             ports: BTreeSet::new(),
         }
     }

@@ -174,7 +174,7 @@ pub(crate) mod tests {
     //! and the two namespaces must agree on everything an NNF can
     //! configure.
 
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::fmt::Write;
     use std::net::Ipv4Addr;
 
@@ -185,6 +185,7 @@ pub(crate) mod tests {
     use un_linux::route::IpRule;
     use un_linux::{Host, IfaceId, IfaceKind, NsId, MAIN_TABLE};
     use un_nffg::NfConfig;
+    use un_packet::mutate::{mutants, refilled, Mutation};
     use un_packet::{Ipv4Cidr, MacAddr, Packet, PacketBuilder};
     use un_sim::{CostModel, MemLedger};
 
@@ -431,8 +432,48 @@ pub(crate) mod tests {
                 to: ip("192.168.1.20"),
                 port: Some(80),
             };
-            h.nf_append(ns, NfTable::Nat, Chain::Prerouting, NfRule::new(web, to))
+            h.nf_append(ns, NfTable::Nat, Chain::Prerouting, NfRule::new(web, to))?;
+            forward_filter(h, ns, [p[0], p[1]], &[(ip("192.168.1.20"), 80)])
         });
+    }
+
+    /// The FORWARD rules of a NAT between `lan` and `wan` whose port
+    /// forwards translate to `forwards`: LAN out to WAN, replies back in,
+    /// each forward's translated destination in, and a drop for whatever
+    /// else enters either side.
+    fn forward_filter(
+        h: &mut Host,
+        ns: NsId,
+        [lan, wan]: [IfaceId; 2],
+        forwards: &[(Ipv4Addr, u16)],
+    ) -> Result<(), un_linux::HostError> {
+        let mut rules = Vec::new();
+        let between = |in_iface, out_iface| RuleMatch {
+            in_iface: Some(in_iface),
+            out_iface,
+            ..Default::default()
+        };
+        rules.push(NfRule::new(between(lan, Some(wan)), Target::Accept));
+        let reply = RuleMatch {
+            ct_state: Some(CtState::Established),
+            ..between(wan, Some(lan))
+        };
+        rules.push(NfRule::new(reply, Target::Accept));
+        for &(to, port) in forwards {
+            let translated = RuleMatch {
+                dst: Some(Ipv4Cidr::new(to, 32)),
+                dport: Some(port),
+                ..between(wan, Some(lan))
+            };
+            rules.push(NfRule::new(translated, Target::Accept));
+        }
+        for side in [lan, wan] {
+            rules.push(NfRule::new(between(side, None), Target::Drop));
+        }
+        for rule in rules {
+            h.nf_append(ns, NfTable::Filter, Chain::Forward, rule)?;
+        }
+        Ok(())
     }
 
     #[test]
@@ -552,6 +593,12 @@ pub(crate) mod tests {
                     let forward = NfRule::new(arrived, to);
                     h.nf_append(ns, NfTable::Nat, Chain::Prerouting, forward)?;
                 }
+                let forwards: Vec<(Ipv4Addr, u16)> = nat
+                    .dnat
+                    .iter()
+                    .map(|f| (f.to, f.port.unwrap_or(f.dport)))
+                    .collect();
+                forward_filter(h, ns, [lan, wan], &forwards)?;
             }
             Ok::<_, un_linux::HostError>(())
         };
@@ -801,6 +848,212 @@ pub(crate) mod tests {
             left.iter().all(|&n| n > 100),
             "frames left each side: {left:?}"
         );
+    }
+
+    /// `(protocol, source, source port, destination, destination port)`.
+    type Tuple = (u8, Ipv4Addr, u16, Ipv4Addr, u16);
+
+    /// The tuple of the IPv4 packet `ip`, read where a host reads it,
+    /// if `ip` is long enough to carry one.
+    fn tuple(ip: &[u8]) -> Option<Tuple> {
+        let l4 = usize::from(ip.first()? & 0x0f) * 4;
+        if ip.len() < (l4 + 4).max(20) {
+            return None;
+        }
+        let at = |i: usize| Ipv4Addr::new(ip[i], ip[i + 1], ip[i + 2], ip[i + 3]);
+        let port = |i: usize| u16::from_be_bytes([ip[l4 + i], ip[l4 + i + 1]]);
+        Some((ip[9], at(12), port(0), at(16), port(2)))
+    }
+
+    /// A NAT under test: a dedicated one (one binding, its two ports) or
+    /// a shared one (each binding a VLAN pair on the attachment port).
+    struct NatUnderTest {
+        host: Host,
+        ports: Vec<IfaceId>,
+        /// Per binding, `[LAN, WAN]` VIDs; `None` for a dedicated NAT.
+        vids: Option<Vec<[u16; 2]>>,
+    }
+
+    impl NatUnderTest {
+        /// Send `frame`, untagged, into `side` of `binding`; what leaves,
+        /// as `(binding, side, IPv4 bytes)`. `None` when the frame cannot
+        /// carry a tag.
+        fn send(
+            &mut self,
+            binding: usize,
+            side: Side,
+            mut frame: Packet,
+        ) -> Option<Vec<(usize, Side, Vec<u8>)>> {
+            let Some(vids) = &self.vids else {
+                let out = self.host.inject(self.ports[side as usize], frame).emitted;
+                let by_port = |(tag, frame): (u64, Packet)| {
+                    let side = if tag == 1 { Side::Lan } else { Side::Wan };
+                    (0, side, ipv4_bytes(frame))
+                };
+                return Some(out.into_iter().map(by_port).collect());
+            };
+            frame.vlan_push(vids[binding][side as usize]).ok()?;
+            let out = self.host.inject(self.ports[0], frame).emitted;
+            let by_vid = |(_, frame): (u64, Packet)| {
+                let vid = frame.vlan_id().expect("a binding's frame leaves tagged");
+                let (binding, pair) = (vids.iter().enumerate())
+                    .find(|(_, pair)| pair.contains(&vid))
+                    .unwrap_or_else(|| panic!("left on VLAN {vid}, no binding's"));
+                let side = if pair[0] == vid { Side::Lan } else { Side::Wan };
+                (binding, side, ipv4_bytes(frame))
+            };
+            Some(out.into_iter().map(by_vid).collect())
+        }
+    }
+
+    /// A NAT forwards only what it translates. Into both sides of a
+    /// dedicated NAT and of a shared NAT with two bindings go random
+    /// frames — flows from either side to anyone, the NATs' own
+    /// addresses and forwarded ports included, replies to what left, and
+    /// their mutants. Nothing leaves the port it entered; nothing from
+    /// the WAN side reaches the LAN side unless it answers a flow the
+    /// LAN side began or matches a port forward; and no binding's frame
+    /// leaves another binding's sub-interface.
+    #[test]
+    fn a_nat_forwards_only_what_it_translates() {
+        let inside = ["192.168.1.5", "192.168.1.20", "192.168.1.1"].map(ip);
+        let gws = ["203.0.113.254", "198.51.100.254"].map(ip);
+        let wans = ["203.0.113.1", "198.51.100.1"].map(ip);
+        let outside = [
+            ip("203.0.113.9"),
+            ip("198.51.100.7"),
+            ip("8.8.8.8"),
+            wans[0],
+            wans[1],
+        ];
+        let web = PortForward {
+            dport: 8080,
+            to: ip("192.168.1.20"),
+            port: Some(80),
+        };
+        let neighbours = [&inside[..2], &outside[..3], &gws].concat();
+
+        let mut config = NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "203.0.113.1/24")
+            .with_param("wan-gw", "203.0.113.254");
+        let dnat = [("kind", "dnat"), ("dport", "8080"), ("to", "192.168.1.20")];
+        config.rules.push(rule(&dnat));
+        config.rules[0].insert("to-port".into(), "80".into());
+        let (mut dedicated, d_ns, d_ports) = fresh(2);
+        start(&mut nnf("nat"), &mut dedicated, d_ns, &d_ports, &config).unwrap();
+
+        let (mut shared, s_ns, s_ports) = fresh(1);
+        let mut nat = shared_nat();
+        start(&mut nat, &mut shared, s_ns, &s_ports, &NfConfig::default()).unwrap();
+        let bindings = [
+            nat_binding(1, "203.0.113.1/24", Some("203.0.113.254"), vec![web]),
+            nat_binding(2, "198.51.100.1/24", Some("198.51.100.254"), Vec::new()),
+        ];
+        let mut ledger = MemLedger::new();
+        let account = ledger.create_account("nnf", None);
+        let mut ctx = NnfContext {
+            host: &mut shared,
+            ns: s_ns,
+            ledger: &mut ledger,
+            account,
+        };
+        for binding in &bindings {
+            nat.bind_graph(&mut ctx, binding).unwrap();
+        }
+        for (i, &addr) in neighbours.iter().enumerate() {
+            let mac = MacAddr::local(100 + i as u32);
+            dedicated.neigh_add(d_ns, addr, mac).unwrap();
+            shared.neigh_add(s_ns, addr, mac).unwrap();
+        }
+        let vids = bindings.iter().map(|b| [b.vid_lan, b.vid_wan]).collect();
+        let nats = [
+            NatUnderTest {
+                host: dedicated,
+                ports: d_ports,
+                vids: None,
+            },
+            NatUnderTest {
+                host: shared,
+                ports: s_ports,
+                vids: Some(vids),
+            },
+        ];
+
+        let mut rng = un_sim::DetRng::new(47);
+        for (n, mut nat) in nats.into_iter().enumerate() {
+            let served = nat.vids.as_ref().map_or(1, Vec::len);
+            // Per binding, the tuples that answer what left on its WAN
+            // side, and the IPv4 packets that left there.
+            let mut answers: BTreeSet<(usize, Tuple)> = BTreeSet::new();
+            let mut left_wan: Vec<(usize, Vec<u8>)> = Vec::new();
+            let mut crossed = [0usize; 2];
+            for step in 0..768 {
+                let tag = format!("NAT {n} step {step}");
+                let pick =
+                    |rng: &mut un_sim::DetRng, from: &[Ipv4Addr]| from[rng.index(from.len())];
+                let (binding, flow) = if !left_wan.is_empty() && rng.chance(0.3) {
+                    let (binding, ip) = &left_wan[rng.index(left_wan.len())];
+                    (*binding, Flow::reply(Side::Wan, ip))
+                } else {
+                    let side = [Side::Lan, Side::Wan][rng.index(2)];
+                    let hosts = if side == Side::Lan {
+                        &inside[..2]
+                    } else {
+                        &outside[..3]
+                    };
+                    let anyone = [&inside[..], &outside].concat();
+                    let flow = Flow {
+                        side,
+                        tcp: rng.chance(0.5),
+                        src: pick(&mut rng, hosts),
+                        dst: pick(&mut rng, &anyone),
+                        sport: [5000, 40000][rng.index(2)],
+                        dport: [53, 80, 8080][rng.index(3)],
+                    };
+                    (rng.index(served), flow)
+                };
+                let mut frame = flow.frame(MacAddr::BROADCAST, None);
+                if rng.chance(0.3) {
+                    let m = Mutation::draw(&mut rng);
+                    frame = mutants(&frame, &m)[rng.index(5)].clone();
+                    if rng.chance(0.5) {
+                        frame = refilled(frame);
+                    }
+                }
+                let sent = frame.data().get(14..).and_then(tuple);
+                let Some(out) = nat.send(binding, flow.side, frame) else {
+                    continue;
+                };
+                for (to, side, ip) in out {
+                    assert_eq!(to, binding, "{tag}: left another binding's side");
+                    assert_ne!(side, flow.side, "{tag}: left the side it entered");
+                    crossed[flow.side as usize] += 1;
+                    if flow.side == Side::Lan {
+                        let (proto, src, sport, dst, dport) = tuple(&ip).expect("a whole packet");
+                        answers.insert((binding, (proto, dst, dport, src, sport)));
+                        left_wan.push((binding, ip));
+                        continue;
+                    }
+                    // A port forward's traffic: its port arriving on the
+                    // WAN side, whatever the address, or its target's
+                    // address and port, which FORWARD cannot tell from a
+                    // translated frame (conntrack has no DNAT state).
+                    let sent = sent.expect("what crossed has a tuple");
+                    let target = (web.to, web.port.unwrap_or(web.dport));
+                    let forwarded =
+                        binding == 0 && (sent.4 == web.dport || (sent.3, sent.4) == target);
+                    assert!(
+                        forwarded || answers.contains(&(binding, sent)),
+                        "{tag}: {sent:?} reached the LAN side unasked"
+                    );
+                }
+            }
+            assert!(
+                crossed.iter().all(|&c| c > 50),
+                "NAT {n}: frames crossed LAN → WAN, WAN → LAN: {crossed:?}"
+            );
+        }
     }
 
     #[test]

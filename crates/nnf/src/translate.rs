@@ -462,6 +462,14 @@ pub struct PortForward {
 /// from `wan-gw`. A private table holds the LAN route and a catch-all
 /// out its own WAN side: without it a marked frame falls through to the
 /// main table, which holds every tenant's connected routes.
+///
+/// It forwards only what it translates: FORWARD rules on its own two
+/// ports let LAN out to WAN, and back in only a reply to a LAN-initiated
+/// flow or a port forward's translated destination; whatever else
+/// enters either port is dropped. So no frame leaves the port it came
+/// in on, and on a shared NAT no binding's frame leaves another's
+/// sub-interface. The chain's policy is left alone: another binding's
+/// traffic never meets these rules' drops.
 fn nat_program(
     nat: &NatBinding,
     [lan, wan]: [usize; 2],
@@ -500,6 +508,35 @@ fn nat_program(
             in_port: Some(wan),
             out_port: None,
         });
+    }
+    let forward = |matches, target, in_port, out_port| NnfCommand::IptablesAppend {
+        table: NfTable::Filter,
+        chain: Chain::Forward,
+        rule: NfRule::new(matches, target),
+        in_port: Some(in_port),
+        out_port,
+    };
+    cmds.push(forward(
+        RuleMatch::default(),
+        Target::Accept,
+        lan,
+        Some(wan),
+    ));
+    let reply = RuleMatch {
+        ct_state: Some(CtState::Established),
+        ..Default::default()
+    };
+    cmds.push(forward(reply, Target::Accept, wan, Some(lan)));
+    for &PortForward { dport, to, port } in &nat.dnat {
+        let translated = RuleMatch {
+            dst: Some(Ipv4Cidr::new(to, 32)),
+            dport: Some(port.unwrap_or(dport)),
+            ..Default::default()
+        };
+        cmds.push(forward(translated, Target::Accept, wan, Some(lan)));
+    }
+    for side in [lan, wan] {
+        cmds.push(forward(RuleMatch::default(), Target::Drop, side, None));
     }
     cmds
 }
@@ -755,8 +792,9 @@ mod tests {
         fwd.insert("to-port".into(), "80".into());
         cfg.rules.push(fwd);
         let cmds = translate("nat", &cfg, 2).unwrap();
-        // 2 × address + 2 × link up + sysctl + masquerade + 1 DNAT.
-        assert_eq!(cmds.len(), 7);
+        // 2 × address + 2 × link up + sysctl + masquerade + 1 DNAT, then
+        // FORWARD: LAN out, replies in, the forward in, a drop per side.
+        assert_eq!(cmds.len(), 12);
         assert!(matches!(
             cmds[5],
             NnfCommand::IptablesAppend {

@@ -125,7 +125,7 @@ pub fn metrics(domain: &Domain) -> String {
             out,
             "un_flow_table_entries{{node=\"{}\"}} {}",
             esc(name),
-            node.flow_table_occupancy()
+            node.total_flows()
         );
     }
     let _ = writeln!(out, "# TYPE un_node_serving gauge");

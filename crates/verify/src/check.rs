@@ -772,7 +772,7 @@ pub fn check_graph(ix: &Index<'_>, g: &GraphState) -> (Vec<Violation>, CheckStat
     let idx_of = |n: &String| part_names.binary_search(&n).ok();
 
     // ---- Structural part checks ----
-    for (node, part) in &g.parts {
+    for (node, part) in g.parts.iter() {
         match ix.node(node) {
             None => v.push(
                 Violation::new(
@@ -857,7 +857,7 @@ pub fn check_graph(ix: &Index<'_>, g: &GraphState) -> (Vec<Violation>, CheckStat
     for link in &g.links {
         let fallback: [String; 2];
         let path: &[String] = match ix.link(link.vid) {
-            Some(info) if info.graph == g.id => &info.path,
+            Some(info) if *info.graph == *g.id => &info.path,
             other => {
                 v.push(
                     match other {
@@ -1121,7 +1121,7 @@ pub fn audit_lsi(ix: &Index<'_>, node: &str, lsi: &LsiState) -> (Vec<Violation>,
         }
         // Action sanity.
         for (idx, rule) in table.rules.iter().enumerate() {
-            for action in &rule.actions {
+            for action in rule.actions.iter() {
                 match *action {
                     FlowAction::Output(p) if !lsi.ports.contains(&p.0) => v.push(
                         Violation::new(
@@ -1211,7 +1211,7 @@ pub fn check_ledger(ix: &Index<'_>) -> Vec<Violation> {
                 .on_graph(&link.graph),
             );
         }
-        for node in &link.path {
+        for node in link.path.iter() {
             if ix.serving(node) != Some(true) {
                 v.push(
                     Violation::new(
@@ -1313,6 +1313,7 @@ mod tests {
     use super::*;
     use crate::snapshot::*;
     use std::collections::BTreeMap;
+    use std::sync::Arc;
     use un_nffg::{Endpoint, EndpointKind, FlowRule, NfFgBuilder, TrafficMatch};
     use un_switch::{FlowMatch, PortNo};
 
@@ -1403,12 +1404,12 @@ mod tests {
             LinkInfo {
                 vid: 3000,
                 graph: "g1".into(),
-                path: vec!["n1".into(), "n2".into()],
+                path: vec!["n1".into(), "n2".into()].into(),
             },
             LinkInfo {
                 vid: 3001,
                 graph: "g1".into(),
-                path: vec!["n2".into(), "n1".into()],
+                path: vec!["n2".into(), "n1".into()].into(),
             },
         ];
         let nodes = ["n1", "n2"]
@@ -1425,7 +1426,7 @@ mod tests {
                         rules: vec![RuleState {
                             priority: 5,
                             matches: FlowMatch::in_port(PortNo(1)),
-                            actions: vec![FlowAction::Output(PortNo(2))],
+                            actions: vec![FlowAction::Output(PortNo(2))].into(),
                             cookie: 1,
                         }],
                     }],
@@ -1442,8 +1443,8 @@ mod tests {
             nodes,
             graphs: vec![GraphState {
                 id: "g1".into(),
-                original,
-                parts,
+                original: original.into(),
+                parts: parts.into(),
                 links,
                 expected_rules: Vec::new(),
             }],
@@ -1466,7 +1467,7 @@ mod tests {
         let g = &mut snap.graphs[0];
         let victim = g.links[0].in_rule_id.clone();
         let to_node = g.links[0].to_node.clone();
-        g.parts
+        Arc::make_mut(&mut g.parts)
             .get_mut(&to_node)
             .unwrap()
             .flow_rules
@@ -1499,7 +1500,7 @@ mod tests {
     fn transit_loop_is_flagged() {
         let mut snap = healthy();
         let vid = snap.links[0].vid;
-        snap.links[0].path = vec!["n1".into(), "n2".into(), "n1".into(), "n2".into()];
+        snap.links[0].path = vec!["n1".into(), "n2".into(), "n1".into(), "n2".into()].into();
         let report = run(&snap);
         assert!(
             report
@@ -1519,7 +1520,7 @@ mod tests {
         // overlay wire: traffic now skips both NFs.
         let from = g.links[0].from_node.clone();
         let ep = g.links[0].endpoint_id.clone();
-        let part = g.parts.get_mut(&from).unwrap();
+        let part = Arc::make_mut(&mut g.parts).get_mut(&from).unwrap();
         let rule = part
             .flow_rules
             .iter_mut()
@@ -1547,7 +1548,7 @@ mod tests {
         table.rules.push(RuleState {
             priority: 1,
             matches: FlowMatch::in_port(PortNo(1)),
-            actions: vec![FlowAction::Output(PortNo(2))],
+            actions: vec![FlowAction::Output(PortNo(2))].into(),
             cookie: 0xdead,
         });
         let report = run(&snap);
@@ -1567,7 +1568,7 @@ mod tests {
         table.rules.push(RuleState {
             priority: 9,
             matches: FlowMatch::in_port(PortNo(2)),
-            actions: vec![FlowAction::Output(PortNo(99))],
+            actions: vec![FlowAction::Output(PortNo(99))].into(),
             cookie: 2,
         });
         let report = run(&snap);

@@ -20,8 +20,15 @@
 //! The checker never scans the snapshot per item: one [`Index`] per
 //! pass, built by [`Snapshot::index`], answers every by-name, by-vid and
 //! by-id lookup from borrowed keys.
+//!
+//! What is bulky is shared, not copied: a rule's action list, a graph's
+//! original and its parts, a link's graph id and path are the live
+//! state's own reference-counted values, so lowering them bumps a count.
+//! A test that corrupts one goes through `Arc::make_mut`, which copies
+//! it first and leaves the live state as it was.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use un_nffg::NfFg;
 use un_switch::{FlowAction, FlowMatch};
@@ -34,8 +41,8 @@ pub struct RuleState {
     pub priority: u16,
     /// The classifier.
     pub matches: FlowMatch,
-    /// Action list, in order.
-    pub actions: Vec<FlowAction>,
+    /// Action list, in order: the installed entry's own.
+    pub actions: Arc<[FlowAction]>,
     /// The orchestrator's cookie (graph-rule hash or graph hash).
     pub cookie: u64,
 }
@@ -117,9 +124,9 @@ pub struct GraphState {
     /// Graph id.
     pub id: String,
     /// The tenant's original, unpartitioned NF-FG.
-    pub original: NfFg,
+    pub original: Arc<NfFg>,
     /// Per-node sub-graphs the partitioner produced (node → part).
-    pub parts: BTreeMap<String, NfFg>,
+    pub parts: Arc<BTreeMap<String, NfFg>>,
     /// Synthesized inter-node links.
     pub links: Vec<GraphLink>,
     /// Every compiled rule the orchestrator installed for this graph.
@@ -132,9 +139,9 @@ pub struct LinkInfo {
     /// VLAN id.
     pub vid: u16,
     /// Owning graph.
-    pub graph: String,
+    pub graph: Arc<str>,
     /// Pinned fabric path `[from_node, …, to_node]`.
-    pub path: Vec<String>,
+    pub path: Arc<[String]>,
 }
 
 /// One shared-NNF instance and its tenancy.

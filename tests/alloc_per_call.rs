@@ -18,6 +18,12 @@
 //! the same frame driven through the same nodes of a twin fleet by
 //! hand, so node-level changes cancel out.
 //!
+//! On the control plane, one `Domain::update` and the incremental
+//! `Domain::verify` after it are pinned whole on a fleet shaped like the
+//! benchmark's `tenant_churn`: the planner's node views borrow the
+//! nodes' names and the verifier's snapshot shares the graphs, rules
+//! and links it checks, so neither pays for a copy of the fleet.
+//!
 //! The workspace forbids `unsafe`, and counting allocations needs one
 //! `GlobalAlloc` implementation; an integration test is a crate of its
 //! own, so the counter lives here (the pattern of
@@ -97,6 +103,18 @@ const NODE_ALLOCS_IPSEC_CPE: u64 = 2;
 const NODE_ALLOCS_TWO_BRIDGES: u64 = 1;
 
 const CALLS: usize = 16;
+
+/// One `Domain::update` growing or shrinking a tenant's chain on
+/// `churn_fleet`: plan, commit, the node calls and the verify marks.
+/// (1345 while the planner's node views copied every functional type
+/// and port name of every serving node into owned sets.)
+const DOMAIN_UPDATE_ALLOCS: u64 = 1219;
+
+/// The incremental `Domain::verify` after that update: lowering the
+/// touched graph and its hosts, and checking them. (510 while lowering
+/// copied each re-checked graph's NF-FG and parts, each rule's action
+/// list, and each link's graph id and path.)
+const DOMAIN_VERIFY_ALLOCS: u64 = 288;
 
 fn chain() -> NfFg {
     NfFgBuilder::new("g1", "alloc-chain")
@@ -211,5 +229,84 @@ fn each_further_touched_node_adds_a_constant() {
     assert_eq!(
         domain_overhead(2),
         DOMAIN_ALLOCS_ONE_NODE + DOMAIN_ALLOCS_PER_FURTHER_NODE
+    );
+}
+
+/// The four-bridge chain of tenant `t` (five bridges when `grown`),
+/// between two VLAN endpoints on eth0.
+fn tenant_chain(t: usize, grown: bool) -> NfFg {
+    let ids: Vec<String> = (0..4 + usize::from(grown))
+        .map(|i| format!("t{t}-br{i}"))
+        .collect();
+    let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
+    let vid = 100 + t as u16;
+    let mut b = NfFgBuilder::new(&format!("tenant-{t}"), "tenant")
+        .vlan_endpoint("a", "eth0", vid)
+        .vlan_endpoint("b", "eth0", vid);
+    for id in &ids {
+        b = b.nf(id, "bridge", 2);
+    }
+    b.chain("a", &refs, "b").build()
+}
+
+/// A fleet shaped like the benchmark's `tenant_churn`: four edge nodes
+/// with eth0 and no room for an NF, twelve compute nodes, and 32
+/// tenants, each spread from edge `t % 4` to another edge; verified
+/// once, so the next pass is incremental.
+fn churn_fleet() -> Domain {
+    let mut d = Domain::new(DomainConfig::default());
+    for i in 0..4 {
+        let mut n = UniversalNode::new(&format!("e{i}"), mb(1));
+        n.add_physical_port("eth0");
+        d.add_node(n);
+    }
+    for i in 0..12 {
+        d.add_node(UniversalNode::new(&format!("c{i}"), mb(2048)));
+    }
+    for t in 0..32 {
+        let egress = (t + 1 + (t / 4) % 3) % 4;
+        let hints = DeployHints {
+            endpoint_node: [("a", t % 4), ("b", egress)]
+                .map(|(ep, edge)| (ep.to_string(), format!("e{edge}")))
+                .into(),
+            strategy: Some(un_domain::PlacementStrategy::Spread),
+            ..DeployHints::default()
+        };
+        d.deploy_with(&tenant_chain(t, false), &hints).unwrap();
+    }
+    assert!(d.verify_full().ok());
+    d
+}
+
+/// Allocations of one call of `f`.
+fn allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = black_box(f());
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+#[test]
+fn a_control_call_and_the_pass_after_it_allocate_a_pinned_count() {
+    let mut d = churn_fleet();
+    // Grow and shrink one tenant: once to warm the buffers the calls
+    // reuse, then twice measured. The two measured cycles must agree,
+    // so the count is the call's own.
+    let mut counts = Vec::new();
+    for _ in 0..3 {
+        for grown in [true, false] {
+            let graph = tenant_chain(7, grown);
+            let (update, report) = allocs_of(|| d.update(&graph));
+            report.unwrap();
+            let (verify, report) = allocs_of(|| d.verify());
+            assert!(report.ok() && report.mode == "incremental");
+            counts.push((update, verify));
+        }
+    }
+    assert_eq!(counts[2..4], counts[4..], "each warm cycle costs the same");
+    let (update, verify) = counts[2];
+    assert_eq!(update, DOMAIN_UPDATE_ALLOCS, "one update");
+    assert_eq!(
+        verify, DOMAIN_VERIFY_ALLOCS,
+        "the incremental verify after it"
     );
 }

@@ -200,7 +200,7 @@ proptest! {
         if un_nffg::validate(&s.graph).is_empty() {
             let p = partition(&s.graph, &s.nf_node, &s.endpoint_node, "fab0", &mut vid_pool())
                 .unwrap();
-            for (node, part) in &p.parts {
+            for (node, part) in p.parts.iter() {
                 // A part holding only unreferenced NFs has no endpoints
                 // and is vacuously undeployable; every other part must
                 // validate apart from the no-endpoint rule.

@@ -4,6 +4,8 @@
 //! clean) pins down that every detection below is caused by the
 //! corruption, not by ambient noise.
 
+use std::sync::Arc;
+
 use un_core::UniversalNode;
 use un_domain::Domain;
 use un_nffg::{FlowRule, NfFgBuilder, PortRef, RuleAction, TrafficMatch};
@@ -134,7 +136,7 @@ fn transit_loop_is_detected() {
     let link = snap.links.first_mut().expect("an overlay link");
     let from = link.path.first().expect("path head").clone();
     let to = link.path.last().expect("path tail").clone();
-    link.path = vec![from.clone(), to.clone(), from, to];
+    link.path = vec![from.clone(), to.clone(), from, to].into();
 
     let report = run(&snap);
     let found: Vec<_> = report.violations.iter().map(|v| v.code).collect();
@@ -172,7 +174,9 @@ fn dropped_delivery_rule_is_detected() {
     // original lan→wan path no longer exists in the installed state.
     let g = snap.graphs.first_mut().expect("a deployed graph");
     let link = g.links.first().expect("an overlay link").clone();
-    let part = g.parts.get_mut(&link.to_node).expect("receiving part");
+    let part = Arc::make_mut(&mut g.parts)
+        .get_mut(&link.to_node)
+        .expect("receiving part");
     let before = part.flow_rules.len();
     part.flow_rules.retain(|r| r.id != link.in_rule_id);
     assert!(part.flow_rules.len() < before, "delivery rule not found");
@@ -196,7 +200,9 @@ fn blackhole_and_unreachable_carry_drop_witnesses() {
     // Same corruption as above: remove the overlay delivery rule.
     let g = snap.graphs.first_mut().expect("a deployed graph");
     let link = g.links.first().expect("an overlay link").clone();
-    let part = g.parts.get_mut(&link.to_node).expect("receiving part");
+    let part = Arc::make_mut(&mut g.parts)
+        .get_mut(&link.to_node)
+        .expect("receiving part");
     part.flow_rules.retain(|r| r.id != link.in_rule_id);
 
     let report = run(&snap);
@@ -246,8 +252,7 @@ fn phantom_reach_carries_egress_witness() {
     // straight around and egresses at lan — a reach the tenant graph
     // never asked for.
     let g = snap.graphs.first_mut().expect("a deployed graph");
-    let part = g
-        .parts
+    let part = Arc::make_mut(&mut g.parts)
         .values_mut()
         .find(|p| p.endpoints.iter().any(|e| e.id == "lan"))
         .expect("the part carrying lan");
