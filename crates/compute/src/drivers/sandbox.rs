@@ -64,6 +64,11 @@ impl Sandbox {
         }
     }
 
+    /// The command list the instance was built to run.
+    pub(crate) fn program(&self) -> &[NnfCommand] {
+        &self.program
+    }
+
     pub(crate) fn ns(&self) -> NsId {
         self.ns
     }

@@ -394,6 +394,10 @@ impl ComputeManager {
     /// The live native instance of a single-instance type, if there is
     /// one: no second one is created beside it.
     pub fn existing_instance(&self, functional_type: &str) -> Option<InstanceId> {
+        let row = self.repository.resolve(functional_type)?;
+        if row.nf.multi_instance {
+            return None;
+        }
         let singleton = |inst: &Instance| {
             let nf = inst.sandbox.plugin.descriptor();
             inst.spec == FlavorSpec::Native
@@ -422,6 +426,11 @@ impl ComputeManager {
     /// RAM a new instance of `spec` would take (a scheduler estimate).
     pub fn estimate_ram(&self, spec: &FlavorSpec) -> u64 {
         self.drivers()[spec.flavor() as usize].estimate_ram(spec)
+    }
+
+    /// The command list an instance was built from: what its start ran.
+    pub fn program(&self, id: InstanceId) -> Option<&[NnfCommand]> {
+        self.instances.get(&id).map(|i| i.sandbox.program())
     }
 
     /// The host namespace an instance's NF runs in, whatever its flavor

@@ -3,26 +3,36 @@
 //! One [`UniversalNode`] is the whole compute node of Figure 1. It owns
 //! the CPE kernel ([`un_linux::Host`]), the compute manager with its
 //! four drivers, the base LSI (LSI-0) and one LSI per deployed NF-FG,
-//! and the virtual links between them. Deploying an NF-FG:
+//! and the virtual links between them. Deploying an NF-FG is updating
+//! an empty part on a fresh LSI, and an update builds only what changed,
+//! make-before-break:
 //!
 //! 0. compile every NF's config into its command list
-//!    ([`un_nnf::compile`]) — [`UniversalNode::deploy`] does it first,
-//!    the domain's planner hands its lists to
-//!    [`UniversalNode::deploy_compiled`] — so a refused config costs no
+//!    ([`un_nnf::compile`]) — [`UniversalNode::deploy`] and
+//!    [`UniversalNode::update`] do it first, the domain's planner hands
+//!    its lists to [`UniversalNode::deploy_compiled`] /
+//!    [`UniversalNode::update_compiled`] — so a refused config costs no
 //!    node call;
-//! 1. validate the graph;
-//! 2. for every NF, run the placement policy (NNF vs VNF) and create /
-//!    reuse an instance through the compute manager, handing it the
-//!    NF's list (a shared one takes the graph's compiled NAT binding);
-//! 3. create the per-graph LSI, one virtual link per endpoint (plus one
-//!    per *shared* NNF), and LSI-0 classification rules;
-//! 4. compile the graph's big-switch rules into LSI flow entries —
-//!    including the VLAN push/pop translation for sharable NNFs behind
-//!    the adaptation layer;
-//! 5. admission-check memory.
+//! 1. validate the graph; check its interfaces, the traffic its new
+//!    endpoints take and the match fields of the rules it installs;
+//! 2. for every new or changed NF, run the placement policy (NNF vs
+//!    VNF) and create / join an instance through the compute manager,
+//!    beside the old ones, handing it the NF's list (a shared one takes
+//!    the graph's compiled NAT binding); an NF whose definition and list
+//!    are unchanged keeps its running instance;
+//! 3. admission-check memory as the node will hold it once the old
+//!    instances go;
+//! 4. flip the per-graph LSI by the diff: one virtual link per new
+//!    endpoint (plus one per new *shared* NNF) with its LSI-0
+//!    classification rules, the removed ones taken down, and the
+//!    big-switch rules that are new, changed or wired to something
+//!    replaced compiled into LSI flow entries — including the VLAN
+//!    push/pop translation for sharable NNFs behind the adaptation
+//!    layer;
+//! 5. retire the removed and replaced instances.
 //!
-//! The graph under construction records what each step takes, so a
-//! failure anywhere hands it to the same `teardown` an undeploy uses.
+//! What stages 1–3 made goes back on a refusal, so the part stays as it
+//! was (a deploy's fresh LSI is freed with it).
 //!
 //! The data plane is a synchronous work-queue fabric: a packet injected
 //! on a physical port traverses LSI-0, virtual links, graph LSIs and NF
@@ -304,6 +314,32 @@ impl Lsi {
         }
     }
 
+    /// Remove the ports wired to `instance`.
+    fn remove_nf_ports(&mut self, instance: InstanceId) {
+        let wired = self.nf_ports.iter().filter(|((i, _), _)| *i == instance);
+        let ports: Vec<PortNo> = wired.map(|(_, port)| *port).collect();
+        for port in ports {
+            self.remove_port(port);
+        }
+    }
+
+    /// Rewire the ports of instance `old` to `new`.
+    fn rekey_nf(&mut self, old: InstanceId, new: InstanceId) {
+        for kind in self.ports.values_mut() {
+            match kind {
+                PortKind::Nf(i, _) if *i == old => *i = new,
+                _ => {}
+            }
+        }
+        let rekey = |((i, p), port): ((InstanceId, u32), PortNo)| {
+            ((if i == old { new } else { i }, p), port)
+        };
+        self.nf_ports = mem::take(&mut self.nf_ports)
+            .into_iter()
+            .map(rekey)
+            .collect();
+    }
+
     fn rule(&mut self, cookie: u64, priority: u16, m: FlowMatch, actions: Vec<FlowAction>) {
         let entry = FlowEntry::new(priority, m, actions).with_cookie(cookie);
         self.switch.install(0, entry).expect("table 0 exists");
@@ -326,11 +362,53 @@ struct PlacedNf {
     shared: Option<GraphBinding>,
 }
 
-/// A graph on the node — deployed, or under construction. It is its own
-/// journal: whatever `build` takes for it is recorded here or on its
-/// LSI before the next call that can fail (an instance right after
-/// `create`, a binding before `bind`, a virtual link as its ports are
-/// added), and `teardown` reads nothing else to give all of it back.
+/// What an update makes on the node before it flips the graph's LSI
+/// side, and so what a refusal gives back.
+#[derive(Default)]
+struct Staged {
+    /// The new and changed NFs' placements, by NF id.
+    fresh: BTreeMap<String, PlacedNf>,
+    /// Singletons retired early to make room for their successors.
+    displaced: Vec<Displaced>,
+}
+
+/// A dedicated singleton retired before its successor was created, and
+/// what rebuilds it if the update is refused: the list it ran and its
+/// latency histogram.
+struct Displaced {
+    instance: InstanceId,
+    program: Vec<NnfCommand>,
+    hist: Option<Arc<un_obs::Histogram>>,
+}
+
+/// What a flipped update leaves to do once its graph is back in the
+/// node's table.
+struct Flipped {
+    /// An NF or an endpoint changed.
+    structural: bool,
+    /// The removed and replaced NFs' placements, to release.
+    retired: Vec<PlacedNf>,
+    /// The internal groups an endpoint joined or left, to rebuild (a
+    /// group twice is rebuilt twice, to the same rules).
+    groups: Vec<String>,
+}
+
+/// The node as the placement policy sees it while an update is about to
+/// retire a singleton instance: its slot counts as free.
+struct Retiring<'a>(&'a UniversalNode, Option<InstanceId>);
+
+impl NativeStatus for Retiring<'_> {
+    fn existing(&self, functional_type: &str) -> Option<(InstanceId, bool)> {
+        let found = self.0.existing(functional_type);
+        found.filter(|(id, _)| Some(*id) != self.1)
+    }
+}
+
+/// A graph on the node. It is its own journal: what it holds is
+/// recorded here or on its LSI, and `teardown` reads nothing else to
+/// give all of it back. An update stages its new instances in a
+/// [`Staged`] — each recorded right after `create`, before the start or
+/// bind that can fail — and moves them here at the flip.
 struct DeployedGraph {
     nffg: NfFg,
     /// Its LSI's index in the node's table (≥ 1).
@@ -512,6 +590,14 @@ pub fn graph_cookie(graph_id: &str) -> u64 {
 /// to the group, not to any one member.
 fn group_cookie(group: &str) -> u64 {
     fnv1a(&format!("group:{group}"))
+}
+
+/// The internal group an endpoint joins, if it is an internal one.
+fn internal_group(ep: &Endpoint) -> Option<&str> {
+    match &ep.kind {
+        EndpointKind::Internal { group } => Some(group),
+        _ => None,
+    }
 }
 
 /// Translate an LSI's recorded step into a classify hop on an active
@@ -896,27 +982,32 @@ impl UniversalNode {
     /// flavors carry their guest/runtime footprints. Real admission
     /// still happens at deploy time; this is only a scheduler estimate.
     pub fn estimate_nf_ram(&self, functional_type: &str, flavor_hint: Option<&str>) -> Option<u64> {
-        Some(match self.decide_nf(functional_type, flavor_hint).ok()? {
-            Decision::NativeShare(_) => 0,
-            Decision::NativeNew | Decision::NativeNewShared => {
-                self.compute.estimate_ram(&FlavorSpec::Native)
-            }
-            Decision::Vnf(spec) => self.compute.estimate_ram(&spec),
-        })
+        Some(
+            match self.decide_nf(functional_type, flavor_hint, None).ok()? {
+                Decision::NativeShare(_) => 0,
+                Decision::NativeNew | Decision::NativeNewShared => {
+                    self.compute.estimate_ram(&FlavorSpec::Native)
+                }
+                Decision::Vnf(spec) => self.compute.estimate_ram(&spec),
+            },
+        )
     }
 
-    /// The placement policy's verdict for one NF on this node, now.
+    /// The placement policy's verdict for one NF on this node, now — a
+    /// singleton held by `retiring`, an instance the caller is about to
+    /// retire, counts as free.
     fn decide_nf(
         &self,
         functional_type: &str,
         flavor: Option<&str>,
+        retiring: Option<InstanceId>,
     ) -> Result<Decision, DeployError> {
         let row = self
             .compute
             .repository()
             .resolve(functional_type)
             .ok_or_else(|| DeployError::NoTemplate(functional_type.to_string()))?;
-        Ok(decide(row, flavor, self)?)
+        Ok(decide(row, flavor, &Retiring(self, retiring))?)
     }
 
     // ------------------------------------------------------------------
@@ -932,9 +1023,8 @@ impl UniversalNode {
     }
 
     /// Deploy an NF-FG whose NFs' configs `programs` holds compiled (the
-    /// domain's plan carries them): check it against the node, build it,
-    /// then adopt the built graph — or hand what was built so far to
-    /// `teardown`.
+    /// domain's plan carries them): the update of an empty part on a
+    /// fresh LSI, which a refusal frees again.
     pub fn deploy_compiled(
         &mut self,
         nffg: &NfFg,
@@ -947,7 +1037,38 @@ impl UniversalNode {
         if self.graphs.contains_key(&nffg.id) {
             return Err(DeployError::AlreadyDeployed(nffg.id.clone()));
         }
-        // Endpoints must reference existing physical interfaces.
+        self.check_interfaces(nffg)?;
+        // The graph's LSI takes the lowest free index.
+        let at = (self.lsis.iter().position(Option::is_none)).unwrap_or_else(|| {
+            self.lsis.push(None);
+            self.lsis.len() - 1
+        });
+        self.lsis[at] = Some(Lsi::new(&format!("LSI-{}", nffg.id), self.next_dpid));
+        self.next_dpid += 1;
+        let empty = NfFg {
+            id: nffg.id.clone(),
+            name: nffg.name.clone(),
+            nfs: Vec::new(),
+            endpoints: Vec::new(),
+            flow_rules: Vec::new(),
+        };
+        let graph = DeployedGraph {
+            nffg: empty,
+            lsi: at,
+            vlinks: BTreeMap::new(),
+            nfs: BTreeMap::new(),
+        };
+        if let Err(e) = self.apply(graph, nffg, programs) {
+            let graph = self.graphs.remove(&nffg.id).expect("apply keeps the graph");
+            self.lsis[graph.lsi] = None;
+            return Err(e);
+        }
+        self.trace.graphs_deployed += 1;
+        Ok(self.report(&self.graphs[&nffg.id]))
+    }
+
+    /// Refuse `nffg` if an endpoint names an interface the node lacks.
+    fn check_interfaces(&self, nffg: &NfFg) -> Result<(), DeployError> {
         for ep in &nffg.endpoints {
             match &ep.kind {
                 EndpointKind::Interface { if_name } | EndpointKind::Vlan { if_name, .. } => {
@@ -958,28 +1079,7 @@ impl UniversalNode {
                 EndpointKind::Internal { .. } => {}
             }
         }
-
-        // The graph's LSI takes the lowest free index.
-        let at = (self.lsis.iter().position(Option::is_none)).unwrap_or_else(|| {
-            self.lsis.push(None);
-            self.lsis.len() - 1
-        });
-        self.lsis[at] = Some(Lsi::new(&format!("LSI-{}", nffg.id), self.next_dpid));
-        self.next_dpid += 1;
-        let mut graph = DeployedGraph {
-            nffg: nffg.clone(),
-            lsi: at,
-            vlinks: BTreeMap::new(),
-            nfs: BTreeMap::new(),
-        };
-        if let Err(e) = self.build(nffg, programs, &mut graph) {
-            let _ = self.teardown(graph);
-            return Err(e);
-        }
-        self.graphs.insert(nffg.id.clone(), graph);
-        self.regroup(nffg);
-        self.trace.graphs_deployed += 1;
-        Ok(self.report(&self.graphs[&nffg.id]))
+        Ok(())
     }
 
     /// What a deploy or an update of `graph` reports.
@@ -997,65 +1097,288 @@ impl UniversalNode {
         }
     }
 
-    /// Realize `nffg` in `graph`: place the NFs, admit their memory,
-    /// wire ports, virtual links and LSI-0 classification, compile the
-    /// rules. Wherever it stops, `teardown(graph)` undoes it. The
-    /// internal groups it joins are rebuilt once it is adopted.
-    fn build(
+    /// Bring `graph` from what it runs to `nffg` (validated, its
+    /// interfaces checked), building only what changed; `graph` ends up
+    /// in `self.graphs` either way — updated, or as it was. Returns
+    /// whether an NF or an endpoint changed.
+    fn apply(
         &mut self,
+        mut graph: DeployedGraph,
         nffg: &NfFg,
         programs: &Programs,
+    ) -> Result<bool, DeployError> {
+        let flipped = self.stage_and_flip(&mut graph, nffg, programs);
+        self.graphs.insert(nffg.id.clone(), graph);
+        let Flipped {
+            structural,
+            retired,
+            groups,
+        } = flipped?;
+        self.regroup(&groups);
+        self.release(retired)?;
+        Ok(structural)
+    }
+
+    /// Stages 1 to 4 of an update, make-before-break: check, make the
+    /// new and changed NFs beside the old ones, admit memory, flip the
+    /// LSI side. A refusal gives back what was made and leaves `graph`
+    /// as it was; past the flip nothing is refused. What the flip left
+    /// to do — retire the old instances, rebuild the internal groups it
+    /// touched — is the caller's, once `graph` is back in its table.
+    fn stage_and_flip(
+        &mut self,
         graph: &mut DeployedGraph,
-    ) -> Result<(), DeployError> {
-        for nf in &nffg.nfs {
-            self.place_nf(graph, nf, programs)?;
-        }
-        let used = self.memory_used();
-        if used > self.mem_capacity {
-            return Err(DeployError::InsufficientMemory {
-                needed: used,
-                capacity: self.mem_capacity,
+        nffg: &NfFg,
+        programs: &Programs,
+    ) -> Result<Flipped, DeployError> {
+        // 1. What stays; nothing is touched yet.
+        let kept_nfs: Vec<&str> = (nffg.nfs.iter())
+            .filter(|nf| self.keeps(graph, nf, programs))
+            .map(|nf| nf.id.as_str())
+            .collect();
+        let kept_eps: Vec<&str> = (nffg.endpoints.iter())
+            .filter(|ep| graph.nffg.endpoints.contains(ep))
+            .map(|ep| ep.id.as_str())
+            .collect();
+        let structural = kept_nfs.len() != nffg.nfs.len()
+            || kept_nfs.len() != graph.nffg.nfs.len()
+            || kept_eps.len() != nffg.endpoints.len()
+            || kept_eps.len() != graph.nffg.endpoints.len();
+        self.check_endpoints(nffg, &kept_eps)?;
+        let touched = |r: &PortRef| match r {
+            PortRef::Endpoint(ep) => !kept_eps.contains(&ep.as_str()),
+            PortRef::Nf(nf, _) => !kept_nfs.contains(&nf.as_str()),
+        };
+        // A rule the other version lacks, or one wired to an endpoint or
+        // NF that is replaced, is out of date: removed from the old
+        // version, installed from the new.
+        let stale = |rule: &FlowRule, other: &NfFg| {
+            let outputs = rule.actions.iter().filter_map(|a| match a {
+                RuleAction::Output(r) => Some(r),
+                _ => None,
             });
+            !other.flow_rules.contains(rule)
+                || rule.matches.port_in.iter().chain(outputs).any(touched)
+        };
+        let install: Vec<&FlowRule> = (nffg.flow_rules.iter())
+            .filter(|r| stale(r, &graph.nffg))
+            .collect();
+        for rule in &install {
+            apply_match_fields(&rule.matches, &mut FlowMatch::any())
+                .map_err(DeployError::Compute)?;
+        }
+
+        // 2. Make the new and changed NFs beside the old ones.
+        let retiring: Vec<InstanceId> = (graph.nfs.iter())
+            .filter(|(id, p)| !kept_nfs.contains(&id.as_str()) && p.shared.is_none())
+            .map(|(_, p)| p.instance)
+            .collect();
+        let mut staged = Staged::default();
+        for nf in nffg
+            .nfs
+            .iter()
+            .filter(|nf| !kept_nfs.contains(&nf.id.as_str()))
+        {
+            let placed = self.place_nf(&nffg.id, nf, programs, &retiring, &mut staged);
+            if let Err(e) = placed {
+                self.unstage(graph, staged);
+                return Err(e);
+            }
+        }
+
+        // 3. Admit memory as the node will hold it once the old go. An
+        // update that made nothing holds no more than before, which
+        // admission already let in.
+        if !staged.fresh.is_empty() {
+            let freed = self.freed_by(graph, &kept_nfs);
+            let needed = self.memory_used().saturating_sub(freed);
+            if needed > self.mem_capacity {
+                self.unstage(graph, staged);
+                return Err(DeployError::InsufficientMemory {
+                    needed,
+                    capacity: self.mem_capacity,
+                });
+            }
+        }
+
+        // 4. Flip the LSI side: stale rules and the retired plumbing
+        // out, the new plumbing and rules in.
+        let gone: Vec<u64> = (graph.nffg.flow_rules.iter())
+            .filter(|old| stale(old, nffg))
+            .map(|old| rule_cookie(&nffg.id, &old.id))
+            .collect();
+        let old = mem::replace(&mut graph.nffg, nffg.clone());
+        let lsi = self.lsi_mut(graph.lsi);
+        lsi.switch.remove_where(|e| gone.contains(&e.cookie));
+        let mut retired = Vec::new();
+        for (id, placed) in mem::take(&mut graph.nfs) {
+            if kept_nfs.contains(&id.as_str()) {
+                graph.nfs.insert(id, placed);
+                continue;
+            }
+            match placed.shared {
+                Some(_) => self.remove_vlink(graph, &VlinkKey::SharedNf(id)),
+                None => self.lsi_mut(graph.lsi).remove_nf_ports(placed.instance),
+            }
+            if !staged
+                .displaced
+                .iter()
+                .any(|d| d.instance == placed.instance)
+            {
+                retired.push(placed);
+            }
+        }
+        let mut groups = Vec::new();
+        for ep in &old.endpoints {
+            if !kept_eps.contains(&ep.id.as_str()) {
+                self.remove_vlink(graph, &VlinkKey::Endpoint(ep.id.clone()));
+                groups.extend(internal_group(ep).map(String::from));
+            }
         }
         for nf in &nffg.nfs {
-            let placed = &graph.nfs[&nf.id];
-            if placed.shared.is_some() {
-                continue; // shared NFs are reached via LSI-0
-            }
-            let instance = placed.instance;
+            let Some(placed) = staged.fresh.get(&nf.id).filter(|p| p.shared.is_none()) else {
+                continue;
+            };
             let lsi = self.lsi_mut(graph.lsi);
             for port in &nf.ports {
                 let name = format!("to-{}:{}", nf.id, port.id);
-                lsi.add_port(&name, PortKind::Nf(instance, port.id));
+                lsi.add_port(&name, PortKind::Nf(placed.instance, port.id));
             }
         }
         for ep in &nffg.endpoints {
-            self.wire_endpoint(graph, ep)?;
+            if !kept_eps.contains(&ep.id.as_str()) {
+                self.wire_endpoint(graph, ep);
+                groups.extend(internal_group(ep).map(String::from));
+            }
         }
-        for nf in &nffg.nfs {
-            if let Some(binding) = &graph.nfs[&nf.id].shared {
-                let vids = [binding.vid_lan, binding.vid_wan];
+        graph.nfs.append(&mut staged.fresh);
+        for nf in nffg
+            .nfs
+            .iter()
+            .filter(|nf| !kept_nfs.contains(&nf.id.as_str()))
+        {
+            let shared = graph.nfs[&nf.id].shared.as_ref();
+            if let Some(vids) = shared.map(|b| [b.vid_lan, b.vid_wan]) {
                 self.wire_shared(graph, nf, vids);
             }
         }
-        let lsi = self.lsi_mut(graph.lsi);
-        for rule in &nffg.flow_rules {
-            lsi.install_rule(graph, rule)?;
+        let lsi = self.lsis[graph.lsi].as_mut().expect("a graph's LSI");
+        for rule in install {
+            lsi.install_rule(graph, rule)
+                .expect("a validated graph's rules compile");
+        }
+        Ok(Flipped {
+            structural,
+            retired,
+            groups,
+        })
+    }
+
+    /// True if `nf` can stay as it runs in `graph`: the same definition,
+    /// and a dedicated instance built from the list `programs` compiles
+    /// it to, or a shared binding carrying the NAT binding it compiles
+    /// to.
+    fn keeps(&self, graph: &DeployedGraph, nf: &NetworkFunction, programs: &Programs) -> bool {
+        let (Some(old), Some(placed)) = (graph.nffg.nf(&nf.id), graph.nfs.get(&nf.id)) else {
+            return false;
+        };
+        let compiled = programs.get(&nf.id);
+        old == nf
+            && match &placed.shared {
+                None => compiled.map(|c| &c.commands[..]) == self.compute.program(placed.instance),
+                Some(binding) => binding.nat.as_ref() == compiled.and_then(|c| c.nat.as_ref()),
+            }
+    }
+
+    /// Refuse `nffg` if traffic an interface or VLAN endpoint takes has
+    /// another owner: another graph — checked for the endpoints not in
+    /// `kept` — or an earlier endpoint of `nffg`.
+    fn check_endpoints(&self, nffg: &NfFg, kept: &[&str]) -> Result<(), DeployError> {
+        let own = graph_cookie(&nffg.id);
+        let l0 = self.lsi(0).switch.table();
+        let mut claimed = Vec::new();
+        for ep in &nffg.endpoints {
+            let Some((_, vlan_id, priority, traffic)) = self.traffic(ep) else {
+                continue;
+            };
+            let taken = claimed.iter().any(|(p, t)| (*p, t) == (priority, &traffic));
+            let fresh = !kept.contains(&ep.id.as_str());
+            let owned = fresh && l0.find(priority, &traffic).is_some_and(|e| e.cookie != own);
+            if taken || owned {
+                let if_name = match &ep.kind {
+                    EndpointKind::Interface { if_name } | EndpointKind::Vlan { if_name, .. } => {
+                        if_name
+                    }
+                    EndpointKind::Internal { .. } => unreachable!("no traffic of its own"),
+                };
+                let owned = vlan_id.map_or(if_name.clone(), |v| format!("{if_name}.{v}"));
+                return Err(DeployError::EndpointConflict(owned));
+            }
+            claimed.push((priority, traffic));
         }
         Ok(())
     }
 
-    /// Create or join the instance serving `nf`, from what its config
-    /// compiled to in `programs`. Every type the repository lists runs a
-    /// program, whatever the flavor, so such an NF missing from
-    /// `programs` is refused.
+    /// The LSI-0 classification an interface or VLAN endpoint takes:
+    /// its physical port, VLAN id, priority and traffic match. `None`
+    /// for an internal endpoint.
+    fn traffic(&self, ep: &Endpoint) -> Option<(PortNo, Option<u16>, u16, FlowMatch)> {
+        let (if_name, vlan_id) = match &ep.kind {
+            EndpointKind::Interface { if_name } => (if_name, None),
+            EndpointKind::Vlan { if_name, vlan_id } => (if_name, Some(*vlan_id)),
+            EndpointKind::Internal { .. } => return None,
+        };
+        let phys = self.physical[if_name];
+        let (priority, vlan) = vlan_id.map_or((5, VlanSpec::Untagged), |v| (10, VlanSpec::Id(v)));
+        Some((
+            phys,
+            vlan_id,
+            priority,
+            FlowMatch::in_port(phys).with_vlan(vlan),
+        ))
+    }
+
+    /// Memory the instances `graph` retires (its NFs not in `kept`)
+    /// hold: each dedicated one's, and each shared one's whose last
+    /// bindings they are.
+    fn freed_by(&self, graph: &DeployedGraph, kept: &[&str]) -> u64 {
+        let mut freed = 0;
+        let mut left: BTreeMap<InstanceId, usize> = BTreeMap::new();
+        for (id, placed) in &graph.nfs {
+            if kept.contains(&id.as_str()) {
+                continue;
+            }
+            let instance = placed.instance;
+            match placed.shared {
+                None => freed += self.compute.ram_usage(&self.ledger, instance),
+                Some(_) => {
+                    let bound = left
+                        .entry(instance)
+                        .or_insert_with(|| self.compute.binding_count(instance));
+                    *bound -= 1;
+                }
+            }
+        }
+        let emptied = left.into_iter().filter(|(_, bound)| *bound == 0);
+        freed
+            + emptied
+                .map(|(id, _)| self.compute.ram_usage(&self.ledger, id))
+                .sum::<u64>()
+    }
+
+    /// Create or join the instance serving `nf` of graph `gid`, from
+    /// what its config compiled to in `programs`, into `staged`. Every
+    /// type the repository lists runs a program, whatever the flavor, so
+    /// such an NF missing from `programs` is refused. A singleton one of
+    /// `retiring` holds is retired first, to make room.
     fn place_nf(
         &mut self,
-        graph: &mut DeployedGraph,
+        gid: &str,
         nf: &NetworkFunction,
         programs: &Programs,
+        retiring: &[InstanceId],
+        staged: &mut Staged,
     ) -> Result<(), DeployError> {
-        let gid = graph.nffg.id.clone();
         let own = format!("{gid}-{}", nf.id);
         let compiled = programs.get(&nf.id);
         if compiled.is_none()
@@ -1069,19 +1392,88 @@ impl UniversalNode {
         }
         let program = compiled.map_or(&[][..], |c| &c.commands[..]);
         let nat = compiled.and_then(|c| c.nat.as_ref());
-        match self.decide_nf(&nf.functional_type, nf.flavor.as_deref())? {
-            Decision::NativeNew => self.launch(graph, nf, &own, &FlavorSpec::Native, program, None),
-            Decision::Vnf(spec) => self.launch(graph, nf, &own, &spec, program, None),
+        let placed = &mut staged.fresh;
+        let ft = &nf.functional_type;
+        let held = match retiring {
+            [] => None,
+            _ => (self.compute.existing_instance(ft)).filter(|id| retiring.contains(id)),
+        };
+        match self.decide_nf(ft, nf.flavor.as_deref(), held)? {
+            Decision::NativeNew => {
+                if let Some(held) = held {
+                    staged.displaced.push(self.displace(held)?);
+                }
+                self.launch(placed, nf, &own, &FlavorSpec::Native, program, None)
+            }
+            Decision::Vnf(spec) => self.launch(placed, nf, &own, &spec, program, None),
             Decision::NativeNewShared => {
-                let binding = self.make_binding(&gid, nat, None)?;
+                let binding = self.make_binding(gid, nat, None)?;
                 let name = format!("shared-{}", nf.functional_type);
-                self.launch(graph, nf, &name, &FlavorSpec::Native, &[], Some(binding))
+                self.launch(placed, nf, &name, &FlavorSpec::Native, &[], Some(binding))
             }
             Decision::NativeShare(instance) => {
-                let binding = self.make_binding(&gid, nat, Some(instance))?;
-                self.join(graph, nf, instance, Some(binding), false)?;
+                let binding = self.make_binding(gid, nat, Some(instance))?;
+                self.join(placed, nf, instance, Some(binding), false)?;
                 self.trace.nnf_shares += 1;
                 Ok(())
+            }
+        }
+    }
+
+    /// Retire a dedicated singleton ahead of its successor, keeping what
+    /// rebuilds it.
+    fn displace(&mut self, instance: InstanceId) -> Result<Displaced, DeployError> {
+        let program = self.compute.program(instance).unwrap_or_default().to_vec();
+        let hist = self.obs_nf_hist.remove(&instance);
+        let mut env = NodeEnv {
+            host: &mut self.host,
+            ledger: &mut self.ledger,
+            costs: &self.costs,
+        };
+        self.compute.stop(&mut env, instance)?;
+        self.compute.destroy(&mut env, instance)?;
+        Ok(Displaced {
+            instance,
+            program,
+            hist,
+        })
+    }
+
+    /// Give back what an update made before it was refused: the staged
+    /// instances go, and each displaced singleton is rebuilt from its
+    /// list and takes its place in `graph` again.
+    fn unstage(&mut self, graph: &mut DeployedGraph, staged: Staged) {
+        let _ = self.release(staged.fresh.into_values());
+        for Displaced {
+            instance,
+            program,
+            hist,
+        } in staged.displaced
+        {
+            let Some((id, placed)) = graph.nfs.iter_mut().find(|(_, p)| p.instance == instance)
+            else {
+                continue;
+            };
+            let nf = graph
+                .nffg
+                .nf(id)
+                .expect("a placed NF is in its graph")
+                .clone();
+            let name = format!("{}-{id}", graph.nffg.id);
+            let mut again = BTreeMap::new();
+            let spec = FlavorSpec::Native;
+            if self
+                .launch(&mut again, &nf, &name, &spec, &program, None)
+                .is_err()
+            {
+                let _ = self.release(again.into_values());
+                continue;
+            }
+            placed.instance = again[&nf.id].instance;
+            let lsi = self.lsis[graph.lsi].as_mut().expect("a graph's LSI");
+            lsi.rekey_nf(instance, placed.instance);
+            if let Some(hist) = hist {
+                self.obs_nf_hist.insert(placed.instance, hist);
             }
         }
     }
@@ -1090,7 +1482,7 @@ impl UniversalNode {
     /// shared one gets its LSI-0 attach port and this graph's binding.
     fn launch(
         &mut self,
-        graph: &mut DeployedGraph,
+        placed: &mut BTreeMap<String, PlacedNf>,
         nf: &NetworkFunction,
         name: &str,
         spec: &FlavorSpec,
@@ -1116,14 +1508,14 @@ impl UniversalNode {
             let name = format!("nnf-{}", nf.functional_type);
             self.lsi_mut(0).add_port(&name, PortKind::Nf(instance, 0));
         }
-        self.join(graph, nf, instance, shared, true)
+        self.join(placed, nf, instance, shared, true)
     }
 
-    /// Record the placement in the graph, then do what is left to make
+    /// Record the placement in `placed`, then do what is left to make
     /// it serve: start a `fresh` instance, bind the graph to a shared one.
     fn join(
         &mut self,
-        graph: &mut DeployedGraph,
+        placed: &mut BTreeMap<String, PlacedNf>,
         nf: &NetworkFunction,
         instance: InstanceId,
         shared: Option<GraphBinding>,
@@ -1134,12 +1526,11 @@ impl UniversalNode {
             ledger: &mut self.ledger,
             costs: &self.costs,
         };
-        let placed = PlacedNf { instance, shared };
-        graph.nfs.insert(nf.id.clone(), placed);
+        placed.insert(nf.id.clone(), PlacedNf { instance, shared });
         if fresh {
             self.compute.start(&mut env, instance)?;
         }
-        if let Some(binding) = &graph.nfs[&nf.id].shared {
+        if let Some(binding) = &placed[&nf.id].shared {
             self.compute.bind_graph(&mut env, instance, binding)?;
         }
         Ok(())
@@ -1204,33 +1595,40 @@ impl UniversalNode {
 
     /// One endpoint: its virtual link and LSI-0 classification rules
     /// (an internal endpoint's are its group's, rebuilt by `regroup`).
-    /// The traffic an interface or VLAN endpoint takes has one owner.
-    fn wire_endpoint(
-        &mut self,
-        graph: &mut DeployedGraph,
-        ep: &Endpoint,
-    ) -> Result<(), DeployError> {
+    /// `check_endpoints` found the traffic it takes free.
+    fn wire_endpoint(&mut self, graph: &mut DeployedGraph, ep: &Endpoint) {
         use FlowAction::{Output, PopVlan, PushVlan};
         let cookie = graph_cookie(&graph.nffg.id);
         let vlink = self.add_vlink(graph, VlinkKey::Endpoint(ep.id.clone()));
-        let (if_name, vlan_id) = match &ep.kind {
-            EndpointKind::Interface { if_name } => (if_name, None),
-            EndpointKind::Vlan { if_name, vlan_id } => (if_name, Some(*vlan_id)),
-            EndpointKind::Internal { .. } => return Ok(()),
+        let Some((phys, vlan_id, priority, traffic)) = self.traffic(ep) else {
+            return;
         };
-        let phys = self.physical[if_name];
-        let (priority, vlan) = vlan_id.map_or((5, VlanSpec::Untagged), |v| (10, VlanSpec::Id(v)));
-        let traffic = FlowMatch::in_port(phys).with_vlan(vlan);
         let l0 = self.lsi_mut(0);
-        if l0.switch.table().find(priority, &traffic).is_some() {
-            let owned = vlan_id.map_or(if_name.clone(), |v| format!("{if_name}.{v}"));
-            return Err(DeployError::EndpointConflict(owned));
-        }
         let untag = vlan_id.map(|_| PopVlan).into_iter().chain([Output(vlink)]);
         l0.rule(cookie, priority, traffic, untag.collect());
         let tag = vlan_id.map(PushVlan).into_iter().chain([Output(phys)]);
         l0.rule(cookie, priority, FlowMatch::in_port(vlink), tag.collect());
-        Ok(())
+    }
+
+    /// Take a virtual link of `graph` down: both ends, and the graph's
+    /// LSI-0 rules that lead into or out of it (an internal endpoint's
+    /// are its group's, rebuilt by `regroup`).
+    fn remove_vlink(&mut self, graph: &mut DeployedGraph, key: &VlinkKey) {
+        let Some(port) = graph.vlinks.remove(key) else {
+            return;
+        };
+        let lsi = self.lsi_mut(graph.lsi);
+        let Some(&PortKind::Vlink { peer, .. }) = lsi.ports.get(&port) else {
+            return;
+        };
+        lsi.remove_port(port);
+        let cookie = graph_cookie(&graph.nffg.id);
+        let l0 = self.lsi_mut(0);
+        let wired = |e: &FlowEntry| {
+            e.matches.in_port == Some(peer) || e.actions.contains(&FlowAction::Output(peer))
+        };
+        l0.switch.remove_where(|e| e.cookie == cookie && wired(e));
+        l0.remove_port(peer);
     }
 
     /// Each internal group's members: the LSI-0 ends of the deployed
@@ -1257,22 +1655,21 @@ impl UniversalNode {
         groups
     }
 
-    /// Rebuild the LSI-0 rules of every internal group `nffg` joins,
-    /// after it joined or left: a group is a hub that owns its rules —
-    /// one per member, under the group's own cookie, sending what the
-    /// member emits to every other member in port order. A group of
-    /// fewer than two members has none.
-    fn regroup(&mut self, nffg: &NfFg) {
-        let mut groups = None;
-        for ep in &nffg.endpoints {
-            let EndpointKind::Internal { group } = &ep.kind else {
-                continue;
-            };
-            let groups = groups.get_or_insert_with(|| self.groups());
-            let members = groups.get(group).map_or(&[][..], Vec::as_slice);
+    /// Rebuild the LSI-0 rules of each internal group in `groups`,
+    /// after a member joined or left: a group is a hub that owns its
+    /// rules — one per member, under the group's own cookie, sending
+    /// what the member emits to every other member in port order. A
+    /// group of fewer than two members has none.
+    fn regroup(&mut self, groups: &[impl AsRef<str>]) {
+        if groups.is_empty() {
+            return;
+        }
+        let members = self.groups();
+        let l0 = self.lsis[0].as_mut().expect("LSI-0");
+        for group in groups.iter().map(AsRef::as_ref) {
             let cookie = group_cookie(group);
-            let l0 = self.lsis[0].as_mut().expect("LSI-0");
             l0.switch.remove_by_cookie(cookie);
+            let members = members.get(group).map_or(&[][..], Vec::as_slice);
             if members.len() < 2 {
                 continue;
             }
@@ -1301,49 +1698,63 @@ impl UniversalNode {
         }
     }
 
-    /// Take `graph` — deployed or half-built — off the node: the one
-    /// place instances are stopped and destroyed, shared bindings
-    /// released, LSI-0 plumbing removed and the groups it was in
-    /// rebuilt. Best-effort: the walk always finishes and frees the
-    /// graph's LSI; the first error is returned.
-    fn teardown(&mut self, graph: DeployedGraph) -> Result<(), DeployError> {
-        let ports = self.lsis[graph.lsi].take().map(|l| l.ports);
-        let vlinks = ports.iter().flat_map(BTreeMap::values);
-        let mut gone: Vec<PortNo> = vlinks
-            .filter_map(|p| match p {
-                PortKind::Vlink { peer, .. } => Some(*peer),
-                _ => None,
-            })
-            .collect();
+    /// Stop and destroy the instances behind `placed`, unbinding a
+    /// shared one first: it goes, with its LSI-0 attach port, only when
+    /// that leaves it no binding. Best-effort: the walk always finishes;
+    /// the first error is returned.
+    fn release(&mut self, placed: impl IntoIterator<Item = PlacedNf>) -> Result<(), DeployError> {
         let mut env = NodeEnv {
             host: &mut self.host,
             ledger: &mut self.ledger,
             costs: &self.costs,
         };
         let mut result = Ok(());
-        for placed in graph.nfs.values() {
+        for placed in placed {
             let id = placed.instance;
-            // A dedicated instance goes with its graph, a shared one when
-            // this unbind leaves it no binding.
             if let Some(binding) = &placed.shared {
                 result = result.and(self.compute.unbind_graph(&mut env, id, binding));
                 if self.compute.binding_count(id) > 0 {
                     continue;
                 }
-                let l0 = self.lsis[0].as_ref().expect("LSI-0");
-                gone.extend(l0.nf_ports.get(&(id, 0)));
+                let l0 = self.lsis[0].as_mut().expect("LSI-0");
+                if let Some(&attach) = l0.nf_ports.get(&(id, 0)) {
+                    l0.remove_port(attach);
+                }
             }
             result = result.and(self.compute.stop(&mut env, id));
             result = result.and(self.compute.destroy(&mut env, id));
             self.obs_nf_hist.remove(&id);
         }
+        Ok(result?)
+    }
+
+    /// Take a deployed `graph` off the node: its instances released,
+    /// its LSI freed, its LSI-0 plumbing removed and the groups it was
+    /// in rebuilt. Best-effort: the walk always finishes; the first
+    /// error is returned.
+    fn teardown(&mut self, graph: DeployedGraph) -> Result<(), DeployError> {
+        let ports = self.lsis[graph.lsi].take().map(|l| l.ports);
+        let vlinks = ports.iter().flat_map(BTreeMap::values);
+        let gone: Vec<PortNo> = vlinks
+            .filter_map(|p| match p {
+                PortKind::Vlink { peer, .. } => Some(*peer),
+                _ => None,
+            })
+            .collect();
+        let result = self.release(graph.nfs.into_values());
         let l0 = self.lsi_mut(0);
         l0.switch.remove_by_cookie(graph_cookie(&graph.nffg.id));
         for port in gone {
             l0.remove_port(port);
         }
-        self.regroup(&graph.nffg);
-        Ok(result?)
+        let groups: Vec<&str> = graph
+            .nffg
+            .endpoints
+            .iter()
+            .filter_map(internal_group)
+            .collect();
+        self.regroup(&groups);
+        result
     }
 
     /// Undeploy a graph: remove rules, virtual links, and instances
@@ -1383,60 +1794,55 @@ impl UniversalNode {
         self.compute.len()
     }
 
-    /// Update a deployed graph.
-    ///
-    /// Rule-only changes are applied in place (remove + reinstall flow
-    /// entries); structural changes (NFs or endpoints) compile the new
-    /// graph's configs, then undeploy and redeploy it — so a config
-    /// refused leaves the deployed graph as it was.
+    /// Update a deployed graph: compile its NFs' configs, then
+    /// [`update_compiled`](Self::update_compiled). A config refused here
+    /// is a [`DeployError::NfConfig`], before the node is touched.
     pub fn update(&mut self, nffg: &NfFg) -> Result<DeployReport, DeployError> {
-        let old = self
-            .graphs
-            .get(&nffg.id)
-            .ok_or_else(|| DeployError::NoSuchGraph(nffg.id.clone()))?;
-        let programs = match un_nffg::diff(&old.nffg, nffg).is_structural() {
-            true => compile(nffg)?,
-            false => Programs::new(),
-        };
+        if !self.graphs.contains_key(&nffg.id) {
+            return Err(DeployError::NoSuchGraph(nffg.id.clone()));
+        }
+        let programs = compile(nffg)?;
         self.update_compiled(nffg, &programs)
     }
 
-    /// [`update`](Self::update) with the NFs' configs compiled in
-    /// `programs`, which a structural change deploys from.
+    /// Update a deployed graph to `nffg`, whose NFs' configs `programs`
+    /// holds compiled, building only what changed: the graph keeps its
+    /// LSI, its ports and the LSI-0 plumbing of every endpoint that
+    /// stays; an NF whose definition and compiled list (or, shared, NAT
+    /// binding) are unchanged keeps its running instance, state and
+    /// all. Make-before-break:
+    ///
+    /// 1. check the graph, its interfaces, the traffic of its new
+    ///    endpoints and the match fields of the rules it installs;
+    /// 2. create and start the new and changed NFs beside the old ones
+    ///    (a singleton whose successor needs its slot is retired first,
+    ///    and rebuilt from its list if the update is then refused);
+    /// 3. admit memory as the node will hold it once the old go;
+    /// 4. flip the LSI side by the diff — ports, endpoints, the rules
+    ///    that are new, changed or wired to something replaced — and
+    ///    rebuild the internal groups an endpoint joined or left;
+    /// 5. retire the removed and replaced instances.
+    ///
+    /// A refusal in stages 1–3 leaves the part exactly as it was. A
+    /// rule-only update is the same path with nothing to build.
     pub fn update_compiled(
         &mut self,
         nffg: &NfFg,
         programs: &Programs,
     ) -> Result<DeployReport, DeployError> {
-        let old = self
-            .graphs
-            .get(&nffg.id)
-            .ok_or_else(|| DeployError::NoSuchGraph(nffg.id.clone()))?;
-        let diff = un_nffg::diff(&old.nffg, nffg);
-        if diff.is_structural() {
-            self.undeploy(&nffg.id)?;
-            self.trace.graph_updates_structural += 1;
-            return self.deploy_compiled(nffg, programs);
+        if !self.graphs.contains_key(&nffg.id) {
+            return Err(DeployError::NoSuchGraph(nffg.id.clone()));
         }
-        // Rule-level update.
         let errs = validate(nffg);
         if !errs.is_empty() {
             return Err(DeployError::Invalid(errs));
         }
-        let graph = self.graphs.get_mut(&nffg.id).expect("looked up above");
-        let lsi = self.lsis[graph.lsi].as_mut().expect("a graph's LSI");
-        for rule_id in diff
-            .removed_rules
-            .iter()
-            .chain(diff.changed_rules.iter().map(|r| &r.id))
-        {
-            lsi.switch.remove_by_cookie(rule_cookie(&nffg.id, rule_id));
+        self.check_interfaces(nffg)?;
+        let graph = self.graphs.remove(&nffg.id).expect("looked up above");
+        match self.apply(graph, nffg, programs)? {
+            true => self.trace.graph_updates_structural += 1,
+            false => self.trace.graph_updates_rules += 1,
         }
-        for rule in diff.added_rules.iter().chain(diff.changed_rules.iter()) {
-            lsi.install_rule(graph, rule)?;
-        }
-        graph.nffg = nffg.clone();
-        self.trace.graph_updates_rules += 1;
         Ok(self.report(&self.graphs[&nffg.id]))
     }
 

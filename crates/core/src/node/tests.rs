@@ -1629,3 +1629,303 @@ fn a_recycled_mark_starts_with_an_empty_zone() {
         "198.51.100.1".parse::<std::net::Ipv4Addr>().unwrap()
     );
 }
+
+// ---------------------------------------------------------------------
+// Updates in place: an update builds what changed and nothing else, and
+// a refused one leaves the part as it was.
+// ---------------------------------------------------------------------
+
+/// A structural update keeps every NF it leaves unchanged running — the
+/// same instance — replaces the one it changes, and neither undeploys
+/// nor deploys the graph.
+#[test]
+fn a_structural_update_keeps_every_unchanged_nf() {
+    let mut n = node();
+    let chain = |nfs: &[&str], flavors: &[(&str, &str)]| {
+        let mut b = NfFgBuilder::new("g", "chain")
+            .interface_endpoint("lan", "eth0")
+            .interface_endpoint("wan", "eth1");
+        for nf in nfs {
+            b = b.nf(nf, "bridge", 2);
+            if let Some((_, flavor)) = flavors.iter().find(|(id, _)| id == nf) {
+                b = b.with_flavor(flavor);
+            }
+        }
+        b.chain("lan", nfs, "wan").build()
+    };
+    n.deploy(&chain(&["br-a", "br-b"], &[])).unwrap();
+    let id = |n: &UniversalNode, nf: &str| n.instance_of("g", nf).map(|(id, _)| id);
+    let (a, b) = (id(&n, "br-a"), id(&n, "br-b"));
+
+    // One bridge joins the chain: the other two keep running.
+    n.update(&chain(&["br-a", "br-c", "br-b"], &[])).unwrap();
+    assert_eq!((id(&n, "br-a"), id(&n, "br-b")), (a, b));
+    let c = id(&n, "br-c");
+    assert!(c.is_some());
+    // One moves to Docker: it alone is replaced.
+    n.update(&chain(&["br-a", "br-c", "br-b"], &[("br-b", "docker")]))
+        .unwrap();
+    assert_eq!((id(&n, "br-a"), id(&n, "br-c")), (a, c));
+    assert_ne!(id(&n, "br-b"), b);
+    assert_eq!(n.instance_of("g", "br-b").unwrap().1, Flavor::Docker);
+    // One leaves: the rest stay.
+    n.update(&chain(&["br-a", "br-b"], &[("br-b", "docker")]))
+        .unwrap();
+    assert_eq!(id(&n, "br-a"), a);
+    assert_eq!(n.total_instances(), 2);
+
+    let io = n.inject("eth0", frame(b"through"));
+    assert_eq!(io.emitted.len(), 1);
+    assert_eq!(io.emitted[0].0, "eth1");
+    assert_eq!(n.trace.counter("graph_updates_structural"), 3);
+    assert_eq!(n.trace.counter("graphs_deployed"), 1);
+    assert_eq!(n.trace.counter("graphs_undeployed"), 0);
+}
+
+/// An update that leaves a NAT as it was leaves its connections too: a
+/// LAN flow masqueraded before a bridge joins the chain in front of the
+/// NAT is still translated after it — its reply comes back in,
+/// de-masqueraded, through the new bridge — whether the NAT is the
+/// node's shared instance or a dedicated one.
+#[test]
+fn a_nat_mapping_outlives_an_update_that_keeps_the_nat() {
+    let lan_host: std::net::Ipv4Addr = "192.168.1.10".parse().unwrap();
+    let far: std::net::Ipv4Addr = "203.0.113.9".parse().unwrap();
+    for flavor in [None, Some("docker")] {
+        let graph = |nfs: &[&str]| {
+            let mut b = NfFgBuilder::new("g", "NAT")
+                .interface_endpoint("lan", "eth0")
+                .interface_endpoint("wan", "eth1")
+                .nf("br", "bridge", 2)
+                .nf_with_config("nat", "nat", 2, nat_config("203.0.113.1/24"));
+            if let Some(flavor) = flavor {
+                b = b.with_flavor(flavor);
+            }
+            b.chain("lan", nfs, "wan").build()
+        };
+        let mut n = node();
+        let mut before = graph(&["nat"]);
+        before.nfs.retain(|nf| nf.id == "nat");
+        n.deploy(&before).unwrap();
+        let (inst, _) = n.instance_of("g", "nat").unwrap();
+        let ns = n.compute.namespace_of(inst).unwrap();
+        n.host.neigh_add(ns, far, MacAddr::local(0x99)).unwrap();
+        n.host.neigh_add(ns, lan_host, MacAddr::local(5)).unwrap();
+        let out = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(5), MacAddr::BROADCAST)
+            .ipv4(lan_host, far)
+            .udp(5000, 53)
+            .payload(b"query")
+            .build();
+        let io = n.inject("eth0", out);
+        assert_eq!(io.emitted.len(), 1, "{flavor:?}");
+        let (mut port, mut left) = io.emitted.into_iter().next().unwrap();
+        assert_eq!(port, "eth1");
+        if flavor.is_none() {
+            left.vlan_pop().unwrap_or_default();
+        }
+        let eth = left.ethernet().unwrap();
+        let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+        let (wan, sport) = (ip.src(), {
+            let udp = un_packet::udp::UdpDatagram::new_checked(ip.payload()).unwrap();
+            udp.src_port()
+        });
+
+        n.update(&graph(&["br", "nat"])).unwrap();
+        assert_eq!(n.instance_of("g", "nat").unwrap().0, inst, "{flavor:?}");
+        let reply = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(0x99), MacAddr::BROADCAST)
+            .ipv4(far, wan)
+            .udp(53, sport)
+            .payload(b"answer")
+            .build();
+        let io = n.inject("eth1", reply);
+        assert_eq!(io.emitted.len(), 1, "{flavor:?}: the reply is dropped");
+        (port, left) = io.emitted.into_iter().next().unwrap();
+        assert_eq!(port, "eth0");
+        let eth = left.ethernet().unwrap();
+        let ip = un_packet::Ipv4Packet::new_checked(eth.payload()).unwrap();
+        assert_eq!(ip.dst(), lan_host, "{flavor:?}");
+        let udp = un_packet::udp::UdpDatagram::new_checked(ip.payload()).unwrap();
+        assert_eq!(udp.dst_port(), 5000, "{flavor:?}");
+    }
+}
+
+/// Every way a structural update can be refused, for every way the NF
+/// under test is placed: the refused update leaves the node's census,
+/// the NF's instance and the part's egress for a probe frame as they
+/// were.
+#[test]
+fn a_refused_update_leaves_the_part_as_it_was() {
+    use Failure::*;
+    use Subject::*;
+    let mut cells = 0;
+    for subject in [NativeNew, NativeNewShared, NativeShare, Docker, Vm, Dpdk] {
+        for failure in [Create, Start, Bind, Memory, Conflict, GroupThenConflict] {
+            if !failure.applies_to(subject) {
+                continue;
+            }
+            cells += 1;
+            let tag = format!("{subject:?} x {failure:?}");
+            let mut n = arranged(subject, if failure == Create { Memory } else { failure });
+            n.deploy(&subject_graph("good", subject, None))
+                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_eq!(forwards(&mut n, subject), 1, "{tag}");
+            let mut broken = subject_graph("good", subject, Some(failure));
+            if failure == Create {
+                // The changed NF needs an image the stores lost.
+                n.compute.docker.registry = un_container::Registry::new();
+                n.compute.vm.hypervisor.images = un_hypervisor::VmImageStore::new();
+                broken.nfs[0]
+                    .config
+                    .params
+                    .insert("psk".into(), "hunter3".into());
+            }
+            let before = census(&n);
+            let placed = n.instance_of("good", "nf");
+
+            let err = n.update(&broken).expect_err(&tag);
+            match failure {
+                Create => assert!(matches!(err, DeployError::Compute(_)), "{tag}: {err}"),
+                Start | Bind => {
+                    assert!(matches!(err, DeployError::NfConfig { .. }), "{tag}: {err}")
+                }
+                Memory => assert!(
+                    matches!(err, DeployError::InsufficientMemory { .. }),
+                    "{tag}: {err}"
+                ),
+                Conflict | GroupThenConflict => assert!(
+                    matches!(err, DeployError::EndpointConflict(_)),
+                    "{tag}: {err}"
+                ),
+            }
+            assert_eq!(census(&n), before, "{tag}: the refused update left residue");
+            assert_eq!(n.instance_of("good", "nf"), placed, "{tag}");
+            assert_eq!(forwards(&mut n, subject), 1, "{tag}: the part forwards");
+        }
+    }
+    assert_eq!(cells, 25);
+}
+
+/// A native singleton whose config changes makes room for its successor,
+/// which stays native; refused later, the update rebuilds the old one
+/// from its list, and the part forwards as before.
+#[test]
+fn a_changed_singleton_is_replaced_in_its_flavor() {
+    let mut n = arranged(Subject::NativeNew, Failure::Memory);
+    n.deploy(&subject_graph("good", Subject::NativeNew, None))
+        .unwrap();
+    assert_eq!(forwards(&mut n, Subject::NativeNew), 1);
+    let retuned = |failure| {
+        let mut g = subject_graph("good", Subject::NativeNew, failure);
+        g.nfs[0]
+            .config
+            .params
+            .insert("psk".into(), "hunter3".into());
+        g
+    };
+    let before = census(&n);
+    let err = n.update(&retuned(Some(Failure::Memory))).unwrap_err();
+    assert!(
+        matches!(err, DeployError::InsufficientMemory { .. }),
+        "{err}"
+    );
+    assert_eq!(census(&n), before);
+    assert_eq!(forwards(&mut n, Subject::NativeNew), 1);
+
+    let (old, _) = n.instance_of("good", "nf").unwrap();
+    n.update(&retuned(None)).unwrap();
+    let (new, flavor) = n.instance_of("good", "nf").unwrap();
+    assert_ne!(new, old);
+    assert_eq!(flavor, Flavor::Native);
+    assert_eq!(forwards(&mut n, Subject::NativeNew), 1);
+    assert_eq!(census(&n), before);
+}
+
+/// A random bridge chain between random VLANs of eth0 and eth1.
+fn random_chain(rng: &mut un_sim::DetRng) -> un_nffg::NfFg {
+    let vids = [None, Some(10), Some(20)];
+    let mut b = NfFgBuilder::new("g", "random chain");
+    for (ep, port) in [("lan", "eth0"), ("wan", "eth1")] {
+        b = match vids[rng.index(vids.len())] {
+            None => b.interface_endpoint(ep, port),
+            Some(vid) => b.vlan_endpoint(ep, port, vid),
+        };
+    }
+    let mut chain: Vec<&str> = ["br-a", "br-b", "br-c"]
+        .into_iter()
+        .filter(|_| rng.chance(0.6))
+        .collect();
+    if chain.is_empty() || rng.chance(0.3) {
+        chain.reverse();
+        chain.push("br-d");
+    }
+    for nf in &chain {
+        b = b.nf(nf, "bridge", 2);
+        if rng.chance(0.25) {
+            b = b.with_flavor("docker");
+        }
+    }
+    let mut g = b.chain("lan", &chain, "wan").build();
+    for rule in &mut g.flow_rules {
+        rule.priority += rng.index(2) as u16;
+    }
+    g
+}
+
+/// What a node emits for one probe frame per (port, VLAN) pair, each
+/// from its own source MAC to an address no one learned.
+fn probe(n: &mut UniversalNode) -> Vec<(Name, Vec<u8>)> {
+    let mut emitted = Vec::new();
+    for (i, (port, vid)) in ["eth0", "eth1"]
+        .into_iter()
+        .flat_map(|p| [None, Some(10), Some(20), Some(30)].map(|v| (p, v)))
+        .enumerate()
+    {
+        let mut b = un_packet::PacketBuilder::new()
+            .ethernet(MacAddr::local(1 + i as u32), MacAddr::local(0xEE));
+        if let Some(vid) = vid {
+            b = b.vlan(vid);
+        }
+        let pkt = b
+            .ipv4("10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap())
+            .udp(1000, 2000)
+            .payload(&[i as u8; 8])
+            .build();
+        let io = n.inject(port, pkt);
+        emitted.extend(io.emitted.into_iter().map(|(p, f)| (p, f.data().to_vec())));
+    }
+    emitted
+}
+
+/// Any sequence of structural updates ends where a fresh deploy of the
+/// last graph starts: the same egress for every probe, the same
+/// instances, ports, flows and memory.
+#[test]
+fn an_updated_part_forwards_as_a_fresh_deploy() {
+    let mut rng = un_sim::DetRng::new(48);
+    for case in 0..48 {
+        let mut n = node();
+        let mut last = random_chain(&mut rng);
+        n.deploy(&last).unwrap();
+        for _ in 0..1 + rng.index(5) {
+            last = random_chain(&mut rng);
+            n.update(&last)
+                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        }
+        let mut fresh = node();
+        fresh.deploy(&last).unwrap();
+        assert_eq!(probe(&mut n), probe(&mut fresh), "case {case}");
+        let shape = |n: &UniversalNode| {
+            let c = census(n);
+            (
+                c.instances,
+                c.driver_instances,
+                c.lsi0_ports,
+                c.flows,
+                c.memory,
+            )
+        };
+        assert_eq!(shape(&n), shape(&fresh), "case {case}");
+    }
+}

@@ -21,7 +21,7 @@ pub enum ReplayVerdict {
 }
 
 /// Anti-replay state for one inbound SA.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayWindow {
     /// Highest sequence number accepted so far.
     top: u32,

@@ -24,7 +24,7 @@ pub enum SaDirection {
 /// Keys follow the RFC 7634 ChaCha20-Poly1305 convention: a 32-byte
 /// cipher key plus a 4-byte salt that prefixes the 8-byte per-packet IV
 /// to form the 12-byte AEAD nonce.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecurityAssociation {
     /// The SPI identifying this SA on the wire.
     pub spi: SpiValue,

@@ -73,6 +73,8 @@ struct ConnEntry {
     trans: FlowTuple,
     state: CtState,
     confirmed: bool,
+    /// `set_snat` reserved `trans`'s source port.
+    reserved: bool,
     packets: u64,
 }
 
@@ -96,6 +98,16 @@ impl Conntrack {
     /// Number of confirmed connections.
     pub fn len(&self) -> usize {
         self.conns.iter().filter(|c| c.confirmed).count()
+    }
+
+    /// Connections held, confirmed or not.
+    pub fn tracked(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// NAT source ports reserved.
+    pub fn nat_ports(&self) -> usize {
+        self.used_ports.len()
     }
 
     /// True if nothing is tracked.
@@ -124,6 +136,7 @@ impl Conntrack {
             trans: tuple,
             state: CtState::New,
             confirmed: false,
+            reserved: false,
             packets: 0,
         });
         ConnId(idx)
@@ -161,6 +174,7 @@ impl Conntrack {
             };
         }
         self.conns[id.0].trans.sport = candidate;
+        self.conns[id.0].reserved = true;
         self.used_ports.insert((zone, to, proto, candidate));
     }
 
@@ -177,6 +191,26 @@ impl Conntrack {
         let reply_key = c.trans.reversed();
         self.lookup.insert((zone, orig), id.0);
         self.lookup.insert((zone, reply_key), id.0);
+    }
+
+    /// Forget a connection its frame never confirmed — the frame died
+    /// between [`begin`](Self::begin) and [`confirm`](Self::confirm) —
+    /// with the NAT port it reserved. A confirmed one stays. A frame's
+    /// hooks begin no other connection before its own is confirmed, so
+    /// the one to forget is the newest.
+    pub fn abort(&mut self, id: ConnId) {
+        if self.conns[id.0].confirmed {
+            return;
+        }
+        debug_assert_eq!(id.0 + 1, self.conns.len(), "only the newest is unconfirmed");
+        if id.0 + 1 != self.conns.len() {
+            return;
+        }
+        let c = self.conns.pop().expect("looked up above");
+        if c.reserved {
+            let t = c.trans;
+            self.used_ports.remove(&(c.zone, t.src, t.proto, t.sport));
+        }
     }
 
     /// The tuple a packet should carry after NAT, given its direction.

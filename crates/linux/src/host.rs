@@ -957,117 +957,124 @@ impl Host {
                 }
             }
         };
-        // Record the packet at conntrack time (kernel semantics): the
-        // first reply-direction packet itself already matches ESTABLISHED
-        // in later chains.
-        self.namespaces[ns.0 as usize]
-            .conntrack
-            .note_packet(conn, dir);
-        nfp.ct_state = self.namespaces[ns.0 as usize].conntrack.state(conn);
+        'tracked: {
+            // Record the packet at conntrack time (kernel semantics): the
+            // first reply-direction packet itself already matches ESTABLISHED
+            // in later chains.
+            self.namespaces[ns.0 as usize]
+                .conntrack
+                .note_packet(conn, dir);
+            nfp.ct_state = self.namespaces[ns.0 as usize].conntrack.state(conn);
 
-        // nat/PREROUTING (DNAT) for new original-direction flows.
-        if fresh {
-            match self.hook(ns, NfTable::Nat, Chain::Prerouting, &nfp, ctx).0 {
-                Verdict::Drop => return,
-                Verdict::Dnat { to, port } => {
-                    self.namespaces[ns.0 as usize]
-                        .conntrack
-                        .set_dnat(conn, to, port);
-                }
-                _ => {}
-            }
-        }
-
-        // Apply the connection's rewrite for this direction (NAT).
-        let want = self.namespaces[ns.0 as usize].conntrack.rewrite(conn, dir);
-        if want != tuple {
-            ctx.charge(self.costs.l4_processing_ns);
-            rewrite_packet(pkt.data_mut(), &want);
-        }
-        (nfp.src, nfp.dst, nfp.sport, nfp.dport) = (want.src, want.dst, want.sport, want.dport);
-        let dst = want.dst;
-
-        // Routing decision: local or forward?
-        if self.addr_is_local(ns, dst) || dst == Ipv4Addr::BROADCAST {
-            if self.hook(ns, NfTable::Filter, Chain::Input, &nfp, ctx).0 == Verdict::Drop {
-                return;
-            }
-            self.namespaces[ns.0 as usize].conntrack.confirm(conn);
-
-            // ESP addressed to us? Decapsulate and recirculate.
-            let spi = Ipv4Packet::new_checked(pkt.data())
-                .ok()
-                .filter(|ip| ip.protocol() == IpProtocol::Esp)
-                .and_then(|ip| esp_spi(ip.payload()));
-            let nsr = &mut self.namespaces[ns.0 as usize];
-            if spi.is_some_and(|s| nsr.xfrm.knows_spi(s)) {
-                match nsr.xfrm.input(pkt.data(), &self.costs, &mut ctx.cost) {
-                    Ok(mut inner) => {
-                        self.trace.xfrm_decap += 1;
-                        inner.meta = pkt.meta;
-                        self.l3_input(ns, in_iface, inner, ctx, depth + 1);
+            // nat/PREROUTING (DNAT) for new original-direction flows.
+            if fresh {
+                match self.hook(ns, NfTable::Nat, Chain::Prerouting, &nfp, ctx).0 {
+                    Verdict::Drop => break 'tracked,
+                    Verdict::Dnat { to, port } => {
+                        self.namespaces[ns.0 as usize]
+                            .conntrack
+                            .set_dnat(conn, to, port);
                     }
-                    Err(_) => self.trace.xfrm_decap_errors += 1,
+                    _ => {}
                 }
-                return;
             }
 
-            self.local_deliver(ns, pkt, ctx, depth);
-            return;
-        }
-
-        // Forward path.
-        if !self.namespaces[ns.0 as usize].ip_forward {
-            self.trace.rx_not_for_us += 1;
-            return;
-        }
-        // TTL.
-        {
-            let mut ipm = Ipv4Packet::new_unchecked(pkt.data_mut());
-            if ipm.decrement_ttl() == 0 {
-                self.trace.ttl_expired += 1;
-                return;
-            }
-            ipm.fill_checksum();
-        }
-
-        // Route lookup (policy aware).
-        ctx.charge(self.costs.ip_rule_ns + self.costs.route_lookup_ns);
-        let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, pkt.meta.fwmark) else {
-            self.trace.no_route += 1;
-            return;
-        };
-        nfp.out_iface = Some(out_dev);
-
-        if self.hook(ns, NfTable::Filter, Chain::Forward, &nfp, ctx).0 == Verdict::Drop {
-            return;
-        }
-
-        // nat/POSTROUTING (MASQUERADE) for new flows.
-        if fresh {
-            let snat = match self.hook(ns, NfTable::Nat, Chain::Postrouting, &nfp, ctx).0 {
-                Verdict::Drop => return,
-                Verdict::Masquerade => self.ifaces[out_dev.0 as usize].primary_addr(),
-                _ => None,
-            };
-            let ct = &mut self.namespaces[ns.0 as usize].conntrack;
-            if let Some(to) = snat {
-                ct.set_snat(conn, to, None);
-            }
-            // Apply any SNAT decided just now.
-            let want = ct.rewrite(conn, dir);
-            if want != extract_tuple(pkt.data()) {
+            // Apply the connection's rewrite for this direction (NAT).
+            let want = self.namespaces[ns.0 as usize].conntrack.rewrite(conn, dir);
+            if want != tuple {
                 ctx.charge(self.costs.l4_processing_ns);
                 rewrite_packet(pkt.data_mut(), &want);
             }
-        }
-        {
-            let nsr = &mut self.namespaces[ns.0 as usize];
-            nsr.conntrack.confirm(conn);
-            nsr.forwarded += 1;
-        }
+            (nfp.src, nfp.dst, nfp.sport, nfp.dport) = (want.src, want.dst, want.sport, want.dport);
+            let dst = want.dst;
 
-        self.xfrm_out_and_tx(ns, out_dev, next_hop, pkt, ctx, depth);
+            // Routing decision: local or forward?
+            if self.addr_is_local(ns, dst) || dst == Ipv4Addr::BROADCAST {
+                if self.hook(ns, NfTable::Filter, Chain::Input, &nfp, ctx).0 == Verdict::Drop {
+                    break 'tracked;
+                }
+                self.namespaces[ns.0 as usize].conntrack.confirm(conn);
+
+                // ESP addressed to us? Decapsulate and recirculate.
+                let spi = Ipv4Packet::new_checked(pkt.data())
+                    .ok()
+                    .filter(|ip| ip.protocol() == IpProtocol::Esp)
+                    .and_then(|ip| esp_spi(ip.payload()));
+                let nsr = &mut self.namespaces[ns.0 as usize];
+                if spi.is_some_and(|s| nsr.xfrm.knows_spi(s)) {
+                    match nsr.xfrm.input(pkt.data(), &self.costs, &mut ctx.cost) {
+                        Ok(mut inner) => {
+                            self.trace.xfrm_decap += 1;
+                            inner.meta = pkt.meta;
+                            self.l3_input(ns, in_iface, inner, ctx, depth + 1);
+                        }
+                        Err(_) => self.trace.xfrm_decap_errors += 1,
+                    }
+                    break 'tracked;
+                }
+
+                self.local_deliver(ns, pkt, ctx, depth);
+                break 'tracked;
+            }
+
+            // Forward path.
+            if !self.namespaces[ns.0 as usize].ip_forward {
+                self.trace.rx_not_for_us += 1;
+                break 'tracked;
+            }
+            // TTL.
+            {
+                let mut ipm = Ipv4Packet::new_unchecked(pkt.data_mut());
+                if ipm.decrement_ttl() == 0 {
+                    self.trace.ttl_expired += 1;
+                    break 'tracked;
+                }
+                ipm.fill_checksum();
+            }
+
+            // Route lookup (policy aware).
+            ctx.charge(self.costs.ip_rule_ns + self.costs.route_lookup_ns);
+            let Some((out_dev, next_hop)) = self.route_lookup(ns, dst, pkt.meta.fwmark) else {
+                self.trace.no_route += 1;
+                break 'tracked;
+            };
+            nfp.out_iface = Some(out_dev);
+
+            if self.hook(ns, NfTable::Filter, Chain::Forward, &nfp, ctx).0 == Verdict::Drop {
+                break 'tracked;
+            }
+
+            // nat/POSTROUTING (MASQUERADE) for new flows.
+            if fresh {
+                let snat = match self.hook(ns, NfTable::Nat, Chain::Postrouting, &nfp, ctx).0 {
+                    Verdict::Drop => break 'tracked,
+                    Verdict::Masquerade => self.ifaces[out_dev.0 as usize].primary_addr(),
+                    _ => None,
+                };
+                let ct = &mut self.namespaces[ns.0 as usize].conntrack;
+                if let Some(to) = snat {
+                    ct.set_snat(conn, to, None);
+                }
+                // Apply any SNAT decided just now.
+                let want = ct.rewrite(conn, dir);
+                if want != extract_tuple(pkt.data()) {
+                    ctx.charge(self.costs.l4_processing_ns);
+                    rewrite_packet(pkt.data_mut(), &want);
+                }
+            }
+            {
+                let nsr = &mut self.namespaces[ns.0 as usize];
+                nsr.conntrack.confirm(conn);
+                nsr.forwarded += 1;
+            }
+
+            self.xfrm_out_and_tx(ns, out_dev, next_hop, pkt, ctx, depth);
+        }
+        // A frame that died before its connection was confirmed takes
+        // the connection, and any NAT port it reserved, with it.
+        if fresh {
+            self.namespaces[ns.0 as usize].conntrack.abort(conn);
+        }
     }
 
     /// XFRM output check, then transmit (shared by forward & local-out).

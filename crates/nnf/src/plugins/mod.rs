@@ -480,7 +480,8 @@ pub(crate) mod tests {
     fn shared_nat_namespace_is_pinned() {
         pin(shared_nat(), &NfConfig::default(), 1, |h, ns, p| {
             h.set_up(p[0], true)?;
-            h.sysctl_ip_forward(ns, true)
+            h.sysctl_ip_forward(ns, true)?;
+            h.nf_policy(ns, NfTable::Filter, Chain::Forward, false)
         });
     }
 
@@ -546,6 +547,7 @@ pub(crate) mod tests {
         let script = |h: &mut Host, ns: NsId, parent: IfaceId| {
             h.set_up(parent, true)?;
             h.sysctl_ip_forward(ns, true)?;
+            h.nf_policy(ns, NfTable::Filter, Chain::Forward, false)?;
             for b in &bindings {
                 let nat = b.nat.as_ref().unwrap();
                 let lan = h.add_vlan_sub(parent, b.vid_lan, &format!("m{}-lan", b.mark))?;
@@ -903,6 +905,98 @@ pub(crate) mod tests {
                 (binding, side, ipv4_bytes(frame))
             };
             Some(out.into_iter().map(by_vid).collect())
+        }
+    }
+
+    /// Unsolicited WAN traffic a NAT drops leaves no connection behind:
+    /// 1000 new flows from outside, to LAN hosts and off-net, each
+    /// dropped by FORWARD, leave the dedicated NAT's conntrack table —
+    /// confirmed and unconfirmed entries alike — and its reserved NAT
+    /// ports as they were.
+    #[test]
+    fn a_dropped_flow_leaves_no_connection_behind() {
+        let config = NfConfig::default()
+            .with_param("lan-addr", "192.168.1.1/24")
+            .with_param("wan-addr", "203.0.113.1/24")
+            .with_param("wan-gw", "203.0.113.254");
+        let (mut host, ns, ports) = fresh(2);
+        start(&mut nnf("nat"), &mut host, ns, &ports, &config).unwrap();
+        for (i, addr) in ["192.168.1.5", "203.0.113.254"].into_iter().enumerate() {
+            host.neigh_add(ns, ip(addr), MacAddr::local(100 + i as u32))
+                .unwrap();
+        }
+        let flow = |side, tcp, src: &str, dst: &str, sport, dport| Flow {
+            side,
+            tcp,
+            src: ip(src),
+            dst: ip(dst),
+            sport,
+            dport,
+        };
+        let table = |h: &Host| {
+            let ct = &h.namespace(ns).unwrap().conntrack;
+            (ct.tracked(), ct.len(), ct.nat_ports())
+        };
+        // One LAN flow out: a confirmed connection and a reserved port.
+        let lan_mac = host.iface(ports[0]).unwrap().mac;
+        let out = flow(Side::Lan, false, "192.168.1.5", "8.8.8.8", 5000, 53);
+        let out = host.inject(ports[0], out.frame(lan_mac, None)).emitted;
+        assert_eq!(out.len(), 1);
+        let before = table(&host);
+        assert_eq!(before, (1, 1, 1));
+        let wan_mac = host.iface(ports[1]).unwrap().mac;
+        for i in 0..1000u16 {
+            let dst = ["192.168.1.5", "192.168.1.77", "10.9.9.9"][usize::from(i % 3)];
+            let unsolicited = flow(Side::Wan, i % 2 == 0, "198.51.100.7", dst, 1024 + i, 80);
+            let out = host.inject(ports[1], unsolicited.frame(wan_mac, None));
+            assert!(out.emitted.is_empty(), "frame {i} to {dst} left");
+        }
+        assert_eq!(table(&host), before);
+    }
+
+    /// Untagged frames on a shared NAT's attachment port belong to no
+    /// binding, so they leave nowhere: not to a tenant's LAN host, not to
+    /// either tenant's WAN side, past no binding's FORWARD rules or
+    /// masquerade.
+    #[test]
+    fn an_untagged_frame_on_a_shared_nat_leaves_nowhere() {
+        let (mut host, ns, ports) = fresh(1);
+        let mut nat = shared_nat();
+        start(&mut nat, &mut host, ns, &ports, &NfConfig::default()).unwrap();
+        let bindings = [
+            nat_binding(1, "203.0.113.1/24", Some("203.0.113.254"), Vec::new()),
+            nat_binding(2, "198.51.100.1/24", Some("198.51.100.254"), Vec::new()),
+        ];
+        let mut ledger = MemLedger::new();
+        let account = ledger.create_account("nnf", None);
+        let mut ctx = NnfContext {
+            host: &mut host,
+            ns,
+            ledger: &mut ledger,
+            account,
+        };
+        for binding in &bindings {
+            nat.bind_graph(&mut ctx, binding).unwrap();
+        }
+        let neighbours = ["192.168.1.5", "203.0.113.9", "198.51.100.7"];
+        for (i, addr) in neighbours.into_iter().enumerate() {
+            host.neigh_add(ns, ip(addr), MacAddr::local(100 + i as u32))
+                .unwrap();
+        }
+        let mac = host.iface(ports[0]).unwrap().mac;
+        for dst in neighbours {
+            for src in ["192.168.1.10", "8.8.8.8"] {
+                let flow = Flow {
+                    side: Side::Lan,
+                    tcp: false,
+                    src: ip(src),
+                    dst: ip(dst),
+                    sport: 4000,
+                    dport: 53,
+                };
+                let out = host.inject(ports[0], flow.frame(mac, None)).emitted;
+                assert!(out.is_empty(), "{src} → {dst} left untagged");
+            }
         }
     }
 

@@ -47,7 +47,7 @@ use crate::plugin::{GraphBinding, NnfError};
 /// A typed NNF configuration command (what the bash scripts would run).
 /// Ports are NF port indices; [`execute`](crate::plugins::execute)
 /// resolves them to the namespace's interfaces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NnfCommand {
     /// `ip addr add <cidr> dev <port idx>`
     IpAddr {
@@ -394,11 +394,19 @@ fn translate_firewall(c: &NfConfig, _n_ports: usize) -> Result<CompiledNf, NnfEr
 }
 
 /// A shared instance's program, whatever its type: its one attachment
-/// port up and forwarding on. Each binding brings the rest, as its
-/// [`binding_program`].
+/// port up, forwarding on, and FORWARD's policy DROP. Each binding brings
+/// the rest, as its [`binding_program`], over its own sub-interfaces,
+/// and its FORWARD rules end with a drop for anything else entering
+/// them — so the policy takes only what enters on the attachment
+/// itself, untagged: a frame that belongs to no binding.
 pub(crate) const SHARED_ATTACHMENT: &[NnfCommand] = &[
     NnfCommand::LinkUp { dev_port: 0 },
     NnfCommand::Sysctl { ip_forward: true },
+    NnfCommand::IptablesPolicy {
+        table: NfTable::Filter,
+        chain: Chain::Forward,
+        accept: false,
+    },
 ];
 
 /// A NAT's addressing and port forwards, parsed from `lan-addr`,

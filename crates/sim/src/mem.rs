@@ -25,6 +25,9 @@ struct Account {
     children: Vec<AccountId>,
     /// Labelled allocations local to this account (bytes).
     items: BTreeMap<String, u64>,
+    /// Bytes held by this account and all its descendants, kept as
+    /// allocations come and go so a roll-up reads one field.
+    total: u64,
     freed: bool,
 }
 
@@ -72,6 +75,7 @@ impl MemLedger {
             parent,
             children: Vec::new(),
             items: BTreeMap::new(),
+            total: 0,
             freed: false,
         };
         let id = match self.free.pop() {
@@ -102,7 +106,18 @@ impl MemLedger {
             return Err(LedgerError::AccountFreed(acc.name.clone()));
         }
         *acc.items.entry(label.to_string()).or_insert(0) += bytes;
+        self.roll_up(account, |total| total + bytes);
         Ok(())
+    }
+
+    /// Apply `change` to the total of `account` and of every ancestor.
+    fn roll_up(&mut self, account: AccountId, change: impl Fn(u64) -> u64) {
+        let mut at = Some(account);
+        while let Some(id) = at {
+            let acc = &mut self.accounts[id.0];
+            acc.total = change(acc.total);
+            at = acc.parent;
+        }
     }
 
     /// Release `bytes` previously recorded under `label`.
@@ -121,6 +136,7 @@ impl MemLedger {
         } else {
             *acc.items.get_mut(label).unwrap() = have - bytes;
         }
+        self.roll_up(account, |total| total - bytes);
         Ok(())
     }
 
@@ -135,12 +151,15 @@ impl MemLedger {
         }
         if let Some(p) = self.accounts[account.0].parent {
             self.accounts[p.0].children.retain(|c| *c != account);
+            let gone = self.accounts[account.0].total;
+            self.roll_up(p, |total| total - gone);
         }
         let mut stack = vec![account];
         while let Some(id) = stack.pop() {
             let acc = &mut self.accounts[id.0];
             acc.freed = true;
             acc.items.clear();
+            acc.total = 0;
             stack.append(&mut acc.children);
             self.free.push(id);
         }
@@ -158,14 +177,7 @@ impl MemLedger {
 
     /// Bytes held by this account and all descendants.
     pub fn usage(&self, account: AccountId) -> u64 {
-        let mut total = 0;
-        let mut stack = vec![account];
-        while let Some(id) = stack.pop() {
-            let acc = &self.accounts[id.0];
-            total += acc.items.values().sum::<u64>();
-            stack.extend(acc.children.iter().copied());
-        }
-        total
+        self.accounts[account.0].total
     }
 
     /// The account's name.
@@ -252,6 +264,48 @@ pub const fn kb(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The kept roll-up is the subtree's sum, whatever mix of creates,
+    /// allocations, frees and account frees came before.
+    #[test]
+    fn usage_is_the_sum_of_the_subtree() {
+        fn walk(l: &MemLedger, a: AccountId) -> u64 {
+            let below = l.children(a).iter().map(|c| walk(l, *c));
+            l.local_usage(a) + below.sum::<u64>()
+        }
+        let mut rng = crate::DetRng::new(5);
+        let mut l = MemLedger::new();
+        let mut live: Vec<AccountId> = Vec::new();
+        let labels = ["rss", "image", "guest"];
+        for step in 0..4000 {
+            let pick = |rng: &mut crate::DetRng, live: &[AccountId]| live[rng.index(live.len())];
+            match rng.index(5) {
+                _ if live.is_empty() => live.push(l.create_account("root", None)),
+                0 => {
+                    let parent = rng.chance(0.8).then(|| pick(&mut rng, &live));
+                    live.push(l.create_account("acct", parent));
+                }
+                1 | 2 => {
+                    let a = pick(&mut rng, &live);
+                    let bytes = rng.range_u64(0, 1000);
+                    l.alloc(a, labels[rng.index(3)], bytes).unwrap();
+                }
+                3 => {
+                    let a = pick(&mut rng, &live);
+                    let label = labels[rng.index(3)];
+                    let have = l.items(a).find(|(k, _)| *k == label).map_or(0, |(_, b)| b);
+                    l.free(a, label, rng.range_u64(0, have + 1)).unwrap();
+                }
+                _ => {
+                    l.free_account(pick(&mut rng, &live));
+                    live.retain(|a| !l.is_freed(*a));
+                }
+            }
+            for &a in &live {
+                assert_eq!(l.usage(a), walk(&l, a), "step {step}");
+            }
+        }
+    }
 
     #[test]
     fn alloc_and_usage_roll_up() {

@@ -213,6 +213,11 @@ impl LogicalSwitch {
         self.table.remove_by_cookie(cookie)
     }
 
+    /// Remove every entry `gone` picks; returns count.
+    pub fn remove_where(&mut self, gone: impl FnMut(&FlowEntry) -> bool) -> usize {
+        self.table.remove_where(gone)
+    }
+
     /// Installed entries.
     pub fn flow_count(&self) -> usize {
         self.table.len()

@@ -47,10 +47,15 @@
 //!    port, a MAC, a /32 prefix, a specific VLAN id, …) is *exact* and a
 //!    hit on it reports [`LookupPath::ExactHit`]; a mask with a partial
 //!    field (a CIDR prefix shorter than /32, the tagged-any presence
-//!    bit) reports [`LookupPath::MegaflowHit`]. Like the cache, the
-//!    index is stamped with the table generation and rebuilt lazily
-//!    after any mutation, so a rule delete/modify can never serve a
-//!    stale action.
+//!    bit) reports [`LookupPath::MegaflowHit`]. The index is kept
+//!    per rule: a mask table names its rules by their stable slot with
+//!    their match-order key, so an insert or a removal touches only the
+//!    table of that rule's mask. A value several rules carry keeps the
+//!    best one in the map and the others, in order, beside it; when the
+//!    best leaves, the next takes over. A table is dropped when its last
+//!    rule leaves, and only then is the union recomputed. Every
+//!    mutation still advances the generation, so no cached decision
+//!    outlives the rule set it was taken under.
 //!
 //! Each map probe the memo does not answer is one SipHash pass over the
 //! five words, keyed per map by `RandomState`: packet headers are
@@ -60,9 +65,9 @@
 //! collision chain. The microflow probe and the cache insert that
 //! follows a fall-through share one hash through the map's entry API.
 //!
-//! Entries are kept sorted by (priority desc, insertion order), so
-//! "first match wins" reduces to "smallest index wins" across all mask
-//! tables. The reference they are tested and benchmarked against — a
+//! Every rule carries an order key — priority descending, then
+//! insertion order — so "first match wins" reduces to "smallest key
+//! wins" across all mask tables. The reference they are tested and benchmarked against — a
 //! first-match scan over [`FlowTable::entries`] — lives with its users
 //! (`tests/properties.rs`), not here.
 
@@ -152,15 +157,68 @@ impl TableStats {
     }
 }
 
-/// All entries sharing one mask, hashed by their value words. On
-/// duplicate values the smallest entry index (= best priority, then
-/// earliest insertion) is kept.
+/// A rule's place in match order, smaller first: the high 16 bits are
+/// the priority inverted, the rest the table's insertion sequence.
+type Order = u64;
+
+/// A rule as a mask table names it: its order key and its stable slot.
+type Ranked = (Order, usize);
+
+/// All entries sharing one mask, hashed by their value words. Per value
+/// the map holds the best entry (smallest order key); the others that
+/// carry the same value wait in `shadowed`, best first.
 #[derive(Debug)]
 struct MaskTable {
     mask: PackedKey,
     /// The mask covers only whole fields ([`CompiledMatch::exact`]).
     exact: bool,
-    map: HashMap<PackedKey, usize>,
+    map: HashMap<PackedKey, Ranked>,
+    /// Per value, the entries its winner hides (empty, and
+    /// unallocated, unless two rules share a match).
+    shadowed: HashMap<PackedKey, Vec<Ranked>>,
+    /// Entries under this mask, winners and shadowed alike.
+    rules: usize,
+}
+
+impl MaskTable {
+    fn add(&mut self, value: PackedKey, rank: Ranked) {
+        self.rules += 1;
+        let loser = match self.map.entry(value) {
+            Entry::Vacant(slot) => {
+                slot.insert(rank);
+                return;
+            }
+            Entry::Occupied(mut best) if rank.0 < best.get().0 => {
+                std::mem::replace(best.get_mut(), rank)
+            }
+            Entry::Occupied(_) => rank,
+        };
+        let waiting = self.shadowed.entry(value).or_default();
+        let at = waiting.partition_point(|r| r.0 < loser.0);
+        waiting.insert(at, loser);
+    }
+
+    /// Take `slot`'s entry of `value` out; a winner's next-best takes
+    /// over.
+    fn remove(&mut self, value: PackedKey, slot: usize) {
+        self.rules -= 1;
+        let Entry::Occupied(mut best) = self.map.entry(value) else {
+            unreachable!("every rule's value is indexed");
+        };
+        let Some(waiting) = self.shadowed.get_mut(&value) else {
+            debug_assert_eq!(best.get().1, slot, "a lone entry is its value's winner");
+            best.remove();
+            return;
+        };
+        if best.get().1 == slot {
+            *best.get_mut() = waiting.remove(0);
+        } else {
+            waiting.retain(|r| r.1 != slot);
+        }
+        if waiting.is_empty() {
+            self.shadowed.remove(&value);
+        }
+    }
 }
 
 /// Bound on the microflow cache before it is recycled wholesale; stale
@@ -173,26 +231,33 @@ const CACHE_CAP: usize = 8_192;
 struct Rule {
     entry: FlowEntry,
     compiled: CompiledMatch,
+    order: Order,
 }
 
 /// A single flow table.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    /// Rules sorted by (priority desc, insertion order).
-    rules: Vec<Rule>,
+    /// Installed rules by stable slot; a freed slot is `None` until an
+    /// insert takes it again.
+    slots: Vec<Option<Rule>>,
+    /// Freed slots.
+    free: Vec<usize>,
+    /// Live slots in match order (priority desc, insertion order).
+    order: Vec<usize>,
+    /// Insertions since creation: the low bits of the next order key.
+    seq: u64,
     /// Advanced on *every* mutation, including removals; stamps and
-    /// invalidates cache entries and the mask-table index.
+    /// invalidates cache entries and the memo.
     generation: u64,
     cache: HashMap<PackedKey, (u64, usize)>,
-    /// `(generation, class, entry index)` of the last class a real
-    /// lookup resolved; always a pair `cache` holds at that generation.
+    /// `(generation, class, slot)` of the last class a real lookup
+    /// resolved; always a pair `cache` holds at that generation.
     memo: Option<(u64, PackedKey, usize)>,
-    /// Mask tables, rebuilt lazily per generation.
+    /// One mask table per distinct mask of the installed rules.
     index: Vec<MaskTable>,
     /// OR of every rule's mask — the bits any rule can read, and so the
-    /// projection the cache is keyed by. Rebuilt with `index`.
+    /// projection the cache is keyed by.
     union: PackedKey,
-    index_gen: u64,
     /// Cache hits since creation.
     pub cache_hits: u64,
     /// Cache misses since creation.
@@ -221,12 +286,12 @@ impl FlowTable {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.order.len()
     }
 
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.order.is_empty()
     }
 
     /// Lookup counters as one block.
@@ -249,12 +314,10 @@ impl FlowTable {
         self.cache.len()
     }
 
-    /// Number of distinct megaflow (non-exact) masks in the current
-    /// index (builds the index if stale). Lookup cost for wildcard
-    /// traffic is one hash probe per mask, regardless of how many
-    /// entries share them.
-    pub fn megaflow_mask_count(&mut self) -> usize {
-        self.ensure_index();
+    /// Number of distinct megaflow (non-exact) masks in the index.
+    /// Lookup cost for wildcard traffic is one hash probe per mask,
+    /// regardless of how many entries share them.
+    pub fn megaflow_mask_count(&self) -> usize {
         Self::megaflow_masks(&self.index)
     }
 
@@ -262,23 +325,84 @@ impl FlowTable {
         index.iter().filter(|t| !t.exact).count()
     }
 
+    fn rule(&self, slot: usize) -> &Rule {
+        self.slots[slot].as_ref().expect("a live slot")
+    }
+
     /// Install an entry, keeping priority order. Invalidates the cache.
     pub fn insert(&mut self, entry: FlowEntry) {
         self.generation += 1;
-        // After all entries with priority >= new (stable among equal
-        // priorities).
-        let pos = self
-            .rules
-            .partition_point(|r| r.entry.priority >= entry.priority);
+        let order = (u64::from(!entry.priority) << 48) | self.seq;
+        self.seq += 1;
         let compiled = entry.matches.compile();
-        self.rules.insert(pos, Rule { entry, compiled });
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        // After every entry with priority >= the new one's: the new key
+        // is the largest of its priority.
+        let pos = self.order.partition_point(|&s| self.rule(s).order < order);
+        self.order.insert(pos, slot);
+        let CompiledMatch { mask, value, exact } = compiled;
+        let at = match self.index.iter().position(|t| t.mask == mask) {
+            Some(at) => at,
+            None => {
+                self.union = self.union.or(&mask);
+                self.index.push(MaskTable {
+                    mask,
+                    exact,
+                    map: HashMap::new(),
+                    shadowed: HashMap::new(),
+                    rules: 0,
+                });
+                self.index.len() - 1
+            }
+        };
+        self.index[at].add(value, (order, slot));
+        self.slots[slot] = Some(Rule {
+            entry,
+            compiled,
+            order,
+        });
     }
 
     /// Remove all entries with the given cookie; returns how many.
     pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.entry.cookie != cookie);
-        let removed = before - self.rules.len();
+        self.remove_where(|e| e.cookie == cookie)
+    }
+
+    /// Remove every entry `gone` picks; returns how many. Each one
+    /// leaves only its own mask table.
+    pub fn remove_where(&mut self, mut gone: impl FnMut(&FlowEntry) -> bool) -> usize {
+        let FlowTable {
+            slots,
+            free,
+            order,
+            index,
+            union,
+            ..
+        } = self;
+        let before = order.len();
+        order.retain(|&slot| {
+            let rule = slots[slot].as_ref().expect("a live slot");
+            if !gone(&rule.entry) {
+                return true;
+            }
+            let CompiledMatch { mask, value, .. } = rule.compiled;
+            let at = index.iter().position(|t| t.mask == mask);
+            let at = at.expect("every rule's mask is indexed");
+            index[at].remove(value, slot);
+            if index[at].rules == 0 {
+                index.swap_remove(at);
+                *union = index
+                    .iter()
+                    .fold(PackedKey::default(), |u, t| u.or(&t.mask));
+            }
+            slots[slot] = None;
+            free.push(slot);
+            false
+        });
+        let removed = before - order.len();
         if removed > 0 {
             self.generation += 1;
         }
@@ -287,56 +411,34 @@ impl FlowTable {
 
     /// Remove every entry.
     pub fn clear(&mut self) {
-        self.rules.clear();
+        self.slots.clear();
+        self.free.clear();
+        self.order.clear();
+        self.index.clear();
+        self.union = PackedKey::default();
         self.generation += 1;
     }
 
-    /// Rebuild the mask-table index if the table changed since it was
-    /// last built.
-    fn ensure_index(&mut self) {
-        if self.index_gen == self.generation {
-            return;
-        }
-        self.index.clear();
-        self.union = PackedKey::default();
-        let mut by_mask: HashMap<PackedKey, usize> = HashMap::new();
-        for (i, rule) in self.rules.iter().enumerate() {
-            let CompiledMatch { mask, value, exact } = rule.compiled;
-            self.union = self.union.or(&mask);
-            let slot = *by_mask.entry(mask).or_insert_with(|| {
-                self.index.push(MaskTable {
-                    mask,
-                    exact,
-                    map: HashMap::new(),
-                });
-                self.index.len() - 1
-            });
-            // First (smallest) index wins on identical matches.
-            self.index[slot].map.entry(value).or_insert(i);
-        }
-        self.index_gen = self.generation;
-    }
-
-    /// Find the winning entry index for `key` in a fresh index, and
-    /// which kind of mask table produced it; `None` on table miss.
+    /// Find the winning entry's slot for `key` and which kind of mask
+    /// table produced it; `None` on table miss.
     fn classify(index: &[MaskTable], key: &PackedKey) -> Option<(usize, LookupPath)> {
-        // Candidates are indices into the sorted rule vector, so the
-        // smallest index is the best (priority desc, insertion asc).
-        let mut best: Option<(usize, bool)> = None;
+        // The smallest order key is the best (priority desc, insertion
+        // asc).
+        let mut best: Option<(Order, usize, bool)> = None;
         for table in index {
-            if let Some(&i) = table.map.get(&key.and(&table.mask)) {
-                if best.is_none_or(|(b, _)| i < b) {
-                    best = Some((i, table.exact));
+            if let Some(&(order, slot)) = table.map.get(&key.and(&table.mask)) {
+                if best.is_none_or(|(b, _, _)| order < b) {
+                    best = Some((order, slot, table.exact));
                 }
             }
         }
-        best.map(|(i, exact)| {
+        best.map(|(_, slot, exact)| {
             let path = if exact {
                 LookupPath::ExactHit
             } else {
                 LookupPath::MegaflowHit
             };
-            (i, path)
+            (slot, path)
         })
     }
 
@@ -349,7 +451,7 @@ impl FlowTable {
     }
 
     /// [`FlowTable::lookup`] without the [`LookupHit`]: the winning
-    /// rule's index (valid for [`FlowTable::entry`] until the next
+    /// rule's slot (valid for [`FlowTable::entry`] until the next
     /// mutation) and the stage that found it, so a caller can run the
     /// entry's actions off a borrow instead of a cloned `Arc`.
     pub(crate) fn lookup_index(
@@ -357,7 +459,6 @@ impl FlowTable {
         key: &PacketKey,
         bytes: usize,
     ) -> Option<(usize, LookupPath)> {
-        self.ensure_index();
         let key = key.pack();
         let generation = self.generation;
         // What the rules can tell apart about this packet.
@@ -402,8 +503,7 @@ impl FlowTable {
         Some(self.count(idx, bytes, path))
     }
 
-    /// The memo's entry index if it resolved `class` at the current
-    /// generation.
+    /// The memo's slot if it resolved `class` at the current generation.
     fn memo_of(&self, class: &PackedKey) -> Option<usize> {
         match self.memo {
             Some((generation, memo, idx)) if generation == self.generation && memo == *class => {
@@ -413,11 +513,11 @@ impl FlowTable {
         }
     }
 
-    /// Book one resolved lookup of `bytes` on entry `idx`.
+    /// Book one resolved lookup of `bytes` on the entry in slot `idx`.
     fn count(&mut self, idx: usize, bytes: usize, path: LookupPath) -> (usize, LookupPath) {
-        let entry = &mut self.rules[idx].entry;
-        entry.packet_count += 1;
-        entry.byte_count += bytes as u64;
+        let rule = self.slots[idx].as_mut().expect("a live slot");
+        rule.entry.packet_count += 1;
+        rule.entry.byte_count += bytes as u64;
         (idx, path)
     }
 
@@ -426,17 +526,15 @@ impl FlowTable {
     /// same `key & union` projection, else the mask tables — with
     /// *zero* observable side effects: no stats, no entry packet/byte
     /// counters, no microflow-cache insertion or memo write, no probe
-    /// effort accounting. (`&mut` only because a stale index may need
-    /// rebuilding.)
-    pub fn lookup_ghost(&mut self, key: &PacketKey) -> Option<LookupHit> {
+    /// effort accounting.
+    pub fn lookup_ghost(&self, key: &PacketKey) -> Option<LookupHit> {
         let (idx, path) = self.lookup_ghost_index(key)?;
         Some(self.hit(idx, path))
     }
 
-    /// [`FlowTable::lookup_ghost`] in the index-returning form of
+    /// [`FlowTable::lookup_ghost`] in the slot-returning form of
     /// [`FlowTable::lookup_index`].
-    pub(crate) fn lookup_ghost_index(&mut self, key: &PacketKey) -> Option<(usize, LookupPath)> {
-        self.ensure_index();
+    pub(crate) fn lookup_ghost_index(&self, key: &PacketKey) -> Option<(usize, LookupPath)> {
         let key = key.pack();
         let class = key.and(&self.union);
         if let Some(idx) = self.memo_of(&class) {
@@ -452,10 +550,10 @@ impl FlowTable {
 
     /// The entry a lookup resolved to.
     pub(crate) fn entry(&self, idx: usize) -> &FlowEntry {
-        &self.rules[idx].entry
+        &self.rule(idx).entry
     }
 
-    /// The [`LookupHit`] for a resolved entry index.
+    /// The [`LookupHit`] for a resolved slot.
     pub(crate) fn hit(&self, idx: usize, path: LookupPath) -> LookupHit {
         let entry = self.entry(idx);
         LookupHit {
@@ -474,7 +572,7 @@ impl FlowTable {
 
     /// Iterate entries in match order.
     pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> {
-        self.rules.iter().map(|r| &r.entry)
+        self.order.iter().map(|&slot| &self.rule(slot).entry)
     }
 
     /// Sum of packet counters (for stats endpoints).
@@ -724,6 +822,46 @@ mod tests {
             a.index[0].map.hasher().hash_one(masked),
             b.index[0].map.hasher().hash_one(masked)
         );
+    }
+
+    /// A match several rules share keeps every one of them: removing
+    /// the winner reveals the next by priority, then insertion order,
+    /// and the union shrinks only when a mask's last rule leaves.
+    #[test]
+    fn a_removed_winner_reveals_the_next_duplicate() {
+        let mut t = FlowTable::new();
+        for (prio, out, cookie) in [(5, 10, 0xA), (9, 20, 0xB), (5, 30, 0xC), (9, 40, 0xD)] {
+            t.insert(entry(prio, Some(1), out).with_cookie(cookie));
+        }
+        let wide = FlowMatch::any().with_ip_dst(Ipv4Cidr::new("10.0.0.0".parse().unwrap(), 8));
+        t.insert(FlowEntry::new(1, wide, vec![FlowAction::Output(PortNo(99))]).with_cookie(0xE));
+        let both = t.union;
+        let winner = |t: &mut FlowTable| {
+            let hit = t.lookup(&key(1), 1)?;
+            match *hit.actions {
+                [FlowAction::Output(PortNo(out))] => Some(out),
+                _ => None,
+            }
+        };
+        assert_eq!(winner(&mut t), Some(20));
+        // A hidden duplicate leaves: the winner stands.
+        assert_eq!(t.remove_by_cookie(0xD), 1);
+        assert_eq!(winner(&mut t), Some(20));
+        // The winner leaves: the next-best value holder takes over.
+        assert_eq!(t.remove_by_cookie(0xB), 1);
+        assert_eq!(winner(&mut t), Some(10));
+        assert_eq!(t.remove_by_cookie(0xA), 1);
+        assert_eq!(winner(&mut t), Some(30));
+        assert_eq!(t.union, both, "the in-port mask still has a rule");
+        assert_eq!(t.index.len(), 2);
+        // The mask's last rule leaves: its table goes, the union shrinks.
+        assert_eq!(t.remove_by_cookie(0xC), 1);
+        assert_eq!(winner(&mut t), None);
+        assert_eq!(t.index.len(), 1);
+        assert_eq!(t.union, t.index[0].mask);
+        assert_ne!(t.union, both);
+        assert_eq!(t.remove_by_cookie(0xE), 1);
+        assert_eq!((t.union, t.index.len()), (PackedKey::default(), 0));
     }
 
     #[test]

@@ -107,8 +107,11 @@ const CALLS: usize = 16;
 /// One `Domain::update` growing or shrinking a tenant's chain on
 /// `churn_fleet`: plan, commit, the node calls and the verify marks.
 /// (1345 while the planner's node views copied every functional type
-/// and port name of every serving node into owned sets.)
-const DOMAIN_UPDATE_ALLOCS: u64 = 1219;
+/// and port name of every serving node into owned sets; 1219 while a
+/// node rebuilt a whole part — every NF, port and rule — on any change
+/// to its NFs or endpoints, and its memory admission walked every
+/// account on the node.)
+const DOMAIN_UPDATE_ALLOCS: u64 = 889;
 
 /// The incremental `Domain::verify` after that update: lowering the
 /// touched graph and its hosts, and checking them. (510 while lowering
