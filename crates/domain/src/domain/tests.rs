@@ -805,6 +805,47 @@ fn rule_only_update_keeps_esp_link_state() {
     assert_eq!(totals(&d).iter().map(|(_, p, _)| p).sum::<u64>(), 4);
 }
 
+/// An update whose only change is an endpoint's kind reaches the node:
+/// the bridge's LAN side moves from VLAN 10 to VLAN 20 on one node, and
+/// afterwards VLAN 20 frames leave `eth1` while VLAN 10 frames are
+/// dropped.
+#[test]
+fn an_endpoint_whose_vlan_changes_is_updated_on_its_node() {
+    let mut d = Domain::with_defaults();
+    let mut n1 = UniversalNode::new("n1", mb(2048));
+    n1.add_physical_port("eth0");
+    n1.add_physical_port("eth1");
+    d.add_node(n1);
+    let graph = |vid| {
+        NfFgBuilder::new("g", "vlan")
+            .vlan_endpoint("lan", "eth0", vid)
+            .interface_endpoint("wan", "eth1")
+            .nf("br", "bridge", 2)
+            .chain("lan", &["br"], "wan")
+            .build()
+    };
+    let tagged = |vid| {
+        let mut f = frame();
+        f.vlan_push(vid).unwrap();
+        f
+    };
+    let ports = |d: &mut Domain, vid| -> Vec<String> {
+        let io = d.inject("n1", "eth0", tagged(vid));
+        io.emitted
+            .iter()
+            .map(|(_, port, _)| port.to_string())
+            .collect()
+    };
+    d.deploy(&graph(10)).unwrap();
+    assert_eq!(ports(&mut d, 10), ["eth1"]);
+    assert!(ports(&mut d, 20).is_empty());
+
+    let report = d.update(&graph(20)).unwrap();
+    assert_eq!(report.per_node.len(), 1, "the node hosting the endpoint");
+    assert_eq!(ports(&mut d, 20), ["eth1"]);
+    assert!(ports(&mut d, 10).is_empty());
+}
+
 #[test]
 fn tick_with_correlated_failures_never_places_on_a_stale_node() {
     let mut d = two_node_domain();

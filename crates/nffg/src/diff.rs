@@ -29,19 +29,24 @@ pub struct GraphDiff {
     pub added_endpoints: Vec<String>,
     /// Endpoint ids removed.
     pub removed_endpoints: Vec<String>,
+    /// Endpoint ids whose kind changed (an interface, a VLAN id, a
+    /// group).
+    pub changed_endpoints: Vec<String>,
 }
 
 impl GraphDiff {
     /// True if the change is **structural**: the NF set, an NF's
-    /// definition, or the endpoint set changed. Structural changes
-    /// force the affected parts to be re-instantiated; non-structural
-    /// (rule-only) changes apply in place on a live deployment.
+    /// definition, the endpoint set or an endpoint's kind changed.
+    /// Structural changes force the affected parts to be re-instantiated;
+    /// non-structural (rule-only) changes apply in place on a live
+    /// deployment.
     pub fn is_structural(&self) -> bool {
         !self.added_nfs.is_empty()
             || !self.removed_nfs.is_empty()
             || !self.changed_nfs.is_empty()
             || !self.added_endpoints.is_empty()
             || !self.removed_endpoints.is_empty()
+            || !self.changed_endpoints.is_empty()
     }
 
     /// True if something changed but only at the flow-rule level.
@@ -59,6 +64,7 @@ impl GraphDiff {
             && self.changed_rules.is_empty()
             && self.added_endpoints.is_empty()
             && self.removed_endpoints.is_empty()
+            && self.changed_endpoints.is_empty()
     }
 }
 
@@ -114,6 +120,12 @@ pub fn diff(old: &NfFg, new: &NfFg) -> GraphDiff {
             d.removed_endpoints.push(id.to_string());
         }
     }
+    for e in &new.endpoints {
+        let was = old.endpoints.iter().find(|o| o.id == e.id);
+        if was.is_some_and(|o| o.kind != e.kind) {
+            d.changed_endpoints.push(e.id.clone());
+        }
+    }
 
     d
 }
@@ -122,7 +134,7 @@ pub fn diff(old: &NfFg, new: &NfFg) -> GraphDiff {
 mod tests {
     use super::*;
     use crate::builder::NfFgBuilder;
-    use crate::model::NfConfig;
+    use crate::model::{Endpoint, EndpointKind, NfConfig};
 
     fn base() -> NfFg {
         NfFgBuilder::new("g", "base")
@@ -212,5 +224,39 @@ mod tests {
         let d = diff(&old, &new);
         assert_eq!(d.removed_endpoints, vec!["lan".to_string()]);
         assert!(d.added_endpoints.is_empty());
+        assert!(d.changed_endpoints.is_empty());
+    }
+
+    /// An endpoint that keeps its id but changes its kind — another
+    /// interface, a VLAN id, an interface turned VLAN — is a structural
+    /// change, neither an addition nor a removal.
+    #[test]
+    fn an_endpoint_whose_kind_changes_is_changed() {
+        let vlan = |vid| {
+            NfFgBuilder::new("g", "base")
+                .vlan_endpoint("lan", "eth0", vid)
+                .interface_endpoint("wan", "eth1")
+                .nf("fw", "firewall", 2)
+                .chain("lan", &["fw"], "wan")
+                .build()
+        };
+        let mut moved = base();
+        moved.endpoints[1] = Endpoint {
+            id: "wan".into(),
+            kind: EndpointKind::Interface {
+                if_name: "eth2".into(),
+            },
+        };
+        for (old, new, id) in [
+            (vlan(10), vlan(20), "lan"),
+            (base(), vlan(10), "lan"),
+            (base(), moved, "wan"),
+        ] {
+            let d = diff(&old, &new);
+            assert_eq!(d.changed_endpoints, vec![id.to_string()]);
+            assert!(d.added_endpoints.is_empty() && d.removed_endpoints.is_empty());
+            assert!(d.is_structural() && !d.is_empty() && !d.is_rules_only());
+            assert!(diff(&new, &new).is_empty());
+        }
     }
 }

@@ -743,17 +743,16 @@ pub(crate) mod tests {
     /// One NAT program serves both modes: a dedicated NAT and a shared
     /// NAT holding the same config as its only binding emit the same
     /// IPv4 bytes on the same side, VLAN tags and MACs aside. Each case
-    /// is a random config with `wan-gw` and 0–2 port forwards, and a run
-    /// of UDP and TCP frames from either side: replies to what left,
-    /// unsolicited frames, frames to forwarded and unforwarded ports and
-    /// to the NAT's own addresses. The one difference left between the
-    /// modes is a binding without `wan-gw`: its private table still has
-    /// a catch-all out its WAN side, where a dedicated NAT has no default
-    /// route.
+    /// is a random config, about half of them without `wan-gw`, with 0–2
+    /// port forwards, and a run of UDP and TCP frames from either side:
+    /// replies to what left, unsolicited frames, frames to forwarded and
+    /// unforwarded ports, to the NAT's own addresses and to an
+    /// off-subnet host, which both modes route out the WAN side, via the
+    /// gateway or on-link.
     #[test]
     fn a_dedicated_and_a_shared_nat_translate_alike() {
         let inside = ["192.168.1.5", "192.168.1.20", "192.168.1.21"].map(ip);
-        let outside = ["203.0.113.9", "198.51.100.7"].map(ip);
+        let outside = ["203.0.113.9", "198.51.100.7", "8.8.8.8"].map(ip);
         let own = ["192.168.1.1", "203.0.113.1"].map(ip);
         let anyone = [&inside[..], &outside, &own].concat();
         let neighbours = [&inside[..], &outside, &[ip("203.0.113.254")]].concat();
@@ -762,8 +761,10 @@ pub(crate) mod tests {
         for case in 0..64 {
             let mut config = NfConfig::default()
                 .with_param("lan-addr", "192.168.1.1/24")
-                .with_param("wan-addr", "203.0.113.1/24")
-                .with_param("wan-gw", "203.0.113.254");
+                .with_param("wan-addr", "203.0.113.1/24");
+            if rng.chance(0.5) {
+                config = config.with_param("wan-gw", "203.0.113.254");
+            }
             for i in 0..rng.index(3) {
                 let (dport, to) = (format!("{}", 8080 + i), format!("192.168.1.{}", 20 + i));
                 let mut forward = rule(&[("kind", "dnat"), ("dport", &dport), ("to", &to)]);

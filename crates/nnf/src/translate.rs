@@ -465,11 +465,12 @@ pub struct PortForward {
 /// The one NAT program, dedicated or shared: a masquerading router from
 /// the `lan` port to the `wan` port, its routes in `table`, masquerading
 /// the traffic that carries `mark` (all of it if `None`), then the port
-/// forwards, which take only what arrives on the WAN port. The main
-/// table has the connected routes, so there a default route comes only
-/// from `wan-gw`. A private table holds the LAN route and a catch-all
-/// out its own WAN side: without it a marked frame falls through to the
-/// main table, which holds every tenant's connected routes.
+/// forwards, which take only what arrives on the WAN port. Every table
+/// holds a default route out the WAN port, via `wan-gw` if given and
+/// on-link otherwise, so both modes route an off-subnet destination
+/// alike. A private table also holds the LAN route (the main table has
+/// the connected routes): without both a marked frame falls through to
+/// the main table, which holds every tenant's connected routes.
 ///
 /// It forwards only what it translates: FORWARD rules on its own two
 /// ports let LAN out to WAN, and back in only a reply to a LAN-initiated
@@ -485,13 +486,11 @@ fn nat_program(
     mark: Option<u32>,
 ) -> Vec<NnfCommand> {
     let mut cmds = lan_wan([lan, wan], nat.lan, nat.wan);
-    if table == MAIN_TABLE {
-        cmds.extend(nat.gw.map(|gw| default_route(table, Some(gw), wan)));
-    } else {
+    if table != MAIN_TABLE {
         let lan_net = Ipv4Cidr::new(nat.lan.network(), nat.lan.prefix_len());
         cmds.push(route(table, lan_net, None, lan));
-        cmds.push(default_route(table, nat.gw, wan));
     }
+    cmds.push(default_route(table, nat.gw, wan));
     cmds.push(NnfCommand::Sysctl { ip_forward: true });
     let marked = RuleMatch {
         fwmark: mark,
@@ -800,18 +799,21 @@ mod tests {
         fwd.insert("to-port".into(), "80".into());
         cfg.rules.push(fwd);
         let cmds = translate("nat", &cfg, 2).unwrap();
-        // 2 × address + 2 × link up + sysctl + masquerade + 1 DNAT, then
-        // FORWARD: LAN out, replies in, the forward in, a drop per side.
-        assert_eq!(cmds.len(), 12);
+        // 2 × address + 2 × link up + the default route + sysctl +
+        // masquerade + 1 DNAT, then FORWARD: LAN out, replies in, the
+        // forward in, a drop per side.
+        assert_eq!(cmds.len(), 13);
+        // No `wan-gw`: the default route is on-link out the WAN port.
+        assert_eq!(cmds[4], default_route(MAIN_TABLE, None, 1));
         assert!(matches!(
-            cmds[5],
+            cmds[6],
             NnfCommand::IptablesAppend {
                 chain: Chain::Postrouting,
                 out_port: Some(1),
                 ..
             }
         ));
-        match &cmds[6] {
+        match &cmds[7] {
             NnfCommand::IptablesAppend { rule, .. } => {
                 assert_eq!(
                     rule.target,

@@ -1,11 +1,16 @@
-//! One-pass packet header extraction and the packed flow key.
+//! Packet header extraction and the packed flow key.
 //!
-//! [`PacketKey`] is the flattened set of header fields a flow table can
-//! match on — extracted once per packet, readable field by field (the
-//! form [`crate::flow::FlowMatch::matches`] and every test oracle
-//! speak). [`PackedKey`] is the same information as five `u64` words —
-//! the only form the classifier hashes, masks and compares. This
-//! mirrors Open vSwitch's miniflow design.
+//! [`PackedKey`] holds a packet's header fields as five `u64` words —
+//! the only form the classifier hashes, masks and compares. The frame
+//! path fills it with [`PackedKey::extract`], which parses only as deep
+//! as the table's union mask reads: a table whose rules read `in_port`
+//! and a vid never looks past the 802.1Q tag, one whose rules stop at IP
+//! prefixes never parses TCP or UDP. Open vSwitch consults only the
+//! fields that matter; here that rule is applied at extraction time.
+//! [`PacketKey`] is the reference: every field extracted, readable field
+//! by field (the form [`crate::flow::FlowMatch::matches`] and every test
+//! oracle speak), and [`PacketKey::pack`] lays it out as the same five
+//! words. The two agree on every bit the reading mask covers.
 //!
 //! # Word layout
 //!
@@ -92,10 +97,137 @@ pub(crate) fn mac_bits(mac: MacAddr) -> u64 {
 }
 
 /// A flow key (or a mask over one) packed into five words.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PackedKey([u64; 5]);
 
+/// Five word compares, inline: the derived impl compares the array
+/// through a `bcmp` call, which the memo and every map probe would pay.
+impl PartialEq for PackedKey {
+    #[inline]
+    fn eq(&self, other: &PackedKey) -> bool {
+        let [a0, a1, a2, a3, a4] = self.0;
+        let [b0, b1, b2, b3, b4] = other.0;
+        ((a0 ^ b0) | (a1 ^ b1) | (a2 ^ b2) | (a3 ^ b3) | (a4 ^ b4)) == 0
+    }
+}
+
+impl Eq for PackedKey {}
+
+/// Every bit of `fields`, presence bits included.
+const fn bits_of(fields: &[Field]) -> PackedKey {
+    let mut words = [0; 5];
+    let mut i = 0;
+    while i < fields.len() {
+        let f = fields[i];
+        words[f.word] |= f.ones() << f.shift;
+        words[4] |= f.present;
+        i += 1;
+    }
+    PackedKey(words)
+}
+
+/// The fields each header layer fills.
+const L2_BITS: PackedKey = bits_of(&[ETH_SRC, ETH_DST, ETH_TYPE, VLAN]);
+const L3_BITS: PackedKey = bits_of(&[IP_SRC, IP_DST, IP_PROTO]);
+const L4_BITS: PackedKey = bits_of(&[L4_SRC, L4_DST]);
+
+/// How deep an extraction parses; each depth includes those before it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Depth {
+    /// `in_port` and `fwmark` alone: no header is read.
+    #[default]
+    Meta,
+    /// Ethernet and the 802.1Q tag.
+    L2,
+    /// IPv4.
+    L3,
+    /// TCP or UDP ports.
+    L4,
+}
+
+impl Depth {
+    /// The shallowest parse that fills every bit `reads` covers.
+    pub(crate) fn of(reads: &PackedKey) -> Depth {
+        let meets = |layer: &PackedKey| reads.and(layer) != PackedKey::default();
+        if meets(&L4_BITS) {
+            Depth::L4
+        } else if meets(&L3_BITS) {
+            Depth::L3
+        } else if meets(&L2_BITS) {
+            Depth::L2
+        } else {
+            Depth::Meta
+        }
+    }
+}
+
 impl PackedKey {
+    /// The key of a packet arriving on `in_port`, parsed only as deep as
+    /// `reads` needs: `extract(p, pkt, &u).and(&u)` equals
+    /// `PacketKey::extract(p, pkt).pack().and(&u)` for every `u`. The
+    /// fields of a layer it skips are left empty.
+    pub fn extract(in_port: PortNo, pkt: &Packet, reads: &PackedKey) -> PackedKey {
+        Self::extract_to(in_port, pkt, Depth::of(reads))
+    }
+
+    /// [`PackedKey::extract`] to a depth already computed; the layers
+    /// parse exactly as in [`PacketKey::extract`].
+    pub(crate) fn extract_to(in_port: PortNo, pkt: &Packet, depth: Depth) -> PackedKey {
+        let mut k = PackedKey::default();
+        k.put(IN_PORT, u64::from(in_port.0));
+        k.put(FWMARK, u64::from(pkt.meta.fwmark));
+        if depth == Depth::Meta {
+            return k;
+        }
+        let data = pkt.data();
+        let Ok(eth) = EthernetFrame::new_checked(data) else {
+            return k;
+        };
+        k.put(ETH_SRC, mac_bits(eth.src()));
+        k.put(ETH_DST, mac_bits(eth.dst()));
+        let (l3_type, l3) = match eth.ethertype() {
+            EtherType::Vlan => match VlanTag::new_checked(eth.payload()) {
+                Ok(tag) => {
+                    k.put(VLAN, u64::from(tag.vid()));
+                    (tag.inner_ethertype(), &data[14 + 4..])
+                }
+                Err(_) => {
+                    k.put(ETH_TYPE, u64::from(u16::from(EtherType::Vlan)));
+                    return k;
+                }
+            },
+            t => (u16::from(t), &data[14..]),
+        };
+        k.put(ETH_TYPE, u64::from(l3_type));
+        if depth == Depth::L2 || l3_type != u16::from(EtherType::Ipv4) {
+            return k;
+        }
+        let Ok(ip) = Ipv4Packet::new_checked(l3) else {
+            return k;
+        };
+        k.put(IP_SRC, u64::from(u32::from(ip.src())));
+        k.put(IP_DST, u64::from(u32::from(ip.dst())));
+        let proto = ip.protocol();
+        k.put(IP_PROTO, u64::from(u8::from(proto)));
+        if depth == Depth::L3 {
+            return k;
+        }
+        let ports = match proto {
+            IpProtocol::Udp => UdpDatagram::new_checked(ip.payload())
+                .ok()
+                .map(|u| (u.src_port(), u.dst_port())),
+            IpProtocol::Tcp => TcpSegment::new_checked(ip.payload())
+                .ok()
+                .map(|t| (t.src_port(), t.dst_port())),
+            _ => None,
+        };
+        if let Some((src, dst)) = ports {
+            k.put(L4_SRC, u64::from(src));
+            k.put(L4_DST, u64::from(dst));
+        }
+        k
+    }
+
     /// OR `bits` into `field` and mark the field present.
     pub(crate) fn put(&mut self, field: Field, bits: u64) {
         self.0[field.word] |= bits << field.shift;
@@ -153,7 +285,9 @@ pub struct PacketKey {
 }
 
 impl PacketKey {
-    /// Extract the key from a packet arriving on `in_port`.
+    /// Extract every field of a packet arriving on `in_port`: the
+    /// reference [`PackedKey::extract`] is held to. No frame path calls
+    /// it.
     ///
     /// Unparseable layers simply leave their fields as `None`/defaults —
     /// a malformed packet still gets a key (and can be matched on the
@@ -327,6 +461,47 @@ mod tests {
         pkt.meta.fwmark = 1234;
         let key = PacketKey::extract(PortNo(0), &pkt);
         assert_eq!(key.fwmark, 1234);
+    }
+
+    /// A tagged UDP frame keyed under a mask that reads one layer: the
+    /// key holds that layer and those before it, and nothing deeper.
+    #[test]
+    fn a_key_is_parsed_only_as_deep_as_its_mask_reads() {
+        let mut pkt = PacketBuilder::new()
+            .ethernet(MacAddr::local(1), MacAddr::local(2))
+            .vlan(77)
+            .ipv4(Ipv4Addr::new(1, 1, 1, 1), Ipv4Addr::new(2, 2, 2, 2))
+            .udp(1, 2)
+            .build();
+        pkt.meta.fwmark = 9;
+        let full = PacketKey::extract(PortNo(4), &pkt).pack();
+        let mut meta = PackedKey::default();
+        meta.put(IN_PORT, 4);
+        meta.put(FWMARK, 9);
+        let mut l2 = meta;
+        l2.put(ETH_SRC, mac_bits(MacAddr::local(1)));
+        l2.put(ETH_DST, mac_bits(MacAddr::local(2)));
+        l2.put(ETH_TYPE, 0x0800);
+        l2.put(VLAN, 77);
+        let l3 = full.and(&L3_BITS).or(&l2);
+        let cases = [
+            (bits_of(&[IN_PORT]), Depth::Meta, meta),
+            (bits_of(&[FWMARK]), Depth::Meta, meta),
+            (bits_of(&[IN_PORT, VLAN]), Depth::L2, l2),
+            (bits_of(&[ETH_TYPE]), Depth::L2, l2),
+            (bits_of(&[IP_DST]), Depth::L3, l3),
+            (bits_of(&[IN_PORT, IP_PROTO]), Depth::L3, l3),
+            (bits_of(&[L4_DST]), Depth::L4, full),
+            (bits_of(&[ETH_SRC, L4_SRC]), Depth::L4, full),
+        ];
+        for (reads, depth, key) in cases {
+            assert_eq!(Depth::of(&reads), depth, "{reads:?}");
+            assert_eq!(
+                PackedKey::extract(PortNo(4), &pkt, &reads),
+                key,
+                "{reads:?}"
+            );
+        }
     }
 
     #[test]

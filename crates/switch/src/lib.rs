@@ -11,10 +11,10 @@
 //! * [`flow`] — typed flow matches (with CIDR/VLAN wildcards), the four
 //!   actions an NF-FG compiles to (output, VLAN push, VLAN pop, fwmark)
 //!   and flow entries with statistics.
-//! * [`key`] — one-pass packet header extraction into a
-//!   [`key::PacketKey`], the equivalent of OvS's miniflow, and its
-//!   packing into the five words ([`key::PackedKey`]) the classifier
-//!   hashes, masks and compares.
+//! * [`key`] — the five words ([`key::PackedKey`]) the classifier
+//!   hashes, masks and compares, the equivalent of OvS's miniflow,
+//!   extracted from a frame only as deep as its table's rules read; the
+//!   field-by-field [`key::PacketKey`] is the reference.
 //! * [`table`] — a priority-ordered flow table fronted by a two-stage
 //!   fast path: a generation-stamped microflow cache keyed by the bits
 //!   the table's rules read (the OvS fast path) plus one hash table per

@@ -14,7 +14,6 @@ use un_packet::Packet;
 use un_sim::{Cost, CostModel};
 
 use crate::flow::{FlowAction, FlowEntry};
-use crate::key::PacketKey;
 use crate::table::{FlowTable, LookupHit, LookupPath, TableStats};
 
 /// A switch port number.
@@ -254,13 +253,14 @@ impl LogicalSwitch {
         ProcessResult { outputs, cost }
     }
 
-    /// The switch itself: one key extraction, one lookup, one pass over
-    /// the winning rule's actions, pushing (egress port, packet) pairs
-    /// onto the caller's `outputs` in emission order, so a burst reuses
-    /// one vector and a forwarded frame on a warm cache hit allocates
-    /// nothing. A VLAN action that cannot apply (a push on a frame with
-    /// no Ethernet header, a pop on an untagged frame) ends the action
-    /// list; copies already output stay.
+    /// The switch itself: one key extraction, as deep as the table's
+    /// rules read, one lookup, one pass over the winning rule's actions,
+    /// pushing (egress port, packet) pairs onto the caller's `outputs`
+    /// in emission order, so a burst reuses one vector and a forwarded
+    /// frame on a warm cache hit allocates nothing. A VLAN action that
+    /// cannot apply (a push on a frame with no Ethernet header, a pop on
+    /// an untagged frame) ends the action list; copies already output
+    /// stay.
     pub fn process_into(
         &mut self,
         in_port: PortNo,
@@ -288,7 +288,7 @@ impl LogicalSwitch {
             self.stats.rx_packets += 1;
         }
 
-        let key = PacketKey::extract(in_port, &pkt);
+        let key = self.table.key_of(in_port, &pkt);
         let hit = if ghost {
             self.table.lookup_ghost_index(&key)
         } else {

@@ -4,6 +4,12 @@
 //! header fields as five words (layout in [`crate::key`]). A flow
 //! entry's match is compiled once, at [`FlowTable::insert`], into
 //! `(mask, value)` words with "key matches ⇔ `key & mask == value`".
+//! The frame's key is extracted as deep as the table's union (stage 1)
+//! reads — a parse depth the table keeps beside the union and
+//! recomputes with it; [`PacketKey`] is the reference, packed for the
+//! public [`FlowTable::lookup`]. Every stage reads only `key & union`
+//! or `key & mask`, with `mask ⊆ union`, and the two keys agree on
+//! those bits, so they take the same decision.
 //! Lookup tries three stages, cheapest first:
 //!
 //! 0. **Memo** — the `(generation, class, entry index)` of the last
@@ -75,8 +81,11 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use un_packet::Packet;
+
 use crate::flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch};
-use crate::key::{PackedKey, PacketKey};
+use crate::key::{Depth, PackedKey, PacketKey};
+use crate::lsi::PortNo;
 
 /// Result of a lookup, distinguishing the path taken (for cost charging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,6 +267,9 @@ pub struct FlowTable {
     /// OR of every rule's mask — the bits any rule can read, and so the
     /// projection the cache is keyed by.
     union: PackedKey,
+    /// How deep a frame must be parsed to fill `union`; recomputed with
+    /// it.
+    depth: Depth,
     /// Cache hits since creation.
     pub cache_hits: u64,
     /// Cache misses since creation.
@@ -348,6 +360,7 @@ impl FlowTable {
             Some(at) => at,
             None => {
                 self.union = self.union.or(&mask);
+                self.depth = Depth::of(&self.union);
                 self.index.push(MaskTable {
                     mask,
                     exact,
@@ -380,6 +393,7 @@ impl FlowTable {
             order,
             index,
             union,
+            depth,
             ..
         } = self;
         let before = order.len();
@@ -397,6 +411,7 @@ impl FlowTable {
                 *union = index
                     .iter()
                     .fold(PackedKey::default(), |u, t| u.or(&t.mask));
+                *depth = Depth::of(union);
             }
             slots[slot] = None;
             free.push(slot);
@@ -416,6 +431,7 @@ impl FlowTable {
         self.order.clear();
         self.index.clear();
         self.union = PackedKey::default();
+        self.depth = Depth::default();
         self.generation += 1;
     }
 
@@ -442,11 +458,17 @@ impl FlowTable {
         })
     }
 
+    /// The key of `pkt` arriving on `in_port`, parsed only as deep as
+    /// the installed rules read ([`PackedKey::extract`]).
+    pub(crate) fn key_of(&self, in_port: PortNo, pkt: &Packet) -> PackedKey {
+        PackedKey::extract_to(in_port, pkt, self.depth)
+    }
+
     /// Look up the best entry for `key`, updating its counters by
     /// `bytes`. Returns the matched actions plus provenance (stage,
     /// cookie, priority), or `None` on table miss.
     pub fn lookup(&mut self, key: &PacketKey, bytes: usize) -> Option<LookupHit> {
-        let (idx, path) = self.lookup_index(key, bytes)?;
+        let (idx, path) = self.lookup_index(&key.pack(), bytes)?;
         Some(self.hit(idx, path))
     }
 
@@ -456,10 +478,9 @@ impl FlowTable {
     /// entry's actions off a borrow instead of a cloned `Arc`.
     pub(crate) fn lookup_index(
         &mut self,
-        key: &PacketKey,
+        key: &PackedKey,
         bytes: usize,
     ) -> Option<(usize, LookupPath)> {
-        let key = key.pack();
         let generation = self.generation;
         // What the rules can tell apart about this packet.
         let class = key.and(&self.union);
@@ -481,7 +502,7 @@ impl FlowTable {
             slot => {
                 self.cache_misses += 1;
                 self.megaflow_probes += Self::megaflow_masks(&self.index) as u64;
-                let Some((idx, path)) = Self::classify(&self.index, &key) else {
+                let Some((idx, path)) = Self::classify(&self.index, key) else {
                     self.misses += 1;
                     return None;
                 };
@@ -528,14 +549,13 @@ impl FlowTable {
     /// counters, no microflow-cache insertion or memo write, no probe
     /// effort accounting.
     pub fn lookup_ghost(&self, key: &PacketKey) -> Option<LookupHit> {
-        let (idx, path) = self.lookup_ghost_index(key)?;
+        let (idx, path) = self.lookup_ghost_index(&key.pack())?;
         Some(self.hit(idx, path))
     }
 
     /// [`FlowTable::lookup_ghost`] in the slot-returning form of
     /// [`FlowTable::lookup_index`].
-    pub(crate) fn lookup_ghost_index(&self, key: &PacketKey) -> Option<(usize, LookupPath)> {
-        let key = key.pack();
+    pub(crate) fn lookup_ghost_index(&self, key: &PackedKey) -> Option<(usize, LookupPath)> {
         let class = key.and(&self.union);
         if let Some(idx) = self.memo_of(&class) {
             return Some((idx, LookupPath::CacheHit));
@@ -544,7 +564,7 @@ impl FlowTable {
             Some(&(generation, idx)) if generation == self.generation => {
                 Some((idx, LookupPath::CacheHit))
             }
-            _ => Self::classify(&self.index, &key),
+            _ => Self::classify(&self.index, key),
         }
     }
 

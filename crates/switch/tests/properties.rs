@@ -8,10 +8,10 @@ use un_packet::ethernet::MacAddr;
 use un_packet::icmp::IcmpKind;
 use un_packet::mutate::{mutants, refilled, Mutation};
 use un_packet::{Ipv4Cidr, PacketBuilder};
-use un_sim::DetRng;
+use un_sim::{CostModel, DetRng};
 use un_switch::{
-    FlowAction, FlowEntry, FlowMatch, FlowTable, LookupHit, LookupPath, PackedKey, PacketKey,
-    PortNo, TableStats, VlanSpec,
+    Backend, FlowAction, FlowEntry, FlowMatch, FlowTable, LogicalSwitch, LookupHit, LookupPath,
+    PackedKey, PacketKey, PortNo, TableStats, VlanSpec,
 };
 
 fn key_strategy() -> impl Strategy<Value = PacketKey> {
@@ -952,15 +952,61 @@ fn random_five_tuples_cannot_thrash_a_port_steering_table() {
     assert_eq!(s.cache_hits + s.cache_misses, 3 * CACHE_CAP as u64);
 }
 
+/// A match reading one group of fields: `in_port` and a VLAN
+/// constraint, the MACs, `eth_type`, IP prefixes, `ip_proto` or the L4
+/// ports, with values near those of the frames
+/// `a_hostile_frame_still_extracts_a_key` builds.
+fn layer_match(rng: &mut DetRng, vid: u16) -> FlowMatch {
+    let mut m = FlowMatch::any();
+    match rng.index(6) {
+        0 => {
+            m.in_port = rng.chance(0.8).then_some(PortNo(3));
+            m.vlan = [
+                None,
+                Some(VlanSpec::Untagged),
+                Some(VlanSpec::AnyTagged),
+                Some(VlanSpec::Id(vid)),
+            ][rng.index(4)];
+        }
+        1 => {
+            m.eth_src = rng.chance(0.7).then_some(MacAddr::local(1));
+            m.eth_dst = Some(MacAddr::local(1 + rng.index(2) as u32));
+        }
+        2 => m.eth_type = Some([0x0800, 0x0806, 0x8100][rng.index(3)]),
+        3 => {
+            let prefix = |rng: &mut DetRng| {
+                let len = [8, 24, 31, 32][rng.index(4)];
+                Ipv4Cidr::new(Ipv4Addr::new(10, 0, 0, 1 + rng.index(2) as u8), len)
+            };
+            m.ip_src = rng.chance(0.5).then(|| prefix(rng));
+            m.ip_dst = Some(prefix(rng));
+        }
+        4 => m.ip_proto = Some([1, 6, 17][rng.index(3)]),
+        _ => {
+            m.l4_src = rng.chance(0.3).then(|| rng.range_u16(1, u16::MAX));
+            m.l4_dst = Some([53, 80, 443][rng.index(3)]);
+        }
+    }
+    m
+}
+
 /// Typed error, never panic, at the classifier's door: the 256 cases of
 /// mutated frames `un-packet` feeds its checked views (UDP, TCP or ICMP
 /// over IPv4, some behind an 802.1Q tag) all extract a key. A layer
 /// that does not parse leaves its fields empty, the key's VLAN is the
 /// frame's, transport ports come only with TCP or UDP, and a tag pushed
 /// onto an untagged mutant changes nothing in its key but `vlan`.
+///
+/// Each case also draws 1–4 matches, one field group each: the key
+/// extracted as deep as their union reads agrees with the reference on
+/// every bit of it, and an LSI holding them as rules, reused across the
+/// case, emits every mutant where a first-match scan over the full
+/// reference key sends it.
 #[test]
 fn a_hostile_frame_still_extracts_a_key() {
     let mut rng = DetRng::new(0x9ac4e7);
+    let mut draw = DetRng::new(0x5ea7ed);
+    let costs = CostModel::default();
     for _ in 0..256 {
         let mut payload = vec![0; rng.index(200)];
         rng.fill(&mut payload);
@@ -978,9 +1024,43 @@ fn a_hostile_frame_still_extracts_a_key() {
         let frame = b.payload(&payload).build();
         let m = Mutation::draw(&mut rng);
         let vid = rng.range_u16(1, 4095);
+        let frame_vid = frame.vlan_id().unwrap_or(vid);
+        let rules: Vec<(u16, FlowMatch)> = (0..1 + draw.index(4))
+            .map(|_| (draw.index(3) as u16, layer_match(&mut draw, frame_vid)))
+            .collect();
+        let reads = rules
+            .iter()
+            .fold(PackedKey::default(), |u, (_, m)| u.or(&m.compile().mask));
+        let mut lsi = LogicalSwitch::new("LSI-hostile", 1, Backend::SingleTableCached);
+        lsi.add_port(PortNo(3), "in").unwrap();
+        for (i, (priority, matches)) in rules.iter().enumerate() {
+            let out = PortNo(10 + i as u32);
+            lsi.add_port(out, "out").unwrap();
+            let actions = vec![FlowAction::Output(out)];
+            lsi.install(0, FlowEntry::new(*priority, matches.clone(), actions))
+                .unwrap();
+        }
+        // Priority descending; the stable sort keeps insertion order
+        // among equals.
+        let mut first_match: Vec<usize> = (0..rules.len()).collect();
+        first_match.sort_by_key(|&i| std::cmp::Reverse(rules[i].0));
         for mutant in mutants(&frame, &m) {
             for fed in [mutant.clone(), refilled(mutant)] {
                 let key = PacketKey::extract(PortNo(3), &fed);
+                assert_eq!(
+                    PackedKey::extract(PortNo(3), &fed, &reads).and(&reads),
+                    key.pack().and(&reads),
+                    "{rules:?} on {key:?}"
+                );
+                let want: Vec<PortNo> = first_match
+                    .iter()
+                    .find(|&&i| rules[i].1.matches(&key))
+                    .map(|&i| PortNo(10 + i as u32))
+                    .into_iter()
+                    .collect();
+                let out = lsi.process(PortNo(3), fed.clone(), &costs).outputs;
+                let got: Vec<PortNo> = out.iter().map(|(port, _)| *port).collect();
+                assert_eq!(got, want, "{rules:?} on {key:?}");
                 assert_eq!(key.vlan, fed.vlan_id());
                 if fed.ethernet().is_err() {
                     assert_eq!((key.eth_type, key.eth_src), (0, MacAddr::ZERO));
