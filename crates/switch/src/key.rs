@@ -132,10 +132,9 @@ const L3_BITS: PackedKey = bits_of(&[IP_SRC, IP_DST, IP_PROTO]);
 const L4_BITS: PackedKey = bits_of(&[L4_SRC, L4_DST]);
 
 /// How deep an extraction parses; each depth includes those before it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) enum Depth {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Depth {
     /// `in_port` and `fwmark` alone: no header is read.
-    #[default]
     Meta,
     /// Ethernet and the 802.1Q tag.
     L2,
@@ -147,7 +146,7 @@ pub(crate) enum Depth {
 
 impl Depth {
     /// The shallowest parse that fills every bit `reads` covers.
-    pub(crate) fn of(reads: &PackedKey) -> Depth {
+    fn of(reads: &PackedKey) -> Depth {
         let meets = |layer: &PackedKey| reads.and(layer) != PackedKey::default();
         if meets(&L4_BITS) {
             Depth::L4
@@ -165,14 +164,10 @@ impl PackedKey {
     /// The key of a packet arriving on `in_port`, parsed only as deep as
     /// `reads` needs: `extract(p, pkt, &u).and(&u)` equals
     /// `PacketKey::extract(p, pkt).pack().and(&u)` for every `u`. The
-    /// fields of a layer it skips are left empty.
-    pub fn extract(in_port: PortNo, pkt: &Packet, reads: &PackedKey) -> PackedKey {
-        Self::extract_to(in_port, pkt, Depth::of(reads))
-    }
-
-    /// [`PackedKey::extract`] to a depth already computed; the layers
+    /// fields of a layer it skips are left empty; the layers it parses
     /// parse exactly as in [`PacketKey::extract`].
-    pub(crate) fn extract_to(in_port: PortNo, pkt: &Packet, depth: Depth) -> PackedKey {
+    pub fn extract(in_port: PortNo, pkt: &Packet, reads: &PackedKey) -> PackedKey {
+        let depth = Depth::of(reads);
         let mut k = PackedKey::default();
         k.put(IN_PORT, u64::from(in_port.0));
         k.put(FWMARK, u64::from(pkt.meta.fwmark));

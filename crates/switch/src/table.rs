@@ -5,9 +5,8 @@
 //! entry's match is compiled once, at [`FlowTable::insert`], into
 //! `(mask, value)` words with "key matches ⇔ `key & mask == value`".
 //! The frame's key is extracted as deep as the table's union (stage 1)
-//! reads — a parse depth the table keeps beside the union and
-//! recomputes with it; [`PacketKey`] is the reference, packed for the
-//! public [`FlowTable::lookup`]. Every stage reads only `key & union`
+//! reads; [`PacketKey`] is the reference, packed for the public
+//! [`FlowTable::lookup`]. Every stage reads only `key & union`
 //! or `key & mask`, with `mask ⊆ union`, and the two keys agree on
 //! those bits, so they take the same decision.
 //! Lookup tries three stages, cheapest first:
@@ -84,7 +83,7 @@ use std::sync::Arc;
 use un_packet::Packet;
 
 use crate::flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch};
-use crate::key::{Depth, PackedKey, PacketKey};
+use crate::key::{PackedKey, PacketKey};
 use crate::lsi::PortNo;
 
 /// Result of a lookup, distinguishing the path taken (for cost charging).
@@ -267,9 +266,6 @@ pub struct FlowTable {
     /// OR of every rule's mask — the bits any rule can read, and so the
     /// projection the cache is keyed by.
     union: PackedKey,
-    /// How deep a frame must be parsed to fill `union`; recomputed with
-    /// it.
-    depth: Depth,
     /// Cache hits since creation.
     pub cache_hits: u64,
     /// Cache misses since creation.
@@ -360,7 +356,6 @@ impl FlowTable {
             Some(at) => at,
             None => {
                 self.union = self.union.or(&mask);
-                self.depth = Depth::of(&self.union);
                 self.index.push(MaskTable {
                     mask,
                     exact,
@@ -393,7 +388,6 @@ impl FlowTable {
             order,
             index,
             union,
-            depth,
             ..
         } = self;
         let before = order.len();
@@ -411,7 +405,6 @@ impl FlowTable {
                 *union = index
                     .iter()
                     .fold(PackedKey::default(), |u, t| u.or(&t.mask));
-                *depth = Depth::of(union);
             }
             slots[slot] = None;
             free.push(slot);
@@ -431,7 +424,6 @@ impl FlowTable {
         self.order.clear();
         self.index.clear();
         self.union = PackedKey::default();
-        self.depth = Depth::default();
         self.generation += 1;
     }
 
@@ -461,7 +453,7 @@ impl FlowTable {
     /// The key of `pkt` arriving on `in_port`, parsed only as deep as
     /// the installed rules read ([`PackedKey::extract`]).
     pub(crate) fn key_of(&self, in_port: PortNo, pkt: &Packet) -> PackedKey {
-        PackedKey::extract_to(in_port, pkt, self.depth)
+        PackedKey::extract(in_port, pkt, &self.union)
     }
 
     /// Look up the best entry for `key`, updating its counters by
