@@ -42,6 +42,39 @@ fn aead_open(c: &mut Criterion) {
     group.finish();
 }
 
+/// The MAC alone, from a short frame up to the ESP payload of a
+/// 1500-byte frame.
+fn poly1305_mac(c: &mut Criterion) {
+    let key = [7u8; 32];
+    let mut group = c.benchmark_group("poly1305_mac");
+    for size in [64usize, 176, 1464] {
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
+            let data = vec![0xABu8; size];
+            b.iter(|| std::hint::black_box(un_crypto::Poly1305::mac(&key, &data)));
+        });
+    }
+    group.finish();
+}
+
+/// The cipher alone over the same lengths, so that a seal's cost splits
+/// into its cipher and its MAC.
+fn chacha20_keystream(c: &mut Criterion) {
+    let cipher = un_crypto::ChaCha20::new(&[7u8; 32], &[9u8; 12]);
+    let mut group = c.benchmark_group("chacha20_keystream");
+    for size in [176usize, 1464] {
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
+            let mut buf = vec![0xABu8; size];
+            b.iter(|| {
+                cipher.apply_keystream(1, &mut buf);
+                std::hint::black_box(&buf);
+            });
+        });
+    }
+    group.finish();
+}
+
 fn sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
     for size in [64usize, 1500] {
@@ -61,5 +94,13 @@ fn hmac(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, aead_seal, aead_open, sha256, hmac);
+criterion_group!(
+    benches,
+    aead_seal,
+    aead_open,
+    poly1305_mac,
+    chacha20_keystream,
+    sha256,
+    hmac
+);
 criterion_main!(benches);

@@ -1,55 +1,60 @@
 //! The Poly1305 one-time authenticator, per RFC 8439 §2.5.
 //!
-//! Arithmetic is carried out modulo 2^130 − 5 on three limbs of 44, 44
-//! and 42 bits (the "donna-64" representation): one 16-byte block costs
-//! nine 64×64→128-bit multiplies instead of the twenty-five of the
-//! 26-bit-limb form, and the partially reduced accumulator stays in
-//! three registers across a whole run of blocks. The multiply chain is
-//! serial — block *i + 1* needs the reduced result of block *i* — so
-//! this is about a cycle per byte and scalar-bound.
+//! Arithmetic is carried out modulo p = 2^130 − 5 in radix 2^64: the
+//! accumulator is `h = h0 + 2^64·h1 + 2^128·h2` with a small top limb,
+//! and the key is `r = r0 + 2^64·r1`. The RFC clamp clears the low two
+//! bits of `r1`, so `2^128·r1 = 2^130·(r1 >> 2) ≡ 5·(r1 >> 2) (mod p)`;
+//! with `s1 = r1 + (r1 >> 2) = 5·(r1 >> 2)` one block is
+//!
+//! ```text
+//! d0 = h0·r0 + h1·s1
+//! d1 = h0·r1 + h1·r0 + h2·s1 + (d0 >> 64)
+//! d2 = h2·r0 + (d1 >> 64)
+//! ```
+//!
+//! and the bits of `d2` above 2^130 fold back into `h0` times 5. That is
+//! four 64×64→128-bit multiplies and two `u64` multiplies per 16-byte
+//! block, where 44/44/42-bit limbs need nine widening ones.
+//!
+//! The bounds that keep every product in its type: the clamp leaves
+//! `r0, r1 < 2^60`, so `s1 < 1.25·2^60`. After a block's fold `h2 ≤ 4`,
+//! and adding the next block (its 2^128 bit and a carry) leaves
+//! `h2 ≤ 6` going into the multiply. Then `h2·s1 < 2^63` and
+//! `h2·r0 < 2^63` are plain `u64` products, which debug builds check
+//! for overflow; `d0 < 2.25·2^124` and `d1 < 2^125 + 2^64` stay inside
+//! `u128`; and `d2 < 2^63`. The multiply chain is serial — block *i + 1*
+//! needs the folded result of block *i*.
 
 /// Key length in bytes (r || s).
 pub const KEY_LEN: usize = 32;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
-const MASK44: u64 = (1 << 44) - 1;
-const MASK42: u64 = (1 << 42) - 1;
-/// 2^128 in limb 2: the bit appended above every full 16-byte block.
-const HIBIT: u64 = 1 << 40;
+/// The RFC 8439 clamp on `r`.
+const CLAMP: u128 = 0x0ffffffc_0ffffffc_0ffffffc_0fffffff;
 
 /// Incremental Poly1305 MAC computation.
 #[derive(Clone)]
 pub struct Poly1305 {
-    r: [u64; 3],
+    r: [u64; 2],
     s: u128,
-    h: [u64; 3],
+    /// `h mod 2^128`; the top limb `h2` is beside it.
+    h: u128,
+    h2: u64,
     buf: [u8; 16],
     buf_len: usize,
-}
-
-/// Split a little-endian 128-bit value into 44/44/40-bit limbs.
-#[inline(always)]
-fn limbs(block: &[u8; 16]) -> [u64; 3] {
-    let v = u128::from_le_bytes(*block);
-    let (t0, t1) = (v as u64, (v >> 64) as u64);
-    [t0 & MASK44, ((t0 >> 44) | (t1 << 20)) & MASK44, t1 >> 24]
 }
 
 impl Poly1305 {
     /// Initialize with a 32-byte one-time key (r clamped per the RFC).
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         let (halves, _) = key.as_chunks::<16>();
-        let [r0, r1, r2] = limbs(&halves[0]);
+        let r = u128::from_le_bytes(halves[0]) & CLAMP;
         Poly1305 {
-            // The clamp 0x0ffffffc_0ffffffc_0ffffffc_0fffffff, per limb.
-            r: [
-                r0 & 0xffc_0fff_ffff,
-                r1 & 0xfff_ffc0_ffff,
-                r2 & 0x00f_ffff_fc0f,
-            ],
+            r: [r as u64, (r >> 64) as u64],
             s: u128::from_le_bytes(halves[1]),
-            h: [0; 3],
+            h: 0,
+            h2: 0,
             buf: [0; 16],
             buf_len: 0,
         }
@@ -66,11 +71,11 @@ impl Poly1305 {
                 return;
             }
             let block = self.buf;
-            self.process_blocks(&[block], HIBIT);
+            self.process_blocks(&[block], 1);
             self.buf_len = 0;
         }
         let (blocks, tail) = data.as_chunks::<16>();
-        self.process_blocks(blocks, HIBIT);
+        self.process_blocks(blocks, 1);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -84,38 +89,15 @@ impl Poly1305 {
             self.process_blocks(&[block], 0);
         }
 
-        // Full carry propagation: twice round the three limbs.
-        let [mut h0, mut h1, mut h2] = self.h;
-        let mut c;
-        for _ in 0..2 {
-            c = h1 >> 44;
-            h1 &= MASK44;
-            h2 += c;
-            c = h2 >> 42;
-            h2 &= MASK42;
-            h0 += c * 5;
-            c = h0 >> 44;
-            h0 &= MASK44;
-            h1 += c;
-        }
+        // h2 ≤ 4, so h < 2^130 + 2^128 < 2p: one conditional subtraction
+        // of p reduces it. g = h − p = h + 5 − 2^130 is selected when
+        // h + 5 reaches 2^130. The tag keeps only bits below 2^128, so
+        // the low 128 bits of g are those of h + 5.
+        let (g, carry) = self.h.overflowing_add(5);
+        let mask = u128::from((self.h2 + u64::from(carry)) >> 2).wrapping_neg();
+        let h = (self.h & !mask) | (g & mask);
 
-        // Compute g = h − p = h + 5 − 2^130 and select it if h ≥ p.
-        let mut g0 = h0 + 5;
-        c = g0 >> 44;
-        g0 &= MASK44;
-        let mut g1 = h1 + c;
-        c = g1 >> 44;
-        g1 &= MASK44;
-        let g2 = (h2 + c).wrapping_sub(1 << 42);
-
-        let mask = (g2 >> 63).wrapping_sub(1); // all-ones if h >= p
-        h0 = (h0 & !mask) | (g0 & mask);
-        h1 = (h1 & !mask) | (g1 & mask);
-        h2 = (h2 & !mask) | (g2 & mask);
-
-        // tag = (h + s) mod 2^128. Sums, not ORs: the last carry may have
-        // left h1 one bit over its limb. The shift drops bits above 127.
-        let h = (u128::from(h0) + (u128::from(h1) << 44)).wrapping_add(u128::from(h2) << 88);
+        // tag = (h + s) mod 2^128.
         h.wrapping_add(self.s).to_le_bytes()
     }
 
@@ -127,35 +109,32 @@ impl Poly1305 {
     }
 
     /// `h = (h + block) · r mod 2^130 − 5` for each block in turn, read
-    /// in place; `hibit` is [`HIBIT`] for full blocks, 0 for the padded
-    /// final one. `h` lives in locals for the whole run.
+    /// in place; `hibit` is the block's 2^128 bit: 1 for full blocks, 0
+    /// for the padded final one. `h` lives in locals for the whole run.
     fn process_blocks(&mut self, blocks: &[[u8; 16]], hibit: u64) {
-        let [r0, r1, r2] = self.r.map(u128::from);
-        // 2^132 ≡ 20 (mod p): a product that overflows limb 2 by one
-        // 44-bit limb re-enters at limb 0 times 5 · 4.
-        let s1 = r1 * 20;
-        let s2 = r2 * 20;
-        let [mut h0, mut h1, mut h2] = self.h;
+        let [r0, r1] = self.r;
+        let s1 = r1 + (r1 >> 2);
+        let (wr0, wr1, ws1) = (u128::from(r0), u128::from(r1), u128::from(s1));
+        let (mut h, mut h2) = (self.h, self.h2);
 
         for block in blocks {
-            let [m0, m1, m2] = limbs(block);
-            let a0 = u128::from(h0 + m0);
-            let a1 = u128::from(h1 + m1);
-            let a2 = u128::from(h2 + (m2 | hibit));
+            let (sum, carry) = h.overflowing_add(u128::from_le_bytes(*block));
+            h2 += hibit + u64::from(carry);
+            let (h0, h1) = (u128::from(sum as u64), sum >> 64);
 
-            let d0 = a0 * r0 + a1 * s2 + a2 * s1;
-            let mut d1 = a0 * r1 + a1 * r0 + a2 * s2;
-            let mut d2 = a0 * r2 + a1 * r1 + a2 * r0;
+            let d0 = h0 * wr0 + h1 * ws1;
+            let d1 = h0 * wr1 + h1 * wr0 + u128::from(h2 * s1) + (d0 >> 64);
+            let d2 = h2 * r0 + (d1 >> 64) as u64;
 
-            // Partial carry propagation back into 44/44/42-bit limbs.
-            d1 += d0 >> 44;
-            d2 += d1 >> 44;
-            h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
-            h1 = (d1 as u64 & MASK44) + (h0 >> 44);
-            h0 &= MASK44;
-            h2 = d2 as u64 & MASK42;
+            // Keep d2's low two bits as h2; the rest is a multiple of
+            // 2^130 ≡ 5 and re-enters at the bottom.
+            let low = u128::from(d0 as u64) | (d1 << 64);
+            let (folded, carry) = low.overflowing_add(u128::from((d2 >> 2) * 5));
+            h = folded;
+            h2 = (d2 & 3) + u64::from(carry);
         }
-        self.h = [h0, h1, h2];
+        self.h = h;
+        self.h2 = h2;
     }
 }
 
@@ -227,6 +206,52 @@ mod tests {
         let t1 = Poly1305::mac(&key, b"hello");
         let t2 = Poly1305::mac(&key, b"hellp");
         assert_ne!(t1, t2);
+    }
+
+    /// The key `r = 1` (key byte 0 is `01`, the rest of `r` zero) with
+    /// `s` as given: the tag is then `h mod p` plus `s`, worked by hand.
+    fn r_one_key(s: u8) -> [u8; 32] {
+        let mut key = [s; 32];
+        key[..16].fill(0);
+        key[0] = 1;
+        key
+    }
+
+    #[test]
+    fn hand_derived_edges_around_p() {
+        let mut tag = [0u8; 16];
+        // Two all-ones blocks: h = 2^130 − 2 ≥ p, so the tag is h − p = 3.
+        tag[0] = 3;
+        assert_eq!(Poly1305::mac(&r_one_key(0), &[0xff; 32]), tag);
+
+        // h = p − 1 is left as it is.
+        let mut msg = [0xffu8; 32];
+        msg[16] = 0xfb;
+        let mut tag = [0xffu8; 16];
+        tag[0] = 0xfa;
+        assert_eq!(Poly1305::mac(&r_one_key(0), &msg), tag);
+
+        // h = p reduces to zero.
+        msg[16] = 0xfc;
+        assert_eq!(Poly1305::mac(&r_one_key(0), &msg), [0; 16]);
+
+        // s = 2^128 − 1: 3 + s wraps to 2.
+        let mut tag = [0u8; 16];
+        tag[0] = 2;
+        assert_eq!(Poly1305::mac(&r_one_key(0xff), &[0xff; 32]), tag);
+    }
+
+    #[test]
+    fn all_ones_long_message_block_at_a_time() {
+        // The largest clamped r and all-ones blocks push the top limb
+        // to its bound on every block; debug builds check each product.
+        let key = [0xffu8; 32];
+        let msg = [0xffu8; 4096];
+        let mut p = Poly1305::new(&key);
+        for block in msg.chunks(16) {
+            p.update(block);
+        }
+        assert_eq!(Poly1305::mac(&key, &msg), p.finalize());
     }
 
     #[test]

@@ -222,6 +222,13 @@ impl Conntrack {
         }
     }
 
+    /// Whether a connection's original destination (address or port) is
+    /// translated: Linux's `--ctstate DNAT`.
+    pub fn is_dnat(&self, id: ConnId) -> bool {
+        let c = &self.conns[id.0];
+        (c.orig.dst, c.orig.dport) != (c.trans.dst, c.trans.dport)
+    }
+
     /// Current state of a connection.
     pub fn state(&self, id: ConnId) -> CtState {
         self.conns[id.0].state
@@ -360,6 +367,7 @@ mod tests {
         let id = ct.begin(0, orig);
         ct.set_dnat(id, Ipv4Addr::new(192, 168, 1, 20), Some(80));
         ct.confirm(id);
+        assert!(ct.is_dnat(id));
         let fwd = ct.rewrite(id, CtDirection::Original);
         assert_eq!(fwd.dst, Ipv4Addr::new(192, 168, 1, 20));
         assert_eq!(fwd.dport, 80);

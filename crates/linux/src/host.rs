@@ -980,7 +980,9 @@ impl Host {
             }
 
             // Apply the connection's rewrite for this direction (NAT).
-            let want = self.namespaces[ns.0 as usize].conntrack.rewrite(conn, dir);
+            let ct = &self.namespaces[ns.0 as usize].conntrack;
+            let want = ct.rewrite(conn, dir);
+            nfp.ct_dnat = ct.is_dnat(conn);
             if want != tuple {
                 ctx.charge(self.costs.l4_processing_ns);
                 rewrite_packet(pkt.data_mut(), &want);
@@ -1347,6 +1349,7 @@ fn nf_view(
         dport: t.dport,
         fwmark,
         ct_state: CtState::New,
+        ct_dnat: false,
     }
 }
 

@@ -60,6 +60,9 @@ pub struct RuleMatch {
     pub fwmark: Option<u32>,
     /// Connection tracking state.
     pub ct_state: Option<CtState>,
+    /// Only a connection whose original destination was translated
+    /// (`-m conntrack --ctstate DNAT`).
+    pub ct_dnat: bool,
 }
 
 impl RuleMatch {
@@ -133,6 +136,8 @@ pub struct NfPacket {
     pub fwmark: u32,
     /// Conntrack state of the flow.
     pub ct_state: CtState,
+    /// The flow's connection has its destination translated.
+    pub ct_dnat: bool,
 }
 
 /// The verdict of running a chain.
@@ -233,6 +238,9 @@ fn rule_matches(m: &RuleMatch, p: &NfPacket) -> bool {
         if p.ct_state != state {
             return false;
         }
+    }
+    if m.ct_dnat && !p.ct_dnat {
+        return false;
     }
     true
 }
@@ -378,6 +386,7 @@ mod tests {
             dport: 53,
             fwmark: 0,
             ct_state: CtState::New,
+            ct_dnat: false,
         }
     }
 

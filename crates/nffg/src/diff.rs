@@ -108,22 +108,16 @@ pub fn diff(old: &NfFg, new: &NfFg) -> GraphDiff {
         }
     }
 
-    let old_eps: Vec<&str> = old.endpoints.iter().map(|e| e.id.as_str()).collect();
-    let new_eps: Vec<&str> = new.endpoints.iter().map(|e| e.id.as_str()).collect();
-    for id in &new_eps {
-        if !old_eps.contains(id) {
-            d.added_endpoints.push(id.to_string());
-        }
-    }
-    for id in &old_eps {
-        if !new_eps.contains(id) {
-            d.removed_endpoints.push(id.to_string());
-        }
-    }
     for e in &new.endpoints {
-        let was = old.endpoints.iter().find(|o| o.id == e.id);
-        if was.is_some_and(|o| o.kind != e.kind) {
-            d.changed_endpoints.push(e.id.clone());
+        match old.endpoints.iter().find(|o| o.id == e.id) {
+            None => d.added_endpoints.push(e.id.clone()),
+            Some(o) if o.kind != e.kind => d.changed_endpoints.push(e.id.clone()),
+            _ => {}
+        }
+    }
+    for o in &old.endpoints {
+        if !new.endpoints.iter().any(|e| e.id == o.id) {
+            d.removed_endpoints.push(o.id.clone());
         }
     }
 

@@ -439,8 +439,8 @@ pub(crate) mod tests {
 
     /// The FORWARD rules of a NAT between `lan` and `wan` whose port
     /// forwards translate to `forwards`: LAN out to WAN, replies back in,
-    /// each forward's translated destination in, and a drop for whatever
-    /// else enters either side.
+    /// each forward's DNAT'd connection to its target in, and a drop for
+    /// whatever else enters either side.
     fn forward_filter(
         h: &mut Host,
         ns: NsId,
@@ -463,6 +463,7 @@ pub(crate) mod tests {
             let translated = RuleMatch {
                 dst: Some(Ipv4Cidr::new(to, 32)),
                 dport: Some(port),
+                ct_dnat: true,
                 ..between(wan, Some(lan))
             };
             rules.push(NfRule::new(translated, Target::Accept));
@@ -1001,40 +1002,22 @@ pub(crate) mod tests {
         }
     }
 
-    /// A NAT forwards only what it translates. Into both sides of a
-    /// dedicated NAT and of a shared NAT with two bindings go random
-    /// frames — flows from either side to anyone, the NATs' own
-    /// addresses and forwarded ports included, replies to what left, and
-    /// their mutants. Nothing leaves the port it entered; nothing from
-    /// the WAN side reaches the LAN side unless it answers a flow the
-    /// LAN side began or matches a port forward; and no binding's frame
-    /// leaves another binding's sub-interface.
-    #[test]
-    fn a_nat_forwards_only_what_it_translates() {
-        let inside = ["192.168.1.5", "192.168.1.20", "192.168.1.1"].map(ip);
-        let gws = ["203.0.113.254", "198.51.100.254"].map(ip);
-        let wans = ["203.0.113.1", "198.51.100.1"].map(ip);
-        let outside = [
-            ip("203.0.113.9"),
-            ip("198.51.100.7"),
-            ip("8.8.8.8"),
-            wans[0],
-            wans[1],
-        ];
-        let web = PortForward {
-            dport: 8080,
-            to: ip("192.168.1.20"),
-            port: Some(80),
-        };
-        let neighbours = [&inside[..2], &outside[..3], &gws].concat();
-
+    /// The same NAT twice, each knowing `neighbours`' MACs: a dedicated
+    /// one between `192.168.1.1/24` and `203.0.113.1/24` with next hop
+    /// `203.0.113.254` and the port forward `web`, and a shared one whose
+    /// first binding is that NAT and whose second is another tenant's
+    /// on `198.51.100.1/24` with no port forward.
+    fn nats_forwarding(web: PortForward, neighbours: &[Ipv4Addr]) -> [NatUnderTest; 2] {
         let mut config = NfConfig::default()
             .with_param("lan-addr", "192.168.1.1/24")
             .with_param("wan-addr", "203.0.113.1/24")
             .with_param("wan-gw", "203.0.113.254");
-        let dnat = [("kind", "dnat"), ("dport", "8080"), ("to", "192.168.1.20")];
-        config.rules.push(rule(&dnat));
-        config.rules[0].insert("to-port".into(), "80".into());
+        let (dport, to) = (web.dport.to_string(), web.to.to_string());
+        let mut dnat = rule(&[("kind", "dnat"), ("dport", &dport), ("to", &to)]);
+        if let Some(port) = web.port {
+            dnat.insert("to-port".into(), port.to_string());
+        }
+        config.rules.push(dnat);
         let (mut dedicated, d_ns, d_ports) = fresh(2);
         start(&mut nnf("nat"), &mut dedicated, d_ns, &d_ports, &config).unwrap();
 
@@ -1062,7 +1045,7 @@ pub(crate) mod tests {
             shared.neigh_add(s_ns, addr, mac).unwrap();
         }
         let vids = bindings.iter().map(|b| [b.vid_lan, b.vid_wan]).collect();
-        let nats = [
+        [
             NatUnderTest {
                 host: dedicated,
                 ports: d_ports,
@@ -1073,7 +1056,74 @@ pub(crate) mod tests {
                 ports: s_ports,
                 vids: Some(vids),
             },
+        ]
+    }
+
+    /// A port forward admits only the connections it translated. From
+    /// the WAN side of a dedicated NAT and of a shared NAT's binding, a
+    /// frame to the forward's port on the WAN address reaches its target
+    /// on the LAN side; the same frame sent straight to the target's
+    /// address and port is dropped.
+    #[test]
+    fn a_port_forward_admits_only_its_translations() {
+        let target = (ip("192.168.1.20"), 80);
+        let web = PortForward {
+            dport: 8080,
+            to: target.0,
+            port: Some(target.1),
+        };
+        let neighbours = [target.0, ip("203.0.113.9"), ip("203.0.113.254")];
+        for (n, mut nat) in nats_forwarding(web, &neighbours).into_iter().enumerate() {
+            let from_wan = |dst, dport| Flow {
+                side: Side::Wan,
+                tcp: true,
+                src: ip("203.0.113.9"),
+                dst,
+                sport: 40000,
+                dport,
+            };
+            let direct = from_wan(target.0, target.1).frame(MacAddr::BROADCAST, None);
+            let out = nat.send(0, Side::Wan, direct).expect("an untagged frame");
+            assert!(out.is_empty(), "NAT {n}: a frame to the target crossed");
+
+            let forwarded = from_wan(ip("203.0.113.1"), web.dport);
+            let frame = forwarded.frame(MacAddr::BROADCAST, None);
+            let out = nat.send(0, Side::Wan, frame).expect("an untagged frame");
+            let [(0, Side::Lan, ip)] = &out[..] else {
+                panic!("NAT {n}: the forwarded frame left as {out:?}");
+            };
+            let (_, _, _, dst, dport) = tuple(ip).expect("a whole packet");
+            assert_eq!((dst, dport), target, "NAT {n}");
+        }
+    }
+
+    /// A NAT forwards only what it translates. Into both sides of a
+    /// dedicated NAT and of a shared NAT with two bindings go random
+    /// frames — flows from either side to anyone, the NATs' own
+    /// addresses and forwarded ports included, replies to what left, and
+    /// their mutants. Nothing leaves the port it entered; nothing from
+    /// the WAN side reaches the LAN side unless it answers a flow the
+    /// LAN side began or matches a port forward; and no binding's frame
+    /// leaves another binding's sub-interface.
+    #[test]
+    fn a_nat_forwards_only_what_it_translates() {
+        let inside = ["192.168.1.5", "192.168.1.20", "192.168.1.1"].map(ip);
+        let gws = ["203.0.113.254", "198.51.100.254"].map(ip);
+        let wans = ["203.0.113.1", "198.51.100.1"].map(ip);
+        let outside = [
+            ip("203.0.113.9"),
+            ip("198.51.100.7"),
+            ip("8.8.8.8"),
+            wans[0],
+            wans[1],
         ];
+        let web = PortForward {
+            dport: 8080,
+            to: ip("192.168.1.20"),
+            port: Some(80),
+        };
+        let neighbours = [&inside[..2], &outside[..3], &gws].concat();
+        let nats = nats_forwarding(web, &neighbours);
 
         let mut rng = un_sim::DetRng::new(47);
         for (n, mut nat) in nats.into_iter().enumerate() {
@@ -1131,13 +1181,11 @@ pub(crate) mod tests {
                         continue;
                     }
                     // A port forward's traffic: its port arriving on the
-                    // WAN side, whatever the address, or its target's
-                    // address and port, which FORWARD cannot tell from a
-                    // translated frame (conntrack has no DNAT state).
+                    // WAN side, whatever the address. A frame sent to its
+                    // target's address and port is not translated, and
+                    // FORWARD drops it.
                     let sent = sent.expect("what crossed has a tuple");
-                    let target = (web.to, web.port.unwrap_or(web.dport));
-                    let forwarded =
-                        binding == 0 && (sent.4 == web.dport || (sent.3, sent.4) == target);
+                    let forwarded = binding == 0 && sent.4 == web.dport;
                     assert!(
                         forwarded || answers.contains(&(binding, sent)),
                         "{tag}: {sent:?} reached the LAN side unasked"

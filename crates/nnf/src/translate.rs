@@ -474,10 +474,10 @@ pub struct PortForward {
 ///
 /// It forwards only what it translates: FORWARD rules on its own two
 /// ports let LAN out to WAN, and back in only a reply to a LAN-initiated
-/// flow or a port forward's translated destination; whatever else
-/// enters either port is dropped. So no frame leaves the port it came
-/// in on, and on a shared NAT no binding's frame leaves another's
-/// sub-interface. The chain's policy is left alone: another binding's
+/// flow or a connection a port forward translated to its target;
+/// whatever else enters either port is dropped. So no frame leaves the
+/// port it came in on, and on a shared NAT no binding's frame leaves
+/// another's sub-interface. The chain's policy is left alone: another binding's
 /// traffic never meets these rules' drops.
 fn nat_program(
     nat: &NatBinding,
@@ -538,6 +538,7 @@ fn nat_program(
         let translated = RuleMatch {
             dst: Some(Ipv4Cidr::new(to, 32)),
             dport: Some(port.unwrap_or(dport)),
+            ct_dnat: true,
             ..Default::default()
         };
         cmds.push(forward(translated, Target::Accept, wan, Some(lan)));

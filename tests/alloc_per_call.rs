@@ -110,8 +110,9 @@ const CALLS: usize = 16;
 /// and port name of every serving node into owned sets; 1219 while a
 /// node rebuilt a whole part — every NF, port and rule — on any change
 /// to its NFs or endpoints, and its memory admission walked every
-/// account on the node.)
-const DOMAIN_UPDATE_ALLOCS: u64 = 889;
+/// account on the node; 889 while a graph diff collected both graphs'
+/// endpoint ids into vectors to compare them.)
+const DOMAIN_UPDATE_ALLOCS: u64 = 881;
 
 /// The incremental `Domain::verify` after that update: lowering the
 /// touched graph and its hosts, and checking them. (510 while lowering
