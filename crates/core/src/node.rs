@@ -22,17 +22,19 @@
 //!    are unchanged keeps its running instance;
 //! 3. admission-check memory as the node will hold it once the old
 //!    instances go;
-//! 4. flip the per-graph LSI by the diff: one virtual link per new
-//!    endpoint (plus one per new *shared* NNF) with its LSI-0
-//!    classification rules, the removed ones taken down, and the
-//!    big-switch rules that are new, changed or wired to something
-//!    replaced compiled into LSI flow entries — including the VLAN
-//!    push/pop translation for sharable NNFs behind the adaptation
-//!    layer;
+//! 4. lower the part, where its NFs now run, into an `LsiProgram` —
+//!    plain data: the graph LSI's ports, keyed by what they lead to (an
+//!    NF instance's port, an endpoint's or a shared NNF's virtual
+//!    link), its flow entries, and the LSI-0 entries the part owns
+//!    (endpoint classification, the VLAN steering to shared NNFs behind
+//!    the adaptation layer) — and apply the diff from the program the
+//!    part ran: what only the old one lists goes, what only the new one
+//!    lists comes;
 //! 5. retire the removed and replaced instances.
 //!
 //! What stages 1–3 made goes back on a refusal, so the part stays as it
-//! was (a deploy's fresh LSI is freed with it).
+//! was (a deploy's fresh LSI is freed with it). A teardown frees the
+//! graph's LSI and applies the diff to the empty program.
 //!
 //! The data plane is a synchronous work-queue fabric: a packet injected
 //! on a physical port traverses LSI-0, virtual links, graph LSIs and NF
@@ -258,10 +260,112 @@ const MAX_VID: u32 = 4094;
 /// graph LSIs', and those in index order.
 type Loc = (usize, PortNo);
 
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum VlinkKey {
-    Endpoint(String),
-    SharedNf(String),
+/// What a port of a part's LSI side leads to, its name in the part's
+/// [`LsiProgram`]: a replaced endpoint or NF instance gets a new key, so
+/// a diff replaces its port and every entry wired to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum PortKey {
+    /// Port `u32` of a dedicated NF instance.
+    Nf(InstanceId, u32),
+    /// An endpoint's virtual link.
+    Endpoint(Endpoint),
+    /// A shared NF's virtual link: the NF, its instance and its
+    /// binding's (LAN, WAN) VLAN ids.
+    Shared(String, InstanceId, [u16; 2]),
+}
+
+/// A flow entry whose action list is allocated once.
+fn flow_entry(
+    priority: u16,
+    matches: FlowMatch,
+    actions: Arc<[FlowAction]>,
+    cookie: u64,
+) -> FlowEntry {
+    let (packet_count, byte_count) = (0, 0);
+    FlowEntry {
+        priority,
+        matches,
+        actions,
+        cookie,
+        packet_count,
+        byte_count,
+    }
+}
+
+/// A part's LSI side as plain data, lowered by [`UniversalNode::lower`]:
+/// the graph LSI's ports, its entries and the part's LSI-0 entries. An
+/// entry names the program's `i`-th port by the reserved number
+/// [`own`]`(i)`, as OpenFlow names logical ports from the top of the
+/// range; any other number is a physical or shared-NNF attach port.
+#[derive(Debug, Default)]
+struct LsiProgram {
+    /// The graph LSI's ports, in the order a fresh LSI numbers them.
+    ports: Vec<PortKey>,
+    /// The graph LSI's entries, one per rule, in install order.
+    entries: Vec<FlowEntry>,
+    /// The LSI-0 entries, in install order.
+    l0: Vec<FlowEntry>,
+}
+
+/// The number a program names its `i`-th port by.
+fn own(i: usize) -> PortNo {
+    PortNo(u32::MAX - i as u32)
+}
+
+/// Where a program's port landed: its port on the graph's LSI and, for
+/// a virtual link, its LSI-0 end.
+type Landed = (PortNo, Option<PortNo>);
+
+/// How an entry's ports are numbered on the LSI it is installed on.
+type Numbering<'a> = &'a dyn Fn(PortNo) -> PortNo;
+
+/// Numbers the ports of a program landed at `landed` on LSI-0 (`l0`) or
+/// on the graph's LSI.
+fn numbering(landed: &[Landed], l0: bool) -> impl Fn(PortNo) -> PortNo + '_ {
+    move |no| match landed.get((u32::MAX - no.0) as usize) {
+        Some(&(_, end)) if l0 => end.expect("a virtual link's LSI-0 end"),
+        Some(&(port, _)) => port,
+        None => no,
+    }
+}
+
+/// An entry with its ports numbered by `at`, counters aside.
+fn view<'a>(
+    e: &'a FlowEntry,
+    at: Numbering<'a>,
+) -> (u16, u64, FlowMatch, impl Iterator<Item = FlowAction> + 'a) {
+    let matches = FlowMatch {
+        in_port: e.matches.in_port.map(at),
+        ..e.matches.clone()
+    };
+    let actions = e.actions.iter().map(move |a| match a {
+        FlowAction::Output(port) => FlowAction::Output(at(*port)),
+        a => a.clone(),
+    });
+    (e.priority, e.cookie, matches, actions)
+}
+
+/// True if `a` numbered by `a_at` is `b` numbered by `b_at`. Priority,
+/// cookie and port go first: most entries of a table differ in one.
+fn alike(a: &FlowEntry, a_at: Numbering<'_>, b: &FlowEntry, b_at: Numbering<'_>) -> bool {
+    (a.priority, a.cookie) == (b.priority, b.cookie)
+        && a.matches.in_port.map(a_at) == b.matches.in_port.map(b_at)
+        && {
+            let ((.., ma, xa), (.., mb, xb)) = (view(a, a_at), view(b, b_at));
+            ma == mb && xa.eq(xb)
+        }
+}
+
+/// The entries of `a` that `b` lacks, each numbered by its own `at`.
+fn only<'a>(
+    a: &'a [FlowEntry],
+    a_at: Numbering<'_>,
+    b: &[FlowEntry],
+    b_at: Numbering<'_>,
+) -> Vec<&'a FlowEntry> {
+    a.iter()
+        .filter(|x| !b.iter().any(|y| alike(x, a_at, y, b_at)))
+        .collect()
 }
 
 /// What an LSI port leads to.
@@ -312,47 +416,6 @@ impl Lsi {
         if let Some(PortKind::Nf(instance, nf_port)) = self.ports.remove(&port) {
             self.nf_ports.remove(&(instance, nf_port));
         }
-    }
-
-    /// Remove the ports wired to `instance`.
-    fn remove_nf_ports(&mut self, instance: InstanceId) {
-        let wired = self.nf_ports.iter().filter(|((i, _), _)| *i == instance);
-        let ports: Vec<PortNo> = wired.map(|(_, port)| *port).collect();
-        for port in ports {
-            self.remove_port(port);
-        }
-    }
-
-    /// Rewire the ports of instance `old` to `new`.
-    fn rekey_nf(&mut self, old: InstanceId, new: InstanceId) {
-        for kind in self.ports.values_mut() {
-            match kind {
-                PortKind::Nf(i, _) if *i == old => *i = new,
-                _ => {}
-            }
-        }
-        let rekey = |((i, p), port): ((InstanceId, u32), PortNo)| {
-            ((if i == old { new } else { i }, p), port)
-        };
-        self.nf_ports = mem::take(&mut self.nf_ports)
-            .into_iter()
-            .map(rekey)
-            .collect();
-    }
-
-    fn rule(&mut self, cookie: u64, priority: u16, m: FlowMatch, actions: Vec<FlowAction>) {
-        let entry = FlowEntry::new(priority, m, actions).with_cookie(cookie);
-        self.switch.install(0, entry).expect("table 0 exists");
-    }
-
-    /// Compile one big-switch rule of `graph`, whose LSI this is, and
-    /// install it under its cookie.
-    fn install_rule(&mut self, graph: &DeployedGraph, rule: &FlowRule) -> Result<(), DeployError> {
-        let entry = compile_rule(graph, &self.nf_ports, rule)
-            .map_err(DeployError::Compute)?
-            .with_cookie(rule_cookie(&graph.nffg.id, &rule.id));
-        self.switch.install(0, entry).expect("table 0 exists");
-        Ok(())
     }
 }
 
@@ -413,7 +476,10 @@ struct DeployedGraph {
     nffg: NfFg,
     /// Its LSI's index in the node's table (≥ 1).
     lsi: usize,
-    vlinks: BTreeMap<VlinkKey, PortNo>, // graph-side port
+    /// Its LSI side, as the last flip applied it.
+    program: LsiProgram,
+    /// Where each of the program's ports landed.
+    landed: Vec<Landed>,
     nfs: BTreeMap<String, PlacedNf>,
 }
 
@@ -563,13 +629,11 @@ pub struct UniversalNode {
     obs_burst_hist: Option<Arc<un_obs::Histogram>>,
 }
 
-fn fnv1a(data: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in data.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+/// FNV-1a over the concatenation of `parts`.
+fn fnv1a(parts: &[&str]) -> u64 {
+    let bytes = parts.iter().flat_map(|part| part.bytes());
+    let step = |h: u64, b: u8| (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+    bytes.fold(0xcbf2_9ce4_8422_2325, step)
 }
 
 /// The cookie stamped on a compiled graph rule (`<graph>/<rule>`), the
@@ -577,19 +641,19 @@ fn fnv1a(data: &str) -> u64 {
 /// auditing the tables (rule-level updates and the static verifier key
 /// on it).
 pub fn rule_cookie(graph_id: &str, rule_id: &str) -> u64 {
-    fnv1a(&format!("{graph_id}/{rule_id}"))
+    fnv1a(&[graph_id, "/", rule_id])
 }
 
 /// The cookie stamped on a graph's LSI-0 plumbing rules (endpoint
 /// classification, shared-NNF vlinks).
 pub fn graph_cookie(graph_id: &str) -> u64 {
-    fnv1a(graph_id)
+    fnv1a(&[graph_id])
 }
 
 /// The cookie stamped on an internal group's LSI-0 rules, which belong
 /// to the group, not to any one member.
 fn group_cookie(group: &str) -> u64 {
-    fnv1a(&format!("group:{group}"))
+    fnv1a(&["group:", group])
 }
 
 /// The internal group an endpoint joins, if it is an internal one.
@@ -1055,7 +1119,8 @@ impl UniversalNode {
         let graph = DeployedGraph {
             nffg: empty,
             lsi: at,
-            vlinks: BTreeMap::new(),
+            program: LsiProgram::default(),
+            landed: Vec::new(),
             nfs: BTreeMap::new(),
         };
         if let Err(e) = self.apply(graph, nffg, programs) {
@@ -1145,25 +1210,7 @@ impl UniversalNode {
             || kept_eps.len() != nffg.endpoints.len()
             || kept_eps.len() != graph.nffg.endpoints.len();
         self.check_endpoints(nffg, &kept_eps)?;
-        let touched = |r: &PortRef| match r {
-            PortRef::Endpoint(ep) => !kept_eps.contains(&ep.as_str()),
-            PortRef::Nf(nf, _) => !kept_nfs.contains(&nf.as_str()),
-        };
-        // A rule the other version lacks, or one wired to an endpoint or
-        // NF that is replaced, is out of date: removed from the old
-        // version, installed from the new.
-        let stale = |rule: &FlowRule, other: &NfFg| {
-            let outputs = rule.actions.iter().filter_map(|a| match a {
-                RuleAction::Output(r) => Some(r),
-                _ => None,
-            });
-            !other.flow_rules.contains(rule)
-                || rule.matches.port_in.iter().chain(outputs).any(touched)
-        };
-        let install: Vec<&FlowRule> = (nffg.flow_rules.iter())
-            .filter(|r| stale(r, &graph.nffg))
-            .collect();
-        for rule in &install {
+        for rule in &nffg.flow_rules {
             apply_match_fields(&rule.matches, &mut FlowMatch::any())
                 .map_err(DeployError::Compute)?;
         }
@@ -1201,72 +1248,23 @@ impl UniversalNode {
             }
         }
 
-        // 4. Flip the LSI side: stale rules and the retired plumbing
-        // out, the new plumbing and rules in.
-        let gone: Vec<u64> = (graph.nffg.flow_rules.iter())
-            .filter(|old| stale(old, nffg))
-            .map(|old| rule_cookie(&nffg.id, &old.id))
-            .collect();
-        let old = mem::replace(&mut graph.nffg, nffg.clone());
-        let lsi = self.lsi_mut(graph.lsi);
-        lsi.switch.remove_where(|e| gone.contains(&e.cookie));
+        // 4. Flip the LSI side: lower the new version where its NFs now
+        // run and apply the diff from the old version's program.
         let mut retired = Vec::new();
         for (id, placed) in mem::take(&mut graph.nfs) {
             if kept_nfs.contains(&id.as_str()) {
                 graph.nfs.insert(id, placed);
-                continue;
-            }
-            match placed.shared {
-                Some(_) => self.remove_vlink(graph, &VlinkKey::SharedNf(id)),
-                None => self.lsi_mut(graph.lsi).remove_nf_ports(placed.instance),
-            }
-            if !staged
-                .displaced
-                .iter()
-                .any(|d| d.instance == placed.instance)
-            {
+            } else if !(staged.displaced.iter()).any(|d| d.instance == placed.instance) {
                 retired.push(placed);
             }
         }
-        let mut groups = Vec::new();
-        for ep in &old.endpoints {
-            if !kept_eps.contains(&ep.id.as_str()) {
-                self.remove_vlink(graph, &VlinkKey::Endpoint(ep.id.clone()));
-                groups.extend(internal_group(ep).map(String::from));
-            }
-        }
-        for nf in &nffg.nfs {
-            let Some(placed) = staged.fresh.get(&nf.id).filter(|p| p.shared.is_none()) else {
-                continue;
-            };
-            let lsi = self.lsi_mut(graph.lsi);
-            for port in &nf.ports {
-                let name = format!("to-{}:{}", nf.id, port.id);
-                lsi.add_port(&name, PortKind::Nf(placed.instance, port.id));
-            }
-        }
-        for ep in &nffg.endpoints {
-            if !kept_eps.contains(&ep.id.as_str()) {
-                self.wire_endpoint(graph, ep);
-                groups.extend(internal_group(ep).map(String::from));
-            }
-        }
         graph.nfs.append(&mut staged.fresh);
-        for nf in nffg
-            .nfs
-            .iter()
-            .filter(|nf| !kept_nfs.contains(&nf.id.as_str()))
-        {
-            let shared = graph.nfs[&nf.id].shared.as_ref();
-            if let Some(vids) = shared.map(|b| [b.vid_lan, b.vid_wan]) {
-                self.wire_shared(graph, nf, vids);
-            }
-        }
-        let lsi = self.lsis[graph.lsi].as_mut().expect("a graph's LSI");
-        for rule in install {
-            lsi.install_rule(graph, rule)
-                .expect("a validated graph's rules compile");
-        }
+        let program = self.lower(nffg, &graph.nfs);
+        self.apply_diff(graph, program);
+        let old = mem::replace(&mut graph.nffg, nffg.clone());
+        let moved = (old.endpoints.iter().chain(&nffg.endpoints))
+            .filter(|ep| !kept_eps.contains(&ep.id.as_str()));
+        let groups = moved.filter_map(internal_group).map(String::from).collect();
         Ok(Flipped {
             structural,
             retired,
@@ -1470,12 +1468,14 @@ impl UniversalNode {
                 continue;
             }
             placed.instance = again[&nf.id].instance;
-            let lsi = self.lsis[graph.lsi].as_mut().expect("a graph's LSI");
-            lsi.rekey_nf(instance, placed.instance);
             if let Some(hist) = hist {
                 self.obs_nf_hist.insert(placed.instance, hist);
             }
         }
+        // A rebuilt instance's ports replace those of the one it stands
+        // in for.
+        let program = self.lower(&graph.nffg, &graph.nfs);
+        self.apply_diff(graph, program);
     }
 
     /// Create an instance for `nf` to run `program` and start it; a
@@ -1570,65 +1570,169 @@ impl UniversalNode {
         })
     }
 
-    /// A virtual link between LSI-0 and the graph's LSI: two `Vlink`
-    /// ports, each the other's peer. Returns its LSI-0 end.
-    fn add_vlink(&mut self, graph: &mut DeployedGraph, key: VlinkKey) -> PortNo {
-        let (id, g_name) = match &key {
-            VlinkKey::Endpoint(ep) => (ep, format!("vlink-{ep}")),
-            VlinkKey::SharedNf(nf) => (nf, format!("vlink-shared-{nf}")),
-        };
-        let l0_name = format!("vlink-{}-{id}", graph.nffg.id);
-        let at = graph.lsi;
-        let peer = PortNo(self.lsi(at).next_port);
-        let l0_port = self
-            .lsi_mut(0)
-            .add_port(&l0_name, PortKind::Vlink { lsi: at, peer });
-        let back = PortKind::Vlink {
-            lsi: 0,
-            peer: l0_port,
-        };
-        let g_port = self.lsi_mut(at).add_port(&g_name, back);
-        debug_assert_eq!(g_port, peer);
-        graph.vlinks.insert(key, g_port);
-        l0_port
-    }
-
-    /// One endpoint: its virtual link and LSI-0 classification rules
-    /// (an internal endpoint's are its group's, rebuilt by `regroup`).
-    /// `check_endpoints` found the traffic it takes free.
-    fn wire_endpoint(&mut self, graph: &mut DeployedGraph, ep: &Endpoint) {
+    /// Lower `part`, its NFs placed as `nfs` says, into its LSI side:
+    /// the graph LSI's ports — the dedicated NFs' ports, then the
+    /// endpoints' and the shared NFs' virtual links, the order a fresh
+    /// LSI numbers them — one entry per rule, and the LSI-0 entries the
+    /// part owns: each interface or VLAN endpoint's classification, then
+    /// each shared NF's VLAN steering to its attach port and back (an
+    /// internal endpoint's are its group's). Pure: it reads the node's
+    /// physical and attach ports. `part` passed stage 1.
+    fn lower(&self, part: &NfFg, nfs: &BTreeMap<String, PlacedNf>) -> LsiProgram {
         use FlowAction::{Output, PopVlan, PushVlan};
-        let cookie = graph_cookie(&graph.nffg.id);
-        let vlink = self.add_vlink(graph, VlinkKey::Endpoint(ep.id.clone()));
-        let Some((phys, vlan_id, priority, traffic)) = self.traffic(ep) else {
-            return;
+        let cookie = graph_cookie(&part.id);
+        let rule = |priority, m, actions| flow_entry(priority, m, actions, cookie);
+        let mut p = LsiProgram::default();
+        for nf in &part.nfs {
+            let placed = &nfs[&nf.id];
+            if placed.shared.is_none() {
+                let key = |port: &un_nffg::NfPort| PortKey::Nf(placed.instance, port.id);
+                p.ports.extend(nf.ports.iter().map(key));
+            }
+        }
+        for ep in &part.endpoints {
+            let link = own(p.ports.len());
+            p.ports.push(PortKey::Endpoint(ep.clone()));
+            let Some((phys, vlan_id, priority, traffic)) = self.traffic(ep) else {
+                continue;
+            };
+            let untag = vlan_id.map(|_| PopVlan).into_iter().chain([Output(link)]);
+            p.l0.push(rule(priority, traffic, untag.collect()));
+            let tag = vlan_id.map(PushVlan).into_iter().chain([Output(phys)]);
+            p.l0.push(rule(priority, FlowMatch::in_port(link), tag.collect()));
+        }
+        for nf in &part.nfs {
+            let placed = &nfs[&nf.id];
+            let Some(binding) = &placed.shared else {
+                continue;
+            };
+            let attach = self.lsi(0).nf_ports[&(placed.instance, 0)];
+            let vids = [binding.vid_lan, binding.vid_wan];
+            let link = own(p.ports.len());
+            p.ports
+                .push(PortKey::Shared(nf.id.clone(), placed.instance, vids));
+            for vid in vids.map(VlanSpec::Id) {
+                for (from, to) in [(link, attach), (attach, link)] {
+                    let m = FlowMatch::in_port(from).with_vlan(vid);
+                    p.l0.push(rule(20, m, Arc::new([Output(to)])));
+                }
+            }
+        }
+        // A rule names an endpoint or a dedicated NF's port by its port,
+        // a shared NF's port by its virtual link and the binding's vid.
+        let port = |r: &PortRef| {
+            let named = |key: &PortKey| match (key, r) {
+                (PortKey::Endpoint(ep), PortRef::Endpoint(id)) => (ep.id == *id).then_some(None),
+                (PortKey::Nf(i, k), PortRef::Nf(nf, q)) => {
+                    (*i == nfs[nf].instance && k == q).then_some(None)
+                }
+                (PortKey::Shared(n, _, vids), PortRef::Nf(nf, q)) => {
+                    (n == nf).then_some(Some(vids[usize::from(*q != 0)]))
+                }
+                _ => None,
+            };
+            let mut keys = p.ports.iter().enumerate();
+            let found = keys.find_map(|(i, key)| Some((own(i), named(key)?)));
+            found.expect("a validated rule's port is lowered")
         };
-        let l0 = self.lsi_mut(0);
-        let untag = vlan_id.map(|_| PopVlan).into_iter().chain([Output(vlink)]);
-        l0.rule(cookie, priority, traffic, untag.collect());
-        let tag = vlan_id.map(PushVlan).into_iter().chain([Output(phys)]);
-        l0.rule(cookie, priority, FlowMatch::in_port(vlink), tag.collect());
+        let mut actions = Vec::new();
+        let entry = |rule: &FlowRule| {
+            let port_in = rule.matches.port_in.as_ref();
+            let (in_port, in_vid) = port(port_in.expect("a validated rule has its port-in"));
+            let mut m = FlowMatch::in_port(in_port);
+            // Traffic from a shared NNF arrives tagged: match + strip.
+            m.vlan = in_vid.map(VlanSpec::Id);
+            actions.clear();
+            actions.extend(in_vid.map(|_| PopVlan));
+            apply_match_fields(&rule.matches, &mut m).expect("stage 1 parsed the match fields");
+            for action in &rule.actions {
+                let action = match action {
+                    RuleAction::Output(r) => {
+                        let (out, vid) = port(r);
+                        actions.extend(vid.map(PushVlan));
+                        Output(out)
+                    }
+                    RuleAction::PushVlan(v) => PushVlan(*v),
+                    RuleAction::PopVlan => PopVlan,
+                    RuleAction::SetFwmark(mark) => FlowAction::SetFwmark(*mark),
+                };
+                actions.push(action);
+            }
+            let cookie = rule_cookie(&part.id, &rule.id);
+            flow_entry(rule.priority, m, actions.as_slice().into(), cookie)
+        };
+        p.entries = part.flow_rules.iter().map(entry).collect();
+        p
     }
 
-    /// Take a virtual link of `graph` down: both ends, and the graph's
-    /// LSI-0 rules that lead into or out of it (an internal endpoint's
-    /// are its group's, rebuilt by `regroup`).
-    fn remove_vlink(&mut self, graph: &mut DeployedGraph, key: &VlinkKey) {
-        let Some(port) = graph.vlinks.remove(key) else {
-            return;
+    /// Bring `graph`'s LSI side from its program to `new`: the ports and
+    /// entries only the old one lists go, those only `new` lists come —
+    /// new ports numbered from each LSI's `next_port` in `new`'s order,
+    /// new entries installed in its order. A deploy applies the diff
+    /// from the empty program, a teardown the diff to it.
+    fn apply_diff(&mut self, graph: &mut DeployedGraph, new: LsiProgram) {
+        let (at, old, landed) = (graph.lsi, &graph.program, &graph.landed);
+        let mut now = Vec::with_capacity(new.ports.len());
+        for key in &new.ports {
+            let kept = old.ports.iter().position(|k| k == key);
+            let add = || self.add_part_port(graph, key);
+            now.push(kept.map_or_else(add, |i| landed[i]));
+        }
+        for l0 in [false, true] {
+            let Some(lsi) = self.lsis[if l0 { 0 } else { at }].as_mut() else {
+                continue; // a teardown frees the graph's LSI first
+            };
+            let (was, will) = match l0 {
+                false => (&old.entries, &new.entries),
+                true => (&old.l0, &new.l0),
+            };
+            let (was_at, will_at) = (&numbering(landed, l0), &numbering(&now, l0));
+            let gone = only(was, was_at, will, will_at);
+            let switch = &mut lsi.switch;
+            if !gone.is_empty() {
+                switch.remove_where(|e| gone.iter().any(|x| alike(e, &|no| no, x, was_at)));
+            }
+            for x in only(will, will_at, was, was_at) {
+                let (priority, cookie, matches, actions) = view(x, will_at);
+                let entry = flow_entry(priority, matches, actions.collect(), cookie);
+                switch.install(0, entry).expect("table 0 exists");
+            }
+        }
+        for (key, &(port, end)) in old.ports.iter().zip(landed) {
+            if !new.ports.contains(key) {
+                if let Some(lsi) = self.lsis[at].as_mut() {
+                    lsi.remove_port(port);
+                }
+                if let Some(end) = end {
+                    self.lsi_mut(0).remove_port(end);
+                }
+            }
+        }
+        (graph.program, graph.landed) = (new, now);
+    }
+
+    /// Add a port of `graph` on its LSI: an NF's port, or a virtual link
+    /// — two `Vlink` ports, each the other's peer, the LSI-0 end first.
+    fn add_part_port(&mut self, graph: &DeployedGraph, key: &PortKey) -> Landed {
+        let (at, gid) = (graph.lsi, &graph.nffg.id);
+        let (id, name) = match key {
+            PortKey::Nf(instance, port) => {
+                let placed = graph.nfs.iter().find(|(_, p)| p.instance == *instance);
+                let nf = placed.expect("a port's NF is placed").0;
+                let name = format!("to-{nf}:{port}");
+                let kind = PortKind::Nf(*instance, *port);
+                return (self.lsi_mut(at).add_port(&name, kind), None);
+            }
+            PortKey::Endpoint(ep) => (&ep.id, format!("vlink-{}", ep.id)),
+            PortKey::Shared(nf, ..) => (nf, format!("vlink-shared-{nf}")),
         };
-        let lsi = self.lsi_mut(graph.lsi);
-        let Some(&PortKind::Vlink { peer, .. }) = lsi.ports.get(&port) else {
-            return;
-        };
-        lsi.remove_port(port);
-        let cookie = graph_cookie(&graph.nffg.id);
-        let l0 = self.lsi_mut(0);
-        let wired = |e: &FlowEntry| {
-            e.matches.in_port == Some(peer) || e.actions.contains(&FlowAction::Output(peer))
-        };
-        l0.switch.remove_where(|e| e.cookie == cookie && wired(e));
-        l0.remove_port(peer);
+        let peer = PortNo(self.lsi(at).next_port);
+        let to = PortKind::Vlink { lsi: at, peer };
+        let end = self.lsi_mut(0).add_port(&format!("vlink-{gid}-{id}"), to);
+        let back = PortKind::Vlink { lsi: 0, peer: end };
+        let port = self.lsi_mut(at).add_port(&name, back);
+        debug_assert_eq!(port, peer);
+        (port, Some(end))
     }
 
     /// Each internal group's members: the LSI-0 ends of the deployed
@@ -1636,16 +1740,12 @@ impl UniversalNode {
     fn groups(&self) -> BTreeMap<String, Vec<PortNo>> {
         let mut groups: BTreeMap<String, Vec<PortNo>> = BTreeMap::new();
         for graph in self.graphs.values() {
-            let Some(lsi) = &self.lsis[graph.lsi] else {
-                continue;
-            };
-            for ep in &graph.nffg.endpoints {
-                let EndpointKind::Internal { group } = &ep.kind else {
+            for (key, (_, l0)) in graph.program.ports.iter().zip(&graph.landed) {
+                let PortKey::Endpoint(ep) = key else {
                     continue;
                 };
-                let port = graph.vlinks.get(&VlinkKey::Endpoint(ep.id.clone()));
-                if let Some(PortKind::Vlink { peer, .. }) = port.and_then(|p| lsi.ports.get(p)) {
-                    groups.entry(group.clone()).or_default().push(*peer);
+                if let (Some(group), Some(l0)) = (internal_group(ep), l0) {
+                    groups.entry(group.to_string()).or_default().push(*l0);
                 }
             }
         }
@@ -1676,25 +1776,11 @@ impl UniversalNode {
             for &member in members {
                 let others = members.iter().filter(|m| **m != member);
                 let outputs = others.map(|m| FlowAction::Output(*m)).collect();
-                l0.rule(cookie, 7, FlowMatch::in_port(member), outputs);
+                let entry = FlowEntry::new(7, FlowMatch::in_port(member), outputs);
+                l0.switch
+                    .install(0, entry.with_cookie(cookie))
+                    .expect("table 0 exists");
             }
-        }
-    }
-
-    /// One shared NF of the graph: its virtual link and the LSI-0 rules
-    /// carrying the binding's two VLANs to the attach port and back.
-    fn wire_shared(&mut self, graph: &mut DeployedGraph, nf: &NetworkFunction, vids: [u16; 2]) {
-        use FlowAction::Output;
-        let cookie = graph_cookie(&graph.nffg.id);
-        let instance = graph.nfs[&nf.id].instance;
-        let attach = self.lsi(0).nf_ports[&(instance, 0)];
-        let vlink = self.add_vlink(graph, VlinkKey::SharedNf(nf.id.clone()));
-        let l0 = self.lsi_mut(0);
-        for vid in vids.map(VlanSpec::Id) {
-            let out = FlowMatch::in_port(vlink).with_vlan(vid);
-            l0.rule(cookie, 20, out, vec![Output(attach)]);
-            let back = FlowMatch::in_port(attach).with_vlan(vid);
-            l0.rule(cookie, 20, back, vec![Output(vlink)]);
         }
     }
 
@@ -1728,25 +1814,14 @@ impl UniversalNode {
         Ok(result?)
     }
 
-    /// Take a deployed `graph` off the node: its instances released,
-    /// its LSI freed, its LSI-0 plumbing removed and the groups it was
-    /// in rebuilt. Best-effort: the walk always finishes; the first
-    /// error is returned.
-    fn teardown(&mut self, graph: DeployedGraph) -> Result<(), DeployError> {
-        let ports = self.lsis[graph.lsi].take().map(|l| l.ports);
-        let vlinks = ports.iter().flat_map(BTreeMap::values);
-        let gone: Vec<PortNo> = vlinks
-            .filter_map(|p| match p {
-                PortKind::Vlink { peer, .. } => Some(*peer),
-                _ => None,
-            })
-            .collect();
+    /// Take a deployed `graph` off the node: its LSI freed, the rest of
+    /// its LSI side taken down by the diff to the empty program, its
+    /// instances released and the groups it was in rebuilt. Best-effort: the walk
+    /// always finishes; the first error is returned.
+    fn teardown(&mut self, mut graph: DeployedGraph) -> Result<(), DeployError> {
+        self.lsis[graph.lsi] = None;
+        self.apply_diff(&mut graph, LsiProgram::default());
         let result = self.release(graph.nfs.into_values());
-        let l0 = self.lsi_mut(0);
-        l0.switch.remove_by_cookie(graph_cookie(&graph.nffg.id));
-        for port in gone {
-            l0.remove_port(port);
-        }
         let groups: Vec<&str> = graph
             .nffg
             .endpoints
@@ -1818,9 +1893,11 @@ impl UniversalNode {
     ///    (a singleton whose successor needs its slot is retired first,
     ///    and rebuilt from its list if the update is then refused);
     /// 3. admit memory as the node will hold it once the old go;
-    /// 4. flip the LSI side by the diff — ports, endpoints, the rules
-    ///    that are new, changed or wired to something replaced — and
-    ///    rebuild the internal groups an endpoint joined or left;
+    /// 4. apply the program diff: lower the new version into its LSI
+    ///    program and apply the diff from the old one — the ports and
+    ///    entries only one of them lists, where a replaced endpoint or
+    ///    instance is a new port — and rebuild the internal groups an
+    ///    endpoint joined or left;
     /// 5. retire the removed and replaced instances.
     ///
     /// A refusal in stages 1–3 leaves the part exactly as it was. A
@@ -2216,84 +2293,6 @@ impl NativeStatus for UniversalNode {
         let id = self.compute.existing_instance(functional_type)?;
         Some((id, self.lsi(0).nf_ports.contains_key(&(id, 0))))
     }
-}
-
-/// Compile one NF-FG rule into a flow entry of the graph's LSI, whose
-/// NF ports are wired as `nf_ports` says.
-fn compile_rule(
-    graph: &DeployedGraph,
-    nf_ports: &BTreeMap<(InstanceId, u32), PortNo>,
-    rule: &FlowRule,
-) -> Result<FlowEntry, String> {
-    let mut m = FlowMatch::any();
-    let mut actions: Vec<FlowAction> = Vec::new();
-
-    let resolve = |r: &PortRef| -> Result<(PortNo, Option<u16>), String> {
-        match r {
-            PortRef::Endpoint(ep) => graph
-                .vlinks
-                .get(&VlinkKey::Endpoint(ep.clone()))
-                .map(|p| (*p, None))
-                .ok_or_else(|| format!("endpoint '{ep}' has no vlink")),
-            PortRef::Nf(nf, port) => {
-                let placed = graph
-                    .nfs
-                    .get(nf)
-                    .ok_or_else(|| format!("NF '{nf}' not placed"))?;
-                match &placed.shared {
-                    None => nf_ports
-                        .get(&(placed.instance, *port))
-                        .map(|p| (*p, None))
-                        .ok_or_else(|| format!("NF '{nf}' port {port} not mapped")),
-                    Some(binding) => {
-                        let vid = if *port == 0 {
-                            binding.vid_lan
-                        } else {
-                            binding.vid_wan
-                        };
-                        graph
-                            .vlinks
-                            .get(&VlinkKey::SharedNf(nf.clone()))
-                            .map(|p| (*p, Some(vid)))
-                            .ok_or_else(|| format!("shared NF '{nf}' has no vlink"))
-                    }
-                }
-            }
-        }
-    };
-
-    // port-in (validated earlier to be present).
-    let port_in = rule
-        .matches
-        .port_in
-        .as_ref()
-        .ok_or_else(|| "rule missing port-in".to_string())?;
-    let (in_port, in_vid) = resolve(port_in)?;
-    m.in_port = Some(in_port);
-    if let Some(vid) = in_vid {
-        // Traffic from a shared NNF arrives tagged: match + strip.
-        m.vlan = Some(VlanSpec::Id(vid));
-        actions.push(FlowAction::PopVlan);
-    }
-
-    apply_match_fields(&rule.matches, &mut m)?;
-
-    for action in &rule.actions {
-        match action {
-            RuleAction::Output(r) => {
-                let (out_port, out_vid) = resolve(r)?;
-                if let Some(vid) = out_vid {
-                    actions.push(FlowAction::PushVlan(vid));
-                }
-                actions.push(FlowAction::Output(out_port));
-            }
-            RuleAction::PushVlan(v) => actions.push(FlowAction::PushVlan(*v)),
-            RuleAction::PopVlan => actions.push(FlowAction::PopVlan),
-            RuleAction::SetFwmark(mark) => actions.push(FlowAction::SetFwmark(*mark)),
-        }
-    }
-
-    Ok(FlowEntry::new(rule.priority, m, actions))
 }
 
 fn apply_match_fields(tm: &TrafficMatch, m: &mut FlowMatch) -> Result<(), String> {

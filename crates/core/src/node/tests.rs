@@ -761,16 +761,21 @@ fn every_death_node() -> UniversalNode {
     let amp_link = l0.find(|(_, p)| p.name == "vlink-amp-loop").unwrap().0;
     drop(l0);
     let twice = vec![FlowAction::Output(amp_link), FlowAction::Output(amp_link)];
-    n.lsi_mut(0)
-        .rule(0, 30, FlowMatch::in_port(amp_link), twice);
+    sabotage(n.lsi_mut(0), FlowMatch::in_port(amp_link), 30, twice);
     let at = n.graphs["gone"].lsi;
     n.lsis[at] = None;
     let stray = PortNo(999);
     let to_stray = FlowMatch::in_port(n.physical["eth0"]).with_vlan(VlanSpec::Id(40));
     let l0 = n.lsi_mut(0);
     l0.switch.add_port(stray, "stray").unwrap();
-    l0.rule(0, 10, to_stray, vec![FlowAction::Output(stray)]);
+    sabotage(l0, to_stray, 10, vec![FlowAction::Output(stray)]);
     n
+}
+
+/// Install a rule no NF-FG compiles to, behind the orchestrator's back.
+fn sabotage(lsi: &mut Lsi, m: FlowMatch, priority: u16, actions: Vec<FlowAction>) {
+    let entry = FlowEntry::new(priority, m, actions);
+    lsi.switch.install(0, entry).unwrap();
 }
 
 /// One frame for `every_death_node`, with the port it enters by: the
@@ -1927,5 +1932,144 @@ fn an_updated_part_forwards_as_a_fresh_deploy() {
             )
         };
         assert_eq!(shape(&n), shape(&fresh), "case {case}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tables are their programs: what `apply_diff` leaves installed is
+// exactly what the deployed parts' programs list.
+// ---------------------------------------------------------------------
+
+/// A random part `id` (the `slot`-th of three) between eth0 and eth1:
+/// each endpoint untagged, on a VLAN of its own or in an internal
+/// group; zero to two bridges, some in containers, and sometimes a NAT
+/// the node shares with every other tenant that has one.
+fn random_part(rng: &mut un_sim::DetRng, id: &str, slot: u16) -> un_nffg::NfFg {
+    let mut b = NfFgBuilder::new(id, "random part");
+    for (ep, port) in [("lan", "eth0"), ("wan", "eth1")] {
+        b = match rng.index(3) {
+            0 => b.interface_endpoint(ep, port),
+            1 => b.vlan_endpoint(ep, port, 10 * (slot + 1) + 5 * rng.index(2) as u16),
+            _ => b.internal_endpoint(ep, "grp"),
+        };
+    }
+    let mut chain = Vec::new();
+    for nf in ["br-a", "br-b"] {
+        if rng.chance(0.5) {
+            b = b.nf(nf, "bridge", 2);
+            if rng.chance(0.3) {
+                b = b.with_flavor("docker");
+            }
+            chain.push(nf);
+        }
+    }
+    if rng.chance(0.5) {
+        let wan = format!("198.51.{}.1/24", 100 + slot);
+        b = b.nf_with_config("nat", "nat", 2, nat_config(&wan));
+        chain.insert(rng.index(chain.len() + 1), "nat");
+    }
+    b.chain("lan", &chain, "wan").build()
+}
+
+/// A table's entries, counters aside, in one order.
+fn rows(entries: impl IntoIterator<Item = (u16, u64, FlowMatch, Vec<FlowAction>)>) -> Vec<String> {
+    let mut rows: Vec<String> = entries.into_iter().map(|e| format!("{e:?}")).collect();
+    rows.sort();
+    rows
+}
+
+fn table_rows(lsi: &Lsi) -> Vec<String> {
+    let entries = lsi.switch.table().entries();
+    rows(entries.map(|e| (e.priority, e.cookie, e.matches.clone(), e.actions.to_vec())))
+}
+
+fn program_rows(
+    entries: &[FlowEntry],
+    at: Numbering<'_>,
+) -> Vec<(u16, u64, FlowMatch, Vec<FlowAction>)> {
+    let on = |e: &FlowEntry| {
+        let (priority, cookie, matches, actions) = view(e, at);
+        (priority, cookie, matches, actions.collect())
+    };
+    entries.iter().map(on).collect()
+}
+
+/// Each graph LSI holds exactly the entries and ports its program
+/// lists; LSI-0 holds every deployed part's LSI-0 entries plus the
+/// group rules, and besides its physical and attach ports exactly the
+/// parts' virtual-link ends.
+fn assert_tables_are_programs(n: &UniversalNode, tag: &str) {
+    let mut l0 = Vec::new();
+    let mut ends = Vec::new();
+    for (id, g) in &n.graphs {
+        let lsi = n.lsi(g.lsi);
+        let want = rows(program_rows(
+            &g.program.entries,
+            &numbering(&g.landed, false),
+        ));
+        assert_eq!(table_rows(lsi), want, "{tag}: LSI of {id}");
+        let mut ports: Vec<PortNo> = g.landed.iter().map(|(port, _)| *port).collect();
+        ports.sort_unstable();
+        assert_eq!(
+            lsi.ports.keys().copied().collect::<Vec<_>>(),
+            ports,
+            "{tag}: {id}"
+        );
+        l0.extend(program_rows(&g.program.l0, &numbering(&g.landed, true)));
+        ends.extend(g.landed.iter().filter_map(|(_, end)| *end));
+    }
+    for (group, members) in n.groups().into_iter().filter(|(_, m)| m.len() > 1) {
+        for &member in &members {
+            let others = members.iter().filter(|m| **m != member);
+            let outputs = others.map(|m| FlowAction::Output(*m)).collect();
+            l0.push((7, group_cookie(&group), FlowMatch::in_port(member), outputs));
+        }
+    }
+    assert_eq!(table_rows(n.lsi(0)), rows(l0), "{tag}: LSI-0");
+    let vlinks = n
+        .lsi(0)
+        .ports
+        .iter()
+        .filter(|(_, k)| matches!(k, PortKind::Vlink { .. }));
+    let mut found: Vec<PortNo> = vlinks.map(|(port, _)| *port).collect();
+    ends.sort_unstable();
+    found.sort_unstable();
+    assert_eq!(found, ends, "{tag}: LSI-0's virtual-link ends");
+}
+
+/// 32 random sequences of deploys, rules-only updates, structural
+/// updates and undeploys over three parts — VLAN, untagged and internal
+/// endpoints, containers, and a NAT two or three tenants share —
+/// refused ones included: after every step the tables equal the
+/// programs.
+#[test]
+fn the_tables_are_their_programs() {
+    let mut rng = un_sim::DetRng::new(51);
+    for case in 0..32 {
+        let mut n = node();
+        for step in 0..16 {
+            let slot = rng.index(3);
+            let id = ["a", "b", "c"][slot];
+            let op = match n.graph(id) {
+                None => {
+                    let part = random_part(&mut rng, id, slot as u16);
+                    ("deploy", n.deploy(&part).map(drop))
+                }
+                Some(_) if rng.chance(0.25) => ("undeploy", n.undeploy(id)),
+                Some(old) if rng.chance(0.5) => {
+                    let mut part = old.clone();
+                    for rule in &mut part.flow_rules {
+                        rule.priority += rng.index(2) as u16;
+                    }
+                    ("rules-only update", n.update(&part).map(drop))
+                }
+                Some(_) => {
+                    let part = random_part(&mut rng, id, slot as u16);
+                    ("structural update", n.update(&part).map(drop))
+                }
+            };
+            let tag = format!("case {case} step {step}: {} of {id} ({:?})", op.0, op.1);
+            assert_tables_are_programs(&n, &tag);
+        }
     }
 }

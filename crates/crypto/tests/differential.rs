@@ -1,4 +1,4 @@
-//! Differential suite: the lane-sliced ChaCha20 and 44-bit-limb Poly1305
+//! Differential suite: the lane-sliced ChaCha20 and radix-2^64 Poly1305
 //! in `src/` against the textbook implementations they replaced.
 //!
 //! [`oracle`] holds the scalar one-block-at-a-time ChaCha20 and the

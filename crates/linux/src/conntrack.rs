@@ -11,7 +11,7 @@
 //! rewritten `orig → trans`; replies matching `reverse(trans)` are
 //! rewritten back to `reverse(orig)`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Conntrack flow state.
@@ -83,11 +83,62 @@ struct ConnEntry {
 pub struct Conntrack {
     conns: Vec<ConnEntry>,
     lookup: HashMap<(u16, FlowTuple), usize>,
-    used_ports: HashSet<(u16, Ipv4Addr, u8, u16)>,
+    /// The NAT source ports reserved, per (zone, address, protocol).
+    used_ports: HashMap<(u16, Ipv4Addr, u8), PortSet>,
 }
 
 /// First port used for masquerade allocations (Linux default range).
 pub const NAT_PORT_MIN: u16 = 32768;
+
+/// A set of ports, one bit each.
+#[derive(Debug, Clone)]
+struct PortSet {
+    words: Box<[u64]>,
+    len: usize,
+}
+
+impl Default for PortSet {
+    fn default() -> Self {
+        PortSet {
+            words: vec![0; 1 << 10].into(),
+            len: 0,
+        }
+    }
+}
+
+impl PortSet {
+    fn contains(&self, port: u16) -> bool {
+        self.words[usize::from(port >> 6)] & (1 << (port & 63)) != 0
+    }
+
+    /// Add or remove `port`.
+    fn set(&mut self, port: u16, on: bool) {
+        if self.contains(port) != on {
+            self.words[usize::from(port >> 6)] ^= 1 << (port & 63);
+            self.len = if on { self.len + 1 } else { self.len - 1 };
+        }
+    }
+
+    /// The first port not in the set at or after `from` (≥
+    /// [`NAT_PORT_MIN`]), wrapping from the top to `NAT_PORT_MIN`: a
+    /// scan of at most one word per 64 ports.
+    fn first_free(&self, from: u16) -> Option<u16> {
+        let free_from = |lo: u16, hi: u16| {
+            let (first, last) = (usize::from(lo >> 6), usize::from(hi >> 6));
+            (first..=last).find_map(|w| {
+                let below = if w == first {
+                    (1u64 << (lo & 63)) - 1
+                } else {
+                    0
+                };
+                let free = !(self.words[w] | below);
+                let port = (w << 6) as u32 + free.trailing_zeros();
+                (free != 0 && port <= u32::from(hi)).then_some(port as u16)
+            })
+        };
+        free_from(from, u16::MAX).or_else(|| free_from(NAT_PORT_MIN, from.checked_sub(1)?))
+    }
+}
 
 impl Conntrack {
     /// An empty table.
@@ -107,7 +158,7 @@ impl Conntrack {
 
     /// NAT source ports reserved.
     pub fn nat_ports(&self) -> usize {
-        self.used_ports.len()
+        self.used_ports.values().map(|ports| ports.len).sum()
     }
 
     /// True if nothing is tracked.
@@ -152,30 +203,31 @@ impl Conntrack {
         }
     }
 
-    /// Apply an SNAT/masquerade decision. If the requested (or current)
-    /// source port collides with another translation to the same
-    /// address, a fresh port is allocated deterministically from
-    /// [`NAT_PORT_MIN`].
-    pub fn set_snat(&mut self, id: ConnId, to: Ipv4Addr, port: Option<u16>) {
+    /// Apply an SNAT/masquerade decision, and return the source port
+    /// the connection takes: the requested (or current) one, or — if
+    /// it collides with another translation to the same address — the
+    /// first free one at or after it in [`NAT_PORT_MIN`]..=65535,
+    /// wrapping (from `NAT_PORT_MIN` for a port below the range). `None`
+    /// when every port of the range is taken: the connection is left
+    /// untranslated, for its frame to be dropped.
+    pub fn set_snat(&mut self, id: ConnId, to: Ipv4Addr, port: Option<u16>) -> Option<u16> {
         let c = &mut self.conns[id.0];
         debug_assert!(!c.confirmed, "NAT after confirmation is invalid");
-        c.trans.src = to;
-        let zone = c.zone;
-        let proto = c.trans.proto;
-        let mut candidate = port.unwrap_or(c.trans.sport);
-        if candidate == 0 {
-            candidate = NAT_PORT_MIN;
+        let mut want = port.unwrap_or(c.trans.sport);
+        if want == 0 {
+            want = NAT_PORT_MIN;
         }
-        while self.used_ports.contains(&(zone, to, proto, candidate)) {
-            candidate = if candidate < NAT_PORT_MIN {
-                NAT_PORT_MIN
-            } else {
-                candidate.checked_add(1).unwrap_or(NAT_PORT_MIN)
-            };
-        }
-        self.conns[id.0].trans.sport = candidate;
-        self.conns[id.0].reserved = true;
-        self.used_ports.insert((zone, to, proto, candidate));
+        let ports = self
+            .used_ports
+            .entry((c.zone, to, c.trans.proto))
+            .or_default();
+        let port = match ports.contains(want) {
+            false => want,
+            true => ports.first_free(want.max(NAT_PORT_MIN))?,
+        };
+        ports.set(port, true);
+        (c.trans.src, c.trans.sport, c.reserved) = (to, port, true);
+        Some(port)
     }
 
     /// Confirm a connection after POSTROUTING: it becomes visible to
@@ -209,7 +261,9 @@ impl Conntrack {
         let c = self.conns.pop().expect("looked up above");
         if c.reserved {
             let t = c.trans;
-            self.used_ports.remove(&(c.zone, t.src, t.proto, t.sport));
+            if let Some(ports) = self.used_ports.get_mut(&(c.zone, t.src, t.proto)) {
+                ports.set(t.sport, false);
+            }
         }
     }
 
@@ -260,7 +314,7 @@ impl Conntrack {
     /// (the zone's owner left; the next one must not inherit its state).
     pub fn flush_zone(&mut self, zone: u16) {
         self.conns.retain(|c| c.zone != zone);
-        self.used_ports.retain(|(z, ..)| *z != zone);
+        self.used_ports.retain(|&(z, ..), _| z != zone);
         self.lookup.clear();
         for (i, c) in self.conns.iter().enumerate().filter(|(_, c)| c.confirmed) {
             self.lookup.insert((c.zone, c.orig), i);
@@ -289,6 +343,46 @@ mod tests {
             sport,
             dport,
         }
+    }
+
+    /// `set_snat` takes the port the linear probe it replaced took —
+    /// the requested one if free, else the first free one at or after
+    /// it (from `NAT_PORT_MIN` for one below the range), wrapping — over
+    /// random requests near both ends of the range, aborted flows giving
+    /// their ports back.
+    #[test]
+    fn a_snat_port_is_the_first_free_at_or_after_its_start() {
+        let mut rng = un_sim::DetRng::new(24);
+        let mut ct = Conntrack::new();
+        let mut used = std::collections::HashSet::new();
+        let to = Ipv4Addr::new(203, 0, 113, 1);
+        for i in 0..4000u32 {
+            let sport = match rng.index(4) {
+                0 => 1000,
+                1 => 65530 + rng.index(6) as u16,
+                2 => NAT_PORT_MIN + rng.index(8) as u16,
+                _ => 0,
+            };
+            let id = ct.begin(
+                0,
+                tuple((0x0a00_0000 + i).to_be_bytes(), sport, [8, 8, 8, 8], 53),
+            );
+            let mut probe = if sport == 0 { NAT_PORT_MIN } else { sport };
+            while used.contains(&probe) {
+                probe = match probe {
+                    p if p < NAT_PORT_MIN => NAT_PORT_MIN,
+                    p => p.checked_add(1).unwrap_or(NAT_PORT_MIN),
+                };
+            }
+            assert_eq!(ct.set_snat(id, to, None), Some(probe), "flow {i}");
+            if rng.chance(0.3) {
+                ct.abort(id);
+            } else {
+                ct.confirm(id);
+                used.insert(probe);
+            }
+        }
+        assert_eq!(ct.nat_ports(), used.len());
     }
 
     #[test]

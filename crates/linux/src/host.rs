@@ -81,6 +81,7 @@ un_sim::counters! {
         icmp_echo_requests,
         icmp_other,
         loop_drops,
+        nat_ports_exhausted,
         neigh_queue_drops,
         no_route,
         rx_bad_ip,
@@ -1055,7 +1056,10 @@ impl Host {
                 };
                 let ct = &mut self.namespaces[ns.0 as usize].conntrack;
                 if let Some(to) = snat {
-                    ct.set_snat(conn, to, None);
+                    if ct.set_snat(conn, to, None).is_none() {
+                        self.trace.nat_ports_exhausted += 1;
+                        break 'tracked;
+                    }
                 }
                 // Apply any SNAT decided just now.
                 let want = ct.rewrite(conn, dir);

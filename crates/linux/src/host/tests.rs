@@ -861,3 +861,76 @@ fn the_fdb_memo_is_invisible() {
         }
     }
 }
+
+/// One tenant opening more flows of one protocol than its masquerade
+/// has ports: the first flow keeps its source port 1000, the next
+/// 32,768 take 32768–65535, and the 32,770th — whose port probe once
+/// never returned, hanging the node — is dropped promptly under
+/// `nat_ports_exhausted`. The earlier flows keep their translations.
+/// Run on a thread with a timeout, so that a hang fails the test.
+#[test]
+fn an_exhausted_nat_drops_the_flow_and_keeps_the_rest() {
+    const FLOWS: u32 = 32_770;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let mut h = Host::new("nat", CostModel::default());
+        let ns = h.add_namespace("nat");
+        let lan = h.add_external(ns, "lan", 1).unwrap();
+        let wan = h.add_external(ns, "wan", 2).unwrap();
+        h.addr_add(lan, cidr("10.0.0.1/8")).unwrap();
+        h.addr_add(wan, cidr("203.0.113.1/24")).unwrap();
+        for i in [lan, wan] {
+            h.set_up(i, true).unwrap();
+        }
+        h.sysctl_ip_forward(ns, true).unwrap();
+        let gw = Ipv4Addr::new(203, 0, 113, 254);
+        let main = crate::route::MAIN_TABLE;
+        h.route_add(ns, main, cidr("0.0.0.0/0"), Some(gw), wan, 0)
+            .unwrap();
+        h.neigh_add(ns, gw, MacAddr::local(9)).unwrap();
+        let masquerade = NfRule::new(
+            RuleMatch {
+                out_iface: Some(wan),
+                ..Default::default()
+            },
+            Target::Masquerade,
+        );
+        h.nf_append(ns, NfTable::Nat, Chain::Postrouting, masquerade)
+            .unwrap();
+        let lan_mac = h.iface(lan).unwrap().mac;
+        // Flow `i` is UDP from 10.0.1.0 + i, port 1000, to one server;
+        // what leaves is its translated source port.
+        let send = |h: &mut Host, i: u32| {
+            let pkt = un_packet::PacketBuilder::new()
+                .ethernet(MacAddr::local(1), lan_mac)
+                .ipv4(
+                    Ipv4Addr::from(0x0a00_0100 + i),
+                    Ipv4Addr::new(198, 51, 100, 7),
+                )
+                .udp(1000, 53)
+                .payload(b"q")
+                .build();
+            let out = h.inject(lan, pkt).emitted;
+            let udp = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN;
+            out.first()
+                .map(|(_, p)| u16::from_be_bytes([p.data()[udp], p.data()[udp + 1]]))
+        };
+        let first: Vec<Option<u16>> = (0..FLOWS).map(|i| send(&mut h, i)).collect();
+        let again: Vec<Option<u16>> = [0, 5, FLOWS - 2].map(|i| send(&mut h, i)).into();
+        let _ = tx.send((first, again, h.trace.nat_ports_exhausted));
+    });
+    let timeout = std::time::Duration::from_secs(120);
+    let (first, again, exhausted) = rx.recv_timeout(timeout).expect("the NAT answers");
+    run.join().expect("the run ends once it has answered");
+    assert_eq!(first[0], Some(1000));
+    for (i, port) in first.iter().enumerate().take(FLOWS as usize - 1).skip(1) {
+        assert_eq!(*port, Some(32_767 + i as u16), "flow {i}");
+    }
+    assert_eq!(
+        first[FLOWS as usize - 1],
+        None,
+        "the 32,770th flow is dropped"
+    );
+    assert_eq!(exhausted, 1);
+    assert_eq!(again, [Some(1000), Some(32_772), Some(65_535)]);
+}

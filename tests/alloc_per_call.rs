@@ -111,14 +111,18 @@ const CALLS: usize = 16;
 /// node rebuilt a whole part — every NF, port and rule — on any change
 /// to its NFs or endpoints, and its memory admission walked every
 /// account on the node; 889 while a graph diff collected both graphs'
-/// endpoint ids into vectors to compare them.)
-const DOMAIN_UPDATE_ALLOCS: u64 = 881;
+/// endpoint ids into vectors to compare them; 881 while a node's flip
+/// wrote only what changed straight into its tables, before each update
+/// lowered the whole part into an `LsiProgram` — its port keys and flow
+/// entries — and applied the diff from the old one.)
+const DOMAIN_UPDATE_ALLOCS: u64 = 902;
 
 /// The incremental `Domain::verify` after that update: lowering the
 /// touched graph and its hosts, and checking them. (510 while lowering
 /// copied each re-checked graph's NF-FG and parts, each rule's action
-/// list, and each link's graph id and path.)
-const DOMAIN_VERIFY_ALLOCS: u64 = 288;
+/// list, and each link's graph id and path; 288 while `rule_cookie`
+/// formatted `<graph>/<rule>` into a string to hash it.)
+const DOMAIN_VERIFY_ALLOCS: u64 = 252;
 
 fn chain() -> NfFg {
     NfFgBuilder::new("g1", "alloc-chain")
