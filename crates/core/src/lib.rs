@@ -36,3 +36,7 @@ pub use placement::{decide, Decision};
 /// The NF config compiler and what it makes, for the layers above the
 /// node (the domain's planner compiles before its first node call).
 pub use un_nnf::{compile, CompileError, NnfError, Programs};
+/// The switch crate the node's LSIs are built from, for the layers that
+/// read them ([`UniversalNode::lsis`]): the domain's verifier audits
+/// LSI-0 traffic class by traffic class.
+pub use un_switch;

@@ -61,7 +61,7 @@ use un_sim::mem::format_bytes;
 use un_sim::{AccountId, Cost, CostModel, MemLedger, SimTime};
 use un_switch::{
     Backend, FlowAction, FlowEntry, FlowMatch, LogicalSwitch, LookupPath, PipelineStep, PortNo,
-    ProcessOptions, VlanSpec,
+    ProcessOptions, TrafficClass, VlanSpec,
 };
 
 use crate::placement::{decide, Decision, NativeStatus};
@@ -169,6 +169,12 @@ impl Name {
     /// The underlying string.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// The interned string itself, shared: a reader that keeps the name
+    /// bumps a count instead of copying it.
+    pub fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
     }
 }
 
@@ -345,27 +351,143 @@ fn view<'a>(
     (e.priority, e.cookie, matches, actions)
 }
 
-/// True if `a` numbered by `a_at` is `b` numbered by `b_at`. Priority,
-/// cookie and port go first: most entries of a table differ in one.
-fn alike(a: &FlowEntry, a_at: Numbering<'_>, b: &FlowEntry, b_at: Numbering<'_>) -> bool {
-    (a.priority, a.cookie) == (b.priority, b.cookie)
-        && a.matches.in_port.map(a_at) == b.matches.in_port.map(b_at)
-        && {
-            let ((.., ma, xa), (.., mb, xb)) = (view(a, a_at), view(b, b_at));
-            ma == mb && xa.eq(xb)
-        }
+/// What a program diff joins entries on: priority, cookie and ingress
+/// port, numbered as the entry's LSI numbers it. Most entries of a
+/// table differ in one of them.
+type DiffKey = (u16, u64, Option<PortNo>);
+
+fn diff_key(e: &FlowEntry, at: Numbering<'_>) -> DiffKey {
+    (e.priority, e.cookie, e.matches.in_port.map(at))
 }
 
-/// The entries of `a` that `b` lacks, each numbered by its own `at`.
-fn only<'a>(
-    a: &'a [FlowEntry],
-    a_at: Numbering<'_>,
-    b: &[FlowEntry],
-    b_at: Numbering<'_>,
-) -> Vec<&'a FlowEntry> {
-    a.iter()
-        .filter(|x| !b.iter().any(|y| alike(x, a_at, y, b_at)))
-        .collect()
+/// True if `a` numbered by `a_at` is `b` numbered by `b_at`: their
+/// [`DiffKey`]s first, then the rest of the match and the actions,
+/// compared in place.
+fn alike(a: &FlowEntry, a_at: Numbering<'_>, b: &FlowEntry, b_at: Numbering<'_>) -> bool {
+    if diff_key(a, a_at) != diff_key(b, b_at) {
+        return false;
+    }
+    let FlowMatch {
+        in_port: _,
+        eth_src,
+        eth_dst,
+        eth_type,
+        vlan,
+        ip_src,
+        ip_dst,
+        ip_proto,
+        l4_src,
+        l4_dst,
+        fwmark,
+    } = &a.matches;
+    let m = &b.matches;
+    let same_match = (eth_src, eth_dst, eth_type, vlan, ip_src, ip_dst)
+        == (
+            &m.eth_src,
+            &m.eth_dst,
+            &m.eth_type,
+            &m.vlan,
+            &m.ip_src,
+            &m.ip_dst,
+        )
+        && (ip_proto, l4_src, l4_dst, fwmark) == (&m.ip_proto, &m.l4_src, &m.l4_dst, &m.fwmark);
+    same_match
+        && a.actions.len() == b.actions.len()
+        && a.actions
+            .iter()
+            .zip(b.actions.iter())
+            .all(|pair| match pair {
+                (FlowAction::Output(x), FlowAction::Output(y)) => a_at(*x) == b_at(*y),
+                (x, y) => x == y,
+            })
+}
+
+/// A program entry in a diff: its side and its index, as one word.
+type DiffTag = u32;
+
+/// The mark of an entry of the new program; an old one's has none.
+const WILL: DiffTag = 1 << 31;
+
+/// The tag of an entry the other program lacks.
+const ALONE: DiffTag = 1 << 30;
+
+/// The entries of `was` that `will` lacks and those of `will` that
+/// `was` lacks, each numbered by its own `at`, written to `out` as
+/// tags — `i` for `was[i]`, then `WILL | j` for `will[j]`, each side in
+/// its own order. Both lists are joined on their [`DiffKey`]: a word
+/// per entry, sorted together once, so only entries that share a key
+/// are compared; two lists alike entry by entry, an untouched side's,
+/// are told apart without sorting. `out`'s buffer is the caller's, so a
+/// warm diff allocates nothing.
+fn diff(
+    was: &[FlowEntry],
+    was_at: Numbering<'_>,
+    will: &[FlowEntry],
+    will_at: Numbering<'_>,
+    out: &mut Vec<(u64, DiffTag)>,
+) {
+    out.clear();
+    let same = was.len() == will.len();
+    if same
+        && was
+            .iter()
+            .zip(will)
+            .all(|(a, b)| alike(a, was_at, b, will_at))
+    {
+        return;
+    }
+    // Equal keys give equal words; two keys sharing a word only share
+    // a group, where every pair is compared whole.
+    let word = |e: &FlowEntry, at: Numbering<'_>| {
+        let (priority, cookie, port) = diff_key(e, at);
+        let port = port.map_or(1 << 32, |p| u64::from(p.0));
+        cookie.rotate_left(16) ^ u64::from(priority) ^ port << 24
+    };
+    let tags = |side: DiffTag, n: usize| (0..n as DiffTag).map(move |i| side | i);
+    if was.is_empty() || will.is_empty() {
+        // A deploy or a teardown: one side is all there is.
+        out.extend(
+            tags(0, was.len())
+                .chain(tags(WILL, will.len()))
+                .map(|t| (0, t)),
+        );
+        return;
+    }
+    out.extend(
+        was.iter()
+            .zip(tags(0, was.len()))
+            .map(|(e, t)| (word(e, was_at), t)),
+    );
+    out.extend(
+        will.iter()
+            .zip(tags(WILL, will.len()))
+            .map(|(e, t)| (word(e, will_at), t)),
+    );
+    out.sort_unstable();
+    let entry = |tag: DiffTag| match tag & WILL {
+        0 => (&was[(tag & !(WILL | ALONE)) as usize], was_at),
+        _ => (&will[(tag & !(WILL | ALONE)) as usize], will_at),
+    };
+    let mut lo = 0;
+    while lo < out.len() {
+        let len = out[lo..].partition_point(|x| x.0 == out[lo].0);
+        // A group lists its `was` entries before its `will` entries.
+        let split = out[lo..lo + len].partition_point(|x| x.1 & WILL == 0);
+        for k in 0..len {
+            let (e, at) = entry(out[lo + k].1);
+            let mut others = if k < split { split..len } else { 0..split };
+            let matched = others.any(|o| {
+                let (f, f_at) = entry(out[lo + o].1);
+                alike(e, at, f, f_at)
+            });
+            if !matched {
+                out[lo + k].1 |= ALONE;
+            }
+        }
+        lo += len;
+    }
+    out.retain(|x| x.1 & ALONE != 0);
+    out.sort_unstable_by_key(|x| x.1);
 }
 
 /// What an LSI port leads to.
@@ -618,6 +740,8 @@ pub struct UniversalNode {
     frame_ledger: FrameLedger,
     /// The buffers every walk through the fabric borrows.
     walk_scratch: WalkScratch,
+    /// The buffer every program diff borrows.
+    diff_scratch: Vec<(u64, DiffTag)>,
     mem_capacity: u64,
     /// Observability handle; `None` when disabled so the hot path pays
     /// only `Option` checks.
@@ -856,6 +980,7 @@ impl UniversalNode {
             trace: NodeCounters::default(),
             frame_ledger: FrameLedger::default(),
             walk_scratch: WalkScratch::default(),
+            diff_scratch: Vec::new(),
             mem_capacity,
             obs: None,
             obs_nf_hist: BTreeMap::new(),
@@ -1678,6 +1803,7 @@ impl UniversalNode {
             let add = || self.add_part_port(graph, key);
             now.push(kept.map_or_else(add, |i| landed[i]));
         }
+        let mut changed = mem::take(&mut self.diff_scratch);
         for l0 in [false, true] {
             let Some(lsi) = self.lsis[if l0 { 0 } else { at }].as_mut() else {
                 continue; // a teardown frees the graph's LSI first
@@ -1687,17 +1813,25 @@ impl UniversalNode {
                 true => (&old.l0, &new.l0),
             };
             let (was_at, will_at) = (&numbering(landed, l0), &numbering(&now, l0));
-            let gone = only(was, was_at, will, will_at);
             let switch = &mut lsi.switch;
-            if !gone.is_empty() {
-                switch.remove_where(|e| gone.iter().any(|x| alike(e, &|no| no, x, was_at)));
-            }
-            for x in only(will, will_at, was, was_at) {
-                let (priority, cookie, matches, actions) = view(x, will_at);
-                let entry = flow_entry(priority, matches, actions.collect(), cookie);
-                switch.install(0, entry).expect("table 0 exists");
+            // What leaves goes first, each entry straight out of its
+            // traffic class; what comes is installed in `will`'s order.
+            diff(was, was_at, will, will_at, &mut changed);
+            for &(_, tag) in &changed {
+                let i = (tag & !(WILL | ALONE)) as usize;
+                if tag & WILL != 0 {
+                    let (priority, cookie, matches, actions) = view(&will[i], will_at);
+                    let entry = flow_entry(priority, matches, actions.collect(), cookie);
+                    switch.install(0, entry).expect("table 0 exists");
+                } else {
+                    let x = &was[i];
+                    let class = TrafficClass::new(x.matches.in_port.map(was_at), x.matches.vlan);
+                    let gone = switch.remove_first(class, |e| alike(e, &|no| no, x, was_at));
+                    debug_assert!(gone, "a program's entry is installed");
+                }
             }
         }
+        self.diff_scratch = changed;
         for (key, &(port, end)) in old.ports.iter().zip(landed) {
             if !new.ports.contains(key) {
                 if let Some(lsi) = self.lsis[at].as_mut() {
@@ -2284,6 +2418,14 @@ impl UniversalNode {
     /// analysis and table dumps.
     pub fn lsis(&self) -> impl Iterator<Item = (Option<&str>, &un_switch::LogicalSwitch)> {
         self.entries().map(|(graph, lsi)| (graph, &lsi.switch))
+    }
+
+    /// LSI-0's switch, writable by hand: for tests that corrupt a node's
+    /// tables under its orchestrator, as a faulty node would. The node
+    /// itself writes its tables only through its programs and groups.
+    #[doc(hidden)]
+    pub fn base_switch_mut(&mut self) -> &mut un_switch::LogicalSwitch {
+        &mut self.lsi_mut(0).switch
     }
 }
 

@@ -46,7 +46,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use un_core::{CompileError, DeployReport, Name, NnfError, UniversalNode};
@@ -471,6 +471,9 @@ struct LinkState {
 
 #[derive(Clone)]
 struct DomainGraph {
+    /// The graph's id, shared with its links and every verifier
+    /// snapshot.
+    id: Arc<str>,
     /// The tenant's NF-FG, shared with every verifier snapshot.
     original: Arc<NfFg>,
     hints: DeployHints,
@@ -479,7 +482,17 @@ struct DomainGraph {
     /// endpoints without re-deriving them from the partition).
     endpoints: BTreeMap<String, String>,
     partition: Partition,
+    /// The partition's links and install receipt as the verifier reads
+    /// them, built by the first snapshot that lowers the graph. A commit
+    /// replaces the whole entry, so they never go stale.
+    lowered: OnceLock<LoweredPlan>,
 }
+
+/// A graph's links and expected rules, lowered for the verifier.
+type LoweredPlan = (
+    Arc<Vec<un_verify::snapshot::GraphLink>>,
+    Arc<Vec<un_verify::snapshot::ExpectedRule>>,
+);
 
 /// A graph no surviving fleet could host: its spec, its hints pruned to
 /// the survivors, and when it lost service (stamped when it returns).

@@ -275,6 +275,9 @@ impl Domain {
                 }
             }
         }
+        let id: Arc<str> = old
+            .as_ref()
+            .map_or_else(|| gid.into(), |g| Arc::clone(&g.id));
         let mut links_up = 0u64;
         let minted_before = self.link_epoch;
         let (seed, epoch) = (self.config.seed, &mut self.link_epoch);
@@ -289,7 +292,7 @@ impl Domain {
                 Entry::Vacant(slot) => {
                     let sas = self.config.protect_overlay.then(|| fresh_sas(link.vid));
                     slot.insert(LinkState {
-                        graph: gid.into(),
+                        graph: Arc::clone(&id),
                         path: path[..].into(),
                         hop_latency_ns: hop_latencies(&self.config, path),
                         sas,
@@ -328,11 +331,13 @@ impl Domain {
         self.graphs.insert(
             gid.to_string(),
             DomainGraph {
+                id,
                 original: Arc::new(graph.clone()),
                 hints,
                 assignment: plan.assignment,
                 endpoints: plan.endpoints,
                 partition: plan.partition,
+                lowered: std::sync::OnceLock::new(),
             },
         );
         Ok(done)

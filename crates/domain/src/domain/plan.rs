@@ -74,6 +74,11 @@ impl VidPool {
         self.free_vids.extend(vids);
     }
 
+    /// The next id to mint: every id below it (from the base) was.
+    pub(super) fn next(&self) -> u16 {
+        self.next_vid
+    }
+
     /// `(next id to mint, free ids in ascending order)`.
     pub(super) fn accounting(&self) -> (u16, Vec<u16>) {
         let mut free = self.free_vids.clone();

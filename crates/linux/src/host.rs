@@ -78,6 +78,7 @@ un_sim::counters! {
     pub struct HostCounters {
         arp_replies,
         arp_requests,
+        fdb_learn_refused,
         icmp_echo_requests,
         icmp_other,
         loop_drops,
@@ -771,7 +772,11 @@ impl Host {
             let IfaceKind::Bridge { fdb, .. } = &mut self.ifaces[bridge_id.0 as usize].kind else {
                 return;
             };
-            fdb.learn(src, member);
+            // A full table learns no new source (Linux's
+            // `fdb_max_learned`); the frame goes on regardless.
+            if !fdb.learn(src, member) {
+                self.trace.fdb_learn_refused += 1;
+            }
             if dst == bridge_mac {
                 (false, true)
             } else if dst.is_broadcast() || dst.is_multicast() {

@@ -862,6 +862,46 @@ fn the_fdb_memo_is_invisible() {
     }
 }
 
+/// A sender cycling source MACs fills a bridge's FDB to
+/// `FDB_MAX_LEARNED` and no further: 10,000 random sources all get
+/// through, flooding, the ones past the bound are counted under
+/// `fdb_learn_refused`, and stations learned before the flood are still
+/// reached unicast.
+#[test]
+fn a_full_fdb_learns_no_new_source_and_still_forwards() {
+    use crate::iface::FDB_MAX_LEARNED;
+    let (mut h, ns, p1) = three_port_bridge();
+    let br = h.iface_by_name(ns, "br0").unwrap().id;
+    let p2 = h.iface_by_name(ns, "p2").unwrap().id;
+    let p3 = h.iface_by_name(ns, "p3").unwrap().id;
+    let (station, peer) = (MacAddr::local(20), MacAddr::local(21));
+    assert_eq!(tags(&h.inject(p2, bridged(station, peer))), [1, 3]);
+
+    let mut rng = un_sim::DetRng::new(0xfdb);
+    for _ in 0..10_000 {
+        let mut octets = [0u8; 6];
+        octets.iter_mut().for_each(|o| *o = rng.index(256) as u8);
+        octets[0] = (octets[0] & 0xfe) | 0x02; // unicast, locally administered
+        let res = h.inject(p1, bridged(MacAddr(octets), peer));
+        assert_eq!(tags(&res), [2, 3], "an unknown destination floods");
+    }
+    let learned = fdb_len(&h, br);
+    assert_eq!(learned, FDB_MAX_LEARNED);
+    let refused = h.trace.counter("fdb_learn_refused");
+    assert_eq!(refused, 10_000 - (FDB_MAX_LEARNED as u64 - 1));
+
+    // What the bridge learned before the flood still goes unicast, and
+    // a known station may still move.
+    assert_eq!(tags(&h.inject(p1, bridged(peer, station))), [2]);
+    assert_eq!(tags(&h.inject(p3, bridged(station, peer))), [1, 2]);
+    assert_eq!(
+        tags(&h.inject(p1, bridged(peer, station))),
+        [3],
+        "moved to p3"
+    );
+    assert_eq!(fdb_len(&h, br), FDB_MAX_LEARNED);
+}
+
 /// One tenant opening more flows of one protocol than its masquerade
 /// has ports: the first flow keeps its source port 1000, the next
 /// 32,768 take 32768–65535, and the 32,770th — whose port probe once

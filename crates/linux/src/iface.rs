@@ -49,6 +49,17 @@ pub enum IfaceKind {
     },
 }
 
+/// The most source MACs one bridge learns. Linux bounds a bridge's
+/// learned entries with `IFLA_BR_FDB_MAX_LEARNED` (`ip link set br0 type
+/// bridge fdb_max_learned N`, Linux 6.8): once the bridge holds that
+/// many, a new source is not learned and its frames still forward or
+/// flood as before. The kernel's default is 0, no bound; here every
+/// bridge has one, because source MACs are chosen by whoever sends, and
+/// a sender cycling them would otherwise grow one bridge without end.
+/// The bound is far above what any bridge a graph builds sees — its
+/// frames carry a handful of stations.
+pub const FDB_MAX_LEARNED: usize = 4096;
+
 /// A bridge's forwarding database: MAC → member, a keyed `HashMap`
 /// (its own `RandomState`: source MACs are attacker-chosen) behind a
 /// memo of the last pair learned and the last destination looked up.
@@ -61,7 +72,8 @@ pub enum IfaceKind {
 /// holds: learning the memoised pair is a no-op because the map has it
 /// already, a learn that changes the map clears the lookup memo, and
 /// [`Fdb::forget_port`] clears both. A sender who alternates MACs pays
-/// one compare more per frame, never a collision chain.
+/// one compare more per frame, never a collision chain, and holds at
+/// most [`FDB_MAX_LEARNED`] entries of it.
 #[derive(Debug, Clone, Default)]
 pub struct Fdb {
     map: HashMap<MacAddr, IfaceId>,
@@ -72,15 +84,20 @@ pub struct Fdb {
 }
 
 impl Fdb {
-    /// Learn (or move) `mac` onto member `port`.
-    pub fn learn(&mut self, mac: MacAddr, port: IfaceId) {
+    /// Learn (or move) `mac` onto member `port`; `false` when the table
+    /// is full and `mac` is new to it, which leaves it unlearned.
+    pub fn learn(&mut self, mac: MacAddr, port: IfaceId) -> bool {
         if self.learned == Some((mac, port)) {
-            return;
+            return true;
+        }
+        if self.map.len() >= FDB_MAX_LEARNED && !self.map.contains_key(&mac) {
+            return false;
         }
         self.learned = Some((mac, port));
         if self.map.insert(mac, port) != Some(port) {
             self.looked_up = None;
         }
+        true
     }
 
     /// The member `mac` was learned on, if any.

@@ -20,6 +20,105 @@ pub enum VlanSpec {
     AnyTagged,
 }
 
+/// The traffic an entry can see, as far as its ingress port and VLAN
+/// tell: the exact `(in_port, VLAN)` it pins, its whole port's when it
+/// pins a port but not one VLAN state, the whole table's when it pins
+/// no port. Two entries of classes that do not [`meet`] accept no
+/// common frame — they pin different ports, or one port and two
+/// exclusive VLAN states — so neither can hide the other.
+///
+/// The order groups a port's classes, its whole-port class first.
+///
+/// [`meet`]: TrafficClass::meets
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TrafficClass {
+    /// Every port's traffic: an entry with a wildcard port.
+    Table,
+    /// One port's traffic, as far as [`ClassVlan`] narrows it.
+    Port(PortNo, ClassVlan),
+}
+
+/// The VLAN part of a port's [`TrafficClass`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ClassVlan {
+    /// Any VLAN state: a wildcard or any-tagged constraint.
+    Any,
+    /// Untagged frames only.
+    Untagged,
+    /// Frames tagged with this vid only.
+    Id(u16),
+}
+
+impl TrafficClass {
+    /// The class of an entry matching `in_port` and `vlan`.
+    pub fn new(in_port: Option<PortNo>, vlan: Option<VlanSpec>) -> Self {
+        let Some(port) = in_port else {
+            return TrafficClass::Table;
+        };
+        let vlan = match vlan {
+            Some(VlanSpec::Untagged) => ClassVlan::Untagged,
+            Some(VlanSpec::Id(vid)) => ClassVlan::Id(vid),
+            Some(VlanSpec::AnyTagged) | None => ClassVlan::Any,
+        };
+        TrafficClass::Port(port, vlan)
+    }
+
+    /// The class of an entry with match `m`.
+    pub fn of(m: &FlowMatch) -> Self {
+        TrafficClass::new(m.in_port, m.vlan)
+    }
+
+    /// Whether an entry of this class and one of `other` may accept a
+    /// common frame: one class holds the other, or they are one.
+    pub fn meets(self, other: TrafficClass) -> bool {
+        match (self, other) {
+            (TrafficClass::Table, _) | (_, TrafficClass::Table) => true,
+            (TrafficClass::Port(p, a), TrafficClass::Port(q, b)) => {
+                p == q && (a == b || a == ClassVlan::Any || b == ClassVlan::Any)
+            }
+        }
+    }
+
+    /// The class as one word, ordered as the classes are: what an index
+    /// of classes — the flow table's own — sorts and searches by.
+    pub fn key(self) -> u64 {
+        match self {
+            TrafficClass::Table => 0,
+            TrafficClass::Port(port, vlan) => {
+                let vlan = match vlan {
+                    ClassVlan::Any => 0,
+                    ClassVlan::Untagged => 1,
+                    ClassVlan::Id(vid) => 2 + u64::from(vid),
+                };
+                (u64::from(port.0) + 1) << Self::VLAN_BITS | vlan
+            }
+        }
+    }
+
+    /// The class a [`TrafficClass::key`] stands for.
+    pub fn from_key(key: u64) -> Self {
+        if key == 0 {
+            return TrafficClass::Table;
+        }
+        let port = PortNo(((key >> Self::VLAN_BITS) - 1) as u32);
+        let vlan = match key & ((1 << Self::VLAN_BITS) - 1) {
+            0 => ClassVlan::Any,
+            1 => ClassVlan::Untagged,
+            id => ClassVlan::Id((id - 2) as u16),
+        };
+        TrafficClass::Port(port, vlan)
+    }
+
+    /// The keys of port `port`'s classes: `[first, end)`.
+    pub(crate) fn port_keys(port: PortNo) -> (u64, u64) {
+        let first = TrafficClass::Port(port, ClassVlan::Any).key();
+        (first, first + (1 << Self::VLAN_BITS))
+    }
+
+    /// Bits of a key below the port: a vid and the two states besides.
+    const VLAN_BITS: u32 = 17;
+}
+
 /// A flow match; `None` fields are wildcards.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowMatch {

@@ -31,7 +31,9 @@ pub mod key;
 pub mod lsi;
 pub mod table;
 
-pub use flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch, VlanSpec};
+pub use flow::{
+    ClassVlan, CompiledMatch, FlowAction, FlowEntry, FlowMatch, TrafficClass, VlanSpec,
+};
 pub use key::{PackedKey, PacketKey};
 pub use lsi::{
     Backend, LogicalSwitch, PipelineStep, PortNo, ProcessOptions, ProcessResult, Processed,

@@ -13,7 +13,7 @@ use std::fmt;
 use un_packet::Packet;
 use un_sim::{Cost, CostModel};
 
-use crate::flow::{FlowAction, FlowEntry};
+use crate::flow::{FlowAction, FlowEntry, TrafficClass};
 use crate::table::{FlowTable, LookupHit, LookupPath, TableStats};
 
 /// A switch port number.
@@ -212,9 +212,14 @@ impl LogicalSwitch {
         self.table.remove_by_cookie(cookie)
     }
 
-    /// Remove every entry `gone` picks; returns count.
-    pub fn remove_where(&mut self, gone: impl FnMut(&FlowEntry) -> bool) -> usize {
-        self.table.remove_where(gone)
+    /// Remove the first entry of `class` that `gone` picks
+    /// ([`FlowTable::remove_first`]); returns whether one went.
+    pub fn remove_first(
+        &mut self,
+        class: TrafficClass,
+        gone: impl FnMut(&FlowEntry) -> bool,
+    ) -> bool {
+        self.table.remove_first(class, gone)
     }
 
     /// Installed entries.

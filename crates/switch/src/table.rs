@@ -72,17 +72,28 @@
 //!
 //! Every rule carries an order key — priority descending, then
 //! insertion order — so "first match wins" reduces to "smallest key
-//! wins" across all mask tables. The reference they are tested and benchmarked against — a
-//! first-match scan over [`FlowTable::entries`] — lives with its users
-//! (`tests/properties.rs`), not here.
+//! wins" across all mask tables. The reference they are tested and
+//! benchmarked against — a first-match scan over [`FlowTable::entries`]
+//! — lives with its users (`tests/properties.rs`), not here.
+//!
+//! Beside the lookup index the table keeps its rules by
+//! [`TrafficClass`] — the `(in_port, VLAN)` a rule pins — each class's
+//! rules in match order, and a bounded record of which classes each
+//! mutation touched. A reader that audits the table class by class
+//! (the static verifier on a shared LSI-0) asks
+//! [`FlowTable::changed_since`] the generation it last saw and reads
+//! only those classes back ([`FlowTable::class_entries`]); a writer
+//! takes one entry out by its class ([`FlowTable::remove_first`])
+//! instead of filtering the whole table. Every mutation goes through
+//! the record, so no writer can change a class unseen.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use un_packet::Packet;
 
-use crate::flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch};
+use crate::flow::{CompiledMatch, FlowAction, FlowEntry, FlowMatch, TrafficClass};
 use crate::key::{PackedKey, PacketKey};
 use crate::lsi::PortNo;
 
@@ -234,13 +245,24 @@ impl MaskTable {
 /// churning table would accumulate dead keys.
 const CACHE_CAP: usize = 8_192;
 
+/// The fewest class changes the table's record keeps; it keeps up to
+/// twice the table's size beyond that.
+const CHANGES_MIN: usize = 16;
+
 /// One installed entry with its match compiled at insert time.
 #[derive(Debug)]
 struct Rule {
     entry: FlowEntry,
     compiled: CompiledMatch,
     order: Order,
+    class: TrafficClass,
 }
+
+/// A rule as the class index names it, by class key
+/// ([`TrafficClass::key`]) and slot; the index is sorted by class and
+/// then the slot's order key, so a class's rules are one run, in match
+/// order.
+type Classed = (u64, u32);
 
 /// A single flow table.
 #[derive(Debug, Default)]
@@ -266,6 +288,13 @@ pub struct FlowTable {
     /// OR of every rule's mask — the bits any rule can read, and so the
     /// projection the cache is keyed by.
     union: PackedKey,
+    /// Every live rule by traffic class.
+    by_class: Vec<Classed>,
+    /// `(generation, class)` per class a mutation touched, oldest first;
+    /// complete after generation `changes_from`.
+    changes: VecDeque<(u64, TrafficClass)>,
+    /// The generation up to which `changes` may have dropped records.
+    changes_from: u64,
     /// Cache hits since creation.
     pub cache_hits: u64,
     /// Cache misses since creation.
@@ -337,11 +366,113 @@ impl FlowTable {
         self.slots[slot].as_ref().expect("a live slot")
     }
 
+    /// The table's generation: advanced on every mutation.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Record that a mutation stamped `generation` touched `class`,
+    /// dropping the oldest records past the bound. The record grows to
+    /// its bound at once, so it allocates again only when the table
+    /// grows past its largest size.
+    fn log(&mut self, generation: u64, class: TrafficClass) {
+        let cap = CHANGES_MIN.max(2 * self.order.len());
+        if self.changes.capacity() < cap {
+            self.changes.reserve(cap - self.changes.len());
+        }
+        while self.changes.len() >= cap {
+            let (dropped, _) = self.changes.pop_front().expect("a full record");
+            self.changes_from = dropped;
+        }
+        self.changes.push_back((generation, class));
+    }
+
+    /// The classes whose rules changed after generation `generation`,
+    /// in the order they changed (a class changed twice is listed
+    /// twice); `None` when the record no longer reaches back that far,
+    /// and every class must be taken as changed.
+    pub fn changed_since(
+        &self,
+        generation: u64,
+    ) -> Option<impl Iterator<Item = TrafficClass> + '_> {
+        if generation < self.changes_from {
+            return None;
+        }
+        let from = self.changes.partition_point(|(g, _)| *g <= generation);
+        Some(self.changes.range(from..).map(|(_, class)| *class))
+    }
+
+    /// Where a rule of `class` with order key `order` sits in `by_class`.
+    fn classed_at(&self, class: TrafficClass, order: Order) -> usize {
+        let run = self.class_range(class);
+        let before = |&(_, slot): &Classed| self.rule(slot as usize).order < order;
+        run.start + self.by_class[run].partition_point(before)
+    }
+
+    /// The index range of `class`'s rules in `by_class`.
+    fn class_range(&self, class: TrafficClass) -> std::ops::Range<usize> {
+        let key = class.key();
+        let lo = self.by_class.partition_point(|(c, _)| *c < key);
+        let hi = lo + self.by_class[lo..].partition_point(|(c, _)| *c == key);
+        lo..hi
+    }
+
+    /// The position of the rule with order key `order` in match order.
+    fn position(&self, order: Order) -> usize {
+        self.order.partition_point(|&s| self.rule(s).order < order)
+    }
+
+    /// The entries of `class` in match order.
+    pub fn class_rules(&self, class: TrafficClass) -> impl Iterator<Item = &FlowEntry> + '_ {
+        let rules = &self.by_class[self.class_range(class)];
+        rules
+            .iter()
+            .map(|&(_, slot)| &self.rule(slot as usize).entry)
+    }
+
+    /// The entries of `class` in match order, each with its position in
+    /// the whole table's match order ([`FlowTable::entries`]).
+    pub fn class_entries(
+        &self,
+        class: TrafficClass,
+    ) -> impl Iterator<Item = (usize, &FlowEntry)> + '_ {
+        let rules = &self.by_class[self.class_range(class)];
+        rules.iter().map(|&(_, slot)| {
+            let rule = self.rule(slot as usize);
+            (self.position(rule.order), &rule.entry)
+        })
+    }
+
+    /// The entry at `position` in match order ([`FlowTable::entries`]).
+    pub fn entry_at(&self, position: usize) -> Option<&FlowEntry> {
+        let slot = *self.order.get(position)?;
+        Some(&self.rule(slot).entry)
+    }
+
+    /// Whether any entry is of `class`.
+    pub fn has_class(&self, class: TrafficClass) -> bool {
+        !self.class_range(class).is_empty()
+    }
+
+    /// The classes with an entry on port `port`, its whole-port class
+    /// first.
+    pub fn port_classes(&self, port: PortNo) -> impl Iterator<Item = TrafficClass> + '_ {
+        let (first, end) = TrafficClass::port_keys(port);
+        let lo = self.by_class.partition_point(|(c, _)| *c < first);
+        let run = &self.by_class[lo..];
+        let run = &run[..run.partition_point(|(c, _)| *c < end)];
+        let starts = run.iter().enumerate();
+        starts
+            .filter(|(i, (key, _))| *i == 0 || run[i - 1].0 != *key)
+            .map(|(_, (key, _))| TrafficClass::from_key(*key))
+    }
+
     /// Install an entry, keeping priority order. Invalidates the cache.
     pub fn insert(&mut self, entry: FlowEntry) {
         self.generation += 1;
         let order = (u64::from(!entry.priority) << 48) | self.seq;
         self.seq += 1;
+        let class = TrafficClass::of(&entry.matches);
         let compiled = entry.matches.compile();
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
@@ -367,11 +498,15 @@ impl FlowTable {
             }
         };
         self.index[at].add(value, (order, slot));
+        let at = self.classed_at(class, order);
+        self.by_class.insert(at, (class.key(), slot as u32));
         self.slots[slot] = Some(Rule {
             entry,
             compiled,
             order,
+            class,
         });
+        self.log(self.generation, class);
     }
 
     /// Remove all entries with the given cookie; returns how many.
@@ -379,42 +514,71 @@ impl FlowTable {
         self.remove_where(|e| e.cookie == cookie)
     }
 
+    /// Take the rule in `slot` out of the lookup and class indexes and
+    /// free its slot; the caller takes it out of `order`.
+    fn unlink(&mut self, slot: usize) -> TrafficClass {
+        let (class, order) = (self.rule(slot).class, self.rule(slot).order);
+        let at = self.classed_at(class, order);
+        debug_assert_eq!(self.by_class[at], (class.key(), slot as u32));
+        self.by_class.remove(at);
+        let rule = self.slots[slot].take().expect("a live slot");
+        let CompiledMatch { mask, value, .. } = rule.compiled;
+        let at = self.index.iter().position(|t| t.mask == mask);
+        let at = at.expect("every rule's mask is indexed");
+        self.index[at].remove(value, slot);
+        if self.index[at].rules == 0 {
+            self.index.swap_remove(at);
+            self.union = self
+                .index
+                .iter()
+                .fold(PackedKey::default(), |u, t| u.or(&t.mask));
+        }
+        self.free.push(slot);
+        rule.class
+    }
+
     /// Remove every entry `gone` picks; returns how many. Each one
-    /// leaves only its own mask table.
+    /// leaves only its own mask table and its class.
     pub fn remove_where(&mut self, mut gone: impl FnMut(&FlowEntry) -> bool) -> usize {
-        let FlowTable {
-            slots,
-            free,
-            order,
-            index,
-            union,
-            ..
-        } = self;
-        let before = order.len();
-        order.retain(|&slot| {
-            let rule = slots[slot].as_ref().expect("a live slot");
-            if !gone(&rule.entry) {
-                return true;
+        let (stamp, mut removed, mut at) = (self.generation + 1, 0, 0);
+        while let Some(&slot) = self.order.get(at) {
+            if !gone(&self.rule(slot).entry) {
+                at += 1;
+                continue;
             }
-            let CompiledMatch { mask, value, .. } = rule.compiled;
-            let at = index.iter().position(|t| t.mask == mask);
-            let at = at.expect("every rule's mask is indexed");
-            index[at].remove(value, slot);
-            if index[at].rules == 0 {
-                index.swap_remove(at);
-                *union = index
-                    .iter()
-                    .fold(PackedKey::default(), |u, t| u.or(&t.mask));
-            }
-            slots[slot] = None;
-            free.push(slot);
-            false
-        });
-        let removed = before - order.len();
+            self.order.remove(at);
+            let class = self.unlink(slot);
+            self.log(stamp, class);
+            removed += 1;
+        }
         if removed > 0 {
-            self.generation += 1;
+            self.generation = stamp;
         }
         removed
+    }
+
+    /// Remove the first entry of `class`, in match order, that `gone`
+    /// picks — found through the class index, so the table's other
+    /// classes are never read. Returns whether one went.
+    pub fn remove_first(
+        &mut self,
+        class: TrafficClass,
+        mut gone: impl FnMut(&FlowEntry) -> bool,
+    ) -> bool {
+        let range = self.class_range(class);
+        let Some(&(_, slot)) = self.by_class[range]
+            .iter()
+            .find(|&&(_, slot)| gone(&self.rule(slot as usize).entry))
+        else {
+            return false;
+        };
+        let slot = slot as usize;
+        self.generation += 1;
+        let at = self.position(self.rule(slot).order);
+        self.order.remove(at);
+        self.unlink(slot);
+        self.log(self.generation, class);
+        true
     }
 
     /// Remove every entry.
@@ -423,8 +587,11 @@ impl FlowTable {
         self.free.clear();
         self.order.clear();
         self.index.clear();
+        self.by_class.clear();
+        self.changes.clear();
         self.union = PackedKey::default();
         self.generation += 1;
+        self.changes_from = self.generation;
     }
 
     /// Find the winning entry's slot for `key` and which kind of mask
@@ -576,9 +743,11 @@ impl FlowTable {
         }
     }
 
-    /// Find entries matching a predicate over (priority, match).
+    /// The first entry, in match order, with `priority` and `matches`,
+    /// found through the class index.
     pub fn find(&self, priority: u16, matches: &FlowMatch) -> Option<&FlowEntry> {
-        self.entries()
+        self.class_entries(TrafficClass::of(matches))
+            .map(|(_, e)| e)
             .find(|e| e.priority == priority && &e.matches == matches)
     }
 
@@ -882,6 +1051,131 @@ mod tests {
         t.insert(entry(1, Some(7), 2));
         assert!(t.lookup(&key(1), 1).is_none());
         assert_eq!(t.cache_misses, 1);
+    }
+
+    /// The class index answers what a filter over the whole table
+    /// would — each class's entries in match order at their table
+    /// positions — after inserts, single removals, bulk removals and a
+    /// clear; the change record names every class a mutation touched,
+    /// and says so when it no longer reaches back.
+    #[test]
+    fn the_class_index_and_its_record_follow_every_mutation() {
+        let tagged = |port: u32, vid: Option<VlanSpec>, prio: u16, cookie: u64| {
+            let mut m = FlowMatch::in_port(PortNo(port));
+            m.vlan = vid;
+            FlowEntry::new(prio, m, vec![FlowAction::Output(PortNo(9))]).with_cookie(cookie)
+        };
+        let check = |t: &FlowTable| {
+            let all: Vec<(usize, &FlowEntry)> = t.entries().enumerate().collect();
+            let mut classes: Vec<TrafficClass> = all
+                .iter()
+                .map(|(_, e)| TrafficClass::of(&e.matches))
+                .collect();
+            classes.sort_unstable();
+            classes.dedup();
+            let mut seen = 0;
+            for class in classes {
+                let want: Vec<_> = all
+                    .iter()
+                    .filter(|(_, e)| TrafficClass::of(&e.matches) == class)
+                    .map(|(at, e)| (*at, e.cookie))
+                    .collect();
+                let have: Vec<_> = t
+                    .class_entries(class)
+                    .map(|(at, e)| (at, e.cookie))
+                    .collect();
+                assert_eq!(have, want, "{class:?}");
+                seen += have.len();
+            }
+            assert_eq!(seen, t.len());
+        };
+        let mut t = FlowTable::new();
+        let start = t.generation();
+        for (i, (port, vid)) in [
+            (1, Some(VlanSpec::Id(7))),
+            (1, Some(VlanSpec::Id(8))),
+            (1, None),
+            (2, Some(VlanSpec::Untagged)),
+            (1, Some(VlanSpec::Id(7))),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            t.insert(tagged(port, vid, 10 - i as u16, i as u64));
+        }
+        t.insert(entry(1, None, 99).with_cookie(5));
+        check(&t);
+        let changed: Vec<_> = t.changed_since(start).unwrap().collect();
+        assert_eq!(changed.len(), 6);
+        let any1 = TrafficClass::Port(PortNo(1), crate::ClassVlan::Any);
+        assert_eq!(
+            t.port_classes(PortNo(1)).collect::<Vec<_>>(),
+            [
+                any1,
+                TrafficClass::Port(PortNo(1), crate::ClassVlan::Id(7)),
+                TrafficClass::Port(PortNo(1), crate::ClassVlan::Id(8)),
+            ]
+        );
+        assert!(t
+            .find(
+                7,
+                &FlowMatch::in_port(PortNo(1)).with_vlan(VlanSpec::Untagged)
+            )
+            .is_none());
+
+        let seen = t.generation();
+        let vid7 = TrafficClass::Port(PortNo(1), crate::ClassVlan::Id(7));
+        assert!(t.remove_first(vid7, |e| e.cookie == 4));
+        assert!(!t.remove_first(vid7, |e| e.cookie == 4), "gone already");
+        assert!(
+            !t.remove_first(any1, |e| e.cookie == 0),
+            "not of that class"
+        );
+        check(&t);
+        assert_eq!(t.changed_since(seen).unwrap().collect::<Vec<_>>(), [vid7]);
+        assert_eq!(t.lookup(&key(1), 1).unwrap().cookie, 2, "the index agrees");
+
+        let seen = t.generation();
+        assert_eq!(t.remove_where(|e| e.cookie % 2 == 0), 2);
+        check(&t);
+        let mut changed: Vec<_> = t.changed_since(seen).unwrap().collect();
+        changed.sort();
+        assert_eq!(changed, [any1, vid7]);
+        assert!(t.changed_since(t.generation()).unwrap().next().is_none());
+
+        // Past its bound the record forgets the oldest changes, and a
+        // reader that far behind is told to take every class as changed.
+        let port3 = TrafficClass::Port(PortNo(3), crate::ClassVlan::Any);
+        for i in 0..100 {
+            t.insert(tagged(3, None, 1, 100 + i));
+            assert!(t.remove_first(port3, |_| true));
+        }
+        t.insert(tagged(3, None, 1, 7));
+        assert!(t.changed_since(seen).is_none());
+        assert!(t.changed_since(t.generation() - 1).is_some());
+        check(&t);
+        t.clear();
+        assert!(t.changed_since(seen).is_none());
+        assert!(!t.has_class(port3));
+    }
+
+    /// A class's key orders as the class does, and stands for it.
+    #[test]
+    fn a_class_key_orders_as_its_class() {
+        use crate::ClassVlan::{Any, Id, Untagged};
+        let mut classes = vec![TrafficClass::Table];
+        for port in [0, 1, 7, u32::MAX] {
+            for vlan in [Any, Untagged, Id(0), Id(1), Id(4094), Id(u16::MAX)] {
+                classes.push(TrafficClass::Port(PortNo(port), vlan));
+            }
+        }
+        let mut by_key = classes.clone();
+        by_key.sort_by_key(|c| c.key());
+        classes.sort();
+        assert_eq!(by_key, classes);
+        for c in classes {
+            assert_eq!(TrafficClass::from_key(c.key()), c);
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!   into nothing, missing delivery/transit rules). The orchestrator's
 //!   install receipt is cross-checked against the rules actually
 //!   sitting in the node's tables (compile consistency).
-//! * **Table level** ([`audit_lsi`]): every installed entry must be
-//!   matchable (not fully shadowed by higher-priority entries — see
-//!   [`crate::region`]), output to an existing port, and reference
-//!   only live overlay vids.
+//! * **Table level** ([`audit_lsi`], per traffic class
+//!   [`audit_table`]): every installed entry must be matchable (not
+//!   fully shadowed by higher-priority entries — see [`crate::region`]),
+//!   output to an existing port, and reference only live overlay vids.
 //! * **Ledger level** ([`check_ledger`]): the typed vid pool must
 //!   partition exactly into free ∪ in-use ∪ standby-reserved, link
 //!   paths must start/end where the graph thinks they do, and every
@@ -25,13 +25,14 @@ use std::collections::{BTreeSet, HashMap};
 
 use un_nffg::{NfFg, PortRef, RuleAction};
 use un_obs::{ClassifierStage, DropReason, HopKind, HopRecord, PacketTrace};
-use un_switch::FlowAction;
+use un_switch::{FlowAction, TrafficClass};
 
-use crate::region::shadowed_rules;
-use crate::snapshot::{GraphState, Index, LsiState, Snapshot};
+use crate::region::shadowed_rules_in;
+use crate::snapshot::{GraphState, Index, LsiState, Snapshot, TableState};
 
 /// Max region pieces per analyzed rule before the shadow analysis
-/// conservatively declares the rule live (see [`shadowed_rules`]).
+/// conservatively declares the rule live (see
+/// [`crate::region::shadowed_rules`]).
 pub const PIECE_BUDGET: usize = 4096;
 
 /// Stable violation codes (tests match on these).
@@ -854,7 +855,7 @@ pub fn check_graph(ix: &Index<'_>, g: &GraphState) -> (Vec<Violation>, CheckStat
 
     // ---- Overlay link checks + hop edges ----
     let mut hops: Vec<(&str, usize, usize)> = Vec::with_capacity(2 * g.links.len());
-    for link in &g.links {
+    for link in g.links.iter() {
         let fallback: [String; 2];
         let path: &[String] = match ix.link(link.vid) {
             Some(info) if *info.graph == *g.id => &info.path,
@@ -1062,7 +1063,7 @@ pub fn check_graph(ix: &Index<'_>, g: &GraphState) -> (Vec<Violation>, CheckStat
     }
 
     // ---- Compile consistency ----
-    for exp in &g.expected_rules {
+    for exp in g.expected_rules.iter() {
         if !ix.graph_rule_installed(&exp.node, &g.id, exp.cookie) {
             v.push(
                 Violation::new(
@@ -1083,78 +1084,104 @@ pub fn check_graph(ix: &Index<'_>, g: &GraphState) -> (Vec<Violation>, CheckStat
 // ---------------------------------------------------------------------
 
 /// Audit one LSI of node `node`: shadowed rules, dead outputs and
-/// overlay-vid references.
+/// overlay-vid references, over every entry of its tables.
+pub fn audit_lsi(ix: &Index<'_>, node: &str, lsi: &LsiState) -> (Vec<Violation>, CheckStats) {
+    let mut v = Vec::new();
+    let mut stats = CheckStats::default();
+    for table in &lsi.tables {
+        stats.merge(audit_table(ix, node, lsi, table, None, |_, x| v.push(x)));
+    }
+    (v, stats)
+}
+
+/// Audit the entries of `table` whose [`TrafficClass`] `judged` (sorted)
+/// lists — every entry when it is `None` — handing each violation to
+/// `found` with the class of the entry it names. The table may list only some of the LSI's entries (see
+/// [`TableState::at`]); it must list every entry whose class meets a
+/// judged one, and then each judged entry is judged as in the whole
+/// table: an entry can only be hidden by entries whose class meets its
+/// own ([`shadowed_rules_in`]), and its actions are read against the
+/// LSI's ports and the fleet's live vids alone. Violations name entries
+/// by their position in the whole table.
 ///
 /// An action naming a pool vid (`vid_base..vid_next`) that no live link
 /// carries is dangling. Every [`FlowAction`] is classified by name, so
 /// a new action does not compile until this audit decides what it
 /// means.
-pub fn audit_lsi(ix: &Index<'_>, node: &str, lsi: &LsiState) -> (Vec<Violation>, CheckStats) {
-    let mut v = Vec::new();
+pub fn audit_table(
+    ix: &Index<'_>,
+    node: &str,
+    lsi: &LsiState,
+    table: &TableState,
+    judged: Option<&[TrafficClass]>,
+    mut found: impl FnMut(TrafficClass, Violation),
+) -> CheckStats {
     let mut stats = CheckStats::default();
     let pool = ix.snapshot().vid_base..ix.snapshot().vid_next;
+    let at = |i: usize| table.at.get(i).copied().unwrap_or(i);
+    let class = |i: usize| TrafficClass::of(&table.rules[i].matches);
+    let judges = |i: usize| judged.is_none_or(|j| j.binary_search(&class(i)).is_ok());
+    stats.rules_checked += (0..table.rules.len()).filter(|&i| judges(i)).count();
 
-    for table in &lsi.tables {
-        stats.rules_checked += table.rules.len();
-        // Shadow analysis over the table in match order.
-        let matches: Vec<_> = table.rules.iter().map(|r| &r.matches).collect();
-        let (shadowed, classes) = shadowed_rules(&matches, PIECE_BUDGET);
-        stats.classes += classes;
-        for (idx, covering) in shadowed {
-            let cover: Vec<String> = covering
-                .iter()
-                .map(|j| format!("#{j}(cookie {:#x})", table.rules[*j].cookie))
-                .collect();
-            v.push(
-                Violation::new(
-                    code::SHADOWED_RULE,
+    // Shadow analysis over the table in match order.
+    let matches: Vec<_> = table.rules.iter().map(|r| &r.matches).collect();
+    let (shadowed, classes) = shadowed_rules_in(&matches, at, judges, PIECE_BUDGET);
+    stats.classes += classes;
+    for (idx, covering) in shadowed {
+        let cover: Vec<String> = covering
+            .iter()
+            .map(|j| format!("#{}(cookie {:#x})", at(*j), table.rules[*j].cookie))
+            .collect();
+        let detail = format!(
+            "{} table {} entry #{} (cookie {:#x}) is fully covered by {}",
+            lsi.name,
+            table.index,
+            at(idx),
+            table.rules[idx].cookie,
+            cover.join(", "),
+        );
+        found(
+            class(idx),
+            Violation::new(code::SHADOWED_RULE, detail).on_node(node),
+        );
+    }
+    // Action sanity.
+    for (idx, rule) in table.rules.iter().enumerate() {
+        if !judges(idx) {
+            continue;
+        }
+        for action in rule.actions.iter() {
+            let detail = match *action {
+                FlowAction::Output(p) if !lsi.ports.contains(&p.0) => (
+                    code::DEAD_OUTPUT,
                     format!(
-                        "{} table {} entry #{idx} (cookie {:#x}) is fully covered by {}",
+                        "{} table {} entry #{} outputs to missing port {}",
                         lsi.name,
                         table.index,
-                        table.rules[idx].cookie,
-                        cover.join(", "),
+                        at(idx),
+                        p.0
                     ),
-                )
-                .on_node(node),
-            );
-        }
-        // Action sanity.
-        for (idx, rule) in table.rules.iter().enumerate() {
-            for action in rule.actions.iter() {
-                match *action {
-                    FlowAction::Output(p) if !lsi.ports.contains(&p.0) => v.push(
-                        Violation::new(
-                            code::DEAD_OUTPUT,
-                            format!(
-                                "{} table {} entry #{idx} outputs to missing port {}",
-                                lsi.name, table.index, p.0
-                            ),
-                        )
-                        .on_node(node),
+                ),
+                FlowAction::PushVlan(vid) if pool.contains(&vid) && ix.link(vid).is_none() => (
+                    code::DANGLING_VID,
+                    format!(
+                        "{} table {} entry #{} tags pool vid {vid} with no live wire",
+                        lsi.name,
+                        table.index,
+                        at(idx)
                     ),
-                    FlowAction::PushVlan(vid) if pool.contains(&vid) && ix.link(vid).is_none() => v
-                        .push(
-                            Violation::new(
-                                code::DANGLING_VID,
-                                format!(
-                                    "{} table {} entry #{idx} tags pool vid {vid} with no live wire",
-                                    lsi.name, table.index
-                                ),
-                            )
-                            .on_node(node),
-                        ),
-                    // A live port, a vid off the pool or on a live
-                    // wire, or an action that names neither.
-                    FlowAction::Output(_)
-                    | FlowAction::PushVlan(_)
-                    | FlowAction::PopVlan
-                    | FlowAction::SetFwmark(_) => {}
-                }
-            }
+                ),
+                // A live port, a vid off the pool or on a live wire, or
+                // an action that names neither.
+                FlowAction::Output(_)
+                | FlowAction::PushVlan(_)
+                | FlowAction::PopVlan
+                | FlowAction::SetFwmark(_) => continue,
+            };
+            found(class(idx), Violation::new(detail.0, detail.1).on_node(node));
         }
     }
-    (v, stats)
+    stats
 }
 
 // ---------------------------------------------------------------------
@@ -1168,14 +1195,36 @@ pub fn check_ledger(ix: &Index<'_>) -> Vec<Violation> {
     let mut v = Vec::new();
 
     // Every minted vid (base..next) is exactly one of: free, in use by
-    // a live link, or reserved by a staged standby plan.
-    let free: BTreeSet<u16> = snap.free_vids.iter().copied().collect();
-    let standby: BTreeSet<u16> = snap.standby_vids.iter().copied().collect();
-    for vid in snap.vid_base..snap.vid_next {
-        let in_use = ix.link(vid).is_some();
-        let spots = free.contains(&vid) as u8 + standby.contains(&vid) as u8 + in_use as u8;
-        if spots != 1 {
-            let state = if spots == 0 {
+    // a live link, or reserved by a staged standby plan. Each book is
+    // one bit per minted vid, and the books are compared a word at a
+    // time.
+    let (base, next) = (snap.vid_base, snap.vid_next);
+    let minted = |vid: &u16| (base..next).contains(vid);
+    let span = usize::from(next.saturating_sub(base));
+    let book = |vids: &mut dyn Iterator<Item = u16>| {
+        let mut bits = vec![0u64; span.div_ceil(64)];
+        for k in vids.filter(minted).map(|vid| usize::from(vid - base)) {
+            bits[k / 64] |= 1 << (k % 64);
+        }
+        bits
+    };
+    let free = book(&mut snap.free_vids.iter().copied());
+    let standby = book(&mut snap.standby_vids.iter().copied());
+    let live = book(&mut ix.live_vids());
+    for w in 0..free.len() {
+        let (f, s, l) = (free[w], standby[w], live[w]);
+        let once = (f ^ s ^ l) & !(f & s & l);
+        let valid = match span - 64 * w {
+            n if n >= 64 => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        let mut wrong = !once & valid;
+        while wrong != 0 {
+            let bit = wrong.trailing_zeros();
+            wrong &= wrong - 1;
+            let vid = base + (64 * w) as u16 + bit as u16;
+            let has = |book: u64| book >> bit & 1 == 1;
+            let state = if (f | s | l) >> bit & 1 == 0 {
                 "leaked"
             } else {
                 "double-booked"
@@ -1183,26 +1232,44 @@ pub fn check_ledger(ix: &Index<'_>) -> Vec<Violation> {
             v.push(Violation::new(
                 code::VID_LEDGER,
                 format!(
-                    "vid {vid} is {state} (free={}, standby={}, in-use={in_use})",
-                    free.contains(&vid),
-                    standby.contains(&vid),
+                    "vid {vid} is {state} (free={}, standby={}, in-use={})",
+                    has(f),
+                    has(s),
+                    has(l),
                 ),
             ));
         }
     }
-    let minted = |vid: &u16| (snap.vid_base..snap.vid_next).contains(vid);
-    for vid in free.iter().chain(&standby).copied().chain(ix.live_vids()) {
-        if !minted(&vid) {
-            v.push(Violation::new(
-                code::VID_LEDGER,
-                format!("vid {vid} was never minted by the pool"),
-            ));
-        }
+    // A vid off the pool, each book's ascending and once.
+    let unminted = |vids: &mut dyn Iterator<Item = u16>| {
+        let mut odd: Vec<u16> = vids.filter(|vid| !minted(vid)).collect();
+        odd.sort_unstable();
+        odd.dedup();
+        odd
+    };
+    let books = [
+        unminted(&mut snap.free_vids.iter().copied()),
+        unminted(&mut snap.standby_vids.iter().copied()),
+        unminted(&mut ix.live_vids()),
+    ];
+    for vid in books.iter().flatten() {
+        v.push(Violation::new(
+            code::VID_LEDGER,
+            format!("vid {vid} was never minted by the pool"),
+        ));
     }
 
-    // Links belong to deployed graphs and ride serving nodes.
+    // Links belong to deployed graphs and ride serving nodes. A graph's
+    // links share its id, and its vids run together, so the last
+    // answer is kept.
+    let mut last: Option<(&std::sync::Arc<str>, bool)> = None;
     for link in &snap.links {
-        if !ix.has_graph(&link.graph) {
+        let deployed = match last {
+            Some((graph, deployed)) if std::sync::Arc::ptr_eq(graph, &link.graph) => deployed,
+            _ => ix.has_graph(&link.graph),
+        };
+        last = Some((&link.graph, deployed));
+        if !deployed {
             v.push(
                 Violation::new(
                     code::DANGLING_VID,
@@ -1429,6 +1496,7 @@ mod tests {
                             actions: vec![FlowAction::Output(PortNo(2))].into(),
                             cookie: 1,
                         }],
+                        at: Vec::new(),
                     }],
                 }],
                 unlowered_lsis: Vec::new(),
@@ -1445,8 +1513,8 @@ mod tests {
                 id: "g1".into(),
                 original: original.into(),
                 parts: parts.into(),
-                links,
-                expected_rules: Vec::new(),
+                links: links.into(),
+                expected_rules: Default::default(),
             }],
             links: link_infos,
             leases: Vec::new(),
@@ -1628,7 +1696,7 @@ mod tests {
     #[test]
     fn missing_compiled_rule_is_flagged() {
         let mut snap = healthy();
-        snap.graphs[0].expected_rules.push(ExpectedRule {
+        Arc::make_mut(&mut snap.graphs[0].expected_rules).push(ExpectedRule {
             node: "n1".into(),
             rule_id: "c0-fwd".into(),
             cookie: 0xbeef,

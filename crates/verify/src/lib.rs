@@ -26,6 +26,17 @@
 //! from the orchestrator: `un-domain` builds snapshots from live
 //! state, tests build corrupted ones by hand, and both run through the
 //! same [`check::run`] entry point producing a [`VerifyReport`].
+//!
+//! A table is audited per traffic class
+//! ([`un_switch::TrafficClass`], the `(in_port, VLAN)` an entry pins):
+//! [`check::audit_table`] judges the entries of the classes it is told
+//! to, over a table that lists those entries and every entry whose
+//! class meets theirs, each at its position in the whole table
+//! ([`snapshot::TableState::at`]). Entries of classes that do not meet
+//! accept no common frame, so a class's audit says about it exactly
+//! what an audit of the whole table says — which lets an incremental
+//! caller re-audit only the classes a change touched and keep the rest.
+//! [`check::audit_lsi`] is the same audit with every class judged.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]
@@ -35,5 +46,5 @@ pub mod region;
 pub mod snapshot;
 
 pub use check::{run, VerifyReport, Violation};
-pub use region::{provably_disjoint, shadowed_rules, Region};
+pub use region::{provably_disjoint, shadowed_rules, shadowed_rules_in, Region};
 pub use snapshot::Snapshot;

@@ -564,6 +564,24 @@ pub fn shadowed_rules(
     matches: &[&FlowMatch],
     piece_budget: usize,
 ) -> (Vec<(usize, Vec<usize>)>, usize) {
+    shadowed_rules_in(matches, |i| i, |_| true, piece_budget)
+}
+
+/// [`shadowed_rules`] over part of a table: `matches` lists some of its
+/// rules in match order, `at(i)` is rule `i`'s position in the whole
+/// table, and only the rules `judged` picks are analysed. Exact as long
+/// as every rule that may meet a judged one is listed — the rules of
+/// its [`TrafficClass`](un_switch::TrafficClass) and of every class
+/// that meets it: the walk never reads another rule, and the runs
+/// between walked rules are charged by position, so the answer and the
+/// piece count for each judged rule are those of the whole table.
+/// Indices in the answer are into `matches`.
+pub fn shadowed_rules_in(
+    matches: &[&FlowMatch],
+    at: impl Fn(usize) -> usize,
+    judged: impl Fn(usize) -> bool,
+    piece_budget: usize,
+) -> (Vec<(usize, Vec<usize>)>, usize) {
     // `(port, rule, vlan)` for every port-pinned rule, sorted; the
     // rules on any port, in order.
     let mut pinned: Vec<(u32, usize, Option<VlanSpec>)> = Vec::new();
@@ -579,7 +597,7 @@ pub fn shadowed_rules(
     let mut shadowed = Vec::new();
     let mut classes = 0usize;
     let mut walk: Vec<usize> = Vec::new();
-    for i in 1..matches.len() {
+    for i in (0..matches.len()).filter(|&i| judged(i)) {
         let rule = matches[i];
         // The predecessors that may meet rule `i`, ascending: those on
         // its port (all of them when it has none) or on any port, whose
@@ -610,13 +628,14 @@ pub fn shadowed_rules(
         let mut built = false;
         let mut covering: Vec<usize> = Vec::new();
         let mut over_budget = false;
-        let mut charged = 0; // rules before this index are accounted for
+        let mut charged = 0; // table positions before this are accounted for
         for &j in walk.iter().chain(std::iter::once(&i)) {
-            // Rules `charged..j` pin another port or exclude the VLAN;
-            // with `j` itself when provably disjoint, each subtracts as
-            // the identity: budget, then classes, and nothing built.
+            // Rules at positions `charged..at(j)` pin another port or
+            // exclude the VLAN; with `j` itself when provably disjoint,
+            // each subtracts as the identity: budget, then classes, and
+            // nothing built.
             let meets = j < i && !provably_disjoint(rule, matches[j]);
-            let identities = j - charged + usize::from(j < i && !meets);
+            let identities = at(j) - charged + usize::from(j < i && !meets);
             let len = if built { pieces.len() } else { 1 };
             if identities > 0 {
                 if len > piece_budget {
@@ -625,7 +644,7 @@ pub fn shadowed_rules(
                 }
                 classes += identities * len;
             }
-            charged = j + 1;
+            charged = at(j) + 1;
             if !meets {
                 continue;
             }

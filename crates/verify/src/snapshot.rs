@@ -8,9 +8,11 @@
 //!
 //! A snapshot may be *scoped*: an incremental pass lowers plans only
 //! for the graphs it re-checks, tables only on the nodes hosting them
-//! (and on nodes marked dirty), and on those nodes only LSI-0 and the
-//! LSIs of re-checked graphs — another graph's LSI keeps its cached
-//! audit. What was left out is still named
+//! (and on nodes marked dirty), and on those nodes only the LSIs of
+//! re-checked graphs — another graph's LSI keeps its cached audit — and
+//! of LSI-0 only the traffic classes it re-audits, with the classes
+//! that meet them, each entry with its position in the whole table
+//! ([`TableState::at`]). What was left out is still named
 //! ([`Snapshot::unlowered_nodes`], [`Snapshot::unlowered_graphs`],
 //! [`NodeState::unlowered_lsis`]) because the ledger checks need to know
 //! the fleet exists — but it carries no tables to read, and asking the
@@ -22,8 +24,9 @@
 //! by-id lookup from borrowed keys.
 //!
 //! What is bulky is shared, not copied: a rule's action list, a graph's
-//! original and its parts, a link's graph id and path are the live
-//! state's own reference-counted values, so lowering them bumps a count.
+//! original, its parts, its links and its install receipt, a link's
+//! graph id and path are the live state's own reference-counted values,
+//! so lowering them bumps a count.
 //! A test that corrupts one goes through `Arc::make_mut`, which copies
 //! it first and leaves the live state as it was.
 
@@ -54,8 +57,13 @@ pub struct RuleState {
 pub struct TableState {
     /// Table index within the LSI (0: an LSI has one table).
     pub index: u8,
-    /// Entries in match order.
+    /// Entries in match order: every entry of the table, or in a scoped
+    /// snapshot those of the traffic classes an incremental pass
+    /// re-audits and of the classes that meet them.
     pub rules: Vec<RuleState>,
+    /// Each listed entry's position in the whole table's match order;
+    /// empty when `rules` is the whole table.
+    pub at: Vec<usize>,
 }
 
 /// One logical switch instance on a node.
@@ -85,8 +93,9 @@ pub struct NodeState {
     /// but those of [`NodeState::unlowered_lsis`].
     pub lsis: Vec<LsiState>,
     /// Graphs whose LSI on this node a scoped snapshot left out: their
-    /// graph was not re-checked, so their cached audit stands.
-    pub unlowered_lsis: Vec<String>,
+    /// graph was not re-checked, so their cached audit stands. Shared
+    /// with the domain's own names, not copied.
+    pub unlowered_lsis: Vec<Arc<str>>,
 }
 
 /// One synthesized cut edge of a deployed graph (the graph-side view
@@ -127,10 +136,11 @@ pub struct GraphState {
     pub original: Arc<NfFg>,
     /// Per-node sub-graphs the partitioner produced (node → part).
     pub parts: Arc<BTreeMap<String, NfFg>>,
-    /// Synthesized inter-node links.
-    pub links: Vec<GraphLink>,
-    /// Every compiled rule the orchestrator installed for this graph.
-    pub expected_rules: Vec<ExpectedRule>,
+    /// Synthesized inter-node links, shared with the live state.
+    pub links: Arc<Vec<GraphLink>>,
+    /// Every compiled rule the orchestrator installed for this graph,
+    /// shared likewise.
+    pub expected_rules: Arc<Vec<ExpectedRule>>,
 }
 
 /// One live overlay wire, domain view (ties a vid to its pinned path).
@@ -175,10 +185,11 @@ pub struct Snapshot {
     /// Deployed graphs with their plans lowered: every graph unless
     /// the snapshot is scoped.
     pub graphs: Vec<GraphState>,
-    /// `(name, serving)` of the nodes a scoped snapshot left out.
-    pub unlowered_nodes: Vec<(String, bool)>,
-    /// Ids of the graphs a scoped snapshot left out.
-    pub unlowered_graphs: Vec<String>,
+    /// `(name, serving)` of the nodes a scoped snapshot left out; the
+    /// names are the domain's own, shared.
+    pub unlowered_nodes: Vec<(Arc<str>, bool)>,
+    /// Ids of the graphs a scoped snapshot left out, shared likewise.
+    pub unlowered_graphs: Vec<Arc<str>>,
     /// Every live overlay link.
     pub links: Vec<LinkInfo>,
     /// Every shared-NNF instance with its leases.
@@ -324,7 +335,7 @@ impl<'a> Index<'a> {
             .flat_map(|t| &t.rules)
             .any(|r| r.cookie == cookie);
         assert!(
-            found || !n.unlowered_lsis.iter().any(|g| g == graph),
+            found || !n.unlowered_lsis.iter().any(|g| **g == *graph),
             "graph '{graph}'s LSI on node '{node}' is outside this snapshot's scope"
         );
         found

@@ -114,15 +114,20 @@ const CALLS: usize = 16;
 /// endpoint ids into vectors to compare them; 881 while a node's flip
 /// wrote only what changed straight into its tables, before each update
 /// lowered the whole part into an `LsiProgram` — its port keys and flow
-/// entries — and applied the diff from the old one.)
-const DOMAIN_UPDATE_ALLOCS: u64 = 902;
+/// entries — and applied the diff from the old one; 902 while that diff
+/// compared every old entry with every new one and collected each
+/// side's leftovers, and a fresh link copied its graph's id.)
+const DOMAIN_UPDATE_ALLOCS: u64 = 893;
 
 /// The incremental `Domain::verify` after that update: lowering the
 /// touched graph and its hosts, and checking them. (510 while lowering
 /// copied each re-checked graph's NF-FG and parts, each rule's action
 /// list, and each link's graph id and path; 288 while `rule_cookie`
-/// formatted `<graph>/<rule>` into a string to hash it.)
-const DOMAIN_VERIFY_ALLOCS: u64 = 252;
+/// formatted `<graph>/<rule>` into a string to hash it; 252 while a
+/// pass lowered and audited a touched node's whole LSI-0, every other
+/// tenant's entries included, copied the name of every node, graph and
+/// graph LSI it left out, and kept the vid ledger in ordered sets.)
+const DOMAIN_VERIFY_ALLOCS: u64 = 158;
 
 fn chain() -> NfFg {
     NfFgBuilder::new("g1", "alloc-chain")
