@@ -9,14 +9,14 @@
 //! Binaries (`cargo run -p un-bench --bin <name>`):
 //!
 //! * `table1` — regenerates Table 1.
-//! * `repair_sweep` — reactive vs make-before-break repair downtime
-//!   (`BENCH_repair.json`).
 //! * `sharing_sweep` — one fleet-wide shared NNF vs per-graph
 //!   instances (`BENCH_sharing.json`).
 //! * `benchmark` — the unified performance ledger `BENCHMARK.json`
 //!   runs (its own detached package under `src/bin/benchmark/`; see the
-//!   README there). Every wall-clock figure comes from it; the two
-//!   sweeps above are the only figures it has no successor for yet.
+//!   README there). Every wall-clock figure comes from it; the sharing
+//!   sweep above is the only figure it has no successor for yet. The
+//!   repair sweep is a test (`tests/repair_sweep.rs`): its books are
+//!   virtual time.
 //!
 //! Criterion micro-benches live in `benches/`.
 

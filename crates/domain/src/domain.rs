@@ -47,14 +47,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 use un_core::{CompileError, DeployReport, Name, NnfError, UniversalNode};
 use un_ipsec::SecurityAssociation;
 use un_nffg::{NfFg, ValidationError};
 use un_obs::{FrameLedger, PacketTrace, TraceRing, TraceSink};
 use un_packet::Packet;
-use un_sim::{Cost, SimTime};
+use un_sim::{Cost, SimDuration, SimTime};
 
 use crate::partition::{Partition, PartitionError};
 use crate::placement::{NodeView, PlaceError, PlacementStrategy};
@@ -371,7 +370,9 @@ pub enum RepairPolicy {
 }
 
 /// Per-graph repair measurement: what one node failure actually cost.
-#[derive(Debug, Clone)]
+/// Every duration is virtual time, so the same operations book the
+/// same outcome on any host.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairOutcome {
     /// The repaired graph.
     pub graph: String,
@@ -396,22 +397,25 @@ pub struct RepairOutcome {
     /// Shared instances whose host changed for this graph:
     /// `(share key, new host)`.
     pub shared_migrated: Vec<(String, String)>,
-    /// Wall-clock time this graph's repair took (plan + install),
-    /// measured on the monotonic clock.
+    /// This graph's repair in virtual time: the control-plane charges
+    /// of every attempt it took — a plan computed inside the outage,
+    /// each node call, each flow entry installed.
     pub repair_duration_ns: u64,
-    /// Estimated wall-clock downtime of this graph's service: from the
-    /// failure being declared until *this* graph's repair completed —
-    /// graphs repaired later in the sweep wait behind earlier ones, so
-    /// their estimate includes the queueing delay.
+    /// Downtime of this graph's service in virtual time: from the start
+    /// of the outage (the failed node's last heartbeat, or the
+    /// `fail_node` call) until *this* graph's repair committed —
+    /// detection included, and graphs repaired later in the sweep wait
+    /// behind the repairs before them.
     pub downtime_estimate_ns: u64,
     /// True when a make-before-break standby plan (staged while the
     /// node was merely suspect) was promoted: the repair skipped the
     /// whole planning phase and installed the pre-staged parts.
     pub standby_promoted: bool,
     /// What the availability model predicted this repair's downtime
-    /// would be, stamped *before* the repair ran (calibrated mean for
-    /// the repair kind, plus the sweep's queueing delay). The chaos
-    /// suites hold modeled-vs-measured within a bracket.
+    /// would be, stamped *before* the repair ran: the outage so far
+    /// (detection and the repairs before it in the sweep) plus the
+    /// calibrated mean for the repair kind. The chaos suites hold
+    /// modeled-vs-booked within a bracket.
     pub modeled_downtime_ns: u64,
 }
 
@@ -495,11 +499,12 @@ type LoweredPlan = (
 );
 
 /// A graph no surviving fleet could host: its spec, its hints pruned to
-/// the survivors, and when it lost service (stamped when it returns).
+/// the survivors, and the start of the outage that parked it (its
+/// downtime is stamped when it returns).
 struct Parked {
     graph: NfFg,
     hints: DeployHints,
-    since: Instant,
+    since: SimTime,
 }
 
 un_sim::counters! {
@@ -575,6 +580,13 @@ pub struct Domain {
     /// comes back never meets its old key again.
     link_epoch: u64,
     clock: SimTime,
+    /// Virtual control-plane time charged so far (the charges in
+    /// [`crate::standby`]): each node call and flow entry, and each
+    /// plan a fresh deploy or a reactive repair computes. The books
+    /// read only its differences: a repair or a retry takes what it
+    /// charged. It never moves `clock`, so the frame path does not see
+    /// it.
+    charged: SimDuration,
     /// The domain's closed counter set (the frame ledger aside).
     pub trace: DomainCounters,
     /// The shuttle's share of the conservation ledger, plus replaced
@@ -614,6 +626,7 @@ impl Domain {
             vids,
             link_epoch: 0,
             clock: SimTime::ZERO,
+            charged: SimDuration::ZERO,
             trace: DomainCounters::default(),
             frame_ledger: FrameLedger::default(),
             obs,
@@ -777,7 +790,8 @@ impl Domain {
     /// * suspect nodes (and alive nodes that skipped the window
     ///   entirely) staler than `heartbeat_timeout_ns +
     ///   suspect_grace_ns` become **failed** and their partitions are
-    ///   repaired per [`DomainConfig::repair`].
+    ///   repaired per [`DomainConfig::repair`]. Their outage is booked
+    ///   from their last heartbeat: detection is downtime.
     ///
     /// Already-failed nodes are ignored, so repeated ticks are
     /// idempotent: a node's failure is reported (and repaired) exactly
@@ -789,14 +803,14 @@ impl Domain {
         // Mark the whole stale set failed *before* re-placing anything,
         // so a graph from the first dead node is never re-placed onto a
         // node that the same sweep is about to declare dead.
-        let mut newly_failed: Vec<String> = Vec::new();
+        let mut newly_failed: Vec<(String, SimTime)> = Vec::new();
         let mut newly_suspected: Vec<String> = Vec::new();
         for (name, m) in self.nodes.iter_mut() {
             let stale_ns = now.duration_since(m.last_heartbeat).as_nanos();
             match m.health {
                 NodeHealth::Alive | NodeHealth::Suspect if stale_ns > dead_after => {
                     m.health = NodeHealth::Failed;
-                    newly_failed.push(name.clone());
+                    newly_failed.push((name.clone(), m.last_heartbeat));
                 }
                 NodeHealth::Alive if stale_ns > timeout => {
                     m.health = NodeHealth::Suspect;
@@ -808,8 +822,8 @@ impl Domain {
         }
         let reports: Vec<(String, ReplacementReport)> = newly_failed
             .into_iter()
-            .map(|n| {
-                let report = self.replace_lost_partitions(&n);
+            .map(|(n, silent_since)| {
+                let report = self.replace_lost_partitions(&n, silent_since);
                 (n, report)
             })
             .collect();

@@ -14,11 +14,11 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::Instant;
 
 use un_core::DeployReport;
 use un_ipsec::SecurityAssociation;
 use un_nffg::{validate, NfFg};
+use un_sim::SimTime;
 
 use super::plan::{plan, Constraints, Plan};
 use super::{
@@ -26,7 +26,7 @@ use super::{
 };
 use crate::partition::Partition;
 use crate::sharing::{ShareKey, SharedClaim};
-use crate::standby::GraphAvailability;
+use crate::standby::{GraphAvailability, FLOW_ENTRY_CHARGE, NODE_CALL_CHARGE, PLAN_CHARGE};
 
 /// What one [`Domain::commit`] did to the fleet, for the caller's
 /// report ([`DomainReport`] or a repair's blast radius).
@@ -115,12 +115,14 @@ impl Domain {
         if self.graphs.contains_key(&graph.id) {
             return Err(DomainError::AlreadyDeployed(graph.id.clone()));
         }
+        let charged = self.charged;
         let done = self.deploy_fresh(graph, hints)?;
         // An explicit deploy supersedes any copy parked by an earlier
         // failure; otherwise retry_pending could double-deploy it. The
         // redeploy ends the park window, so stamp its downtime.
         if let Some(parked) = self.pending.remove(&graph.id) {
-            self.stamp_park_drain(&graph.id, parked.since);
+            let end = self.clock + (self.charged - charged);
+            self.stamp_park_drain(&graph.id, parked.since, end);
         }
         self.trace.graphs_deployed += 1;
         Ok(done.report(&graph.id))
@@ -128,12 +130,15 @@ impl Domain {
 
     /// Plan `graph` with nothing pinned and no vid to inherit, and
     /// commit it onto a fleet that holds no part of it: the plan
-    /// builder of deploy, retry and from-scratch re-placement.
+    /// builder of deploy, retry and from-scratch re-placement. The plan
+    /// is charged, since a retry and a re-placement compute it inside
+    /// the graph's outage.
     pub(super) fn deploy_fresh(
         &mut self,
         graph: &NfFg,
         hints: &DeployHints,
     ) -> Result<Committed, DomainError> {
+        self.charged += PLAN_CHARGE;
         let c = Constraints::fresh(hints);
         let (view, vids) = self.planner();
         let plan = plan(&view, vids, graph, &c)?;
@@ -208,7 +213,10 @@ impl Domain {
     ///   Vids the plan dropped return to the pool;
     /// * standbys staged against `old` are released, leases follow the
     ///   plan's claims, and the hosts of old ∪ new are marked for
-    ///   re-verification — on success and on failure alike.
+    ///   re-verification — on success and on failure alike;
+    /// * every node call, and every flow entry one installs, is charged
+    ///   to the domain's control-plane time, a rolled-back call
+    ///   included.
     ///
     /// If a node rejects its part the commit **rolls back**: the graph
     /// leaves every serving node of old ∪ new, exactly `plan.taken`
@@ -244,8 +252,12 @@ impl Domain {
                 Some(_) => node.update_compiled(sub, &plan.programs),
                 None => node.deploy_compiled(sub, &plan.programs),
             };
+            self.charged += NODE_CALL_CHARGE;
             match result {
-                Ok(report) => done.per_node.push((node_name.clone(), report)),
+                Ok(report) => {
+                    self.charged += FLOW_ENTRY_CHARGE * report.flow_entries as u64;
+                    done.per_node.push((node_name.clone(), report));
+                }
                 Err(e) => {
                     let err = DomainError::Deploy {
                         node: node_name.clone(),
@@ -351,7 +363,7 @@ impl Domain {
 
     /// Undeploy `gid` from each of `nodes` that still serves (a failed
     /// node keeps its stale part until recovery purges it); returns
-    /// how many node calls that took.
+    /// how many node calls that took, each one charged.
     fn undeploy_parts<'a>(
         &mut self,
         gid: &str,
@@ -366,6 +378,7 @@ impl Domain {
                 }
             }
         }
+        self.charged += NODE_CALL_CHARGE * calls as u64;
         calls
     }
 
@@ -469,11 +482,11 @@ impl Domain {
         self.pending.keys().cloned().collect()
     }
 
-    /// Stamp the park→drain downtime of a just-restored graph, parked
-    /// `since`, into its availability ledger (closing the blind spot
-    /// where parked graphs never stamped `downtime_estimate_ns`).
-    fn stamp_park_drain(&mut self, gid: &str, since: Instant) {
-        let downtime_ns = since.elapsed().as_nanos() as u64;
+    /// Stamp the park→drain downtime of a just-restored graph into its
+    /// availability ledger: from `since`, the start of the outage that
+    /// parked it, to `end`, when the redeploy's commit returned.
+    fn stamp_park_drain(&mut self, gid: &str, since: SimTime, end: SimTime) {
+        let downtime_ns = (end - since).as_nanos();
         let ledger = self
             .avail
             .entry(gid.to_string())
@@ -487,9 +500,12 @@ impl Domain {
     }
 
     /// Try to deploy graphs stranded by earlier failures (call after
-    /// adding capacity).
+    /// adding capacity). The retries run one after the other from
+    /// `self.clock`, each ending one control-plane charge after the
+    /// one before it, as a repair sweep does.
     pub fn retry_pending(&mut self) -> Vec<String> {
         let mut deployed = Vec::new();
+        let mut at = self.clock;
         for (gid, parked) in std::mem::take(&mut self.pending) {
             if self.graphs.contains_key(&gid) {
                 // A live deployment supersedes the parked copy (the
@@ -497,9 +513,12 @@ impl Domain {
                 // window was stamped then).
                 continue;
             }
-            match self.deploy_fresh(&parked.graph, &parked.hints) {
+            let charged = self.charged;
+            let result = self.deploy_fresh(&parked.graph, &parked.hints);
+            at += self.charged - charged;
+            match result {
                 Ok(_) => {
-                    self.stamp_park_drain(&gid, parked.since);
+                    self.stamp_park_drain(&gid, parked.since, at);
                     deployed.push(gid);
                 }
                 Err(_) => {

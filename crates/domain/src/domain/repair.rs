@@ -13,6 +13,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+use un_sim::SimTime;
+
 use super::control::Committed;
 use super::plan::{plan, serving_hints, Constraints, FleetView, Plan};
 use super::{
@@ -20,7 +22,7 @@ use super::{
     ReplacementReport,
 };
 use crate::sharing::{elect, ShareKey, SharedClaim};
-use crate::standby::{GraphAvailability, GraphStandby, NodeStandby, RepairKind};
+use crate::standby::{GraphAvailability, GraphStandby, NodeStandby, RepairKind, PLAN_CHARGE};
 
 /// NFs whose assignment differs between two plans of the same graph.
 fn moved_count(old: &BTreeMap<String, String>, new: &BTreeMap<String, String>) -> usize {
@@ -90,8 +92,10 @@ impl Domain {
     /// [`super::DomainConfig::repair`] (incremental by default: only the lost
     /// sub-partition moves; survivors keep their placements, their
     /// overlay VLAN ids, and — where their part is byte-identical —
-    /// their entire local deployment).
+    /// their entire local deployment). The outage is booked from now,
+    /// the domain's clock: the caller detected it.
     pub fn fail_node(&mut self, name: &str) -> Result<ReplacementReport, DomainError> {
+        let now = self.clock;
         let managed = self
             .nodes
             .get_mut(name)
@@ -102,16 +106,25 @@ impl Domain {
             return Ok(ReplacementReport::default());
         }
         managed.health = NodeHealth::Failed;
-        Ok(self.replace_lost_partitions(name))
+        Ok(self.replace_lost_partitions(name, now))
     }
 
     /// Repair every graph hosting a part on the (already marked
-    /// failed) node `name`.
-    pub(super) fn replace_lost_partitions(&mut self, name: &str) -> ReplacementReport {
-        // Downtime epoch: the failure is declared now; each graph's
-        // estimated downtime runs from here to the end of its own
-        // repair (so graphs later in the sweep include queueing delay).
-        let failed_at = Instant::now();
+    /// failed) node `name`, whose outage started at `start`.
+    ///
+    /// The books are virtual time. The failure is declared at
+    /// `self.clock`, so `self.clock - start` of detection is downtime
+    /// too; then each repair in the sweep ends one control-plane charge
+    /// after the one before it, so a graph later in the sweep books the
+    /// queueing delay of every attempt before it, parked ones included.
+    /// The model predicts only the repair about to run: what precedes
+    /// it on the sweep's clock has already happened.
+    pub(super) fn replace_lost_partitions(
+        &mut self,
+        name: &str,
+        start: SimTime,
+    ) -> ReplacementReport {
+        let mut at = self.clock;
         self.trace.nodes_failed += 1;
         self.obs
             .event("domain.node.failed", vec![("node", name.into())]);
@@ -180,13 +193,9 @@ impl Domain {
         }
 
         let mut report = ReplacementReport::default();
-        // The model's running clock through the sweep: graph i's
-        // prediction includes the predicted queueing delay of the
-        // i-1 repairs before it, mirroring how `downtime_estimate_ns`
-        // accumulates on the measured side.
-        let mut queue_model_ns: u64 = 0;
         for (gid, held) in affected {
             let repair_started = Instant::now();
+            let charged = self.charged;
             let entry = self.graphs.remove(&gid).expect("listed above");
             // A standby plan is only promotable under the incremental
             // policy, and only while still valid (same wires, every
@@ -214,7 +223,7 @@ impl Domain {
                 (None, true) => RepairKind::Reactive,
                 (None, false) => RepairKind::FromScratch,
             };
-            let modeled = queue_model_ns.saturating_add(self.calibration.predict(predicted_kind));
+            let modeled = (at - start).as_nanos() + self.calibration.predict(predicted_kind);
             let pinned = match standby {
                 Some(sb) => self.promote_standby(&entry, sb).ok(),
                 None if incremental => self.repair_incremental(&entry).ok(),
@@ -228,15 +237,16 @@ impl Domain {
                 Some(o) => Ok(o),
                 None => self.replace_from_scratch(&entry),
             };
+            let took = self.charged - charged;
+            at += took;
             match outcome {
                 Ok(mut o) => {
-                    o.repair_duration_ns = repair_started.elapsed().as_nanos() as u64;
-                    o.downtime_estimate_ns = failed_at.elapsed().as_nanos() as u64;
+                    o.repair_duration_ns = took.as_nanos();
+                    o.downtime_estimate_ns = (at - start).as_nanos();
                     o.modeled_downtime_ns = modeled;
                     let now = self.sharing.leases_of(&gid);
                     (o.shared_nfs_moved, o.shared_migrated) =
                         shared_blast(&held, &now, &entry, &self.graphs[&gid]);
-                    queue_model_ns = modeled;
                     let actual_kind = if o.standby_promoted {
                         RepairKind::StandbySwap
                     } else if o.full_replace {
@@ -298,7 +308,7 @@ impl Domain {
                     let parked = Parked {
                         graph: Arc::unwrap_or_clone(entry.original),
                         hints,
-                        since: Instant::now(),
+                        since: start,
                     };
                     self.pending.insert(gid.clone(), parked);
                     report.stranded.push(gid);
@@ -321,7 +331,7 @@ impl Domain {
     }
 
     /// What a repair cost, from what its commit did and how the
-    /// re-registered graph differs from `old`. The clocks, the model,
+    /// re-registered graph differs from `old`. The books, the model,
     /// the shared blast and `standby_promoted` are the sweep's to stamp.
     fn repair_outcome(
         &self,
@@ -364,8 +374,10 @@ impl Domain {
         Ok(self.repair_outcome(entry, done, false))
     }
 
-    /// Reactive incremental repair of one graph: plan now, commit.
+    /// Reactive incremental repair of one graph: plan now, inside the
+    /// outage, and commit.
     fn repair_incremental(&mut self, entry: &DomainGraph) -> Result<RepairOutcome, DomainError> {
+        self.charged += PLAN_CHARGE;
         let (view, vids) = self.planner();
         let c = Constraints::repair(entry, &view.serving);
         let plan = plan(&view, vids, &entry.original, &c)?;
@@ -383,7 +395,8 @@ impl Domain {
     }
 
     /// Promote a standby plan staged at Suspect time: the planning
-    /// phase is skipped entirely, the pre-computed plan commits as is.
+    /// phase is skipped entirely (and charged nothing), the
+    /// pre-computed plan commits as is.
     fn promote_standby(
         &mut self,
         entry: &DomainGraph,

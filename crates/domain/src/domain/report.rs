@@ -125,11 +125,12 @@ impl Domain {
         }
     }
 
-    /// The modeled-vs-measured availability report: per deployed
-    /// graph, predicted availability from exposure (nodes hosting
-    /// parts), redundancy (standby staged or not), and repair policy —
-    /// next to the measured downtime ledger the chaos suites validate
-    /// the model against.
+    /// The modeled-vs-booked availability report: per deployed graph,
+    /// predicted availability from exposure (nodes hosting parts),
+    /// redundancy (standby staged or not), repair policy and detection
+    /// — the silence `tick` waits out before it declares a failure,
+    /// which every failure's downtime includes — next to the booked
+    /// downtime ledger the chaos suites validate the model against.
     pub fn availability_report(&self) -> AvailabilityReport {
         let ready = self.standby.ready_graphs();
         let reactive_kind = match self.config.repair {
@@ -137,15 +138,19 @@ impl Domain {
             RepairPolicy::FromScratch => RepairKind::FromScratch,
         };
         let mtbf = self.config.node_mtbf_ns.max(1);
+        let detection = self
+            .config
+            .heartbeat_timeout_ns
+            .saturating_add(self.config.suspect_grace_ns);
         let graphs: Vec<GraphPrediction> = self
             .graphs
             .iter()
             .map(|(gid, g)| {
                 let exposed = g.partition.parts.len();
                 let standby_ready = ready.contains(gid);
-                let predicted_reactive_ns = self.calibration.predict(reactive_kind);
+                let predicted_reactive_ns = detection + self.calibration.predict(reactive_kind);
                 let predicted_repair_ns = if standby_ready {
-                    self.calibration.predict(RepairKind::StandbySwap)
+                    detection + self.calibration.predict(RepairKind::StandbySwap)
                 } else {
                     predicted_reactive_ns
                 };

@@ -2559,7 +2559,10 @@ fn availability_report_predicts_and_records() {
     assert_eq!(g.graph, "g1");
     assert_eq!(g.exposed_nodes, 1, "whole graph on the hub");
     assert!(!g.standby_ready);
-    assert_eq!(g.predicted_repair_ns, crate::standby::DEFAULT_REPAIR_NS);
+    assert_eq!(
+        g.predicted_repair_ns,
+        crate::standby::DEFAULT_REPAIR_NS + 4_000_000_000
+    );
     assert!(g.predicted_availability < 1.0);
     assert!(g.predicted_availability > 0.999);
 
@@ -2579,6 +2582,114 @@ fn availability_report_predicts_and_records() {
     assert_eq!(g.ledger.repairs, 1);
     assert_eq!(g.ledger.standby_promotions, 1);
     assert_eq!(g.exposed_nodes, 2, "now split across the ends");
+}
+
+#[test]
+fn a_failure_books_its_detection() {
+    let mut d = hub_fleet();
+    d.deploy_with(&split_bridge_chain(), &hub_hints()).unwrap();
+    let t = SimTime::from_secs(10);
+    for n in ["n1", "n2", "n3"] {
+        d.heartbeat(n, t).unwrap();
+    }
+    // n2 falls silent at t; a tick 4.5 s later declares it failed.
+    let later = SimTime::from_millis(14_500);
+    for n in ["n1", "n3"] {
+        d.heartbeat(n, later).unwrap();
+    }
+    let failed = d.tick(later);
+    assert_eq!(failed.len(), 1);
+    assert_eq!(failed[0].0, "n2");
+    let o = &failed[0].1.repairs[0];
+    assert!(o.repair_duration_ns > 0, "{o:?}");
+    assert_eq!(o.downtime_estimate_ns, 4_500_000_000 + o.repair_duration_ns);
+    let ledger = d.graph_availability("g1").unwrap();
+    assert!(ledger.measured_downtime_ns >= 4_000_000_000, "{ledger:?}");
+}
+
+/// `availability_report` with each f64 by its bits.
+type ReportBits = (
+    u64,
+    RepairCalibration,
+    u64,
+    u64,
+    u64,
+    Vec<(String, usize, bool, u64, u64, u64, GraphAvailability)>,
+);
+
+fn report_bits(d: &Domain) -> ReportBits {
+    let r = d.availability_report();
+    let graphs = r.graphs.into_iter().map(|g| {
+        let bits = g.predicted_availability.to_bits();
+        let (repair, reactive) = (g.predicted_repair_ns, g.predicted_reactive_ns);
+        (
+            g.graph,
+            g.exposed_nodes,
+            g.standby_ready,
+            repair,
+            reactive,
+            bits,
+            g.ledger,
+        )
+    });
+    (
+        r.node_mtbf_ns,
+        r.calibration,
+        r.modeled_downtime_ns,
+        r.measured_downtime_ns,
+        r.repair_events,
+        graphs.collect(),
+    )
+}
+
+/// Deploy on the hub, suspect and fail it (a standby swap), let a tick
+/// declare the wan host failed (a reactive repair), fail the last lan
+/// host (the graph parks), then recover the hub (the retry drains the
+/// park) — pausing `pause` between operations. Returns every repair,
+/// the graph's ledger and the availability report.
+fn book_one_history(
+    pause: std::time::Duration,
+) -> (Vec<RepairOutcome>, Option<GraphAvailability>, ReportBits) {
+    let mut d = hub_fleet();
+    let mut n4 = UniversalNode::new("n4", mb(2048));
+    n4.add_physical_port("eth1");
+    d.add_node(n4);
+    let mut repairs = Vec::new();
+    d.deploy_with(&split_bridge_chain(), &hub_hints()).unwrap();
+    std::thread::sleep(pause);
+    d.suspect_node("n2").unwrap();
+    std::thread::sleep(pause);
+    let swap = d.fail_node("n2").unwrap();
+    assert!(swap.repairs[0].standby_promoted);
+    repairs.extend(swap.repairs);
+    std::thread::sleep(pause);
+    let parts = &d.partition_of("g1").unwrap().parts;
+    let wan = ["n3", "n4"].into_iter().find(|n| parts.contains_key(*n));
+    let wan = wan.expect("the wan end moved to an eth1 node");
+    let now = SimTime::from_secs(5);
+    for n in ["n1", "n3", "n4"].into_iter().filter(|n| *n != wan) {
+        d.heartbeat(n, now).unwrap();
+    }
+    let ticked = d.tick(now);
+    assert_eq!(ticked.len(), 1, "only the silent wan host fails");
+    repairs.extend(ticked.into_iter().flat_map(|(_, r)| r.repairs));
+    std::thread::sleep(pause);
+    let parked = d.fail_node("n1").unwrap();
+    assert_eq!(parked.stranded, vec!["g1".to_string()]);
+    std::thread::sleep(pause);
+    assert_eq!(d.recover_node("n2").unwrap(), vec!["g1".to_string()]);
+    (repairs, d.graph_availability("g1"), report_bits(&d))
+}
+
+#[test]
+fn the_books_are_deterministic() {
+    let (repairs, ledger, report) = book_one_history(std::time::Duration::ZERO);
+    assert_eq!(repairs.len(), 2);
+    assert!(ledger.as_ref().is_some_and(|l| l.park_downtime_ns > 0));
+    let slow = book_one_history(std::time::Duration::from_millis(2));
+    assert_eq!(repairs, slow.0);
+    assert_eq!(ledger, slow.1);
+    assert_eq!(report, slow.2);
 }
 
 // ----------------------------------------------------------------------

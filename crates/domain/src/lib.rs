@@ -63,6 +63,6 @@ pub use placement::{assign, assign_endpoints, NodeView, PlaceError, PlacementStr
 pub use sharing::{ShareKey, SharedClaim, SharedInstance, SharingConfig, SharingError};
 pub use standby::{
     AvailabilityReport, GraphAvailability, GraphPrediction, RepairCalibration, RepairKind,
-    DEFAULT_REPAIR_NS,
+    DEFAULT_REPAIR_NS, FLOW_ENTRY_CHARGE, NODE_CALL_CHARGE, PLAN_CHARGE,
 };
 pub use topology::{EdgeAttrs, Topology};

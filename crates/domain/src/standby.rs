@@ -1,39 +1,65 @@
 //! Make-before-break standby plans and the availability model.
 //!
-//! Reactive repair pays full plan + partition + install latency as
-//! downtime. The `Suspect` grace window is an early-warning signal:
-//! while a node is merely suspect, [`crate::Domain`] pre-computes a
-//! **standby plan** per affected graph — placement with survivors
-//! pinned, overlay vids pre-reserved from the pool, transit routes
-//! pre-solved — so grace expiry (or an explicit `fail_node`) becomes a
-//! *swap*: the pre-staged parts install directly, skipping the whole
-//! planning phase. A late heartbeat or `recover_node` discards the
-//! standby and returns its vids to the pool, keeping the vid
-//! conservation invariant intact. Shared-NNF instances the suspect
-//! hosts get a standby *host* pre-elected the same way, so
-//! registry-level re-election at failure time is a promotion, not a
-//! fresh election.
+//! Reactive repair pays a plan inside the outage. The `Suspect` grace
+//! window is an early-warning signal: while a node is merely suspect,
+//! [`crate::Domain`] pre-computes a **standby plan** per affected graph
+//! — placement with survivors pinned, overlay vids pre-reserved from
+//! the pool, transit routes pre-solved — so grace expiry (or an
+//! explicit `fail_node`) becomes a *swap*: the pre-staged parts install
+//! directly, and the repair is charged no plan. A late heartbeat or
+//! `recover_node` discards the standby and returns its vids to the
+//! pool, keeping the vid conservation invariant intact. Shared-NNF
+//! instances the suspect hosts get a standby *host* pre-elected the
+//! same way, so registry-level re-election at failure time is a
+//! promotion, not a fresh election.
 //!
-//! The second half of this module is the **availability model**: a
+//! The second half of this module is the **availability model**, on
+//! the domain's one clock, virtual time. An outage starts at the failed
+//! node's last heartbeat (or at the `fail_node` call) and ends when the
+//! graph's repair commits; a repair takes the control-plane charges
+//! below, so the books are a function of the operations alone. A
 //! running calibration of repair cost by kind ([`RepairCalibration`]),
-//! a per-graph measured/modeled downtime ledger
-//! ([`GraphAvailability`]), and the domain-wide
-//! [`AvailabilityReport`] predicting per-graph availability from
-//! exposure (nodes hosting parts), redundancy (standby ready or not),
-//! and repair policy. The chaos suites validate the model empirically:
-//! modeled downtime must bracket the measured `downtime_estimate_ns`
-//! stream over random op sequences.
+//! a per-graph booked/modeled downtime ledger ([`GraphAvailability`]),
+//! and the domain-wide [`AvailabilityReport`] predict per-graph
+//! availability from exposure (nodes hosting parts), redundancy
+//! (standby ready or not), repair policy and detection time.
 
 use std::collections::{BTreeMap, BTreeSet};
+
+use un_sim::SimDuration;
 
 use crate::domain::Plan;
 use crate::sharing::ShareKey;
 
-/// Prediction for a repair kind that has never run: 50 µs, roughly one
-/// small-graph repair on a release build. The first observed repair of
-/// each kind replaces it, so the default only colors the very first
+/// Virtual time one plan takes when it is computed inside an outage
+/// (a reactive repair, a from-scratch re-placement, a parked graph's
+/// redeploy). A standby swap is charged none: its plan was staged at
+/// Suspect time, which is what make-before-break saves.
+///
+/// A modelling assumption, like the two charges below: each is the
+/// order of the in-process work this implementation measured for the
+/// step on a release build, when repairs were still booked on the wall
+/// clock (a swap of the 4-NF split chain took about 70 µs, the same
+/// repair planned reactively about 90 µs), rounded. A controller that
+/// reaches its nodes over a network pays more per call; that scales
+/// every booked repair alike and leaves detection, seconds long,
+/// dominant.
+pub const PLAN_CHARGE: SimDuration = SimDuration::from_micros(20);
+
+/// Virtual time of one node call: a deploy, an update or an undeploy
+/// of one graph's part, its flow entries aside.
+pub const NODE_CALL_CHARGE: SimDuration = SimDuration::from_micros(25);
+
+/// Virtual time of one flow entry a node call installs
+/// (`DeployReport::flow_entries`).
+pub const FLOW_ENTRY_CHARGE: SimDuration = SimDuration::from_micros(1);
+
+/// Prediction for a repair kind that has never run: two node calls,
+/// the smallest repair that moves a part (the survivor's update and the
+/// new host's deploy), before their entries. The first observed repair
+/// of each kind replaces it, so the default only colors the very first
 /// prediction of a domain's life.
-pub const DEFAULT_REPAIR_NS: u64 = 50_000;
+pub const DEFAULT_REPAIR_NS: u64 = 2 * NODE_CALL_CHARGE.as_nanos();
 
 /// The three ways a graph comes back after a node failure, in
 /// decreasing order of preparedness.
@@ -49,8 +75,8 @@ pub enum RepairKind {
 }
 
 /// Running calibration of repair cost by [`RepairKind`]: event counts
-/// and summed `repair_duration_ns`, updated after every repair.
-#[derive(Debug, Clone, Default)]
+/// and summed virtual `repair_duration_ns`, updated after every repair.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairCalibration {
     /// Standby-swap promotions observed / summed duration.
     pub swap_events: u64,
@@ -110,10 +136,11 @@ impl RepairCalibration {
     }
 }
 
-/// Per-graph availability ledger: what downtime this graph actually
-/// paid (measured) and what the model predicted at each event
-/// (modeled). Survives undeploy — it is history, not live state.
-#[derive(Debug, Clone, Default)]
+/// Per-graph availability ledger, in virtual time: what downtime this
+/// graph's repairs booked (measured) and what the model predicted at
+/// each event (modeled). Survives undeploy — it is history, not live
+/// state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphAvailability {
     /// The graph id.
     pub graph: String,
@@ -121,15 +148,18 @@ pub struct GraphAvailability {
     pub repairs: u64,
     /// Of those, standby-swap promotions.
     pub standby_promotions: u64,
-    /// Summed measured `downtime_estimate_ns` across repairs.
+    /// Summed booked `downtime_estimate_ns` across repairs: detection
+    /// plus the sweep's control-plane charges up to this graph's.
     pub measured_downtime_ns: u64,
     /// Summed model predictions, stamped at each repair *before* it
-    /// ran (queueing delay of earlier graphs in the sweep included).
+    /// ran (the outage so far, detection and the earlier repairs of
+    /// the sweep, included).
     pub modeled_downtime_ns: u64,
     /// Times the graph was parked (`NoRoute` / no capacity).
     pub park_events: u64,
     /// Summed park→drain downtime, stamped when `retry_pending` (or an
-    /// explicit redeploy) restored the graph.
+    /// explicit redeploy) restored the graph: from the start of the
+    /// outage that parked it to the return of the redeploy's commit.
     pub park_downtime_ns: u64,
 }
 
@@ -154,11 +184,12 @@ pub struct GraphPrediction {
     /// Is a standby plan staged for this graph right now?
     pub standby_ready: bool,
     /// Predicted per-failure downtime with the graph's current
-    /// protections (standby swap when staged, the policy's reactive
-    /// repair otherwise).
+    /// protections: detection (`heartbeat_timeout_ns +
+    /// suspect_grace_ns`) plus a standby swap when staged, the policy's
+    /// reactive repair otherwise.
     pub predicted_repair_ns: u64,
-    /// Predicted per-failure downtime of the policy's reactive repair
-    /// (the standby column's baseline).
+    /// Predicted per-failure downtime of the policy's reactive repair,
+    /// detection included (the standby column's baseline).
     pub predicted_reactive_ns: u64,
     /// Predicted availability `A = 1 − exposed · d_repair / MTBF`:
     /// each exposed node fails once per `node_mtbf_ns` on average,
@@ -179,7 +210,7 @@ pub struct AvailabilityReport {
     pub calibration: RepairCalibration,
     /// Summed model predictions across every graph ever repaired.
     pub modeled_downtime_ns: u64,
-    /// Summed measured `downtime_estimate_ns` across the same events.
+    /// Summed booked `downtime_estimate_ns` across the same events.
     pub measured_downtime_ns: u64,
     /// Repair events backing the two sums.
     pub repair_events: u64,

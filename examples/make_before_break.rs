@@ -13,8 +13,11 @@
 //! grace window expires and the node is declared failed, the repair is
 //! a *swap* of the pre-staged parts, not a from-scratch plan. The same
 //! scenario is then replayed on a twin fleet **without** the warning,
-//! and the two downtime estimates (plus the model's predictions from
-//! `Domain::availability_report`) are printed side by side.
+//! and the two downtimes (plus the model's predictions from
+//! `Domain::availability_report`) are printed side by side. Both are
+//! virtual time: the swap books exactly one plan charge less, and on a
+//! failure a `tick` detects, both would also book the seconds of
+//! silence before it.
 
 use std::collections::BTreeMap;
 
