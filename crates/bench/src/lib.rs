@@ -9,14 +9,12 @@
 //! Binaries (`cargo run -p un-bench --bin <name>`):
 //!
 //! * `table1` — regenerates Table 1.
-//! * `sharing_sweep` — one fleet-wide shared NNF vs per-graph
-//!   instances (`BENCH_sharing.json`).
 //! * `benchmark` — the unified performance ledger `BENCHMARK.json`
 //!   runs (its own detached package under `src/bin/benchmark/`; see the
-//!   README there). Every wall-clock figure comes from it; the sharing
-//!   sweep above is the only figure it has no successor for yet. The
-//!   repair sweep is a test (`tests/repair_sweep.rs`): its books are
-//!   virtual time.
+//!   README there). Every wall-clock figure comes from it. The repair
+//!   and sharing sweeps are tests (`tests/repair_sweep.rs`,
+//!   `tests/sharing_sweep.rs`): what they assert is virtual time,
+//!   memory, instance counts and egress bytes, not wall-clock time.
 //!
 //! Criterion micro-benches live in `benches/`.
 

@@ -2420,12 +2420,18 @@ impl UniversalNode {
         self.entries().map(|(graph, lsi)| (graph, &lsi.switch))
     }
 
-    /// LSI-0's switch, writable by hand: for tests that corrupt a node's
-    /// tables under its orchestrator, as a faulty node would. The node
-    /// itself writes its tables only through its programs and groups.
+    /// An LSI's switch — LSI-0 (`None`) or graph `graph`'s — writable
+    /// by hand: for tests that corrupt a node's tables under its
+    /// orchestrator, as a faulty node would. `None` when the node holds
+    /// no LSI of that graph. The node itself writes its tables only
+    /// through its programs and groups.
     #[doc(hidden)]
-    pub fn base_switch_mut(&mut self) -> &mut un_switch::LogicalSwitch {
-        &mut self.lsi_mut(0).switch
+    pub fn switch_mut(&mut self, graph: Option<&str>) -> Option<&mut un_switch::LogicalSwitch> {
+        let at = match graph {
+            None => 0,
+            Some(id) => self.graphs.get(id)?.lsi,
+        };
+        Some(&mut self.lsis[at].as_mut()?.switch)
     }
 }
 

@@ -17,25 +17,23 @@
 //!   re-checks only the dirty portion and splices cached results in
 //!   for the rest, so a pass costs what changed, not what is deployed.
 //!
-//! What a node holds is audited in units, each cached with the ports
-//! and vids its entries name:
-//!
-//! * **A graph LSI** changes only when its graph is committed or torn
-//!   down, so on a re-audited node only the LSIs of dirty graphs are
-//!   lowered; every other graph LSI keeps its cached audit.
-//! * **LSI-0** is shared by every tenant on the node, so it is audited
-//!   per traffic class ([`TrafficClass`]): the exact `(in_port, VLAN)`
-//!   an entry pins, its port's whole class when it pins a port but no
-//!   one VLAN state, the whole table's when it pins no port. The table
-//!   records which classes each mutation touched
-//!   ([`FlowTable::changed_since`]), so no writer can change one
-//!   unseen, and a node whose LSI-0 changed is re-audited whoever
-//!   changed it. A pass judges the classes that changed since the
-//!   node's last audit, those naming a port LSI-0 gained or lost or a
-//!   vid whose state changed, those whose last audit found something,
-//!   and the classes that hold a changed one; it lowers those with the
-//!   classes that meet them, each entry at its position in the whole
-//!   table, and splices every other class's cached audit in.
+//! What a node holds is audited in one unit: an LSI — LSI-0, which
+//! every tenant on the node shares, and each graph's alike — per
+//! traffic class ([`TrafficClass`]): the exact `(in_port, VLAN)` an
+//! entry pins, its port's whole class when it pins a port but no one
+//! VLAN state, the whole table's when it pins no port. Each table
+//! records which classes each mutation touched
+//! ([`FlowTable::changed_since`]), and each LSI counts its port changes
+//! ([`LogicalSwitch::port_generation`]), so no writer can change either
+//! unseen, and a node with an LSI that changed is re-audited whoever
+//! changed it. A pass judges the classes that changed since the LSI's
+//! last audit, those naming a port the LSI gained or lost or a vid whose
+//! state changed, those whose last audit found something, and the
+//! classes that hold a changed one; it lowers those with the classes
+//! that meet them, each entry at its position in the whole table, and
+//! splices every other class's cached audit in. The LSIs of a graph the
+//! pass re-checks are lowered and judged whole, because the graph's
+//! compile-consistency check reads them whole.
 //!
 //! The per-class audit is exact. Two entries of classes that do not
 //! meet pin different ports, or one port and two exclusive VLAN states,
@@ -44,24 +42,25 @@
 //! charges the rules it skips by table position, so a class's count is
 //! the whole table's. An entry's action check reads only the LSI's
 //! ports and the fleet's live vids, which is why a class naming a port
-//! or vid that changed is judged again: each node keeps a book of what
-//! its classes name, so the classes naming a changed port or vid are
-//! found without reading the table. A class that found something is
-//! judged again whenever its node is, so a cached violation is spliced
-//! only while its node's LSI-0 — and with it every table position the
-//! violation names — is as it was. A full pass is the same code with
-//! every class judged.
+//! or vid that changed is judged again: each LSI has a book of what its
+//! classes name, so the classes naming a changed port or vid are found
+//! without reading the table. A class that found something is judged
+//! again whenever its node is, so a cached violation is spliced only
+//! while its LSI — and with it every table position the violation
+//! names — is as it was. A full pass is the same code with every class
+//! judged.
 //!
-//! What stays O(fleet) per pass: deciding the scope (one generation
-//! compare per node, a vid bitset for the fleet, and on a re-audited
-//! node a walk over LSI-0's ports) and the snapshot's
-//! [`un_verify::snapshot::Index`], which names every node and graph.
-//! The ledger checks are global, so they always re-run, over that
-//! index and three vid bitsets. A node failure or recovery marks that
+//! What stays O(fleet) per pass: deciding the scope (a walk over each
+//! node's LSIs beside their books, a vid bitset for the fleet, and on a
+//! re-audited node a walk over the ports of each LSI whose ports
+//! changed) and the snapshot's [`un_verify::snapshot::Index`], which
+//! names every node and graph. The ledger checks are global, so they
+//! always re-run, over that index and three vid bitsets. A node failure or recovery marks that
 //! node and the graphs with a part on it; membership changes and raw
 //! node access force a full pass because their blast radius is
 //! unbounded.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,7 +68,8 @@ use std::time::Instant;
 use un_core::un_switch::{
     ClassVlan, FlowAction, FlowEntry, FlowTable, LogicalSwitch, TrafficClass,
 };
-use un_verify::check::{self, VerifyReport, Violation};
+use un_core::UniversalNode;
+use un_verify::check::{self, CheckStats, VerifyReport, Violation};
 use un_verify::snapshot::{
     ExpectedRule, GraphLink, GraphState, LeaseInfo, LinkInfo, LsiState, NodeState, RuleState,
     Snapshot, TableState,
@@ -77,9 +77,9 @@ use un_verify::snapshot::{
 
 use super::{Domain, DomainGraph};
 
-/// What an LSI-0 entry names that a change elsewhere can make right or
-/// wrong — a port it outputs to, or a vid it pushes — as one word: the
-/// port, or the vid above every port.
+/// What an entry names that a change elsewhere can make right or wrong
+/// — a port it outputs to, or a vid it pushes — as one word: the port,
+/// or the vid above every port.
 type Ref = u64;
 
 fn port_ref(port: u32) -> Ref {
@@ -99,8 +99,8 @@ fn named(a: &FlowAction) -> Option<Ref> {
     }
 }
 
-/// What one LSI-0 class's entries name, held inline: a class naming
-/// more than [`ClassRefs::INLINE`] refs is taken to name every one.
+/// What one class's entries name, held inline: a class naming more
+/// than [`ClassRefs::INLINE`] refs is taken to name every one.
 #[derive(Debug, Clone, Copy)]
 struct ClassRefs {
     refs: [Ref; ClassRefs::INLINE],
@@ -146,71 +146,51 @@ impl ClassRefs {
     }
 }
 
-/// One graph LSI's audit from the last pass.
-struct GraphAudit {
-    /// The vids its entries push.
-    vids: Box<[u16]>,
-    violations: Vec<Violation>,
-}
-
-/// One node's audits from the last pass. LSI-0's are kept per traffic
-/// class — what each class names, and what the flagged ones found — so
-/// a class is judged again only when it, or what it names, changed.
-/// The books are sorted vectors of words, kept without allocating once
-/// they have grown.
+/// One LSI's audit from the last pass, kept per traffic class — what
+/// each class names, and what the flagged ones found — so a class is
+/// judged again only when it, or what it names, changed. The books are
+/// sorted vectors of words, kept without allocating once they have
+/// grown.
 #[derive(Default)]
-struct NodeAudits {
-    /// LSI-0's table generation at its last audit.
+struct Book {
+    /// The owning graph, its id as the domain shares it; `None` for
+    /// LSI-0.
+    owner: Option<Arc<str>>,
+    /// The table's generation at the last audit.
     seen: u64,
-    /// LSI-0's ports then.
+    /// The LSI's port generation then.
+    ports_seen: u64,
+    /// The LSI's ports then.
     ports: Vec<u32>,
-    /// What each LSI-0 class with an entry names, by class key
+    /// What each class with an entry names, by class key
     /// ([`TrafficClass::key`]).
     classes: Vec<(u64, ClassRefs)>,
     /// How many of those classes name each ref, wide ones aside, by ref.
     named: Vec<(Ref, u32)>,
     /// How many of them are wide.
     wide: usize,
-    /// The LSI-0 classes whose audit found violations, with them.
+    /// The classes whose audit found violations, with them.
     flagged: BTreeMap<TrafficClass, Vec<Violation>>,
-    /// Each graph LSI's, by owning graph (its id as the domain shares
-    /// it).
-    graphs: BTreeMap<Arc<str>, GraphAudit>,
-    /// `(vid, graph)` for each vid a graph LSI pushes, sorted.
-    graph_vids: Vec<(u16, Arc<str>)>,
-    /// The graph LSIs whose audit found violations.
-    flagged_graphs: BTreeSet<Arc<str>>,
-    /// `(class key, entry)` of a table being booked whole.
-    scratch: Vec<(u64, usize)>,
+    /// The classes the pass under way judges, sorted, their audits
+    /// forgotten; `None`: every class, the book being new or dropped.
+    judged: Option<Vec<TrafficClass>>,
 }
 
-impl NodeAudits {
-    /// Whether any LSI-0 class but a wide one is counted against `r`.
-    fn counts(&self, r: Ref) -> bool {
-        self.named.binary_search_by_key(&r, |x| x.0).is_ok()
+impl Book {
+    /// Whether any class is counted against `r`: a wide one, or one
+    /// naming it.
+    fn names(&self, r: Ref) -> bool {
+        self.wide > 0 || self.named.binary_search_by_key(&r, |x| x.0).is_ok()
     }
 
-    /// The LSI-0 classes that name `r`: a walk over what each class
-    /// names, taken only when a class not already judged may name it.
+    /// The classes that name `r`: a walk over what each class names,
+    /// taken only when a class not already judged may name it.
     fn classes_naming(&self, r: Ref) -> impl Iterator<Item = TrafficClass> + '_ {
         let naming = self.classes.iter().filter(move |(_, refs)| refs.names(r));
         naming.map(|(key, _)| TrafficClass::from_key(*key))
     }
 
-    /// Whether any LSI-0 class or graph LSI pushes `vid`.
-    fn pushes(&self, vid: u16) -> bool {
-        self.wide > 0 || self.counts(vid_ref(vid)) || self.graphs_pushing(vid).next().is_some()
-    }
-
-    /// The graph LSIs that push `vid`.
-    fn graphs_pushing(&self, vid: u16) -> impl Iterator<Item = &str> {
-        let run = &self.graph_vids[self.graph_vids.partition_point(|x| x.0 < vid)..];
-        run.iter()
-            .take_while(move |(v, _)| *v == vid)
-            .map(|(_, g)| &**g)
-    }
-
-    /// Forget what LSI-0 class `class` named and found.
+    /// Forget what class `class` named and found.
     fn forget_class(&mut self, class: TrafficClass) {
         self.flagged.remove(&class);
         let Ok(at) = self.classes.binary_search_by_key(&class.key(), |x| x.0) else {
@@ -230,7 +210,7 @@ impl NodeAudits {
         }
     }
 
-    /// Record what LSI-0 class `class`, holding entries `entries` and
+    /// Record what class `class`, holding entries `entries` and
     /// forgotten or never seen, names and found.
     fn record_class<'e>(
         &mut self,
@@ -258,21 +238,22 @@ impl NodeAudits {
         }
     }
 
-    /// Record every class of `table` afresh, with `found`'s violations.
-    fn record_base(
+    /// Record every class of the lowered table `rules` afresh, with
+    /// `found`'s violations, grouping the entries in `scratch`.
+    fn record_whole(
         &mut self,
         rules: &[RuleState],
         mut found: BTreeMap<TrafficClass, Vec<Violation>>,
+        scratch: &mut Vec<(u64, usize)>,
     ) {
         self.classes.clear();
         self.named.clear();
         self.wide = 0;
-        // The lowered table, just audited, grouped by class.
         let class_of = |(i, r): (usize, &RuleState)| (TrafficClass::of(&r.matches).key(), i);
-        self.scratch.clear();
-        self.scratch.extend(rules.iter().enumerate().map(class_of));
-        self.scratch.sort_unstable();
-        for run in self.scratch.chunk_by(|a, b| a.0 == b.0) {
+        scratch.clear();
+        scratch.extend(rules.iter().enumerate().map(class_of));
+        scratch.sort_unstable();
+        for run in scratch.chunk_by(|a, b| a.0 == b.0) {
             let refs = ClassRefs::of(run.iter().map(|&(_, i)| &rules[i].actions[..]));
             self.wide += usize::from(refs.wide());
             self.named.extend(refs.held().iter().map(|r| (*r, 1)));
@@ -288,39 +269,174 @@ impl NodeAudits {
         self.flagged.append(&mut found);
     }
 
-    /// Forget everything, keeping the buffers.
-    fn reset(&mut self) {
-        self.seen = 0;
-        self.ports.clear();
-        self.classes.clear();
-        self.named.clear();
-        self.wide = 0;
-        self.flagged.clear();
-        self.graphs.clear();
-        self.graph_vids.clear();
-        self.flagged_graphs.clear();
+    /// The classes of `lsi`, this book's LSI, that a pass must judge:
+    /// the classes its table says changed since the last audit, those
+    /// naming a port it gained or lost or a vid in `changed_vids`, and
+    /// those flagged last time — with every class that holds one of
+    /// them, and under a changed whole-port class its port's classes.
+    /// `None`, every class, when the table's record no longer reaches
+    /// the last audit or a class that pins no port is at stake. The
+    /// judged classes' audits are forgotten here, the changed ones
+    /// first, so what the book still counts against a changed port or
+    /// vid is another class's.
+    fn judge(&mut self, lsi: &LogicalSwitch, changed_vids: &[u16]) -> Option<Vec<TrafficClass>> {
+        let table = lsi.table();
+        let mut seeds: Vec<TrafficClass> = table.changed_since(self.seen)?.collect();
+        seeds.extend(self.flagged.keys().copied());
+        for &class in &seeds {
+            self.forget_class(class);
+        }
+        // With the seeds forgotten, a ref that changed is named by
+        // another class only if a class is still counted against it.
+        let mut refs: Vec<Ref> = Vec::new();
+        let mut counted = |r: Ref| {
+            if self.names(r) {
+                refs.push(r);
+            }
+        };
+        changed_vids.iter().for_each(|vid| counted(vid_ref(*vid)));
+        if self.ports_seen != lsi.port_generation() {
+            changed_ports(&self.ports, lsi.ports().map(|(no, _)| no.0), |port| {
+                counted(port_ref(port));
+            });
+        }
+        for r in refs {
+            let naming: Vec<TrafficClass> = self.classes_naming(r).collect();
+            for class in naming {
+                self.forget_class(class);
+                seeds.push(class);
+            }
+        }
+        if seeds.is_empty() {
+            return Some(seeds);
+        }
+        if seeds.contains(&TrafficClass::Table) || table.has_class(TrafficClass::Table) {
+            return None;
+        }
+        // Each seed with what holds it, and under a whole-port seed its
+        // port's classes; a seed with no entry left only loses its audit.
+        let mut judged = Vec::with_capacity(seeds.len() + 2);
+        for &class in &seeds {
+            let TrafficClass::Port(port, vlan) = class else {
+                unreachable!("a class that pins no port judges every class");
+            };
+            if vlan == ClassVlan::Any {
+                judged.extend(table.port_classes(port));
+                continue;
+            }
+            if table.has_class(class) {
+                judged.push(class);
+            }
+            let whole = TrafficClass::Port(port, ClassVlan::Any);
+            if table.has_class(whole) {
+                judged.push(whole);
+            }
+        }
+        judged.sort_unstable();
+        judged.dedup();
+        for &class in &judged {
+            self.forget_class(class);
+        }
+        Some(judged)
     }
 
-    fn forget_graph(&mut self, gid: &str) {
-        if self
-            .graphs
-            .remove(gid)
-            .is_some_and(|old| !old.vids.is_empty())
-        {
-            self.graph_vids.retain(|(_, g)| **g != *gid);
+    /// Audit `state`, the lowered form of `lsi`, into this book: every
+    /// class, or the judged ones; then take the LSI's generations.
+    fn audit(
+        &mut self,
+        ix: &un_verify::snapshot::Index<'_>,
+        node: &str,
+        state: &LsiState,
+        lsi: &LogicalSwitch,
+        scratch: &mut Vec<(u64, usize)>,
+    ) -> CheckStats {
+        let judged = self.judged.take();
+        let whole = judged.is_none();
+        let mut stats = CheckStats::default();
+        let mut found: BTreeMap<TrafficClass, Vec<Violation>> = BTreeMap::new();
+        let mut flag = |class, v| found.entry(class).or_default().push(v);
+        let classes = judged.as_deref();
+        for t in &state.tables {
+            stats.merge(check::audit_table(ix, node, state, t, classes, &mut flag));
         }
-        self.flagged_graphs.remove(gid);
+        let mut judged = match judged {
+            None => {
+                self.record_whole(&state.tables[0].rules, found, scratch);
+                Vec::new()
+            }
+            Some(judged) => {
+                for &class in &judged {
+                    let violations = found.remove(&class).unwrap_or_default();
+                    self.record_class(class, lsi.table().class_rules(class), violations);
+                }
+                judged
+            }
+        };
+        judged.clear();
+        self.judged = Some(judged);
+        self.mark_seen(lsi, whole);
+        stats
     }
 
-    fn record_graph(&mut self, gid: Arc<str>, audit: GraphAudit) {
-        for vid in audit.vids.iter() {
-            let at = self.graph_vids.partition_point(|x| x.0 < *vid);
-            self.graph_vids.insert(at, (*vid, Arc::clone(&gid)));
+    /// Take `lsi`'s table and port generations, and its ports when they
+    /// changed or (`whole`) the book may be another LSI's of its owner,
+    /// torn down since.
+    fn mark_seen(&mut self, lsi: &LogicalSwitch, whole: bool) {
+        self.seen = lsi.table().generation();
+        if whole || self.ports_seen != lsi.port_generation() {
+            self.ports_seen = lsi.port_generation();
+            self.ports.clear();
+            self.ports.extend(lsi.ports().map(|(no, _)| no.0));
         }
-        if !audit.violations.is_empty() {
-            self.flagged_graphs.insert(Arc::clone(&gid));
+    }
+}
+
+/// One node's books, one per LSI in the node's order: LSI-0's first,
+/// then each graph's by graph id.
+#[derive(Default)]
+struct NodeAudits {
+    books: Vec<Book>,
+    /// `(class key, entry)` of a table being booked whole.
+    scratch: Vec<(u64, usize)>,
+}
+
+impl NodeAudits {
+    /// Line the books up with `node`'s LSIs: drop the book of an LSI the
+    /// node no longer has, and open an empty one, owned by `shared`'s id
+    /// of its graph, for an LSI it has none for.
+    fn align(&mut self, node: &UniversalNode, shared: impl Fn(&str) -> Arc<str>) {
+        let mut at = 0;
+        for (owner, _) in node.lsis() {
+            let place = |b: &Book| b.owner.as_deref().cmp(&owner);
+            while self.books.get(at).map(place) == Some(Ordering::Less) {
+                self.books.remove(at);
+            }
+            if self.books.get(at).map(place) != Some(Ordering::Equal) {
+                let book = Book {
+                    owner: owner.map(&shared),
+                    ..Book::default()
+                };
+                self.books.insert(at, book);
+            }
+            at += 1;
         }
-        self.graphs.insert(gid, audit);
+        self.books.truncate(at);
+    }
+
+    /// Whether each of `node`'s LSIs has its book, its table and ports
+    /// are as they were at its last audit, and no class of it names a
+    /// vid in `changed_vids`: one walk beside the books.
+    fn current(&self, node: &UniversalNode, changed_vids: &[u16]) -> bool {
+        let mut books = self.books.iter();
+        let as_seen = |(owner, lsi): (Option<&str>, &LogicalSwitch)| {
+            books.next().is_some_and(|b| {
+                b.owner.as_deref() == owner
+                    && b.seen == lsi.table().generation()
+                    && b.ports_seen == lsi.port_generation()
+                    && !changed_vids.iter().any(|vid| b.names(vid_ref(*vid)))
+            })
+        };
+        node.lsis().all(as_seen) && books.next().is_none()
     }
 }
 
@@ -351,45 +467,15 @@ pub(super) struct VerifyCache {
     primed: bool,
 }
 
-/// What an incremental pass re-audits on one node.
-#[derive(Default)]
-struct NodeScope {
-    /// LSI-0's traffic classes to judge, each with an entry, sorted;
-    /// `None`: every one.
-    classes: Option<Vec<TrafficClass>>,
-    /// Graph LSIs judged again although their graph was not touched:
-    /// they push a vid whose state changed.
-    graphs: BTreeSet<String>,
-}
-
 /// What an incremental pass re-checks, and therefore all it lowers in
-/// depth; names borrow from the domain's own maps.
+/// depth; names borrow from the domain's own maps. What it lowers of a
+/// serving node's LSIs is what their books judge.
 struct Scope<'a, 'c> {
     graphs: BTreeSet<&'a str>,
-    nodes: BTreeMap<&'a str, NodeScope>,
+    nodes: BTreeSet<&'a str>,
     /// The cache the pass splices from.
     cache: &'c VerifyCache,
 }
-
-impl Scope<'_, '_> {
-    /// Whether graph `gid`'s LSI, with a cached audit, on a node of
-    /// scope `node` keeps that audit: the graph was not touched —
-    /// deployed or not, so a torn-down graph's leftover LSI is audited —
-    /// and the LSI pushes no vid whose state changed.
-    fn reuses(&self, node: &NodeScope, gid: &str) -> bool {
-        !self.graphs.contains(gid)
-            && !self.cache.graphs_dirty.contains(gid)
-            && !node.graphs.contains(gid)
-    }
-}
-
-/// The node's LSI-0.
-fn base(node: &un_core::UniversalNode) -> &LogicalSwitch {
-    let (graph, lsi) = node.lsis().next().expect("every node has LSI-0");
-    debug_assert!(graph.is_none());
-    lsi
-}
-
 /// The match-order positions of the entries of `judged`'s classes
 /// (sorted) and of every class an audit of them reads besides: a judged
 /// whole-port class reads its port's classes. Ascending, once each.
@@ -577,7 +663,8 @@ impl Domain {
     /// The one lowering path. The ledger side (membership, links,
     /// leases, the vid pool) is always whole; tables, plans and
     /// expected rules are lowered for everything (`scope == None`) or
-    /// only for what `scope` names, the rest being recorded by name so
+    /// only for what `scope` names — of a serving node's LSIs, the
+    /// classes their books judge — the rest being recorded by name so
     /// reading it is an error rather than an empty answer.
     fn lower(&self, scope: Option<&Scope<'_, '_>>) -> Snapshot {
         let (vid_next, free_vids) = self.vids.accounting();
@@ -590,31 +677,27 @@ impl Domain {
             standby_vids,
             ..Snapshot::default()
         };
-        let none = (BTreeMap::new(), BTreeMap::new());
+        let none = (BTreeSet::new(), BTreeMap::new());
         let (scoped, cached) =
             scope.map_or((&none.0, &none.1), |s| (&s.nodes, &s.cache.node_results));
-        let (mut scoped, mut cached) = (beside(scoped.iter()), beside(cached.iter()));
+        let mut scoped = beside(scoped.iter().map(|name| (name, ())));
+        let mut cached = beside(cached.iter());
         for (name, managed) in &self.nodes {
             let serving = managed.health.is_serving();
-            let node = scoped(name).map(|(_, node)| node);
-            if scope.is_some() && node.is_none() {
+            if scope.is_some() && scoped(name).is_none() {
                 snap.unlowered_nodes.push((managed.name.shared(), serving));
                 continue;
             }
-            let classes = node.and_then(|n| n.classes.as_deref());
-            let audits = node.and_then(|_| cached(name)).map(|(_, a)| a);
-            let mut audited = beside(audits.into_iter().flat_map(|a| a.graphs.iter()));
+            let audits = cached(name).filter(|_| serving).map(|(_, a)| a);
+            let mut books = audits.into_iter().flat_map(|a| &a.books);
             let (mut lsis, mut unlowered_lsis) = (Vec::new(), Vec::new());
-            for (gid, lsi) in managed.node.lsis() {
-                let Some(g) = gid else {
-                    lsis.push(lower_lsi(lsi, None, classes));
-                    continue;
-                };
-                match (audited(g), scope.zip(node)) {
-                    (Some((id, _)), Some((scope, node))) if scope.reuses(node, g) => {
-                        unlowered_lsis.push(Arc::clone(id));
-                    }
-                    _ => lsis.push(lower_lsi(lsi, Some(g), None)),
+            for (graph, lsi) in managed.node.lsis() {
+                let book = books.next();
+                debug_assert!(book.is_none_or(|b| b.owner.as_deref() == graph));
+                let judged = book.and_then(|b| b.judged.as_deref());
+                match (book.and_then(|b| b.owner.as_ref()), judged) {
+                    (Some(id), Some([])) => unlowered_lsis.push(Arc::clone(id)),
+                    _ => lsis.push(lower_lsi(lsi, graph, judged)),
                 }
             }
             snap.nodes.push(NodeState {
@@ -670,16 +753,16 @@ impl Domain {
 
     /// What an incremental pass re-checks. Only serving nodes are
     /// audited: a failed carcass keeps its installed state (expected
-    /// stale) until recovery purges it. Hosts of a re-checked graph are
-    /// audited with it — its compile-consistency step reads their
-    /// tables — whether or not the mutation remembered to mark them, and
-    /// so is a node whose LSI-0 changed or that pushes a vid in
-    /// `changed_vids`.
+    /// stale) until recovery purges it. A serving node is audited when it
+    /// is marked, was never audited, has an LSI whose table or ports
+    /// changed since its audit, or names a vid in `changed_vids`; and
+    /// the hosts of a re-checked graph are audited with it — its
+    /// compile-consistency step reads their tables — whether or not the
+    /// mutation remembered to mark them.
     ///
-    /// Deciding a node's scope forgets the cached audits of the LSI-0
-    /// classes it judges: the pass records them afresh.
+    /// Deciding a node's scope readies its books ([`node_scope`]).
     fn scope<'a, 'c>(&'a self, cache: &'c mut VerifyCache) -> Scope<'a, 'c> {
-        let changed_vids = std::mem::take(&mut cache.changed_vids);
+        let changed_vids = &cache.changed_vids;
         let mut checked = beside(cache.graph_results.iter());
         let graphs: BTreeSet<&str> = self
             .graphs
@@ -687,42 +770,37 @@ impl Domain {
             .map(String::as_str)
             .filter(|id| checked(id).is_none() || cache.graphs_dirty.contains(*id))
             .collect();
-        let mut nodes: BTreeMap<&str, NodeScope> = BTreeMap::new();
-        let mut cached = cache.node_results.iter_mut().peekable();
+        let mut nodes: BTreeSet<&str> = BTreeSet::new();
+        let mut cached = beside(cache.node_results.iter());
         for (name, managed) in &self.nodes {
-            while cached.next_if(|(k, _)| *k < name).is_some() {}
-            let audits = cached.next_if(|(k, _)| *k == name).map(|(_, a)| a);
+            let audits = cached(name).map(|(_, a)| a);
             if !managed.health.is_serving() {
                 continue;
             }
-            let Some(audits) = audits else {
-                nodes.insert(name, NodeScope::default());
+            let as_audited = audits.is_some_and(|a| a.current(&managed.node, changed_vids));
+            if !as_audited || cache.nodes_dirty.contains(name) {
+                nodes.insert(name);
+            }
+        }
+        drop(cached);
+        for id in &graphs {
+            nodes.extend(self.graphs[*id].partition.parts.keys().map(String::as_str));
+        }
+        let rechecked = |g: &str| graphs.contains(g) || cache.graphs_dirty.contains(g);
+        for &name in &nodes {
+            let serving = self.nodes.get(name).filter(|m| m.health.is_serving());
+            let Some(managed) = serving else {
                 continue;
             };
-            let vid_hit = changed_vids.iter().any(|vid| audits.pushes(*vid));
-            if cache.nodes_dirty.contains(name)
-                || base(&managed.node).table().generation() != audits.seen
-                || vid_hit
-            {
-                nodes.insert(name, node_scope(&managed.node, audits, &changed_vids));
+            if !cache.node_results.contains_key(name) {
+                cache
+                    .node_results
+                    .insert(name.to_string(), NodeAudits::default());
             }
+            let audits = cache.node_results.get_mut(name).expect("inserted");
+            audits.align(&managed.node, |g| self.shared_id(g));
+            node_scope(&managed.node, audits, changed_vids, rechecked);
         }
-        for id in &graphs {
-            for host in self.graphs[*id].partition.parts.keys() {
-                if !nodes.contains_key(host.as_str()) {
-                    let managed = self.nodes.get(host);
-                    let audits = cache.node_results.get_mut(host);
-                    let scope = match (managed, audits) {
-                        (Some(m), Some(a)) if m.health.is_serving() => {
-                            node_scope(&m.node, a, &changed_vids)
-                        }
-                        _ => NodeScope::default(),
-                    };
-                    nodes.insert(host, scope);
-                }
-            }
-        }
-        cache.changed_vids = changed_vids;
         Scope {
             graphs,
             nodes,
@@ -735,10 +813,9 @@ impl Domain {
     /// a snapshot of current state.
     ///
     /// Incremental: only graphs (and nodes, and on those nodes the
-    /// touched graphs' LSIs and LSI-0's touched traffic classes) touched
-    /// since the last call are lowered and re-checked; cached results
-    /// cover the rest. The first call, and any call after a fleet-wide
-    /// mutation, runs full.
+    /// touched traffic classes of each LSI) touched since the last call
+    /// are lowered and re-checked; cached results cover the rest. The
+    /// first call, and any call after a fleet-wide mutation, runs full.
     pub fn verify(&self) -> VerifyReport {
         self.verify_inner(false)
     }
@@ -779,10 +856,10 @@ impl Domain {
         }
 
         // Derive once what this pass re-checks, and lower only that.
-        let (snap, mut judged) = {
-            let scope = (!full).then(|| self.scope(&mut *cache));
-            let snap = self.lower(scope.as_ref());
-            (snap, scope.map(|s| s.nodes).unwrap_or_default())
+        let snap = if full {
+            self.lower(None)
+        } else {
+            self.lower(Some(&self.scope(&mut *cache)))
         };
         let ix = snap.index();
 
@@ -816,52 +893,28 @@ impl Domain {
 
         for node in snap.nodes.iter().filter(|n| n.serving) {
             let live = &self.nodes[&node.name].node;
-            let classes = judged
-                .get_mut(node.name.as_str())
-                .and_then(|n| n.classes.take());
-            if !cache.node_results.contains_key(&node.name) {
-                cache
-                    .node_results
-                    .insert(node.name.clone(), NodeAudits::default());
-            }
-            let audits = cache.node_results.get_mut(&node.name).expect("inserted");
             if full {
-                audits.reset();
+                if !cache.node_results.contains_key(&node.name) {
+                    cache
+                        .node_results
+                        .insert(node.name.clone(), NodeAudits::default());
+                }
+                let audits = cache.node_results.get_mut(&node.name).expect("inserted");
+                audits.align(live, |g| self.shared_id(g));
+                audits.books.iter_mut().for_each(|b| b.judged = None);
             }
-            for lsi in &node.lsis {
-                let Some(gid) = &lsi.graph else {
-                    let judged = classes.as_deref();
-                    self.audit_base(&ix, node, lsi, base(live), judged, audits, &mut report);
-                    continue;
-                };
-                audits.forget_graph(gid);
-                let (violations, stats) = check::audit_lsi(&ix, &node.name, lsi);
-                report.stats.merge(stats);
-                let mut vids: Vec<u16> = lsi
-                    .tables
-                    .iter()
-                    .flat_map(|t| &t.rules)
-                    .flat_map(|r| r.actions.iter())
-                    .filter_map(|a| match a {
-                        FlowAction::PushVlan(vid) => Some(*vid),
-                        _ => None,
-                    })
-                    .collect();
-                vids.sort_unstable();
-                vids.dedup();
-                let vids = vids.into_boxed_slice();
-                audits.record_graph(self.shared_id(gid), GraphAudit { vids, violations });
-            }
-            // A graph LSI the node no longer has drops out.
-            let mut here = beside(live.lsis().filter_map(|(g, _)| g).map(|g| (g, ())));
-            let gone: Vec<Arc<str>> = audits
-                .graphs
-                .keys()
-                .filter(|g| here(g).is_none())
-                .cloned()
-                .collect();
-            for gid in gone {
-                audits.forget_graph(&gid);
+            let audits = cache.node_results.get_mut(&node.name);
+            let NodeAudits { books, scratch } = audits.expect("an audited node has its books");
+            let mut lowered = node.lsis.iter().peekable();
+            for ((graph, lsi), book) in live.lsis().zip(books) {
+                debug_assert_eq!(book.owner.as_deref(), graph);
+                match lowered.next_if(|state| state.graph.as_deref() == graph) {
+                    Some(state) => {
+                        let stats = book.audit(&ix, &node.name, state, lsi, scratch);
+                        report.stats.merge(stats);
+                    }
+                    None => book.mark_seen(lsi, false),
+                }
             }
             report.nodes_checked += 1;
         }
@@ -871,13 +924,8 @@ impl Domain {
                 let audits = cached(name);
                 if managed.health.is_serving() {
                     let (_, audits) = audits.expect("a serving node is audited");
-                    for violations in audits.flagged.values() {
-                        report.violations.extend(violations.iter().cloned());
-                    }
-                    for gid in &audits.flagged_graphs {
-                        report
-                            .violations
-                            .extend(audits.graphs[gid].violations.iter().cloned());
+                    for flagged in audits.books.iter().flat_map(|b| b.flagged.values()) {
+                        report.violations.extend(flagged.iter().cloned());
                     }
                 }
             }
@@ -906,120 +954,25 @@ impl Domain {
         }
         report
     }
-
-    /// Audit the lowered LSI-0 of `node` — every traffic class, or the
-    /// `judged` ones — into its cached audits, class by class.
-    #[allow(clippy::too_many_arguments)]
-    fn audit_base(
-        &self,
-        ix: &un_verify::snapshot::Index<'_>,
-        node: &NodeState,
-        lsi: &LsiState,
-        live: &LogicalSwitch,
-        judged: Option<&[TrafficClass]>,
-        audits: &mut NodeAudits,
-        report: &mut VerifyReport,
-    ) {
-        let table = live.table();
-        let mut found: BTreeMap<TrafficClass, Vec<Violation>> = BTreeMap::new();
-        for t in &lsi.tables {
-            let stats = check::audit_table(ix, &node.name, lsi, t, judged, |class, v| {
-                found.entry(class).or_default().push(v)
-            });
-            report.stats.merge(stats);
-        }
-        match judged {
-            None => audits.record_base(&lsi.tables[0].rules, found),
-            Some(judged) => {
-                for &class in judged {
-                    let violations = found.remove(&class).unwrap_or_default();
-                    audits.record_class(class, table.class_rules(class), violations);
-                }
-            }
-        }
-        audits.seen = table.generation();
-        if audits.ports != lsi.ports {
-            audits.ports.clone_from(&lsi.ports);
-        }
-    }
 }
 
-/// The LSI-0 classes and graph LSIs of a node with cached `audits` that
-/// a pass must judge: the classes its table says changed since, those
-/// naming a port LSI-0 gained or lost or a vid in `changed_vids`, and
-/// those flagged last time — with every class that holds one of them,
-/// and under a changed whole-port class its port's classes. A change the
-/// table's record no longer reaches, or a table with a class that pins
-/// no port, judges every class. The judged classes' cached audits are
-/// forgotten here, the changed ones first, so what the book still
-/// counts against a changed port or vid is another class's.
+/// Ready the books of `node`, which a pass re-audits, lined up with its
+/// LSIs: an LSI of a graph the pass re-checks (`rechecked`), or one
+/// without an audit, is judged whole; every other LSI is judged where
+/// it changed ([`Book::judge`]).
 fn node_scope(
-    node: &un_core::UniversalNode,
+    node: &UniversalNode,
     audits: &mut NodeAudits,
     changed_vids: &[u16],
-) -> NodeScope {
-    let lsi = base(node);
-    let table = lsi.table();
-    let mut scope = NodeScope::default();
-    for vid in changed_vids {
-        scope
-            .graphs
-            .extend(audits.graphs_pushing(*vid).map(str::to_string));
-    }
-    let changed = table.changed_since(audits.seen);
-    let (Some(changed), false) = (changed, table.has_class(TrafficClass::Table)) else {
-        return scope;
-    };
-    let mut seeds: Vec<TrafficClass> = changed.collect();
-    seeds.extend(audits.flagged.keys().copied());
-    for &class in &seeds {
-        audits.forget_class(class);
-    }
-    // With the seeds forgotten, a ref that changed is named by another
-    // class only if a class is still counted against it.
-    let mut refs: Vec<Ref> = Vec::new();
-    let mut counted = |r: Ref| {
-        if audits.wide > 0 || audits.counts(r) {
-            refs.push(r);
-        }
-    };
-    changed_vids.iter().for_each(|vid| counted(vid_ref(*vid)));
-    changed_ports(&audits.ports, lsi.ports().map(|(no, _)| no.0), |port| {
-        counted(port_ref(port));
-    });
-    for r in refs {
-        let naming: Vec<TrafficClass> = audits.classes_naming(r).collect();
-        for class in naming {
-            audits.forget_class(class);
-            seeds.push(class);
+    rechecked: impl Fn(&str) -> bool,
+) {
+    for ((graph, lsi), book) in node.lsis().zip(&mut audits.books) {
+        if graph.is_some_and(&rechecked) {
+            book.judged = None;
+        } else if book.judged.is_some() {
+            book.judged = book.judge(lsi, changed_vids);
         }
     }
-    // Each seed with what holds it, and under a whole-port seed its
-    // port's classes; a seed with no entry left only loses its audit.
-    let mut judged = Vec::with_capacity(seeds.len() + 2);
-    for &class in &seeds {
-        let TrafficClass::Port(port, vlan) = class else {
-            unreachable!("a table with a whole-table class judges every class");
-        };
-        if vlan == ClassVlan::Any {
-            judged.extend(table.port_classes(port));
-            continue;
-        }
-        if table.has_class(class) {
-            judged.push(class);
-        }
-        let whole = TrafficClass::Port(port, ClassVlan::Any);
-        if table.has_class(whole) {
-            judged.push(whole);
-        }
-    }
-    judged.sort_unstable();
-    judged.dedup();
-    for &class in &judged {
-        audits.forget_class(class);
-    }
-    scope.classes = Some(judged);
-    scope
 }
 
 #[cfg(test)]
@@ -1187,10 +1140,20 @@ mod tests {
         assert_eq!(rendered(&report), rendered(&full));
     }
 
-    /// Node `node`'s LSI-0, written by hand the way a faulty node would:
-    /// no domain mark, only the table's own record of what changed.
+    /// Node `node`'s LSI-0, or (`graph`) that graph's LSI, written by
+    /// hand the way a faulty node would: no domain mark, only the LSI's
+    /// own record of what changed.
+    fn lsi_mut<'d>(
+        d: &'d mut Domain,
+        node: &str,
+        graph: Option<&str>,
+    ) -> &'d mut un_core::un_switch::LogicalSwitch {
+        let node = &mut d.nodes.get_mut(node).unwrap().node;
+        node.switch_mut(graph).expect("the node holds that LSI")
+    }
+
     fn base_mut<'d>(d: &'d mut Domain, node: &str) -> &'d mut un_core::un_switch::LogicalSwitch {
-        d.nodes.get_mut(node).unwrap().node.base_switch_mut()
+        lsi_mut(d, node, None)
     }
 
     /// The incremental pass after `change` reports what a full pass over
@@ -1277,6 +1240,55 @@ mod tests {
         assert_exact(&d, "shadow, g0 gone", un_verify::check::code::SHADOWED_RULE);
         deploy_pair(&mut d, 0);
         assert_exact(&d, "shadow, g0 back", un_verify::check::code::SHADOWED_RULE);
+    }
+
+    /// A write no domain mark names is judged where it lands, in LSI-0
+    /// or in a graph's LSI alike: each LSI's own records — its table's
+    /// changed classes and its port generation — pull its node into the
+    /// pass, and the incremental pass says exactly what a full pass says.
+    ///
+    /// * An entry that hides one of `g1`'s, written into `g1`'s LSI.
+    /// * A port an LSI-0 entry outputs to, removed from LSI-0.
+    /// * A port a `g1` entry outputs to, removed from `g1`'s LSI.
+    #[test]
+    fn a_write_no_mark_names_is_judged() {
+        use un_core::un_switch::{FlowAction, FlowEntry, PortNo};
+        let lsi_of = |d: &Domain, graph: Option<&str>| {
+            let mut lsis = d.node("n1").unwrap().lsis();
+            let lsi = lsis.find(|(g, _)| *g == graph).unwrap().1;
+            lsi.table().entries().cloned().collect::<Vec<FlowEntry>>()
+        };
+        let output = |entries: &[FlowEntry]| -> PortNo {
+            let outputs = entries.iter().flat_map(|e| e.actions.iter());
+            let mut ports = outputs.filter_map(|a| match a {
+                FlowAction::Output(port) => Some(*port),
+                _ => None,
+            });
+            ports.next().expect("an entry outputs to a port")
+        };
+
+        let mut d = shared_host_fleet();
+        assert!(d.verify_full().ok());
+        let victim = lsi_of(&d, Some("g1")).swap_remove(0);
+        let mut shadow = FlowEntry::new(victim.priority + 1, victim.matches.clone(), Vec::new());
+        shadow.cookie = 0xbad;
+        lsi_mut(&mut d, "n1", Some("g1"))
+            .install(0, shadow)
+            .unwrap();
+        assert_exact(
+            &d,
+            "shadow in g1's LSI",
+            un_verify::check::code::SHADOWED_RULE,
+        );
+
+        for graph in [None, Some("g1")] {
+            let mut d = shared_host_fleet();
+            assert!(d.verify_full().ok());
+            let port = output(&lsi_of(&d, graph));
+            lsi_mut(&mut d, "n1", graph).remove_port(port).unwrap();
+            let tag = format!("port gone from {}", graph.unwrap_or("LSI-0"));
+            assert_exact(&d, &tag, un_verify::check::code::DEAD_OUTPUT);
+        }
     }
 
     /// Two edge nodes shared by `n` VLAN tenants, each a two-bridge
@@ -1406,7 +1418,7 @@ mod tests {
         // to mistake "not lowered" for "no rules installed".
         let snap = d.lower(Some(&Scope {
             graphs: ["g0"].into(),
-            nodes: BTreeMap::new(),
+            nodes: BTreeSet::new(),
             cache: &VerifyCache::default(),
         }));
         let ix = snap.index();

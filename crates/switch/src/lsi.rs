@@ -137,6 +137,8 @@ pub struct LogicalSwitch {
     pub dpid: u64,
     table: FlowTable,
     ports: BTreeMap<PortNo, PortInfo>,
+    /// Advanced on every port added or removed.
+    port_generation: u64,
     /// Aggregate counters.
     pub stats: SwitchStats,
 }
@@ -150,6 +152,7 @@ impl LogicalSwitch {
             dpid,
             table: FlowTable::new(),
             ports: BTreeMap::new(),
+            port_generation: 0,
             stats: SwitchStats::default(),
         }
     }
@@ -171,6 +174,7 @@ impl LogicalSwitch {
                 ..Default::default()
             },
         );
+        self.port_generation += 1;
         Ok(())
     }
 
@@ -178,8 +182,16 @@ impl LogicalSwitch {
     pub fn remove_port(&mut self, no: PortNo) -> Result<(), SwitchError> {
         self.ports
             .remove(&no)
-            .map(|_| ())
-            .ok_or(SwitchError::NoSuchPort(no.0))
+            .ok_or(SwitchError::NoSuchPort(no.0))?;
+        self.port_generation += 1;
+        Ok(())
+    }
+
+    /// The port set's generation: advanced on every port added or
+    /// removed, so a reader that saw one value knows the ports are as
+    /// they were while it reads the same.
+    pub fn port_generation(&self) -> u64 {
+        self.port_generation
     }
 
     /// Port metadata/counters.
@@ -409,6 +421,23 @@ mod tests {
         assert_eq!(sw.stats.rx_packets, 1);
         assert_eq!(sw.stats.tx_packets, 1);
         assert_eq!(sw.port(PortNo(2)).unwrap().tx_packets, 1);
+    }
+
+    #[test]
+    fn each_port_added_or_removed_advances_the_port_generation() {
+        let mut sw = lsi();
+        let at = sw.port_generation();
+        assert_eq!(at, 3, "three ports added");
+        assert!(sw.add_port(PortNo(1), "again").is_err());
+        assert!(sw.remove_port(PortNo(9)).is_err());
+        assert_eq!(sw.port_generation(), at, "a refused change changes nothing");
+        sw.remove_port(PortNo(3)).unwrap();
+        sw.add_port(PortNo(3), "aux").unwrap();
+        assert_eq!(
+            sw.port_generation(),
+            at + 2,
+            "the same ports, seen changing"
+        );
     }
 
     #[test]

@@ -80,7 +80,7 @@
 //! [`TrafficClass`] — the `(in_port, VLAN)` a rule pins — each class's
 //! rules in match order, and a bounded record of which classes each
 //! mutation touched. A reader that audits the table class by class
-//! (the static verifier on a shared LSI-0) asks
+//! (the static verifier, on every LSI's table) asks
 //! [`FlowTable::changed_since`] the generation it last saw and reads
 //! only those classes back ([`FlowTable::class_entries`]); a writer
 //! takes one entry out by its class ([`FlowTable::remove_first`])

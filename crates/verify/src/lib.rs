@@ -36,7 +36,11 @@
 //! accept no common frame, so a class's audit says about it exactly
 //! what an audit of the whole table says — which lets an incremental
 //! caller re-audit only the classes a change touched and keep the rest.
-//! [`check::audit_lsi`] is the same audit with every class judged.
+//! The domain's incremental pass audits every LSI that way, LSI-0 and
+//! each graph's alike, reading each table's own record of the classes
+//! its writes touched. [`check::audit_lsi`] is the same audit with every
+//! class judged: the reference [`check::run`] audits a whole snapshot
+//! with.
 
 #![forbid(unsafe_code)]
 #![deny(warnings)]

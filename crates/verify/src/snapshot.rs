@@ -8,16 +8,17 @@
 //!
 //! A snapshot may be *scoped*: an incremental pass lowers plans only
 //! for the graphs it re-checks, tables only on the nodes hosting them
-//! (and on nodes marked dirty), and on those nodes only the LSIs of
-//! re-checked graphs — another graph's LSI keeps its cached audit — and
-//! of LSI-0 only the traffic classes it re-audits, with the classes
-//! that meet them, each entry with its position in the whole table
-//! ([`TableState::at`]). What was left out is still named
+//! (and on nodes marked dirty or whose tables changed), and on those
+//! nodes the LSIs of re-checked graphs whole and of every other LSI
+//! only the traffic classes it re-audits, with the classes that meet
+//! them, each entry with its position in the whole table
+//! ([`TableState::at`]); a graph's LSI with no class to re-audit is
+//! left out. What was left out is still named
 //! ([`Snapshot::unlowered_nodes`], [`Snapshot::unlowered_graphs`],
 //! [`NodeState::unlowered_lsis`]) because the ledger checks need to know
 //! the fleet exists — but it carries no tables to read, and asking the
-//! [`Index`] for it panics rather than answer "no such node" or "no
-//! such rule".
+//! [`Index`] for it, or for a graph LSI lowered in part, panics rather
+//! than answer "no such node" or "no such rule".
 //!
 //! The checker never scans the snapshot per item: one [`Index`] per
 //! pass, built by [`Snapshot::index`], answers every by-name, by-vid and
@@ -93,8 +94,9 @@ pub struct NodeState {
     /// but those of [`NodeState::unlowered_lsis`].
     pub lsis: Vec<LsiState>,
     /// Graphs whose LSI on this node a scoped snapshot left out: their
-    /// graph was not re-checked, so their cached audit stands. Shared
-    /// with the domain's own names, not copied.
+    /// graph was not re-checked and no class of the LSI is re-audited,
+    /// so its cached audit stands. Shared with the domain's own names,
+    /// not copied.
     pub unlowered_lsis: Vec<Arc<str>>,
 }
 
@@ -322,18 +324,25 @@ impl<'a> Index<'a> {
     ///
     /// # Panics
     /// When the node, or that graph's LSI on it, lies outside the
-    /// snapshot's scope: "not lowered" must never read as "missing".
+    /// snapshot's scope, or the LSI was lowered only in part
+    /// ([`TableState::at`]): "not lowered" must never read as "missing".
     pub fn graph_rule_installed(&self, node: &str, graph: &str, cookie: u64) -> bool {
         let Some(n) = self.node(node) else {
             return false;
         };
-        let found = n
+        let tables = n
             .lsis
             .iter()
             .filter(|l| l.graph.as_deref() == Some(graph))
-            .flat_map(|l| &l.tables)
+            .flat_map(|l| &l.tables);
+        let found = tables
+            .clone()
             .flat_map(|t| &t.rules)
             .any(|r| r.cookie == cookie);
+        assert!(
+            tables.clone().all(|t| t.at.is_empty()),
+            "graph '{graph}'s LSI on node '{node}' is lowered only in part"
+        );
         assert!(
             found || !n.unlowered_lsis.iter().any(|g| **g == *graph),
             "graph '{graph}'s LSI on node '{node}' is outside this snapshot's scope"
@@ -382,6 +391,31 @@ mod tests {
     #[should_panic(expected = "graph 'g-out' is outside this snapshot's scope")]
     fn reading_an_unlowered_graph_panics() {
         scoped().index().graph("g-out");
+    }
+
+    #[test]
+    #[should_panic(expected = "graph 'g-in's LSI on node 'in' is lowered only in part")]
+    fn reading_a_partly_lowered_lsi_panics() {
+        let mut snap = scoped();
+        // g-in's LSI lowered for one traffic class: its one listed entry
+        // sits at position 3 of the whole table.
+        let rule = RuleState {
+            priority: 1,
+            matches: FlowMatch::default(),
+            actions: Arc::from(Vec::new()),
+            cookie: 7,
+        };
+        snap.nodes[0].lsis.push(LsiState {
+            name: "LSI-g-in".into(),
+            graph: Some("g-in".into()),
+            ports: Vec::new(),
+            tables: vec![TableState {
+                index: 0,
+                rules: vec![rule],
+                at: vec![3],
+            }],
+        });
+        snap.index().graph_rule_installed("in", "g-in", 8);
     }
 
     #[test]

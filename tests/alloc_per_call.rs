@@ -126,8 +126,10 @@ const DOMAIN_UPDATE_ALLOCS: u64 = 893;
 /// formatted `<graph>/<rule>` into a string to hash it; 252 while a
 /// pass lowered and audited a touched node's whole LSI-0, every other
 /// tenant's entries included, copied the name of every node, graph and
-/// graph LSI it left out, and kept the vid ledger in ordered sets.)
-const DOMAIN_VERIFY_ALLOCS: u64 = 158;
+/// graph LSI it left out, and kept the vid ledger in ordered sets; 158
+/// while a graph LSI was audited whole, into a book of its own kind,
+/// rather than per traffic class into the book every LSI keeps.)
+const DOMAIN_VERIFY_ALLOCS: u64 = 157;
 
 fn chain() -> NfFg {
     NfFgBuilder::new("g1", "alloc-chain")
